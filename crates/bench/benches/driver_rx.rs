@@ -7,14 +7,18 @@
 //!
 //! The binary installs a counting global allocator so that, besides
 //! throughput, it reports how many heap allocations each path performs.
-//! The not-for-us fast path (the §3 promiscuous load) must perform zero.
+//! The not-for-us fast path (the §3 promiscuous load) must perform zero,
+//! and so must the serial line's residual per-character path (a noisy,
+//! duplex line delivered one character at a time) under both engines'
+//! calling conventions.
 
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gateway::prdriver::{PacketRadioDriver, PrConfig};
 use netstack::ip::{Ipv4Packet, Proto};
-use sim::SimTime;
+use serial::{End, SerialConfig, SerialLine};
+use sim::{SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -139,5 +143,59 @@ fn bench_output(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rint, bench_output);
+/// The line's per-character path: noise forces one visit per character,
+/// and both directions are busy at once. One frame each way per
+/// iteration, delivered the way the Scan oracle does it (`advance` +
+/// `drain_rx`) and the way the indexed engine does it (`take_run`, which
+/// on such a line yields single characters).
+fn bench_serial_per_char(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serial_per_char");
+    let up = wire_for("W1GOH", 180);
+    let down = wire_for("N7AKR-1", 60);
+    g.throughput(Throughput::Bytes((up.len() + down.len()) as u64));
+    let cfg = SerialConfig::baud(9600).with_error_rate(0.01);
+    let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(3));
+    let mut buf = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut scan_style = |line: &mut SerialLine, now: &mut SimTime| {
+        line.send(*now, End::B, &up);
+        line.send(*now, End::A, &down);
+        while let Some(t) = line.next_deadline() {
+            *now = t;
+            line.advance(t);
+            black_box(line.drain_rx(End::A, &mut buf));
+            black_box(line.drain_rx(End::B, &mut buf));
+        }
+    };
+    g.bench_function("noisy_duplex_advance_drain", |b| {
+        b.iter(|| scan_style(&mut line, &mut now))
+    });
+    let allocs = allocs_during(|| scan_style(&mut line, &mut now));
+    eprintln!(
+        "serial_per_char/noisy_duplex_advance_drain: {allocs} heap allocations per frame pair"
+    );
+    assert_eq!(allocs, 0, "per-character delivery must not touch the heap");
+    let mut run_style = |line: &mut SerialLine, now: &mut SimTime| {
+        line.send(*now, End::B, &up);
+        line.send(*now, End::A, &down);
+        while let Some(t) = line.next_boundary() {
+            *now = t;
+            while line.take_run(End::A, t, &mut buf).is_some() {
+                black_box(&buf);
+            }
+            while line.take_run(End::B, t, &mut buf).is_some() {
+                black_box(&buf);
+            }
+        }
+    };
+    g.bench_function("noisy_duplex_take_run", |b| {
+        b.iter(|| run_style(&mut line, &mut now))
+    });
+    let allocs = allocs_during(|| run_style(&mut line, &mut now));
+    eprintln!("serial_per_char/noisy_duplex_take_run: {allocs} heap allocations per frame pair");
+    assert_eq!(allocs, 0, "per-character delivery must not touch the heap");
+    g.finish();
+}
+
+criterion_group!(benches, bench_rint, bench_output, bench_serial_per_char);
 criterion_main!(benches);

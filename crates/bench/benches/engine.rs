@@ -122,7 +122,7 @@ fn bench_world(c: &mut Criterion) {
 /// topology with a pinger (serial-character dominated); `beacons50_*` is
 /// the E2-style overload: the gateway's promiscuous TNC behind a 2400 Bd
 /// line hears 50 chattering stations, so every instant is either a
-/// per-character serial delivery (batched by the fast lane) or one due
+/// serial delivery (one calendar visit per frame boundary) or one due
 /// MAC among 50 — the reference re-scans all ~60 components either way.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");

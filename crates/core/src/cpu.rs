@@ -134,8 +134,8 @@ impl Cpu {
     /// recurrence `busy = max(busy, tᵢ) + c` gives
     /// `max(busy₀ + n·c, max_j(tⱼ + (n−j)·c))`, and the inner term is
     /// monotone in `j`, so only the first or last arrival can dominate.
-    /// This is the world's serial fast lane charging a whole quiet run of
-    /// line-paced deliveries in one call.
+    /// This is the indexed engine charging a whole run of line-paced
+    /// deliveries in one call (DESIGN.md §6).
     pub fn charge_chars_paced(&mut self, t0: SimTime, char_time: SimDuration, n: u64) -> SimTime {
         if n == 0 {
             return self.busy_until;

@@ -335,12 +335,13 @@ impl Host {
     /// Receives one line-paced run of serial characters: character `i`
     /// arrives at `t0 + i·char_time`.
     ///
-    /// This is the world's serial fast lane handing over a whole quiet run
-    /// of back-to-back deliveries in one call. It is exactly equivalent to
-    /// calling [`on_serial_bytes`](Host::on_serial_bytes) per character at
-    /// its own arrival instant, **provided** no byte before the last can
-    /// complete a frame — the caller guarantees that by ending runs at
-    /// `FEND` bytes (only a `FEND` can close a frame).
+    /// This is how the indexed engine delivers every serial line (DESIGN.md
+    /// §6): a whole run of back-to-back characters in one call. It is
+    /// exactly equivalent to calling
+    /// [`on_serial_bytes`](Host::on_serial_bytes) per character at its own
+    /// arrival instant, **provided** no byte before the last can complete a
+    /// frame — `serial::SerialLine::take_run` guarantees that by ending
+    /// runs at `FEND` bytes (only a `FEND` can close a frame).
     pub fn on_serial_run(&mut self, t0: SimTime, char_time: sim::SimDuration, bytes: &[u8]) {
         if self.down || bytes.is_empty() {
             return;
@@ -470,15 +471,6 @@ impl Host {
         }
     }
 
-    /// True if link-layer output or stack events are waiting to be taken.
-    ///
-    /// The world's batched serial fast lane uses this to detect that a
-    /// delivered character produced work beyond the per-character
-    /// accounting (i.e. a complete frame reached the stack).
-    pub fn has_pending_output(&self) -> bool {
-        !self.outbox.is_empty() || !self.events.is_empty()
-    }
-
     /// Takes pending link-layer output.
     pub fn take_outbox(&mut self) -> Vec<HostOut> {
         std::mem::take(&mut self.outbox)
@@ -492,13 +484,6 @@ impl Host {
     /// Takes diverted non-IP frames (the §2.4 tty queue).
     pub fn take_tty_frames(&mut self) -> Vec<Frame> {
         self.tty_queue.drain(..).collect()
-    }
-
-    /// Number of diverted frames waiting in the tty queue. Diverted frames
-    /// produce no stack event and no deadline, so the world watches this
-    /// count to know an app needs a poll.
-    pub fn tty_len(&self) -> usize {
-        self.tty_queue.len()
     }
 
     // --- User-level operations ---------------------------------------------

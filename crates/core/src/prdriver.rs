@@ -259,7 +259,7 @@ impl PacketRadioDriver {
     ///
     /// `now` stamps every frame completed in this slice (ARP learning);
     /// callers that need exact per-frame timestamps end each batch at a
-    /// frame boundary, as the `gateway::world` serial fast lane does.
+    /// frame boundary, as the world's run delivery does (DESIGN.md §6).
     pub fn rint_slice(
         &mut self,
         now: SimTime,

@@ -38,6 +38,9 @@ use sim::{SimRng, SimTime};
 use crate::host::{Host, HostOut};
 use crate::world::{App, HostId};
 
+// The line ends its runs at the byte the KISS deframers act on.
+const _: () = assert!(serial::FRAME_END == kiss::FEND);
+
 pub(crate) use cell::ShardBox;
 
 /// Segment access mode for a shard step: a single-shard world hands the
@@ -295,10 +298,8 @@ pub(crate) struct ShardData {
     cal: CalCache,
     /// Reusable buffer for draining dirty lists in index order.
     scratch: Vec<usize>,
-    /// Reusable buffer for batched serial runs in the fast lane.
+    /// Reusable buffer for serial deliveries (runs and FIFO drains).
     run_scratch: Vec<u8>,
-    /// Reusable buffer for popped calendar keys.
-    key_scratch: Vec<Key>,
 }
 
 impl ShardData {
@@ -333,7 +334,6 @@ impl ShardData {
             cal: CalCache::default(),
             scratch: Vec::new(),
             run_scratch: Vec::new(),
-            key_scratch: Vec::new(),
         }
     }
 
@@ -489,8 +489,11 @@ impl ShardData {
     // Deadline-change reporting: re-register a component after anything
     // may have moved its deadline. Unchanged deadlines are a no-op.
 
+    /// Lines register their next *boundary* (DESIGN.md §6): the quiet
+    /// characters before it are picked up by `deliver_line` when it fires,
+    /// or earlier if a receiver is touched.
     fn reg_line(&mut self, li: usize) {
-        let d = self.lines[li].next_deadline();
+        let d = self.lines[li].next_boundary();
         match self.cal.lines.get_mut(li) {
             // Cache hit: the calendar already holds this deadline.
             Some(slot) if *slot == d => {
@@ -604,23 +607,10 @@ impl ShardData {
         }
     }
 
-    /// The earliest *other* event competing with the fast lane: the
-    /// calendar head and any queued cross-shard delivery.
-    fn other_next(&mut self) -> Option<SimTime> {
-        let sp = self.sched.peek_time();
-        let ep = self.ether_in.peek().map(|e| e.0);
-        match (sp, ep) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
-    }
-
     /// The indexed run loop over one window: pop due keys from the
     /// calendar (and due cross-shard deliveries), mark them dirty, settle
     /// the instant over dirty components only.
     pub(crate) fn run_window_indexed(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
-        let mut popped = std::mem::take(&mut self.key_scratch);
         while let Some(d) = self.next_event_indexed() {
             if d > w_end {
                 break;
@@ -629,31 +619,13 @@ impl ShardData {
                 self.now = d;
                 self.sched.stats_mut().instants += 1;
             }
-            popped.clear();
             while self.sched.peek_time().is_some_and(|pt| pt <= self.now) {
                 let k = self.sched.pop().expect("peeked entry pops").1;
                 *self.cal.slot(k) = None;
-                popped.push(k);
+                self.dirty.mark(k);
             }
-            // Dense per-character band: a lone serial-line deadline with no
-            // other pending work takes the batched fast lane.
-            if popped.len() == 1
-                && self.dirty.count == 0
-                && self.ether_in.peek().is_none_or(|e| e.0 > self.now)
-            {
-                if let Key::Line(li) = popped[0] {
-                    self.key_scratch = std::mem::take(&mut popped);
-                    self.serial_fast_lane(li, w_end, segs);
-                    popped = std::mem::take(&mut self.key_scratch);
-                    continue;
-                }
-            }
-            for &key in &popped {
-                self.dirty.mark(key);
-            }
-            self.settle_dirty(false, segs);
+            self.settle_dirty(segs);
         }
-        self.key_scratch = popped;
     }
 
     /// The reference run loop over one window: scan for the earliest
@@ -668,179 +640,85 @@ impl ShardData {
         }
     }
 
-    /// Batched serial delivery (the lone-line instant). Advances character
-    /// by character at exact completion times with **zero calendar traffic
-    /// per byte**, as long as each delivered character is *quiet*: the
-    /// receiver's deadline, pending output, tty queue, and (TNC side)
-    /// frame/param counters are unchanged — i.e. only the per-character
-    /// interrupt accounting happened, which stays per-byte (§3). The first
-    /// non-quiet character (frame boundary, param command) falls back to a
-    /// full settle at its exact instant.
-    fn serial_fast_lane(&mut self, li: usize, limit: SimTime, segs: &mut Segs<'_>) {
-        let host_idx = self.line_host[li];
-        let tnc_idx = self.line_tnc[li];
-        let mut run_buf = std::mem::take(&mut self.run_scratch);
-        loop {
-            let mut quiet = true;
-            // Run batching: when one direction carries a clean burst, pull
-            // every character up to (and including) the next FEND in a
-            // single call and hand the whole slice to the receiver's bulk
-            // path. Characters before a FEND are provably quiet — they can
-            // only be buffered — so the one quiet check at the run's end
-            // observes everything the per-character loop would have.
-            // Counter bookkeeping matches that loop exactly: `m` batched
-            // characters and `m − 1` further time instants (the first was
-            // counted when this deadline popped).
-            let before = self.other_next();
-            if let Some(run) =
-                self.lines[li].take_run(self.now, limit, before, kiss::FEND, &mut run_buf)
-            {
-                let m = run_buf.len() as u64;
-                self.sched.stats_mut().batched_chars += m;
-                self.sched.stats_mut().instants += m - 1;
-                self.now = run.t_last;
-                match run.to {
-                    End::A => {
-                        if let Some(hi) = host_idx {
-                            let char_time = self.lines[li].config().char_time();
-                            let h = &mut self.hosts[hi].host;
-                            let before_dl = h.next_deadline();
-                            let before_tty = h.tty_len();
-                            h.on_serial_run(run.t0, char_time, &run_buf);
-                            if h.has_pending_output()
-                                || h.next_deadline() != before_dl
-                                || h.tty_len() != before_tty
-                            {
-                                self.dirty.mark(Key::Host(hi));
-                                self.mark_apps(hi);
-                                quiet = false;
-                            }
-                        }
-                    }
-                    End::B => {
-                        if let Some(ti) = tnc_idx {
-                            let t = &mut self.tncs[ti].tnc;
-                            let before_dl = t.next_deadline();
-                            let s = t.stats();
-                            let before = (s.from_host, s.params);
-                            t.on_serial_bytes(&run_buf);
-                            let s = t.stats();
-                            if (s.from_host, s.params) != before || t.next_deadline() != before_dl {
-                                self.dirty.mark(Key::Tnc(ti));
-                                quiet = false;
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Per-character reference path: noisy or bidirectional
-                // lines, or an undrained FIFO.
-                self.lines[li].advance(self.now);
-                let host_bytes = self.lines[li].take_rx(End::A);
-                if !host_bytes.is_empty() {
-                    self.sched.stats_mut().batched_chars += host_bytes.len() as u64;
-                    if let Some(hi) = host_idx {
-                        let h = &mut self.hosts[hi].host;
-                        let before_dl = h.next_deadline();
-                        let before_tty = h.tty_len();
-                        h.on_serial_bytes(self.now, &host_bytes);
-                        if h.has_pending_output()
-                            || h.next_deadline() != before_dl
-                            || h.tty_len() != before_tty
-                        {
-                            self.dirty.mark(Key::Host(hi));
-                            self.mark_apps(hi);
-                            quiet = false;
-                        }
-                    }
-                }
-                let tnc_bytes = self.lines[li].take_rx(End::B);
-                if !tnc_bytes.is_empty() {
-                    self.sched.stats_mut().batched_chars += tnc_bytes.len() as u64;
-                    if let Some(ti) = tnc_idx {
-                        let t = &mut self.tncs[ti].tnc;
-                        let before_dl = t.next_deadline();
-                        let s = t.stats();
-                        let before = (s.from_host, s.params);
-                        for &b in &tnc_bytes {
-                            t.on_serial_byte(b);
-                        }
-                        let s = t.stats();
-                        if (s.from_host, s.params) != before || t.next_deadline() != before_dl {
-                            self.dirty.mark(Key::Tnc(ti));
-                            quiet = false;
-                        }
-                    }
-                }
+    /// Delivers every character of line `li` due at or before `upto`, in
+    /// both directions, as line-paced runs through the receivers' closed
+    /// forms — the one indexed delivery path (DESIGN.md §6). Returns
+    /// whether the (host, TNC) end received anything. The clock never
+    /// lags a delivered character (only the exit flush runs ahead of it).
+    fn deliver_line(&mut self, li: usize, upto: SimTime) -> (bool, bool) {
+        let mut got = (false, false);
+        if self.lines[li].next_deadline().is_none_or(|t| t > upto) {
+            return got;
+        }
+        let char_time = self.lines[li].config().char_time();
+        let mut run = std::mem::take(&mut self.run_scratch);
+        while let Some(info) = self.lines[li].take_run(End::A, upto, &mut run) {
+            got.0 = true;
+            self.now = self.now.max(info.t_last);
+            self.sched.stats_mut().batched_chars += run.len() as u64;
+            if let Some(hi) = self.line_host[li] {
+                self.hosts[hi].host.on_serial_run(info.t0, char_time, &run);
             }
-            let line_dl = self.lines[li].next_deadline();
-            if !quiet {
-                // The delivery that broke quiescence counts as this
-                // instant's first-pass progress, as it did when the
-                // reference stepper delivered it inside `settle`.
-                self.reg_line(li);
-                self.run_scratch = run_buf;
-                self.settle_dirty(true, segs);
-                return;
+        }
+        while let Some(info) = self.lines[li].take_run(End::B, upto, &mut run) {
+            got.1 = true;
+            self.now = self.now.max(info.t_last);
+            self.sched.stats_mut().batched_chars += run.len() as u64;
+            if let Some(ti) = self.line_tnc[li] {
+                self.tncs[ti].tnc.on_serial_bytes(&run);
             }
-            if let Some(dl) = line_dl {
-                // Keep batching while the line is strictly the next event.
-                if dl <= limit && self.other_next().is_none_or(|o| dl < o) {
-                    self.now = dl;
-                    self.sched.stats_mut().instants += 1;
-                    continue;
-                }
-            }
-            self.reg_line(li);
-            self.run_scratch = run_buf;
-            return;
+        }
+        self.run_scratch = run;
+        got
+    }
+
+    /// Catch-up on touch: before host `hi` is advanced, flushed, polled by
+    /// an app, or handed a frame at `self.now`, its line delivers every
+    /// character due by now, so the CPU FIFO order and deframer state are
+    /// what per-character delivery would have left. Such characters all
+    /// precede the line's registered boundary, so nothing needs marking.
+    fn catch_up_host(&mut self, hi: usize) {
+        if let Some(li) = self.hosts[hi].serial {
+            self.deliver_line(li, self.now);
+        }
+    }
+
+    /// Flush on exit: every run call returns with all characters due at
+    /// or before `limit` delivered, so chunked runs equal one run and
+    /// public stats are exact between calls.
+    pub(crate) fn flush_lines(&mut self, limit: SimTime) {
+        for li in 0..self.lines.len() {
+            self.deliver_line(li, limit);
         }
     }
 
     /// Processes everything dirty at `self.now` until the instant is
     /// quiet, visiting categories in the same fixed order as the
     /// reference stepper: lines → channels → MACs → segments → hosts →
-    /// apps. `initial_progress` seeds the first pass's progress flag when
-    /// the caller already made progress at this instant (the fast lane's
-    /// bail-out delivery).
-    pub(crate) fn settle_dirty(&mut self, initial_progress: bool, segs: &mut Segs<'_>) {
+    /// apps.
+    pub(crate) fn settle_dirty(&mut self, segs: &mut Segs<'_>) {
         let now = self.now;
-        let mut first = initial_progress;
         let mut todo = std::mem::take(&mut self.scratch);
         for _pass in 0..10_000 {
-            let mut progressed = std::mem::take(&mut first);
+            let mut progressed = false;
             let mut polled: u64 = 0;
 
-            // 1. Serial lines: finish due characters, route rx bytes.
+            // 1. Serial lines: deliver the runs that are due, wake the
+            // receivers.
             todo.clear();
             if !self.dirty.lines.list.is_empty() {
                 self.dirty.count -= self.dirty.lines.drain_into(&mut todo);
             }
             for &li in &todo {
                 polled += 1;
-                if self.lines[li].next_deadline().is_some_and(|t| t <= now) {
-                    self.lines[li].advance(now);
+                let (host_got, tnc_got) = self.deliver_line(li, now);
+                progressed |= host_got || tnc_got;
+                if let Some(hi) = self.line_host[li].filter(|_| host_got) {
+                    self.dirty.mark(Key::Host(hi));
+                    self.mark_apps(hi);
                 }
-                // Host side (End::A).
-                let host_bytes = self.lines[li].take_rx(End::A);
-                if !host_bytes.is_empty() {
-                    progressed = true;
-                    if let Some(hi) = self.line_host[li] {
-                        self.hosts[hi].host.on_serial_bytes(now, &host_bytes);
-                        self.dirty.mark(Key::Host(hi));
-                        self.mark_apps(hi);
-                    }
-                }
-                // TNC side (End::B).
-                let tnc_bytes = self.lines[li].take_rx(End::B);
-                if !tnc_bytes.is_empty() {
-                    progressed = true;
-                    if let Some(ti) = self.line_tnc[li] {
-                        for &b in &tnc_bytes {
-                            self.tncs[ti].tnc.on_serial_byte(b);
-                        }
-                        self.dirty.mark(Key::Tnc(ti));
-                    }
+                if let Some(ti) = self.line_tnc[li].filter(|_| tnc_got) {
+                    self.dirty.mark(Key::Tnc(ti));
                 }
                 self.reg_line(li);
             }
@@ -897,6 +775,7 @@ impl ShardData {
             }
             for &ti in &todo {
                 polled += 1;
+                self.deliver_line(self.tncs[ti].line, now);
                 let ci = self.tncs[ti].chan;
                 let entry = &mut self.tncs[ti];
                 entry.tnc.poll(now, &mut self.channels[ci], &mut self.rng);
@@ -956,6 +835,7 @@ impl ShardData {
                                 if let Some(hi) =
                                     self.hosts.iter().position(|h| h.nic == Some((si, nic)))
                                 {
+                                    self.catch_up_host(hi);
                                     self.hosts[hi].host.on_ether_frame(now, &frame);
                                     self.dirty.mark(Key::Host(hi));
                                     self.mark_apps(hi);
@@ -970,6 +850,7 @@ impl ShardData {
                         let (_, hi, frame) = self.ether_in.pop().expect("peeked entry pops");
                         progressed = true;
                         polled += 1;
+                        self.catch_up_host(hi);
                         self.hosts[hi].host.on_ether_frame(now, &frame);
                         self.dirty.mark(Key::Host(hi));
                         self.mark_apps(hi);
@@ -985,6 +866,7 @@ impl ShardData {
             }
             for &hi in &todo {
                 polled += 1;
+                self.catch_up_host(hi);
                 if self.hosts[hi]
                     .host
                     .next_deadline()
@@ -1014,6 +896,7 @@ impl ShardData {
             for &ai in &todo {
                 polled += 1;
                 let hi = self.apps[ai].host;
+                self.catch_up_host(hi);
                 let entry = &mut self.apps[ai];
                 entry.app.poll(now, &mut self.hosts[hi].host);
                 self.reg_app(ai);
@@ -1045,6 +928,7 @@ impl ShardData {
     /// visiting every component on every pass (the reference stepper).
     pub(crate) fn settle_scan(&mut self, segs: &mut Segs<'_>) {
         let now = self.now;
+        let mut rx = std::mem::take(&mut self.run_scratch);
         for _pass in 0..10_000 {
             let mut progressed = false;
 
@@ -1054,19 +938,17 @@ impl ShardData {
                     self.lines[li].advance(now);
                 }
                 // Host side (End::A).
-                let host_bytes = self.lines[li].take_rx(End::A);
-                if !host_bytes.is_empty() {
+                if self.lines[li].drain_rx(End::A, &mut rx) > 0 {
                     progressed = true;
                     if let Some(h) = self.hosts.iter_mut().find(|h| h.serial == Some(li)) {
-                        h.host.on_serial_bytes(now, &host_bytes);
+                        h.host.on_serial_bytes(now, &rx);
                     }
                 }
                 // TNC side (End::B).
-                let tnc_bytes = self.lines[li].take_rx(End::B);
-                if !tnc_bytes.is_empty() {
+                if self.lines[li].drain_rx(End::B, &mut rx) > 0 {
                     progressed = true;
                     if let Some(t) = self.tncs.iter_mut().find(|t| t.line == li) {
-                        for b in tnc_bytes {
+                        for &b in &rx {
                             t.tnc.on_serial_byte(b);
                         }
                     }
@@ -1145,6 +1027,7 @@ impl ShardData {
             progressed |= self.run_apps(now, segs);
 
             if !progressed {
+                self.run_scratch = rx;
                 return;
             }
         }

@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use ax25::addr::Ax25Addr;
@@ -645,8 +645,9 @@ impl World {
         match mode {
             Mode::Indexed => {
                 sh.sync_all(&mut segs);
-                sh.settle_dirty(false, &mut segs);
+                sh.settle_dirty(&mut segs);
                 sh.run_window_indexed(limit, &mut segs);
+                sh.flush_lines(limit);
             }
             Mode::Scan => {
                 sh.settle_scan(&mut segs);
@@ -672,7 +673,7 @@ impl World {
             match mode {
                 Mode::Indexed => {
                     sh.sync_all(&mut segs);
-                    sh.settle_dirty(false, &mut segs);
+                    sh.settle_dirty(&mut segs);
                 }
                 Mode::Scan => sh.settle_scan(&mut segs),
             }
@@ -684,9 +685,11 @@ impl World {
         let mut spare = std::mem::take(&mut self.spare_frames);
         let mut events = std::mem::take(&mut self.events);
         let workers = self.workers.min(shards.len());
+        let next_due: Vec<AtomicU64> = shards.iter().map(|_| AtomicU64::new(0)).collect();
         {
             let mut eng = Engine {
                 shards: &shards,
+                next_due: &next_due,
                 segments: &mut segments,
                 seg_hosts: &seg_hosts,
                 pending: &mut pending,
@@ -712,7 +715,11 @@ impl World {
         std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
         let mut now = self.now;
         for sb in &mut self.shards {
-            now = now.max(sb.get_mut().now);
+            let sh = sb.get_mut();
+            if let Mode::Indexed = mode {
+                sh.flush_lines(limit);
+            }
+            now = now.max(sh.now);
         }
         self.now = if clamp { now.max(limit) } else { now };
     }
@@ -740,13 +747,21 @@ fn step_shard(sh: &mut ShardData, w_end: SimTime, mode: Mode) {
 ///    at their exact times. Sends emitted *during* a window get effect
 ///    `≥ w_end` (the lookahead guarantee), so this phase never misses
 ///    one.
-/// 4. Step every shard to `w_end` — independently, in parallel if asked;
-///    shards see only their mailbox, never the segments.
+/// 4. Step the active shards — those with an event or a queued delivery
+///    at or before `w_end` — independently, in parallel if asked; shards
+///    see only their mailbox, never the segments. Stepping a shard with
+///    nothing due is a no-op, so the rest are skipped.
 /// 5. `collect()`: gather emitted sends into the pending heap, append
 ///    shard events (stable-sorted by time; windows never interleave
 ///    times), and recycle spent delivery frames.
 struct Engine<'a> {
     shards: &'a [ShardBox],
+    /// Per shard, its earliest event in ns (`u64::MAX` = none): written by
+    /// the `t_next` scan, lowered by `apply_ether` when it queues a
+    /// delivery. `Relaxed` throughout — written only in coordinator phases
+    /// and read only in stepping phases, which the window barriers (or
+    /// program order, on one thread) already order.
+    next_due: &'a [AtomicU64],
     segments: &'a mut Vec<Segment>,
     seg_hosts: &'a [HashMap<NicId, (u32, u32)>],
     pending: &'a mut BinaryHeap<Reverse<PendingSend>>,
@@ -769,14 +784,16 @@ impl Engine<'_> {
                 best = Some(best.map_or(t, |b: SimTime| b.min(t)));
             }
         };
-        for sb in self.shards {
+        for (sb, due) in self.shards.iter().zip(self.next_due) {
             // SAFETY: coordinator phase — workers are parked at the
             // barrier (or do not exist), so no shard is claimed.
             let sh = unsafe { sb.steal() };
-            fold(match self.mode {
+            let t = match self.mode {
                 Mode::Indexed => sh.next_event_indexed(),
                 Mode::Scan => sh.scan_next_deadline(None),
-            });
+            };
+            due.store(t.map_or(u64::MAX, SimTime::as_nanos), Ordering::Relaxed);
+            fold(t);
         }
         for s in self.segments.iter() {
             fold(s.next_deadline());
@@ -811,6 +828,7 @@ impl Engine<'_> {
                 // before hosts flush new sends (step 5) at one instant.
                 (Some((c, si)), send) if send.is_none_or(|e| c <= e) => {
                     let shards = self.shards;
+                    let next_due = self.next_due;
                     let seg_hosts = &self.seg_hosts[si];
                     let spare = &mut *self.spare;
                     // `c` is the global minimum, so exactly the one
@@ -824,6 +842,7 @@ impl Engine<'_> {
                             // SAFETY: coordinator phase (as in `t_next`).
                             let sh = unsafe { shards[s as usize].steal() };
                             sh.ether_in.push((c, l as usize, buf));
+                            next_due[s as usize].fetch_min(c.as_nanos(), Ordering::Relaxed);
                         }
                     });
                 }
@@ -868,7 +887,10 @@ impl Engine<'_> {
             }
             let w_end = (tn + LOOKAHEAD).min(self.limit);
             self.apply_ether(w_end);
-            for sb in self.shards {
+            for (sb, due) in self.shards.iter().zip(self.next_due) {
+                if due.load(Ordering::Relaxed) > w_end.as_nanos() {
+                    continue;
+                }
                 // SAFETY: serial stepping — no other claimant exists.
                 let sh = unsafe { sb.steal() };
                 step_shard(sh, w_end, self.mode);
@@ -882,6 +904,7 @@ impl Engine<'_> {
     /// barrier waits bound each window (coordinator phases in between).
     fn run_parallel(&mut self, workers: usize) {
         let shards = self.shards;
+        let next_due = self.next_due;
         let mode = self.mode;
         let nshards = shards.len();
         // (window end, shut down) — written by the coordinator before the
@@ -893,6 +916,9 @@ impl Engine<'_> {
             let i = ticket.fetch_add(1, Ordering::Relaxed);
             if i >= nshards {
                 break;
+            }
+            if next_due[i].load(Ordering::Relaxed) > w_end.as_nanos() {
+                continue;
             }
             // SAFETY: the ticket hands each shard to exactly one thread;
             // the barriers on both sides of the stepping phase order it

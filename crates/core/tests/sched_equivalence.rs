@@ -10,15 +10,19 @@
 //! it is excluded from the comparison (no other code reads it).
 
 use ax25::addr::Ax25Addr;
-use gateway::host::Host;
-use gateway::scenario::{self, PaperConfig};
+use gateway::cpu::CpuConfig;
+use gateway::host::{Host, HostConfig, RadioIfConfig};
+use gateway::scenario::{self, PaperConfig, PaperScenario};
 use gateway::world::{App, BeaconId, ChanId, DigiId, HostId, TncId, World};
 use proptest::prelude::*;
 use radio::csma::MacConfig;
 use radio::tnc::RxMode;
 use radio::traffic::BeaconConfig;
+use serial::End;
 use sim::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// An app that issues pings at scripted instants — deterministic traffic
 /// with real TCP/ICMP timers behind it.
@@ -307,10 +311,9 @@ fn golden_trace_digest() {
 /// The `engine` bench's 50-beacon world: the paper gateway with its TNC
 /// promiscuous behind a 2400 Bd serial line, hearing 50 chattering
 /// beacon stations. Every heard frame floods the gateway line with
-/// per-character deliveries — the serial fast lane's dense band — so
-/// this pins the batched path to the reference byte-for-byte, including
-/// the per-character interrupt accounting the paper's §3 argument rests
-/// on.
+/// per-character deliveries, so this pins run delivery to the reference
+/// byte-for-byte, including the per-character interrupt accounting the
+/// paper's §3 argument rests on.
 #[test]
 fn promiscuous_flood_matches_reference() {
     let run = |driver: Driver| {
@@ -358,8 +361,294 @@ fn promiscuous_flood_matches_reference() {
     assert_eq!(indexed, reference, "Indexed diverged from reference");
     assert!(
         batched > 1000,
-        "the serial fast lane should batch the flood (batched_chars={batched})"
+        "the flood should be delivered in runs (batched_chars={batched})"
     );
     let (wheel, _) = run(Driver::Wheel);
     assert_eq!(wheel, reference, "Wheel diverged from reference");
+}
+
+/// At scripted instants, notes what the host's CPU and driver look like
+/// to a process on it, then optionally flips the host's power (E12's
+/// gateway kill, here aimed at the middle of a serial frame).
+struct Probe {
+    script: Vec<(SimTime, Option<bool>)>,
+    notes: Rc<RefCell<Vec<String>>>,
+}
+
+impl App for Probe {
+    fn poll(&mut self, now: SimTime, host: &mut Host) {
+        while self.script.first().is_some_and(|&(t, _)| t <= now) {
+            let (_, power) = self.script.remove(0);
+            self.notes.borrow_mut().push(format!(
+                "{now} cpu busy until {} after {} chars, {} queued, next {:?}",
+                host.cpu.busy_until(),
+                host.pr_driver().expect("radio host").stats().rint_chars,
+                host.input_queue_len(),
+                host.next_deadline(),
+            ));
+            if let Some(down) = power {
+                host.set_down(down);
+            }
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.script.first().map(|&(t, _)| t)
+    }
+}
+
+/// Scripted traffic for the lock-step world; the instants are found by
+/// scouting a reference run so that each falls in the middle of a frame.
+#[derive(Clone, Default)]
+struct Script {
+    /// Pings from the Ethernet host to the PC: each crosses the gateway,
+    /// charging its CPU on the way in.
+    ether_pings: Vec<SimTime>,
+    /// Pings from both PCs (to the Ethernet host and to the gateway).
+    pc_pings: Vec<SimTime>,
+    /// Gateway probes, some of which flip its power.
+    probes: Vec<(SimTime, Option<bool>)>,
+}
+
+/// The lock-step promiscuous world: the paper topology behind 2400 Bd
+/// lines plus a second PC, all three TNCs promiscuous, so every frame on
+/// the channel goes up three serial lines at the same instants. Four
+/// beacons keep the channel (and so the lines) busy, and a slow CPU (3 ms
+/// per character against 4.2 ms between characters) is busy most of the
+/// way through a frame, so work that arrives mid-frame queues behind
+/// exactly the characters that came before it — or the run shows it.
+struct LockStep {
+    s: PaperScenario,
+    pc2: HostId,
+    tncs: [TncId; 3],
+    bids: Vec<BeaconId>,
+    gw_notes: Rc<RefCell<Vec<String>>>,
+}
+
+fn lock_step_world(script: &Script) -> LockStep {
+    let mac = MacConfig::default();
+    let cfg = PaperConfig {
+        serial_baud: 2400,
+        acl: false,
+        mac,
+        cpu: CpuConfig {
+            char_cost: SimDuration::from_millis(3),
+            packet_cost: SimDuration::from_millis(5),
+        },
+        ..PaperConfig::default()
+    };
+    let mut s = scenario::paper_topology(cfg, 88);
+    let mut pc2_cfg = HostConfig::named("pc2");
+    pc2_cfg.radio = Some(RadioIfConfig {
+        call: Ax25Addr::parse_or_panic("W7PC2"),
+        ip: Ipv4Addr::new(44, 24, 0, 6),
+        prefix_len: 16,
+    });
+    let pc2 = s.world.add_host(pc2_cfg);
+    let pc2_tnc = s
+        .world
+        .attach_radio(pc2, s.chan, 2400, RxMode::Promiscuous, mac);
+    let bids = (0..4)
+        .map(|i| {
+            s.world.add_beacon(
+                s.chan,
+                BeaconConfig {
+                    from: Ax25Addr::parse_or_panic(&format!("LS{i}")),
+                    to: Ax25Addr::parse_or_panic("CHAT"),
+                    frame_len: 120,
+                    mean_interval: SimDuration::from_secs(8),
+                    start: SimTime::from_millis(150 * i),
+                    mac,
+                },
+            )
+        })
+        .collect();
+    for (host, dst, times) in [
+        (s.ether_host, scenario::PC_IP, &script.ether_pings),
+        (s.pc, scenario::ETHER_HOST_IP, &script.pc_pings),
+        (pc2, scenario::GW_RADIO_IP, &script.pc_pings),
+    ] {
+        let times = times.clone();
+        s.world
+            .add_app(host, Box::new(ScriptedPinger { dst, times, seq: 0 }));
+    }
+    let gw_notes = Rc::new(RefCell::new(Vec::new()));
+    let probe = Probe {
+        script: script.probes.clone(),
+        notes: Rc::clone(&gw_notes),
+    };
+    s.world.add_app(s.gw, Box::new(probe));
+    let tncs = [s.pc_tnc, s.gw_tnc, pc2_tnc];
+    LockStep {
+        s,
+        pc2,
+        tncs,
+        bids,
+        gw_notes,
+    }
+}
+
+impl LockStep {
+    fn radio_hosts(&self) -> [HostId; 3] {
+        [self.s.pc, self.s.gw, self.pc2]
+    }
+
+    /// Characters still to come up the gateway's line: > 0 means "now" is
+    /// in the middle of a frame the TNC is passing to the host.
+    fn gw_line_backlog(&self) -> usize {
+        let line = self.s.world.host_serial_line(self.s.gw).expect("gw line");
+        line.tx_backlog(End::B)
+    }
+
+    /// Characters delivered over all three lines, both directions.
+    fn serial_chars(&self) -> u64 {
+        let delivered = |h: &HostId| {
+            let line = self.s.world.host_serial_line(*h).expect("radio host");
+            line.stats(End::A).delivered + line.stats(End::B).delivered
+        };
+        self.radio_hosts().iter().map(delivered).sum()
+    }
+
+    /// The §3 accounting of every radio host — `(rint_chars,
+    /// char_interrupts, busy_ns)` — which catch-up on touch and the exit
+    /// flush must keep exact.
+    fn char_accounting(&self) -> Vec<(u64, u64, u64)> {
+        let of = |h: &HostId| {
+            let host = self.s.world.host(*h);
+            let cpu = host.cpu.stats();
+            let rint = host.pr_driver().expect("radio host").stats().rint_chars;
+            (rint, cpu.char_interrupts, cpu.busy_ns)
+        };
+        self.radio_hosts().iter().map(of).collect()
+    }
+
+    fn fingerprint(&mut self) -> String {
+        let accounting = self.char_accounting();
+        let hosts = [self.s.pc, self.s.gw, self.pc2, self.s.ether_host];
+        let fp = fingerprint(
+            &mut self.s.world,
+            &self.tncs,
+            &[],
+            &self.bids,
+            &[self.s.chan],
+            &hosts,
+        );
+        let notes = self.gw_notes.borrow().join("\n");
+        format!("{accounting:?}\n{notes}\n{fp}")
+    }
+}
+
+/// Runs the reference under `script` to `from`, then on in 5 ms steps
+/// until the gateway's line is well inside a frame (30 to 100 characters
+/// still to deliver); returns an instant shortly after, off the character
+/// grid.
+/// Actions scripted at the returned instant cannot change history up to
+/// it, so they are certain to land mid-frame.
+fn scout_mid_frame(script: &Script, from: SimTime) -> SimTime {
+    let mut w = lock_step_world(script);
+    w.s.world.run_until_reference(from);
+    while !(30..=100).contains(&w.gw_line_backlog()) {
+        let t = w.s.world.now + SimDuration::from_millis(5);
+        assert!(t < SimTime::from_secs(90), "the line never got busy");
+        w.s.world.run_until_reference(t);
+    }
+    w.s.world.now + SimDuration::from_micros(1_700)
+}
+
+fn lock_step_script() -> Script {
+    let mut script = Script::default();
+    let t = scout_mid_frame(&script, SimTime::from_secs(3));
+    script.ether_pings = (0..6)
+        .map(|i| t + SimDuration::from_millis(40 * i))
+        .collect();
+    let t = scout_mid_frame(&script, SimTime::from_secs(8));
+    script.pc_pings = vec![t, SimTime::from_secs(22), SimTime::from_secs(41)];
+    // Look at the gateway just after each Ethernet-side packet reached it,
+    // and power it down and up mid-frame later on.
+    let just_after = SimDuration::from_micros(300);
+    script.probes = (script.ether_pings.iter())
+        .map(|&t| (t + just_after, None))
+        .collect();
+    let t = scout_mid_frame(&script, SimTime::from_secs(30));
+    let up = t + SimDuration::from_millis(700);
+    script.probes.extend([(t, Some(true)), (up, Some(false))]);
+    script
+}
+
+/// Lock-step lines are the case a lone-line fast lane cannot batch.
+/// Everything that can touch a receiver between two frame boundaries
+/// happens here in the middle of a frame — pings from both PCs, an
+/// Ethernet-side sender whose packets charge the gateway's CPU, a
+/// power-down of the gateway — and the event stream, every component's
+/// stats and the per-character accounting must equal the reference
+/// stepper's. The work counters then show the lines were visited per
+/// frame, not per character.
+#[test]
+fn lock_step_promiscuous_lines_match_reference() {
+    let script = lock_step_script();
+    let run = |driver: Driver| {
+        let mut w = lock_step_world(&script);
+        driver.prepare(&mut w.s.world);
+        driver.run_for(&mut w.s.world, SimDuration::from_secs(90));
+        let stats = w.s.world.sched_stats();
+        (w.fingerprint(), w.serial_chars(), stats)
+    };
+    let (reference, chars, _) = run(Driver::Reference);
+    assert!(
+        reference.matches("PingReply").count() >= 2,
+        "pings must cross the gateway and be answered:\n{reference}"
+    );
+    for driver in [Driver::Indexed, Driver::Wheel] {
+        let (got, got_chars, stats) = run(driver);
+        assert_eq!(got, reference, "{driver:?} diverged from reference");
+        assert_eq!(got_chars, chars);
+        // Host-independent work: a line costs two calendar visits per
+        // frame, and every character travels in a run.
+        assert!(chars > 10_000, "three busy lines: {chars} characters");
+        assert!(
+            stats.pops * 100 <= chars * 15,
+            "{driver:?}: {} pops for {chars} serial characters",
+            stats.pops
+        );
+        assert!(
+            stats.batched_chars * 10 >= chars * 9,
+            "{driver:?}: {} of {chars} characters delivered in runs",
+            stats.batched_chars
+        );
+    }
+}
+
+/// Flush on exit: a run split into chunks whose ends fall mid-frame is
+/// the same run. At every chunk end the public per-character accounting
+/// equals the reference stepper's (which is exact at any instant), and
+/// the chunked, single-call and reference event streams are identical.
+#[test]
+fn chunked_run_equals_single_run_at_every_chunk_end() {
+    let script = lock_step_script();
+    let chunk = SimDuration::from_micros(137_300);
+    let chunks = 300;
+    let chunked = |driver: Driver| {
+        let mut w = lock_step_world(&script);
+        let mut at_chunk_ends = Vec::new();
+        let mut mid_frame_ends = 0;
+        for _ in 0..chunks {
+            driver.run_for(&mut w.s.world, chunk);
+            at_chunk_ends.push(w.char_accounting());
+            mid_frame_ends += usize::from(w.gw_line_backlog() > 0);
+        }
+        (w.fingerprint(), at_chunk_ends, mid_frame_ends)
+    };
+    let (reference, ref_ends, mid_frame_ends) = chunked(Driver::Reference);
+    assert!(
+        mid_frame_ends >= chunks / 10,
+        "only {mid_frame_ends} of {chunks} chunk ends fell mid-frame"
+    );
+    let (indexed, ends, _) = chunked(Driver::Indexed);
+    for (i, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+        assert_eq!(got, want, "accounting differs at the end of chunk {i}");
+    }
+    assert_eq!(indexed, reference, "chunked run diverged from reference");
+    let mut single = lock_step_world(&script);
+    single.s.world.run_for(chunk * chunks as u64);
+    assert_eq!(single.fingerprint(), reference, "single run diverged");
 }

@@ -11,7 +11,9 @@ use gateway::scenario::{self, city};
 use gateway::world::{App, ChanId, HostId, World};
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// An app that issues pings at scripted instants — deterministic traffic
 /// with real ICMP/ARP timers behind it (same shape as the single-shard
@@ -33,6 +35,29 @@ impl App for ScriptedPinger {
 
     fn next_deadline(&self) -> Option<SimTime> {
         self.times.first().copied()
+    }
+}
+
+/// Notes when the gateway's CPU will be free each time a frame has come
+/// in from the backbone. Mailbox frames land in the middle of serial
+/// frames from the island; the CPU is a FIFO, so this pins the order in
+/// which the two were charged. (A host touched at an instant is polled at
+/// that instant on every engine, so the notes are comparable.)
+struct EtherWatch {
+    frames_seen: u64,
+    notes: Rc<RefCell<Vec<String>>>,
+}
+
+impl App for EtherWatch {
+    fn poll(&mut self, now: SimTime, host: &mut Host) {
+        let frames = host.ether_driver().expect("gateway").stats().frames_in;
+        if frames != self.frames_seen {
+            self.frames_seen = frames;
+            let busy_until = host.cpu.busy_until();
+            self.notes
+                .borrow_mut()
+                .push(format!("{now} frame {frames}: cpu busy until {busy_until}"));
+        }
     }
 }
 
@@ -72,6 +97,15 @@ fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: 
             seq: 0,
         }),
     );
+    // One notebook per gateway: an `Rc` must stay inside one shard.
+    let mut notebooks = Vec::new();
+    for &gw in &m.gateways {
+        let notes = Rc::new(RefCell::new(Vec::new()));
+        notebooks.push(Rc::clone(&notes));
+        let frames_seen = 0;
+        m.world
+            .add_app(gw, Box::new(EtherWatch { frames_seen, notes }));
+    }
     match driver {
         Driver::Reference => m
             .world
@@ -81,13 +115,15 @@ fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: 
             m.world.run_for(SimDuration::from_secs(secs));
         }
     }
-    fingerprint(
+    let fp = fingerprint(
         &mut m.world,
         &m.gateways,
         m.internet_host,
         &m.hosts,
         &m.channels,
-    )
+    );
+    let notes: Vec<String> = notebooks.iter().map(|n| n.borrow().join("\n")).collect();
+    format!("{fp}{}\n", notes.join("\n--\n"))
 }
 
 /// Everything observable: the event log, every host's stack counters and

@@ -13,9 +13,17 @@
 //!   overflow);
 //! * optional per-character error injection (line noise).
 //!
-//! The model is sans-io: callers [`SerialLine::send`] bytes, poll
-//! [`SerialLine::next_deadline`], and call [`SerialLine::advance`] when the
-//! simulation clock reaches it.
+//! The model is sans-io and can be driven at two granularities that
+//! produce the same bytes at the same instants:
+//!
+//! * **per character** — callers [`SerialLine::send`] bytes, poll
+//!   [`SerialLine::next_deadline`], call [`SerialLine::advance`] when the
+//!   clock reaches it, and [`SerialLine::drain_rx`] the receive FIFO;
+//! * **per frame** — callers poll [`SerialLine::next_boundary`] (the
+//!   completion time of the next [`FRAME_END`] character) and pull whole
+//!   line-paced runs with [`SerialLine::take_run`]. A receiver that only
+//!   buffers and counts bytes until a frame delimiter arrives cannot tell
+//!   the two apart (DESIGN.md §6).
 //!
 //! # Examples
 //!
@@ -30,7 +38,9 @@
 //! line.advance(t1);
 //! let t2 = line.next_deadline().unwrap();
 //! line.advance(t2);
-//! assert_eq!(line.take_rx(End::B), vec![b'h', b'i']);
+//! let mut rx = Vec::new();
+//! line.drain_rx(End::B, &mut rx);
+//! assert_eq!(rx, b"hi");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,7 +48,14 @@
 
 use std::collections::VecDeque;
 
+use sim::bytekernels::find_byte;
 use sim::{Bandwidth, SimDuration, SimRng, SimTime};
+
+/// The frame delimiter that ends a run: `0xC0`, the KISS (and SLIP) `FEND`.
+/// Every link protocol this workspace puts on a serial line delimits its
+/// frames with it, so a character before the next `FRAME_END` can only be
+/// buffered by the receiver.
+pub const FRAME_END: u8 = 0xC0;
 
 /// Which end of the line a byte is sent from (the other end receives it).
 ///
@@ -125,14 +142,13 @@ pub struct DirStats {
     pub errors: u64,
 }
 
-/// Description of a batched delivery produced by [`SerialLine::take_run`].
+/// Timing of a run produced by [`SerialLine::take_run`]: character `i` of
+/// the run completed at `t0 + i·char_time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunInfo {
-    /// The end that received the run.
-    pub to: End,
-    /// Delivery instant of the first character (the `now` passed in).
+    /// Delivery instant of the first character.
     pub t0: SimTime,
-    /// Delivery instant of the last character in the run.
+    /// Delivery instant of the last character.
     pub t_last: SimTime,
 }
 
@@ -142,6 +158,9 @@ struct Direction {
     tx_queue: VecDeque<u8>,
     /// The character currently on the wire and when it finishes.
     in_flight: Option<(SimTime, u8)>,
+    /// Position of the first [`FRAME_END`] among the pending characters
+    /// (0 = the one in flight, `i + 1` = `tx_queue[i]`), if there is one.
+    delim_at: Option<usize>,
     /// Received characters waiting for the receiver to take them.
     rx_fifo: VecDeque<u8>,
     stats: DirStats,
@@ -152,9 +171,42 @@ impl Direction {
         Direction {
             tx_queue: VecDeque::new(),
             in_flight: None,
+            delim_at: None,
             rx_fifo: VecDeque::new(),
             stats: DirStats::default(),
         }
+    }
+
+    /// Completion time of this direction's boundary character: the first
+    /// pending [`FRAME_END`], else the last pending character.
+    fn boundary(&self, char_time: SimDuration) -> Option<SimTime> {
+        let (done, _) = self.in_flight?;
+        let ahead = self.delim_at.unwrap_or(self.tx_queue.len());
+        Some(done + char_time * ahead as u64)
+    }
+
+    /// After the first `n` pending characters have left (the one in
+    /// flight and `n − 1` already removed from the queue's front): puts
+    /// the next queued character on the wire, completing at `next_done`,
+    /// and re-derives `delim_at`.
+    fn start_next(&mut self, n: usize, next_done: SimTime) {
+        self.in_flight = self.tx_queue.pop_front().map(|b| (next_done, b));
+        self.delim_at = match self.delim_at {
+            Some(k) if k >= n => Some(k - n),
+            Some(_) => self.find_delim(),
+            None => None,
+        };
+    }
+
+    fn find_delim(&self) -> Option<usize> {
+        let (_, b) = self.in_flight?;
+        if b == FRAME_END {
+            return Some(0);
+        }
+        let (head, tail) = self.tx_queue.as_slices();
+        find_byte(head, FRAME_END)
+            .map(|i| 1 + i)
+            .or_else(|| find_byte(tail, FRAME_END).map(|i| 1 + head.len() + i))
     }
 }
 
@@ -170,6 +222,8 @@ pub struct SerialLine {
     /// Min over both directions' in-flight completion times, maintained on
     /// every mutation so `next_deadline` is a field read, not a re-derive.
     cached_deadline: Option<SimTime>,
+    /// Min over both directions' boundary completion times, likewise.
+    cached_boundary: Option<SimTime>,
 }
 
 impl SerialLine {
@@ -181,16 +235,15 @@ impl SerialLine {
             dirs: [Direction::new(), Direction::new()],
             noise: None,
             cached_deadline: None,
+            cached_boundary: None,
         }
     }
 
     /// Creates a line that injects per-character errors using `rng`.
     pub fn with_noise(cfg: SerialConfig, rng: SimRng) -> SerialLine {
         SerialLine {
-            cfg,
-            dirs: [Direction::new(), Direction::new()],
             noise: Some(rng),
-            cached_deadline: None,
+            ..SerialLine::new(cfg)
         }
     }
 
@@ -207,29 +260,63 @@ impl SerialLine {
         let char_time = self.cfg.char_time();
         let dir = &mut self.dirs[from.index()];
         dir.stats.sent += bytes.len() as u64;
+        if dir.delim_at.is_none() {
+            let pending = dir.tx_queue.len() + usize::from(dir.in_flight.is_some());
+            dir.delim_at = find_byte(bytes, FRAME_END).map(|i| pending + i);
+        }
         dir.tx_queue.extend(bytes.iter().copied());
         if dir.in_flight.is_none() {
             if let Some(b) = dir.tx_queue.pop_front() {
                 dir.in_flight = Some((now + char_time, b));
             }
         }
-        self.recache_deadline();
+        self.recache();
     }
 
-    fn recache_deadline(&mut self) {
-        self.cached_deadline = self
-            .dirs
-            .iter()
-            .filter_map(|d| d.in_flight.map(|(t, _)| t))
-            .min();
+    /// True when whole runs can be pulled off this line without being
+    /// observably different from per-character delivery: no noise (the RNG
+    /// must be rolled once per character in global delivery order) and a
+    /// FIFO that holds at least the one character a prompt receiver leaves
+    /// in it.
+    fn batches(&self) -> bool {
+        self.cfg.rx_fifo > 0 && !(self.noise.is_some() && self.cfg.error_rate > 0.0)
+    }
+
+    fn recache(&mut self) {
+        let char_time = self.cfg.char_time();
+        let min = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let [ab, ba] = &self.dirs;
+        self.cached_deadline = min(ab.in_flight.map(|f| f.0), ba.in_flight.map(|f| f.0));
+        self.cached_boundary = if self.batches() {
+            min(ab.boundary(char_time), ba.boundary(char_time))
+        } else {
+            self.cached_deadline
+        };
     }
 
     /// The earliest time at which [`SerialLine::advance`] will have work.
     ///
-    /// This is a cached field maintained by [`SerialLine::send`] and
-    /// [`SerialLine::advance`]; polling it costs nothing.
+    /// This is a cached field maintained by every mutation; polling it
+    /// costs nothing.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.cached_deadline
+    }
+
+    /// The earliest time a receiver must look at this line when it pulls
+    /// runs with [`SerialLine::take_run`]: per direction, the completion
+    /// time of the first pending [`FRAME_END`], else of the last pending
+    /// character. Everything completing before that is a character its
+    /// receiver can only buffer, so it may be picked up late — at this
+    /// instant, or at any earlier [`SerialLine::take_run`].
+    ///
+    /// A noisy line or one with a zero-depth FIFO reports
+    /// [`SerialLine::next_deadline`]: it must be visited per character.
+    /// Cached like `next_deadline`.
+    pub fn next_boundary(&self) -> Option<SimTime> {
+        self.cached_boundary
     }
 
     /// Completes every character whose serialization finishes at or before
@@ -243,7 +330,6 @@ impl SerialLine {
                 if done > now {
                     break;
                 }
-                dir.in_flight = None;
                 let corrupted = match (&mut self.noise, self.cfg.error_rate) {
                     (Some(rng), rate) if rate > 0.0 => rng.chance(rate),
                     _ => false,
@@ -257,114 +343,77 @@ impl SerialLine {
                     dir.stats.delivered += 1;
                     delivered += 1;
                 }
-                if let Some(next) = dir.tx_queue.pop_front() {
-                    dir.in_flight = Some((done + char_time, next));
-                }
+                dir.start_next(1, done + char_time);
             }
         }
-        self.recache_deadline();
+        self.recache();
         delivered
     }
 
-    /// Extracts a whole run of back-to-back deliveries in one call,
-    /// bypassing the per-character [`SerialLine::advance`]/
-    /// [`SerialLine::take_rx`] cycle. This is the world's serial fast lane:
-    /// a quiet run of characters is pulled off the wire in a batch instead
-    /// of one event per character.
+    /// Pulls the next line-paced run addressed to `to` off the wire: the
+    /// pending characters that complete at or before `now`, up to and
+    /// including the first [`FRAME_END`]. `out` is cleared and filled with
+    /// the run; `None` (and an empty `out`) means nothing is due. Call
+    /// until `None` to bring `to` fully up to `now`.
     ///
-    /// The run starts with the character completing exactly at `now` and
-    /// extends through queued characters at `now + i·char_time`, stopping
+    /// The effect on the line is exactly that of per-character
+    /// [`SerialLine::advance`] with a receiver that drains its FIFO after
+    /// every character: same bytes, same completion instants
+    /// (`t0 + i·char_time`), same [`DirStats`], same character left on the
+    /// wire. Runs bypass the receive FIFO, so do not mix the two styles
+    /// without draining it. Each direction is independent of the other.
     ///
-    /// * after including the first `stop_byte` (only a frame delimiter can
-    ///   make the receiver do more than buffer the character),
-    /// * before any delivery past `limit`, and
-    /// * before any delivery at or past `before` (the scheduler's next
-    ///   foreign event — those must still interleave).
-    ///
-    /// Returns `None` — with the line untouched — whenever batching could
-    /// be observably different from the per-character path: noise is
-    /// enabled (the RNG must be rolled in global delivery order), both
-    /// directions are active (their deliveries interleave), undrained
-    /// receive FIFOs exist, the FIFO capacity is zero (every delivery would
-    /// overrun), or nothing completes exactly at `now`.
-    ///
-    /// On success `out` is cleared and filled with the run, the per-char
-    /// delivery stats are applied, and the next queued character (if any)
-    /// is put on the wire at `t_last + char_time`, exactly as repeated
-    /// `advance` calls would have.
-    pub fn take_run(
-        &mut self,
-        now: SimTime,
-        limit: SimTime,
-        before: Option<SimTime>,
-        stop_byte: u8,
-        out: &mut Vec<u8>,
-    ) -> Option<RunInfo> {
-        if self.noise.is_some() && self.cfg.error_rate > 0.0 {
-            return None;
-        }
-        if self.cfg.rx_fifo == 0 {
-            return None;
-        }
-        let active = match (&self.dirs[0].in_flight, &self.dirs[1].in_flight) {
-            (Some(_), None) => 0,
-            (None, Some(_)) => 1,
-            _ => return None,
-        };
-        let other = &self.dirs[1 - active];
-        if !other.tx_queue.is_empty() || !other.rx_fifo.is_empty() {
-            return None;
+    /// On a line that cannot batch (see [`SerialLine::next_boundary`]) a
+    /// run is the one character, if any, that `advance(now)` delivers.
+    pub fn take_run(&mut self, to: End, now: SimTime, out: &mut Vec<u8>) -> Option<RunInfo> {
+        out.clear();
+        if !self.batches() {
+            self.advance(now);
+            out.push(self.dirs[to.peer().index()].rx_fifo.pop_front()?);
+            return Some(RunInfo {
+                t0: now,
+                t_last: now,
+            });
         }
         let char_time = self.cfg.char_time();
-        let dir = &mut self.dirs[active];
-        if !dir.rx_fifo.is_empty() {
-            return None;
-        }
-        let (done0, b0) = dir
-            .in_flight
-            .expect("active direction has a char in flight");
-        if done0 != now {
-            return None;
-        }
-        out.clear();
-        out.push(b0);
-        let mut t_last = now;
-        if b0 != stop_byte {
-            while let Some(&next) = dir.tx_queue.front() {
-                let t = t_last + char_time;
-                if t > limit || before.is_some_and(|o| t >= o) {
-                    break;
-                }
-                dir.tx_queue.pop_front();
-                out.push(next);
-                t_last = t;
-                if next == stop_byte {
-                    break;
-                }
-            }
-        }
-        dir.stats.delivered += out.len() as u64;
-        dir.in_flight = dir.tx_queue.pop_front().map(|b| (t_last + char_time, b));
-        self.recache_deadline();
-        Some(RunInfo {
-            to: if active == 0 { End::B } else { End::A },
-            t0: now,
-            t_last,
-        })
+        let dir = &mut self.dirs[to.peer().index()];
+        debug_assert!(dir.rx_fifo.is_empty(), "runs bypass the receive FIFO");
+        let (t0, first) = dir.in_flight.filter(|&(done, _)| done <= now)?;
+        let due = (now.saturating_since(t0).as_nanos())
+            .checked_div(char_time.as_nanos())
+            .map_or(usize::MAX, |q| usize::try_from(q).unwrap_or(usize::MAX))
+            .saturating_add(1);
+        let n = due
+            .min(1 + dir.tx_queue.len())
+            .min(dir.delim_at.map_or(usize::MAX, |k| k + 1));
+        out.push(first);
+        let (head, tail) = dir.tx_queue.as_slices();
+        let from_head = (n - 1).min(head.len());
+        out.extend_from_slice(&head[..from_head]);
+        out.extend_from_slice(&tail[..n - 1 - from_head]);
+        dir.tx_queue.drain(..n - 1);
+        let t_last = t0 + char_time * (n as u64 - 1);
+        dir.stats.delivered += n as u64;
+        dir.start_next(n, t_last + char_time);
+        self.recache();
+        Some(RunInfo { t0, t_last })
     }
 
-    /// Takes all characters waiting in the FIFO at `end`.
-    pub fn take_rx(&mut self, end: End) -> Vec<u8> {
+    /// Moves all characters waiting in the FIFO at `end` into `out`
+    /// (cleared first); returns how many.
+    pub fn drain_rx(&mut self, end: End, out: &mut Vec<u8>) -> usize {
+        self.drain_rx_limited(end, usize::MAX, out)
+    }
+
+    /// Moves at most `max` characters from the FIFO at `end` into `out`
+    /// (cleared first); returns how many.
+    pub fn drain_rx_limited(&mut self, end: End, max: usize, out: &mut Vec<u8>) -> usize {
         // Traffic *arriving at* `end` was sent by its peer.
         let dir = &mut self.dirs[end.peer().index()];
-        dir.rx_fifo.drain(..).collect()
-    }
-
-    /// Takes at most `max` characters from the FIFO at `end`.
-    pub fn take_rx_limited(&mut self, end: End, max: usize) -> Vec<u8> {
-        let dir = &mut self.dirs[end.peer().index()];
         let n = dir.rx_fifo.len().min(max);
-        dir.rx_fifo.drain(..n).collect()
+        out.clear();
+        out.extend(dir.rx_fifo.drain(..n));
+        n
     }
 
     /// Number of characters waiting in the FIFO at `end`.
@@ -395,6 +444,12 @@ impl SerialLine {
 mod tests {
     use super::*;
 
+    fn rx(line: &mut SerialLine, end: End) -> Vec<u8> {
+        let mut out = Vec::new();
+        line.drain_rx(end, &mut out);
+        out
+    }
+
     fn drain_all(line: &mut SerialLine) -> SimTime {
         let mut now = SimTime::ZERO;
         while let Some(t) = line.next_deadline() {
@@ -414,7 +469,7 @@ mod tests {
         assert_eq!(t, SimTime::ZERO + cfg.char_time());
         let end = drain_all(&mut line);
         assert_eq!(end, SimTime::ZERO + cfg.char_time() * 3);
-        assert_eq!(line.take_rx(End::B), b"abc".to_vec());
+        assert_eq!(rx(&mut line, End::B), b"abc".to_vec());
     }
 
     #[test]
@@ -424,8 +479,8 @@ mod tests {
         line.send(SimTime::ZERO, End::A, b"x");
         line.send(SimTime::ZERO, End::B, b"y");
         drain_all(&mut line);
-        assert_eq!(line.take_rx(End::B), b"x".to_vec());
-        assert_eq!(line.take_rx(End::A), b"y".to_vec());
+        assert_eq!(rx(&mut line, End::B), b"x".to_vec());
+        assert_eq!(rx(&mut line, End::A), b"y".to_vec());
     }
 
     #[test]
@@ -438,7 +493,7 @@ mod tests {
         line.send(mid, End::A, b"b");
         let end = drain_all(&mut line);
         assert_eq!(end, SimTime::ZERO + cfg.char_time() * 2);
-        assert_eq!(line.take_rx(End::B), b"ab".to_vec());
+        assert_eq!(rx(&mut line, End::B), b"ab".to_vec());
     }
 
     #[test]
@@ -458,7 +513,7 @@ mod tests {
         let mut line = SerialLine::new(cfg);
         line.send(SimTime::ZERO, End::A, b"abcd");
         drain_all(&mut line);
-        assert_eq!(line.take_rx(End::B), b"ab".to_vec());
+        assert_eq!(rx(&mut line, End::B), b"ab".to_vec());
         let s = line.stats(End::A);
         assert_eq!(s.sent, 4);
         assert_eq!(s.delivered, 2);
@@ -473,7 +528,7 @@ mod tests {
         let mut got = Vec::new();
         while let Some(t) = line.next_deadline() {
             line.advance(t);
-            got.extend(line.take_rx(End::B));
+            got.extend(rx(&mut line, End::B));
         }
         assert_eq!(got, b"ab".to_vec());
         assert_eq!(line.stats(End::A).overruns, 0);
@@ -485,7 +540,7 @@ mod tests {
         let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(1));
         line.send(SimTime::ZERO, End::A, b"abc");
         drain_all(&mut line);
-        assert!(line.take_rx(End::B).is_empty());
+        assert!(rx(&mut line, End::B).is_empty());
         assert_eq!(line.stats(End::A).errors, 3);
     }
 
@@ -503,14 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn take_rx_limited_respects_cap() {
+    fn drain_rx_limited_respects_cap() {
         let cfg = SerialConfig::baud(9600);
         let mut line = SerialLine::new(cfg);
         line.send(SimTime::ZERO, End::A, b"abcdef");
         drain_all(&mut line);
-        assert_eq!(line.take_rx_limited(End::B, 2), b"ab".to_vec());
+        let mut got = vec![b'x'];
+        assert_eq!(line.drain_rx_limited(End::B, 2, &mut got), 2);
+        assert_eq!(got, b"ab".to_vec());
         assert_eq!(line.rx_len(End::B), 4);
-        assert_eq!(line.take_rx(End::B), b"cdef".to_vec());
+        assert_eq!(rx(&mut line, End::B), b"cdef".to_vec());
     }
 
     #[test]
@@ -533,124 +590,141 @@ mod tests {
         assert_eq!(cfg.char_time(), SimDuration::from_nanos(1_041_667));
     }
 
-    #[test]
-    fn take_run_matches_per_character_delivery() {
-        let cfg = SerialConfig::baud(9600);
-        let far = SimTime::from_secs(10);
-        // Reference: advance one char at a time, draining after each.
-        let mut per_char = SerialLine::new(cfg);
-        per_char.send(SimTime::ZERO, End::A, b"hello\xC0tail");
-        let mut ref_bytes = Vec::new();
-        let mut ref_times = Vec::new();
-        while let Some(t) = per_char.next_deadline() {
-            per_char.advance(t);
-            for b in per_char.take_rx(End::B) {
-                ref_bytes.push(b);
-                ref_times.push(t);
-            }
-            if *ref_bytes.last().unwrap() == 0xC0 {
-                break;
-            }
-        }
-        // Batched: one take_run at the first deadline.
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, b"hello\xC0tail");
-        let t0 = line.next_deadline().unwrap();
-        let mut run = Vec::new();
-        let info = line.take_run(t0, far, None, 0xC0, &mut run).unwrap();
-        assert_eq!(run, ref_bytes, "run stops after the delimiter");
-        assert_eq!(info.to, End::B);
-        assert_eq!(info.t0, ref_times[0]);
-        assert_eq!(info.t_last, *ref_times.last().unwrap());
-        assert_eq!(line.stats(End::A).delivered, run.len() as u64);
-        // The remainder re-arms back-to-back, exactly like advance would.
-        assert_eq!(
-            line.next_deadline(),
-            Some(info.t_last + cfg.char_time()),
-            "next queued char continues at char pacing"
-        );
-        let rest: Vec<SimTime> = std::iter::from_fn(|| {
-            let t = line.next_deadline()?;
+    /// Per-character reference: every delivery as `(time, byte)`, stopping
+    /// after deadlines past `upto`.
+    fn per_char(line: &mut SerialLine, to: End, upto: SimTime) -> Vec<(SimTime, u8)> {
+        let mut got = Vec::new();
+        while let Some(t) = line.next_deadline().filter(|&t| t <= upto) {
             line.advance(t);
-            Some(t)
-        })
-        .collect();
-        assert_eq!(rest.len(), 4);
-        assert_eq!(line.take_rx(End::B), b"tail".to_vec());
+            got.extend(rx(line, to).into_iter().map(|b| (t, b)));
+            rx(line, to.peer());
+        }
+        got
+    }
+
+    /// Run delivery: visit the line at each boundary ≤ `upto`, then flush.
+    fn by_runs(line: &mut SerialLine, to: End, upto: SimTime) -> Vec<(SimTime, u8)> {
+        let ct = line.config().char_time();
+        let mut got = Vec::new();
+        let mut run = Vec::new();
+        let mut pull = |line: &mut SerialLine, now: SimTime| {
+            while let Some(info) = line.take_run(to, now, &mut run) {
+                assert_eq!(info.t_last, info.t0 + ct * (run.len() as u64 - 1));
+                got.extend(
+                    run.iter()
+                        .enumerate()
+                        .map(|(i, &b)| (info.t0 + ct * i as u64, b)),
+                );
+            }
+        };
+        while let Some(t) = line.next_boundary().filter(|&t| t <= upto) {
+            pull(line, t);
+        }
+        pull(line, upto);
+        got
     }
 
     #[test]
-    fn take_run_respects_limit_and_foreign_events() {
+    fn runs_end_at_frame_delimiters_and_match_per_character_delivery() {
         let cfg = SerialConfig::baud(9600);
         let ct = cfg.char_time();
+        let far = SimTime::from_secs(10);
+        let wire = b"\xC0hello\xC0\xC0tail";
+        let mut reference = SerialLine::new(cfg);
+        reference.send(SimTime::ZERO, End::A, wire);
+        let expect = per_char(&mut reference, End::B, far);
         let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, b"abcdef");
-        let t0 = line.next_deadline().unwrap();
-        // Cap by `limit`: only chars due within the window are taken.
+        line.send(SimTime::ZERO, End::A, wire);
+        // Boundaries: each FEND in turn, then the last queued character.
         let mut run = Vec::new();
-        let info = line
-            .take_run(t0, t0 + ct * 2, None, 0xC0, &mut run)
-            .unwrap();
-        assert_eq!(run, b"abc".to_vec());
-        assert_eq!(info.t_last, t0 + ct * 2);
-        // Cap by `before`: a foreign event at the next char's instant stops
-        // the run (the scheduler must interleave it).
-        let t3 = line.next_deadline().unwrap();
-        let info = line
-            .take_run(t3, SimTime::from_secs(1), Some(t3 + ct), 0xC0, &mut run)
-            .unwrap();
-        assert_eq!(run, b"d".to_vec());
-        assert_eq!(info.t_last, t3);
+        let mut runs = Vec::new();
+        while let Some(t) = line.next_boundary() {
+            let info = line.take_run(End::B, t, &mut run).expect("boundary is due");
+            assert_eq!(info.t_last, t, "a run ends exactly at its boundary");
+            runs.push(run.clone());
+            assert!(line.take_run(End::B, t, &mut run).is_none());
+        }
+        assert_eq!(
+            runs,
+            [&b"\xC0"[..], b"hello\xC0", b"\xC0", b"tail"].map(<[u8]>::to_vec)
+        );
+        assert_eq!(line.stats(End::A), reference.stats(End::A));
+        assert!(line.is_idle());
+        // And the same bytes at the same instants.
+        let mut again = SerialLine::new(cfg);
+        again.send(SimTime::ZERO, End::A, wire);
+        assert_eq!(by_runs(&mut again, End::B, far), expect);
+        assert_eq!(
+            expect.last().unwrap().0,
+            SimTime::ZERO + ct * wire.len() as u64
+        );
     }
 
     #[test]
-    fn take_run_refuses_ambiguous_lines() {
+    fn catching_up_mid_frame_leaves_the_per_character_state() {
         let cfg = SerialConfig::baud(9600);
+        let ct = cfg.char_time();
+        let mut reference = SerialLine::new(cfg);
+        let mut line = SerialLine::new(cfg);
+        for l in [&mut reference, &mut line] {
+            l.send(SimTime::ZERO, End::A, b"abcdef\xC0");
+            l.send(SimTime::ZERO, End::B, b"\xC0xy");
+        }
+        // Mid-character, mid-frame: three and a half character times in.
+        let mid = SimTime::ZERO + ct * 3 + ct / 2;
+        let expect_b = per_char(&mut reference, End::B, mid);
+        let mut run = Vec::new();
+        let info = line.take_run(End::B, mid, &mut run).unwrap();
+        assert_eq!(run, b"abc");
+        assert_eq!((info.t0, info.t_last), (expect_b[0].0, expect_b[2].0));
+        assert!(line.take_run(End::B, mid, &mut run).is_none());
+        assert!(run.is_empty());
+        // The other direction is untouched until its receiver asks.
+        assert_eq!(line.tx_backlog(End::B), 3);
+        let info = line.take_run(End::A, mid, &mut run).unwrap();
+        assert_eq!(
+            (run.as_slice(), info.t0),
+            (&b"\xC0"[..], SimTime::ZERO + ct)
+        );
+        line.take_run(End::A, mid, &mut run).unwrap();
+        assert_eq!(run, b"xy");
+        for end in [End::A, End::B] {
+            assert_eq!(line.stats(end), reference.stats(end));
+            assert_eq!(line.tx_backlog(end), reference.tx_backlog(end));
+        }
+        assert_eq!(line.next_deadline(), reference.next_deadline());
+        // Appending behind the backlog continues back to back.
+        for l in [&mut reference, &mut line] {
+            l.send(mid, End::A, b"gh");
+        }
         let far = SimTime::from_secs(1);
-        let mut run = Vec::new();
-        // Noise: the RNG must be rolled in per-character delivery order.
-        let noisy_cfg = cfg.with_error_rate(0.5);
-        let mut noisy = SerialLine::with_noise(noisy_cfg, SimRng::seed_from(3));
-        noisy.send(SimTime::ZERO, End::A, b"ab");
-        let t = noisy.next_deadline().unwrap();
-        assert!(noisy.take_run(t, far, None, 0xC0, &mut run).is_none());
-        // Both directions active: deliveries interleave.
-        let mut duplex = SerialLine::new(cfg);
-        duplex.send(SimTime::ZERO, End::A, b"ab");
-        duplex.send(SimTime::ZERO, End::B, b"yz");
-        let t = duplex.next_deadline().unwrap();
-        assert!(duplex.take_run(t, far, None, 0xC0, &mut run).is_none());
-        // Undrained receiver FIFO: batching would reorder the backlog.
-        let mut backlog = SerialLine::new(cfg);
-        backlog.send(SimTime::ZERO, End::A, b"ab");
-        let t1 = backlog.next_deadline().unwrap();
-        backlog.advance(t1);
-        let t2 = backlog.next_deadline().unwrap();
-        assert!(backlog.take_run(t2, far, None, 0xC0, &mut run).is_none());
-        // Nothing completing exactly at `now`.
-        let mut early = SerialLine::new(cfg);
-        early.send(SimTime::ZERO, End::A, b"ab");
-        assert!(early
-            .take_run(SimTime::ZERO, far, None, 0xC0, &mut run)
-            .is_none());
-        // All refusals leave the line untouched for the per-char path.
-        let t = early.next_deadline().unwrap();
-        assert_eq!(early.advance(t), 1);
-        assert_eq!(early.take_rx(End::B), b"a".to_vec());
+        assert_eq!(
+            by_runs(&mut line, End::B, far),
+            per_char(&mut reference, End::B, far)
+        );
     }
 
     #[test]
-    fn take_run_with_delimiter_in_flight_is_a_single_char() {
-        let cfg = SerialConfig::baud(9600);
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, &[0xC0, b'x']);
-        let t0 = line.next_deadline().unwrap();
-        let mut run = Vec::new();
-        let info = line
-            .take_run(t0, SimTime::from_secs(1), None, 0xC0, &mut run)
-            .unwrap();
-        assert_eq!(run, vec![0xC0]);
-        assert_eq!(info.t0, info.t_last);
+    fn lines_that_cannot_batch_are_visited_per_character() {
+        let far = SimTime::from_secs(1);
+        // Noise: the RNG is rolled once per character, in delivery order.
+        let noisy_cfg = SerialConfig::baud(9600).with_error_rate(0.5);
+        let mut reference = SerialLine::with_noise(noisy_cfg, SimRng::seed_from(3));
+        let mut noisy = SerialLine::with_noise(noisy_cfg, SimRng::seed_from(3));
+        for l in [&mut reference, &mut noisy] {
+            l.send(SimTime::ZERO, End::A, b"some\xC0noisy\xC0bytes");
+        }
+        assert_eq!(noisy.next_boundary(), noisy.next_deadline());
+        let expect = per_char(&mut reference, End::B, far);
+        assert!(expect.len() < 16, "some characters must be lost");
+        assert_eq!(by_runs(&mut noisy, End::B, far), expect);
+        assert_eq!(noisy.stats(End::A), reference.stats(End::A));
+        // Zero-depth FIFO: every character overruns, none is delivered.
+        let mut silo = SerialLine::new(SerialConfig::baud(9600).with_rx_fifo(0));
+        silo.send(SimTime::ZERO, End::A, b"ab\xC0");
+        assert_eq!(silo.next_boundary(), silo.next_deadline());
+        assert!(by_runs(&mut silo, End::B, far).is_empty());
+        assert_eq!(silo.stats(End::A).overruns, 3);
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Property tests for the serial line model.
 
 use proptest::prelude::*;
-use serial::{End, SerialConfig, SerialLine};
-use sim::SimTime;
+use serial::{DirStats, End, SerialConfig, SerialLine, FRAME_END};
+use sim::{SimDuration, SimTime};
+
+fn rx(line: &mut SerialLine, end: End) -> Vec<u8> {
+    let mut out = Vec::new();
+    line.drain_rx(end, &mut out);
+    out
+}
 
 fn drain(line: &mut SerialLine) {
     while let Some(t) = line.next_deadline() {
@@ -10,7 +16,156 @@ fn drain(line: &mut SerialLine) {
     }
 }
 
+/// One scripted action on a line under test.
+#[derive(Debug, Clone)]
+enum Op {
+    /// `from` queues these bytes.
+    Send(End, Vec<u8>),
+    /// The receiver at this end is touched and catches up.
+    CatchUp(End),
+}
+
+/// What a receiver at each end saw, and where the line was left.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// `(completion time, byte)` per receiving end (`[A, B]`).
+    seen: [Vec<(SimTime, u8)>; 2],
+    stats: [DirStats; 2],
+    backlog: [usize; 2],
+    next_deadline: Option<SimTime>,
+}
+
+fn outcome(line: &SerialLine, seen: [Vec<(SimTime, u8)>; 2]) -> Outcome {
+    Outcome {
+        seen,
+        stats: [line.stats(End::A), line.stats(End::B)],
+        backlog: [line.tx_backlog(End::A), line.tx_backlog(End::B)],
+        next_deadline: line.next_deadline(),
+    }
+}
+
+/// The oracle: one `advance` per character, FIFOs drained after each.
+fn run_per_character(cfg: SerialConfig, script: &[(SimTime, Op)], exit: SimTime) -> Outcome {
+    let mut line = SerialLine::new(cfg);
+    let mut seen = [Vec::new(), Vec::new()];
+    let mut step_to = |line: &mut SerialLine, upto: SimTime| {
+        while let Some(t) = line.next_deadline().filter(|&t| t <= upto) {
+            line.advance(t);
+            for (i, end) in [End::A, End::B].into_iter().enumerate() {
+                seen[i].extend(rx(line, end).into_iter().map(|b| (t, b)));
+            }
+        }
+    };
+    for (t, op) in script.iter().filter(|(t, _)| *t <= exit) {
+        step_to(&mut line, *t);
+        if let Op::Send(from, bytes) = op {
+            line.send(*t, *from, bytes);
+        }
+    }
+    step_to(&mut line, exit);
+    outcome(&line, seen)
+}
+
+/// The frame-granular discipline under test: visit the line only at its
+/// boundaries, catch one end up when the script touches it, flush both
+/// ends on exit.
+struct ByBoundaries {
+    line: SerialLine,
+    seen: [Vec<(SimTime, u8)>; 2],
+    run: Vec<u8>,
+}
+
+impl ByBoundaries {
+    fn pull(&mut self, to: End, now: SimTime) {
+        let ct = self.line.config().char_time();
+        while let Some(info) = self.line.take_run(to, now, &mut self.run) {
+            let n = self.run.len();
+            assert_eq!(info.t_last, info.t0 + ct * (n as u64 - 1));
+            assert!(info.t_last <= now);
+            let delim = self.run.iter().position(|&b| b == FRAME_END);
+            assert!(delim.is_none_or(|i| i == n - 1), "{:?}", self.run);
+            let times = (0..n as u64).map(|k| info.t0 + ct * k);
+            self.seen[usize::from(to == End::B)].extend(times.zip(self.run.iter().copied()));
+        }
+    }
+
+    fn visit_to(&mut self, upto: SimTime) {
+        while let Some(t) = self.line.next_boundary().filter(|&t| t <= upto) {
+            self.pull(End::A, t);
+            self.pull(End::B, t);
+        }
+    }
+}
+
+fn run_by_boundaries(cfg: SerialConfig, script: &[(SimTime, Op)], exit: SimTime) -> Outcome {
+    let mut w = ByBoundaries {
+        line: SerialLine::new(cfg),
+        seen: [Vec::new(), Vec::new()],
+        run: Vec::new(),
+    };
+    for (t, op) in script.iter().filter(|(t, _)| *t <= exit) {
+        w.visit_to(*t);
+        match op {
+            Op::Send(from, bytes) => w.line.send(*t, *from, bytes),
+            Op::CatchUp(end) => w.pull(*end, *t),
+        }
+    }
+    w.visit_to(exit);
+    w.pull(End::A, exit);
+    w.pull(End::B, exit);
+    outcome(&w.line, w.seen)
+}
+
+/// Bytes with frame delimiters about one in twelve.
+fn framed_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(
+        prop_oneof![
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            Just(FRAME_END),
+            Just(b'x'),
+            (0u8..4).prop_map(|b| b + 0xBE)
+        ],
+        1..40,
+    )
+}
+
 proptest! {
+    /// Frame-granular delivery is indistinguishable from per-character
+    /// delivery: for random send schedules in both directions, random
+    /// catch-up instants at either end, and a random exit point, every
+    /// receiver sees the same bytes at the same completion instants, and
+    /// the line is left with the same statistics, backlog and character on
+    /// the wire.
+    #[test]
+    fn boundary_delivery_matches_per_character_advance(
+        baud in prop_oneof![Just(1200u32), Just(9600u32), Just(19_200u32)],
+        steps in proptest::collection::vec(
+            (0u64..40_000, 0u8..4, any::<bool>(), framed_bytes()),
+            1..24,
+        ),
+        exit_permille in 0u64..1_200,
+    ) {
+        let cfg = SerialConfig::baud(baud);
+        let mut now = SimTime::ZERO;
+        let script: Vec<(SimTime, Op)> = steps
+            .into_iter()
+            .map(|(gap_us, kind, at_a, bytes)| {
+                now += SimDuration::from_micros(gap_us);
+                let end = if at_a { End::A } else { End::B };
+                let op = if kind == 0 { Op::CatchUp(end) } else { Op::Send(end, bytes) };
+                (now, op)
+            })
+            .collect();
+        // Anywhere from before the first action to after the line drains.
+        let span = now.as_nanos() + SimDuration::from_millis(50).as_nanos();
+        let exit = SimTime::from_nanos(span / 1_000 * exit_permille);
+        let expect = run_per_character(cfg, &script, exit);
+        let got = run_by_boundaries(cfg, &script, exit);
+        prop_assert_eq!(got, expect);
+    }
+
     /// Any byte stream arrives intact and in order on a clean line, and
     /// total transfer time is exactly n × char_time.
     #[test]
@@ -26,7 +181,7 @@ proptest! {
             line.advance(t);
             last = t;
         }
-        prop_assert_eq!(line.take_rx(End::B), bytes.clone());
+        prop_assert_eq!(rx(&mut line, End::B), bytes.clone());
         let expected = SimTime::ZERO + cfg.char_time() * bytes.len() as u64;
         prop_assert_eq!(last, expected);
     }
@@ -42,8 +197,8 @@ proptest! {
         line.send(SimTime::ZERO, End::A, &a_bytes);
         line.send(SimTime::ZERO, End::B, &b_bytes);
         drain(&mut line);
-        prop_assert_eq!(line.take_rx(End::B), a_bytes);
-        prop_assert_eq!(line.take_rx(End::A), b_bytes);
+        prop_assert_eq!(rx(&mut line, End::B), a_bytes);
+        prop_assert_eq!(rx(&mut line, End::A), b_bytes);
     }
 
     /// Conservation: sent = delivered + overruns + errors, always.
@@ -64,11 +219,11 @@ proptest! {
                 line.advance(t);
                 now = t;
                 if drain_between {
-                    taken += line.take_rx(End::B).len() as u64;
+                    taken += rx(&mut line, End::B).len() as u64;
                 }
             }
         }
-        taken += line.take_rx(End::B).len() as u64;
+        taken += rx(&mut line, End::B).len() as u64;
         let s = line.stats(End::A);
         prop_assert_eq!(s.sent, s.delivered + s.overruns + s.errors);
         prop_assert_eq!(taken, s.delivered);

@@ -44,8 +44,8 @@ pub struct SchedStats {
     pub polled: u64,
     /// Distinct instants the world stopped at.
     pub instants: u64,
-    /// Serial characters delivered through the batched fast lane (no heap
-    /// traffic, no quiescence pass).
+    /// Serial characters the world delivered in line-paced runs (one
+    /// calendar visit per frame boundary, not per character).
     pub batched_chars: u64,
 }
 

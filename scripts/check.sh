@@ -16,6 +16,9 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark harness builds against the crates' public surface (no run)"
+cargo build --release --offline --manifest-path benchmarks/Cargo.toml
+
 echo "==> cargo bench -p bench --bench driver_rx -- --test"
 cargo bench -p bench --bench driver_rx -- --test
 

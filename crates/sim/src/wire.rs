@@ -292,9 +292,12 @@ pub fn internet_checksum(parts: &[&[u8]]) -> u16 {
             let (s, carry) = wide.overflowing_add(word);
             wide = s + u64::from(carry);
         }
+        // Fold until no carry remains: 64 → 33 → 18 → 17 → 16 bits, so a
+        // fixed three folds can leave a carry that `as u16` would drop.
         let mut folded = (wide >> 32) + (wide & 0xFFFF_FFFF);
-        folded = (folded >> 16) + (folded & 0xFFFF);
-        folded = (folded >> 16) + (folded & 0xFFFF);
+        while folded >> 16 != 0 {
+            folded = (folded >> 16) + (folded & 0xFFFF);
+        }
         // Native lanes hold native-order words; `to_be` swaps the folded
         // sum into big-endian word space (a no-op on big-endian hosts).
         sum += u64::from((folded as u16).to_be());
@@ -438,5 +441,24 @@ mod tests {
             );
         }
         assert_eq!(internet_checksum(&[]), internet_checksum_ref(&[]));
+    }
+
+    #[test]
+    fn checksum_keeps_the_last_fold_carry() {
+        // A 20-byte header whose lane sum still carries after three folds;
+        // a fixed fold count summed it `0x0100` off.
+        let header = [
+            0xd0, 0xe4, 0x75, 0xd4, 0xf3, 0xef, 0xbb, 0x06, 0x55, 0x2c, 0x60, 0x63, 0x7b, 0xfb,
+            0xd9, 0xc4, 0x71, 0xb1, 0x55, 0x1b,
+        ];
+        assert_eq!(
+            internet_checksum(&[&header]),
+            internet_checksum_ref(&[&header])
+        );
+        // All-ones lanes are the extreme case of the same carry chain.
+        assert_eq!(
+            internet_checksum(&[&[0xFF; 24]]),
+            internet_checksum_ref(&[&[0xFF; 24]])
+        );
     }
 }

@@ -775,6 +775,7 @@ impl ShardData {
             }
             for &ti in &todo {
                 polled += 1;
+                // Catch-up on touch, TNC side.
                 self.deliver_line(self.tncs[ti].line, now);
                 let ci = self.tncs[ti].chan;
                 let entry = &mut self.tncs[ti];

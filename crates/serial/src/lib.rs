@@ -270,7 +270,7 @@ impl SerialLine {
                 dir.in_flight = Some((now + char_time, b));
             }
         }
-        self.recache();
+        self.recache(char_time);
     }
 
     /// True when whole runs can be pulled off this line without being
@@ -282,8 +282,7 @@ impl SerialLine {
         self.cfg.rx_fifo > 0 && !(self.noise.is_some() && self.cfg.error_rate > 0.0)
     }
 
-    fn recache(&mut self) {
-        let char_time = self.cfg.char_time();
+    fn recache(&mut self, char_time: SimDuration) {
         let min = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -346,7 +345,7 @@ impl SerialLine {
                 dir.start_next(1, done + char_time);
             }
         }
-        self.recache();
+        self.recache(char_time);
         delivered
     }
 
@@ -395,7 +394,7 @@ impl SerialLine {
         let t_last = t0 + char_time * (n as u64 - 1);
         dir.stats.delivered += n as u64;
         dir.start_next(n, t_last + char_time);
-        self.recache();
+        self.recache(char_time);
         Some(RunInfo { t0, t_last })
     }
 

@@ -8,42 +8,13 @@
 //! paths never touch the heap in steady state.
 
 use ax25::fcs::{crc16_x25, crc16_x25_ref};
+use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sim::wire::{internet_checksum, internet_checksum_ref};
 use sim::ByteSink;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts heap allocations so the benches can assert zero on hot paths.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_during(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+bench::install_counting_alloc!();
 
 /// A frame-sized payload with both escape triggers present, the shape the
 /// gateway sees from a promiscuous TNC.

@@ -4,46 +4,17 @@
 //! stripping it. With a pooled buffer leased with header headroom, both
 //! directions must stay zero-allocation, like the rest of the datapath.
 
+use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use encap::ipip::{decap_in_place, encap_in_place, OUTER_HEADER_LEN};
 use encap::table::EncapTable;
 use netstack::ip::{Ipv4Packet, Proto};
 use netstack::route::Prefix;
 use sim::{BufPool, SimDuration};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts heap allocations so the benches can report them.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_during(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+bench::install_counting_alloc!();
 
 const WEST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 100);
 const EAST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 101);

@@ -1,39 +1,40 @@
-//! Criterion benchmarks for the simulation engine itself: event queue
+//! Criterion benchmarks for the simulation engine itself: calendar
 //! operations, TCP state-machine steps, and a whole simulated second of
 //! the paper topology — the costs that bound how fast experiments run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use netstack::tcp::{Tcb, TcpConfig};
-use sim::{EventQueue, SimDuration, SimTime};
+use sim::{Scheduler, SimDuration, SimTime};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    g.bench_function("schedule_pop_1k", |b| {
+fn bench_scheduler(c: &mut Criterion) {
+    let mut g = c.benchmark_group("scheduler");
+    g.bench_function("register_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for k in 0..1000u32 {
+                let t = SimTime::from_nanos((u64::from(k) * 7919) % 100_000);
+                s.set_deadline(k, Some(t));
             }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum += v;
+            let mut sum = 0u32;
+            while let Some((_, k)) = s.pop() {
+                sum += k;
             }
             black_box(sum)
         })
     });
-    g.bench_function("schedule_cancel_half_1k", |b| {
+    g.bench_function("register_cancel_half_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..1000u64)
-                .map(|i| q.schedule(SimTime::from_nanos(i), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for k in 0..1000u32 {
+                s.set_deadline(k, Some(SimTime::from_nanos(u64::from(k))));
+            }
+            for k in (0..1000u32).step_by(2) {
+                s.set_deadline(k, None);
             }
             let mut n = 0;
-            while q.pop().is_some() {
+            while s.pop().is_some() {
                 n += 1;
             }
             black_box(n)
@@ -209,20 +210,6 @@ fn bench_engine(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    g.bench_function("beacons50_60s_wheel", |b| {
-        b.iter_batched(
-            || {
-                let mut s = beacons_setup();
-                s.world.use_timer_wheel(SimDuration::from_millis(1));
-                s
-            },
-            |mut s| {
-                s.world.run_for(SimDuration::from_secs(60));
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.finish();
 }
 
@@ -284,7 +271,7 @@ fn bench_engine_shard(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
+    bench_scheduler,
     bench_tcp_machine,
     bench_world,
     bench_engine,

@@ -7,45 +7,16 @@
 //! by at least 10× (the point of caching; asserted outside `--test`
 //! mode, where nothing is actually timed).
 
+use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion};
 use filter::{Action, FilterConfig, FilterEngine, LimitConfig, PacketMeta, Rule};
 use netstack::route::Prefix;
 use sim::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts heap allocations so the benches can report them.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_during(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+bench::install_counting_alloc!();
 
 /// `n` distinct /32-source rules, none of which match the probe packet,
 /// so an uncached evaluation must consider the whole table — the

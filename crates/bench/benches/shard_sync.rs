@@ -6,43 +6,14 @@
 //! warmed-up mesh run double-checks it end to end through the world's
 //! mailbox growth counters.
 
+use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ether::EtherFrame;
 use sim::mailbox::Mailbox;
 use sim::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts heap allocations so the benches can report them.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_during(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+bench::install_counting_alloc!();
 
 /// One coordinator→shard hand-off, exactly as the engine performs it:
 /// recycle a buffer from the spare pool, copy the wire frame into it,

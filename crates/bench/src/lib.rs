@@ -5,8 +5,10 @@
 //! `EXPERIMENTS.md`). This library holds the topologies and measurement
 //! helpers they share.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod alloc_count;
 
 use std::net::Ipv4Addr;
 

@@ -31,7 +31,7 @@ use radio::tnc::Tnc;
 use radio::traffic::BeaconStation;
 use serial::{End, SerialLine};
 use sim::mailbox::Mailbox;
-use sim::sched::Scheduler;
+use sim::sched::{Scheduler, SlotKey};
 use sim::trace::Trace;
 use sim::{SimRng, SimTime};
 
@@ -93,6 +93,32 @@ pub(crate) enum Key {
     Beacon(usize),
     Host(usize),
     App(usize),
+}
+
+impl SlotKey for Key {
+    /// Interleaves the eight categories: `index << 3 | category`.
+    fn slot(self) -> usize {
+        let (cat, i) = match self {
+            Key::Line(i) => (0, i),
+            Key::Chan(i) => (1, i),
+            Key::Seg(i) => (2, i),
+            Key::Tnc(i) => (3, i),
+            Key::Digi(i) => (4, i),
+            Key::Beacon(i) => (5, i),
+            Key::Host(i) => (6, i),
+            Key::App(i) => (7, i),
+        };
+        i << 3 | cat
+    }
+}
+
+/// Which stepping engine drives a shard.
+#[derive(Clone, Copy)]
+pub(crate) enum Mode {
+    /// Deadline-indexed calendar + dirty-set quiescence (production).
+    Indexed,
+    /// Full scan + re-poll-everything quiescence (executable spec).
+    Scan,
 }
 
 /// One category's dirty members: a flag per component for O(1) dedup,
@@ -194,54 +220,6 @@ impl DirtySet {
     }
 }
 
-/// World-side mirror of each component's currently registered deadline.
-/// Most re-registrations after a poll are no-ops (the deadline did not
-/// move); comparing against this dense cache answers that in one vector
-/// load instead of a calendar map lookup.
-#[derive(Default)]
-struct CalCache {
-    lines: Vec<Option<SimTime>>,
-    chans: Vec<Option<SimTime>>,
-    segs: Vec<Option<SimTime>>,
-    tncs: Vec<Option<SimTime>>,
-    digis: Vec<Option<SimTime>>,
-    beacons: Vec<Option<SimTime>>,
-    hosts: Vec<Option<SimTime>>,
-    apps: Vec<Option<SimTime>>,
-}
-
-impl CalCache {
-    fn reset(&mut self, sizes: [usize; 8]) {
-        let [l, c, s, t, d, b, h, a] = sizes;
-        for (v, n) in [
-            (&mut self.lines, l),
-            (&mut self.chans, c),
-            (&mut self.segs, s),
-            (&mut self.tncs, t),
-            (&mut self.digis, d),
-            (&mut self.beacons, b),
-            (&mut self.hosts, h),
-            (&mut self.apps, a),
-        ] {
-            v.clear();
-            v.resize(n, None);
-        }
-    }
-
-    fn slot(&mut self, key: Key) -> &mut Option<SimTime> {
-        match key {
-            Key::Line(i) => &mut self.lines[i],
-            Key::Chan(i) => &mut self.chans[i],
-            Key::Seg(i) => &mut self.segs[i],
-            Key::Tnc(i) => &mut self.tncs[i],
-            Key::Digi(i) => &mut self.digis[i],
-            Key::Beacon(i) => &mut self.beacons[i],
-            Key::Host(i) => &mut self.hosts[i],
-            Key::App(i) => &mut self.apps[i],
-        }
-    }
-}
-
 /// A deferred Ethernet transmission, collected by the coordinator at the
 /// next window barrier. `(time, shard, seq)` orders concurrent sends
 /// deterministically regardless of worker count.
@@ -283,6 +261,8 @@ pub(crate) struct ShardData {
     /// Consumed delivery frames, returned to the coordinator's pool.
     pub spent: Vec<EtherFrame>,
     out_seq: u64,
+    /// The engine of the current (or last) run call, set by `enter`.
+    mode: Mode,
     sched: Scheduler<Key>,
     dirty: DirtySet,
     /// Routing maps rebuilt by `sync_all` (first match, like the
@@ -295,7 +275,6 @@ pub(crate) struct ShardData {
     host_apps: Vec<Vec<usize>>,
     /// Hosts to flush after the app-poll step of the current pass.
     flush_after_apps: DirtyCat,
-    cal: CalCache,
     /// Reusable buffer for draining dirty lists in index order.
     scratch: Vec<usize>,
     /// Reusable buffer for serial deliveries (runs and FIFO drains).
@@ -322,6 +301,7 @@ impl ShardData {
             ether_out: Vec::new(),
             spent: Vec::new(),
             out_seq: 0,
+            mode: Mode::Scan,
             sched: Scheduler::new(),
             dirty: DirtySet::default(),
             line_host: Vec::new(),
@@ -331,24 +311,62 @@ impl ShardData {
             chan_beacons: Vec::new(),
             host_apps: Vec::new(),
             flush_after_apps: DirtyCat::default(),
-            cal: CalCache::default(),
             scratch: Vec::new(),
             run_scratch: Vec::new(),
         }
-    }
-
-    /// Replaces the calendar backend (entries rebuild at the next sync).
-    pub(crate) fn set_sched(&mut self, sched: Scheduler<Key>) {
-        self.sched = sched;
     }
 
     pub(crate) fn sched_stats(&self) -> sim::sched::SchedStats {
         self.sched.stats()
     }
 
-    /// The earliest thing this shard must wake for: its calendar head and
-    /// any queued cross-shard delivery. (Indexed engine's view of time.)
-    pub(crate) fn next_event_indexed(&mut self) -> Option<SimTime> {
+    /// Components registered in the calendar.
+    #[cfg(test)]
+    pub(crate) fn calendar_len(&self) -> usize {
+        self.sched.len()
+    }
+
+    /// Run-call entry under `mode`: start new apps, then settle the entry
+    /// instant (the indexed engine first rebuilds its calendar).
+    pub(crate) fn enter(&mut self, mode: Mode, segs: &mut Segs<'_>) {
+        self.mode = mode;
+        self.start_apps();
+        match mode {
+            Mode::Indexed => {
+                self.sync_all(segs);
+                self.settle_dirty(segs);
+            }
+            Mode::Scan => self.settle_scan(segs),
+        }
+    }
+
+    /// Steps the shard through everything due at or before `w_end`.
+    pub(crate) fn run_window(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
+        match self.mode {
+            Mode::Indexed => self.run_window_indexed(w_end, segs),
+            Mode::Scan => self.run_window_scan(w_end, segs),
+        }
+    }
+
+    /// Run-call exit at `limit` (flush on exit, DESIGN.md §6).
+    pub(crate) fn exit(&mut self, limit: SimTime) {
+        if let Mode::Indexed = self.mode {
+            self.flush_lines(limit);
+        }
+    }
+
+    /// The earliest thing a deferred-Ethernet shard must wake for, as its
+    /// engine sees time.
+    pub(crate) fn next_event(&mut self) -> Option<SimTime> {
+        match self.mode {
+            Mode::Indexed => self.next_event_indexed(),
+            Mode::Scan => self.scan_next_deadline(None),
+        }
+    }
+
+    /// The calendar head or the next queued cross-shard delivery,
+    /// whichever is earlier.
+    fn next_event_indexed(&mut self) -> Option<SimTime> {
         let sp = self.sched.peek_time();
         let ep = self.ether_in.peek().map(|e| e.0);
         match (sp, ep) {
@@ -397,7 +415,7 @@ impl ShardData {
         best
     }
 
-    pub(crate) fn start_apps(&mut self) {
+    fn start_apps(&mut self) {
         let now = self.now;
         let mut apps = std::mem::take(&mut self.apps);
         for entry in &mut apps {
@@ -413,7 +431,7 @@ impl ShardData {
     /// deadline, and marks everything dirty — run-call entry is the one
     /// moment external mutations (via `host_mut`, `tnc_mut`, new
     /// components…) can have happened without the world noticing.
-    pub(crate) fn sync_all(&mut self, segs: &mut Segs<'_>) {
+    fn sync_all(&mut self, segs: &mut Segs<'_>) {
         self.line_host = vec![None; self.lines.len()];
         for (hi, h) in self.hosts.iter().enumerate() {
             if let Some(li) = h.serial {
@@ -456,146 +474,46 @@ impl ShardData {
             self.apps.len(),
         ];
         self.flush_after_apps.reset_clear(self.hosts.len());
-        self.cal.reset(sizes);
         self.dirty.mark_all(sizes);
         for li in 0..self.lines.len() {
-            self.reg_line(li);
+            self.reg(Key::Line(li), self.lines[li].next_boundary());
         }
         for ci in 0..self.channels.len() {
-            self.reg_chan(ci);
+            self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
         }
         if let Some(segments) = segs {
             for si in 0..segments.len() {
-                self.reg_seg(si, segments);
+                self.reg(Key::Seg(si), segments[si].next_deadline());
             }
         }
         for ti in 0..self.tncs.len() {
-            self.reg_tnc(ti);
+            self.reg(Key::Tnc(ti), self.tncs[ti].tnc.next_deadline());
         }
         for di in 0..self.digis.len() {
-            self.reg_digi(di);
+            self.reg(Key::Digi(di), self.digis[di].digi.next_deadline());
         }
         for bi in 0..self.beacons.len() {
-            self.reg_beacon(bi);
+            self.reg(Key::Beacon(bi), self.beacons[bi].beacon.next_deadline());
         }
         for hi in 0..self.hosts.len() {
-            self.reg_host(hi);
+            self.reg(Key::Host(hi), self.hosts[hi].host.next_deadline());
         }
         for ai in 0..self.apps.len() {
-            self.reg_app(ai);
+            self.reg(Key::App(ai), self.apps[ai].app.next_deadline());
         }
     }
 
-    // Deadline-change reporting: re-register a component after anything
-    // may have moved its deadline. Unchanged deadlines are a no-op.
-
-    /// Lines register their next *boundary* (DESIGN.md §6): the quiet
-    /// characters before it are picked up by `deliver_line` when it fires,
-    /// or earlier if a receiver is touched.
-    fn reg_line(&mut self, li: usize) {
-        let d = self.lines[li].next_boundary();
-        match self.cal.lines.get_mut(li) {
-            // Cache hit: the calendar already holds this deadline.
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            // Reference stepper: sync_all never sized the cache.
-            None => {}
+    /// Deadline-change reporting: registers `key`'s deadline after anything
+    /// may have moved it (unchanged deadlines are a no-op). Lines register
+    /// their next *boundary* (DESIGN.md §6): the quiet characters before
+    /// it are picked up by `deliver_line` when it fires, or earlier if a
+    /// receiver is touched. The reference stepper shares the routing code
+    /// that reports here but never reads the calendar, so under it nothing
+    /// is registered.
+    fn reg(&mut self, key: Key, deadline: Option<SimTime>) {
+        if let Mode::Indexed = self.mode {
+            self.sched.set_deadline(key, deadline);
         }
-        self.sched.set_deadline(Key::Line(li), d);
-    }
-
-    fn reg_chan(&mut self, ci: usize) {
-        let d = self.channels[ci].next_deadline();
-        match self.cal.chans.get_mut(ci) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Chan(ci), d);
-    }
-
-    fn reg_seg(&mut self, si: usize, segments: &[Segment]) {
-        let d = segments[si].next_deadline();
-        match self.cal.segs.get_mut(si) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Seg(si), d);
-    }
-
-    fn reg_tnc(&mut self, ti: usize) {
-        let d = self.tncs[ti].tnc.next_deadline();
-        match self.cal.tncs.get_mut(ti) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Tnc(ti), d);
-    }
-
-    fn reg_digi(&mut self, di: usize) {
-        let d = self.digis[di].digi.next_deadline();
-        match self.cal.digis.get_mut(di) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Digi(di), d);
-    }
-
-    fn reg_beacon(&mut self, bi: usize) {
-        let d = self.beacons[bi].beacon.next_deadline();
-        match self.cal.beacons.get_mut(bi) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Beacon(bi), d);
-    }
-
-    fn reg_host(&mut self, hi: usize) {
-        let d = self.hosts[hi].host.next_deadline();
-        match self.cal.hosts.get_mut(hi) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::Host(hi), d);
-    }
-
-    fn reg_app(&mut self, ai: usize) {
-        let d = self.apps[ai].app.next_deadline();
-        match self.cal.apps.get_mut(ai) {
-            Some(slot) if *slot == d => {
-                self.sched.stats_mut().unchanged += 1;
-                return;
-            }
-            Some(slot) => *slot = d,
-            None => {}
-        }
-        self.sched.set_deadline(Key::App(ai), d);
     }
 
     /// Marks every app on host `hi` dirty (the host was touched, so apps
@@ -610,7 +528,7 @@ impl ShardData {
     /// The indexed run loop over one window: pop due keys from the
     /// calendar (and due cross-shard deliveries), mark them dirty, settle
     /// the instant over dirty components only.
-    pub(crate) fn run_window_indexed(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
+    fn run_window_indexed(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
         while let Some(d) = self.next_event_indexed() {
             if d > w_end {
                 break;
@@ -621,7 +539,6 @@ impl ShardData {
             }
             while self.sched.peek_time().is_some_and(|pt| pt <= self.now) {
                 let k = self.sched.pop().expect("peeked entry pops").1;
-                *self.cal.slot(k) = None;
                 self.dirty.mark(k);
             }
             self.settle_dirty(segs);
@@ -630,7 +547,7 @@ impl ShardData {
 
     /// The reference run loop over one window: scan for the earliest
     /// deadline, advance, re-poll everything until quiescent.
-    pub(crate) fn run_window_scan(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
+    fn run_window_scan(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
         while let Some(d) = self.scan_next_deadline(segs.as_deref()) {
             if d > w_end {
                 break;
@@ -686,7 +603,7 @@ impl ShardData {
     /// Flush on exit: every run call returns with all characters due at
     /// or before `limit` delivered, so chunked runs equal one run and
     /// public stats are exact between calls.
-    pub(crate) fn flush_lines(&mut self, limit: SimTime) {
+    fn flush_lines(&mut self, limit: SimTime) {
         for li in 0..self.lines.len() {
             self.deliver_line(li, limit);
         }
@@ -696,7 +613,7 @@ impl ShardData {
     /// quiet, visiting categories in the same fixed order as the
     /// reference stepper: lines → channels → MACs → segments → hosts →
     /// apps.
-    pub(crate) fn settle_dirty(&mut self, segs: &mut Segs<'_>) {
+    fn settle_dirty(&mut self, segs: &mut Segs<'_>) {
         let now = self.now;
         let mut todo = std::mem::take(&mut self.scratch);
         for _pass in 0..10_000 {
@@ -720,7 +637,7 @@ impl ShardData {
                 if let Some(ti) = self.line_tnc[li].filter(|_| tnc_got) {
                     self.dirty.mark(Key::Tnc(ti));
                 }
-                self.reg_line(li);
+                self.reg(Key::Line(li), self.lines[li].next_boundary());
             }
 
             // 2. Radio channels: completed transmissions become
@@ -761,7 +678,7 @@ impl ShardData {
                         }
                     }
                 }
-                self.reg_chan(ci);
+                self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
             }
 
             // 3. MAC polls (TNCs, digipeaters, beacons), in the reference
@@ -783,8 +700,8 @@ impl ShardData {
                 if entry.tnc.next_deadline().is_some_and(|d| d <= now) {
                     self.dirty.mark(Key::Tnc(ti));
                 }
-                self.reg_tnc(ti);
-                self.reg_chan(ci);
+                self.reg(Key::Tnc(ti), self.tncs[ti].tnc.next_deadline());
+                self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
             }
             todo.clear();
             if !self.dirty.digis.list.is_empty() {
@@ -798,8 +715,8 @@ impl ShardData {
                 if entry.digi.next_deadline().is_some_and(|d| d <= now) {
                     self.dirty.mark(Key::Digi(di));
                 }
-                self.reg_digi(di);
-                self.reg_chan(ci);
+                self.reg(Key::Digi(di), self.digis[di].digi.next_deadline());
+                self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
             }
             todo.clear();
             if !self.dirty.beacons.list.is_empty() {
@@ -813,8 +730,8 @@ impl ShardData {
                 if entry.beacon.next_deadline().is_some_and(|d| d <= now) {
                     self.dirty.mark(Key::Beacon(bi));
                 }
-                self.reg_beacon(bi);
-                self.reg_chan(ci);
+                self.reg(Key::Beacon(bi), self.beacons[bi].beacon.next_deadline());
+                self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
             }
 
             // 4. Ethernet: direct segments (single-shard), or timed
@@ -843,7 +760,7 @@ impl ShardData {
                                 }
                             }
                         }
-                        self.reg_seg(si, segments);
+                        self.reg(Key::Seg(si), segments[si].next_deadline());
                     }
                 }
                 None => {
@@ -884,7 +801,7 @@ impl ShardData {
                     self.mark_apps(hi);
                     self.flush_after_apps.mark(hi);
                 }
-                self.reg_host(hi);
+                self.reg(Key::Host(hi), self.hosts[hi].host.next_deadline());
             }
 
             // 6. Applications: poll dirty apps in index order, then flush
@@ -900,7 +817,7 @@ impl ShardData {
                 self.catch_up_host(hi);
                 let entry = &mut self.apps[ai];
                 entry.app.poll(now, &mut self.hosts[hi].host);
-                self.reg_app(ai);
+                self.reg(Key::App(ai), self.apps[ai].app.next_deadline());
                 self.flush_after_apps.mark(hi);
             }
             todo.clear();
@@ -913,7 +830,7 @@ impl ShardData {
                     self.dirty.mark(Key::Host(hi));
                     self.mark_apps(hi);
                 }
-                self.reg_host(hi);
+                self.reg(Key::Host(hi), self.hosts[hi].host.next_deadline());
             }
 
             self.sched.stats_mut().polled += polled;
@@ -927,7 +844,7 @@ impl ShardData {
 
     /// Processes everything due at `self.now` until the instant is quiet,
     /// visiting every component on every pass (the reference stepper).
-    pub(crate) fn settle_scan(&mut self, segs: &mut Segs<'_>) {
+    fn settle_scan(&mut self, segs: &mut Segs<'_>) {
         let now = self.now;
         let mut rx = std::mem::take(&mut self.run_scratch);
         for _pass in 0..10_000 {
@@ -1070,7 +987,7 @@ impl ShardData {
                     }
                     let li = self.tncs[i].line;
                     self.lines[li].send(now, End::B, &bytes);
-                    self.reg_line(li);
+                    self.reg(Key::Line(li), self.lines[li].next_boundary());
                 }
                 return;
             }
@@ -1085,10 +1002,9 @@ impl ShardData {
     }
 
     /// Routes a host's outbox and records/dispatches its events. Links the
-    /// host pushed output into get their new deadlines registered here, so
-    /// both steppers keep the calendar coherent. Ethernet output goes to
-    /// the segment directly (single-shard) or to `ether_out` for the
-    /// coordinator (multi-shard).
+    /// host pushed output into get their new deadlines registered here.
+    /// Ethernet output goes to the segment directly (single-shard) or to
+    /// `ether_out` for the coordinator (multi-shard).
     fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> bool {
         let mut progressed = false;
         let outs = self.hosts[hi].host.take_outbox();
@@ -1100,7 +1016,7 @@ impl ShardData {
                 HostOut::SerialTx(bytes) => {
                     if let Some(li) = serial {
                         self.lines[li].send(now, End::A, &bytes);
-                        self.reg_line(li);
+                        self.reg(Key::Line(li), self.lines[li].next_boundary());
                     }
                 }
                 HostOut::EtherTx(frame) => {
@@ -1108,7 +1024,7 @@ impl ShardData {
                         match segs {
                             Some(segments) => {
                                 segments[seg].send(now, nic, frame);
-                                self.reg_seg(seg, segments);
+                                self.reg(Key::Seg(seg), segments[seg].next_deadline());
                             }
                             None => {
                                 self.out_seq += 1;

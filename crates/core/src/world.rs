@@ -45,13 +45,13 @@ use radio::digi::Digipeater;
 use radio::tnc::{RxMode, Tnc, TncConfig};
 use radio::traffic::{BeaconConfig, BeaconStation};
 use serial::{SerialConfig, SerialLine};
-use sim::sched::{SchedStats, Scheduler};
+use sim::sched::SchedStats;
 use sim::trace::Trace;
 use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
-    AppEntry, BeaconEntry, DigiEntry, HostEntry, Segs, ShardBox, ShardData, TncEntry,
+    AppEntry, BeaconEntry, DigiEntry, HostEntry, Mode, Segs, ShardBox, ShardData, TncEntry,
 };
 
 /// The conservative cross-shard lookahead: a frame leaving a shard for
@@ -141,15 +141,6 @@ pub trait App {
     }
 }
 
-/// Which stepping engine a run call drives.
-#[derive(Clone, Copy)]
-enum Mode {
-    /// Deadline-indexed calendar + dirty-set quiescence (production).
-    Indexed,
-    /// Full scan + re-poll-everything quiescence (executable spec).
-    Scan,
-}
-
 /// A deferred cross-shard Ethernet send waiting for its effect time.
 /// Ordered by `(effect, shard, seq)` — the deterministic merge order at
 /// shard boundaries, independent of which worker stepped which shard.
@@ -211,8 +202,6 @@ pub struct World {
     events: Vec<(HostId, SimTime, StackAction)>,
     /// Worker threads for multi-shard runs (1 = step shards serially).
     workers: usize,
-    /// Timer-wheel granularity applied to every shard's calendar.
-    wheel: Option<SimDuration>,
     /// In-flight cross-shard sends, min-ordered by `(effect, shard, seq)`.
     pending: BinaryHeap<Reverse<PendingSend>>,
     /// Recycled delivery frames (§11 zero-alloc hand-off pool).
@@ -239,22 +228,9 @@ impl World {
             beacon_map: Vec::new(),
             events: Vec::new(),
             workers: 1,
-            wheel: None,
             pending: BinaryHeap::new(),
             spare_frames: Vec::new(),
             _not_send: PhantomData,
-        }
-    }
-
-    /// Switches every shard's calendar to the hierarchical timer-wheel
-    /// backend with the given slot granularity (one millisecond suits the
-    /// 9600 Bd per-character band). Takes effect at the next run call,
-    /// which rebuilds the index; pop order is identical to the heap
-    /// backend.
-    pub fn use_timer_wheel(&mut self, granularity: SimDuration) {
-        self.wheel = Some(granularity);
-        for sb in &mut self.shards {
-            sb.get_mut().set_sched(Scheduler::with_wheel(granularity));
         }
     }
 
@@ -317,11 +293,7 @@ impl World {
     /// shards.
     pub fn add_shard(&mut self) -> ShardId {
         let rng = self.shards[0].get_mut().rng.fork();
-        let mut sh = ShardData::new(rng);
-        if let Some(g) = self.wheel {
-            sh.set_sched(Scheduler::with_wheel(g));
-        }
-        self.shards.push(ShardBox::new(sh));
+        self.shards.push(ShardBox::new(ShardData::new(rng)));
         ShardId(self.shards.len() - 1)
     }
 
@@ -641,19 +613,9 @@ impl World {
         sh.record_events = self.record_events;
         std::mem::swap(&mut sh.trace, &mut self.trace);
         let mut segs: Segs = Some(&mut self.segments);
-        sh.start_apps();
-        match mode {
-            Mode::Indexed => {
-                sh.sync_all(&mut segs);
-                sh.settle_dirty(&mut segs);
-                sh.run_window_indexed(limit, &mut segs);
-                sh.flush_lines(limit);
-            }
-            Mode::Scan => {
-                sh.settle_scan(&mut segs);
-                sh.run_window_scan(limit, &mut segs);
-            }
-        }
+        sh.enter(mode, &mut segs);
+        sh.run_window(limit, &mut segs);
+        sh.exit(limit);
         std::mem::swap(&mut sh.trace, &mut self.trace);
         self.now = if clamp { sh.now.max(limit) } else { sh.now };
         self.events.append(&mut sh.events);
@@ -668,15 +630,7 @@ impl World {
             let sh = sb.get_mut();
             sh.now = self.now;
             sh.record_events = self.record_events;
-            sh.start_apps();
-            let mut segs: Segs = None;
-            match mode {
-                Mode::Indexed => {
-                    sh.sync_all(&mut segs);
-                    sh.settle_dirty(&mut segs);
-                }
-                Mode::Scan => sh.settle_scan(&mut segs),
-            }
+            sh.enter(mode, &mut None);
         }
         let shards = std::mem::take(&mut self.shards);
         let mut segments = std::mem::take(&mut self.segments);
@@ -695,7 +649,6 @@ impl World {
                 pending: &mut pending,
                 spare: &mut spare,
                 events: &mut events,
-                mode,
                 limit,
             };
             // Entry settles may already have emitted cross-shard traffic.
@@ -716,21 +669,10 @@ impl World {
         let mut now = self.now;
         for sb in &mut self.shards {
             let sh = sb.get_mut();
-            if let Mode::Indexed = mode {
-                sh.flush_lines(limit);
-            }
+            sh.exit(limit);
             now = now.max(sh.now);
         }
         self.now = if clamp { now.max(limit) } else { now };
-    }
-}
-
-/// Steps one shard through one window (deferred-Ethernet mode).
-fn step_shard(sh: &mut ShardData, w_end: SimTime, mode: Mode) {
-    let mut segs: Segs = None;
-    match mode {
-        Mode::Indexed => sh.run_window_indexed(w_end, &mut segs),
-        Mode::Scan => sh.run_window_scan(w_end, &mut segs),
     }
 }
 
@@ -767,7 +709,6 @@ struct Engine<'a> {
     pending: &'a mut BinaryHeap<Reverse<PendingSend>>,
     spare: &'a mut Vec<EtherFrame>,
     events: &'a mut Vec<(HostId, SimTime, StackAction)>,
-    mode: Mode,
     limit: SimTime,
 }
 
@@ -787,11 +728,7 @@ impl Engine<'_> {
         for (sb, due) in self.shards.iter().zip(self.next_due) {
             // SAFETY: coordinator phase — workers are parked at the
             // barrier (or do not exist), so no shard is claimed.
-            let sh = unsafe { sb.steal() };
-            let t = match self.mode {
-                Mode::Indexed => sh.next_event_indexed(),
-                Mode::Scan => sh.scan_next_deadline(None),
-            };
+            let t = unsafe { sb.steal() }.next_event();
             due.store(t.map_or(u64::MAX, SimTime::as_nanos), Ordering::Relaxed);
             fold(t);
         }
@@ -878,34 +815,42 @@ impl Engine<'_> {
         self.events[tail..].sort_by_key(|e| e.1);
     }
 
-    /// The window loop, stepping shards on the caller's thread.
-    fn run_serial(&mut self) {
-        loop {
-            let Some(tn) = self.t_next() else { return };
+    /// The window loop (steps 1–5 above); `step_active(w_end)` is step 4.
+    fn run_windows(&mut self, mut step_active: impl FnMut(SimTime)) {
+        while let Some(tn) = self.t_next() {
             if tn > self.limit {
                 return;
             }
             let w_end = (tn + LOOKAHEAD).min(self.limit);
             self.apply_ether(w_end);
-            for (sb, due) in self.shards.iter().zip(self.next_due) {
+            step_active(w_end);
+            self.collect();
+        }
+    }
+
+    /// Windows with the active shards stepped on the caller's thread.
+    fn run_serial(&mut self) {
+        let shards = self.shards;
+        let next_due = self.next_due;
+        self.run_windows(|w_end| {
+            for (sb, due) in shards.iter().zip(next_due) {
                 if due.load(Ordering::Relaxed) > w_end.as_nanos() {
                     continue;
                 }
                 // SAFETY: serial stepping — no other claimant exists.
                 let sh = unsafe { sb.steal() };
-                step_shard(sh, w_end, self.mode);
+                sh.run_window(w_end, &mut None);
             }
-            self.collect();
-        }
+        });
     }
 
-    /// The window loop on a worker pool: `workers − 1` spawned threads
-    /// plus the coordinator claim shards through an atomic ticket; two
-    /// barrier waits bound each window (coordinator phases in between).
+    /// Windows with the active shards stepped on a worker pool:
+    /// `workers − 1` spawned threads plus the coordinator claim shards
+    /// through an atomic ticket; two barrier waits bound each stepping
+    /// phase (coordinator phases in between).
     fn run_parallel(&mut self, workers: usize) {
         let shards = self.shards;
         let next_due = self.next_due;
-        let mode = self.mode;
         let nshards = shards.len();
         // (window end, shut down) — written by the coordinator before the
         // opening barrier of each window.
@@ -924,7 +869,7 @@ impl Engine<'_> {
             // the barriers on both sides of the stepping phase order it
             // with every coordinator access.
             let sh = unsafe { shards[i].steal() };
-            step_shard(sh, w_end, mode);
+            sh.run_window(w_end, &mut None);
         };
         std::thread::scope(|scope| {
             for _ in 1..workers {
@@ -941,19 +886,13 @@ impl Engine<'_> {
                     barrier.wait();
                 });
             }
-            while let Some(tn) = self.t_next() {
-                if tn > self.limit {
-                    break;
-                }
-                let w_end = (tn + LOOKAHEAD).min(self.limit);
-                self.apply_ether(w_end);
+            self.run_windows(|w_end| {
                 *spec.lock().expect("window spec lock") = (w_end, false);
                 ticket.store(0, Ordering::Relaxed);
                 barrier.wait();
                 claim_and_step(w_end);
                 barrier.wait();
-                self.collect();
-            }
+            });
             spec.lock().expect("window spec lock").1 = true;
             barrier.wait();
         });
@@ -1007,6 +946,27 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The reference stepper shares `flush_host` and `route_reception`
+    /// with the indexed engine; what they report must not pile up in a
+    /// calendar nobody drains.
+    #[test]
+    fn reference_stepper_leaves_the_calendar_alone() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        let now = s.world.now;
+        s.world
+            .host_mut(s.pc)
+            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+        s.world.run_until_reference(SimTime::from_secs(600));
+        let replies = s
+            .world
+            .events()
+            .iter()
+            .filter(|(_, _, e)| matches!(e, StackAction::PingReply { id: 7, .. }));
+        assert_eq!(replies.count(), 1, "lines and segments carried traffic");
+        assert_eq!(s.world.shards[0].get().calendar_len(), 0);
+        assert_eq!(s.world.sched_stats(), SchedStats::default());
     }
 
     /// A scripted test app: polls are recorded, and it exposes a fixed

@@ -1,6 +1,6 @@
-//! Scheduler equivalence: the deadline-indexed run loop (heap and
-//! timer-wheel backends) must produce event sequences and component
-//! statistics identical to the full-scan reference stepper, on fixed
+//! Scheduler equivalence: the deadline-indexed run loop must produce
+//! event sequences and component statistics identical to the full-scan
+//! reference stepper, on fixed
 //! topologies and on randomized worlds with cancellations and mid-run
 //! reconfiguration. Plus a golden trace digest pinning the behaviour
 //! against silent drift in future changes.
@@ -51,25 +51,18 @@ impl App for ScriptedPinger {
 enum Driver {
     Reference,
     Indexed,
-    Wheel,
 }
 
-const DRIVERS: [Driver; 3] = [Driver::Reference, Driver::Indexed, Driver::Wheel];
+const DRIVERS: [Driver; 2] = [Driver::Reference, Driver::Indexed];
 
 impl Driver {
-    fn prepare(self, w: &mut World) {
-        if let Driver::Wheel = self {
-            w.use_timer_wheel(SimDuration::from_millis(1));
-        }
-    }
-
     fn run_for(self, w: &mut World, d: SimDuration) {
         match self {
             Driver::Reference => {
                 let t = w.now + d;
                 w.run_until_reference(t);
             }
-            Driver::Indexed | Driver::Wheel => w.run_for(d),
+            Driver::Indexed => w.run_for(d),
         }
     }
 }
@@ -154,7 +147,6 @@ fn paper_run(
             seq: 0,
         }),
     );
-    driver.prepare(&mut s.world);
     driver.run_for(&mut s.world, SimDuration::from_secs(30));
     if flip_mode {
         s.world.tnc_mut(s.pc_tnc).set_mode(RxMode::Promiscuous);
@@ -185,10 +177,15 @@ fn paper_topology_indexed_matches_reference() {
         reference.contains("PingReply"),
         "traffic must flow:\n{reference}"
     );
-    for driver in [Driver::Indexed, Driver::Wheel] {
-        let got = paper_run(driver, 42, mac, &[(500, 3000)], &[1000, 9000], false);
-        assert_eq!(got, reference, "{driver:?} diverged from reference");
-    }
+    let got = paper_run(
+        Driver::Indexed,
+        42,
+        mac,
+        &[(500, 3000)],
+        &[1000, 9000],
+        false,
+    );
+    assert_eq!(got, reference, "indexed engine diverged from reference");
 }
 
 #[test]
@@ -203,7 +200,6 @@ fn digi_chain_indexed_matches_reference() {
                 seq: 0,
             }),
         );
-        driver.prepare(&mut s.world);
         driver.run_for(&mut s.world, SimDuration::from_secs(120));
         fingerprint(&mut s.world, &[], &[], &[], &[s.chan], &[s.pc, s.gw])
     };
@@ -213,7 +209,6 @@ fn digi_chain_indexed_matches_reference() {
         "traffic must flow:\n{reference}"
     );
     assert_eq!(run(Driver::Indexed), reference);
-    assert_eq!(run(Driver::Wheel), reference);
 }
 
 /// Zero slot time makes deferring MACs re-draw on *every quiescence pass*,
@@ -233,24 +228,22 @@ fn zero_slot_time_rng_stream_matches() {
         &[2000],
         false,
     );
-    for driver in [Driver::Indexed, Driver::Wheel] {
-        let got = paper_run(
-            driver,
-            3,
-            mac,
-            &[(0, 1500), (200, 1500), (400, 1500)],
-            &[2000],
-            false,
-        );
-        assert_eq!(got, reference, "{driver:?} diverged from reference");
-    }
+    let got = paper_run(
+        Driver::Indexed,
+        3,
+        mac,
+        &[(0, 1500), (200, 1500), (400, 1500)],
+        &[2000],
+        false,
+    );
+    assert_eq!(got, reference, "indexed engine diverged from reference");
 }
 
 proptest! {
     /// Randomized worlds: topology knobs, beacon load, scripted traffic,
     /// MAC parameters (including zero slot time), and a mid-run TNC
-    /// reconfiguration — reference, heap-indexed, and wheel-indexed
-    /// engines must agree byte-for-byte on events and stats.
+    /// reconfiguration — the reference and indexed engines must agree
+    /// byte-for-byte on events and stats.
     #[test]
     fn randomized_world_equivalence(
         seed in 0u64..1_000,
@@ -271,16 +264,14 @@ proptest! {
             .collect();
         let pings = [ping_a, ping_b];
         let reference = paper_run(Driver::Reference, seed, mac, &beacons, &pings, flip_mode);
-        for driver in [Driver::Indexed, Driver::Wheel] {
-            let got = paper_run(driver, seed, mac, &beacons, &pings, flip_mode);
-            prop_assert_eq!(&got, &reference, "{:?} diverged from reference", driver);
-        }
+        let got = paper_run(Driver::Indexed, seed, mac, &beacons, &pings, flip_mode);
+        prop_assert_eq!(&got, &reference, "indexed engine diverged from reference");
     }
 }
 
 /// FNV-1a over the event log of a fixed busy scenario. Pinned so that a
 /// future engine change that shifts any event time or payload fails
-/// loudly, even if it happens to shift all three engines the same way.
+/// loudly, even if it happens to shift both engines the same way.
 #[test]
 fn golden_trace_digest() {
     let mut digests = Vec::new();
@@ -301,7 +292,6 @@ fn golden_trace_digest() {
         digests.push(hash);
     }
     assert_eq!(digests[0], digests[1]);
-    assert_eq!(digests[1], digests[2]);
     assert_eq!(
         digests[0], 15_916_838_269_407_293_022,
         "golden digest drifted — engine behaviour changed"
@@ -338,7 +328,6 @@ fn promiscuous_flood_matches_reference() {
             ));
         }
         s.world.tnc_mut(s.pc_tnc).set_mode(RxMode::AddressFilter);
-        driver.prepare(&mut s.world);
         driver.run_for(&mut s.world, SimDuration::from_secs(60));
         let chars = s.world.host(s.gw).cpu.stats().char_interrupts;
         let batched = s.world.sched_stats().batched_chars;
@@ -363,8 +352,6 @@ fn promiscuous_flood_matches_reference() {
         batched > 1000,
         "the flood should be delivered in runs (batched_chars={batched})"
     );
-    let (wheel, _) = run(Driver::Wheel);
-    assert_eq!(wheel, reference, "Wheel diverged from reference");
 }
 
 /// At scripted instants, notes what the host's CPU and driver look like
@@ -588,7 +575,6 @@ fn lock_step_promiscuous_lines_match_reference() {
     let script = lock_step_script();
     let run = |driver: Driver| {
         let mut w = lock_step_world(&script);
-        driver.prepare(&mut w.s.world);
         driver.run_for(&mut w.s.world, SimDuration::from_secs(90));
         let stats = w.s.world.sched_stats();
         (w.fingerprint(), w.serial_chars(), stats)
@@ -598,24 +584,22 @@ fn lock_step_promiscuous_lines_match_reference() {
         reference.matches("PingReply").count() >= 2,
         "pings must cross the gateway and be answered:\n{reference}"
     );
-    for driver in [Driver::Indexed, Driver::Wheel] {
-        let (got, got_chars, stats) = run(driver);
-        assert_eq!(got, reference, "{driver:?} diverged from reference");
-        assert_eq!(got_chars, chars);
-        // Host-independent work: a line costs two calendar visits per
-        // frame, and every character travels in a run.
-        assert!(chars > 10_000, "three busy lines: {chars} characters");
-        assert!(
-            stats.pops * 100 <= chars * 15,
-            "{driver:?}: {} pops for {chars} serial characters",
-            stats.pops
-        );
-        assert!(
-            stats.batched_chars * 10 >= chars * 9,
-            "{driver:?}: {} of {chars} characters delivered in runs",
-            stats.batched_chars
-        );
-    }
+    let (got, got_chars, stats) = run(Driver::Indexed);
+    assert_eq!(got, reference, "indexed engine diverged from reference");
+    assert_eq!(got_chars, chars);
+    // Host-independent work: a line costs two calendar visits per
+    // frame, and every character travels in a run.
+    assert!(chars > 10_000, "three busy lines: {chars} characters");
+    assert!(
+        stats.pops * 100 <= chars * 15,
+        "{} pops for {chars} serial characters",
+        stats.pops
+    );
+    assert!(
+        stats.batched_chars * 10 >= chars * 9,
+        "{} of {chars} characters delivered in runs",
+        stats.batched_chars
+    );
 }
 
 /// Flush on exit: a run split into chunks whose ends fall mid-frame is

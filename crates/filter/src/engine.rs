@@ -277,6 +277,12 @@ impl FilterEngine {
         self.apply(now, m, w.action, why)
     }
 
+    /// Kills every cached decision by moving to the next generation.
+    /// Wraps past 0, which the cache reserves for never-written slots.
+    fn bump_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1).max(1);
+    }
+
     /// Opens or refreshes the gate entry for an amateur→foreign packet.
     #[inline]
     fn touch_gate(&mut self, now: SimTime, m: &PacketMeta) {
@@ -284,14 +290,14 @@ impl FilterEngine {
         let ttl = g.cfg().entry_ttl;
         match g.open(now, m.src, m.dst, ttl) {
             Mutation::Opened => {
-                self.generation += 1;
+                self.bump_generation();
                 self.stats.gate_opened += 1;
             }
             Mutation::Refreshed => self.stats.gate_refreshed += 1,
             Mutation::Shortened => {
                 // The entry now dies earlier than the expiry stamped into
                 // cached admissions — they must not outlive it.
-                self.generation += 1;
+                self.bump_generation();
                 self.stats.gate_refreshed += 1;
             }
             _ => {}
@@ -350,16 +356,16 @@ impl FilterEngine {
         let (outcome, mutation) = g.on_message(now, from_amateur_side, msg);
         match mutation {
             Mutation::Opened => {
-                self.generation += 1;
+                self.bump_generation();
                 self.stats.opened_by_message += 1;
             }
             Mutation::Refreshed => self.stats.opened_by_message += 1,
             Mutation::Shortened => {
-                self.generation += 1;
+                self.bump_generation();
                 self.stats.opened_by_message += 1;
             }
             Mutation::Closed => {
-                self.generation += 1;
+                self.bump_generation();
                 self.stats.gate_closed += 1;
             }
             Mutation::NoOp => {}
@@ -374,7 +380,7 @@ impl FilterEngine {
     pub fn set_rules(&mut self, rules: &[Rule]) {
         let default_action = self.rules.default_action();
         self.rules = CompiledRuleset::compile(rules, default_action);
-        self.generation += 1;
+        self.bump_generation();
     }
 
     // --- Soft-state maintenance ---------------------------------------------
@@ -541,6 +547,25 @@ mod tests {
         assert_eq!(e.on_gate_message(t0, true, &close), ControlOutcome::Applied);
         assert_eq!(e.generation(), gen + 1);
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
+    }
+
+    #[test]
+    fn generation_wraps_past_the_empty_slot_mark() {
+        let mut e = FilterEngine::new(FilterConfig::gateway());
+        e.generation = u32::MAX;
+        let t0 = SimTime::ZERO;
+        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
+        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
+        assert_eq!(e.stats().cache_hits, 1, "denial cached under u32::MAX");
+        // Opening the pair bumps the generation over the top: it lands on
+        // 1, not on the never-written mark, and the old denial is dead.
+        assert_eq!(e.eval(t0, &meta(AM, FO, 6)), Verdict::Allow);
+        assert_eq!(e.generation(), 1);
+        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Allow);
+        // A slot nothing was ever written to still misses.
+        assert_eq!(e.stats().cache_hits, 1);
+        assert_eq!(e.eval(t0, &meta([128, 95, 1, 9], AM, 6)), Verdict::Deny);
+        assert_eq!(e.stats().cache_hits, 1);
     }
 
     #[test]

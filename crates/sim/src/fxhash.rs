@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for the simulator's internal maps.
 //!
-//! The event calendar does several map operations per simulated event;
-//! with the standard library's SipHash (and its per-process random seed)
-//! those dominate the scheduler's cost. This is the Firefox/rustc
+//! Per-packet tables (the filter's gate table) do a map operation per
+//! simulated packet; the standard library's SipHash (and its per-process
+//! random seed) would dominate that cost. This is the Firefox/rustc
 //! multiply-fold hash: one wrapping multiply per word, no seed — so maps
 //! hash identically across runs, which suits a simulator whose whole
 //! contract is reproducibility. Keys here are small integers and enums,

@@ -12,10 +12,9 @@
 //!   plus [`Bandwidth`] for serialization-delay math.
 //! * [`bytekernels`] — word-at-a-time (SWAR) byte-scanning primitives for
 //!   the bulk datapath kernels (KISS deframing/escaping).
-//! * [`queue`] — a cancellable, deterministic [`EventQueue`].
-//! * [`fxhash`] — a fast deterministic hasher for the calendar's maps.
-//! * [`sched`] — a deadline-indexed component [`Scheduler`] (lazy re-keying
-//!   over the queue, optional hierarchical timer-wheel backend).
+//! * [`fxhash`] — a fast deterministic hasher for small-key maps.
+//! * [`sched`] — the calendar: a deadline-indexed component [`Scheduler`]
+//!   (one heap, lazy deletion, deterministic tie order).
 //! * [`rng`] — a seeded random-number generator ([`SimRng`]) so that every
 //!   experiment run is exactly repeatable.
 //! * [`stats`] — counters, online mean/variance, histograms, and time
@@ -30,13 +29,15 @@
 //! # Examples
 //!
 //! ```
-//! use sim::{EventQueue, SimDuration, SimTime};
+//! use sim::{Scheduler, SimDuration, SimTime};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(5), "later");
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(1), "sooner");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, "sooner");
+//! const LATER: u32 = 0;
+//! const SOONER: u32 = 1;
+//! let mut s: Scheduler<u32> = Scheduler::new();
+//! s.set_deadline(LATER, Some(SimTime::ZERO + SimDuration::from_millis(5)));
+//! s.set_deadline(SOONER, Some(SimTime::ZERO + SimDuration::from_millis(1)));
+//! let (t, key) = s.pop().unwrap();
+//! assert_eq!(key, SOONER);
 //! assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(1));
 //! ```
 
@@ -47,7 +48,6 @@ pub mod bytekernels;
 pub mod fxhash;
 pub mod mailbox;
 pub mod pktbuf;
-pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -57,7 +57,6 @@ pub mod wire;
 
 pub use mailbox::{Mailbox, MailboxStats};
 pub use pktbuf::{BufPool, ByteSink, FrameSink, PacketBuf, PoolStats, SinkFn};
-pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use sched::{SchedStats, Scheduler};
 pub use time::{Bandwidth, SimDuration, SimTime};

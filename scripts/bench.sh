@@ -14,9 +14,12 @@
 # rows are only comparable at equal worker counts. Each fresh median is
 # diffed against the BEST of that bench's last five recorded runs;
 # anything more than BENCH_REGRESSION_PCT percent slower (default 10)
-# than the recent best is flagged with a REGRESSION line. This is
-# informational — scripts/check.sh runs it non-gating, so a slow machine
-# never fails the tier-1 gate. Tighten or loosen the threshold per run:
+# than the recent best is flagged with a REGRESSION line. Only fresh rows
+# are compared: a bench that no longer exists has no fresh row, so it is
+# absent from the report (its history stays in the file), never a
+# regression. This is informational and run by hand — scripts/check.sh
+# does not call it, so the tier-1 gate writes no tracked file. Tighten or
+# loosen the threshold per run:
 #   BENCH_REGRESSION_PCT=25 scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."

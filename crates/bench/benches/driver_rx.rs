@@ -10,16 +10,19 @@
 //! The not-for-us fast path (the §3 promiscuous load) must perform zero,
 //! and so must the serial line's residual per-character path (a noisy,
 //! duplex line delivered one character at a time) under both engines'
-//! calling conventions.
+//! calling conventions. The whole-world transit path — Ethernet host →
+//! segment → gateway → forward → output hook — is not allocation-free
+//! yet; its count per datagram is pinned so it can only ratchet down.
 
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
 use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gateway::prdriver::{PacketRadioDriver, PrConfig};
+use gateway::scenario::{self, PaperConfig};
 use netstack::ip::{Ipv4Packet, Proto};
 use serial::{End, SerialConfig, SerialLine};
-use sim::{SimRng, SimTime};
+use sim::{SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -168,5 +171,65 @@ fn bench_serial_per_char(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rint, bench_output, bench_serial_per_char);
+/// Heap allocations per datagram on the gw_flood transit path that ends
+/// in a deny: an unsolicited Ethernet-side datagram crosses the segment,
+/// the gateway's stack forwards it, and the §4.3 gate drops it at the
+/// radio driver's output hook. Counted over the whole world (sender
+/// included) in steady state. The bound is the measured count — lower it
+/// when the path gets leaner, never raise it.
+const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 13;
+
+fn bench_denied_transit(c: &mut Criterion) {
+    let mut s = scenario::paper_topology(PaperConfig::default(), 5);
+    let udp = s
+        .world
+        .host_mut(s.ether_host)
+        .stack
+        .udp_bind(4000)
+        .expect("free port");
+    let flood = |s: &mut scenario::PaperScenario, n: u64| {
+        for _ in 0..n {
+            let now = s.world.now;
+            s.world
+                .host_mut(s.ether_host)
+                .udp_send(now, udp, scenario::PC_IP, 9, vec![0; 20]);
+            s.world.run_for(SimDuration::from_millis(5));
+        }
+    };
+    // Warm-up: ARP for the gateway, buffer pools, queue capacities.
+    flood(&mut s, 64);
+    let denied_so_far = |s: &scenario::PaperScenario| {
+        let drv = s.world.host(s.gw).pr_driver().expect("gateway radio");
+        drv.stats().filter_drop_out
+    };
+    let denied0 = denied_so_far(&s);
+    const N: u64 = 1_000;
+    let allocs = allocs_during(|| flood(&mut s, N));
+    assert_eq!(
+        denied_so_far(&s) - denied0,
+        N,
+        "every datagram must be forwarded and then denied"
+    );
+    eprintln!(
+        "world/denied_transit: {:.2} heap allocations per datagram",
+        allocs as f64 / N as f64
+    );
+    assert!(
+        allocs <= DENIED_TRANSIT_ALLOCS_PER_DATAGRAM * N,
+        "denied transit regressed: {allocs} allocations / {N} datagrams \
+         (bound {DENIED_TRANSIT_ALLOCS_PER_DATAGRAM} each)"
+    );
+    let mut g = c.benchmark_group("world");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("denied_transit", |b| b.iter(|| flood(&mut s, 1)));
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_rint,
+    bench_output,
+    bench_serial_per_char,
+    bench_denied_transit
+);
 criterion_main!(benches);

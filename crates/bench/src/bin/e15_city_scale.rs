@@ -111,6 +111,7 @@ fn main() {
     ]];
     let mut digests = Vec::new();
     let mut walls = Vec::new();
+    let mut engine = Vec::new();
 
     let mut m = build(gateways, hosts_per_gw, seed);
     let t0 = Instant::now();
@@ -136,6 +137,7 @@ fn main() {
         walls.push((format!("sharded_{workers}w"), workers, t0.elapsed()));
         let (d, n, replies) = event_digest(&mut m.world);
         let mb = m.world.mailbox_stats();
+        engine.push(m.world.engine_stats());
         digests.push(d);
         rows.push(vec![
             "sharded".into(),
@@ -159,6 +161,10 @@ fn main() {
         digests.len()
     );
     println!("reference at every worker count (DESIGN.md §11 contract).");
+    assert!(
+        engine.windows(2).all(|w| w[0] == w[1]),
+        "window-coordinator counters moved with the worker count: {engine:?}"
+    );
 
     // --- Claim 3: wall-clock scaling (bench mode only; nondeterministic)
     if bench_mode {
@@ -168,5 +174,16 @@ fn main() {
             let ns = wall.as_nanos();
             println!("e15/city{gateways}x{hosts_per_gw}_{secs}s_{name} ... bench: {ns} ns/iter");
         }
+        let e = engine[0];
+        println!(
+            "\nwindow coordinator (every worker count): {} windows, {:.2} of {gateways} shards \
+             stepped per window, {:.0} % solo (no barrier), {} deliveries queued, \
+             pending peak {}",
+            e.windows,
+            e.shards_stepped as f64 / e.windows as f64,
+            100.0 * e.solo_windows as f64 / e.windows as f64,
+            e.deliveries_queued,
+            e.pending_peak,
+        );
     }
 }

@@ -119,6 +119,9 @@ pub struct Host {
     input_queue: IfQueue<(IfaceId, Vec<u8>)>,
     /// Non-IP frames diverted for user programs (§2.4).
     tty_queue: VecDeque<Frame>,
+    /// Stack actions being routed by [`Host::handle_actions`] (empty
+    /// between calls; kept for its capacity).
+    work: VecDeque<StackAction>,
     outbox: Vec<HostOut>,
     events: Vec<StackAction>,
     last_arp_age: SimTime,
@@ -173,6 +176,7 @@ impl Host {
             filter,
             input_queue: IfQueue::new(IFQ_MAXLEN),
             tty_queue: VecDeque::new(),
+            work: VecDeque::new(),
             outbox: Vec::new(),
             events: Vec::new(),
             last_arp_age: SimTime::ZERO,
@@ -443,15 +447,14 @@ impl Host {
             return;
         }
         while let Some((iface, bytes)) = self.input_queue.pop_due(now) {
-            let actions = self.stack.input(now, iface, &bytes);
-            self.handle_actions(now, actions);
+            self.stack.input_queued(now, iface, &bytes);
+            self.handle_actions(now);
         }
-        let actions = self.stack.poll(now);
-        self.handle_actions(now, actions);
+        self.stack.poll_queued(now);
+        self.handle_actions(now);
         if self.sockets.next_deadline().is_some_and(|t| t <= now) {
             self.sockets.on_deadline(&mut self.stack, now);
-            let out = self.stack.drain_actions();
-            self.handle_actions(now, out);
+            self.handle_actions(now);
         }
         if let Some(f) = &self.filter {
             let mut f = f.borrow_mut();
@@ -476,6 +479,14 @@ impl Host {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Hands pending link-layer output over by swapping it with `empty`,
+    /// so the caller's drained buffer (and its capacity) becomes the next
+    /// outbox — the allocation-free form of [`Host::take_outbox`].
+    pub fn swap_outbox(&mut self, empty: &mut Vec<HostOut>) {
+        debug_assert!(empty.is_empty());
+        std::mem::swap(&mut self.outbox, empty);
+    }
+
     /// Takes application-visible stack events.
     pub fn take_events(&mut self) -> Vec<StackAction> {
         std::mem::take(&mut self.events)
@@ -488,11 +499,12 @@ impl Host {
 
     // --- User-level operations ---------------------------------------------
 
-    /// Handles stack actions: egress goes to drivers, forwards pass the
-    /// filter engine, app events accumulate for [`Host::take_events`].
-    pub fn handle_actions(&mut self, now: SimTime, actions: Vec<StackAction>) {
-        let mut work: VecDeque<StackAction> = actions.into();
-        while let Some(act) = work.pop_front() {
+    /// Handles every action the stack has queued: egress goes to drivers,
+    /// forwards pass the filter engine, app events accumulate for
+    /// [`Host::take_events`].
+    pub fn handle_actions(&mut self, now: SimTime) {
+        self.stack.drain_actions_into(&mut self.work);
+        while let Some(act) = self.work.pop_front() {
             // The socket table observes every action (accept queues,
             // connect completion, latched errors) before it is consumed.
             self.sockets.on_action(&self.stack, &act);
@@ -523,7 +535,7 @@ impl Host {
                     };
                     if allow {
                         self.stack.forward(packet);
-                        work.extend(self.stack.drain_actions());
+                        self.stack.drain_actions_into(&mut self.work);
                     }
                     let _ = ingress;
                 }
@@ -585,8 +597,7 @@ impl Host {
     /// handle.
     fn run_stack_op<R>(&mut self, now: SimTime, op: impl FnOnce(&mut NetStack) -> R) -> R {
         let r = op(&mut self.stack);
-        let out = self.stack.drain_actions();
-        self.handle_actions(now, out);
+        self.handle_actions(now);
         r
     }
 
@@ -677,8 +688,7 @@ impl Host {
         op: impl FnOnce(&mut SocketTable, &mut NetStack) -> R,
     ) -> R {
         let r = op(&mut self.sockets, &mut self.stack);
-        let out = self.stack.drain_actions();
-        self.handle_actions(now, out);
+        self.handle_actions(now);
         r
     }
 
@@ -934,8 +944,8 @@ mod tests {
             vec![0; 8],
         );
         let eth_if = gw.ether_iface().unwrap();
-        let actions = gw.stack.input(SimTime::ZERO, eth_if, &p.encode());
-        gw.handle_actions(SimTime::ZERO, actions);
+        gw.stack.input_queued(SimTime::ZERO, eth_if, &p.encode());
+        gw.handle_actions(SimTime::ZERO);
         assert!(gw.take_outbox().is_empty(), "denied: nothing forwarded");
         let fs = gw.filter_stats().unwrap();
         assert_eq!(fs.gate_denied, 1);
@@ -970,8 +980,8 @@ mod tests {
             vec![0; 8],
         );
         let eth_if = gw.ether_iface().unwrap();
-        let actions = gw.stack.input(now, eth_if, &p.encode());
-        gw.handle_actions(now, actions);
+        gw.stack.input_queued(now, eth_if, &p.encode());
+        gw.handle_actions(now);
         assert!(gw.take_outbox().is_empty(), "denied: nothing transmitted");
         let drv = gw.pr_driver().unwrap();
         assert_eq!(drv.stats().filter_drop_out, 1);
@@ -994,8 +1004,8 @@ mod tests {
         let ready = gw.next_deadline().expect("queued work");
         gw.advance(ready);
         assert_eq!(gw.filter_stats().unwrap().gate_opened, 1);
-        let actions = gw.stack.input(ready, eth_if, &p.encode());
-        gw.handle_actions(ready, actions);
+        gw.stack.input_queued(ready, eth_if, &p.encode());
+        gw.handle_actions(ready);
         let out = gw.take_outbox();
         assert!(
             out.iter().any(|o| matches!(o, HostOut::SerialTx(_))),

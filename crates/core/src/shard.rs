@@ -74,6 +74,31 @@ pub(crate) struct HostEntry {
     pub nic: Option<(usize, NicId)>,
 }
 
+/// Who hears a channel's station: the component a reception is handed to
+/// (beacons ignore receptions and have no entry).
+#[derive(Clone, Copy)]
+pub(crate) enum Listener {
+    Tnc(usize),
+    Digi(usize),
+}
+
+/// `table[row][col] = Some(v)`, growing the table as needed.
+pub(crate) fn set_slot<T>(table: &mut Vec<Vec<Option<T>>>, row: usize, col: usize, v: T) {
+    if table.len() <= row {
+        table.resize_with(row + 1, Vec::new);
+    }
+    let cols = &mut table[row];
+    if cols.len() <= col {
+        cols.resize_with(col + 1, || None);
+    }
+    cols[col] = Some(v);
+}
+
+/// `table[row][col]`; `None` wherever [`set_slot`] never wrote.
+pub(crate) fn slot<T: Copy>(table: &[Vec<Option<T>>], row: usize, col: usize) -> Option<T> {
+    *table.get(row)?.get(col)?
+}
+
 pub(crate) struct AppEntry {
     /// Shard-local host index.
     pub host: usize,
@@ -249,6 +274,10 @@ pub(crate) struct ShardData {
     pub beacons: Vec<BeaconEntry>,
     pub hosts: Vec<HostEntry>,
     pub apps: Vec<AppEntry>,
+    /// Per channel, indexed by `StationId`: who hears that station.
+    pub listeners: Vec<Vec<Option<Listener>>>,
+    /// Per world segment, indexed by NIC: the local host it delivers to.
+    pub nic_hosts: Vec<Vec<Option<usize>>>,
     /// Global `HostId` of each local host (event attribution).
     pub host_gids: Vec<usize>,
     pub record_events: bool,
@@ -279,6 +308,8 @@ pub(crate) struct ShardData {
     scratch: Vec<usize>,
     /// Reusable buffer for serial deliveries (runs and FIFO drains).
     run_scratch: Vec<u8>,
+    /// Reusable buffer `flush_host` swaps a host's outbox into.
+    out_scratch: Vec<HostOut>,
 }
 
 impl ShardData {
@@ -294,6 +325,8 @@ impl ShardData {
             beacons: Vec::new(),
             hosts: Vec::new(),
             apps: Vec::new(),
+            listeners: Vec::new(),
+            nic_hosts: Vec::new(),
             host_gids: Vec::new(),
             record_events: true,
             events: Vec::new(),
@@ -313,6 +346,7 @@ impl ShardData {
             flush_after_apps: DirtyCat::default(),
             scratch: Vec::new(),
             run_scratch: Vec::new(),
+            out_scratch: Vec::new(),
         }
     }
 
@@ -745,20 +779,15 @@ impl ShardData {
                     for &si in &todo {
                         polled += 1;
                         if segments[si].next_deadline().is_some_and(|t| t <= now) {
-                            let deliveries = segments[si].advance(now);
-                            if !deliveries.is_empty() {
+                            segments[si].advance_with(now, |nic, frame| {
                                 progressed = true;
-                            }
-                            for (nic, frame) in deliveries {
-                                if let Some(hi) =
-                                    self.hosts.iter().position(|h| h.nic == Some((si, nic)))
-                                {
+                                if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
                                     self.catch_up_host(hi);
-                                    self.hosts[hi].host.on_ether_frame(now, &frame);
+                                    self.hosts[hi].host.on_ether_frame(now, frame);
                                     self.dirty.mark(Key::Host(hi));
                                     self.mark_apps(hi);
                                 }
-                            }
+                            });
                         }
                         self.reg(Key::Seg(si), segments[si].next_deadline());
                     }
@@ -906,17 +935,12 @@ impl ShardData {
                         if segments[si].next_deadline().is_none_or(|t| t > now) {
                             continue;
                         }
-                        let deliveries = segments[si].advance(now);
-                        if !deliveries.is_empty() {
+                        segments[si].advance_with(now, |nic, frame| {
                             progressed = true;
-                        }
-                        for (nic, frame) in deliveries {
-                            if let Some(h) =
-                                self.hosts.iter_mut().find(|h| h.nic == Some((si, nic)))
-                            {
-                                h.host.on_ether_frame(now, &frame);
+                            if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
+                                self.hosts[hi].host.on_ether_frame(now, frame);
                             }
-                        }
+                        });
                     }
                 }
                 None => {
@@ -974,8 +998,8 @@ impl ShardData {
                 ),
             );
         }
-        for i in 0..self.tncs.len() {
-            if self.tncs[i].chan == chan && self.tncs[i].tnc.station() == to {
+        match slot(&self.listeners, chan, to.0) {
+            Some(Listener::Tnc(i)) => {
                 if let Some(bytes) = self.tncs[i].tnc.on_reception(rx) {
                     if self.trace.is_enabled() {
                         self.trace.record(
@@ -989,16 +1013,11 @@ impl ShardData {
                     self.lines[li].send(now, End::B, &bytes);
                     self.reg(Key::Line(li), self.lines[li].next_boundary());
                 }
-                return;
             }
+            Some(Listener::Digi(i)) => self.digis[i].digi.on_reception(rx),
+            // Beacons ignore receptions.
+            None => {}
         }
-        for d in &mut self.digis {
-            if d.chan == chan && d.digi.station() == to {
-                d.digi.on_reception(rx);
-                return;
-            }
-        }
-        // Beacons ignore receptions.
     }
 
     /// Routes a host's outbox and records/dispatches its events. Links the
@@ -1007,10 +1026,11 @@ impl ShardData {
     /// `ether_out` for the coordinator (multi-shard).
     fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> bool {
         let mut progressed = false;
-        let outs = self.hosts[hi].host.take_outbox();
+        let mut outs = std::mem::take(&mut self.out_scratch);
+        self.hosts[hi].host.swap_outbox(&mut outs);
         let serial = self.hosts[hi].serial;
         let nic = self.hosts[hi].nic;
-        for out in outs {
+        for out in outs.drain(..) {
             progressed = true;
             match out {
                 HostOut::SerialTx(bytes) => {
@@ -1041,6 +1061,7 @@ impl ShardData {
                 }
             }
         }
+        self.out_scratch = outs;
         if self.trace.is_enabled() && self.hosts[hi].host.filter_engine().is_some() {
             // Tracing drives the filter's decision log: flip it on the
             // first time we flush under an enabled trace, then drain

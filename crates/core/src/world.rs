@@ -30,11 +30,11 @@
 //! this module is the only place where they touch.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, RwLock};
 
 use ax25::addr::Ax25Addr;
 use ether::{EtherFrame, NicId, Segment};
@@ -51,7 +51,8 @@ use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
-    AppEntry, BeaconEntry, DigiEntry, HostEntry, Mode, Segs, ShardBox, ShardData, TncEntry,
+    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, Listener, Mode, Segs, ShardBox,
+    ShardData, TncEntry,
 };
 
 /// The conservative cross-shard lookahead: a frame leaving a shard for
@@ -179,6 +180,27 @@ impl Ord for PendingSend {
     }
 }
 
+/// What the multi-shard window coordinator did, as plain counters
+/// accumulated over every run call ([`World::engine_stats`]). All five
+/// are functions of the simulated history alone — identical at every
+/// worker count, and all zero on a single-shard world, which never enters
+/// the coordinator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Lookahead windows run.
+    pub windows: u64,
+    /// Shard steps summed over windows (`shards_stepped / windows` is the
+    /// mean active set).
+    pub shards_stepped: u64,
+    /// Windows with fewer than two active shards, which the parallel
+    /// engine steps on the coordinator thread without a barrier.
+    pub solo_windows: u64,
+    /// Ethernet deliveries queued into shard mailboxes.
+    pub deliveries_queued: u64,
+    /// High-water mark of the deferred cross-shard send heap.
+    pub pending_peak: u64,
+}
+
 /// The simulation world. See the [module docs](self).
 pub struct World {
     /// Current simulated time.
@@ -191,8 +213,8 @@ pub struct World {
     shards: Vec<ShardBox>,
     /// Ethernet segments: world-owned, the cross-shard links.
     segments: Vec<Segment>,
-    /// Per segment: which shard-local host each NIC delivers to.
-    seg_hosts: Vec<HashMap<NicId, (u32, u32)>>,
+    /// Per segment, indexed by NIC: the (shard, local host) it delivers to.
+    seg_hosts: Vec<Vec<Option<(u32, u32)>>>,
     /// Global handle → (shard, local index) maps.
     chan_map: Vec<(u32, u32)>,
     host_map: Vec<(u32, u32)>,
@@ -206,6 +228,10 @@ pub struct World {
     pending: BinaryHeap<Reverse<PendingSend>>,
     /// Recycled delivery frames (§11 zero-alloc hand-off pool).
     spare_frames: Vec<EtherFrame>,
+    /// The coordinator's per-window active list (kept here so a run call
+    /// allocates nothing for it).
+    active: Vec<usize>,
+    engine_stats: EngineStats,
     /// Shards hold `Rc` graphs; the world must stay on one thread (worker
     /// threads only ever live *inside* a `drive` call).
     _not_send: PhantomData<Rc<()>>,
@@ -230,6 +256,8 @@ impl World {
             workers: 1,
             pending: BinaryHeap::new(),
             spare_frames: Vec::new(),
+            active: Vec::new(),
+            engine_stats: EngineStats::default(),
             _not_send: PhantomData,
         }
     }
@@ -266,6 +294,11 @@ impl World {
             total.peak = total.peak.max(s.peak);
         }
         total
+    }
+
+    /// Window-coordinator counters of a multi-shard world (DESIGN.md §11).
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine_stats
     }
 
     /// Sets the worker-thread count for multi-shard runs. `1` steps
@@ -338,7 +371,6 @@ impl World {
     /// attach).
     pub fn add_segment(&mut self, rate: Bandwidth) -> SegId {
         self.segments.push(Segment::new(rate));
-        self.seg_hosts.push(HashMap::new());
         SegId(self.segments.len() - 1)
     }
 
@@ -393,6 +425,8 @@ impl World {
         sh.hosts[hl as usize].serial = Some(line_idx);
         let station = sh.channels[cl as usize].add_station();
         let cfg = TncConfig::new(call).with_mode(mode).with_mac(mac);
+        let listener = Listener::Tnc(sh.tncs.len());
+        set_slot(&mut sh.listeners, cl as usize, station.0, listener);
         sh.tncs.push(TncEntry {
             tnc: Tnc::new(cfg, station),
             chan: cl as usize,
@@ -416,7 +450,8 @@ impl World {
             .expect("host has no Ethernet interface");
         let nic = self.segments[seg.0].attach(mac);
         sh.hosts[hl as usize].nic = Some((seg.0, nic));
-        self.seg_hosts[seg.0].insert(nic, (hs, hl));
+        set_slot(&mut sh.nic_hosts, seg.0, nic.index(), hl as usize);
+        set_slot(&mut self.seg_hosts, seg.0, nic.index(), (hs, hl));
     }
 
     /// Adds a standalone digipeater station on `chan`.
@@ -424,6 +459,8 @@ impl World {
         let (cs, cl) = self.chan_map[chan.0];
         let sh = self.shards[cs as usize].get_mut();
         let station = sh.channels[cl as usize].add_station();
+        let listener = Listener::Digi(sh.digis.len());
+        set_slot(&mut sh.listeners, cl as usize, station.0, listener);
         sh.digis.push(DigiEntry {
             digi: Digipeater::new(call, station, mac),
             chan: cl as usize,
@@ -626,32 +663,34 @@ impl World {
     /// before `limit`; see `Engine`.
     fn drive_sharded(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
         std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
+        // The calendar's one all-shard write: from here on only a step or
+        // a delivery moves an entry.
+        let mut next_due = Vec::with_capacity(self.shards.len());
         for sb in &mut self.shards {
             let sh = sb.get_mut();
             sh.now = self.now;
             sh.record_events = self.record_events;
             sh.enter(mode, &mut None);
+            next_due.push(AtomicU64::new(due_ns(sh.next_event())));
         }
-        let shards = std::mem::take(&mut self.shards);
-        let mut segments = std::mem::take(&mut self.segments);
-        let seg_hosts = std::mem::take(&mut self.seg_hosts);
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut spare = std::mem::take(&mut self.spare_frames);
-        let mut events = std::mem::take(&mut self.events);
-        let workers = self.workers.min(shards.len());
-        let next_due: Vec<AtomicU64> = shards.iter().map(|_| AtomicU64::new(0)).collect();
+        let workers = self.workers.min(self.shards.len());
         {
             let mut eng = Engine {
-                shards: &shards,
+                shards: &self.shards,
                 next_due: &next_due,
-                segments: &mut segments,
-                seg_hosts: &seg_hosts,
-                pending: &mut pending,
-                spare: &mut spare,
-                events: &mut events,
+                active: &mut self.active,
+                segments: &mut self.segments,
+                seg_hosts: &self.seg_hosts,
+                pending: &mut self.pending,
+                spare: &mut self.spare_frames,
+                events: &mut self.events,
+                stats: &mut self.engine_stats,
                 limit,
             };
-            // Entry settles may already have emitted cross-shard traffic.
+            // Every shard just settled its entry instant and may already
+            // have emitted cross-shard traffic.
+            eng.active.clear();
+            eng.active.extend(0..next_due.len());
             eng.collect();
             if workers <= 1 {
                 eng.run_serial();
@@ -659,12 +698,6 @@ impl World {
                 eng.run_parallel(workers);
             }
         }
-        self.shards = shards;
-        self.segments = segments;
-        self.seg_hosts = seg_hosts;
-        self.pending = pending;
-        self.spare_frames = spare;
-        self.events = events;
         std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
         let mut now = self.now;
         for sb in &mut self.shards {
@@ -676,39 +709,71 @@ impl World {
     }
 }
 
-/// The multi-shard window coordinator. Per window:
+/// A shard's earliest event as a `next_due` entry (`u64::MAX` = none).
+fn due_ns(t: Option<SimTime>) -> u64 {
+    t.map_or(u64::MAX, SimTime::as_nanos)
+}
+
+/// Steps shard `i` through the window ending at `w_end` and refreshes its
+/// calendar entry.
 ///
-/// 1. `t_next` = the earliest pending thing anywhere (shard events,
-///    queued deliveries, segment completions, deferred sends);
-///    stop when it passes the limit.
+/// # Safety
+///
+/// The caller must hold logical exclusivity over shard `i` for the call
+/// (the `ShardBox::steal` contract): the one thread stepping serially,
+/// or the ticket holder of `i` in a stepping phase.
+#[allow(unsafe_code)]
+unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_end: SimTime) {
+    // SAFETY: the caller's contract.
+    let sh = unsafe { shards[i].steal() };
+    sh.run_window(w_end, &mut None);
+    next_due[i].store(due_ns(sh.next_event()), Ordering::Relaxed);
+}
+
+/// The multi-shard window coordinator. `next_due` is its persistent
+/// calendar of per-shard next events; per window:
+///
+/// 1. `t_next` = the earliest pending thing anywhere — the minimum of
+///    `next_due`, segment completions, and deferred sends; stop when it
+///    passes the limit.
 /// 2. `w_end = min(limit, t_next + LOOKAHEAD)`.
 /// 3. `apply_ether(w_end)`: replay deferred sends and segment
 ///    completions up to `w_end` in global time order (completions
 ///    before same-time sends, send ties by `(shard, seq)`, completion
 ///    ties by segment index), queuing deliveries into shard mailboxes
-///    at their exact times. Sends emitted *during* a window get effect
-///    `≥ w_end` (the lookahead guarantee), so this phase never misses
-///    one.
-/// 4. Step the active shards — those with an event or a queued delivery
-///    at or before `w_end` — independently, in parallel if asked; shards
-///    see only their mailbox, never the segments. Stepping a shard with
-///    nothing due is a no-op, so the rest are skipped.
-/// 5. `collect()`: gather emitted sends into the pending heap, append
-///    shard events (stable-sorted by time; windows never interleave
-///    times), and recycle spent delivery frames.
+///    at their exact times and lowering the receivers' `next_due`. Sends
+///    emitted *during* a window get effect `≥ w_end` (the lookahead
+///    guarantee), so this phase never misses one.
+/// 4. Build the **active list** — ascending `{i : next_due[i] ≤ w_end}` —
+///    and step exactly those shards, independently, in parallel if asked;
+///    shards see only their mailbox, never the segments. Whoever steps
+///    shard `i` refreshes `next_due[i]`.
+/// 5. `collect()` over the same list: gather emitted sends into the
+///    pending heap, append shard events (stable-sorted by time; windows
+///    never interleave times), and recycle spent delivery frames.
+///
+/// A shard outside the active list neither ran nor received a frame, so
+/// its `next_event()` cannot have moved and nobody asks it: apart from
+/// the minimum over `next_due` and the list build, a window costs
+/// O(active), not O(shards).
 struct Engine<'a> {
     shards: &'a [ShardBox],
-    /// Per shard, its earliest event in ns (`u64::MAX` = none): written by
-    /// the `t_next` scan, lowered by `apply_ether` when it queues a
-    /// delivery. `Relaxed` throughout — written only in coordinator phases
-    /// and read only in stepping phases, which the window barriers (or
-    /// program order, on one thread) already order.
+    /// Per shard, its earliest event in ns (`u64::MAX` = none). Three
+    /// writers and no other: `drive_sharded` at entry (every shard),
+    /// `step_shard` after a step (that shard), `apply_ether`'s `fetch_min`
+    /// when it queues a delivery (the receiver). `Relaxed` throughout —
+    /// coordinator phases and stepping phases are ordered by the window
+    /// barriers (or program order, on one thread), and within a stepping
+    /// phase entry `i` is touched only by the claimant of shard `i`.
     next_due: &'a [AtomicU64],
+    /// The current window's active list, ascending.
+    active: &'a mut Vec<usize>,
     segments: &'a mut Vec<Segment>,
-    seg_hosts: &'a [HashMap<NicId, (u32, u32)>],
+    seg_hosts: &'a [Vec<Option<(u32, u32)>>],
     pending: &'a mut BinaryHeap<Reverse<PendingSend>>,
     spare: &'a mut Vec<EtherFrame>,
     events: &'a mut Vec<(HostId, SimTime, StackAction)>,
+    stats: &'a mut EngineStats,
     limit: SimTime,
 }
 
@@ -719,24 +784,20 @@ struct Engine<'a> {
 impl Engine<'_> {
     /// The earliest pending event in the whole world.
     fn t_next(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-            }
-        };
-        for (sb, due) in self.shards.iter().zip(self.next_due) {
-            // SAFETY: coordinator phase — workers are parked at the
-            // barrier (or do not exist), so no shard is claimed.
-            let t = unsafe { sb.steal() }.next_event();
-            due.store(t.map_or(u64::MAX, SimTime::as_nanos), Ordering::Relaxed);
-            fold(t);
-        }
-        for s in self.segments.iter() {
-            fold(s.next_deadline());
-        }
-        fold(self.pending.peek().map(|r| r.0.effect));
-        best
+        let shard = self
+            .next_due
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed))
+            .min()
+            .filter(|&ns| ns != u64::MAX)
+            .map(SimTime::from_nanos);
+        let wire = self
+            .segments
+            .iter()
+            .filter_map(Segment::next_deadline)
+            .min();
+        let send = self.pending.peek().map(|r| r.0.effect);
+        [shard, wire, send].into_iter().flatten().min()
     }
 
     /// Replays deferred sends and segment completions with time ≤ `upto`
@@ -766,20 +827,24 @@ impl Engine<'_> {
                 (Some((c, si)), send) if send.is_none_or(|e| c <= e) => {
                     let shards = self.shards;
                     let next_due = self.next_due;
-                    let seg_hosts = &self.seg_hosts[si];
+                    let seg_hosts = self.seg_hosts;
                     let spare = &mut *self.spare;
+                    let queued = &mut self.stats.deliveries_queued;
                     // `c` is the global minimum, so exactly the one
                     // completion at `c` fires (a chained next frame
                     // finishes strictly later) — every delivery below
                     // happens at `c`.
                     self.segments[si].advance_with(c, |nic, frame| {
-                        if let Some(&(s, l)) = seg_hosts.get(&nic) {
+                        if let Some((s, l)) = slot(seg_hosts, si, nic.index()) {
                             let mut buf = spare.pop().unwrap_or_else(EtherFrame::empty);
                             frame.clone_into(&mut buf);
-                            // SAFETY: coordinator phase (as in `t_next`).
+                            // SAFETY: coordinator phase — workers are
+                            // parked at the barrier (or do not exist), so
+                            // no shard is claimed.
                             let sh = unsafe { shards[s as usize].steal() };
                             sh.ether_in.push((c, l as usize, buf));
                             next_due[s as usize].fetch_min(c.as_nanos(), Ordering::Relaxed);
+                            *queued += 1;
                         }
                     });
                 }
@@ -791,14 +856,16 @@ impl Engine<'_> {
         }
     }
 
-    /// Gathers every shard's window output: deferred sends → pending
-    /// heap, events → world log (stable-sorted by time; shard order
-    /// breaks ties), consumed delivery frames → spare pool.
+    /// Gathers the active shards' window output: deferred sends → pending
+    /// heap, events → world log (stable-sorted by time; the list is
+    /// ascending, so shard order breaks ties), consumed delivery frames →
+    /// spare pool. Only a shard that was stepped can hold any of the
+    /// three.
     fn collect(&mut self) {
         let tail = self.events.len();
-        for (si, sb) in self.shards.iter().enumerate() {
-            // SAFETY: coordinator phase (as in `t_next`).
-            let sh = unsafe { sb.steal() };
+        for &si in self.active.iter() {
+            // SAFETY: coordinator phase (as in `apply_ether`).
+            let sh = unsafe { self.shards[si].steal() };
             for of in sh.ether_out.drain(..) {
                 self.pending.push(Reverse(PendingSend {
                     effect: of.time + LOOKAHEAD,
@@ -813,17 +880,33 @@ impl Engine<'_> {
             self.spare.append(&mut sh.spent);
         }
         self.events[tail..].sort_by_key(|e| e.1);
+        self.stats.pending_peak = self.stats.pending_peak.max(self.pending.len() as u64);
+        // The calendar invariant: stepped or not, every entry is exact.
+        debug_assert!(self.shards.iter().zip(self.next_due).all(|(sb, due)| {
+            // SAFETY: coordinator phase (as in `apply_ether`).
+            due.load(Ordering::Relaxed) == due_ns(unsafe { sb.steal() }.next_event())
+        }));
     }
 
-    /// The window loop (steps 1–5 above); `step_active(w_end)` is step 4.
-    fn run_windows(&mut self, mut step_active: impl FnMut(SimTime)) {
+    /// The window loop (steps 1–5 above); `step_active(list, w_end)` is
+    /// the stepping half of step 4.
+    fn run_windows(&mut self, mut step_active: impl FnMut(&[usize], SimTime)) {
         while let Some(tn) = self.t_next() {
             if tn > self.limit {
                 return;
             }
             let w_end = (tn + LOOKAHEAD).min(self.limit);
             self.apply_ether(w_end);
-            step_active(w_end);
+            let next_due = self.next_due;
+            self.active.clear();
+            self.active.extend(
+                (0..next_due.len())
+                    .filter(|&i| next_due[i].load(Ordering::Relaxed) <= w_end.as_nanos()),
+            );
+            self.stats.windows += 1;
+            self.stats.shards_stepped += self.active.len() as u64;
+            self.stats.solo_windows += u64::from(self.active.len() < 2);
+            step_active(self.active, w_end);
             self.collect();
         }
     }
@@ -832,68 +915,87 @@ impl Engine<'_> {
     fn run_serial(&mut self) {
         let shards = self.shards;
         let next_due = self.next_due;
-        self.run_windows(|w_end| {
-            for (sb, due) in shards.iter().zip(next_due) {
-                if due.load(Ordering::Relaxed) > w_end.as_nanos() {
-                    continue;
-                }
+        self.run_windows(|active, w_end| {
+            for &i in active {
                 // SAFETY: serial stepping — no other claimant exists.
-                let sh = unsafe { sb.steal() };
-                sh.run_window(w_end, &mut None);
+                unsafe { step_shard(shards, next_due, i, w_end) };
             }
         });
     }
 
     /// Windows with the active shards stepped on a worker pool:
-    /// `workers − 1` spawned threads plus the coordinator claim shards
-    /// through an atomic ticket; two barrier waits bound each stepping
-    /// phase (coordinator phases in between).
+    /// `workers − 1` spawned threads plus the coordinator claim entries
+    /// of the active list through an atomic ticket; two barrier waits
+    /// bound each stepping phase (coordinator phases in between). A
+    /// window with fewer than two active shards has nothing to share:
+    /// the coordinator steps it alone and the pool stays parked at the
+    /// opening barrier.
     fn run_parallel(&mut self, workers: usize) {
+        /// What the coordinator publishes before the opening barrier.
+        struct Window {
+            end: SimTime,
+            active: Vec<usize>,
+            shut_down: bool,
+        }
         let shards = self.shards;
         let next_due = self.next_due;
-        let nshards = shards.len();
-        // (window end, shut down) — written by the coordinator before the
-        // opening barrier of each window.
-        let spec: Mutex<(SimTime, bool)> = Mutex::new((SimTime::ZERO, false));
+        let window = RwLock::new(Window {
+            end: SimTime::ZERO,
+            active: Vec::with_capacity(shards.len()),
+            shut_down: false,
+        });
         let barrier = Barrier::new(workers);
         let ticket = AtomicUsize::new(0);
-        let claim_and_step = |w_end: SimTime| loop {
-            let i = ticket.fetch_add(1, Ordering::Relaxed);
-            if i >= nshards {
-                break;
+        let claim_and_step = |active: &[usize], w_end: SimTime| {
+            while let Some(&i) = active.get(ticket.fetch_add(1, Ordering::Relaxed)) {
+                // SAFETY: the ticket hands each list entry — each active
+                // shard — to exactly one thread, and every stepping
+                // phase is ordered with the coordinator's accesses: by the
+                // barriers on both sides of it, or, in a solo window, by
+                // running on the coordinator thread itself.
+                unsafe { step_shard(shards, next_due, i, w_end) };
             }
-            if next_due[i].load(Ordering::Relaxed) > w_end.as_nanos() {
-                continue;
-            }
-            // SAFETY: the ticket hands each shard to exactly one thread;
-            // the barriers on both sides of the stepping phase order it
-            // with every coordinator access.
-            let sh = unsafe { shards[i].steal() };
-            sh.run_window(w_end, &mut None);
         };
         std::thread::scope(|scope| {
             for _ in 1..workers {
-                let spec = &spec;
-                let barrier = &barrier;
-                let claim_and_step = &claim_and_step;
-                scope.spawn(move || loop {
+                scope.spawn(|| loop {
                     barrier.wait();
-                    let (w_end, done) = *spec.lock().expect("window spec lock");
-                    if done {
-                        return;
+                    {
+                        let w = window
+                            .read()
+                            .expect("no thread panics holding the window lock");
+                        if w.shut_down {
+                            return;
+                        }
+                        claim_and_step(&w.active, w.end);
                     }
-                    claim_and_step(w_end);
                     barrier.wait();
                 });
             }
-            self.run_windows(|w_end| {
-                *spec.lock().expect("window spec lock") = (w_end, false);
+            self.run_windows(|active, w_end| {
                 ticket.store(0, Ordering::Relaxed);
+                if active.len() < 2 {
+                    // The pool is parked at the opening barrier, so the
+                    // coordinator is the only claimant.
+                    claim_and_step(active, w_end);
+                    return;
+                }
+                {
+                    let mut w = window
+                        .write()
+                        .expect("no thread panics holding the window lock");
+                    w.end = w_end;
+                    w.active.clear();
+                    w.active.extend_from_slice(active);
+                }
                 barrier.wait();
-                claim_and_step(w_end);
+                claim_and_step(active, w_end);
                 barrier.wait();
             });
-            spec.lock().expect("window spec lock").1 = true;
+            window
+                .write()
+                .expect("no thread panics holding the window lock")
+                .shut_down = true;
             barrier.wait();
         });
     }

@@ -8,7 +8,7 @@
 
 use gateway::host::Host;
 use gateway::scenario::{self, city};
-use gateway::world::{App, ChanId, HostId, World};
+use gateway::world::{App, ChanId, EngineStats, HostId, World};
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -66,8 +66,31 @@ impl App for EtherWatch {
 enum Driver {
     /// Full-scan reference stepper (windowed Scan mode on multi-shard).
     Reference,
+    /// The reference stepper's windows on `n` workers.
+    ReferenceWorkers(usize),
     /// Deadline-indexed engine on `n` workers.
     Workers(usize),
+}
+
+impl Driver {
+    /// Runs `world` to `secs` simulated seconds in `chunks` equal run
+    /// calls.
+    fn run(self, world: &mut World, secs: u64, chunks: u64) {
+        for k in 1..=chunks {
+            let until = SimTime::from_millis(secs * 1000 * k / chunks);
+            match self {
+                Driver::Reference => world.run_until_reference(until),
+                Driver::ReferenceWorkers(n) => {
+                    world.set_workers(n);
+                    world.run_until_reference(until);
+                }
+                Driver::Workers(n) => {
+                    world.set_workers(n);
+                    world.run_until(until);
+                }
+            }
+        }
+    }
 }
 
 /// Builds `mesh(gateways, hosts_per_gw, seed)` with cross-island traffic:
@@ -75,6 +98,19 @@ enum Driver {
 /// and the wired internet host pings into the last island. Runs `secs`
 /// simulated seconds under `driver` and returns the full fingerprint.
 fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: Driver) -> String {
+    mesh_run_chunked(gateways, hosts_per_gw, seed, secs, driver, 1).0
+}
+
+/// [`mesh_run`] in `chunks` equal run calls; also returns the window
+/// coordinator's counters.
+fn mesh_run_chunked(
+    gateways: usize,
+    hosts_per_gw: usize,
+    seed: u64,
+    secs: u64,
+    driver: Driver,
+    chunks: u64,
+) -> (String, EngineStats) {
     let mut m = scenario::mesh(gateways, hosts_per_gw, seed);
     for g in 0..gateways {
         for i in 0..hosts_per_gw {
@@ -106,15 +142,8 @@ fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: 
         m.world
             .add_app(gw, Box::new(EtherWatch { frames_seen, notes }));
     }
-    match driver {
-        Driver::Reference => m
-            .world
-            .run_until_reference(SimTime::from_millis(secs * 1000)),
-        Driver::Workers(n) => {
-            m.world.set_workers(n);
-            m.world.run_for(SimDuration::from_secs(secs));
-        }
-    }
+    driver.run(&mut m.world, secs, chunks);
+    let stats = m.world.engine_stats();
     let fp = fingerprint(
         &mut m.world,
         &m.gateways,
@@ -123,7 +152,55 @@ fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: 
         &m.channels,
     );
     let notes: Vec<String> = notebooks.iter().map(|n| n.borrow().join("\n")).collect();
-    format!("{fp}{}\n", notes.join("\n--\n"))
+    (format!("{fp}{}\n", notes.join("\n--\n")), stats)
+}
+
+/// A five-island mesh where only island 0 has a timer of its own: its
+/// host pings island 3's host once, at 12 s. Every other island is idle
+/// — no calendar entry at all — until the backbone reaches it: gateway
+/// 0's ARP request is a broadcast that lands in all five shards in one
+/// window, and the tunnelled ping then wakes island 3 through its
+/// mailbox. Nothing but the coordinator's `fetch_min` can put those
+/// islands on the active list.
+fn quiet_mesh_run(driver: Driver) -> (String, EngineStats) {
+    let mut m = scenario::mesh(5, 1, 23);
+    m.world.add_app(
+        m.hosts[0][0],
+        Box::new(ScriptedPinger {
+            dst: city::host_ip(3, 0),
+            times: vec![SimTime::from_secs(12)],
+            seq: 0,
+        }),
+    );
+    driver.run(&mut m.world, 10, 1);
+    let idle = m.world.engine_stats();
+    driver.run(&mut m.world, 60, 1);
+    let stats = m.world.engine_stats();
+    let arp_heard: Vec<u64> = m
+        .gateways
+        .iter()
+        .map(|&gw| {
+            m.world
+                .host(gw)
+                .ether_driver()
+                .expect("gateway")
+                .stats()
+                .frames_in
+        })
+        .collect();
+    let fp = fingerprint(
+        &mut m.world,
+        &m.gateways,
+        m.internet_host,
+        &m.hosts,
+        &m.channels,
+    );
+    assert_eq!(idle.shards_stepped, 0, "nothing is due in the first 10 s");
+    assert!(
+        arp_heard.iter().all(|&n| n > 0),
+        "the broadcast reaches every island: {arp_heard:?}"
+    );
+    (fp, stats)
 }
 
 /// Everything observable: the event log, every host's stack counters and
@@ -193,6 +270,71 @@ fn worker_counts_match_reference() {
     for workers in [1, 2, 4, 8] {
         let got = mesh_run(4, 2, 7, 40, Driver::Workers(workers));
         assert_eq!(got, reference, "{workers} workers diverged from reference");
+    }
+}
+
+/// The calendar's `fetch_min` path: islands with no event of their own
+/// are stepped exactly when a delivery lands in their mailbox, and the
+/// result equals the reference at every worker count.
+#[test]
+fn idle_islands_wake_on_mailbox_deliveries_alone() {
+    let (reference, _) = quiet_mesh_run(Driver::Reference);
+    assert!(
+        reference.contains("PingReply"),
+        "the ping must cross the backbone and come back:\n{reference}"
+    );
+    let (one, stats) = quiet_mesh_run(Driver::Workers(1));
+    assert_eq!(one, reference);
+    assert!(
+        stats.deliveries_queued >= 5,
+        "the ARP broadcast alone is five deliveries: {stats:?}"
+    );
+    for workers in [2, 4] {
+        let (got, s) = quiet_mesh_run(Driver::Workers(workers));
+        assert_eq!(got, reference, "{workers} workers diverged");
+        assert_eq!(s, stats, "{workers} workers: coordinator counters moved");
+    }
+}
+
+/// The calendar is rebuilt at every run-call entry and persistent inside
+/// one: chunked runs equal one run, under both engines, serial and
+/// parallel.
+#[test]
+fn chunked_sharded_runs_match_single_runs() {
+    let (reference, _) = mesh_run_chunked(4, 2, 7, 40, Driver::Reference, 1);
+    for driver in [
+        Driver::Reference,
+        Driver::ReferenceWorkers(2),
+        Driver::Workers(1),
+        Driver::Workers(2),
+    ] {
+        let (whole, _) = mesh_run_chunked(4, 2, 7, 40, driver, 1);
+        assert_eq!(whole, reference, "{driver:?} diverged from reference");
+        let (chunked, _) = mesh_run_chunked(4, 2, 7, 40, driver, 16);
+        assert_eq!(
+            chunked, whole,
+            "{driver:?}: 16 chunks diverged from one run"
+        );
+    }
+}
+
+/// Engine self-telemetry: the coordinator's counters are functions of
+/// the simulated history, not of the worker count, and on a 32-island
+/// mesh a window steps a handful of shards, not all of them — the
+/// O(active) contract (DESIGN.md §11).
+#[test]
+fn engine_stats_are_worker_independent_and_windows_are_sparse() {
+    let (_, stats) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(1), 1);
+    assert!(stats.windows > 100, "{stats:?}");
+    assert!(stats.deliveries_queued > 0, "{stats:?}");
+    assert!(stats.pending_peak > 0, "{stats:?}");
+    assert!(
+        stats.shards_stepped < 3 * stats.windows,
+        "mean active set must stay under 3 of 32 shards: {stats:?}"
+    );
+    for workers in [2, 4] {
+        let (_, s) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(workers), 1);
+        assert_eq!(s, stats, "{workers} workers");
     }
 }
 

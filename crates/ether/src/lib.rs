@@ -234,6 +234,13 @@ impl Codec for EtherFrame {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NicId(usize);
 
+impl NicId {
+    /// The NIC's attachment index on its segment (dense from 0).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 #[derive(Debug)]
 struct Nic {
     mac: MacAddr,

@@ -346,10 +346,11 @@ impl NetStack {
         std::mem::take(&mut self.pending)
     }
 
-    /// Appends pending actions to `out`, preserving `out`'s capacity —
-    /// the zero-steady-state-allocation form of [`Self::drain_actions`].
-    pub fn drain_actions_into(&mut self, out: &mut Vec<StackAction>) {
-        out.append(&mut self.pending);
+    /// Appends pending actions to `out`, preserving both buffers'
+    /// capacity — the zero-steady-state-allocation form of
+    /// [`Self::drain_actions`].
+    pub fn drain_actions_into(&mut self, out: &mut impl Extend<StackAction>) {
+        out.extend(self.pending.drain(..));
     }
 
     /// True when no produced action is awaiting a drain.
@@ -622,11 +623,13 @@ impl NetStack {
     /// Processes an IP packet arriving on `iface`, returning the actions
     /// it produced (equivalently: processes and drains).
     pub fn input(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) -> Vec<StackAction> {
-        self.input_inner(now, iface, bytes);
+        self.input_queued(now, iface, bytes);
         self.drain_actions()
     }
 
-    fn input_inner(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
+    /// [`Self::input`] without the drain: the actions stay queued for
+    /// [`Self::drain_actions_into`].
+    pub fn input_queued(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
         self.stats.ip_in += 1;
         let packet = match Ipv4Packet::decode(bytes) {
             Ok(p) => p,
@@ -662,7 +665,7 @@ impl NetStack {
                 // like natively routed traffic. Nesting terminates because
                 // every level removes a 20-byte header.
                 self.stats.ipip_in += 1;
-                self.input_inner(now, iface, &whole.payload);
+                self.input_queued(now, iface, &whole.payload);
             }
             Proto::Other(_) => {
                 // Never generate ICMP errors about broadcasts.
@@ -1153,6 +1156,13 @@ impl NetStack {
     /// Fires expired timers, returning the actions they produced
     /// (equivalently: fires and drains).
     pub fn poll(&mut self, now: SimTime) -> Vec<StackAction> {
+        self.poll_queued(now);
+        self.drain_actions()
+    }
+
+    /// [`Self::poll`] without the drain: the actions stay queued for
+    /// [`Self::drain_actions_into`].
+    pub fn poll_queued(&mut self, now: SimTime) {
         self.reasm.expire(now);
         for i in 0..self.socks.len() {
             if self.socks[i].tcb.next_deadline().is_some_and(|t| t <= now) {
@@ -1160,7 +1170,6 @@ impl NetStack {
                 self.drive(SockId(i), events);
             }
         }
-        self.drain_actions()
     }
 
     // --- Internals --------------------------------------------------------------

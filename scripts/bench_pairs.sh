@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Parent-vs-working-tree comparison of one benchmark workload, by the
+# choosing-metrics §8 procedure: N pairs of runs, alternating which side
+# goes first, each side's median [q1, q3] per end-to-end metric, and how
+# many pairs the working tree won on host_us_per_sim_s.
+#
+#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1988]
+#   scripts/bench_pairs.sh HEAD~1 city_fleet_1w 10 2244
+#
+# The parent is exported (git archive) into a scratch directory and both
+# sides build into their own target directories there, so nothing tracked
+# is written. Scratch goes to $BENCH_PAIRS_DIR (default target/bench_pairs,
+# which .gitignore covers). Run by hand; scripts/check.sh does not call it.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 2 ]; then
+    sed -n '2,13p' "$0" >&2
+    exit 2
+fi
+rev=$1
+workload=$2
+pairs=${3:-10}
+seed=${4:-1988}
+seconds=$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' BENCHMARK.json)
+
+scratch=${BENCH_PAIRS_DIR:-target/bench_pairs}
+mkdir -p "$scratch"
+scratch=$(cd "$scratch" && pwd)
+rm -rf "$scratch/parent-src"
+mkdir -p "$scratch/parent-src"
+git archive "$rev" | tar -x -C "$scratch/parent-src"
+
+# One run of one side: prints its `metric` lines as "<name> <value>".
+run_side() { # <side>
+    local src=.
+    [ "$1" = parent ] && src="$scratch/parent-src"
+    CARGO_TARGET_DIR="$scratch/$1-target" bash "$src/benchmarks/run.sh" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+        awk '$1 == "metric" { print $3, $4 }'
+}
+
+echo "==> building both sides (the first run of each is discarded)" >&2
+run_side parent > /dev/null
+run_side change > /dev/null
+
+: > "$scratch/runs.txt"
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        run_side "$side" | sed "s/^/$i $side /" >> "$scratch/runs.txt"
+    done
+    awk -v i="$i" '$1 == i && $3 == "host_us_per_sim_s" { v[$2] = $4 }
+        END { printf "pair %d: parent %.1f change %.1f\n", i, v["parent"], v["change"] }' \
+        "$scratch/runs.txt" >&2
+done
+
+echo "$workload seed $seed, $pairs alternating pairs of ${seconds}s runs, $(nproc) core(s); median [q1, q3]"
+sort -k3,3 -k2,2 -k4,4g "$scratch/runs.txt" | awk '
+    function quart(q,   pos, lo, frac) {
+        pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
+        return lo < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[n]
+    }
+    function flush_group() {
+        if (n) printf "%-20s %-6s %.6g [%.6g, %.6g]\n", metric, side, quart(0.5), quart(0.25), quart(0.75)
+        n = 0
+    }
+    $3 != metric || $2 != side { flush_group(); metric = $3; side = $2 }
+    { v[++n] = $4 }
+    END { flush_group() }'
+awk '$3 == "host_us_per_sim_s" { v[$1, $2] = $4; if ($1 > n) n = $1 }
+    END {
+        for (i = 1; i <= n; i++) {
+            if (v[i, "change"] < v[i, "parent"]) wins++
+            else if (v[i, "change"] > v[i, "parent"]) losses++
+        }
+        printf "host_us_per_sim_s: change wins %d, loses %d of %d pairs\n", wins, losses, n
+    }' "$scratch/runs.txt"

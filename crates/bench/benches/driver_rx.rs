@@ -10,19 +10,27 @@
 //! The not-for-us fast path (the §3 promiscuous load) must perform zero,
 //! and so must the serial line's residual per-character path (a noisy,
 //! duplex line delivered one character at a time) under both engines'
-//! calling conventions. The whole-world transit path — Ethernet host →
-//! segment → gateway → forward → output hook — is not allocation-free
-//! yet; its count per datagram is pinned so it can only ratchet down.
+//! calling conventions. A radio transmission must cost the same number
+//! of allocations however many promiscuous stations hear it (one buffer,
+//! one FCS check, one KISS encoding, shared). The whole-world transit
+//! path — Ethernet host → segment → gateway → forward → output hook — is
+//! not allocation-free yet; its count per datagram is pinned so it can
+//! only ratchet down.
 
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
 use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use gateway::host::{HostConfig, RadioIfConfig};
 use gateway::prdriver::{PacketRadioDriver, PrConfig};
 use gateway::scenario::{self, PaperConfig};
+use gateway::world::{ChanId, World};
 use netstack::ip::{Ipv4Packet, Proto};
+use radio::csma::MacConfig;
+use radio::tnc::RxMode;
+use radio::traffic::BeaconConfig;
 use serial::{End, SerialConfig, SerialLine};
-use sim::{SimDuration, SimRng, SimTime};
+use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -171,6 +179,87 @@ fn bench_serial_per_char(c: &mut Criterion) {
     g.finish();
 }
 
+/// Heap allocations per radio transmission, whole world, in steady state:
+/// what the beacon spends building its frame. Hearing it is free — the
+/// on-air bytes move out of the channel once, the FCS is checked once,
+/// the KISS encoding is made once into a reused buffer and `send`-ed up
+/// every listener's line, and a host that drops the frame as not-for-us
+/// never touches the heap. Lower it when the path gets leaner, never
+/// raise it.
+const FANOUT_ALLOCS_PER_TRANSMISSION: u64 = 5;
+
+/// One chattering station on a channel with `listeners` promiscuous TNCs,
+/// each on its own serial line to its own host; nobody is addressed.
+fn fanout_world(listeners: usize) -> (World, ChanId) {
+    let mut w = World::new(7);
+    let chan = w.add_channel(Bandwidth::RADIO_1200);
+    let mac = MacConfig::default();
+    for i in 0..listeners {
+        let mut cfg = HostConfig::named(&format!("h{i}"));
+        cfg.radio = Some(RadioIfConfig {
+            call: Ax25Addr::parse_or_panic(&format!("LSN{i}")),
+            ip: Ipv4Addr::new(44, 24, 1, i as u8 + 1),
+            prefix_len: 16,
+        });
+        let h = w.add_host(cfg);
+        w.attach_radio(h, chan, 9600, RxMode::Promiscuous, mac);
+    }
+    w.add_beacon(
+        chan,
+        BeaconConfig {
+            from: Ax25Addr::parse_or_panic("BG1"),
+            to: Ax25Addr::parse_or_panic("CHAT"),
+            frame_len: 120,
+            mean_interval: SimDuration::from_secs(4),
+            start: SimTime::ZERO,
+            mac,
+        },
+    );
+    (w, chan)
+}
+
+fn bench_radio_fanout(c: &mut Criterion) {
+    let mut g = c.benchmark_group("radio_fanout");
+    let mut per_tx = Vec::new();
+    for listeners in [4usize, 16] {
+        let (mut w, chan) = fanout_world(listeners);
+        // Warm-up: line queues, the calendar, scratch buffers.
+        w.run_for(SimDuration::from_secs(200));
+        // A run call's entry rebuilds the engine's routing maps, which
+        // allocates per component, not per transmission: an empty call
+        // measures that, and it is taken off.
+        let entry = allocs_during(|| w.run_for(SimDuration::ZERO));
+        let before = w.channel(chan).stats();
+        let allocs = allocs_during(|| w.run_for(SimDuration::from_secs(2_000))) - entry;
+        let after = w.channel(chan).stats();
+        let txs = after.transmissions - before.transmissions;
+        assert!(txs > 300, "{txs} transmissions");
+        assert_eq!(
+            after.clean_receptions - before.clean_receptions,
+            txs * listeners as u64,
+            "every listener hears every transmission"
+        );
+        eprintln!(
+            "radio_fanout/{listeners}_listeners: {allocs} heap allocations / {txs} transmissions"
+        );
+        assert!(
+            allocs <= FANOUT_ALLOCS_PER_TRANSMISSION * txs,
+            "fan-out regressed: {allocs} allocations / {txs} transmissions \
+             (bound {FANOUT_ALLOCS_PER_TRANSMISSION} each)"
+        );
+        per_tx.push((allocs, txs));
+        g.throughput(Throughput::Elements(listeners as u64));
+        g.bench_function(&format!("{listeners}_listeners_10s"), |b| {
+            b.iter(|| w.run_for(SimDuration::from_secs(10)))
+        });
+    }
+    assert_eq!(
+        per_tx[0], per_tx[1],
+        "allocations per transmission must not depend on who listens"
+    );
+    g.finish();
+}
+
 /// Heap allocations per datagram on the gw_flood transit path that ends
 /// in a deny: an unsolicited Ethernet-side datagram crosses the segment,
 /// the gateway's stack forwards it, and the §4.3 gate drops it at the
@@ -230,6 +319,7 @@ criterion_group!(
     bench_rint,
     bench_output,
     bench_serial_per_char,
+    bench_radio_fanout,
     bench_denied_transit
 );
 criterion_main!(benches);

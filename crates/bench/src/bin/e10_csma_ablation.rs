@@ -5,7 +5,7 @@
 
 use ax25::addr::Ax25Addr;
 use bench::banner;
-use radio::channel::{Channel, StationId};
+use radio::channel::{Channel, Heard, StationId};
 use radio::csma::MacConfig;
 use radio::traffic::{BeaconConfig, BeaconStation};
 use sim::stats::Sweep;
@@ -60,12 +60,14 @@ fn run(
     }
 
     let horizon = SimTime::from_secs(1800);
+    let mut heard = Heard::default();
     let mut now = SimTime::ZERO;
     loop {
         for s in &mut stations {
             s.poll(now, &mut ch);
         }
-        ch.advance(now);
+        // Only the channel's reception counters are read here.
+        while ch.hear_next(now, &mut heard) {}
         for s in &mut stations {
             s.poll(now, &mut ch);
         }

@@ -267,15 +267,20 @@ impl Host {
     /// way). While down, link input is discarded, queued work is dropped,
     /// and [`Host::next_deadline`] reports nothing — the machine is dark.
     /// The TNC is a separately powered box and keeps running; only this
-    /// host stops. Coming back up starts from cold queues (in-flight state
-    /// such as TCP connections and ARP caches is *not* cleared, matching
-    /// a crash-resume of soft state held in the stack).
+    /// host stops. Coming back up starts from cold queues — the radio
+    /// driver's half-received KISS frame included, so whatever `FEND` the
+    /// host hears first opens a frame rather than closing a stale one
+    /// (in-flight state such as TCP connections and ARP caches is *not*
+    /// cleared, matching a crash-resume of soft state held in the stack).
     pub fn set_down(&mut self, down: bool) {
         if down && !self.down {
             self.input_queue = IfQueue::new(IFQ_MAXLEN);
             self.tty_queue.clear();
             self.outbox.clear();
             self.events.clear();
+            if let Some((_, drv)) = &mut self.pr {
+                drv.reset_deframer();
+            }
         }
         self.down = down;
     }
@@ -345,17 +350,32 @@ impl Host {
     /// [`on_serial_bytes`](Host::on_serial_bytes) per character at its own
     /// arrival instant, **provided** no byte before the last can complete a
     /// frame — `serial::SerialLine::take_run` guarantees that by ending
-    /// runs at `FEND` bytes (only a `FEND` can close a frame).
-    pub fn on_serial_run(&mut self, t0: SimTime, char_time: sim::SimDuration, bytes: &[u8]) {
+    /// runs at closing `FEND` bytes (only a `FEND` can close a frame, and
+    /// one that directly follows a `FEND` this host saw finds the deframer
+    /// empty; [`Host::set_down`] keeps that true across a power cycle).
+    ///
+    /// Returns whether the run did anything beyond CPU accounting and
+    /// driver counters: a frame passed the address test, an event went to
+    /// the input or tty queue, or the driver transmitted. A run of
+    /// frames for other stations returns `false` — nothing an app or the
+    /// host's own deadline could observe has moved, exactly as for a
+    /// mid-frame character.
+    pub fn on_serial_run(
+        &mut self,
+        t0: SimTime,
+        char_time: sim::SimDuration,
+        bytes: &[u8],
+    ) -> bool {
         if self.down || bytes.is_empty() {
-            return;
+            return false;
         }
         let n = bytes.len() as u64;
         let Some((iface, drv)) = self.pr.as_mut() else {
             self.cpu.charge_chars_paced(t0, char_time, n);
-            return;
+            return false;
         };
         let iface = *iface;
+        let (accepted, sent) = (drv.ifnet.stats.ipackets, self.outbox.len());
         let after_last = self.cpu.charge_chars_paced(t0, char_time, n);
         let t_last = t0 + char_time * (n - 1);
         let cpu = &mut self.cpu;
@@ -385,6 +405,10 @@ impl Host {
         if iqdrops > 0 {
             drv.ifnet.stats.iqdrops += iqdrops;
         }
+        // Every event follows the address test; the outbox is compared on
+        // its own so that anything the driver sends counts, whatever
+        // prompted it.
+        drv.ifnet.stats.ipackets != accepted || self.outbox.len() != sent
     }
 
     /// Receives a frame from the Ethernet segment (DMA: packet cost only).
@@ -1067,6 +1091,78 @@ mod tests {
         let r = scalar.pr_driver().unwrap().stats();
         assert_eq!(s.rint_chars, r.rint_chars);
         assert_eq!(s.ip_in, r.ip_in);
+    }
+
+    #[test]
+    fn on_serial_run_reports_whether_anything_observable_happened() {
+        use crate::hwaddr::Ax25Hw;
+        use netstack::arp::{hw_type, ArpPacket};
+        let me = Ipv4Addr::new(44, 24, 0, 5);
+        let peer = Ipv4Addr::new(44, 24, 0, 28);
+        let ct = sim::SimDuration::from_micros(1042);
+        let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+        let mut t = SimTime::ZERO;
+        // One KISS data frame carrying `ax25`, a second after the last.
+        let mut run = |h: &mut Host, ax25: &[u8]| {
+            t += sim::SimDuration::from_secs(1);
+            h.on_serial_run(t, ct, &kiss::encode(0, kiss::Command::Data, ax25))
+        };
+        let ip = Ipv4Packet::new(peer, me, Proto::Udp, vec![3; 24]).encode();
+        // §3's common case: somebody else's traffic costs its interrupts
+        // and a counter, and wakes nobody.
+        let chars = h.cpu.stats().char_interrupts;
+        let other = Frame::ui(a("W1GOH"), a("N7AKR-1"), Pid::Ip, ip.clone());
+        assert!(!run(&mut h, &other.encode()));
+        assert_eq!(h.pr_driver().unwrap().stats().not_for_us, 1);
+        assert!(h.cpu.stats().char_interrupts > chars);
+        assert_eq!(h.next_deadline(), None);
+        // Still being digipeated, and undecodable: equally quiet.
+        let relayed = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip.clone()).via(&[a("RELAY")]);
+        assert!(!run(&mut h, &relayed.encode()));
+        let junk = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, vec![]).encode();
+        assert!(!run(&mut h, &junk[..9]));
+        assert_eq!(h.pr_driver().unwrap().stats().bad_frames, 1);
+        // An IP frame for us lands on the input queue.
+        assert!(run(
+            &mut h,
+            &Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip).encode()
+        ));
+        assert_eq!(h.input_queue_len(), 1);
+        // An ARP request for our address draws a reply.
+        let asker = Ax25Hw::direct(a("N7AKR-1")).encode();
+        let req = ArpPacket::request(hw_type::AX25, asker, peer, me).encode();
+        let req = Frame::ui(Ax25Addr::broadcast(), a("N7AKR-1"), Pid::Arp, req);
+        assert!(run(&mut h, &req.encode()));
+        assert!(matches!(h.take_outbox()[..], [HostOut::SerialTx(_)]));
+        // A non-IP frame for us is diverted to the tty queue.
+        let text = Frame::ui(a("KB7DZ"), a("W1GOH"), Pid::Text, b"hello om".to_vec());
+        assert!(run(&mut h, &text.encode()));
+        assert_eq!(h.take_tty_frames().len(), 1);
+        // A host with no radio driver only ever pays the interrupts.
+        let mut bare = Host::new(HostConfig::named("bare"));
+        assert!(!run(&mut bare, &text.encode()));
+    }
+
+    #[test]
+    fn powering_down_drops_the_half_received_frame() {
+        // Down mid-frame, up again before the next frame's leading FEND:
+        // that FEND must open a frame, not close the stale half.
+        let ip = Ipv4Packet::new(
+            Ipv4Addr::new(44, 24, 0, 28),
+            Ipv4Addr::new(44, 24, 0, 5),
+            Proto::Udp,
+            vec![3; 24],
+        );
+        let frame = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip.encode());
+        let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
+        let ct = sim::SimDuration::from_micros(1042);
+        let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+        h.on_serial_run(SimTime::ZERO, ct, &wire[..10]);
+        h.set_down(true);
+        h.set_down(false);
+        assert!(h.on_serial_run(SimTime::from_secs(1), ct, &wire));
+        let s = h.pr_driver().unwrap().stats();
+        assert_eq!((s.frames_in, s.bad_frames, s.ip_in), (1, 0, 1));
     }
 
     #[test]

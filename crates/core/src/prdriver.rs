@@ -220,6 +220,14 @@ impl PacketRadioDriver {
 
     // --- Receive path ------------------------------------------------------
 
+    /// Drops the partially received KISS frame (the host lost power; what
+    /// the tty had buffered is gone). The serial line relies on this: a
+    /// receiver that stops listening must not keep half a frame for the
+    /// next `FEND` to close (DESIGN.md §6).
+    pub fn reset_deframer(&mut self) {
+        self.deframer.reset();
+    }
+
     /// The per-character receive interrupt handler.
     ///
     /// Feed one serial character; when it completes a frame, the

@@ -25,7 +25,7 @@
 
 use ether::{EtherFrame, NicId, Segment};
 use netstack::stack::StackAction;
-use radio::channel::{Channel, StationId};
+use radio::channel::{Channel, Heard};
 use radio::digi::Digipeater;
 use radio::tnc::Tnc;
 use radio::traffic::BeaconStation;
@@ -310,6 +310,8 @@ pub(crate) struct ShardData {
     run_scratch: Vec<u8>,
     /// Reusable buffer `flush_host` swaps a host's outbox into.
     out_scratch: Vec<HostOut>,
+    /// The transmission `hear_channel` is routing (buffers reused).
+    heard: Heard,
 }
 
 impl ShardData {
@@ -347,6 +349,7 @@ impl ShardData {
             scratch: Vec::new(),
             run_scratch: Vec::new(),
             out_scratch: Vec::new(),
+            heard: Heard::default(),
         }
     }
 
@@ -594,8 +597,10 @@ impl ShardData {
     /// Delivers every character of line `li` due at or before `upto`, in
     /// both directions, as line-paced runs through the receivers' closed
     /// forms — the one indexed delivery path (DESIGN.md §6). Returns
-    /// whether the (host, TNC) end received anything. The clock never
-    /// lags a delivered character (only the exit flush runs ahead of it).
+    /// whether the host end was observably touched (`Host::on_serial_run`:
+    /// frames for other stations are not a touch) and whether the TNC end
+    /// received anything. The clock never lags a delivered character
+    /// (only the exit flush runs ahead of it).
     fn deliver_line(&mut self, li: usize, upto: SimTime) -> (bool, bool) {
         let mut got = (false, false);
         if self.lines[li].next_deadline().is_none_or(|t| t > upto) {
@@ -604,11 +609,10 @@ impl ShardData {
         let char_time = self.lines[li].config().char_time();
         let mut run = std::mem::take(&mut self.run_scratch);
         while let Some(info) = self.lines[li].take_run(End::A, upto, &mut run) {
-            got.0 = true;
             self.now = self.now.max(info.t_last);
             self.sched.stats_mut().batched_chars += run.len() as u64;
             if let Some(hi) = self.line_host[li] {
-                self.hosts[hi].host.on_serial_run(info.t0, char_time, &run);
+                got.0 |= self.hosts[hi].host.on_serial_run(info.t0, char_time, &run);
             }
         }
         while let Some(info) = self.lines[li].take_run(End::B, upto, &mut run) {
@@ -655,7 +659,9 @@ impl ShardData {
             let mut polled: u64 = 0;
 
             // 1. Serial lines: deliver the runs that are due, wake the
-            // receivers.
+            // receivers they touched — a host that only took interrupts
+            // for other stations' frames stays asleep, like a host
+            // mid-frame (catch-up on touch covers whoever looks).
             todo.clear();
             if !self.dirty.lines.list.is_empty() {
                 self.dirty.count -= self.dirty.lines.drain_into(&mut todo);
@@ -686,13 +692,7 @@ impl ShardData {
             for &ci in &todo {
                 polled += 1;
                 if self.channels[ci].next_deadline().is_some_and(|t| t <= now) {
-                    let receptions = self.channels[ci].advance(now);
-                    if !receptions.is_empty() {
-                        progressed = true;
-                    }
-                    for rx in receptions {
-                        self.route_reception(now, ci, rx.to, &rx);
-                    }
+                    progressed |= self.hear_channel(now, ci);
                     for i in 0..self.chan_tncs[ci].len() {
                         let ti = self.chan_tncs[ci][i];
                         if self.tncs[ti].tnc.waiting_on_carrier() {
@@ -904,15 +904,8 @@ impl ShardData {
 
             // 2. Radio channels: completed transmissions become receptions.
             for ci in 0..self.channels.len() {
-                if self.channels[ci].next_deadline().is_none_or(|t| t > now) {
-                    continue;
-                }
-                let receptions = self.channels[ci].advance(now);
-                if !receptions.is_empty() {
-                    progressed = true;
-                }
-                for rx in receptions {
-                    self.route_reception(now, ci, rx.to, &rx);
+                if self.channels[ci].next_deadline().is_some_and(|t| t <= now) {
+                    progressed |= self.hear_channel(now, ci);
                 }
             }
 
@@ -978,46 +971,57 @@ impl ShardData {
 
     // --- Shared routing (both steppers) -------------------------------------
 
-    fn route_reception(
-        &mut self,
-        now: SimTime,
-        chan: usize,
-        to: StationId,
-        rx: &radio::channel::Reception,
-    ) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                sim::trace::Category::Radio,
-                format!("sta{}", to.0),
-                format!(
-                    "heard {}B from sta{}{}",
-                    rx.data.len(),
-                    rx.from.0,
-                    if rx.corrupted { " (corrupted)" } else { "" }
-                ),
-            );
-        }
-        match slot(&self.listeners, chan, to.0) {
-            Some(Listener::Tnc(i)) => {
-                if let Some(bytes) = self.tncs[i].tnc.on_reception(rx) {
-                    if self.trace.is_enabled() {
-                        self.trace.record(
-                            now,
-                            sim::trace::Category::Kiss,
-                            format!("tnc:{}", self.tncs[i].tnc.addr()),
-                            format!("passed {}B frame up the serial line", bytes.len()),
-                        );
+    /// Completes every transmission on channel `chan` due by `now` and
+    /// hands each to the stations in range: one `Heard` per transmission,
+    /// whose on-air bytes, FCS verdict and KISS encoding every listener
+    /// shares. Returns whether anyone heard anything.
+    fn hear_channel(&mut self, now: SimTime, chan: usize) -> bool {
+        let mut any = false;
+        let mut heard = std::mem::take(&mut self.heard);
+        while self.channels[chan].hear_next(now, &mut heard) {
+            for k in 0..heard.listeners().len() {
+                any = true;
+                let (to, corrupted) = heard.listeners()[k];
+                if self.trace.is_enabled() {
+                    self.trace.record(
+                        now,
+                        sim::trace::Category::Radio,
+                        format!("sta{}", to.0),
+                        format!(
+                            "heard {}B from sta{}{}",
+                            heard.data().len(),
+                            heard.from().0,
+                            if corrupted { " (corrupted)" } else { "" }
+                        ),
+                    );
+                }
+                match slot(&self.listeners, chan, to.0) {
+                    Some(Listener::Tnc(i)) => {
+                        let li = self.tncs[i].line;
+                        let tnc = &mut self.tncs[i].tnc;
+                        if let Some(bytes) = tnc.on_reception(&mut heard, corrupted) {
+                            if self.trace.is_enabled() {
+                                self.trace.record(
+                                    now,
+                                    sim::trace::Category::Kiss,
+                                    format!("tnc:{}", tnc.addr()),
+                                    format!("passed {}B frame up the serial line", bytes.len()),
+                                );
+                            }
+                            self.lines[li].send(now, End::B, bytes);
+                            self.reg(Key::Line(li), self.lines[li].next_boundary());
+                        }
                     }
-                    let li = self.tncs[i].line;
-                    self.lines[li].send(now, End::B, &bytes);
-                    self.reg(Key::Line(li), self.lines[li].next_boundary());
+                    Some(Listener::Digi(i)) => {
+                        self.digis[i].digi.on_reception(&mut heard, corrupted);
+                    }
+                    // Beacons ignore receptions.
+                    None => {}
                 }
             }
-            Some(Listener::Digi(i)) => self.digis[i].digi.on_reception(rx),
-            // Beacons ignore receptions.
-            None => {}
         }
+        self.heard = heard;
+        any
     }
 
     /// Routes a host's outbox and records/dispatches its events. Links the

@@ -1050,7 +1050,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The reference stepper shares `flush_host` and `route_reception`
+    /// The reference stepper shares `flush_host` and `hear_channel`
     /// with the indexed engine; what they report must not pile up in a
     /// calendar nobody drains.
     #[test]
@@ -1069,6 +1069,42 @@ mod tests {
         assert_eq!(replies.count(), 1, "lines and segments carried traffic");
         assert_eq!(s.world.shards[0].get().calendar_len(), 0);
         assert_eq!(s.world.sched_stats(), SchedStats::default());
+    }
+
+    /// §3's case as the engine sees it: two promiscuous TNCs pass four
+    /// beacons' chatter, addressed to neither host, up their lines. Each
+    /// frame heard must cost one line visit — one calendar pop, one
+    /// settle visit, no host and no app — and the bounds below are the
+    /// measured counts, so the wake rule can only ratchet down.
+    #[test]
+    fn frames_for_other_stations_cost_one_line_visit_each() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        for i in 0..4 {
+            s.world.add_beacon(
+                s.chan,
+                radio::traffic::BeaconConfig {
+                    from: ax25::addr::Ax25Addr::parse_or_panic(&format!("BG{i}")),
+                    to: ax25::addr::Ax25Addr::parse_or_panic("CHAT"),
+                    frame_len: 120,
+                    mean_interval: SimDuration::from_secs(8),
+                    start: SimTime::from_millis(150 * i),
+                    mac: radio::csma::MacConfig::default(),
+                },
+            );
+        }
+        s.world.run_for(SimDuration::from_secs(600));
+        let heard: u64 = [s.pc_tnc, s.gw_tnc]
+            .iter()
+            .map(|&t| s.world.tnc(t).stats().passed_to_host)
+            .sum();
+        let stats = s.world.sched_stats();
+        assert_eq!(heard, 520, "frames that went up the two lines");
+        // Per transmission: the beacon's two deadlines, the channel, and
+        // one visit per listening line. A boundary at every FEND adds a
+        // pop and a visit per frame heard (2,704 / 2,912); waking the
+        // host for a frame it drops adds a visit (2,916).
+        assert!(stats.pops <= 2_186, "{stats:?}");
+        assert!(stats.polled <= 2_394, "{stats:?}");
     }
 
     /// A scripted test app: polls are recorded, and it exposes a fixed

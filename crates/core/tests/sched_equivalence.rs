@@ -496,17 +496,29 @@ impl LockStep {
         self.radio_hosts().iter().map(delivered).sum()
     }
 
-    /// The §3 accounting of every radio host — `(rint_chars,
-    /// char_interrupts, busy_ns)` — which catch-up on touch and the exit
-    /// flush must keep exact.
-    fn char_accounting(&self) -> Vec<(u64, u64, u64)> {
+    /// The §3 accounting of every radio host — `(rint_chars, frames_in,
+    /// bad_frames, char_interrupts, busy_ns)` — which catch-up on touch
+    /// and the exit flush must keep exact.
+    fn char_accounting(&self) -> Vec<(u64, u64, u64, u64, u64)> {
         let of = |h: &HostId| {
             let host = self.s.world.host(*h);
             let cpu = host.cpu.stats();
-            let rint = host.pr_driver().expect("radio host").stats().rint_chars;
-            (rint, cpu.char_interrupts, cpu.busy_ns)
+            let pr = host.pr_driver().expect("radio host").stats();
+            (
+                pr.rint_chars,
+                pr.frames_in,
+                pr.bad_frames,
+                cpu.char_interrupts,
+                cpu.busy_ns,
+            )
         };
         self.radio_hosts().iter().map(of).collect()
+    }
+
+    /// IP frames the gateway's radio driver has taken in.
+    fn gw_ip_in(&self) -> u64 {
+        let gw = self.s.world.host(self.s.gw);
+        gw.pr_driver().expect("radio host").stats().ip_in
     }
 
     fn fingerprint(&mut self) -> String {
@@ -587,11 +599,12 @@ fn lock_step_promiscuous_lines_match_reference() {
     let (got, got_chars, stats) = run(Driver::Indexed);
     assert_eq!(got, reference, "indexed engine diverged from reference");
     assert_eq!(got_chars, chars);
-    // Host-independent work: a line costs two calendar visits per
-    // frame, and every character travels in a run.
+    // Host-independent work: a line costs one calendar visit per frame
+    // (547 pops here; 684 with a boundary at every FEND), and every
+    // character travels in a run.
     assert!(chars > 10_000, "three busy lines: {chars} characters");
     assert!(
-        stats.pops * 100 <= chars * 15,
+        stats.pops * 1000 <= chars * 32,
         "{} pops for {chars} serial characters",
         stats.pops
     );
@@ -600,6 +613,66 @@ fn lock_step_promiscuous_lines_match_reference() {
         "{} of {chars} characters delivered in runs",
         stats.batched_chars
     );
+}
+
+/// The line ends runs only at *closing* `FEND`s, which is sound as long as
+/// a `FEND` that directly follows a `FEND` finds the receiver's deframer
+/// empty. A host that loses power mid-frame stops listening, so it must
+/// come back without the half frame — or the next frame's leading `FEND`
+/// closes it in the middle of a run. Here the gateway goes down half-way
+/// through a ping addressed to it (the stale half would classify as IP
+/// for us and raise an event), comes up on the idle line before the next
+/// frame's leading `FEND`, is looked at mid-way through that next frame,
+/// and later goes down mid-frame once more and comes up mid-way through
+/// another. Run under `cargo test` (debug), `Host::on_serial_run`'s
+/// boundary assertion is live.
+#[test]
+fn power_cycle_between_frames_matches_reference() {
+    let mut script = Script {
+        pc_pings: vec![SimTime::from_secs(10), SimTime::from_secs(50)],
+        ..Script::default()
+    };
+    let ms = SimDuration::from_millis;
+    // When the first ping for the gateway has just come up its line...
+    let mut w = lock_step_world(&script);
+    w.s.world.run_until_reference(script.pc_pings[0]);
+    while w.gw_ip_in() == 0 {
+        let t = w.s.world.now + ms(1);
+        assert!(t < SimTime::from_secs(30), "no ping reached the gateway");
+        w.s.world.run_until_reference(t);
+    }
+    // ...go back some 50 of its 110-odd characters (4.17 ms each): past
+    // the AX.25 header, short of the closing FEND.
+    let down = w.s.world.now - SimDuration::from_micros(208_300);
+    script.probes.push((down, Some(true)));
+    // Up again once that frame's trailing FEND has left the wire.
+    let mut w = lock_step_world(&script);
+    w.s.world.run_until_reference(down);
+    assert!((30..=100).contains(&w.gw_line_backlog()), "not mid-frame");
+    while w.gw_line_backlog() > 0 {
+        let t = w.s.world.now + ms(1);
+        w.s.world.run_until_reference(t);
+    }
+    let up = w.s.world.now + ms(1);
+    script.probes.push((up, Some(false)));
+    // A look at the gateway in the middle of the frame that follows.
+    let look = scout_mid_frame(&script, up);
+    script.probes.push((look, None));
+    // Second cycle: down mid-frame, up mid-way through a later frame.
+    let down = scout_mid_frame(&script, SimTime::from_secs(35));
+    script.probes.push((down, Some(true)));
+    let up = scout_mid_frame(&script, down + ms(1_500));
+    script.probes.push((up, Some(false)));
+
+    let run = |driver: Driver| {
+        let mut w = lock_step_world(&script);
+        driver.run_for(&mut w.s.world, SimDuration::from_secs(90));
+        (w.gw_ip_in(), w.fingerprint())
+    };
+    let (ip_in, reference) = run(Driver::Reference);
+    assert!(ip_in > 0, "the gateway must hear IP again after its cycles");
+    let (_, indexed) = run(Driver::Indexed);
+    assert_eq!(indexed, reference, "indexed engine diverged from reference");
 }
 
 /// Flush on exit: a run split into chunks whose ends fall mid-frame is

@@ -404,6 +404,14 @@ impl Deframer {
         }
     }
 
+    /// Forgets any partial frame and goes back to hunting for a `FEND`, as
+    /// a freshly powered receiver would; counters and capacity are kept.
+    pub fn reset(&mut self) {
+        self.state = State::Hunt;
+        self.buf.clear();
+        self.pending_reset = false;
+    }
+
     /// Consumes one character from the serial line; returns a frame when
     /// the closing `FEND` arrives. The returned [`KissFrameRef`] borrows
     /// the deframer and is invalidated by the next `push`.

@@ -12,27 +12,94 @@
 //!
 //! Corrupted copies are still delivered, flagged, so the TNC model can
 //! count FCS failures exactly where real hardware does.
+//!
+//! A completed transmission is handed out **once**, as a [`Heard`]: the
+//! on-air bytes plus the list of stations in range, each with its own
+//! corrupted flag. What every clean listener would compute identically —
+//! the FCS check and the KISS encoding a TNC passes up its serial line —
+//! is computed once on the `Heard` and shared.
 
+use ax25::fcs::verify_and_strip_fcs;
 use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
 /// Identifies a station attached to a [`Channel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct StationId(pub usize);
 
-/// One frame heard by one station.
-#[derive(Debug, Clone)]
-pub struct Reception {
-    /// The hearing station.
-    pub to: StationId,
+/// One completed transmission, as every station in range hears it.
+///
+/// Filled by [`Channel::hear_next`]; callers keep one and pass it back in,
+/// so its buffers are reused from transmission to transmission.
+#[derive(Debug, Default)]
+pub struct Heard {
+    from: StationId,
+    at: SimTime,
+    data: Vec<u8>,
+    listeners: Vec<(StationId, bool)>,
+    /// Verdict of the FCS check over `data`, once someone asked.
+    fcs_ok: Option<bool>,
+    /// The KISS data frame carrying [`Heard::body`]; empty until asked for.
+    kiss: Vec<u8>,
+}
+
+impl Heard {
+    /// A transmission of `data` by `from` ending at `at`, with nobody in
+    /// range (for driving a [`crate::Tnc`] or digipeater directly).
+    pub fn new(from: StationId, at: SimTime, data: Vec<u8>) -> Heard {
+        Heard {
+            from,
+            at,
+            data,
+            ..Heard::default()
+        }
+    }
+
     /// The transmitting station.
-    pub from: StationId,
-    /// The on-air bytes (AX.25 frame + FCS).
-    pub data: Vec<u8>,
-    /// True if a collision, self-transmission overlap, or bit error
-    /// damaged this copy.
-    pub corrupted: bool,
+    pub fn from(&self) -> StationId {
+        self.from
+    }
+
     /// When the frame finished arriving.
-    pub at: SimTime,
+    pub fn at(&self) -> SimTime {
+        self.at
+    }
+
+    /// The on-air bytes (AX.25 frame + FCS) — one buffer, whoever listens.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// The stations in range, in station order; the flag is true where a
+    /// collision, self-transmission overlap, or bit error damaged that
+    /// station's copy.
+    pub fn listeners(&self) -> &[(StationId, bool)] {
+        &self.listeners
+    }
+
+    /// Length of the frame body if the FCS checks out (verified once).
+    fn body_len(&mut self) -> Option<usize> {
+        let data = &self.data;
+        let ok = *self
+            .fcs_ok
+            .get_or_insert_with(|| verify_and_strip_fcs(data).is_some());
+        ok.then(|| data.len() - 2)
+    }
+
+    /// The frame body, `None` on a bad FCS.
+    pub fn body(&mut self) -> Option<&[u8]> {
+        let n = self.body_len()?;
+        Some(&self.data[..n])
+    }
+
+    /// The KISS data frame a TNC sends up its serial line for this
+    /// transmission (encoded on the first call), `None` on a bad FCS.
+    pub fn kiss(&mut self) -> Option<&[u8]> {
+        let n = self.body_len()?;
+        if self.kiss.is_empty() {
+            kiss::encode_into(0, kiss::Command::Data, &self.data[..n], &mut self.kiss);
+        }
+        Some(&self.kiss)
+    }
 }
 
 #[derive(Debug)]
@@ -65,7 +132,7 @@ pub struct ChannelStats {
 /// # Examples
 ///
 /// ```
-/// use radio::channel::Channel;
+/// use radio::channel::{Channel, Heard};
 /// use sim::{Bandwidth, SimDuration, SimTime};
 ///
 /// let mut ch = Channel::new(Bandwidth::RADIO_1200);
@@ -73,10 +140,10 @@ pub struct ChannelStats {
 /// let b = ch.add_station();
 /// ch.transmit(SimTime::ZERO, a, vec![0u8; 30], SimDuration::ZERO);
 /// let t = ch.next_deadline().unwrap();
-/// let rx = ch.advance(t);
-/// assert_eq!(rx.len(), 1);
-/// assert_eq!(rx[0].to, b);
-/// assert!(!rx[0].corrupted);
+/// let mut heard = Heard::default();
+/// assert!(ch.hear_next(t, &mut heard));
+/// assert_eq!(heard.listeners(), [(b, false)]);
+/// assert!(!ch.hear_next(t, &mut heard));
 /// ```
 #[derive(Debug)]
 pub struct Channel {
@@ -225,70 +292,70 @@ impl Channel {
             .min()
     }
 
-    /// Completes every transmission ending at or before `now`, producing
-    /// one [`Reception`] per station in range.
-    pub fn advance(&mut self, now: SimTime) -> Vec<Reception> {
-        let mut out = Vec::new();
-        // Indices of txs completing this call, in end order (stable for
-        // determinism).
-        let mut done: Vec<usize> = self
+    /// Completes the earliest undelivered transmission ending at or before
+    /// `now` (ties in start order) into `heard`: its on-air bytes, moved
+    /// not copied, and one `(station, corrupted)` entry per station in
+    /// range. Returns `false`, leaving `heard` alone, when none is due —
+    /// call until then to bring the channel up to `now`.
+    pub fn hear_next(&mut self, now: SimTime, heard: &mut Heard) -> bool {
+        let due = self
             .txs
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.delivered && t.end <= now)
-            .map(|(i, _)| i)
-            .collect();
-        done.sort_by_key(|&i| (self.txs[i].end, i));
-        for i in done {
-            let (from, start, end) = {
-                let t = &self.txs[i];
-                (t.from, t.start, t.end)
-            };
-            for listener in 0..self.hears.len() {
-                let lid = StationId(listener);
-                if lid == from || !self.hears[listener][from.0] {
-                    continue;
-                }
-                // Collision at this listener: any *other* transmission it
-                // hears (or its own) overlapping [start, end).
-                let collided = self.txs.iter().enumerate().any(|(j, other)| {
-                    j != i
-                        && other.start < end
-                        && other.end > start
-                        && (other.from == lid || self.hears[listener][other.from.0])
-                });
-                let data = self.txs[i].data.clone();
-                let bit_error = match (&mut self.noise, self.byte_error_rate) {
-                    (Some(rng), rate) if rate > 0.0 => {
-                        let p_clean = (1.0 - rate).powi(data.len() as i32);
-                        !rng.chance(p_clean)
-                    }
-                    _ => false,
-                };
-                let corrupted = collided || bit_error;
-                if corrupted {
-                    self.stats.corrupted_receptions += 1;
-                } else {
-                    self.stats.clean_receptions += 1;
-                }
-                out.push(Reception {
-                    to: lid,
-                    from,
-                    data,
-                    corrupted,
-                    at: end,
-                });
+            .min_by_key(|&(i, t)| (t.end, i));
+        let Some((
+            i,
+            &Tx {
+                from, start, end, ..
+            },
+        )) = due
+        else {
+            return false;
+        };
+        heard.from = from;
+        heard.at = end;
+        std::mem::swap(&mut heard.data, &mut self.txs[i].data);
+        heard.fcs_ok = None;
+        heard.kiss.clear();
+        heard.listeners.clear();
+        for listener in 0..self.hears.len() {
+            let lid = StationId(listener);
+            if lid == from || !self.hears[listener][from.0] {
+                continue;
             }
-            self.txs[i].delivered = true;
+            // Collision at this listener: any *other* transmission it
+            // hears (or its own) overlapping [start, end).
+            let collided = self.txs.iter().enumerate().any(|(j, other)| {
+                j != i
+                    && other.start < end
+                    && other.end > start
+                    && (other.from == lid || self.hears[listener][other.from.0])
+            });
+            let bit_error = match (&mut self.noise, self.byte_error_rate) {
+                (Some(rng), rate) if rate > 0.0 => {
+                    let p_clean = (1.0 - rate).powi(heard.data.len() as i32);
+                    !rng.chance(p_clean)
+                }
+                _ => false,
+            };
+            let corrupted = collided || bit_error;
+            if corrupted {
+                self.stats.corrupted_receptions += 1;
+            } else {
+                self.stats.clean_receptions += 1;
+            }
+            heard.listeners.push((lid, corrupted));
         }
-        self.prune(now);
-        out
+        self.txs[i].delivered = true;
+        self.prune();
+        true
     }
 
     /// Drops delivered transmissions that can no longer affect collision
     /// decisions (everything ending before the earliest undelivered start,
     /// or everything if the channel is idle).
-    fn prune(&mut self, _now: SimTime) {
+    fn prune(&mut self) {
         let earliest_active = self
             .txs
             .iter()
@@ -339,6 +406,29 @@ mod tests {
         Channel::new(Bandwidth::RADIO_1200)
     }
 
+    /// One station's copy of one transmission.
+    struct Rx {
+        to: StationId,
+        from: StationId,
+        corrupted: bool,
+        at: SimTime,
+    }
+
+    /// Everything heard up to `now`, flattened to one entry per listener.
+    fn advance(c: &mut Channel, now: SimTime) -> Vec<Rx> {
+        let mut heard = Heard::default();
+        let mut out = Vec::new();
+        while c.hear_next(now, &mut heard) {
+            out.extend(heard.listeners().iter().map(|&(to, corrupted)| Rx {
+                to,
+                from: heard.from(),
+                corrupted,
+                at: heard.at(),
+            }));
+        }
+        out
+    }
+
     #[test]
     fn lone_transmission_is_clean_and_timed() {
         let mut c = ch();
@@ -353,8 +443,8 @@ mod tests {
             SimDuration::from_millis(250),
         );
         assert_eq!(end, SimTime::from_millis(1250));
-        assert!(c.advance(end - SimDuration::from_nanos(1)).is_empty());
-        let rx = c.advance(end);
+        assert!(advance(&mut c, end - SimDuration::from_nanos(1)).is_empty());
+        let rx = advance(&mut c, end);
         assert_eq!(rx.len(), 1);
         assert_eq!(rx[0].to, b);
         assert!(!rx[0].corrupted);
@@ -368,9 +458,42 @@ mod tests {
         let _b = c.add_station();
         let _d = c.add_station();
         let end = c.transmit(SimTime::ZERO, a, vec![0; 10], SimDuration::ZERO);
-        let rx = c.advance(end);
+        let rx = advance(&mut c, end);
         assert_eq!(rx.len(), 2);
         assert!(rx.iter().all(|r| r.to != a));
+    }
+
+    #[test]
+    fn one_transmission_is_one_buffer_however_many_listen() {
+        let mut c = ch();
+        let a = c.add_station();
+        let others = [c.add_station(), c.add_station(), c.add_station()];
+        let mut on_air = b"some frame body".to_vec();
+        ax25::fcs::append_fcs(&mut on_air);
+        let (ptr, body_len) = (on_air.as_ptr(), on_air.len() - 2);
+        let end = c.transmit(SimTime::ZERO, a, on_air, SimDuration::ZERO);
+        let mut heard = Heard::default();
+        assert!(c.hear_next(end, &mut heard));
+        assert_eq!(heard.listeners(), others.map(|s| (s, false)));
+        assert_eq!(
+            heard.data().as_ptr(),
+            ptr,
+            "moved out of the channel, not copied"
+        );
+        assert_eq!(heard.body().unwrap().len(), body_len);
+        // Every listener is handed the same encoding.
+        let kiss = heard.kiss().unwrap().as_ptr();
+        assert_eq!(heard.kiss().unwrap().as_ptr(), kiss);
+        assert_eq!(
+            heard.kiss().unwrap(),
+            kiss::encode(0, kiss::Command::Data, b"some frame body")
+        );
+        assert!(!c.hear_next(end, &mut heard), "one Heard per transmission");
+        // Refilling the same Heard forgets the previous verdict and bytes.
+        let end = c.transmit(end, a, b"no fcs on this one".to_vec(), SimDuration::ZERO);
+        assert!(c.hear_next(end, &mut heard));
+        assert_eq!(heard.listeners().len(), 3);
+        assert!(heard.body().is_none() && heard.kiss().is_none());
     }
 
     #[test]
@@ -386,7 +509,7 @@ mod tests {
             vec![0; 100],
             SimDuration::ZERO,
         );
-        let rx = c.advance(end_a);
+        let rx = advance(&mut c, end_a);
         let to_victim: Vec<_> = rx.iter().filter(|r| r.to == victim).collect();
         assert!(!to_victim.is_empty());
         assert!(to_victim.iter().all(|r| r.corrupted));
@@ -398,10 +521,10 @@ mod tests {
         let a = c.add_station();
         let b = c.add_station();
         let end_a = c.transmit(SimTime::ZERO, a, vec![1; 10], SimDuration::ZERO);
-        let rx1 = c.advance(end_a);
+        let rx1 = advance(&mut c, end_a);
         assert!(rx1.iter().all(|r| !r.corrupted));
         let end_b = c.transmit(end_a, b, vec![2; 10], SimDuration::ZERO);
-        let rx2 = c.advance(end_b);
+        let rx2 = advance(&mut c, end_b);
         assert!(rx2.iter().all(|r| !r.corrupted));
     }
 
@@ -418,7 +541,7 @@ mod tests {
         c.set_hears(far, a, false);
         let end = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
         c.transmit(SimTime::from_millis(10), b, vec![0; 100], SimDuration::ZERO);
-        let rx = c.advance(end + SimDuration::from_secs(2));
+        let rx = advance(&mut c, end + SimDuration::from_secs(2));
         let at_victim: Vec<_> = rx.iter().filter(|r| r.to == victim).collect();
         assert_eq!(at_victim.len(), 2);
         assert!(at_victim.iter().all(|r| r.corrupted), "victim loses both");
@@ -441,7 +564,7 @@ mod tests {
         let _ = third;
         let end_a = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
         c.transmit(SimTime::from_millis(1), b, vec![0; 200], SimDuration::ZERO);
-        let rx = c.advance(end_a + SimDuration::from_secs(3));
+        let rx = advance(&mut c, end_a + SimDuration::from_secs(3));
         // b cannot hear a at all (deaf), so look at third instead; but the
         // self-tx rule is what we check for... make b hear a again:
         let mut c2 = ch();
@@ -450,7 +573,7 @@ mod tests {
         c2.set_hears(a2, b2, false); // a deaf to b so no collision at a
         let end = c2.transmit(SimTime::ZERO, a2, vec![0; 100], SimDuration::ZERO);
         c2.transmit(SimTime::from_millis(1), b2, vec![0; 10], SimDuration::ZERO);
-        let rx2 = c2.advance(end + SimDuration::from_secs(2));
+        let rx2 = advance(&mut c2, end + SimDuration::from_secs(2));
         let b_copy = rx2.iter().find(|r| r.to == b2 && r.from == a2).unwrap();
         assert!(b_copy.corrupted, "b was transmitting during a's frame");
         let _ = rx;
@@ -485,7 +608,7 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let end = c.transmit(now, a, vec![0; 100], SimDuration::ZERO);
-            let rx = c.advance(end);
+            let rx = advance(&mut c, end);
             corrupted += rx.iter().filter(|r| r.corrupted).count();
             now = end;
         }
@@ -500,7 +623,7 @@ mod tests {
         let a = c.add_station();
         let _b = c.add_station();
         let end = c.transmit(SimTime::ZERO, a, vec![0; 150], SimDuration::ZERO);
-        c.advance(end);
+        advance(&mut c, end);
         assert_eq!(c.stats().transmissions, 1);
         assert_eq!(c.stats().clean_receptions, 1);
         // 1s of airtime over a 2s window = 0.5.
@@ -518,7 +641,7 @@ mod tests {
         // occupied airtime counts 1s.
         c.transmit(SimTime::ZERO, a, vec![0; 150], SimDuration::ZERO);
         let end = c.transmit(SimTime::ZERO, b, vec![0; 150], SimDuration::ZERO);
-        c.advance(end);
+        advance(&mut c, end);
         assert_eq!(c.stats().airtime_ns, 2_000_000_000);
         assert_eq!(c.stats().occupied_ns, 1_000_000_000);
         let span = SimTime::from_secs(1);
@@ -542,7 +665,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
             let end = c.transmit(now, a, vec![0; 10], SimDuration::ZERO);
-            c.advance(end);
+            advance(&mut c, end);
             now = end;
         }
         assert!(

@@ -183,7 +183,14 @@ impl Csma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Heard;
     use sim::Bandwidth;
+
+    /// Completes every transmission due by `now`, ignoring who hears it.
+    fn drain(ch: &mut Channel, now: SimTime) {
+        let mut heard = Heard::default();
+        while ch.hear_next(now, &mut heard) {}
+    }
 
     fn setup() -> (Channel, StationId, StationId, SimRng) {
         let mut ch = Channel::new(Bandwidth::RADIO_1200);
@@ -210,9 +217,9 @@ mod tests {
         assert!(mac.transmitting(SimTime::from_millis(10)));
         let end = ch.next_deadline().unwrap();
         assert_eq!(end, SimTime::from_millis(900));
-        let rx = ch.advance(end);
-        assert_eq!(rx.len(), 1);
-        assert_eq!(rx[0].to, b);
+        let mut heard = Heard::default();
+        assert!(ch.hear_next(end, &mut heard));
+        assert_eq!(heard.listeners(), [(b, false)]);
     }
 
     #[test]
@@ -227,7 +234,7 @@ mod tests {
         assert_eq!(mac.stats().busy_detects, 1);
         // After the other frame ends, the channel is idle and we go.
         let end = ch.next_deadline().unwrap();
-        ch.advance(end);
+        drain(&mut ch, end);
         mac.poll(end, a, &mut ch, &mut rng);
         assert!(mac.transmitting(end + SimDuration::from_millis(1)));
     }
@@ -261,10 +268,11 @@ mod tests {
         mac.enqueue(vec![2; 10]);
         mac.poll(SimTime::ZERO, a, &mut ch, &mut rng);
         let mut got = Vec::new();
+        let mut heard = Heard::default();
         while let Some(t) = ch.next_deadline() {
-            for rx in ch.advance(t) {
-                if rx.to == b {
-                    got.push(rx.data[0]);
+            while ch.hear_next(t, &mut heard) {
+                if heard.listeners().iter().any(|&(to, _)| to == b) {
+                    got.push(heard.data()[0]);
                 }
             }
             mac.poll(t, a, &mut ch, &mut rng);
@@ -318,7 +326,7 @@ mod tests {
             }
             // Let the frame finish.
             let end = ch.next_deadline().unwrap();
-            ch.advance(end);
+            drain(&mut ch, end);
             now = end;
             mac.poll(now, a, &mut ch, &mut rng);
         }

@@ -10,11 +10,11 @@
 
 use ax25::addr::Ax25Addr;
 use ax25::digipeat::{decide, DigipeatDecision};
-use ax25::fcs::{append_fcs, verify_and_strip_fcs};
+use ax25::fcs::append_fcs;
 use ax25::frame::Frame;
 use sim::{SimRng, SimTime};
 
-use crate::channel::{Channel, Reception, StationId};
+use crate::channel::{Channel, Heard, StationId};
 use crate::csma::{Csma, MacConfig};
 
 /// Digipeater statistics.
@@ -61,15 +61,15 @@ impl Digipeater {
         self.station
     }
 
-    /// Processes a heard frame, queueing a repeat when this station is the
-    /// next hop.
-    pub fn on_reception(&mut self, rx: &Reception) {
+    /// Processes this station's copy of a heard transmission, queueing a
+    /// repeat when this station is the next hop.
+    pub fn on_reception(&mut self, heard: &mut Heard, corrupted: bool) {
         self.stats.heard += 1;
-        if rx.corrupted {
+        if corrupted {
             self.stats.fcs_errors += 1;
             return;
         }
-        let Some(body) = verify_and_strip_fcs(&rx.data) else {
+        let Some(body) = heard.body() else {
             self.stats.fcs_errors += 1;
             return;
         };
@@ -153,16 +153,20 @@ mod tests {
         let end = ch.transmit(SimTime::ZERO, src, on_air(&f), SimDuration::ZERO);
 
         let mut delivered_at_dst = None;
+        let mut heard = Heard::default();
         let mut now = end;
         loop {
-            for rx in ch.advance(now) {
-                if rx.to == digi_sta {
-                    digi.on_reception(&rx);
-                }
-                if rx.to == dst_sta && !rx.corrupted {
-                    let frame = crate::tnc::Tnc::parse_on_air(&rx.data).unwrap();
-                    if frame.fully_repeated() {
-                        delivered_at_dst = Some(frame);
+            while ch.hear_next(now, &mut heard) {
+                for k in 0..heard.listeners().len() {
+                    let (to, corrupted) = heard.listeners()[k];
+                    if to == digi_sta {
+                        digi.on_reception(&mut heard, corrupted);
+                    }
+                    if to == dst_sta && !corrupted {
+                        let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
+                        if frame.fully_repeated() {
+                            delivered_at_dst = Some(frame);
+                        }
                     }
                 }
             }
@@ -186,22 +190,11 @@ mod tests {
         let mut digi = Digipeater::new(a("DIGI"), digi_sta, fast());
 
         let f = Frame::ui(a("DST"), a("SRC"), Pid::Text, vec![]).via(&[a("OTHER")]);
-        digi.on_reception(&Reception {
-            to: digi_sta,
-            from: StationId(0),
-            data: on_air(&f),
-            corrupted: false,
-            at: SimTime::ZERO,
-        });
+        let mut heard = Heard::new(StationId(0), SimTime::ZERO, on_air(&f));
+        digi.on_reception(&mut heard, false);
         assert_eq!(digi.stats().ignored, 1);
 
-        digi.on_reception(&Reception {
-            to: digi_sta,
-            from: StationId(0),
-            data: on_air(&f),
-            corrupted: true,
-            at: SimTime::ZERO,
-        });
+        digi.on_reception(&mut heard, true);
         assert_eq!(digi.stats().fcs_errors, 1);
         assert_eq!(digi.stats().repeated, 0);
     }
@@ -213,13 +206,8 @@ mod tests {
         let digi_sta = ch.add_station();
         let mut digi = Digipeater::new(a("DIGI"), digi_sta, fast());
         let f = Frame::ui(a("DIGI"), a("SRC"), Pid::Text, vec![]);
-        digi.on_reception(&Reception {
-            to: digi_sta,
-            from: StationId(0),
-            data: on_air(&f),
-            corrupted: false,
-            at: SimTime::ZERO,
-        });
+        let mut heard = Heard::new(StationId(0), SimTime::ZERO, on_air(&f));
+        digi.on_reception(&mut heard, false);
         assert_eq!(digi.stats().repeated, 0);
         assert_eq!(digi.stats().ignored, 1);
     }

@@ -30,6 +30,6 @@ pub mod digi;
 pub mod tnc;
 pub mod traffic;
 
-pub use channel::{Channel, Reception, StationId};
+pub use channel::{Channel, Heard, StationId};
 pub use csma::{Csma, MacConfig};
 pub use tnc::{RxMode, Tnc, TncConfig};

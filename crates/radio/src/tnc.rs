@@ -23,7 +23,7 @@ use ax25::frame::Frame;
 use kiss::{Command, Deframer};
 use sim::{SimDuration, SimRng, SimTime};
 
-use crate::channel::{Channel, Reception, StationId};
+use crate::channel::{Channel, Heard, StationId};
 use crate::csma::{Csma, MacConfig};
 
 /// Receive filtering behaviour (§3 of the paper).
@@ -93,9 +93,9 @@ pub struct TncStats {
 
 /// The KISS TNC device model.
 ///
-/// Sans-io: feed serial bytes with [`Tnc::on_serial_byte`], feed channel
-/// receptions with [`Tnc::on_reception`] (which returns serial bytes for
-/// the host), and drive the MAC with [`Tnc::poll`] /
+/// Sans-io: feed serial bytes with [`Tnc::on_serial_byte`], feed heard
+/// transmissions with [`Tnc::on_reception`] (which returns serial bytes
+/// for the host), and drive the MAC with [`Tnc::poll`] /
 /// [`Tnc::next_deadline`].
 #[derive(Debug)]
 pub struct Tnc {
@@ -184,7 +184,8 @@ impl Tnc {
         match command {
             Command::Data => {
                 stats.from_host += 1;
-                let mut on_air = payload.to_vec();
+                let mut on_air = Vec::with_capacity(payload.len() + 2);
+                on_air.extend_from_slice(payload);
                 append_fcs(&mut on_air);
                 mac.enqueue(on_air);
             }
@@ -224,16 +225,17 @@ impl Tnc {
         }
     }
 
-    /// Processes a frame heard on the air. Returns the KISS-framed bytes
-    /// to send up the serial line, or `None` if the frame was dropped
-    /// (bad FCS or filtered).
-    pub fn on_reception(&mut self, rx: &Reception) -> Option<Vec<u8>> {
+    /// Processes this station's copy of a transmission heard on the air.
+    /// Returns the KISS-framed bytes to send up the serial line — the one
+    /// encoding `heard` keeps for every TNC in range — or `None` if the
+    /// frame was dropped (bad FCS or filtered).
+    pub fn on_reception<'a>(&mut self, heard: &'a mut Heard, corrupted: bool) -> Option<&'a [u8]> {
         self.stats.heard += 1;
-        if rx.corrupted {
+        if corrupted {
             self.stats.fcs_errors += 1;
             return None;
         }
-        let Some(body) = verify_and_strip_fcs(&rx.data) else {
+        let Some(body) = heard.body() else {
             self.stats.fcs_errors += 1;
             return None;
         };
@@ -256,7 +258,7 @@ impl Tnc {
             }
         }
         self.stats.passed_to_host += 1;
-        Some(kiss::encode(0, Command::Data, body))
+        heard.kiss()
     }
 
     /// Drives the CSMA transmitter; call on channel events and deadlines.
@@ -348,14 +350,18 @@ mod tests {
         rng: &mut SimRng,
     ) -> Vec<(StationId, Vec<u8>)> {
         let mut out = Vec::new();
+        let mut heard = Heard::default();
         a.poll(SimTime::ZERO, ch, rng);
         b.poll(SimTime::ZERO, ch, rng);
         while let Some(t) = ch.next_deadline() {
-            for rx in ch.advance(t) {
-                for tnc in [&mut *a, &mut *b] {
-                    if tnc.station() == rx.to {
-                        if let Some(bytes) = tnc.on_reception(&rx) {
-                            out.push((rx.to, bytes));
+            while ch.hear_next(t, &mut heard) {
+                for k in 0..heard.listeners().len() {
+                    let (to, corrupted) = heard.listeners()[k];
+                    for tnc in [&mut *a, &mut *b] {
+                        if tnc.station() == to {
+                            if let Some(bytes) = tnc.on_reception(&mut heard, corrupted) {
+                                out.push((to, bytes.to_vec()));
+                            }
                         }
                     }
                 }
@@ -444,28 +450,16 @@ mod tests {
     #[test]
     fn corrupted_reception_is_counted_as_fcs_error() {
         let (_ch, _a, mut b, _rng) = setup(RxMode::Promiscuous);
-        let rx = Reception {
-            to: b.station(),
-            from: StationId(0),
-            data: vec![0; 20],
-            corrupted: true,
-            at: SimTime::ZERO,
-        };
-        assert!(b.on_reception(&rx).is_none());
+        let mut heard = Heard::new(StationId(0), SimTime::ZERO, vec![0; 20]);
+        assert!(b.on_reception(&mut heard, true).is_none());
         assert_eq!(b.stats().fcs_errors, 1);
     }
 
     #[test]
     fn bad_fcs_bytes_are_dropped() {
         let (_ch, _a, mut b, _rng) = setup(RxMode::Promiscuous);
-        let rx = Reception {
-            to: b.station(),
-            from: StationId(0),
-            data: b"not a real frame".to_vec(),
-            corrupted: false,
-            at: SimTime::ZERO,
-        };
-        assert!(b.on_reception(&rx).is_none());
+        let mut heard = Heard::new(StationId(0), SimTime::ZERO, b"not a real frame".to_vec());
+        assert!(b.on_reception(&mut heard, false).is_none());
         assert_eq!(b.stats().fcs_errors, 1);
     }
 

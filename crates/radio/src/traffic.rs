@@ -119,6 +119,7 @@ impl BeaconStation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Heard;
     use sim::Bandwidth;
 
     fn cfg(mean_ms: u64) -> BeaconConfig {
@@ -144,13 +145,12 @@ mod tests {
         let _listener = ch.add_station();
         let mut b = BeaconStation::new(cfg(100), sta, SimRng::seed_from(11));
         let horizon = SimTime::from_secs(60);
+        let mut heard = Heard::default();
         let mut now = SimTime::ZERO;
         while now < horizon {
             b.poll(now, &mut ch);
             if let Some(t) = ch.next_deadline() {
-                if t <= horizon {
-                    ch.advance(t);
-                }
+                while t <= horizon && ch.hear_next(t, &mut heard) {}
             }
             now = b
                 .next_deadline()
@@ -173,9 +173,10 @@ mod tests {
         let t = b.next_deadline().unwrap();
         b.poll(t, &mut ch);
         let end = ch.next_deadline().expect("frame on air");
-        let rx = ch.advance(end);
-        let to_listener = rx.iter().find(|r| r.to == listener).unwrap();
-        let frame = crate::tnc::Tnc::parse_on_air(&to_listener.data).unwrap();
+        let mut heard = Heard::default();
+        assert!(ch.hear_next(end, &mut heard));
+        assert_eq!(heard.listeners(), [(listener, false)]);
+        let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
         assert_eq!(frame.info.len(), 64);
         assert!(String::from_utf8_lossy(&frame.info).contains("de BG1"));
     }
@@ -188,12 +189,13 @@ mod tests {
             let _l = ch.add_station();
             let mut b = BeaconStation::new(cfg(50), sta, SimRng::seed_from(99));
             let mut times = Vec::new();
+            let mut heard = Heard::default();
             for _ in 0..20 {
                 let now = b.next_deadline().unwrap();
                 b.poll(now, &mut ch);
                 times.push(now);
                 while let Some(t) = ch.next_deadline() {
-                    ch.advance(t);
+                    while ch.hear_next(t, &mut heard) {}
                 }
             }
             times

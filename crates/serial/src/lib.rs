@@ -20,10 +20,10 @@
 //!   [`SerialLine::next_deadline`], call [`SerialLine::advance`] when the
 //!   clock reaches it, and [`SerialLine::drain_rx`] the receive FIFO;
 //! * **per frame** — callers poll [`SerialLine::next_boundary`] (the
-//!   completion time of the next [`FRAME_END`] character) and pull whole
-//!   line-paced runs with [`SerialLine::take_run`]. A receiver that only
-//!   buffers and counts bytes until a frame delimiter arrives cannot tell
-//!   the two apart (DESIGN.md §6).
+//!   completion time of the next *closing* [`FRAME_END`] character) and
+//!   pull whole line-paced runs with [`SerialLine::take_run`]. A receiver
+//!   that only buffers and counts bytes until a frame delimiter closes a
+//!   frame cannot tell the two apart (DESIGN.md §6).
 //!
 //! # Examples
 //!
@@ -55,7 +55,27 @@ use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 /// Every link protocol this workspace puts on a serial line delimits its
 /// frames with it, so a character before the next `FRAME_END` can only be
 /// buffered by the receiver.
+///
+/// Only a *closing* `FRAME_END` ends a run: one whose predecessor on the
+/// wire is not itself a `FRAME_END`. A `FRAME_END` directly after another
+/// (the leading delimiter of a back-to-back frame, idle padding) finds a
+/// deframer the previous one just emptied and can complete nothing —
+/// **provided the receiver saw that previous one**. The line cannot check
+/// that; a receiver that discards input (a powered-down host) must come
+/// back with an empty deframer (DESIGN.md §6).
 pub const FRAME_END: u8 = 0xC0;
+
+/// Index of the first closing [`FRAME_END`] in `bytes`, given the byte
+/// that precedes them on the wire.
+fn first_closing(prev: u8, bytes: &[u8]) -> Option<usize> {
+    let skip = if prev == FRAME_END {
+        bytes.iter().take_while(|&&b| b == FRAME_END).count()
+    } else {
+        0
+    };
+    // Whatever `find_byte` finds now follows `prev` or a data byte.
+    find_byte(&bytes[skip..], FRAME_END).map(|i| skip + i)
+}
 
 /// Which end of the line a byte is sent from (the other end receives it).
 ///
@@ -158,8 +178,11 @@ struct Direction {
     tx_queue: VecDeque<u8>,
     /// The character currently on the wire and when it finishes.
     in_flight: Option<(SimTime, u8)>,
-    /// Position of the first [`FRAME_END`] among the pending characters
-    /// (0 = the one in flight, `i + 1` = `tx_queue[i]`), if there is one.
+    /// The character that last left the wire (0 before the first).
+    last_out: u8,
+    /// Position of the first closing [`FRAME_END`] among the pending
+    /// characters (0 = the one in flight, `i + 1` = `tx_queue[i]`), if
+    /// there is one.
     delim_at: Option<usize>,
     /// Received characters waiting for the receiver to take them.
     rx_fifo: VecDeque<u8>,
@@ -171,6 +194,7 @@ impl Direction {
         Direction {
             tx_queue: VecDeque::new(),
             in_flight: None,
+            last_out: 0,
             delim_at: None,
             rx_fifo: VecDeque::new(),
             stats: DirStats::default(),
@@ -178,18 +202,19 @@ impl Direction {
     }
 
     /// Completion time of this direction's boundary character: the first
-    /// pending [`FRAME_END`], else the last pending character.
+    /// pending closing [`FRAME_END`], else the last pending character.
     fn boundary(&self, char_time: SimDuration) -> Option<SimTime> {
         let (done, _) = self.in_flight?;
         let ahead = self.delim_at.unwrap_or(self.tx_queue.len());
         Some(done + char_time * ahead as u64)
     }
 
-    /// After the first `n` pending characters have left (the one in
-    /// flight and `n − 1` already removed from the queue's front): puts
-    /// the next queued character on the wire, completing at `next_done`,
-    /// and re-derives `delim_at`.
-    fn start_next(&mut self, n: usize, next_done: SimTime) {
+    /// After the first `n` pending characters have left, `last` the final
+    /// one (the one in flight and `n − 1` already removed from the queue's
+    /// front): puts the next queued character on the wire, completing at
+    /// `next_done`, and re-derives `delim_at`.
+    fn start_next(&mut self, n: usize, last: u8, next_done: SimTime) {
+        self.last_out = last;
         self.in_flight = self.tx_queue.pop_front().map(|b| (next_done, b));
         self.delim_at = match self.delim_at {
             Some(k) if k >= n => Some(k - n),
@@ -198,15 +223,26 @@ impl Direction {
         };
     }
 
+    /// The last pending character, else the last one that left.
+    fn last_byte(&self) -> u8 {
+        let pending = self.tx_queue.back().copied();
+        pending
+            .or(self.in_flight.map(|f| f.1))
+            .unwrap_or(self.last_out)
+    }
+
     fn find_delim(&self) -> Option<usize> {
-        let (_, b) = self.in_flight?;
-        if b == FRAME_END {
-            return Some(0);
-        }
+        let first = [self.in_flight?.1];
         let (head, tail) = self.tx_queue.as_slices();
-        find_byte(head, FRAME_END)
-            .map(|i| 1 + i)
-            .or_else(|| find_byte(tail, FRAME_END).map(|i| 1 + head.len() + i))
+        let (mut prev, mut base) = (self.last_out, 0);
+        for part in [&first[..], head, tail] {
+            if let Some(i) = first_closing(prev, part) {
+                return Some(base + i);
+            }
+            prev = part.last().copied().unwrap_or(prev);
+            base += part.len();
+        }
+        None
     }
 }
 
@@ -262,9 +298,9 @@ impl SerialLine {
         dir.stats.sent += bytes.len() as u64;
         if dir.delim_at.is_none() {
             let pending = dir.tx_queue.len() + usize::from(dir.in_flight.is_some());
-            dir.delim_at = find_byte(bytes, FRAME_END).map(|i| pending + i);
+            dir.delim_at = first_closing(dir.last_byte(), bytes).map(|i| pending + i);
         }
-        dir.tx_queue.extend(bytes.iter().copied());
+        dir.tx_queue.extend(bytes);
         if dir.in_flight.is_none() {
             if let Some(b) = dir.tx_queue.pop_front() {
                 dir.in_flight = Some((now + char_time, b));
@@ -306,10 +342,10 @@ impl SerialLine {
 
     /// The earliest time a receiver must look at this line when it pulls
     /// runs with [`SerialLine::take_run`]: per direction, the completion
-    /// time of the first pending [`FRAME_END`], else of the last pending
-    /// character. Everything completing before that is a character its
-    /// receiver can only buffer, so it may be picked up late — at this
-    /// instant, or at any earlier [`SerialLine::take_run`].
+    /// time of the first pending closing [`FRAME_END`] (see there), else of
+    /// the last pending character. Everything completing before that is a
+    /// character its receiver can only buffer, so it may be picked up late
+    /// — at this instant, or at any earlier [`SerialLine::take_run`].
     ///
     /// A noisy line or one with a zero-depth FIFO reports
     /// [`SerialLine::next_deadline`]: it must be visited per character.
@@ -342,7 +378,7 @@ impl SerialLine {
                     dir.stats.delivered += 1;
                     delivered += 1;
                 }
-                dir.start_next(1, done + char_time);
+                dir.start_next(1, byte, done + char_time);
             }
         }
         self.recache(char_time);
@@ -351,7 +387,9 @@ impl SerialLine {
 
     /// Pulls the next line-paced run addressed to `to` off the wire: the
     /// pending characters that complete at or before `now`, up to and
-    /// including the first [`FRAME_END`]. `out` is cleared and filled with
+    /// including the first closing [`FRAME_END`] — so a frame sent as
+    /// `FEND cmd … FEND` behind another is one run, leading delimiter
+    /// included. `out` is cleared and filled with
     /// the run; `None` (and an empty `out`) means nothing is due. Call
     /// until `None` to bring `to` fully up to `now`.
     ///
@@ -393,7 +431,7 @@ impl SerialLine {
         dir.tx_queue.drain(..n - 1);
         let t_last = t0 + char_time * (n as u64 - 1);
         dir.stats.delivered += n as u64;
-        dir.start_next(n, t_last + char_time);
+        dir.start_next(n, out[n - 1], t_last + char_time);
         self.recache(char_time);
         Some(RunInfo { t0, t_last })
     }
@@ -623,40 +661,74 @@ mod tests {
         got
     }
 
-    #[test]
-    fn runs_end_at_frame_delimiters_and_match_per_character_delivery() {
-        let cfg = SerialConfig::baud(9600);
-        let ct = cfg.char_time();
-        let far = SimTime::from_secs(10);
-        let wire = b"\xC0hello\xC0\xC0tail";
-        let mut reference = SerialLine::new(cfg);
-        reference.send(SimTime::ZERO, End::A, wire);
-        let expect = per_char(&mut reference, End::B, far);
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, wire);
-        // Boundaries: each FEND in turn, then the last queued character.
-        let mut run = Vec::new();
-        let mut runs = Vec::new();
+    /// Sends `wire` at `at` on a reference line (per character) and on
+    /// `line` (one `take_run` per boundary); returns the runs after
+    /// checking both saw the same bytes at the same instants.
+    fn runs_of(
+        reference: &mut SerialLine,
+        line: &mut SerialLine,
+        at: SimTime,
+        wire: &[u8],
+    ) -> Vec<Vec<u8>> {
+        let ct = line.config().char_time();
+        let far = at + SimDuration::from_secs(10);
+        reference.send(at, End::A, wire);
+        line.send(at, End::A, wire);
+        let expect = per_char(reference, End::B, far);
+        let (mut run, mut runs, mut got) = (Vec::new(), Vec::new(), Vec::new());
         while let Some(t) = line.next_boundary() {
             let info = line.take_run(End::B, t, &mut run).expect("boundary is due");
             assert_eq!(info.t_last, t, "a run ends exactly at its boundary");
+            got.extend((0u64..).zip(&run).map(|(i, &b)| (info.t0 + ct * i, b)));
             runs.push(run.clone());
             assert!(line.take_run(End::B, t, &mut run).is_none());
         }
-        assert_eq!(
-            runs,
-            [&b"\xC0"[..], b"hello\xC0", b"\xC0", b"tail"].map(<[u8]>::to_vec)
-        );
+        assert_eq!(got, expect);
+        assert_eq!(expect.last().unwrap().0, at + ct * wire.len() as u64);
         assert_eq!(line.stats(End::A), reference.stats(End::A));
         assert!(line.is_idle());
-        // And the same bytes at the same instants.
-        let mut again = SerialLine::new(cfg);
-        again.send(SimTime::ZERO, End::A, wire);
-        assert_eq!(by_runs(&mut again, End::B, far), expect);
+        runs
+    }
+
+    #[test]
+    fn runs_end_at_frame_delimiters_and_match_per_character_delivery() {
+        let cfg = SerialConfig::baud(9600);
+        let mut reference = SerialLine::new(cfg);
+        let mut line = SerialLine::new(cfg);
+        let mut at = SimTime::ZERO;
+        let mut runs = |wire: &[u8]| {
+            at += SimDuration::from_secs(20);
+            runs_of(&mut reference, &mut line, at, wire)
+        };
+        // Boundaries: each closing FEND in turn, then the last queued
+        // character. Nothing is known about what preceded a fresh line's
+        // first byte, so a leading FEND there counts as closing.
         assert_eq!(
-            expect.last().unwrap().0,
-            SimTime::ZERO + ct * wire.len() as u64
+            runs(b"\xC0hello\xC0\xC0tail"),
+            [&b"\xC0"[..], b"hello\xC0", b"\xC0tail"].map(<[u8]>::to_vec)
         );
+        // Back-to-back KISS frames are one run each, leading FEND and all;
+        // padding FENDs ride along with the frame that follows them.
+        assert_eq!(
+            runs(b"\xC0\x00ab\xC0\xC0\x00cd\xC0\xC0\xC0\xC0\x00ef\xC0"),
+            [
+                &b"\xC0"[..], // after "tail": closes whatever "tail" began
+                b"\x00ab\xC0",
+                b"\xC0\x00cd\xC0",
+                b"\xC0\xC0\xC0\x00ef\xC0"
+            ]
+            .map(<[u8]>::to_vec)
+        );
+        // A lone FEND sent while idle, after a FEND: not closing, but the
+        // last pending character is a boundary all the same.
+        assert_eq!(runs(b"\xC0"), [b"\xC0".to_vec()]);
+        // The wire remembers it across the idle gap.
+        assert_eq!(runs(b"\xC0\x00gh\xC0"), [b"\xC0\x00gh\xC0".to_vec()]);
+        // Idle padding alone never splits.
+        assert_eq!(runs(b"\xC0\xC0\xC0"), [b"\xC0\xC0\xC0".to_vec()]);
+        // A lone FEND after a data byte closes.
+        assert_eq!(runs(b"x"), [b"x".to_vec()]);
+        assert_eq!(runs(b"\xC0y"), [&b"\xC0"[..], b"y"].map(<[u8]>::to_vec));
     }
 
     #[test]

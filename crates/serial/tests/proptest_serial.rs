@@ -82,10 +82,16 @@ impl ByBoundaries {
             let n = self.run.len();
             assert_eq!(info.t_last, info.t0 + ct * (n as u64 - 1));
             assert!(info.t_last <= now);
-            let delim = self.run.iter().position(|&b| b == FRAME_END);
-            assert!(delim.is_none_or(|i| i == n - 1), "{:?}", self.run);
+            // Only a closing delimiter ends a run: any other one in it
+            // directly follows a delimiter on the wire.
+            let seen = &mut self.seen[usize::from(to == End::B)];
+            let mut prev = seen.last().map_or(0, |&(_, b)| b);
+            for &b in &self.run[..n - 1] {
+                assert!(b != FRAME_END || prev == FRAME_END, "{:?}", self.run);
+                prev = b;
+            }
             let times = (0..n as u64).map(|k| info.t0 + ct * k);
-            self.seen[usize::from(to == End::B)].extend(times.zip(self.run.iter().copied()));
+            seen.extend(times.zip(self.run.iter().copied()));
         }
     }
 

@@ -30,8 +30,7 @@ done
 echo "==> sharded-engine digest smoke (2 workers vs reference)"
 cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke
 
-echo "==> E17 flood smoke (filter engine acceptance bars)"
-cargo build --release -p bench --bin e17_filter_flood
-./target/release/e17_filter_flood > /dev/null
+echo "==> E1-E18 outputs byte-identical to results/ (E17 checks its acceptance bars on the way)"
+scripts/run_all_experiments.sh --check
 
 echo "==> all checks passed"

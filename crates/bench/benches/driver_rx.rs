@@ -15,7 +15,8 @@
 //! one FCS check, one KISS encoding, shared). The whole-world transit
 //! path — Ethernet host → segment → gateway → forward → output hook — is
 //! not allocation-free yet; its count per datagram is pinned so it can
-//! only ratchet down.
+//! only ratchet down. Re-entering a world nobody touched since its last
+//! run call is: no allocation, and no poll beyond its apps.
 
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
@@ -180,13 +181,13 @@ fn bench_serial_per_char(c: &mut Criterion) {
 }
 
 /// Heap allocations per radio transmission, whole world, in steady state:
-/// what the beacon spends building its frame. Hearing it is free — the
+/// the one buffer the beacon builds its frame in. Hearing it is free — the
 /// on-air bytes move out of the channel once, the FCS is checked once,
 /// the KISS encoding is made once into a reused buffer and `send`-ed up
 /// every listener's line, and a host that drops the frame as not-for-us
 /// never touches the heap. Lower it when the path gets leaner, never
 /// raise it.
-const FANOUT_ALLOCS_PER_TRANSMISSION: u64 = 5;
+const FANOUT_ALLOCS_PER_TRANSMISSION: u64 = 1;
 
 /// One chattering station on a channel with `listeners` promiscuous TNCs,
 /// each on its own serial line to its own host; nobody is addressed.
@@ -225,12 +226,8 @@ fn bench_radio_fanout(c: &mut Criterion) {
         let (mut w, chan) = fanout_world(listeners);
         // Warm-up: line queues, the calendar, scratch buffers.
         w.run_for(SimDuration::from_secs(200));
-        // A run call's entry rebuilds the engine's routing maps, which
-        // allocates per component, not per transmission: an empty call
-        // measures that, and it is taken off.
-        let entry = allocs_during(|| w.run_for(SimDuration::ZERO));
         let before = w.channel(chan).stats();
-        let allocs = allocs_during(|| w.run_for(SimDuration::from_secs(2_000))) - entry;
+        let allocs = allocs_during(|| w.run_for(SimDuration::from_secs(2_000)));
         let after = w.channel(chan).stats();
         let txs = after.transmissions - before.transmissions;
         assert!(txs > 300, "{txs} transmissions");
@@ -266,7 +263,7 @@ fn bench_radio_fanout(c: &mut Criterion) {
 /// radio driver's output hook. Counted over the whole world (sender
 /// included) in steady state. The bound is the measured count — lower it
 /// when the path gets leaner, never raise it.
-const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 13;
+const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 6;
 
 fn bench_denied_transit(c: &mut Criterion) {
     let mut s = scenario::paper_topology(PaperConfig::default(), 5);
@@ -314,12 +311,58 @@ fn bench_denied_transit(c: &mut Criterion) {
     g.finish();
 }
 
+/// Re-entering a world nobody touched (DESIGN.md §6, run-call contract):
+/// on a warm 8×4 mesh, 100 run calls over an idle stretch allocate nothing
+/// and poll only the apps — not every line, channel, TNC and host of all
+/// eight islands, which is what a full sync per call would visit.
+fn bench_reentry(c: &mut Criterion) {
+    const GATEWAYS: usize = 8;
+    const HOSTS_PER_GW: usize = 4;
+    let mut m = scenario::mesh(GATEWAYS, HOSTS_PER_GW, 16);
+    for g in 0..GATEWAYS {
+        for i in 0..HOSTS_PER_GW {
+            let dst = scenario::city::host_ip((g + 1) % GATEWAYS, i);
+            let id = (g * HOSTS_PER_GW + i) as u16;
+            let ping = apps::ping::Pinger::new(dst, id, 3, SimDuration::from_secs(20), 64)
+                .delayed(SimDuration::from_millis(977 * u64::from(id)));
+            m.world.add_app(m.hosts[g][i], Box::new(ping));
+        }
+    }
+    // Warm-up: every ping answered or given up on, every buffer sized.
+    m.world.run_for(SimDuration::from_secs(600));
+    const CALLS: u64 = 100;
+    let idle = |w: &mut World| {
+        for _ in 0..CALLS {
+            w.run_for(SimDuration::from_millis(10));
+        }
+    };
+    let polled0 = m.world.sched_stats().polled;
+    let allocs = allocs_during(|| idle(&mut m.world));
+    let polled = m.world.sched_stats().polled - polled0;
+    eprintln!("world/reentry: {allocs} heap allocations, {polled} polls / {CALLS} run calls");
+    assert_eq!(
+        allocs, 0,
+        "re-entering an untouched world must not allocate"
+    );
+    // Per call: every app, its host's flush, one pass per shard.
+    let apps = (GATEWAYS * HOSTS_PER_GW) as u64;
+    assert!(
+        polled <= CALLS * (apps + apps + GATEWAYS as u64),
+        "{polled} polls over {CALLS} idle run calls"
+    );
+    let mut g = c.benchmark_group("world");
+    g.throughput(Throughput::Elements(CALLS));
+    g.bench_function("reentry", |b| b.iter(|| idle(&mut m.world)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_rint,
     bench_output,
     bench_serial_per_char,
     bench_radio_fanout,
-    bench_denied_transit
+    bench_denied_transit,
+    bench_reentry
 );
 criterion_main!(benches);

@@ -278,6 +278,21 @@ pub(crate) struct ShardData {
     pub listeners: Vec<Vec<Option<Listener>>>,
     /// Per world segment, indexed by NIC: the local host it delivers to.
     pub nic_hosts: Vec<Vec<Option<usize>>>,
+    /// Per line, the host / TNC at its ends; per channel, its MACs; per
+    /// host, its apps — each in index order. Like `listeners`, kept by
+    /// the `World` builders that add the component (first match, like the
+    /// reference stepper's linear `find`).
+    pub line_host: Vec<Option<usize>>,
+    pub line_tnc: Vec<Option<usize>>,
+    pub chan_tncs: Vec<Vec<usize>>,
+    pub chan_digis: Vec<Vec<usize>>,
+    pub chan_beacons: Vec<Vec<usize>>,
+    pub host_apps: Vec<Vec<usize>>,
+    /// Someone outside the engine held `&mut` into this shard (or the
+    /// reference stepper ran it) since its last full `sync_all`: the
+    /// calendar may be behind its components (DESIGN.md §6, run-call
+    /// contract). Set by `World::touch`, cleared by `enter`.
+    pub stale: bool,
     /// Global `HostId` of each local host (event attribution).
     pub host_gids: Vec<usize>,
     pub record_events: bool,
@@ -292,16 +307,10 @@ pub(crate) struct ShardData {
     out_seq: u64,
     /// The engine of the current (or last) run call, set by `enter`.
     mode: Mode,
+    /// Calendar and dirty set outlive a run call: between calls they hold
+    /// what the exit flush registered and marked.
     sched: Scheduler<Key>,
     dirty: DirtySet,
-    /// Routing maps rebuilt by `sync_all` (first match, like the
-    /// reference stepper's linear `find`).
-    line_host: Vec<Option<usize>>,
-    line_tnc: Vec<Option<usize>>,
-    chan_tncs: Vec<Vec<usize>>,
-    chan_digis: Vec<Vec<usize>>,
-    chan_beacons: Vec<Vec<usize>>,
-    host_apps: Vec<Vec<usize>>,
     /// Hosts to flush after the app-poll step of the current pass.
     flush_after_apps: DirtyCat,
     /// Reusable buffer for draining dirty lists in index order.
@@ -329,6 +338,13 @@ impl ShardData {
             apps: Vec::new(),
             listeners: Vec::new(),
             nic_hosts: Vec::new(),
+            line_host: Vec::new(),
+            line_tnc: Vec::new(),
+            chan_tncs: Vec::new(),
+            chan_digis: Vec::new(),
+            chan_beacons: Vec::new(),
+            host_apps: Vec::new(),
+            stale: true,
             host_gids: Vec::new(),
             record_events: true,
             events: Vec::new(),
@@ -339,12 +355,6 @@ impl ShardData {
             mode: Mode::Scan,
             sched: Scheduler::new(),
             dirty: DirtySet::default(),
-            line_host: Vec::new(),
-            line_tnc: Vec::new(),
-            chan_tncs: Vec::new(),
-            chan_digis: Vec::new(),
-            chan_beacons: Vec::new(),
-            host_apps: Vec::new(),
             flush_after_apps: DirtyCat::default(),
             scratch: Vec::new(),
             run_scratch: Vec::new(),
@@ -363,17 +373,87 @@ impl ShardData {
         self.sched.len()
     }
 
-    /// Run-call entry under `mode`: start new apps, then settle the entry
-    /// instant (the indexed engine first rebuilds its calendar).
+    /// Whether `key` is waiting in the dirty set.
+    #[cfg(test)]
+    pub(crate) fn is_dirty(&mut self, key: Key) -> bool {
+        let (cat, i) = self.dirty.cat(key);
+        cat.flags[i]
+    }
+
+    /// Run-call entry under `mode` (DESIGN.md §6, run-call contract). A
+    /// stale shard starts its new apps and runs the full `sync_all`; a
+    /// shard nobody touched keeps its calendar and dirty set and marks
+    /// only what can have moved behind the world's back — its apps, which
+    /// callers command through `Rc` handles between run calls, and the
+    /// world-owned segments a one-shard world hands it. Either way the
+    /// entry instant is then settled. The reference stepper never feeds
+    /// the calendar, so a shard it ran is stale.
     pub(crate) fn enter(&mut self, mode: Mode, segs: &mut Segs<'_>) {
         self.mode = mode;
-        self.start_apps();
         match mode {
             Mode::Indexed => {
-                self.sync_all(segs);
+                if std::mem::take(&mut self.stale) {
+                    self.start_apps();
+                    self.sync_all(segs);
+                } else {
+                    self.debug_check_registrations();
+                    for ai in 0..self.apps.len() {
+                        self.dirty.mark(Key::App(ai));
+                    }
+                    for si in 0..segs.as_ref().map_or(0, |s| s.len()) {
+                        self.dirty.mark(Key::Seg(si));
+                    }
+                }
                 self.settle_dirty(segs);
             }
-            Mode::Scan => self.settle_scan(segs),
+            Mode::Scan => {
+                self.stale = true;
+                self.start_apps();
+                self.settle_scan(segs);
+            }
+        }
+    }
+
+    /// The calendar invariant an untouched shard re-enters on: every
+    /// component outside the dirty set is registered at its current
+    /// deadline. (Apps and segments are re-marked regardless.) It fails
+    /// when something moved a component between run calls without going
+    /// through `World`'s `*_mut` accessors or builders — e.g. through an
+    /// `Rc` handed out by a shared borrow — which would otherwise delay
+    /// an event silently.
+    fn debug_check_registrations(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let check = |key: Key, dirty: &DirtyCat, i: usize, current: Option<SimTime>| {
+            assert!(
+                dirty.flags[i] || self.sched.deadline_of(key) == current,
+                "{key:?} moved from {:?} to {current:?} between run calls behind the world's back",
+                self.sched.deadline_of(key),
+            );
+        };
+        for (i, l) in self.lines.iter().enumerate() {
+            check(Key::Line(i), &self.dirty.lines, i, l.next_boundary());
+        }
+        for (i, c) in self.channels.iter().enumerate() {
+            check(Key::Chan(i), &self.dirty.chans, i, c.next_deadline());
+        }
+        for (i, t) in self.tncs.iter().enumerate() {
+            check(Key::Tnc(i), &self.dirty.tncs, i, t.tnc.next_deadline());
+        }
+        for (i, d) in self.digis.iter().enumerate() {
+            check(Key::Digi(i), &self.dirty.digis, i, d.digi.next_deadline());
+        }
+        for (i, b) in self.beacons.iter().enumerate() {
+            check(
+                Key::Beacon(i),
+                &self.dirty.beacons,
+                i,
+                b.beacon.next_deadline(),
+            );
+        }
+        for (i, h) in self.hosts.iter().enumerate() {
+            check(Key::Host(i), &self.dirty.hosts, i, h.host.next_deadline());
         }
     }
 
@@ -464,41 +544,10 @@ impl ShardData {
         self.apps = apps;
     }
 
-    /// Rebuilds the routing maps, registers every component's current
-    /// deadline, and marks everything dirty — run-call entry is the one
-    /// moment external mutations (via `host_mut`, `tnc_mut`, new
-    /// components…) can have happened without the world noticing.
+    /// The full sync of a stale shard: registers every component's
+    /// current deadline and marks everything dirty, whatever a holder of
+    /// `&mut` into the shard did to it.
     fn sync_all(&mut self, segs: &mut Segs<'_>) {
-        self.line_host = vec![None; self.lines.len()];
-        for (hi, h) in self.hosts.iter().enumerate() {
-            if let Some(li) = h.serial {
-                if self.line_host[li].is_none() {
-                    self.line_host[li] = Some(hi);
-                }
-            }
-        }
-        self.line_tnc = vec![None; self.lines.len()];
-        for (ti, t) in self.tncs.iter().enumerate() {
-            if self.line_tnc[t.line].is_none() {
-                self.line_tnc[t.line] = Some(ti);
-            }
-        }
-        self.chan_tncs = vec![Vec::new(); self.channels.len()];
-        for (ti, t) in self.tncs.iter().enumerate() {
-            self.chan_tncs[t.chan].push(ti);
-        }
-        self.chan_digis = vec![Vec::new(); self.channels.len()];
-        for (di, d) in self.digis.iter().enumerate() {
-            self.chan_digis[d.chan].push(di);
-        }
-        self.chan_beacons = vec![Vec::new(); self.channels.len()];
-        for (bi, b) in self.beacons.iter().enumerate() {
-            self.chan_beacons[b.chan].push(bi);
-        }
-        self.host_apps = vec![Vec::new(); self.hosts.len()];
-        for (ai, a) in self.apps.iter().enumerate() {
-            self.host_apps[a.host].push(ai);
-        }
         let nsegs = segs.as_ref().map_or(0, |s| s.len());
         let sizes = [
             self.lines.len(),
@@ -638,12 +687,35 @@ impl ShardData {
         }
     }
 
+    /// Settle step 1 for line `li`, also the exit flush's visit: delivers
+    /// the runs due by `upto`, wakes the receivers they touched — a host
+    /// that only took interrupts for other stations' frames stays asleep,
+    /// like a host mid-frame (catch-up on touch covers whoever looks) —
+    /// and registers the line's next boundary. Returns whether either end
+    /// was woken.
+    fn visit_line(&mut self, li: usize, upto: SimTime) -> bool {
+        let (host_got, tnc_got) = self.deliver_line(li, upto);
+        if let Some(hi) = self.line_host[li].filter(|_| host_got) {
+            self.dirty.mark(Key::Host(hi));
+            self.mark_apps(hi);
+        }
+        if let Some(ti) = self.line_tnc[li].filter(|_| tnc_got) {
+            self.dirty.mark(Key::Tnc(ti));
+        }
+        self.reg(Key::Line(li), self.lines[li].next_boundary());
+        host_got || tnc_got
+    }
+
     /// Flush on exit: every run call returns with all characters due at
     /// or before `limit` delivered, so chunked runs equal one run and
-    /// public stats are exact between calls.
+    /// public stats are exact between calls. Whoever a flushed run woke
+    /// stays in the dirty set for the next entry to settle — an untouched
+    /// shard re-enters without a full sync.
     fn flush_lines(&mut self, limit: SimTime) {
         for li in 0..self.lines.len() {
-            self.deliver_line(li, limit);
+            if self.lines[li].next_deadline().is_some_and(|t| t <= limit) {
+                self.visit_line(li, limit);
+            }
         }
     }
 
@@ -659,25 +731,14 @@ impl ShardData {
             let mut polled: u64 = 0;
 
             // 1. Serial lines: deliver the runs that are due, wake the
-            // receivers they touched — a host that only took interrupts
-            // for other stations' frames stays asleep, like a host
-            // mid-frame (catch-up on touch covers whoever looks).
+            // receivers they touched.
             todo.clear();
             if !self.dirty.lines.list.is_empty() {
                 self.dirty.count -= self.dirty.lines.drain_into(&mut todo);
             }
             for &li in &todo {
                 polled += 1;
-                let (host_got, tnc_got) = self.deliver_line(li, now);
-                progressed |= host_got || tnc_got;
-                if let Some(hi) = self.line_host[li].filter(|_| host_got) {
-                    self.dirty.mark(Key::Host(hi));
-                    self.mark_apps(hi);
-                }
-                if let Some(ti) = self.line_tnc[li].filter(|_| tnc_got) {
-                    self.dirty.mark(Key::Tnc(ti));
-                }
-                self.reg(Key::Line(li), self.lines[li].next_boundary());
+                progressed |= self.visit_line(li, now);
             }
 
             // 2. Radio channels: completed transmissions become
@@ -814,15 +875,14 @@ impl ShardData {
             for &hi in &todo {
                 polled += 1;
                 self.catch_up_host(hi);
-                if self.hosts[hi]
-                    .host
-                    .next_deadline()
-                    .is_some_and(|t| t <= now)
-                {
+                let mut deadline = self.hosts[hi].host.next_deadline();
+                let due = deadline.is_some_and(|t| t <= now);
+                if due {
                     self.hosts[hi].host.advance(now);
                     self.mark_apps(hi);
                 }
-                if self.flush_host(now, hi, segs) {
+                let flushed = self.flush_host(now, hi, segs);
+                if flushed {
                     progressed = true;
                     // on_event handlers may have queued more output and
                     // changed app state; catch both this instant.
@@ -830,7 +890,11 @@ impl ShardData {
                     self.mark_apps(hi);
                     self.flush_after_apps.mark(hi);
                 }
-                self.reg(Key::Host(hi), self.hosts[hi].host.next_deadline());
+                // A host that neither ran nor flushed is where it was.
+                if due || flushed {
+                    deadline = self.hosts[hi].host.next_deadline();
+                }
+                self.reg(Key::Host(hi), deadline);
             }
 
             // 6. Applications: poll dirty apps in index order, then flush

@@ -29,12 +29,14 @@
 //! All components are sans-io state machines from the substrate crates;
 //! this module is the only place where they touch.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, RwLock};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 
 use ax25::addr::Ax25Addr;
 use ether::{EtherFrame, NicId, Segment};
@@ -228,8 +230,10 @@ pub struct World {
     pending: BinaryHeap<Reverse<PendingSend>>,
     /// Recycled delivery frames (§11 zero-alloc hand-off pool).
     spare_frames: Vec<EtherFrame>,
-    /// The coordinator's per-window active list (kept here so a run call
-    /// allocates nothing for it).
+    /// The coordinator's calendar — per shard, its earliest event — and
+    /// its per-window active list (kept here so a run call allocates
+    /// nothing for them; see `Engine`).
+    next_due: Vec<AtomicU64>,
     active: Vec<usize>,
     engine_stats: EngineStats,
     /// Shards hold `Rc` graphs; the world must stay on one thread (worker
@@ -256,6 +260,7 @@ impl World {
             workers: 1,
             pending: BinaryHeap::new(),
             spare_frames: Vec::new(),
+            next_due: Vec::new(),
             active: Vec::new(),
             engine_stats: EngineStats::default(),
             _not_send: PhantomData,
@@ -318,6 +323,15 @@ impl World {
         self.shards.len()
     }
 
+    /// Exclusive access to shard `i` for a builder or a `*_mut` accessor.
+    /// Whatever the caller does with it, the shard's next run call starts
+    /// with a full sync (DESIGN.md §6, run-call contract).
+    fn touch(&mut self, i: usize) -> &mut ShardData {
+        let sh = self.shards[i].get_mut();
+        sh.stale = true;
+        sh
+    }
+
     // --- Topology building -------------------------------------------------
 
     /// Adds a shard: an independently stepped island of components.
@@ -325,7 +339,7 @@ impl World {
     /// attached to it live in one shard; only Ethernet segments may span
     /// shards.
     pub fn add_shard(&mut self) -> ShardId {
-        let rng = self.shards[0].get_mut().rng.fork();
+        let rng = self.touch(0).rng.fork();
         self.shards.push(ShardBox::new(ShardData::new(rng)));
         ShardId(self.shards.len() - 1)
     }
@@ -337,10 +351,17 @@ impl World {
 
     /// Adds a radio channel to a shard.
     pub fn add_channel_in(&mut self, shard: ShardId, rate: Bandwidth) -> ChanId {
-        let sh = self.shards[shard.0].get_mut();
-        sh.channels.push(Channel::new(rate));
-        self.chan_map
-            .push((shard.0 as u32, (sh.channels.len() - 1) as u32));
+        self.push_channel(shard, Channel::new(rate))
+    }
+
+    fn push_channel(&mut self, shard: ShardId, channel: Channel) -> ChanId {
+        let sh = self.touch(shard.0);
+        sh.channels.push(channel);
+        sh.chan_tncs.push(Vec::new());
+        sh.chan_digis.push(Vec::new());
+        sh.chan_beacons.push(Vec::new());
+        let local = sh.channels.len() - 1;
+        self.chan_map.push((shard.0 as u32, local as u32));
         ChanId(self.chan_map.len() - 1)
     }
 
@@ -358,18 +379,18 @@ impl World {
         rate: Bandwidth,
         byte_error_rate: f64,
     ) -> ChanId {
-        let rng = self.shards[0].get_mut().rng.fork();
-        let sh = self.shards[shard.0].get_mut();
-        sh.channels
-            .push(Channel::new(rate).with_byte_errors(byte_error_rate, rng));
-        self.chan_map
-            .push((shard.0 as u32, (sh.channels.len() - 1) as u32));
-        ChanId(self.chan_map.len() - 1)
+        let rng = self.touch(0).rng.fork();
+        self.push_channel(
+            shard,
+            Channel::new(rate).with_byte_errors(byte_error_rate, rng),
+        )
     }
 
     /// Adds an Ethernet segment (world-owned; hosts from any shard may
     /// attach).
     pub fn add_segment(&mut self, rate: Bandwidth) -> SegId {
+        // A one-shard world hands shard 0 the segments to index.
+        self.touch(0);
         self.segments.push(Segment::new(rate));
         SegId(self.segments.len() - 1)
     }
@@ -382,15 +403,16 @@ impl World {
     /// Adds a host to a shard.
     pub fn add_host_in(&mut self, shard: ShardId, cfg: HostConfig) -> HostId {
         let gid = self.host_map.len();
-        let sh = self.shards[shard.0].get_mut();
+        let sh = self.touch(shard.0);
         sh.hosts.push(HostEntry {
             host: Host::new(cfg),
             serial: None,
             nic: None,
         });
+        sh.host_apps.push(Vec::new());
         sh.host_gids.push(gid);
-        self.host_map
-            .push((shard.0 as u32, (sh.hosts.len() - 1) as u32));
+        let local = sh.hosts.len() - 1;
+        self.host_map.push((shard.0 as u32, local as u32));
         HostId(gid)
     }
 
@@ -415,24 +437,30 @@ impl World {
             hs, cs,
             "attach_radio: host (shard {hs}) and channel (shard {cs}) must share a shard"
         );
-        let sh = self.shards[hs as usize].get_mut();
+        let sh = self.touch(hs as usize);
         let call = sh.hosts[hl as usize]
             .host
             .callsign()
             .expect("host has no radio interface");
         let line_idx = sh.lines.len();
+        let tnc_idx = sh.tncs.len();
         sh.lines.push(SerialLine::new(SerialConfig::baud(baud)));
-        sh.hosts[hl as usize].serial = Some(line_idx);
+        sh.line_host.push(Some(hl as usize));
+        sh.line_tnc.push(Some(tnc_idx));
+        if let Some(old) = sh.hosts[hl as usize].serial.replace(line_idx) {
+            sh.line_host[old] = None;
+        }
         let station = sh.channels[cl as usize].add_station();
         let cfg = TncConfig::new(call).with_mode(mode).with_mac(mac);
-        let listener = Listener::Tnc(sh.tncs.len());
+        let listener = Listener::Tnc(tnc_idx);
         set_slot(&mut sh.listeners, cl as usize, station.0, listener);
+        sh.chan_tncs[cl as usize].push(tnc_idx);
         sh.tncs.push(TncEntry {
             tnc: Tnc::new(cfg, station),
             chan: cl as usize,
             line: line_idx,
         });
-        self.tnc_map.push((hs, (sh.tncs.len() - 1) as u32));
+        self.tnc_map.push((hs, tnc_idx as u32));
         TncId(self.tnc_map.len() - 1)
     }
 
@@ -443,12 +471,12 @@ impl World {
     /// Panics if the host has no Ethernet interface.
     pub fn attach_ether(&mut self, host: HostId, seg: SegId) {
         let (hs, hl) = self.host_map[host.0];
-        let sh = self.shards[hs as usize].get_mut();
-        let mac = sh.hosts[hl as usize]
-            .host
+        let mac = self
+            .host(host)
             .mac()
             .expect("host has no Ethernet interface");
         let nic = self.segments[seg.0].attach(mac);
+        let sh = self.touch(hs as usize);
         sh.hosts[hl as usize].nic = Some((seg.0, nic));
         set_slot(&mut sh.nic_hosts, seg.0, nic.index(), hl as usize);
         set_slot(&mut self.seg_hosts, seg.0, nic.index(), (hs, hl));
@@ -457,37 +485,46 @@ impl World {
     /// Adds a standalone digipeater station on `chan`.
     pub fn add_digipeater(&mut self, chan: ChanId, call: Ax25Addr, mac: MacConfig) -> DigiId {
         let (cs, cl) = self.chan_map[chan.0];
-        let sh = self.shards[cs as usize].get_mut();
+        let sh = self.touch(cs as usize);
         let station = sh.channels[cl as usize].add_station();
-        let listener = Listener::Digi(sh.digis.len());
-        set_slot(&mut sh.listeners, cl as usize, station.0, listener);
+        let local = sh.digis.len();
+        set_slot(
+            &mut sh.listeners,
+            cl as usize,
+            station.0,
+            Listener::Digi(local),
+        );
+        sh.chan_digis[cl as usize].push(local);
         sh.digis.push(DigiEntry {
             digi: Digipeater::new(call, station, mac),
             chan: cl as usize,
         });
-        self.digi_map.push((cs, (sh.digis.len() - 1) as u32));
+        self.digi_map.push((cs, local as u32));
         DigiId(self.digi_map.len() - 1)
     }
 
     /// Adds a background traffic station on `chan`. Its RNG forks from
     /// shard 0's build-time stream (see [`World::add_noisy_channel_in`]).
     pub fn add_beacon(&mut self, chan: ChanId, cfg: BeaconConfig) -> BeaconId {
-        let rng = self.shards[0].get_mut().rng.fork();
+        let rng = self.touch(0).rng.fork();
         let (cs, cl) = self.chan_map[chan.0];
-        let sh = self.shards[cs as usize].get_mut();
+        let sh = self.touch(cs as usize);
         let station = sh.channels[cl as usize].add_station();
+        let local = sh.beacons.len();
+        sh.chan_beacons[cl as usize].push(local);
         sh.beacons.push(BeaconEntry {
             beacon: BeaconStation::new(cfg, station, rng),
             chan: cl as usize,
         });
-        self.beacon_map.push((cs, (sh.beacons.len() - 1) as u32));
+        self.beacon_map.push((cs, local as u32));
         BeaconId(self.beacon_map.len() - 1)
     }
 
     /// Installs an application on a host (same shard as the host).
     pub fn add_app(&mut self, host: HostId, app: Box<dyn App>) {
         let (hs, hl) = self.host_map[host.0];
-        let sh = self.shards[hs as usize].get_mut();
+        let sh = self.touch(hs as usize);
+        sh.host_apps[hl as usize].push(sh.apps.len());
         sh.apps.push(AppEntry {
             host: hl as usize,
             app,
@@ -506,7 +543,7 @@ impl World {
     /// A host, mutably (socket operations, route edits…).
     pub fn host_mut(&mut self, id: HostId) -> &mut Host {
         let (s, l) = self.host_map[id.0];
-        &mut self.shards[s as usize].get_mut().hosts[l as usize].host
+        &mut self.touch(s as usize).hosts[l as usize].host
     }
 
     /// A radio channel.
@@ -518,7 +555,7 @@ impl World {
     /// A radio channel, mutably (hearing matrix edits).
     pub fn channel_mut(&mut self, id: ChanId) -> &mut Channel {
         let (s, l) = self.chan_map[id.0];
-        &mut self.shards[s as usize].get_mut().channels[l as usize]
+        &mut self.touch(s as usize).channels[l as usize]
     }
 
     /// An Ethernet segment.
@@ -535,7 +572,7 @@ impl World {
     /// A TNC, mutably (mode switches).
     pub fn tnc_mut(&mut self, id: TncId) -> &mut Tnc {
         let (s, l) = self.tnc_map[id.0];
-        &mut self.shards[s as usize].get_mut().tncs[l as usize].tnc
+        &mut self.touch(s as usize).tncs[l as usize].tnc
     }
 
     /// A digipeater.
@@ -665,19 +702,20 @@ impl World {
         std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
         // The calendar's one all-shard write: from here on only a step or
         // a delivery moves an entry.
-        let mut next_due = Vec::with_capacity(self.shards.len());
-        for sb in &mut self.shards {
+        self.next_due
+            .resize_with(self.shards.len(), || AtomicU64::new(u64::MAX));
+        for (sb, due) in self.shards.iter_mut().zip(&mut self.next_due) {
             let sh = sb.get_mut();
             sh.now = self.now;
             sh.record_events = self.record_events;
             sh.enter(mode, &mut None);
-            next_due.push(AtomicU64::new(due_ns(sh.next_event())));
+            *due.get_mut() = due_ns(sh.next_event());
         }
         let workers = self.workers.min(self.shards.len());
         {
             let mut eng = Engine {
                 shards: &self.shards,
-                next_due: &next_due,
+                next_due: &self.next_due,
                 active: &mut self.active,
                 segments: &mut self.segments,
                 seg_hosts: &self.seg_hosts,
@@ -690,7 +728,7 @@ impl World {
             // Every shard just settled its entry instant and may already
             // have emitted cross-shard traffic.
             eng.active.clear();
-            eng.active.extend(0..next_due.len());
+            eng.active.extend(0..eng.shards.len());
             eng.collect();
             if workers <= 1 {
                 eng.run_serial();
@@ -930,12 +968,39 @@ impl Engine<'_> {
     /// window with fewer than two active shards has nothing to share:
     /// the coordinator steps it alone and the pool stays parked at the
     /// opening barrier.
+    ///
+    /// A panic on either side (a component or an app, under either
+    /// claimant) leaves through the same doors: a worker catches its own
+    /// and hands it to the coordinator at the closing barrier; the
+    /// coordinator's `Shutdown` guard pays the waits it still owes on any
+    /// exit, so the pool is never left parked and `thread::scope` joins.
     fn run_parallel(&mut self, workers: usize) {
         /// What the coordinator publishes before the opening barrier.
         struct Window {
             end: SimTime,
             active: Vec<usize>,
             shut_down: bool,
+        }
+        /// The coordinator's way out, unwinding or not: finish the
+        /// stepping phase it is in, publish `shut_down`, and meet the pool
+        /// at the opening barrier one last time.
+        struct Shutdown<'a> {
+            window: &'a RwLock<Window>,
+            barrier: &'a Barrier,
+            /// Between the opening and the closing wait of a window.
+            stepping: Cell<bool>,
+        }
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                if self.stepping.get() {
+                    self.barrier.wait();
+                }
+                self.window
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .shut_down = true;
+                self.barrier.wait();
+            }
         }
         let shards = self.shards;
         let next_due = self.next_due;
@@ -946,6 +1011,7 @@ impl Engine<'_> {
         });
         let barrier = Barrier::new(workers);
         let ticket = AtomicUsize::new(0);
+        let worker_panic = Mutex::new(None);
         let claim_and_step = |active: &[usize], w_end: SimTime| {
             while let Some(&i) = active.get(ticket.fetch_add(1, Ordering::Relaxed)) {
                 // SAFETY: the ticket hands each list entry — each active
@@ -967,11 +1033,22 @@ impl Engine<'_> {
                         if w.shut_down {
                             return;
                         }
-                        claim_and_step(&w.active, w.end);
+                        // Nothing steps a shard again after a panic: the
+                        // coordinator rethrows it right after the barrier.
+                        let step = AssertUnwindSafe(|| claim_and_step(&w.active, w.end));
+                        if let Err(payload) = catch_unwind(step) {
+                            *worker_panic.lock().unwrap_or_else(PoisonError::into_inner) =
+                                Some(payload);
+                        }
                     }
                     barrier.wait();
                 });
             }
+            let shutdown = Shutdown {
+                window: &window,
+                barrier: &barrier,
+                stepping: Cell::new(false),
+            };
             self.run_windows(|active, w_end| {
                 ticket.store(0, Ordering::Relaxed);
                 if active.len() < 2 {
@@ -989,14 +1066,18 @@ impl Engine<'_> {
                     w.active.extend_from_slice(active);
                 }
                 barrier.wait();
+                shutdown.stepping.set(true);
                 claim_and_step(active, w_end);
                 barrier.wait();
+                shutdown.stepping.set(false);
+                let caught = worker_panic
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                if let Some(payload) = caught {
+                    resume_unwind(payload);
+                }
             });
-            window
-                .write()
-                .expect("no thread panics holding the window lock")
-                .shut_down = true;
-            barrier.wait();
         });
     }
 }
@@ -1069,6 +1150,49 @@ mod tests {
         assert_eq!(replies.count(), 1, "lines and segments carried traffic");
         assert_eq!(s.world.shards[0].get().calendar_len(), 0);
         assert_eq!(s.world.sched_stats(), SchedStats::default());
+    }
+
+    /// The exit flush hands the TNC the characters due by the limit, and
+    /// the calendar and dirty set it leaves behind are all the next entry
+    /// of an untouched shard gets: the TNC it woke must be waiting there.
+    #[test]
+    fn exit_flush_leaves_whom_it_woke_in_the_dirty_set() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        let now = s.world.now;
+        s.world
+            .host_mut(s.pc)
+            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+        // The ping's KISS frame is on its way down the PC's line.
+        s.world.run_for(SimDuration::from_millis(20));
+        let line = s.world.host_serial_line(s.pc).expect("radio host");
+        assert!(line.tx_backlog(serial::End::A) > 0, "not mid-frame");
+        assert!(line.stats(serial::End::A).delivered > 0, "nothing flushed");
+        let (_, tnc) = s.world.tnc_map[s.pc_tnc.0];
+        let key = crate::shard::Key::Tnc(tnc as usize);
+        assert!(s.world.shards[0].get_mut().is_dirty(key));
+    }
+
+    /// The entry check of an untouched shard: `Host::filter_engine` hands
+    /// the gateway's filter out of a shared borrow, so opening a gate
+    /// through it gives the host an expiry deadline the calendar never
+    /// hears of. A debug build refuses to run on; `host_mut` is the way.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "behind the world's back")]
+    fn untracked_mutation_between_run_calls_trips_the_entry_check() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        s.world.run_for(SimDuration::from_secs(1));
+        let open = netstack::icmp::IcmpMessage::GateOpen {
+            amateur: scenario::PC_IP,
+            foreign: scenario::ETHER_HOST_IP,
+            ttl_secs: 60,
+            auth: None,
+        };
+        let filter = s.world.host(s.gw).filter_engine().expect("gateway filter");
+        filter
+            .borrow_mut()
+            .on_gate_message(s.world.now, true, &open);
+        s.world.run_for(SimDuration::from_secs(1));
     }
 
     /// §3's case as the engine sees it: two promiscuous TNCs pass four

@@ -15,6 +15,7 @@ use gateway::host::{Host, HostConfig, RadioIfConfig};
 use gateway::scenario::{self, PaperConfig, PaperScenario};
 use gateway::world::{App, BeaconId, ChanId, DigiId, HostId, TncId, World};
 use proptest::prelude::*;
+use radio::channel::StationId;
 use radio::csma::MacConfig;
 use radio::tnc::RxMode;
 use radio::traffic::BeaconConfig;
@@ -708,4 +709,131 @@ fn chunked_run_equals_single_run_at_every_chunk_end() {
     let mut single = lock_step_world(&script);
     single.s.world.run_for(chunk * chunks as u64);
     assert_eq!(single.fingerprint(), reference, "single run diverged");
+}
+
+/// An app with no timer of its own: it pings whatever its owner pushed
+/// into the shared queue since the last poll (E11's `west_sendq`, E14's
+/// resolver core). Only the engine's promise to re-poll every app at
+/// run-call entry gets a command carried out.
+struct Commanded {
+    queue: Rc<RefCell<Vec<Ipv4Addr>>>,
+    seq: u16,
+}
+
+impl App for Commanded {
+    fn poll(&mut self, now: SimTime, host: &mut Host) {
+        for dst in self.queue.borrow_mut().drain(..) {
+            self.seq += 1;
+            host.ping(now, dst, 0xc0de, self.seq, 64);
+        }
+    }
+}
+
+/// The run-call contract (DESIGN.md §6) on the paper topology: 40 chunks
+/// with a mutation of every kind scripted between them — `host_mut` on a
+/// host no app re-polls, a power cycle, a TNC switch, a hearing edit, an
+/// app and a beacon added mid-run, orders through an app's handle before
+/// calls that touch nothing else — and the events, the §3 accounting at
+/// every chunk end and the final stats equal the reference stepper's.
+#[test]
+fn mutations_between_run_calls_match_reference() {
+    const CHUNKS: usize = 40;
+    let chunk = SimDuration::from_micros(1_513_700);
+    let ms = SimDuration::from_millis;
+    let run = |driver: Driver| {
+        let cfg = PaperConfig {
+            acl: false,
+            ..PaperConfig::default()
+        };
+        let mut s = scenario::paper_topology(cfg, 61);
+        let orders = Rc::new(RefCell::new(Vec::new()));
+        let queue = Rc::clone(&orders);
+        s.world
+            .add_app(s.ether_host, Box::new(Commanded { queue, seq: 0 }));
+        let mut bids = Vec::new();
+        let mut ends = Vec::new();
+        for k in 0..CHUNKS {
+            let w = &mut s.world;
+            let now = w.now;
+            match k {
+                2 => w
+                    .host_mut(s.pc)
+                    .ping(now, scenario::ETHER_HOST_IP, 0x77, 1, 64),
+                4 | 26 => orders.borrow_mut().push(scenario::PC_IP),
+                7 => w.tnc_mut(s.gw_tnc).set_address_filter(&[]),
+                9 => bids.push(w.add_beacon(
+                    s.chan,
+                    BeaconConfig {
+                        from: Ax25Addr::parse_or_panic("LATE"),
+                        to: Ax25Addr::parse_or_panic("CHAT"),
+                        frame_len: 90,
+                        mean_interval: SimDuration::from_secs(4),
+                        start: now + ms(300),
+                        mac: MacConfig::default(),
+                    },
+                )),
+                12 => w.host_mut(s.gw).set_down(true),
+                15 => w.host_mut(s.gw).set_down(false),
+                18 => {
+                    let times = vec![now + ms(1_000), now + ms(12_000)];
+                    let dst = scenario::GW_RADIO_IP;
+                    w.add_app(s.pc, Box::new(ScriptedPinger { dst, times, seq: 0 }));
+                }
+                22 => {
+                    // The first TNC goes deaf to the beacon.
+                    let (tnc, beacon) = (StationId(0), StationId(2));
+                    w.channel_mut(s.chan).set_hears(tnc, beacon, false);
+                }
+                30 => w.tnc_mut(s.gw_tnc).set_mode(RxMode::Promiscuous),
+                33 => w
+                    .host_mut(s.pc)
+                    .ping(now, scenario::ETHER_HOST_IP, 0x77, 2, 64),
+                _ => {}
+            }
+            driver.run_for(w, chunk);
+            let mut end = String::new();
+            for (h, t, e) in w.take_events() {
+                end.push_str(&format!("{h:?} {t} {e:?}\n"));
+            }
+            for h in [s.pc, s.gw] {
+                let cpu = w.host(h).cpu.stats();
+                end.push_str(&format!(
+                    "{h:?} rint_chars={} char_interrupts={} busy_ns={}\n",
+                    w.host(h)
+                        .pr_driver()
+                        .expect("radio host")
+                        .stats()
+                        .rint_chars,
+                    cpu.char_interrupts,
+                    cpu.busy_ns,
+                ));
+            }
+            ends.push(end);
+        }
+        let fp = fingerprint(
+            &mut s.world,
+            &[s.pc_tnc, s.gw_tnc],
+            &[],
+            &bids,
+            &[s.chan],
+            &[s.pc, s.gw, s.ether_host],
+        );
+        (ends, fp)
+    };
+    let (ref_ends, reference) = run(Driver::Reference);
+    let log = ref_ends.concat();
+    for (what, needle) in [
+        ("host_mut ping", "id: 119, seq: 1"),
+        ("host_mut ping after the power cycle", "id: 119, seq: 2"),
+        ("first order", "id: 49374, seq: 1"),
+        ("second order", "id: 49374, seq: 2"),
+        ("added app", "id: 23630, seq: 2"),
+    ] {
+        assert!(log.contains(needle), "{what} went unanswered:\n{log}");
+    }
+    let (ends, indexed) = run(Driver::Indexed);
+    for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+        assert_eq!(got, want, "indexed differs at the end of chunk {k}");
+    }
+    assert_eq!(indexed, reference, "indexed engine diverged from reference");
 }

@@ -6,14 +6,22 @@
 //! under test, including its merge order and its no-reallocation warm
 //! ring.
 
-use gateway::host::Host;
+use ax25::addr::Ax25Addr;
+use gateway::host::{Host, HostConfig, RadioIfConfig};
 use gateway::scenario::{self, city};
-use gateway::world::{App, ChanId, EngineStats, HostId, World};
+use gateway::world::{App, ChanId, EngineStats, HostId, ShardId, World};
 use proptest::prelude::*;
+use radio::channel::StationId;
+use radio::csma::MacConfig;
+use radio::tnc::RxMode;
+use radio::traffic::BeaconConfig;
 use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// An app that issues pings at scripted instants — deterministic traffic
 /// with real ICMP/ARP timers behind it (same shape as the single-shard
@@ -61,6 +69,25 @@ impl App for EtherWatch {
     }
 }
 
+/// An app with no timer of its own: it pings whatever its owner pushed
+/// into the shared queue since the last poll — E11's `west_sendq` and
+/// E14's resolver core are commanded this way between run calls. Nothing
+/// but the engine's promise to re-poll every app at run-call entry gets a
+/// command carried out.
+struct Commanded {
+    queue: Rc<RefCell<Vec<Ipv4Addr>>>,
+    seq: u16,
+}
+
+impl App for Commanded {
+    fn poll(&mut self, now: SimTime, host: &mut Host) {
+        for dst in self.queue.borrow_mut().drain(..) {
+            self.seq += 1;
+            host.ping(now, dst, 0xc0de, self.seq, 64);
+        }
+    }
+}
+
 /// Which engine drives the world.
 #[derive(Clone, Copy, Debug)]
 enum Driver {
@@ -77,17 +104,20 @@ impl Driver {
     /// calls.
     fn run(self, world: &mut World, secs: u64, chunks: u64) {
         for k in 1..=chunks {
-            let until = SimTime::from_millis(secs * 1000 * k / chunks);
-            match self {
-                Driver::Reference => world.run_until_reference(until),
-                Driver::ReferenceWorkers(n) => {
-                    world.set_workers(n);
-                    world.run_until_reference(until);
-                }
-                Driver::Workers(n) => {
-                    world.set_workers(n);
-                    world.run_until(until);
-                }
+            self.run_until(world, SimTime::from_millis(secs * 1000 * k / chunks));
+        }
+    }
+
+    fn run_until(self, world: &mut World, until: SimTime) {
+        match self {
+            Driver::Reference => world.run_until_reference(until),
+            Driver::ReferenceWorkers(n) => {
+                world.set_workers(n);
+                world.run_until_reference(until);
+            }
+            Driver::Workers(n) => {
+                world.set_workers(n);
+                world.run_until(until);
             }
         }
     }
@@ -102,7 +132,7 @@ fn mesh_run(gateways: usize, hosts_per_gw: usize, seed: u64, secs: u64, driver: 
 }
 
 /// [`mesh_run`] in `chunks` equal run calls; also returns the window
-/// coordinator's counters.
+/// coordinator's counters and the components polled.
 fn mesh_run_chunked(
     gateways: usize,
     hosts_per_gw: usize,
@@ -110,7 +140,7 @@ fn mesh_run_chunked(
     secs: u64,
     driver: Driver,
     chunks: u64,
-) -> (String, EngineStats) {
+) -> (String, EngineStats, u64) {
     let mut m = scenario::mesh(gateways, hosts_per_gw, seed);
     for g in 0..gateways {
         for i in 0..hosts_per_gw {
@@ -144,6 +174,7 @@ fn mesh_run_chunked(
     }
     driver.run(&mut m.world, secs, chunks);
     let stats = m.world.engine_stats();
+    let polled = m.world.sched_stats().polled;
     let fp = fingerprint(
         &mut m.world,
         &m.gateways,
@@ -152,7 +183,7 @@ fn mesh_run_chunked(
         &m.channels,
     );
     let notes: Vec<String> = notebooks.iter().map(|n| n.borrow().join("\n")).collect();
-    (format!("{fp}{}\n", notes.join("\n--\n")), stats)
+    (format!("{fp}{}\n", notes.join("\n--\n")), stats, polled)
 }
 
 /// A five-island mesh where only island 0 has a timer of its own: its
@@ -296,25 +327,215 @@ fn idle_islands_wake_on_mailbox_deliveries_alone() {
     }
 }
 
-/// The calendar is rebuilt at every run-call entry and persistent inside
-/// one: chunked runs equal one run, under both engines, serial and
-/// parallel.
+/// The calendars outlive a run call: chunked runs equal one run, under
+/// both engines, serial and parallel — and a re-entry costs the indexed
+/// engine its apps, not its world.
 #[test]
 fn chunked_sharded_runs_match_single_runs() {
-    let (reference, _) = mesh_run_chunked(4, 2, 7, 40, Driver::Reference, 1);
+    let (reference, ..) = mesh_run_chunked(4, 2, 7, 40, Driver::Reference, 1);
     for driver in [
         Driver::Reference,
         Driver::ReferenceWorkers(2),
         Driver::Workers(1),
         Driver::Workers(2),
     ] {
-        let (whole, _) = mesh_run_chunked(4, 2, 7, 40, driver, 1);
+        let (whole, _, polled_whole) = mesh_run_chunked(4, 2, 7, 40, driver, 1);
         assert_eq!(whole, reference, "{driver:?} diverged from reference");
-        let (chunked, _) = mesh_run_chunked(4, 2, 7, 40, driver, 16);
+        let (chunked, _, polled_chunked) = mesh_run_chunked(4, 2, 7, 40, driver, 16);
         assert_eq!(
             chunked, whole,
             "{driver:?}: 16 chunks diverged from one run"
         );
+        // 4 × 2 pingers, the internet host's and 4 gateway watchers: 13
+        // apps on 13 hosts in 4 shards. An entry polls each app, flushes
+        // its host, and settles each shard once.
+        let per_entry = 13 + 13 + 4;
+        assert!(
+            polled_chunked.saturating_sub(polled_whole) <= 16 * per_entry,
+            "{driver:?}: 16 chunks polled {polled_chunked}, one run {polled_whole}"
+        );
+    }
+}
+
+/// A 4 × 2 mesh with every kind of between-calls mutation scripted into
+/// its 40 chunks, plus the handles the script needs.
+struct Scripted {
+    m: scenario::MeshNet,
+    monitor: HostId,
+    monitor_tnc: gateway::world::TncId,
+    /// Commands for the app on island 3, which nothing else ever touches.
+    orders: Rc<RefCell<Vec<Ipv4Addr>>>,
+}
+
+fn scripted_world() -> Scripted {
+    let mut m = scenario::mesh(4, 2, 31);
+    // Timed traffic on islands 0 and 2 only. `hosts[1][0]` and the
+    // gateways carry no app, so nothing re-polls them at entry.
+    for (g, i, dst, ms) in [
+        (0, 0, city::host_ip(1, 1), [900, 31_000]),
+        (2, 1, city::host_ip(0, 0), [4_400, 52_000]),
+    ] {
+        let times = ms.map(SimTime::from_millis).to_vec();
+        m.world.add_app(
+            m.hosts[g][i],
+            Box::new(ScriptedPinger { dst, times, seq: 0 }),
+        );
+    }
+    let orders = Rc::new(RefCell::new(Vec::new()));
+    let queue = Rc::clone(&orders);
+    m.world
+        .add_app(m.hosts[3][0], Box::new(Commanded { queue, seq: 0 }));
+    // A promiscuous monitor station on island 0, for its TNC handle.
+    let mut cfg = HostConfig::named("monitor");
+    cfg.radio = Some(RadioIfConfig {
+        call: Ax25Addr::parse_or_panic("MON"),
+        ip: Ipv4Addr::new(44, 0, 0, 200),
+        prefix_len: 24,
+    });
+    let monitor = m.world.add_host_in(ShardId::ZERO, cfg);
+    let monitor_tnc = m.world.attach_radio(
+        monitor,
+        m.channels[0],
+        9600,
+        RxMode::Promiscuous,
+        MacConfig::default(),
+    );
+    Scripted {
+        m,
+        monitor,
+        monitor_tnc,
+        orders,
+    }
+}
+
+impl Scripted {
+    /// What happens to the world before chunk `k` runs.
+    fn mutate(&mut self, k: usize) {
+        let w = &mut self.m.world;
+        let now = w.now;
+        let ms = SimDuration::from_millis;
+        match k {
+            3 => w
+                .host_mut(self.m.hosts[1][0])
+                .ping(now, city::host_ip(2, 0), 0x77, 1, 64),
+            5 | 24 => self.orders.borrow_mut().push(city::host_ip(0, 1)),
+            8 => w.tnc_mut(self.monitor_tnc).set_address_filter(&[]),
+            11 => w.host_mut(self.m.gateways[2]).set_down(true),
+            13 => {
+                // Island 1's two hosts stop hearing each other.
+                let ch = w.channel_mut(self.m.channels[1]);
+                ch.set_hears(StationId(1), StationId(2), false);
+                ch.set_hears(StationId(2), StationId(1), false);
+            }
+            16 => w.host_mut(self.m.gateways[2]).set_down(false),
+            18 => {
+                let times = vec![now + ms(1_200), now + ms(19_000)];
+                let dst = city::host_ip(2, 0);
+                w.add_app(
+                    self.m.hosts[1][1],
+                    Box::new(ScriptedPinger { dst, times, seq: 0 }),
+                );
+            }
+            21 => {
+                w.add_beacon(
+                    self.m.channels[2],
+                    BeaconConfig {
+                        from: Ax25Addr::parse_or_panic("LATE"),
+                        to: Ax25Addr::parse_or_panic("CHAT"),
+                        frame_len: 90,
+                        mean_interval: SimDuration::from_secs(5),
+                        start: now + ms(700),
+                        mac: MacConfig::default(),
+                    },
+                );
+            }
+            28 => w.tnc_mut(self.monitor_tnc).set_mode(RxMode::Promiscuous),
+            30 => w
+                .host_mut(self.m.hosts[1][0])
+                .ping(now, city::gw_radio_ip(3), 0x77, 2, 64),
+            _ => {}
+        }
+    }
+
+    /// Everything a caller can read at a chunk end: the events of the
+    /// chunk and every radio host's §3 accounting.
+    fn chunk_end(&mut self) -> String {
+        let w = &mut self.m.world;
+        let mut out = String::new();
+        for (h, t, e) in w.take_events() {
+            out.push_str(&format!("{h:?} {t} {e:?}\n"));
+        }
+        let radio_hosts = (self.m.gateways.iter())
+            .chain(self.m.hosts.iter().flatten())
+            .chain([&self.monitor]);
+        for &h in radio_hosts {
+            let host = w.host(h);
+            let cpu = host.cpu.stats();
+            out.push_str(&format!(
+                "{h:?} rint_chars={} char_interrupts={} busy_ns={}\n",
+                host.pr_driver().expect("radio host").stats().rint_chars,
+                cpu.char_interrupts,
+                cpu.busy_ns,
+            ));
+        }
+        out
+    }
+}
+
+/// The run-call contract (DESIGN.md §6): whatever a caller does to the
+/// world between run calls — through `host_mut`, `tnc_mut`, `channel_mut`,
+/// a builder, or a handle into an app on a shard it never touches — the
+/// next call picks up, and everything readable at each of 40 chunk ends
+/// (mid-frame or not) equals the reference stepper's.
+#[test]
+fn mutations_between_run_calls_match_reference() {
+    const CHUNKS: usize = 40;
+    let chunk = SimDuration::from_micros(2_017_300);
+    let run = |driver: Driver| {
+        let mut s = scripted_world();
+        let mut ends = Vec::new();
+        for k in 0..CHUNKS {
+            s.mutate(k);
+            let until = s.m.world.now + chunk;
+            driver.run_until(&mut s.m.world, until);
+            ends.push(s.chunk_end());
+        }
+        let m = &mut s.m;
+        let fp = fingerprint(
+            &mut m.world,
+            &m.gateways,
+            m.internet_host,
+            &m.hosts,
+            &m.channels,
+        );
+        (ends, fp)
+    };
+    let (ref_ends, reference) = run(Driver::Reference);
+    let log = ref_ends.concat();
+    for (what, needle) in [
+        (
+            "host_mut ping",
+            "PingReply { from: 44.0.2.2, id: 119, seq: 1",
+        ),
+        (
+            "second host_mut ping",
+            "PingReply { from: 44.0.3.1, id: 119, seq: 2",
+        ),
+        ("first order", "id: 49374, seq: 1"),
+        ("second order", "id: 49374, seq: 2"),
+    ] {
+        assert!(log.contains(needle), "{what} went unanswered:\n{log}");
+    }
+    for driver in [
+        Driver::ReferenceWorkers(2),
+        Driver::Workers(1),
+        Driver::Workers(2),
+    ] {
+        let (ends, fp) = run(driver);
+        for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+            assert_eq!(got, want, "{driver:?} differs at the end of chunk {k}");
+        }
+        assert_eq!(fp, reference, "{driver:?} diverged from reference");
     }
 }
 
@@ -324,7 +545,7 @@ fn chunked_sharded_runs_match_single_runs() {
 /// O(active) contract (DESIGN.md §11).
 #[test]
 fn engine_stats_are_worker_independent_and_windows_are_sparse() {
-    let (_, stats) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(1), 1);
+    let (_, stats, _) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(1), 1);
     assert!(stats.windows > 100, "{stats:?}");
     assert!(stats.deliveries_queued > 0, "{stats:?}");
     assert!(stats.pending_peak > 0, "{stats:?}");
@@ -333,7 +554,7 @@ fn engine_stats_are_worker_independent_and_windows_are_sparse() {
         "mean active set must stay under 3 of 32 shards: {stats:?}"
     );
     for workers in [2, 4] {
-        let (_, s) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(workers), 1);
+        let (_, s, _) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(workers), 1);
         assert_eq!(s, stats, "{workers} workers");
     }
 }
@@ -367,6 +588,80 @@ fn mailbox_growth_stabilizes() {
         "warm mailbox rings must not reallocate"
     );
     assert_eq!(done.pushed, done.popped, "every hand-off is consumed");
+}
+
+/// Goes off at `at`, in a window that steps its island and its twin's on
+/// two threads at once: each waits at `gate` for the other, so one is on
+/// the coordinator and one on the worker, and the one on the chosen side
+/// panics.
+struct Bomb {
+    at: Option<SimTime>,
+    gate: Arc<Barrier>,
+    coordinator: ThreadId,
+    on_coordinator: bool,
+}
+
+impl App for Bomb {
+    fn poll(&mut self, now: SimTime, _host: &mut Host) {
+        // (Run-call entry polls every app earlier, on one thread.)
+        if self.at.is_some_and(|at| at <= now) {
+            self.at = None;
+            self.gate.wait();
+            let here = std::thread::current().id() == self.coordinator;
+            assert!(here != self.on_coordinator, "bomb went off");
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.at
+    }
+}
+
+/// Runs a 2-worker mesh into a window where an app panics on the chosen
+/// side, on a thread of its own (a `World` is `!Send`, so it is built
+/// there), and returns the panic message that came out of `run_for`.
+fn panic_in_a_parallel_window(on_coordinator: bool) -> &'static str {
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut m = scenario::mesh(2, 1, 3);
+            let gate = Arc::new(Barrier::new(2));
+            for island in &m.hosts {
+                let bomb = Bomb {
+                    at: Some(SimTime::from_secs(2)),
+                    gate: Arc::clone(&gate),
+                    coordinator: std::thread::current().id(),
+                    on_coordinator,
+                };
+                m.world.add_app(island[0], Box::new(bomb));
+            }
+            m.world.set_workers(2);
+            m.world.run_for(SimDuration::from_secs(5));
+        });
+        let message = match outcome {
+            Ok(()) => "no panic",
+            Err(payload) => payload.downcast_ref::<&str>().copied().unwrap_or("?"),
+        };
+        // The receiver is gone only if the watchdog already gave up.
+        let _ = done.send(message);
+    });
+    watchdog
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a panic inside a parallel window left the other side parked")
+}
+
+/// A panic while two threads are stepping a window — on the coordinator's
+/// side or on the worker's — comes out of the run call instead of leaving
+/// the other side at a barrier nobody will complete.
+#[test]
+fn a_panic_in_a_parallel_window_propagates() {
+    for on_coordinator in [true, false] {
+        let message = panic_in_a_parallel_window(on_coordinator);
+        assert!(
+            message.contains("bomb went off"),
+            "on_coordinator={on_coordinator}: {message}"
+        );
+    }
 }
 
 proptest! {

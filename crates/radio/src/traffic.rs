@@ -6,6 +6,8 @@
 //! with PID "no layer 3") at a Poisson rate. These frames are not for the
 //! gateway — a promiscuous TNC passes them to the host anyway.
 
+use std::io::Write;
+
 use ax25::addr::Ax25Addr;
 use ax25::fcs::append_fcs;
 use ax25::frame::{Frame, Pid};
@@ -88,10 +90,15 @@ impl BeaconStation {
         while self.next_gen <= now {
             self.seq += 1;
             self.stats.generated += 1;
-            let mut info = format!("de {} #{:06} ", self.cfg.from, self.seq).into_bytes();
-            info.resize(self.cfg.frame_len, b'.');
-            let frame = Frame::ui(self.cfg.to, self.cfg.from, Pid::Text, info);
-            let mut on_air = frame.encode();
+            // Header, info text padded (or cut) to `frame_len`, FCS: the
+            // info field is last on the wire, so one buffer takes all three.
+            let header = Frame::ui(self.cfg.to, self.cfg.from, Pid::Text, Vec::new());
+            let info_end = header.encoded_len() + self.cfg.frame_len;
+            let mut on_air = Vec::with_capacity(info_end + 2);
+            header.encode_into(&mut on_air);
+            write!(on_air, "de {} #{:06} ", self.cfg.from, self.seq)
+                .expect("writing to a Vec cannot fail");
+            on_air.resize(info_end, b'.');
             append_fcs(&mut on_air);
             self.mac.enqueue(on_air);
             let gap = self.rng.exponential(self.cfg.mean_interval.as_secs_f64());

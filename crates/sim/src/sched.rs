@@ -181,6 +181,11 @@ impl<K: SlotKey> Scheduler<K> {
         Some((e.time, e.key))
     }
 
+    /// `key`'s registered deadline (`None` once popped or deregistered).
+    pub fn deadline_of(&self, key: K) -> Option<SimTime> {
+        self.current.get(key.slot())?.map(|(time, _)| time)
+    }
+
     /// Number of registered components (counted by scanning the table).
     pub fn len(&self) -> usize {
         self.current.iter().flatten().count()

@@ -2,11 +2,32 @@
 //! operations, TCP state-machine steps, and a whole simulated second of
 //! the paper topology — the costs that bound how fast experiments run.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use bench::alloc_count::allocs_during;
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use netstack::tcp::{Tcb, TcpConfig};
 use sim::{Scheduler, SimDuration, SimTime};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
+
+bench::install_counting_alloc!();
+
+/// The flooded gateway's calendar traffic (DESIGN.md §6): of 32
+/// registered keys one — the gateway host — is parked 100 s out (gate
+/// expiry), re-keyed to `now + 50 µs` by each arriving datagram, popped,
+/// and registered far again. Returns the largest `len()` seen.
+fn flood_rounds(s: &mut Scheduler<u32>, now: &mut SimTime, rounds: u64) -> usize {
+    const FAR: SimDuration = SimDuration::from_secs(100);
+    let mut peak = 0;
+    for _ in 0..rounds {
+        s.set_deadline(0, Some(*now + SimDuration::from_micros(50)));
+        peak = peak.max(s.len());
+        // Nearly always the host; the other keys fire once per 100 s.
+        let (t, key) = s.pop().expect("the re-keyed host is due");
+        *now = t;
+        s.set_deadline(key, Some(t + FAR));
+    }
+    peak
+}
 
 fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
@@ -39,6 +60,30 @@ fn bench_scheduler(c: &mut Criterion) {
             }
             black_box(n)
         })
+    });
+    const KEYS: u32 = 32;
+    const ROUNDS: u64 = 100_000;
+    let mut s: Scheduler<u32> = Scheduler::new();
+    let mut now = SimTime::ZERO;
+    for k in 0..KEYS {
+        s.set_deadline(k, Some(SimTime::from_secs(100 + u64::from(k))));
+    }
+    // The ratchet: a re-key moves the one entry, so after the first
+    // round the calendar neither grows nor allocates, however many
+    // rounds follow. (A calendar that leaves replaced registrations
+    // behind holds 100,000 of them here by the end.)
+    flood_rounds(&mut s, &mut now, 1);
+    let mut peak = 0;
+    let allocs = allocs_during(|| peak = flood_rounds(&mut s, &mut now, ROUNDS - 1));
+    eprintln!(
+        "scheduler/rekey_earlier_under_far_deadline: {allocs} heap allocations, \
+         peak len {peak} / {ROUNDS} rounds"
+    );
+    assert_eq!(allocs, 0, "re-keying in place must not allocate");
+    assert!(peak <= KEYS as usize, "{peak} entries for {KEYS} keys");
+    g.throughput(Throughput::Elements(ROUNDS));
+    g.bench_function("rekey_earlier_under_far_deadline", |b| {
+        b.iter(|| black_box(flood_rounds(&mut s, &mut now, ROUNDS)))
     });
     g.finish();
 }

@@ -205,6 +205,17 @@ fn run(flood: bool, filtered: bool) -> Outcome {
         open = !open;
     }
 
+    // However hard the flood re-keyed the gateway, the calendar holds at
+    // most one entry per component built above: Figure 1's nine (three
+    // hosts, two TNCs, two lines, the channel, the segment), two beacons,
+    // two apps, and with the flood the attacker and its app.
+    let built = 9 + 2 + 2 + if flood { 2 } else { 0 };
+    let registered = s.world.calendar_len();
+    assert!(
+        registered <= built,
+        "{registered} calendar entries for {built} components"
+    );
+
     let sink_bytes = sink_report.borrow().bytes;
     let send = send_report.borrow();
     let completed = send.finished_at.is_some();

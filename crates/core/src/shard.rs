@@ -368,7 +368,6 @@ impl ShardData {
     }
 
     /// Components registered in the calendar.
-    #[cfg(test)]
     pub(crate) fn calendar_len(&self) -> usize {
         self.sched.len()
     }
@@ -1153,7 +1152,6 @@ impl ShardData {
         if !events.is_empty() {
             progressed = true;
             let gid = HostId::from_raw(self.host_gids[hi]);
-            let mut apps = std::mem::take(&mut self.apps);
             for ev in events {
                 if self.trace.is_enabled() {
                     self.trace.record(
@@ -1163,14 +1161,15 @@ impl ShardData {
                         format!("{ev:?}"),
                     );
                 }
-                for entry in apps.iter_mut().filter(|a| a.host == hi) {
-                    entry.app.on_event(now, &ev, &mut self.hosts[hi].host);
+                for &ai in &self.host_apps[hi] {
+                    self.apps[ai]
+                        .app
+                        .on_event(now, &ev, &mut self.hosts[hi].host);
                 }
                 if self.record_events {
                     self.events.push((gid, now, ev));
                 }
             }
-            self.apps = apps;
         }
         progressed
     }

@@ -284,6 +284,13 @@ impl World {
         total
     }
 
+    /// Calendar entries summed over shards — at most one per component,
+    /// however often its deadline moved (asserted by E17 and the tests).
+    #[doc(hidden)]
+    pub fn calendar_len(&self) -> usize {
+        self.shards.iter().map(|sb| sb.get().calendar_len()).sum()
+    }
+
     /// Cross-shard mailbox counters (pushes, pops, ring growths, peak
     /// occupancy), summed over every shard's inbound `ether_in` ring.
     /// `grows` stabilizing while `pushed` keeps climbing is the §11
@@ -1148,7 +1155,7 @@ mod tests {
             .iter()
             .filter(|(_, _, e)| matches!(e, StackAction::PingReply { id: 7, .. }));
         assert_eq!(replies.count(), 1, "lines and segments carried traffic");
-        assert_eq!(s.world.shards[0].get().calendar_len(), 0);
+        assert_eq!(s.world.calendar_len(), 0);
         assert_eq!(s.world.sched_stats(), SchedStats::default());
     }
 
@@ -1229,6 +1236,65 @@ mod tests {
         // host for a frame it drops adds a visit (2,916).
         assert!(stats.pops <= 2_186, "{stats:?}");
         assert!(stats.polled <= 2_394, "{stats:?}");
+    }
+
+    /// The `gw_flood` pathology at world level (the `world/denied_transit`
+    /// shape of the `driver_rx` bench): a filtered gateway whose live gate
+    /// entry parks its `Key::Host` registration ten minutes out, while
+    /// every Ethernet datagram it forwards and then denies re-keys it to
+    /// the input queue's ready time and back. The calendar must hold one
+    /// entry per component throughout; a calendar that left each replaced
+    /// registration behind would hold 10,000 of them at the gate's expiry
+    /// instant and count them in `tombstone_skips` once the clock got there.
+    #[test]
+    fn a_flooded_gateway_keeps_one_calendar_entry_per_component() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        let now = s.world.now;
+        // An amateur-initiated exchange opens the gate (TTL 600 s).
+        s.world
+            .host_mut(s.pc)
+            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+        s.world.run_for(SimDuration::from_secs(30));
+        let gate = s.world.host(s.gw).filter_engine().expect("gateway filter");
+        let far = gate.borrow().next_deadline().expect("a live gate entry");
+        assert!(far > s.world.now + SimDuration::from_secs(500));
+        let sh = s.world.shards[0].get();
+        let components = sh.hosts.len()
+            + sh.lines.len()
+            + sh.tncs.len()
+            + sh.channels.len()
+            + sh.apps.len()
+            + s.world.segments.len();
+
+        let udp = s
+            .world
+            .host_mut(s.ether_host)
+            .stack
+            .udp_bind(4000)
+            .expect("free port");
+        // Nobody invited traffic for this amateur address: forwarded by
+        // the gateway's stack, denied at its radio output hook.
+        let stranger = std::net::Ipv4Addr::new(44, 24, 0, 77);
+        let denied = |w: &World| w.host(s.gw).pr_driver().unwrap().stats().filter_drop_out;
+        let denied0 = denied(&s.world);
+        const N: u64 = 10_000;
+        for _ in 0..N {
+            let now = s.world.now;
+            s.world
+                .host_mut(s.ether_host)
+                .udp_send(now, udp, stranger, 9, vec![0; 20]);
+            s.world.run_for(SimDuration::from_millis(5));
+            let len = s.world.calendar_len();
+            assert!(len <= components, "{len} entries, {components} components");
+        }
+        assert_eq!(denied(&s.world) - denied0, N, "forwarded, then denied");
+        assert!(s.world.now < far, "the gate entry outlived the flood");
+        let stats = s.world.sched_stats();
+        assert!(stats.rekeys >= N, "one far-to-near re-key each: {stats:?}");
+        // Past the gate's expiry: nothing was waiting there to be skipped.
+        s.world.run_until(far + SimDuration::from_secs(1));
+        assert_eq!(s.world.sched_stats().tombstone_skips, 0);
+        assert!(s.world.calendar_len() <= components);
     }
 
     /// A scripted test app: polls are recorded, and it exposes a fixed

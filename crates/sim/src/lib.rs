@@ -14,7 +14,7 @@
 //!   the bulk datapath kernels (KISS deframing/escaping).
 //! * [`fxhash`] — a fast deterministic hasher for small-key maps.
 //! * [`sched`] — the calendar: a deadline-indexed component [`Scheduler`]
-//!   (one heap, lazy deletion, deterministic tie order).
+//!   (one indexed heap re-keyed in place, deterministic tie order).
 //! * [`rng`] — a seeded random-number generator ([`SimRng`]) so that every
 //!   experiment run is exactly repeatable.
 //! * [`stats`] — counters, online mean/variance, histograms, and time

@@ -1,20 +1,17 @@
 //! The simulator's calendar: one deadline per component, in one heap.
 //!
 //! Instead of scanning every component for its `next_deadline()` on every
-//! step, the world keeps one [`Scheduler`] registration per component. A
-//! registration is the pair `(time, seq)` held in the key's dense slot;
-//! every [`Scheduler::set_deadline`] that moves the deadline writes a
-//! fresh pair there and pushes a matching heap entry. Nothing is ever
-//! removed from the middle of the heap: an entry whose `(time, seq)` is
-//! no longer its key's registration is **stale** and is dropped when it
-//! reaches the top. Deadlines that did not change cost one vector load.
+//! step, the world keeps one [`Scheduler`] registration per component: an
+//! entry `(time, seq, key)` in an indexed binary min-heap, plus a dense
+//! table giving each key slot its entry's index. A
+//! [`Scheduler::set_deadline`] that moves the deadline **re-keys that
+//! entry in place** (fresh `seq`, then sift), so the heap's length *is*
+//! the number of registered components however often they move.
+//! Deadlines that did not change cost one table load and one compare.
 //!
 //! Determinism is the hard constraint: entries pop in `(time, seq)`
 //! order, so ties at equal time break by registration order (a monotone
-//! sequence number), never by heap internals.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! sequence number, refreshed by every re-key), never by heap internals.
 
 use crate::time::SimTime;
 
@@ -23,14 +20,14 @@ use crate::time::SimTime;
 /// artifact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Live (non-stale) entries popped.
+    /// Entries popped.
     pub pops: u64,
     /// Deadline changes that replaced or removed a registration.
     pub rekeys: u64,
     /// `set_deadline` calls where the deadline had not changed (no heap
     /// traffic at all).
     pub unchanged: u64,
-    /// Stale entries lazily dropped during pops/peeks.
+    /// Always 0: a re-key leaves no stale entry to skip (reports print it).
     pub tombstone_skips: u64,
     /// Component poll/advance visits the world actually performed.
     pub polled: u64,
@@ -55,36 +52,16 @@ impl SlotKey for u32 {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<K> {
-    time: SimTime,
-    seq: u64,
+    rank: (SimTime, u64),
     key: K,
 }
 
-impl<K> PartialEq for Entry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
+/// `pos` of a slot with no registration (indexes no heap entry).
+const ABSENT: u32 = u32::MAX;
 
-impl<K> Eq for Entry<K> {}
-
-impl<K> PartialOrd for Entry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> Ord for Entry<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest (time, seq)
-        // pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// A per-component deadline calendar with lazy deletion.
+/// A per-component deadline calendar: an indexed heap, re-keyed in place.
 ///
 /// # Examples
 ///
@@ -97,16 +74,18 @@ impl<K> Ord for Entry<K> {
 /// let mut s: Scheduler<u32> = Scheduler::new();
 /// s.set_deadline(LINE, Some(SimTime::from_millis(2)));
 /// s.set_deadline(HOST, Some(SimTime::from_millis(1)));
-/// s.set_deadline(LINE, Some(SimTime::from_millis(3))); // lazy re-key
+/// s.set_deadline(LINE, Some(SimTime::from_millis(3))); // re-keyed in place
+/// assert_eq!(s.len(), 2);
 /// assert_eq!(s.pop(), Some((SimTime::from_millis(1), HOST)));
 /// assert_eq!(s.pop(), Some((SimTime::from_millis(3), LINE)));
 /// assert_eq!(s.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<K: SlotKey> {
-    heap: BinaryHeap<Entry<K>>,
-    /// Per key slot, the `(time, seq)` of its current registration.
-    current: Vec<Option<(SimTime, u64)>>,
+    /// Min-heap on `(time, seq)`, one entry per registered key.
+    heap: Vec<Entry<K>>,
+    /// Per key slot, the index of its entry in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
     next_seq: u64,
     stats: SchedStats,
 }
@@ -121,8 +100,8 @@ impl<K: SlotKey> Scheduler<K> {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         Scheduler {
-            heap: BinaryHeap::new(),
-            current: Vec::new(),
+            heap: Vec::new(),
+            pos: Vec::new(),
             next_seq: 0,
             stats: SchedStats::default(),
         }
@@ -134,66 +113,95 @@ impl<K: SlotKey> Scheduler<K> {
     /// (counted in [`SchedStats::unchanged`]).
     pub fn set_deadline(&mut self, key: K, deadline: Option<SimTime>) {
         let slot = key.slot();
-        if slot >= self.current.len() {
-            self.current.resize(slot + 1, None);
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, ABSENT);
         }
-        let was = self.current[slot];
-        if was.map(|(t, _)| t) == deadline {
+        let mut at = self.pos[slot] as usize;
+        let was = self.heap.get(at).map(|e| e.rank.0);
+        if was == deadline {
             self.stats.unchanged += 1;
             return;
         }
-        if was.is_some() {
-            self.stats.rekeys += 1;
+        self.stats.rekeys += u64::from(was.is_some());
+        let Some(time) = deadline else {
+            self.remove(at);
+            return;
+        };
+        let rank = (time, self.next_seq);
+        self.next_seq += 1;
+        let e = Entry { rank, key };
+        if was.is_none() {
+            at = self.heap.len();
+            self.heap.push(e);
         }
-        self.current[slot] = deadline.map(|time| {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { time, seq, key });
-            (time, seq)
-        });
+        self.sift(at, e);
     }
 
-    /// Drops stale entries off the top of the heap.
-    fn shed_stale(&mut self) {
-        while let Some(e) = self.heap.peek() {
-            if self.current[e.key.slot()].is_some_and(|(_, seq)| seq == e.seq) {
-                return;
-            }
-            self.heap.pop();
-            self.stats.tombstone_skips += 1;
+    /// Writes `e` at heap index `i` and points its key's slot there.
+    fn put(&mut self, i: usize, e: Entry<K>) {
+        self.heap[i] = e;
+        self.pos[e.key.slot()] = i as u32;
+    }
+
+    /// Settles `e` from the hole at `i`: up past later ancestors, else down.
+    fn sift(&mut self, mut i: usize, e: Entry<K>) {
+        while i > 0 && e.rank < self.heap[(i - 1) / 2].rank {
+            self.put(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
         }
+        loop {
+            let mut c = 2 * i + 1;
+            if c + 1 < self.heap.len() && self.heap[c + 1].rank < self.heap[c].rank {
+                c += 1;
+            }
+            match self.heap.get(c) {
+                Some(&child) if child.rank < e.rank => self.put(i, child),
+                _ => break,
+            }
+            i = c;
+        }
+        self.put(i, e);
+    }
+
+    /// Takes out the entry at `at`; the last one fills the hole and settles.
+    fn remove(&mut self, at: usize) -> Entry<K> {
+        let gone = self.heap.swap_remove(at);
+        self.pos[gone.key.slot()] = ABSENT;
+        if let Some(&moved) = self.heap.get(at) {
+            self.sift(at, moved);
+        }
+        gone
     }
 
     /// The earliest registered deadline.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.shed_stale();
-        self.heap.peek().map(|e| e.time)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|e| e.rank.0)
     }
 
     /// Pops the earliest registered (time, key); the key is deregistered
     /// and must be re-registered via [`Scheduler::set_deadline`] once its
     /// component has been serviced.
     pub fn pop(&mut self) -> Option<(SimTime, K)> {
-        self.shed_stale();
-        let e = self.heap.pop()?;
-        self.current[e.key.slot()] = None;
+        self.peek_time()?;
+        let e = self.remove(0);
         self.stats.pops += 1;
-        Some((e.time, e.key))
+        Some((e.rank.0, e.key))
     }
 
     /// `key`'s registered deadline (`None` once popped or deregistered).
     pub fn deadline_of(&self, key: K) -> Option<SimTime> {
-        self.current.get(key.slot())?.map(|(time, _)| time)
+        let at = *self.pos.get(key.slot())?;
+        self.heap.get(at as usize).map(|e| e.rank.0)
     }
 
-    /// Number of registered components (counted by scanning the table).
+    /// Number of registered components.
     pub fn len(&self) -> usize {
-        self.current.iter().flatten().count()
+        self.heap.len()
     }
 
     /// True if nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Scheduler statistics.
@@ -212,6 +220,16 @@ impl<K: SlotKey> Scheduler<K> {
 mod tests {
     use super::*;
 
+    /// White-box: the heap is ordered and every slot points at its entry.
+    fn assert_indexed(s: &Scheduler<u32>) {
+        for (i, e) in s.heap.iter().enumerate() {
+            assert_eq!(s.pos[e.key as usize] as usize, i, "slot of key {}", e.key);
+            assert!(i == 0 || s.heap[(i - 1) / 2].rank <= e.rank, "order at {i}");
+        }
+        let registered = s.pos.iter().filter(|&&p| p != ABSENT).count();
+        assert_eq!(registered, s.heap.len());
+    }
+
     #[test]
     fn rekey_only_on_change() {
         let mut s: Scheduler<u32> = Scheduler::new();
@@ -223,8 +241,37 @@ mod tests {
         assert_eq!(st.unchanged, 2);
         s.set_deadline(1, Some(SimTime::from_millis(6)));
         assert_eq!(s.stats().rekeys, 1);
+        assert_eq!(s.len(), 1, "the re-key moved the one entry");
+        assert_eq!(s.deadline_of(1), Some(SimTime::from_millis(6)));
         assert_eq!(s.pop(), Some((SimTime::from_millis(6), 1)));
-        assert_eq!(s.stats().tombstone_skips, 1, "stale entry shed on pop");
+        assert_eq!(s.pop(), None, "nothing was left behind at 5 ms");
+        assert_eq!(s.stats().tombstone_skips, 0);
+    }
+
+    #[test]
+    fn rekeys_in_either_direction_keep_every_slot_pointing_at_its_entry() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let mut rng = crate::rng::SimRng::seed_from(17);
+        for round in 0..2_000u64 {
+            let key = rng.below(40) as u32;
+            match rng.below(8) {
+                0 => s.set_deadline(key, None),
+                1 => drop(s.pop()),
+                _ => s.set_deadline(key, Some(SimTime::from_millis(rng.below(50)))),
+            }
+            assert_indexed(&s);
+            assert!(
+                s.len() <= 40,
+                "round {round}: {} entries for 40 keys",
+                s.len()
+            );
+        }
+        let mut last = None;
+        while let Some((t, k)) = s.pop() {
+            assert_indexed(&s);
+            assert!(last <= Some(t), "popped {k} at {t:?} after {last:?}");
+            last = Some(t);
+        }
     }
 
     #[test]
@@ -284,22 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn cancel_then_pop_skips_the_stale_entry() {
+    fn cancel_removes_the_entry_at_once() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.set_deadline(0, Some(SimTime::from_secs(1)));
         s.set_deadline(1, Some(SimTime::from_secs(2)));
+        s.set_deadline(2, Some(SimTime::from_secs(3)));
         s.set_deadline(0, None);
         s.set_deadline(0, None);
         assert_eq!(s.stats().rekeys, 1, "a second cancel is not a re-key");
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len(), 2);
+        assert_indexed(&s);
+        assert_eq!(s.deadline_of(0), None);
         assert_eq!(s.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(s.stats().tombstone_skips, 1, "peek shed the cancelled head");
+        // Cancelling from the middle and from the end of the heap.
+        s.set_deadline(2, None);
+        assert_indexed(&s);
         assert_eq!(s.pop(), Some((SimTime::from_secs(2), 1)));
         assert!(s.is_empty());
         // Cancelling a key that already fired leaves nothing behind.
         s.set_deadline(1, None);
         assert_eq!(s.pop(), None);
-        assert_eq!(s.stats().rekeys, 1);
+        assert_eq!(s.stats().rekeys, 2);
+        assert_eq!(s.stats().tombstone_skips, 0);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Parent-vs-working-tree comparison of one benchmark workload, by the
-# choosing-metrics §8 procedure: N pairs of runs, alternating which side
-# goes first, each side's median [q1, q3] per end-to-end metric, and how
-# many pairs the working tree won on host_us_per_sim_s.
+# Parent-vs-working-tree comparison of benchmark workloads, by the
+# choosing-metrics §8 procedure: N pairs of runs per workload, alternating
+# which side goes first, each side's median [q1, q3] per end-to-end
+# metric, and how many pairs the working tree won on host_us_per_sim_s.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1988]
+#   scripts/bench_pairs.sh <parent-rev> <workload[,workload…]> [pairs=10] [seed=1988]
 #   scripts/bench_pairs.sh HEAD~1 city_fleet_1w 10 2244
+#   scripts/bench_pairs.sh HEAD~1 gw_flood,paper_promisc,city_fleet_1w
+#                          (the claim and both must-not-move workloads: one
+#                           invocation, one table; pair i runs every workload)
 #
 # The parent is exported (git archive) into a scratch directory and both
 # sides build into their own target directories there, so nothing tracked
@@ -15,11 +18,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 2
 fi
 rev=$1
-workload=$2
+workloads=${2//,/ }
 pairs=${3:-10}
 seed=${4:-1988}
 seconds=$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' BENCHMARK.json)
@@ -32,47 +35,51 @@ mkdir -p "$scratch/parent-src"
 git archive "$rev" | tar -x -C "$scratch/parent-src"
 
 # One run of one side: prints its `metric` lines as "<name> <value>".
-run_side() { # <side>
+run_side() { # <side> <workload>
     local src=.
     [ "$1" = parent ] && src="$scratch/parent-src"
     CARGO_TARGET_DIR="$scratch/$1-target" bash "$src/benchmarks/run.sh" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+        --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 |
         awk '$1 == "metric" { print $3, $4 }'
 }
 
 echo "==> building both sides (the first run of each is discarded)" >&2
-run_side parent > /dev/null
-run_side change > /dev/null
+run_side parent "${workloads%% *}" > /dev/null
+run_side change "${workloads%% *}" > /dev/null
 
 : > "$scratch/runs.txt"
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        run_side "$side" | sed "s/^/$i $side /" >> "$scratch/runs.txt"
+    for workload in $workloads; do
+        for side in $order; do
+            run_side "$side" "$workload" | sed "s/^/$i $side $workload:/" >> "$scratch/runs.txt"
+        done
+        awk -v i="$i" -v m="$workload:host_us_per_sim_s" '$1 == i && $3 == m { v[$2] = $4 }
+            END { printf "pair %d %s: parent %.1f change %.1f\n", i, m, v["parent"], v["change"] }' \
+            "$scratch/runs.txt" >&2
     done
-    awk -v i="$i" '$1 == i && $3 == "host_us_per_sim_s" { v[$2] = $4 }
-        END { printf "pair %d: parent %.1f change %.1f\n", i, v["parent"], v["change"] }' \
-        "$scratch/runs.txt" >&2
 done
 
-echo "$workload seed $seed, $pairs alternating pairs of ${seconds}s runs, $(nproc) core(s); median [q1, q3]"
+echo "${workloads// /, } seed $seed, $pairs alternating pairs of ${seconds}s runs, $(nproc) core(s); median [q1, q3]"
 sort -k3,3 -k2,2 -k4,4g "$scratch/runs.txt" | awk '
     function quart(q,   pos, lo, frac) {
         pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
         return lo < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[n]
     }
     function flush_group() {
-        if (n) printf "%-20s %-6s %.6g [%.6g, %.6g]\n", metric, side, quart(0.5), quart(0.25), quart(0.75)
+        if (n) printf "%-34s %-6s %.6g [%.6g, %.6g]\n", metric, side, quart(0.5), quart(0.25), quart(0.75)
         n = 0
     }
     $3 != metric || $2 != side { flush_group(); metric = $3; side = $2 }
     { v[++n] = $4 }
     END { flush_group() }'
-awk '$3 == "host_us_per_sim_s" { v[$1, $2] = $4; if ($1 > n) n = $1 }
-    END {
-        for (i = 1; i <= n; i++) {
-            if (v[i, "change"] < v[i, "parent"]) wins++
-            else if (v[i, "change"] > v[i, "parent"]) losses++
-        }
-        printf "host_us_per_sim_s: change wins %d, loses %d of %d pairs\n", wins, losses, n
-    }' "$scratch/runs.txt"
+for workload in $workloads; do
+    awk -v m="$workload:host_us_per_sim_s" '$3 == m { v[$1, $2] = $4; if ($1 > n) n = $1 }
+        END {
+            for (i = 1; i <= n; i++) {
+                if (v[i, "change"] < v[i, "parent"]) wins++
+                else if (v[i, "change"] > v[i, "parent"]) losses++
+            }
+            printf "%s: change wins %d, loses %d of %d pairs\n", m, wins, losses, n
+        }' "$scratch/runs.txt"
+done

@@ -27,6 +27,11 @@ for b in driver_rx encap_fwd vj_hdr byte_kernels socket_ops shard_sync \
     cargo bench -p bench --bench "$b" -- --test
 done
 
+# The calendar's ratchet: re-keying a parked key earlier, popping it and
+# parking it again neither allocates nor grows the heap (one entry per key).
+echo "==> cargo bench -p bench --bench engine -- --test scheduler"
+cargo bench -p bench --bench engine -- --test scheduler
+
 echo "==> sharded-engine digest smoke (2 workers vs reference)"
 cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke
 

@@ -58,6 +58,16 @@ impl Callsign {
     /// peeks at addresses for every frame heard on a promiscuous TNC, so
     /// this must not touch the heap just to reject someone else's traffic.
     pub(crate) fn from_raw(raw: [u8; 6]) -> Result<Callsign, Ax25Error> {
+        // Nearly every callsign on the air is already canonical —
+        // uppercase letters and digits, then padding only — and is
+        // returned as it is; the rest take the validating loop below.
+        let symbols = raw
+            .iter()
+            .take_while(|b| b.is_ascii_uppercase() || b.is_ascii_digit())
+            .count();
+        if symbols > 0 && raw[symbols..].iter().all(|&b| b == b' ') {
+            return Ok(Callsign(raw));
+        }
         let mut end = 6;
         while end > 0 && raw[end - 1] == b' ' {
             end -= 1;

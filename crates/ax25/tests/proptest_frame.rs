@@ -58,6 +58,32 @@ prop_compose! {
     }
 }
 
+/// `peek(bytes)` and `decode(bytes)` accept and reject together, with the
+/// same error, and agree on every field peek reports.
+fn check_peek_matches_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match (FrameHeader::peek(bytes), Frame::decode(bytes)) {
+        (Ok(hdr), Ok(frame)) => {
+            prop_assert_eq!(hdr.dest, frame.dest);
+            prop_assert_eq!(hdr.source, frame.source);
+            prop_assert_eq!(hdr.command, frame.command);
+            prop_assert_eq!(hdr.kind, frame.kind);
+            prop_assert_eq!(hdr.pid, frame.pid);
+            prop_assert_eq!(hdr.num_digipeaters, frame.digipeaters.len());
+            prop_assert_eq!(hdr.fully_repeated, frame.fully_repeated());
+            prop_assert_eq!(&bytes[hdr.info_start..], &frame.info[..]);
+            Ok(())
+        }
+        (Err(pe), Err(de)) => {
+            prop_assert_eq!(pe, de);
+            Ok(())
+        }
+        (p, d) => Err(TestCaseError::fail(format!(
+            "peek/decode disagree: peek={p:?} decode={}",
+            d.is_ok()
+        ))),
+    }
+}
+
 proptest! {
     /// Every structurally valid frame round-trips through encode/decode.
     #[test]
@@ -78,23 +104,42 @@ proptest! {
     /// full decode accepts, and its fields agree with the decoded frame.
     #[test]
     fn peek_is_consistent_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        match (FrameHeader::peek(&bytes), Frame::decode(&bytes)) {
-            (Ok(hdr), Ok(frame)) => {
-                prop_assert_eq!(hdr.dest, frame.dest);
-                prop_assert_eq!(hdr.source, frame.source);
-                prop_assert_eq!(hdr.command, frame.command);
-                prop_assert_eq!(hdr.kind, frame.kind);
-                prop_assert_eq!(hdr.pid, frame.pid);
-                prop_assert_eq!(hdr.num_digipeaters, frame.digipeaters.len());
-                prop_assert_eq!(hdr.fully_repeated, frame.fully_repeated());
-                prop_assert_eq!(&bytes[hdr.info_start..], &frame.info[..]);
+        check_peek_matches_decode(&bytes)?;
+    }
+
+    /// The same on frames whose address fields hold what random bytes
+    /// almost never do: a well-formed frame with one callsign rewritten to
+    /// a non-canonical spelling. Lowercase decodes to its upcased form;
+    /// an interior space or an all-space field is rejected by both.
+    #[test]
+    fn peek_is_consistent_with_decode_on_odd_callsigns(
+        frame in arb_frame(),
+        which in any::<proptest::sample::Index>(),
+        raw in prop_oneof![
+            "[a-z0-9]{1,6}".prop_map(|s| (s.to_ascii_uppercase(), s)),
+            "[A-Za-z0-9]{1,2} [A-Za-z0-9]{1,3}".prop_map(|s| (String::new(), s)),
+            Just((String::new(), String::new())),
+        ],
+    ) {
+        let (upcased, spelled) = raw;
+        let mut bytes = frame.encode();
+        let field = which.index(2 + frame.digipeaters.len()) * 7;
+        let mut padded = [b' '; 6];
+        padded[..spelled.len()].copy_from_slice(spelled.as_bytes());
+        for (dst, b) in bytes[field..field + 6].iter_mut().zip(padded) {
+            *dst = b << 1;
+        }
+        check_peek_matches_decode(&bytes)?;
+        match Frame::decode(&bytes) {
+            Ok(back) => {
+                let calls: Vec<String> = [back.dest, back.source]
+                    .into_iter()
+                    .chain(back.digipeaters.iter().map(|d| d.addr))
+                    .map(|a| a.call.to_string())
+                    .collect();
+                prop_assert_eq!(&calls[field / 7], &upcased);
             }
-            (Err(pe), Err(de)) => prop_assert_eq!(pe, de),
-            (p, d) => {
-                return Err(TestCaseError::fail(format!(
-                    "peek/decode disagree: peek={p:?} decode={}", d.is_ok()
-                )));
-            }
+            Err(_) => prop_assert!(upcased.is_empty(), "{spelled:?} must decode"),
         }
     }
 

@@ -13,20 +13,23 @@
 //! calling conventions. A radio transmission must cost the same number
 //! of allocations however many promiscuous stations hear it (one buffer,
 //! one FCS check, one KISS encoding, shared). The whole-world transit
-//! path — Ethernet host → segment → gateway → forward → output hook — is
-//! not allocation-free yet; its count per datagram is pinned so it can
-//! only ratchet down. Re-entering a world nobody touched since its last
+//! paths — Ethernet host → segment → gateway → forward → output hook, and
+//! Ethernet host → router → Ethernet host — allocate only where the
+//! sender builds its datagram; their counts per datagram are pinned so
+//! they can only ratchet down. Re-entering a world nobody touched since its last
 //! run call is: no allocation, and no poll beyond its apps.
 
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
 use bench::alloc_count::allocs_during;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gateway::host::{HostConfig, RadioIfConfig};
+use ether::MacAddr;
+use gateway::host::{EtherIfConfig, HostConfig, RadioIfConfig};
 use gateway::prdriver::{PacketRadioDriver, PrConfig};
 use gateway::scenario::{self, PaperConfig};
 use gateway::world::{ChanId, World};
 use netstack::ip::{Ipv4Packet, Proto};
+use netstack::route::Prefix;
 use radio::csma::MacConfig;
 use radio::tnc::RxMode;
 use radio::traffic::BeaconConfig;
@@ -263,7 +266,7 @@ fn bench_radio_fanout(c: &mut Criterion) {
 /// radio driver's output hook. Counted over the whole world (sender
 /// included) in steady state. The bound is the measured count — lower it
 /// when the path gets leaner, never raise it.
-const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 6;
+const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 3;
 
 fn bench_denied_transit(c: &mut Criterion) {
     let mut s = scenario::paper_topology(PaperConfig::default(), 5);
@@ -308,6 +311,81 @@ fn bench_denied_transit(c: &mut Criterion) {
     let mut g = c.benchmark_group("world");
     g.throughput(Throughput::Elements(1));
     g.bench_function("denied_transit", |b| b.iter(|| flood(&mut s, 1)));
+    g.finish();
+}
+
+/// Heap allocations per datagram forwarded Ethernet → router → Ethernet
+/// and delivered to a bound UDP socket, whole world, steady state. All
+/// three are the sender's (its payload, the UDP encoding, and the growth
+/// that makes room for the IP header): the router and the receiver own
+/// the buffer the segment hands them and parse, forward and deliver it in
+/// place (DESIGN.md §6, datapath buffer contract). The bound is the
+/// measured count — lower it when the path gets leaner, never raise it.
+const ETHER_FORWARD_ALLOCS_PER_DATAGRAM: u64 = 3;
+
+fn bench_ether_forward(c: &mut Criterion) {
+    // One segment, three hosts: `a` reaches `b`'s address only through
+    // the router, which forwards back out of the NIC the frame came in on
+    // (a `Host` carries one Ethernet interface).
+    let ether_host = |name: &str, n: u8, ip: Ipv4Addr| {
+        let mut cfg = HostConfig::named(name);
+        cfg.ether = Some(EtherIfConfig {
+            mac: MacAddr::local(u16::from(n)),
+            ip,
+            prefix_len: 24,
+        });
+        cfg
+    };
+    let (a_ip, r_ip) = (Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 1, 0, 254));
+    let b_ip = Ipv4Addr::new(10, 2, 0, 1);
+    let mut w = World::new(5);
+    // Nobody reads the event log here; left on, its growth would be the
+    // only allocation that is not per datagram.
+    w.record_events = false;
+    let seg = w.add_segment(Bandwidth::ETHERNET_10M);
+    let a = w.add_host(ether_host("a", 1, a_ip));
+    let mut r_cfg = ether_host("router", 2, r_ip);
+    r_cfg.stack.forwarding = true;
+    let r = w.add_host(r_cfg);
+    let b = w.add_host(ether_host("b", 3, b_ip));
+    for h in [a, r, b] {
+        w.attach_ether(h, seg);
+    }
+    let via = |w: &mut World, h, prefix: Prefix, gw: Option<Ipv4Addr>| {
+        let ifid = w.host(h).ether_iface().expect("ether host");
+        w.host_mut(h).stack.routes_mut().add(prefix, gw, ifid);
+    };
+    via(&mut w, a, Prefix::new(b_ip, 24), Some(r_ip));
+    via(&mut w, r, Prefix::new(b_ip, 24), None);
+    let tx = w.host_mut(a).stack.udp_bind(4000).expect("free port");
+    let rx = w.host_mut(b).stack.udp_bind(9).expect("free port");
+    let send = |w: &mut World, n: u64| {
+        for _ in 0..n {
+            let now = w.now;
+            w.host_mut(a).udp_send(now, tx, b_ip, 9, vec![0; 20]);
+            w.run_for(SimDuration::from_millis(5));
+            let got = w.host_mut(b).stack.udp_recv(rx);
+            assert!(got.is_some_and(|(from, _, data)| from == a_ip && data.len() == 20));
+        }
+    };
+    // Warm-up: both ARP exchanges, buffer pools, queue capacities.
+    send(&mut w, 64);
+    const N: u64 = 1_000;
+    let forwarded0 = w.host(r).stack.stats().forwarded;
+    let allocs = allocs_during(|| send(&mut w, N));
+    assert_eq!(w.host(r).stack.stats().forwarded - forwarded0, N);
+    eprintln!(
+        "world/ether_forward: {:.2} heap allocations per datagram",
+        allocs as f64 / N as f64
+    );
+    assert!(
+        allocs <= ETHER_FORWARD_ALLOCS_PER_DATAGRAM * N,
+        "Ethernet forwarding regressed: {allocs} allocations / {N} datagrams \
+         (bound {ETHER_FORWARD_ALLOCS_PER_DATAGRAM} each)"
+    );
+    let mut g = c.benchmark_group("world");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("ether_forward", |b| b.iter(|| send(&mut w, 1)));
     g.finish();
 }
 
@@ -363,6 +441,7 @@ criterion_group!(
     bench_serial_per_char,
     bench_radio_fanout,
     bench_denied_transit,
+    bench_ether_forward,
     bench_reentry
 );
 criterion_main!(benches);

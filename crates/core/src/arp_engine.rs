@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use netstack::arp::{ArpOp, ArpPacket};
 use netstack::ip::Ipv4Packet;
@@ -57,7 +58,9 @@ pub struct ArpStats {
 
 #[derive(Debug)]
 struct CacheEntry {
-    hw: Vec<u8>,
+    /// Shared with every [`Resolution::Send`] that hits this entry: a
+    /// resolve hands out a reference count, not a copy of the address.
+    hw: Rc<[u8]>,
     expires: SimTime,
 }
 
@@ -71,12 +74,16 @@ struct Waiting {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
     /// Transmit the packet to this hardware address.
-    Send(Vec<u8>, Ipv4Packet),
+    Send(Rc<[u8]>, Ipv4Packet),
     /// The packet is held; transmit this ARP request (if `Some`).
     Pending(Option<ArpPacket>),
     /// The packet was dropped (hold queue full).
     Dropped,
 }
+
+/// Held packets an ARP packet released, each with the hardware address it
+/// now goes to.
+pub type Released = Vec<(Rc<[u8]>, Ipv4Packet)>;
 
 /// A link-type-agnostic ARP resolver for one interface.
 #[derive(Debug)]
@@ -112,7 +119,7 @@ impl ArpEngine {
         self.cache.insert(
             ip,
             CacheEntry {
-                hw,
+                hw: hw.into(),
                 expires: SimTime::MAX,
             },
         );
@@ -126,7 +133,7 @@ impl ArpEngine {
         self.cache.insert(
             ip,
             CacheEntry {
-                hw,
+                hw: hw.into(),
                 expires: now + self.cfg.entry_ttl,
             },
         );
@@ -146,7 +153,7 @@ impl ArpEngine {
         self.cache
             .get(&ip)
             .filter(|e| e.expires > now)
-            .map(|e| e.hw.as_slice())
+            .map(|e| &*e.hw)
     }
 
     /// Resolves `next_hop` for `packet`: either releases it with a
@@ -155,7 +162,7 @@ impl ArpEngine {
         if let Some(entry) = self.cache.get(&next_hop) {
             if entry.expires > now {
                 self.stats.hits += 1;
-                return Resolution::Send(entry.hw.clone(), packet);
+                return Resolution::Send(Rc::clone(&entry.hw), packet);
             }
             self.cache.remove(&next_hop);
         }
@@ -189,11 +196,7 @@ impl ArpEngine {
 
     /// Processes an incoming ARP packet. Returns an optional reply to
     /// transmit and any held packets now released as `(hw, packet)`.
-    pub fn on_arp(
-        &mut self,
-        now: SimTime,
-        arp: &ArpPacket,
-    ) -> (Option<ArpPacket>, Vec<(Vec<u8>, Ipv4Packet)>) {
+    pub fn on_arp(&mut self, now: SimTime, arp: &ArpPacket) -> (Option<ArpPacket>, Released) {
         if arp.hw != self.hw_type {
             return (None, Vec::new());
         }
@@ -205,18 +208,19 @@ impl ArpEngine {
         let wanted = self.waiting.contains_key(&arp.sender_ip);
         if for_us || known || wanted {
             self.stats.learned += 1;
+            let hw: Rc<[u8]> = arp.sender_hw.as_slice().into();
+            if let Some(w) = self.waiting.remove(&arp.sender_ip) {
+                for p in w.packets {
+                    released.push((Rc::clone(&hw), p));
+                }
+            }
             self.cache.insert(
                 arp.sender_ip,
                 CacheEntry {
-                    hw: arp.sender_hw.clone(),
+                    hw,
                     expires: now + self.cfg.entry_ttl,
                 },
             );
-            if let Some(w) = self.waiting.remove(&arp.sender_ip) {
-                for p in w.packets {
-                    released.push((arp.sender_hw.clone(), p));
-                }
-            }
         }
         let reply = if for_us && arp.op == ArpOp::Request {
             self.stats.replies_sent += 1;
@@ -315,10 +319,10 @@ mod tests {
         let (resp, released) = e.on_arp(now, &reply);
         assert!(resp.is_none());
         assert_eq!(released.len(), 1);
-        assert_eq!(released[0].0, b"PC".to_vec());
+        assert_eq!(&*released[0].0, b"PC");
         // Next resolve is a hit.
         let r = e.resolve(now, ipa(5), pkt(ipa(5)));
-        assert!(matches!(r, Resolution::Send(hw, _) if hw == b"PC".to_vec()));
+        assert!(matches!(r, Resolution::Send(hw, _) if &*hw == b"PC"));
         assert_eq!(e.stats().hits, 1);
     }
 

@@ -11,6 +11,7 @@ use ether::{EtherFrame, EtherType, MacAddr};
 use netstack::arp::{hw_type, ArpPacket};
 use netstack::ip::Ipv4Packet;
 use sim::{FrameSink, SimTime};
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 use crate::arp_engine::{ArpConfig, ArpEngine, Resolution};
@@ -68,12 +69,14 @@ impl EtherDriver {
     }
 
     /// Processes a received frame. Returns the decapsulated IP packet
-    /// bytes (if any); frames the driver wants transmitted (ARP replies,
+    /// bytes (if any) — the frame's own payload when the caller hands the
+    /// frame over ([`Cow::Owned`], the segment's last recipient), a copy
+    /// otherwise; frames the driver wants transmitted (ARP replies,
     /// released holds) are emitted into `tx`.
     pub fn input(
         &mut self,
         now: SimTime,
-        frame: &EtherFrame,
+        frame: Cow<'_, EtherFrame>,
         tx: &mut impl FrameSink<EtherFrame>,
     ) -> Option<Vec<u8>> {
         self.stats.frames_in += 1;
@@ -81,7 +84,7 @@ impl EtherDriver {
         match frame.ethertype {
             EtherType::Ipv4 => {
                 self.stats.ip_in += 1;
-                Some(frame.payload.clone())
+                Some(frame.into_owned().payload)
             }
             EtherType::Arp => {
                 self.stats.arp_in += 1;
@@ -98,7 +101,7 @@ impl EtherDriver {
                 for (hw, packet) in released {
                     let dst = mac_from_bytes(&hw);
                     self.stats.ip_out += 1;
-                    let f = self.build_frame(dst, EtherType::Ipv4, packet.encode());
+                    let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
                     tx.emit(f);
                 }
                 None
@@ -123,7 +126,7 @@ impl EtherDriver {
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
             self.stats.ip_out += 1;
-            let f = self.build_frame(MacAddr::BROADCAST, EtherType::Ipv4, packet.encode());
+            let f = self.build_frame(MacAddr::BROADCAST, EtherType::Ipv4, packet.into_wire());
             tx.emit(f);
             return;
         }
@@ -131,7 +134,7 @@ impl EtherDriver {
             Resolution::Send(hw, packet) => {
                 self.stats.ip_out += 1;
                 let dst = mac_from_bytes(&hw);
-                let f = self.build_frame(dst, EtherType::Ipv4, packet.encode());
+                let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
                 tx.emit(f);
             }
             Resolution::Pending(Some(request)) => {
@@ -190,7 +193,7 @@ mod tests {
             p.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, &f, &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
         assert!(tx.is_empty());
         assert_eq!(ip.unwrap(), p.encode());
         assert_eq!(drv.stats().ip_in, 1);
@@ -212,7 +215,7 @@ mod tests {
             req.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, &f, &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
         assert!(ip.is_none());
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(2));
@@ -245,7 +248,7 @@ mod tests {
             reply.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let _ = drv.input(SimTime::ZERO, &rf, &mut tx);
+        let _ = drv.input(SimTime::ZERO, Cow::Owned(rf), &mut tx);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(7));
         assert_eq!(tx[0].payload, p.encode());
@@ -261,7 +264,7 @@ mod tests {
             vec![0; 10],
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, &f, &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
         assert!(ip.is_none() && tx.is_empty());
         assert_eq!(drv.stats().other_in, 1);
     }

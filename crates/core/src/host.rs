@@ -13,6 +13,7 @@
 //! costs an interrupt, every packet costs protocol time, and IP inputs
 //! wait in a bounded `ifqueue` until the simulated CPU gets to them.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -119,9 +120,9 @@ pub struct Host {
     input_queue: IfQueue<(IfaceId, Vec<u8>)>,
     /// Non-IP frames diverted for user programs (§2.4).
     tty_queue: VecDeque<Frame>,
-    /// Stack actions being routed by [`Host::handle_actions`] (empty
-    /// between calls; kept for its capacity).
-    work: VecDeque<StackAction>,
+    /// The round of stack actions [`Host::handle_actions`] is routing
+    /// (empty between calls; kept for its capacity).
+    round: Vec<StackAction>,
     outbox: Vec<HostOut>,
     events: Vec<StackAction>,
     last_arp_age: SimTime,
@@ -176,7 +177,7 @@ impl Host {
             filter,
             input_queue: IfQueue::new(IFQ_MAXLEN),
             tty_queue: VecDeque::new(),
-            work: VecDeque::new(),
+            round: Vec::new(),
             outbox: Vec::new(),
             events: Vec::new(),
             last_arp_age: SimTime::ZERO,
@@ -412,7 +413,9 @@ impl Host {
     }
 
     /// Receives a frame from the Ethernet segment (DMA: packet cost only).
-    pub fn on_ether_frame(&mut self, now: SimTime, frame: &EtherFrame) {
+    /// An owned frame's payload goes up the stack as it is; a borrowed one
+    /// is copied by the driver.
+    pub fn on_ether_frame(&mut self, now: SimTime, frame: Cow<'_, EtherFrame>) {
         if self.down {
             return;
         }
@@ -471,7 +474,7 @@ impl Host {
             return;
         }
         while let Some((iface, bytes)) = self.input_queue.pop_due(now) {
-            self.stack.input_queued(now, iface, &bytes);
+            self.stack.input_owned(now, iface, bytes);
             self.handle_actions(now);
         }
         self.stack.poll_queued(now);
@@ -516,6 +519,14 @@ impl Host {
         std::mem::take(&mut self.events)
     }
 
+    /// Hands the pending events over by swapping them with `empty` — the
+    /// allocation-free form of [`Host::take_events`], as
+    /// [`Host::swap_outbox`] is of [`Host::take_outbox`].
+    pub fn swap_events(&mut self, empty: &mut Vec<StackAction>) {
+        debug_assert!(empty.is_empty());
+        std::mem::swap(&mut self.events, empty);
+    }
+
     /// Takes diverted non-IP frames (the §2.4 tty queue).
     pub fn take_tty_frames(&mut self) -> Vec<Frame> {
         self.tty_queue.drain(..).collect()
@@ -525,64 +536,69 @@ impl Host {
 
     /// Handles every action the stack has queued: egress goes to drivers,
     /// forwards pass the filter engine, app events accumulate for
-    /// [`Host::take_events`].
+    /// [`Host::take_events`]. The queue is taken a round at a time by
+    /// swapping buffers; what handling a round appends (a forward's egress
+    /// or ICMP error) is the next round — the same first-in-first-out
+    /// order as one queue appended to while it drains.
     pub fn handle_actions(&mut self, now: SimTime) {
-        self.stack.drain_actions_into(&mut self.work);
-        while let Some(act) = self.work.pop_front() {
-            // The socket table observes every action (accept queues,
-            // connect completion, latched errors) before it is consumed.
-            self.sockets.on_action(&self.stack, &act);
-            match act {
-                StackAction::Egress {
-                    iface,
-                    next_hop,
-                    packet,
-                } => {
-                    self.route_output(now, iface, next_hop, packet);
-                }
-                StackAction::ForwardNeeded { ingress, packet } => {
-                    let allow = match &self.filter {
-                        Some(f) => {
-                            // A radio-equipped host already judged this
-                            // packet at the driver's rint hook and will
-                            // judge the egress side at the output hook;
-                            // evaluating here too would double-charge token
-                            // buckets and double-refresh gate entries. Only
-                            // hosts with no radio police the forwarding
-                            // step itself.
-                            self.pr.is_some()
-                                || f.borrow_mut()
-                                    .eval(now, &filter::PacketMeta::of(&packet))
-                                    .is_allow()
+        let mut round = std::mem::take(&mut self.round);
+        while !self.stack.actions_empty() {
+            self.stack.swap_actions(&mut round);
+            for act in round.drain(..) {
+                // The socket table observes every action (accept queues,
+                // connect completion, latched errors) before it is consumed.
+                self.sockets.on_action(&self.stack, &act);
+                match act {
+                    StackAction::Egress {
+                        iface,
+                        next_hop,
+                        packet,
+                    } => {
+                        self.route_output(now, iface, next_hop, packet);
+                    }
+                    StackAction::ForwardNeeded { packet, .. } => {
+                        let allow = match &self.filter {
+                            Some(f) => {
+                                // A radio-equipped host already judged this
+                                // packet at the driver's rint hook and will
+                                // judge the egress side at the output hook;
+                                // evaluating here too would double-charge
+                                // token buckets and double-refresh gate
+                                // entries. Only hosts with no radio police
+                                // the forwarding step itself.
+                                self.pr.is_some()
+                                    || f.borrow_mut()
+                                        .eval(now, &filter::PacketMeta::of(&packet))
+                                        .is_allow()
+                            }
+                            None => true,
+                        };
+                        if allow {
+                            self.stack.forward(packet);
                         }
-                        None => true,
-                    };
-                    if allow {
-                        self.stack.forward(packet);
-                        self.stack.drain_actions_into(&mut self.work);
                     }
-                    let _ = ingress;
-                }
-                StackAction::GateControl {
-                    from,
-                    ingress,
-                    message,
-                } => {
-                    let from_amateur_side = Some(ingress) == self.pr.as_ref().map(|(i, _)| *i);
-                    if let Some(f) = &self.filter {
-                        f.borrow_mut()
-                            .on_gate_message(now, from_amateur_side, &message);
-                    }
-                    // Keep it visible to tests/apps as well.
-                    self.events.push(StackAction::GateControl {
+                    StackAction::GateControl {
                         from,
                         ingress,
                         message,
-                    });
+                    } => {
+                        let from_amateur_side = Some(ingress) == self.pr.as_ref().map(|(i, _)| *i);
+                        if let Some(f) = &self.filter {
+                            f.borrow_mut()
+                                .on_gate_message(now, from_amateur_side, &message);
+                        }
+                        // Keep it visible to tests/apps as well.
+                        self.events.push(StackAction::GateControl {
+                            from,
+                            ingress,
+                            message,
+                        });
+                    }
+                    other => self.events.push(other),
                 }
-                other => self.events.push(other),
             }
         }
+        self.round = round;
     }
 
     fn route_output(
@@ -1035,6 +1051,52 @@ mod tests {
             out.iter().any(|o| matches!(o, HostOut::SerialTx(_))),
             "admitted transit reaches the radio (ARP or data): {out:?}"
         );
+    }
+
+    #[test]
+    fn actions_a_round_appends_wait_for_the_next_round() {
+        // One round holds a forward that dies of TTL (its ICMP
+        // time-exceeded is appended while the round is being handled) and
+        // an egress queued behind it. First in, first out: the egress
+        // leaves before the ICMP error, as when one queue was appended to
+        // while it drained.
+        use crate::hwaddr::Ax25Hw;
+        let mut cfg = HostConfig::named("gw");
+        cfg.stack.forwarding = true;
+        cfg.radio = Some(RadioIfConfig {
+            call: a("N7AKR-1"),
+            ip: Ipv4Addr::new(44, 24, 0, 28),
+            prefix_len: 16,
+        });
+        let mut gw = Host::new(cfg);
+        let (sender, pinged) = (Ipv4Addr::new(44, 24, 0, 9), Ipv4Addr::new(44, 24, 0, 5));
+        for (ip, call) in [(sender, "W1GOH"), (pinged, "KB7DZ")] {
+            let hw = Ax25Hw::direct(a(call)).encode();
+            gw.pr_driver_mut().unwrap().arp_mut().insert_static(ip, hw);
+        }
+        let mut dying =
+            Ipv4Packet::new(sender, Ipv4Addr::new(44, 24, 0, 77), Proto::Udp, vec![7; 8]);
+        dying.ttl = 1;
+        let now = SimTime::ZERO;
+        let radio = gw.radio_iface().unwrap();
+        gw.stack.input_owned(now, radio, dying.into_wire());
+        gw.stack.ping(pinged, 1, 1, 8);
+        gw.handle_actions(now);
+        let sent: Vec<(Ipv4Addr, Proto)> = gw
+            .take_outbox()
+            .iter()
+            .map(|out| {
+                let HostOut::SerialTx(bytes) = out else {
+                    panic!("{out:?}");
+                };
+                let frame = Frame::decode(&kiss::decode_stream(bytes)[0].payload).unwrap();
+                let ip = Ipv4Packet::decode(&frame.info).unwrap();
+                (ip.dst, ip.proto)
+            })
+            .collect();
+        assert_eq!(sent, [(pinged, Proto::Icmp), (sender, Proto::Icmp)]);
+        assert_eq!(gw.stack.stats().ttl_expired, 1);
+        assert!(gw.stack.actions_empty());
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl PacketRadioDriver {
                     let hw = Ax25Hw::via(frame.source, &path);
                     self.arp.insert_learned(now, src_ip, hw.encode());
                     for p in self.arp.release_held(src_ip) {
-                        self.encapsulate_ip(&p, &hw, tx);
+                        self.encapsulate_ip(p, &hw, tx);
                     }
                 }
                 Some(PrEvent::IpPacket(frame.info))
@@ -459,12 +459,11 @@ impl PacketRadioDriver {
                 .unwrap_or(false))
         .then(|| Ax25Hw::via(link_source, reverse_path));
 
-        let (reply, released) = self.arp.on_arp(now, &arp);
-        let mut released: Vec<(Vec<u8>, netstack::ip::Ipv4Packet)> = released;
+        let (reply, mut released) = self.arp.on_arp(now, &arp);
         if let Some(hw) = &path_override {
             self.arp.insert_learned(now, arp.sender_ip, hw.encode());
             for p in self.arp.release_held(arp.sender_ip) {
-                released.push((hw.encode(), p));
+                released.push((hw.encode().into(), p));
             }
         }
         if let Some(reply) = reply {
@@ -479,7 +478,7 @@ impl PacketRadioDriver {
         }
         for (hw_bytes, packet) in released {
             if let Ok(hw) = Ax25Hw::decode(&hw_bytes) {
-                self.encapsulate_ip(&packet, &hw, tx);
+                self.encapsulate_ip(packet, &hw, tx);
             }
         }
     }
@@ -501,7 +500,7 @@ impl PacketRadioDriver {
         if next_hop == Ipv4Addr::BROADCAST {
             self.stats.ip_out += 1;
             self.ifnet.stats.opackets += 1;
-            let bytes = packet.encode();
+            let bytes = packet.into_wire();
             self.stats.ip_bytes_out += bytes.len() as u64;
             let frame = Frame::ui(Ax25Addr::broadcast(), self.cfg.my_call, Pid::Ip, bytes);
             self.emit_kiss(&frame, tx);
@@ -520,7 +519,7 @@ impl PacketRadioDriver {
         }
         match self.arp.resolve(now, next_hop, packet) {
             Resolution::Send(hw_bytes, packet) => match Ax25Hw::decode(&hw_bytes) {
-                Ok(hw) => self.encapsulate_ip(&packet, &hw, tx),
+                Ok(hw) => self.encapsulate_ip(packet, &hw, tx),
                 Err(_) => {
                     self.ifnet.stats.oerrors += 1;
                 }
@@ -550,10 +549,10 @@ impl PacketRadioDriver {
         tx.emit(out);
     }
 
-    fn encapsulate_ip(&mut self, packet: &Ipv4Packet, hw: &Ax25Hw, tx: &mut impl FrameSink) {
+    fn encapsulate_ip(&mut self, packet: Ipv4Packet, hw: &Ax25Hw, tx: &mut impl FrameSink) {
         self.stats.ip_out += 1;
         self.ifnet.stats.opackets += 1;
-        let mut bytes = packet.encode();
+        let mut bytes = packet.into_wire();
         // RFC 1144 classification: TCP segments shrink their header to a
         // handful of delta bytes; everything else rides PID 0xCC as ever.
         let pid = match &mut self.vj {

@@ -23,6 +23,8 @@
 //! pre-shard `World` engines: same pass structure, same RNG draws, same
 //! calendar traffic, same event streams.
 
+use std::borrow::Cow;
+
 use ether::{EtherFrame, NicId, Segment};
 use netstack::stack::StackAction;
 use radio::channel::{Channel, Heard};
@@ -259,6 +261,17 @@ pub(crate) struct OutFrame {
     pub frame: EtherFrame,
 }
 
+/// What one [`ShardData::flush_host`] call did.
+#[derive(Clone, Copy, Default)]
+struct Flushed {
+    /// Output reached a link or events were taken: the instant is not
+    /// quiet yet. By itself this moves nothing the host or its apps see.
+    progressed: bool,
+    /// An app's `on_event` handler ran: it may have changed app state or
+    /// queued more output on the host, so both get another look.
+    dispatched: bool,
+}
+
 /// A timed cross-shard delivery: `(delivery time, local host, frame)`.
 pub(crate) type InFrame = (SimTime, usize, EtherFrame);
 
@@ -317,8 +330,9 @@ pub(crate) struct ShardData {
     scratch: Vec<usize>,
     /// Reusable buffer for serial deliveries (runs and FIFO drains).
     run_scratch: Vec<u8>,
-    /// Reusable buffer `flush_host` swaps a host's outbox into.
+    /// Reusable buffers `flush_host` swaps a host's outbox and events into.
     out_scratch: Vec<HostOut>,
+    event_scratch: Vec<StackAction>,
     /// The transmission `hear_channel` is routing (buffers reused).
     heard: Heard,
 }
@@ -359,6 +373,7 @@ impl ShardData {
             scratch: Vec::new(),
             run_scratch: Vec::new(),
             out_scratch: Vec::new(),
+            event_scratch: Vec::new(),
             heard: Heard::default(),
         }
     }
@@ -654,7 +669,7 @@ impl ShardData {
         if self.lines[li].next_deadline().is_none_or(|t| t > upto) {
             return got;
         }
-        let char_time = self.lines[li].config().char_time();
+        let char_time = self.lines[li].char_time();
         let mut run = std::mem::take(&mut self.run_scratch);
         while let Some(info) = self.lines[li].take_run(End::A, upto, &mut run) {
             self.now = self.now.max(info.t_last);
@@ -839,7 +854,7 @@ impl ShardData {
                     for &si in &todo {
                         polled += 1;
                         if segments[si].next_deadline().is_some_and(|t| t <= now) {
-                            segments[si].advance_with(now, |nic, frame| {
+                            segments[si].advance_owned(now, |nic, frame| {
                                 progressed = true;
                                 if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
                                     self.catch_up_host(hi);
@@ -858,7 +873,9 @@ impl ShardData {
                         progressed = true;
                         polled += 1;
                         self.catch_up_host(hi);
-                        self.hosts[hi].host.on_ether_frame(now, &frame);
+                        self.hosts[hi]
+                            .host
+                            .on_ether_frame(now, Cow::Borrowed(&frame));
                         self.dirty.mark(Key::Host(hi));
                         self.mark_apps(hi);
                         self.spent.push(frame);
@@ -881,16 +898,18 @@ impl ShardData {
                     self.mark_apps(hi);
                 }
                 let flushed = self.flush_host(now, hi, segs);
-                if flushed {
-                    progressed = true;
+                progressed |= flushed.progressed;
+                if flushed.dispatched {
                     // on_event handlers may have queued more output and
-                    // changed app state; catch both this instant.
+                    // changed app state; catch both this instant. Routing
+                    // an outbox alone changes nothing a host or app sees.
                     self.dirty.mark(Key::Host(hi));
                     self.mark_apps(hi);
                     self.flush_after_apps.mark(hi);
                 }
-                // A host that neither ran nor flushed is where it was.
-                if due || flushed {
+                // A host that neither ran nor heard from a handler is
+                // where it was.
+                if due || flushed.dispatched {
                     deadline = self.hosts[hi].host.next_deadline();
                 }
                 self.reg(Key::Host(hi), deadline);
@@ -917,8 +936,9 @@ impl ShardData {
                 self.flush_after_apps.drain_into(&mut todo);
             }
             for &hi in &todo {
-                if self.flush_host(now, hi, segs) {
-                    progressed = true;
+                let flushed = self.flush_host(now, hi, segs);
+                progressed |= flushed.progressed;
+                if flushed.dispatched {
                     self.dirty.mark(Key::Host(hi));
                     self.mark_apps(hi);
                 }
@@ -991,7 +1011,7 @@ impl ShardData {
                         if segments[si].next_deadline().is_none_or(|t| t > now) {
                             continue;
                         }
-                        segments[si].advance_with(now, |nic, frame| {
+                        segments[si].advance_owned(now, |nic, frame| {
                             progressed = true;
                             if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
                                 self.hosts[hi].host.on_ether_frame(now, frame);
@@ -1003,7 +1023,9 @@ impl ShardData {
                     while self.ether_in.peek().is_some_and(|e| e.0 <= now) {
                         let (_, hi, frame) = self.ether_in.pop().expect("peeked entry pops");
                         progressed = true;
-                        self.hosts[hi].host.on_ether_frame(now, &frame);
+                        self.hosts[hi]
+                            .host
+                            .on_ether_frame(now, Cow::Borrowed(&frame));
                         self.spent.push(frame);
                     }
                 }
@@ -1018,7 +1040,7 @@ impl ShardData {
                 {
                     self.hosts[hi].host.advance(now);
                 }
-                progressed |= self.flush_host(now, hi, segs);
+                progressed |= self.flush_host(now, hi, segs).progressed;
             }
 
             // 6. Applications.
@@ -1091,14 +1113,14 @@ impl ShardData {
     /// host pushed output into get their new deadlines registered here.
     /// Ethernet output goes to the segment directly (single-shard) or to
     /// `ether_out` for the coordinator (multi-shard).
-    fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> bool {
-        let mut progressed = false;
+    fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> Flushed {
+        let mut flushed = Flushed::default();
         let mut outs = std::mem::take(&mut self.out_scratch);
         self.hosts[hi].host.swap_outbox(&mut outs);
         let serial = self.hosts[hi].serial;
         let nic = self.hosts[hi].nic;
         for out in outs.drain(..) {
-            progressed = true;
+            flushed.progressed = true;
             match out {
                 HostOut::SerialTx(bytes) => {
                     if let Some(li) = serial {
@@ -1148,11 +1170,13 @@ impl ShardData {
                 }
             }
         }
-        let events = self.hosts[hi].host.take_events();
+        let mut events = std::mem::take(&mut self.event_scratch);
+        self.hosts[hi].host.swap_events(&mut events);
         if !events.is_empty() {
-            progressed = true;
+            flushed.progressed = true;
+            flushed.dispatched = !self.host_apps[hi].is_empty();
             let gid = HostId::from_raw(self.host_gids[hi]);
-            for ev in events {
+            for ev in events.drain(..) {
                 if self.trace.is_enabled() {
                     self.trace.record(
                         now,
@@ -1171,7 +1195,8 @@ impl ShardData {
                 }
             }
         }
-        progressed
+        self.event_scratch = events;
+        flushed
     }
 
     /// Reference-stepper app step: poll every app, then flush every host.
@@ -1184,7 +1209,7 @@ impl ShardData {
         self.apps = apps;
         // App activity shows up as host outbox/event work.
         for hi in 0..self.hosts.len() {
-            progressed |= self.flush_host(now, hi, segs);
+            progressed |= self.flush_host(now, hi, segs).progressed;
         }
         progressed
     }

@@ -1297,6 +1297,73 @@ mod tests {
         assert!(s.world.calendar_len() <= components);
     }
 
+    /// Sends one datagram per `gap` from its host, `left` times.
+    struct Sender {
+        udp: netstack::stack::UdpId,
+        to: std::net::Ipv4Addr,
+        next: SimTime,
+        gap: SimDuration,
+        left: u64,
+    }
+
+    impl App for Sender {
+        fn poll(&mut self, now: SimTime, host: &mut Host) {
+            while self.left > 0 && self.next <= now {
+                host.udp_send(now, self.udp, self.to, 9, vec![0; 20]);
+                self.next += self.gap;
+                self.left -= 1;
+            }
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            (self.left > 0).then_some(self.next)
+        }
+    }
+
+    /// The wake rule on the Ethernet/IP hop (DESIGN.md §6): a datagram an
+    /// Ethernet host sends through the gateway costs four visits — the
+    /// sender's app, the segment, and the gateway twice (frame in, input
+    /// queue due) — since routing a host's outbox re-marks nobody,
+    /// because nothing the host or its apps can observe moved. The bound
+    /// is the measured count, so it can only ratchet down. Mutations: a
+    /// flush that re-marks the host and its apps whenever it routed output
+    /// costs 6 polls per datagram and fails here; one that never re-marks
+    /// after an `on_event` handler ran fails `sched_equivalence`'s
+    /// `output_queued_by_an_event_handler_leaves_in_the_same_instant`.
+    #[test]
+    fn a_forwarded_datagram_wakes_each_component_once() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        let udp = s
+            .world
+            .host_mut(s.ether_host)
+            .stack
+            .udp_bind(4000)
+            .expect("free port");
+        const N: u64 = 1_000;
+        let start = s.world.now + SimDuration::from_secs(1);
+        s.world.add_app(
+            s.ether_host,
+            Box::new(Sender {
+                udp,
+                // Nobody invited traffic for this amateur address:
+                // forwarded by the gateway's stack, denied at its radio
+                // output hook, so the radio side stays silent.
+                to: std::net::Ipv4Addr::new(44, 24, 0, 77),
+                next: start,
+                gap: SimDuration::from_millis(5),
+                left: N,
+            }),
+        );
+        // Settle the first datagram's ARP exchange outside the count.
+        s.world.run_until(start + SimDuration::from_millis(2));
+        let before = s.world.sched_stats().polled;
+        s.world.run_for(SimDuration::from_secs(6));
+        let drv = s.world.host(s.gw).pr_driver().unwrap().stats();
+        assert_eq!(drv.filter_drop_out, N, "forwarded, then denied");
+        let polled = s.world.sched_stats().polled - before;
+        assert!(polled <= 4 * (N - 1) + 3, "{polled} polls");
+    }
+
     /// A scripted test app: polls are recorded, and it exposes a fixed
     /// deadline schedule.
     struct Recorder {

@@ -14,6 +14,7 @@ use gateway::cpu::CpuConfig;
 use gateway::host::{Host, HostConfig, RadioIfConfig};
 use gateway::scenario::{self, PaperConfig, PaperScenario};
 use gateway::world::{App, BeaconId, ChanId, DigiId, HostId, TncId, World};
+use netstack::stack::StackAction;
 use proptest::prelude::*;
 use radio::channel::StationId;
 use radio::csma::MacConfig;
@@ -836,4 +837,92 @@ fn mutations_between_run_calls_match_reference() {
         assert_eq!(got, want, "indexed differs at the end of chunk {k}");
     }
     assert_eq!(indexed, reference, "indexed engine diverged from reference");
+}
+
+/// An app whose poll raises a stack event synchronously (it aborts its
+/// own connection) and whose `on_event` handler answers that event with
+/// output of its own.
+struct Reactor {
+    /// Where the connection goes: nobody there, so it stays half-open.
+    silent: Ipv4Addr,
+    /// Whom the handler pings.
+    dst: Ipv4Addr,
+    connect_at: SimTime,
+    abort_at: SimTime,
+    sock: Option<netstack::stack::SockId>,
+    step: u8,
+}
+
+impl App for Reactor {
+    fn poll(&mut self, now: SimTime, host: &mut Host) {
+        if self.step == 0 && self.connect_at <= now {
+            self.step = 1;
+            self.sock = host.tcp_connect(now, self.silent, 9).ok();
+        }
+        if self.step == 1 && self.abort_at <= now {
+            self.step = 2;
+            if let Some(sock) = self.sock {
+                host.stack.tcp_abort(now, sock);
+                host.handle_actions(now);
+            }
+        }
+    }
+
+    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
+        if let StackAction::TcpClosed { reset: true, .. } = event {
+            host.ping(now, self.dst, 0xabcd, 1, 32);
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        match self.step {
+            0 => Some(self.connect_at),
+            1 => Some(self.abort_at),
+            _ => None,
+        }
+    }
+}
+
+/// The half of the wake rule that stays (DESIGN.md §6): the flush after
+/// the app step dispatches the abort's `TcpClosed` to the handler, the
+/// handler queues a ping, and the host is looked at again in the same
+/// instant so the ping leaves then — not whenever the host next wakes.
+/// Mutation: a `flush_host` that reports no handler ran leaves the ping in
+/// the outbox (the host has no other deadline), the reply never comes, and
+/// this is the test that fails.
+#[test]
+fn output_queued_by_an_event_handler_leaves_in_the_same_instant() {
+    let run = |driver: Driver| {
+        let cfg = PaperConfig {
+            acl: false,
+            ..PaperConfig::default()
+        };
+        let mut s = scenario::paper_topology(cfg, 7);
+        s.world.add_app(
+            s.ether_host,
+            Box::new(Reactor {
+                silent: Ipv4Addr::new(128, 95, 1, 77),
+                dst: scenario::GW_ETHER_IP,
+                connect_at: SimTime::from_secs(1),
+                abort_at: SimTime::from_secs(2),
+                sock: None,
+                step: 0,
+            }),
+        );
+        driver.run_for(&mut s.world, SimDuration::from_secs(5));
+        fingerprint(
+            &mut s.world,
+            &[s.pc_tnc, s.gw_tnc],
+            &[],
+            &[],
+            &[s.chan],
+            &[s.pc, s.gw, s.ether_host],
+        )
+    };
+    let reference = run(Driver::Reference);
+    assert!(
+        reference.contains("PingReply") && reference.contains("id: 43981"),
+        "the handler's ping went unanswered:\n{reference}"
+    );
+    assert_eq!(run(Driver::Indexed), reference);
 }

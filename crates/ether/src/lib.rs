@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -66,6 +67,7 @@ impl MacAddr {
     }
 
     /// True for the broadcast address.
+    #[inline]
     pub fn is_broadcast(&self) -> bool {
         *self == MacAddr::BROADCAST
     }
@@ -100,6 +102,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// Wire value.
+    #[inline]
     pub fn code(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
@@ -109,6 +112,7 @@ impl EtherType {
     }
 
     /// Decodes a wire value.
+    #[inline]
     pub fn from_code(v: u16) -> EtherType {
         match v {
             0x0800 => EtherType::Ipv4,
@@ -142,6 +146,7 @@ impl EtherFrame {
     /// # Panics
     ///
     /// Panics if the payload exceeds the [`MTU`].
+    #[inline]
     pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> EtherFrame {
         assert!(payload.len() <= MTU, "payload exceeds Ethernet MTU");
         EtherFrame {
@@ -176,6 +181,7 @@ impl EtherFrame {
 
     /// On-wire length in octets, including header and minimum-size padding
     /// (used for serialization-delay math).
+    #[inline]
     pub fn wire_len(&self) -> usize {
         14 + self.payload.len().max(MIN_PAYLOAD)
     }
@@ -236,6 +242,7 @@ pub struct NicId(usize);
 
 impl NicId {
     /// The NIC's attachment index on its segment (dense from 0).
+    #[inline]
     pub fn index(self) -> usize {
         self.0
     }
@@ -300,11 +307,13 @@ impl Segment {
     }
 
     /// The MAC of an attached NIC.
+    #[inline]
     pub fn mac_of(&self, nic: NicId) -> MacAddr {
         self.nics[nic.0].mac
     }
 
     /// Queues a frame for transmission from `from`.
+    #[inline]
     pub fn send(&mut self, now: SimTime, from: NicId, frame: EtherFrame) {
         self.stats.sent += 1;
         if self.in_flight.is_none() {
@@ -321,6 +330,7 @@ impl Segment {
     }
 
     /// Time the frame on the wire completes, if any.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.in_flight.as_ref().map(|(t, _, _)| *t)
     }
@@ -329,7 +339,7 @@ impl Segment {
     /// deliveries for every NIC that should receive it.
     pub fn advance(&mut self, now: SimTime) -> Vec<(NicId, EtherFrame)> {
         let mut out = Vec::new();
-        self.advance_with(now, |nic, frame| out.push((nic, frame.clone())));
+        self.advance_owned(now, |nic, frame| out.push((nic, frame.into_owned())));
         out
     }
 
@@ -338,19 +348,38 @@ impl Segment {
     /// copy (e.g. into a recycled frame — the sharded engine's zero-alloc
     /// delivery path).
     pub fn advance_with(&mut self, now: SimTime, mut deliver: impl FnMut(NicId, &EtherFrame)) {
+        self.advance_owned(now, |nic, frame| deliver(nic, &frame));
+    }
+
+    /// The one delivery loop: completes every transmission due by `now`
+    /// and hands the frame to each NIC that should receive it, in
+    /// attachment order — borrowed, except that the last recipient gets
+    /// the frame itself. A unicast frame therefore reaches its one
+    /// receiver by value and its payload need never be copied.
+    pub fn advance_owned(
+        &mut self,
+        now: SimTime,
+        mut deliver: impl FnMut(NicId, Cow<'_, EtherFrame>),
+    ) {
         while let Some((done, _, _)) = &self.in_flight {
             if *done > now {
                 break;
             }
             let (done, from, frame) = self.in_flight.take().expect("checked some");
+            let mut last = None;
             for (i, nic) in self.nics.iter().enumerate() {
                 if NicId(i) == from {
                     continue;
                 }
                 if nic.promiscuous || frame.dst.is_broadcast() || frame.dst == nic.mac {
                     self.stats.delivered += 1;
-                    deliver(NicId(i), &frame);
+                    if let Some(prev) = last.replace(NicId(i)) {
+                        deliver(prev, Cow::Borrowed(&frame));
+                    }
                 }
+            }
+            if let Some(nic) = last {
+                deliver(nic, Cow::Owned(frame));
             }
             if let Some((next_from, next_frame)) = self.queue.pop_front() {
                 self.start(done, next_from, next_frame);
@@ -359,6 +388,7 @@ impl Segment {
     }
 
     /// Frames queued or on the wire.
+    #[inline]
     pub fn backlog(&self) -> usize {
         self.queue.len() + usize::from(self.in_flight.is_some())
     }

@@ -78,6 +78,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// True for [`Verdict::Allow`].
+    #[inline]
     pub fn is_allow(self) -> bool {
         self == Verdict::Allow
     }
@@ -396,6 +397,7 @@ impl FilterEngine {
 
     /// The earliest instant soft state can decay — folded into the
     /// host's scheduler deadline, per the PR 2 discipline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.gate.as_ref().and_then(|g| g.next_deadline())
     }

@@ -115,6 +115,7 @@ impl PacketMeta {
     /// `rint` hook, where the datagram has not been decoded (or even
     /// copied) yet. Returns `None` for anything too short or non-IPv4;
     /// the caller drops those as bad frames exactly as before.
+    #[inline]
     pub fn parse(bytes: &[u8]) -> Option<PacketMeta> {
         if bytes.len() < 20 || bytes[0] >> 4 != 4 {
             return None;
@@ -141,6 +142,7 @@ impl PacketMeta {
     /// Extracts the match fields from a decoded packet — the forward
     /// and encapsulate hooks, where the stack already holds an
     /// [`Ipv4Packet`].
+    #[inline]
     pub fn of(p: &Ipv4Packet) -> PacketMeta {
         let proto = p.proto.code();
         let mut meta = PacketMeta {
@@ -158,11 +160,13 @@ impl PacketMeta {
     }
 
     /// The source as an address (for traces).
+    #[inline]
     pub fn src_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.src)
     }
 
     /// The destination as an address (for traces).
+    #[inline]
     pub fn dst_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.dst)
     }

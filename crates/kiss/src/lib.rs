@@ -634,6 +634,7 @@ impl Deframer {
 
     /// True if the decoder has consumed frame content that is not yet
     /// terminated (useful for draining tests).
+    #[inline]
     pub fn in_frame(&self) -> bool {
         matches!(self.state, State::Open | State::Escape)
             && !self.buf.is_empty()

@@ -72,6 +72,7 @@ pub enum FwdDecision {
 
 impl FwdDecision {
     /// The tunnel endpoint embedded in the decision, if any.
+    #[inline]
     pub fn encap(&self) -> Option<Ipv4Addr> {
         match *self {
             FwdDecision::NoRoute { encap } | FwdDecision::Via { encap, .. } => encap,
@@ -135,6 +136,7 @@ impl FwdCache {
     }
 
     /// False when constructed with `bits == 0`.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.bits != 0
     }

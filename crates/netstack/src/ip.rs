@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::{internet_checksum, Codec, Reader};
+use sim::wire::{internet_checksum, Codec};
 use sim::{SimDuration, SimTime};
 
 use crate::NetError;
@@ -29,6 +29,7 @@ pub enum Proto {
 
 impl Proto {
     /// Wire value.
+    #[inline]
     pub fn code(self) -> u8 {
         match self {
             Proto::Icmp => 1,
@@ -39,6 +40,7 @@ impl Proto {
     }
 
     /// Decodes a wire value.
+    #[inline]
     pub fn from_code(v: u8) -> Proto {
         match v {
             1 => Proto::Icmp,
@@ -87,6 +89,7 @@ pub struct Ipv4Packet {
 
 impl Ipv4Packet {
     /// Creates an unfragmented packet with the default TTL.
+    #[inline]
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: Proto, payload: Vec<u8>) -> Ipv4Packet {
         Ipv4Packet {
             tos: 0,
@@ -103,26 +106,52 @@ impl Ipv4Packet {
     }
 
     /// Total length on the wire.
+    #[inline]
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 
     /// True if this is a fragment (not a whole datagram).
+    #[inline]
     pub fn is_fragment(&self) -> bool {
         self.more_fragments || self.frag_offset != 0
     }
 
-    /// Encodes header (with checksum) + payload.
+    /// Encodes header (with checksum) + payload into a fresh buffer. Only
+    /// callers that keep the packet afterwards need this (ICMP error
+    /// quotes); an output site that owns the packet uses
+    /// [`Ipv4Packet::into_wire`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_len());
         self.encode_into(&mut out);
         out
     }
 
-    /// Appends header (with checksum) + payload to any [`ByteSink`]. The
-    /// header is staged in a stack array so the checksum can be patched in
-    /// before anything touches the sink.
+    /// Appends header (with checksum) + payload to any [`ByteSink`].
     pub fn encode_into(&self, out: &mut impl ByteSink) {
+        out.put_slice(&self.header());
+        out.put_slice(&self.payload);
+    }
+
+    /// Turns the packet into its wire bytes inside the payload's own
+    /// allocation: the payload shifts up and the checksummed header is
+    /// written in front of it. A packet that came from
+    /// [`Ipv4Packet::decode_owned`] still has the room its old header
+    /// occupied, so a forwarded datagram is encoded without allocating.
+    pub fn into_wire(self) -> Vec<u8> {
+        let hdr = self.header();
+        let mut wire = self.payload;
+        let n = wire.len();
+        wire.reserve_exact(HEADER_LEN);
+        wire.resize(n + HEADER_LEN, 0);
+        wire.copy_within(..n, HEADER_LEN);
+        wire[..HEADER_LEN].copy_from_slice(&hdr);
+        wire
+    }
+
+    /// The one header writer: the 20 octets, checksum filled in.
+    #[inline]
+    fn header(&self) -> [u8; HEADER_LEN] {
         let mut hdr = [0u8; HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
         hdr[1] = self.tos;
@@ -138,51 +167,65 @@ impl Ipv4Packet {
         hdr[16..20].copy_from_slice(&self.dst.octets());
         let sum = internet_checksum(&[&hdr]);
         hdr[10..12].copy_from_slice(&sum.to_be_bytes());
-        out.put_slice(&hdr);
-        out.put_slice(&self.payload);
+        hdr
     }
 
-    /// Decodes and verifies a packet. Trailing link-layer padding (e.g.
-    /// from minimum-size Ethernet frames) is trimmed using the
-    /// total-length field.
+    /// Decodes and verifies a packet, copying the payload out of `bytes`.
+    /// Trailing link-layer padding (e.g. from minimum-size Ethernet
+    /// frames) is trimmed using the total-length field.
     pub fn decode(bytes: &[u8]) -> Result<Ipv4Packet, NetError> {
-        let mut r = Reader::new(bytes);
-        let vihl = r.u8().map_err(|_| NetError::Malformed("short header"))?;
+        let (mut packet, total_len) = Ipv4Packet::parse_header(bytes)?;
+        packet.payload = bytes[HEADER_LEN..total_len].to_vec();
+        Ok(packet)
+    }
+
+    /// [`Ipv4Packet::decode`] for a caller that owns the bytes: the same
+    /// checks and the same result, but `bytes`' allocation becomes the
+    /// payload (padding truncated, header shifted out) instead of being
+    /// copied. The 20 octets the header occupied stay as spare capacity —
+    /// the room [`Ipv4Packet::into_wire`] writes the next hop's header in.
+    pub fn decode_owned(mut bytes: Vec<u8>) -> Result<Ipv4Packet, NetError> {
+        let (mut packet, total_len) = Ipv4Packet::parse_header(&bytes)?;
+        bytes.truncate(total_len);
+        bytes.drain(..HEADER_LEN);
+        packet.payload = bytes;
+        Ok(packet)
+    }
+
+    /// The one header parser: validates the first 20 octets of `bytes`
+    /// against its length and returns the packet (payload still empty)
+    /// with the total-length field.
+    fn parse_header(bytes: &[u8]) -> Result<(Ipv4Packet, usize), NetError> {
+        const SHORT: NetError = NetError::Malformed("short header");
+        let vihl = *bytes.first().ok_or(SHORT)?;
         if vihl >> 4 != 4 {
             return Err(NetError::Malformed("not IPv4"));
         }
-        let ihl = usize::from(vihl & 0x0F) * 4;
-        if ihl != HEADER_LEN {
+        if usize::from(vihl & 0x0F) * 4 != HEADER_LEN {
             return Err(NetError::Malformed("options unsupported"));
         }
-        let tos = r.u8().map_err(|_| NetError::Malformed("short header"))?;
-        let total_len = r.u16().map_err(|_| NetError::Malformed("short header"))? as usize;
-        let id = r.u16().map_err(|_| NetError::Malformed("short header"))?;
-        let flags = r.u16().map_err(|_| NetError::Malformed("short header"))?;
-        let ttl = r.u8().map_err(|_| NetError::Malformed("short header"))?;
-        let proto = Proto::from_code(r.u8().map_err(|_| NetError::Malformed("short header"))?);
-        let _checksum = r.u16().map_err(|_| NetError::Malformed("short header"))?;
-        let src_bytes = r.take(4).map_err(|_| NetError::Malformed("short header"))?;
-        let dst_bytes = r.take(4).map_err(|_| NetError::Malformed("short header"))?;
+        let hdr: &[u8; HEADER_LEN] = bytes.first_chunk().ok_or(SHORT)?;
+        let total_len = usize::from(u16::from_be_bytes([hdr[2], hdr[3]]));
         if total_len < HEADER_LEN || total_len > bytes.len() {
             return Err(NetError::Malformed("total length out of range"));
         }
-        if internet_checksum(&[&bytes[..HEADER_LEN]]) != 0 {
+        if internet_checksum(&[hdr]) != 0 {
             return Err(NetError::BadChecksum("ipv4 header"));
         }
-        let payload = bytes[HEADER_LEN..total_len].to_vec();
-        Ok(Ipv4Packet {
-            tos,
-            id,
+        let flags = u16::from_be_bytes([hdr[6], hdr[7]]);
+        let packet = Ipv4Packet {
+            tos: hdr[1],
+            id: u16::from_be_bytes([hdr[4], hdr[5]]),
             dont_fragment: flags & 0x4000 != 0,
             more_fragments: flags & 0x2000 != 0,
             frag_offset: flags & 0x1FFF,
-            ttl,
-            proto,
-            src: Ipv4Addr::from(<[u8; 4]>::try_from(src_bytes).expect("len 4")),
-            dst: Ipv4Addr::from(<[u8; 4]>::try_from(dst_bytes).expect("len 4")),
-            payload,
-        })
+            ttl: hdr[8],
+            proto: Proto::from_code(hdr[9]),
+            src: Ipv4Addr::new(hdr[12], hdr[13], hdr[14], hdr[15]),
+            dst: Ipv4Addr::new(hdr[16], hdr[17], hdr[18], hdr[19]),
+            payload: Vec::new(),
+        };
+        Ok((packet, total_len))
     }
 }
 
@@ -334,11 +377,13 @@ impl Reassembler {
     }
 
     /// Earliest reassembly deadline, if any datagram is pending.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.pending.values().map(|d| d.deadline).min()
     }
 
     /// Number of incomplete datagrams held.
+    #[inline]
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }

@@ -65,6 +65,7 @@ impl Lpm {
     pub const LINEAR_CUTOFF: usize = 8;
 
     /// True when the structure does not reflect `generation`.
+    #[inline]
     pub fn stale(&self, generation: u64) -> bool {
         !self.built || self.built_gen != generation
     }

@@ -55,6 +55,7 @@ impl Prefix {
     }
 
     /// True if `ip` is inside this prefix.
+    #[inline]
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         u32::from(ip) & Self::mask(self.len) == u32::from(self.addr)
     }
@@ -146,6 +147,7 @@ impl RouteTable {
     /// two equal readings bracket a window in which every cached decision
     /// derived from this table remained valid. Wrapping: compare with
     /// `==`, never `<`.
+    #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -274,6 +276,7 @@ impl RouteTable {
     /// (≤ [`Lpm::LINEAR_CUTOFF`] routes) skip compilation entirely and
     /// scan, which is both faster and keeps the ~10⁵ two-route host
     /// stacks of the city worlds from holding tries.
+    #[inline]
     pub fn lookup_route_fast(&mut self, dst: Ipv4Addr) -> Option<&Route> {
         if self.compiled.stale(self.generation) {
             self.compiled.rebuild(&self.routes, self.generation);
@@ -285,6 +288,7 @@ impl RouteTable {
     }
 
     /// [`lookup`](Self::lookup) on the compiled fast path.
+    #[inline]
     pub fn lookup_fast(&mut self, dst: Ipv4Addr) -> Option<NextHop> {
         self.lookup_route_fast(dst).map(|r| NextHop {
             iface: r.iface,

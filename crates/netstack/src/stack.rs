@@ -39,11 +39,13 @@ pub struct IfaceId(usize);
 impl IfaceId {
     /// Creates an id from an index (use the value returned by
     /// [`NetStack::add_iface`] in normal code).
+    #[inline]
     pub fn new(n: usize) -> IfaceId {
         IfaceId(n)
     }
 
     /// The raw index.
+    #[inline]
     pub fn index(self) -> usize {
         self.0
     }
@@ -353,7 +355,18 @@ impl NetStack {
         out.extend(self.pending.drain(..));
     }
 
+    /// Hands the pending actions over by swapping them with `empty`, so
+    /// the caller's drained buffer (and its capacity) becomes the next
+    /// pending queue — [`Self::drain_actions_into`] without moving the
+    /// actions one by one.
+    #[inline]
+    pub fn swap_actions(&mut self, empty: &mut Vec<StackAction>) {
+        debug_assert!(empty.is_empty());
+        std::mem::swap(&mut self.pending, empty);
+    }
+
     /// True when no produced action is awaiting a drain.
+    #[inline]
     pub fn actions_empty(&self) -> bool {
         self.pending.is_empty()
     }
@@ -379,6 +392,7 @@ impl NetStack {
     }
 
     /// An interface's configuration.
+    #[inline]
     pub fn iface(&self, id: IfaceId) -> &IfaceConfig {
         &self.ifaces[id.0]
     }
@@ -394,16 +408,19 @@ impl NetStack {
     }
 
     /// The routing table.
+    #[inline]
     pub fn routes(&self) -> &RouteTable {
         &self.routes
     }
 
     /// True if `ip` is one of this host's addresses.
+    #[inline]
     pub fn is_local_addr(&self, ip: Ipv4Addr) -> bool {
         ip == Ipv4Addr::BROADCAST || self.ifaces.iter().any(|i| i.addr == ip)
     }
 
     /// Stack counters.
+    #[inline]
     pub fn stats(&self) -> StackStats {
         self.stats
     }
@@ -458,7 +475,7 @@ impl NetStack {
                             iface, hop, encap, ..
                         } => {
                             if let Some(endpoint) = encap {
-                                let inner = packet.encode();
+                                let inner = packet.into_wire();
                                 packet = Ipv4Packet::new(
                                     Ipv4Addr::UNSPECIFIED,
                                     endpoint,
@@ -484,7 +501,7 @@ impl NetStack {
                 if let Some(endpoint) = tunnels.endpoint(dst) {
                     encap = Some(endpoint);
                     self.stats.ipip_out += 1;
-                    let inner = packet.encode();
+                    let inner = packet.into_wire();
                     packet = Ipv4Packet::new(
                         Ipv4Addr::UNSPECIFIED,
                         endpoint,
@@ -628,10 +645,19 @@ impl NetStack {
     }
 
     /// [`Self::input`] without the drain: the actions stay queued for
-    /// [`Self::drain_actions_into`].
+    /// [`Self::drain_actions_into`]. Copies `bytes` once; a caller that
+    /// owns them calls [`Self::input_owned`].
     pub fn input_queued(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
+        self.input_owned(now, iface, bytes.to_vec());
+    }
+
+    /// The one input body: takes the link driver's buffer by value and
+    /// parses it in place ([`Ipv4Packet::decode_owned`]), so a forwarded
+    /// datagram is still that one allocation when it reaches the egress
+    /// driver. The actions stay queued, as for [`Self::input_queued`].
+    pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) {
         self.stats.ip_in += 1;
-        let packet = match Ipv4Packet::decode(bytes) {
+        let packet = match Ipv4Packet::decode_owned(bytes) {
             Ok(p) => p,
             Err(_) => {
                 self.stats.bad_packets += 1;
@@ -665,7 +691,7 @@ impl NetStack {
                 // like natively routed traffic. Nesting terminates because
                 // every level removes a 20-byte header.
                 self.stats.ipip_in += 1;
-                self.input_queued(now, iface, &whole.payload);
+                self.input_owned(now, iface, whole.payload);
             }
             Proto::Other(_) => {
                 // Never generate ICMP errors about broadcasts.
@@ -1140,6 +1166,7 @@ impl NetStack {
     // --- Timers -----------------------------------------------------------------
 
     /// Earliest deadline across sockets and reassembly.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         let tcp = self
             .socks

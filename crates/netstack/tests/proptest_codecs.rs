@@ -2,7 +2,8 @@
 //! reassembly pipeline.
 
 use netstack::icmp::{GateAuth, IcmpMessage, UnreachCode};
-use netstack::ip::{fragment, FragResult, Ipv4Packet, Proto, Reassembler};
+use netstack::ip::{fragment, FragResult, Ipv4Packet, Proto, Reassembler, HEADER_LEN};
+use netstack::stack::NetStack;
 use netstack::tcp::{TcpFlags, TcpSegment};
 use netstack::udp::UdpDatagram;
 use proptest::prelude::*;
@@ -31,7 +32,164 @@ prop_compose! {
     }
 }
 
+/// One way a link can hand the stack something other than the packet that
+/// was sent. Everything but `Intact` and `Padded` must be rejected.
+#[derive(Debug, Clone)]
+enum Damage {
+    Intact,
+    /// Trailing link padding (minimum-size Ethernet frames).
+    Padded(usize),
+    /// Cut somewhere below the total-length field's claim.
+    Truncated(proptest::sample::Index),
+    /// Total length below the header's own size.
+    TotalLenShort(u16),
+    /// Total length beyond the bytes present.
+    TotalLenLong(u16),
+    /// Header length other than five words.
+    Ihl(u8),
+    /// Version other than four.
+    Version(u8),
+    /// One flipped header bit, checksum left as it was.
+    FlippedBit(usize),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::Intact),
+        (1usize..64).prop_map(Damage::Padded),
+        any::<proptest::sample::Index>().prop_map(Damage::Truncated),
+        (0u16..HEADER_LEN as u16).prop_map(Damage::TotalLenShort),
+        (1u16..512).prop_map(Damage::TotalLenLong),
+        (0u8..16).prop_map(Damage::Ihl),
+        (0u8..16).prop_map(Damage::Version),
+        (0usize..HEADER_LEN * 8).prop_map(Damage::FlippedBit),
+    ]
+}
+
+impl Damage {
+    /// Applies the damage to an encoded packet. A rewritten field gets
+    /// the checksum fixed up again, so that field is what is rejected.
+    fn apply(&self, mut wire: Vec<u8>) -> Vec<u8> {
+        let rewrote_a_field = match *self {
+            Damage::Intact => false,
+            Damage::Padded(n) => {
+                wire.resize(wire.len() + n, 0);
+                false
+            }
+            Damage::Truncated(at) => {
+                wire.truncate(at.index(wire.len()));
+                false
+            }
+            Damage::FlippedBit(bit) => {
+                wire[bit / 8] ^= 1 << (bit % 8);
+                false
+            }
+            Damage::TotalLenShort(v) => {
+                wire[2..4].copy_from_slice(&v.to_be_bytes());
+                true
+            }
+            Damage::TotalLenLong(extra) => {
+                let v = (wire.len() as u16).saturating_add(extra);
+                wire[2..4].copy_from_slice(&v.to_be_bytes());
+                true
+            }
+            Damage::Ihl(v) => {
+                wire[0] = 0x40 | v;
+                true
+            }
+            Damage::Version(v) => {
+                wire[0] = v << 4 | 5;
+                true
+            }
+        };
+        if rewrote_a_field {
+            wire[10..12].fill(0);
+            let sum = sim::wire::internet_checksum(&[&wire[..HEADER_LEN]]);
+            wire[10..12].copy_from_slice(&sum.to_be_bytes());
+        }
+        wire
+    }
+
+    fn must_be_rejected(&self) -> bool {
+        match *self {
+            Damage::Intact | Damage::Padded(_) => false,
+            Damage::Ihl(v) => v != 5,
+            Damage::Version(v) => v != 4,
+            _ => true,
+        }
+    }
+}
+
 proptest! {
+    /// `decode_owned` is `decode` without the copy: same packet, same
+    /// error, whatever arrives.
+    #[test]
+    fn ipv4_decode_owned_matches_decode(p in arb_packet(), damage in arb_damage()) {
+        let wire = damage.apply(p.encode());
+        let borrowed = Ipv4Packet::decode(&wire);
+        prop_assert_eq!(Ipv4Packet::decode_owned(wire), borrowed.clone());
+        prop_assert_eq!(borrowed.is_err(), damage.must_be_rejected(), "{:?}", borrowed);
+        if let Ok(back) = borrowed {
+            prop_assert_eq!(back, p);
+        }
+    }
+
+    #[test]
+    fn ipv4_decode_owned_matches_decode_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        prop_assert_eq!(Ipv4Packet::decode_owned(bytes.clone()), Ipv4Packet::decode(&bytes));
+    }
+
+    /// `into_wire` writes what `encode` writes, and inside the payload's
+    /// own allocation whenever that has the 20 octets to spare.
+    #[test]
+    fn ipv4_into_wire_matches_encode(p in arb_packet(), spare in 0usize..64) {
+        let mut p = p;
+        let mut payload = Vec::with_capacity(p.payload.len() + spare);
+        payload.extend_from_slice(&p.payload);
+        p.payload = payload;
+        let (at, capacity) = (p.payload.as_ptr(), p.payload.capacity());
+        let expect = p.encode();
+        let wire = p.into_wire();
+        prop_assert_eq!(&wire, &expect);
+        if capacity >= expect.len() {
+            prop_assert_eq!(wire.as_ptr(), at, "moved although it had room");
+            prop_assert_eq!(wire.capacity(), capacity);
+        }
+    }
+
+    /// The forwarding hop end to end: the room `decode_owned` frees is the
+    /// room `into_wire` needs, so the driver's buffer is the next driver's.
+    #[test]
+    fn ipv4_owned_hop_reuses_the_buffer(p in arb_packet(), pad in 0usize..32) {
+        let mut wire = p.encode();
+        wire.resize(wire.len() + pad, 0);
+        let (at, capacity) = (wire.as_ptr(), wire.capacity());
+        let mut hop = Ipv4Packet::decode_owned(wire).unwrap();
+        hop.ttl -= 1;
+        let expect = hop.encode();
+        let out = hop.into_wire();
+        prop_assert_eq!(out.as_ptr(), at);
+        prop_assert_eq!(out.capacity(), capacity);
+        prop_assert_eq!(out, expect);
+    }
+
+    /// Every damaged class through the stack's one input body: no panic,
+    /// one `bad_packets`, nothing queued for the owner.
+    #[test]
+    fn stack_input_owned_counts_and_drops_damaged_packets(
+        p in arb_packet(),
+        damage in arb_damage(),
+    ) {
+        prop_assume!(damage.must_be_rejected());
+        let (mut st, ifid) = NetStack::simple_host(Ipv4Addr::new(44, 24, 0, 5), 16, 256, None);
+        st.set_forwarding(true);
+        st.input_owned(SimTime::ZERO, ifid, damage.apply(p.encode()));
+        prop_assert_eq!(st.stats().ip_in, 1);
+        prop_assert_eq!(st.stats().bad_packets, 1);
+        prop_assert_eq!(st.stats().forward_requests, 0);
+        prop_assert!(st.actions_empty());
+    }
+
     #[test]
     fn ipv4_roundtrip(p in arb_packet()) {
         let bytes = p.encode();

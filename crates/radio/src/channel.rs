@@ -55,16 +55,19 @@ impl Heard {
     }
 
     /// The transmitting station.
+    #[inline]
     pub fn from(&self) -> StationId {
         self.from
     }
 
     /// When the frame finished arriving.
+    #[inline]
     pub fn at(&self) -> SimTime {
         self.at
     }
 
     /// The on-air bytes (AX.25 frame + FCS) — one buffer, whoever listens.
+    #[inline]
     pub fn data(&self) -> &[u8] {
         &self.data
     }
@@ -72,6 +75,7 @@ impl Heard {
     /// The stations in range, in station order; the flag is true where a
     /// collision, self-transmission overlap, or bit error damaged that
     /// station's copy.
+    #[inline]
     pub fn listeners(&self) -> &[(StationId, bool)] {
         &self.listeners
     }
@@ -198,6 +202,7 @@ impl Channel {
     }
 
     /// The channel bit rate.
+    #[inline]
     pub fn rate(&self) -> Bandwidth {
         self.rate
     }
@@ -216,6 +221,7 @@ impl Channel {
     }
 
     /// Number of attached stations.
+    #[inline]
     pub fn station_count(&self) -> usize {
         self.hears.len()
     }
@@ -233,6 +239,7 @@ impl Channel {
     /// has been keyed at least [`Channel::DEFAULT_DETECT_DELAY`] (the DCD
     /// assert time — transmissions younger than that are invisible, which
     /// is CSMA's collision window).
+    #[inline]
     pub fn carrier_busy(&self, now: SimTime, listener: StationId) -> bool {
         self.txs.iter().any(|tx| {
             if tx.delivered || now >= tx.end {
@@ -246,6 +253,7 @@ impl Channel {
     }
 
     /// True if `station` has a transmission in progress at `now`.
+    #[inline]
     pub fn is_transmitting(&self, now: SimTime, station: StationId) -> bool {
         self.txs
             .iter()
@@ -284,6 +292,7 @@ impl Channel {
     }
 
     /// Earliest in-flight transmission end, if any.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.txs
             .iter()

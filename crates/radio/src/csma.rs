@@ -111,11 +111,13 @@ impl Csma {
     }
 
     /// Frames waiting (not counting one in flight).
+    #[inline]
     pub fn backlog(&self) -> usize {
         self.queue.len()
     }
 
     /// True while our transmitter is keyed.
+    #[inline]
     pub fn transmitting(&self, now: SimTime) -> bool {
         self.tx_end.is_some_and(|t| t > now)
     }
@@ -124,12 +126,14 @@ impl Csma {
     /// the carrier: frames waiting, transmitter idle, no backoff pending.
     /// Such a station has no deadline of its own — it must be re-polled
     /// when the channel's state changes.
+    #[inline]
     pub fn waiting_on_carrier(&self) -> bool {
         !self.queue.is_empty() && self.tx_end.is_none() && self.retry_at.is_none()
     }
 
     /// When `poll` should next be called even if nothing else happens:
     /// our own tx end (to start the next frame) or a backoff expiry.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         match (self.tx_end, self.retry_at) {
             (Some(a), Some(b)) => Some(a.min(b)),

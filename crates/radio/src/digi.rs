@@ -91,16 +91,19 @@ impl Digipeater {
     }
 
     /// Drives the CSMA transmitter.
+    #[inline]
     pub fn poll(&mut self, now: SimTime, ch: &mut Channel, rng: &mut SimRng) {
         self.mac.poll(now, self.station, ch, rng);
     }
 
     /// Earliest self-generated deadline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.mac.next_deadline()
     }
 
     /// True when a queued frame is blocked only on carrier sense.
+    #[inline]
     pub fn waiting_on_carrier(&self) -> bool {
         self.mac.waiting_on_carrier()
     }

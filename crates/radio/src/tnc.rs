@@ -156,6 +156,7 @@ impl Tnc {
     }
 
     /// Consumes one character from the host serial line.
+    #[inline]
     pub fn on_serial_byte(&mut self, byte: u8) {
         // The deframed payload borrows the deframer's internal buffer, so
         // the handler takes the other fields as disjoint borrows.
@@ -262,21 +263,25 @@ impl Tnc {
     }
 
     /// Drives the CSMA transmitter; call on channel events and deadlines.
+    #[inline]
     pub fn poll(&mut self, now: SimTime, ch: &mut Channel, rng: &mut SimRng) {
         self.mac.poll(now, self.station, ch, rng);
     }
 
     /// Earliest time this TNC needs a `poll` independent of channel events.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.mac.next_deadline()
     }
 
     /// Frames queued for transmission.
+    #[inline]
     pub fn tx_backlog(&self) -> usize {
         self.mac.backlog()
     }
 
     /// True when a queued frame is blocked only on carrier sense.
+    #[inline]
     pub fn waiting_on_carrier(&self) -> bool {
         self.mac.waiting_on_carrier()
     }

@@ -78,6 +78,7 @@ impl BeaconStation {
     }
 
     /// Earliest time this station needs attention.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         match self.mac.next_deadline() {
             Some(m) => Some(m.min(self.next_gen)),
@@ -113,11 +114,13 @@ impl BeaconStation {
     }
 
     /// Frames queued for transmission.
+    #[inline]
     pub fn tx_backlog(&self) -> usize {
         self.mac.backlog()
     }
 
     /// True when a queued frame is blocked only on carrier sense.
+    #[inline]
     pub fn waiting_on_carrier(&self) -> bool {
         self.mac.waiting_on_carrier()
     }

@@ -252,6 +252,9 @@ impl Direction {
 #[derive(Debug)]
 pub struct SerialLine {
     cfg: SerialConfig,
+    /// `cfg.char_time()`, computed once: every send, run and advance
+    /// needs it, and deriving it is a 128-bit division.
+    char_time: SimDuration,
     /// `dirs[0]` carries A→B traffic, `dirs[1]` carries B→A traffic.
     dirs: [Direction; 2],
     noise: Option<SimRng>,
@@ -268,6 +271,7 @@ impl SerialLine {
     pub fn new(cfg: SerialConfig) -> SerialLine {
         SerialLine {
             cfg,
+            char_time: cfg.char_time(),
             dirs: [Direction::new(), Direction::new()],
             noise: None,
             cached_deadline: None,
@@ -284,8 +288,16 @@ impl SerialLine {
     }
 
     /// The line's static configuration.
+    #[inline]
     pub fn config(&self) -> &SerialConfig {
         &self.cfg
+    }
+
+    /// Time one character occupies this line (`config().char_time()`,
+    /// cached at construction).
+    #[inline]
+    pub fn char_time(&self) -> SimDuration {
+        self.char_time
     }
 
     /// Queues `bytes` for transmission from `from` toward its peer.
@@ -293,7 +305,7 @@ impl SerialLine {
     /// The first character starts serializing immediately if the direction
     /// is idle; otherwise characters follow back-to-back.
     pub fn send(&mut self, now: SimTime, from: End, bytes: &[u8]) {
-        let char_time = self.cfg.char_time();
+        let char_time = self.char_time;
         let dir = &mut self.dirs[from.index()];
         dir.stats.sent += bytes.len() as u64;
         if dir.delim_at.is_none() {
@@ -306,7 +318,7 @@ impl SerialLine {
                 dir.in_flight = Some((now + char_time, b));
             }
         }
-        self.recache(char_time);
+        self.recache();
     }
 
     /// True when whole runs can be pulled off this line without being
@@ -318,7 +330,8 @@ impl SerialLine {
         self.cfg.rx_fifo > 0 && !(self.noise.is_some() && self.cfg.error_rate > 0.0)
     }
 
-    fn recache(&mut self, char_time: SimDuration) {
+    fn recache(&mut self) {
+        let char_time = self.char_time;
         let min = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -336,6 +349,7 @@ impl SerialLine {
     ///
     /// This is a cached field maintained by every mutation; polling it
     /// costs nothing.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.cached_deadline
     }
@@ -350,6 +364,7 @@ impl SerialLine {
     /// A noisy line or one with a zero-depth FIFO reports
     /// [`SerialLine::next_deadline`]: it must be visited per character.
     /// Cached like `next_deadline`.
+    #[inline]
     pub fn next_boundary(&self) -> Option<SimTime> {
         self.cached_boundary
     }
@@ -358,7 +373,7 @@ impl SerialLine {
     /// `now`, moving it into the peer's receive FIFO (or dropping it on
     /// overrun/noise). Returns the number of characters delivered.
     pub fn advance(&mut self, now: SimTime) -> usize {
-        let char_time = self.cfg.char_time();
+        let char_time = self.char_time;
         let mut delivered = 0;
         for dir in &mut self.dirs {
             while let Some((done, byte)) = dir.in_flight {
@@ -381,7 +396,7 @@ impl SerialLine {
                 dir.start_next(1, byte, done + char_time);
             }
         }
-        self.recache(char_time);
+        self.recache();
         delivered
     }
 
@@ -412,7 +427,7 @@ impl SerialLine {
                 t_last: now,
             });
         }
-        let char_time = self.cfg.char_time();
+        let char_time = self.char_time;
         let dir = &mut self.dirs[to.peer().index()];
         debug_assert!(dir.rx_fifo.is_empty(), "runs bypass the receive FIFO");
         let (t0, first) = dir.in_flight.filter(|&(done, _)| done <= now)?;
@@ -432,7 +447,7 @@ impl SerialLine {
         let t_last = t0 + char_time * (n as u64 - 1);
         dir.stats.delivered += n as u64;
         dir.start_next(n, out[n - 1], t_last + char_time);
-        self.recache(char_time);
+        self.recache();
         Some(RunInfo { t0, t_last })
     }
 

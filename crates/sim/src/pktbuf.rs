@@ -98,6 +98,7 @@ impl BufPool {
     }
 
     /// Leases an empty buffer (no headroom).
+    #[inline]
     pub fn take(&self) -> PacketBuf {
         self.take_with_headroom(0)
     }
@@ -207,11 +208,13 @@ impl PacketBuf {
     }
 
     /// Number of live bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.storage.len() - self.start
     }
 
     /// True when no live bytes remain.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -222,16 +225,19 @@ impl PacketBuf {
     }
 
     /// The live bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.storage[self.start..]
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn push(&mut self, byte: u8) {
         self.storage.push(byte);
     }
 
     /// Appends a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, bytes: &[u8]) {
         self.storage.extend_from_slice(bytes);
     }
@@ -258,12 +264,14 @@ impl PacketBuf {
     /// # Panics
     ///
     /// Panics if `n > len()`.
+    #[inline]
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end");
         self.start += n;
     }
 
     /// Shortens the live bytes to `n` (no-op if already shorter).
+    #[inline]
     pub fn truncate(&mut self, n: usize) {
         if n < self.len() {
             self.storage.truncate(self.start + n);
@@ -271,6 +279,7 @@ impl PacketBuf {
     }
 
     /// Clears all live bytes and headroom; capacity is retained.
+    #[inline]
     pub fn clear(&mut self) {
         self.storage.clear();
         self.start = 0;
@@ -311,12 +320,14 @@ impl Clone for PacketBuf {
 
 impl Deref for PacketBuf {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for PacketBuf {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -415,18 +426,22 @@ pub trait ByteSink {
 }
 
 impl ByteSink for Vec<u8> {
+    #[inline]
     fn put(&mut self, byte: u8) {
         self.push(byte);
     }
+    #[inline]
     fn put_slice(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
 }
 
 impl ByteSink for PacketBuf {
+    #[inline]
     fn put(&mut self, byte: u8) {
         self.push(byte);
     }
+    #[inline]
     fn put_slice(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }

@@ -52,6 +52,7 @@ impl SimRng {
     }
 
     /// Raw 64-bit draw: one xoshiro256++ step.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -72,6 +73,7 @@ impl SimRng {
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -87,6 +89,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         // Lemire-style rejection to keep the draw unbiased for all bounds.
@@ -111,12 +114,14 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range {lo}..{hi}");
         lo + self.below(hi - lo)
     }
 
     /// Uniform draw in `[0.0, 1.0)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         // 53 high bits give the full double-precision mantissa.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

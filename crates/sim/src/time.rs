@@ -81,16 +81,19 @@ impl SimTime {
 
     /// Returns the duration elapsed since `earlier`, saturating at zero if
     /// `earlier` is actually later than `self`.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the instant advanced by `d`, saturating at [`SimTime::MAX`].
+    #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         if self <= other {
             self
@@ -100,6 +103,7 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -169,21 +173,25 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Checked multiplication by an integer factor.
+    #[inline]
     pub fn checked_mul(self, factor: u64) -> Option<SimDuration> {
         self.0.checked_mul(factor).map(SimDuration)
     }
 
     /// Saturating multiplication by an integer factor.
+    #[inline]
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 
     /// Returns the smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self <= other {
             self
@@ -193,6 +201,7 @@ impl SimDuration {
     }
 
     /// Returns the larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self >= other {
             self
@@ -204,12 +213,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -217,6 +228,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -224,6 +236,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
@@ -231,12 +244,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -244,12 +259,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -257,6 +274,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
@@ -264,6 +282,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -355,6 +374,7 @@ impl Bandwidth {
     }
 
     /// Time to serialize `bits` onto the link, rounded up to a nanosecond.
+    #[inline]
     pub fn time_for_bits(self, bits: u64) -> SimDuration {
         // ceil(bits * 1e9 / rate) without overflow for realistic sizes:
         // bits fits easily in u64 * 1e9 as u128.
@@ -363,6 +383,7 @@ impl Bandwidth {
     }
 
     /// Time to serialize `bytes` octets (8 bits each) onto the link.
+    #[inline]
     pub fn time_for_bytes(self, bytes: usize) -> SimDuration {
         self.time_for_bits(bytes as u64 * 8)
     }

@@ -100,21 +100,25 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Creates a reader positioned at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes remaining after the cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Current offset from the start of the buffer.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Reads one octet.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
@@ -122,18 +126,21 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a big-endian 16-bit value.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, WireError> {
         let bytes = self.take(2)?;
         Ok(u16::from_be_bytes([bytes[0], bytes[1]]))
     }
 
     /// Reads a big-endian 32-bit value.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         let bytes = self.take(4)?;
         Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
     /// Reads exactly `n` bytes, advancing the cursor.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -144,6 +151,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads all bytes to the end of the buffer.
+    #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
@@ -151,6 +159,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skips `n` bytes.
+    #[inline]
     pub fn skip(&mut self, n: usize) -> Result<(), WireError> {
         self.take(n).map(|_| ())
     }
@@ -187,21 +196,25 @@ impl Writer {
     }
 
     /// Appends one octet.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a big-endian 16-bit value.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian 32-bit value.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a byte slice.
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }

@@ -192,6 +192,7 @@ pub struct SocketHandle(usize);
 
 impl SocketHandle {
     /// Raw slot index (stable for the table's lifetime).
+    #[inline]
     pub fn index(self) -> usize {
         self.0
     }
@@ -615,6 +616,7 @@ impl SocketTable {
     /// The earliest moment [`SocketTable::on_deadline`] has work —
     /// currently the soonest pending connect timeout. Fold this into the
     /// host's scheduler deadline; never busy-poll.
+    #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.slots
             .iter()

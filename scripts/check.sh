@@ -21,6 +21,11 @@ cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 
 # The zero-allocation benches: `--test` runs each closure once, and each
 # bench asserts 0 allocations on its hot paths (bench::alloc_count).
+# driver_rx also pins the two whole-world transit paths at their measured
+# counts, all of them the sender's own: world/denied_transit (Ethernet ->
+# gateway -> deny at the radio output hook) and world/ether_forward
+# (Ethernet -> router -> Ethernet -> UDP socket), 3 allocations per
+# datagram each.
 for b in driver_rx encap_fwd vj_hdr byte_kernels socket_ops shard_sync \
          workload_gen filter_eval route_lookup; do
     echo "==> cargo bench -p bench --bench $b -- --test"

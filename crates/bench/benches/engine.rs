@@ -1,13 +1,12 @@
-//! Criterion benchmarks for the simulation engine itself: calendar
-//! operations, TCP state-machine steps, and a whole simulated second of
-//! the paper topology — the costs that bound how fast experiments run.
+//! The calendar's ratchet (DESIGN.md §6): re-keying a parked key earlier,
+//! popping it and parking it again neither allocates nor grows the heap.
+//! Whole-engine cost is measured by `benchmarks/` (`paper_promisc`,
+//! `gw_flood`, `city_fleet_1w`) and compared by `scripts/bench_pairs.sh`.
 
 use bench::alloc_count::allocs_during;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use netstack::tcp::{Tcb, TcpConfig};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sim::{Scheduler, SimDuration, SimTime};
 use std::hint::black_box;
-use std::net::Ipv4Addr;
 
 bench::install_counting_alloc!();
 
@@ -88,238 +87,5 @@ fn bench_scheduler(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tcp_machine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tcp_machine");
-    let a = (Ipv4Addr::new(10, 0, 0, 1), 1025u16);
-    let b_addr = (Ipv4Addr::new(10, 0, 0, 2), 23u16);
-    g.bench_function("handshake_and_1k_transfer", |b| {
-        b.iter(|| {
-            let now = SimTime::ZERO;
-            let (mut alice, ev) = Tcb::connect(now, a, b_addr, 1000, TcpConfig::default());
-            let syn = match &ev[0] {
-                netstack::tcp::TcbEvent::Transmit(s) => s.clone(),
-                _ => unreachable!(),
-            };
-            let (mut bob, ev) = Tcb::accept(now, b_addr, a, &syn, 9000, TcpConfig::default());
-            let synack = match &ev[0] {
-                netstack::tcp::TcbEvent::Transmit(s) => s.clone(),
-                _ => unreachable!(),
-            };
-            let mut to_bob: Vec<netstack::tcp::TcpSegment> = Vec::new();
-            for e in alice.on_segment(now, &synack) {
-                if let netstack::tcp::TcbEvent::Transmit(s) = e {
-                    to_bob.push(s);
-                }
-            }
-            let (_, ev) = alice.send(now, &[0xAA; 1024]);
-            for e in ev {
-                if let netstack::tcp::TcbEvent::Transmit(s) = e {
-                    to_bob.push(s);
-                }
-            }
-            // One relay round is enough to exercise the hot paths.
-            let mut to_alice = Vec::new();
-            for s in &to_bob {
-                for e in bob.on_segment(now, s) {
-                    if let netstack::tcp::TcbEvent::Transmit(s) = e {
-                        to_alice.push(s);
-                    }
-                }
-            }
-            for s in &to_alice {
-                let _ = alice.on_segment(now, s);
-            }
-            black_box((alice.state(), bob.recv_available()))
-        })
-    });
-    g.finish();
-}
-
-fn bench_world(c: &mut Criterion) {
-    let mut g = c.benchmark_group("world");
-    g.sample_size(20);
-    g.bench_function("paper_topology_60s_with_ping", |b| {
-        b.iter_batched(
-            || {
-                let mut s =
-                    gateway::scenario::paper_topology(gateway::scenario::PaperConfig::default(), 1);
-                let p = apps::ping::Pinger::new(
-                    gateway::scenario::ETHER_HOST_IP,
-                    1,
-                    3,
-                    SimDuration::from_secs(15),
-                    32,
-                );
-                s.world.add_app(s.pc, Box::new(p));
-                s
-            },
-            |mut s| {
-                s.world.run_for(SimDuration::from_secs(60));
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-/// The tentpole comparison: the deadline-indexed engine vs the full-scan
-/// reference stepper on identical worlds. `paper_*` is the Figure-1
-/// topology with a pinger (serial-character dominated); `beacons50_*` is
-/// the E2-style overload: the gateway's promiscuous TNC behind a 2400 Bd
-/// line hears 50 chattering stations, so every instant is either a
-/// serial delivery (one calendar visit per frame boundary) or one due
-/// MAC among 50 — the reference re-scans all ~60 components either way.
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(10);
-
-    fn paper_setup() -> gateway::scenario::PaperScenario {
-        let mut s = gateway::scenario::paper_topology(gateway::scenario::PaperConfig::default(), 1);
-        let p = apps::ping::Pinger::new(
-            gateway::scenario::ETHER_HOST_IP,
-            1,
-            3,
-            SimDuration::from_secs(15),
-            32,
-        );
-        s.world.add_app(s.pc, Box::new(p));
-        s
-    }
-    g.bench_function("paper_60s_reference", |b| {
-        b.iter_batched(
-            paper_setup,
-            |mut s| {
-                let t = s.world.now + SimDuration::from_secs(60);
-                s.world.run_until_reference(t);
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("paper_60s_indexed", |b| {
-        b.iter_batched(
-            paper_setup,
-            |mut s| {
-                s.world.run_for(SimDuration::from_secs(60));
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    fn beacons_setup() -> gateway::scenario::PaperScenario {
-        let cfg = gateway::scenario::PaperConfig {
-            serial_baud: 2400,
-            acl: false,
-            ..gateway::scenario::PaperConfig::default()
-        };
-        let mut s = gateway::scenario::paper_topology(cfg, 50);
-        for i in 0..50 {
-            s.world.add_beacon(
-                s.chan,
-                radio::traffic::BeaconConfig {
-                    from: ax25::addr::Ax25Addr::parse_or_panic(&format!("BG{i}")),
-                    to: ax25::addr::Ax25Addr::parse_or_panic("CHAT"),
-                    frame_len: 120,
-                    mean_interval: SimDuration::from_secs(60),
-                    start: SimTime::from_millis(100 * i),
-                    mac: radio::csma::MacConfig::default(),
-                },
-            );
-        }
-        // Only the gateway eavesdrops; the PC's TNC filters, so its
-        // serial line stays quiet and the flood lands on one line.
-        s.world
-            .tnc_mut(s.pc_tnc)
-            .set_mode(radio::tnc::RxMode::AddressFilter);
-        s
-    }
-    g.bench_function("beacons50_60s_reference", |b| {
-        b.iter_batched(
-            beacons_setup,
-            |mut s| {
-                s.world.run_until_reference(SimTime::from_secs(60));
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("beacons50_60s_indexed", |b| {
-        b.iter_batched(
-            beacons_setup,
-            |mut s| {
-                s.world.run_for(SimDuration::from_secs(60));
-                black_box(s.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-/// Worker-count scaling on a 16-island mesh (DESIGN.md §11): the same
-/// world stepped by the sharded engine at 1, 2, 4, and 8 workers, plus
-/// the full-scan reference. On a multi-core host the worker sweep shows
-/// speedup; on a single core it shows coordination overhead — either way
-/// the digest is bit-identical (asserted in `shard_equivalence`), so the
-/// numbers are comparable. bench.sh stamps each row's worker count into
-/// the `threads` field via the `_<n>w` name suffix.
-fn bench_engine_shard(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_shard");
-    g.sample_size(10);
-
-    fn mesh_setup() -> gateway::scenario::MeshNet {
-        let gateways = 16;
-        let mut m = gateway::scenario::mesh(gateways, 2, 3);
-        for gw in 0..gateways {
-            let p = apps::ping::Pinger::new(
-                gateway::scenario::city::host_ip((gw + 1) % gateways, 0),
-                gw as u16,
-                2,
-                SimDuration::from_secs(5),
-                64,
-            )
-            .delayed(SimDuration::from_millis(200 + (37 * gw as u64) % 1800));
-            m.world.add_app(m.hosts[gw][0], Box::new(p));
-        }
-        m
-    }
-    g.bench_function("mesh16_30s_reference", |b| {
-        b.iter_batched(
-            mesh_setup,
-            |mut m| {
-                m.world.run_until_reference(SimTime::from_secs(30));
-                black_box(m.world.now)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    for workers in [1usize, 2, 4, 8] {
-        g.bench_function(&format!("mesh16_30s_{workers}w"), |b| {
-            b.iter_batched(
-                || {
-                    let mut m = mesh_setup();
-                    m.world.set_workers(workers);
-                    m
-                },
-                |mut m| {
-                    m.world.run_for(SimDuration::from_secs(30));
-                    black_box(m.world.now)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_scheduler,
-    bench_tcp_machine,
-    bench_world,
-    bench_engine,
-    bench_engine_shard
-);
+criterion_group!(benches, bench_scheduler);
 criterion_main!(benches);

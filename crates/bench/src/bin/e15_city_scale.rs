@@ -10,7 +10,7 @@
 //!
 //! Three claims are checked, the first two deterministic (this file's
 //! output is byte-stable), the third wall-clock and therefore printed
-//! only in bench mode (`E15_BENCH=1`, used by scripts/bench.sh):
+//! only in bench mode (`E15_BENCH=1`, run by hand):
 //!
 //! 1. **Equivalence at scale**: the FNV digest of the event log is
 //!    identical at 1, 2, 4, and 8 workers, and equal to the full-scan
@@ -21,46 +21,18 @@
 //! 3. **Scaling**: wall-clock per simulated second at each worker count
 //!    (honest numbers: this is a thread-scaling harness, and on a
 //!    single-core container the extra workers measure coordination
-//!    overhead, not speedup — the row's `threads` field in
-//!    BENCH_engine.json says what was used).
+//!    overhead, not speedup — the core count is printed with them).
 //!
 //! Knobs: `E15_GATEWAYS` (default 250), `E15_HOSTS` (default 40 per
 //! island), `E15_SECONDS` (default 20). The full run from the issue
 //! brief is `E15_GATEWAYS=1000 E15_HOSTS=97` — ~100k hosts.
 
 use apps::ping::Pinger;
-use bench::banner;
+use bench::{banner, bench_mode, drain_event_digest, env_usize};
 use gateway::scenario::{self, city};
 use sim::stats::render_table;
 use sim::SimDuration;
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// FNV-1a over the event log, the same digest the `shard_equivalence`
-/// suite pins.
-fn event_digest(world: &mut gateway::World) -> (u64, usize, usize) {
-    let events = world.take_events();
-    let n = events.len();
-    let mut replies = 0;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for (h, t, e) in events {
-        let line = format!("{h:?} {t} {e:?}\n");
-        if line.contains("PingReply") {
-            replies += 1;
-        }
-        for b in line.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    (hash, n, replies)
-}
 
 /// Builds the city and wires the traffic: host 0 of every island pings
 /// host 0 of the next island (two pings, starts staggered island by
@@ -85,7 +57,7 @@ fn main() {
     let gateways = env_usize("E15_GATEWAYS", 250);
     let hosts_per_gw = env_usize("E15_HOSTS", 40);
     let secs = env_usize("E15_SECONDS", 20) as u64;
-    let bench_mode = std::env::var("E15_BENCH").is_ok_and(|v| v == "1");
+    let bench_mode = bench_mode("E15");
     let seed = 1988;
 
     banner(
@@ -118,7 +90,7 @@ fn main() {
     m.world
         .run_until_reference(sim::SimTime::from_millis(secs * 1000));
     walls.push(("reference".to_string(), 0, t0.elapsed()));
-    let (d, n, replies) = event_digest(&mut m.world);
+    let (d, n, replies) = drain_event_digest(&mut m.world);
     digests.push(d);
     rows.push(vec![
         "reference".into(),
@@ -135,7 +107,7 @@ fn main() {
         let t0 = Instant::now();
         m.world.run_for(SimDuration::from_secs(secs));
         walls.push((format!("sharded_{workers}w"), workers, t0.elapsed()));
-        let (d, n, replies) = event_digest(&mut m.world);
+        let (d, n, replies) = drain_event_digest(&mut m.world);
         let mb = m.world.mailbox_stats();
         engine.push(m.world.engine_stats());
         digests.push(d);

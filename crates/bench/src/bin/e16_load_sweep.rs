@@ -25,9 +25,9 @@
 //! island; 250x40 = 10,251 simulated machines), `E16_SECONDS` (default
 //! 120 simulated), `E16_CLIENTS` (clients per island, default 1),
 //! `E16_WORKERS` (sweep worker count, default 4), `E16_SWEEP=0` to skip
-//! phase 2, `E16_BENCH=1` for ns/iter lines (scripts/bench.sh).
+//! phase 2, `E16_BENCH=1` for ns/iter lines (run by hand).
 
-use bench::banner;
+use bench::{banner, bench_mode, drain_event_digest, env_usize};
 use gateway::scenario::{self, MeshNet};
 use sim::stats::render_table;
 use sim::{SimDuration, SimTime};
@@ -35,37 +35,6 @@ use std::time::Instant;
 use workload::load::{Arrival, Mix, Pacing};
 use workload::report::EngineTelemetry;
 use workload::{deploy, Fleet, FleetSpec};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a over the event log — the digest the `shard_equivalence` and
-/// `workload` determinism suites pin.
-fn event_digest(world: &mut gateway::World) -> (u64, usize) {
-    let events = world.take_events();
-    let n = events.len();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for (h, t, e) in events {
-        for b in format!("{h:?} {t} {e:?}\n").bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    (hash, n)
-}
 
 struct Cfg {
     gateways: usize,
@@ -118,7 +87,7 @@ fn run(
         }
     }
     let wall = t0.elapsed();
-    let (digest, events) = event_digest(&mut m.world);
+    let (digest, events, _) = drain_event_digest(&mut m.world);
     let span = SimDuration::from_secs(cfg.secs);
     let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
     let telemetry = EngineTelemetry::gather(&m);
@@ -134,7 +103,7 @@ fn main() {
     };
     let sweep_workers = env_usize("E16_WORKERS", 4);
     let do_sweep = env_usize("E16_SWEEP", 1) == 1;
-    let bench_mode = std::env::var("E16_BENCH").is_ok_and(|v| v == "1");
+    let bench_mode = bench_mode("E16");
 
     banner(
         "E16",
@@ -187,7 +156,7 @@ fn main() {
             events.to_string(),
             fleet.completed().to_string(),
             format!("{digest:016x}"),
-            format!("{:016x}", fnv(report.bytes())),
+            format!("{:016x}", sim::fnv1a(report.as_bytes())),
         ]);
         walls.push((name, wall));
         digests.push(digest);

@@ -22,28 +22,21 @@
 //!    show the hit rate doing the work.
 //! 3. **Per-packet lookup cost**: mean ns per compiled lookup at each
 //!    table size, flat where the linear scan grows linearly — wall
-//!    clock, so printed only in bench mode (`E18_BENCH=1`, used by
-//!    scripts/bench.sh) and to stderr.
+//!    clock, so printed only in bench mode (`E18_BENCH=1`, run by hand)
+//!    and to stderr.
 //!
 //! Knobs: `E18_GATEWAYS` (default 48), `E18_HOSTS` (default 3 per
 //! island), `E18_SECONDS` (default 40). The issue-brief full run is
 //! `E18_GATEWAYS=1000`, giving ~1000-route gateway tables.
 
 use apps::ping::Pinger;
-use bench::banner;
+use bench::{banner, bench_mode, drain_event_digest, env_usize};
 use gateway::scenario::{self, city, MeshOptions};
 use netstack::route::{Prefix, RouteTable};
 use sim::stats::render_table;
 use sim::SimDuration;
 use std::net::Ipv4Addr;
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// A route table shaped like a converged E18 gateway's: `n` island
 /// `/24`s plus the default toward the wired internet.
@@ -63,25 +56,6 @@ fn island_table(n: usize) -> RouteTable {
         netstack::stack::IfaceId::new(1),
     );
     rt
-}
-
-/// FNV-1a over the event log (same digest as E15).
-fn event_digest(world: &mut gateway::World) -> (u64, usize, usize) {
-    let events = world.take_events();
-    let n = events.len();
-    let mut replies = 0;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for (h, t, e) in events {
-        let line = format!("{h:?} {t} {e:?}\n");
-        if line.contains("PingReply") {
-            replies += 1;
-        }
-        for b in line.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    (hash, n, replies)
 }
 
 /// Builds the full-table mesh and wires forwarding-heavy traffic: host 0
@@ -128,7 +102,7 @@ fn main() {
     let gateways = env_usize("E18_GATEWAYS", 48);
     let hosts_per_gw = env_usize("E18_HOSTS", 3);
     let secs = env_usize("E18_SECONDS", 40) as u64;
-    let bench_mode = std::env::var("E18_BENCH").is_ok_and(|v| v == "1");
+    let bench_mode = bench_mode("E18");
     let seed = 2244;
 
     banner(
@@ -207,7 +181,7 @@ fn main() {
         m.world
             .run_until_reference(sim::SimTime::from_millis(secs * 1000));
         let wall = t0.elapsed();
-        let (d, n, replies) = event_digest(&mut m.world);
+        let (d, n, replies) = drain_event_digest(&mut m.world);
         let (mut hits, mut misses, mut stale) = (0u64, 0u64, 0u64);
         for g in 0..gateways {
             let st = m.world.host(m.gateways[g]).stack.stats();
@@ -230,8 +204,8 @@ fn main() {
         ]);
         digests.push(d);
         if bench_mode {
-            // The bench.sh row: ns per simulated second of mesh, so the
-            // cached and uncached engines are directly comparable.
+            // ns per simulated second of mesh, so the cached and uncached
+            // engines are directly comparable.
             let label = if bits == 0 { "nocache" } else { "cache" };
             println!(
                 "e18_mesh/{label} ... {:.1} ns/iter",

@@ -17,8 +17,9 @@ use ether::MacAddr;
 use gateway::host::{EtherIfConfig, HostConfig, RadioIfConfig};
 use gateway::hwaddr::Ax25Hw;
 use gateway::scenario::PaperConfig;
-use gateway::world::{ChanId, HostId, SegId, World};
+use gateway::world::{event_digest, ChanId, HostId, SegId, World};
 use netstack::route::Prefix;
+use netstack::stack::StackAction;
 use radio::channel::StationId;
 use sim::Bandwidth;
 
@@ -28,6 +29,33 @@ pub fn banner(id: &str, title: &str, claim: &str) {
     println!("{id}: {title}");
     println!("paper claim: {claim}");
     println!("==========================================================================");
+}
+
+/// A size knob from the environment (`E15_GATEWAYS`, `E16_SECONDS`, …):
+/// `default` when unset or unparsable.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Whether `<id>_BENCH=1` is set (`id` is "E15", "E16" or "E18"): the
+/// experiment then also prints wall-clock `ns/iter` lines, which no golden
+/// records. By hand only — the worker sweep and the cache on/off timer.
+pub fn bench_mode(id: &str) -> bool {
+    std::env::var(format!("{id}_BENCH")).is_ok_and(|v| v == "1")
+}
+
+/// Drains `world`'s event log: (its [`event_digest`], how many events,
+/// how many of them ping replies).
+pub fn drain_event_digest(world: &mut World) -> (u64, usize, usize) {
+    let events = world.take_events();
+    let replies = events
+        .iter()
+        .filter(|(_, _, e)| matches!(e, StackAction::PingReply { .. }))
+        .count();
+    (event_digest(&events), events.len(), replies)
 }
 
 /// The E4 (§4.2) two-coast topology.

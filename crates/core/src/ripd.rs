@@ -23,14 +23,10 @@
 //! something is due; expiry happens *at* the deadline, never lazily on
 //! lookup.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use encap::rip::{Announcer, RipEntry, RipUpdate, METRIC_INFINITY, RIP44_PORT};
 use encap::table::{EncapTable, LearnOutcome, SharedEncapTable};
 use netstack::stack::{IfaceId, StackAction, UdpId};
 use netstack::Prefix;
-use sim::trace::{Category, Trace};
 use sim::wire::Codec;
 use sim::{SimDuration, SimRng, SimTime};
 
@@ -117,7 +113,6 @@ pub struct Rip44Service {
     announcer: Announcer,
     rng: SimRng,
     stats: RipdStats,
-    trace: Rc<RefCell<Trace>>,
     /// Prefixes this instance announces itself — never learned back.
     own: Vec<Prefix>,
 }
@@ -139,7 +134,6 @@ impl Rip44Service {
             learn,
             udp: None,
             stats: RipdStats::default(),
-            trace: Rc::new(RefCell::new(Trace::disabled())),
             own,
         }
     }
@@ -153,20 +147,6 @@ impl Rip44Service {
     /// Counter snapshot.
     pub fn stats(&self) -> RipdStats {
         self.stats
-    }
-
-    /// Turns on tracing ([`Category::Rip44`] / [`Category::Encap`]) and
-    /// returns the shared handle to read it from outside the world.
-    pub fn enable_trace(&mut self) -> Rc<RefCell<Trace>> {
-        self.trace = Rc::new(RefCell::new(Trace::enabled()));
-        self.trace.clone()
-    }
-
-    fn record(&self, now: SimTime, cat: Category, host: &Host, msg: String) {
-        let mut t = self.trace.borrow_mut();
-        if t.is_enabled() {
-            t.record(now, cat, host.name.clone(), msg);
-        }
     }
 
     /// Applies one heard update. Learning feeds the encap table (expiry +
@@ -186,34 +166,16 @@ impl Rip44Service {
             let outcome = self
                 .table
                 .with(|t| t.learn(now, e.prefix, update.origin, metric, self.cfg.route_ttl));
-            match outcome {
-                LearnOutcome::New | LearnOutcome::Updated => {
-                    news = true;
-                    if let LearnMode::Routes { iface } = self.learn {
-                        host.stack.routes_mut().add_learned(
-                            e.prefix,
-                            Some(update.origin),
-                            iface,
-                            metric,
-                        );
-                    }
-                    self.record(
-                        now,
-                        Category::Rip44,
-                        host,
-                        format!("learned {} via {} metric {metric}", e.prefix, update.origin),
+            if let LearnOutcome::New | LearnOutcome::Updated = outcome {
+                news = true;
+                if let LearnMode::Routes { iface } = self.learn {
+                    host.stack.routes_mut().add_learned(
+                        e.prefix,
+                        Some(update.origin),
+                        iface,
+                        metric,
                     );
                 }
-                LearnOutcome::Refreshed => {}
-                LearnOutcome::HeldDown => {
-                    self.record(
-                        now,
-                        Category::Rip44,
-                        host,
-                        format!("held down {} from {}", e.prefix, update.origin),
-                    );
-                }
-                LearnOutcome::Worse => {}
             }
         }
         if news {
@@ -263,12 +225,6 @@ impl App for Rip44Service {
             if let LearnMode::Routes { .. } = self.learn {
                 host.stack.routes_mut().remove_learned(e.subnet);
             }
-            self.record(
-                now,
-                Category::Encap,
-                host,
-                format!("expired {} via {} (hold-down begins)", e.subnet, e.endpoint),
-            );
         }
         // Announce when due; a dead host's daemon is dead with it.
         if self.announcer.due(now, &mut self.rng) && !host.is_down() {
@@ -281,12 +237,6 @@ impl App for Rip44Service {
                     };
                     host.udp_broadcast(now, udp, set.iface, self.cfg.port, update.encode());
                     self.stats.sent += 1;
-                    self.record(
-                        now,
-                        Category::Rip44,
-                        host,
-                        format!("announced {} subnet(s) from {origin}", set.entries.len()),
-                    );
                 }
             }
         }

@@ -23,8 +23,8 @@
 //! The previous engine — scan every component for its deadline on every
 //! event, re-poll everything every pass — is retained verbatim as the
 //! *reference stepper* ([`World::run_until_reference`]) so equivalence
-//! tests and the `engine` benchmarks can prove the indexed scheduler
-//! produces identical event sequences, faster.
+//! tests can prove the indexed scheduler produces identical event
+//! sequences (`E15_BENCH=1` times the two side by side).
 //!
 //! All components are sans-io state machines from the substrate crates;
 //! this module is the only place where they touch.
@@ -32,6 +32,7 @@
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -49,7 +50,7 @@ use radio::traffic::{BeaconConfig, BeaconStation};
 use serial::{SerialConfig, SerialLine};
 use sim::sched::SchedStats;
 use sim::trace::Trace;
-use sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
@@ -108,6 +109,17 @@ pub struct DigiId(usize);
 /// Handle to a background traffic station in the world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BeaconId(usize);
+
+/// FNV-1a over an event log rendered one `"{host:?} {time} {event:?}\n"`
+/// line per event: the digest E15, E16 and E18 print into `results/` and
+/// compare across engines, worker counts and cache settings.
+pub fn event_digest(events: &[(HostId, SimTime, StackAction)]) -> u64 {
+    let mut digest = Fnv1a::new();
+    for (h, t, e) in events {
+        writeln!(digest, "{h:?} {t} {e:?}").expect("a digest takes any string");
+    }
+    digest.finish()
+}
 
 /// An application running "on" a host, driven by stack events.
 ///
@@ -655,11 +667,10 @@ impl World {
     // The pre-index engine, kept verbatim in `shard.rs`: scan every
     // component for the earliest deadline, then re-poll everything until
     // quiescent. The equivalence tests pin the indexed scheduler against
-    // it, and the `engine` benchmarks measure the speedup. Not for mixed
-    // use with the indexed run methods on the same World instance within
-    // a run — pick one driver per world. On a multi-shard world the
-    // reference runs the same lookahead windows (serially), so it is also
-    // the spec for the parallel engine's merge order.
+    // it. Not for mixed use with the indexed run methods on the same World
+    // instance within a run — pick one driver per world. On a multi-shard
+    // world the reference runs the same lookahead windows (serially), so
+    // it is also the spec for the parallel engine's merge order.
 
     /// Reference (full-scan) equivalent of [`World::run_until`].
     #[doc(hidden)]

@@ -286,12 +286,7 @@ fn golden_trace_digest() {
             &[1500, 12_000, 30_500],
             false,
         );
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in log.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        digests.push(hash);
+        digests.push(sim::fnv1a(log.as_bytes()));
     }
     assert_eq!(digests[0], digests[1]);
     assert_eq!(
@@ -300,7 +295,7 @@ fn golden_trace_digest() {
     );
 }
 
-/// The `engine` bench's 50-beacon world: the paper gateway with its TNC
+/// A 50-beacon world: the paper gateway with its TNC
 /// promiscuous behind a 2400 Bd serial line, hearing 50 chattering
 /// beacon stations. Every heard frame floods the gateway line with
 /// per-character deliveries, so this pins run delivery to the reference

@@ -265,15 +265,6 @@ fn fingerprint(
     out
 }
 
-fn fnv(log: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in log.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The CI smoke test check.sh gates on: two workers over three islands
 /// must reproduce the reference run bit-for-bit, with traffic flowing.
 #[test]
@@ -285,8 +276,8 @@ fn two_worker_digest_smoke() {
     );
     let got = mesh_run(3, 1, 42, 25, Driver::Workers(2));
     assert_eq!(
-        fnv(&got),
-        fnv(&reference),
+        sim::fnv1a(got.as_bytes()),
+        sim::fnv1a(reference.as_bytes()),
         "2-worker digest diverged from reference"
     );
     assert_eq!(got, reference);
@@ -675,9 +666,10 @@ proptest! {
         gateways in 2usize..4,
         hosts_per_gw in 1usize..3,
     ) {
-        let reference = fnv(&mesh_run(gateways, hosts_per_gw, seed, 20, Driver::Reference));
+        let digest = |driver| sim::fnv1a(mesh_run(gateways, hosts_per_gw, seed, 20, driver).as_bytes());
+        let reference = digest(Driver::Reference);
         for workers in [1, 2, 4, 8] {
-            let got = fnv(&mesh_run(gateways, hosts_per_gw, seed, 20, Driver::Workers(workers)));
+            let got = digest(Driver::Workers(workers));
             prop_assert_eq!(got, reference, "{} workers diverged (seed {})", workers, seed);
         }
     }

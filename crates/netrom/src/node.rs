@@ -89,13 +89,8 @@ impl NetRomNode {
     /// sharing a boot instant would otherwise all key up together and
     /// collide every round (real nodes are never synchronized).
     pub fn new(cfg: NetRomConfig) -> NetRomNode {
-        let phase_ns = {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in cfg.callsign.to_string().bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-            }
-            h % cfg.broadcast_interval.as_nanos().max(1)
-        };
+        let phase_ns = sim::fnv1a(cfg.callsign.to_string().as_bytes())
+            % cfg.broadcast_interval.as_nanos().max(1);
         NetRomNode {
             next_broadcast: SimTime::ZERO + SimDuration::from_nanos(phase_ns),
             cfg,

@@ -1,4 +1,5 @@
-//! A fast, deterministic hasher for the simulator's internal maps.
+//! The simulator's two deterministic hashes: [`FxHasher`] for its
+//! internal maps and [`Fnv1a`] for digests that are pinned or printed.
 //!
 //! Per-packet tables (the filter's gate table) do a map operation per
 //! simulated packet; the standard library's SipHash (and its per-process
@@ -7,7 +8,13 @@
 //! hash identically across runs, which suits a simulator whose whole
 //! contract is reproducibility. Keys here are small integers and enums,
 //! never attacker-controlled, so HashDoS resistance is not needed.
+//!
+//! Fx's output is free to change with the word size; a digest that a test
+//! pins, an experiment prints into `results/` or two engines are compared
+//! by must not be, so those are all 64-bit FNV-1a over a byte rendering,
+//! and this is the only copy of it.
 
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-fold hasher over native words (the rustc/Firefox "Fx" hash).
@@ -59,6 +66,61 @@ impl Hasher for FxHasher {
     fn write_usize(&mut self, i: usize) {
         self.add(i as u64);
     }
+}
+
+/// A 64-bit FNV-1a accumulator. It is a [`fmt::Write`], so a log can be
+/// digested line by line with `writeln!` and never exists as a `String`.
+///
+/// # Examples
+///
+/// ```
+/// use std::fmt::Write;
+///
+/// let mut d = sim::Fnv1a::new();
+/// write!(d, "foo{}", "bar").unwrap();
+/// assert_eq!(d.finish(), sim::fnv1a(b"foobar"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty digest (the FNV offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a of one byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut d = Fnv1a::new();
+    d.write(bytes);
+    d.finish()
 }
 
 /// `HashMap` keyed with [`FxHasher`].

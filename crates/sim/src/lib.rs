@@ -12,13 +12,14 @@
 //!   plus [`Bandwidth`] for serialization-delay math.
 //! * [`bytekernels`] — word-at-a-time (SWAR) byte-scanning primitives for
 //!   the bulk datapath kernels (KISS deframing/escaping).
-//! * [`fxhash`] — a fast deterministic hasher for small-key maps.
+//! * [`fxhash`] — a fast deterministic hasher for small-key maps, and the
+//!   one FNV-1a ([`Fnv1a`]) every pinned digest in the workspace is built on.
 //! * [`sched`] — the calendar: a deadline-indexed component [`Scheduler`]
 //!   (one indexed heap re-keyed in place, deterministic tie order).
 //! * [`rng`] — a seeded random-number generator ([`SimRng`]) so that every
 //!   experiment run is exactly repeatable.
-//! * [`stats`] — counters, online mean/variance, histograms, and time
-//!   series used by the experiment harnesses.
+//! * [`stats`] — counters, latency quantiles, and sweep tables used by the
+//!   experiment harnesses.
 //! * [`wire`] — bounds-checked big-endian readers and writers shared by all
 //!   of the frame/packet codecs, plus the [`wire::Codec`] trait they
 //!   implement.
@@ -55,6 +56,7 @@ pub mod time;
 pub mod trace;
 pub mod wire;
 
+pub use fxhash::{fnv1a, Fnv1a};
 pub use mailbox::{Mailbox, MailboxStats};
 pub use pktbuf::{BufPool, ByteSink, FrameSink, PacketBuf, PoolStats, SinkFn};
 pub use rng::SimRng;

@@ -2,12 +2,11 @@
 //!
 //! The benchmarks in `crates/bench` reconstruct the paper's qualitative
 //! claims as tables; these types gather the underlying samples: event
-//! counts, latency distributions, throughput over windows, and time series
-//! for parameter sweeps.
+//! counts, latency distributions, and time series for parameter sweeps.
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
 ///
@@ -54,90 +53,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use sim::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     w.add(x);
-/// }
-/// assert_eq!(w.mean(), 4.0);
-/// assert_eq!(w.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Welford {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 if fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
     }
 }
 
@@ -224,120 +139,6 @@ impl Latency {
     pub fn max(&mut self) -> Option<SimDuration> {
         self.sort();
         self.samples.last().copied()
-    }
-}
-
-/// A throughput meter: bytes accumulated over an interval of simulated time.
-///
-/// # Examples
-///
-/// ```
-/// use sim::stats::Throughput;
-/// use sim::SimTime;
-///
-/// let mut t = Throughput::new(SimTime::ZERO);
-/// t.add(1500);
-/// t.add(1500);
-/// // 3000 bytes over 2 seconds = 12 kbit/s.
-/// assert_eq!(t.bits_per_sec(SimTime::from_secs(2)), 12_000.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Throughput {
-    start: SimTime,
-    bytes: u64,
-}
-
-impl Throughput {
-    /// Creates a meter starting at `start`.
-    pub fn new(start: SimTime) -> Throughput {
-        Throughput { start, bytes: 0 }
-    }
-
-    /// Accounts `bytes` octets of delivered payload.
-    pub fn add(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Total octets accounted.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average rate in bits per second up to `now`; 0 if no time elapsed.
-    pub fn bits_per_sec(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.start).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / dt
-        }
-    }
-}
-
-/// A fixed-bucket histogram over `u64` values (e.g. queue depths).
-///
-/// # Examples
-///
-/// ```
-/// use sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(&[1, 10, 100]);
-/// h.record(0);
-/// h.record(5);
-/// h.record(5000);
-/// assert_eq!(h.counts(), &[1, 1, 0, 1]); // <=1, <=10, <=100, >100
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given inclusive upper bucket bounds.
-    /// An implicit overflow bucket collects values above the last bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &[u64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bucket bounds supplied at construction.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -491,28 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        assert!((w.mean() - 3.5).abs() < 1e-12);
-        // Population variance of 1..6 is 35/12.
-        assert!((w.variance() - 35.0 / 12.0).abs() < 1e-12);
-        assert_eq!(w.min(), Some(1.0));
-        assert_eq!(w.max(), Some(6.0));
-    }
-
-    #[test]
-    fn welford_empty_is_safe() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), None);
-    }
-
-    #[test]
     fn latency_quantiles() {
         let mut l = Latency::new();
         for ms in 1..=100 {
@@ -531,31 +310,6 @@ mod tests {
         assert_eq!(l.quantile(0.5), None);
         assert_eq!(l.mean(), None);
         assert_eq!(l.count(), 0);
-    }
-
-    #[test]
-    fn throughput_rate() {
-        let mut t = Throughput::new(SimTime::from_secs(1));
-        t.add(125);
-        assert_eq!(t.bits_per_sec(SimTime::from_secs(2)), 1000.0);
-        assert_eq!(t.bits_per_sec(SimTime::from_secs(1)), 0.0);
-        assert_eq!(t.bytes(), 125);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(&[10, 100]);
-        for v in [0, 10, 11, 100, 101, 5000] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 2, 2]);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_unsorted_bounds() {
-        let _ = Histogram::new(&[10, 5]);
     }
 
     #[test]

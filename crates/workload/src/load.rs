@@ -9,8 +9,10 @@
 //! the determinism anchor the E16 equivalence claim and the
 //! `workload_determinism` proptest both hang off.
 
+use std::fmt::Write;
+
 use sim::rng::SimRng;
-use sim::SimDuration;
+use sim::{Fnv1a, SimDuration};
 
 /// The four session classes a fleet can run (§2.3's uses of the
 /// gateway: remote login, file transfer, name lookup, echo).
@@ -259,27 +261,17 @@ impl FleetSchedule {
     /// FNV-1a digest of the canonical schedule rendering — the value
     /// the determinism suite pins across engines and processes.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut digest = Fnv1a::new();
         for p in &self.plans {
-            eat(format!(
-                "i{} c{} t{} s{}\n",
-                p.island,
-                p.slot,
-                p.target,
-                p.start.as_nanos()
-            )
-            .as_bytes());
+            let start = p.start.as_nanos();
+            writeln!(digest, "i{} c{} t{} s{start}", p.island, p.slot, p.target)
+                .expect("a digest takes any string");
             for s in &p.sessions {
-                eat(format!("  {:?} g{} z{}\n", s.class, s.gap.as_nanos(), s.size).as_bytes());
+                writeln!(digest, "  {:?} g{} z{}", s.class, s.gap.as_nanos(), s.size)
+                    .expect("a digest takes any string");
             }
         }
-        hash
+        digest.finish()
     }
 
     /// Total planned sessions.

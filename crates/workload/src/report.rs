@@ -307,39 +307,6 @@ pub fn app_header() -> Vec<String> {
         .collect()
 }
 
-fn dur_ms(d: Option<SimDuration>) -> String {
-    match d {
-        Some(d) => format!("{:.1}", d.as_millis_f64()),
-        None => "-".into(),
-    }
-}
-
-/// A typist session in the shared app-row format.
-pub fn typist_row(label: &str, r: &apps::typist::TypistReport) -> Vec<String> {
-    vec![
-        label.into(),
-        r.sent.to_string(),
-        r.echoed.to_string(),
-        (r.sent - r.echoed).to_string(),
-        r.echoed.to_string(),
-        dur_ms(r.mean_rtt()),
-        dur_ms(Some(r.rtt_max)),
-    ]
-}
-
-/// An FTP client in the shared app-row format.
-pub fn ftp_client_row(label: &str, r: &apps::ftp::FileClientReport) -> Vec<String> {
-    vec![
-        label.into(),
-        "1".into(),
-        u64::from(r.done).to_string(),
-        u64::from(r.not_found).to_string(),
-        r.received.to_string(),
-        dur_ms(r.duration()),
-        dur_ms(r.duration()),
-    ]
-}
-
 /// An FTP server in the shared app-row format.
 pub fn ftp_server_row(label: &str, r: &apps::ftp::FileServerReport) -> Vec<String> {
     vec![
@@ -373,19 +340,6 @@ pub fn dns_server_row(label: &str, r: &apps::dns::DnsServerReport) -> Vec<String
         r.queries.to_string(),
         r.answered.to_string(),
         (r.nxdomain + r.malformed).to_string(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]
-}
-
-/// A stub resolver in the shared app-row format.
-pub fn resolver_row(label: &str, r: &apps::dns::ResolverStats) -> Vec<String> {
-    vec![
-        label.into(),
-        r.queries_sent.to_string(),
-        r.answers.to_string(),
-        r.failures.to_string(),
         "-".into(),
         "-".into(),
         "-".into(),

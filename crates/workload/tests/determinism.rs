@@ -20,15 +20,6 @@ enum Driver {
     Workers(usize),
 }
 
-fn fnv(log: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in log.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 fn spec_for(seed: u64) -> FleetSpec {
     FleetSpec {
         seed,
@@ -64,7 +55,12 @@ fn fleet_run(seed: u64, secs: u64, driver: Driver) -> (u64, u64, String, u64) {
     }
     let span = SimDuration::from_secs(secs);
     let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
-    (fnv(&log), sched_digest, report, fleet.completed())
+    (
+        sim::fnv1a(log.as_bytes()),
+        sched_digest,
+        report,
+        fleet.completed(),
+    )
 }
 
 #[test]
@@ -112,7 +108,10 @@ fn open_loop_fleet_also_agrees() {
         for (h, t, e) in m.world.take_events() {
             log.push_str(&format!("{h:?} {t} {e:?}\n"));
         }
-        (fnv(&log), fleet.class_table(SimDuration::from_secs(45)))
+        (
+            sim::fnv1a(log.as_bytes()),
+            fleet.class_table(SimDuration::from_secs(45)),
+        )
     }
     let (d_ref, r_ref) = run(Driver::Reference);
     let (d2, r2) = run(Driver::Workers(2));

@@ -19,23 +19,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> benchmark harness builds against the crates' public surface (no run)"
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 
-# The zero-allocation benches: `--test` runs each closure once, and each
-# bench asserts 0 allocations on its hot paths (bench::alloc_count).
-# driver_rx also pins the two whole-world transit paths at their measured
-# counts, all of them the sender's own: world/denied_transit (Ethernet ->
-# gateway -> deny at the radio output hook) and world/ether_forward
-# (Ethernet -> router -> Ethernet -> UDP socket), 3 allocations per
-# datagram each.
-for b in driver_rx encap_fwd vj_hdr byte_kernels socket_ops shard_sync \
-         workload_gen filter_eval route_lookup; do
+# The ratchets: every file in crates/bench/benches/ is a bench target that
+# asserts something (allocation counts, same-run ratios, len() bounds), and
+# `--test` runs each closure once, so this loop is the whole set by
+# construction. driver_rx also pins the two whole-world transit paths at
+# their measured counts, all of them the sender's own: world/denied_transit
+# (Ethernet -> gateway -> deny at the radio output hook) and
+# world/ether_forward (Ethernet -> router -> Ethernet -> UDP socket), 3
+# allocations per datagram each; engine is the calendar's ratchet.
+declared=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"$/\1/p;}' crates/bench/Cargo.toml | sort)
+present=$(basename -s .rs crates/bench/benches/*.rs | sort)
+if [ "$declared" != "$present" ]; then
+    echo "crates/bench/Cargo.toml [[bench]] entries and crates/bench/benches/*.rs differ" >&2
+    exit 1
+fi
+for b in $present; do
+    grep -q 'assert' "crates/bench/benches/$b.rs" ||
+        { echo "crates/bench/benches/$b.rs asserts nothing" >&2; exit 1; }
     echo "==> cargo bench -p bench --bench $b -- --test"
     cargo bench -p bench --bench "$b" -- --test
 done
-
-# The calendar's ratchet: re-keying a parked key earlier, popping it and
-# parking it again neither allocates nor grows the heap (one entry per key).
-echo "==> cargo bench -p bench --bench engine -- --test scheduler"
-cargo bench -p bench --bench engine -- --test scheduler
 
 echo "==> sharded-engine digest smoke (2 workers vs reference)"
 cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke

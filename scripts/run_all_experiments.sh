@@ -28,7 +28,7 @@ for e in e1_latency_breakdown e2_promiscuous_load e3_timeouts e4_routing \
     ./target/release/"$e" > "$out/$e.txt" 2>&1
 done
 
-# E16 at full city scale takes minutes; the recorded output is the small
+# E16 at full city scale takes a minute; the recorded output is the small
 # deterministic smoke configuration (full-size knobs in EXPERIMENTS.md).
 echo "running e16_load_sweep (smoke mesh) …"
 E16_GATEWAYS=4 E16_HOSTS=4 E16_SECONDS=150 \

@@ -152,6 +152,28 @@ proptest! {
     }
 }
 
+/// splitmix64: the inner generator of the million-case sweeps below, one
+/// proptest case seeding 1,024 inputs.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) {
+        for lane in buf.chunks_mut(8) {
+            lane.copy_from_slice(&self.next().to_ne_bytes()[..lane.len()]);
+        }
+    }
+}
+
+// A million inputs per kernel (1,024 cases x 1,024 inputs): a fast kernel
+// that is wrong on a few inputs per million passes the short sweeps above.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -161,24 +183,61 @@ proptest! {
     /// met but a 200 pps flood does within the hour.
     #[test]
     fn folded_checksum_matches_reference_on_a_million_headers(seed in any::<u64>()) {
-        let mut state = seed;
-        let mut splitmix = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix(seed);
         let mut header = [0u8; 20];
         for _ in 0..1024 {
-            for lane in header.chunks_mut(8) {
-                lane.copy_from_slice(&splitmix().to_ne_bytes()[..lane.len()]);
-            }
+            rng.fill(&mut header);
             prop_assert_eq!(
                 internet_checksum(&[&header]),
                 internet_checksum_ref(&[&header]),
                 "header {:02x?}",
                 header
+            );
+        }
+    }
+
+    /// The slice-by-8 CRC against the bitwise one on a million frames of
+    /// 0..=40 bytes: every length modulo the chunk width, head and tail.
+    #[test]
+    fn sliced_crc_matches_reference_on_a_million_frames(seed in any::<u64>()) {
+        let mut rng = SplitMix(seed);
+        let mut frame = [0u8; 40];
+        for _ in 0..1024 {
+            rng.fill(&mut frame);
+            let data = &frame[..rng.next() as usize % (frame.len() + 1)];
+            prop_assert_eq!(crc16_x25(data), crc16_x25_ref(data), "frame {:02x?}", data);
+        }
+    }
+
+    /// `push_slice` against per-byte `push` on a million 32-byte streams,
+    /// half of every stream `FEND`/`FESC`/`TFEND`/`TFESC`, each cut into
+    /// chunks at up to three random places.
+    #[test]
+    fn bulk_deframing_matches_per_byte_on_a_million_streams(seed in any::<u64>()) {
+        let mut rng = SplitMix(seed);
+        let (mut stream, mut sel) = ([0u8; 32], [0u8; 32]);
+        for _ in 0..1024 {
+            rng.fill(&mut stream);
+            rng.fill(&mut sel);
+            for (b, sel) in stream.iter_mut().zip(sel) {
+                match sel & 7 {
+                    0 | 1 => *b = kiss::FEND,
+                    2 => *b = kiss::FESC,
+                    3 => *b = [kiss::TFEND, kiss::TFESC][usize::from(sel >> 7)],
+                    // A valid type byte now and then keeps whole frames alive.
+                    4 => *b &= 0x0F,
+                    _ => {}
+                }
+            }
+            let cut = rng.next();
+            let cuts = [cut as usize, (cut >> 16) as usize, (cut >> 32) as usize];
+            let cuts = &cuts[..(cut >> 62) as usize];
+            let max_len = [8, 1024][(cut >> 61 & 1) as usize];
+            prop_assert_eq!(
+                deframe_chunked(&stream, max_len, cuts),
+                deframe_per_byte(&stream, max_len),
+                "stream {:02x?} cuts {:?} max_len {}",
+                stream, cuts, max_len
             );
         }
     }

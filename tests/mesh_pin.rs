@@ -10,16 +10,7 @@
 
 use ultrix_packet_radio::apps::ping::Pinger;
 use ultrix_packet_radio::gateway::scenario::{self, city};
-use ultrix_packet_radio::sim::{SimDuration, SimTime};
-
-fn fnv(log: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in log.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+use ultrix_packet_radio::sim::{fnv1a, SimDuration, SimTime};
 
 /// E15's wiring at guard scale: host 0 of island g pings host 0 of
 /// island g+1, starts staggered.
@@ -49,7 +40,7 @@ fn ping_only_mesh_digest_is_pinned() {
     }
     assert!(log.contains("PingReply"), "cross-island pings must flow");
     assert_eq!(
-        fnv(&log),
+        fnv1a(log.as_bytes()),
         0x5dcd_508a_920b_be2c,
         "ping-only mesh event stream changed — the MeshNet iteration API \
          must stay purely additive (update this pin only for an \

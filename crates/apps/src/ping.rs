@@ -20,17 +20,6 @@ pub struct PingReport {
     pub rtts: Latency,
 }
 
-impl PingReport {
-    /// Fraction of requests answered.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            f64::from(self.received) / f64::from(self.sent)
-        }
-    }
-}
-
 /// A scripted `ping` process.
 pub struct Pinger {
     dst: Ipv4Addr,

@@ -73,9 +73,10 @@ pub struct ConnConfig {
     pub n2: u32,
     /// Send window `k` (1–7 in modulo-8 operation).
     pub window: u8,
-    /// Maximum I-frame info length (PACLEN).
-    pub max_info: usize,
 }
+
+/// Maximum I-frame info length (PACLEN).
+const MAX_INFO: usize = 128;
 
 impl Default for ConnConfig {
     fn default() -> Self {
@@ -84,7 +85,6 @@ impl Default for ConnConfig {
             t3: SimDuration::from_secs(180),
             n2: 10,
             window: 4,
-            max_info: 128,
         }
     }
 }
@@ -151,19 +151,9 @@ impl Connection {
         }
     }
 
-    /// Sets the digipeater path used for outgoing frames.
-    pub fn set_path(&mut self, path: Vec<Ax25Addr>) {
-        self.path = path;
-    }
-
     /// Current state.
     pub fn state(&self) -> ConnState {
         self.state
-    }
-
-    /// The local address.
-    pub fn local_addr(&self) -> Ax25Addr {
-        self.me
     }
 
     /// The remote address.
@@ -203,7 +193,7 @@ impl Connection {
     /// Queues user data; it is segmented into I frames and transmitted as
     /// the window allows.
     pub fn send(&mut self, now: SimTime, data: &[u8]) -> Vec<ConnEvent> {
-        for chunk in data.chunks(self.cfg.max_info.max(1)) {
+        for chunk in data.chunks(MAX_INFO) {
             self.send_queue.push_back(chunk.to_vec());
         }
         if self.state == ConnState::Connected {

@@ -9,7 +9,6 @@
 use std::fmt;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::Codec;
 
 use crate::addr::Ax25Addr;
 use crate::{Ax25Error, MAX_DIGIPEATERS, MAX_INFO_LEN};
@@ -357,18 +356,6 @@ impl Frame {
     }
 }
 
-impl Codec for Frame {
-    type Error = Ax25Error;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        Frame::encode_into(self, out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Frame, Ax25Error> {
-        Frame::decode(bytes)
-    }
-}
-
 /// The header fields of an AX.25 frame, validated without allocating.
 ///
 /// The paper's driver inspects every frame heard on the channel — under a
@@ -655,9 +642,6 @@ mod tests {
         let mut sink = sim::PacketBuf::new();
         f.encode_into(&mut sink);
         assert_eq!(sink.as_slice(), &f.encode()[..]);
-        // Codec trait surface agrees with the inherent methods.
-        assert_eq!(Codec::encode(&f), f.encode());
-        assert_eq!(<Frame as Codec>::decode(&f.encode()).unwrap(), f);
     }
 
     #[test]

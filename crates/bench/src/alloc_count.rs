@@ -1,6 +1,8 @@
-//! The allocation-assert harness shared by the `--test` benches: one
-//! counting global allocator, a macro that installs it in a bench
-//! binary, and [`allocs_during`] to count around a closure.
+//! The allocation-assert harness behind `tests/ratchets`: one counting
+//! global allocator, a macro that installs it in a test binary, and
+//! [`allocs_during`] to count around a closure. The count is kept per
+//! thread, so tests running side by side under libtest's default
+//! parallelism never see each other's allocations.
 //!
 //! ```ignore
 //! bench::install_counting_alloc!();
@@ -9,19 +11,23 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts heap allocations; all memory still comes from [`System`].
 pub struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it never
+    // allocates or registers anything: the allocator itself may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a relaxed
-// counter increment, which publishes no other data.
+// upholds the `GlobalAlloc` contract; the only addition is an increment of
+// the calling thread's own counter, which publishes no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         System.alloc(layout)
     }
 
@@ -30,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,9 +51,10 @@ macro_rules! install_counting_alloc {
     };
 }
 
-/// Heap allocations (and reallocations) made while `f` runs.
+/// Heap allocations (and reallocations) the calling thread makes while
+/// `f` runs.
 pub fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.get() - before
 }

@@ -32,7 +32,6 @@ fn main() {
         gate: Some(GateConfig {
             entry_ttl: SimDuration::from_secs(180),
             operators: vec![("N7AKR".to_string(), "seattle".to_string())],
-            ..GateConfig::default()
         }),
         ..FilterConfig::permissive()
     };

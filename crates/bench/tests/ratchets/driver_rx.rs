@@ -1,28 +1,23 @@
-//! Criterion benchmark for the paper's "most difficult routine": the
-//! receive interrupt handler (`rint`), measured over a full frame — the
-//! work the gateway's CPU does for every frame a promiscuous TNC passes up
-//! (§2.2/§3). The hot path is the batched `rint_slice` (SWAR deframing
-//! over whole serial bursts); the per-byte scalar path it must match is
-//! benchmarked separately in `byte_kernels`.
+//! The paper's "most difficult routine" and the world around it: the
+//! receive interrupt handler (`rint`) over a full frame — the work the
+//! gateway's CPU does for every frame a promiscuous TNC passes up
+//! (§2.2/§3) — and the whole-world paths built on it.
 //!
-//! The binary installs a counting global allocator so that, besides
-//! throughput, it reports how many heap allocations each path performs.
-//! The not-for-us fast path (the §3 promiscuous load) must perform zero,
-//! and so must the serial line's residual per-character path (a noisy,
-//! duplex line delivered one character at a time) under both engines'
-//! calling conventions. A radio transmission must cost the same number
-//! of allocations however many promiscuous stations hear it (one buffer,
-//! one FCS check, one KISS encoding, shared). The whole-world transit
-//! paths — Ethernet host → segment → gateway → forward → output hook, and
-//! Ethernet host → router → Ethernet host — allocate only where the
-//! sender builds its datagram; their counts per datagram are pinned so
-//! they can only ratchet down. Re-entering a world nobody touched since its last
-//! run call is: no allocation, and no poll beyond its apps.
+//! The not-for-us fast path (the §3 promiscuous load) performs zero heap
+//! allocations, and so does the serial line's residual per-character path
+//! (a noisy, duplex line delivered one character at a time) under both
+//! engines' calling conventions. A radio transmission costs the same
+//! number of allocations however many promiscuous stations hear it (one
+//! buffer, one FCS check, one KISS encoding, shared). The whole-world
+//! transit paths — Ethernet host → segment → gateway → forward → output
+//! hook, and Ethernet host → router → Ethernet host — allocate only where
+//! the sender builds its datagram; their counts per datagram are pinned so
+//! they can only ratchet down. Re-entering a world nobody touched since
+//! its last run call is: no allocation, and no poll beyond its apps.
 
+use crate::allocs_during;
 use ax25::addr::Ax25Addr;
 use ax25::frame::{Frame, Pid};
-use bench::alloc_count::allocs_during;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ether::MacAddr;
 use gateway::host::{EtherIfConfig, HostConfig, RadioIfConfig};
 use gateway::prdriver::{PacketRadioDriver, PrConfig};
@@ -37,8 +32,6 @@ use serial::{End, SerialConfig, SerialLine};
 use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-
-bench::install_counting_alloc!();
 
 fn wire_for(dest: &str, payload_len: usize) -> Vec<u8> {
     let ip = Ipv4Packet::new(
@@ -56,77 +49,29 @@ fn wire_for(dest: &str, payload_len: usize) -> Vec<u8> {
     kiss::encode(0, kiss::Command::Data, &frame.encode())
 }
 
-fn gateway_driver() -> PacketRadioDriver {
-    PacketRadioDriver::new(
+/// Steady state: one long-lived driver, one reusable sink, so the count
+/// covers the per-frame cost and not driver setup.
+#[test]
+fn rint_frame_for_other() {
+    let wire = wire_for("W1GOH", 180);
+    let mut drv = PacketRadioDriver::new(
         PrConfig::new(Ax25Addr::parse_or_panic("N7AKR-1")),
         Ipv4Addr::new(44, 24, 0, 28),
-    )
-}
-
-fn bench_rint(c: &mut Criterion) {
-    let mut g = c.benchmark_group("driver_rint");
-    for (label, dest) in [("frame_for_us", "N7AKR-1"), ("frame_for_other", "W1GOH")] {
-        let wire = wire_for(dest, 180);
-        g.throughput(Throughput::Bytes(wire.len() as u64));
-        // Steady state: one long-lived driver, one reusable sink, so the
-        // measurement covers the per-frame cost and not driver setup.
-        let mut drv = gateway_driver();
-        let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut out = None;
-                drv.rint_slice(SimTime::ZERO, &wire, &mut tx, |_, ev| out = Some(ev));
-                tx.clear();
-                black_box(out)
-            })
-        });
-        let allocs = allocs_during(|| {
-            drv.rint_slice(SimTime::ZERO, &wire, &mut tx, |_, ev| {
-                black_box(ev);
-            });
-            tx.clear();
-        });
-        eprintln!("driver_rint/{label}: {allocs} heap allocations per frame");
-        if label == "frame_for_other" {
-            assert_eq!(
-                allocs, 0,
-                "the not-for-us fast path must not touch the heap"
-            );
-        }
-    }
-    g.finish();
-}
-
-fn bench_output(c: &mut Criterion) {
-    let mut g = c.benchmark_group("driver_output");
-    // Warm driver: static ARP entry, pool primed by the first send.
-    let mut drv = gateway_driver();
-    drv.arp_mut().insert_static(
-        Ipv4Addr::new(44, 24, 0, 5),
-        gateway::hwaddr::Ax25Hw::direct(Ax25Addr::parse_or_panic("KB7DZ")).encode(),
     );
     let mut tx: Vec<sim::PacketBuf> = Vec::new();
-    g.bench_function("encapsulate_ip_cached_arp", |b| {
-        b.iter(|| {
-            let p = Ipv4Packet::new(
-                Ipv4Addr::new(44, 24, 0, 28),
-                Ipv4Addr::new(44, 24, 0, 5),
-                Proto::Udp,
-                vec![7; 180],
-            );
-            drv.output(SimTime::ZERO, p, Ipv4Addr::new(44, 24, 0, 5), &mut tx);
-            black_box(tx.len());
-            tx.clear(); // recycles the transmit buffer into the pool
-        })
-    });
-    let stats = drv.pool_stats();
-    eprintln!(
-        "driver_output/encapsulate_ip_cached_arp: pool hits {} misses {} high water {}",
-        stats.hits.get(),
-        stats.misses.get(),
-        stats.high_water
+    let mut rint = || {
+        drv.rint_slice(SimTime::ZERO, &wire, &mut tx, |_, ev| {
+            black_box(ev);
+        });
+        tx.clear();
+    };
+    rint(); // sizes the deframer's frame buffer
+    let allocs = allocs_during(rint);
+    eprintln!("driver_rint/frame_for_other: {allocs} heap allocations per frame");
+    assert_eq!(
+        allocs, 0,
+        "the not-for-us fast path must not touch the heap"
     );
-    g.finish();
 }
 
 /// The line's per-character path: noise forces one visit per character,
@@ -134,11 +79,10 @@ fn bench_output(c: &mut Criterion) {
 /// iteration, delivered the way the Scan oracle does it (`advance` +
 /// `drain_rx`) and the way the indexed engine does it (`take_run`, which
 /// on such a line yields single characters).
-fn bench_serial_per_char(c: &mut Criterion) {
-    let mut g = c.benchmark_group("serial_per_char");
+#[test]
+fn serial_per_char_noisy_duplex() {
     let up = wire_for("W1GOH", 180);
     let down = wire_for("N7AKR-1", 60);
-    g.throughput(Throughput::Bytes((up.len() + down.len()) as u64));
     let cfg = SerialConfig::baud(9600).with_error_rate(0.01);
     let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(3));
     let mut buf = Vec::new();
@@ -153,9 +97,7 @@ fn bench_serial_per_char(c: &mut Criterion) {
             black_box(line.drain_rx(End::B, &mut buf));
         }
     };
-    g.bench_function("noisy_duplex_advance_drain", |b| {
-        b.iter(|| scan_style(&mut line, &mut now))
-    });
+    scan_style(&mut line, &mut now); // sizes the line queues and `buf`
     let allocs = allocs_during(|| scan_style(&mut line, &mut now));
     eprintln!(
         "serial_per_char/noisy_duplex_advance_drain: {allocs} heap allocations per frame pair"
@@ -174,13 +116,10 @@ fn bench_serial_per_char(c: &mut Criterion) {
             }
         }
     };
-    g.bench_function("noisy_duplex_take_run", |b| {
-        b.iter(|| run_style(&mut line, &mut now))
-    });
+    run_style(&mut line, &mut now);
     let allocs = allocs_during(|| run_style(&mut line, &mut now));
     eprintln!("serial_per_char/noisy_duplex_take_run: {allocs} heap allocations per frame pair");
     assert_eq!(allocs, 0, "per-character delivery must not touch the heap");
-    g.finish();
 }
 
 /// Heap allocations per radio transmission, whole world, in steady state:
@@ -222,8 +161,8 @@ fn fanout_world(listeners: usize) -> (World, ChanId) {
     (w, chan)
 }
 
-fn bench_radio_fanout(c: &mut Criterion) {
-    let mut g = c.benchmark_group("radio_fanout");
+#[test]
+fn radio_fanout_4_and_16_listeners() {
     let mut per_tx = Vec::new();
     for listeners in [4usize, 16] {
         let (mut w, chan) = fanout_world(listeners);
@@ -248,16 +187,11 @@ fn bench_radio_fanout(c: &mut Criterion) {
              (bound {FANOUT_ALLOCS_PER_TRANSMISSION} each)"
         );
         per_tx.push((allocs, txs));
-        g.throughput(Throughput::Elements(listeners as u64));
-        g.bench_function(&format!("{listeners}_listeners_10s"), |b| {
-            b.iter(|| w.run_for(SimDuration::from_secs(10)))
-        });
     }
     assert_eq!(
         per_tx[0], per_tx[1],
         "allocations per transmission must not depend on who listens"
     );
-    g.finish();
 }
 
 /// Heap allocations per datagram on the gw_flood transit path that ends
@@ -268,7 +202,8 @@ fn bench_radio_fanout(c: &mut Criterion) {
 /// when the path gets leaner, never raise it.
 const DENIED_TRANSIT_ALLOCS_PER_DATAGRAM: u64 = 3;
 
-fn bench_denied_transit(c: &mut Criterion) {
+#[test]
+fn world_denied_transit() {
     let mut s = scenario::paper_topology(PaperConfig::default(), 5);
     let udp = s
         .world
@@ -308,10 +243,6 @@ fn bench_denied_transit(c: &mut Criterion) {
         "denied transit regressed: {allocs} allocations / {N} datagrams \
          (bound {DENIED_TRANSIT_ALLOCS_PER_DATAGRAM} each)"
     );
-    let mut g = c.benchmark_group("world");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("denied_transit", |b| b.iter(|| flood(&mut s, 1)));
-    g.finish();
 }
 
 /// Heap allocations per datagram forwarded Ethernet → router → Ethernet
@@ -323,7 +254,8 @@ fn bench_denied_transit(c: &mut Criterion) {
 /// measured count — lower it when the path gets leaner, never raise it.
 const ETHER_FORWARD_ALLOCS_PER_DATAGRAM: u64 = 3;
 
-fn bench_ether_forward(c: &mut Criterion) {
+#[test]
+fn world_ether_forward() {
     // One segment, three hosts: `a` reaches `b`'s address only through
     // the router, which forwards back out of the NIC the frame came in on
     // (a `Host` carries one Ethernet interface).
@@ -383,17 +315,14 @@ fn bench_ether_forward(c: &mut Criterion) {
         "Ethernet forwarding regressed: {allocs} allocations / {N} datagrams \
          (bound {ETHER_FORWARD_ALLOCS_PER_DATAGRAM} each)"
     );
-    let mut g = c.benchmark_group("world");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("ether_forward", |b| b.iter(|| send(&mut w, 1)));
-    g.finish();
 }
 
 /// Re-entering a world nobody touched (DESIGN.md §6, run-call contract):
 /// on a warm 8×4 mesh, 100 run calls over an idle stretch allocate nothing
 /// and poll only the apps — not every line, channel, TNC and host of all
 /// eight islands, which is what a full sync per call would visit.
-fn bench_reentry(c: &mut Criterion) {
+#[test]
+fn world_reentry() {
     const GATEWAYS: usize = 8;
     const HOSTS_PER_GW: usize = 4;
     let mut m = scenario::mesh(GATEWAYS, HOSTS_PER_GW, 16);
@@ -428,20 +357,4 @@ fn bench_reentry(c: &mut Criterion) {
         polled <= CALLS * (apps + apps + GATEWAYS as u64),
         "{polled} polls over {CALLS} idle run calls"
     );
-    let mut g = c.benchmark_group("world");
-    g.throughput(Throughput::Elements(CALLS));
-    g.bench_function("reentry", |b| b.iter(|| idle(&mut m.world)));
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_rint,
-    bench_output,
-    bench_serial_per_char,
-    bench_radio_fanout,
-    bench_denied_transit,
-    bench_ether_forward,
-    bench_reentry
-);
-criterion_main!(benches);

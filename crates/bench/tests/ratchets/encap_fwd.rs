@@ -1,11 +1,10 @@
-//! Criterion benchmark for the encapsulated-forwarding hot path (§4.2's
-//! multi-gateway mesh): a gateway wrapping a forwarded datagram in an
-//! outer IPIP header toward a tunnel endpoint, and the peer gateway
-//! stripping it. With a pooled buffer leased with header headroom, both
-//! directions must stay zero-allocation, like the rest of the datapath.
+//! The encapsulated-forwarding hot path (§4.2's multi-gateway mesh): a
+//! gateway wrapping a forwarded datagram in an outer IPIP header toward a
+//! tunnel endpoint, and the peer gateway stripping it. With a pooled
+//! buffer leased with header headroom, both directions stay
+//! zero-allocation, like the rest of the datapath.
 
-use bench::alloc_count::allocs_during;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use crate::allocs_during;
 use encap::ipip::{decap_in_place, encap_in_place, OUTER_HEADER_LEN};
 use encap::table::EncapTable;
 use netstack::ip::{Ipv4Packet, Proto};
@@ -14,13 +13,11 @@ use sim::{BufPool, SimDuration};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-bench::install_counting_alloc!();
-
 const WEST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 100);
 const EAST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 101);
 
-fn bench_encap_fwd(c: &mut Criterion) {
-    let mut g = c.benchmark_group("encap_fwd");
+#[test]
+fn lookup_encap_decap() {
     // The datagram a gateway forwards: a 180-byte UDP payload headed for
     // the east subnet.
     let inner = Ipv4Packet::new(
@@ -30,7 +27,6 @@ fn bench_encap_fwd(c: &mut Criterion) {
         vec![0x33; 180],
     )
     .encode();
-    g.throughput(Throughput::Bytes(inner.len() as u64));
 
     // Steady state: one pool, one table; the first lease primes the pool.
     let pool = BufPool::new(2048);
@@ -49,16 +45,12 @@ fn bench_encap_fwd(c: &mut Criterion) {
         black_box((outer.src, buf.as_slice().len()));
         // Dropping `buf` recycles it into the pool.
     };
-    g.bench_function("lookup_encap_decap", |b| b.iter(&mut roundtrip));
+    roundtrip();
 
-    let allocs = allocs_during(&mut roundtrip);
+    let allocs = allocs_during(roundtrip);
     eprintln!("encap_fwd/lookup_encap_decap: {allocs} heap allocations per packet");
     assert_eq!(
         allocs, 0,
         "the encap/decap fast path must not touch the heap"
     );
-    g.finish();
 }
-
-criterion_group!(benches, bench_encap_fwd);
-criterion_main!(benches);

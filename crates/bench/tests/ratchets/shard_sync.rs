@@ -1,0 +1,84 @@
+//! The sharded engine's cross-shard hand-off (DESIGN.md §11): a *warm*
+//! hand-off — spare-pool buffer reuse, `clone_into` copy, mailbox push,
+//! shard-side pop, buffer return — performs **zero** heap allocations per
+//! frame, and a whole warmed-up mesh run double-checks it end to end
+//! through the world's mailbox growth counters.
+
+use crate::allocs_during;
+use ether::EtherFrame;
+use sim::mailbox::Mailbox;
+use sim::{SimDuration, SimTime};
+
+/// One coordinator→shard hand-off, exactly as the engine performs it:
+/// recycle a buffer from the spare pool, copy the wire frame into it,
+/// stamp and push it into the shard's mailbox; the shard pops it at its
+/// delivery time and the consumed buffer goes back to the pool.
+fn handoff(
+    src: &EtherFrame,
+    mailbox: &mut Mailbox<(SimTime, usize, EtherFrame)>,
+    spare: &mut Vec<EtherFrame>,
+    t: SimTime,
+) {
+    let mut buf = spare.pop().unwrap_or_else(EtherFrame::empty);
+    src.clone_into(&mut buf);
+    mailbox.push((t, 0, buf));
+    let (_, _, frame) = mailbox.pop().expect("just pushed");
+    spare.push(frame);
+}
+
+/// The assertion behind §11's acceptance line: a warm hand-off is
+/// allocation-free, no matter how many frames cross.
+#[test]
+fn handoff_warm() {
+    let src = EtherFrame::new(
+        ether::MacAddr::local(1),
+        ether::MacAddr::local(2),
+        ether::EtherType::Ipv4,
+        vec![0x5a; 256],
+    );
+    let mut mailbox = Mailbox::with_capacity(4);
+    let mut spare: Vec<EtherFrame> = Vec::with_capacity(4);
+
+    // Warm-up: size the spare buffer's payload and the ring once.
+    handoff(&src, &mut mailbox, &mut spare, SimTime::ZERO);
+
+    let allocs = allocs_during(|| {
+        for i in 0..10_000u64 {
+            handoff(&src, &mut mailbox, &mut spare, SimTime::from_nanos(i));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm cross-shard hand-off must not allocate (saw {allocs} allocations / 10k frames)"
+    );
+    assert_eq!(mailbox.stats().grows, 0, "pre-sized ring must not grow");
+}
+
+/// End-to-end: a warmed-up two-island mesh keeps exchanging cross-shard
+/// pings without a single mailbox ring growth. (That the sharded run
+/// stays digest-identical to the reference is the `shard_equivalence`
+/// suite; here we only keep the rings honest.)
+#[test]
+fn mesh_warm_rings_do_not_grow() {
+    let mut m = gateway::scenario::mesh(2, 1, 9);
+    for (g, island) in m.hosts.iter().enumerate() {
+        let p = apps::ping::Pinger::new(
+            gateway::scenario::city::host_ip((g + 1) % 2, 0),
+            g as u16,
+            20,
+            SimDuration::from_secs(3),
+            64,
+        )
+        .delayed(SimDuration::from_millis(300 + 700 * g as u64));
+        m.world.add_app(island[0], Box::new(p));
+    }
+    m.world.set_workers(2);
+
+    m.world.run_for(SimDuration::from_secs(30));
+    let warm = m.world.mailbox_stats();
+    assert!(warm.pushed > 0, "pings must cross shards");
+    m.world.run_for(SimDuration::from_secs(30));
+    let done = m.world.mailbox_stats();
+    assert!(done.pushed > warm.pushed, "traffic must keep flowing");
+    assert_eq!(done.grows, warm.grows, "warm mailbox rings must not grow");
+}

@@ -1,6 +1,4 @@
-//! Criterion benchmark for the BSD-style socket layer (DESIGN.md §10).
-//!
-//! Two claims are asserted, not just measured:
+//! The BSD-style socket layer (DESIGN.md §10), two claims:
 //!
 //! 1. The poll/select readiness scan — the code every socket program
 //!    runs on every scheduler visit — performs **zero** heap
@@ -12,16 +10,13 @@
 //!    `Ipv4Packet` owns its payload — so "zero added" is the meaningful
 //!    bound for the layer.)
 
-use bench::alloc_count::allocs_during;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use crate::allocs_during;
 use netstack::stack::{IfaceId, SockId, StackAction, UdpId};
 use netstack::NetStack;
 use sim::SimTime;
 use socket::{SocketHandle, SocketTable};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-
-bench::install_counting_alloc!();
 
 fn ipa(n: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, n)
@@ -253,10 +248,8 @@ impl RawHarness {
     }
 }
 
-fn bench_socket_ops(c: &mut Criterion) {
-    let mut g = c.benchmark_group("socket_ops");
-    g.throughput(Throughput::Bytes(2 * PAYLOAD.len() as u64));
-
+#[test]
+fn poll_scan_is_free_and_the_shim_adds_no_allocations() {
     let mut sock = SockHarness::new();
     let mut raw = RawHarness::new();
 
@@ -268,27 +261,19 @@ fn bench_socket_ops(c: &mut Criterion) {
         raw.udp_echo();
     }
 
-    g.bench_function("poll_scan", |b| b.iter(|| black_box(sock.poll_scan())));
     let poll_allocs = allocs_during(|| {
         black_box(sock.poll_scan());
     });
     eprintln!("socket_ops/poll_scan: {poll_allocs} heap allocations per scan");
     assert_eq!(poll_allocs, 0, "the readiness scan must not touch the heap");
 
-    g.bench_function("tcp_echo", |b| b.iter(|| sock.tcp_echo()));
     let sock_tcp = allocs_during(|| sock.tcp_echo());
     let raw_tcp = allocs_during(|| raw.tcp_echo());
     eprintln!("socket_ops/tcp_echo: {sock_tcp} allocations via sockets, {raw_tcp} via raw stack");
     assert_eq!(sock_tcp, raw_tcp, "the socket shim must add no allocations");
 
-    g.bench_function("udp_echo", |b| b.iter(|| sock.udp_echo()));
     let sock_udp = allocs_during(|| sock.udp_echo());
     let raw_udp = allocs_during(|| raw.udp_echo());
     eprintln!("socket_ops/udp_echo: {sock_udp} allocations via sockets, {raw_udp} via raw stack");
     assert_eq!(sock_udp, raw_udp, "the socket shim must add no allocations");
-
-    g.finish();
 }
-
-criterion_group!(benches, bench_socket_ops);
-criterion_main!(benches);

@@ -1,15 +1,12 @@
-//! Criterion benchmark for the RFC 1144 header compression hot path: the
-//! steady-state keystroke stream (one byte of payload, SPECIAL_D deltas)
-//! compressed and reconstructed. Both directions run on stack buffers and
-//! a reused output `Vec`, and both must stay zero-allocation like the
-//! rest of the datapath.
+//! The RFC 1144 header compression hot path: the steady-state keystroke
+//! stream (one byte of payload, SPECIAL_D deltas) compressed and
+//! reconstructed. Both directions run on stack buffers and a reused
+//! output `Vec`, and both stay zero-allocation like the rest of the
+//! datapath.
 
-use bench::alloc_count::allocs_during;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use crate::allocs_during;
 use std::hint::black_box;
 use vj::{VjCompressor, VjConfig, VjDecompressor, VjOutcome};
-
-bench::install_counting_alloc!();
 
 /// One keystroke datagram: 40-byte TCP/IP header + 1 payload byte.
 const DGRAM_LEN: usize = 41;
@@ -71,11 +68,8 @@ fn tcp_checksum(dgram: &[u8; DGRAM_LEN]) -> u16 {
     ones_complement(&pseudo, &dgram[20..])
 }
 
-fn bench_vj_hdr(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vj_hdr");
-    g.throughput(Throughput::Bytes(DGRAM_LEN as u64));
-
-    // --- compress only ------------------------------------------------------
+#[test]
+fn compress() {
     let mut comp = VjCompressor::new(VjConfig::default());
     let mut n = 0u32;
     let mut buf = [0u8; DGRAM_LEN];
@@ -85,15 +79,16 @@ fn bench_vj_hdr(c: &mut Criterion) {
         black_box(comp.compress(&mut buf));
     };
     compress(); // packet 0 seeds the slot (refresh); steady state after
-    g.bench_function("compress", |b| b.iter(&mut compress));
-    let allocs = allocs_during(&mut compress);
+    let allocs = allocs_during(compress);
     eprintln!("vj_hdr/compress: {allocs} heap allocations per packet");
     assert_eq!(
         allocs, 0,
         "the VJ compress fast path must not touch the heap"
     );
+}
 
-    // --- compress + decompress ----------------------------------------------
+#[test]
+fn compress_decompress() {
     let mut comp = VjCompressor::new(VjConfig::default());
     let mut deco = VjDecompressor::new(VjConfig::default());
     let mut out = Vec::with_capacity(4 * DGRAM_LEN);
@@ -116,15 +111,10 @@ fn bench_vj_hdr(c: &mut Criterion) {
         black_box(out.len());
     };
     roundtrip(); // refresh seeds the slot and warms `out`
-    g.bench_function("compress_decompress", |b| b.iter(&mut roundtrip));
-    let allocs = allocs_during(&mut roundtrip);
+    let allocs = allocs_during(roundtrip);
     eprintln!("vj_hdr/compress_decompress: {allocs} heap allocations per packet");
     assert_eq!(
         allocs, 0,
         "the VJ decompress fast path must not touch the heap"
     );
-    g.finish();
 }
-
-criterion_group!(benches, bench_vj_hdr);
-criterion_main!(benches);

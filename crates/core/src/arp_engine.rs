@@ -23,18 +23,17 @@ use sim::{SimDuration, SimTime};
 pub struct ArpConfig {
     /// Cache entry lifetime.
     pub entry_ttl: SimDuration,
-    /// Gap between repeated requests for the same address.
-    pub retry_interval: SimDuration,
-    /// Packets held per unresolved address (4.3BSD held exactly one).
-    pub max_held: usize,
 }
+
+/// Gap between repeated requests for the same address.
+const RETRY_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Packets held per unresolved address (4.3BSD held exactly one).
+const MAX_HELD: usize = 4;
 
 impl Default for ArpConfig {
     fn default() -> Self {
         ArpConfig {
             entry_ttl: SimDuration::from_secs(20 * 60),
-            retry_interval: SimDuration::from_secs(5),
-            max_held: 4,
         }
     }
 }
@@ -171,14 +170,14 @@ impl ArpEngine {
             packets: Vec::new(),
             last_request: None,
         });
-        if w.packets.len() >= self.cfg.max_held {
+        if w.packets.len() >= MAX_HELD {
             self.stats.held_dropped += 1;
             return Resolution::Dropped;
         }
         w.packets.push(packet);
         let ask = match w.last_request {
             None => true,
-            Some(at) => now.saturating_since(at) >= self.cfg.retry_interval,
+            Some(at) => now.saturating_since(at) >= RETRY_INTERVAL,
         };
         if ask {
             w.last_request = Some(now);
@@ -244,7 +243,7 @@ impl ArpEngine {
             let last = w.last_request.unwrap_or(SimTime::ZERO);
             if now.saturating_since(last) >= give_up_after {
                 dead.push(*ip);
-            } else if now.saturating_since(last) >= self.cfg.retry_interval {
+            } else if now.saturating_since(last) >= RETRY_INTERVAL {
                 w.last_request = Some(now);
                 requests.push(ArpPacket::request(
                     self.hw_type,
@@ -266,11 +265,6 @@ impl ArpEngine {
     /// Counters.
     pub fn stats(&self) -> ArpStats {
         self.stats
-    }
-
-    /// Number of live cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// Number of addresses with packets waiting on resolution.

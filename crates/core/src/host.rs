@@ -818,11 +818,6 @@ impl Host {
         self.sockets.poll(&self.stack, h)
     }
 
-    /// `select(2)`: the ready subset of `handles`.
-    pub fn sock_select(&self, handles: &[SocketHandle]) -> Vec<(SocketHandle, Readiness)> {
-        self.sockets.select(&self.stack, handles)
-    }
-
     /// Room in a stream's send buffer (bulk senders pump on WRITABLE).
     pub fn sock_send_capacity(&self, h: SocketHandle) -> usize {
         self.sockets.send_capacity(&self.stack, h)
@@ -831,16 +826,6 @@ impl Host {
     /// Flips a handle between blocking and nonblocking notification.
     pub fn sock_set_nonblocking(&mut self, h: SocketHandle, on: bool) -> Result<(), SockError> {
         self.sockets.set_nonblocking(h, on)
-    }
-
-    /// The latched asynchronous error, if any.
-    pub fn sock_error(&self, h: SocketHandle) -> Option<SockError> {
-        self.sockets.take_error(h)
-    }
-
-    /// The remote end of a connected stream.
-    pub fn sock_peer(&self, h: SocketHandle) -> Option<(Ipv4Addr, u16)> {
-        self.sockets.peer_addr(&self.stack, h)
     }
 
     /// Sends a raw AX.25 frame from "user space" via the radio driver

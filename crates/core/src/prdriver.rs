@@ -172,11 +172,6 @@ impl PacketRadioDriver {
         });
     }
 
-    /// Whether VJ compression is active on this link.
-    pub fn vj_enabled(&self) -> bool {
-        self.vj.is_some()
-    }
-
     /// Compressor/decompressor counters, when VJ is enabled.
     pub fn vj_stats(&self) -> Option<(vj::VjCompStats, vj::VjDecompStats)> {
         self.vj.as_ref().map(|l| (l.comp.stats(), l.decomp.stats()))

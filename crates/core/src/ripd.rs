@@ -27,7 +27,6 @@ use encap::rip::{Announcer, RipEntry, RipUpdate, METRIC_INFINITY, RIP44_PORT};
 use encap::table::{EncapTable, LearnOutcome, SharedEncapTable};
 use netstack::stack::{IfaceId, StackAction, UdpId};
 use netstack::Prefix;
-use sim::wire::Codec;
 use sim::{SimDuration, SimRng, SimTime};
 
 use crate::host::Host;

@@ -714,11 +714,6 @@ impl MeshNet {
         self.gateways[g]
     }
 
-    /// Gateway `g`'s `(radio, ether)` addresses.
-    pub fn gateway_addrs(&self, g: usize) -> (Ipv4Addr, Ipv4Addr) {
-        (city::gw_radio_ip(g), city::gw_ether_ip(g))
-    }
-
     /// Island `g`'s radio channel.
     pub fn island_channel(&self, g: usize) -> ChanId {
         self.channels[g]

@@ -307,7 +307,7 @@ impl World {
     /// occupancy), summed over every shard's inbound `ether_in` ring.
     /// `grows` stabilizing while `pushed` keeps climbing is the §11
     /// zero-allocation hand-off contract, asserted by the `shard_sync`
-    /// bench.
+    /// ratchets.
     pub fn mailbox_stats(&self) -> sim::mailbox::MailboxStats {
         let mut total = sim::mailbox::MailboxStats::default();
         for sb in &self.shards {
@@ -1249,8 +1249,8 @@ mod tests {
         assert!(stats.polled <= 2_394, "{stats:?}");
     }
 
-    /// The `gw_flood` pathology at world level (the `world/denied_transit`
-    /// shape of the `driver_rx` bench): a filtered gateway whose live gate
+    /// The `gw_flood` pathology at world level (the `world_denied_transit`
+    /// shape of the `driver_rx` ratchets): a filtered gateway whose live gate
     /// entry parks its `Key::Host` registration ten minutes out, while
     /// every Ethernet datagram it forwards and then denies re-keys it to
     /// the input queue's ready time and back. The calendar must hold one

@@ -553,7 +553,7 @@ fn engine_stats_are_worker_independent_and_windows_are_sparse() {
 /// The warm hand-off ring stops reallocating: after the first half of a
 /// steady ping load has sized the mailboxes, the second half pushes
 /// plenty more frames without a single ring growth (§11's zero-allocation
-/// contract, backed further by the `shard_sync` counting-allocator bench).
+/// contract, backed further by the `shard_sync` counting-allocator ratchet).
 #[test]
 fn mailbox_growth_stabilizes() {
     let mut m = scenario::mesh(2, 1, 11);

@@ -3,8 +3,8 @@
 //! The outer header is a plain 20-octet IPv4 header with protocol 4 whose
 //! payload is a complete inner IP datagram. Two surfaces are provided:
 //!
-//! * [`Ipip`] — an owned codec implementing [`sim::wire::Codec`], used by
-//!   tests and anything off the hot path;
+//! * [`Ipip`] — an owned codec (`encode` / `decode`), used by tests and
+//!   anything off the hot path;
 //! * [`encap_in_place`] / [`decap_in_place`] — the gateway fast paths,
 //!   which wrap and unwrap a pooled [`PacketBuf`] without copying the
 //!   inner datagram: encapsulation prepends into headroom, decapsulation
@@ -19,8 +19,8 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use netstack::ip;
-use sim::wire::{internet_checksum, Codec, Reader};
-use sim::{ByteSink, PacketBuf};
+use sim::wire::{internet_checksum, Reader};
+use sim::PacketBuf;
 
 /// Length of the outer header prepended by encapsulation.
 pub const OUTER_HEADER_LEN: usize = 20;
@@ -77,7 +77,6 @@ pub struct OuterHeader {
 ///
 /// ```
 /// use encap::ipip::Ipip;
-/// use sim::wire::Codec;
 /// use std::net::Ipv4Addr;
 ///
 /// let p = Ipip::new(
@@ -109,6 +108,24 @@ impl Ipip {
             ttl: OUTER_TTL,
             inner,
         }
+    }
+
+    /// The wire encoding: outer header, then the inner datagram.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut hdr = [0u8; OUTER_HEADER_LEN];
+        build_outer(&mut hdr, self.src, self.dst, self.ttl, self.inner.len());
+        [&hdr[..], &self.inner].concat()
+    }
+
+    /// Validates the outer header and copies the inner datagram out.
+    pub fn decode(bytes: &[u8]) -> Result<Ipip, IpipError> {
+        let outer = check_outer(bytes)?;
+        Ok(Ipip {
+            src: outer.src,
+            dst: outer.dst,
+            ttl: outer.ttl,
+            inner: bytes[OUTER_HEADER_LEN..].to_vec(),
+        })
     }
 }
 
@@ -166,27 +183,6 @@ fn check_outer(bytes: &[u8]) -> Result<OuterHeader, IpipError> {
         return Err(IpipError::NotIpip);
     }
     Ok(OuterHeader { src, dst, ttl })
-}
-
-impl Codec for Ipip {
-    type Error = IpipError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        let mut hdr = [0u8; OUTER_HEADER_LEN];
-        build_outer(&mut hdr, self.src, self.dst, self.ttl, self.inner.len());
-        out.put_slice(&hdr);
-        out.put_slice(&self.inner);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Ipip, IpipError> {
-        let outer = check_outer(bytes)?;
-        Ok(Ipip {
-            src: outer.src,
-            dst: outer.dst,
-            ttl: outer.ttl,
-            inner: bytes[OUTER_HEADER_LEN..].to_vec(),
-        })
-    }
 }
 
 /// Wraps the datagram in `buf` with an outer IPIP header, in place.

@@ -14,8 +14,8 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use netstack::Prefix;
-use sim::wire::{Codec, Reader, Writer};
-use sim::{ByteSink, SimDuration, SimRng, SimTime};
+use sim::wire::{Reader, Writer};
+use sim::{SimDuration, SimRng, SimTime};
 
 /// UDP port the announcements travel on (the historical RIP port).
 pub const RIP44_PORT: u16 = 520;
@@ -78,7 +78,6 @@ pub struct RipEntry {
 /// ```
 /// use encap::rip::{RipEntry, RipUpdate};
 /// use netstack::Prefix;
-/// use sim::wire::Codec;
 /// use std::net::Ipv4Addr;
 ///
 /// let u = RipUpdate {
@@ -98,10 +97,9 @@ pub struct RipUpdate {
     pub entries: Vec<RipEntry>,
 }
 
-impl Codec for RipUpdate {
-    type Error = RipError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
+impl RipUpdate {
+    /// The wire encoding.
+    pub fn encode(&self) -> Vec<u8> {
         debug_assert!(self.entries.len() <= usize::from(u8::MAX));
         let mut w = Writer::with_capacity(HEADER_LEN + self.entries.len() * ENTRY_LEN);
         w.u16(MAGIC);
@@ -113,10 +111,11 @@ impl Codec for RipUpdate {
             w.u8(e.prefix.len);
             w.u8(e.metric);
         }
-        out.put_slice(w.as_slice());
+        w.into_bytes()
     }
 
-    fn decode(bytes: &[u8]) -> Result<RipUpdate, RipError> {
+    /// Parses one update from a UDP payload.
+    pub fn decode(bytes: &[u8]) -> Result<RipUpdate, RipError> {
         let mut r = Reader::new(bytes);
         if r.u16().map_err(|_| RipError::Truncated)? != MAGIC {
             return Err(RipError::BadMagic);

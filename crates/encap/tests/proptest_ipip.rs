@@ -2,7 +2,6 @@
 
 use encap::ipip::{decap_in_place, encap_in_place, Ipip, OUTER_HEADER_LEN};
 use proptest::prelude::*;
-use sim::wire::Codec;
 use sim::BufPool;
 use std::net::Ipv4Addr;
 

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::{Codec, Reader, WireError};
+use sim::wire::{Reader, WireError};
 use sim::{Bandwidth, SimDuration, SimTime};
 
 /// A 48-bit Ethernet MAC address.
@@ -224,18 +224,6 @@ impl EtherFrame {
     }
 }
 
-impl Codec for EtherFrame {
-    type Error = WireError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        EtherFrame::encode_into(self, out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<EtherFrame, WireError> {
-        EtherFrame::decode(bytes)
-    }
-}
-
 /// Handle for a NIC attached to a [`Segment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NicId(usize);
@@ -304,12 +292,6 @@ impl Segment {
     /// Puts a NIC into promiscuous mode (receives all frames).
     pub fn set_promiscuous(&mut self, nic: NicId, on: bool) {
         self.nics[nic.0].promiscuous = on;
-    }
-
-    /// The MAC of an attached NIC.
-    #[inline]
-    pub fn mac_of(&self, nic: NicId) -> MacAddr {
-        self.nics[nic.0].mac
     }
 
     /// Queues a frame for transmission from `from`.

@@ -137,11 +137,6 @@ impl DecisionCache {
             action: d.action,
         };
     }
-
-    /// Slot count (0 when disabled).
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -195,6 +190,6 @@ mod tests {
         let m = meta(1, 1, 1);
         c.insert(&m, 1, allow_forever());
         assert!(c.lookup(&m, 1, SimTime::ZERO).is_none());
-        assert_eq!(c.capacity(), 0);
+        assert!(c.slots.is_empty());
     }
 }

@@ -105,7 +105,7 @@ impl CompiledRuleset {
     }
 
     /// The full walk: first match over the specificity-sorted array.
-    /// This is the cache-miss path (and the `filter_eval` bench's
+    /// This is the cache-miss path (and the `filter_eval` ratchet's
     /// "full walk" case).
     #[inline]
     pub(crate) fn walk(&self, m: &PacketMeta) -> WalkResult {

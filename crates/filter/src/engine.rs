@@ -4,7 +4,7 @@
 //!
 //! 1. the §4.3 **gate**: foreign→amateur traffic without a live soft-state
 //!    entry is denied outright; amateur→foreign traffic opens/refreshes
-//!    the return entry (when `auto_open`);
+//!    the return entry (the paper's main mechanism);
 //! 2. the **compiled ruleset**: most-specific-match over the flattened
 //!    arrays (`crate::compiled`);
 //! 3. the **action**: `Allow`/`Deny` directly, `Limit` charges the
@@ -25,7 +25,7 @@ use sim::SimTime;
 use crate::bucket::{LimitConfig, TokenBuckets};
 use crate::cache::{CachedDecision, DecisionCache};
 use crate::compiled::CompiledRuleset;
-use crate::gate::{ControlOutcome, GateConfig, GateTable, Mutation};
+use crate::gate::{is_amateur, ControlOutcome, GateConfig, GateTable, Mutation};
 use crate::rule::{Action, PacketMeta, Rule};
 
 /// Full engine configuration.
@@ -205,7 +205,7 @@ impl FilterEngine {
     }
 
     /// Judges one packet. This is the per-packet hot path: allocation-free
-    /// (asserted by the `filter_eval` bench) and, on a cache hit, one
+    /// (asserted by the `filter_eval` ratchets) and, on a cache hit, one
     /// hash-and-compare.
     #[inline]
     pub fn eval(&mut self, now: SimTime, m: &PacketMeta) -> Verdict {
@@ -226,10 +226,10 @@ impl FilterEngine {
         let mut refresh_gate = false;
         let mut gate_deny = false;
         if let Some(g) = &self.gate {
-            let src_am = g.is_amateur(m.src);
-            let dst_am = g.is_amateur(m.dst);
+            let src_am = is_amateur(m.src);
+            let dst_am = is_amateur(m.dst);
             if src_am && !dst_am {
-                refresh_gate = g.cfg().auto_open;
+                refresh_gate = true;
             } else if !src_am && dst_am {
                 match g.live_expiry(now, m.dst, m.src) {
                     // The admission is only as durable as the entry.
@@ -422,16 +422,6 @@ impl FilterEngine {
     /// Live + not-yet-swept gate entries.
     pub fn gate_len(&self) -> usize {
         self.gate.as_ref().map_or(0, |g| g.len())
-    }
-
-    /// Decision-cache slot count.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Whether the §4.3 gate is configured.
-    pub fn gate_enabled(&self) -> bool {
-        self.gate.is_some()
     }
 
     // --- Decision log -------------------------------------------------------

@@ -30,14 +30,8 @@ use netstack::route::Prefix;
 /// Gate policy parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateConfig {
-    /// The amateur network (44/8 in the paper).
-    pub amateur_net: Prefix,
     /// How long an entry lives without amateur-side traffic.
     pub entry_ttl: SimDuration,
-    /// Whether amateur→foreign traffic opens the return path implicitly
-    /// (the paper's main mechanism). With this off, only GateOpen
-    /// messages admit foreign traffic.
-    pub auto_open: bool,
     /// Control operators authorized to manage entries from the
     /// non-amateur side: `(callsign, password)`.
     pub operators: Vec<(String, String)>,
@@ -46,12 +40,16 @@ pub struct GateConfig {
 impl Default for GateConfig {
     fn default() -> GateConfig {
         GateConfig {
-            amateur_net: Prefix::amprnet(),
             entry_ttl: SimDuration::from_secs(600),
-            auto_open: true,
             operators: Vec::new(),
         }
     }
+}
+
+/// Whether `addr` is on the amateur network (44/8 in the paper).
+#[inline]
+pub(crate) fn is_amateur(addr: u32) -> bool {
+    Prefix::amprnet().contains(std::net::Ipv4Addr::from(addr))
 }
 
 /// Outcome of a gateway-control message.
@@ -107,13 +105,6 @@ impl GateTable {
 
     pub(crate) fn cfg(&self) -> &GateConfig {
         &self.cfg
-    }
-
-    #[inline]
-    pub(crate) fn is_amateur(&self, addr: u32) -> bool {
-        self.cfg
-            .amateur_net
-            .contains(std::net::Ipv4Addr::from(addr))
     }
 
     /// The live entry's expiry for `(amateur, foreign)`, if any.

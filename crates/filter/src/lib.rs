@@ -17,7 +17,7 @@
 //! * per-source **token buckets** for the spoofed-flood case.
 //!
 //! Zero-allocation discipline throughout the packet path, same as the
-//! PR 5 byte kernels; the `filter_eval` bench asserts it. The
+//! PR 5 byte kernels; the `filter_eval` ratchets assert it. The
 //! [`NaiveInterpreter`] is the executable reference spec the
 //! differential proptests check the engine against. DESIGN.md §13 has
 //! the full compile/cache/invalidation contract; experiment E17 puts

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 use sim::bytekernels::{find_byte, find_either};
-use sim::wire::Codec;
 use sim::ByteSink;
 
 /// Frame delimiter.
@@ -129,40 +128,6 @@ impl KissFrame {
             command: Command::Data,
             payload,
         }
-    }
-}
-
-/// Failure modes of [`KissFrame::decode`] (via [`sim::wire::Codec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KissDecodeError {
-    /// The bytes contained no complete, well-formed KISS frame.
-    NoFrame,
-}
-
-impl std::fmt::Display for KissDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "no complete KISS frame in input")
-    }
-}
-
-impl std::error::Error for KissDecodeError {}
-
-impl Codec for KissFrame {
-    type Error = KissDecodeError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        encode_into(self.port, self.command, &self.payload, out);
-    }
-
-    /// Decodes the first complete frame in `bytes`.
-    fn decode(bytes: &[u8]) -> Result<KissFrame, KissDecodeError> {
-        let mut d = Deframer::new();
-        for &b in bytes {
-            if let Some(f) = d.push(b) {
-                return Ok(f.to_owned());
-            }
-        }
-        Err(KissDecodeError::NoFrame)
     }
 }
 

@@ -8,6 +8,9 @@ use crate::codec::{NetRomPacket, NodeEntry, NodesBroadcast, Transport, NODES_SIG
 use crate::nodes_addr;
 use crate::routes::NetRomRoutes;
 
+/// Quality assigned to directly heard neighbours.
+const NEIGHBOUR_QUALITY: u8 = 192;
+
 /// Node configuration.
 #[derive(Debug, Clone)]
 pub struct NetRomConfig {
@@ -17,8 +20,6 @@ pub struct NetRomConfig {
     pub alias: String,
     /// Interval between NODES broadcasts.
     pub broadcast_interval: SimDuration,
-    /// Quality assigned to directly heard neighbours.
-    pub neighbour_quality: u8,
     /// Initial TTL for originated datagrams.
     pub ttl: u8,
 }
@@ -30,7 +31,6 @@ impl NetRomConfig {
             callsign,
             alias: alias.to_string(),
             broadcast_interval: SimDuration::from_secs(60),
-            neighbour_quality: 192,
             ttl: 25,
         }
     }
@@ -164,7 +164,7 @@ impl NetRomNode {
                 self.routes.update_from_broadcast(
                     self.cfg.callsign,
                     frame.source,
-                    self.cfg.neighbour_quality,
+                    NEIGHBOUR_QUALITY,
                     &bcast,
                 );
             }

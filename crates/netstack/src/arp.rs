@@ -13,7 +13,7 @@
 use std::net::Ipv4Addr;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::{Codec, Reader};
+use sim::wire::Reader;
 
 use crate::NetError;
 
@@ -172,18 +172,6 @@ impl ArpPacket {
             target_hw,
             target_ip,
         })
-    }
-}
-
-impl Codec for ArpPacket {
-    type Error = NetError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        ArpPacket::encode_into(self, out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<ArpPacket, NetError> {
-        ArpPacket::decode(bytes)
     }
 }
 

@@ -10,8 +10,7 @@
 
 use std::net::Ipv4Addr;
 
-use sim::pktbuf::ByteSink;
-use sim::wire::{internet_checksum, Codec, Reader, Writer};
+use sim::wire::{internet_checksum, Reader, Writer};
 
 use crate::NetError;
 
@@ -296,21 +295,6 @@ impl IcmpMessage {
             }
             _ => Err(NetError::Malformed("unknown icmp type")),
         }
-    }
-}
-
-impl Codec for IcmpMessage {
-    type Error = NetError;
-
-    // ICMP never rides the per-byte interrupt path, so this variant
-    // delegates through the Writer-based encoder (which stages the whole
-    // message to patch the checksum at offset 2) rather than duplicating it.
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        out.put_slice(&self.encode());
-    }
-
-    fn decode(bytes: &[u8]) -> Result<IcmpMessage, NetError> {
-        IcmpMessage::decode(bytes)
     }
 }
 

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::{internet_checksum, Codec};
+use sim::wire::internet_checksum;
 use sim::{SimDuration, SimTime};
 
 use crate::NetError;
@@ -226,18 +226,6 @@ impl Ipv4Packet {
             payload: Vec::new(),
         };
         Ok((packet, total_len))
-    }
-}
-
-impl Codec for Ipv4Packet {
-    type Error = NetError;
-
-    fn encode_into(&self, out: &mut impl ByteSink) {
-        Ipv4Packet::encode_into(self, out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Ipv4Packet, NetError> {
-        Ipv4Packet::decode(bytes)
     }
 }
 

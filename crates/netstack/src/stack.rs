@@ -77,15 +77,13 @@ pub struct ListenerId(usize);
 pub struct UdpId(usize);
 
 /// Host-level stack configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StackConfig {
     /// TCP defaults for sockets created on this host (§4.1: set
     /// `tcp.rto` to [`RtoPolicy::Fixed`] to model the naive peer).
     pub tcp: TcpConfig,
     /// Surface not-for-us packets as [`StackAction::ForwardNeeded`].
     pub forwarding: bool,
-    /// Answer echo requests.
-    pub icmp_echo_reply: bool,
     /// Decapsulate IPIP (protocol 4) packets addressed to this host and
     /// re-run the inner packet through input. Off, protocol 4 gets the
     /// stock protocol-unreachable treatment.
@@ -102,19 +100,6 @@ pub struct StackConfig {
     /// stacks exist by the tens of thousands in the city worlds and
     /// carry two routes; only forwarding-heavy gateways (E18) enable it.
     pub fwd_cache_bits: u8,
-}
-
-impl Default for StackConfig {
-    fn default() -> Self {
-        StackConfig {
-            tcp: TcpConfig::default(),
-            forwarding: false,
-            icmp_echo_reply: true,
-            ipip: false,
-            clamp_mss: false,
-            fwd_cache_bits: 0,
-        }
-    }
 }
 
 /// An encapsulation table the stack consults on output *before* the plain
@@ -720,18 +705,16 @@ impl NetStack {
         };
         match msg {
             IcmpMessage::EchoRequest { id, seq, payload } => {
-                if self.cfg.icmp_echo_reply {
-                    self.stats.echo_replies_sent += 1;
-                    let mut reply = Ipv4Packet::new(
-                        packet.dst,
-                        packet.src,
-                        Proto::Icmp,
-                        IcmpMessage::EchoReply { id, seq, payload }.encode(),
-                    );
-                    // Reply from the address they pinged.
-                    reply.src = packet.dst;
-                    self.send_ip(reply);
-                }
+                self.stats.echo_replies_sent += 1;
+                let mut reply = Ipv4Packet::new(
+                    packet.dst,
+                    packet.src,
+                    Proto::Icmp,
+                    IcmpMessage::EchoReply { id, seq, payload }.encode(),
+                );
+                // Reply from the address they pinged.
+                reply.src = packet.dst;
+                self.send_ip(reply);
             }
             IcmpMessage::EchoReply { id, seq, payload } => {
                 self.pending.push(StackAction::PingReply {

@@ -226,33 +226,30 @@ pub enum RtoPolicy {
 pub struct TcpConfig {
     /// Retransmission policy.
     pub rto: RtoPolicy,
-    /// Initial RTO before any RTT sample (also the fixed policy's floor).
-    pub initial_rto: SimDuration,
-    /// Lower clamp on the adaptive RTO.
-    pub min_rto: SimDuration,
-    /// Upper clamp on any (backed-off) RTO.
-    pub max_rto: SimDuration,
     /// Send-buffer capacity in octets.
     pub send_buf: usize,
     /// Receive-buffer capacity in octets (advertised window ceiling).
     pub recv_buf: usize,
     /// Our MSS, announced on SYN.
     pub mss: u16,
-    /// TIME-WAIT holds for `2 * msl`.
-    pub msl: SimDuration,
 }
+
+/// RTO before any RTT sample.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(1500);
+/// Lower clamp on the adaptive RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(500);
+/// Upper clamp on any (backed-off) RTO.
+const MAX_RTO: SimDuration = SimDuration::from_secs(64);
+/// TIME-WAIT holds for `2 * MSL`.
+const MSL: SimDuration = SimDuration::from_secs(15);
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             rto: RtoPolicy::Adaptive,
-            initial_rto: SimDuration::from_millis(1500),
-            min_rto: SimDuration::from_millis(500),
-            max_rto: SimDuration::from_secs(64),
             send_buf: 4096,
             recv_buf: 4096,
             mss: 536,
-            msl: SimDuration::from_secs(15),
         }
     }
 }
@@ -997,17 +994,15 @@ impl Tcb {
         let base = match self.cfg.rto {
             RtoPolicy::Fixed(d) => d,
             RtoPolicy::Adaptive => match self.srtt {
-                None => self.cfg.initial_rto,
+                None => INITIAL_RTO,
                 Some(srtt) => {
                     let rto = srtt + 4.0 * self.rttvar;
-                    SimDuration::from_secs_f64(rto)
-                        .max(self.cfg.min_rto)
-                        .min(self.cfg.max_rto)
+                    SimDuration::from_secs_f64(rto).max(MIN_RTO).min(MAX_RTO)
                 }
             },
         };
         let backed = base.saturating_mul(1u64 << self.backoff.min(12));
-        backed.min(self.cfg.max_rto)
+        backed.min(MAX_RTO)
     }
 
     fn arm_rtx(&mut self, now: SimTime) {
@@ -1045,7 +1040,7 @@ impl Tcb {
     fn enter_time_wait(&mut self, now: SimTime, _ev: &mut [TcbEvent]) {
         self.state = TcpState::TimeWait;
         self.rtx_deadline = None;
-        self.time_wait_deadline = Some(now + self.cfg.msl * 2);
+        self.time_wait_deadline = Some(now + MSL * 2);
     }
 
     fn enter_closed(&mut self, reset: bool, ev: &mut Vec<TcbEvent>) {
@@ -1056,15 +1051,6 @@ impl Tcb {
         self.rtx_deadline = None;
         self.time_wait_deadline = None;
         self.send_buf.clear();
-    }
-}
-
-// The SYN-sent special case for connect-time RTT sampling.
-impl Tcb {
-    /// Arms the connect-time RTT probe (called internally at SYN time via
-    /// `connect`; exposed for tests).
-    pub fn has_rtt_probe(&self) -> bool {
-        self.rtt_probe.is_some()
     }
 }
 

@@ -486,7 +486,7 @@ fn karn_keeps_backoff_until_a_valid_sample() {
     let (_, y_ev) = alice.send(now, b"y");
     let still_backed_off = alice.next_deadline().unwrap() - now;
     // The handshake sampled a near-zero RTT, so the base RTO is the
-    // min_rto clamp (0.5 s); three backoffs make 4 s.
+    // MIN_RTO clamp (0.5 s); three backoffs make 4 s.
     assert!(
         still_backed_off >= SimDuration::from_millis(3500),
         "backoff persisted: {still_backed_off}"

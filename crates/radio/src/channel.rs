@@ -187,12 +187,6 @@ impl Channel {
         }
     }
 
-    /// Overrides the carrier-detect delay (zero = ideal carrier sense).
-    pub fn with_detect_delay(mut self, d: SimDuration) -> Channel {
-        self.detect_delay = d;
-        self
-    }
-
     /// Enables random corruption: each delivered copy is independently
     /// corrupted with probability `1 - (1-rate)^len`.
     pub fn with_byte_errors(mut self, rate: f64, rng: SimRng) -> Channel {

@@ -94,11 +94,6 @@ impl Csma {
         &self.cfg
     }
 
-    /// Replaces the parameters (KISS parameter commands).
-    pub fn set_config(&mut self, cfg: MacConfig) {
-        self.cfg = cfg;
-    }
-
     /// Mutable access for single-parameter updates.
     pub fn config_mut(&mut self) -> &mut MacConfig {
         &mut self.cfg

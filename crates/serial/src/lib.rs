@@ -6,8 +6,8 @@
 //! that line at the character level:
 //!
 //! * full duplex — each direction serializes independently;
-//! * one character occupies the line for `bits_per_char / baud` seconds
-//!   (10 bits per character for the usual 8N1 framing);
+//! * one character occupies the line for `10 / baud` seconds (10 bits per
+//!   character for the usual 8N1 framing);
 //! * the receiving end has a finite FIFO; characters arriving while it is
 //!   full are dropped and counted as **overruns** (the DZ11's infamous silo
 //!   overflow);
@@ -106,13 +106,14 @@ impl End {
     }
 }
 
+/// Bits occupied per character including start/stop framing (8N1 = 10).
+const BITS_PER_CHAR: u64 = 10;
+
 /// Static parameters of a serial line.
 #[derive(Debug, Clone, Copy)]
 pub struct SerialConfig {
     /// Line rate in baud (bits per second on the wire).
     pub baud: u32,
-    /// Bits occupied per character including start/stop framing (8N1 = 10).
-    pub bits_per_char: u32,
     /// Receive FIFO depth at each end; arrivals beyond this are dropped.
     pub rx_fifo: usize,
     /// Probability that any one delivered character is corrupted/lost.
@@ -125,7 +126,6 @@ impl SerialConfig {
     pub fn baud(baud: u32) -> SerialConfig {
         SerialConfig {
             baud,
-            bits_per_char: 10,
             rx_fifo: 64,
             error_rate: 0.0,
         }
@@ -145,7 +145,7 @@ impl SerialConfig {
 
     /// Time one character occupies the line.
     pub fn char_time(&self) -> SimDuration {
-        Bandwidth::bps(u64::from(self.baud)).time_for_bits(u64::from(self.bits_per_char))
+        Bandwidth::bps(u64::from(self.baud)).time_for_bits(BITS_PER_CHAR)
     }
 }
 

@@ -21,8 +21,7 @@
 //! * [`stats`] — counters, latency quantiles, and sweep tables used by the
 //!   experiment harnesses.
 //! * [`wire`] — bounds-checked big-endian readers and writers shared by all
-//!   of the frame/packet codecs, plus the [`wire::Codec`] trait they
-//!   implement.
+//!   of the frame/packet codecs.
 //! * [`pktbuf`] — pooled [`PacketBuf`]s and the [`FrameSink`]/[`ByteSink`]
 //!   emit traits: the zero-allocation datapath buffer contract.
 //! * [`trace`] — a lightweight, in-memory event trace.

@@ -7,7 +7,7 @@
 //! and pops never overlap in time (a barrier separates them), so a plain
 //! ring buffer suffices. The ring keeps its capacity across windows, so a
 //! warmed-up mailbox performs zero allocations per hand-off — the same
-//! contract as the §6 packet pool, asserted by the `shard_sync` bench.
+//! contract as the §6 packet pool, asserted by the `shard_sync` ratchets.
 
 use std::collections::VecDeque;
 

@@ -133,11 +133,6 @@ impl BufPool {
         self.0.borrow().stats
     }
 
-    /// Number of buffers sitting in the free list.
-    pub fn free_len(&self) -> usize {
-        self.0.borrow().free.len()
-    }
-
     fn recycle(&self, mut storage: Vec<u8>) {
         let mut inner = self.0.borrow_mut();
         inner.stats.live = inner.stats.live.saturating_sub(1);

@@ -7,58 +7,6 @@
 
 use std::fmt;
 
-use crate::pktbuf::ByteSink;
-
-/// The unified codec surface every wire type in the workspace implements
-/// (KISS frames, AX.25 frames, Ethernet frames, IPv4/ICMP/UDP/TCP/ARP
-/// packets, NET/ROM messages).
-///
-/// `encode_into` appends the wire form to any [`ByteSink`] — a pooled
-/// [`PacketBuf`](crate::PacketBuf) on the datapath, a plain `Vec<u8>` in
-/// tests — so encoding composes without intermediate allocations. The
-/// provided [`encode`](Codec::encode) convenience collects into a fresh
-/// `Vec` for callers off the hot path.
-///
-/// # Examples
-///
-/// ```
-/// use sim::wire::Codec;
-/// use sim::PacketBuf;
-///
-/// struct Tag(u8);
-/// impl Codec for Tag {
-///     type Error = ();
-///     fn encode_into(&self, out: &mut impl sim::ByteSink) {
-///         out.put(self.0);
-///     }
-///     fn decode(bytes: &[u8]) -> Result<Tag, ()> {
-///         bytes.first().map(|b| Tag(*b)).ok_or(())
-///     }
-/// }
-///
-/// let mut buf = PacketBuf::new();
-/// Tag(7).encode_into(&mut buf);
-/// assert_eq!(Tag::decode(&buf).unwrap().0, 7);
-/// assert_eq!(Tag(7).encode(), vec![7]);
-/// ```
-pub trait Codec: Sized {
-    /// Decode failure type.
-    type Error;
-
-    /// Appends the wire encoding of `self` to `out`.
-    fn encode_into(&self, out: &mut impl ByteSink);
-
-    /// Parses one value from `bytes`.
-    fn decode(bytes: &[u8]) -> Result<Self, Self::Error>;
-
-    /// Convenience: encodes into a fresh `Vec`.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-}
-
 /// Errors produced while reading from the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {

@@ -234,7 +234,6 @@ struct TcpSlot {
 enum Slot {
     Listener {
         id: ListenerId,
-        port: u16,
         accept_q: VecDeque<SockId>,
         nonblocking: bool,
     },
@@ -317,7 +316,6 @@ impl SocketTable {
         };
         Ok(self.alloc(Slot::Listener {
             id,
-            port,
             accept_q: VecDeque::new(),
             nonblocking: false,
         }))
@@ -751,24 +749,6 @@ impl SocketTable {
             _ => None,
         }
         .map(SocketHandle)
-    }
-
-    /// Every live (non-tombstone) handle, for diagnostics.
-    pub fn live_handles(&self) -> Vec<SocketHandle> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, Slot::Closed))
-            .map(|(i, _)| SocketHandle(i))
-            .collect()
-    }
-
-    /// The listener's bound port, if `h` is a listener.
-    pub fn listener_port(&self, h: SocketHandle) -> Option<u16> {
-        match self.slots.get(h.0) {
-            Some(Slot::Listener { port, .. }) => Some(*port),
-            _ => None,
-        }
     }
 }
 

@@ -24,7 +24,7 @@
 //! reports where the (shorter) compressed packet starts, and
 //! [`VjDecompressor::decompress`] rebuilds into a caller-owned `Vec` that
 //! is reused across packets.  Neither fast path allocates — the `vj_hdr`
-//! bench asserts this with a counting global allocator.
+//! ratchets assert this with a counting global allocator.
 //!
 //! One deliberate hardening beyond the BSD reference: the decompressor
 //! verifies the reconstructed TCP checksum (carried verbatim in every

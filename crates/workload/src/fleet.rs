@@ -28,7 +28,9 @@ use gateway::scenario::MeshNet;
 use sim::{SimDuration, SimTime};
 use socket::{Readiness, SocketHandle};
 
-use crate::load::{build_schedule, ClientPlan, FleetSchedule, FleetSpec, Pacing, SessionClass};
+use crate::load::{
+    build_schedule, ClientPlan, FleetSchedule, FleetSpec, Pacing, SessionClass, DNS_NAMES,
+};
 use crate::report::{fleet_header, fleet_row, FlowRecorder};
 
 /// TCP echo port (RFC 862) on island host 0.
@@ -166,10 +168,7 @@ pub fn deploy(m: &mut MeshNet, spec: &FleetSpec) -> Fleet {
 pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedule) -> Fleet {
     let islands = m.islands();
     let hosts_per_island = m.island_hosts(0).len();
-    assert!(
-        spec.sizes.files > 0 && spec.sizes.dns_names > 0,
-        "catalogue and zone must be non-empty"
-    );
+    assert!(spec.sizes.files > 0, "catalogue must be non-empty");
     assert!(
         hosts_per_island >= SERVER_HOSTS + spec.clients_per_island,
         "island has {hosts_per_island} hosts; need {SERVER_HOSTS} servers + {} clients",
@@ -178,7 +177,7 @@ pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedul
 
     let files = catalogue(spec.sizes.files);
     let file_refs: Vec<(&str, usize)> = files.iter().map(|(n, s)| (n.as_str(), *s)).collect();
-    let names: Vec<String> = (0..spec.sizes.dns_names).map(dns_name).collect();
+    let names: Vec<String> = (0..DNS_NAMES).map(dns_name).collect();
 
     let mut servers = Vec::with_capacity(islands);
     for g in 0..islands {

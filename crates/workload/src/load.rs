@@ -161,13 +161,14 @@ pub enum Pacing {
 pub struct SizeModel {
     /// Keystrokes per typist session.
     pub keys: (u32, u32),
-    /// Octets per echo burst.
-    pub echo_bytes: (u32, u32),
     /// FTP sessions draw one of the first `files` catalogue entries.
     pub files: u32,
-    /// DNS sessions draw one of `dns_names` zone names.
-    pub dns_names: u32,
 }
+
+/// Octets per echo burst (inclusive range).
+const ECHO_BYTES: (u32, u32) = (8, 24);
+/// DNS sessions draw one of this many zone names.
+pub(crate) const DNS_NAMES: u32 = 8;
 
 impl Default for SizeModel {
     /// Sizes matched to a 1200 b/s island. Cross-island service times
@@ -178,9 +179,7 @@ impl Default for SizeModel {
     fn default() -> SizeModel {
         SizeModel {
             keys: (2, 3),
-            echo_bytes: (8, 24),
             files: 3,
-            dns_names: 8,
         }
     }
 }
@@ -283,9 +282,9 @@ impl FleetSchedule {
 fn draw_size(class: SessionClass, sizes: &SizeModel, rng: &mut SimRng) -> u32 {
     let (lo, hi) = match class {
         SessionClass::Typist => sizes.keys,
-        SessionClass::Echo => sizes.echo_bytes,
+        SessionClass::Echo => ECHO_BYTES,
         SessionClass::Ftp => (0, sizes.files.saturating_sub(1)),
-        SessionClass::Dns => (0, sizes.dns_names.saturating_sub(1)),
+        SessionClass::Dns => (0, DNS_NAMES - 1),
     };
     rng.range(u64::from(lo), u64::from(hi) + 1) as u32
 }

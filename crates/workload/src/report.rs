@@ -3,7 +3,7 @@
 //! Every flow in a fleet records into a [`FlowRecorder`]; recorders
 //! merge island-by-island into one table. The recording hot path —
 //! [`LatencyHisto::record`], [`FlowRecorder::complete`] and friends —
-//! performs no heap allocation (the `workload_gen` bench asserts this
+//! performs no heap allocation (the `workload_gen` ratchet asserts this
 //! under a counting global allocator): a histogram is a fixed inline
 //! array of log-scale buckets, and every counter is a plain integer.
 //!

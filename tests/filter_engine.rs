@@ -39,7 +39,7 @@ fn unsolicited_inbound_is_blocked_until_amateur_initiates() {
         "repeat probes answered from the decision cache: {stats:?}"
     );
 
-    // Phase 2: the PC (amateur side) pings out — auto_open admits the pair.
+    // Phase 2: the PC (amateur side) pings out — that opens the pair.
     let now = s.world.now;
     s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 11, 1, 16);
     s.world.run_for(SimDuration::from_secs(60));

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use ax25::addr::Ax25Addr;
-use ax25::conn::{ConnConfig, ConnEvent, Connection};
+use ax25::conn::{ConnEvent, Connection};
 use gateway::world::App;
 use gateway::Host;
 use sim::SimTime;
@@ -170,7 +170,7 @@ impl App for BbsServer {
         for frame in host.take_tty_frames() {
             let peer = frame.source;
             self.sessions.entry(peer).or_insert_with(|| BbsSession {
-                conn: Connection::new(self.my_call, peer, ConnConfig::default()),
+                conn: Connection::new(self.my_call, peer),
                 line: Vec::new(),
                 composing: None,
             });
@@ -291,7 +291,7 @@ impl TerminalUser {
 
 impl App for TerminalUser {
     fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        let mut conn = Connection::new(self.my_call, self.remote, ConnConfig::default());
+        let mut conn = Connection::new(self.my_call, self.remote);
         let events = conn.connect(now);
         self.conn = Some(conn);
         self.drive(now, events, host);

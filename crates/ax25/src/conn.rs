@@ -20,12 +20,12 @@
 //!
 //! ```
 //! use ax25::addr::Ax25Addr;
-//! use ax25::conn::{ConnConfig, ConnEvent, Connection};
+//! use ax25::conn::{ConnEvent, Connection};
 //! use sim::SimTime;
 //!
 //! let pc = Ax25Addr::parse_or_panic("N7AKR");
 //! let bbs = Ax25Addr::parse_or_panic("KB7DZ");
-//! let mut caller = Connection::new(pc, bbs, ConnConfig::default());
+//! let mut caller = Connection::new(pc, bbs);
 //! let mut events = caller.connect(SimTime::ZERO);
 //! assert!(matches!(events.remove(0), ConnEvent::SendFrame(_)));
 //! ```
@@ -61,33 +61,17 @@ pub enum ConnEvent {
     Released(ReleaseReason),
 }
 
-/// Link-level connection parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnConfig {
-    /// Retransmission timer. The default of 10 s suits a 1200 bit/s
-    /// channel where a full frame takes about a second on the air.
-    pub t1: SimDuration,
-    /// Idle-link keepalive timer.
-    pub t3: SimDuration,
-    /// Retry limit before the link is declared dead.
-    pub n2: u32,
-    /// Send window `k` (1–7 in modulo-8 operation).
-    pub window: u8,
-}
-
 /// Maximum I-frame info length (PACLEN).
 const MAX_INFO: usize = 128;
-
-impl Default for ConnConfig {
-    fn default() -> Self {
-        ConnConfig {
-            t1: SimDuration::from_secs(10),
-            t3: SimDuration::from_secs(180),
-            n2: 10,
-            window: 4,
-        }
-    }
-}
+/// Retransmission timer. 10 s suits a 1200 bit/s channel where a full
+/// frame takes about a second on the air.
+const T1: SimDuration = SimDuration::from_secs(10);
+/// Idle-link keepalive timer.
+const T3: SimDuration = SimDuration::from_secs(180);
+/// Retry limit before the link is declared dead.
+const N2: u32 = 10;
+/// Send window `k` (1–7 in modulo-8 operation).
+const WINDOW: u8 = 4;
 
 /// Connection states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +92,6 @@ pub struct Connection {
     me: Ax25Addr,
     peer: Ax25Addr,
     path: Vec<Ax25Addr>,
-    cfg: ConnConfig,
     state: ConnState,
     /// Send state variable V(S).
     vs: u8,
@@ -127,16 +110,11 @@ pub struct Connection {
 
 impl Connection {
     /// Creates a disconnected endpoint for the pair (`me`, `peer`).
-    pub fn new(me: Ax25Addr, peer: Ax25Addr, cfg: ConnConfig) -> Connection {
-        assert!(
-            (1..=7).contains(&cfg.window),
-            "window must be 1..=7 in modulo-8 mode"
-        );
+    pub fn new(me: Ax25Addr, peer: Ax25Addr) -> Connection {
         Connection {
             me,
             peer,
             path: Vec::new(),
-            cfg,
             state: ConnState::Disconnected,
             vs: 0,
             va: 0,
@@ -401,7 +379,7 @@ impl Connection {
 
     fn t1_expired(&mut self, now: SimTime, ev: &mut Vec<ConnEvent>) {
         self.retries += 1;
-        if self.retries > self.cfg.n2 {
+        if self.retries > N2 {
             match self.state {
                 ConnState::Connected | ConnState::Connecting | ConnState::Disconnecting => {
                     ev.push(self.send_u(FrameKind::Dm { fin: true }, false));
@@ -469,7 +447,7 @@ impl Connection {
     }
 
     fn start_t1(&mut self, now: SimTime) {
-        self.t1 = Some(now + self.cfg.t1);
+        self.t1 = Some(now + T1);
     }
 
     fn stop_t1(&mut self) {
@@ -477,7 +455,7 @@ impl Connection {
     }
 
     fn start_t3(&mut self, now: SimTime) {
-        self.t3 = Some(now + self.cfg.t3);
+        self.t3 = Some(now + T3);
     }
 
     /// Window of outstanding frames, in modulo-8 arithmetic.
@@ -488,7 +466,7 @@ impl Connection {
     /// Transmits queued data while the window is open.
     fn pump(&mut self, now: SimTime) -> Vec<ConnEvent> {
         let mut ev = Vec::new();
-        while !self.peer_busy && self.in_flight() < self.cfg.window && !self.send_queue.is_empty() {
+        while !self.peer_busy && self.in_flight() < WINDOW && !self.send_queue.is_empty() {
             let data = self.send_queue.pop_front().expect("checked non-empty");
             let ns = self.vs;
             self.vs = (self.vs + 1) % 8;
@@ -631,8 +609,8 @@ mod tests {
     }
 
     fn connected_pair() -> (Connection, Connection) {
-        let mut alice = Connection::new(a("ALICE"), a("BOB"), ConnConfig::default());
-        let mut bob = Connection::new(a("BOB"), a("ALICE"), ConnConfig::default());
+        let mut alice = Connection::new(a("ALICE"), a("BOB"));
+        let mut bob = Connection::new(a("BOB"), a("ALICE"));
         let ev = alice.connect(SimTime::ZERO);
         let (a_ev, b_ev) = settle(SimTime::ZERO, ev, &mut alice, &mut bob);
         assert!(a_ev.contains(&ConnEvent::Established));
@@ -696,7 +674,7 @@ mod tests {
 
     #[test]
     fn dm_refuses_connection() {
-        let mut alice = Connection::new(a("ALICE"), a("BOB"), ConnConfig::default());
+        let mut alice = Connection::new(a("ALICE"), a("BOB"));
         let ev = alice.connect(SimTime::ZERO);
         let ConnEvent::SendFrame(_sabm) = &ev[0] else {
             panic!("expected SABM")
@@ -709,7 +687,7 @@ mod tests {
 
     #[test]
     fn i_frame_when_disconnected_draws_dm() {
-        let mut bob = Connection::new(a("BOB"), a("ALICE"), ConnConfig::default());
+        let mut bob = Connection::new(a("BOB"), a("ALICE"));
         let mut i = Frame::ui(a("BOB"), a("ALICE"), Pid::Text, b"x".to_vec());
         i.kind = FrameKind::I {
             ns: 0,
@@ -725,16 +703,12 @@ mod tests {
 
     #[test]
     fn t1_retransmits_sabm_until_n2_then_gives_up() {
-        let cfg = ConnConfig {
-            n2: 3,
-            ..ConnConfig::default()
-        };
-        let mut alice = Connection::new(a("ALICE"), a("BOB"), cfg);
+        let mut alice = Connection::new(a("ALICE"), a("BOB"));
         let mut now = SimTime::ZERO;
         let _ = alice.connect(now);
         let mut sabms = 0;
         let mut released = false;
-        for _ in 0..10 {
+        for _ in 0..2 * N2 {
             let Some(deadline) = alice.next_deadline() else {
                 break;
             };
@@ -749,7 +723,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sabms, 3, "n2 retries");
+        assert_eq!(sabms, N2, "n2 retries");
         assert!(released);
         assert_eq!(alice.state(), ConnState::Disconnected);
     }
@@ -900,12 +874,8 @@ mod tests {
 
     #[test]
     fn window_never_exceeds_k() {
-        let cfg = ConnConfig {
-            window: 2,
-            ..ConnConfig::default()
-        };
-        let mut alice = Connection::new(a("ALICE"), a("BOB"), cfg);
-        let mut bob = Connection::new(a("BOB"), a("ALICE"), ConnConfig::default());
+        let mut alice = Connection::new(a("ALICE"), a("BOB"));
+        let mut bob = Connection::new(a("BOB"), a("ALICE"));
         let ev = alice.connect(SimTime::ZERO);
         settle(SimTime::ZERO, ev, &mut alice, &mut bob);
         let ev = alice.send(SimTime::ZERO, &[0u8; 128 * 6]);
@@ -913,12 +883,12 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, ConnEvent::SendFrame(_)))
             .count();
-        assert_eq!(sent, 2);
+        assert_eq!(sent, usize::from(WINDOW));
     }
 
     #[test]
     fn passive_side_answers_disc_when_disconnected() {
-        let mut bob = Connection::new(a("BOB"), a("ALICE"), ConnConfig::default());
+        let mut bob = Connection::new(a("BOB"), a("ALICE"));
         let disc = Frame::control(a("BOB"), a("ALICE"), true, FrameKind::Disc { poll: true });
         let ev = bob.on_frame(SimTime::ZERO, &disc);
         assert!(matches!(

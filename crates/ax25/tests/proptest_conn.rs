@@ -3,7 +3,7 @@
 //! every keyboard user and BBS in the paper's network relied on.
 
 use ax25::addr::Ax25Addr;
-use ax25::conn::{ConnConfig, ConnEvent, Connection};
+use ax25::conn::{ConnEvent, Connection};
 use ax25::frame::Frame;
 use proptest::prelude::*;
 use sim::{SimRng, SimTime};
@@ -38,9 +38,8 @@ proptest! {
         let a_addr = Ax25Addr::parse_or_panic("ALICE");
         let b_addr = Ax25Addr::parse_or_panic("BOB");
         let mut rng = SimRng::seed_from(seed);
-        let cfg = ConnConfig::default();
-        let mut alice = Connection::new(a_addr, b_addr, cfg);
-        let mut bob = Connection::new(b_addr, a_addr, cfg);
+        let mut alice = Connection::new(a_addr, b_addr);
+        let mut bob = Connection::new(b_addr, a_addr);
 
         let data: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
         let mut to_bob: VecDeque<Frame> = VecDeque::new();

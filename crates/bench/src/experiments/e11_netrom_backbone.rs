@@ -9,7 +9,7 @@
 //! broadcast overhead, as the backbone grows.
 
 use ax25::addr::Ax25Addr;
-use bench::banner;
+use bench::report::{Num, Report};
 use gateway::host::{HostConfig, RadioIfConfig};
 use gateway::world::{ChanId, HostId, World};
 use netrom::{NetRomConfig, NetRomRouter};
@@ -18,8 +18,7 @@ use netstack::udp::UdpDatagram;
 use radio::channel::StationId;
 use radio::csma::MacConfig;
 use radio::tnc::RxMode;
-use sim::stats::Sweep;
-use sim::{Bandwidth, SimDuration, SimTime};
+use sim::{Bandwidth, SimDuration};
 use std::net::Ipv4Addr;
 
 fn radio_host(world: &mut World, chan: ChanId, name: &str, call: &str, ip: Ipv4Addr) -> HostId {
@@ -42,9 +41,8 @@ struct Outcome {
     forwards: u64,
 }
 
-/// Builds west + (n-2) relays + east in a line and measures.
-fn run(nodes: usize, seed: u64) -> Outcome {
-    assert!(nodes >= 2);
+/// Builds west + (n-2) relays + east in a line (`nodes >= 2`) and measures.
+fn backbone(nodes: usize, seed: u64) -> Outcome {
     let mut world = World::new(seed);
     let chan = world.add_channel(Bandwidth::RADIO_1200);
     let mut hosts = Vec::new();
@@ -146,31 +144,54 @@ fn run(nodes: usize, seed: u64) -> Outcome {
     }
 }
 
-fn main() {
-    banner(
+pub fn run(x: &mut Report) {
+    x.banner(
         "E11",
         "IP between gateways over a NET/ROM backbone (§2.4 future work)",
         "\"work is also proceeding on using NET/ROM to pass IP traffic \
          between gateways\" — here it runs: routes learned from NODES \
          broadcasts alone, then IP carried across the backbone",
     );
-    println!("(line of N nodes, 1200 bit/s, 60 s broadcast interval, no static routes)\n");
+    x.text("(line of N nodes, 1200 bit/s, 60 s broadcast interval, no static routes)\n");
 
-    let mut sweep = Sweep::new("backbone_nodes");
-    for nodes in [2usize, 3, 4, 5, 6] {
-        let o = run(nodes, 11_000 + nodes as u64);
-        sweep
-            .row(nodes as f64)
-            .set("converged_s", o.converged_at_s)
-            .set("ip_delivery_s", o.delivery_s)
-            .set("delivered", f64::from(u8::from(o.delivered)))
-            .set("bcasts_total", o.broadcasts as f64)
-            .set("relay_forwards", o.forwards as f64);
-        let _ = SimTime::ZERO;
+    let sizes = [2usize, 3, 4, 5, 6];
+    let mut outcomes = Vec::new();
+    for nodes in sizes {
+        let o = backbone(nodes, 11_000 + nodes as u64);
+        x.row(&[
+            ("backbone_nodes", &format_args!("{:.2}", nodes as f64)),
+            ("converged_s", &Num(o.converged_at_s)),
+            ("ip_delivery_s", &Num(o.delivery_s)),
+            ("delivered", &u8::from(o.delivered)),
+            ("bcasts_total", &o.broadcasts),
+            ("relay_forwards", &o.forwards),
+        ]);
+        outcomes.push(o);
     }
-    println!("{}", sweep.render());
-    println!("expected shape: convergence takes roughly one broadcast interval per");
-    println!("hop of distance (knowledge ripples outward one NODES cycle at a time);");
-    println!("delivery latency grows with hop count; each added relay contributes its");
-    println!("own broadcast load. This is the ARPANET-style backbone the paper wanted.");
+    x.end_table();
+    x.text("expected shape: convergence takes roughly one broadcast interval per");
+    x.text("hop of distance (knowledge ripples outward one NODES cycle at a time);");
+    x.text("delivery latency grows with hop count; each added relay contributes its");
+    x.text("own broadcast load. This is the ARPANET-style backbone the paper wanted.");
+
+    x.claim(
+        "§2.4",
+        "NODES broadcasts alone teach the west gateway a route to the east one, and the IP datagram sent over it arrives, at every backbone length 2-6",
+        outcomes.iter().all(|o| o.delivered),
+    );
+    x.claim(
+        "§2.4",
+        "the datagram is relayed hop by hop: a backbone of n nodes forwards it exactly n - 2 times and has sent at least n broadcasts by then",
+        sizes.iter().zip(&outcomes).all(|(&n, o)| {
+            o.forwards == n as u64 - 2 && o.broadcasts >= n as u64
+        }),
+    );
+    x.claim(
+        "§2.4",
+        "knowledge ripples outward: neither convergence time nor delivery latency ever shrinks as the backbone grows, and both are larger at 6 nodes than at 2",
+        outcomes.windows(2).all(|w| {
+            w[1].converged_at_s >= w[0].converged_at_s && w[1].delivery_s >= w[0].delivery_s
+        }) && outcomes[4].converged_at_s > outcomes[0].converged_at_s
+            && outcomes[4].delivery_s > outcomes[0].delivery_s,
+    );
 }

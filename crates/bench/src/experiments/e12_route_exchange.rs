@@ -24,34 +24,32 @@
 
 use apps::bulk::{BulkSender, BulkSink};
 use apps::ping::Pinger;
-use bench::banner;
+use bench::open_config;
+use bench::report::Report;
 use gateway::ripd::RipConfig;
-use gateway::scenario::{mesh_addrs, three_gateway, PaperConfig};
-use sim::stats::render_table;
+use gateway::scenario::{mesh_addrs, three_gateway};
 use sim::SimDuration;
 
-fn main() {
-    banner(
+const ROUTE_TTL_SECS: u64 = 25;
+
+pub fn run(x: &mut Report) {
+    x.banner(
         "E12",
         "RIP44 route exchange between AMPRnet gateways over IPIP",
         "per-subnet routes \"should be sent to a West Coast gateway … an East \
          Coast gateway\" (§4.2); learned tunnels replace the single class-A \
          detour and survive gateway failure",
     );
-    println!("(three gateways, announce 10 s, route TTL 25 s, hold-down 20 s;");
-    println!(" the Internet host still holds only the 44/8 aggregate via west-gw)\n");
+    x.text("(three gateways, announce 10 s, route TTL 25 s, hold-down 20 s;");
+    x.text(" the Internet host still holds only the 44/8 aggregate via west-gw)\n");
 
     let rip = RipConfig {
         announce_interval: SimDuration::from_secs(10),
-        route_ttl: SimDuration::from_secs(25),
+        route_ttl: SimDuration::from_secs(ROUTE_TTL_SECS),
         holddown: SimDuration::from_secs(20),
         ..RipConfig::default()
     };
-    let cfg = PaperConfig {
-        acl: false,
-        ..PaperConfig::default()
-    };
-    let mut s = three_gateway(&cfg, rip, 1200);
+    let mut s = three_gateway(&open_config(), rip, 1200);
 
     // A probe pinging the east host every 10 s for the whole run.
     let pinger = Pinger::new(mesh_addrs::EAST_HOST, 1, 90, SimDuration::from_secs(10), 32);
@@ -76,10 +74,10 @@ fn main() {
             .map(|e| format!("{}→{}", e.subnet, e.endpoint))
             .collect()
     });
-    println!(
+    x.text(format_args!(
         "west-gw tunnel table at t=30s: {}\n",
         west_learned.join(", ")
-    );
+    ));
 
     // Converged window: 200 s of steady probing.
     s.world.run_for(SimDuration::from_secs(200));
@@ -167,80 +165,95 @@ fn main() {
         .west_tunnels
         .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_some());
 
-    let rows = vec![
-        vec![
-            "metric".to_string(),
-            "value".to_string(),
-            "expectation".to_string(),
-        ],
-        vec![
-            "cold RTT (detour, s)".to_string(),
+    let rows: [(&str, String, &str); 11] = [
+        (
+            "cold RTT (detour, s)",
             format!("{cold_rtt:.2}"),
-            "backbone relay / ARP warm-up".to_string(),
-        ],
-        vec![
-            "warm RTT (tunnel, s)".to_string(),
+            "backbone relay / ARP warm-up",
+        ),
+        (
+            "warm RTT (tunnel, s)",
             format!("{warm_rtt:.2}"),
-            "one RF hop via east-gw".to_string(),
-        ],
-        vec![
-            "tunneled fraction (converged)".to_string(),
+            "one RF hop via east-gw",
+        ),
+        (
+            "tunneled fraction (converged)",
             format!("{:.0}%", tunneled_fraction * 100.0),
-            ">= 90%".to_string(),
-        ],
-        vec![
-            "tunnel expiry after kill (s)".to_string(),
+            ">= 90%",
+        ),
+        (
+            "tunnel expiry after kill (s)",
             format!("{expiry_delay:.0}"),
-            "<= route TTL (25)".to_string(),
-        ],
-        vec![
-            "east-host fallback via".to_string(),
-            fallback_via.clone(),
-            "44.24.0.28 (static, metric 10)".to_string(),
-        ],
-        vec![
-            "TCP bytes delivered".to_string(),
+            "<= route TTL (25)",
+        ),
+        (
+            "east-host fallback via",
+            fallback_via,
+            "44.24.0.28 (static, metric 10)",
+        ),
+        (
+            "TCP bytes delivered",
             format!("{sink_bytes}/3000 (pre-kill {bytes_before_kill})"),
-            "all, across the outage".to_string(),
-        ],
-        vec![
-            "TCP closed cleanly".to_string(),
-            format!("{} (reset={reset}, rexmt={retransmits})", finished),
-            "no reset".to_string(),
-        ],
-        vec![
-            "encaps during outage".to_string(),
-            format!("{}", ipip_out_after_outage - ipip_out_at_expiry),
-            "0 (nothing toward dead gw)".to_string(),
-        ],
-        vec![
-            "relearned after revival".to_string(),
+            "all, across the outage",
+        ),
+        (
+            "TCP closed cleanly",
+            format!("{finished} (reset={reset}, rexmt={retransmits})"),
+            "no reset",
+        ),
+        (
+            "encaps during outage",
+            (ipip_out_after_outage - ipip_out_at_expiry).to_string(),
+            "0 (nothing toward dead gw)",
+        ),
+        (
+            "relearned after revival",
             relearned.to_string(),
-            "yes (hold-down long past)".to_string(),
-        ],
-        vec![
-            "flap held down 12 s after revive".to_string(),
+            "yes (hold-down long past)",
+        ),
+        (
+            "flap held down 12 s after revive",
             format!("{held_after_flap} (rejects {holddown_rejects})"),
-            "yes, announcements rejected".to_string(),
-        ],
-        vec![
-            "relearned after hold-down".to_string(),
+            "yes, announcements rejected",
+        ),
+        (
+            "relearned after hold-down",
             relearned_after_flap.to_string(),
-            "yes".to_string(),
-        ],
+            "yes",
+        ),
     ];
-    println!("{}", render_table(&rows));
+    for (metric, value, expectation) in &rows {
+        x.row(&[
+            ("metric", metric),
+            ("value", value),
+            ("expectation", expectation),
+        ]);
+    }
+    x.end_table();
 
-    let ok = tunneled_fraction >= 0.9
-        && expiry_delay <= 25.0
-        && sink_bytes == 3000
-        && !reset
-        && finished
-        && relearned
-        && held_after_flap
-        && holddown_rejects >= 1
-        && relearned_after_flap;
-    println!(
+    // `&`, not `&&`: every claim reaches the ledger, whatever the others say.
+    let ok = x.claim(
+        "§4.2",
+        "once announcements converge, at least 90 % of Internet-to-east pings ride the west-to-east IPIP tunnel, and the tunnel RTT is under half the cold detour over the RF backbone",
+        tunneled_fraction >= 0.9 && warm_rtt < 0.5 * cold_rtt,
+    ) & x.claim(
+        "DESIGN.md §7",
+        "a dead gateway's tunnel expires within one route TTL (25 s) and nothing is encapsulated toward it afterwards",
+        expiry_delay <= ROUTE_TTL_SECS as f64 && ipip_out_after_outage == ipip_out_at_expiry,
+    ) & x.claim(
+        "DESIGN.md §7",
+        "the static aggregate carries the TCP transfer through the outage: 3000 of 3000 bytes delivered, closed without a reset",
+        sink_bytes == 3000 && finished && !reset,
+    ) & x.claim(
+        "DESIGN.md §7",
+        "a revived gateway is relearned once the hold-down has passed",
+        relearned && relearned_after_flap,
+    ) & x.claim(
+        "DESIGN.md §7",
+        "flap damping: a gateway revived inside the hold-down window is still unlearned 12 s later, with at least 1 announcement rejected",
+        held_after_flap && holddown_rejects >= 1,
+    );
+    x.text(format_args!(
         "\nverdict: {}",
         if ok {
             "PASS — learned tunnels carry converged traffic, expire within one \
@@ -249,5 +262,5 @@ fn main() {
         } else {
             "FAIL — see table"
         }
-    );
+    ));
 }

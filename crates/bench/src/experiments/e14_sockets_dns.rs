@@ -19,21 +19,21 @@ use apps::dns::{DnsServer, Resolver};
 use apps::echo::EchoServer;
 use apps::ftp::{FileClient, FileServer};
 use apps::typist::Typist;
-use bench::banner;
+use bench::open_config;
+use bench::report::Report;
 use gateway::ripd::RipConfig;
-use gateway::scenario::{mesh_addrs, three_gateway, PaperConfig};
-use sim::stats::render_table;
+use gateway::scenario::{mesh_addrs, three_gateway};
 use sim::SimDuration;
 
-fn main() {
-    banner(
+pub fn run(x: &mut Report) {
+    x.banner(
         "E14",
         "DNS + socket apps end to end across the gateway mesh",
         "the BSD socket layer carries real applications: resolve a \
          callsign host, connect, transfer — no app touches the raw stack API",
     );
-    println!("(names served by west-gw from the AMPRnet callsign zone, TTL 300 s;");
-    println!(" echo on east-host, FTP on gulf-host, clients on the Internet host)\n");
+    x.text("(names served by west-gw from the AMPRnet callsign zone, TTL 300 s;");
+    x.text(" echo on east-host, FTP on gulf-host, clients on the Internet host)\n");
 
     let rip = RipConfig {
         announce_interval: SimDuration::from_secs(10),
@@ -41,11 +41,7 @@ fn main() {
         holddown: SimDuration::from_secs(20),
         ..RipConfig::default()
     };
-    let cfg = PaperConfig {
-        acl: false,
-        ..PaperConfig::default()
-    };
-    let mut s = three_gateway(&cfg, rip, 1400);
+    let mut s = three_gateway(&open_config(), rip, 1400);
 
     // Servers first, so every listener is up before any client asks.
     let dns = DnsServer::new(
@@ -98,20 +94,27 @@ fn main() {
         }
     }
 
-    let mut rows = vec![vec![
-        "name".to_string(),
-        "answer".to_string(),
-        "latency".to_string(),
-    ]];
+    let answer = |n: &str| answered_at.get(n).copied().unwrap_or((None, f64::NAN));
     for n in names {
-        let (outcome, dt) = answered_at.get(n).copied().unwrap_or((None, f64::NAN));
-        rows.push(vec![
-            n.to_string(),
-            outcome.map_or("NXDOMAIN".to_string(), |a| a.to_string()),
-            format!("{dt:.3} s"),
+        let (outcome, dt) = answer(n);
+        x.row(&[
+            ("name", &n),
+            (
+                "answer",
+                &outcome.map_or("NXDOMAIN".to_string(), |a| a.to_string()),
+            ),
+            ("latency", &format_args!("{dt:.3} s")),
         ]);
     }
-    println!("{}", render_table(&rows));
+    x.end_table();
+    x.claim(
+        "§5",
+        "the name service answers across the gateway: both callsign hosts resolve to their 44.x addresses and the unknown name to NXDOMAIN, each in under 1 s",
+        answer("ka2eh.ampr.org").0 == Some(mesh_addrs::EAST_HOST)
+            && answer("kd5gh.ampr.org").0 == Some(mesh_addrs::GULF_HOST)
+            && answer("nocall.ampr.org").0.is_none()
+            && names.iter().all(|n| answer(n).1 < 1.0),
+    );
 
     // A repeat lookup is answered from the cache, no datagram sent.
     let east = core
@@ -124,14 +127,19 @@ fn main() {
         .expect("cached answer");
     {
         let st = &core.borrow().stats;
-        println!(
+        x.text(format_args!(
             "\nresolver: {} queries sent ({} retries), {} answers, {} from cache, {} failures",
             st.queries_sent, st.retries, st.answers, st.from_cache, st.failures
-        );
+        ));
         let d = dns_report.borrow();
-        println!(
+        x.text(format_args!(
             "server:   {} queries, {} answered, {} nxdomain\n",
             d.queries, d.answered, d.nxdomain
+        ));
+        x.claim(
+            "DESIGN.md §10",
+            "a repeated lookup costs no datagram: 2 answers come from the resolver's cache and the server has seen no more queries than the 3 names asked",
+            st.from_cache == 2 && st.queries_sent == 3 && d.queries == 3,
         );
     }
 
@@ -146,44 +154,54 @@ fn main() {
 
     s.world.run_for(SimDuration::from_secs(900));
 
-    let mut rows = vec![vec![
-        "app".to_string(),
-        "target".to_string(),
-        "outcome".to_string(),
-        "detail".to_string(),
-    ]];
     {
         let t = typist_report.borrow();
-        rows.push(vec![
-            "typist (echo)".into(),
-            format!("{east}:7"),
-            if t.done { "ok".into() } else { "FAILED".into() },
-            format!(
-                "{}/{} echoed, mean rtt {:.2} s",
-                t.echoed,
-                t.sent,
-                t.mean_rtt().map_or(f64::NAN, |d| d.as_secs_f64())
+        let ok = x.claim(
+            "§2.3",
+            "the socket typist, connected to the resolved address, has all 10 of its keystrokes echoed by the east radio host",
+            t.done && t.echoed == 10 && echo_report.borrow().bytes_echoed == 10,
+        );
+        x.row(&[
+            ("app", &"typist (echo)"),
+            ("target", &format_args!("{east}:7")),
+            ("outcome", &if ok { "ok" } else { "FAILED" }),
+            (
+                "detail",
+                &format_args!(
+                    "{}/{} echoed, mean rtt {:.2} s",
+                    t.echoed,
+                    t.sent,
+                    t.mean_rtt().map_or(f64::NAN, |d| d.as_secs_f64())
+                ),
             ),
         ]);
         let f = get_report.borrow();
-        rows.push(vec![
-            "ftp GET map.txt".into(),
-            format!("{gulf}:21"),
-            if f.done { "ok".into() } else { "FAILED".into() },
-            format!(
-                "{}/{} bytes intact in {:.1} s",
-                f.received,
-                f.announced,
-                f.duration().map_or(f64::NAN, |d| d.as_secs_f64())
+        let ok = x.claim(
+            "§2.3",
+            "the socket FTP client fetches all 1500 announced bytes from the gulf radio host",
+            f.done && f.received == 1500 && f.received == f.announced,
+        );
+        x.row(&[
+            ("app", &"ftp GET map.txt"),
+            ("target", &format_args!("{gulf}:21")),
+            ("outcome", &if ok { "ok" } else { "FAILED" }),
+            (
+                "detail",
+                &format_args!(
+                    "{}/{} bytes intact in {:.1} s",
+                    f.received,
+                    f.announced,
+                    f.duration().map_or(f64::NAN, |d| d.as_secs_f64())
+                ),
             ),
         ]);
     }
-    println!("{}", render_table(&rows));
-    println!(
+    x.end_table();
+    x.text(format_args!(
         "\nservers: echo accepted {} conn / {} B echoed; ftp served {} GET / {} B sent",
         echo_report.borrow().accepted,
         echo_report.borrow().bytes_echoed,
         files_report.borrow().serves,
         files_report.borrow().bytes_sent,
-    );
+    ));
 }

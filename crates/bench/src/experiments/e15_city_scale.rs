@@ -8,9 +8,9 @@
 //! department Ethernet carrying IPIP tunnels (§4.2) — and runs it on the
 //! sharded engine (DESIGN.md §11), one shard per island.
 //!
-//! Three claims are checked, the first two deterministic (this file's
-//! output is byte-stable), the third wall-clock and therefore printed
-//! only in bench mode (`E15_BENCH=1`, run by hand):
+//! Three things are measured, the first two deterministic (this file's
+//! output is byte-stable, and both are `claim`s), the third wall-clock and
+//! therefore printed only in bench mode (`E15_BENCH=1`, run by hand):
 //!
 //! 1. **Equivalence at scale**: the FNV digest of the event log is
 //!    identical at 1, 2, 4, and 8 workers, and equal to the full-scan
@@ -28,9 +28,9 @@
 //! brief is `E15_GATEWAYS=1000 E15_HOSTS=97` — ~100k hosts.
 
 use apps::ping::Pinger;
-use bench::{banner, bench_mode, drain_event_digest, env_usize};
+use bench::report::Report;
+use bench::{bench_mode, drain_event_digest, env_usize};
 use gateway::scenario::{self, city};
-use sim::stats::render_table;
 use sim::SimDuration;
 use std::time::Instant;
 
@@ -53,51 +53,45 @@ fn build(gateways: usize, hosts_per_gw: usize, seed: u64) -> scenario::MeshNet {
     m
 }
 
-fn main() {
+pub fn run(x: &mut Report) {
     let gateways = env_usize("E15_GATEWAYS", 250);
     let hosts_per_gw = env_usize("E15_HOSTS", 40);
     let secs = env_usize("E15_SECONDS", 20) as u64;
     let bench_mode = bench_mode("E15");
     let seed = 1988;
 
-    banner(
+    x.banner(
         "E15",
         "city-scale AMPRnet: sharded multi-core simulation engine",
         "\"as the number of users of this network grows\" (§5) — one shard per \
          radio island, IPIP tunnels (§4.2) as the only cross-shard traffic, \
          bit-identical event logs at every worker count",
     );
-    println!(
+    x.text(format_args!(
         "({gateways} islands x {} stations = {} simulated machines, {secs} s simulated)\n",
         hosts_per_gw + 1,
         gateways * (hosts_per_gw + 1) + 1,
-    );
+    ));
 
     // --- Claim 1 + 2: digest equivalence and flowing traffic ------------
-    let mut rows = vec![vec![
-        "engine".to_string(),
-        "workers".to_string(),
-        "events".to_string(),
-        "ping replies".to_string(),
-        "digest".to_string(),
-    ]];
     let mut digests = Vec::new();
     let mut walls = Vec::new();
     let mut engine = Vec::new();
+    let mut traffic_flows = true;
 
     let mut m = build(gateways, hosts_per_gw, seed);
     let t0 = Instant::now();
     m.world
         .run_until_reference(sim::SimTime::from_millis(secs * 1000));
-    walls.push(("reference".to_string(), 0, t0.elapsed()));
+    walls.push(("reference".to_string(), t0.elapsed()));
     let (d, n, replies) = drain_event_digest(&mut m.world);
     digests.push(d);
-    rows.push(vec![
-        "reference".into(),
-        "-".into(),
-        n.to_string(),
-        replies.to_string(),
-        format!("{d:016x}"),
+    x.row(&[
+        ("engine", &"reference"),
+        ("workers", &"-"),
+        ("events", &n),
+        ("ping replies", &replies),
+        ("digest", &format_args!("{d:016x}")),
     ]);
     drop(m);
 
@@ -106,48 +100,58 @@ fn main() {
         m.world.set_workers(workers);
         let t0 = Instant::now();
         m.world.run_for(SimDuration::from_secs(secs));
-        walls.push((format!("sharded_{workers}w"), workers, t0.elapsed()));
+        walls.push((format!("sharded_{workers}w"), t0.elapsed()));
         let (d, n, replies) = drain_event_digest(&mut m.world);
         let mb = m.world.mailbox_stats();
         engine.push(m.world.engine_stats());
         digests.push(d);
-        rows.push(vec![
-            "sharded".into(),
-            workers.to_string(),
-            n.to_string(),
-            replies.to_string(),
-            format!("{d:016x}"),
+        x.row(&[
+            ("engine", &"sharded"),
+            ("workers", &workers),
+            ("events", &n),
+            ("ping replies", &replies),
+            ("digest", &format_args!("{d:016x}")),
         ]);
-        assert!(replies > 0, "cross-island traffic must flow");
-        assert!(mb.pushed > 0, "tunnel traffic must cross shards");
-        assert_eq!(mb.pushed, mb.popped, "every hand-off is consumed");
+        traffic_flows &= replies > 0 && mb.pushed > 0 && mb.pushed == mb.popped;
     }
-    println!("{}", render_table(&rows));
+    x.end_table();
 
-    assert!(
+    let identical = x.claim(
+        "DESIGN.md §11",
+        "the event digest of the reference stepper equals the sharded engine's at 1, 2, 4 and 8 workers",
         digests.windows(2).all(|w| w[0] == w[1]),
-        "digest mismatch across engines: {digests:x?}"
     );
-    println!(
-        "\nall {} digests identical: the sharded engine is bit-equivalent to the",
-        digests.len()
+    x.text(format_args!(
+        "\nall {} digests {}: the sharded engine is bit-equivalent to the",
+        digests.len(),
+        if identical { "identical" } else { "NOT identical" }
+    ));
+    x.text("reference at every worker count (DESIGN.md §11 contract).");
+    x.claim(
+        "§5",
+        "the city carries traffic: at every worker count cross-island pings are answered and every cross-shard hand-off pushed (> 0) is popped",
+        traffic_flows,
     );
-    println!("reference at every worker count (DESIGN.md §11 contract).");
-    assert!(
+    x.claim(
+        "DESIGN.md §11",
+        "the window coordinator does the same work whatever the worker count: its counters are equal at 1, 2, 4 and 8 workers",
         engine.windows(2).all(|w| w[0] == w[1]),
-        "window-coordinator counters moved with the worker count: {engine:?}"
     );
 
     // --- Claim 3: wall-clock scaling (bench mode only; nondeterministic)
     if bench_mode {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!("\nwall-clock scaling (host machine: {cores} core(s)):");
-        for (name, _, wall) in &walls {
+        x.text(format_args!(
+            "\nwall-clock scaling (host machine: {cores} core(s)):"
+        ));
+        for (name, wall) in &walls {
             let ns = wall.as_nanos();
-            println!("e15/city{gateways}x{hosts_per_gw}_{secs}s_{name} ... bench: {ns} ns/iter");
+            x.text(format_args!(
+                "e15/city{gateways}x{hosts_per_gw}_{secs}s_{name} ... bench: {ns} ns/iter"
+            ));
         }
         let e = engine[0];
-        println!(
+        x.text(format_args!(
             "\nwindow coordinator (every worker count): {} windows, {:.2} of {gateways} shards \
              stepped per window, {:.0} % solo (no barrier), {} deliveries queued, \
              pending peak {}",
@@ -156,6 +160,6 @@ fn main() {
             100.0 * e.solo_windows as f64 / e.windows as f64,
             e.deliveries_queued,
             e.pending_peak,
-        );
+        ));
     }
 }

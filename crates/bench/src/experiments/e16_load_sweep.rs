@@ -21,15 +21,17 @@
 //!    latency and timeouts climb, and channel utilization pins. This is
 //!    the "as the number of users of this network grows" (§5) sweep.
 //!
-//! Knobs: `E16_GATEWAYS` (default 250), `E16_HOSTS` (default 40 per
-//! island; 250x40 = 10,251 simulated machines), `E16_SECONDS` (default
-//! 120 simulated), `E16_CLIENTS` (clients per island, default 1),
-//! `E16_WORKERS` (sweep worker count, default 4), `E16_SWEEP=0` to skip
-//! phase 2, `E16_BENCH=1` for ns/iter lines (run by hand).
+//! Knobs: `E16_GATEWAYS` (default 4), `E16_HOSTS` (default 4 per island),
+//! `E16_SECONDS` (default 150 simulated) — the configuration the golden
+//! records; city scale is `E16_GATEWAYS=250 E16_HOSTS=40 E16_SECONDS=120`
+//! (10,251 simulated machines, about a minute). `E16_CLIENTS` (clients per
+//! island, default 1), `E16_WORKERS` (sweep worker count, default 4),
+//! `E16_SWEEP=0` to skip phase 2, `E16_BENCH=1` for ns/iter lines (run by
+//! hand).
 
-use bench::{banner, bench_mode, drain_event_digest, env_usize};
+use bench::report::Report;
+use bench::{bench_mode, drain_event_digest, env_usize};
 use gateway::scenario::{self, MeshNet};
-use sim::stats::render_table;
 use sim::{SimDuration, SimTime};
 use std::time::Instant;
 use workload::load::{Arrival, Mix, Pacing};
@@ -62,8 +64,9 @@ fn build(cfg: &Cfg, spec: &FleetSpec) -> (MeshNet, Fleet) {
     (m, fleet)
 }
 
-/// One full run; returns (event digest, events, report, fleet, telemetry).
-fn run(
+/// One full run; returns (event digest, events, report, fleet, telemetry,
+/// wall clock).
+fn simulate(
     cfg: &Cfg,
     spec: &FleetSpec,
     workers: Option<usize>,
@@ -94,96 +97,102 @@ fn run(
     (digest, events, report, fleet, telemetry, wall)
 }
 
-fn main() {
+fn q_ms(us: Option<u64>) -> String {
+    us.map_or("-".into(), |us| format!("{:.1}", us as f64 / 1_000.0))
+}
+
+pub fn run(x: &mut Report) {
     let cfg = Cfg {
-        gateways: env_usize("E16_GATEWAYS", 250),
-        hosts: env_usize("E16_HOSTS", 40),
-        secs: env_usize("E16_SECONDS", 120) as u64,
+        gateways: env_usize("E16_GATEWAYS", 4),
+        hosts: env_usize("E16_HOSTS", 4),
+        secs: env_usize("E16_SECONDS", 150) as u64,
         clients: env_usize("E16_CLIENTS", 1),
     };
     let sweep_workers = env_usize("E16_WORKERS", 4);
     let do_sweep = env_usize("E16_SWEEP", 1) == 1;
     let bench_mode = bench_mode("E16");
 
-    banner(
+    x.banner(
         "E16",
         "load-model fleets: mixed socket-app traffic on the sharded engine",
         "the city under load — generated typist/FTP/DNS/echo sessions cross \
          every island boundary; the sharded engine stays bit-equivalent to \
          the reference, and the telemetry layer finds the knee of the curve",
     );
-    println!(
+    x.text(format_args!(
         "({} islands x {} stations = {} simulated machines, {} client(s)/island, {} s simulated)\n",
         cfg.gateways,
         cfg.hosts + 1,
         cfg.gateways * (cfg.hosts + 1) + 1,
         cfg.clients,
         cfg.secs,
-    );
+    ));
 
     // --- Phase 1: equivalence under fleet load --------------------------
     let spec = base_spec(&cfg);
-    let mut rows = vec![vec![
-        "engine".to_string(),
-        "workers".to_string(),
-        "events".to_string(),
-        "sessions done".to_string(),
-        "event digest".to_string(),
-        "report fnv".to_string(),
-    ]];
     let mut digests = Vec::new();
     let mut reports = Vec::new();
     let mut walls = Vec::new();
-
-    let runs: [(String, Option<usize>); 4] = [
-        ("reference".into(), None),
-        ("sharded_1w".into(), Some(1)),
-        ("sharded_2w".into(), Some(2)),
-        ("sharded_4w".into(), Some(4)),
-    ];
-    let mut first_report = String::new();
+    let mut handoffs_consumed = true;
     let mut first_telemetry = None;
-    for (name, workers) in runs {
-        let (digest, events, report, fleet, telemetry, wall) = run(&cfg, &spec, workers);
+    for (name, workers) in [
+        ("reference", None),
+        ("sharded_1w", Some(1)),
+        ("sharded_2w", Some(2)),
+        ("sharded_4w", Some(4)),
+    ] {
+        let (digest, events, report, fleet, telemetry, wall) = simulate(&cfg, &spec, workers);
         if workers.is_some() {
-            let mb = m_stats(&telemetry);
-            assert!(mb.0 > 0, "fleet traffic must cross shards");
-            assert_eq!(mb.0, mb.1, "every cross-shard hand-off is consumed");
+            let mb = telemetry.mailboxes;
+            handoffs_consumed &= mb.pushed > 0 && mb.pushed == mb.popped;
         }
-        rows.push(vec![
-            name.clone(),
-            workers.map_or("-".into(), |w| w.to_string()),
-            events.to_string(),
-            fleet.completed().to_string(),
-            format!("{digest:016x}"),
-            format!("{:016x}", sim::fnv1a(report.as_bytes())),
+        x.row(&[
+            ("engine", &name),
+            ("workers", &workers.map_or("-".into(), |w| w.to_string())),
+            ("events", &events),
+            ("sessions done", &fleet.completed()),
+            ("event digest", &format_args!("{digest:016x}")),
+            (
+                "report fnv",
+                &format_args!("{:016x}", sim::fnv1a(report.as_bytes())),
+            ),
         ]);
-        walls.push((name, wall));
+        walls.push((name.to_string(), wall));
         digests.push(digest);
-        if first_report.is_empty() {
-            first_report = report.clone();
-            first_telemetry = Some(telemetry);
-        }
         reports.push(report);
+        first_telemetry.get_or_insert(telemetry);
     }
-    println!("{}", render_table(&rows));
+    x.end_table();
 
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "event digest mismatch across engines: {digests:x?}"
+    let identical = x.claim(
+        "DESIGN.md §12",
+        "under fleet load the event digest and the rendered telemetry report of the reference stepper equal the sharded engine's at 1, 2 and 4 workers",
+        digests.windows(2).all(|w| w[0] == w[1]) && reports.windows(2).all(|w| w[0] == w[1]),
     );
-    assert!(
-        reports.windows(2).all(|w| w[0] == w[1]),
-        "rendered report mismatch across engines"
+    x.claim(
+        "DESIGN.md §12",
+        "every session crosses a shard boundary: on each sharded run hand-offs are pushed (> 0) and every one pushed is popped",
+        handoffs_consumed,
     );
-    println!(
-        "\nall {} event digests AND rendered reports bit-identical across the\n\
+    x.text(format_args!(
+        "\nall {} event digests AND rendered reports {} across the\n\
          reference stepper and every sharded worker count (DESIGN.md §12).\n",
-        digests.len()
-    );
-    println!("fleet report (identical on every engine):\n{first_report}");
+        digests.len(),
+        if identical {
+            "bit-identical"
+        } else {
+            "NOT bit-identical"
+        }
+    ));
+    x.text(format_args!(
+        "fleet report (identical on every engine):\n{}",
+        reports[0]
+    ));
     if let Some(t) = first_telemetry {
-        println!("engine telemetry (reference run):\n{}", t.table());
+        x.text(format_args!(
+            "engine telemetry (reference run):\n{}",
+            t.table()
+        ));
     }
 
     // --- Phase 2: knee of the curve --------------------------------------
@@ -203,78 +212,77 @@ fn main() {
                 Pacing::Open(Arrival::Poisson(SimDuration::from_secs(15))),
             ),
         ];
-        let mut sweep = vec![vec![
-            "mix".to_string(),
-            "intensity".to_string(),
-            "started".to_string(),
-            "done".to_string(),
-            "t/o".to_string(),
-            "err".to_string(),
-            "goodput B/s".to_string(),
-            "p50 ms".to_string(),
-            "p95 ms".to_string(),
-            "p99 ms".to_string(),
-            "util %".to_string(),
-            "offered %".to_string(),
-        ]];
+        x.text(format_args!(
+            "\nknee of the curve ({sweep_workers} workers; open-loop overload pushes past it):\n"
+        ));
+        let mut overload_backs_up = true;
+        let mut offered_covers_carried = true;
         for mix in &mixes {
+            let mut p95s = Vec::new();
             for (label, pacing) in &intensities {
                 let spec = FleetSpec {
                     mix: mix.clone(),
                     pacing: *pacing,
                     ..base_spec(&cfg)
                 };
-                let (_, _, _, fleet, telemetry, wall) = run(&cfg, &spec, Some(sweep_workers));
+                let (_, _, _, fleet, telemetry, wall) = simulate(&cfg, &spec, Some(sweep_workers));
                 walls.push((format!("sweep_{}_{label}", mix.name), wall));
-                let merged = fleet.merged();
                 let mut total = workload::report::FlowRecorder::new();
-                for r in &merged {
+                for r in &fleet.merged() {
                     total.merge(r);
                 }
                 let span = SimDuration::from_secs(cfg.secs).as_secs_f64();
-                sweep.push(vec![
-                    mix.name.to_string(),
-                    label.to_string(),
-                    total.started.to_string(),
-                    total.completed.to_string(),
-                    total.timeouts.to_string(),
-                    total.errors.to_string(),
-                    format!("{:.1}", total.goodput_bytes as f64 / span),
-                    q_ms(total.latency.p50()),
-                    q_ms(total.latency.p95()),
-                    q_ms(total.latency.p99()),
-                    format!("{:.1}", telemetry.chan_util_mean),
-                    format!("{:.1}", telemetry.chan_offered_mean),
+                x.row(&[
+                    ("mix", &mix.name),
+                    ("intensity", label),
+                    ("started", &total.started),
+                    ("done", &total.completed),
+                    ("t/o", &total.timeouts),
+                    ("err", &total.errors),
+                    (
+                        "goodput B/s",
+                        &format_args!("{:.1}", total.goodput_bytes as f64 / span),
+                    ),
+                    ("p50 ms", &q_ms(total.latency.p50())),
+                    ("p95 ms", &q_ms(total.latency.p95())),
+                    ("p99 ms", &q_ms(total.latency.p99())),
+                    ("util %", &format_args!("{:.1}", telemetry.chan_util_mean)),
+                    (
+                        "offered %",
+                        &format_args!("{:.1}", telemetry.chan_offered_mean),
+                    ),
                 ]);
+                p95s.push(total.latency.p95());
+                offered_covers_carried &= telemetry.chan_offered_mean >= telemetry.chan_util_mean;
             }
+            // light, steady, overload.
+            overload_backs_up &= p95s[2] >= p95s[1] && p95s[2] >= p95s[0];
         }
-        println!(
-            "\nknee of the curve ({sweep_workers} workers; open-loop overload pushes past it):\n"
+        x.end_table();
+        x.claim(
+            "§5",
+            "as load grows past the knee sessions back up: for every mix the open-loop overload p95 latency is at least the light and the steady closed-loop p95",
+            overload_backs_up,
         );
-        println!("{}", render_table(&sweep));
+        x.claim(
+            "§5",
+            "at every sweep point the airtime offered to the channels is at least the airtime they carry",
+            offered_covers_carried,
+        );
     }
 
     // --- Bench mode: wall clock ------------------------------------------
     if bench_mode {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!("\nwall-clock (host machine: {cores} core(s)):");
+        x.text(format_args!(
+            "\nwall-clock (host machine: {cores} core(s)):"
+        ));
         for (name, wall) in &walls {
             let ns = wall.as_nanos();
-            println!(
+            x.text(format_args!(
                 "e16/city{}x{}_{}s_{name} ... bench: {ns} ns/iter",
                 cfg.gateways, cfg.hosts, cfg.secs
-            );
+            ));
         }
     }
-}
-
-fn q_ms(us: Option<u64>) -> String {
-    match us {
-        Some(us) => format!("{:.1}", us as f64 / 1_000.0),
-        None => "-".into(),
-    }
-}
-
-fn m_stats(t: &EngineTelemetry) -> (u64, u64) {
-    (t.mailboxes.pushed, t.mailboxes.popped)
 }

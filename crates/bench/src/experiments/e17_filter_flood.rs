@@ -12,11 +12,12 @@
 //!   output hook, before ARP and before the channel, while GateOpen/
 //!   GateClose churn keeps invalidating the decision cache.
 //!
-//! Verdict (the ISSUE 9 acceptance bar): filtered goodput within ±5% of
-//! baseline, flood ≥99% dropped.
+//! Verdict (the ISSUE 9 acceptance bar, both `claim`s): filtered goodput
+//! within ±5% of baseline, flood ≥99% dropped.
 
 use apps::bulk::{BulkSender, BulkSink};
-use bench::banner;
+use bench::open_config;
+use bench::report::Report;
 use ether::MacAddr;
 use filter::FilterConfig;
 use gateway::cpu::CpuConfig;
@@ -31,7 +32,6 @@ use netstack::ip::{Ipv4Packet, Proto};
 use netstack::route::Prefix;
 use radio::csma::MacConfig;
 use radio::traffic::BeaconConfig;
-use sim::stats::render_table;
 use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -96,7 +96,6 @@ impl App for Flood {
     }
 }
 
-#[derive(Default)]
 struct Outcome {
     goodput_bps: f64,
     completed: bool,
@@ -109,13 +108,14 @@ struct Outcome {
     cache_misses: u64,
     generation: u32,
     gate_denied: u64,
+    /// Calendar entries at the end of the run, and components built.
+    calendar: (usize, usize),
 }
 
-fn run(flood: bool, filtered: bool) -> Outcome {
+fn attack(flood: bool, filtered: bool) -> Outcome {
     let cfg = PaperConfig {
-        acl: false,
         filter: filtered.then(FilterConfig::gateway),
-        ..PaperConfig::default()
+        ..open_config()
     };
     let mut s = paper_topology(cfg, 1701);
 
@@ -210,11 +210,7 @@ fn run(flood: bool, filtered: bool) -> Outcome {
     // hosts, two TNCs, two lines, the channel, the segment), two beacons,
     // two apps, and with the flood the attacker and its app.
     let built = 9 + 2 + 2 + if flood { 2 } else { 0 };
-    let registered = s.world.calendar_len();
-    assert!(
-        registered <= built,
-        "{registered} calendar entries for {built} components"
-    );
+    let calendar = (s.world.calendar_len(), built);
 
     let sink_bytes = sink_report.borrow().bytes;
     let send = send_report.borrow();
@@ -247,79 +243,99 @@ fn run(flood: bool, filtered: bool) -> Outcome {
         cache_misses: fstats.cache_misses,
         generation: gw.filter_engine().map_or(0, |e| e.borrow().generation()),
         gate_denied: fstats.gate_denied,
+        calendar,
     }
 }
 
-fn main() {
-    banner(
+pub fn run(x: &mut Report) {
+    x.banner(
         "E17",
         "spoofed-source flood + control churn vs the compiled filter engine",
         "§4.3 at hostile scale: the gate must refuse what no amateur invited, \
          at line rate, without touching what one did",
     );
-    println!(
+    x.text(format_args!(
         "({BULK_BYTES}-byte bulk TCP PC→vax2, 2 background beacons, \
          spoofed UDP flood every {:.0} ms, GateOpen/GateClose churn every 20 s, \
          {HORIZON_SECS} s horizon)\n",
         FLOOD_INTERVAL.as_secs_f64() * 1000.0
-    );
+    ));
 
-    let baseline = run(false, true);
-    let unprotected = run(true, false);
-    let protected = run(true, true);
+    let baseline = attack(false, true);
+    let unprotected = attack(true, false);
+    let protected = attack(true, true);
 
-    let mut rows = vec![vec![
-        "config".to_string(),
-        "goodput_bps".to_string(),
-        "done".to_string(),
-        "sink_bytes".to_string(),
-        "flood_sent".to_string(),
-        "flood_dropped".to_string(),
-        "drop_%".to_string(),
-        "radio_tx".to_string(),
-        "cache_hit".to_string(),
-        "cache_miss".to_string(),
-        "gate_denied".to_string(),
-        "cache_gen".to_string(),
-    ]];
     for (name, o) in [
         ("baseline (no flood)", &baseline),
         ("flood, no filter", &unprotected),
         ("flood + filter", &protected),
     ] {
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.0}", o.goodput_bps),
-            if o.completed { "yes" } else { "NO" }.to_string(),
-            o.sink_bytes.to_string(),
-            o.flood_sent.to_string(),
-            o.flood_dropped.to_string(),
-            format!("{:.1}", o.drop_pct),
-            o.radio_tx.to_string(),
-            o.cache_hits.to_string(),
-            o.cache_misses.to_string(),
-            o.gate_denied.to_string(),
-            o.generation.to_string(),
+        x.row(&[
+            ("config", &name),
+            ("goodput_bps", &format_args!("{:.0}", o.goodput_bps)),
+            ("done", &if o.completed { "yes" } else { "NO" }),
+            ("sink_bytes", &o.sink_bytes),
+            ("flood_sent", &o.flood_sent),
+            ("flood_dropped", &o.flood_dropped),
+            ("drop_%", &format_args!("{:.1}", o.drop_pct)),
+            ("radio_tx", &o.radio_tx),
+            ("cache_hit", &o.cache_hits),
+            ("cache_miss", &o.cache_misses),
+            ("gate_denied", &o.gate_denied),
+            ("cache_gen", &o.generation),
         ]);
     }
-    println!("{}", render_table(&rows));
+    x.end_table();
 
     let delta = (protected.goodput_bps / baseline.goodput_bps - 1.0) * 100.0;
-    println!("verdict:");
-    println!(
+    x.text("verdict:");
+    x.claim(
+        "§4.3",
+        "under the flood the filtered gateway's goodput is within ±5 % of the no-flood baseline, and the transfer completes",
+        delta.abs() <= 5.0 && protected.completed,
+    );
+    x.text(format_args!(
         " * filtered goodput {:.0} bps vs baseline {:.0} bps ({delta:+.1}%) — bar: ±5%",
         protected.goodput_bps, baseline.goodput_bps
+    ));
+    x.claim(
+        "§4.3",
+        "the filter drops at least 99 % of the spoofed datagrams sent (what no amateur invited)",
+        protected.flood_sent > 0 && protected.drop_pct >= 99.0,
     );
-    println!(
+    x.text(format_args!(
         " * flood drop rate {:.1}% ({} of {}) — bar: ≥99%",
         protected.drop_pct, protected.flood_dropped, protected.flood_sent
+    ));
+    x.claim(
+        "§4.3",
+        "an unpoliced gateway forwards the flood onto the 1200 bit/s channel: at least twice the baseline's radio transmissions, under half its goodput, and the transfer never finishes",
+        unprotected.radio_tx >= 2 * baseline.radio_tx
+            && unprotected.goodput_bps < 0.5 * baseline.goodput_bps
+            && !unprotected.completed,
     );
-    println!("expected shape:");
-    println!(" * 'flood, no filter' forwards every spoofed datagram onto the 1200 bit/s");
-    println!("   channel (radio_tx balloons) and the transfer never finishes;");
-    println!(" * 'flood + filter' drops the flood at the radio output hook — before ARP,");
-    println!("   before the channel — so radio_tx and goodput match the baseline;");
-    println!(" * cache_gen counts the churn: every GateOpen/GateClose invalidates the");
-    println!("   decision cache, the next flood packet per source pays the full walk");
-    println!("   (cache_miss), and the steady flood still dies on cache hits between.");
+    x.claim(
+        "DESIGN.md §13",
+        "control churn keeps invalidating the decision cache (generation >= 40 after 45 gate messages) and the flooded filter pays for it in misses (more than the baseline's) without letting anything through",
+        protected.generation >= 40
+            && protected.cache_misses > baseline.cache_misses
+            && protected.radio_tx <= baseline.radio_tx,
+    );
+    // However hard the flood re-keyed the gateway, the calendar holds at
+    // most one entry per component built.
+    x.claim(
+        "DESIGN.md §6",
+        "in all three runs the world's calendar ends with no more entries than components were built (13, or 15 with the attacker)",
+        [&baseline, &unprotected, &protected]
+            .iter()
+            .all(|o| o.calendar.0 <= o.calendar.1),
+    );
+    x.text("expected shape:");
+    x.text(" * 'flood, no filter' forwards every spoofed datagram onto the 1200 bit/s");
+    x.text("   channel (radio_tx balloons) and the transfer never finishes;");
+    x.text(" * 'flood + filter' drops the flood at the radio output hook — before ARP,");
+    x.text("   before the channel — so radio_tx and goodput match the baseline;");
+    x.text(" * cache_gen counts the churn: every GateOpen/GateClose invalidates the");
+    x.text("   decision cache, the next flood packet per source pays the full walk");
+    x.text("   (cache_miss), and the steady flood still dies on cache hits between.");
 }

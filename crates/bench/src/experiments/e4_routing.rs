@@ -13,8 +13,8 @@
 
 use apps::bulk::{BulkSender, BulkSink};
 use apps::ping::Pinger;
-use bench::{banner, open_config, two_coast, two_coast_addrs, RouteMode};
-use sim::stats::render_table;
+use bench::report::Report;
+use bench::{open_config, two_coast, two_coast_addrs, RouteMode};
 use sim::SimDuration;
 
 struct Outcome {
@@ -25,7 +25,7 @@ struct Outcome {
     delivered: bool,
 }
 
-fn run(mode: RouteMode) -> Outcome {
+fn measure(mode: RouteMode) -> Outcome {
     let mut t = two_coast(mode, &open_config(), 4000);
     let pinger = Pinger::new(
         two_coast_addrs::EAST_HOST,
@@ -60,51 +60,54 @@ fn run(mode: RouteMode) -> Outcome {
     }
 }
 
-fn main() {
-    banner(
+pub fn run(x: &mut Report) {
+    x.banner(
         "E4",
         "single class-A route vs per-subnet routes to AMPRnet",
         "one gateway for all of net 44 forces cross-country relays; \
          per-subnet routing would deliver to the right coast (§4.2)",
     );
-    println!("(internet host → east radio host 44.56.0.5; single route lands at the");
-    println!(" WEST gateway, which must relay via the BBONE RF backbone digipeater)\n");
+    x.text("(internet host → east radio host 44.56.0.5; single route lands at the");
+    x.text(" WEST gateway, which must relay via the BBONE RF backbone digipeater)\n");
 
-    let single = run(RouteMode::SingleClassA);
-    let per = run(RouteMode::PerSubnet);
+    let single = measure(RouteMode::SingleClassA);
+    let per = measure(RouteMode::PerSubnet);
 
-    let rows = vec![
-        vec![
-            "route mode".to_string(),
-            "warm_rtt_s".to_string(),
-            "cold_rtt_s".to_string(),
-            "goodput_bps".to_string(),
-            "radio_txs(ping)".to_string(),
-            "all_ok".to_string(),
-        ],
-        vec![
-            "single 44/8 via west".to_string(),
-            format!("{:.2}", single.warm_rtt_s),
-            format!("{:.2}", single.first_rtt_s),
-            format!("{:.0}", single.goodput_bps),
-            single.radio_txs.to_string(),
-            single.delivered.to_string(),
-        ],
-        vec![
-            "per-subnet (44.56 via east)".to_string(),
-            format!("{:.2}", per.warm_rtt_s),
-            format!("{:.2}", per.first_rtt_s),
-            format!("{:.0}", per.goodput_bps),
-            per.radio_txs.to_string(),
-            per.delivered.to_string(),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!(
+    for (name, o) in [
+        ("single 44/8 via west", &single),
+        ("per-subnet (44.56 via east)", &per),
+    ] {
+        x.row(&[
+            ("route mode", &name),
+            ("warm_rtt_s", &format_args!("{:.2}", o.warm_rtt_s)),
+            ("cold_rtt_s", &format_args!("{:.2}", o.first_rtt_s)),
+            ("goodput_bps", &format_args!("{:.0}", o.goodput_bps)),
+            ("radio_txs(ping)", &o.radio_txs),
+            ("all_ok", &o.delivered),
+        ]);
+    }
+    x.end_table();
+    x.text(
         "expected shape: the single class-A route roughly doubles RTT (every frame\n\
          crosses the shared channel twice via the backbone digipeater) and halves\n\
          goodput; per-subnet routes deliver at the right coast. The paper notes\n\
          \"it is conceivable that something like this could be handled using\n\
-         ICMP, but at this time, no mechanism is in place.\""
+         ICMP, but at this time, no mechanism is in place.\"",
+    );
+
+    x.claim(
+        "§4.2",
+        "the east host is reachable under either routing policy (4 pings and a 4 kB transfer)",
+        single.delivered && per.delivered,
+    );
+    x.claim(
+        "§4.2",
+        "the single class-A route relays cross-country: its warm RTT is at least 1.5x the per-subnet route's, and the same pings cost more radio transmissions",
+        single.warm_rtt_s >= 1.5 * per.warm_rtt_s && single.radio_txs > per.radio_txs,
+    );
+    x.claim(
+        "§4.2",
+        "per-subnet routes deliver at least twice the TCP goodput of the single class-A route",
+        per.goodput_bps >= 2.0 * single.goodput_bps,
     );
 }

@@ -6,14 +6,13 @@
 use apps::ax25chat::TerminalUser;
 use apps::telnet::{TelnetClient, TelnetServer};
 use ax25::addr::Ax25Addr;
-use bench::banner;
+use bench::report::Report;
 use gateway::appgw::AppGateway;
 use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP};
-use sim::stats::render_table;
 use sim::SimDuration;
 
-fn main() {
-    banner(
+pub fn run(x: &mut Report) {
+    x.banner(
         "E8",
         "the application-layer gateway for non-IP users (§2.4)",
         "\"a user program can then read from this line, and maintain the state \
@@ -69,31 +68,38 @@ fn main() {
     let ip_time = client_report.borrow().finished_at;
     let ip_radio_tx = s.world.channel(s.chan).stats().transmissions;
 
-    let rows = vec![
-        vec![
-            "path".to_string(),
-            "session ok".to_string(),
-            "approx time".to_string(),
-            "radio transmissions".to_string(),
-        ],
-        vec![
-            "AX.25 conn -> appgw -> TCP".to_string(),
-            ax25_done.to_string(),
-            ax25_time.to_string(),
-            ax25_radio_tx.to_string(),
-        ],
-        vec![
-            "native TCP/IP end to end".to_string(),
-            ip_done.to_string(),
-            ip_time.map(|t| t.to_string()).unwrap_or("-".into()),
-            ip_radio_tx.to_string(),
-        ],
-    ];
-    println!("{}", render_table(&rows));
-    println!("appgw bridge: {sessions} session(s), {to_tcp} B radio->TCP, {to_radio} B TCP->radio");
-    println!("the terminal PC decoded {pc_ip_frames} IP frames — i.e. none: it never ran IP.");
-    println!();
-    println!("expected shape: both sessions complete; the AX.25 path works without any");
-    println!("IP on the user's machine — \"such applications do not require kernel");
-    println!("support, even though they extend down to layer three\" (§2.4).");
+    x.row(&[
+        ("path", &"AX.25 conn -> appgw -> TCP"),
+        ("session ok", &ax25_done),
+        ("approx time", &ax25_time),
+        ("radio transmissions", &ax25_radio_tx),
+    ]);
+    x.row(&[
+        ("path", &"native TCP/IP end to end"),
+        ("session ok", &ip_done),
+        ("approx time", &ip_time.map_or("-".into(), |t| t.to_string())),
+        ("radio transmissions", &ip_radio_tx),
+    ]);
+    x.end_table();
+    x.text(format_args!(
+        "appgw bridge: {sessions} session(s), {to_tcp} B radio->TCP, {to_radio} B TCP->radio"
+    ));
+    x.text(format_args!(
+        "the terminal PC decoded {pc_ip_frames} IP frames — i.e. none: it never ran IP."
+    ));
+    x.text("");
+    x.text("expected shape: both sessions complete; the AX.25 path works without any");
+    x.text("IP on the user's machine — \"such applications do not require kernel");
+    x.text("support, even though they extend down to layer three\" (§2.4).");
+
+    x.claim(
+        "§2.4",
+        "the same telnet session completes both over the AX.25 connection bridged by the application gateway and over native TCP/IP",
+        ax25_done && ip_done,
+    );
+    x.claim(
+        "§2.4",
+        "the terminal user's machine never runs IP: its driver decodes 0 IP frames while the bridge carries exactly 1 session with bytes in both directions",
+        pc_ip_frames == 0 && sessions == 1 && to_tcp > 0 && to_radio > 0,
+    );
 }

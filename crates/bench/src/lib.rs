@@ -1,14 +1,16 @@
-//! Shared machinery for the experiment binaries in `src/bin`.
+//! Shared machinery for the `experiments` binary (`src/main.rs`).
 //!
-//! Every table/figure-style claim in the paper has one binary here that
-//! regenerates it (the mapping lives in `DESIGN.md` §4 and
-//! `EXPERIMENTS.md`). This library holds the topologies and measurement
-//! helpers they share.
+//! Every table/figure-style claim in the paper has one module under
+//! `src/experiments` that regenerates it and states it as a
+//! [`report::Report::claim`] (the mapping is `experiments --claims`,
+//! recorded in `results/claims.txt`). This library holds the harness, the
+//! topologies and the measurement helpers they share.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc_count;
+pub mod report;
 
 use std::net::Ipv4Addr;
 
@@ -16,20 +18,13 @@ use ax25::addr::Ax25Addr;
 use ether::MacAddr;
 use gateway::host::{EtherIfConfig, HostConfig, RadioIfConfig};
 use gateway::hwaddr::Ax25Hw;
-use gateway::scenario::PaperConfig;
-use gateway::world::{event_digest, ChanId, HostId, SegId, World};
+use gateway::scenario::{PaperConfig, PaperScenario, ETHER_HOST_IP, GW_RADIO_IP, PC_IP};
+use gateway::world::{event_digest, ChanId, HostId, World};
+use netstack::icmp::IcmpMessage;
 use netstack::route::Prefix;
 use netstack::stack::StackAction;
 use radio::channel::StationId;
 use sim::Bandwidth;
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, title: &str, claim: &str) {
-    println!("==========================================================================");
-    println!("{id}: {title}");
-    println!("paper claim: {claim}");
-    println!("==========================================================================");
-}
 
 /// A size knob from the environment (`E15_GATEWAYS`, `E16_SECONDS`, …):
 /// `default` when unset or unparsable.
@@ -78,14 +73,8 @@ pub struct TwoCoast {
     pub world: World,
     /// The shared radio channel.
     pub chan: ChanId,
-    /// The Internet segment.
-    pub seg: SegId,
     /// A distant Internet host.
     pub internet_host: HostId,
-    /// The west-coast gateway.
-    pub west_gw: HostId,
-    /// The east-coast gateway.
-    pub east_gw: HostId,
     /// A host on the east radio subnet.
     pub east_host: HostId,
 }
@@ -266,12 +255,26 @@ pub fn two_coast(mode: RouteMode, cfg: &PaperConfig, seed: u64) -> TwoCoast {
     TwoCoast {
         world,
         chan,
-        seg,
         internet_host,
-        west_gw,
-        east_gw,
         east_host,
     }
+}
+
+/// Opens the §4.3 gate for inbound traffic before an experiment whose
+/// subject is something else: the PC tells the gateway to admit the
+/// Ethernet host for four hours.
+pub fn authorize_inbound(s: &mut PaperScenario) {
+    let now = s.world.now;
+    s.world.host_mut(s.pc).send_gate_message(
+        now,
+        GW_RADIO_IP,
+        IcmpMessage::GateOpen {
+            amateur: PC_IP,
+            foreign: ETHER_HOST_IP,
+            ttl_secs: 14_400,
+            auth: None,
+        },
+    );
 }
 
 /// A `PaperConfig` with the ACL disabled — routing/latency experiments

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ax25::addr::Ax25Addr;
-use ax25::conn::{ConnConfig, ConnEvent, Connection};
+use ax25::conn::{ConnEvent, Connection};
 use netstack::stack::{SockId, StackAction};
 use sim::SimTime;
 
@@ -52,7 +52,6 @@ pub struct AppGateway {
     my_call: Ax25Addr,
     /// Where bridged sessions connect (e.g. the Ethernet host's telnet).
     target: (Ipv4Addr, u16),
-    conn_cfg: ConnConfig,
     sessions: HashMap<Ax25Addr, Session>,
     /// Shared report for inspection after a run.
     pub report: std::rc::Rc<std::cell::RefCell<AppGwReport>>,
@@ -64,7 +63,6 @@ impl AppGateway {
         AppGateway {
             my_call,
             target,
-            conn_cfg: ConnConfig::default(),
             sessions: HashMap::new(),
             report: std::rc::Rc::new(std::cell::RefCell::new(AppGwReport::default())),
         }
@@ -139,7 +137,7 @@ impl App for AppGateway {
                 self.sessions.insert(
                     peer,
                     Session {
-                        conn: Connection::new(self.my_call, peer, self.conn_cfg),
+                        conn: Connection::new(self.my_call, peer),
                         sock: None,
                         sock_connected: false,
                         pending_to_tcp: Vec::new(),

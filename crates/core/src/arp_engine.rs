@@ -18,25 +18,12 @@ use netstack::arp::{ArpOp, ArpPacket};
 use netstack::ip::Ipv4Packet;
 use sim::{SimDuration, SimTime};
 
-/// Engine parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ArpConfig {
-    /// Cache entry lifetime.
-    pub entry_ttl: SimDuration,
-}
-
+/// Cache entry lifetime.
+const ENTRY_TTL: SimDuration = SimDuration::from_secs(20 * 60);
 /// Gap between repeated requests for the same address.
 const RETRY_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// Packets held per unresolved address (4.3BSD held exactly one).
 const MAX_HELD: usize = 4;
-
-impl Default for ArpConfig {
-    fn default() -> Self {
-        ArpConfig {
-            entry_ttl: SimDuration::from_secs(20 * 60),
-        }
-    }
-}
 
 /// Engine counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +74,6 @@ pub type Released = Vec<(Rc<[u8]>, Ipv4Packet)>;
 /// A link-type-agnostic ARP resolver for one interface.
 #[derive(Debug)]
 pub struct ArpEngine {
-    cfg: ArpConfig,
     hw_type: u16,
     my_hw: Vec<u8>,
     my_ip: Ipv4Addr,
@@ -99,9 +85,8 @@ pub struct ArpEngine {
 impl ArpEngine {
     /// Creates an engine for an interface with hardware address `my_hw`
     /// (already encoded) and protocol address `my_ip`.
-    pub fn new(hw_type: u16, my_hw: Vec<u8>, my_ip: Ipv4Addr, cfg: ArpConfig) -> ArpEngine {
+    pub fn new(hw_type: u16, my_hw: Vec<u8>, my_ip: Ipv4Addr) -> ArpEngine {
         ArpEngine {
-            cfg,
             hw_type,
             my_hw,
             my_ip,
@@ -133,7 +118,7 @@ impl ArpEngine {
             ip,
             CacheEntry {
                 hw: hw.into(),
-                expires: now + self.cfg.entry_ttl,
+                expires: now + ENTRY_TTL,
             },
         );
     }
@@ -217,7 +202,7 @@ impl ArpEngine {
                 arp.sender_ip,
                 CacheEntry {
                     hw,
-                    expires: now + self.cfg.entry_ttl,
+                    expires: now + ENTRY_TTL,
                 },
             );
         }
@@ -288,7 +273,7 @@ mod tests {
     }
 
     fn engine() -> ArpEngine {
-        ArpEngine::new(hw_type::AX25, b"GW".to_vec(), ipa(28), ArpConfig::default())
+        ArpEngine::new(hw_type::AX25, b"GW".to_vec(), ipa(28))
     }
 
     #[test]

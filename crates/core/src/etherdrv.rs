@@ -14,7 +14,7 @@ use sim::{FrameSink, SimTime};
 use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
-use crate::arp_engine::{ArpConfig, ArpEngine, Resolution};
+use crate::arp_engine::{ArpEngine, Resolution};
 use crate::ifnet::IfNet;
 
 /// Driver counters.
@@ -44,11 +44,11 @@ pub struct EtherDriver {
 
 impl EtherDriver {
     /// Creates the driver for a NIC with address `mac` numbered `my_ip`.
-    pub fn new(mac: MacAddr, my_ip: Ipv4Addr, arp: ArpConfig) -> EtherDriver {
+    pub fn new(mac: MacAddr, my_ip: Ipv4Addr) -> EtherDriver {
         EtherDriver {
             ifnet: IfNet::new("qe0", ether::MTU),
             mac,
-            arp: ArpEngine::new(hw_type::ETHERNET, mac.octets().to_vec(), my_ip, arp),
+            arp: ArpEngine::new(hw_type::ETHERNET, mac.octets().to_vec(), my_ip),
             stats: EtherDrvStats::default(),
         }
     }
@@ -179,7 +179,7 @@ mod tests {
     }
 
     fn driver() -> EtherDriver {
-        EtherDriver::new(MacAddr::local(1), ipa(100), ArpConfig::default())
+        EtherDriver::new(MacAddr::local(1), ipa(100))
     }
 
     #[test]

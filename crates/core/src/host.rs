@@ -29,7 +29,6 @@ use netstack::NetError;
 use sim::{PacketBuf, SimTime, SinkFn};
 use socket::{Readiness, SockError, SocketHandle, SocketTable};
 
-use crate::arp_engine::ArpConfig;
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
 use crate::ifnet::{IfQueue, IFQ_MAXLEN};
@@ -145,14 +144,7 @@ impl Host {
                 prefix_len: r.prefix_len,
                 mtu: AX25_MTU,
             });
-            let mut drv = PacketRadioDriver::new(
-                PrConfig {
-                    my_call: r.call,
-                    broadcast: vec![Ax25Addr::broadcast()],
-                    arp: ArpConfig::default(),
-                },
-                r.ip,
-            );
+            let mut drv = PacketRadioDriver::new(PrConfig::new(r.call), r.ip);
             if let Some(f) = &filter {
                 drv.set_filter(Rc::clone(f));
             }
@@ -165,7 +157,7 @@ impl Host {
                 prefix_len: e.prefix_len,
                 mtu: ether::MTU,
             });
-            (iface, EtherDriver::new(e.mac, e.ip, ArpConfig::default()))
+            (iface, EtherDriver::new(e.mac, e.ip))
         });
         Host {
             name: cfg.name,

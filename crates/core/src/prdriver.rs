@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use crate::arp_engine::{ArpConfig, ArpEngine, Resolution};
+use crate::arp_engine::{ArpEngine, Resolution};
 use crate::hwaddr::Ax25Hw;
 use crate::ifnet::IfNet;
 use vj::{VjCompressor, VjConfig, VjDecompressor, VjOutcome};
@@ -45,8 +45,6 @@ pub struct PrConfig {
     pub my_call: Ax25Addr,
     /// Destination addresses accepted as broadcast.
     pub broadcast: Vec<Ax25Addr>,
-    /// ARP engine parameters.
-    pub arp: ArpConfig,
 }
 
 impl PrConfig {
@@ -55,7 +53,6 @@ impl PrConfig {
         PrConfig {
             my_call,
             broadcast: vec![Ax25Addr::broadcast()],
-            arp: ArpConfig::default(),
         }
     }
 }
@@ -136,7 +133,7 @@ impl PacketRadioDriver {
     /// Creates the driver for an interface numbered `my_ip`.
     pub fn new(cfg: PrConfig, my_ip: Ipv4Addr) -> PacketRadioDriver {
         let my_hw = Ax25Hw::direct(cfg.my_call).encode();
-        let arp = ArpEngine::new(hw_type::AX25, my_hw, my_ip, cfg.arp);
+        let arp = ArpEngine::new(hw_type::AX25, my_hw, my_ip);
         PacketRadioDriver {
             ifnet: IfNet::new("pr0", AX25_MTU),
             cfg,

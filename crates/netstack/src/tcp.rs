@@ -228,12 +228,12 @@ pub struct TcpConfig {
     pub rto: RtoPolicy,
     /// Send-buffer capacity in octets.
     pub send_buf: usize,
-    /// Receive-buffer capacity in octets (advertised window ceiling).
-    pub recv_buf: usize,
     /// Our MSS, announced on SYN.
     pub mss: u16,
 }
 
+/// Receive-buffer capacity in octets (advertised window ceiling).
+const RECV_BUF: usize = 4096;
 /// RTO before any RTT sample.
 const INITIAL_RTO: SimDuration = SimDuration::from_millis(1500);
 /// Lower clamp on the adaptive RTO.
@@ -248,7 +248,6 @@ impl Default for TcpConfig {
         TcpConfig {
             rto: RtoPolicy::Adaptive,
             send_buf: 4096,
-            recv_buf: 4096,
             mss: 536,
         }
     }
@@ -379,7 +378,7 @@ impl Tcb {
                 syn: true,
                 ..TcpFlags::default()
             },
-            window: cfg.recv_buf.min(65535) as u16,
+            window: RECV_BUF.min(65535) as u16,
             mss: Some(cfg.mss),
             payload: Vec::new(),
         };
@@ -445,7 +444,7 @@ impl Tcb {
             rcv_nxt: 0,
             recv_buf: VecDeque::new(),
             peer_fin_seen: false,
-            advertised_wnd: cfg.recv_buf.min(65535) as u16,
+            advertised_wnd: RECV_BUF.min(65535) as u16,
             rtx_deadline: None,
             time_wait_deadline: None,
             srtt: None,
@@ -713,7 +712,7 @@ impl Tcb {
         }
         if !seg.payload.is_empty() {
             if seg.seq == self.rcv_nxt && !self.peer_fin_seen {
-                let room = self.cfg.recv_buf - self.recv_buf.len();
+                let room = RECV_BUF - self.recv_buf.len();
                 let take = seg.payload.len().min(room);
                 self.recv_buf.extend(&seg.payload[..take]);
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
@@ -975,7 +974,7 @@ impl Tcb {
     }
 
     fn window_to_advertise(&mut self) -> u16 {
-        let w = (self.cfg.recv_buf - self.recv_buf.len()).min(65535) as u16;
+        let w = (RECV_BUF - self.recv_buf.len()).min(65535) as u16;
         self.advertised_wnd = w;
         w
     }

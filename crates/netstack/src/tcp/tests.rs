@@ -300,16 +300,21 @@ fn send_bounded_by_send_buffer() {
     assert_eq!(alice.send_capacity(), 0);
 }
 
+/// A sender whose buffer holds twice the peer's receive window.
+fn roomy_sender() -> TcpConfig {
+    TcpConfig {
+        send_buf: 2 * RECV_BUF,
+        ..TcpConfig::default()
+    }
+}
+
 #[test]
 fn sender_respects_peer_window() {
-    let tiny_recv = TcpConfig {
-        recv_buf: 300,
-        ..TcpConfig::default()
-    };
-    let (mut alice, _bob) = pair(TcpConfig::default(), tiny_recv);
-    let (_, ev) = alice.send(SimTime::ZERO, &[0u8; 2000]);
+    let (mut alice, _bob) = pair(roomy_sender(), TcpConfig::default());
+    let (taken, ev) = alice.send(SimTime::ZERO, &[0u8; 2 * RECV_BUF]);
+    assert_eq!(taken, 2 * RECV_BUF);
     let sent: usize = segments(&ev).iter().map(|s| s.payload.len()).sum();
-    assert!(sent <= 300, "sent {sent} > advertised window");
+    assert!(sent <= RECV_BUF, "sent {sent} > advertised window");
 }
 
 #[test]
@@ -368,23 +373,20 @@ fn out_of_order_segment_draws_dup_ack_and_is_dropped() {
 
 #[test]
 fn recv_buffer_overflow_is_not_acked() {
-    let tiny = TcpConfig {
-        recv_buf: 4,
-        ..TcpConfig::default()
-    };
-    let (mut alice, mut bob) = pair(TcpConfig::default(), tiny);
+    let (mut alice, mut bob) = pair(roomy_sender(), TcpConfig::default());
     let now = SimTime::ZERO;
-    // Window is 4, so alice sends only 4 bytes.
-    let (_, ev) = alice.send(now, b"12345678");
+    // Twice the window is queued, so alice sends only the window's worth.
+    let payload: Vec<u8> = (0..2 * RECV_BUF).map(|i| i as u8).collect();
+    let (_, ev) = alice.send(now, &payload);
     let sent: usize = segments(&ev).iter().map(|s| s.payload.len()).sum();
-    assert_eq!(sent, 4);
+    assert_eq!(sent, RECV_BUF);
     settle(now, ev, &mut alice, &mut bob);
     let (data, ev2) = bob.recv(now);
-    assert_eq!(data, b"1234");
+    assert_eq!(data, &payload[..RECV_BUF]);
     // Draining reopens the window; bob announces it.
     let upd = segments(&ev2);
     assert_eq!(upd.len(), 1);
-    assert!(upd[0].window >= 4);
+    assert!(usize::from(upd[0].window) >= RECV_BUF);
 }
 
 // --- RTO behaviour ------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! Measurement primitives used by the experiment harnesses.
 //!
-//! The benchmarks in `crates/bench` reconstruct the paper's qualitative
-//! claims as tables; these types gather the underlying samples: event
-//! counts, latency distributions, and time series for parameter sweeps.
+//! The experiments in `crates/bench` reconstruct the paper's qualitative
+//! claims as tables; these types gather the underlying samples — event
+//! counts and latency distributions — and render aligned text tables.
 
 use std::fmt;
 
@@ -142,114 +142,6 @@ impl Latency {
     }
 }
 
-/// One row of a parameter sweep, as printed by the experiment binaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    /// The x-axis value (offered load, bitrate, hop count…).
-    pub x: f64,
-    /// Named measurements for this x.
-    pub values: Vec<(String, f64)>,
-}
-
-/// A labelled series of sweep rows with aligned-column text rendering.
-///
-/// # Examples
-///
-/// ```
-/// use sim::stats::Sweep;
-///
-/// let mut s = Sweep::new("load");
-/// s.row(0.1).set("throughput", 950.0).set("drops", 0.0);
-/// s.row(0.5).set("throughput", 720.0).set("drops", 12.0);
-/// let text = s.render();
-/// assert!(text.contains("throughput"));
-/// assert!(text.contains("0.50"));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Sweep {
-    x_label: String,
-    rows: Vec<SweepRow>,
-}
-
-/// Builder handle for one [`Sweep`] row.
-pub struct RowBuilder<'a> {
-    row: &'a mut SweepRow,
-}
-
-impl RowBuilder<'_> {
-    /// Sets (or overwrites) a named value on this row.
-    pub fn set(self, name: &str, value: f64) -> Self {
-        if let Some(slot) = self.row.values.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            self.row.values.push((name.to_string(), value));
-        }
-        self
-    }
-}
-
-impl Sweep {
-    /// Creates an empty sweep whose x column is labelled `x_label`.
-    pub fn new(x_label: &str) -> Sweep {
-        Sweep {
-            x_label: x_label.to_string(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row at `x` and returns a builder to fill its columns.
-    pub fn row(&mut self, x: f64) -> RowBuilder<'_> {
-        self.rows.push(SweepRow {
-            x,
-            values: Vec::new(),
-        });
-        RowBuilder {
-            row: self.rows.last_mut().expect("just pushed"),
-        }
-    }
-
-    /// All rows collected so far.
-    pub fn rows(&self) -> &[SweepRow] {
-        &self.rows
-    }
-
-    /// Renders an aligned text table, the format the bench binaries print.
-    pub fn render(&self) -> String {
-        let mut cols: Vec<String> = vec![self.x_label.clone()];
-        for row in &self.rows {
-            for (name, _) in &row.values {
-                if !cols.contains(name) {
-                    cols.push(name.clone());
-                }
-            }
-        }
-        let mut table: Vec<Vec<String>> = vec![cols.clone()];
-        for row in &self.rows {
-            let mut line = vec![format!("{:.2}", row.x)];
-            for col in &cols[1..] {
-                let cell = row
-                    .values
-                    .iter()
-                    .find(|(n, _)| n == col)
-                    .map(|(_, v)| format_value(*v))
-                    .unwrap_or_else(|| "-".to_string());
-                line.push(cell);
-            }
-            table.push(line);
-        }
-        render_table(&table)
-    }
-}
-
-/// Formats a value compactly: integers plainly, fractions with 3 decimals.
-fn format_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 /// Renders rows of cells with aligned columns (two-space gutters).
 pub fn render_table(rows: &[Vec<String>]) -> String {
     if rows.is_empty() {
@@ -310,16 +202,6 @@ mod tests {
         assert_eq!(l.quantile(0.5), None);
         assert_eq!(l.mean(), None);
         assert_eq!(l.count(), 0);
-    }
-
-    #[test]
-    fn sweep_renders_missing_cells() {
-        let mut s = Sweep::new("x");
-        s.row(1.0).set("a", 1.0);
-        s.row(2.0).set("b", 2.0);
-        let text = s.render();
-        assert!(text.contains('-'), "missing cell rendered as dash:\n{text}");
-        assert_eq!(s.rows().len(), 2);
     }
 
     #[test]

@@ -198,23 +198,11 @@ impl SocketHandle {
     }
 }
 
-/// Table-wide tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct SocketConfig {
-    /// How long an active open may sit un-acknowledged before the table
-    /// aborts it and latches [`SockError::TimedOut`]. The TCB itself
-    /// retransmits forever; this is the 4.3BSD 75-second initial
-    /// connection timer.
-    pub connect_timeout: SimDuration,
-}
-
-impl Default for SocketConfig {
-    fn default() -> SocketConfig {
-        SocketConfig {
-            connect_timeout: SimDuration::from_secs(75),
-        }
-    }
-}
+/// How long an active open may sit un-acknowledged before the table
+/// aborts it and latches [`SockError::TimedOut`]. The TCB itself
+/// retransmits forever; this is the 4.3BSD 75-second initial connection
+/// timer.
+pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(75);
 
 #[derive(Debug)]
 struct TcpSlot {
@@ -258,26 +246,12 @@ enum Slot {
 #[derive(Debug, Default)]
 pub struct SocketTable {
     slots: Vec<Slot>,
-    cfg: SocketConfig,
 }
 
 impl SocketTable {
-    /// Creates an empty table with default config.
+    /// Creates an empty table.
     pub fn new() -> SocketTable {
-        SocketTable::with_config(SocketConfig::default())
-    }
-
-    /// Creates an empty table with explicit tunables.
-    pub fn with_config(cfg: SocketConfig) -> SocketTable {
-        SocketTable {
-            slots: Vec::new(),
-            cfg,
-        }
-    }
-
-    /// The table's tunables.
-    pub fn config(&self) -> SocketConfig {
-        self.cfg
+        SocketTable::default()
     }
 
     fn alloc(&mut self, slot: Slot) -> SocketHandle {
@@ -323,7 +297,7 @@ impl SocketTable {
 
     /// Active open to `dst:dst_port`. The handle becomes WRITABLE when
     /// the handshake completes, or ERROR-ready on refusal, an ICMP
-    /// unreachable, or expiry of [`SocketConfig::connect_timeout`].
+    /// unreachable, or expiry of [`CONNECT_TIMEOUT`].
     pub fn connect(
         &mut self,
         st: &mut NetStack,
@@ -337,7 +311,7 @@ impl SocketTable {
             connected: false,
             error: None,
             nonblocking: false,
-            connect_deadline: Some(now + self.cfg.connect_timeout),
+            connect_deadline: Some(now + CONNECT_TIMEOUT),
             shut: false,
         })))
     }

@@ -174,9 +174,7 @@ fn connect_timeout_latches_error_readiness_not_hang() {
     // no ICMP ever comes back (the stack drops no-route traffic
     // silently, and here the gateway simply never answers).
     let (mut st, _ifid) = NetStack::simple_host(ipa(1), 24, 1500, Some(ipa(2)));
-    let mut tbl = SocketTable::with_config(SocketConfig {
-        connect_timeout: SimDuration::from_secs(30),
-    });
+    let mut tbl = SocketTable::new();
     let now = SimTime::ZERO;
     let h = tbl
         .connect(&mut st, now, Ipv4Addr::new(44, 99, 0, 1), 23)
@@ -184,7 +182,7 @@ fn connect_timeout_latches_error_readiness_not_hang() {
     let _ = st.drain_actions(); // the SYN, dropped on the floor
 
     let deadline = tbl.next_deadline().expect("connect timer armed");
-    assert_eq!(deadline, now + SimDuration::from_secs(30));
+    assert_eq!(deadline, now + CONNECT_TIMEOUT);
 
     // Walk time forward the way a host's advance() does: fire stack
     // timers (retransmissions — dropped) and the table deadline.

@@ -28,7 +28,13 @@ cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 echo "==> sharded-engine digest smoke (2 workers vs reference)"
 cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke
 
-echo "==> E1-E18 outputs byte-identical to results/ (E17 checks its acceptance bars on the way)"
-scripts/run_all_experiments.sh --check
+echo "==> E1-E18 and the claims ledger byte-identical to results/; every experiment's claims hold"
+cargo run -q --release -p bench -- --check results
+
+echo "==> EXPERIMENTS.md quotes the claims ledger verbatim"
+if grep -vxFf EXPERIMENTS.md results/claims.txt; then
+    echo "the lines above are in results/claims.txt but not in EXPERIMENTS.md"
+    exit 1
+fi
 
 echo "==> all checks passed"

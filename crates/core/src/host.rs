@@ -32,7 +32,7 @@ use socket::{Readiness, SockError, SocketHandle, SocketTable};
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
 use crate::ifnet::{IfQueue, IFQ_MAXLEN};
-use crate::prdriver::{PacketRadioDriver, PrConfig, PrEvent, AX25_MTU};
+use crate::prdriver::{Discard, PacketRadioDriver, PrConfig, PrEvent, AX25_MTU};
 
 /// Radio interface parameters for a host.
 #[derive(Debug, Clone)]
@@ -402,6 +402,34 @@ impl Host {
         // its own so that anything the driver sends counts, whatever
         // prompted it.
         drv.ifnet.stats.ipackets != accepted || self.outbox.len() != sent
+    }
+
+    /// Whether the radio driver, as it stands, would count and drop the
+    /// frame behind `seal` without anything else happening
+    /// ([`PacketRadioDriver::would_discard`]); `None` without a driver.
+    #[inline]
+    pub fn would_discard(&self, seal: serial::Seal) -> Option<Discard> {
+        self.pr.as_ref()?.1.would_discard(seal)
+    }
+
+    /// [`on_serial_run`](Host::on_serial_run) for the `n` characters of a
+    /// frame [`would_discard`](Host::would_discard) just turned away for
+    /// `why`: the same CPU charge and driver counters, the characters
+    /// unread. Like any run of frames for other stations, not a touch.
+    pub fn on_discarded_run(
+        &mut self,
+        t0: SimTime,
+        char_time: sim::SimDuration,
+        n: usize,
+        why: Discard,
+    ) {
+        if self.down {
+            return;
+        }
+        self.cpu.charge_chars_paced(t0, char_time, n as u64);
+        if let Some((_, drv)) = &mut self.pr {
+            drv.rint_discarded(n, why);
+        }
     }
 
     /// Receives a frame from the Ethernet segment (DMA: packet cost only).
@@ -1180,6 +1208,85 @@ mod tests {
         // A host with no radio driver only ever pays the interrupts.
         let mut bare = Host::new(HostConfig::named("bare"));
         assert!(!run(&mut bare, &text.encode()));
+    }
+
+    /// Judge once: for every frame the address test turns away, taking it
+    /// as its seal leaves the host exactly where reading it would — CPU,
+    /// driver, deframer and interface counters — and every other frame,
+    /// or a deframer holding half a frame, is declined.
+    #[test]
+    fn a_discarded_run_costs_what_reading_it_costs() {
+        use crate::prdriver::{seal, Discard};
+        use ax25::frame::FrameHeader;
+        let ct = sim::SimDuration::from_micros(1042);
+        let ip = vec![0x45; 40];
+        let ui = |to: &str| Frame::ui(a(to), a("N7AKR-1"), Pid::Ip, ip.clone());
+        let junk = ui("KB7DZ").encode()[..10].to_vec();
+        let frames = [
+            (ui("W1GOH").encode(), Some(Discard::NotForUs)),
+            (ui("KB7DZ").encode(), None),
+            (
+                ui("KB7DZ").via(&[a("RELAY")]).encode(),
+                Some(Discard::NotRepeated),
+            ),
+            (junk, Some(Discard::Bad)),
+            (ui("QST").encode(), None),
+            (ui("CHAT").encode(), Some(Discard::NotForUs)),
+        ];
+        let state = |h: &Host| {
+            let drv = h.pr_driver().unwrap();
+            format!(
+                "{:?} {:?} {:?} {:?} {:?} {} {:?}",
+                h.cpu.stats(),
+                h.cpu.busy_until(),
+                drv.stats(),
+                drv.deframer_stats(),
+                drv.ifnet.stats,
+                h.input_queue_len(),
+                h.next_deadline(),
+            )
+        };
+        let mut read = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+        let mut sealed = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+        let mut t = SimTime::ZERO;
+        let mut deliver = |read: &mut Host, sealed: &mut Host, ax25: &[u8]| {
+            t += sim::SimDuration::from_millis(300);
+            let wire = kiss::encode(0, kiss::Command::Data, ax25);
+            let verdict = sealed.would_discard(seal(FrameHeader::peek(ax25).ok().as_ref()));
+            match verdict {
+                Some(why) => sealed.on_discarded_run(t, ct, wire.len(), why),
+                None => assert!(sealed.on_serial_run(t, ct, &wire)),
+            }
+            assert_eq!(read.on_serial_run(t, ct, &wire), verdict.is_none());
+            assert_eq!(state(sealed), state(read));
+            verdict
+        };
+        for (ax25, expect) in &frames {
+            assert_eq!(deliver(&mut read, &mut sealed, ax25), *expect);
+        }
+        let s = sealed.pr_driver().unwrap().stats();
+        assert_eq!((s.not_for_us, s.not_repeated, s.bad_frames), (2, 1, 1));
+        // The verdict is the driver's as configured at delivery.
+        for h in [&mut read, &mut sealed] {
+            h.pr_driver_mut().unwrap().add_broadcast_addr(a("CHAT"));
+        }
+        assert_eq!(deliver(&mut read, &mut sealed, &frames[5].0), None);
+        // Mid-frame nothing is discarded unseen: the bytes close the half.
+        let other = kiss::encode(0, kiss::Command::Data, &frames[0].0);
+        let not_for_us = seal(FrameHeader::peek(&frames[0].0).ok().as_ref());
+        t += sim::SimDuration::from_secs(1);
+        sealed.on_serial_run(t, ct, &other[..20]);
+        assert_eq!(sealed.would_discard(not_for_us), None);
+        sealed.on_serial_run(t + ct * 20, ct, &other[20..]);
+        assert_eq!(sealed.would_discard(not_for_us), Some(Discard::NotForUs));
+        // A dark host takes nothing either way.
+        sealed.set_down(true);
+        let before = state(&sealed);
+        sealed.on_discarded_run(t, ct, other.len(), Discard::NotForUs);
+        assert_eq!(state(&sealed), before);
+        // No driver, no verdict.
+        let bare = Host::new(HostConfig::named("bare"));
+        assert_eq!(bare.would_discard(not_for_us), None);
     }
 
     #[test]

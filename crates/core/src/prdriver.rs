@@ -25,6 +25,7 @@ use filter::{FilterEngine, PacketMeta};
 use kiss::{Command, Deframer};
 use netstack::arp::{hw_type, ArpPacket};
 use netstack::ip::Ipv4Packet;
+use serial::Seal;
 use sim::{BufPool, FrameSink, PoolStats, SimTime};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -90,6 +91,36 @@ pub struct PrStats {
     /// Outbound IP packets dropped by the packet-filter engine before
     /// ARP resolution.
     pub filter_drop_out: u64,
+}
+
+/// Why the §2.2 address test turns a frame away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Discard {
+    /// Not a decodable AX.25 frame.
+    Bad,
+    /// Still carrying an untraversed digipeater path.
+    NotRepeated,
+    /// Addressed to neither our callsign nor a broadcast address.
+    NotForUs,
+}
+
+/// [`Seal`] flag: the header peek succeeded.
+const SEAL_PEEKED: u8 = 1;
+/// [`Seal`] flag: every digipeater hop has been traversed.
+const SEAL_REPEATED: u8 = 2;
+
+/// Packs what the §2.2 address test needs of a frame's peeked header
+/// (`None`: the peek failed) into a [`Seal`]: the destination's callsign
+/// and SSID, then the two flags. A pure function of the frame's bytes —
+/// nothing of the station that will judge it.
+pub fn seal(header: Option<&FrameHeader>) -> Seal {
+    let mut octets = [0; 8];
+    if let Some(hdr) = header {
+        octets[..6].copy_from_slice(hdr.dest.call.as_bytes());
+        octets[6] = hdr.dest.ssid;
+        octets[7] = SEAL_PEEKED | if hdr.fully_repeated { SEAL_REPEATED } else { 0 };
+    }
+    Seal(octets)
 }
 
 /// What `rint` hands the rest of the kernel when a frame completes.
@@ -182,6 +213,11 @@ impl PacketRadioDriver {
     /// Driver counters.
     pub fn stats(&self) -> PrStats {
         self.stats
+    }
+
+    /// The KISS deframer's counters.
+    pub fn deframer_stats(&self) -> kiss::DeframerStats {
+        self.deframer.stats()
     }
 
     /// The driver's ARP engine (for static digipeater-path entries, per
@@ -277,6 +313,59 @@ impl PacketRadioDriver {
         self.deframer = deframer;
     }
 
+    /// The §2.2 address test, on what [`seal`] keeps of a frame: the
+    /// recipient callsign must be *"either its own, or the broadcast
+    /// address"*, and a frame still being digipeated is not ours to
+    /// consume even if our callsign is the final destination.
+    fn address_test(&self, seal: Seal) -> Option<Discard> {
+        let [call @ .., ssid, flags] = seal.0;
+        if flags & SEAL_PEEKED == 0 {
+            return Some(Discard::Bad);
+        }
+        if flags & SEAL_REPEATED == 0 {
+            return Some(Discard::NotRepeated);
+        }
+        let is_dest = |a: &Ax25Addr| *a.call.as_bytes() == call && a.ssid == ssid;
+        let for_us = is_dest(&self.cfg.my_call) || self.cfg.broadcast.iter().any(is_dest);
+        (!for_us).then_some(Discard::NotForUs)
+    }
+
+    fn count_discard(&mut self, why: Discard) {
+        match why {
+            Discard::Bad => {
+                self.stats.bad_frames += 1;
+                self.ifnet.stats.ierrors += 1;
+            }
+            Discard::NotRepeated => self.stats.not_repeated += 1,
+            Discard::NotForUs => self.stats.not_for_us += 1,
+        }
+    }
+
+    /// Whether the data frame behind `seal`, arriving whole right now,
+    /// would do nothing but be counted and dropped — and why: the
+    /// deframer holds no part of an earlier frame, and the address test
+    /// turns this one away. Asked at delivery, of the driver as it is
+    /// configured then.
+    #[inline]
+    pub fn would_discard(&self, seal: Seal) -> Option<Discard> {
+        if !self.deframer.at_rest() {
+            return None;
+        }
+        self.address_test(seal)
+    }
+
+    /// Takes the `n` serial characters of a frame that
+    /// [`would_discard`](PacketRadioDriver::would_discard) just turned
+    /// away, without reading them: every counter
+    /// [`rint_slice`](PacketRadioDriver::rint_slice) moves for such a
+    /// frame moves here.
+    pub fn rint_discarded(&mut self, n: usize, why: Discard) {
+        self.stats.rint_chars += n as u64;
+        self.deframer.skip_frame(n);
+        self.stats.frames_in += 1;
+        self.count_discard(why);
+    }
+
     /// Classifies one completed KISS frame: the §2.2 address filter and
     /// PID demultiplex shared by the per-character and batched handlers.
     fn classify_frame(
@@ -290,25 +379,12 @@ impl PacketRadioDriver {
         }
         self.stats.frames_in += 1;
         let payload = kiss_frame.payload;
-        let hdr = match FrameHeader::peek(payload) {
-            Ok(h) => h,
-            Err(_) => {
-                self.stats.bad_frames += 1;
-                self.ifnet.stats.ierrors += 1;
-                return None;
-            }
-        };
-        // A frame still being digipeated is not ours to consume even if
-        // our callsign is the final destination.
-        if !hdr.fully_repeated {
-            self.stats.not_repeated += 1;
+        let hdr = FrameHeader::peek(payload);
+        if let Some(why) = self.address_test(seal(hdr.as_ref().ok())) {
+            self.count_discard(why);
             return None;
         }
-        let for_us = hdr.dest == self.cfg.my_call || self.cfg.broadcast.contains(&hdr.dest);
-        if !for_us {
-            self.stats.not_for_us += 1;
-            return None;
-        }
+        let hdr = hdr.expect("a failed peek is discarded as Bad");
         self.ifnet.stats.ipackets += 1;
         match hdr.pid {
             Some(Pid::Ip) => {

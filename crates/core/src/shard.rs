@@ -31,7 +31,7 @@ use radio::channel::{Channel, Heard};
 use radio::digi::Digipeater;
 use radio::tnc::Tnc;
 use radio::traffic::BeaconStation;
-use serial::{End, SerialLine};
+use serial::{End, Seal, SerialLine};
 use sim::mailbox::Mailbox;
 use sim::sched::{Scheduler, SlotKey};
 use sim::trace::Trace;
@@ -659,7 +659,9 @@ impl ShardData {
 
     /// Delivers every character of line `li` due at or before `upto`, in
     /// both directions, as line-paced runs through the receivers' closed
-    /// forms — the one indexed delivery path (DESIGN.md §6). Returns
+    /// forms — the one indexed delivery path (DESIGN.md §6). A run that is
+    /// one sealed frame the host would only count and drop is handed over
+    /// as that verdict, uncopied (judge once). Returns
     /// whether the host end was observably touched (`Host::on_serial_run`:
     /// frames for other stations are not a touch) and whether the TNC end
     /// received anything. The clock never lags a delivered character
@@ -671,17 +673,32 @@ impl ShardData {
         }
         let char_time = self.lines[li].char_time();
         let mut run = std::mem::take(&mut self.run_scratch);
-        while let Some(info) = self.lines[li].take_run(End::A, upto, &mut run) {
+        let hi = self.line_host[li];
+        let mut why = None;
+        while let Some(info) = {
+            let host = hi.map(|hi| &self.hosts[hi].host);
+            self.lines[li].take_run(End::A, upto, &mut run, |seal| {
+                why = host.and_then(|h| h.would_discard(seal));
+                why.is_some()
+            })
+        } {
             self.now = self.now.max(info.t_last);
-            self.sched.stats_mut().batched_chars += run.len() as u64;
-            if let Some(hi) = self.line_host[li] {
-                got.0 |= self.hosts[hi].host.on_serial_run(info.t0, char_time, &run);
+            let stats = self.sched.stats_mut();
+            stats.batched_chars += info.len as u64;
+            let Some(hi) = hi else { continue };
+            let host = &mut self.hosts[hi].host;
+            match why.take() {
+                Some(why) => {
+                    stats.sealed_runs += 1;
+                    host.on_discarded_run(info.t0, char_time, info.len, why);
+                }
+                None => got.0 |= host.on_serial_run(info.t0, char_time, &run),
             }
         }
-        while let Some(info) = self.lines[li].take_run(End::B, upto, &mut run) {
+        while let Some(info) = self.lines[li].take_run(End::B, upto, &mut run, |_| false) {
             got.1 = true;
             self.now = self.now.max(info.t_last);
-            self.sched.stats_mut().batched_chars += run.len() as u64;
+            self.sched.stats_mut().batched_chars += info.len as u64;
             if let Some(ti) = self.line_tnc[li] {
                 self.tncs[ti].tnc.on_serial_bytes(&run);
             }
@@ -1058,8 +1075,12 @@ impl ShardData {
 
     /// Completes every transmission on channel `chan` due by `now` and
     /// hands each to the stations in range: one `Heard` per transmission,
-    /// whose on-air bytes, FCS verdict and KISS encoding every listener
-    /// shares. Returns whether anyone heard anything.
+    /// whose on-air bytes, FCS verdict, header and KISS encoding every
+    /// listener shares. Under the indexed engine a frame goes up each
+    /// line sealed with what the address test needs of that header
+    /// (DESIGN.md §6, judge once); the reference stepper delivers per
+    /// character and sends bytes alone. Returns whether anyone heard
+    /// anything.
     fn hear_channel(&mut self, now: SimTime, chan: usize) -> bool {
         let mut any = false;
         let mut heard = std::mem::take(&mut self.heard);
@@ -1084,7 +1105,14 @@ impl ShardData {
                     Some(Listener::Tnc(i)) => {
                         let li = self.tncs[i].line;
                         let tnc = &mut self.tncs[i].tnc;
-                        if let Some(bytes) = tnc.on_reception(&mut heard, corrupted) {
+                        if tnc.on_reception(&mut heard, corrupted).is_none() {
+                            continue;
+                        }
+                        let seal = match self.mode {
+                            Mode::Indexed => seal_of(&mut heard),
+                            Mode::Scan => None,
+                        };
+                        if let Some(bytes) = heard.kiss() {
                             if self.trace.is_enabled() {
                                 self.trace.record(
                                     now,
@@ -1093,7 +1121,10 @@ impl ShardData {
                                     format!("passed {}B frame up the serial line", bytes.len()),
                                 );
                             }
-                            self.lines[li].send(now, End::B, bytes);
+                            match seal {
+                                Some(seal) => self.lines[li].send_sealed(now, End::B, bytes, seal),
+                                None => self.lines[li].send(now, End::B, bytes),
+                            }
                             self.reg(Key::Line(li), self.lines[li].next_boundary());
                         }
                     }
@@ -1213,6 +1244,17 @@ impl ShardData {
         }
         progressed
     }
+}
+
+/// The seal `heard`'s KISS encoding goes up a serial line under: what the
+/// address test needs of its header. `None` for a body the receiving
+/// deframer does not turn into exactly one frame — an empty one is a KISS
+/// idle, one past the length cap is dropped as oversize.
+fn seal_of(heard: &mut Heard) -> Option<Seal> {
+    let len = heard.body()?.len();
+    (1..=kiss::Deframer::DEFAULT_MAX_LEN)
+        .contains(&len)
+        .then(|| crate::prdriver::seal(heard.header()))
 }
 
 /// The one unsafe island in the workspace: a heap-pinned shard cell that

@@ -280,7 +280,8 @@ impl World {
     }
 
     /// Scheduler work counters (pops, re-keys, tombstone skips, component
-    /// polls, instants, batched serial characters), summed over shards.
+    /// polls, instants, batched serial characters, sealed runs), summed
+    /// over shards.
     pub fn sched_stats(&self) -> SchedStats {
         let mut total = SchedStats::default();
         for sb in &self.shards {
@@ -292,6 +293,7 @@ impl World {
             total.polled += s.polled;
             total.instants += s.instants;
             total.batched_chars += s.batched_chars;
+            total.sealed_runs += s.sealed_runs;
         }
         total
     }

@@ -9,6 +9,8 @@
 //! found carrier, and the dirty-set engine deliberately polls less often;
 //! it is excluded from the comparison (no other code reads it).
 
+mod common;
+
 use ax25::addr::Ax25Addr;
 use gateway::cpu::CpuConfig;
 use gateway::host::{Host, HostConfig, RadioIfConfig};
@@ -493,22 +495,9 @@ impl LockStep {
         self.radio_hosts().iter().map(delivered).sum()
     }
 
-    /// The §3 accounting of every radio host — `(rint_chars, frames_in,
-    /// bad_frames, char_interrupts, busy_ns)` — which catch-up on touch
-    /// and the exit flush must keep exact.
-    fn char_accounting(&self) -> Vec<(u64, u64, u64, u64, u64)> {
-        let of = |h: &HostId| {
-            let host = self.s.world.host(*h);
-            let cpu = host.cpu.stats();
-            let pr = host.pr_driver().expect("radio host").stats();
-            (
-                pr.rint_chars,
-                pr.frames_in,
-                pr.bad_frames,
-                cpu.char_interrupts,
-                cpu.busy_ns,
-            )
-        };
+    /// The §3 accounting of every radio host.
+    fn char_accounting(&self) -> Vec<[u64; 9]> {
+        let of = |h: &HostId| common::char_accounting(self.s.world.host(*h));
         self.radio_hosts().iter().map(of).collect()
     }
 
@@ -832,6 +821,111 @@ fn mutations_between_run_calls_match_reference() {
         assert_eq!(got, want, "indexed differs at the end of chunk {k}");
     }
     assert_eq!(indexed, reference, "indexed engine diverged from reference");
+}
+
+/// Judge once (DESIGN.md §6): under the indexed engine a frame goes up a
+/// promiscuous listener's line sealed, and a host that would only count
+/// and drop it takes the seal for the bytes. Here two stations that sense
+/// no carrier put one frame of every kind on the paper topology's channel
+/// — for the gateway and past it, decodable and not, chained so that
+/// they travel the 2400 Bd lines back to back — the PC pings the gateway
+/// through it all, and the gateway loses power in the middle of one
+/// frame and finds it again in the middle of the next. 40 chunks, so
+/// exit flushes split frames wherever they fall: events and the §3
+/// accounting equal the reference stepper's at every chunk end.
+#[test]
+fn discarded_frames_of_every_kind_match_reference() {
+    const CHUNKS: usize = 40;
+    let chunk = SimDuration::from_micros(1_513_700);
+    let run = |driver: Driver| {
+        let cfg = PaperConfig {
+            serial_baud: 2400,
+            acl: false,
+            ..PaperConfig::default()
+        };
+        let mut s = scenario::paper_topology(cfg, 73);
+        let gw_call = s.world.host(s.gw).callsign().expect("radio host");
+        let f = common::mixed(gw_call);
+        let chan = s.world.channel_mut(s.chan);
+        let talker = chan.add_station();
+        let times = [7_700, 20_000, 58_000].map(SimTime::from_millis).to_vec();
+        let dst = scenario::GW_RADIO_IP;
+        s.world
+            .add_app(s.pc, Box::new(ScriptedPinger { dst, times, seq: 0 }));
+        let mut ends = Vec::new();
+        let mut split_frames = 0;
+        for k in 0..CHUNKS {
+            let w = &mut s.world;
+            let now = w.now;
+            let on_air = |w: &mut World, frames: &[&[u8]]| {
+                common::transmit_chain(w.channel_mut(s.chan), talker, now, frames);
+            };
+            let gw_mid_frame = |w: &World| {
+                let line = w.host_serial_line(s.gw).expect("gw line");
+                line.tx_backlog(End::B) > 20
+            };
+            match k {
+                1 => on_air(w, &[&f.other, &f.junk, &f.empty, &f.qst]),
+                4 => on_air(w, &[&f.relayed, &f.specials]),
+                10 => on_air(w, &[&f.other]),
+                11 => {
+                    assert!(gw_mid_frame(w), "power goes in the middle of a frame");
+                    w.host_mut(s.gw).set_down(true);
+                    on_air(w, &[&f.other]);
+                }
+                12 => {
+                    assert!(gw_mid_frame(w), "and comes back in the middle of one");
+                    w.host_mut(s.gw).set_down(false);
+                }
+                18 => on_air(w, &[&f.just_fits]),
+                26 => on_air(w, &[&f.oversize]),
+                34 => on_air(w, &[&f.qst, &f.junk, &f.relayed, &f.other, &f.empty]),
+                37 => on_air(w, &[&f.specials, &f.relayed]),
+                _ => {}
+            }
+            driver.run_for(w, chunk);
+            let events: Vec<String> = (w.take_events().iter())
+                .map(|(h, t, e)| format!("{h:?} {t} {e:?}"))
+                .collect();
+            let accounting = [s.pc, s.gw].map(|h| common::char_accounting(w.host(h)));
+            ends.push(format!("{accounting:?}\n{}", events.join("\n")));
+            split_frames += usize::from(gw_mid_frame(w));
+        }
+        let gw = s.world.host(s.gw).pr_driver().expect("radio host");
+        let (drv, kiss) = (gw.stats(), gw.deframer_stats());
+        let sealed_runs = s.world.sched_stats().sealed_runs;
+        let fp = fingerprint(
+            &mut s.world,
+            &[s.pc_tnc, s.gw_tnc],
+            &[],
+            &[],
+            &[s.chan],
+            &[s.pc, s.gw, s.ether_host],
+        );
+        (ends, fp, drv, kiss, split_frames, sealed_runs)
+    };
+    let (ref_ends, reference, drv, kiss, split_frames, sealed_runs) = run(Driver::Reference);
+    assert_eq!(sealed_runs, 0, "the reference stepper never seals");
+    // Every kind reached the gateway's driver, and chunk ends split frames.
+    assert!(drv.ip_in >= 2 && drv.diverted >= 2, "{drv:?}");
+    assert!(drv.not_for_us >= 4 && drv.not_repeated >= 3, "{drv:?}");
+    assert!(
+        drv.bad_frames >= 3 && kiss.oversize == 1,
+        "{drv:?} {kiss:?}"
+    );
+    assert!(split_frames >= 8, "{split_frames} chunk ends mid-frame");
+    let (ends, indexed, _, _, _, sealed_runs) = run(Driver::Indexed);
+    for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+        assert_eq!(got, want, "indexed differs at the end of chunk {k}");
+    }
+    assert_eq!(indexed, reference, "indexed engine diverged from reference");
+    // Both listeners discard most of it, and most of that unseen: the
+    // rest are the frames a chunk end or the power cycle split.
+    let discarded = 2 * (drv.not_for_us + drv.not_repeated + drv.bad_frames);
+    assert!(
+        sealed_runs * 10 >= discarded * 6,
+        "{sealed_runs} sealed runs for some {discarded} discarded frames"
+    );
 }
 
 /// An app whose poll raises a stack event synchronously (it aborts its

@@ -6,6 +6,8 @@
 //! under test, including its merge order and its no-reallocation warm
 //! ring.
 
+mod common;
+
 use ax25::addr::Ax25Addr;
 use gateway::host::{Host, HostConfig, RadioIfConfig};
 use gateway::scenario::{self, city};
@@ -528,6 +530,103 @@ fn mutations_between_run_calls_match_reference() {
         }
         assert_eq!(fp, reference, "{driver:?} diverged from reference");
     }
+}
+
+/// Judge once on the mesh (DESIGN.md §6; the single-shard suite's
+/// `discarded_frames_of_every_kind_match_reference`, sharded): a station
+/// on each island keys up chains of frames of every kind — for the
+/// island's gateway and past it, decodable and not — under the
+/// cross-island pings, in 24 chunks whose ends split frames. Events and
+/// every radio host's §3 accounting equal the reference stepper's at each
+/// chunk end on one worker and on two, and the sealed runs are the same
+/// runs whoever steps the shards.
+#[test]
+fn mixed_traffic_on_the_mesh_matches_reference() {
+    const CHUNKS: usize = 24;
+    // 6.85 s on the air is 3.24 chunks and 1.07 s up a 9600 Bd line half a
+    // chunk more: the two longest bodies go up whole, which is what tells
+    // the length guard's two sides apart (mutants/06).
+    let chunk = SimDuration::from_micros(2_113_300);
+    let run = |driver: Driver| {
+        let mut m = scenario::mesh(4, 2, 47);
+        for (g, i, to) in [(0, 0, (2, 1)), (1, 1, (0, 0)), (3, 0, (1, 0))] {
+            let times = [3_300, 23_000].map(SimTime::from_millis).to_vec();
+            let dst = city::host_ip(to.0, to.1);
+            let app = ScriptedPinger { dst, times, seq: 0 };
+            m.world.add_app(m.hosts[g][i], Box::new(app));
+        }
+        let mut talkers = Vec::new();
+        let mut frames = Vec::new();
+        for (g, &ch) in m.channels.iter().enumerate() {
+            talkers.push(m.world.channel_mut(ch).add_station());
+            frames.push(common::mixed(Ax25Addr::parse_or_panic(&city::gw_call(g))));
+        }
+        let mut ends = Vec::new();
+        for k in 0..CHUNKS {
+            // Island k mod 4 hears a chain; which one turns with k.
+            let g = k % 4;
+            let f = &frames[g];
+            let chain: &[&[u8]] = match k / 4 {
+                0 => &[&f.other, &f.junk, &f.empty, &f.qst],
+                1 => &[&f.relayed, &f.specials, &f.junk],
+                2 if g == 1 => &[&f.just_fits],
+                2 if g == 2 => &[&f.oversize],
+                4 => &[&f.qst, &f.other, &f.empty, &f.relayed],
+                _ => &[],
+            };
+            let now = m.world.now;
+            if !chain.is_empty() {
+                common::transmit_chain(m.world.channel_mut(m.channels[g]), talkers[g], now, chain);
+            }
+            driver.run_until(&mut m.world, now + chunk);
+            let mut end = String::new();
+            for (h, t, e) in m.world.take_events() {
+                end.push_str(&format!("{h:?} {t} {e:?}\n"));
+            }
+            for &h in m.gateways.iter().chain(m.hosts.iter().flatten()) {
+                let accounting = common::char_accounting(m.world.host(h));
+                end.push_str(&format!("{h:?} {accounting:?}\n"));
+            }
+            ends.push(end);
+        }
+        let discards: u64 = (m.gateways.iter().chain(m.hosts.iter().flatten()))
+            .map(|&h| {
+                let s = m.world.host(h).pr_driver().expect("radio host").stats();
+                s.not_for_us + s.not_repeated + s.bad_frames
+            })
+            .sum();
+        let sealed_runs = m.world.sched_stats().sealed_runs;
+        let fp = fingerprint(
+            &mut m.world,
+            &m.gateways,
+            m.internet_host,
+            &m.hosts,
+            &m.channels,
+        );
+        (ends, fp, discards, sealed_runs)
+    };
+    let (ref_ends, reference, discards, sealed_runs) = run(Driver::Reference);
+    let log = ref_ends.concat();
+    assert!(log.contains("PingReply"), "traffic must flow:\n{log}");
+    assert!(discards > 60, "{discards} frames discarded");
+    assert_eq!(sealed_runs, 0, "the reference stepper never seals");
+    let mut sealed = Vec::new();
+    for driver in [Driver::Workers(1), Driver::Workers(2)] {
+        let (ends, fp, _, sealed_runs) = run(driver);
+        for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+            assert_eq!(got, want, "{driver:?} differs at the end of chunk {k}");
+        }
+        assert_eq!(fp, reference, "{driver:?} diverged from reference");
+        sealed.push(sealed_runs);
+    }
+    assert_eq!(sealed[0], sealed[1]);
+    // All but each line's first frame (a fresh line's leading FEND is a
+    // run of its own) and the frames a chunk end split.
+    assert!(
+        sealed[0] * 10 >= discards * 7,
+        "{} sealed runs for {discards} discarded frames",
+        sealed[0]
+    );
 }
 
 /// Engine self-telemetry: the coordinator's counters are functions of

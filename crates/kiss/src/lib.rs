@@ -592,6 +592,34 @@ impl Deframer {
         })
     }
 
+    /// True when nothing of an earlier frame can leak into the next one:
+    /// the decoder is discarding up to the next `FEND`, or is open with
+    /// nothing buffered. A whole frame arriving now — leading `FEND`
+    /// included — is deframed exactly as a new decoder would.
+    #[inline]
+    pub fn at_rest(&self) -> bool {
+        match self.state {
+            State::Hunt | State::Drop => true,
+            State::Open => self.buf.is_empty() || self.pending_reset,
+            State::Escape => false,
+        }
+    }
+
+    /// Consumes, unseen, `n` characters the caller knows to be one whole
+    /// data frame as [`encode`] writes it — `FEND`, type byte, 1 to
+    /// `max_len` payload octets escaped, `FEND` — arriving
+    /// [`at_rest`](Deframer::at_rest): the counters and the state
+    /// [`push_slice`](Deframer::push_slice) would leave, and no frame
+    /// handed out, because the caller has already decided to discard it.
+    pub fn skip_frame(&mut self, n: usize) {
+        debug_assert!(self.at_rest(), "a partial frame would be lost");
+        self.stats.bytes += n as u64;
+        self.stats.frames += 1;
+        self.state = State::Open;
+        self.pending_reset = false;
+        self.buf.clear();
+    }
+
     /// Decoder statistics so far.
     pub fn stats(&self) -> DeframerStats {
         self.stats
@@ -662,6 +690,66 @@ mod tests {
             assert_eq!(frames[0].command, cmd);
             assert_eq!(frames[0].payload, vec![v]);
         }
+    }
+
+    #[test]
+    fn skipping_a_frame_at_rest_leaves_what_deframing_it_leaves() {
+        let frame = encode(0, Command::Data, &[1, FEND, 2, FESC, 3]);
+        let next = encode(0, Command::Data, b"next");
+        let oversize = encode(0, Command::Data, &[0; Deframer::DEFAULT_MAX_LEN + 1]);
+        // Every way of being at rest: fresh, noise before any FEND, a
+        // frame just closed (by `push` and by `push_slice`), a dropped
+        // oversize frame, a bad command awaiting its FEND.
+        let preludes: [&[u8]; 5] = [
+            b"",
+            b"noise",
+            &next,
+            &oversize[..oversize.len() - 1],
+            &[FEND, 0x0B, 1, 2],
+        ];
+        for (k, prelude) in preludes.iter().enumerate() {
+            for per_byte in [false, true] {
+                let mut read = Deframer::new();
+                if per_byte {
+                    for &b in prelude.iter() {
+                        let _ = read.push(b);
+                    }
+                } else {
+                    read.push_slice(prelude, |_, _| {});
+                }
+                if k == 4 {
+                    // Mid-frame is not rest; the closing FEND gets there.
+                    assert!(!read.at_rest());
+                    read.push_slice(&[FEND], |_, _| {});
+                }
+                assert!(read.at_rest(), "prelude {k}");
+                let mut skipped = read.clone();
+                let mut frames = 0;
+                read.push_slice(&frame, |_, _| frames += 1);
+                skipped.skip_frame(frame.len());
+                assert_eq!(frames, 1);
+                assert_eq!(skipped.stats(), read.stats(), "prelude {k}");
+                assert!(skipped.at_rest() && read.at_rest() && !skipped.in_frame());
+                // And the stream goes on the same, split mid-escape or not.
+                for cut in [3, next.len()] {
+                    let (mut a, mut b) = (read.clone(), skipped.clone());
+                    let mut got = [Vec::new(), Vec::new()];
+                    for (d, got) in [&mut a, &mut b].into_iter().zip(&mut got) {
+                        d.push_slice(&next[..cut], |i, f| got.push((i, f.to_owned())));
+                        d.push_slice(&next[cut..], |i, f| got.push((i, f.to_owned())));
+                    }
+                    assert_eq!(got[0], got[1]);
+                    assert_eq!(got[0].len(), 1);
+                    assert_eq!(a.stats(), b.stats());
+                }
+            }
+        }
+        // Half a frame, or half an escape, is not rest.
+        let mut d = Deframer::new();
+        d.push_slice(&frame[..3], |_, _| {});
+        assert!(!d.at_rest());
+        d.push_slice(&frame[3..4], |_, _| {});
+        assert!(frame[3] == FESC && !d.at_rest());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! A completed transmission is handed out **once**, as a [`Heard`]: the
 //! on-air bytes plus the list of stations in range, each with its own
 //! corrupted flag. What every clean listener would compute identically —
-//! the FCS check and the KISS encoding a TNC passes up its serial line —
-//! is computed once on the `Heard` and shared.
+//! the FCS check, the AX.25 header and the KISS encoding a TNC passes up
+//! its serial line — is computed once on the `Heard` and shared.
 
 use ax25::fcs::verify_and_strip_fcs;
+use ax25::frame::FrameHeader;
 use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
 /// Identifies a station attached to a [`Channel`].
@@ -40,6 +41,9 @@ pub struct Heard {
     fcs_ok: Option<bool>,
     /// The KISS data frame carrying [`Heard::body`]; empty until asked for.
     kiss: Vec<u8>,
+    /// [`FrameHeader::peek`] of the body, once someone asked (`None`
+    /// inside: it is not AX.25).
+    header: Option<Option<FrameHeader>>,
 }
 
 impl Heard {
@@ -93,6 +97,16 @@ impl Heard {
     pub fn body(&mut self) -> Option<&[u8]> {
         let n = self.body_len()?;
         Some(&self.data[..n])
+    }
+
+    /// The body's AX.25 header (peeked on the first call), `None` on a bad
+    /// FCS or a body that is not a decodable frame.
+    pub fn header(&mut self) -> Option<&FrameHeader> {
+        let n = self.body_len()?;
+        let body = &self.data[..n];
+        self.header
+            .get_or_insert_with(|| FrameHeader::peek(body).ok())
+            .as_ref()
     }
 
     /// The KISS data frame a TNC sends up its serial line for this
@@ -321,6 +335,7 @@ impl Channel {
         std::mem::swap(&mut heard.data, &mut self.txs[i].data);
         heard.fcs_ok = None;
         heard.kiss.clear();
+        heard.header = None;
         heard.listeners.clear();
         for listener in 0..self.hears.len() {
             let lid = StationId(listener);
@@ -491,12 +506,25 @@ mod tests {
             heard.kiss().unwrap(),
             kiss::encode(0, kiss::Command::Data, b"some frame body")
         );
+        assert!(heard.header().is_none(), "a good FCS over no AX.25 frame");
         assert!(!c.hear_next(end, &mut heard), "one Heard per transmission");
         // Refilling the same Heard forgets the previous verdict and bytes.
         let end = c.transmit(end, a, b"no fcs on this one".to_vec(), SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard));
         assert_eq!(heard.listeners().len(), 3);
         assert!(heard.body().is_none() && heard.kiss().is_none());
+        assert!(heard.header().is_none());
+        // ...and the previous header: every listener is handed one peek.
+        let (dest, src) = ("W1GOH-2".parse().unwrap(), "KB7DZ".parse().unwrap());
+        let frame = ax25::frame::Frame::ui(dest, src, ax25::frame::Pid::Text, b"hi".to_vec());
+        let mut on_air = frame.encode();
+        ax25::fcs::append_fcs(&mut on_air);
+        let end = c.transmit(end, a, on_air, SimDuration::ZERO);
+        assert!(c.hear_next(end, &mut heard));
+        let peeked = *heard.header().expect("a UI frame");
+        assert_eq!(Ok(peeked), FrameHeader::peek(heard.body().unwrap()));
+        assert_eq!((peeked.dest, peeked.fully_repeated), (dest, true));
+        assert_eq!(heard.header(), Some(&peeked));
     }
 
     #[test]

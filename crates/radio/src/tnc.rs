@@ -452,6 +452,39 @@ mod tests {
         assert_eq!(b.mode(), RxMode::AddressFilter);
     }
 
+    /// The filter decodes the destination and nothing else — "exactly
+    /// what cheap TNC firmware could check" — so a body with a good FCS
+    /// and a good destination that is no AX.25 frame past it is
+    /// `filtered` or passed up like any other, and `undecodable` counts
+    /// only unreadable destinations. The shared header peek
+    /// ([`Heard::header`]) rejects all three bodies and must not leak
+    /// into these counters, whoever asked for it first.
+    #[test]
+    fn address_filter_counts_by_destination_alone() {
+        let heard_with = |body: &[u8]| {
+            let mut on_air = body.to_vec();
+            append_fcs(&mut on_air);
+            Heard::new(StationId(0), SimTime::ZERO, on_air)
+        };
+        let truncated = |dest: &str| addr(dest).encode(false, false).to_vec();
+        for peek_first in [false, true] {
+            let (_ch, _a, mut b, _rng) = setup(RxMode::AddressFilter);
+            for (body, passed) in [
+                (truncated("ZZZ"), false),
+                (truncated("BBB"), true),
+                (vec![0xFF; 7], false),
+            ] {
+                let mut heard = heard_with(&body);
+                if peek_first {
+                    assert!(heard.header().is_none(), "seven octets are no frame");
+                }
+                assert_eq!(b.on_reception(&mut heard, false).is_some(), passed);
+            }
+            let s = b.stats();
+            assert_eq!((s.filtered, s.passed_to_host, s.undecodable), (1, 1, 1));
+        }
+    }
+
     #[test]
     fn corrupted_reception_is_counted_as_fcs_error() {
         let (_ch, _a, mut b, _rng) = setup(RxMode::Promiscuous);

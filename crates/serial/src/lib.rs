@@ -23,7 +23,10 @@
 //!   completion time of the next *closing* [`FRAME_END`] character) and
 //!   pull whole line-paced runs with [`SerialLine::take_run`]. A receiver
 //!   that only buffers and counts bytes until a frame delimiter closes a
-//!   frame cannot tell the two apart (DESIGN.md §6).
+//!   frame cannot tell the two apart (DESIGN.md §6). A sender that already
+//!   knows what a receiver will make of a frame can say so beside the bytes
+//!   ([`SerialLine::send_sealed`]); a run that is exactly that frame then
+//!   reaches the receiver as its [`Seal`], not as a copy.
 //!
 //! # Examples
 //!
@@ -162,14 +165,74 @@ pub struct DirStats {
     pub errors: u64,
 }
 
-/// Timing of a run produced by [`SerialLine::take_run`]: character `i` of
-/// the run completed at `t0 + i·char_time`.
+/// Eight octets a sender attaches to a span of characters with
+/// [`SerialLine::send_sealed`]: what it already knows about them that their
+/// receiver would otherwise re-derive by reading them. Opaque to the line,
+/// which only carries it beside the span; it must be a pure function of the
+/// span's bytes, so that handing it over in their place loses nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Seal(pub [u8; 8]);
+
+/// A run produced by [`SerialLine::take_run`]: character `i` of its `len`
+/// completed at `t0 + i·char_time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunInfo {
     /// Delivery instant of the first character.
     pub t0: SimTime,
     /// Delivery instant of the last character.
     pub t_last: SimTime,
+    /// Characters in the run.
+    pub len: usize,
+    /// The run was exactly a sealed span and the receiver accepted its
+    /// seal in place of the bytes: nothing was copied out.
+    pub seal: Option<Seal>,
+}
+
+/// A sealed span: `len` characters from stream position `start`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u64,
+    len: usize,
+    seal: Seal,
+}
+
+/// The sealed spans of one direction that have not started leaving the
+/// wire, oldest first. Fixed size: a span sent while it is full travels as
+/// plain bytes, so a sender whose receiver never takes runs leaks nothing.
+#[derive(Debug, Default)]
+struct SealStore {
+    spans: [Span; SealStore::CAPACITY],
+    len: usize,
+}
+
+impl SealStore {
+    /// A line drains several times faster than a radio channel fills it,
+    /// so more than one frame waiting is already rare.
+    const CAPACITY: usize = 4;
+
+    /// Forgets the spans that begin before stream position `pos`: their
+    /// first character has left the wire, so no run can equal them.
+    fn forget_before(&mut self, pos: u64) {
+        let live = &self.spans[..self.len];
+        let stale = live.iter().take_while(|s| s.start < pos).count();
+        self.spans.copy_within(stale..self.len, 0);
+        self.len -= stale;
+    }
+
+    fn push(&mut self, span: Span) {
+        if self.len < Self::CAPACITY {
+            self.spans[self.len] = span;
+            self.len += 1;
+        }
+    }
+
+    /// The seal of the span that is exactly the `len` characters from
+    /// `pos` on.
+    fn exactly(&mut self, pos: u64, len: usize) -> Option<Seal> {
+        self.forget_before(pos);
+        let first = self.spans[..self.len].first()?;
+        (first.start == pos && first.len == len).then_some(first.seal)
+    }
 }
 
 #[derive(Debug)]
@@ -186,6 +249,7 @@ struct Direction {
     delim_at: Option<usize>,
     /// Received characters waiting for the receiver to take them.
     rx_fifo: VecDeque<u8>,
+    seals: SealStore,
     stats: DirStats,
 }
 
@@ -197,8 +261,15 @@ impl Direction {
             last_out: 0,
             delim_at: None,
             rx_fifo: VecDeque::new(),
+            seals: SealStore::default(),
             stats: DirStats::default(),
         }
+    }
+
+    /// Stream position of the next character to leave the wire: how many
+    /// have left it, wherever they went.
+    fn position(&self) -> u64 {
+        self.stats.delivered + self.stats.overruns + self.stats.errors
     }
 
     /// Completion time of this direction's boundary character: the first
@@ -321,6 +392,25 @@ impl SerialLine {
         self.recache();
     }
 
+    /// [`SerialLine::send`] with a [`Seal`] on `bytes`: the same characters
+    /// at the same instants, and a [`SerialLine::take_run`] that pulls
+    /// exactly these characters — all of them, nothing before or after —
+    /// offers its caller the seal in their place. Any other way the span
+    /// leaves the wire (a run that ends inside it, per-character
+    /// [`SerialLine::advance`]) silently forgets the seal.
+    pub fn send_sealed(&mut self, now: SimTime, from: End, bytes: &[u8], seal: Seal) {
+        let dir = &mut self.dirs[from.index()];
+        if !bytes.is_empty() {
+            dir.seals.forget_before(dir.position());
+            dir.seals.push(Span {
+                start: dir.stats.sent,
+                len: bytes.len(),
+                seal,
+            });
+        }
+        self.send(now, from, bytes);
+    }
+
     /// True when whole runs can be pulled off this line without being
     /// observably different from per-character delivery: no noise (the RNG
     /// must be rolled once per character in global delivery order) and a
@@ -408,6 +498,11 @@ impl SerialLine {
     /// the run; `None` (and an empty `out`) means nothing is due. Call
     /// until `None` to bring `to` fully up to `now`.
     ///
+    /// A run that is exactly one [`SerialLine::send_sealed`] span is first
+    /// offered to `accept` as its [`Seal`]. If that says yes the run comes
+    /// back as [`RunInfo::seal`] and `out` stays empty: the characters
+    /// leave the line uncopied. `|_| false` always gets the bytes.
+    ///
     /// The effect on the line is exactly that of per-character
     /// [`SerialLine::advance`] with a receiver that drains its FIFO after
     /// every character: same bytes, same completion instants
@@ -417,7 +512,13 @@ impl SerialLine {
     ///
     /// On a line that cannot batch (see [`SerialLine::next_boundary`]) a
     /// run is the one character, if any, that `advance(now)` delivers.
-    pub fn take_run(&mut self, to: End, now: SimTime, out: &mut Vec<u8>) -> Option<RunInfo> {
+    pub fn take_run(
+        &mut self,
+        to: End,
+        now: SimTime,
+        out: &mut Vec<u8>,
+        accept: impl FnOnce(Seal) -> bool,
+    ) -> Option<RunInfo> {
         out.clear();
         if !self.batches() {
             self.advance(now);
@@ -425,6 +526,8 @@ impl SerialLine {
             return Some(RunInfo {
                 t0: now,
                 t_last: now,
+                len: 1,
+                seal: None,
             });
         }
         let char_time = self.char_time;
@@ -438,17 +541,29 @@ impl SerialLine {
         let n = due
             .min(1 + dir.tx_queue.len())
             .min(dir.delim_at.map_or(usize::MAX, |k| k + 1));
-        out.push(first);
-        let (head, tail) = dir.tx_queue.as_slices();
-        let from_head = (n - 1).min(head.len());
-        out.extend_from_slice(&head[..from_head]);
-        out.extend_from_slice(&tail[..n - 1 - from_head]);
+        let seal = dir.seals.exactly(dir.position(), n).filter(|&s| accept(s));
+        let last = match n {
+            1 => first,
+            _ => dir.tx_queue[n - 2],
+        };
+        if seal.is_none() {
+            out.push(first);
+            let (head, tail) = dir.tx_queue.as_slices();
+            let from_head = (n - 1).min(head.len());
+            out.extend_from_slice(&head[..from_head]);
+            out.extend_from_slice(&tail[..n - 1 - from_head]);
+        }
         dir.tx_queue.drain(..n - 1);
         let t_last = t0 + char_time * (n as u64 - 1);
         dir.stats.delivered += n as u64;
-        dir.start_next(n, out[n - 1], t_last + char_time);
+        dir.start_next(n, last, t_last + char_time);
         self.recache();
-        Some(RunInfo { t0, t_last })
+        Some(RunInfo {
+            t0,
+            t_last,
+            len: n,
+            seal,
+        })
     }
 
     /// Moves all characters waiting in the FIFO at `end` into `out`
@@ -479,7 +594,9 @@ impl SerialLine {
         dir.tx_queue.len() + usize::from(dir.in_flight.is_some())
     }
 
-    /// True if neither direction has queued, in-flight, or undelivered data.
+    /// True if neither direction has a character queued or on the wire.
+    /// Characters already delivered into a receive FIFO and not yet
+    /// drained do not count: see [`SerialLine::rx_len`].
     pub fn is_idle(&self) -> bool {
         self.dirs
             .iter()
@@ -633,6 +750,9 @@ mod tests {
         drain_all(&mut line);
         assert!(line.is_idle());
         assert_eq!(line.tx_backlog(End::A), 0);
+        // Idle is about the wire: what sits undrained in a FIFO is the
+        // receiver's business.
+        assert_eq!(line.rx_len(End::B), 3);
     }
 
     #[test]
@@ -660,7 +780,7 @@ mod tests {
         let mut got = Vec::new();
         let mut run = Vec::new();
         let mut pull = |line: &mut SerialLine, now: SimTime| {
-            while let Some(info) = line.take_run(to, now, &mut run) {
+            while let Some(info) = line.take_run(to, now, &mut run, |_| false) {
                 assert_eq!(info.t_last, info.t0 + ct * (run.len() as u64 - 1));
                 got.extend(
                     run.iter()
@@ -692,11 +812,13 @@ mod tests {
         let expect = per_char(reference, End::B, far);
         let (mut run, mut runs, mut got) = (Vec::new(), Vec::new(), Vec::new());
         while let Some(t) = line.next_boundary() {
-            let info = line.take_run(End::B, t, &mut run).expect("boundary is due");
+            let info = line
+                .take_run(End::B, t, &mut run, |_| false)
+                .expect("boundary is due");
             assert_eq!(info.t_last, t, "a run ends exactly at its boundary");
             got.extend((0u64..).zip(&run).map(|(i, &b)| (info.t0 + ct * i, b)));
             runs.push(run.clone());
-            assert!(line.take_run(End::B, t, &mut run).is_none());
+            assert!(line.take_run(End::B, t, &mut run, |_| false).is_none());
         }
         assert_eq!(got, expect);
         assert_eq!(expect.last().unwrap().0, at + ct * wire.len() as u64);
@@ -760,19 +882,19 @@ mod tests {
         let mid = SimTime::ZERO + ct * 3 + ct / 2;
         let expect_b = per_char(&mut reference, End::B, mid);
         let mut run = Vec::new();
-        let info = line.take_run(End::B, mid, &mut run).unwrap();
+        let info = line.take_run(End::B, mid, &mut run, |_| false).unwrap();
         assert_eq!(run, b"abc");
         assert_eq!((info.t0, info.t_last), (expect_b[0].0, expect_b[2].0));
-        assert!(line.take_run(End::B, mid, &mut run).is_none());
+        assert!(line.take_run(End::B, mid, &mut run, |_| false).is_none());
         assert!(run.is_empty());
         // The other direction is untouched until its receiver asks.
         assert_eq!(line.tx_backlog(End::B), 3);
-        let info = line.take_run(End::A, mid, &mut run).unwrap();
+        let info = line.take_run(End::A, mid, &mut run, |_| false).unwrap();
         assert_eq!(
             (run.as_slice(), info.t0),
             (&b"\xC0"[..], SimTime::ZERO + ct)
         );
-        line.take_run(End::A, mid, &mut run).unwrap();
+        line.take_run(End::A, mid, &mut run, |_| false).unwrap();
         assert_eq!(run, b"xy");
         for end in [End::A, End::B] {
             assert_eq!(line.stats(end), reference.stats(end));
@@ -811,6 +933,90 @@ mod tests {
         assert_eq!(silo.next_boundary(), silo.next_deadline());
         assert!(by_runs(&mut silo, End::B, far).is_empty());
         assert_eq!(silo.stats(End::A).overruns, 3);
+    }
+
+    const SEAL: Seal = Seal(*b"sealed!!");
+
+    /// Takes one run for `End::A` at `now`, accepting any seal.
+    fn take(line: &mut SerialLine, now: SimTime) -> (Option<Seal>, Vec<u8>) {
+        let mut run = Vec::new();
+        let info = line.take_run(End::A, now, &mut run, |_| true).unwrap();
+        assert_eq!(info.len, if info.seal.is_some() { 7 } else { run.len() });
+        (info.seal, run)
+    }
+
+    #[test]
+    fn a_seal_comes_back_only_for_a_run_that_is_exactly_its_span() {
+        let cfg = SerialConfig::baud(9600);
+        let ct = cfg.char_time();
+        let frame = b"\xC0\x00abcd\xC0";
+        let at = SimTime::from_secs;
+        let far = at(1);
+        let mut line = SerialLine::new(cfg);
+        // Nothing is known about what preceded a fresh line's first byte:
+        // the leading FEND is a run of its own, and the rest is bytes.
+        line.send_sealed(SimTime::ZERO, End::B, frame, SEAL);
+        assert_eq!(take(&mut line, far), (None, b"\xC0".to_vec()));
+        assert_eq!(take(&mut line, far), (None, b"\x00abcd\xC0".to_vec()));
+        // Behind a FEND the whole frame is one run: the seal, no bytes.
+        line.send_sealed(far, End::B, frame, SEAL);
+        let mut run = Vec::new();
+        let info = line.take_run(End::A, at(2), &mut run, |_| true).unwrap();
+        assert_eq!((info.seal, info.len, run.len()), (Some(SEAL), 7, 0));
+        assert_eq!((info.t0, info.t_last), (far + ct, far + ct * 7));
+        assert_eq!(line.stats(End::B).delivered, 14);
+        assert!(line.is_idle());
+        // A receiver that declines the seal gets the bytes.
+        line.send_sealed(at(2), End::B, frame, SEAL);
+        let info = line.take_run(End::A, at(3), &mut run, |_| false).unwrap();
+        assert_eq!((info.seal, run.as_slice()), (None, &frame[..]));
+        // Caught up in the middle of the span, and never after that.
+        line.send_sealed(at(3), End::B, frame, SEAL);
+        let mid = at(3) + ct * 3 + ct / 2;
+        assert_eq!(take(&mut line, mid), (None, b"\xC0\x00a".to_vec()));
+        assert_eq!(take(&mut line, at(4)), (None, b"bcd\xC0".to_vec()));
+        // An unsealed frame in front, two sealed ones behind it.
+        line.send(at(4), End::B, frame);
+        line.send_sealed(at(4), End::B, frame, SEAL);
+        line.send_sealed(at(4), End::B, frame, Seal([7; 8]));
+        assert_eq!(take(&mut line, at(5)), (None, frame.to_vec()));
+        assert_eq!(take(&mut line, at(5)), (Some(SEAL), Vec::new()));
+        assert_eq!(take(&mut line, at(5)), (Some(Seal([7; 8])), Vec::new()));
+    }
+
+    /// A sender whose receiver never takes runs (the reference stepper's
+    /// world) fills the store and no more; spans beyond it travel as
+    /// bytes, and the store comes back once runs are taken again.
+    #[test]
+    fn the_seal_store_is_bounded_and_recovers() {
+        let frame = b"\xC0\x00abcd\xC0";
+        let mut line = SerialLine::new(SerialConfig::baud(9600));
+        let mut now = SimTime::ZERO;
+        let mut rx = Vec::new();
+        for _ in 0..100 {
+            line.send_sealed(now, End::B, frame, SEAL);
+            assert!(line.dirs[1].seals.len <= SealStore::CAPACITY);
+            now += SimDuration::from_millis(10);
+            line.advance(now);
+            line.drain_rx(End::A, &mut rx);
+        }
+        for _ in 0..SealStore::CAPACITY + 2 {
+            line.send_sealed(now, End::B, frame, SEAL);
+        }
+        assert_eq!(line.dirs[1].seals.len, SealStore::CAPACITY);
+        let far = now + SimDuration::from_secs(1);
+        // The store's worth of seals, then the two that found it full.
+        let got: Vec<bool> = std::iter::from_fn(|| {
+            let info = line.take_run(End::A, far, &mut rx, |_| true)?;
+            Some(info.seal.is_some())
+        })
+        .collect();
+        assert_eq!(got, [true, true, true, true, false, false]);
+        line.send_sealed(far, End::B, frame, SEAL);
+        assert_eq!(
+            take(&mut line, far + SimDuration::from_secs(1)).0,
+            Some(SEAL)
+        );
     }
 
     #[test]

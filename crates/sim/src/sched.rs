@@ -36,6 +36,11 @@ pub struct SchedStats {
     /// Serial characters the world delivered in line-paced runs (one
     /// calendar visit per frame boundary, not per character).
     pub batched_chars: u64,
+    /// Of those runs, the ones a host took as a sealed frame's verdict — a
+    /// counter, with no character copied, deframed or parsed (DESIGN.md §6,
+    /// judge once). Falling back to bytes is always correct, so only this
+    /// count shows it happening.
+    pub sealed_runs: u64,
 }
 
 /// A calendar key: names a component by a small dense slot number, the

@@ -1,8 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, tests (the datapath ratchets among them), lints, goldens.
 # Run from the repo root (or anywhere inside it).
+#
+#   scripts/check.sh             the gate
+#   scripts/check.sh --mutants   instead: the mutation checks of mutants/
+#                                (scripts/mutants.sh; one build per mutant)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "--mutants" ]; then
+    shift
+    exec scripts/mutants.sh "$@"
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

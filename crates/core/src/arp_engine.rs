@@ -6,15 +6,16 @@
 //! occurs inside our code, a separate routine that deals specifically
 //! with AX.25 addresses can be called."* Each driver owns one
 //! [`ArpEngine`]; the engine is agnostic to the hardware-address format
-//! (opaque bytes — [`crate::hwaddr`] for AX.25, a MAC for Ethernet) and
-//! provides the classic cache + pending-packet-queue + request/retry
-//! machinery of RFC 826 implementations.
+//! (opaque octets in an inline [`HwAddr`] — [`crate::hwaddr`] for AX.25, a
+//! MAC for Ethernet) and provides the classic cache, pending-packet queue
+//! and request/retry machinery of RFC 826 implementations. Addresses and
+//! held packets are values that move: a request → reply → learn → release
+//! round trip allocates nothing.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
-use netstack::arp::{ArpOp, ArpPacket};
+use netstack::arp::{ArpOp, ArpPacket, HwAddr};
 use netstack::ip::Ipv4Packet;
 use sim::{SimDuration, SimTime};
 
@@ -44,15 +45,51 @@ pub struct ArpStats {
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// Shared with every [`Resolution::Send`] that hits this entry: a
-    /// resolve hands out a reference count, not a copy of the address.
-    hw: Rc<[u8]>,
+    hw: HwAddr,
     expires: SimTime,
 }
 
-#[derive(Debug)]
+/// The packets held for one unresolved address: at most [`MAX_HELD`],
+/// inline, in arrival order. Iterating by value yields them.
+#[derive(Debug, Default)]
+pub struct Held([Option<Ipv4Packet>; MAX_HELD]);
+
+impl Held {
+    /// Takes `packet` into the first free slot, or hands it back when
+    /// every slot is taken.
+    fn push(&mut self, packet: Ipv4Packet) -> Result<(), Ipv4Packet> {
+        match self.0.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => {
+                *slot = Some(packet);
+                Ok(())
+            }
+            None => Err(packet),
+        }
+    }
+
+    /// Packets held.
+    pub fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl IntoIterator for Held {
+    type Item = Ipv4Packet;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Ipv4Packet>, MAX_HELD>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
+    }
+}
+
+#[derive(Debug, Default)]
 struct Waiting {
-    packets: Vec<Ipv4Packet>,
+    packets: Held,
     last_request: Option<SimTime>,
 }
 
@@ -60,22 +97,18 @@ struct Waiting {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
     /// Transmit the packet to this hardware address.
-    Send(Rc<[u8]>, Ipv4Packet),
+    Send(HwAddr, Ipv4Packet),
     /// The packet is held; transmit this ARP request (if `Some`).
     Pending(Option<ArpPacket>),
     /// The packet was dropped (hold queue full).
     Dropped,
 }
 
-/// Held packets an ARP packet released, each with the hardware address it
-/// now goes to.
-pub type Released = Vec<(Rc<[u8]>, Ipv4Packet)>;
-
 /// A link-type-agnostic ARP resolver for one interface.
 #[derive(Debug)]
 pub struct ArpEngine {
     hw_type: u16,
-    my_hw: Vec<u8>,
+    my_hw: HwAddr,
     my_ip: Ipv4Addr,
     cache: HashMap<Ipv4Addr, CacheEntry>,
     waiting: HashMap<Ipv4Addr, Waiting>,
@@ -85,7 +118,7 @@ pub struct ArpEngine {
 impl ArpEngine {
     /// Creates an engine for an interface with hardware address `my_hw`
     /// (already encoded) and protocol address `my_ip`.
-    pub fn new(hw_type: u16, my_hw: Vec<u8>, my_ip: Ipv4Addr) -> ArpEngine {
+    pub fn new(hw_type: u16, my_hw: HwAddr, my_ip: Ipv4Addr) -> ArpEngine {
         ArpEngine {
             hw_type,
             my_hw,
@@ -99,11 +132,11 @@ impl ArpEngine {
     /// Installs a permanent (never-expiring) entry; the paper's gateway
     /// seeds digipeater paths this way, since a path cannot be learned
     /// from a broadcast reply alone.
-    pub fn insert_static(&mut self, ip: Ipv4Addr, hw: Vec<u8>) {
+    pub fn insert_static(&mut self, ip: Ipv4Addr, hw: HwAddr) {
         self.cache.insert(
             ip,
             CacheEntry {
-                hw: hw.into(),
+                hw,
                 expires: SimTime::MAX,
             },
         );
@@ -112,12 +145,12 @@ impl ArpEngine {
     /// Installs or refreshes a dynamically learned entry with the normal
     /// TTL (the driver uses this for path-aware AX.25 addresses that the
     /// flat ARP wire format cannot carry).
-    pub fn insert_learned(&mut self, now: SimTime, ip: Ipv4Addr, hw: Vec<u8>) {
+    pub fn insert_learned(&mut self, now: SimTime, ip: Ipv4Addr, hw: HwAddr) {
         self.stats.learned += 1;
         self.cache.insert(
             ip,
             CacheEntry {
-                hw: hw.into(),
+                hw,
                 expires: now + ENTRY_TTL,
             },
         );
@@ -125,7 +158,7 @@ impl ArpEngine {
 
     /// Releases any packets held for `ip` (paired with
     /// [`ArpEngine::insert_learned`]).
-    pub fn release_held(&mut self, ip: Ipv4Addr) -> Vec<Ipv4Packet> {
+    pub fn release_held(&mut self, ip: Ipv4Addr) -> Held {
         self.waiting
             .remove(&ip)
             .map(|w| w.packets)
@@ -137,7 +170,7 @@ impl ArpEngine {
         self.cache
             .get(&ip)
             .filter(|e| e.expires > now)
-            .map(|e| &*e.hw)
+            .map(|e| e.hw.as_slice())
     }
 
     /// Resolves `next_hop` for `packet`: either releases it with a
@@ -146,20 +179,16 @@ impl ArpEngine {
         if let Some(entry) = self.cache.get(&next_hop) {
             if entry.expires > now {
                 self.stats.hits += 1;
-                return Resolution::Send(Rc::clone(&entry.hw), packet);
+                return Resolution::Send(entry.hw, packet);
             }
             self.cache.remove(&next_hop);
         }
         self.stats.misses += 1;
-        let w = self.waiting.entry(next_hop).or_insert(Waiting {
-            packets: Vec::new(),
-            last_request: None,
-        });
-        if w.packets.len() >= MAX_HELD {
+        let w = self.waiting.entry(next_hop).or_default();
+        if w.packets.push(packet).is_err() {
             self.stats.held_dropped += 1;
             return Resolution::Dropped;
         }
-        w.packets.push(packet);
         let ask = match w.last_request {
             None => true,
             Some(at) => now.saturating_since(at) >= RETRY_INTERVAL,
@@ -169,7 +198,7 @@ impl ArpEngine {
             self.stats.requests_sent += 1;
             Resolution::Pending(Some(ArpPacket::request(
                 self.hw_type,
-                self.my_hw.clone(),
+                self.my_hw,
                 self.my_ip,
                 next_hop,
             )))
@@ -179,12 +208,13 @@ impl ArpEngine {
     }
 
     /// Processes an incoming ARP packet. Returns an optional reply to
-    /// transmit and any held packets now released as `(hw, packet)`.
-    pub fn on_arp(&mut self, now: SimTime, arp: &ArpPacket) -> (Option<ArpPacket>, Released) {
+    /// transmit and any held packets now released — they go to the
+    /// packet's `sender_hw`.
+    pub fn on_arp(&mut self, now: SimTime, arp: &ArpPacket) -> (Option<ArpPacket>, Held) {
         if arp.hw != self.hw_type {
-            return (None, Vec::new());
+            return (None, Held::default());
         }
-        let mut released = Vec::new();
+        let mut released = Held::default();
         // RFC 826 merge: refresh if we know the sender; add if we are the
         // target (or we were waiting on them).
         let for_us = arp.target_ip == self.my_ip;
@@ -192,23 +222,20 @@ impl ArpEngine {
         let wanted = self.waiting.contains_key(&arp.sender_ip);
         if for_us || known || wanted {
             self.stats.learned += 1;
-            let hw: Rc<[u8]> = arp.sender_hw.as_slice().into();
             if let Some(w) = self.waiting.remove(&arp.sender_ip) {
-                for p in w.packets {
-                    released.push((Rc::clone(&hw), p));
-                }
+                released = w.packets;
             }
             self.cache.insert(
                 arp.sender_ip,
                 CacheEntry {
-                    hw,
+                    hw: arp.sender_hw,
                     expires: now + ENTRY_TTL,
                 },
             );
         }
         let reply = if for_us && arp.op == ArpOp::Request {
             self.stats.replies_sent += 1;
-            Some(arp.reply_to(self.my_hw.clone()))
+            Some(arp.reply_to(self.my_hw))
         } else {
             None
         };
@@ -218,6 +245,12 @@ impl ArpEngine {
     /// Re-issues requests for stale waits and drops hopeless ones; call
     /// periodically (e.g. once a second).
     pub fn age(&mut self, now: SimTime, give_up_after: SimDuration) -> Vec<ArpPacket> {
+        // Most ticks nothing is due: look before collecting anything.
+        let since = |w: &Waiting| now.saturating_since(w.last_request.unwrap_or(SimTime::ZERO));
+        let soonest = RETRY_INTERVAL.min(give_up_after);
+        if !self.waiting.values().any(|w| since(w) >= soonest) {
+            return Vec::new();
+        }
         let mut requests = Vec::new();
         let mut dead = Vec::new();
         // Deterministic iteration order: HashMap order varies between
@@ -225,14 +258,13 @@ impl ArpEngine {
         let mut entries: Vec<(&Ipv4Addr, &mut Waiting)> = self.waiting.iter_mut().collect();
         entries.sort_by_key(|(ip, _)| u32::from(**ip));
         for (ip, w) in entries {
-            let last = w.last_request.unwrap_or(SimTime::ZERO);
-            if now.saturating_since(last) >= give_up_after {
+            if since(w) >= give_up_after {
                 dead.push(*ip);
-            } else if now.saturating_since(last) >= RETRY_INTERVAL {
+            } else if since(w) >= RETRY_INTERVAL {
                 w.last_request = Some(now);
                 requests.push(ArpPacket::request(
                     self.hw_type,
-                    self.my_hw.clone(),
+                    self.my_hw,
                     self.my_ip,
                     *ip,
                 ));
@@ -272,8 +304,12 @@ mod tests {
         Ipv4Packet::new(ipa(28), dst, Proto::Udp, vec![1, 2, 3])
     }
 
+    fn hw(octets: &[u8]) -> HwAddr {
+        HwAddr::new(octets).expect("fits the inline cap")
+    }
+
     fn engine() -> ArpEngine {
-        ArpEngine::new(hw_type::AX25, b"GW".to_vec(), ipa(28))
+        ArpEngine::new(hw_type::AX25, hw(b"GW"), ipa(28))
     }
 
     #[test]
@@ -290,15 +326,14 @@ mod tests {
         let reply = ArpPacket {
             hw: hw_type::AX25,
             op: ArpOp::Reply,
-            sender_hw: b"PC".to_vec(),
+            sender_hw: hw(b"PC"),
             sender_ip: ipa(5),
-            target_hw: b"GW".to_vec(),
+            target_hw: hw(b"GW"),
             target_ip: ipa(28),
         };
         let (resp, released) = e.on_arp(now, &reply);
         assert!(resp.is_none());
         assert_eq!(released.len(), 1);
-        assert_eq!(&*released[0].0, b"PC");
         // Next resolve is a hit.
         let r = e.resolve(now, ipa(5), pkt(ipa(5)));
         assert!(matches!(r, Resolution::Send(hw, _) if &*hw == b"PC"));
@@ -339,11 +374,11 @@ mod tests {
     #[test]
     fn request_for_us_draws_reply_and_learns() {
         let mut e = engine();
-        let req = ArpPacket::request(hw_type::AX25, b"PC".to_vec(), ipa(5), ipa(28));
+        let req = ArpPacket::request(hw_type::AX25, hw(b"PC"), ipa(5), ipa(28));
         let (reply, released) = e.on_arp(SimTime::ZERO, &req);
         let reply = reply.expect("must answer who-has for our IP");
         assert_eq!(reply.op, ArpOp::Reply);
-        assert_eq!(reply.sender_hw, b"GW".to_vec());
+        assert_eq!(reply.sender_hw, hw(b"GW"));
         assert_eq!(reply.target_ip, ipa(5));
         assert!(released.is_empty());
         // We learned the asker.
@@ -353,7 +388,7 @@ mod tests {
     #[test]
     fn request_not_for_us_is_not_answered_or_learned() {
         let mut e = engine();
-        let req = ArpPacket::request(hw_type::AX25, b"PC".to_vec(), ipa(5), ipa(99));
+        let req = ArpPacket::request(hw_type::AX25, hw(b"PC"), ipa(5), ipa(99));
         let (reply, _) = e.on_arp(SimTime::ZERO, &req);
         assert!(reply.is_none());
         assert_eq!(e.lookup(SimTime::ZERO, ipa(5)), None);
@@ -362,7 +397,7 @@ mod tests {
     #[test]
     fn wrong_hw_type_ignored() {
         let mut e = engine();
-        let req = ArpPacket::request(hw_type::ETHERNET, vec![1; 6], ipa(5), ipa(28));
+        let req = ArpPacket::request(hw_type::ETHERNET, hw(&[1; 6]), ipa(5), ipa(28));
         let (reply, released) = e.on_arp(SimTime::ZERO, &req);
         assert!(reply.is_none());
         assert!(released.is_empty());
@@ -374,7 +409,7 @@ mod tests {
         let now = SimTime::ZERO;
         e.on_arp(
             now,
-            &ArpPacket::request(hw_type::AX25, b"PC".to_vec(), ipa(5), ipa(28)),
+            &ArpPacket::request(hw_type::AX25, hw(b"PC"), ipa(5), ipa(28)),
         );
         assert!(e.lookup(now, ipa(5)).is_some());
         let later = now + SimDuration::from_secs(21 * 60);
@@ -389,7 +424,7 @@ mod tests {
     #[test]
     fn static_entries_never_expire() {
         let mut e = engine();
-        e.insert_static(ipa(7), b"DIGIPATH".to_vec());
+        e.insert_static(ipa(7), hw(b"DIGIPATH"));
         let far = SimTime::from_secs(1_000_000);
         assert_eq!(e.lookup(far, ipa(7)), Some(b"DIGIPATH".as_ref()));
     }

@@ -8,7 +8,7 @@
 //! the gateway").
 
 use ether::{EtherFrame, EtherType, MacAddr};
-use netstack::arp::{hw_type, ArpPacket};
+use netstack::arp::{hw_type, ArpPacket, HwAddr};
 use netstack::ip::Ipv4Packet;
 use sim::{FrameSink, SimTime};
 use std::borrow::Cow;
@@ -48,7 +48,7 @@ impl EtherDriver {
         EtherDriver {
             ifnet: IfNet::new("qe0", ether::MTU),
             mac,
-            arp: ArpEngine::new(hw_type::ETHERNET, mac.octets().to_vec(), my_ip),
+            arp: ArpEngine::new(hw_type::ETHERNET, mac_hw(mac), my_ip),
             stats: EtherDrvStats::default(),
         }
     }
@@ -70,9 +70,9 @@ impl EtherDriver {
 
     /// Processes a received frame. Returns the decapsulated IP packet
     /// bytes (if any) — the frame's own payload when the caller hands the
-    /// frame over ([`Cow::Owned`], the segment's last recipient), a copy
-    /// otherwise; frames the driver wants transmitted (ARP replies,
-    /// released holds) are emitted into `tx`.
+    /// frame over ([`Cow::Owned`], the segment's last recipient), a copy in
+    /// the interface's spare buffer otherwise; frames the driver wants
+    /// transmitted (ARP replies, released holds) are emitted into `tx`.
     pub fn input(
         &mut self,
         now: SimTime,
@@ -84,25 +84,17 @@ impl EtherDriver {
         match frame.ethertype {
             EtherType::Ipv4 => {
                 self.stats.ip_in += 1;
-                Some(frame.into_owned().payload)
+                Some(match frame {
+                    Cow::Owned(f) => f.payload,
+                    Cow::Borrowed(f) => self.ifnet.copy_into_spare(&f.payload),
+                })
             }
             EtherType::Arp => {
                 self.stats.arp_in += 1;
-                let Ok(arp) = ArpPacket::decode(&frame.payload) else {
-                    self.ifnet.stats.ierrors += 1;
-                    return None;
-                };
-                let (reply, released) = self.arp.on_arp(now, &arp);
-                if let Some(reply) = reply {
-                    let dst = mac_from_bytes(&reply.target_hw);
-                    let f = self.build_frame(dst, EtherType::Arp, reply.encode());
-                    tx.emit(f);
-                }
-                for (hw, packet) in released {
-                    let dst = mac_from_bytes(&hw);
-                    self.stats.ip_out += 1;
-                    let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
-                    tx.emit(f);
+                self.input_arp(now, &frame.payload, tx);
+                // An ARP frame handed over leaves its buffer behind.
+                if let Cow::Owned(f) = frame {
+                    self.ifnet.recycle(f.payload);
                 }
                 None
             }
@@ -110,6 +102,23 @@ impl EtherDriver {
                 self.stats.other_in += 1;
                 None
             }
+        }
+    }
+
+    fn input_arp(&mut self, now: SimTime, payload: &[u8], tx: &mut impl FrameSink<EtherFrame>) {
+        let Ok(arp) = ArpPacket::decode(payload) else {
+            self.ifnet.stats.ierrors += 1;
+            return;
+        };
+        let (reply, released) = self.arp.on_arp(now, &arp);
+        if let Some(reply) = reply {
+            self.emit_arp(mac_from_bytes(&reply.target_hw), &reply, tx);
+        }
+        let dst = mac_from_bytes(&arp.sender_hw);
+        for packet in released {
+            self.stats.ip_out += 1;
+            let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
+            tx.emit(f);
         }
     }
 
@@ -137,10 +146,7 @@ impl EtherDriver {
                 let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
                 tx.emit(f);
             }
-            Resolution::Pending(Some(request)) => {
-                let f = self.build_frame(MacAddr::BROADCAST, EtherType::Arp, request.encode());
-                tx.emit(f);
-            }
+            Resolution::Pending(Some(request)) => self.emit_arp(MacAddr::BROADCAST, &request, tx),
             Resolution::Pending(None) => {}
             Resolution::Dropped => {
                 self.ifnet.stats.oerrors += 1;
@@ -151,15 +157,28 @@ impl EtherDriver {
     /// Periodic ARP maintenance; emits requests to retransmit into `tx`.
     pub fn age_arp(&mut self, now: SimTime, tx: &mut impl FrameSink<EtherFrame>) {
         for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
-            let f = self.build_frame(MacAddr::BROADCAST, EtherType::Arp, r.encode());
-            tx.emit(f);
+            self.emit_arp(MacAddr::BROADCAST, &r, tx);
         }
+    }
+
+    /// Sends an ARP packet, encoded in the spare buffer: the frame takes
+    /// the allocation with it.
+    fn emit_arp(&mut self, dst: MacAddr, arp: &ArpPacket, tx: &mut impl FrameSink<EtherFrame>) {
+        let mut payload = self.ifnet.take_spare();
+        arp.encode_into(&mut payload);
+        let f = self.build_frame(dst, EtherType::Arp, payload);
+        tx.emit(f);
     }
 
     fn build_frame(&mut self, dst: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> EtherFrame {
         self.ifnet.stats.opackets += 1;
         EtherFrame::new(dst, self.mac, ethertype, payload)
     }
+}
+
+/// A MAC as the ARP engine's opaque hardware address.
+fn mac_hw(mac: MacAddr) -> HwAddr {
+    HwAddr::new(&mac.octets()).expect("six octets")
 }
 
 fn mac_from_bytes(bytes: &[u8]) -> MacAddr {
@@ -200,11 +219,41 @@ mod tests {
     }
 
     #[test]
+    fn a_short_datagram_after_a_long_one_is_only_its_own_bytes() {
+        // Borrowed frames are copied into the spare buffer; the stack's
+        // finished buffer comes back through `recycle`. A 20-octet
+        // datagram received into what a 576-octet one left behind must not
+        // carry its tail.
+        let mut drv = driver();
+        let mut tx: Vec<EtherFrame> = Vec::new();
+        let mut receive = |drv: &mut EtherDriver, len: usize, fill: u8| {
+            let p = Ipv4Packet::new(ipa(4), ipa(100), Proto::Udp, vec![fill; len - 20]);
+            let f = EtherFrame::new(
+                MacAddr::local(1),
+                MacAddr::local(2),
+                EtherType::Ipv4,
+                p.encode(),
+            );
+            let up = drv
+                .input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx)
+                .unwrap();
+            assert_eq!(up, f.payload, "{len}-octet datagram");
+            up
+        };
+        let long = receive(&mut drv, 576, 0xAA);
+        let ptr = long.as_ptr();
+        drv.ifnet.recycle(long);
+        let short = receive(&mut drv, 20, 0x11);
+        assert_eq!(short.len(), 20);
+        assert_eq!(short.as_ptr(), ptr, "received into the traded buffer");
+    }
+
+    #[test]
     fn arp_request_answered_and_cache_primed() {
         let mut drv = driver();
         let req = ArpPacket::request(
             hw_type::ETHERNET,
-            MacAddr::local(2).octets().to_vec(),
+            mac_hw(MacAddr::local(2)),
             ipa(4),
             ipa(100),
         );
@@ -240,7 +289,7 @@ mod tests {
         assert_eq!(frames[0].ethertype, EtherType::Arp);
         // Reply releases the packet.
         let req = ArpPacket::decode(&frames[0].payload).unwrap();
-        let reply = req.reply_to(MacAddr::local(7).octets().to_vec());
+        let reply = req.reply_to(mac_hw(MacAddr::local(7)));
         let rf = EtherFrame::new(
             MacAddr::local(1),
             MacAddr::local(7),

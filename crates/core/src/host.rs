@@ -31,7 +31,7 @@ use socket::{Readiness, SockError, SocketHandle, SocketTable};
 
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
-use crate::ifnet::{IfQueue, IFQ_MAXLEN};
+use crate::ifnet::{IfNet, IfQueue, IFQ_MAXLEN};
 use crate::prdriver::{Discard, PacketRadioDriver, PrConfig, PrEvent, AX25_MTU};
 
 /// Radio interface parameters for a host.
@@ -185,6 +185,15 @@ impl Host {
     /// The Ethernet interface id, if the host has one.
     pub fn ether_iface(&self) -> Option<IfaceId> {
         self.eth.as_ref().map(|(i, _)| *i)
+    }
+
+    /// The `if_net` block of the driver behind `iface`.
+    fn ifnet_mut(&mut self, iface: IfaceId) -> Option<&mut IfNet> {
+        match (&mut self.pr, &mut self.eth) {
+            (Some((i, drv)), _) if *i == iface => Some(&mut drv.ifnet),
+            (_, Some((i, drv))) if *i == iface => Some(&mut drv.ifnet),
+            _ => None,
+        }
     }
 
     /// The packet radio driver, if present.
@@ -494,7 +503,13 @@ impl Host {
             return;
         }
         while let Some((iface, bytes)) = self.input_queue.pop_due(now) {
-            self.stack.input_owned(now, iface, bytes);
+            if let Some(done) = self.stack.input_owned(now, iface, bytes) {
+                // The stack kept nothing of it: the interface it came in
+                // on receives its next frame into that allocation.
+                if let Some(ifnet) = self.ifnet_mut(iface) {
+                    ifnet.recycle(done);
+                }
+            }
             self.handle_actions(now);
         }
         self.stack.poll_queued(now);
@@ -1084,7 +1099,7 @@ mod tests {
         dying.ttl = 1;
         let now = SimTime::ZERO;
         let radio = gw.radio_iface().unwrap();
-        gw.stack.input_owned(now, radio, dying.into_wire());
+        let _ = gw.stack.input_owned(now, radio, dying.into_wire());
         gw.stack.ping(pinged, 1, 1, 8);
         gw.handle_actions(now);
         let sent: Vec<(Ipv4Addr, Proto)> = gw

@@ -10,6 +10,7 @@
 
 use ax25::addr::Ax25Addr;
 use ax25::{Ax25Error, MAX_DIGIPEATERS};
+use netstack::arp::HwAddr;
 
 /// A radio-side link address: the station plus the digipeater path used
 /// to reach it.
@@ -43,16 +44,23 @@ impl Ax25Hw {
         }
     }
 
-    /// Encodes to the ARP hardware-address bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 7 * (1 + self.path.len()));
-        out.push(1 + self.path.len() as u8);
-        out.extend_from_slice(&self.station.encode(false, self.path.is_empty()));
+    /// Encodes to the ARP hardware-address bytes: at most
+    /// `1 + 7 · (1 + MAX_DIGIPEATERS)` = 64 octets, inside [`HwAddr`]'s cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path exceeds [`MAX_DIGIPEATERS`].
+    pub fn encode(&self) -> HwAddr {
+        let mut out = [0u8; 1 + 7 * (1 + MAX_DIGIPEATERS)];
+        let count = 1 + self.path.len();
+        assert!(count <= 1 + MAX_DIGIPEATERS, "path too long");
+        out[0] = count as u8;
+        out[1..8].copy_from_slice(&self.station.encode(false, self.path.is_empty()));
         for (i, digi) in self.path.iter().enumerate() {
             let last = i == self.path.len() - 1;
-            out.extend_from_slice(&digi.encode(false, last));
+            out[8 + 7 * i..15 + 7 * i].copy_from_slice(&digi.encode(false, last));
         }
-        out
+        HwAddr::new(&out[..1 + 7 * count]).expect("64 octets at most")
     }
 
     /// Decodes ARP hardware-address bytes.

@@ -267,8 +267,10 @@ impl PacketRadioDriver {
     /// the deframer's reusable buffer, and a completed frame is classified
     /// from an [`FrameHeader::peek`] of the wire bytes — a frame addressed
     /// to another station (§3: under a promiscuous TNC, *most* frames) is
-    /// counted and dropped without the heap ever being involved. Only
-    /// frames the driver accepts pay for a full [`Frame::decode`].
+    /// counted and dropped without the heap ever being involved. An IP
+    /// datagram for us is copied once, into the interface's spare buffer
+    /// ([`IfNet::copy_into_spare`]); only digipeated and diverted frames
+    /// pay for a full [`Frame::decode`].
     pub fn rint(&mut self, now: SimTime, byte: u8, tx: &mut impl FrameSink) -> Option<PrEvent> {
         self.stats.rint_chars += 1;
         // Detach the deframer so the completed frame (which borrows the
@@ -399,7 +401,8 @@ impl PacketRadioDriver {
                 if hdr.num_digipeaters == 0 {
                     // Direct traffic: hand the info field up without even
                     // materializing a Frame.
-                    return Some(PrEvent::IpPacket(payload[hdr.info_start..].to_vec()));
+                    let datagram = &payload[hdr.info_start..];
+                    return Some(PrEvent::IpPacket(self.ifnet.copy_into_spare(datagram)));
                 }
                 // Digipeated traffic: glean a path-aware ARP entry (§2.3) —
                 // the sender is reachable back through the reversed relay
@@ -422,41 +425,21 @@ impl PacketRadioDriver {
                 // RFC 1144 refresh: the full datagram with the protocol
                 // byte carrying the slot number. Re-seed the decompressor
                 // and hand the restored datagram up.
-                let mut bytes = payload[hdr.info_start..].to_vec();
+                let mut bytes = self.ifnet.copy_into_spare(&payload[hdr.info_start..]);
                 let link = self.vj.as_mut().expect("guarded");
-                match link.decomp.refresh(&mut bytes) {
-                    Ok(()) => {
-                        self.stats.ip_in += 1;
-                        if !self.inbound_allowed(now, &bytes) {
-                            return None;
-                        }
-                        Some(PrEvent::IpPacket(bytes))
-                    }
-                    Err(_) => {
-                        self.stats.vj_drop += 1;
-                        None
-                    }
-                }
+                let restored = link.decomp.refresh(&mut bytes).is_ok();
+                self.count_vj_in(now, restored, bytes)
             }
             Some(Pid::CompressedTcp) if self.vj.is_some() => {
+                let mut out = self.ifnet.take_spare();
                 let link = self.vj.as_mut().expect("guarded");
-                let mut out = Vec::new();
-                match link.decomp.decompress(&payload[hdr.info_start..], &mut out) {
-                    Ok(()) => {
-                        self.stats.ip_in += 1;
-                        if !self.inbound_allowed(now, &out) {
-                            return None;
-                        }
-                        Some(PrEvent::IpPacket(out))
-                    }
-                    Err(_) => {
-                        // Tossed or failed reconstruction: drop here and
-                        // let TCP's retransmission (sent as a refresh)
-                        // resynchronise the slot.
-                        self.stats.vj_drop += 1;
-                        None
-                    }
-                }
+                // Tossed or failed reconstruction: drop here and let TCP's
+                // retransmission (sent as a refresh) resynchronise the slot.
+                let restored = link
+                    .decomp
+                    .decompress(&payload[hdr.info_start..], &mut out)
+                    .is_ok();
+                self.count_vj_in(now, restored, out)
             }
             Some(Pid::Arp) => {
                 self.stats.arp_in += 1;
@@ -464,14 +447,14 @@ impl PacketRadioDriver {
                 // digipeaters". A digipeated request teaches us the
                 // reverse path to the sender, so only the originating
                 // station needs manual path configuration.
-                let (info, reverse_path) = if hdr.num_digipeaters == 0 {
-                    (payload[hdr.info_start..].to_vec(), Vec::new())
+                let reverse_path: Vec<Ax25Addr> = if hdr.num_digipeaters == 0 {
+                    Vec::new()
                 } else {
                     let frame = Frame::decode(payload).expect("peek-validated frame");
-                    let path = frame.digipeaters.iter().rev().map(|d| d.addr).collect();
-                    (frame.info, path)
+                    frame.digipeaters.iter().rev().map(|d| d.addr).collect()
                 };
-                self.handle_arp_info(now, &info, hdr.source, &reverse_path, tx);
+                let info = &payload[hdr.info_start..];
+                self.handle_arp_info(now, info, hdr.source, &reverse_path, tx);
                 None
             }
             _ => {
@@ -483,6 +466,23 @@ impl PacketRadioDriver {
                 Some(PrEvent::Divert(frame))
             }
         }
+    }
+
+    /// The tail both RFC 1144 arms share: a datagram the decompressor
+    /// restored into `bytes` is counted and judged like any other, one it
+    /// could not restore is a `vj_drop`; a buffer that does not go up goes
+    /// back to the spare slot it came from.
+    fn count_vj_in(&mut self, now: SimTime, restored: bool, bytes: Vec<u8>) -> Option<PrEvent> {
+        if restored {
+            self.stats.ip_in += 1;
+            if self.inbound_allowed(now, &bytes) {
+                return Some(PrEvent::IpPacket(bytes));
+            }
+        } else {
+            self.stats.vj_drop += 1;
+        }
+        self.ifnet.recycle(bytes);
+        None
     }
 
     /// Judges an inbound IP datagram against the installed filter,
@@ -527,13 +527,7 @@ impl PacketRadioDriver {
                 .unwrap_or(false))
         .then(|| Ax25Hw::via(link_source, reverse_path));
 
-        let (reply, mut released) = self.arp.on_arp(now, &arp);
-        if let Some(hw) = &path_override {
-            self.arp.insert_learned(now, arp.sender_ip, hw.encode());
-            for p in self.arp.release_held(arp.sender_ip) {
-                released.push((hw.encode().into(), p));
-            }
-        }
+        let (reply, released) = self.arp.on_arp(now, &arp);
         if let Some(reply) = reply {
             // Reply directly to the asker, via the learned path if any.
             let dest_hw = match &path_override {
@@ -544,9 +538,18 @@ impl PacketRadioDriver {
                 self.encapsulate_arp(&reply, &hw, tx);
             }
         }
-        for (hw_bytes, packet) in released {
-            if let Ok(hw) = Ax25Hw::decode(&hw_bytes) {
+        if let Ok(hw) = Ax25Hw::decode(&arp.sender_hw) {
+            for packet in released {
                 self.encapsulate_ip(packet, &hw, tx);
+            }
+        }
+        if let Some(hw) = &path_override {
+            // The path-aware entry replaces the flat one `on_arp` learned,
+            // and releases what `on_arp` did not (it ignores a foreign
+            // hardware type).
+            self.arp.insert_learned(now, arp.sender_ip, hw.encode());
+            for packet in self.arp.release_held(arp.sender_ip) {
+                self.encapsulate_ip(packet, hw, tx);
             }
         }
     }
@@ -571,7 +574,7 @@ impl PacketRadioDriver {
             let bytes = packet.into_wire();
             self.stats.ip_bytes_out += bytes.len() as u64;
             let frame = Frame::ui(Ax25Addr::broadcast(), self.cfg.my_call, Pid::Ip, bytes);
-            self.emit_kiss(&frame, tx);
+            self.emit_kiss(frame, tx);
             return;
         }
         // Outbound policy runs before ARP: a denied packet (a spoofed
@@ -636,33 +639,32 @@ impl PacketRadioDriver {
         };
         self.stats.ip_bytes_out += bytes.len() as u64;
         let frame = Frame::ui(hw.station, self.cfg.my_call, pid, bytes).via(&hw.path);
-        self.emit_kiss(&frame, tx);
+        self.emit_kiss(frame, tx);
     }
 
     fn encapsulate_arp(&mut self, arp: &ArpPacket, hw: &Ax25Hw, tx: &mut impl FrameSink) {
         self.ifnet.stats.opackets += 1;
-        let frame = Frame::ui(hw.station, self.cfg.my_call, Pid::Arp, arp.encode()).via(&hw.path);
-        self.emit_kiss(&frame, tx);
+        // Encoded in the spare buffer, which goes straight back.
+        let mut info = self.ifnet.take_spare();
+        arp.encode_into(&mut info);
+        let frame = Frame::ui(hw.station, self.cfg.my_call, Pid::Arp, info).via(&hw.path);
+        self.emit_kiss(frame, tx);
     }
 
     fn broadcast_arp(&mut self, arp: &ArpPacket, tx: &mut impl FrameSink) {
-        self.ifnet.stats.opackets += 1;
-        let frame = Frame::ui(
-            Ax25Addr::broadcast(),
-            self.cfg.my_call,
-            Pid::Arp,
-            arp.encode(),
-        );
-        self.emit_kiss(&frame, tx);
+        self.encapsulate_arp(arp, &Ax25Hw::direct(Ax25Addr::broadcast()), tx);
     }
 
     /// KISS-frames an AX.25 frame into a pooled buffer and emits it: the
     /// AX.25 encoder streams through the escaper straight into the buffer,
-    /// so a warmed-up pool makes this path allocation-free.
-    fn emit_kiss(&mut self, frame: &Frame, tx: &mut impl FrameSink) {
+    /// so a warmed-up pool makes this path allocation-free. The frame
+    /// lives on in that buffer; its info field's own allocation becomes
+    /// the spare the next received datagram is copied into.
+    fn emit_kiss(&mut self, frame: Frame, tx: &mut impl FrameSink) {
         let mut out = self.pool.take();
         kiss::encode_frame_into(0, Command::Data, &mut out, |esc| frame.encode_into(esc));
         tx.emit(out);
+        self.ifnet.recycle(frame.info);
     }
 }
 
@@ -718,6 +720,47 @@ mod tests {
         assert!(tx.is_empty());
         assert_eq!(drv.stats().ip_in, 1);
         assert_eq!(drv.ifnet.stats.ipackets, 1);
+    }
+
+    #[test]
+    fn a_short_datagram_after_a_long_one_is_only_its_own_bytes() {
+        // The IP bytes `output` has just KISS-encoded stay behind as the
+        // spare; the next for-us frame is copied into it. A 20-octet
+        // datagram after a 236-octet one must come up as its own 20 octets,
+        // through the plain and both RFC 1144 arms.
+        let mut drv = driver();
+        drv.enable_vj(VjConfig::default());
+        drv.arp_mut()
+            .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
+        let long = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![0xAA; 216]);
+        let mut tx: Vec<sim::PacketBuf> = Vec::new();
+        drv.output(SimTime::ZERO, long, pc_ip(), &mut tx);
+        let short = Ipv4Packet::new(pc_ip(), gw_ip(), Proto::Other(99), Vec::new());
+        assert_eq!(short.total_len(), 20);
+        let frame = Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, short.encode());
+        let (events, _) = feed(&mut drv, &kiss_bytes(&frame));
+        let [PrEvent::IpPacket(up)] = &events[..] else {
+            panic!("{events:?}");
+        };
+        assert_eq!(*up, short.encode());
+        assert!(up.capacity() >= 236, "rode in the long one's buffer");
+        // The same through the decompressor: a refresh, then deltas.
+        let mut pc = PacketRadioDriver::new(PrConfig::new(a("KB7DZ")), pc_ip());
+        pc.enable_vj(VjConfig::default());
+        pc.arp_mut()
+            .insert_static(gw_ip(), Ax25Hw::direct(a("N7AKR-1")).encode());
+        for (id, seq, body) in [(1u16, 100u32, &[0x55u8; 180][..]), (2, 280, b"ok")] {
+            let p = tcp_packet(pc_ip(), gw_ip(), id, seq, body);
+            let mut tx: Vec<sim::PacketBuf> = Vec::new();
+            pc.output(SimTime::ZERO, p.clone(), gw_ip(), &mut tx);
+            let (events, _) = feed(&mut drv, &kiss_bytes(&single_frame(&tx)));
+            assert_eq!(events, vec![PrEvent::IpPacket(p.encode())]);
+            for event in events {
+                if let PrEvent::IpPacket(up) = event {
+                    drv.ifnet.recycle(up);
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,12 @@
 //! host stacks that would otherwise each carry slots — and experiments
 //! that enable it (E18) get the differential guarantee that a cached
 //! stack is observationally identical to an uncached twin.
+//!
+//! The table is paged: [`PAGE`] slots at a time, a page allocated by the
+//! first `store` that lands in it. A gateway that forwards to a handful
+//! of destinations pays for a handful of pages, not for `2^bits` empty
+//! slots written at construction; a probe of a page nobody stored into is
+//! the miss an empty slot gives.
 
 use std::net::Ipv4Addr;
 
@@ -114,10 +120,14 @@ const EMPTY: Slot = Slot {
 /// cache / FxHash).
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 
+/// Slots per page.
+const PAGE: usize = 64;
+
 /// The direct-mapped cache. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct FwdCache {
-    slots: Vec<Slot>,
+    /// `2^bits` slots in pages of [`PAGE`]; `None` until stored into.
+    pages: Vec<Option<Box<[Slot; PAGE]>>>,
     bits: u8,
 }
 
@@ -126,10 +136,10 @@ impl FwdCache {
     pub fn new(bits: u8) -> FwdCache {
         let bits = bits.min(24);
         FwdCache {
-            slots: if bits == 0 {
+            pages: if bits == 0 {
                 Vec::new()
             } else {
-                vec![EMPTY; 1 << bits]
+                vec![None; (1usize << bits).div_ceil(PAGE)]
             },
             bits,
         }
@@ -155,7 +165,11 @@ impl FwdCache {
             return FwdProbe::Miss;
         }
         let dst = u32::from(dst);
-        let s = &self.slots[self.index(dst, kind)];
+        let at = self.index(dst, kind);
+        let Some(page) = &self.pages[at / PAGE] else {
+            return FwdProbe::Miss;
+        };
+        let s = &page[at % PAGE];
         if s.kind != Some(kind) || s.dst != dst {
             return FwdProbe::Miss;
         }
@@ -180,7 +194,8 @@ impl FwdCache {
         }
         let dst = u32::from(dst);
         let at = self.index(dst, kind);
-        self.slots[at] = Slot {
+        let page = self.pages[at / PAGE].get_or_insert_with(|| Box::new([EMPTY; PAGE]));
+        page[at % PAGE] = Slot {
             dst,
             kind: Some(kind),
             route_gen,
@@ -193,6 +208,33 @@ impl FwdCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pages_appear_where_stores_land_and_nowhere_else() {
+        for bits in [1u8, 4, 6, 7, 12] {
+            let mut c = FwdCache::new(bits);
+            assert_eq!(c.pages.len(), (1usize << bits).div_ceil(PAGE));
+            assert!(c.pages.iter().all(Option::is_none), "nothing up front");
+            // Every destination misses on an untouched table...
+            let dsts: Vec<Ipv4Addr> = (0..200u32)
+                .map(|i| Ipv4Addr::from(0x2C18_0000 + i * 7919))
+                .collect();
+            for &d in &dsts {
+                assert_eq!(c.probe(d, FwdKind::Full, 1, 1), FwdProbe::Miss);
+            }
+            // ...and after a store hits, whichever page it fell in.
+            for (i, &d) in dsts.iter().enumerate() {
+                c.store(d, FwdKind::Full, 1, 1, dec(i));
+                assert_eq!(c.probe(d, FwdKind::Full, 1, 1), FwdProbe::Hit(dec(i)));
+            }
+            let live = c.pages.iter().flatten().count();
+            assert!(live >= 1 && live <= c.pages.len());
+        }
+        // One store, one page.
+        let mut c = FwdCache::new(12);
+        c.store(Ipv4Addr::new(44, 24, 0, 5), FwdKind::Routed, 0, 0, dec(1));
+        assert_eq!(c.pages.iter().flatten().count(), 1);
+    }
 
     fn dec(iface: usize) -> FwdDecision {
         FwdDecision::Via {

@@ -169,9 +169,23 @@ impl IcmpMessage {
         datagram[..datagram.len().min(28)].to_vec()
     }
 
-    /// Encodes the message with its checksum.
+    /// Encodes the message with its checksum. The buffer is born with room
+    /// for the IP header that [`crate::ip::Ipv4Packet::into_wire`] will
+    /// write in front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        // Fixed fields, auth tag and string length octets come to 17 at
+        // most; the rest is the variable part.
+        let variable = match self {
+            IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
+                payload.len()
+            }
+            IcmpMessage::DestUnreachable { original, .. }
+            | IcmpMessage::TimeExceeded { original } => original.len(),
+            IcmpMessage::GateOpen { auth, .. } | IcmpMessage::GateClose { auth, .. } => auth
+                .as_ref()
+                .map_or(0, |a| a.callsign.len() + a.password.len()),
+        };
+        let mut w = Writer::with_capacity(17 + variable + crate::ip::HEADER_LEN);
         match self {
             IcmpMessage::EchoRequest { id, seq, payload }
             | IcmpMessage::EchoReply { id, seq, payload } => {

@@ -117,9 +117,10 @@ impl Ipv4Packet {
         self.more_fragments || self.frag_offset != 0
     }
 
-    /// Encodes header (with checksum) + payload into a fresh buffer. Only
-    /// callers that keep the packet afterwards need this (ICMP error
-    /// quotes); an output site that owns the packet uses
+    /// Encodes header (with checksum) + payload into a fresh buffer, which
+    /// nobody has to have left room for: this is the copying encoder. Only
+    /// callers that keep the packet afterwards need it (ICMP error quotes,
+    /// tests); an output site that owns the packet uses
     /// [`Ipv4Packet::into_wire`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_len());
@@ -135,9 +136,15 @@ impl Ipv4Packet {
 
     /// Turns the packet into its wire bytes inside the payload's own
     /// allocation: the payload shifts up and the checksummed header is
-    /// written in front of it. A packet that came from
-    /// [`Ipv4Packet::decode_owned`] still has the room its old header
-    /// occupied, so a forwarded datagram is encoded without allocating.
+    /// written in front of it. It never has to grow the buffer, because
+    /// whoever made the payload left [`HEADER_LEN`] octets of spare
+    /// capacity (DESIGN.md §6, born once): a transport encoder
+    /// ([`crate::tcp::TcpSegment::encode`], UDP, ICMP, [`fragment`]) where
+    /// a datagram is born, [`Ipv4Packet::decode_owned`] — the room the old
+    /// header occupied — where one is forwarded, and the link driver's
+    /// copy, which leaves room for a tunnel's outer header besides. A
+    /// payload built any other way still works; it pays one reallocation
+    /// here.
     pub fn into_wire(self) -> Vec<u8> {
         let hdr = self.header();
         let mut wire = self.payload;
@@ -261,8 +268,10 @@ pub fn fragment(packet: Ipv4Packet, mtu: usize) -> FragResult {
     while off < packet.payload.len() {
         let end = (off + per).min(packet.payload.len());
         let last_piece = end == packet.payload.len();
-        let mut f = packet.clone();
-        f.payload = packet.payload[off..end].to_vec();
+        // A fragment is a datagram born here: room for its header.
+        let mut payload = Vec::with_capacity(end - off + HEADER_LEN);
+        payload.extend_from_slice(&packet.payload[off..end]);
+        let mut f = Ipv4Packet { payload, ..packet };
         f.frag_offset = packet.frag_offset + (off / 8) as u16;
         // The final piece keeps the original MF (we may be re-fragmenting
         // a middle fragment).
@@ -394,6 +403,106 @@ mod tests {
         );
         p.id = 0x1234;
         p
+    }
+
+    /// Encodes `p` in place and checks nothing moved: the buffer that
+    /// went in is the buffer that comes out.
+    fn into_wire_in_place(p: Ipv4Packet) -> Vec<u8> {
+        let (ptr, want) = (p.payload.as_ptr(), p.encode());
+        let wire = p.into_wire();
+        assert_eq!(wire, want);
+        assert_eq!(wire.as_ptr(), ptr, "the header's room was there at birth");
+        wire
+    }
+
+    #[test]
+    fn every_encoder_bears_its_payload_with_room_for_the_header() {
+        use crate::icmp::{GateAuth, IcmpMessage, UnreachCode};
+        use crate::tcp::{TcpFlags, TcpSegment};
+        use crate::udp::UdpDatagram;
+        let (src, dst) = (ip(44, 24, 0, 28), ip(128, 95, 1, 4));
+        let mut born: Vec<(Proto, Vec<u8>)> = Vec::new();
+        for (mss, len) in [(None, 0), (Some(216), 0), (None, 1), (None, 216)] {
+            let seg = TcpSegment {
+                src_port: 1024,
+                dst_port: 23,
+                seq: 7,
+                ack: 9,
+                flags: TcpFlags::default(),
+                window: 4096,
+                mss,
+                payload: vec![0x42; len],
+            };
+            born.push((Proto::Tcp, seg.encode(src, dst)));
+        }
+        for len in [0, 1, 512] {
+            let dg = UdpDatagram {
+                src_port: 4000,
+                dst_port: 9,
+                payload: vec![0x33; len],
+            };
+            born.push((Proto::Udp, dg.encode(src, dst)));
+        }
+        let auth = Some(GateAuth {
+            callsign: "N7AKR".into(),
+            password: "x".repeat(255),
+        });
+        for msg in [
+            IcmpMessage::EchoRequest {
+                id: 1,
+                seq: 2,
+                payload: vec![0xA5; 64],
+            },
+            IcmpMessage::EchoReply {
+                id: 1,
+                seq: 2,
+                payload: Vec::new(),
+            },
+            IcmpMessage::DestUnreachable {
+                code: UnreachCode::Port,
+                original: vec![0x45; 28],
+            },
+            IcmpMessage::TimeExceeded {
+                original: vec![0x45; 28],
+            },
+            IcmpMessage::GateOpen {
+                amateur: src,
+                foreign: dst,
+                ttl_secs: 600,
+                auth: auth.clone(),
+            },
+            IcmpMessage::GateClose {
+                amateur: src,
+                foreign: dst,
+                auth,
+            },
+            IcmpMessage::GateClose {
+                amateur: src,
+                foreign: dst,
+                auth: None,
+            },
+        ] {
+            born.push((Proto::Icmp, msg.encode()));
+        }
+        for (proto, payload) in born {
+            assert!(
+                payload.capacity() - payload.len() >= HEADER_LEN,
+                "{proto:?}, {} octets: {} spare",
+                payload.len(),
+                payload.capacity() - payload.len()
+            );
+            into_wire_in_place(Ipv4Packet::new(src, dst, proto, payload));
+        }
+        // A fragment is born here too, and a forwarded datagram keeps the
+        // room its old header occupied.
+        let FragResult::Fragmented(frags) = fragment(sample(1000), 256) else {
+            panic!("must fragment");
+        };
+        for f in frags {
+            into_wire_in_place(f);
+        }
+        let hop = Ipv4Packet::decode_owned(sample(100).encode()).unwrap();
+        into_wire_in_place(hop);
     }
 
     #[test]

@@ -460,13 +460,7 @@ impl NetStack {
                             iface, hop, encap, ..
                         } => {
                             if let Some(endpoint) = encap {
-                                let inner = packet.into_wire();
-                                packet = Ipv4Packet::new(
-                                    Ipv4Addr::UNSPECIFIED,
-                                    endpoint,
-                                    Proto::Other(ip::IPIP),
-                                    inner,
-                                );
+                                packet = ipip_wrap(packet, endpoint);
                             }
                             self.emit_on(iface, hop, packet);
                         }
@@ -486,13 +480,7 @@ impl NetStack {
                 if let Some(endpoint) = tunnels.endpoint(dst) {
                     encap = Some(endpoint);
                     self.stats.ipip_out += 1;
-                    let inner = packet.into_wire();
-                    packet = Ipv4Packet::new(
-                        Ipv4Addr::UNSPECIFIED,
-                        endpoint,
-                        Proto::Other(ip::IPIP),
-                        inner,
-                    );
+                    packet = ipip_wrap(packet, endpoint);
                 }
             }
         }
@@ -633,20 +621,29 @@ impl NetStack {
     /// [`Self::drain_actions_into`]. Copies `bytes` once; a caller that
     /// owns them calls [`Self::input_owned`].
     pub fn input_queued(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
-        self.input_owned(now, iface, bytes.to_vec());
+        let _ = self.input_owned(now, iface, bytes.to_vec());
     }
 
     /// The one input body: takes the link driver's buffer by value and
     /// parses it in place ([`Ipv4Packet::decode_owned`]), so a forwarded
     /// datagram is still that one allocation when it reaches the egress
     /// driver. The actions stay queued, as for [`Self::input_queued`].
-    pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) {
+    ///
+    /// Hands the allocation back when the stack is done with it and nothing
+    /// kept it — a datagram delivered here (every transport copies what it
+    /// keeps) or dropped as not ours — for the driver to receive its next
+    /// frame into. `None` when the bytes live on: a forward in the action
+    /// queue, a fragment the reassembler holds; a malformed datagram's
+    /// buffer is simply dropped. What comes back is an allocation, not
+    /// data: its contents are unspecified.
+    #[must_use = "the driver's next frame can reuse the allocation"]
+    pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) -> Option<Vec<u8>> {
         self.stats.ip_in += 1;
         let packet = match Ipv4Packet::decode_owned(bytes) {
             Ok(p) => p,
             Err(_) => {
                 self.stats.bad_packets += 1;
-                return;
+                return None;
             }
         };
         if !self.is_local_addr(packet.dst) {
@@ -656,14 +653,12 @@ impl NetStack {
                     ingress: iface,
                     packet,
                 });
-            } else {
-                self.stats.not_for_us += 1;
+                return None;
             }
-            return;
+            self.stats.not_for_us += 1;
+            return Some(packet.payload);
         }
-        let Some(whole) = self.reasm.push(now, packet) else {
-            return;
-        };
+        let whole = self.reasm.push(now, packet)?;
         match whole.proto {
             Proto::Icmp => self.input_icmp(iface, &whole),
             Proto::Tcp => self.input_tcp(now, iface, &whole),
@@ -676,7 +671,7 @@ impl NetStack {
                 // like natively routed traffic. Nesting terminates because
                 // every level removes a 20-byte header.
                 self.stats.ipip_in += 1;
-                self.input_owned(now, iface, whole.payload);
+                return self.input_owned(now, iface, whole.payload);
             }
             Proto::Other(_) => {
                 // Never generate ICMP errors about broadcasts.
@@ -693,6 +688,7 @@ impl NetStack {
                 }
             }
         }
+        Some(whole.payload)
     }
 
     fn input_icmp(&mut self, iface: IfaceId, packet: &Ipv4Packet) {
@@ -1212,6 +1208,21 @@ impl NetStack {
             }
         }
     }
+}
+
+/// Wraps `packet` in an outer IPIP header toward `endpoint` (source left
+/// for the egress interface to fill). The inner datagram is encoded in its
+/// own allocation, which is first given room for *both* headers: where
+/// that grows the buffer it grows it once, and the outer
+/// [`Ipv4Packet::into_wire`] at the driver finds its room already there.
+fn ipip_wrap(mut packet: Ipv4Packet, endpoint: Ipv4Addr) -> Ipv4Packet {
+    packet.payload.reserve_exact(2 * ip::HEADER_LEN);
+    Ipv4Packet::new(
+        Ipv4Addr::UNSPECIFIED,
+        endpoint,
+        Proto::Other(ip::IPIP),
+        packet.into_wire(),
+    )
 }
 
 /// Largest segment `mtu` can carry without IP fragmentation: the MTU minus
@@ -1836,6 +1847,94 @@ mod tests {
         assert_eq!(inner.proto, Proto::Icmp);
         assert_eq!(st.stats().ipip_out, 1);
         assert_eq!(st.stats().no_route, 0);
+    }
+
+    #[test]
+    fn input_owned_hands_back_exactly_the_buffers_nothing_kept() {
+        let now = SimTime::ZERO;
+        // The driver's copy: the datagram plus room for one more header.
+        let from_driver = |p: &Ipv4Packet| {
+            let mut v = Vec::with_capacity(p.total_len() + ip::HEADER_LEN);
+            v.extend_from_slice(&p.encode());
+            v
+        };
+        let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
+        st.cfg.ipip = true;
+        let sock = st.udp_bind(520).unwrap();
+        let dg = UdpDatagram {
+            src_port: 520,
+            dst_port: 520,
+            payload: b"hello".to_vec(),
+        };
+        let local = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2)));
+        // Delivered here (the socket holds its own copy): handed back.
+        let wire = from_driver(&local);
+        let ptr = wire.as_ptr();
+        let back = st.input_owned(now, ifid, wire).expect("nothing kept it");
+        assert_eq!(back.as_ptr(), ptr, "the allocation that came in");
+        assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
+        // Delivered through a tunnel: the outer buffer comes back.
+        let outer = Ipv4Packet::new(ipa(1), ipa(2), Proto::Other(ip::IPIP), local.encode());
+        let wire = from_driver(&outer);
+        let ptr = wire.as_ptr();
+        let back = st.input_owned(now, ifid, wire).expect("nothing kept it");
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
+        // Not ours, not forwarding: dropped, handed back.
+        let stray = Ipv4Packet::new(ipa(1), ipa(9), Proto::Udp, vec![0; 8]);
+        assert!(st.input_owned(now, ifid, from_driver(&stray)).is_some());
+        assert_eq!(st.stats().not_for_us, 1);
+        // A fragment the reassembler holds lives on; so does a forward.
+        let mut frag = local.clone();
+        frag.id = 77;
+        frag.more_fragments = true;
+        assert!(st.input_owned(now, ifid, from_driver(&frag)).is_none());
+        st.cfg.forwarding = true;
+        assert!(st.input_owned(now, ifid, from_driver(&stray)).is_none());
+        let acts = st.drain_actions();
+        let Some(StackAction::ForwardNeeded { packet, .. }) = acts.last() else {
+            panic!("{acts:?}");
+        };
+        assert_eq!(packet.payload, stray.payload);
+        // Malformed: counted, and the buffer goes with it.
+        assert!(st.input_owned(now, ifid, vec![0x45; 10]).is_none());
+        assert_eq!(st.stats().bad_packets, 1);
+    }
+
+    #[test]
+    fn a_forward_into_a_tunnel_is_wrapped_and_sent_in_the_drivers_buffer() {
+        let (mut st, ifid) = NetStack::simple_host(ipa(1), 24, 1500, None);
+        st.cfg.forwarding = true;
+        let far = Ipv4Addr::new(44, 56, 0, 5);
+        let mut map = Map::new();
+        map.insert(far, ipa(2));
+        st.set_tunnel_map(Box::new(FixedTunnel(map)));
+        let transit = Ipv4Packet::new(ipa(7), far, Proto::Udp, vec![0x5A; 64]);
+        // As a link driver copies it: room for one more header behind.
+        let mut wire = Vec::with_capacity(transit.total_len() + ip::HEADER_LEN);
+        wire.extend_from_slice(&transit.encode());
+        let ptr = wire.as_ptr();
+        assert!(st.input_owned(SimTime::ZERO, ifid, wire).is_none());
+        let acts = st.drain_actions();
+        let [StackAction::ForwardNeeded { packet, .. }] = <[_; 1]>::try_from(acts).unwrap() else {
+            panic!("one forward");
+        };
+        st.forward(packet);
+        let acts = st.drain_actions();
+        let [StackAction::Egress { packet, .. }] = <[_; 1]>::try_from(acts).unwrap() else {
+            panic!("one egress");
+        };
+        assert_eq!(packet.proto, Proto::Other(ip::IPIP));
+        let on_wire = packet.into_wire();
+        assert_eq!(
+            on_wire.as_ptr(),
+            ptr,
+            "parsed, wrapped and encoded in place"
+        );
+        let outer = Ipv4Packet::decode(&on_wire).unwrap();
+        let mut inner = Ipv4Packet::decode(&outer.payload).unwrap();
+        inner.ttl += 1;
+        assert_eq!(inner, transit);
     }
 
     #[test]

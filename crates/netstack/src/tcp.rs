@@ -111,11 +111,13 @@ impl TcpSegment {
         self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 
-    /// Encodes the segment, computing the pseudo-header checksum.
+    /// Encodes the segment, computing the pseudo-header checksum. The
+    /// buffer is born with room for the IP header that
+    /// [`crate::ip::Ipv4Packet::into_wire`] will write in front.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
         let header_len: usize = if self.mss.is_some() { 24 } else { 20 };
         let total = header_len + self.payload.len();
-        let mut w = Writer::with_capacity(total);
+        let mut w = Writer::with_capacity(total + crate::ip::HEADER_LEN);
         w.u16(self.src_port);
         w.u16(self.dst_port);
         w.u32(self.seq);

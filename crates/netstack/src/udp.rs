@@ -42,10 +42,11 @@ fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) -> [u8; 12] 
 
 impl UdpDatagram {
     /// Encodes the datagram, computing the checksum over the IPv4
-    /// pseudo-header.
+    /// pseudo-header. The buffer is born with room for the IP header that
+    /// [`crate::ip::Ipv4Packet::into_wire`] will write in front.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
         let len = (8 + self.payload.len()) as u16;
-        let mut w = Writer::with_capacity(len as usize);
+        let mut w = Writer::with_capacity(usize::from(len) + crate::ip::HEADER_LEN);
         w.u16(self.src_port);
         w.u16(self.dst_port);
         w.u16(len);

@@ -183,7 +183,7 @@ proptest! {
         prop_assume!(damage.must_be_rejected());
         let (mut st, ifid) = NetStack::simple_host(Ipv4Addr::new(44, 24, 0, 5), 16, 256, None);
         st.set_forwarding(true);
-        st.input_owned(SimTime::ZERO, ifid, damage.apply(p.encode()));
+        let _ = st.input_owned(SimTime::ZERO, ifid, damage.apply(p.encode()));
         prop_assert_eq!(st.stats().ip_in, 1);
         prop_assert_eq!(st.stats().bad_packets, 1);
         prop_assert_eq!(st.stats().forward_requests, 0);

@@ -80,7 +80,9 @@ impl Digipeater {
         match decide(&frame, self.addr) {
             DigipeatDecision::Repeat(out) => {
                 self.stats.repeated += 1;
-                let mut on_air = out.encode();
+                let mut on_air = self.mac.take_buffer();
+                on_air.reserve(out.encoded_len() + 2);
+                out.encode_into(&mut on_air);
                 append_fcs(&mut on_air);
                 self.mac.enqueue(on_air);
             }
@@ -153,7 +155,7 @@ mod tests {
         let mut rng = SimRng::seed_from(5);
 
         let f = Frame::ui(a("DST"), a("SRC"), Pid::Text, b"relay me".to_vec()).via(&[a("DIGI")]);
-        let end = ch.transmit(SimTime::ZERO, src, on_air(&f), SimDuration::ZERO);
+        let (end, _) = ch.transmit(SimTime::ZERO, src, on_air(&f), SimDuration::ZERO);
 
         let mut delivered_at_dst = None;
         let mut heard = Heard::default();

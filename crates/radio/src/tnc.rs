@@ -185,7 +185,8 @@ impl Tnc {
         match command {
             Command::Data => {
                 stats.from_host += 1;
-                let mut on_air = Vec::with_capacity(payload.len() + 2);
+                let mut on_air = mac.take_buffer();
+                on_air.reserve(payload.len() + 2);
                 on_air.extend_from_slice(payload);
                 append_fcs(&mut on_air);
                 mac.enqueue(on_air);
@@ -391,6 +392,42 @@ mod tests {
         let back = Frame::decode(&frames[0].payload).unwrap();
         assert_eq!(back, f);
         assert_eq!(b.stats().passed_to_host, 1);
+    }
+
+    #[test]
+    fn a_short_frame_after_a_long_one_goes_out_as_only_its_own_bytes() {
+        // The TNC builds each frame in a buffer an earlier transmission
+        // left behind (the channel trades it back). Long frame first, then
+        // short ones until that buffer has come round: none may carry a
+        // stale tail, on the air or up the peer's serial line.
+        let (mut ch, mut a, mut b, mut rng) = setup(RxMode::Promiscuous);
+        let mut heard = Heard::default();
+        let mut now = SimTime::ZERO;
+        let mut long_buffer_came_back = false;
+        let infos: Vec<Vec<u8>> = std::iter::once(vec![0xEE; 200])
+            .chain((0u8..6).map(|i| vec![i; 3 + usize::from(i)]))
+            .collect();
+        let mut long_ptr = None;
+        for info in &infos {
+            let f = Frame::ui(addr("BBB"), addr("AAA"), Pid::Text, info.clone());
+            host_sends(&mut a, &f);
+            a.poll(now, &mut ch, &mut rng);
+            now = ch.next_deadline().expect("keyed up");
+            assert!(ch.hear_next(now, &mut heard));
+            let mut on_air = f.encode();
+            append_fcs(&mut on_air);
+            assert_eq!(heard.data(), on_air, "{} info octets", info.len());
+            long_ptr.get_or_insert(heard.data().as_ptr());
+            long_buffer_came_back |= info.len() < 200 && Some(heard.data().as_ptr()) == long_ptr;
+            let up = b
+                .on_reception(&mut heard, false)
+                .expect("clean, promiscuous");
+            assert_eq!(up, kiss::encode(0, Command::Data, &f.encode()));
+        }
+        assert!(
+            long_buffer_came_back,
+            "a short frame rode in the long one's buffer"
+        );
     }
 
     #[test]

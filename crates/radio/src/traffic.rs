@@ -95,7 +95,8 @@ impl BeaconStation {
             // info field is last on the wire, so one buffer takes all three.
             let header = Frame::ui(self.cfg.to, self.cfg.from, Pid::Text, Vec::new());
             let info_end = header.encoded_len() + self.cfg.frame_len;
-            let mut on_air = Vec::with_capacity(info_end + 2);
+            let mut on_air = self.mac.take_buffer();
+            on_air.reserve(info_end + 2);
             header.encode_into(&mut on_air);
             write!(on_air, "de {} #{:06} ", self.cfg.from, self.seq)
                 .expect("writing to a Vec cannot fail");

@@ -592,7 +592,7 @@ impl SocketProgram for WorkloadClient {
                     self.abort(now, Outcome::Error, cx);
                     return;
                 }
-                let name = self.files[*file as usize].0.clone();
+                let name = self.files[*file as usize].0.as_str();
                 if !*sent_req && ready.writable() {
                     *sent_req = true;
                     let req = format!("GET {name}\n");
@@ -616,7 +616,7 @@ impl SocketProgram for WorkloadClient {
                     }
                     if *header_done {
                         for b in self.buf.drain(..) {
-                            if b != file_byte(&name, *received) {
+                            if b != file_byte(name, *received) {
                                 *bad = true;
                             }
                             *received += 1;

@@ -34,6 +34,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> benchmark harness builds against the crates' public surface (no run)"
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 
+# The harness counts every heap allocation of the run loop and the count
+# repeats exactly, so this cannot flake: a path that starts allocating again
+# fails here, by workload. Lower a ceiling when a PR lowers the count.
+echo "==> allocs_per_sim_s within scripts/alloc_ceiling.txt (seed 1988, exact counts)"
+while read -r workload ceiling; do
+    got=$(bash benchmarks/run.sh --workload "$workload" --seed 1988 --seconds 1 --trace 0 |
+        awk '$1 == "metric" && $3 == "allocs_per_sim_s" { print $4 }')
+    if ! awk -v got="$got" -v ceiling="$ceiling" 'BEGIN { exit !(got != "" && got + 0 <= ceiling + 0) }'; then
+        echo "$workload: allocs_per_sim_s ${got:-missing} exceeds the ceiling $ceiling"
+        exit 1
+    fi
+    echo "    $workload: $got (ceiling $ceiling)"
+done < <(grep -v '^#' scripts/alloc_ceiling.txt)
+
 echo "==> sharded-engine digest smoke (2 workers vs reference)"
 cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke
 

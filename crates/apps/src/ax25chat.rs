@@ -135,11 +135,8 @@ impl BbsServer {
                         let session = self.sessions.get_mut(&peer).expect("exists");
                         session.line.extend_from_slice(&data);
                         let mut lines = Vec::new();
-                        while let Some(pos) =
-                            session.line.iter().position(|&b| b == b'\r' || b == b'\n')
-                        {
-                            let raw: Vec<u8> = session.line.drain(..=pos).collect();
-                            lines.push(String::from_utf8_lossy(&raw).trim_end().to_string());
+                        while let Some(line) = crate::take_line(&mut session.line, b"\r\n") {
+                            lines.push(line.trim_end().to_string());
                         }
                         lines
                     };

@@ -1,13 +1,15 @@
 //! Bulk TCP transfer: a sender and a sink, with the retransmission
-//! accounting experiment E3 lives on.
+//! accounting experiment E3 lives on. Both are [`SocketProgram`]s
+//! (DESIGN.md §10); the sender pumps from `on_tick` and its connect, like
+//! every active open, gives up after [`socket::CONNECT_TIMEOUT`].
 
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::{SockId, StackAction};
-use netstack::tcp::{TcbStats, TcpConfig};
+use netstack::tcp::{TcbStats, TcpConfig, TcpState};
 use sim::{SimDuration, SimTime};
+use socket::{Readiness, SocketHandle};
+
+use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 
 /// Results of one bulk send.
 #[derive(Debug, Default)]
@@ -37,25 +39,38 @@ impl BulkSendReport {
     }
 }
 
+/// Byte `i` of every bulk transfer.
+fn pattern(i: usize) -> u8 {
+    (i % 251) as u8
+}
+
+/// Largest write the sender makes at once.
+const CHUNK: usize = 2048;
+
 /// A one-shot bulk sender.
-pub struct BulkSender {
+pub type BulkSender = SockApp<BulkSenderProgram>;
+
+/// The socket program behind [`BulkSender`].
+pub struct BulkSenderProgram {
     dst: Ipv4Addr,
     port: u16,
     total: usize,
     tcp_cfg: Option<TcpConfig>,
     start_delay: SimDuration,
     start_at: Option<SimTime>,
-    sock: Option<SockId>,
+    sock: Option<SocketHandle>,
     connected: bool,
     sent: usize,
     closed: bool,
+    /// The pattern bytes of the write in progress.
+    chunk: Vec<u8>,
     report: crate::Shared<BulkSendReport>,
 }
 
 impl BulkSender {
     /// Sends `total` octets to `dst:port` once started.
     pub fn new(dst: Ipv4Addr, port: u16, total: usize) -> BulkSender {
-        BulkSender {
+        SockApp::from(BulkSenderProgram {
             dst,
             port,
             total,
@@ -66,54 +81,52 @@ impl BulkSender {
             connected: false,
             sent: 0,
             closed: false,
+            chunk: Vec::with_capacity(CHUNK),
             report: crate::shared(BulkSendReport::default()),
-        }
+        })
     }
 
     /// Uses a specific TCP configuration (fixed vs adaptive RTO).
     pub fn with_tcp(mut self, cfg: TcpConfig) -> BulkSender {
-        self.tcp_cfg = Some(cfg);
+        self.program.tcp_cfg = Some(cfg);
         self
     }
 
     /// Delays the connect after world start.
     pub fn with_start_delay(mut self, d: SimDuration) -> BulkSender {
-        self.start_delay = d;
+        self.program.start_delay = d;
         self
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<BulkSendReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
-    /// The socket in use, once connected (diagnostics).
-    pub fn socket(&self) -> Option<SockId> {
-        self.sock
-    }
-
-    fn pattern_chunk(&self, offset: usize, len: usize) -> Vec<u8> {
-        (offset..offset + len).map(|i| (i % 251) as u8).collect()
-    }
-
-    fn push_data(&mut self, now: SimTime, host: &mut Host) {
-        let Some(sock) = self.sock else {
+impl BulkSenderProgram {
+    fn push_data(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        let Some(h) = self.sock else {
+            return;
+        };
+        let Some(info) = cx.host.sock_tcp_info(h) else {
             return;
         };
         // Keep the report's TCB statistics live (diagnostics read them
         // mid-transfer; the values are final once finished_at is set).
-        self.report.borrow_mut().tcb = host.stack.tcp_stats(sock);
+        self.report.borrow_mut().tcb = info.stats;
         if !self.connected {
             return;
         }
         while self.sent < self.total {
-            let cap = host.stack.tcp_send_capacity(sock);
+            let cap = cx.host.sock_send_capacity(h);
             if cap == 0 {
                 break;
             }
-            let n = cap.min(self.total - self.sent).min(2048);
-            let chunk = self.pattern_chunk(self.sent, n);
-            let accepted = host.tcp_send(now, sock, &chunk);
+            let n = cap.min(self.total - self.sent).min(CHUNK);
+            self.chunk.clear();
+            self.chunk.extend((self.sent..self.sent + n).map(pattern));
+            let accepted = cx.host.sock_send(now, h, &self.chunk).unwrap_or(0);
             self.sent += accepted;
             if accepted == 0 {
                 break;
@@ -121,69 +134,76 @@ impl BulkSender {
         }
         if self.sent >= self.total && !self.closed {
             self.closed = true;
-            host.tcp_close(now, sock);
+            let _ = cx.host.sock_shutdown(now, h);
         }
         // Completion: everything (data + FIN) acknowledged.
         if self.closed && self.report.borrow().finished_at.is_none() {
-            let backlog = host.stack.tcp_send_backlog(sock);
-            let state = host.stack.tcp_state(sock);
-            use netstack::tcp::TcpState;
-            if backlog == 0
+            let Some(info) = cx.host.sock_tcp_info(h) else {
+                return;
+            };
+            if info.unacked == 0
                 && matches!(
-                    state,
+                    info.state,
                     TcpState::FinWait2 | TcpState::TimeWait | TcpState::Closed
                 )
             {
                 let mut r = self.report.borrow_mut();
                 r.finished_at = Some(now);
-                r.tcb = host.stack.tcp_stats(sock);
+                r.tcb = info.stats;
             }
         }
     }
 }
 
-impl App for BulkSender {
-    fn on_start(&mut self, now: SimTime, _host: &mut Host) {
+impl SocketProgram for BulkSenderProgram {
+    fn on_start(&mut self, now: SimTime, _cx: &mut SockCtx<'_>) {
         self.start_at = Some(now + self.start_delay);
     }
 
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        if let Some(at) = self.start_at {
-            if at <= now && self.sock.is_none() {
-                self.start_at = None;
-                let mut r = self.report.borrow_mut();
-                r.started_at = Some(now);
-                r.bytes = self.total;
-                drop(r);
-                let result = match self.tcp_cfg {
-                    Some(cfg) => host.tcp_connect_with(now, self.dst, self.port, cfg),
-                    None => host.tcp_connect(now, self.dst, self.port),
-                };
-                self.sock = result.ok();
+    fn on_tick(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        if self.start_at.is_some_and(|at| at <= now) {
+            self.start_at = None;
+            let mut r = self.report.borrow_mut();
+            r.started_at = Some(now);
+            r.bytes = self.total;
+            drop(r);
+            let opened = match self.tcp_cfg {
+                Some(cfg) => cx.host.sock_connect_with(now, self.dst, self.port, cfg),
+                None => cx.host.sock_connect(now, self.dst, self.port),
+            };
+            if let Ok(h) = opened {
+                cx.watch(h);
+                self.sock = Some(h);
             }
         }
-        self.push_data(now, host);
+        self.push_data(now, cx);
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpConnected(sock) if Some(*sock) == self.sock => {
-                self.connected = true;
-                self.push_data(now, host);
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) != self.sock {
+            return;
+        }
+        if !self.connected && ready.writable() {
+            self.connected = true;
+            self.push_data(now, cx);
+        }
+        // The connection is gone: torn down after TIME_WAIT, reset,
+        // refused or timed out.
+        if ready.hangup() || ready.error() {
+            let mut r = self.report.borrow_mut();
+            r.reset = ready.error();
+            if r.finished_at.is_none() && !r.reset {
+                r.finished_at = Some(now);
             }
-            StackAction::TcpClosed { sock, reset } if Some(*sock) == self.sock => {
-                let mut r = self.report.borrow_mut();
-                r.reset = *reset;
-                if r.finished_at.is_none() && !reset {
-                    r.finished_at = Some(now);
-                }
-                r.tcb = host.stack.tcp_stats(*sock);
+            if let Some(info) = cx.host.sock_tcp_info(h) {
+                r.tcb = info.stats;
             }
-            _ => {}
+            drop(r);
+            cx.close(now, h);
         }
     }
 
-    fn next_deadline(&self) -> Option<SimTime> {
+    fn next_wakeup(&self) -> Option<SimTime> {
         self.start_at
     }
 }
@@ -200,56 +220,65 @@ pub struct BulkSinkReport {
 }
 
 /// A listener that drains and verifies one or more bulk transfers.
-pub struct BulkSink {
+pub type BulkSink = SockApp<BulkSinkProgram>;
+
+/// The socket program behind [`BulkSink`].
+pub struct BulkSinkProgram {
     port: u16,
-    socks: Vec<(SockId, usize)>,
+    listener: Option<SocketHandle>,
+    /// Open transfers and the octets each has delivered so far.
+    streams: Vec<(SocketHandle, usize)>,
     report: crate::Shared<BulkSinkReport>,
 }
 
 impl BulkSink {
     /// Listens on `port`.
     pub fn new(port: u16) -> BulkSink {
-        BulkSink {
+        SockApp::from(BulkSinkProgram {
             port,
-            socks: Vec::new(),
+            listener: None,
+            streams: Vec::with_capacity(1),
             report: crate::shared(BulkSinkReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<BulkSinkReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
 }
 
-impl App for BulkSink {
-    fn on_start(&mut self, _now: SimTime, host: &mut Host) {
-        host.stack.tcp_listen(self.port).expect("sink port");
+impl SocketProgram for BulkSinkProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.listener = Some(cx.listen(now, self.port, None).expect("sink port"));
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpAccepted { sock, .. } => {
-                self.socks.push((*sock, 0));
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) == self.listener {
+            while let Ok(stream) = cx.accept(now, h) {
+                self.streams.push((stream, 0));
             }
-            StackAction::TcpReadable(sock) => {
-                if let Some(entry) = self.socks.iter_mut().find(|(s, _)| s == sock) {
-                    let data = host.tcp_recv(now, *sock);
-                    let mut r = self.report.borrow_mut();
-                    for b in &data {
-                        if *b != (entry.1 % 251) as u8 {
-                            r.corrupt = true;
-                        }
-                        entry.1 += 1;
-                    }
-                    r.bytes += data.len();
-                }
+            return;
+        }
+        let Some(i) = self.streams.iter().position(|&(s, _)| s == h) else {
+            return;
+        };
+        if ready.readable() {
+            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let offset = &mut self.streams[i].1;
+            let mut r = self.report.borrow_mut();
+            for &b in &data {
+                r.corrupt |= b != pattern(*offset);
+                *offset += 1;
             }
-            StackAction::TcpPeerClosed(sock) if self.socks.iter().any(|(s, _)| s == sock) => {
+            r.bytes += data.len();
+        }
+        if ready.eof() || ready.error() {
+            if ready.eof() {
                 self.report.borrow_mut().eof_at = Some(now);
-                host.tcp_close(now, *sock);
             }
-            _ => {}
+            self.streams.remove(i);
+            cx.close(now, h);
         }
     }
 }

@@ -5,18 +5,24 @@
 //! area. Given a call sign, an application running on a PC could
 //! determine what area the call sign is from, and then send off a query
 //! to the appropriate server."* Protocol: `?CALL` queries; a server
-//! answers `OK CALL <record>`, refers with `REFER <ip>`, or `ERR`.
+//! answers `OK CALL <record>`, refers with `REFER <ip>`, or `ERR`. Both
+//! ends are [`SocketProgram`]s (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::{StackAction, UdpId};
 use sim::SimTime;
+use socket::{Readiness, SocketHandle};
+
+use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 
 /// The well-known callbook port.
 pub const CALLBOOK_PORT: u16 = 1235;
+
+/// Most servers one lookup queries. Referrals arrive off the wire, so two
+/// servers that refer a prefix to each other must not keep a client
+/// bouncing between them: past this many, the lookup ends unanswered.
+pub const MAX_HOPS: u32 = 8;
 
 /// Server counters.
 #[derive(Debug, Default)]
@@ -30,8 +36,11 @@ pub struct CallbookServerReport {
 }
 
 /// One region's callbook server.
-pub struct CallbookServer {
-    udp: Option<UdpId>,
+pub type CallbookServer = SockApp<CallbookServerProgram>;
+
+/// The socket program behind [`CallbookServer`].
+pub struct CallbookServerProgram {
+    sock: Option<SocketHandle>,
     /// Local records: callsign → holder.
     db: HashMap<String, String>,
     /// Referrals: callsign-prefix → server address.
@@ -42,8 +51,8 @@ pub struct CallbookServer {
 impl CallbookServer {
     /// Creates a server with local records and prefix referrals.
     pub fn new(db: &[(&str, &str)], referrals: &[(&str, Ipv4Addr)]) -> CallbookServer {
-        CallbookServer {
-            udp: None,
+        SockApp::from(CallbookServerProgram {
+            sock: None,
             db: db
                 .iter()
                 .map(|(c, r)| (c.to_string(), r.to_string()))
@@ -53,32 +62,27 @@ impl CallbookServer {
                 .map(|(p, ip)| (p.to_string(), *ip))
                 .collect(),
             report: crate::shared(CallbookServerReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<CallbookServerReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
 }
 
-impl App for CallbookServer {
-    fn on_start(&mut self, _now: SimTime, host: &mut Host) {
-        self.udp = Some(host.stack.udp_bind(CALLBOOK_PORT).expect("callbook port"));
+impl SocketProgram for CallbookServerProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.sock = Some(cx.bind_udp(now, CALLBOOK_PORT).expect("callbook port"));
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        let StackAction::UdpReadable(udp) = event else {
-            return;
-        };
-        if Some(*udp) != self.udp {
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Some((src, sport, payload)) = host.stack.udp_recv(*udp) {
-            let query = String::from_utf8_lossy(payload.as_slice())
-                .trim()
-                .to_string();
-            let Some(call) = query.strip_prefix('?') else {
+        while let Ok((src, sport, payload)) = cx.host.sock_recv_from(h) {
+            let query = String::from_utf8_lossy(payload.as_slice());
+            let Some(call) = query.trim().strip_prefix('?') else {
                 continue;
             };
             let reply = if let Some(record) = self.db.get(call) {
@@ -95,7 +99,7 @@ impl App for CallbookServer {
                 self.report.borrow_mut().unknown += 1;
                 "ERR unknown callsign".to_string()
             };
-            host.udp_send(now, *udp, src, sport, reply.into_bytes());
+            let _ = cx.host.sock_send_to(now, h, src, sport, reply.into_bytes());
         }
     }
 }
@@ -112,10 +116,13 @@ pub struct CallbookClientReport {
 }
 
 /// A client that resolves one callsign, following referrals.
-pub struct CallbookClient {
+pub type CallbookClient = SockApp<CallbookClientProgram>;
+
+/// The socket program behind [`CallbookClient`].
+pub struct CallbookClientProgram {
     first_server: Ipv4Addr,
     callsign: String,
-    udp: Option<UdpId>,
+    sock: Option<SocketHandle>,
     local_port: u16,
     report: crate::Shared<CallbookClientReport>,
 }
@@ -123,53 +130,59 @@ pub struct CallbookClient {
 impl CallbookClient {
     /// Looks up `callsign` starting at `first_server`.
     pub fn new(first_server: Ipv4Addr, callsign: &str, local_port: u16) -> CallbookClient {
-        CallbookClient {
+        SockApp::from(CallbookClientProgram {
             first_server,
             callsign: callsign.to_string(),
-            udp: None,
+            sock: None,
             local_port,
             report: crate::shared(CallbookClientReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<CallbookClientReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
-    fn query(&mut self, now: SimTime, server: Ipv4Addr, host: &mut Host) {
-        let Some(udp) = self.udp else {
+impl CallbookClientProgram {
+    fn query(&mut self, now: SimTime, server: Ipv4Addr, cx: &mut SockCtx<'_>) {
+        let Some(h) = self.sock else {
             return;
         };
         self.report.borrow_mut().hops += 1;
         let q = format!("?{}", self.callsign);
-        host.udp_send(now, udp, server, CALLBOOK_PORT, q.into_bytes());
+        let _ = cx
+            .host
+            .sock_send_to(now, h, server, CALLBOOK_PORT, q.into_bytes());
     }
 }
 
-impl App for CallbookClient {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.udp = host.stack.udp_bind(self.local_port).ok();
+impl SocketProgram for CallbookClientProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.sock = cx.bind_udp(now, self.local_port).ok();
         let server = self.first_server;
-        self.query(now, server, host);
+        self.query(now, server, cx);
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        let StackAction::UdpReadable(udp) = event else {
-            return;
-        };
-        if Some(*udp) != self.udp {
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Some((_src, _sport, payload)) = host.stack.udp_recv(*udp) {
+        while let Ok((_src, _sport, payload)) = cx.host.sock_recv_from(h) {
             let line = String::from_utf8_lossy(payload.as_slice())
                 .trim()
                 .to_string();
-            if let Some(target) = line.strip_prefix("REFER ") {
-                if let Ok(ip) = target.parse::<Ipv4Addr>() {
-                    self.query(now, ip, host);
-                    continue;
+            let referral = line
+                .strip_prefix("REFER ")
+                .and_then(|target| target.parse::<Ipv4Addr>().ok());
+            if let Some(ip) = referral {
+                if self.report.borrow().hops < MAX_HOPS {
+                    self.query(now, ip, cx);
+                } else {
+                    self.report.borrow_mut().done = true;
                 }
+                continue;
             }
             let mut r = self.report.borrow_mut();
             r.answer = Some(line);

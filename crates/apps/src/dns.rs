@@ -16,9 +16,6 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::StackAction;
 use sim::{SimDuration, SimTime};
 use socket::{Readiness, SocketHandle};
 
@@ -182,11 +179,35 @@ pub struct DnsServerReport {
     pub malformed: u64,
 }
 
-struct DnsServerProgram {
+/// An authoritative A-record server for a static zone on UDP port 53.
+pub type DnsServer = SockApp<DnsServerProgram>;
+
+/// The socket program behind [`DnsServer`].
+pub struct DnsServerProgram {
     zone: HashMap<String, Ipv4Addr>,
     ttl: u32,
     sock: Option<SocketHandle>,
     report: crate::Shared<DnsServerReport>,
+}
+
+impl DnsServer {
+    /// Serves `zone` (name → address) with the given answer TTL.
+    pub fn new(zone: &[(&str, Ipv4Addr)], ttl: SimDuration) -> DnsServer {
+        SockApp::from(DnsServerProgram {
+            zone: zone
+                .iter()
+                .map(|(n, a)| (n.to_ascii_lowercase(), *a))
+                .collect(),
+            ttl: ttl.as_secs_f64() as u32,
+            sock: None,
+            report: crate::shared(DnsServerReport::default()),
+        })
+    }
+
+    /// The shared report handle.
+    pub fn report(&self) -> crate::Shared<DnsServerReport> {
+        self.program.report.clone()
+    }
 }
 
 impl SocketProgram for DnsServerProgram {
@@ -216,54 +237,6 @@ impl SocketProgram for DnsServerProgram {
             let resp = encode_response(id, &name, answer);
             let _ = cx.host.sock_send_to(now, h, src, sport, resp);
         }
-    }
-}
-
-/// An authoritative A-record server for a static zone on UDP port 53.
-pub struct DnsServer {
-    inner: SockApp<DnsServerProgram>,
-    report: crate::Shared<DnsServerReport>,
-}
-
-impl DnsServer {
-    /// Serves `zone` (name → address) with the given answer TTL.
-    pub fn new(zone: &[(&str, Ipv4Addr)], ttl: SimDuration) -> DnsServer {
-        let report = crate::shared(DnsServerReport::default());
-        DnsServer {
-            inner: SockApp::new(DnsServerProgram {
-                zone: zone
-                    .iter()
-                    .map(|(n, a)| (n.to_ascii_lowercase(), *a))
-                    .collect(),
-                ttl: ttl.as_secs_f64() as u32,
-                sock: None,
-                report: report.clone(),
-            }),
-            report,
-        }
-    }
-
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<DnsServerReport> {
-        self.report.clone()
-    }
-}
-
-impl App for DnsServer {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
     }
 }
 
@@ -342,12 +315,35 @@ struct InFlight {
     tries: u32,
 }
 
-struct ResolverProgram {
+/// The stub resolver app: owns the UDP socket, drains the
+/// [`ResolverCore`] request queue, retries on a timer.
+pub type Resolver = SockApp<ResolverProgram>;
+
+/// The socket program behind [`Resolver`].
+pub struct ResolverProgram {
     core: crate::Shared<ResolverCore>,
     port: u16,
     sock: Option<SocketHandle>,
     next_id: u16,
     in_flight: HashMap<u16, InFlight>,
+}
+
+impl Resolver {
+    /// A resolver querying `server`, bound to local `port`.
+    pub fn new(server: Ipv4Addr, port: u16) -> Resolver {
+        SockApp::from(ResolverProgram {
+            core: ResolverCore::new(server),
+            port,
+            sock: None,
+            next_id: 1,
+            in_flight: HashMap::new(),
+        })
+    }
+
+    /// The shared core other apps and drivers hold.
+    pub fn core(&self) -> crate::Shared<ResolverCore> {
+        self.program.core.clone()
+    }
 }
 
 impl ResolverProgram {
@@ -442,53 +438,6 @@ impl SocketProgram for ResolverProgram {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-}
-
-/// The stub resolver app: owns the UDP socket, drains the
-/// [`ResolverCore`] request queue, retries on a timer.
-pub struct Resolver {
-    inner: SockApp<ResolverProgram>,
-    core: crate::Shared<ResolverCore>,
-}
-
-impl Resolver {
-    /// A resolver querying `server`, bound to local `port`.
-    pub fn new(server: Ipv4Addr, port: u16) -> Resolver {
-        let core = ResolverCore::new(server);
-        Resolver {
-            inner: SockApp::new(ResolverProgram {
-                core: core.clone(),
-                port,
-                sock: None,
-                next_id: 1,
-                in_flight: HashMap::new(),
-            }),
-            core,
-        }
-    }
-
-    /// The shared core other apps and drivers hold.
-    pub fn core(&self) -> crate::Shared<ResolverCore> {
-        self.core.clone()
-    }
-}
-
-impl App for Resolver {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
     }
 }
 

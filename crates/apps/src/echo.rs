@@ -26,11 +26,30 @@ pub struct EchoReport {
     pub bytes_echoed: u64,
 }
 
-/// The socket-program behind [`EchoServer`].
-struct EchoProgram {
+/// A TCP echo server on one port (socket-layer implementation).
+pub type EchoServer = SockApp<EchoProgram>;
+
+/// The socket program behind [`EchoServer`].
+pub struct EchoProgram {
     port: u16,
     listener: Option<SocketHandle>,
     report: crate::Shared<EchoReport>,
+}
+
+impl EchoServer {
+    /// Creates a server for `port`.
+    pub fn new(port: u16) -> EchoServer {
+        SockApp::from(EchoProgram {
+            port,
+            listener: None,
+            report: crate::shared(EchoReport::default()),
+        })
+    }
+
+    /// The shared report handle.
+    pub fn report(&self) -> crate::Shared<EchoReport> {
+        self.program.report.clone()
+    }
 }
 
 impl SocketProgram for EchoProgram {
@@ -60,50 +79,6 @@ impl SocketProgram for EchoProgram {
         if ready.eof() || ready.error() {
             cx.close(now, h);
         }
-    }
-}
-
-/// A TCP echo server on one port (socket-layer implementation).
-pub struct EchoServer {
-    inner: SockApp<EchoProgram>,
-    report: crate::Shared<EchoReport>,
-}
-
-impl EchoServer {
-    /// Creates a server for `port`.
-    pub fn new(port: u16) -> EchoServer {
-        let report = crate::shared(EchoReport::default());
-        EchoServer {
-            inner: SockApp::new(EchoProgram {
-                port,
-                listener: None,
-                report: report.clone(),
-            }),
-            report,
-        }
-    }
-
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<EchoReport> {
-        self.report.clone()
-    }
-}
-
-impl App for EchoServer {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
     }
 }
 

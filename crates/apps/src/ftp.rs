@@ -14,9 +14,6 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::StackAction;
 use sim::{SimDuration, SimTime};
 use socket::{Readiness, SocketHandle};
 
@@ -43,8 +40,11 @@ pub struct FileServerReport {
     pub not_found: u64,
 }
 
+/// The file server: name → size catalogue (socket-layer implementation).
+pub type FileServer = SockApp<FileServerProgram>;
+
 /// The socket program behind [`FileServer`].
-struct FileServerProgram {
+pub struct FileServerProgram {
     port: u16,
     listener: Option<SocketHandle>,
     catalogue: HashMap<String, usize>,
@@ -56,6 +56,25 @@ struct FileServerProgram {
     /// several transfers overlap.
     sending: Vec<(SocketHandle, String, usize, usize)>,
     report: crate::Shared<FileServerReport>,
+}
+
+impl FileServer {
+    /// Creates a server for `port` with the given catalogue.
+    pub fn new(port: u16, files: &[(&str, usize)]) -> FileServer {
+        SockApp::from(FileServerProgram {
+            port,
+            listener: None,
+            catalogue: files.iter().map(|(n, s)| (n.to_string(), *s)).collect(),
+            sessions: HashMap::new(),
+            sending: Vec::new(),
+            report: crate::shared(FileServerReport::default()),
+        })
+    }
+
+    /// The shared report handle.
+    pub fn report(&self) -> crate::Shared<FileServerReport> {
+        self.program.report.clone()
+    }
 }
 
 impl FileServerProgram {
@@ -105,10 +124,8 @@ impl SocketProgram for FileServerProgram {
             let data = cx.host.sock_recv(now, h).unwrap_or_default();
             if let Some(buf) = self.sessions.get_mut(&h) {
                 buf.extend_from_slice(&data);
-                if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line).trim().to_string();
-                    if let Some(name) = line.strip_prefix("GET ") {
+                if let Some(line) = crate::take_line(buf, b"\n") {
+                    if let Some(name) = line.trim().strip_prefix("GET ") {
                         match self.catalogue.get(name) {
                             Some(&size) => {
                                 self.report.borrow_mut().serves += 1;
@@ -145,53 +162,6 @@ impl SocketProgram for FileServerProgram {
     }
 }
 
-/// The file server: name → size catalogue (socket-layer implementation).
-pub struct FileServer {
-    inner: SockApp<FileServerProgram>,
-    report: crate::Shared<FileServerReport>,
-}
-
-impl FileServer {
-    /// Creates a server for `port` with the given catalogue.
-    pub fn new(port: u16, files: &[(&str, usize)]) -> FileServer {
-        let report = crate::shared(FileServerReport::default());
-        FileServer {
-            inner: SockApp::new(FileServerProgram {
-                port,
-                listener: None,
-                catalogue: files.iter().map(|(n, s)| (n.to_string(), *s)).collect(),
-                sessions: HashMap::new(),
-                sending: Vec::new(),
-                report: report.clone(),
-            }),
-            report,
-        }
-    }
-
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<FileServerReport> {
-        self.report.clone()
-    }
-}
-
-impl App for FileServer {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
-    }
-}
-
 /// Results of one GET.
 #[derive(Debug, Default)]
 pub struct FileClientReport {
@@ -218,8 +188,11 @@ impl FileClientReport {
     }
 }
 
+/// A one-file GET client (socket-layer implementation).
+pub type FileClient = SockApp<FileClientProgram>;
+
 /// The socket program behind [`FileClient`].
-struct FileClientProgram {
+pub struct FileClientProgram {
     dst: Ipv4Addr,
     port: u16,
     name: String,
@@ -229,6 +202,28 @@ struct FileClientProgram {
     header_done: bool,
     mismatch: bool,
     report: crate::Shared<FileClientReport>,
+}
+
+impl FileClient {
+    /// Fetches `name` from `dst:port`.
+    pub fn new(dst: Ipv4Addr, port: u16, name: &str) -> FileClient {
+        SockApp::from(FileClientProgram {
+            dst,
+            port,
+            name: name.to_string(),
+            sock: None,
+            sent_req: false,
+            buf: Vec::new(),
+            header_done: false,
+            mismatch: false,
+            report: crate::shared(FileClientReport::default()),
+        })
+    }
+
+    /// The shared report handle.
+    pub fn report(&self) -> crate::Shared<FileClientReport> {
+        self.program.report.clone()
+    }
 }
 
 impl SocketProgram for FileClientProgram {
@@ -256,11 +251,9 @@ impl SocketProgram for FileClientProgram {
             let data = cx.host.sock_recv(now, h).unwrap_or_default();
             self.buf.extend_from_slice(&data);
             if !self.header_done {
-                if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line).trim().to_string();
+                if let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                     self.header_done = true;
-                    if let Some(size) = line.strip_prefix("OK ") {
+                    if let Some(size) = line.trim().strip_prefix("OK ") {
                         self.report.borrow_mut().announced = size.parse().unwrap_or(0);
                     } else {
                         self.report.borrow_mut().not_found = true;
@@ -286,56 +279,6 @@ impl SocketProgram for FileClientProgram {
             r.intact = !self.mismatch && r.received == r.announced;
             r.done = r.intact && r.announced > 0;
         }
-    }
-}
-
-/// A one-file GET client (socket-layer implementation).
-pub struct FileClient {
-    inner: SockApp<FileClientProgram>,
-    report: crate::Shared<FileClientReport>,
-}
-
-impl FileClient {
-    /// Fetches `name` from `dst:port`.
-    pub fn new(dst: Ipv4Addr, port: u16, name: &str) -> FileClient {
-        let report = crate::shared(FileClientReport::default());
-        FileClient {
-            inner: SockApp::new(FileClientProgram {
-                dst,
-                port,
-                name: name.to_string(),
-                sock: None,
-                sent_req: false,
-                buf: Vec::new(),
-                header_done: false,
-                mismatch: false,
-                report: report.clone(),
-            }),
-            report,
-        }
-    }
-
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<FileClientReport> {
-        self.report.clone()
-    }
-}
-
-impl App for FileClient {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
     }
 }
 

@@ -4,11 +4,13 @@
 //! telnet from an isolated IBM PC to a system that was on our Ethernet by
 //! way of the new gateway. Since then we have used the gateway for file
 //! transfer, electronic mail, and remote login in both directions."*
-//! These modules script those uses as [`gateway::world::App`]
-//! implementations, so the end-to-end experiments (E6) are repeatable:
+//! These modules script those uses as [`gateway::world::App`]s, so the
+//! end-to-end experiments (E6) are repeatable. Every service that talks
+//! TCP or UDP is a [`sockapp::SocketProgram`] on the BSD-style socket
+//! layer, run by [`sockapp::SockApp`] (DESIGN.md §10):
 //!
-//! * [`ping`] — an ICMP echo workload with RTT recording (E1, E4, E7);
-//! * [`echo`] — a TCP echo server;
+//! * [`echo`] — a TCP echo server (plus [`echo::RawEchoServer`], the one
+//!   raw-API reference the socket layer is checked against);
 //! * [`bulk`] — a bulk TCP sender/sink pair with retransmission
 //!   accounting (E2, E3);
 //! * [`telnet`] — a login-style interactive session (remote login);
@@ -17,12 +19,15 @@
 //! * [`ftp`] — a file transfer with integrity checking;
 //! * [`smtp`] — electronic mail exchange;
 //! * [`callbook`] — §5's proposed distributed callbook over UDP;
-//! * [`ax25chat`] — connected-mode AX.25 endpoints: the BBS and terminal
-//!   users that the §2.4 application gateway serves;
-//! * [`sockapp`] — the socket-program runtime ([`sockapp::SockApp`]
-//!   schedules a [`sockapp::SocketProgram`] over poll/select readiness);
 //! * [`dns`] — a stub resolver and an authoritative A-record server for
-//!   the AMPRnet callsign zone, both socket programs (E14).
+//!   the AMPRnet callsign zone (E14);
+//! * [`sockapp`] — the socket-program runtime.
+//!
+//! Two apps are not socket-shaped and drive their host directly:
+//!
+//! * [`ping`] — an ICMP echo workload with RTT recording (E1, E4, E7);
+//! * [`ax25chat`] — connected-mode AX.25 endpoints: the BBS and terminal
+//!   users that the §2.4 application gateway serves.
 //!
 //! Each app publishes its results through a [`Shared`] report handle that
 //! survives the app being boxed into the world.
@@ -51,4 +56,15 @@ pub type Shared<T> = Rc<RefCell<T>>;
 /// Creates a [`Shared`] report.
 pub fn shared<T>(value: T) -> Shared<T> {
     Rc::new(RefCell::new(value))
+}
+
+/// Splits the first line off `buf`: every byte up to and including the
+/// first one found in `terminators`, as text (invalid UTF-8 replaced).
+/// `None`, and `buf` untouched, until a terminator arrives. The line keeps
+/// its terminator; each protocol trims what it wants.
+pub fn take_line(buf: &mut Vec<u8>, terminators: &[u8]) -> Option<String> {
+    let end = buf.iter().position(|b| terminators.contains(b))? + 1;
+    let line = String::from_utf8_lossy(&buf[..end]).into_owned();
+    buf.drain(..end);
+    Some(line)
 }

@@ -2,15 +2,16 @@
 //!
 //! §2.3's third service ("electronic mail"). The dialogue is the classic
 //! HELO / MAIL FROM / RCPT TO / DATA / "." / QUIT, enough to move one
-//! message across the gateway in either direction.
+//! message across the gateway in either direction. Both ends are
+//! [`SocketProgram`]s (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::{SockId, StackAction};
 use sim::SimTime;
+use socket::{Readiness, SocketHandle};
+
+use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 
 /// One delivered message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,31 +43,38 @@ struct SmtpSession {
 }
 
 /// A minimal SMTP server.
-pub struct SmtpServer {
+pub type SmtpServer = SockApp<SmtpServerProgram>;
+
+/// The socket program behind [`SmtpServer`].
+pub struct SmtpServerProgram {
     port: u16,
     hostname: String,
-    sessions: HashMap<SockId, SmtpSession>,
+    listener: Option<SocketHandle>,
+    sessions: HashMap<SocketHandle, SmtpSession>,
     report: crate::Shared<SmtpServerReport>,
 }
 
 impl SmtpServer {
     /// Creates a server on `port` announcing `hostname`.
     pub fn new(port: u16, hostname: &str) -> SmtpServer {
-        SmtpServer {
+        SockApp::from(SmtpServerProgram {
             port,
             hostname: hostname.to_string(),
+            listener: None,
             sessions: HashMap::new(),
             report: crate::shared(SmtpServerReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<SmtpServerReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
-    fn handle_line(&mut self, sock: SockId, line: &str) -> (String, bool) {
-        let session = self.sessions.entry(sock).or_default();
+impl SmtpServerProgram {
+    fn handle_line(&mut self, h: SocketHandle, line: &str) -> (String, bool) {
+        let session = self.sessions.entry(h).or_default();
         if session.in_data {
             if line == "." {
                 session.in_data = false;
@@ -101,50 +109,44 @@ impl SmtpServer {
     }
 }
 
-impl App for SmtpServer {
-    fn on_start(&mut self, _now: SimTime, host: &mut Host) {
-        host.stack.tcp_listen(self.port).expect("smtp port");
+impl SocketProgram for SmtpServerProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.listener = Some(cx.listen(now, self.port, None).expect("smtp port"));
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpAccepted { sock, .. } => {
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) == self.listener {
+            while let Ok(sess) = cx.accept(now, h) {
                 self.report.borrow_mut().sessions += 1;
-                self.sessions.insert(*sock, SmtpSession::default());
+                self.sessions.insert(sess, SmtpSession::default());
                 let banner = format!("220 {} SMTP ready\r\n", self.hostname);
-                host.tcp_send(now, *sock, banner.as_bytes());
+                let _ = cx.host.sock_send(now, sess, banner.as_bytes());
             }
-            StackAction::TcpReadable(sock) => {
-                if !self.sessions.contains_key(sock) {
+            return;
+        }
+        if ready.readable() {
+            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let Some(session) = self.sessions.get_mut(&h) else {
+                return;
+            };
+            session.buf.extend_from_slice(&data);
+            while let Some(line) = self
+                .sessions
+                .get_mut(&h)
+                .and_then(|s| crate::take_line(&mut s.buf, b"\n"))
+            {
+                let (reply, close) = self.handle_line(h, line.trim_end());
+                if !reply.is_empty() {
+                    let _ = cx.host.sock_send(now, h, reply.as_bytes());
+                }
+                if close {
+                    self.sessions.remove(&h);
+                    cx.close(now, h);
                     return;
                 }
-                let data = host.tcp_recv(now, *sock);
-                self.sessions
-                    .get_mut(sock)
-                    .expect("checked")
-                    .buf
-                    .extend_from_slice(&data);
-                while let Some(session) = self.sessions.get_mut(sock) {
-                    let Some(pos) = session.buf.iter().position(|&b| b == b'\n') else {
-                        break;
-                    };
-                    let raw: Vec<u8> = session.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw).trim_end().to_string();
-                    let (reply, close) = self.handle_line(*sock, &line);
-                    if !reply.is_empty() {
-                        host.tcp_send(now, *sock, reply.as_bytes());
-                    }
-                    if close {
-                        host.tcp_close(now, *sock);
-                        self.sessions.remove(sock);
-                        break;
-                    }
-                }
             }
-            StackAction::TcpPeerClosed(sock) if self.sessions.remove(sock).is_some() => {
-                host.tcp_close(now, *sock);
-            }
-            _ => {}
+        } else if (ready.eof() || ready.error()) && self.sessions.remove(&h).is_some() {
+            cx.close(now, h);
         }
     }
 }
@@ -163,11 +165,14 @@ pub struct SmtpClientReport {
 }
 
 /// A client that submits one message.
-pub struct SmtpClient {
+pub type SmtpClient = SockApp<SmtpClientProgram>;
+
+/// The socket program behind [`SmtpClient`].
+pub struct SmtpClientProgram {
     dst: Ipv4Addr,
     port: u16,
     mail: Mail,
-    sock: Option<SockId>,
+    sock: Option<SocketHandle>,
     buf: Vec<u8>,
     step: usize,
     report: crate::Shared<SmtpClientReport>,
@@ -176,7 +181,7 @@ pub struct SmtpClient {
 impl SmtpClient {
     /// Sends `mail` to `dst:port`.
     pub fn new(dst: Ipv4Addr, port: u16, mail: Mail) -> SmtpClient {
-        SmtpClient {
+        SockApp::from(SmtpClientProgram {
             dst,
             port,
             mail,
@@ -184,14 +189,16 @@ impl SmtpClient {
             buf: Vec::new(),
             step: 0,
             report: crate::shared(SmtpClientReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<SmtpClientReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
+impl SmtpClientProgram {
     fn next_command(&mut self) -> Option<String> {
         let cmd = match self.step {
             0 => Some("HELO pc.ampr.org\r\n".to_string()),
@@ -215,42 +222,46 @@ impl SmtpClient {
     }
 }
 
-impl App for SmtpClient {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.sock = host.tcp_connect(now, self.dst, self.port).ok();
+impl SocketProgram for SmtpClientProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.sock = cx.connect(now, self.dst, self.port).ok();
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpReadable(sock) if Some(*sock) == self.sock => {
-                let data = host.tcp_recv(now, *sock);
-                self.buf.extend_from_slice(&data);
-                while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = self.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw).trim_end().to_string();
-                    {
-                        let mut r = self.report.borrow_mut();
-                        // "250 Ok: queued" after the DATA body means delivery.
-                        if self.step == 5 && line.starts_with("250") {
-                            r.delivered = true;
-                        }
-                        r.replies.push(line.clone());
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) != self.sock {
+            return;
+        }
+        if ready.readable() {
+            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            self.buf.extend_from_slice(&data);
+            while let Some(line) = crate::take_line(&mut self.buf, b"\n") {
+                let line = line.trim_end();
+                {
+                    let mut r = self.report.borrow_mut();
+                    // "250 Ok: queued" after the DATA body means delivery.
+                    if self.step == 5 && line.starts_with("250") {
+                        r.delivered = true;
                     }
-                    // Every server reply advances the script one command.
-                    if line.starts_with("2") || line.starts_with("3") {
-                        if let Some(cmd) = self.next_command() {
-                            host.tcp_send(now, *sock, cmd.as_bytes());
-                        }
-                    }
-                    if line.starts_with("221") {
-                        host.tcp_close(now, *sock);
-                        let mut r = self.report.borrow_mut();
-                        r.done = true;
-                        r.finished_at = Some(now);
+                    r.replies.push(line.to_string());
+                }
+                // Every server reply advances the script one command.
+                if line.starts_with('2') || line.starts_with('3') {
+                    if let Some(cmd) = self.next_command() {
+                        let _ = cx.host.sock_send(now, h, cmd.as_bytes());
                     }
                 }
+                if line.starts_with("221") {
+                    cx.close(now, h);
+                    self.sock = None;
+                    let mut r = self.report.borrow_mut();
+                    r.done = true;
+                    r.finished_at = Some(now);
+                    return;
+                }
             }
-            _ => {}
+        } else if ready.eof() || ready.error() {
+            cx.close(now, h);
+            self.sock = None;
         }
     }
 }

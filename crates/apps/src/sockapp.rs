@@ -27,8 +27,11 @@ use gateway::Host;
 use netstack::stack::StackAction;
 use sim::SimTime;
 use socket::{Readiness, SockError, SocketHandle};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// The runtime's watch list: each watched handle with the readiness bits
+/// last delivered for it, in the order the handles were watched.
+type WatchList = Vec<(SocketHandle, u8)>;
 
 /// The capability a socket program acts through: the owning host plus
 /// the runtime's watch list. Handles created through the `SockCtx` verbs
@@ -36,20 +39,21 @@ use std::net::Ipv4Addr;
 pub struct SockCtx<'a> {
     /// The owning host (full socket API available as `sock_*` methods).
     pub host: &'a mut Host,
-    watched: &'a mut Vec<SocketHandle>,
+    watched: &'a mut WatchList,
 }
 
 impl SockCtx<'_> {
     /// Adds a handle to the runtime's watch list.
     pub fn watch(&mut self, h: SocketHandle) {
-        if !self.watched.contains(&h) {
-            self.watched.push(h);
+        if !self.watched.iter().any(|&(w, _)| w == h) {
+            self.watched.push((h, 0));
         }
     }
 
-    /// Removes a handle from the watch list.
+    /// Removes a handle, and what was last delivered for it, from the
+    /// watch list.
     pub fn unwatch(&mut self, h: SocketHandle) {
-        self.watched.retain(|&w| w != h);
+        self.watched.retain(|&(w, _)| w != h);
     }
 
     /// Opens a watched listener.
@@ -127,48 +131,41 @@ pub trait SocketProgram {
     }
 }
 
-/// Adapter: runs a [`SocketProgram`] as a world [`App`].
+/// Adapter: runs a [`SocketProgram`] as a world [`App`]. Every app in
+/// this crate that talks sockets is one of these; each names its own
+/// `SockApp<…Program>` type with a `new` and a report accessor.
 pub struct SockApp<P: SocketProgram> {
-    program: P,
-    watched: Vec<SocketHandle>,
-    last: HashMap<SocketHandle, u8>,
+    pub(crate) program: P,
+    watched: WatchList,
+}
+
+/// Wraps a program for scheduling.
+impl<P: SocketProgram> From<P> for SockApp<P> {
+    fn from(program: P) -> SockApp<P> {
+        SockApp {
+            program,
+            // A listener and a few streams without growing in the run.
+            watched: Vec::with_capacity(4),
+        }
+    }
 }
 
 impl<P: SocketProgram> SockApp<P> {
-    /// Wraps a program for scheduling.
-    pub fn new(program: P) -> SockApp<P> {
-        SockApp {
-            program,
-            watched: Vec::new(),
-            last: HashMap::new(),
-        }
-    }
-
-    /// The wrapped program.
-    pub fn program(&self) -> &P {
-        &self.program
-    }
-
     /// Computes readiness for every watched handle and delivers edges
     /// (plus level re-delivery for blocking handles), iterating until no
     /// handle's mask changes — so a handler that drains a socket sees the
     /// follow-on EOF edge within the same instant.
     fn deliver(&mut self, now: SimTime, host: &mut Host) {
-        let SockApp {
-            program,
-            watched,
-            last,
-        } = self;
+        let SockApp { program, watched } = self;
         for round in 0..64 {
             let mut any = false;
             let mut idx = 0;
             while idx < watched.len() {
-                let h = watched[idx];
+                let (h, prev) = watched[idx];
                 let mask = host.sock_poll(h);
-                let prev = last.get(&h).copied().unwrap_or(0);
                 let rising = mask.bits() & !prev;
                 let level = round == 0 && !host.sockets.is_nonblocking(h) && !mask.is_empty();
-                last.insert(h, mask.bits());
+                watched[idx].1 = mask.bits();
                 if rising != 0 || level {
                     any = true;
                     let mut cx = SockCtx {
@@ -179,7 +176,7 @@ impl<P: SocketProgram> SockApp<P> {
                 }
                 // The handler may have unwatched this (or any) handle;
                 // only advance when the slot still holds `h`.
-                if watched.get(idx) == Some(&h) {
+                if watched.get(idx).is_some_and(|&(w, _)| w == h) {
                     idx += 1;
                 }
             }
@@ -194,9 +191,7 @@ impl<P: SocketProgram> SockApp<P> {
 impl<P: SocketProgram> App for SockApp<P> {
     fn on_start(&mut self, now: SimTime, host: &mut Host) {
         {
-            let SockApp {
-                program, watched, ..
-            } = &mut *self;
+            let SockApp { program, watched } = &mut *self;
             let mut cx = SockCtx {
                 host: &mut *host,
                 watched,
@@ -214,9 +209,7 @@ impl<P: SocketProgram> App for SockApp<P> {
 
     fn poll(&mut self, now: SimTime, host: &mut Host) {
         {
-            let SockApp {
-                program, watched, ..
-            } = &mut *self;
+            let SockApp { program, watched } = &mut *self;
             let mut cx = SockCtx {
                 host: &mut *host,
                 watched,
@@ -228,5 +221,44 @@ impl<P: SocketProgram> App for SockApp<P> {
 
     fn next_deadline(&self) -> Option<SimTime> {
         self.program.next_wakeup()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::echo::EchoServer;
+    use crate::typist::Typist;
+    use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP};
+    use sim::SimDuration;
+
+    #[test]
+    fn a_server_holds_nothing_for_the_connections_it_closed() {
+        const SESSIONS: usize = 6;
+        let mut s = paper_topology(PaperConfig::default(), 2602);
+        let mut reports = Vec::new();
+        for _ in 0..SESSIONS {
+            let typist = Typist::new(ETHER_HOST_IP, 7, 2);
+            reports.push(typist.report());
+            s.world.add_app(s.pc, Box::new(typist));
+        }
+        // The server stays outside the world, run by hand between run
+        // calls, so the test can look into it afterwards.
+        let mut server = EchoServer::new(7);
+        server.on_start(s.world.now, s.world.host_mut(s.ether_host));
+        let end = s.world.now + SimDuration::from_secs(1800);
+        while s.world.now < end {
+            s.world.run_for(SimDuration::from_millis(100));
+            server.poll(s.world.now, s.world.host_mut(s.ether_host));
+        }
+
+        assert!(
+            reports.iter().all(|r| r.borrow().done),
+            "every session ran to its close"
+        );
+        assert_eq!(server.report().borrow().accepted, SESSIONS as u64);
+        // Every accepted stream is closed: the listener is the one live
+        // handle, and the runtime keeps one entry per live handle.
+        assert_eq!(server.watched.len(), 1);
     }
 }

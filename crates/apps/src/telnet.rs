@@ -3,21 +3,16 @@
 //! This is the paper's flagship demonstration: *"we were able to telnet
 //! from an isolated IBM PC to a system that was on our Ethernet by way of
 //! the new gateway"* (§2.3). The server mimics a 4.3BSD login dialogue;
-//! the client walks an expect/send script and keeps a transcript.
-//!
-//! Unlike [`crate::echo`], [`crate::typist`], and [`crate::ftp`], this
-//! module deliberately stays on the raw `NetStack::tcp_*` API: it is the
-//! in-tree executable reference for event-driven stack programming
-//! without the socket layer, so the two styles can be compared
-//! side by side (and the raw API keeps a nontrivial exerciser).
+//! the client walks an expect/send script and keeps a transcript. Both
+//! are [`SocketProgram`]s (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::{SockId, StackAction};
 use sim::SimTime;
+use socket::{Readiness, SocketHandle};
+
+use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 
 /// Per-session server state.
 enum LoginState {
@@ -36,29 +31,36 @@ pub struct TelnetServerReport {
 }
 
 /// A canned login server ("vax2").
-pub struct TelnetServer {
+pub type TelnetServer = SockApp<TelnetServerProgram>;
+
+/// The socket program behind [`TelnetServer`].
+pub struct TelnetServerProgram {
     port: u16,
     hostname: String,
-    sessions: HashMap<SockId, (LoginState, Vec<u8>)>,
+    listener: Option<SocketHandle>,
+    sessions: HashMap<SocketHandle, (LoginState, Vec<u8>)>,
     report: crate::Shared<TelnetServerReport>,
 }
 
 impl TelnetServer {
     /// Creates a server for `port` announcing `hostname`.
     pub fn new(port: u16, hostname: &str) -> TelnetServer {
-        TelnetServer {
+        SockApp::from(TelnetServerProgram {
             port,
             hostname: hostname.to_string(),
+            listener: None,
             sessions: HashMap::new(),
             report: crate::shared(TelnetServerReport::default()),
-        }
+        })
     }
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<TelnetServerReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
+impl TelnetServerProgram {
     fn respond(&mut self, state: &mut LoginState, line: &str) -> (String, bool) {
         match state {
             LoginState::AwaitLogin => {
@@ -97,54 +99,45 @@ impl TelnetServer {
     }
 }
 
-impl App for TelnetServer {
-    fn on_start(&mut self, _now: SimTime, host: &mut Host) {
-        host.stack.tcp_listen(self.port).expect("telnet port");
+impl SocketProgram for TelnetServerProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.listener = Some(cx.listen(now, self.port, None).expect("telnet port"));
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpAccepted { sock, .. } => {
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) == self.listener {
+            while let Ok(sess) = cx.accept(now, h) {
                 self.report.borrow_mut().sessions += 1;
                 self.sessions
-                    .insert(*sock, (LoginState::AwaitLogin, Vec::new()));
+                    .insert(sess, (LoginState::AwaitLogin, Vec::new()));
                 let banner = format!("4.3 BSD UNIX ({})\r\n\r\nlogin: ", self.hostname);
-                host.tcp_send(now, *sock, banner.as_bytes());
+                let _ = cx.host.sock_send(now, sess, banner.as_bytes());
             }
-            StackAction::TcpReadable(sock) => {
-                if !self.sessions.contains_key(sock) {
+            return;
+        }
+        if ready.readable() {
+            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let Some((mut state, mut buf)) = self.sessions.remove(&h) else {
+                return;
+            };
+            buf.extend_from_slice(&data);
+            // Terminals send \r, IP clients send \n: accept both, and
+            // skip the empty remainder of a \r\n pair.
+            while let Some(line) = crate::take_line(&mut buf, b"\n\r") {
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                let (reply, close) = self.respond(&mut state, line);
+                let _ = cx.host.sock_send(now, h, reply.as_bytes());
+                if close {
+                    cx.close(now, h);
                     return;
                 }
-                let data = host.tcp_recv(now, *sock);
-                let Some((mut state, mut buf)) = self.sessions.remove(sock) else {
-                    return;
-                };
-                buf.extend_from_slice(&data);
-                let mut closing = false;
-                // Terminals send \r, IP clients send \n: accept both, and
-                // skip the empty remainder of a \r\n pair.
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n' || b == b'\r') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line).trim().to_string();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let (reply, close) = self.respond(&mut state, &line);
-                    host.tcp_send(now, *sock, reply.as_bytes());
-                    if close {
-                        closing = true;
-                        host.tcp_close(now, *sock);
-                        break;
-                    }
-                }
-                if !closing {
-                    self.sessions.insert(*sock, (state, buf));
-                }
             }
-            StackAction::TcpPeerClosed(sock) if self.sessions.remove(sock).is_some() => {
-                host.tcp_close(now, *sock);
-            }
-            _ => {}
+            self.sessions.insert(h, (state, buf));
+        } else if (ready.eof() || ready.error()) && self.sessions.remove(&h).is_some() {
+            cx.close(now, h);
         }
     }
 }
@@ -164,13 +157,16 @@ pub struct TelnetClientReport {
 
 /// A scripted telnet client: waits for each expected prompt, sends the
 /// paired line.
-pub struct TelnetClient {
+pub type TelnetClient = SockApp<TelnetClientProgram>;
+
+/// The socket program behind [`TelnetClient`].
+pub struct TelnetClientProgram {
     dst: Ipv4Addr,
     port: u16,
     /// (expect substring, line to send) pairs, in order.
     script: Vec<(String, String)>,
     step: usize,
-    sock: Option<SockId>,
+    sock: Option<SocketHandle>,
     /// Unmatched server output (prompts are consumed as they match).
     pending: String,
     report: crate::Shared<TelnetClientReport>,
@@ -179,7 +175,7 @@ pub struct TelnetClient {
 impl TelnetClient {
     /// Creates a client that walks `script` against `dst:port`.
     pub fn new(dst: Ipv4Addr, port: u16, script: Vec<(&str, &str)>) -> TelnetClient {
-        TelnetClient {
+        SockApp::from(TelnetClientProgram {
             dst,
             port,
             script: script
@@ -190,7 +186,7 @@ impl TelnetClient {
             sock: None,
             pending: String::new(),
             report: crate::shared(TelnetClientReport::default()),
-        }
+        })
     }
 
     /// The standard demo script: log in, run `date` and `who`, log out.
@@ -210,13 +206,12 @@ impl TelnetClient {
 
     /// The shared report handle.
     pub fn report(&self) -> crate::Shared<TelnetClientReport> {
-        self.report.clone()
+        self.program.report.clone()
     }
+}
 
-    fn try_advance(&mut self, now: SimTime, host: &mut Host) {
-        let Some(sock) = self.sock else {
-            return;
-        };
+impl TelnetClientProgram {
+    fn try_advance(&mut self, now: SimTime, h: SocketHandle, cx: &mut SockCtx<'_>) {
         while let Some((expect, send)) = self.script.get(self.step) {
             let Some(pos) = self.pending.find(expect.as_str()) else {
                 break;
@@ -224,34 +219,35 @@ impl TelnetClient {
             // Consume through the prompt so it is not matched twice.
             self.pending.drain(..pos + expect.len());
             self.report.borrow_mut().lines_sent += 1;
-            let line = send.clone();
             self.step += 1;
-            host.tcp_send(now, sock, line.as_bytes());
+            let _ = cx.host.sock_send(now, h, send.as_bytes());
         }
     }
 }
 
-impl App for TelnetClient {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.sock = host.tcp_connect(now, self.dst, self.port).ok();
+impl SocketProgram for TelnetClientProgram {
+    fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
+        self.sock = cx.connect(now, self.dst, self.port).ok();
     }
 
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        match event {
-            StackAction::TcpReadable(sock) if Some(*sock) == self.sock => {
-                let data = host.tcp_recv(now, *sock);
-                let text = String::from_utf8_lossy(&data).to_string();
-                self.pending.push_str(&text);
-                self.report.borrow_mut().transcript.push_str(&text);
-                self.try_advance(now, host);
-            }
-            StackAction::TcpPeerClosed(sock) if Some(*sock) == self.sock => {
-                host.tcp_close(now, *sock);
+    fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
+        if Some(h) != self.sock {
+            return;
+        }
+        if ready.readable() {
+            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let text = String::from_utf8_lossy(&data);
+            self.pending.push_str(&text);
+            self.report.borrow_mut().transcript.push_str(&text);
+            self.try_advance(now, h, cx);
+        } else if ready.eof() || ready.error() {
+            cx.close(now, h);
+            self.sock = None;
+            if ready.eof() {
                 let mut r = self.report.borrow_mut();
                 r.done = self.step >= self.script.len();
                 r.finished_at = Some(now);
             }
-            _ => {}
         }
     }
 }

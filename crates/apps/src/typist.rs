@@ -17,9 +17,6 @@
 
 use std::net::Ipv4Addr;
 
-use gateway::world::App;
-use gateway::Host;
-use netstack::stack::StackAction;
 use sim::{SimDuration, SimTime};
 use socket::{Readiness, SocketHandle};
 
@@ -65,8 +62,11 @@ impl TypistReport {
     }
 }
 
+/// A stop-and-wait keystroke client (socket-layer implementation).
+pub type Typist = SockApp<TypistProgram>;
+
 /// The socket program behind [`Typist`].
-struct TypistProgram {
+pub struct TypistProgram {
     dst: Ipv4Addr,
     port: u16,
     count: usize,
@@ -75,6 +75,27 @@ struct TypistProgram {
     sent_at: Option<SimTime>,
     awaiting: usize,
     report: crate::Shared<TypistReport>,
+}
+
+impl Typist {
+    /// A typist who will strike `count` keys against `dst:port`.
+    pub fn new(dst: Ipv4Addr, port: u16, count: usize) -> Typist {
+        SockApp::from(TypistProgram {
+            dst,
+            port,
+            count,
+            sock: None,
+            started: false,
+            sent_at: None,
+            awaiting: 0,
+            report: crate::shared(TypistReport::default()),
+        })
+    }
+
+    /// The shared report handle.
+    pub fn report(&self) -> crate::Shared<TypistReport> {
+        self.program.report.clone()
+    }
 }
 
 impl TypistProgram {
@@ -152,54 +173,5 @@ impl SocketProgram for TypistProgram {
         if ready.hangup() {
             self.finish(now, h, cx);
         }
-    }
-}
-
-/// A stop-and-wait keystroke client (socket-layer implementation).
-pub struct Typist {
-    inner: SockApp<TypistProgram>,
-    report: crate::Shared<TypistReport>,
-}
-
-impl Typist {
-    /// A typist who will strike `count` keys against `dst:port`.
-    pub fn new(dst: Ipv4Addr, port: u16, count: usize) -> Typist {
-        let report = crate::shared(TypistReport::default());
-        Typist {
-            inner: SockApp::new(TypistProgram {
-                dst,
-                port,
-                count,
-                sock: None,
-                started: false,
-                sent_at: None,
-                awaiting: 0,
-                report: report.clone(),
-            }),
-            report,
-        }
-    }
-
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<TypistReport> {
-        self.report.clone()
-    }
-}
-
-impl App for Typist {
-    fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.on_start(now, host);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        self.inner.on_event(now, event, host);
-    }
-
-    fn poll(&mut self, now: SimTime, host: &mut Host) {
-        self.inner.poll(now, host);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.inner.next_deadline()
     }
 }

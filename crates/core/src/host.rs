@@ -27,7 +27,7 @@ use netstack::icmp::IcmpMessage;
 use netstack::stack::{IfaceConfig, IfaceId, NetStack, SockId, StackAction, StackConfig};
 use netstack::NetError;
 use sim::{PacketBuf, SimTime, SinkFn};
-use socket::{Readiness, SockError, SocketHandle, SocketTable};
+use socket::{Readiness, SockError, SocketHandle, SocketTable, TcpInfo};
 
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
@@ -691,17 +691,6 @@ impl Host {
         self.run_stack_op(now, |st| st.tcp_connect(now, dst, port))
     }
 
-    /// Opens a TCP connection with an explicit TCP configuration.
-    pub fn tcp_connect_with(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        port: u16,
-        cfg: netstack::tcp::TcpConfig,
-    ) -> Result<SockId, NetError> {
-        self.run_stack_op(now, |st| st.tcp_connect_with(now, dst, port, cfg))
-    }
-
     /// Sends on a TCP socket; returns octets accepted.
     pub fn tcp_send(&mut self, now: SimTime, sock: SockId, data: &[u8]) -> usize {
         self.run_stack_op(now, |st| st.tcp_send(now, sock, data))
@@ -789,6 +778,17 @@ impl Host {
         self.run_sock_op(now, |so, st| so.connect(st, now, dst, port))
     }
 
+    /// [`Host::sock_connect`] with this connection's own TCP configuration.
+    pub fn sock_connect_with(
+        &mut self,
+        now: SimTime,
+        dst: Ipv4Addr,
+        port: u16,
+        cfg: netstack::tcp::TcpConfig,
+    ) -> Result<SocketHandle, SockError> {
+        self.run_sock_op(now, |so, st| so.connect_with(st, now, dst, port, cfg))
+    }
+
     /// Pops one completed connection off a listener.
     pub fn sock_accept(
         &mut self,
@@ -856,6 +856,11 @@ impl Host {
     /// Room in a stream's send buffer (bulk senders pump on WRITABLE).
     pub fn sock_send_capacity(&self, h: SocketHandle) -> usize {
         self.sockets.send_capacity(&self.stack, h)
+    }
+
+    /// A stream's state, unacknowledged octets and TCB counters.
+    pub fn sock_tcp_info(&self, h: SocketHandle) -> Option<TcpInfo> {
+        self.sockets.tcp_info(&self.stack, h)
     }
 
     /// Flips a handle between blocking and nonblocking notification.

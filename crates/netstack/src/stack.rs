@@ -23,7 +23,7 @@ use crate::fwd::{FwdCache, FwdDecision, FwdKind, FwdProbe};
 use crate::icmp::{IcmpMessage, UnreachCode};
 use crate::ip::{self, FragResult, Ipv4Packet, Proto, Reassembler};
 use crate::route::{NextHop, Prefix, RouteTable};
-use crate::tcp::{RtoPolicy, Tcb, TcbEvent, TcpConfig, TcpSegment, TcpState};
+use crate::tcp::{Tcb, TcbEvent, TcpConfig, TcpSegment, TcpState};
 use crate::udp::UdpDatagram;
 use crate::NetError;
 
@@ -80,7 +80,7 @@ pub struct UdpId(usize);
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackConfig {
     /// TCP defaults for sockets created on this host (§4.1: set
-    /// `tcp.rto` to [`RtoPolicy::Fixed`] to model the naive peer).
+    /// `tcp.rto` to [`crate::tcp::RtoPolicy::Fixed`] to model the naive peer).
     pub tcp: TcpConfig,
     /// Surface not-for-us packets as [`StackAction::ForwardNeeded`].
     pub forwarding: bool,
@@ -1231,15 +1231,6 @@ fn ipip_wrap(mut packet: Ipv4Packet, endpoint: Ipv4Addr) -> Ipv4Packet {
 fn clamped_mss(mss: u16, mtu: usize) -> u16 {
     let cap = mtu.saturating_sub(40).clamp(1, usize::from(u16::MAX)) as u16;
     mss.min(cap)
-}
-
-/// Convenience: the RTO policy of the classic misbehaving fast-side host
-/// in §4.1 — a constant 1.5 s regardless of the path.
-pub fn fixed_rto_config() -> TcpConfig {
-    TcpConfig {
-        rto: RtoPolicy::Fixed(sim::SimDuration::from_millis(1500)),
-        ..TcpConfig::default()
-    }
 }
 
 impl NetStack {

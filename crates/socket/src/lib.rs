@@ -40,7 +40,7 @@ use std::net::Ipv4Addr;
 
 use netstack::icmp::IcmpMessage;
 use netstack::stack::{ListenerId, NetStack, SockId, StackAction, UdpId};
-use netstack::tcp::TcpState;
+use netstack::tcp::{TcbStats, TcpConfig, TcpState};
 use netstack::NetError;
 use sim::{PacketBuf, SimDuration, SimTime};
 
@@ -204,6 +204,17 @@ impl SocketHandle {
 /// timer.
 pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(75);
 
+/// What [`SocketTable::tcp_info`] reports about one stream.
+#[derive(Debug, Clone, Copy)]
+pub struct TcpInfo {
+    /// The TCB's connection state.
+    pub state: TcpState,
+    /// Octets queued or in flight that the peer has not acknowledged.
+    pub unacked: usize,
+    /// Segment, retransmission and RTT counters.
+    pub stats: TcbStats,
+}
+
 #[derive(Debug)]
 struct TcpSlot {
     id: SockId,
@@ -306,14 +317,33 @@ impl SocketTable {
         dst_port: u16,
     ) -> Result<SocketHandle, SockError> {
         let id = st.tcp_connect(now, dst, dst_port)?;
-        Ok(self.alloc(Slot::Tcp(TcpSlot {
+        Ok(self.connecting(id, now))
+    }
+
+    /// [`SocketTable::connect`] with this connection's own TCP
+    /// configuration in place of the stack's (the fixed vs adaptive RTO
+    /// of §4.1, a small send buffer).
+    pub fn connect_with(
+        &mut self,
+        st: &mut NetStack,
+        now: SimTime,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        cfg: TcpConfig,
+    ) -> Result<SocketHandle, SockError> {
+        let id = st.tcp_connect_with(now, dst, dst_port, cfg)?;
+        Ok(self.connecting(id, now))
+    }
+
+    fn connecting(&mut self, id: SockId, now: SimTime) -> SocketHandle {
+        self.alloc(Slot::Tcp(TcpSlot {
             id,
             connected: false,
             error: None,
             nonblocking: false,
             connect_deadline: Some(now + CONNECT_TIMEOUT),
             shut: false,
-        })))
+        }))
     }
 
     /// Pops one completed connection off a listener's accept queue,
@@ -511,6 +541,18 @@ impl SocketTable {
             Some(Slot::Tcp(t)) if t.connected && t.error.is_none() => st.tcp_send_capacity(t.id),
             _ => 0,
         }
+    }
+
+    /// `TCP_INFO`: a stream's connection state, the octets it holds that
+    /// the peer has not acknowledged, and its TCB counters. `None` unless
+    /// `h` is an open stream.
+    pub fn tcp_info(&self, st: &NetStack, h: SocketHandle) -> Option<TcpInfo> {
+        let id = self.tcp(h).ok()?.id;
+        Some(TcpInfo {
+            state: st.tcp_state(id),
+            unacked: st.tcp_send_backlog(id),
+            stats: st.tcp_stats(id),
+        })
     }
 
     /// The latched asynchronous error, if any — `SO_ERROR` without the

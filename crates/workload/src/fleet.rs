@@ -220,7 +220,7 @@ pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedul
             &names,
             island_stats[plan.island].clone(),
         );
-        m.world.add_app(host, Box::new(SockApp::new(client)));
+        m.world.add_app(host, Box::new(SockApp::from(client)));
     }
 
     Fleet {

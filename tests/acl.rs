@@ -5,7 +5,7 @@
 
 use apps::ping::Pinger;
 use filter::{FilterConfig, GateConfig};
-use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP, GW_RADIO_IP, PC_IP};
+use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP, PC_IP};
 use netstack::icmp::{GateAuth, IcmpMessage};
 use sim::SimDuration;
 
@@ -83,37 +83,6 @@ fn entries_expire_without_amateur_refresh() {
     s.world.add_app(s.ether_host, Box::new(p));
     s.world.run_for(SimDuration::from_secs(60));
     assert_eq!(r.borrow().received, 0, "expired entry must deny");
-}
-
-#[test]
-fn gate_close_cuts_an_active_pairing() {
-    let mut s = paper_topology(PaperConfig::default(), 303);
-    // Open by pinging out.
-    let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 16);
-    s.world.run_for(SimDuration::from_secs(30));
-
-    // The control operator cuts the link (§4.3: "exercise his control
-    // operator function to cut off the link").
-    let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateClose {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            auth: None,
-        },
-    );
-    s.world.run_for(SimDuration::from_secs(30));
-    assert_eq!(s.world.host(s.gw).filter_stats().unwrap().gate_closed, 1);
-
-    // Inbound is blocked again.
-    let p = Pinger::new(PC_IP, 2, 2, SimDuration::from_secs(5), 16);
-    let r = p.report();
-    s.world.add_app(s.ether_host, Box::new(p));
-    s.world.run_for(SimDuration::from_secs(60));
-    assert_eq!(r.borrow().received, 0, "closed gate must deny");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! from servers on the Internet side, following referrals between
 //! regional servers.
 
-use apps::callbook::{CallbookClient, CallbookServer};
+use apps::callbook::{CallbookClient, CallbookServer, MAX_HOPS};
 use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP, GW_ETHER_IP};
 use sim::SimDuration;
 
@@ -71,4 +71,29 @@ fn unknown_callsign_errors() {
     let r = report.borrow();
     assert!(r.done);
     assert!(r.answer.as_deref().unwrap_or("").starts_with("ERR"));
+}
+
+#[test]
+fn mutual_referral_ends_unanswered_after_max_hops() {
+    let mut s = paper_topology(PaperConfig::default(), 604);
+    // Two misconfigured regions, each sure the other holds the K calls.
+    let west = CallbookServer::new(&[], &[("K", GW_ETHER_IP)]);
+    let west_report = west.report();
+    s.world.add_app(s.ether_host, Box::new(west));
+    let east = CallbookServer::new(&[], &[("K", ETHER_HOST_IP)]);
+    let east_report = east.report();
+    s.world.add_app(s.gw, Box::new(east));
+
+    let client = CallbookClient::new(ETHER_HOST_IP, "K3MC", 2103);
+    let report = client.report();
+    s.world.add_app(s.pc, Box::new(client));
+
+    s.world.run_for(SimDuration::from_secs(600));
+
+    let r = report.borrow();
+    assert!(r.done, "the walk ends: {r:?}");
+    assert_eq!(r.answer, None);
+    assert_eq!(r.hops, MAX_HOPS);
+    let referred = west_report.borrow().referred + east_report.borrow().referred;
+    assert_eq!(referred, u64::from(MAX_HOPS), "no query after the last hop");
 }

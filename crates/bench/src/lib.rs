@@ -277,11 +277,11 @@ pub fn authorize_inbound(s: &mut PaperScenario) {
     );
 }
 
-/// A `PaperConfig` with the ACL disabled — routing/latency experiments
-/// where §4.3 is out of scope.
+/// A `PaperConfig` with no filter on the gateway — routing/latency
+/// experiments where §4.3 is out of scope.
 pub fn open_config() -> PaperConfig {
     PaperConfig {
-        acl: false,
+        filter: None,
         ..PaperConfig::default()
     }
 }

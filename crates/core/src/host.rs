@@ -70,9 +70,8 @@ pub struct HostConfig {
     /// Ethernet interface, if any.
     pub ether: Option<EtherIfConfig>,
     /// The compiled packet-filter engine (DESIGN.md §13), carrying the
-    /// §4.3 gate plus compiled rules, the decision cache, and rate
-    /// limiting, evaluated at the driver hooks (and at the forwarding
-    /// step on hosts with no radio driver to hook).
+    /// §4.3 gate plus compiled rules, evaluated at the driver hooks (and
+    /// at the forwarding step on hosts with no radio driver to hook).
     pub filter: Option<FilterConfig>,
 }
 
@@ -597,8 +596,8 @@ impl Host {
                                 // A radio-equipped host already judged this
                                 // packet at the driver's rint hook and will
                                 // judge the egress side at the output hook;
-                                // evaluating here too would double-charge
-                                // token buckets and double-refresh gate
+                                // evaluating here too would double-count
+                                // verdicts and double-refresh gate
                                 // entries. Only hosts with no radio police
                                 // the forwarding step itself.
                                 self.pr.is_some()

@@ -52,14 +52,12 @@ pub struct PaperConfig {
     pub mac: MacConfig,
     /// CPU cost model for the gateway and PC.
     pub cpu: CpuConfig,
-    /// Install §4.3 access control on the gateway — the filter engine
-    /// in its gateway posture ([`filter::FilterConfig::gateway`]): the
-    /// soft-state gate with default TTL and auto-open, no extra rules.
-    pub acl: bool,
-    /// Install an explicit packet-filter engine configuration on the
-    /// gateway (DESIGN.md §13). Supersedes `acl` when set — carries the
-    /// §4.3 gate plus compiled rules, the per-flow decision cache, and
-    /// rate limiting, enforced at the driver hooks.
+    /// The gateway's packet-filter engine (DESIGN.md §13): the §4.3
+    /// gate plus compiled rules, enforced at the driver hooks. Defaults
+    /// to §4.3 access control in its gateway posture
+    /// ([`filter::FilterConfig::gateway`]: the soft-state gate with
+    /// default TTL and auto-open, no extra rules); `None` installs no
+    /// filter at all.
     pub filter: Option<filter::FilterConfig>,
     /// Enable RFC 1144 VJ header compression on the radio link (both the
     /// PC and the gateway; they must agree on the slot count). `None` —
@@ -79,8 +77,7 @@ impl Default for PaperConfig {
             tnc_mode: RxMode::Promiscuous,
             mac: MacConfig::default(),
             cpu: CpuConfig::default(),
-            acl: true,
-            filter: None,
+            filter: Some(filter::FilterConfig::gateway()),
             vj: None,
             clamp_mss: false,
         }
@@ -154,11 +151,7 @@ pub fn paper_topology(cfg: PaperConfig, seed: u64) -> PaperScenario {
         ip: GW_ETHER_IP,
         prefix_len: 24,
     });
-    if let Some(f) = cfg.filter {
-        gw_cfg.filter = Some(f);
-    } else if cfg.acl {
-        gw_cfg.filter = Some(filter::FilterConfig::gateway());
-    }
+    gw_cfg.filter = cfg.filter;
     let gw = world.add_host(gw_cfg);
     let gw_tnc = world.attach_radio(gw, chan, cfg.serial_baud, cfg.tnc_mode, cfg.mac);
     world.attach_ether(gw, seg);
@@ -911,7 +904,7 @@ mod tests {
 
     fn mesh_config() -> PaperConfig {
         PaperConfig {
-            acl: false,
+            filter: None,
             ..PaperConfig::default()
         }
     }

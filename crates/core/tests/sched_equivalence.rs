@@ -308,7 +308,7 @@ fn promiscuous_flood_matches_reference() {
     let run = |driver: Driver| {
         let cfg = PaperConfig {
             serial_baud: 2400,
-            acl: false,
+            filter: None,
             ..PaperConfig::default()
         };
         let mut s = scenario::paper_topology(cfg, 50);
@@ -415,7 +415,7 @@ fn lock_step_world(script: &Script) -> LockStep {
     let mac = MacConfig::default();
     let cfg = PaperConfig {
         serial_baud: 2400,
-        acl: false,
+        filter: None,
         mac,
         cpu: CpuConfig {
             char_cost: SimDuration::from_millis(3),
@@ -727,7 +727,7 @@ fn mutations_between_run_calls_match_reference() {
     let ms = SimDuration::from_millis;
     let run = |driver: Driver| {
         let cfg = PaperConfig {
-            acl: false,
+            filter: None,
             ..PaperConfig::default()
         };
         let mut s = scenario::paper_topology(cfg, 61);
@@ -840,7 +840,7 @@ fn discarded_frames_of_every_kind_match_reference() {
     let run = |driver: Driver| {
         let cfg = PaperConfig {
             serial_baud: 2400,
-            acl: false,
+            filter: None,
             ..PaperConfig::default()
         };
         let mut s = scenario::paper_topology(cfg, 73);
@@ -983,7 +983,7 @@ impl App for Reactor {
 fn output_queued_by_an_event_handler_leaves_in_the_same_instant() {
     let run = |driver: Driver| {
         let cfg = PaperConfig {
-            acl: false,
+            filter: None,
             ..PaperConfig::default()
         };
         let mut s = scenario::paper_topology(cfg, 7);

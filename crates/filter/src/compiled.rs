@@ -13,11 +13,7 @@
 //!   wildcards a flag — no `Option` discriminants in the inner loop.
 //!
 //! The result is one flat `Vec` of POD records walked front to back: no
-//! `Box<dyn>`, no indirection, no per-packet allocation. The walk also
-//! reports whether the decision *depended on a port* anywhere along the
-//! way — the cacheability bit: the decision cache is keyed on
-//! `(src, dst, proto)` only, so a verdict that would change with the
-//! port must not be cached under that key.
+//! `Box<dyn>`, no indirection, no per-packet allocation.
 
 use std::cmp::Reverse;
 
@@ -50,10 +46,6 @@ pub(crate) struct WalkResult {
     /// Index of the matching rule in compiled order, `u16::MAX` for the
     /// default action (trace labelling only).
     pub rule: u16,
-    /// True when any rule's outcome turned on the packet's destination
-    /// port — such a decision must not enter the `(src, dst, proto)`
-    /// cache, because a different port could decide differently.
-    pub port_dependent: bool,
 }
 
 /// The compiled, immutable-between-changes rule table.
@@ -105,37 +97,26 @@ impl CompiledRuleset {
     }
 
     /// The full walk: first match over the specificity-sorted array.
-    /// This is the cache-miss path (and the `filter_eval` ratchet's
-    /// "full walk" case).
+    /// Every packet the gate admits takes it (the `filter_eval`
+    /// ratchet's walk case).
     #[inline]
     pub(crate) fn walk(&self, m: &PacketMeta) -> WalkResult {
-        let mut port_dependent = false;
         for (i, r) in self.rules.iter().enumerate() {
             if (m.src & r.src_mask) != r.src_net
                 || (m.dst & r.dst_mask) != r.dst_net
                 || (r.proto != PROTO_ANY && r.proto != u16::from(m.proto))
+                || !(r.port_wild || (m.has_port && m.dport >= r.port_lo && m.dport <= r.port_hi))
             {
                 continue;
-            }
-            if !r.port_wild {
-                // Addresses and protocol match: from here on the verdict
-                // turns on the port, so the walk's conclusion is not
-                // cacheable under (src, dst, proto).
-                port_dependent = true;
-                if !(m.has_port && m.dport >= r.port_lo && m.dport <= r.port_hi) {
-                    continue;
-                }
             }
             return WalkResult {
                 action: r.action,
                 rule: i as u16,
-                port_dependent,
             };
         }
         WalkResult {
             action: self.default_action,
             rule: u16::MAX,
-            port_dependent,
         }
     }
 
@@ -194,21 +175,21 @@ mod tests {
     }
 
     #[test]
-    fn port_ranges_gate_the_match_and_poison_cacheability() {
+    fn port_ranges_gate_the_match() {
         let rules = [Rule::any(Action::Deny).proto(6).dports(0, 1023)];
         let c = CompiledRuleset::compile(&rules, Action::Allow);
-        // In range: denied, port-dependent.
+        // In range: denied.
         let w = c.walk(&meta([1, 2, 3, 4], [5, 6, 7, 8], 6, Some(23)));
-        assert_eq!((w.action, w.port_dependent), (Action::Deny, true));
-        // Out of range: falls to default, still port-dependent.
+        assert_eq!(w.action, Action::Deny);
+        // Out of range: falls to default.
         let w = c.walk(&meta([1, 2, 3, 4], [5, 6, 7, 8], 6, Some(2049)));
-        assert_eq!((w.action, w.port_dependent), (Action::Allow, true));
+        assert_eq!(w.action, Action::Allow);
         // Portless packet of the same protocol cannot match a port rule.
         let w = c.walk(&meta([1, 2, 3, 4], [5, 6, 7, 8], 6, None));
-        assert_eq!((w.action, w.port_dependent), (Action::Allow, true));
-        // A different protocol never reaches the port test: cacheable.
+        assert_eq!(w.action, Action::Allow);
+        // A different protocol never matches it either.
         let w = c.walk(&meta([1, 2, 3, 4], [5, 6, 7, 8], 1, None));
-        assert_eq!((w.action, w.port_dependent), (Action::Allow, false));
+        assert_eq!(w.action, Action::Allow);
     }
 
     #[test]
@@ -216,6 +197,5 @@ mod tests {
         let c = CompiledRuleset::compile(&[], Action::Deny);
         let w = c.walk(&meta([9, 9, 9, 9], [8, 8, 8, 8], 17, Some(53)));
         assert_eq!((w.action, w.rule), (Action::Deny, u16::MAX));
-        assert!(!w.port_dependent);
     }
 }

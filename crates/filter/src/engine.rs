@@ -1,29 +1,23 @@
-//! The filter engine: gate + compiled rules + decision cache + buckets.
+//! The filter engine: the §4.3 gate, then the compiled rules.
 //!
-//! Evaluation order on a cache miss (the "full walk"):
+//! Every packet takes the same walk:
 //!
 //! 1. the §4.3 **gate**: foreign→amateur traffic without a live soft-state
 //!    entry is denied outright; amateur→foreign traffic opens/refreshes
 //!    the return entry (the paper's main mechanism);
 //! 2. the **compiled ruleset**: most-specific-match over the flattened
 //!    arrays (`crate::compiled`);
-//! 3. the **action**: `Allow`/`Deny` directly, `Limit` charges the
-//!    source's token bucket and drops when it is empty.
+//! 3. the **verdict**: the matched rule's action, counted and, when
+//!    tracing, logged.
 //!
-//! The conclusion of steps 1–2 — not the final verdict — is inserted
-//! into the per-flow decision cache keyed `(src, dst, proto)`, so the
-//! steady-state path is one hash-and-compare plus, for `Limit` flows,
-//! one bucket charge (the bucket must see every packet; caching its
-//! outcome would turn a rate into a latch). Port-dependent walks are
-//! never cached. See `crate::cache` for the three invalidation rules.
+//! Nothing is memoized, so no table change needs invalidating: the next
+//! packet sees a gate open, close or expiry, or a rule swap, as it is.
 
 use std::fmt;
 
 use netstack::icmp::IcmpMessage;
 use sim::SimTime;
 
-use crate::bucket::{LimitConfig, TokenBuckets};
-use crate::cache::{CachedDecision, DecisionCache};
 use crate::compiled::CompiledRuleset;
 use crate::gate::{is_amateur, ControlOutcome, GateConfig, GateTable, Mutation};
 use crate::rule::{Action, PacketMeta, Rule};
@@ -37,10 +31,6 @@ pub struct FilterConfig {
     pub rules: Vec<Rule>,
     /// Action when no rule matches.
     pub default_action: Action,
-    /// log2 of the decision-cache size; 0 disables caching.
-    pub cache_bits: u8,
-    /// Token-bucket parameters for [`Action::Limit`].
-    pub limit: LimitConfig,
 }
 
 impl FilterConfig {
@@ -52,8 +42,6 @@ impl FilterConfig {
             gate: None,
             rules: Vec::new(),
             default_action: Action::Allow,
-            cache_bits: 12,
-            limit: LimitConfig::default(),
         }
     }
 
@@ -84,13 +72,13 @@ impl Verdict {
     }
 }
 
-/// Engine counters (E17's scoreboard; also surfaced through
-/// `workload::report::EngineTelemetry`).
+/// Engine counters (E17's scoreboard).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
-    /// Evaluations answered by the decision cache.
+    /// Always 0: the engine keeps no decision cache. Kept, with
+    /// `cache_misses`, because the benchmark harness still reads both.
     pub cache_hits: u64,
-    /// Evaluations that paid the full walk.
+    /// Evaluations: every packet pays the full walk.
     pub cache_misses: u64,
     /// Final allow verdicts.
     pub allowed: u64,
@@ -110,23 +98,17 @@ pub struct FilterStats {
     pub opened_by_message: u64,
     /// Control messages rejected for bad or missing credentials.
     pub auth_failures: u64,
-    /// `Limit` packets dropped with an empty token bucket.
-    pub tokens_exhausted: u64,
 }
 
 /// Why a verdict came out the way it did (trace labelling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoteWhy {
-    /// Answered from the decision cache.
-    Cached,
     /// Matched the rule at this compiled index.
     Rule(u16),
     /// No rule matched; the default action applied.
     Default,
     /// Foreign→amateur with no live gate entry.
     GateNoEntry,
-    /// A `Limit` flow whose token bucket ran dry.
-    Exhausted,
 }
 
 /// One logged decision, drained into the `sim::trace` gateway-policy
@@ -158,11 +140,9 @@ impl fmt::Display for FilterNote {
             write!(f, " port {}", self.meta.dport)?;
         }
         match self.why {
-            NoteWhy::Cached => write!(f, " [cached]"),
             NoteWhy::Rule(i) => write!(f, " [rule {i}]"),
             NoteWhy::Default => write!(f, " [default]"),
             NoteWhy::GateNoEntry => write!(f, " [no gate entry]"),
-            NoteWhy::Exhausted => write!(f, " [rate limit]"),
         }
     }
 }
@@ -175,12 +155,9 @@ const MAX_NOTES: usize = 4096;
 #[derive(Debug)]
 pub struct FilterEngine {
     rules: CompiledRuleset,
-    cache: DecisionCache,
-    buckets: TokenBuckets,
     gate: Option<GateTable>,
-    /// Bumped on any verdict-changing table mutation; cache slots
-    /// stamped with an older value are dead. Starts at 1 so a zeroed
-    /// slot can never match.
+    /// Verdict-changing mutations so far: rule swaps, gate opens and
+    /// gate closes.
     generation: u32,
     stats: FilterStats,
     log_enabled: bool,
@@ -193,10 +170,8 @@ impl FilterEngine {
     pub fn new(cfg: FilterConfig) -> FilterEngine {
         FilterEngine {
             rules: CompiledRuleset::compile(&cfg.rules, cfg.default_action),
-            cache: DecisionCache::new(cfg.cache_bits),
-            buckets: TokenBuckets::new(cfg.limit),
             gate: cfg.gate.map(GateTable::new),
-            generation: 1,
+            generation: 0,
             stats: FilterStats::default(),
             log_enabled: false,
             notes: Vec::new(),
@@ -204,124 +179,49 @@ impl FilterEngine {
         }
     }
 
-    /// Judges one packet. This is the per-packet hot path: allocation-free
-    /// (asserted by the `filter_eval` ratchets) and, on a cache hit, one
-    /// hash-and-compare.
+    /// Judges one packet: gate, rule walk, verdict. This is the
+    /// per-packet hot path, allocation-free (asserted by the
+    /// `filter_eval` ratchets).
     #[inline]
     pub fn eval(&mut self, now: SimTime, m: &PacketMeta) -> Verdict {
-        if let Some(hit) = self.cache.lookup(m, self.generation, now) {
-            self.stats.cache_hits += 1;
-            if hit.refresh_gate {
-                self.touch_gate(now, m);
-            }
-            return self.apply(now, m, hit.action, NoteWhy::Cached);
-        }
         self.stats.cache_misses += 1;
-        self.eval_miss(now, m)
-    }
-
-    /// The cache-miss path: gate, then the full rule walk.
-    fn eval_miss(&mut self, now: SimTime, m: &PacketMeta) -> Verdict {
-        let mut expires = SimTime::MAX;
-        let mut refresh_gate = false;
-        let mut gate_deny = false;
-        if let Some(g) = &self.gate {
+        if let Some(g) = &mut self.gate {
             let src_am = is_amateur(m.src);
             let dst_am = is_amateur(m.dst);
             if src_am && !dst_am {
-                refresh_gate = true;
-            } else if !src_am && dst_am {
-                match g.live_expiry(now, m.dst, m.src) {
-                    // The admission is only as durable as the entry.
-                    Some(exp) => expires = exp,
-                    None => gate_deny = true,
+                let ttl = g.cfg().entry_ttl;
+                if g.open(now, m.src, m.dst, ttl) == Mutation::Opened {
+                    self.bump_generation();
+                    self.stats.gate_opened += 1;
+                } else {
+                    self.stats.gate_refreshed += 1;
                 }
+            } else if !src_am && dst_am && !g.is_live(now, m.dst, m.src) {
+                self.stats.gate_denied += 1;
+                return self.apply(m, Action::Deny, NoteWhy::GateNoEntry);
             }
         }
-        if gate_deny {
-            self.stats.gate_denied += 1;
-            // Cacheable: only an entry opening flips this, and opening
-            // bumps the generation.
-            self.cache.insert(
-                m,
-                self.generation,
-                CachedDecision {
-                    action: Action::Deny,
-                    refresh_gate: false,
-                    expires: SimTime::MAX,
-                },
-            );
-            return self.apply(now, m, Action::Deny, NoteWhy::GateNoEntry);
-        }
-        if refresh_gate {
-            // May bump the generation (re-opening an expired pair), so
-            // it runs before the insert below reads the counter.
-            self.touch_gate(now, m);
-        }
         let w = self.rules.walk(m);
-        if !w.port_dependent {
-            self.cache.insert(
-                m,
-                self.generation,
-                CachedDecision {
-                    action: w.action,
-                    refresh_gate,
-                    expires,
-                },
-            );
-        }
         let why = if w.rule == u16::MAX {
             NoteWhy::Default
         } else {
             NoteWhy::Rule(w.rule)
         };
-        self.apply(now, m, w.action, why)
+        self.apply(m, w.action, why)
     }
 
-    /// Kills every cached decision by moving to the next generation.
-    /// Wraps past 0, which the cache reserves for never-written slots.
+    /// Counts one verdict-changing mutation.
     fn bump_generation(&mut self) {
-        self.generation = self.generation.wrapping_add(1).max(1);
-    }
-
-    /// Opens or refreshes the gate entry for an amateur→foreign packet.
-    #[inline]
-    fn touch_gate(&mut self, now: SimTime, m: &PacketMeta) {
-        let Some(g) = &mut self.gate else { return };
-        let ttl = g.cfg().entry_ttl;
-        match g.open(now, m.src, m.dst, ttl) {
-            Mutation::Opened => {
-                self.bump_generation();
-                self.stats.gate_opened += 1;
-            }
-            Mutation::Refreshed => self.stats.gate_refreshed += 1,
-            Mutation::Shortened => {
-                // The entry now dies earlier than the expiry stamped into
-                // cached admissions — they must not outlive it.
-                self.bump_generation();
-                self.stats.gate_refreshed += 1;
-            }
-            _ => {}
-        }
+        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Turns a matched action into a final verdict, counting and
     /// logging it.
     #[inline]
-    fn apply(&mut self, now: SimTime, m: &PacketMeta, action: Action, why: NoteWhy) -> Verdict {
-        let mut why = why;
+    fn apply(&mut self, m: &PacketMeta, action: Action, why: NoteWhy) -> Verdict {
         let v = match action {
             Action::Allow => Verdict::Allow,
             Action::Deny => Verdict::Deny,
-            Action::Limit => {
-                if self.buckets.charge(m.src, now) {
-                    Verdict::Allow
-                } else {
-                    self.stats.tokens_exhausted += 1;
-                    why = NoteWhy::Exhausted;
-                    Verdict::Deny
-                }
-            }
         };
         match v {
             Verdict::Allow => self.stats.allowed += 1,
@@ -343,8 +243,8 @@ impl FilterEngine {
 
     // --- Control plane ------------------------------------------------------
 
-    /// Applies a §4.3 gate-control ICMP message; bumps the cache
-    /// generation when (and only when) a verdict changed.
+    /// Applies a §4.3 gate-control ICMP message; counts a generation
+    /// when (and only when) a verdict changed.
     pub fn on_gate_message(
         &mut self,
         now: SimTime,
@@ -361,10 +261,6 @@ impl FilterEngine {
                 self.stats.opened_by_message += 1;
             }
             Mutation::Refreshed => self.stats.opened_by_message += 1,
-            Mutation::Shortened => {
-                self.bump_generation();
-                self.stats.opened_by_message += 1;
-            }
             Mutation::Closed => {
                 self.bump_generation();
                 self.stats.gate_closed += 1;
@@ -377,7 +273,7 @@ impl FilterEngine {
         outcome
     }
 
-    /// Replaces the rule table (recompiles; invalidates the cache).
+    /// Replaces the rule table (recompiles; counts a generation).
     pub fn set_rules(&mut self, rules: &[Rule]) {
         let default_action = self.rules.default_action();
         self.rules = CompiledRuleset::compile(rules, default_action);
@@ -409,7 +305,8 @@ impl FilterEngine {
         self.stats
     }
 
-    /// Current cache generation.
+    /// Verdict-changing mutations so far: rule swaps, gate opens and
+    /// gate closes.
     pub fn generation(&self) -> u32 {
         self.generation
     }
@@ -455,7 +352,6 @@ impl FilterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netstack::route::Prefix;
     use sim::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -476,33 +372,33 @@ mod tests {
     fn gate_round_trip_through_the_engine() {
         let mut e = FilterEngine::new(FilterConfig::gateway());
         let t0 = SimTime::ZERO;
-        // Unsolicited foreign→amateur: denied (and cached as denied).
+        // Unsolicited foreign→amateur: denied, every time.
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
-        assert_eq!(e.stats().cache_hits, 1);
-        assert_eq!(e.stats().gate_denied, 1, "second deny came from cache");
-        // Amateur initiates: opens the pair, bumps the generation, and
-        // the stale cached denial dies with it.
+        assert_eq!(e.stats().gate_denied, 2);
+        assert_eq!(e.stats().cache_misses, 2, "every packet is evaluated");
+        // Amateur initiates: opens the pair, and the next foreign packet
+        // is admitted.
         assert_eq!(e.eval(t0, &meta(AM, FO, 6)), Verdict::Allow);
+        assert_eq!(e.generation(), 1);
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Allow);
         // Pairwise only.
         assert_eq!(e.eval(t0, &meta([128, 95, 1, 9], AM, 6)), Verdict::Deny);
         assert_eq!(e.stats().gate_opened, 1);
+        assert_eq!(e.stats().cache_hits, 0);
     }
 
     #[test]
-    fn cached_amateur_flow_keeps_refreshing_the_entry() {
+    fn amateur_flow_keeps_refreshing_the_entry() {
         let mut e = FilterEngine::new(FilterConfig::gateway());
         let mut t = SimTime::ZERO;
         // Steady amateur→foreign traffic, one packet per 400 s: every
         // one refreshes the 600 s entry, so the return path stays open
-        // far beyond the original TTL — even though all but the first
-        // evaluation is a cache hit.
+        // far beyond the original TTL.
         for _ in 0..5 {
             assert_eq!(e.eval(t, &meta(AM, FO, 17)), Verdict::Allow);
             t += SimDuration::from_secs(400);
         }
-        assert!(e.stats().cache_hits >= 4);
         assert_eq!(e.stats().gate_refreshed, 4);
         assert_eq!(e.eval(t, &meta(FO, AM, 17)), Verdict::Allow);
     }
@@ -514,7 +410,7 @@ mod tests {
         e.eval(t0, &meta(AM, FO, 17));
         assert_eq!(e.eval(t0, &meta(FO, AM, 17)), Verdict::Allow);
         let late = t0 + SimDuration::from_secs(601);
-        // The cached admission carried the entry's expiry stamp.
+        // Liveness is judged against the stored expiry, unswept.
         assert_eq!(e.eval(late, &meta(FO, AM, 17)), Verdict::Deny);
         // Deadline-driven sweep accounts for it.
         assert_eq!(e.next_deadline(), Some(t0 + SimDuration::from_secs(600)));
@@ -524,12 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_close_invalidates_cached_admissions() {
+    fn gate_close_ends_an_admission() {
         let mut e = FilterEngine::new(FilterConfig::gateway());
         let t0 = SimTime::ZERO;
         e.eval(t0, &meta(AM, FO, 6));
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Allow);
-        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Allow, "cached");
         let gen = e.generation();
         let close = IcmpMessage::GateClose {
             amateur: Ipv4Addr::from(AM),
@@ -542,55 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn generation_wraps_past_the_empty_slot_mark() {
-        let mut e = FilterEngine::new(FilterConfig::gateway());
-        e.generation = u32::MAX;
-        let t0 = SimTime::ZERO;
-        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
-        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
-        assert_eq!(e.stats().cache_hits, 1, "denial cached under u32::MAX");
-        // Opening the pair bumps the generation over the top: it lands on
-        // 1, not on the never-written mark, and the old denial is dead.
-        assert_eq!(e.eval(t0, &meta(AM, FO, 6)), Verdict::Allow);
-        assert_eq!(e.generation(), 1);
-        assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Allow);
-        // A slot nothing was ever written to still misses.
-        assert_eq!(e.stats().cache_hits, 1);
-        assert_eq!(e.eval(t0, &meta([128, 95, 1, 9], AM, 6)), Verdict::Deny);
-        assert_eq!(e.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn limit_rules_throttle_but_never_latch() {
-        let mut cfg = FilterConfig::permissive();
-        cfg.rules = vec![Rule::any(Action::Limit).from(Prefix::new(Ipv4Addr::from(FO), 24))];
-        cfg.limit = LimitConfig {
-            rate_per_sec: 1,
-            burst: 2,
-            bucket_bits: 4,
-        };
-        let mut e = FilterEngine::new(cfg);
-        let t0 = SimTime::ZERO;
-        let m = meta(FO, AM, 17);
-        assert_eq!(e.eval(t0, &m), Verdict::Allow);
-        assert_eq!(e.eval(t0, &m), Verdict::Allow);
-        assert_eq!(e.eval(t0, &m), Verdict::Deny, "burst exhausted");
-        assert_eq!(e.stats().tokens_exhausted, 1);
-        // A second later the bucket has a token again — the cached
-        // Limit classification consults the bucket every time.
-        let t1 = t0 + SimDuration::from_secs(1);
-        assert_eq!(e.eval(t1, &m), Verdict::Allow);
-        assert!(e.stats().cache_hits >= 2);
-    }
-
-    #[test]
-    fn set_rules_takes_effect_on_cached_flows() {
+    fn set_rules_takes_effect_on_the_next_packet() {
         let mut e = FilterEngine::new(FilterConfig::permissive());
         let t0 = SimTime::ZERO;
         let m = meta([1, 2, 3, 4], [5, 6, 7, 8], 6);
         assert_eq!(e.eval(t0, &m), Verdict::Allow);
-        assert_eq!(e.eval(t0, &m), Verdict::Allow, "cached");
         e.set_rules(&[Rule::any(Action::Deny)]);
+        assert_eq!(e.generation(), 1);
         assert_eq!(e.eval(t0, &m), Verdict::Deny);
     }
 

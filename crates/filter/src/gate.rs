@@ -12,14 +12,9 @@
 //!   deadline-driven through [`GateTable::next_deadline`] so hosts fold
 //!   it into the PR 2 scheduler instead of polling;
 //! * every mutation reports whether it *changed a verdict* — new entry,
-//!   forced close — because those (and only those) must bump the
-//!   engine's cache generation. A refresh that *extends* a live entry
-//!   changes no verdict and keeps the decision cache hot; one that pulls
-//!   the expiry earlier (a default-TTL auto-open landing on a long
-//!   GateOpen lease) must bump, or admissions stamped with the old, later
-//!   expiry would outlive the entry. Plain expiry changes verdicts only
-//!   at an instant the cache already knows (the expiry stamp travels
-//!   with the cached decision).
+//!   forced close — which the engine counts as its generation. A
+//!   refresh, whether it moves the expiry later or earlier, changes no
+//!   verdict at that instant.
 
 use sim::fxhash::FxHashMap;
 use sim::{SimDuration, SimTime};
@@ -66,18 +61,13 @@ pub enum ControlOutcome {
 /// What a table mutation did, verdict-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mutation {
-    /// A pair that was dead (absent or expired) is now live: cached
-    /// denials for it are stale → generation bump.
+    /// A pair that was dead (absent or expired) is now live: its
+    /// foreign side's packets flip from deny to allow.
     Opened,
-    /// A live pair had its expiry extended: no verdict changed.
+    /// A live pair got a new expiry: no verdict changed.
     Refreshed,
-    /// A live pair had its expiry pulled *earlier* (e.g. an auto-open
-    /// refresh with the default TTL landing on a long GateOpen lease):
-    /// cached admissions stamped with the old, later expiry would
-    /// outlive the entry → generation bump.
-    Shortened,
-    /// A live pair was force-closed: cached admissions are stale →
-    /// generation bump.
+    /// A live pair was force-closed: its foreign side's packets flip
+    /// from allow to deny.
     Closed,
     /// Nothing happened.
     NoOp,
@@ -107,13 +97,12 @@ impl GateTable {
         &self.cfg
     }
 
-    /// The live entry's expiry for `(amateur, foreign)`, if any.
+    /// Whether `(amateur, foreign)` has a live entry at `now`.
     #[inline]
-    pub(crate) fn live_expiry(&self, now: SimTime, amateur: u32, foreign: u32) -> Option<SimTime> {
-        match self.entries.get(&(amateur, foreign)) {
-            Some(&exp) if exp > now => Some(exp),
-            _ => None,
-        }
+    pub(crate) fn is_live(&self, now: SimTime, amateur: u32, foreign: u32) -> bool {
+        self.entries
+            .get(&(amateur, foreign))
+            .is_some_and(|&exp| exp > now)
     }
 
     /// Opens or refreshes `(amateur, foreign)` for `ttl` from `now`.
@@ -128,13 +117,7 @@ impl GateTable {
         let old = self.entries.insert((amateur, foreign), exp);
         self.next_expiry = self.next_expiry.min(exp);
         match old {
-            Some(prev) if prev > now => {
-                if exp < prev {
-                    Mutation::Shortened
-                } else {
-                    Mutation::Refreshed
-                }
-            }
+            Some(prev) if prev > now => Mutation::Refreshed,
             _ => Mutation::Opened,
         }
     }
@@ -148,9 +131,9 @@ impl GateTable {
         }
     }
 
-    /// Sweeps expired entries; returns how many were dropped. Expiry
-    /// needs no generation bump — cached decisions carry the expiry
-    /// stamp and die on their own.
+    /// Sweeps expired entries; returns how many were dropped. Verdicts
+    /// already treat them as dead ([`GateTable::is_live`]); the sweep
+    /// only reclaims them.
     pub(crate) fn expire(&mut self, now: SimTime) -> u64 {
         let before = self.entries.len();
         self.entries.retain(|_, exp| *exp > now);
@@ -261,13 +244,9 @@ mod tests {
         let mut g = gate();
         let t0 = SimTime::ZERO;
         g.open(t0, A, F, SimDuration::from_secs(60));
-        assert!(g
-            .live_expiry(t0 + SimDuration::from_secs(59), A, F)
-            .is_some());
+        assert!(g.is_live(t0 + SimDuration::from_secs(59), A, F));
         // Never swept, but already dead to verdicts.
-        assert!(g
-            .live_expiry(t0 + SimDuration::from_secs(60), A, F)
-            .is_none());
+        assert!(!g.is_live(t0 + SimDuration::from_secs(60), A, F));
         assert_eq!(g.len(), 1);
         assert_eq!(g.expire(t0 + SimDuration::from_secs(60)), 1);
         assert_eq!(g.len(), 0);

@@ -6,35 +6,29 @@
 //! runs on the gate below), built out to an engine a gateway can run on
 //! every packet at line rate under attack:
 //!
-//! * **compiled rules** ([`Rule`] → flattened match arrays, most
-//!   specific wins — the route table's longest-prefix discipline
-//!   applied to policy);
-//! * a direct-mapped per-flow **decision cache** keyed `(src, dst,
-//!   proto)`, invalidated by generation counter on table change, so the
-//!   steady state is one hash-and-compare instead of a rule walk;
 //! * the §4.3 **soft-state gate** with GateOpen/GateClose control and
 //!   deadline-driven expiry;
-//! * per-source **token buckets** for the spoofed-flood case.
+//! * **compiled rules** ([`Rule`] → flattened match arrays, most
+//!   specific wins — the route table's longest-prefix discipline
+//!   applied to policy).
 //!
-//! Zero-allocation discipline throughout the packet path, same as the
-//! PR 5 byte kernels; the `filter_eval` ratchets assert it. The
-//! [`NaiveInterpreter`] is the executable reference spec the
+//! Every packet takes the whole walk — gate, rules, verdict — and
+//! nothing is memoized, so no table change has anything to invalidate.
+//! The packet path allocates nothing; the `filter_eval` ratchets assert
+//! it. The [`NaiveInterpreter`] is the executable reference spec the
 //! differential proptests check the engine against. DESIGN.md §13 has
-//! the full compile/cache/invalidation contract; experiment E17 puts
-//! the engine under a spoofed-source flood with control-plane churn.
+//! the compile and gate contract; experiment E17 puts the engine under
+//! a spoofed-source flood with control-plane churn.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bucket;
-mod cache;
 mod compiled;
 mod engine;
 mod gate;
 mod oracle;
 mod rule;
 
-pub use bucket::LimitConfig;
 pub use engine::{FilterConfig, FilterEngine, FilterNote, FilterStats, NoteWhy, Verdict};
 pub use gate::{ControlOutcome, GateConfig};
 pub use oracle::NaiveInterpreter;

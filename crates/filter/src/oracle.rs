@@ -1,8 +1,8 @@
 //! The executable reference spec: a naive first-match interpreter.
 //!
 //! Walks the *uncompiled* rule list for every packet — no sorting, no
-//! flattening, no cache, no generation counter — scoring each rule with
-//! `Prefix::contains` and keeping the most specific match (earliest
+//! flattening — scoring each rule with `Prefix::contains` and keeping
+//! the most specific match (earliest
 //! insertion on ties), exactly the discipline the compiled engine is
 //! supposed to implement. The differential proptests pit
 //! [`crate::FilterEngine`] against this over random tables, packet

@@ -28,9 +28,6 @@ pub enum Action {
     Allow,
     /// Drop it.
     Deny,
-    /// Forward it while the source's token bucket has tokens; drop
-    /// beyond that (the §4.3 flood answer).
-    Limit,
 }
 
 /// One policy line.

@@ -1,24 +1,28 @@
 //! Differential properties for the compiled filter engine (DESIGN.md §13):
-//! the flattened-array walk plus decision cache must be observationally
-//! identical to the naive first-match interpreter (`filter::NaiveInterpreter`)
-//! over random rule tables, packet streams, and mid-stream table swaps —
-//! and a cached engine must be indistinguishable from an uncached twin
-//! even with the §4.3 gate, token buckets, and control churn in play.
+//! the flattened-array walk must be observationally identical to the
+//! naive first-match interpreter (`filter::NaiveInterpreter`) over random
+//! rule tables, packet streams, and mid-stream table swaps — and, with
+//! the §4.3 gate on, to a test-local executable spec of the paper's
+//! access table under TTL expiry and control churn.
 
 use filter::{
-    Action, FilterConfig, FilterEngine, GateConfig, LimitConfig, NaiveInterpreter, PacketMeta, Rule,
+    Action, ControlOutcome, FilterConfig, FilterEngine, GateConfig, NaiveInterpreter, PacketMeta,
+    Rule, Verdict,
 };
-use netstack::icmp::IcmpMessage;
+use netstack::icmp::{GateAuth, IcmpMessage};
 use netstack::route::Prefix;
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// Addresses clustered in four /24s — two amateur (44/8), two foreign —
-/// with tiny host parts, so random rules and random packets collide
-/// constantly instead of sailing past each other.
+/// The four /24s the pools draw from: two amateur (44/8), two foreign.
+const NETS: [u32; 4] = [0x2C18_0000, 0x2C18_0100, 0x805F_0100, 0x0A00_0000];
+
+/// Addresses clustered in [`NETS`] with tiny host parts, so random rules
+/// and random packets collide constantly instead of sailing past each
+/// other.
 fn arb_addr() -> impl Strategy<Value = u32> {
-    const NETS: [u32; 4] = [0x2C18_0000, 0x2C18_0100, 0x805F_0100, 0x0A00_0000];
     (0usize..4, 0u32..8).prop_map(|(net, host)| NETS[net] | host)
 }
 
@@ -28,10 +32,8 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (arb_addr(), 0usize..5).prop_map(|(a, l)| Prefix::new(Ipv4Addr::from(a), LENS[l]))
 }
 
-/// One policy line. `limit` widens the action choice to include
-/// [`Action::Limit`]; the oracle comparisons keep it off because the
-/// interpreter speaks classifications, not token buckets.
-fn arb_rule(limit: bool) -> impl Strategy<Value = Rule> {
+/// One policy line.
+fn arb_rule() -> impl Strategy<Value = Rule> {
     (
         arb_prefix(),
         arb_prefix(),
@@ -47,54 +49,231 @@ fn arb_rule(limit: bool) -> impl Strategy<Value = Rule> {
             Just(Some((23u16, 23u16))),
             Just(Some((1024u16, u16::MAX))),
         ],
-        0u8..3,
+        any::<bool>(),
     )
-        .prop_map(move |(src, dst, proto, dports, a)| Rule {
+        .prop_map(|(src, dst, proto, dports, deny)| Rule {
             src,
             dst,
             proto,
             dports,
-            action: match a {
-                0 => Action::Allow,
-                _ if a == 2 && limit => Action::Limit,
-                _ => Action::Deny,
-            },
+            action: if deny { Action::Deny } else { Action::Allow },
         })
 }
 
-/// A packet over the same pool. Ports are biased toward the rule
-/// boundaries (23, the 1023/1024 split); non-first fragments hide them.
-fn arb_packet() -> impl Strategy<Value = PacketMeta> {
+/// The non-address half of a packet: protocol, a port biased toward the
+/// rule boundaries (23, the 1023/1024 split), and whether it is a
+/// non-first fragment (which hides the port).
+fn arb_transport() -> impl Strategy<Value = (u8, u16, bool)> {
     (
-        arb_addr(),
-        arb_addr(),
         0usize..4,
         prop_oneof![Just(23u16), 0u16..1024, any::<u16>()],
         any::<bool>(),
     )
-        .prop_map(|(src, dst, p, dport, frag)| {
-            let proto = [6u8, 17, 1, 89][p];
-            let transport = proto == 6 || proto == 17;
-            PacketMeta {
-                src,
-                dst,
-                proto,
-                dport: if transport { dport } else { 0 },
-                has_port: transport && !frag,
+        .prop_map(|(p, dport, frag)| ([6u8, 17, 1, 89][p], dport, frag))
+}
+
+fn meta(src: u32, dst: u32, (proto, dport, frag): (u8, u16, bool)) -> PacketMeta {
+    let transport = proto == 6 || proto == 17;
+    PacketMeta {
+        src,
+        dst,
+        proto,
+        dport: if transport { dport } else { 0 },
+        has_port: transport && !frag,
+    }
+}
+
+/// A packet over the same pool.
+fn arb_packet() -> impl Strategy<Value = PacketMeta> {
+    (arb_addr(), arb_addr(), arb_transport()).prop_map(|(src, dst, t)| meta(src, dst, t))
+}
+
+/// One of 16 `(amateur, foreign)` pairs: few enough that a stream keeps
+/// returning to the same entries, opening, refreshing, expiring and
+/// closing them.
+fn arb_pair() -> impl Strategy<Value = (u32, u32)> {
+    (0usize..2, 0u32..2, 2usize..4, 0u32..2)
+        .prop_map(|(an, ah, fnet, fh)| (NETS[an] | ah, NETS[fnet] | fh))
+}
+
+/// Who sends a gate-control message, and with what credentials.
+#[derive(Debug, Clone, Copy)]
+enum Sender {
+    /// Arrives on the amateur side: needs no credentials (§4.3).
+    Amateur,
+    /// Foreign side, the configured operator's callsign and password.
+    Operator,
+    /// Foreign side, the operator's callsign with a wrong password.
+    WrongPassword,
+    /// Foreign side, no credentials at all.
+    Anonymous,
+}
+
+impl Sender {
+    fn side_and_auth(self) -> (bool, Option<GateAuth>) {
+        let auth = |password: &str| GateAuth {
+            callsign: "N7AKR".into(),
+            password: password.into(),
+        };
+        match self {
+            Sender::Amateur => (true, None),
+            Sender::Operator => (false, Some(auth("secret"))),
+            Sender::WrongPassword => (false, Some(auth("wrong"))),
+            Sender::Anonymous => (false, None),
+        }
+    }
+}
+
+fn arb_sender() -> impl Strategy<Value = Sender> {
+    prop_oneof![
+        Just(Sender::Amateur),
+        Just(Sender::Operator),
+        Just(Sender::WrongPassword),
+        Just(Sender::Anonymous),
+    ]
+}
+
+/// One step of a gate stream.
+#[derive(Debug, Clone)]
+enum Step {
+    Packet(PacketMeta),
+    Control(Sender, IcmpMessage),
+}
+
+/// A gate stream step: packets across a pair in either direction, any
+/// packet over the pool, and GateOpen/GateClose from every kind of
+/// sender. TTLs and clock steps are multiples of 10 s, so packets land
+/// exactly on expiry instants.
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_packet().prop_map(Step::Packet),
+        (arb_pair(), arb_transport()).prop_map(|((a, f), t)| Step::Packet(meta(a, f, t))),
+        (arb_pair(), arb_transport()).prop_map(|((a, f), t)| Step::Packet(meta(f, a, t))),
+        (arb_pair(), arb_transport()).prop_map(|((a, f), t)| Step::Packet(meta(f, a, t))),
+        (
+            arb_pair(),
+            prop_oneof![Just(30u16), Just(60u16), Just(600u16)],
+            arb_sender()
+        )
+            .prop_map(|((a, f), ttl_secs, sender)| {
+                let (_, auth) = sender.side_and_auth();
+                Step::Control(
+                    sender,
+                    IcmpMessage::GateOpen {
+                        amateur: Ipv4Addr::from(a),
+                        foreign: Ipv4Addr::from(f),
+                        ttl_secs,
+                        auth,
+                    },
+                )
+            }),
+        (arb_pair(), arb_sender()).prop_map(|((a, f), sender)| {
+            let (_, auth) = sender.side_and_auth();
+            Step::Control(
+                sender,
+                IcmpMessage::GateClose {
+                    amateur: Ipv4Addr::from(a),
+                    foreign: Ipv4Addr::from(f),
+                    auth,
+                },
+            )
+        }),
+    ]
+}
+
+/// §4.3 written down as plainly as possible: a map from `(amateur,
+/// foreign)` to expiry beside the naive rule interpreter. No sweep, no
+/// compiled arrays, no engine code.
+struct GateSpec {
+    ttl: SimDuration,
+    entries: HashMap<(u32, u32), SimTime>,
+    rules: NaiveInterpreter,
+    gate_opened: u64,
+    gate_closed: u64,
+    gate_denied: u64,
+    /// Verdict-changing mutations: rule swaps, entries coming alive,
+    /// live entries force-closed.
+    generation: u32,
+}
+
+impl GateSpec {
+    fn amateur(addr: u32) -> bool {
+        addr >> 24 == 44
+    }
+
+    /// An entry admits until, and not at, its expiry.
+    fn live(&self, now: SimTime, pair: (u32, u32)) -> bool {
+        self.entries.get(&pair).is_some_and(|&exp| now < exp)
+    }
+
+    /// Sets `pair` to expire `ttl` from now; true when it was dead.
+    fn open(&mut self, now: SimTime, pair: (u32, u32), ttl: SimDuration) -> bool {
+        let was_live = self.live(now, pair);
+        self.entries.insert(pair, now + ttl);
+        if !was_live {
+            self.generation += 1;
+        }
+        !was_live
+    }
+
+    fn eval(&mut self, now: SimTime, m: &PacketMeta) -> Verdict {
+        let (src_am, dst_am) = (Self::amateur(m.src), Self::amateur(m.dst));
+        if src_am && !dst_am {
+            // "Entries … are created when packets are sent from the
+            // amateur side", and every such packet refreshes its entry.
+            if self.open(now, (m.src, m.dst), self.ttl) {
+                self.gate_opened += 1;
             }
-        })
+        } else if !src_am && dst_am && !self.live(now, (m.dst, m.src)) {
+            self.gate_denied += 1;
+            return Verdict::Deny;
+        }
+        match self.rules.classify(m) {
+            Action::Allow => Verdict::Allow,
+            Action::Deny => Verdict::Deny,
+        }
+    }
+
+    fn control(&mut self, now: SimTime, sender: Sender, msg: &IcmpMessage) -> ControlOutcome {
+        if !matches!(sender, Sender::Amateur | Sender::Operator) {
+            return ControlOutcome::AuthFailed;
+        }
+        match msg {
+            IcmpMessage::GateOpen {
+                amateur,
+                foreign,
+                ttl_secs,
+                ..
+            } => {
+                let ttl = SimDuration::from_secs(u64::from(*ttl_secs));
+                self.open(now, (u32::from(*amateur), u32::from(*foreign)), ttl);
+                ControlOutcome::Applied
+            }
+            IcmpMessage::GateClose {
+                amateur, foreign, ..
+            } => {
+                let pair = (u32::from(*amateur), u32::from(*foreign));
+                let was_live = self.live(now, pair);
+                self.entries.remove(&pair);
+                if was_live {
+                    self.gate_closed += 1;
+                    self.generation += 1;
+                    ControlOutcome::Applied
+                } else {
+                    ControlOutcome::NoEntry
+                }
+            }
+            _ => unreachable!("the stream sends only gate messages"),
+        }
+    }
 }
 
 proptest! {
-    /// The compiled walk — cached or not — answers exactly like the
-    /// naive interpreter for pure Allow/Deny tables. Every packet is
-    /// evaluated twice so the second pass exercises the decision cache
-    /// (and the port-dependent never-cache rule) against the same oracle.
+    /// The compiled walk answers exactly like the naive interpreter.
     #[test]
     fn engine_agrees_with_the_naive_interpreter(
-        rules in proptest::collection::vec(arb_rule(false), 0..24),
+        rules in proptest::collection::vec(arb_rule(), 0..24),
         default_deny in any::<bool>(),
-        cache_bits in prop_oneof![Just(0u8), Just(4u8), Just(10u8)],
         packets in proptest::collection::vec(arb_packet(), 1..64),
     ) {
         let default_action = if default_deny { Action::Deny } else { Action::Allow };
@@ -102,40 +281,30 @@ proptest! {
             gate: None,
             rules: rules.clone(),
             default_action,
-            cache_bits,
-            limit: LimitConfig::default(),
         };
         let mut engine = FilterEngine::new(cfg);
         let oracle = NaiveInterpreter::new(&rules, default_action);
         for m in &packets {
-            let want = oracle.classify(m) == Action::Allow;
             prop_assert_eq!(
-                engine.eval(SimTime::ZERO, m).is_allow(), want,
-                "cold walk diverged on {:?} ({} rules, cache_bits {})",
-                m, rules.len(), cache_bits
-            );
-            prop_assert_eq!(
-                engine.eval(SimTime::ZERO, m).is_allow(), want,
-                "warm (cached) answer diverged on {:?}", m
+                engine.eval(SimTime::ZERO, m).is_allow(),
+                oracle.classify(m) == Action::Allow,
+                "walk diverged on {:?} ({} rules)", m, rules.len()
             );
         }
     }
 
-    /// Mid-stream table swaps: warm the cache under one table, swap to a
-    /// second, and every verdict — including for flows whose decisions
-    /// were cached under the old table — must flip to the new oracle's.
+    /// Mid-stream table swaps: every verdict after the swap — including
+    /// for flows judged under the old table — follows the new oracle's.
     #[test]
-    fn rule_swaps_take_effect_on_cached_flows(
-        rules_a in proptest::collection::vec(arb_rule(false), 0..16),
-        rules_b in proptest::collection::vec(arb_rule(false), 0..16),
+    fn rule_swaps_take_effect_on_the_next_packet(
+        rules_a in proptest::collection::vec(arb_rule(), 0..16),
+        rules_b in proptest::collection::vec(arb_rule(), 0..16),
         packets in proptest::collection::vec(arb_packet(), 1..48),
     ) {
         let cfg = FilterConfig {
             gate: None,
             rules: rules_a.clone(),
             default_action: Action::Allow,
-            cache_bits: 8,
-            limit: LimitConfig::default(),
         };
         let mut engine = FilterEngine::new(cfg);
         let mut oracle = NaiveInterpreter::new(&rules_a, Action::Allow);
@@ -152,66 +321,81 @@ proptest! {
             prop_assert_eq!(
                 engine.eval(SimTime::ZERO, m).is_allow(),
                 oracle.classify(m) == Action::Allow,
-                "stale cached verdict survived set_rules on {:?}", m
+                "old table's verdict survived set_rules on {:?}", m
             );
         }
     }
 
-    /// The decision cache is semantically invisible: a cached engine and
-    /// an uncached twin, fed the same timed stream — §4.3 gate on, Limit
-    /// rules charging real token buckets, TTL expiries crossed, GateClose
-    /// churn injected, and a mid-stream table swap — must emit identical
-    /// verdicts at every step.
+    /// The engine is §4.3: fed a timed stream — gate on, TTL expiries
+    /// crossed and landed on exactly, GateOpen and GateClose from both
+    /// sides with good, wrong and missing credentials, a mid-stream rule
+    /// swap, and the deadline-driven sweep run at some due instants and
+    /// skipped at others — it gives the executable spec's verdict,
+    /// control outcome and gate counters at every step.
     #[test]
-    fn cached_engine_matches_uncached_twin_under_gate_and_limits(
-        rules_a in proptest::collection::vec(arb_rule(true), 0..12),
-        rules_b in proptest::collection::vec(arb_rule(true), 0..12),
-        swap_at in 0usize..64,
-        steps in proptest::collection::vec((arb_packet(), 0u64..300), 1..96),
+    fn engine_matches_an_executable_gate_spec(
+        rules_a in proptest::collection::vec(arb_rule(), 0..12),
+        rules_b in proptest::collection::vec(arb_rule(), 0..12),
+        swap_at in 0usize..96,
+        steps in proptest::collection::vec(
+            (
+                arb_step(),
+                prop_oneof![Just(0u64), Just(10u64), Just(30u64), Just(60u64)],
+                any::<bool>(),
+            ),
+            1..96,
+        ),
     ) {
-        let cfg = |cache_bits| FilterConfig {
-            gate: Some(GateConfig::default()),
+        let ttl = SimDuration::from_secs(120);
+        let mut engine = FilterEngine::new(FilterConfig {
+            gate: Some(GateConfig {
+                entry_ttl: ttl,
+                operators: vec![("N7AKR".into(), "secret".into())],
+            }),
             rules: rules_a.clone(),
             default_action: Action::Allow,
-            cache_bits,
-            limit: LimitConfig { rate_per_sec: 1, burst: 2, bucket_bits: 4 },
+        });
+        let mut spec = GateSpec {
+            ttl,
+            entries: HashMap::new(),
+            rules: NaiveInterpreter::new(&rules_a, Action::Allow),
+            gate_opened: 0,
+            gate_closed: 0,
+            gate_denied: 0,
+            generation: 0,
         };
-        // 16 slots: plenty of collisions/evictions in a 96-step stream.
-        let mut cached = FilterEngine::new(cfg(4));
-        let mut plain = FilterEngine::new(cfg(0));
         let mut now = SimTime::ZERO;
-        for (i, (m, dt)) in steps.iter().enumerate() {
+        for (i, (step, dt, sweep)) in steps.iter().enumerate() {
             now += SimDuration::from_secs(*dt);
-            if i == swap_at {
-                cached.set_rules(&rules_b);
-                plain.set_rules(&rules_b);
+            // Verdicts must not depend on whether the sweep has run.
+            if *sweep && engine.next_deadline().is_some_and(|d| d <= now) {
+                engine.expire(now);
             }
-            if i % 13 == 7 {
-                // Control churn: force-close the packet's pair when it
-                // crosses the gate, on both twins.
-                let (src_am, dst_am) = (m.src >> 24 == 44, m.dst >> 24 == 44);
-                if src_am != dst_am {
-                    let (am, fo) = if src_am { (m.src, m.dst) } else { (m.dst, m.src) };
-                    let close = IcmpMessage::GateClose {
-                        amateur: Ipv4Addr::from(am),
-                        foreign: Ipv4Addr::from(fo),
-                        auth: None,
-                    };
-                    cached.on_gate_message(now, true, &close);
-                    plain.on_gate_message(now, true, &close);
+            if i == swap_at {
+                engine.set_rules(&rules_b);
+                spec.rules.set_rules(&rules_b);
+                spec.generation += 1;
+            }
+            match step {
+                Step::Packet(m) => prop_assert_eq!(
+                    engine.eval(now, m), spec.eval(now, m),
+                    "verdicts diverged at step {} ({:?}, t={:?})", i, m, now
+                ),
+                Step::Control(sender, msg) => {
+                    let (from_amateur_side, _) = sender.side_and_auth();
+                    prop_assert_eq!(
+                        engine.on_gate_message(now, from_amateur_side, msg),
+                        spec.control(now, *sender, msg),
+                        "control outcomes diverged at step {} ({:?}, t={:?})", i, msg, now
+                    );
                 }
             }
+            let s = engine.stats();
             prop_assert_eq!(
-                cached.eval(now, m), plain.eval(now, m),
-                "twins diverged at step {} ({:?}, t={:?})", i, m, now
+                (s.gate_opened, s.gate_closed, s.gate_denied, engine.generation()),
+                (spec.gate_opened, spec.gate_closed, spec.gate_denied, spec.generation),
+                "gate counters diverged at step {} (t={:?})", i, now
             );
         }
-        prop_assert_eq!(plain.stats().cache_hits, 0, "uncached twin must never hit");
-        let s = cached.stats();
-        prop_assert_eq!(
-            s.allowed + s.denied,
-            plain.stats().allowed + plain.stats().denied,
-            "twins judged different packet counts"
-        );
     }
 }

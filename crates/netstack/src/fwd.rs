@@ -6,8 +6,7 @@
 //! paper's gateway forwards long flows to a handful of destinations, so
 //! the full decision — matched prefix, egress interface, next hop, and
 //! the IPIP tunnel endpoint the encap table would pick — is memoized
-//! here keyed on the destination address, exactly the discipline of the
-//! filter engine's decision cache (DESIGN.md §13).
+//! here keyed on the destination address.
 //!
 //! Invalidation is O(1) and total: every slot stamps the route-table and
 //! tunnel-map generation counters it was filled under, and a probe only

@@ -254,11 +254,11 @@ proptest! {
     #[test]
     fn cached_stack_matches_uncached_twin(
         ops in proptest::collection::vec(arb_stack_op(), 1..120),
-        cache_bits in prop_oneof![Just(2u8), Just(6u8), Just(10u8)],
+        fwd_bits in prop_oneof![Just(2u8), Just(6u8), Just(10u8)],
     ) {
         let map_a = ChurnMap::default();
         let map_b = ChurnMap::default();
-        let mut cached = build_stack(cache_bits, map_a.clone());
+        let mut cached = build_stack(fwd_bits, map_a.clone());
         let mut plain = build_stack(0, map_b.clone());
         cached.routes_mut().force_generation(u64::MAX - 2);
         plain.routes_mut().force_generation(u64::MAX - 2);

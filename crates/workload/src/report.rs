@@ -356,46 +356,6 @@ pub fn app_table(rows: &[Vec<String>]) -> String {
 // ---------------------------------------------------------------------
 // Engine-side counters.
 
-/// Packet-filter counters, summed across every gateway carrying an
-/// engine. Absent from [`EngineTelemetry`] when no gateway has one, so
-/// reports for filterless worlds render unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterTelemetry {
-    /// Gateways with a filter engine installed.
-    pub engines: usize,
-    /// Evaluations answered by the decision cache.
-    pub cache_hits: u64,
-    /// Evaluations that paid the full walk.
-    pub cache_misses: u64,
-    /// Final deny verdicts (all causes).
-    pub denied: u64,
-    /// `Limit` packets dropped on an empty token bucket.
-    pub tokens_exhausted: u64,
-    /// Compiled rules across engines.
-    pub rules: usize,
-    /// Live + not-yet-swept §4.3 gate entries across engines.
-    pub gate_entries: usize,
-    /// Highest cache generation across engines (how much table churn
-    /// the run saw).
-    pub generation_max: u32,
-}
-
-/// Next-hop-cache counters (DESIGN.md §14), summed across every gateway
-/// whose stack enables the cache. Absent from [`EngineTelemetry`] when
-/// no gateway does (the default), so existing reports render unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FwdTelemetry {
-    /// Gateways with a next-hop cache enabled.
-    pub caches: usize,
-    /// Forwarding decisions replayed from the cache.
-    pub hits: u64,
-    /// Decisions computed and installed (cold or foreign slot).
-    pub misses: u64,
-    /// Misses caused by a generation bump — the churn-invalidation
-    /// count (always ≤ misses).
-    pub stale: u64,
-}
-
 /// A snapshot of the engine-side telemetry for one run: scheduler and
 /// mailbox counters plus channel utilization across the islands.
 #[derive(Debug, Clone)]
@@ -412,10 +372,6 @@ pub struct EngineTelemetry {
     pub chan_util_max: f64,
     /// Mean offered load (may exceed 100 under overload), percent.
     pub chan_offered_mean: f64,
-    /// Packet-filter counters, when any gateway runs an engine.
-    pub filter: Option<FilterTelemetry>,
-    /// Next-hop-cache counters, when any gateway enables the cache.
-    pub fwd: Option<FwdTelemetry>,
 }
 
 impl EngineTelemetry {
@@ -432,33 +388,6 @@ impl EngineTelemetry {
             offered += m.world.channel(c).offered_utilization(now) * 100.0;
         }
         let n = m.channels.len().max(1) as f64;
-        let mut filter: Option<FilterTelemetry> = None;
-        let mut fwd: Option<FwdTelemetry> = None;
-        for &gw in &m.gateways {
-            let host = m.world.host(gw);
-            let st = host.stack.stats();
-            if st.fwd_cache_hits + st.fwd_cache_misses > 0 {
-                let w = fwd.get_or_insert_with(FwdTelemetry::default);
-                w.caches += 1;
-                w.hits += st.fwd_cache_hits;
-                w.misses += st.fwd_cache_misses;
-                w.stale += st.fwd_cache_stale;
-            }
-            let Some(engine) = host.filter_engine() else {
-                continue;
-            };
-            let e = engine.borrow();
-            let s = e.stats();
-            let f = filter.get_or_insert_with(FilterTelemetry::default);
-            f.engines += 1;
-            f.cache_hits += s.cache_hits;
-            f.cache_misses += s.cache_misses;
-            f.denied += s.denied;
-            f.tokens_exhausted += s.tokens_exhausted;
-            f.rules += e.rules_len();
-            f.gate_entries += e.gate_len();
-            f.generation_max = f.generation_max.max(e.generation());
-        }
         EngineTelemetry {
             shards: m.world.shard_count(),
             sched: m.world.sched_stats(),
@@ -466,15 +395,12 @@ impl EngineTelemetry {
             chan_util_mean: sum / n,
             chan_util_max: max,
             chan_offered_mean: offered / n,
-            filter,
-            fwd,
         }
     }
 
-    /// Renders the snapshot as a two-row table; worlds with a filter
-    /// engine get a second table of its counters.
+    /// Renders the snapshot as a two-row table.
     pub fn table(&self) -> String {
-        let mut out = render_table(&[
+        render_table(&[
             vec![
                 "shards".into(),
                 "sched polls".into(),
@@ -495,50 +421,7 @@ impl EngineTelemetry {
                 format!("{:.1}", self.chan_util_max),
                 format!("{:.1}", self.chan_offered_mean),
             ],
-        ]);
-        if let Some(f) = &self.filter {
-            out.push('\n');
-            out.push_str(&render_table(&[
-                vec![
-                    "filters".into(),
-                    "cache hits".into(),
-                    "misses".into(),
-                    "denied".into(),
-                    "rate-limited".into(),
-                    "rules".into(),
-                    "gate entries".into(),
-                    "generation".into(),
-                ],
-                vec![
-                    f.engines.to_string(),
-                    f.cache_hits.to_string(),
-                    f.cache_misses.to_string(),
-                    f.denied.to_string(),
-                    f.tokens_exhausted.to_string(),
-                    f.rules.to_string(),
-                    f.gate_entries.to_string(),
-                    f.generation_max.to_string(),
-                ],
-            ]));
-        }
-        if let Some(w) = &self.fwd {
-            out.push('\n');
-            out.push_str(&render_table(&[
-                vec![
-                    "nh caches".into(),
-                    "fwd hits".into(),
-                    "misses".into(),
-                    "stale".into(),
-                ],
-                vec![
-                    w.caches.to_string(),
-                    w.hits.to_string(),
-                    w.misses.to_string(),
-                    w.stale.to_string(),
-                ],
-            ]));
-        }
-        out
+        ])
     }
 }
 

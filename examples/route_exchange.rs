@@ -40,7 +40,7 @@ fn main() {
         ..RipConfig::default()
     };
     let cfg = PaperConfig {
-        acl: false,
+        filter: None,
         ..PaperConfig::default()
     };
     let mut s = three_gateway(&cfg, rip, 4242);

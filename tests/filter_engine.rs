@@ -34,10 +34,6 @@ fn unsolicited_inbound_is_blocked_until_amateur_initiates() {
     let stats = s.world.host(s.gw).filter_stats().unwrap();
     assert!(stats.gate_denied >= 1, "gate denial counted: {stats:?}");
     assert!(stats.denied >= 3, "every probe denied: {stats:?}");
-    assert!(
-        stats.cache_hits >= 1,
-        "repeat probes answered from the decision cache: {stats:?}"
-    );
 
     // Phase 2: the PC (amateur side) pings out — that opens the pair.
     let now = s.world.now;
@@ -67,8 +63,8 @@ fn gate_close_cuts_an_active_pairing() {
     s.world.run_for(SimDuration::from_secs(30));
     assert!(s.world.host(s.gw).filter_stats().unwrap().gate_opened >= 1);
 
-    // §4.3: the control operator cuts off the link. The cached admission
-    // must die with the entry (generation bump), not linger.
+    // §4.3: the control operator cuts off the link. The admission must
+    // die with the entry, not linger.
     let now = s.world.now;
     s.world.host_mut(s.pc).send_gate_message(
         now,
@@ -204,7 +200,6 @@ fn permissive_filter_is_policy_transparent() {
     // every packet now crosses the eval hooks.
     let run = |filter: Option<FilterConfig>| {
         let cfg = PaperConfig {
-            acl: false,
             filter,
             ..Default::default()
         };
@@ -232,7 +227,6 @@ fn permissive_filter_is_policy_transparent() {
     // And the engine really was in the path, not bypassed.
     let mut s = paper_topology(
         PaperConfig {
-            acl: false,
             filter: Some(FilterConfig::permissive()),
             ..Default::default()
         },

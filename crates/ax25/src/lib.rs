@@ -53,6 +53,11 @@ pub const MAX_DIGIPEATERS: usize = 8;
 /// Default maximum info-field length (AX.25 N1 default, 256 octets).
 pub const MAX_INFO_LEN: usize = 256;
 
+/// The longest frame, FCS excluded: destination, source and eight
+/// digipeater addresses of seven octets each, control, PID and a full
+/// info field — 328 octets.
+pub const MAX_FRAME_LEN: usize = (2 + MAX_DIGIPEATERS) * 7 + 2 + MAX_INFO_LEN;
+
 /// Errors from AX.25 parsing and encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ax25Error {

@@ -10,11 +10,11 @@
 //! at all, however many promiscuous stations hear it (one traded buffer,
 //! one FCS check, one KISS encoding, shared), and neither does an ARP
 //! exchange on either driver: addresses are inline values and every frame
-//! is built in a traded buffer. The whole-world transit paths — Ethernet
-//! host → segment → gateway → forward → output hook, and Ethernet host →
-//! router → Ethernet host — allocate only where the sender builds its
-//! datagram; their counts per datagram, and a mesh fleet's, are pinned so
-//! they can only ratchet down. Re-entering a world nobody touched since
+//! is built in a buffer of the host's pool. The whole-world transit paths
+//! — Ethernet host → segment → gateway → forward → output hook, and
+//! Ethernet host → router → Ethernet host — allocate only where the sender
+//! builds its datagram; their counts per datagram, and a mesh fleet's, are
+//! pinned so they can only ratchet down. Re-entering a world nobody touched since
 //! its last run call is: no allocation, and no poll beyond its apps.
 
 use crate::allocs_during;
@@ -27,6 +27,7 @@ use gateway::prdriver::{PacketRadioDriver, PrConfig, PrEvent};
 use gateway::scenario::{self, PaperConfig};
 use gateway::world::{ChanId, HostId, World};
 use netstack::ip::{Ipv4Packet, Proto};
+use netstack::pool::DgramPool;
 use netstack::route::Prefix;
 use radio::csma::MacConfig;
 use radio::tnc::RxMode;
@@ -63,8 +64,9 @@ fn rint_frame_for_other() {
         Ipv4Addr::new(44, 24, 0, 28),
     );
     let mut tx: Vec<sim::PacketBuf> = Vec::new();
+    let mut pool = DgramPool::new();
     let mut rint = || {
-        drv.rint_slice(SimTime::ZERO, &wire, &mut tx, |_, ev| {
+        drv.rint_slice_in(SimTime::ZERO, &wire, &mut pool, &mut tx, |_, ev| {
             black_box(ev);
         });
         tx.clear();
@@ -428,30 +430,32 @@ fn arp_exchange_allocates_nothing() {
     let stale = SimDuration::from_secs(21 * 60);
 
     // --- The packet radio driver, serial bytes between two stations. ---
+    // Each station lends its driver its own pool, as its host would.
     let station =
         |call: &str, ip| PacketRadioDriver::new(PrConfig::new(Ax25Addr::parse_or_panic(call)), ip);
     let (mut a, mut b) = (station("N7AKR-1", a_ip), station("KB7DZ", b_ip));
+    let (mut a_pool, mut b_pool) = (DgramPool::new(), DgramPool::new());
     let (mut a_tx, mut b_tx): (Vec<sim::PacketBuf>, Vec<sim::PacketBuf>) = (Vec::new(), Vec::new());
     let mut now = SimTime::ZERO;
     let mut delivered = 0usize;
     let mut radio_round = |packet: Ipv4Packet| {
         now += stale;
-        a.output(now, packet, b_ip, &mut a_tx);
+        a.output(now, packet, b_ip, &mut a_pool, &mut a_tx);
         // Each hop: what one station queued for its serial line reaches
         // the other's receive interrupt handler.
         for hop in 0..3 {
-            let (from_tx, to, to_tx) = if hop % 2 == 0 {
-                (&mut a_tx, &mut b, &mut b_tx)
+            let (from_tx, to, to_pool, to_tx) = if hop % 2 == 0 {
+                (&mut a_tx, &mut b, &mut b_pool, &mut b_tx)
             } else {
-                (&mut b_tx, &mut a, &mut a_tx)
+                (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
             };
             for wire in from_tx.drain(..) {
                 let mut up = None;
-                to.rint_slice(now, &wire, to_tx, |_, ev| up = Some(ev));
+                to.rint_slice_in(now, &wire, to_pool, to_tx, |_, ev| up = Some(ev));
                 if let Some(PrEvent::IpPacket(datagram)) = up {
                     // What the host does once its stack is done with it.
                     delivered += 1;
-                    to.ifnet.recycle(datagram);
+                    to_pool.give(datagram);
                 }
             }
         }
@@ -478,21 +482,22 @@ fn arp_exchange_allocates_nothing() {
     let (a_mac, b_mac) = (MacAddr::local(1), MacAddr::local(2));
     let mut a = EtherDriver::new(a_mac, a_ip);
     let mut b = EtherDriver::new(b_mac, b_ip);
+    let (mut a_pool, mut b_pool) = (DgramPool::new(), DgramPool::new());
     let (mut a_tx, mut b_tx): (Vec<EtherFrame>, Vec<EtherFrame>) = (Vec::new(), Vec::new());
     let mut delivered = 0usize;
     let mut ether_round = |packet: Ipv4Packet| {
         now += stale;
-        a.output(now, packet, b_ip, &mut a_tx);
+        a.output(now, packet, b_ip, &mut a_pool, &mut a_tx);
         for hop in 0..3 {
-            let (from_tx, to, to_tx) = if hop % 2 == 0 {
-                (&mut a_tx, &mut b, &mut b_tx)
+            let (from_tx, to, to_pool, to_tx) = if hop % 2 == 0 {
+                (&mut a_tx, &mut b, &mut b_pool, &mut b_tx)
             } else {
-                (&mut b_tx, &mut a, &mut a_tx)
+                (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
             };
             for frame in from_tx.drain(..) {
-                if let Some(datagram) = to.input(now, Cow::Owned(frame), to_tx) {
+                if let Some(datagram) = to.input(now, Cow::Owned(frame), to_pool, to_tx) {
                     delivered += 1;
-                    to.ifnet.recycle(datagram);
+                    to_pool.give(datagram);
                 }
             }
         }
@@ -512,12 +517,17 @@ fn arp_exchange_allocates_nothing() {
 /// under a closed-loop fleet (`workload::deploy`: typists, echoes, file
 /// fetches and DNS lookups, every session crossing two gateways and a
 /// tunnel), whole world, after warm-up — what is left when addresses are
-/// inline, headers find their room and buffers are traded: the segment's
-/// own birth, the TCP machine's queues, the apps' payloads, and a copy
-/// where a frame crosses a shard boundary. Measured 4.55 (9.52 before);
-/// the bound is that, rounded up to the next tenth — lower it when the
-/// path gets leaner, never raise it.
-const MESH_FLEET_ALLOCS_PER_DATAGRAM_X10: u64 = 46;
+/// inline, headers find their room, TCP encodes straight from its send
+/// buffer into a buffer of its host's pool, received datagrams land in
+/// pool buffers, and frames cross shard boundaries by move: datagrams
+/// copied while a burst waiting for the CPU has the pool dry, TNCs
+/// building a frame with no traded buffer at hand, the TCP machine's
+/// queues as connections come and go and the `Vec` `recv` returns,
+/// fragments, UDP encodings, and the apps' own strings and payloads.
+/// Measured 1.01 (4.53 before, 9.52 before that); the bound is that,
+/// rounded up to the next tenth — lower it when the path gets leaner,
+/// never raise it.
+const MESH_FLEET_ALLOCS_PER_DATAGRAM_X10: u64 = 11;
 
 #[test]
 fn mesh_fleet_allocs_per_datagram() {

@@ -1,8 +1,9 @@
 //! The sharded engine's cross-shard hand-off (DESIGN.md §11): a *warm*
-//! hand-off — spare-pool buffer reuse, `clone_into` copy, mailbox push,
-//! shard-side pop, buffer return — performs **zero** heap allocations per
-//! frame, and a whole warmed-up mesh run double-checks it end to end
-//! through the world's mailbox growth counters.
+//! copy — spare-pool buffer reuse, `clone_into` copy, mailbox push,
+//! shard-side pop, buffer return, which is how a broadcast reaches all
+//! but its last recipient — performs **zero** heap allocations per frame;
+//! a unicast frame is not copied at all but moved; and a whole
+//! warmed-up mesh run double-checks both end to end.
 
 use crate::allocs_during;
 use ether::EtherFrame;
@@ -81,4 +82,54 @@ fn mesh_warm_rings_do_not_grow() {
     let done = m.world.mailbox_stats();
     assert!(done.pushed > warm.pushed, "traffic must keep flowing");
     assert_eq!(done.grows, warm.grows, "warm mailbox rings must not grow");
+}
+
+/// Heap allocations per ping round trip between two islands whose only
+/// link is the coordinator's mailboxes, steady state, one worker, in
+/// tenths. Request and reply each cross the backbone as a unicast frame
+/// moved from the sender's shard into the receiver's, whose host keeps
+/// its buffer in trade. What is left is ICMP's — the ping's payload, two
+/// encodings and the copy its decode makes at either end, 5 per round
+/// trip — and a few growths and dry-pool copies. Measured 5.43; the bound
+/// is that, rounded up to the next tenth — lower it when the path gets
+/// leaner, never raise it.
+const CROSS_SHARD_PING_ALLOCS_X10: u64 = 55;
+
+#[test]
+fn mesh_unicast_frames_cross_by_move() {
+    let mut m = gateway::scenario::mesh(2, 1, 9);
+    m.world.record_events = false;
+    let ping = apps::ping::Pinger::new(
+        gateway::scenario::city::host_ip(1, 0),
+        1,
+        300,
+        SimDuration::from_secs(3),
+        64,
+    );
+    let report = ping.report();
+    m.world.add_app(m.hosts[0][0], Box::new(ping));
+    // Warm-up: ARP on both radios and the backbone, pools, rings.
+    m.world.run_for(SimDuration::from_secs(60));
+    let replies_so_far = || u64::from(report.borrow().received);
+    let (moved0, replies0) = (m.world.engine_stats().deliveries_moved, replies_so_far());
+    let allocs = allocs_during(|| m.world.run_for(SimDuration::from_secs(600)));
+    let moved = m.world.engine_stats().deliveries_moved - moved0;
+    let replies = replies_so_far() - replies0;
+    assert!(replies >= 150, "{replies} replies");
+    assert!(
+        moved >= 2 * replies,
+        "request and reply crossed by move: {moved}"
+    );
+    eprintln!(
+        "shard_sync/mesh_unicast: {allocs} heap allocations / {replies} ping round trips = {:.2}, \
+         {moved} frames moved",
+        allocs as f64 / replies as f64
+    );
+    assert!(
+        allocs * 10 <= CROSS_SHARD_PING_ALLOCS_X10 * replies,
+        "cross-shard unicast regressed: {allocs} allocations / {replies} round trips \
+         (bound {}.{} each)",
+        CROSS_SHARD_PING_ALLOCS_X10 / 10,
+        CROSS_SHARD_PING_ALLOCS_X10 % 10
+    );
 }

@@ -10,6 +10,7 @@
 use ether::{EtherFrame, EtherType, MacAddr};
 use netstack::arp::{hw_type, ArpPacket, HwAddr};
 use netstack::ip::Ipv4Packet;
+use netstack::pool::DgramPool;
 use sim::{FrameSink, SimTime};
 use std::borrow::Cow;
 use std::net::Ipv4Addr;
@@ -68,15 +69,22 @@ impl EtherDriver {
         &mut self.arp
     }
 
+    /// The ARP engine, read-only.
+    pub fn arp(&self) -> &ArpEngine {
+        &self.arp
+    }
+
     /// Processes a received frame. Returns the decapsulated IP packet
     /// bytes (if any) — the frame's own payload when the caller hands the
-    /// frame over ([`Cow::Owned`], the segment's last recipient), a copy in
-    /// the interface's spare buffer otherwise; frames the driver wants
+    /// frame over ([`Cow::Owned`]: the segment's last recipient, or a
+    /// unicast frame moved across a shard boundary), a copy in a buffer
+    /// from the host's `pool` otherwise; frames the driver wants
     /// transmitted (ARP replies, released holds) are emitted into `tx`.
     pub fn input(
         &mut self,
         now: SimTime,
         frame: Cow<'_, EtherFrame>,
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink<EtherFrame>,
     ) -> Option<Vec<u8>> {
         self.stats.frames_in += 1;
@@ -86,15 +94,15 @@ impl EtherDriver {
                 self.stats.ip_in += 1;
                 Some(match frame {
                     Cow::Owned(f) => f.payload,
-                    Cow::Borrowed(f) => self.ifnet.copy_into_spare(&f.payload),
+                    Cow::Borrowed(f) => pool.copy(&f.payload),
                 })
             }
             EtherType::Arp => {
                 self.stats.arp_in += 1;
-                self.input_arp(now, &frame.payload, tx);
+                self.input_arp(now, &frame.payload, pool, tx);
                 // An ARP frame handed over leaves its buffer behind.
                 if let Cow::Owned(f) = frame {
-                    self.ifnet.recycle(f.payload);
+                    pool.give(f.payload);
                 }
                 None
             }
@@ -105,14 +113,20 @@ impl EtherDriver {
         }
     }
 
-    fn input_arp(&mut self, now: SimTime, payload: &[u8], tx: &mut impl FrameSink<EtherFrame>) {
+    fn input_arp(
+        &mut self,
+        now: SimTime,
+        payload: &[u8],
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink<EtherFrame>,
+    ) {
         let Ok(arp) = ArpPacket::decode(payload) else {
             self.ifnet.stats.ierrors += 1;
             return;
         };
         let (reply, released) = self.arp.on_arp(now, &arp);
         if let Some(reply) = reply {
-            self.emit_arp(mac_from_bytes(&reply.target_hw), &reply, tx);
+            self.emit_arp(mac_from_bytes(&reply.target_hw), &reply, pool, tx);
         }
         let dst = mac_from_bytes(&arp.sender_hw);
         for packet in released {
@@ -123,14 +137,16 @@ impl EtherDriver {
     }
 
     /// Outputs an IP packet toward `next_hop`, resolving its MAC; frames
-    /// to transmit (possibly an ARP request while the packet waits) are
-    /// emitted into `tx`. A broadcast next hop (RIP44 announcements)
-    /// bypasses ARP and goes straight to the all-ones MAC.
+    /// to transmit (possibly an ARP request, built in a `pool` buffer,
+    /// while the packet waits) are emitted into `tx`. A broadcast next hop
+    /// (RIP44 announcements) bypasses ARP and goes straight to the all-ones
+    /// MAC.
     pub fn output(
         &mut self,
         now: SimTime,
         packet: Ipv4Packet,
         next_hop: Ipv4Addr,
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink<EtherFrame>,
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
@@ -146,7 +162,9 @@ impl EtherDriver {
                 let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
                 tx.emit(f);
             }
-            Resolution::Pending(Some(request)) => self.emit_arp(MacAddr::BROADCAST, &request, tx),
+            Resolution::Pending(Some(request)) => {
+                self.emit_arp(MacAddr::BROADCAST, &request, pool, tx)
+            }
             Resolution::Pending(None) => {}
             Resolution::Dropped => {
                 self.ifnet.stats.oerrors += 1;
@@ -155,16 +173,27 @@ impl EtherDriver {
     }
 
     /// Periodic ARP maintenance; emits requests to retransmit into `tx`.
-    pub fn age_arp(&mut self, now: SimTime, tx: &mut impl FrameSink<EtherFrame>) {
+    pub fn age_arp(
+        &mut self,
+        now: SimTime,
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink<EtherFrame>,
+    ) {
         for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
-            self.emit_arp(MacAddr::BROADCAST, &r, tx);
+            self.emit_arp(MacAddr::BROADCAST, &r, pool, tx);
         }
     }
 
-    /// Sends an ARP packet, encoded in the spare buffer: the frame takes
-    /// the allocation with it.
-    fn emit_arp(&mut self, dst: MacAddr, arp: &ArpPacket, tx: &mut impl FrameSink<EtherFrame>) {
-        let mut payload = self.ifnet.take_spare();
+    /// Sends an ARP packet, encoded in a pool buffer: the frame takes the
+    /// allocation with it.
+    fn emit_arp(
+        &mut self,
+        dst: MacAddr,
+        arp: &ArpPacket,
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink<EtherFrame>,
+    ) {
+        let mut payload = pool.take(arp.wire_len());
         arp.encode_into(&mut payload);
         let f = self.build_frame(dst, EtherType::Arp, payload);
         tx.emit(f);
@@ -201,6 +230,11 @@ mod tests {
         EtherDriver::new(MacAddr::local(1), ipa(100))
     }
 
+    /// The host's pool, as a test lends it.
+    fn pool() -> DgramPool {
+        DgramPool::new()
+    }
+
     #[test]
     fn ip_frames_pass_up() {
         let mut drv = driver();
@@ -212,7 +246,7 @@ mod tests {
             p.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
         assert!(tx.is_empty());
         assert_eq!(ip.unwrap(), p.encode());
         assert_eq!(drv.stats().ip_in, 1);
@@ -220,13 +254,14 @@ mod tests {
 
     #[test]
     fn a_short_datagram_after_a_long_one_is_only_its_own_bytes() {
-        // Borrowed frames are copied into the spare buffer; the stack's
-        // finished buffer comes back through `recycle`. A 20-octet
-        // datagram received into what a 576-octet one left behind must not
-        // carry its tail.
+        // Borrowed frames are copied into a pool buffer; the stack's
+        // finished buffer goes back to the pool. A 20-octet datagram
+        // received into what a 576-octet one left behind must not carry
+        // its tail.
         let mut drv = driver();
+        let mut pool = pool();
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let mut receive = |drv: &mut EtherDriver, len: usize, fill: u8| {
+        let mut receive = |drv: &mut EtherDriver, pool: &mut DgramPool, len: usize, fill: u8| {
             let p = Ipv4Packet::new(ipa(4), ipa(100), Proto::Udp, vec![fill; len - 20]);
             let f = EtherFrame::new(
                 MacAddr::local(1),
@@ -235,15 +270,15 @@ mod tests {
                 p.encode(),
             );
             let up = drv
-                .input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx)
+                .input(SimTime::ZERO, Cow::Borrowed(&f), pool, &mut tx)
                 .unwrap();
             assert_eq!(up, f.payload, "{len}-octet datagram");
             up
         };
-        let long = receive(&mut drv, 576, 0xAA);
+        let long = receive(&mut drv, &mut pool, 576, 0xAA);
         let ptr = long.as_ptr();
-        drv.ifnet.recycle(long);
-        let short = receive(&mut drv, 20, 0x11);
+        pool.give(long);
+        let short = receive(&mut drv, &mut pool, 20, 0x11);
         assert_eq!(short.len(), 20);
         assert_eq!(short.as_ptr(), ptr, "received into the traded buffer");
     }
@@ -264,7 +299,7 @@ mod tests {
             req.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
         assert!(ip.is_none());
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(2));
@@ -272,7 +307,7 @@ mod tests {
         // Now output to that host is a cache hit.
         let p = Ipv4Packet::new(ipa(100), ipa(4), Proto::Udp, vec![0; 4]);
         let mut frames: Vec<EtherFrame> = Vec::new();
-        drv.output(SimTime::ZERO, p, ipa(4), &mut frames);
+        drv.output(SimTime::ZERO, p, ipa(4), &mut pool(), &mut frames);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].ethertype, EtherType::Ipv4);
         assert_eq!(frames[0].dst, MacAddr::local(2));
@@ -283,7 +318,7 @@ mod tests {
         let mut drv = driver();
         let p = Ipv4Packet::new(ipa(100), ipa(4), Proto::Udp, vec![9; 8]);
         let mut frames: Vec<EtherFrame> = Vec::new();
-        drv.output(SimTime::ZERO, p.clone(), ipa(4), &mut frames);
+        drv.output(SimTime::ZERO, p.clone(), ipa(4), &mut pool(), &mut frames);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].dst, MacAddr::BROADCAST);
         assert_eq!(frames[0].ethertype, EtherType::Arp);
@@ -297,7 +332,7 @@ mod tests {
             reply.encode(),
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let _ = drv.input(SimTime::ZERO, Cow::Owned(rf), &mut tx);
+        let _ = drv.input(SimTime::ZERO, Cow::Owned(rf), &mut pool(), &mut tx);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(7));
         assert_eq!(tx[0].payload, p.encode());
@@ -313,7 +348,7 @@ mod tests {
             vec![0; 10],
         );
         let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
         assert!(ip.is_none() && tx.is_empty());
         assert_eq!(drv.stats().other_in, 1);
     }

@@ -31,7 +31,7 @@ use socket::{Readiness, SockError, SocketHandle, SocketTable, TcpInfo};
 
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
-use crate::ifnet::{IfNet, IfQueue, IFQ_MAXLEN};
+use crate::ifnet::{IfQueue, IFQ_MAXLEN};
 use crate::prdriver::{Discard, PacketRadioDriver, PrConfig, PrEvent, AX25_MTU};
 
 /// Radio interface parameters for a host.
@@ -186,15 +186,6 @@ impl Host {
         self.eth.as_ref().map(|(i, _)| *i)
     }
 
-    /// The `if_net` block of the driver behind `iface`.
-    fn ifnet_mut(&mut self, iface: IfaceId) -> Option<&mut IfNet> {
-        match (&mut self.pr, &mut self.eth) {
-            (Some((i, drv)), _) if *i == iface => Some(&mut drv.ifnet),
-            (_, Some((i, drv))) if *i == iface => Some(&mut drv.ifnet),
-            _ => None,
-        }
-    }
-
     /// The packet radio driver, if present.
     pub fn pr_driver(&self) -> Option<&PacketRadioDriver> {
         self.pr.as_ref().map(|(_, d)| d)
@@ -316,9 +307,10 @@ impl Host {
         let outbox = &mut self.outbox;
         let mut charged = 0usize;
         let mut iqdrops = 0u64;
-        drv.rint_slice(
+        drv.rint_slice_in(
             now,
             bytes,
+            self.stack.pool_mut(),
             &mut SinkFn(|t| outbox.push(HostOut::SerialTx(t))),
             |idx, event| {
                 let after_char = cpu.charge_chars(now, (idx + 1 - charged) as u64);
@@ -384,9 +376,10 @@ impl Host {
         let tty_queue = &mut self.tty_queue;
         let outbox = &mut self.outbox;
         let mut iqdrops = 0u64;
-        drv.rint_slice(
+        drv.rint_slice_in(
             t_last,
             bytes,
+            self.stack.pool_mut(),
             &mut SinkFn(|t| outbox.push(HostOut::SerialTx(t))),
             |idx, event| {
                 debug_assert_eq!(idx, bytes.len() - 1, "runs must end at frame boundaries");
@@ -442,7 +435,7 @@ impl Host {
 
     /// Receives a frame from the Ethernet segment (DMA: packet cost only).
     /// An owned frame's payload goes up the stack as it is; a borrowed one
-    /// is copied by the driver.
+    /// is copied by the driver, into a buffer from the stack's pool.
     pub fn on_ether_frame(&mut self, now: SimTime, frame: Cow<'_, EtherFrame>) {
         if self.down {
             return;
@@ -454,6 +447,7 @@ impl Host {
         let ip = drv.input(
             now,
             frame,
+            self.stack.pool_mut(),
             &mut SinkFn(|f| outbox.push(HostOut::EtherTx(f))),
         );
         if let Some(ip_bytes) = ip {
@@ -502,13 +496,7 @@ impl Host {
             return;
         }
         while let Some((iface, bytes)) = self.input_queue.pop_due(now) {
-            if let Some(done) = self.stack.input_owned(now, iface, bytes) {
-                // The stack kept nothing of it: the interface it came in
-                // on receives its next frame into that allocation.
-                if let Some(ifnet) = self.ifnet_mut(iface) {
-                    ifnet.recycle(done);
-                }
-            }
+            self.stack.input_owned(now, iface, bytes);
             self.handle_actions(now);
         }
         self.stack.poll_queued(now);
@@ -526,11 +514,16 @@ impl Host {
         if now.saturating_since(self.last_arp_age) >= sim::SimDuration::from_secs(1) {
             self.last_arp_age = now;
             let outbox = &mut self.outbox;
+            let pool = self.stack.pool_mut();
             if let Some((_, drv)) = &mut self.pr {
-                drv.age_arp(now, &mut SinkFn(|t| outbox.push(HostOut::SerialTx(t))));
+                drv.age_arp(
+                    now,
+                    pool,
+                    &mut SinkFn(|t| outbox.push(HostOut::SerialTx(t))),
+                );
             }
             if let Some((_, drv)) = &mut self.eth {
-                drv.age_arp(now, &mut SinkFn(|f| outbox.push(HostOut::EtherTx(f))));
+                drv.age_arp(now, pool, &mut SinkFn(|f| outbox.push(HostOut::EtherTx(f))));
             }
         }
     }
@@ -643,12 +636,14 @@ impl Host {
         packet: netstack::ip::Ipv4Packet,
     ) {
         let outbox = &mut self.outbox;
+        let pool = self.stack.pool_mut();
         if let Some((pr_if, drv)) = &mut self.pr {
             if *pr_if == iface {
                 drv.output(
                     now,
                     packet,
                     next_hop,
+                    pool,
                     &mut SinkFn(|t| outbox.push(HostOut::SerialTx(t))),
                 );
                 return;
@@ -660,6 +655,7 @@ impl Host {
                     now,
                     packet,
                     next_hop,
+                    pool,
                     &mut SinkFn(|f| outbox.push(HostOut::EtherTx(f))),
                 );
             }
@@ -1103,7 +1099,7 @@ mod tests {
         dying.ttl = 1;
         let now = SimTime::ZERO;
         let radio = gw.radio_iface().unwrap();
-        let _ = gw.stack.input_owned(now, radio, dying.into_wire());
+        gw.stack.input_owned(now, radio, dying.into_wire());
         gw.stack.ping(pinged, 1, 1, 8);
         gw.handle_actions(now);
         let sent: Vec<(Ipv4Addr, Proto)> = gw

@@ -43,11 +43,6 @@ pub struct IfNet {
     pub up: bool,
     /// Counters.
     pub stats: IfStats,
-    /// The interface's one spare datagram buffer (DESIGN.md §6, born
-    /// once, traded after): an allocation some finished datagram left
-    /// behind, which the next received frame is copied into. Empty — no
-    /// allocation — when there is none.
-    spare: Vec<u8>,
 }
 
 impl IfNet {
@@ -58,37 +53,7 @@ impl IfNet {
             mtu,
             up: true,
             stats: IfStats::default(),
-            spare: Vec::new(),
         }
-    }
-
-    /// Trades in a buffer whose datagram is finished with — the IP bytes
-    /// the driver has just encoded for the link, or what
-    /// `NetStack::input_owned` handed back. The slot keeps the roomier of
-    /// this and what it held; the other is freed.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > self.spare.capacity() {
-            self.spare = buf;
-        }
-    }
-
-    /// Takes the spare buffer out, emptied: whatever it held is gone, its
-    /// capacity stays. An unallocated `Vec` when the slot is empty.
-    pub fn take_spare(&mut self) -> Vec<u8> {
-        let mut buf = std::mem::take(&mut self.spare);
-        buf.clear();
-        buf
-    }
-
-    /// Copies a received datagram into the spare buffer and hands that
-    /// out. There is room behind the copy for one more IP header (the
-    /// outer one, should the datagram be forwarded into a tunnel), so a
-    /// buffer that has made the round once is not reallocated again.
-    pub fn copy_into_spare(&mut self, datagram: &[u8]) -> Vec<u8> {
-        let mut buf = self.take_spare();
-        buf.reserve(datagram.len() + netstack::ip::HEADER_LEN);
-        buf.extend_from_slice(datagram);
-        buf
     }
 }
 
@@ -211,36 +176,6 @@ mod tests {
         q.push(t, 99);
         assert_eq!(q.peak(), 7);
         assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn the_spare_is_handed_out_once_emptied_and_roomy() {
-        let mut ifn = IfNet::new("qe0", 1500);
-        assert_eq!(ifn.take_spare().capacity(), 0, "nothing to hand out yet");
-        // A 576-octet datagram's buffer comes back; a 20-octet one rides
-        // in it next and is exactly its own 20 octets.
-        let big = vec![0xAA; 576];
-        let ptr = big.as_ptr();
-        ifn.recycle(big);
-        let small = ifn.copy_into_spare(&[7; 20]);
-        assert_eq!(small, [7; 20]);
-        assert_eq!(
-            small.as_ptr(),
-            ptr,
-            "the recycled allocation, not a new one"
-        );
-        assert_eq!(ifn.take_spare().capacity(), 0, "handed out once");
-        // A fresh copy is born with room for one more IP header.
-        let fresh = ifn.copy_into_spare(&[1; 100]);
-        assert!(fresh.capacity() >= 100 + netstack::ip::HEADER_LEN);
-        // The slot keeps the roomier buffer, whichever came first.
-        ifn.recycle(Vec::with_capacity(300));
-        ifn.recycle(Vec::with_capacity(40));
-        assert!(ifn.take_spare().capacity() >= 300);
-        ifn.recycle(Vec::with_capacity(40));
-        ifn.recycle(vec![9; 300]);
-        let out = ifn.take_spare();
-        assert!(out.is_empty() && out.capacity() >= 300);
     }
 
     #[test]

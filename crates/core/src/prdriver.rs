@@ -24,7 +24,8 @@ use ax25::frame::{Frame, FrameHeader, Pid};
 use filter::{FilterEngine, PacketMeta};
 use kiss::{Command, Deframer};
 use netstack::arp::{hw_type, ArpPacket};
-use netstack::ip::Ipv4Packet;
+use netstack::ip::{self, Ipv4Packet};
+use netstack::pool::DgramPool;
 use serial::Seal;
 use sim::{BufPool, FrameSink, PoolStats, SimTime};
 use std::cell::RefCell;
@@ -268,17 +269,23 @@ impl PacketRadioDriver {
     /// from an [`FrameHeader::peek`] of the wire bytes — a frame addressed
     /// to another station (§3: under a promiscuous TNC, *most* frames) is
     /// counted and dropped without the heap ever being involved. An IP
-    /// datagram for us is copied once, into the interface's spare buffer
-    /// ([`IfNet::copy_into_spare`]); only digipeated and diverted frames
+    /// datagram for us is copied once, into a buffer from the host's
+    /// `pool` ([`DgramPool::copy`]); only digipeated and diverted frames
     /// pay for a full [`Frame::decode`].
-    pub fn rint(&mut self, now: SimTime, byte: u8, tx: &mut impl FrameSink) -> Option<PrEvent> {
+    pub fn rint(
+        &mut self,
+        now: SimTime,
+        byte: u8,
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink,
+    ) -> Option<PrEvent> {
         self.stats.rint_chars += 1;
         // Detach the deframer so the completed frame (which borrows the
         // deframer's buffer) can be classified against `&mut self`.
         let mut deframer = std::mem::replace(&mut self.deframer, Deframer::placeholder());
         let event = deframer
             .push(byte)
-            .and_then(|kiss_frame| self.classify_frame(now, kiss_frame, tx));
+            .and_then(|kiss_frame| self.classify_frame(now, kiss_frame, pool, tx));
         self.deframer = deframer;
         event
     }
@@ -298,21 +305,38 @@ impl PacketRadioDriver {
     /// `now` stamps every frame completed in this slice (ARP learning);
     /// callers that need exact per-frame timestamps end each batch at a
     /// frame boundary, as the world's run delivery does (DESIGN.md §6).
-    pub fn rint_slice(
+    /// Buffers come from, and go back to, the host's `pool`.
+    pub fn rint_slice_in(
         &mut self,
         now: SimTime,
         bytes: &[u8],
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink,
         mut on_event: impl FnMut(usize, PrEvent),
     ) {
         self.stats.rint_chars += bytes.len() as u64;
         let mut deframer = std::mem::replace(&mut self.deframer, Deframer::placeholder());
         deframer.push_slice(bytes, |idx, kiss_frame| {
-            if let Some(event) = self.classify_frame(now, kiss_frame, tx) {
+            if let Some(event) = self.classify_frame(now, kiss_frame, pool, tx) {
                 on_event(idx, event);
             }
         });
         self.deframer = deframer;
+    }
+
+    /// [`rint_slice_in`](PacketRadioDriver::rint_slice_in) for a driver
+    /// with no host around it, lending it an empty pool for the call:
+    /// what a host's pool would supply is allocated fresh. Kept only for
+    /// the benchmark harness's `gateway.prdriver` probe (ROADMAP item
+    /// 2(a)); everything else calls `rint_slice_in`.
+    pub fn rint_slice(
+        &mut self,
+        now: SimTime,
+        bytes: &[u8],
+        tx: &mut impl FrameSink,
+        on_event: impl FnMut(usize, PrEvent),
+    ) {
+        self.rint_slice_in(now, bytes, &mut DgramPool::new(), tx, on_event);
     }
 
     /// The §2.2 address test, on what [`seal`] keeps of a frame: the
@@ -374,6 +398,7 @@ impl PacketRadioDriver {
         &mut self,
         now: SimTime,
         kiss_frame: kiss::KissFrameRef<'_>,
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink,
     ) -> Option<PrEvent> {
         if kiss_frame.command != Command::Data {
@@ -402,7 +427,7 @@ impl PacketRadioDriver {
                     // Direct traffic: hand the info field up without even
                     // materializing a Frame.
                     let datagram = &payload[hdr.info_start..];
-                    return Some(PrEvent::IpPacket(self.ifnet.copy_into_spare(datagram)));
+                    return Some(PrEvent::IpPacket(pool.copy(datagram)));
                 }
                 // Digipeated traffic: glean a path-aware ARP entry (§2.3) —
                 // the sender is reachable back through the reversed relay
@@ -416,7 +441,7 @@ impl PacketRadioDriver {
                     let hw = Ax25Hw::via(frame.source, &path);
                     self.arp.insert_learned(now, src_ip, hw.encode());
                     for p in self.arp.release_held(src_ip) {
-                        self.encapsulate_ip(p, &hw, tx);
+                        self.encapsulate_ip(p, &hw, pool, tx);
                     }
                 }
                 Some(PrEvent::IpPacket(frame.info))
@@ -425,13 +450,13 @@ impl PacketRadioDriver {
                 // RFC 1144 refresh: the full datagram with the protocol
                 // byte carrying the slot number. Re-seed the decompressor
                 // and hand the restored datagram up.
-                let mut bytes = self.ifnet.copy_into_spare(&payload[hdr.info_start..]);
+                let mut bytes = pool.copy(&payload[hdr.info_start..]);
                 let link = self.vj.as_mut().expect("guarded");
                 let restored = link.decomp.refresh(&mut bytes).is_ok();
-                self.count_vj_in(now, restored, bytes)
+                self.count_vj_in(now, restored, bytes, pool)
             }
             Some(Pid::CompressedTcp) if self.vj.is_some() => {
-                let mut out = self.ifnet.take_spare();
+                let mut out = pool.take(AX25_MTU + ip::HEADER_LEN);
                 let link = self.vj.as_mut().expect("guarded");
                 // Tossed or failed reconstruction: drop here and let TCP's
                 // retransmission (sent as a refresh) resynchronise the slot.
@@ -439,7 +464,7 @@ impl PacketRadioDriver {
                     .decomp
                     .decompress(&payload[hdr.info_start..], &mut out)
                     .is_ok();
-                self.count_vj_in(now, restored, out)
+                self.count_vj_in(now, restored, out, pool)
             }
             Some(Pid::Arp) => {
                 self.stats.arp_in += 1;
@@ -454,7 +479,7 @@ impl PacketRadioDriver {
                     frame.digipeaters.iter().rev().map(|d| d.addr).collect()
                 };
                 let info = &payload[hdr.info_start..];
-                self.handle_arp_info(now, info, hdr.source, &reverse_path, tx);
+                self.handle_arp_info(now, info, hdr.source, &reverse_path, pool, tx);
                 None
             }
             _ => {
@@ -471,8 +496,14 @@ impl PacketRadioDriver {
     /// The tail both RFC 1144 arms share: a datagram the decompressor
     /// restored into `bytes` is counted and judged like any other, one it
     /// could not restore is a `vj_drop`; a buffer that does not go up goes
-    /// back to the spare slot it came from.
-    fn count_vj_in(&mut self, now: SimTime, restored: bool, bytes: Vec<u8>) -> Option<PrEvent> {
+    /// back to the pool it came from.
+    fn count_vj_in(
+        &mut self,
+        now: SimTime,
+        restored: bool,
+        bytes: Vec<u8>,
+        pool: &mut DgramPool,
+    ) -> Option<PrEvent> {
         if restored {
             self.stats.ip_in += 1;
             if self.inbound_allowed(now, &bytes) {
@@ -481,7 +512,7 @@ impl PacketRadioDriver {
         } else {
             self.stats.vj_drop += 1;
         }
-        self.ifnet.recycle(bytes);
+        pool.give(bytes);
         None
     }
 
@@ -510,6 +541,7 @@ impl PacketRadioDriver {
         info: &[u8],
         link_source: Ax25Addr,
         reverse_path: &[Ax25Addr],
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink,
     ) {
         let Ok(arp) = ArpPacket::decode(info) else {
@@ -535,12 +567,12 @@ impl PacketRadioDriver {
                 None => Ax25Hw::decode(&reply.target_hw).ok(),
             };
             if let Some(hw) = dest_hw {
-                self.encapsulate_arp(&reply, &hw, tx);
+                self.encapsulate_arp(&reply, &hw, pool, tx);
             }
         }
         if let Ok(hw) = Ax25Hw::decode(&arp.sender_hw) {
             for packet in released {
-                self.encapsulate_ip(packet, &hw, tx);
+                self.encapsulate_ip(packet, &hw, pool, tx);
             }
         }
         if let Some(hw) = &path_override {
@@ -549,7 +581,7 @@ impl PacketRadioDriver {
             // hardware type).
             self.arp.insert_learned(now, arp.sender_ip, hw.encode());
             for packet in self.arp.release_held(arp.sender_ip) {
-                self.encapsulate_ip(packet, hw, tx);
+                self.encapsulate_ip(packet, hw, pool, tx);
             }
         }
     }
@@ -560,12 +592,15 @@ impl PacketRadioDriver {
     /// address; KISS-framed serial bytes to transmit are emitted into `tx`
     /// (possibly an ARP request while the packet waits). A broadcast next
     /// hop (RIP44 announcements) bypasses ARP and goes out as a UI frame
-    /// to the `QST` broadcast address.
+    /// to the `QST` broadcast address. Once the datagram is on the serial
+    /// line its buffer goes to the host's `pool`, which also supplies the
+    /// buffer an ARP request is built in.
     pub fn output(
         &mut self,
         now: SimTime,
         packet: Ipv4Packet,
         next_hop: Ipv4Addr,
+        pool: &mut DgramPool,
         tx: &mut impl FrameSink,
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
@@ -574,7 +609,7 @@ impl PacketRadioDriver {
             let bytes = packet.into_wire();
             self.stats.ip_bytes_out += bytes.len() as u64;
             let frame = Frame::ui(Ax25Addr::broadcast(), self.cfg.my_call, Pid::Ip, bytes);
-            self.emit_kiss(frame, tx);
+            self.emit_kiss(frame, pool, tx);
             return;
         }
         // Outbound policy runs before ARP: a denied packet (a spoofed
@@ -590,12 +625,12 @@ impl PacketRadioDriver {
         }
         match self.arp.resolve(now, next_hop, packet) {
             Resolution::Send(hw_bytes, packet) => match Ax25Hw::decode(&hw_bytes) {
-                Ok(hw) => self.encapsulate_ip(packet, &hw, tx),
+                Ok(hw) => self.encapsulate_ip(packet, &hw, pool, tx),
                 Err(_) => {
                     self.ifnet.stats.oerrors += 1;
                 }
             },
-            Resolution::Pending(Some(request)) => self.broadcast_arp(&request, tx),
+            Resolution::Pending(Some(request)) => self.broadcast_arp(&request, pool, tx),
             Resolution::Pending(None) => {}
             Resolution::Dropped => {
                 self.ifnet.stats.oerrors += 1;
@@ -604,9 +639,9 @@ impl PacketRadioDriver {
     }
 
     /// Periodic ARP maintenance; emits requests to retransmit into `tx`.
-    pub fn age_arp(&mut self, now: SimTime, tx: &mut impl FrameSink) {
+    pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut impl FrameSink) {
         for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
-            self.broadcast_arp(&r, tx);
+            self.broadcast_arp(&r, pool, tx);
         }
     }
 
@@ -620,7 +655,13 @@ impl PacketRadioDriver {
         tx.emit(out);
     }
 
-    fn encapsulate_ip(&mut self, packet: Ipv4Packet, hw: &Ax25Hw, tx: &mut impl FrameSink) {
+    fn encapsulate_ip(
+        &mut self,
+        packet: Ipv4Packet,
+        hw: &Ax25Hw,
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink,
+    ) {
         self.stats.ip_out += 1;
         self.ifnet.stats.opackets += 1;
         let mut bytes = packet.into_wire();
@@ -639,32 +680,38 @@ impl PacketRadioDriver {
         };
         self.stats.ip_bytes_out += bytes.len() as u64;
         let frame = Frame::ui(hw.station, self.cfg.my_call, pid, bytes).via(&hw.path);
-        self.emit_kiss(frame, tx);
+        self.emit_kiss(frame, pool, tx);
     }
 
-    fn encapsulate_arp(&mut self, arp: &ArpPacket, hw: &Ax25Hw, tx: &mut impl FrameSink) {
+    fn encapsulate_arp(
+        &mut self,
+        arp: &ArpPacket,
+        hw: &Ax25Hw,
+        pool: &mut DgramPool,
+        tx: &mut impl FrameSink,
+    ) {
         self.ifnet.stats.opackets += 1;
-        // Encoded in the spare buffer, which goes straight back.
-        let mut info = self.ifnet.take_spare();
+        // Encoded in a pool buffer, which goes straight back.
+        let mut info = pool.take(arp.wire_len());
         arp.encode_into(&mut info);
         let frame = Frame::ui(hw.station, self.cfg.my_call, Pid::Arp, info).via(&hw.path);
-        self.emit_kiss(frame, tx);
+        self.emit_kiss(frame, pool, tx);
     }
 
-    fn broadcast_arp(&mut self, arp: &ArpPacket, tx: &mut impl FrameSink) {
-        self.encapsulate_arp(arp, &Ax25Hw::direct(Ax25Addr::broadcast()), tx);
+    fn broadcast_arp(&mut self, arp: &ArpPacket, pool: &mut DgramPool, tx: &mut impl FrameSink) {
+        self.encapsulate_arp(arp, &Ax25Hw::direct(Ax25Addr::broadcast()), pool, tx);
     }
 
-    /// KISS-frames an AX.25 frame into a pooled buffer and emits it: the
-    /// AX.25 encoder streams through the escaper straight into the buffer,
-    /// so a warmed-up pool makes this path allocation-free. The frame
-    /// lives on in that buffer; its info field's own allocation becomes
-    /// the spare the next received datagram is copied into.
-    fn emit_kiss(&mut self, frame: Frame, tx: &mut impl FrameSink) {
+    /// KISS-frames an AX.25 frame into a pooled serial buffer and emits it:
+    /// the AX.25 encoder streams through the escaper straight into the
+    /// buffer, so a warmed-up pool makes this path allocation-free. The
+    /// frame lives on in that buffer; its info field's own allocation goes
+    /// to the host's datagram `pool`.
+    fn emit_kiss(&mut self, frame: Frame, pool: &mut DgramPool, tx: &mut impl FrameSink) {
         let mut out = self.pool.take();
         kiss::encode_frame_into(0, Command::Data, &mut out, |esc| frame.encode_into(esc));
         tx.emit(out);
-        self.ifnet.recycle(frame.info);
+        pool.give(frame.info);
     }
 }
 
@@ -697,13 +744,23 @@ mod tests {
         PacketRadioDriver::new(PrConfig::new(a("N7AKR-1")), gw_ip())
     }
 
-    fn feed(drv: &mut PacketRadioDriver, bytes: &[u8]) -> (Vec<PrEvent>, Vec<sim::PacketBuf>) {
+    /// Per-byte `rint` over `bytes`, lending the driver `pool`.
+    fn feed_in(
+        drv: &mut PacketRadioDriver,
+        pool: &mut DgramPool,
+        bytes: &[u8],
+    ) -> (Vec<PrEvent>, Vec<sim::PacketBuf>) {
         let mut events = Vec::new();
         let mut tx = Vec::new();
         for &b in bytes {
-            events.extend(drv.rint(SimTime::ZERO, b, &mut tx));
+            events.extend(drv.rint(SimTime::ZERO, b, pool, &mut tx));
         }
         (events, tx)
+    }
+
+    /// [`feed_in`] with an empty pool.
+    fn feed(drv: &mut PacketRadioDriver, bytes: &[u8]) -> (Vec<PrEvent>, Vec<sim::PacketBuf>) {
+        feed_in(drv, &mut DgramPool::new(), bytes)
     }
 
     fn kiss_bytes(frame: &Frame) -> Vec<u8> {
@@ -724,21 +781,22 @@ mod tests {
 
     #[test]
     fn a_short_datagram_after_a_long_one_is_only_its_own_bytes() {
-        // The IP bytes `output` has just KISS-encoded stay behind as the
-        // spare; the next for-us frame is copied into it. A 20-octet
-        // datagram after a 236-octet one must come up as its own 20 octets,
-        // through the plain and both RFC 1144 arms.
+        // The IP bytes `output` has just KISS-encoded go to the pool; the
+        // next for-us frame is copied into them. A 20-octet datagram after
+        // a 236-octet one must come up as its own 20 octets, through the
+        // plain and both RFC 1144 arms.
         let mut drv = driver();
+        let mut pool = DgramPool::new();
         drv.enable_vj(VjConfig::default());
         drv.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let long = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![0xAA; 216]);
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        drv.output(SimTime::ZERO, long, pc_ip(), &mut tx);
+        drv.output(SimTime::ZERO, long, pc_ip(), &mut pool, &mut tx);
         let short = Ipv4Packet::new(pc_ip(), gw_ip(), Proto::Other(99), Vec::new());
         assert_eq!(short.total_len(), 20);
         let frame = Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, short.encode());
-        let (events, _) = feed(&mut drv, &kiss_bytes(&frame));
+        let (events, _) = feed_in(&mut drv, &mut pool, &kiss_bytes(&frame));
         let [PrEvent::IpPacket(up)] = &events[..] else {
             panic!("{events:?}");
         };
@@ -752,12 +810,18 @@ mod tests {
         for (id, seq, body) in [(1u16, 100u32, &[0x55u8; 180][..]), (2, 280, b"ok")] {
             let p = tcp_packet(pc_ip(), gw_ip(), id, seq, body);
             let mut tx: Vec<sim::PacketBuf> = Vec::new();
-            pc.output(SimTime::ZERO, p.clone(), gw_ip(), &mut tx);
-            let (events, _) = feed(&mut drv, &kiss_bytes(&single_frame(&tx)));
+            pc.output(
+                SimTime::ZERO,
+                p.clone(),
+                gw_ip(),
+                &mut DgramPool::new(),
+                &mut tx,
+            );
+            let (events, _) = feed_in(&mut drv, &mut pool, &kiss_bytes(&single_frame(&tx)));
             assert_eq!(events, vec![PrEvent::IpPacket(p.encode())]);
             for event in events {
                 if let PrEvent::IpPacket(up) = event {
-                    drv.ifnet.recycle(up);
+                    pool.give(up);
                 }
             }
         }
@@ -822,7 +886,7 @@ mod tests {
         let now = SimTime::ZERO;
         let packet = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![7; 32]);
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        drv.output(now, packet.clone(), pc_ip(), &mut tx);
+        drv.output(now, packet.clone(), pc_ip(), &mut DgramPool::new(), &mut tx);
         assert_eq!(tx.len(), 1);
         // The transmitted frame is an ARP who-has to QST.
         let frames = kiss::decode_stream(&tx[0]);
@@ -873,7 +937,13 @@ mod tests {
         drv.arp_mut().insert_static(pc_ip(), hw.encode());
         let packet = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![1]);
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        drv.output(SimTime::ZERO, packet, pc_ip(), &mut tx);
+        drv.output(
+            SimTime::ZERO,
+            packet,
+            pc_ip(),
+            &mut DgramPool::new(),
+            &mut tx,
+        );
         assert_eq!(tx.len(), 1);
         let frames = kiss::decode_stream(&tx[0]);
         let f = Frame::decode(&frames[0].payload).unwrap();
@@ -919,7 +989,13 @@ mod tests {
         // And outgoing IP now uses the learned path too.
         let packet = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![1]);
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        drv.output(SimTime::ZERO, packet, pc_ip(), &mut tx);
+        drv.output(
+            SimTime::ZERO,
+            packet,
+            pc_ip(),
+            &mut DgramPool::new(),
+            &mut tx,
+        );
         let frames = kiss::decode_stream(&tx[0]);
         let f = Frame::decode(&frames[0].payload).unwrap();
         assert_eq!(f.dest, a("KB7DZ"));
@@ -965,8 +1041,11 @@ mod tests {
             let mut bulk = driver();
             let mut events = Vec::new();
             let mut tx: Vec<sim::PacketBuf> = Vec::new();
+            let mut pool = DgramPool::new();
             for piece in wire.chunks(chunk) {
-                bulk.rint_slice(SimTime::ZERO, piece, &mut tx, |_, ev| events.push(ev));
+                bulk.rint_slice_in(SimTime::ZERO, piece, &mut pool, &mut tx, |_, ev| {
+                    events.push(ev)
+                });
             }
             assert_eq!(events, ref_events, "chunk {chunk}");
             assert_eq!(
@@ -990,7 +1069,10 @@ mod tests {
         let wire = kiss_bytes(&Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, ip.encode()));
         let mut seen = Vec::new();
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        drv.rint_slice(SimTime::ZERO, &wire, &mut tx, |idx, _| seen.push(idx));
+        let mut pool = DgramPool::new();
+        drv.rint_slice_in(SimTime::ZERO, &wire, &mut pool, &mut tx, |idx, _| {
+            seen.push(idx)
+        });
         assert_eq!(seen, vec![wire.len() - 1]);
     }
 
@@ -1022,18 +1104,20 @@ mod tests {
     /// A correctly checksummed TCP/IP datagram, as the stack would emit.
     fn tcp_packet(src: Ipv4Addr, dst: Ipv4Addr, id: u16, seq: u32, body: &[u8]) -> Ipv4Packet {
         let seg = netstack::tcp::TcpSegment {
-            src_port: 1024,
-            dst_port: 23,
-            seq,
-            ack: 5000,
-            flags: netstack::tcp::TcpFlags {
-                ack: true,
-                psh: true,
-                ..Default::default()
+            header: netstack::tcp::TcpHeader {
+                src_port: 1024,
+                dst_port: 23,
+                seq,
+                ack: 5000,
+                flags: netstack::tcp::TcpFlags {
+                    ack: true,
+                    psh: true,
+                    ..Default::default()
+                },
+                window: 4096,
+                mss: None,
             },
-            window: 4096,
-            mss: None,
-            payload: body.to_vec(),
+            payload: body,
         };
         let mut p = Ipv4Packet::new(src, dst, Proto::Tcp, seg.encode(src, dst));
         p.id = id;
@@ -1059,7 +1143,13 @@ mod tests {
         // First segment travels as an uncompressed refresh (PID 0x07)…
         let p1 = tcp_packet(gw_ip(), pc_ip(), 1, 100, b"login:");
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        gw.output(SimTime::ZERO, p1.clone(), pc_ip(), &mut tx);
+        gw.output(
+            SimTime::ZERO,
+            p1.clone(),
+            pc_ip(),
+            &mut DgramPool::new(),
+            &mut tx,
+        );
         let f1 = single_frame(&tx);
         assert_eq!(f1.pid, Some(Pid::UncompressedTcp));
         let (events, _) = feed(&mut pc, &kiss_bytes(&f1));
@@ -1068,7 +1158,13 @@ mod tests {
         // …and the next one shrinks its 40-byte header to a few deltas.
         let p2 = tcp_packet(gw_ip(), pc_ip(), 2, 106, b"ok");
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        gw.output(SimTime::ZERO, p2.clone(), pc_ip(), &mut tx);
+        gw.output(
+            SimTime::ZERO,
+            p2.clone(),
+            pc_ip(),
+            &mut DgramPool::new(),
+            &mut tx,
+        );
         let f2 = single_frame(&tx);
         assert_eq!(f2.pid, Some(Pid::CompressedTcp));
         assert!(
@@ -1096,7 +1192,13 @@ mod tests {
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let udp = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![7; 16]);
         let mut tx: Vec<sim::PacketBuf> = Vec::new();
-        gw.output(SimTime::ZERO, udp.clone(), pc_ip(), &mut tx);
+        gw.output(
+            SimTime::ZERO,
+            udp.clone(),
+            pc_ip(),
+            &mut DgramPool::new(),
+            &mut tx,
+        );
         let f = single_frame(&tx);
         assert_eq!(f.pid, Some(Pid::Ip));
         assert_eq!(f.info, udp.encode());
@@ -1127,6 +1229,7 @@ mod tests {
                 SimTime::ZERO,
                 tcp_packet(gw_ip(), pc_ip(), id, seq, body),
                 pc_ip(),
+                &mut DgramPool::new(),
                 &mut tx,
             );
             single_frame(&tx)
@@ -1160,6 +1263,7 @@ mod tests {
                 SimTime::ZERO,
                 tcp_packet(gw_ip(), pc_ip(), id, seq, b"x"),
                 pc_ip(),
+                &mut DgramPool::new(),
                 &mut tx,
             );
             total += single_frame(&tx).info.len() as u64;
@@ -1177,7 +1281,13 @@ mod tests {
         for i in 0..10 {
             let packet = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![i; 32]);
             let mut tx: Vec<sim::PacketBuf> = Vec::new();
-            drv.output(SimTime::ZERO, packet, pc_ip(), &mut tx);
+            drv.output(
+                SimTime::ZERO,
+                packet,
+                pc_ip(),
+                &mut DgramPool::new(),
+                &mut tx,
+            );
             assert_eq!(tx.len(), 1);
             // tx dropped here: buffers return to the driver's pool.
         }

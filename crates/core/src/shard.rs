@@ -15,8 +15,11 @@
 //!   pushes them into `ether_in` with their exact delivery times, in
 //!   nondecreasing time order; the shard consumes entries at their stamps
 //!   as settle step 4 (exactly where direct segment delivery sits in the
-//!   single-shard engine). Spent frames go to `spent` for the coordinator
-//!   to recycle — the hand-off allocates nothing once warm.
+//!   single-shard engine). A frame's last recipient — a unicast frame's
+//!   only one — gets the frame itself, moved, and its host keeps the
+//!   buffer; the other recipients of a broadcast get copies in frames
+//!   from the coordinator's spare pool, which go back through `spent` —
+//!   the hand-off allocates nothing once warm.
 //!
 //! In a single-shard world the shard is handed the segments directly
 //! (`Segs = Some(..)`) and this module's engines are byte-for-byte the
@@ -40,8 +43,10 @@ use sim::{SimRng, SimTime};
 use crate::host::{Host, HostOut};
 use crate::world::{App, HostId};
 
-// The line ends its runs at the byte the KISS deframers act on.
+// The line ends its runs at the byte the KISS deframers act on, and its
+// queues are born with room for the longest KISS-framed AX.25 frame.
 const _: () = assert!(serial::FRAME_END == kiss::FEND);
+const _: () = assert!(serial::TX_QUEUE_CHARS == ax25::MAX_FRAME_LEN + 3);
 
 pub(crate) use cell::ShardBox;
 
@@ -272,8 +277,29 @@ struct Flushed {
     dispatched: bool,
 }
 
-/// A timed cross-shard delivery: `(delivery time, local host, frame)`.
-pub(crate) type InFrame = (SimTime, usize, EtherFrame);
+/// A timed cross-shard delivery.
+pub(crate) struct InFrame {
+    /// Delivery time.
+    pub at: SimTime,
+    /// Shard-local host.
+    pub host: usize,
+    pub frame: EtherFrame,
+    /// `frame` is the frame itself, for the host to keep; otherwise a
+    /// copy, to go back through `spent`.
+    pub moved: bool,
+}
+
+/// Hands a mailbox delivery to its host at `now`: a moved frame by value,
+/// for the host to keep its buffer; a copy by reference, after which the
+/// copy goes to `spent`.
+fn deliver(host: &mut Host, now: SimTime, d: InFrame, spent: &mut Vec<EtherFrame>) {
+    if d.moved {
+        host.on_ether_frame(now, Cow::Owned(d.frame));
+    } else {
+        host.on_ether_frame(now, Cow::Borrowed(&d.frame));
+        spent.push(d.frame);
+    }
+}
 
 /// One shard's components, calendar, and clock. See the module docs.
 pub(crate) struct ShardData {
@@ -315,7 +341,7 @@ pub(crate) struct ShardData {
     pub ether_in: Mailbox<InFrame>,
     /// Outgoing deferred transmissions (multi-shard worlds only).
     pub ether_out: Vec<OutFrame>,
-    /// Consumed delivery frames, returned to the coordinator's pool.
+    /// Consumed delivery copies, returned to the coordinator's pool.
     pub spent: Vec<EtherFrame>,
     out_seq: u64,
     /// The engine of the current (or last) run call, set by `enter`.
@@ -499,7 +525,7 @@ impl ShardData {
     /// whichever is earlier.
     fn next_event_indexed(&mut self) -> Option<SimTime> {
         let sp = self.sched.peek_time();
-        let ep = self.ether_in.peek().map(|e| e.0);
+        let ep = self.ether_in.peek().map(|e| e.at);
         match (sp, ep) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
@@ -542,7 +568,7 @@ impl ShardData {
         for a in &self.apps {
             fold(a.app.next_deadline());
         }
-        fold(self.ether_in.peek().map(|e| e.0));
+        fold(self.ether_in.peek().map(|e| e.at));
         best
     }
 
@@ -885,17 +911,15 @@ impl ShardData {
                     }
                 }
                 None => {
-                    while self.ether_in.peek().is_some_and(|e| e.0 <= now) {
-                        let (_, hi, frame) = self.ether_in.pop().expect("peeked entry pops");
+                    while self.ether_in.peek().is_some_and(|e| e.at <= now) {
+                        let d = self.ether_in.pop().expect("peeked entry pops");
+                        let hi = d.host;
                         progressed = true;
                         polled += 1;
                         self.catch_up_host(hi);
-                        self.hosts[hi]
-                            .host
-                            .on_ether_frame(now, Cow::Borrowed(&frame));
+                        deliver(&mut self.hosts[hi].host, now, d, &mut self.spent);
                         self.dirty.mark(Key::Host(hi));
                         self.mark_apps(hi);
-                        self.spent.push(frame);
                     }
                 }
             }
@@ -1037,13 +1061,10 @@ impl ShardData {
                     }
                 }
                 None => {
-                    while self.ether_in.peek().is_some_and(|e| e.0 <= now) {
-                        let (_, hi, frame) = self.ether_in.pop().expect("peeked entry pops");
+                    while self.ether_in.peek().is_some_and(|e| e.at <= now) {
+                        let d = self.ether_in.pop().expect("peeked entry pops");
                         progressed = true;
-                        self.hosts[hi]
-                            .host
-                            .on_ether_frame(now, Cow::Borrowed(&frame));
-                        self.spent.push(frame);
+                        deliver(&mut self.hosts[d.host].host, now, d, &mut self.spent);
                     }
                 }
             }

@@ -29,6 +29,7 @@
 //! All components are sans-io state machines from the substrate crates;
 //! this module is the only place where they touch.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,8 +55,8 @@ use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
-    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, Listener, Mode, Segs, ShardBox,
-    ShardData, TncEntry,
+    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Listener, Mode, Segs,
+    ShardBox, ShardData, TncEntry,
 };
 
 /// The conservative cross-shard lookahead: a frame leaving a shard for
@@ -195,10 +196,10 @@ impl Ord for PendingSend {
 }
 
 /// What the multi-shard window coordinator did, as plain counters
-/// accumulated over every run call ([`World::engine_stats`]). All five
-/// are functions of the simulated history alone — identical at every
-/// worker count, and all zero on a single-shard world, which never enters
-/// the coordinator.
+/// accumulated over every run call ([`World::engine_stats`]). All are
+/// functions of the simulated history alone — identical at every worker
+/// count, and all zero on a single-shard world, which never enters the
+/// coordinator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Lookahead windows run.
@@ -211,6 +212,11 @@ pub struct EngineStats {
     pub solo_windows: u64,
     /// Ethernet deliveries queued into shard mailboxes.
     pub deliveries_queued: u64,
+    /// Of those, the frames moved in whole — each transmission's last
+    /// recipient, a unicast frame's only one; the rest are copies.
+    pub deliveries_moved: u64,
+    /// Copies consumed and returned to the spare pool through `spent`.
+    pub copies_recycled: u64,
     /// High-water mark of the deferred cross-shard send heap.
     pub pending_peak: u64,
 }
@@ -240,7 +246,7 @@ pub struct World {
     workers: usize,
     /// In-flight cross-shard sends, min-ordered by `(effect, shard, seq)`.
     pending: BinaryHeap<Reverse<PendingSend>>,
-    /// Recycled delivery frames (§11 zero-alloc hand-off pool).
+    /// Recycled delivery copies (§11 zero-alloc hand-off pool).
     spare_frames: Vec<EtherFrame>,
     /// The coordinator's calendar — per shard, its earliest event — and
     /// its per-window active list (kept here so a run call allocates
@@ -799,7 +805,9 @@ unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_en
 ///    completions up to `w_end` in global time order (completions
 ///    before same-time sends, send ties by `(shard, seq)`, completion
 ///    ties by segment index), queuing deliveries into shard mailboxes
-///    at their exact times and lowering the receivers' `next_due`. Sends
+///    at their exact times and lowering the receivers' `next_due` — a
+///    transmission's last recipient gets the frame itself, moved, every
+///    other one a copy in a spare frame. Sends
 ///    emitted *during* a window get effect `≥ w_end` (the lookahead
 ///    guarantee), so this phase never misses one.
 /// 4. Build the **active list** — ascending `{i : next_due[i] ≤ w_end}` —
@@ -808,7 +816,7 @@ unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_en
 ///    shard `i` refreshes `next_due[i]`.
 /// 5. `collect()` over the same list: gather emitted sends into the
 ///    pending heap, append shard events (stable-sorted by time; windows
-///    never interleave times), and recycle spent delivery frames.
+///    never interleave times), and recycle spent delivery copies.
 ///
 /// A shard outside the active list neither ran nor received a frame, so
 /// its `next_event()` cannot have moved and nobody asks it: apart from
@@ -887,22 +895,34 @@ impl Engine<'_> {
                     let next_due = self.next_due;
                     let seg_hosts = self.seg_hosts;
                     let spare = &mut *self.spare;
-                    let queued = &mut self.stats.deliveries_queued;
+                    let stats = &mut *self.stats;
                     // `c` is the global minimum, so exactly the one
                     // completion at `c` fires (a chained next frame
                     // finishes strictly later) — every delivery below
                     // happens at `c`.
-                    self.segments[si].advance_with(c, |nic, frame| {
+                    self.segments[si].advance_owned(c, |nic, frame| {
                         if let Some((s, l)) = slot(seg_hosts, si, nic.index()) {
-                            let mut buf = spare.pop().unwrap_or_else(EtherFrame::empty);
-                            frame.clone_into(&mut buf);
+                            let (frame, moved) = match frame {
+                                Cow::Owned(frame) => (frame, true),
+                                Cow::Borrowed(frame) => {
+                                    let mut buf = spare.pop().unwrap_or_else(EtherFrame::empty);
+                                    frame.clone_into(&mut buf);
+                                    (buf, false)
+                                }
+                            };
                             // SAFETY: coordinator phase — workers are
                             // parked at the barrier (or do not exist), so
                             // no shard is claimed.
                             let sh = unsafe { shards[s as usize].steal() };
-                            sh.ether_in.push((c, l as usize, buf));
+                            sh.ether_in.push(InFrame {
+                                at: c,
+                                host: l as usize,
+                                frame,
+                                moved,
+                            });
                             next_due[s as usize].fetch_min(c.as_nanos(), Ordering::Relaxed);
-                            *queued += 1;
+                            stats.deliveries_queued += 1;
+                            stats.deliveries_moved += u64::from(moved);
                         }
                     });
                 }
@@ -935,6 +955,7 @@ impl Engine<'_> {
                 }));
             }
             self.events.append(&mut sh.events);
+            self.stats.copies_recycled += sh.spent.len() as u64;
             self.spare.append(&mut sh.spent);
         }
         self.events[tail..].sort_by_key(|e| e.1);

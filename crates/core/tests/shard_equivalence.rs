@@ -649,6 +649,65 @@ fn engine_stats_are_worker_independent_and_windows_are_sparse() {
     }
 }
 
+/// The mailbox contract (DESIGN.md §11) on a mesh ping run: each
+/// transmission's last recipient gets the frame itself and every other
+/// recipient a copy. So copies are made for broadcasts only — N − 2 per
+/// ARP request on the N-NIC backbone — moved frames and copies add up to
+/// the deliveries queued, and `spent` brings back exactly the copies,
+/// never a moved frame.
+#[test]
+fn unicast_frames_cross_by_move_and_only_broadcast_copies_come_back() {
+    let (gateways, hosts_per_gw) = (4, 2);
+    let mut m = scenario::mesh(gateways, hosts_per_gw, 7);
+    for g in 0..gateways {
+        for i in 0..hosts_per_gw {
+            let t = 500 + 977 * (g * hosts_per_gw + i) as u64;
+            m.world.add_app(
+                m.hosts[g][i],
+                Box::new(ScriptedPinger {
+                    dst: city::host_ip((g + 1) % gateways, i),
+                    times: vec![SimTime::from_millis(t), SimTime::from_millis(t + 15_000)],
+                    seq: 0,
+                }),
+            );
+        }
+    }
+    Driver::Workers(1).run(&mut m.world, 60, 1);
+    let stats = m.world.engine_stats();
+    let backbone = m.world.segment(m.seg);
+    let mut nics = m.gateways.clone();
+    nics.push(m.internet_host);
+    let broadcasts: u64 = nics
+        .iter()
+        .map(|&h| {
+            let drv = m.world.host(h).ether_driver().expect("on the backbone");
+            drv.arp().stats().requests_sent
+        })
+        .sum();
+    let copies = broadcasts * (nics.len() as u64 - 2);
+    assert!(broadcasts > 0, "{stats:?}");
+    assert_eq!(backbone.backlog(), 0, "the backbone is quiet");
+    assert_eq!(
+        stats.deliveries_moved,
+        backbone.stats().sent,
+        "one frame moved per transmission: {stats:?}"
+    );
+    assert!(
+        stats.deliveries_moved > broadcasts,
+        "unicast flowed: {stats:?}"
+    );
+    assert_eq!(
+        stats.deliveries_moved + copies,
+        stats.deliveries_queued,
+        "{stats:?}"
+    );
+    assert_eq!(stats.deliveries_queued, backbone.stats().delivered);
+    assert_eq!(
+        stats.copies_recycled, copies,
+        "spent carries the copies, nothing moved: {stats:?}"
+    );
+}
+
 /// The warm hand-off ring stops reallocating: after the first half of a
 /// steady ping load has sized the mailboxes, the second half pushes
 /// plenty more frames without a single ring growth (§11's zero-allocation

@@ -175,13 +175,18 @@ impl ArpPacket {
         }
     }
 
+    /// Octets on the wire.
+    pub fn wire_len(&self) -> usize {
+        8 + 2 * (self.sender_hw.len() + 4)
+    }
+
     /// Encodes the packet.
     ///
     /// # Panics
     ///
     /// Panics if the two hardware addresses differ in length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 2 * (self.sender_hw.len() + 4));
+        let mut out = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut out);
         out
     }

@@ -418,20 +418,28 @@ mod tests {
     #[test]
     fn every_encoder_bears_its_payload_with_room_for_the_header() {
         use crate::icmp::{GateAuth, IcmpMessage, UnreachCode};
-        use crate::tcp::{TcpFlags, TcpSegment};
+        use crate::tcp::{TcpHeader, TcpSegment};
         use crate::udp::UdpDatagram;
         let (src, dst) = (ip(44, 24, 0, 28), ip(128, 95, 1, 4));
         let mut born: Vec<(Proto, Vec<u8>)> = Vec::new();
-        for (mss, len) in [(None, 0), (Some(216), 0), (None, 1), (None, 216)] {
+        for (mss, len) in [
+            (None, 0),
+            (Some(216), 0),
+            (None, 1),
+            (None, 216),
+            (None, 536),
+        ] {
             let seg = TcpSegment {
-                src_port: 1024,
-                dst_port: 23,
-                seq: 7,
-                ack: 9,
-                flags: TcpFlags::default(),
-                window: 4096,
-                mss,
-                payload: vec![0x42; len],
+                header: TcpHeader {
+                    src_port: 1024,
+                    dst_port: 23,
+                    seq: 7,
+                    ack: 9,
+                    window: 4096,
+                    mss,
+                    ..TcpHeader::default()
+                },
+                payload: &[0x42; 536][..len],
             };
             born.push((Proto::Tcp, seg.encode(src, dst)));
         }

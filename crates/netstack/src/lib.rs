@@ -25,6 +25,8 @@
 //!   walks (DESIGN.md §14);
 //! * [`fwd`] — the per-destination next-hop cache memoizing full
 //!   forwarding decisions with generation-stamped invalidation;
+//! * [`pool`] — the host's one bounded pool of datagram buffers, which
+//!   the stack lends its link drivers;
 //! * [`stack`] — a per-host stack tying it together behind a socket API.
 
 #![forbid(unsafe_code)]
@@ -35,6 +37,7 @@ pub mod fwd;
 pub mod icmp;
 pub mod ip;
 pub mod lpm;
+pub mod pool;
 pub mod route;
 pub mod stack;
 pub mod tcp;

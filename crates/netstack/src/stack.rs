@@ -22,8 +22,9 @@ use sim::{BufPool, PacketBuf, SimTime};
 use crate::fwd::{FwdCache, FwdDecision, FwdKind, FwdProbe};
 use crate::icmp::{IcmpMessage, UnreachCode};
 use crate::ip::{self, FragResult, Ipv4Packet, Proto, Reassembler};
+use crate::pool::DgramPool;
 use crate::route::{NextHop, Prefix, RouteTable};
-use crate::tcp::{Tcb, TcbEvent, TcpConfig, TcpSegment, TcpState};
+use crate::tcp::{Tcb, TcbEvent, TcpConfig, TcpFlags, TcpHeader, TcpSegment, TcpState};
 use crate::udp::UdpDatagram;
 use crate::NetError;
 
@@ -290,7 +291,13 @@ pub struct NetStack {
     /// Actions produced by socket calls, awaiting [`NetStack::drain_actions`].
     pending: Vec<StackAction>,
     /// Pooled storage for received UDP payloads.
-    pool: BufPool,
+    udp_bufs: BufPool,
+    /// The host's datagram buffers (see [`crate::pool`]), lent to its
+    /// link drivers through [`NetStack::pool_mut`].
+    pool: DgramPool,
+    /// What the last [`Tcb`] verb emitted, until `drive` routes it (empty
+    /// between calls; kept for its capacity).
+    tcb_events: Vec<TcbEvent>,
 }
 
 impl NetStack {
@@ -311,7 +318,9 @@ impl NetStack {
             fwd_cache: FwdCache::new(cfg.fwd_cache_bits),
             stats: StackStats::default(),
             pending: Vec::new(),
-            pool: BufPool::new(UDP_RX_BUF),
+            udp_bufs: BufPool::new(UDP_RX_BUF),
+            pool: DgramPool::new(),
+            tcb_events: Vec::new(),
         }
     }
 
@@ -408,6 +417,14 @@ impl NetStack {
     #[inline]
     pub fn stats(&self) -> StackStats {
         self.stats
+    }
+
+    /// The host's datagram-buffer pool, for its link drivers to borrow:
+    /// they copy received datagrams into its buffers and give back the
+    /// ones they have put on their link.
+    #[inline]
+    pub fn pool_mut(&mut self) -> &mut DgramPool {
+        &mut self.pool
     }
 
     // --- Output path ------------------------------------------------------
@@ -618,10 +635,11 @@ impl NetStack {
     }
 
     /// [`Self::input`] without the drain: the actions stay queued for
-    /// [`Self::drain_actions_into`]. Copies `bytes` once; a caller that
-    /// owns them calls [`Self::input_owned`].
+    /// [`Self::drain_actions_into`]. Copies `bytes` once, into a pool
+    /// buffer; a caller that owns them calls [`Self::input_owned`].
     pub fn input_queued(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
-        let _ = self.input_owned(now, iface, bytes.to_vec());
+        let bytes = self.pool.copy(bytes);
+        self.input_owned(now, iface, bytes);
     }
 
     /// The one input body: takes the link driver's buffer by value and
@@ -629,21 +647,19 @@ impl NetStack {
     /// datagram is still that one allocation when it reaches the egress
     /// driver. The actions stay queued, as for [`Self::input_queued`].
     ///
-    /// Hands the allocation back when the stack is done with it and nothing
-    /// kept it — a datagram delivered here (every transport copies what it
-    /// keeps) or dropped as not ours — for the driver to receive its next
-    /// frame into. `None` when the bytes live on: a forward in the action
-    /// queue, a fragment the reassembler holds; a malformed datagram's
-    /// buffer is simply dropped. What comes back is an allocation, not
-    /// data: its contents are unspecified.
-    #[must_use = "the driver's next frame can reuse the allocation"]
-    pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) -> Option<Vec<u8>> {
+    /// When the stack is done with the allocation and nothing kept it — a
+    /// datagram delivered here (every transport copies what it keeps) or
+    /// dropped as not ours — it goes to the host's pool
+    /// ([`Self::pool_mut`]). The bytes live on in a forward in the action
+    /// queue or a fragment the reassembler holds; a malformed datagram's
+    /// buffer is simply dropped.
+    pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) {
         self.stats.ip_in += 1;
         let packet = match Ipv4Packet::decode_owned(bytes) {
             Ok(p) => p,
             Err(_) => {
                 self.stats.bad_packets += 1;
-                return None;
+                return;
             }
         };
         if !self.is_local_addr(packet.dst) {
@@ -653,12 +669,15 @@ impl NetStack {
                     ingress: iface,
                     packet,
                 });
-                return None;
+                return;
             }
             self.stats.not_for_us += 1;
-            return Some(packet.payload);
+            self.pool.give(packet.payload);
+            return;
         }
-        let whole = self.reasm.push(now, packet)?;
+        let Some(whole) = self.reasm.push(now, packet) else {
+            return;
+        };
         match whole.proto {
             Proto::Icmp => self.input_icmp(iface, &whole),
             Proto::Tcp => self.input_tcp(now, iface, &whole),
@@ -688,7 +707,7 @@ impl NetStack {
                 }
             }
         }
-        Some(whole.payload)
+        self.pool.give(whole.payload);
     }
 
     fn input_icmp(&mut self, iface: IfaceId, packet: &Ipv4Packet) {
@@ -749,7 +768,7 @@ impl NetStack {
             // Copy the payload into a pooled buffer: steady-state receive
             // recycles storage instead of allocating a fresh Vec per
             // datagram.
-            let mut buf = self.pool.take();
+            let mut buf = self.udp_bufs.take();
             buf.extend_from_slice(payload);
             self.udp[i].rx.push_back((packet.src, src_port, buf));
             self.pending.push(StackAction::UdpReadable(UdpId(i)));
@@ -780,17 +799,20 @@ impl NetStack {
         // Exact connection match first.
         let found = self.socks.iter().position(|s| {
             s.tcb.state() != TcpState::Closed
-                && s.tcb.local() == (packet.dst, seg.dst_port)
-                && s.tcb.remote() == (packet.src, seg.src_port)
+                && s.tcb.local() == (packet.dst, seg.header.dst_port)
+                && s.tcb.remote() == (packet.src, seg.header.src_port)
         });
         if let Some(i) = found {
-            let events = self.socks[i].tcb.on_segment(now, &seg);
-            self.drive(SockId(i), events);
+            self.socks[i]
+                .tcb
+                .on_segment(now, &seg, &mut self.tcb_events);
+            self.drive(SockId(i));
             return;
         }
         // Listener match for a fresh SYN.
-        if seg.flags.syn && !seg.flags.ack {
-            if let Some(li) = self.listeners.iter().position(|l| l.port == seg.dst_port) {
+        let hdr = seg.header;
+        if hdr.flags.syn && !hdr.flags.ack {
+            if let Some(li) = self.listeners.iter().position(|l| l.port == hdr.dst_port) {
                 // Accept-queue bound: a listener created with
                 // `tcp_listen_with` refuses fresh SYNs once it already
                 // holds `backlog` live, unclaimed children. The refusal
@@ -819,13 +841,14 @@ impl NetStack {
                 if self.cfg.clamp_mss {
                     cfg.mss = clamped_mss(cfg.mss, self.ifaces[iface.0].mtu);
                 }
-                let (tcb, events) = Tcb::accept(
+                let tcb = Tcb::accept(
                     now,
-                    (packet.dst, seg.dst_port),
-                    (packet.src, seg.src_port),
-                    &seg,
+                    (packet.dst, hdr.dst_port),
+                    (packet.src, hdr.src_port),
+                    &hdr,
                     iss,
                     cfg,
+                    &mut self.tcb_events,
                 );
                 let sock = SockId(self.socks.len());
                 self.socks.push(TcpSock {
@@ -833,36 +856,40 @@ impl NetStack {
                     parent: Some(ListenerId(li)),
                     claimed: false,
                 });
-                self.drive(sock, events);
+                self.drive(sock);
                 return;
             }
         }
         // No takers: RST (unless the stray segment was itself a RST).
-        if !seg.flags.rst {
+        if !hdr.flags.rst {
             self.send_rst(packet, &seg);
         }
     }
 
     /// Answers a segment nobody wants with the standard RST.
-    fn send_rst(&mut self, packet: &Ipv4Packet, seg: &TcpSegment) {
+    fn send_rst(&mut self, packet: &Ipv4Packet, seg: &TcpSegment<'_>) {
         let rst = TcpSegment {
-            src_port: seg.dst_port,
-            dst_port: seg.src_port,
-            seq: if seg.flags.ack { seg.ack } else { 0 },
-            ack: seg.seq.wrapping_add(seg.seq_len()),
-            flags: crate::tcp::TcpFlags {
-                rst: true,
-                ack: true,
-                ..Default::default()
+            header: TcpHeader {
+                src_port: seg.header.dst_port,
+                dst_port: seg.header.src_port,
+                seq: if seg.header.flags.ack {
+                    seg.header.ack
+                } else {
+                    0
+                },
+                ack: seg.header.seq.wrapping_add(seg.seq_len()),
+                flags: TcpFlags {
+                    rst: true,
+                    ack: true,
+                    ..Default::default()
+                },
+                window: 0,
+                mss: None,
             },
-            window: 0,
-            mss: None,
-            payload: Vec::new(),
+            payload: &[],
         };
-        let bytes = rst.encode(packet.dst, packet.src);
-        let mut p = Ipv4Packet::new(packet.dst, packet.src, Proto::Tcp, bytes);
-        p.src = packet.dst;
-        self.send_ip(p);
+        let bytes = rst.encode_in(packet.dst, packet.src, &mut self.pool);
+        self.send_ip(Ipv4Packet::new(packet.dst, packet.src, Proto::Tcp, bytes));
     }
 
     // --- TCP socket API ---------------------------------------------------------
@@ -910,14 +937,21 @@ impl NetStack {
         if self.cfg.clamp_mss {
             tcp_cfg.mss = clamped_mss(tcp_cfg.mss, self.ifaces[iface.0].mtu);
         }
-        let (tcb, events) = Tcb::connect(now, (local_ip, port), (dst, dst_port), iss, tcp_cfg);
+        let tcb = Tcb::connect(
+            now,
+            (local_ip, port),
+            (dst, dst_port),
+            iss,
+            tcp_cfg,
+            &mut self.tcb_events,
+        );
         let sock = SockId(self.socks.len());
         self.socks.push(TcpSock {
             tcb,
             parent: None,
             claimed: true,
         });
-        self.drive(sock, events);
+        self.drive(sock);
         Ok(sock)
     }
 
@@ -977,8 +1011,8 @@ impl NetStack {
         let Some(s) = self.socks.get_mut(sock.0) else {
             return 0;
         };
-        let (n, events) = s.tcb.send(now, data);
-        self.drive(sock, events);
+        let n = s.tcb.send(now, data, &mut self.tcb_events);
+        self.drive(sock);
         n
     }
 
@@ -987,8 +1021,8 @@ impl NetStack {
         let Some(s) = self.socks.get_mut(sock.0) else {
             return Vec::new();
         };
-        let (data, events) = s.tcb.recv(now);
-        self.drive(sock, events);
+        let data = s.tcb.recv(now, &mut self.tcb_events);
+        self.drive(sock);
         data
     }
 
@@ -997,8 +1031,8 @@ impl NetStack {
         let Some(s) = self.socks.get_mut(sock.0) else {
             return;
         };
-        let events = s.tcb.close(now);
-        self.drive(sock, events);
+        s.tcb.close(now, &mut self.tcb_events);
+        self.drive(sock);
     }
 
     /// Aborts a socket with RST.
@@ -1006,8 +1040,8 @@ impl NetStack {
         let Some(s) = self.socks.get_mut(sock.0) else {
             return;
         };
-        let events = s.tcb.abort(now);
-        self.drive(sock, events);
+        s.tcb.abort(now, &mut self.tcb_events);
+        self.drive(sock);
     }
 
     /// A socket's connection state.
@@ -1172,27 +1206,28 @@ impl NetStack {
         self.reasm.expire(now);
         for i in 0..self.socks.len() {
             if self.socks[i].tcb.next_deadline().is_some_and(|t| t <= now) {
-                let events = self.socks[i].tcb.on_timer(now);
-                self.drive(SockId(i), events);
+                self.socks[i].tcb.on_timer(now, &mut self.tcb_events);
+                self.drive(SockId(i));
             }
         }
     }
 
     // --- Internals --------------------------------------------------------------
 
-    /// Maps TCB events to stack actions, wrapping segments in IP.
-    fn drive(&mut self, sock: SockId, events: Vec<TcbEvent>) {
+    /// Maps the events the last verb on `sock`'s TCB emitted to stack
+    /// actions, encoding segments straight out of its send buffer.
+    fn drive(&mut self, sock: SockId) {
+        let mut events = std::mem::take(&mut self.tcb_events);
         let (local, remote, parent) = {
             let s = &self.socks[sock.0];
             (s.tcb.local(), s.tcb.remote(), s.parent)
         };
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
-                TcbEvent::Transmit(seg) => {
-                    let bytes = seg.encode(local.0, remote.0);
-                    let mut p = Ipv4Packet::new(local.0, remote.0, Proto::Tcp, bytes);
-                    p.src = local.0;
-                    self.send_ip(p);
+                TcbEvent::Transmit(out) => {
+                    let seg = self.socks[sock.0].tcb.segment(&out);
+                    let bytes = seg.encode_in(local.0, remote.0, &mut self.pool);
+                    self.send_ip(Ipv4Packet::new(local.0, remote.0, Proto::Tcp, bytes));
                 }
                 TcbEvent::Connected => match parent {
                     Some(listener) => self
@@ -1207,6 +1242,7 @@ impl NetStack {
                 }
             }
         }
+        self.tcb_events = events;
     }
 }
 
@@ -1379,13 +1415,15 @@ mod tests {
         assert_eq!(data, b"welcome");
     }
 
-    /// The TCP segment inside the first Egress action.
-    fn first_egress_segment(out: &[StackAction]) -> TcpSegment {
+    /// The TCP header inside the first Egress action.
+    fn first_egress_segment(out: &[StackAction]) -> TcpHeader {
         out.iter()
             .find_map(|e| match e {
-                StackAction::Egress { packet, .. } => {
-                    Some(TcpSegment::decode(&packet.payload, packet.src, packet.dst).unwrap())
-                }
+                StackAction::Egress { packet, .. } => Some(
+                    TcpSegment::decode(&packet.payload, packet.src, packet.dst)
+                        .unwrap()
+                        .header,
+                ),
                 _ => None,
             })
             .expect("an egress segment")
@@ -1428,17 +1466,19 @@ mod tests {
             });
             st.tcp_listen(23).unwrap();
             let syn = TcpSegment {
-                src_port: 1024,
-                dst_port: 23,
-                seq: 1000,
-                ack: 0,
-                flags: crate::tcp::TcpFlags {
-                    syn: true,
-                    ..Default::default()
+                header: TcpHeader {
+                    src_port: 1024,
+                    dst_port: 23,
+                    seq: 1000,
+                    ack: 0,
+                    flags: TcpFlags {
+                        syn: true,
+                        ..Default::default()
+                    },
+                    window: 4096,
+                    mss: Some(TcpConfig::default().mss),
                 },
-                window: 4096,
-                mss: Some(TcpConfig::default().mss),
-                payload: Vec::new(),
+                payload: &[],
             };
             let bytes = syn.encode(ipa(1), ipa(2));
             let packet = Ipv4Packet::new(ipa(1), ipa(2), Proto::Tcp, bytes);
@@ -1469,18 +1509,20 @@ mod tests {
         // Complete the handshake by hand so the window opens.
         let syn = first_egress_segment(&out);
         let synack = TcpSegment {
-            src_port: 23,
-            dst_port: syn.src_port,
-            seq: 5000,
-            ack: syn.seq.wrapping_add(1),
-            flags: crate::tcp::TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
+            header: TcpHeader {
+                src_port: 23,
+                dst_port: syn.src_port,
+                seq: 5000,
+                ack: syn.seq.wrapping_add(1),
+                flags: TcpFlags {
+                    syn: true,
+                    ack: true,
+                    ..Default::default()
+                },
+                window: 8192,
+                mss: Some(1460),
             },
-            window: 8192,
-            mss: Some(1460),
-            payload: Vec::new(),
+            payload: &[],
         };
         let bytes = synack.encode(ipa(2), ipa(1));
         let packet = Ipv4Packet::new(ipa(2), ipa(1), Proto::Tcp, bytes);
@@ -1841,7 +1883,7 @@ mod tests {
     }
 
     #[test]
-    fn input_owned_hands_back_exactly_the_buffers_nothing_kept() {
+    fn input_owned_pools_exactly_the_buffers_nothing_kept() {
         let now = SimTime::ZERO;
         // The driver's copy: the datagram plus room for one more header.
         let from_driver = |p: &Ipv4Packet| {
@@ -1858,37 +1900,57 @@ mod tests {
             payload: b"hello".to_vec(),
         };
         let local = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2)));
+        // Whether input_owned left the allocation at `ptr` in the pool,
+        // which this empties for the next case.
+        let pooled = |st: &mut NetStack, ptr: *const u8| {
+            let free: [Vec<u8>; crate::pool::DEPTH] =
+                std::array::from_fn(|_| st.pool_mut().take(0));
+            free.iter().any(|b| b.as_ptr() == ptr)
+        };
         // Delivered here (the socket holds its own copy): handed back.
         let wire = from_driver(&local);
         let ptr = wire.as_ptr();
-        let back = st.input_owned(now, ifid, wire).expect("nothing kept it");
-        assert_eq!(back.as_ptr(), ptr, "the allocation that came in");
+        st.input_owned(now, ifid, wire);
+        assert!(pooled(&mut st, ptr), "the allocation that came in");
         assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
         // Delivered through a tunnel: the outer buffer comes back.
         let outer = Ipv4Packet::new(ipa(1), ipa(2), Proto::Other(ip::IPIP), local.encode());
         let wire = from_driver(&outer);
         let ptr = wire.as_ptr();
-        let back = st.input_owned(now, ifid, wire).expect("nothing kept it");
-        assert_eq!(back.as_ptr(), ptr);
+        st.input_owned(now, ifid, wire);
+        assert!(pooled(&mut st, ptr));
         assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
         // Not ours, not forwarding: dropped, handed back.
         let stray = Ipv4Packet::new(ipa(1), ipa(9), Proto::Udp, vec![0; 8]);
-        assert!(st.input_owned(now, ifid, from_driver(&stray)).is_some());
+        let wire = from_driver(&stray);
+        let ptr = wire.as_ptr();
+        st.input_owned(now, ifid, wire);
+        assert!(pooled(&mut st, ptr));
         assert_eq!(st.stats().not_for_us, 1);
         // A fragment the reassembler holds lives on; so does a forward.
         let mut frag = local.clone();
         frag.id = 77;
         frag.more_fragments = true;
-        assert!(st.input_owned(now, ifid, from_driver(&frag)).is_none());
+        let wire = from_driver(&frag);
+        let ptr = wire.as_ptr();
+        st.input_owned(now, ifid, wire);
+        assert!(!pooled(&mut st, ptr));
         st.cfg.forwarding = true;
-        assert!(st.input_owned(now, ifid, from_driver(&stray)).is_none());
+        let wire = from_driver(&stray);
+        let ptr = wire.as_ptr();
+        st.input_owned(now, ifid, wire);
+        assert!(!pooled(&mut st, ptr));
         let acts = st.drain_actions();
         let Some(StackAction::ForwardNeeded { packet, .. }) = acts.last() else {
             panic!("{acts:?}");
         };
         assert_eq!(packet.payload, stray.payload);
+        assert_eq!(packet.payload.as_ptr(), ptr);
         // Malformed: counted, and the buffer goes with it.
-        assert!(st.input_owned(now, ifid, vec![0x45; 10]).is_none());
+        let wire = vec![0x45; 10];
+        let ptr = wire.as_ptr();
+        st.input_owned(now, ifid, wire);
+        assert!(!pooled(&mut st, ptr));
         assert_eq!(st.stats().bad_packets, 1);
     }
 
@@ -1905,7 +1967,7 @@ mod tests {
         let mut wire = Vec::with_capacity(transit.total_len() + ip::HEADER_LEN);
         wire.extend_from_slice(&transit.encode());
         let ptr = wire.as_ptr();
-        assert!(st.input_owned(SimTime::ZERO, ifid, wire).is_none());
+        st.input_owned(SimTime::ZERO, ifid, wire);
         let acts = st.drain_actions();
         let [StackAction::ForwardNeeded { packet, .. }] = <[_; 1]>::try_from(acts).unwrap() else {
             panic!("one forward");

@@ -23,9 +23,10 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use sim::wire::{internet_checksum, Reader, Writer};
+use sim::wire::{internet_checksum, Reader};
 use sim::{SimDuration, SimTime};
 
+use crate::pool::DgramPool;
 use crate::NetError;
 
 // --- Segment codec -----------------------------------------------------
@@ -65,9 +66,9 @@ impl TcpFlags {
     }
 }
 
-/// A TCP segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// A TCP header: everything a segment carries but its payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -82,8 +83,34 @@ pub struct TcpSegment {
     pub window: u16,
     /// MSS option (SYN segments only).
     pub mss: Option<u16>,
+}
+
+impl TcpHeader {
+    /// Octets on the wire: 20, or 24 with the MSS option.
+    pub fn wire_len(&self) -> usize {
+        if self.mss.is_some() {
+            24
+        } else {
+            20
+        }
+    }
+
+    /// Sequence space a segment with this header and `payload` octets
+    /// consumes (payload + SYN + FIN).
+    pub fn seq_len(&self, payload: usize) -> u32 {
+        payload as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
+    }
+}
+
+/// A TCP segment: a header and a payload borrowed from wherever it lives —
+/// the datagram it was decoded from, or the send buffer of the connection
+/// transmitting it ([`Tcb::segment`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpSegment<'a> {
+    /// The header.
+    pub header: TcpHeader,
     /// Payload octets.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, len: u16) -> [u8; 12] {
@@ -105,67 +132,75 @@ fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, len: u16) -> [u8; 12] {
     ]
 }
 
-impl TcpSegment {
+impl<'a> TcpSegment<'a> {
     /// Sequence space consumed by this segment (payload + SYN + FIN).
     pub fn seq_len(&self) -> u32 {
-        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
+        self.header.seq_len(self.payload.len())
     }
 
-    /// Encodes the segment, computing the pseudo-header checksum. The
-    /// buffer is born with room for the IP header that
-    /// [`crate::ip::Ipv4Packet::into_wire`] will write in front.
+    /// Encodes the segment into a fresh buffer; see
+    /// [`TcpSegment::encode_in`]. A convenience for tests and reference
+    /// code that have no pool; the datapath encodes with `encode_in`.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let header_len: usize = if self.mss.is_some() { 24 } else { 20 };
-        let total = header_len + self.payload.len();
-        let mut w = Writer::with_capacity(total + crate::ip::HEADER_LEN);
-        w.u16(self.src_port);
-        w.u16(self.dst_port);
-        w.u32(self.seq);
-        w.u32(self.ack);
-        w.u8(((header_len / 4) as u8) << 4);
-        w.u8(self.flags.encode());
-        w.u16(self.window);
-        w.u16(0); // checksum placeholder
-        w.u16(0); // urgent pointer
-        if let Some(mss) = self.mss {
-            w.u8(2); // kind: MSS
-            w.u8(4); // length
-            w.u16(mss);
-        }
-        w.bytes(&self.payload);
-        let ph = pseudo_header(src, dst, total as u16);
-        let sum = internet_checksum(&[&ph, w.as_slice()]);
-        w.patch_u16(16, sum);
-        w.into_bytes()
+        self.encode_in(src, dst, &mut DgramPool::new())
     }
 
-    /// Decodes and verifies a segment arriving on `src`→`dst`.
-    pub fn decode(bytes: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<TcpSegment, NetError> {
-        if bytes.len() < 20 {
-            return Err(NetError::Malformed("tcp too short"));
+    /// Encodes the segment, computing the pseudo-header checksum, into a
+    /// buffer from `pool` with room behind the segment for the IP header
+    /// that [`crate::ip::Ipv4Packet::into_wire`] will write in front.
+    pub fn encode_in(&self, src: Ipv4Addr, dst: Ipv4Addr, pool: &mut DgramPool) -> Vec<u8> {
+        let h = &self.header;
+        let header_len = h.wire_len();
+        let total = header_len + self.payload.len();
+        let mut out = pool.take(total + crate::ip::HEADER_LEN);
+        let mut hdr = [0u8; 24];
+        hdr[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+        hdr[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+        hdr[4..8].copy_from_slice(&h.seq.to_be_bytes());
+        hdr[8..12].copy_from_slice(&h.ack.to_be_bytes());
+        hdr[12] = ((header_len / 4) as u8) << 4;
+        hdr[13] = h.flags.encode();
+        hdr[14..16].copy_from_slice(&h.window.to_be_bytes());
+        // Checksum (16..18) and urgent pointer (18..20) start at zero.
+        if let Some(mss) = h.mss {
+            hdr[20] = 2; // kind: MSS
+            hdr[21] = 4; // length
+            hdr[22..24].copy_from_slice(&mss.to_be_bytes());
         }
+        out.extend_from_slice(&hdr[..header_len]);
+        out.extend_from_slice(self.payload);
+        let ph = pseudo_header(src, dst, total as u16);
+        let sum = internet_checksum(&[&ph, &out]);
+        out[16..18].copy_from_slice(&sum.to_be_bytes());
+        out
+    }
+
+    /// Decodes and verifies a segment arriving on `src`→`dst`. The payload
+    /// is borrowed from `bytes`, not copied: the one copy a received
+    /// octet sees is the one into the receiving connection's buffer.
+    pub fn decode(
+        bytes: &'a [u8],
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<TcpSegment<'a>, NetError> {
+        let hdr: &[u8; 20] = bytes
+            .first_chunk()
+            .ok_or(NetError::Malformed("tcp too short"))?;
         let ph = pseudo_header(src, dst, bytes.len() as u16);
         if internet_checksum(&[&ph, bytes]) != 0 {
             return Err(NetError::BadChecksum("tcp"));
         }
-        let mut r = Reader::new(bytes);
-        let src_port = r.u16().expect("len checked");
-        let dst_port = r.u16().expect("len checked");
-        let seq = r.u32().expect("len checked");
-        let ack = r.u32().expect("len checked");
-        let off = (r.u8().expect("len checked") >> 4) as usize * 4;
-        let flags = TcpFlags::decode(r.u8().expect("len checked"));
-        let window = r.u16().expect("len checked");
-        let _sum = r.u16().expect("len checked");
-        let _urg = r.u16().expect("len checked");
+        let be16 = |i: usize| u16::from_be_bytes([hdr[i], hdr[i + 1]]);
+        let be32 = |i: usize| u32::from_be_bytes([hdr[i], hdr[i + 1], hdr[i + 2], hdr[i + 3]]);
+        let off = usize::from(hdr[12] >> 4) * 4;
         if off < 20 || off > bytes.len() {
             return Err(NetError::Malformed("tcp data offset"));
         }
         // Parse options for MSS.
         let mut mss = None;
         let mut opts = Reader::new(&bytes[20..off]);
-        while opts.remaining() > 0 {
-            match opts.u8().expect("remaining checked") {
+        while let Ok(kind) = opts.u8() {
+            match kind {
                 0 => break,    // end of options
                 1 => continue, // NOP
                 2 => {
@@ -187,14 +222,16 @@ impl TcpSegment {
             }
         }
         Ok(TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            mss,
-            payload: bytes[off..].to_vec(),
+            header: TcpHeader {
+                src_port: be16(0),
+                dst_port: be16(2),
+                seq: be32(4),
+                ack: be32(8),
+                flags: TcpFlags::decode(hdr[13]),
+                window: be16(14),
+                mss,
+            },
+            payload: &bytes[off..],
         })
     }
 }
@@ -277,7 +314,7 @@ pub enum TcpState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TcbEvent {
     /// Transmit this segment (the owner wraps it in IP).
-    Transmit(TcpSegment),
+    Transmit(Outgoing),
     /// The three-way handshake completed.
     Connected,
     /// New data is available to [`Tcb::recv`].
@@ -289,6 +326,18 @@ pub enum TcbEvent {
         /// True if termination was a reset rather than an orderly close.
         reset: bool,
     },
+}
+
+/// A segment a [`Tcb`] asks its owner to transmit: the header, and how
+/// many octets of the connection's send buffer it carries from its
+/// sequence number on. The payload is not copied out; [`Tcb::segment`]
+/// views it in place, which holds until that data is acknowledged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outgoing {
+    /// The segment's header.
+    pub header: TcpHeader,
+    /// Payload octets.
+    len: usize,
 }
 
 /// Connection statistics, the raw material of experiment E3.
@@ -317,6 +366,10 @@ pub struct TcbStats {
 }
 
 /// One endpoint of a TCP connection (sans-io).
+///
+/// Every verb appends what it produced to the caller's `ev` buffer — the
+/// owner keeps one and reuses it, so driving a connection allocates no
+/// event list.
 #[derive(Debug)]
 pub struct Tcb {
     cfg: TcpConfig,
@@ -332,8 +385,9 @@ pub struct Tcb {
     snd_nxt: u32,
     snd_wnd: u16,
     /// Unacknowledged + unsent payload, starting at `snd_una` (+1 while
-    /// our SYN is unacked).
-    send_buf: VecDeque<u8>,
+    /// our SYN is unacked). One contiguous run, so a segment's payload is
+    /// a slice of it ([`Tcb::segment`]).
+    send_buf: Vec<u8>,
     fin_queued: bool,
     fin_sent: bool,
 
@@ -367,11 +421,12 @@ impl Tcb {
         remote: (Ipv4Addr, u16),
         iss: u32,
         cfg: TcpConfig,
-    ) -> (Tcb, Vec<TcbEvent>) {
+        ev: &mut Vec<TcbEvent>,
+    ) -> Tcb {
         let mut tcb = Tcb::new(local, remote, iss, cfg);
         tcb.state = TcpState::SynSent;
         tcb.snd_nxt = iss.wrapping_add(1);
-        let syn = TcpSegment {
+        let syn = TcpHeader {
             src_port: local.1,
             dst_port: remote.1,
             seq: iss,
@@ -382,13 +437,11 @@ impl Tcb {
             },
             window: RECV_BUF.min(65535) as u16,
             mss: Some(cfg.mss),
-            payload: Vec::new(),
         };
-        let mut ev = Vec::new();
         tcb.rtt_probe = Some((tcb.snd_nxt, now));
-        tcb.transmit(now, syn, false, &mut ev);
+        tcb.transmit(now, syn, 0, false, ev);
         tcb.arm_rtx(now);
-        (tcb, ev)
+        tcb
     }
 
     /// Passive open: a listener received `syn`; answer with SYN-ACK.
@@ -396,10 +449,11 @@ impl Tcb {
         now: SimTime,
         local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
-        syn: &TcpSegment,
+        syn: &TcpHeader,
         iss: u32,
         cfg: TcpConfig,
-    ) -> (Tcb, Vec<TcbEvent>) {
+        ev: &mut Vec<TcbEvent>,
+    ) -> Tcb {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
         let mut tcb = Tcb::new(local, remote, iss, cfg);
         tcb.state = TcpState::SynReceived;
@@ -409,7 +463,7 @@ impl Tcb {
             tcb.mss = tcb.mss.min(peer_mss);
         }
         tcb.snd_nxt = iss.wrapping_add(1);
-        let synack = TcpSegment {
+        let synack = TcpHeader {
             src_port: local.1,
             dst_port: remote.1,
             seq: iss,
@@ -421,12 +475,10 @@ impl Tcb {
             },
             window: tcb.window_to_advertise(),
             mss: Some(cfg.mss),
-            payload: Vec::new(),
         };
-        let mut ev = Vec::new();
-        tcb.transmit(now, synack, false, &mut ev);
+        tcb.transmit(now, synack, 0, false, ev);
         tcb.arm_rtx(now);
-        (tcb, ev)
+        tcb
     }
 
     fn new(local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), iss: u32, cfg: TcpConfig) -> Tcb {
@@ -440,7 +492,7 @@ impl Tcb {
             snd_una: iss,
             snd_nxt: iss,
             snd_wnd: 0,
-            send_buf: VecDeque::new(),
+            send_buf: Vec::new(),
             fin_queued: false,
             fin_sent: false,
             rcv_nxt: 0,
@@ -455,6 +507,24 @@ impl Tcb {
             rtt_probe: None,
             rtx_budget: 0,
             stats: TcbStats::default(),
+        }
+    }
+
+    /// The segment a [`TcbEvent::Transmit`] asked for, its payload viewed
+    /// in the send buffer. The buffer starts at `snd_una`, so the payload
+    /// is found from the header's sequence number and stays in view while
+    /// later calls acknowledge the data in front of it. Panics if the
+    /// payload itself has been acknowledged since.
+    pub fn segment(&self, out: &Outgoing) -> TcpSegment<'_> {
+        TcpSegment {
+            header: out.header,
+            payload: match out.len {
+                0 => &[],
+                len => {
+                    let start = self.send_offset(out.header.seq);
+                    &self.send_buf[start..start + len]
+                }
+            },
         }
     }
 
@@ -519,64 +589,58 @@ impl Tcb {
     // --- User calls -----------------------------------------------------
 
     /// Queues data for transmission; returns how many octets were accepted
-    /// (bounded by send-buffer space) plus any emitted segments.
-    pub fn send(&mut self, now: SimTime, data: &[u8]) -> (usize, Vec<TcbEvent>) {
+    /// (bounded by send-buffer space). Emitted segments go to `ev`.
+    pub fn send(&mut self, now: SimTime, data: &[u8], ev: &mut Vec<TcbEvent>) -> usize {
         if !matches!(
             self.state,
             TcpState::SynSent | TcpState::SynReceived | TcpState::Established | TcpState::CloseWait
         ) || self.fin_queued
         {
-            return (0, Vec::new());
+            return 0;
         }
         let take = data.len().min(self.send_capacity());
-        self.send_buf.extend(&data[..take]);
-        let mut ev = Vec::new();
+        self.send_buf.extend_from_slice(&data[..take]);
         if matches!(self.state, TcpState::Established | TcpState::CloseWait) {
-            self.pump(now, &mut ev);
+            self.pump(now, ev);
         }
-        (take, ev)
+        take
     }
 
     /// Drains received data. `now` lets the receiver send a window update
     /// if the advertised window had collapsed.
-    pub fn recv(&mut self, now: SimTime) -> (Vec<u8>, Vec<TcbEvent>) {
+    pub fn recv(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) -> Vec<u8> {
         let data: Vec<u8> = self.recv_buf.drain(..).collect();
-        let mut ev = Vec::new();
         if !data.is_empty() && self.advertised_wnd == 0 && self.state == TcpState::Established {
             // Window reopened: tell the stalled sender.
-            let ack = self.bare_ack();
-            self.transmit(now, ack, false, &mut ev);
+            self.send_bare_ack(now, ev);
         }
-        (data, ev)
+        data
     }
 
     /// Closes the send direction (queues a FIN after pending data).
-    pub fn close(&mut self, now: SimTime) -> Vec<TcbEvent> {
-        let mut ev = Vec::new();
+    pub fn close(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
         match self.state {
             TcpState::SynSent => {
-                self.enter_closed(false, &mut ev);
+                self.enter_closed(false, ev);
             }
             TcpState::SynReceived | TcpState::Established => {
                 self.fin_queued = true;
                 self.state = TcpState::FinWait1;
-                self.pump(now, &mut ev);
+                self.pump(now, ev);
             }
             TcpState::CloseWait => {
                 self.fin_queued = true;
                 self.state = TcpState::LastAck;
-                self.pump(now, &mut ev);
+                self.pump(now, ev);
             }
             _ => {}
         }
-        ev
     }
 
     /// Aborts the connection with a RST.
-    pub fn abort(&mut self, now: SimTime) -> Vec<TcbEvent> {
-        let mut ev = Vec::new();
+    pub fn abort(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
         if !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-            let rst = TcpSegment {
+            let rst = TcpHeader {
                 src_port: self.local.1,
                 dst_port: self.remote.1,
                 seq: self.snd_nxt,
@@ -588,35 +652,31 @@ impl Tcb {
                 },
                 window: 0,
                 mss: None,
-                payload: Vec::new(),
             };
-            self.transmit(now, rst, false, &mut ev);
+            self.transmit(now, rst, 0, false, ev);
         }
-        self.enter_closed(true, &mut ev);
-        ev
+        self.enter_closed(true, ev);
     }
 
     // --- Segment arrival --------------------------------------------------
 
     /// Processes an arriving segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> Vec<TcbEvent> {
-        let mut ev = Vec::new();
+    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment<'_>, ev: &mut Vec<TcbEvent>) {
         self.stats.segments_received += 1;
-        if seg.flags.rst {
+        if seg.header.flags.rst {
             if self.state != TcpState::Closed {
-                self.enter_closed(true, &mut ev);
+                self.enter_closed(true, ev);
             }
-            return ev;
+            return;
         }
         match self.state {
             TcpState::Closed => {}
-            TcpState::SynSent => self.seg_syn_sent(now, seg, &mut ev),
-            _ => self.seg_synchronized(now, seg, &mut ev),
+            TcpState::SynSent => self.seg_syn_sent(now, &seg.header, ev),
+            _ => self.seg_synchronized(now, seg, ev),
         }
-        ev
     }
 
-    fn seg_syn_sent(&mut self, now: SimTime, seg: &TcpSegment, ev: &mut Vec<TcbEvent>) {
+    fn seg_syn_sent(&mut self, now: SimTime, seg: &TcpHeader, ev: &mut Vec<TcbEvent>) {
         if seg.flags.syn && seg.flags.ack {
             if seg.ack != self.snd_nxt {
                 return; // bogus ack of our SYN
@@ -636,17 +696,17 @@ impl Tcb {
             let before = ev.len();
             self.pump(now, ev);
             if ev.len() == before {
-                let ack = self.bare_ack();
-                self.transmit(now, ack, false, ev);
+                self.send_bare_ack(now, ev);
             }
         }
         // Simultaneous open (bare SYN) is not supported; ignored.
     }
 
-    fn seg_synchronized(&mut self, now: SimTime, seg: &TcpSegment, ev: &mut Vec<TcbEvent>) {
+    fn seg_synchronized(&mut self, now: SimTime, seg: &TcpSegment<'_>, ev: &mut Vec<TcbEvent>) {
+        let hdr = &seg.header;
         // --- ACK processing ---
-        if seg.flags.ack {
-            let ack = seg.ack;
+        if hdr.flags.ack {
+            let ack = hdr.ack;
             if seq_lt(self.snd_una, ack) && seq_le(ack, self.snd_nxt) {
                 // New data acknowledged.
                 let syn_unacked = self.state == TcpState::SynReceived
@@ -682,7 +742,7 @@ impl Tcb {
                 let fin_acked = self.fin_sent && ack == self.snd_nxt;
                 match (self.state, fin_acked) {
                     (TcpState::FinWait1, true) => self.state = TcpState::FinWait2,
-                    (TcpState::Closing, true) => self.enter_time_wait(now, ev),
+                    (TcpState::Closing, true) => self.enter_time_wait(now),
                     (TcpState::LastAck, true) => {
                         self.enter_closed(false, ev);
                         return;
@@ -695,7 +755,7 @@ impl Tcb {
                     self.arm_rtx(now);
                 }
             }
-            self.snd_wnd = seg.window;
+            self.snd_wnd = hdr.window;
         }
 
         if self.state == TcpState::Closed {
@@ -704,7 +764,7 @@ impl Tcb {
 
         // --- Data processing ---
         let mut should_ack = false;
-        if seg.flags.syn {
+        if hdr.flags.syn {
             // A retransmitted SYN/SYN-ACK in a synchronized state means the
             // peer never saw our ACK of its SYN (RFC 793: unacceptable
             // segments elicit an ACK). Without this the peer stays in
@@ -713,7 +773,7 @@ impl Tcb {
             should_ack = true;
         }
         if !seg.payload.is_empty() {
-            if seg.seq == self.rcv_nxt && !self.peer_fin_seen {
+            if hdr.seq == self.rcv_nxt && !self.peer_fin_seen {
                 let room = RECV_BUF - self.recv_buf.len();
                 let take = seg.payload.len().min(room);
                 self.recv_buf.extend(&seg.payload[..take]);
@@ -732,8 +792,8 @@ impl Tcb {
         }
 
         // --- FIN processing ---
-        let fin_at = seg.seq.wrapping_add(seg.payload.len() as u32);
-        if seg.flags.fin && fin_at == self.rcv_nxt && !self.peer_fin_seen {
+        let fin_at = hdr.seq.wrapping_add(seg.payload.len() as u32);
+        if hdr.flags.fin && fin_at == self.rcv_nxt && !self.peer_fin_seen {
             self.peer_fin_seen = true;
             self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
             should_ack = true;
@@ -744,10 +804,10 @@ impl Tcb {
                     // Our FIN not yet acked: simultaneous close.
                     self.state = TcpState::Closing;
                 }
-                TcpState::FinWait2 => self.enter_time_wait(now, ev),
+                TcpState::FinWait2 => self.enter_time_wait(now),
                 _ => {}
             }
-        } else if seg.flags.fin && fin_at != self.rcv_nxt {
+        } else if hdr.flags.fin && fin_at != self.rcv_nxt {
             should_ack = true; // out-of-order FIN: dup-ack it
         }
 
@@ -755,26 +815,23 @@ impl Tcb {
         let before = ev.len();
         self.pump(now, ev);
         if should_ack && ev.len() == before {
-            let ack = self.bare_ack();
-            self.transmit(now, ack, false, ev);
+            self.send_bare_ack(now, ev);
         }
     }
 
     // --- Timers -----------------------------------------------------------
 
     /// Fires expired timers.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<TcbEvent> {
-        let mut ev = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
         if self.time_wait_deadline.is_some_and(|t| t <= now) {
             self.time_wait_deadline = None;
-            self.enter_closed(false, &mut ev);
-            return ev;
+            self.enter_closed(false, ev);
+            return;
         }
         if self.rtx_deadline.is_some_and(|t| t <= now) {
             self.rtx_deadline = None;
-            self.retransmit(now, &mut ev);
+            self.retransmit(now, ev);
         }
-        ev
     }
 
     fn retransmit(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
@@ -783,7 +840,7 @@ impl Tcb {
         self.rtt_probe = None;
         match self.state {
             TcpState::SynSent => {
-                let syn = TcpSegment {
+                let syn = TcpHeader {
                     src_port: self.local.1,
                     dst_port: self.remote.1,
                     seq: self.iss,
@@ -794,13 +851,12 @@ impl Tcb {
                     },
                     window: self.window_to_advertise(),
                     mss: Some(self.cfg.mss),
-                    payload: Vec::new(),
                 };
-                self.transmit(now, syn, true, ev);
+                self.transmit(now, syn, 0, true, ev);
                 self.arm_rtx(now);
             }
             TcpState::SynReceived => {
-                let synack = TcpSegment {
+                let synack = TcpHeader {
                     src_port: self.local.1,
                     dst_port: self.remote.1,
                     seq: self.iss,
@@ -812,9 +868,8 @@ impl Tcb {
                     },
                     window: self.window_to_advertise(),
                     mss: Some(self.cfg.mss),
-                    payload: Vec::new(),
                 };
-                self.transmit(now, synack, true, ev);
+                self.transmit(now, synack, 0, true, ev);
                 self.arm_rtx(now);
             }
             TcpState::Established
@@ -837,7 +892,7 @@ impl Tcb {
                     self.pump(now, ev);
                 } else if !self.send_buf.is_empty() {
                     // Zero-window probe: one octet beyond the window.
-                    let seg = TcpSegment {
+                    let probe = TcpHeader {
                         src_port: self.local.1,
                         dst_port: self.remote.1,
                         seq: self.snd_una,
@@ -848,10 +903,9 @@ impl Tcb {
                         },
                         window: self.window_to_advertise(),
                         mss: None,
-                        payload: self.send_buf.iter().take(1).copied().collect(),
                     };
                     self.snd_nxt = self.snd_una.wrapping_add(1);
-                    self.transmit(now, seg, true, ev);
+                    self.transmit(now, probe, 1, true, ev);
                 }
                 self.arm_rtx(now);
             }
@@ -879,6 +933,13 @@ impl Tcb {
         o
     }
 
+    /// Where the data at sequence number `seq` sits in `send_buf`. Data is
+    /// sent only once the SYN is acknowledged, so no SYN octet stands
+    /// between `snd_una` and it.
+    fn send_offset(&self, seq: u32) -> usize {
+        seq.wrapping_sub(self.snd_una) as usize
+    }
+
     /// Transmits new data allowed by the peer's window.
     fn pump(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
         if !matches!(
@@ -899,10 +960,9 @@ impl Tcb {
                 break;
             }
             let n = unsent.min(window_left).min(usize::from(self.mss));
-            let chunk: Vec<u8> = self.send_buf.iter().skip(sent).take(n).copied().collect();
             let last = sent + n == self.send_buf.len();
             let fin_rides = self.fin_queued && !self.fin_sent && last && window_left > n;
-            let seg = TcpSegment {
+            let header = TcpHeader {
                 src_port: self.local.1,
                 dst_port: self.remote.1,
                 seq: self.snd_nxt,
@@ -915,9 +975,9 @@ impl Tcb {
                 },
                 window: self.window_to_advertise(),
                 mss: None,
-                payload: chunk,
             };
-            self.snd_nxt = self.snd_nxt.wrapping_add(seg.seq_len());
+            let seq_len = header.seq_len(n);
+            self.snd_nxt = self.snd_nxt.wrapping_add(seq_len);
             if fin_rides {
                 self.fin_sent = true;
             }
@@ -925,13 +985,14 @@ impl Tcb {
             if !is_rtx && self.rtt_probe.is_none() {
                 self.rtt_probe = Some((self.snd_nxt, now));
             }
-            self.rtx_budget = self.rtx_budget.saturating_sub(seg.seq_len() as usize);
-            self.transmit(now, seg, is_rtx, ev);
+            self.rtx_budget = self.rtx_budget.saturating_sub(seq_len as usize);
+            debug_assert_eq!(self.send_offset(header.seq), sent);
+            self.transmit(now, header, n, is_rtx, ev);
             self.arm_rtx_if_unarmed(now);
         }
         // A bare FIN if queued, all data sent, and window allows.
         if self.fin_queued && !self.fin_sent && self.sent_unacked_payload() == self.send_buf.len() {
-            let fin = TcpSegment {
+            let fin = TcpHeader {
                 src_port: self.local.1,
                 dst_port: self.remote.1,
                 seq: self.snd_nxt,
@@ -943,13 +1004,12 @@ impl Tcb {
                 },
                 window: self.window_to_advertise(),
                 mss: None,
-                payload: Vec::new(),
             };
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
             let is_rtx = self.rtx_budget > 0;
             self.rtx_budget = self.rtx_budget.saturating_sub(1);
-            self.transmit(now, fin, is_rtx, ev);
+            self.transmit(now, fin, 0, is_rtx, ev);
             self.arm_rtx_if_unarmed(now);
         }
         // Zero-window persist: data pending, nothing in flight — keep the
@@ -959,8 +1019,8 @@ impl Tcb {
         }
     }
 
-    fn bare_ack(&mut self) -> TcpSegment {
-        TcpSegment {
+    fn send_bare_ack(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) {
+        let ack = TcpHeader {
             src_port: self.local.1,
             dst_port: self.remote.1,
             seq: self.snd_nxt,
@@ -971,8 +1031,8 @@ impl Tcb {
             },
             window: self.window_to_advertise(),
             mss: None,
-            payload: Vec::new(),
-        }
+        };
+        self.transmit(now, ack, 0, false, ev);
     }
 
     fn window_to_advertise(&mut self) -> u16 {
@@ -981,14 +1041,24 @@ impl Tcb {
         w
     }
 
-    fn transmit(&mut self, _now: SimTime, seg: TcpSegment, is_rtx: bool, ev: &mut Vec<TcbEvent>) {
+    /// Emits a segment: `header`, and the `len` octets of the send buffer
+    /// from `header.seq` on as its payload.
+    fn transmit(
+        &mut self,
+        _now: SimTime,
+        header: TcpHeader,
+        len: usize,
+        is_rtx: bool,
+        ev: &mut Vec<TcbEvent>,
+    ) {
+        debug_assert!(len == 0 || self.send_offset(header.seq) + len <= self.send_buf.len());
         self.stats.segments_sent += 1;
-        self.stats.bytes_sent += seg.payload.len() as u64;
+        self.stats.bytes_sent += len as u64;
         if is_rtx {
             self.stats.retransmissions += 1;
-            self.stats.bytes_retransmitted += seg.payload.len() as u64;
+            self.stats.bytes_retransmitted += len as u64;
         }
-        ev.push(TcbEvent::Transmit(seg));
+        ev.push(TcbEvent::Transmit(Outgoing { header, len }));
     }
 
     fn current_rto(&self) -> SimDuration {
@@ -1038,7 +1108,7 @@ impl Tcb {
         }
     }
 
-    fn enter_time_wait(&mut self, now: SimTime, _ev: &mut [TcbEvent]) {
+    fn enter_time_wait(&mut self, now: SimTime) {
         self.state = TcpState::TimeWait;
         self.rtx_deadline = None;
         self.time_wait_deadline = Some(now + MSL * 2);

@@ -1,6 +1,7 @@
 //! Property test: two TCBs joined by an arbitrarily lossy, delayless
 //! relay still deliver every byte in order, as long as the loss pattern
-//! eventually lets retransmissions through.
+//! eventually lets retransmissions through. Segments cross the relay as
+//! wire bytes: encoded out of the sender's buffer, decoded borrowed.
 
 use netstack::tcp::{Tcb, TcbEvent, TcpConfig, TcpSegment};
 use proptest::prelude::*;
@@ -8,15 +9,15 @@ use sim::{SimRng, SimTime};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-fn segs(ev: Vec<TcbEvent>, out: &mut VecDeque<TcpSegment>, data: &mut Vec<u8>) {
-    for e in ev {
-        match e {
-            TcbEvent::Transmit(s) => out.push_back(s),
-            TcbEvent::DataReadable => {}
-            _ => {}
+/// Encodes every segment among `ev` — `tcb`'s last call's events — onto
+/// `out`, and empties `ev` for the next call.
+fn wire(tcb: &Tcb, ev: &mut Vec<TcbEvent>, out: &mut VecDeque<Vec<u8>>) {
+    let (src, dst) = (tcb.local().0, tcb.remote().0);
+    for e in ev.drain(..) {
+        if let TcbEvent::Transmit(o) = e {
+            out.push_back(tcb.segment(&o).encode(src, dst));
         }
     }
-    let _ = data;
 }
 
 proptest! {
@@ -35,12 +36,13 @@ proptest! {
         let mut rng = SimRng::seed_from(seed);
         let mut now = SimTime::ZERO;
 
-        let (mut alice, ev) = Tcb::connect(now, a_addr, b_addr, 1, TcpConfig::default());
-        let mut to_bob: VecDeque<TcpSegment> = VecDeque::new();
-        let mut to_alice: VecDeque<TcpSegment> = VecDeque::new();
+        // One event list for every call, as the stack keeps one.
+        let mut ev = Vec::new();
+        let mut alice = Tcb::connect(now, a_addr, b_addr, 1, TcpConfig::default(), &mut ev);
+        let mut to_bob: VecDeque<Vec<u8>> = VecDeque::new();
+        let mut to_alice: VecDeque<Vec<u8>> = VecDeque::new();
         let mut received: Vec<u8> = Vec::new();
-        let mut scratch = Vec::new();
-        segs(ev, &mut to_bob, &mut scratch);
+        wire(&alice, &mut ev, &mut to_bob);
 
         let mut bob: Option<Tcb> = None;
         let data: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
@@ -50,60 +52,50 @@ proptest! {
         // Event loop: deliver (or drop) one queued segment at a time,
         // fire timers when queues drain.
         for _ in 0..200_000 {
-            if let Some(seg) = to_bob.pop_front() {
+            if let Some(bytes) = to_bob.pop_front() {
                 if rng.chance(loss) {
                     continue;
                 }
-                #[allow(clippy::collapsible_match)]
+                let seg = TcpSegment::decode(&bytes, a_addr.0, b_addr.0);
+                prop_assert!(seg.is_ok(), "the relay corrupts nothing");
+                let seg = seg.unwrap();
                 match &mut bob {
-                    None if seg.flags.syn && !seg.flags.ack => {
-                        let (b, ev) =
-                            Tcb::accept(now, b_addr, a_addr, &seg, 900, TcpConfig::default());
+                    None if seg.header.flags.syn && !seg.header.flags.ack => {
+                        let b = Tcb::accept(
+                            now, b_addr, a_addr, &seg.header, 900, TcpConfig::default(), &mut ev,
+                        );
+                        wire(&b, &mut ev, &mut to_alice);
                         bob = Some(b);
-                        segs(ev, &mut to_alice, &mut scratch);
                     }
                     Some(b) => {
-                        let ev = b.on_segment(now, &seg);
-                        for e in ev {
-                            match e {
-                                TcbEvent::Transmit(s) => to_alice.push_back(s),
-                                TcbEvent::DataReadable => {
-                                    let (d, ev2) = b.recv(now);
-                                    received.extend(d);
-                                    segs(ev2, &mut to_alice, &mut scratch);
-                                }
-                                _ => {}
-                            }
+                        b.on_segment(now, &seg, &mut ev);
+                        let readable = ev.contains(&TcbEvent::DataReadable);
+                        wire(b, &mut ev, &mut to_alice);
+                        if readable {
+                            received.extend(b.recv(now, &mut ev));
+                            wire(b, &mut ev, &mut to_alice);
                         }
                     }
                     None => {}
                 }
                 continue;
             }
-            if let Some(seg) = to_alice.pop_front() {
+            if let Some(bytes) = to_alice.pop_front() {
                 if rng.chance(loss) {
                     continue;
                 }
-                let ev = alice.on_segment(now, &seg);
-                for e in ev {
-                    match e {
-                        TcbEvent::Transmit(s) => to_bob.push_back(s),
-                        TcbEvent::Connected
-                            if !queued => {
-                                queued = true;
-                                let (n, ev2) = alice.send(now, &data);
-                                prop_assert!(n <= data.len());
-                                segs(ev2, &mut to_bob, &mut scratch);
-                            }
-                        _ => {}
-                    }
+                let seg = TcpSegment::decode(&bytes, b_addr.0, a_addr.0);
+                prop_assert!(seg.is_ok(), "the relay corrupts nothing");
+                alice.on_segment(now, &seg.unwrap(), &mut ev);
+                let connected = ev.contains(&TcbEvent::Connected);
+                wire(&alice, &mut ev, &mut to_bob);
+                if connected && !queued {
+                    queued = true;
+                    let n = alice.send(now, &data, &mut ev);
+                    prop_assert!(n <= data.len());
+                    wire(&alice, &mut ev, &mut to_bob);
                 }
                 continue;
-            }
-            // Queues empty: top up unqueued data, else fire a timer.
-            if queued && alice.send_capacity() > 0 && received.len() < data.len() {
-                let already = data.len() - (data.len() - received.len()).min(data.len());
-                let _ = already;
             }
             if queued {
                 // Keep feeding until the whole payload is buffered.
@@ -111,8 +103,8 @@ proptest! {
                 let fed = data.len().min(received.len() + buffered + alice.send_capacity());
                 if received.len() + buffered < data.len() {
                     let lo = received.len() + buffered;
-                    let (_, ev2) = alice.send(now, &data[lo..fed.max(lo)]);
-                    segs(ev2, &mut to_bob, &mut scratch);
+                    alice.send(now, &data[lo..fed.max(lo)], &mut ev);
+                    wire(&alice, &mut ev, &mut to_bob);
                 }
             }
             if received.len() >= data.len() {
@@ -126,11 +118,11 @@ proptest! {
             match next {
                 Some(t) => {
                     now = now.max(t);
-                    let ev = alice.on_timer(now);
-                    segs(ev, &mut to_bob, &mut scratch);
+                    alice.on_timer(now, &mut ev);
+                    wire(&alice, &mut ev, &mut to_bob);
                     if let Some(b) = &mut bob {
-                        let ev = b.on_timer(now);
-                        segs(ev, &mut to_alice, &mut scratch);
+                        b.on_timer(now, &mut ev);
+                        wire(b, &mut ev, &mut to_alice);
                     }
                 }
                 None => break,

@@ -26,6 +26,10 @@ use sim::{SimDuration, SimRng, SimTime};
 use crate::channel::{Channel, Heard, StationId};
 use crate::csma::{Csma, MacConfig};
 
+/// The longest frame on the air, FCS included (330 octets): the size a
+/// TNC's transmit buffer grows to, the one time it grows.
+const ON_AIR_MAX: usize = ax25::MAX_FRAME_LEN + 2;
+
 /// Receive filtering behaviour (§3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxMode {
@@ -185,8 +189,13 @@ impl Tnc {
         match command {
             Command::Data => {
                 stats.from_host += 1;
+                let need = payload.len() + 2;
                 let mut on_air = mac.take_buffer();
-                on_air.reserve(payload.len() + 2);
+                if on_air.capacity() < need {
+                    // Grown once, to the longest frame: after that the
+                    // traded buffer fits every frame the TNC sends.
+                    on_air.reserve_exact(need.max(ON_AIR_MAX));
+                }
                 on_air.extend_from_slice(payload);
                 append_fcs(&mut on_air);
                 mac.enqueue(on_air);

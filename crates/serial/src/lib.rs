@@ -68,6 +68,12 @@ use sim::{Bandwidth, SimDuration, SimRng, SimTime};
 /// back with an empty deframer (DESIGN.md §6).
 pub const FRAME_END: u8 = 0xC0;
 
+/// Characters a direction's transmit queue makes room for the first time
+/// it must grow: a KISS frame around the longest AX.25 frame, unescaped
+/// (`FEND`, command, 328 octets, `FEND`). Past that — an escape-heavy
+/// frame, a backlog — it doubles as usual.
+pub const TX_QUEUE_CHARS: usize = 331;
+
 /// Index of the first closing [`FRAME_END`] in `bytes`, given the byte
 /// that precedes them on the wire.
 fn first_closing(prev: u8, bytes: &[u8]) -> Option<usize> {
@@ -382,6 +388,11 @@ impl SerialLine {
         if dir.delim_at.is_none() {
             let pending = dir.tx_queue.len() + usize::from(dir.in_flight.is_some());
             dir.delim_at = first_closing(dir.last_byte(), bytes).map(|i| pending + i);
+        }
+        let need = dir.tx_queue.len() + bytes.len();
+        if need > dir.tx_queue.capacity() {
+            dir.tx_queue
+                .reserve(need.max(TX_QUEUE_CHARS) - dir.tx_queue.len());
         }
         dir.tx_queue.extend(bytes);
         if dir.in_flight.is_none() {
@@ -753,6 +764,21 @@ mod tests {
         // Idle is about the wire: what sits undrained in a FIFO is the
         // receiver's business.
         assert_eq!(line.rx_len(End::B), 3);
+    }
+
+    #[test]
+    fn a_transmit_queue_grows_once_to_a_frame_and_a_send_that_fits_leaves_it() {
+        let mut line = SerialLine::new(SerialConfig::baud(9600));
+        let capacity = |line: &SerialLine| line.dirs[End::A.index()].tx_queue.capacity();
+        assert_eq!(capacity(&line), 0, "a line that never sends holds nothing");
+        line.send(SimTime::ZERO, End::A, &[1; 40]);
+        let born = capacity(&line);
+        assert!(born >= TX_QUEUE_CHARS, "{born}");
+        line.send(SimTime::ZERO, End::A, &[2; 200]);
+        assert_eq!(capacity(&line), born, "it fits: not reallocated");
+        // A backlog past one frame grows it as any queue grows.
+        line.send(SimTime::ZERO, End::A, &[3; 200]);
+        assert!(capacity(&line) >= 439);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use ax25::addr::Ax25Addr;
 use ax25::fcs::{append_fcs, verify_and_strip_fcs};
 use ax25::frame::{Frame, Pid};
 use netstack::ip::{Ipv4Packet, Proto};
-use netstack::tcp::{TcpFlags, TcpSegment};
+use netstack::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use netstack::udp::UdpDatagram;
 use std::net::Ipv4Addr;
 
@@ -23,18 +23,20 @@ fn telnet_keystroke_descends_and_ascends_the_stack() {
 
     // Layer 4: TCP.
     let segment = TcpSegment {
-        src_port: 1025,
-        dst_port: 23,
-        seq: 1000,
-        ack: 2000,
-        flags: TcpFlags {
-            ack: true,
-            psh: true,
-            ..TcpFlags::default()
+        header: TcpHeader {
+            src_port: 1025,
+            dst_port: 23,
+            seq: 1000,
+            ack: 2000,
+            flags: TcpFlags {
+                ack: true,
+                psh: true,
+                ..TcpFlags::default()
+            },
+            window: 4096,
+            mss: None,
         },
-        window: 4096,
-        mss: None,
-        payload: application.clone(),
+        payload: &application,
     };
     let l4 = segment.encode(PC, VAX);
 

@@ -6,15 +6,14 @@
 //! (crates/workload) whose every connection crosses a radio island
 //! boundary through the IPIP tunnels (§4.2), i.e. the cross-shard path.
 //!
-//! Two phases, both deterministic (the printed tables are byte-stable;
-//! wall-clock numbers appear only under `E16_BENCH=1`):
+//! Two phases, both deterministic (the printed tables are byte-stable):
 //!
 //! 1. **Equivalence under load**: one fleet, run on the reference
-//!    stepper and on the sharded engine at 1, 2, and 4 workers. The FNV
-//!    event digest AND the rendered telemetry report (per-class fleet
-//!    table + server totals) must be bit-identical across all four runs
-//!    — the report is a pure function of the simulation, so a single
-//!    reordered packet anywhere in the city shows up here.
+//!    stepper and on the sharded engine. The FNV event digest AND the
+//!    rendered telemetry report (per-class fleet table + server totals)
+//!    must be bit-identical across the two runs — the report is a pure
+//!    function of the simulation, so a single reordered packet anywhere
+//!    in the city shows up here.
 //! 2. **Knee of the curve**: 3 mixes x 3 intensities on the sharded
 //!    engine. Closed-loop think times self-limit; the open-loop column
 //!    pushes islands past saturation — completion counts stall, p95
@@ -25,15 +24,12 @@
 //! `E16_SECONDS` (default 150 simulated) — the configuration the golden
 //! records; city scale is `E16_GATEWAYS=250 E16_HOSTS=40 E16_SECONDS=120`
 //! (10,251 simulated machines, about a minute). `E16_CLIENTS` (clients per
-//! island, default 1), `E16_WORKERS` (sweep worker count, default 4),
-//! `E16_SWEEP=0` to skip phase 2, `E16_BENCH=1` for ns/iter lines (run by
-//! hand).
+//! island, default 1), `E16_SWEEP=0` to skip phase 2.
 
 use bench::report::Report;
-use bench::{bench_mode, drain_event_digest, env_usize};
+use bench::{drain_event_digest, env_usize};
 use gateway::scenario::{self, MeshNet};
 use sim::{SimDuration, SimTime};
-use std::time::Instant;
 use workload::load::{Arrival, Mix, Pacing};
 use workload::report::EngineTelemetry;
 use workload::{deploy, Fleet, FleetSpec};
@@ -64,37 +60,25 @@ fn build(cfg: &Cfg, spec: &FleetSpec) -> (MeshNet, Fleet) {
     (m, fleet)
 }
 
-/// One full run; returns (event digest, events, report, fleet, telemetry,
-/// wall clock).
+/// One full run on the sharded engine or, if `!sharded`, the reference
+/// stepper; returns (event digest, events, report, fleet, telemetry).
 fn simulate(
     cfg: &Cfg,
     spec: &FleetSpec,
-    workers: Option<usize>,
-) -> (
-    u64,
-    usize,
-    String,
-    Fleet,
-    EngineTelemetry,
-    std::time::Duration,
-) {
+    sharded: bool,
+) -> (u64, usize, String, Fleet, EngineTelemetry) {
     let (mut m, fleet) = build(cfg, spec);
-    let t0 = Instant::now();
-    match workers {
-        None => m
-            .world
-            .run_until_reference(SimTime::from_millis(cfg.secs * 1000)),
-        Some(n) => {
-            m.world.set_workers(n);
-            m.world.run_for(SimDuration::from_secs(cfg.secs));
-        }
+    if sharded {
+        m.world.run_for(SimDuration::from_secs(cfg.secs));
+    } else {
+        m.world
+            .run_until_reference(SimTime::from_millis(cfg.secs * 1000));
     }
-    let wall = t0.elapsed();
     let (digest, events, _) = drain_event_digest(&mut m.world);
     let span = SimDuration::from_secs(cfg.secs);
     let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
     let telemetry = EngineTelemetry::gather(&m);
-    (digest, events, report, fleet, telemetry, wall)
+    (digest, events, report, fleet, telemetry)
 }
 
 fn q_ms(us: Option<u64>) -> String {
@@ -108,9 +92,7 @@ pub fn run(x: &mut Report) {
         secs: env_usize("E16_SECONDS", 150) as u64,
         clients: env_usize("E16_CLIENTS", 1),
     };
-    let sweep_workers = env_usize("E16_WORKERS", 4);
     let do_sweep = env_usize("E16_SWEEP", 1) == 1;
-    let bench_mode = bench_mode("E16");
 
     x.banner(
         "E16",
@@ -132,23 +114,16 @@ pub fn run(x: &mut Report) {
     let spec = base_spec(&cfg);
     let mut digests = Vec::new();
     let mut reports = Vec::new();
-    let mut walls = Vec::new();
     let mut handoffs_consumed = true;
     let mut first_telemetry = None;
-    for (name, workers) in [
-        ("reference", None),
-        ("sharded_1w", Some(1)),
-        ("sharded_2w", Some(2)),
-        ("sharded_4w", Some(4)),
-    ] {
-        let (digest, events, report, fleet, telemetry, wall) = simulate(&cfg, &spec, workers);
-        if workers.is_some() {
+    for (name, sharded) in [("reference", false), ("sharded", true)] {
+        let (digest, events, report, fleet, telemetry) = simulate(&cfg, &spec, sharded);
+        if sharded {
             let mb = telemetry.mailboxes;
             handoffs_consumed &= mb.pushed > 0 && mb.pushed == mb.popped;
         }
         x.row(&[
             ("engine", &name),
-            ("workers", &workers.map_or("-".into(), |w| w.to_string())),
             ("events", &events),
             ("sessions done", &fleet.completed()),
             ("event digest", &format_args!("{digest:016x}")),
@@ -157,7 +132,6 @@ pub fn run(x: &mut Report) {
                 &format_args!("{:016x}", sim::fnv1a(report.as_bytes())),
             ),
         ]);
-        walls.push((name.to_string(), wall));
         digests.push(digest);
         reports.push(report);
         first_telemetry.get_or_insert(telemetry);
@@ -166,18 +140,17 @@ pub fn run(x: &mut Report) {
 
     let identical = x.claim(
         "DESIGN.md §12",
-        "under fleet load the event digest and the rendered telemetry report of the reference stepper equal the sharded engine's at 1, 2 and 4 workers",
+        "under fleet load the event digest and the rendered telemetry report of the reference stepper equal the sharded engine's",
         digests.windows(2).all(|w| w[0] == w[1]) && reports.windows(2).all(|w| w[0] == w[1]),
     );
     x.claim(
         "DESIGN.md §12",
-        "every session crosses a shard boundary: on each sharded run hand-offs are pushed (> 0) and every one pushed is popped",
+        "every session crosses a shard boundary: on the sharded run hand-offs are pushed (> 0) and every one pushed is popped",
         handoffs_consumed,
     );
     x.text(format_args!(
-        "\nall {} event digests AND rendered reports {} across the\n\
-         reference stepper and every sharded worker count (DESIGN.md §12).\n",
-        digests.len(),
+        "\nboth event digests AND rendered reports {} across the\n\
+         reference stepper and the sharded engine (DESIGN.md §12).\n",
         if identical {
             "bit-identical"
         } else {
@@ -213,7 +186,7 @@ pub fn run(x: &mut Report) {
             ),
         ];
         x.text(format_args!(
-            "\nknee of the curve ({sweep_workers} workers; open-loop overload pushes past it):\n"
+            "\nknee of the curve (sharded engine; open-loop overload pushes past it):\n"
         ));
         let mut overload_backs_up = true;
         let mut offered_covers_carried = true;
@@ -225,8 +198,7 @@ pub fn run(x: &mut Report) {
                     pacing: *pacing,
                     ..base_spec(&cfg)
                 };
-                let (_, _, _, fleet, telemetry, wall) = simulate(&cfg, &spec, Some(sweep_workers));
-                walls.push((format!("sweep_{}_{label}", mix.name), wall));
+                let (_, _, _, fleet, telemetry) = simulate(&cfg, &spec, true);
                 let mut total = workload::report::FlowRecorder::new();
                 for r in &fleet.merged() {
                     total.merge(r);
@@ -271,18 +243,4 @@ pub fn run(x: &mut Report) {
         );
     }
 
-    // --- Bench mode: wall clock ------------------------------------------
-    if bench_mode {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        x.text(format_args!(
-            "\nwall-clock (host machine: {cores} core(s)):"
-        ));
-        for (name, wall) in &walls {
-            let ns = wall.as_nanos();
-            x.text(format_args!(
-                "e16/city{}x{}_{}s_{name} ... bench: {ns} ns/iter",
-                cfg.gateways, cfg.hosts, cfg.secs
-            ));
-        }
-    }
 }

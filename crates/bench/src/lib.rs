@@ -35,9 +35,9 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Whether `<id>_BENCH=1` is set (`id` is "E15", "E16" or "E18"): the
-/// experiment then also prints wall-clock `ns/iter` lines, which no golden
-/// records. By hand only — the worker sweep and the cache on/off timer.
+/// Whether `<id>_BENCH=1` is set (`id` is "E18"): the experiment then
+/// also prints wall-clock `ns/iter` lines, which no golden records. By
+/// hand only — the cache on/off timer.
 pub fn bench_mode(id: &str) -> bool {
     std::env::var(format!("{id}_BENCH")).is_ok_and(|v| v == "1")
 }

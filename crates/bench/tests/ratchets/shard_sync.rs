@@ -73,7 +73,6 @@ fn mesh_warm_rings_do_not_grow() {
         .delayed(SimDuration::from_millis(300 + 700 * g as u64));
         m.world.add_app(island[0], Box::new(p));
     }
-    m.world.set_workers(2);
 
     m.world.run_for(SimDuration::from_secs(30));
     let warm = m.world.mailbox_stats();
@@ -85,8 +84,7 @@ fn mesh_warm_rings_do_not_grow() {
 }
 
 /// Heap allocations per ping round trip between two islands whose only
-/// link is the coordinator's mailboxes, steady state, one worker, in
-/// tenths. Request and reply each cross the backbone as a unicast frame
+/// link is the coordinator's mailboxes, steady state, in tenths. Request and reply each cross the backbone as a unicast frame
 /// moved from the sender's shard into the receiver's, whose host keeps
 /// its buffer in trade. What is left is ICMP's — the ping's payload, two
 /// encodings and the copy its decode makes at either end, 5 per round

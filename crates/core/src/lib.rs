@@ -39,9 +39,7 @@
 //! * [`scenario`] — canned topologies (the paper's Figure 1 setup and
 //!   the larger experiment layouts).
 
-// Unsafe is denied everywhere except the one documented island in
-// `shard::cell` (the worker-pool shard hand-off, DESIGN.md §11).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod appgw;

@@ -749,8 +749,9 @@ pub struct MeshOptions {
 /// between every gateway pair, plus a wired internet host routing net 44
 /// via gateway 0 (§4.2's aggregate-route premise).
 ///
-/// Each island is its own shard, so the sharded engine steps islands in
-/// parallel; only tunnel traffic crosses shard boundaries. Routing is
+/// Each island is its own shard, so the sharded engine steps only the
+/// islands that have work in a window; only tunnel traffic crosses shard
+/// boundaries. Routing is
 /// static ([`StaticTunnels`]); the MAC keeps its nonzero default slot
 /// time, which the DESIGN.md §11 digest-equivalence contract requires.
 /// No traffic is installed — callers attach their own apps.

@@ -48,8 +48,6 @@ use crate::world::{App, HostId};
 const _: () = assert!(serial::FRAME_END == kiss::FEND);
 const _: () = assert!(serial::TX_QUEUE_CHARS == ax25::MAX_FRAME_LEN + 3);
 
-pub(crate) use cell::ShardBox;
-
 /// Segment access mode for a shard step: a single-shard world hands the
 /// engine its segments (`Some`), a multi-shard world defers all Ethernet
 /// traffic to the coordinator (`None`).
@@ -253,8 +251,8 @@ impl DirtySet {
 }
 
 /// A deferred Ethernet transmission, collected by the coordinator at the
-/// next window barrier. `(time, shard, seq)` orders concurrent sends
-/// deterministically regardless of worker count.
+/// end of the window. `(time, shard, seq)` orders the sends of one window
+/// deterministically, whatever order the shards stepped in.
 pub(crate) struct OutFrame {
     /// Emission time (the host's flush instant).
     pub time: SimTime,
@@ -1276,77 +1274,4 @@ fn seal_of(heard: &mut Heard) -> Option<Seal> {
     (1..=kiss::Deframer::DEFAULT_MAX_LEN)
         .contains(&len)
         .then(|| crate::prdriver::seal(heard.header()))
-}
-
-/// The one unsafe island in the workspace: a heap-pinned shard cell that
-/// can be handed to the worker pool.
-mod cell {
-    #![allow(unsafe_code)]
-
-    use std::cell::UnsafeCell;
-
-    use super::ShardData;
-
-    /// A heap-pinned [`ShardData`] that worker threads can step.
-    ///
-    /// # Safety contract (DESIGN.md §11)
-    ///
-    /// `ShardData` is not `Send` (hosts and apps hold `Rc`/`RefCell`
-    /// graphs). Sending it across threads is sound because those graphs
-    /// are **shard-closed**: every `Rc` clone of state reachable from a
-    /// shard's components lives inside the same shard, so moving the
-    /// whole shard moves every reference with it. External handles kept
-    /// by scenario builders (shared report cells, encap tables) may only
-    /// be touched between run calls — `World::drive` takes `&mut World`
-    /// and joins its workers before returning, which gives the required
-    /// happens-before edge.
-    ///
-    /// Exclusivity is phase-based: during a window each shard is claimed
-    /// by exactly one worker (an atomic ticket over the active list);
-    /// between windows only the coordinator touches shards. Barriers
-    /// separate the phases.
-    pub(crate) struct ShardBox(Box<UnsafeCell<ShardData>>);
-
-    // SAFETY: see the type-level contract above — shard graphs are
-    // closed, access is exclusive per phase, and phases are separated by
-    // barriers (or by &mut World outside runs).
-    unsafe impl Send for ShardBox {}
-    // SAFETY: &ShardBox exposes no &ShardData without `steal`, whose
-    // callers uphold the exclusivity contract.
-    unsafe impl Sync for ShardBox {}
-
-    impl ShardBox {
-        pub(crate) fn new(data: ShardData) -> ShardBox {
-            ShardBox(Box::new(UnsafeCell::new(data)))
-        }
-
-        /// Shared read access from the owning thread.
-        ///
-        /// Sound because `World` is `!Send + !Sync` (it holds
-        /// `PhantomData<Rc<()>>`), so `&World` — the only path here —
-        /// exists on a single thread, and worker threads only live inside
-        /// `World::drive`, which holds `&mut World` for its whole extent:
-        /// no worker can be running while a `&World` method executes.
-        pub(crate) fn get(&self) -> &ShardData {
-            // SAFETY: see above — no concurrent mutator can exist.
-            unsafe { &*self.0.get() }
-        }
-
-        /// Exclusive access through an exclusive handle (always safe).
-        pub(crate) fn get_mut(&mut self) -> &mut ShardData {
-            self.0.get_mut()
-        }
-
-        /// Exclusive access asserted by the caller.
-        ///
-        /// # Safety
-        ///
-        /// The caller must hold logical exclusivity over this shard: a
-        /// worker that claimed it for the current window, or the
-        /// coordinator between barriers.
-        #[allow(clippy::mut_from_ref)]
-        pub(crate) unsafe fn steal(&self) -> &mut ShardData {
-            unsafe { &mut *self.0.get() }
-        }
-    }
 }

@@ -14,31 +14,24 @@
 //! one call. A multi-shard world runs **windows** of conservative
 //! lookahead: each window covers `(w_prev, w_end]` where `w_end` is the
 //! earliest pending event plus the cross-shard latency `LOOKAHEAD`;
-//! every shard steps its own window independently (in parallel on a
-//! worker pool when [`World::set_workers`] asked for one), and the
-//! coordinator applies deferred Ethernet traffic between windows in
-//! deterministic `(time, shard, seq)` order — so results are identical
-//! at every worker count. DESIGN.md §11 has the full contract.
+//! every shard due in the window steps it without seeing its neighbors,
+//! one after another on the caller's thread, and the coordinator applies
+//! deferred Ethernet traffic between windows in deterministic
+//! `(time, shard, seq)` order. DESIGN.md §11 has the full contract.
 //!
 //! The previous engine — scan every component for its deadline on every
 //! event, re-poll everything every pass — is retained verbatim as the
 //! *reference stepper* ([`World::run_until_reference`]) so equivalence
 //! tests can prove the indexed scheduler produces identical event
-//! sequences (`E15_BENCH=1` times the two side by side).
+//! sequences.
 //!
 //! All components are sans-io state machines from the substrate crates;
 //! this module is the only place where they touch.
 
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 
 use ax25::addr::Ax25Addr;
 use ether::{EtherFrame, NicId, Segment};
@@ -56,7 +49,7 @@ use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 use crate::host::{Host, HostConfig};
 use crate::shard::{
     set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Listener, Mode, Segs,
-    ShardBox, ShardData, TncEntry,
+    ShardData, TncEntry,
 };
 
 /// The conservative cross-shard lookahead: a frame leaving a shard for
@@ -113,7 +106,7 @@ pub struct BeaconId(usize);
 
 /// FNV-1a over an event log rendered one `"{host:?} {time} {event:?}\n"`
 /// line per event: the digest E15, E16 and E18 print into `results/` and
-/// compare across engines, worker counts and cache settings.
+/// compare across engines and cache settings.
 pub fn event_digest(events: &[(HostId, SimTime, StackAction)]) -> u64 {
     let mut digest = Fnv1a::new();
     for (h, t, e) in events {
@@ -159,7 +152,7 @@ pub trait App {
 
 /// A deferred cross-shard Ethernet send waiting for its effect time.
 /// Ordered by `(effect, shard, seq)` — the deterministic merge order at
-/// shard boundaries, independent of which worker stepped which shard.
+/// shard boundaries, independent of the order the shards were stepped in.
 struct PendingSend {
     effect: SimTime,
     shard: u32,
@@ -197,9 +190,8 @@ impl Ord for PendingSend {
 
 /// What the multi-shard window coordinator did, as plain counters
 /// accumulated over every run call ([`World::engine_stats`]). All are
-/// functions of the simulated history alone — identical at every worker
-/// count, and all zero on a single-shard world, which never enters the
-/// coordinator.
+/// functions of the simulated history alone, and all zero on a
+/// single-shard world, which never enters the coordinator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Lookahead windows run.
@@ -207,9 +199,6 @@ pub struct EngineStats {
     /// Shard steps summed over windows (`shards_stepped / windows` is the
     /// mean active set).
     pub shards_stepped: u64,
-    /// Windows with fewer than two active shards, which the parallel
-    /// engine steps on the coordinator thread without a barrier.
-    pub solo_windows: u64,
     /// Ethernet deliveries queued into shard mailboxes.
     pub deliveries_queued: u64,
     /// Of those, the frames moved in whole — each transmission's last
@@ -230,7 +219,7 @@ pub struct World {
     pub trace: Trace,
     /// Recorded (host, time, event) triples when enabled.
     pub record_events: bool,
-    shards: Vec<ShardBox>,
+    shards: Vec<ShardData>,
     /// Ethernet segments: world-owned, the cross-shard links.
     segments: Vec<Segment>,
     /// Per segment, indexed by NIC: the (shard, local host) it delivers to.
@@ -242,21 +231,16 @@ pub struct World {
     digi_map: Vec<(u32, u32)>,
     beacon_map: Vec<(u32, u32)>,
     events: Vec<(HostId, SimTime, StackAction)>,
-    /// Worker threads for multi-shard runs (1 = step shards serially).
-    workers: usize,
     /// In-flight cross-shard sends, min-ordered by `(effect, shard, seq)`.
     pending: BinaryHeap<Reverse<PendingSend>>,
     /// Recycled delivery copies (§11 zero-alloc hand-off pool).
     spare_frames: Vec<EtherFrame>,
-    /// The coordinator's calendar — per shard, its earliest event — and
-    /// its per-window active list (kept here so a run call allocates
-    /// nothing for them; see `Engine`).
-    next_due: Vec<AtomicU64>,
+    /// The coordinator's calendar — per shard, its earliest event in ns
+    /// (`u64::MAX` = none) — and its per-window active list (kept here so
+    /// a run call allocates nothing for them; see `Engine`).
+    next_due: Vec<u64>,
     active: Vec<usize>,
     engine_stats: EngineStats,
-    /// Shards hold `Rc` graphs; the world must stay on one thread (worker
-    /// threads only ever live *inside* a `drive` call).
-    _not_send: PhantomData<Rc<()>>,
 }
 
 impl World {
@@ -266,7 +250,7 @@ impl World {
             now: SimTime::ZERO,
             trace: Trace::disabled(),
             record_events: true,
-            shards: vec![ShardBox::new(ShardData::new(SimRng::seed_from(seed)))],
+            shards: vec![ShardData::new(SimRng::seed_from(seed))],
             segments: Vec::new(),
             seg_hosts: Vec::new(),
             chan_map: Vec::new(),
@@ -275,13 +259,11 @@ impl World {
             digi_map: Vec::new(),
             beacon_map: Vec::new(),
             events: Vec::new(),
-            workers: 1,
             pending: BinaryHeap::new(),
             spare_frames: Vec::new(),
             next_due: Vec::new(),
             active: Vec::new(),
             engine_stats: EngineStats::default(),
-            _not_send: PhantomData,
         }
     }
 
@@ -290,8 +272,8 @@ impl World {
     /// over shards.
     pub fn sched_stats(&self) -> SchedStats {
         let mut total = SchedStats::default();
-        for sb in &self.shards {
-            let s = sb.get().sched_stats();
+        for sh in &self.shards {
+            let s = sh.sched_stats();
             total.pops += s.pops;
             total.rekeys += s.rekeys;
             total.unchanged += s.unchanged;
@@ -308,7 +290,7 @@ impl World {
     /// however often its deadline moved (asserted by E17 and the tests).
     #[doc(hidden)]
     pub fn calendar_len(&self) -> usize {
-        self.shards.iter().map(|sb| sb.get().calendar_len()).sum()
+        self.shards.iter().map(ShardData::calendar_len).sum()
     }
 
     /// Cross-shard mailbox counters (pushes, pops, ring growths, peak
@@ -318,8 +300,8 @@ impl World {
     /// ratchets.
     pub fn mailbox_stats(&self) -> sim::mailbox::MailboxStats {
         let mut total = sim::mailbox::MailboxStats::default();
-        for sb in &self.shards {
-            let s = sb.get().ether_in.stats();
+        for sh in &self.shards {
+            let s = sh.ether_in.stats();
             total.pushed += s.pushed;
             total.popped += s.popped;
             total.grows += s.grows;
@@ -333,17 +315,11 @@ impl World {
         self.engine_stats
     }
 
-    /// Sets the worker-thread count for multi-shard runs. `1` steps
-    /// shards serially on the caller's thread; results are identical at
-    /// every count. Single-shard worlds ignore it.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
+    /// Does nothing: every world steps its shards on the caller's thread.
+    /// It exists only because the benchmark harness calls it
+    /// (`benchmarks/src/run.rs:169`, `benchmarks/src/workloads.rs:570`).
+    #[doc(hidden)]
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// The number of shards.
     pub fn shard_count(&self) -> usize {
@@ -354,7 +330,7 @@ impl World {
     /// Whatever the caller does with it, the shard's next run call starts
     /// with a full sync (DESIGN.md §6, run-call contract).
     fn touch(&mut self, i: usize) -> &mut ShardData {
-        let sh = self.shards[i].get_mut();
+        let sh = &mut self.shards[i];
         sh.stale = true;
         sh
     }
@@ -367,7 +343,7 @@ impl World {
     /// shards.
     pub fn add_shard(&mut self) -> ShardId {
         let rng = self.touch(0).rng.fork();
-        self.shards.push(ShardBox::new(ShardData::new(rng)));
+        self.shards.push(ShardData::new(rng));
         ShardId(self.shards.len() - 1)
     }
 
@@ -564,7 +540,7 @@ impl World {
     /// A host, immutably.
     pub fn host(&self, id: HostId) -> &Host {
         let (s, l) = self.host_map[id.0];
-        &self.shards[s as usize].get().hosts[l as usize].host
+        &self.shards[s as usize].hosts[l as usize].host
     }
 
     /// A host, mutably (socket operations, route edits…).
@@ -576,7 +552,7 @@ impl World {
     /// A radio channel.
     pub fn channel(&self, id: ChanId) -> &Channel {
         let (s, l) = self.chan_map[id.0];
-        &self.shards[s as usize].get().channels[l as usize]
+        &self.shards[s as usize].channels[l as usize]
     }
 
     /// A radio channel, mutably (hearing matrix edits).
@@ -593,7 +569,7 @@ impl World {
     /// A TNC.
     pub fn tnc(&self, id: TncId) -> &Tnc {
         let (s, l) = self.tnc_map[id.0];
-        &self.shards[s as usize].get().tncs[l as usize].tnc
+        &self.shards[s as usize].tncs[l as usize].tnc
     }
 
     /// A TNC, mutably (mode switches).
@@ -605,19 +581,19 @@ impl World {
     /// A digipeater.
     pub fn digipeater(&self, id: DigiId) -> &Digipeater {
         let (s, l) = self.digi_map[id.0];
-        &self.shards[s as usize].get().digis[l as usize].digi
+        &self.shards[s as usize].digis[l as usize].digi
     }
 
     /// A background station.
     pub fn beacon(&self, id: BeaconId) -> &BeaconStation {
         let (s, l) = self.beacon_map[id.0];
-        &self.shards[s as usize].get().beacons[l as usize].beacon
+        &self.shards[s as usize].beacons[l as usize].beacon
     }
 
     /// The serial line attached to a host, if any.
     pub fn host_serial_line(&self, id: HostId) -> Option<&SerialLine> {
         let (s, l) = self.host_map[id.0];
-        let sh = self.shards[s as usize].get();
+        let sh = &self.shards[s as usize];
         sh.hosts[l as usize].serial.map(|i| &sh.lines[i])
     }
 
@@ -643,8 +619,8 @@ impl World {
                 best = Some(best.map_or(t, |b: SimTime| b.min(t)));
             }
         };
-        for sb in &self.shards {
-            fold(sb.get().scan_next_deadline(None));
+        for sh in &self.shards {
+            fold(sh.scan_next_deadline(None));
         }
         for s in &self.segments {
             fold(s.next_deadline());
@@ -677,8 +653,8 @@ impl World {
     // quiescent. The equivalence tests pin the indexed scheduler against
     // it. Not for mixed use with the indexed run methods on the same World
     // instance within a run — pick one driver per world. On a multi-shard
-    // world the reference runs the same lookahead windows (serially), so
-    // it is also the spec for the parallel engine's merge order.
+    // world the reference runs the same lookahead windows, so it is also
+    // the spec for the coordinator's merge order.
 
     /// Reference (full-scan) equivalent of [`World::run_until`].
     #[doc(hidden)]
@@ -708,7 +684,7 @@ impl World {
     /// the limit in one call — the exact pre-shard engine, no windows, no
     /// lookahead.
     fn drive_single(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
-        let sh = self.shards[0].get_mut();
+        let sh = &mut self.shards[0];
         sh.now = self.now;
         sh.record_events = self.record_events;
         std::mem::swap(&mut sh.trace, &mut self.trace);
@@ -725,47 +701,37 @@ impl World {
     /// the coordinator loops lookahead windows until nothing is due at or
     /// before `limit`; see `Engine`.
     fn drive_sharded(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
-        std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
+        std::mem::swap(&mut self.shards[0].trace, &mut self.trace);
         // The calendar's one all-shard write: from here on only a step or
         // a delivery moves an entry.
-        self.next_due
-            .resize_with(self.shards.len(), || AtomicU64::new(u64::MAX));
-        for (sb, due) in self.shards.iter_mut().zip(&mut self.next_due) {
-            let sh = sb.get_mut();
+        self.next_due.resize(self.shards.len(), u64::MAX);
+        for (sh, due) in self.shards.iter_mut().zip(&mut self.next_due) {
             sh.now = self.now;
             sh.record_events = self.record_events;
             sh.enter(mode, &mut None);
-            *due.get_mut() = due_ns(sh.next_event());
+            *due = due_ns(sh.next_event());
         }
-        let workers = self.workers.min(self.shards.len());
-        {
-            let mut eng = Engine {
-                shards: &self.shards,
-                next_due: &self.next_due,
-                active: &mut self.active,
-                segments: &mut self.segments,
-                seg_hosts: &self.seg_hosts,
-                pending: &mut self.pending,
-                spare: &mut self.spare_frames,
-                events: &mut self.events,
-                stats: &mut self.engine_stats,
-                limit,
-            };
-            // Every shard just settled its entry instant and may already
-            // have emitted cross-shard traffic.
-            eng.active.clear();
-            eng.active.extend(0..eng.shards.len());
-            eng.collect();
-            if workers <= 1 {
-                eng.run_serial();
-            } else {
-                eng.run_parallel(workers);
-            }
-        }
-        std::mem::swap(&mut self.shards[0].get_mut().trace, &mut self.trace);
+        let mut eng = Engine {
+            shards: &mut self.shards,
+            next_due: &mut self.next_due,
+            active: &mut self.active,
+            segments: &mut self.segments,
+            seg_hosts: &self.seg_hosts,
+            pending: &mut self.pending,
+            spare: &mut self.spare_frames,
+            events: &mut self.events,
+            stats: &mut self.engine_stats,
+            limit,
+        };
+        // Every shard just settled its entry instant and may already have
+        // emitted cross-shard traffic.
+        eng.active.clear();
+        eng.active.extend(0..eng.shards.len());
+        eng.collect();
+        eng.run_windows();
+        std::mem::swap(&mut self.shards[0].trace, &mut self.trace);
         let mut now = self.now;
-        for sb in &mut self.shards {
-            let sh = sb.get_mut();
+        for sh in &mut self.shards {
             sh.exit(limit);
             now = now.max(sh.now);
         }
@@ -776,22 +742,6 @@ impl World {
 /// A shard's earliest event as a `next_due` entry (`u64::MAX` = none).
 fn due_ns(t: Option<SimTime>) -> u64 {
     t.map_or(u64::MAX, SimTime::as_nanos)
-}
-
-/// Steps shard `i` through the window ending at `w_end` and refreshes its
-/// calendar entry.
-///
-/// # Safety
-///
-/// The caller must hold logical exclusivity over shard `i` for the call
-/// (the `ShardBox::steal` contract): the one thread stepping serially,
-/// or the ticket holder of `i` in a stepping phase.
-#[allow(unsafe_code)]
-unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_end: SimTime) {
-    // SAFETY: the caller's contract.
-    let sh = unsafe { shards[i].steal() };
-    sh.run_window(w_end, &mut None);
-    next_due[i].store(due_ns(sh.next_event()), Ordering::Relaxed);
 }
 
 /// The multi-shard window coordinator. `next_due` is its persistent
@@ -811,9 +761,9 @@ unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_en
 ///    emitted *during* a window get effect `≥ w_end` (the lookahead
 ///    guarantee), so this phase never misses one.
 /// 4. Build the **active list** — ascending `{i : next_due[i] ≤ w_end}` —
-///    and step exactly those shards, independently, in parallel if asked;
-///    shards see only their mailbox, never the segments. Whoever steps
-///    shard `i` refreshes `next_due[i]`.
+///    and step exactly those shards, in list order; a shard sees only its
+///    mailbox, never the segments or another shard. Each step refreshes
+///    `next_due[i]`.
 /// 5. `collect()` over the same list: gather emitted sends into the
 ///    pending heap, append shard events (stable-sorted by time; windows
 ///    never interleave times), and recycle spent delivery copies.
@@ -823,15 +773,12 @@ unsafe fn step_shard(shards: &[ShardBox], next_due: &[AtomicU64], i: usize, w_en
 /// the minimum over `next_due` and the list build, a window costs
 /// O(active), not O(shards).
 struct Engine<'a> {
-    shards: &'a [ShardBox],
+    shards: &'a mut [ShardData],
     /// Per shard, its earliest event in ns (`u64::MAX` = none). Three
     /// writers and no other: `drive_sharded` at entry (every shard),
-    /// `step_shard` after a step (that shard), `apply_ether`'s `fetch_min`
-    /// when it queues a delivery (the receiver). `Relaxed` throughout —
-    /// coordinator phases and stepping phases are ordered by the window
-    /// barriers (or program order, on one thread), and within a stepping
-    /// phase entry `i` is touched only by the claimant of shard `i`.
-    next_due: &'a [AtomicU64],
+    /// `run_windows` after a step (that shard), and `apply_ether`, which
+    /// lowers the receiver's entry to the time of a delivery it queues.
+    next_due: &'a mut [u64],
     /// The current window's active list, ascending.
     active: &'a mut Vec<usize>,
     segments: &'a mut Vec<Segment>,
@@ -843,18 +790,10 @@ struct Engine<'a> {
     limit: SimTime,
 }
 
-// The coordinator's `steal` calls are the other half of the `shard::cell`
-// contract: every call site is a coordinator phase (workers parked at the
-// barrier or never spawned) or a ticket-claimed stepping phase.
-#[allow(unsafe_code)]
 impl Engine<'_> {
     /// The earliest pending event in the whole world.
     fn t_next(&self) -> Option<SimTime> {
-        let shard = self
-            .next_due
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .min()
+        let shard = (self.next_due.iter().copied().min())
             .filter(|&ns| ns != u64::MAX)
             .map(SimTime::from_nanos);
         let wire = self
@@ -891,8 +830,8 @@ impl Engine<'_> {
                 // single-shard engine the segment advances (settle step 4)
                 // before hosts flush new sends (step 5) at one instant.
                 (Some((c, si)), send) if send.is_none_or(|e| c <= e) => {
-                    let shards = self.shards;
-                    let next_due = self.next_due;
+                    let shards = &mut *self.shards;
+                    let next_due = &mut *self.next_due;
                     let seg_hosts = self.seg_hosts;
                     let spare = &mut *self.spare;
                     let stats = &mut *self.stats;
@@ -910,17 +849,14 @@ impl Engine<'_> {
                                     (buf, false)
                                 }
                             };
-                            // SAFETY: coordinator phase — workers are
-                            // parked at the barrier (or do not exist), so
-                            // no shard is claimed.
-                            let sh = unsafe { shards[s as usize].steal() };
-                            sh.ether_in.push(InFrame {
+                            let s = s as usize;
+                            shards[s].ether_in.push(InFrame {
                                 at: c,
                                 host: l as usize,
                                 frame,
                                 moved,
                             });
-                            next_due[s as usize].fetch_min(c.as_nanos(), Ordering::Relaxed);
+                            next_due[s] = next_due[s].min(c.as_nanos());
                             stats.deliveries_queued += 1;
                             stats.deliveries_moved += u64::from(moved);
                         }
@@ -942,8 +878,7 @@ impl Engine<'_> {
     fn collect(&mut self) {
         let tail = self.events.len();
         for &si in self.active.iter() {
-            // SAFETY: coordinator phase (as in `apply_ether`).
-            let sh = unsafe { self.shards[si].steal() };
+            let sh = &mut self.shards[si];
             for of in sh.ether_out.drain(..) {
                 self.pending.push(Reverse(PendingSend {
                     effect: of.time + LOOKAHEAD,
@@ -961,165 +896,31 @@ impl Engine<'_> {
         self.events[tail..].sort_by_key(|e| e.1);
         self.stats.pending_peak = self.stats.pending_peak.max(self.pending.len() as u64);
         // The calendar invariant: stepped or not, every entry is exact.
-        debug_assert!(self.shards.iter().zip(self.next_due).all(|(sb, due)| {
-            // SAFETY: coordinator phase (as in `apply_ether`).
-            due.load(Ordering::Relaxed) == due_ns(unsafe { sb.steal() }.next_event())
-        }));
+        debug_assert!((self.shards.iter_mut().zip(self.next_due.iter()))
+            .all(|(sh, &due)| due == due_ns(sh.next_event())));
     }
 
-    /// The window loop (steps 1–5 above); `step_active(list, w_end)` is
-    /// the stepping half of step 4.
-    fn run_windows(&mut self, mut step_active: impl FnMut(&[usize], SimTime)) {
+    /// The window loop (steps 1–5 above).
+    fn run_windows(&mut self) {
         while let Some(tn) = self.t_next() {
             if tn > self.limit {
                 return;
             }
             let w_end = (tn + LOOKAHEAD).min(self.limit);
             self.apply_ether(w_end);
-            let next_due = self.next_due;
+            let next_due = &*self.next_due;
             self.active.clear();
-            self.active.extend(
-                (0..next_due.len())
-                    .filter(|&i| next_due[i].load(Ordering::Relaxed) <= w_end.as_nanos()),
-            );
+            self.active
+                .extend((0..next_due.len()).filter(|&i| next_due[i] <= w_end.as_nanos()));
             self.stats.windows += 1;
             self.stats.shards_stepped += self.active.len() as u64;
-            self.stats.solo_windows += u64::from(self.active.len() < 2);
-            step_active(self.active, w_end);
+            for &i in self.active.iter() {
+                let sh = &mut self.shards[i];
+                sh.run_window(w_end, &mut None);
+                self.next_due[i] = due_ns(sh.next_event());
+            }
             self.collect();
         }
-    }
-
-    /// Windows with the active shards stepped on the caller's thread.
-    fn run_serial(&mut self) {
-        let shards = self.shards;
-        let next_due = self.next_due;
-        self.run_windows(|active, w_end| {
-            for &i in active {
-                // SAFETY: serial stepping — no other claimant exists.
-                unsafe { step_shard(shards, next_due, i, w_end) };
-            }
-        });
-    }
-
-    /// Windows with the active shards stepped on a worker pool:
-    /// `workers − 1` spawned threads plus the coordinator claim entries
-    /// of the active list through an atomic ticket; two barrier waits
-    /// bound each stepping phase (coordinator phases in between). A
-    /// window with fewer than two active shards has nothing to share:
-    /// the coordinator steps it alone and the pool stays parked at the
-    /// opening barrier.
-    ///
-    /// A panic on either side (a component or an app, under either
-    /// claimant) leaves through the same doors: a worker catches its own
-    /// and hands it to the coordinator at the closing barrier; the
-    /// coordinator's `Shutdown` guard pays the waits it still owes on any
-    /// exit, so the pool is never left parked and `thread::scope` joins.
-    fn run_parallel(&mut self, workers: usize) {
-        /// What the coordinator publishes before the opening barrier.
-        struct Window {
-            end: SimTime,
-            active: Vec<usize>,
-            shut_down: bool,
-        }
-        /// The coordinator's way out, unwinding or not: finish the
-        /// stepping phase it is in, publish `shut_down`, and meet the pool
-        /// at the opening barrier one last time.
-        struct Shutdown<'a> {
-            window: &'a RwLock<Window>,
-            barrier: &'a Barrier,
-            /// Between the opening and the closing wait of a window.
-            stepping: Cell<bool>,
-        }
-        impl Drop for Shutdown<'_> {
-            fn drop(&mut self) {
-                if self.stepping.get() {
-                    self.barrier.wait();
-                }
-                self.window
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .shut_down = true;
-                self.barrier.wait();
-            }
-        }
-        let shards = self.shards;
-        let next_due = self.next_due;
-        let window = RwLock::new(Window {
-            end: SimTime::ZERO,
-            active: Vec::with_capacity(shards.len()),
-            shut_down: false,
-        });
-        let barrier = Barrier::new(workers);
-        let ticket = AtomicUsize::new(0);
-        let worker_panic = Mutex::new(None);
-        let claim_and_step = |active: &[usize], w_end: SimTime| {
-            while let Some(&i) = active.get(ticket.fetch_add(1, Ordering::Relaxed)) {
-                // SAFETY: the ticket hands each list entry — each active
-                // shard — to exactly one thread, and every stepping
-                // phase is ordered with the coordinator's accesses: by the
-                // barriers on both sides of it, or, in a solo window, by
-                // running on the coordinator thread itself.
-                unsafe { step_shard(shards, next_due, i, w_end) };
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(|| loop {
-                    barrier.wait();
-                    {
-                        let w = window
-                            .read()
-                            .expect("no thread panics holding the window lock");
-                        if w.shut_down {
-                            return;
-                        }
-                        // Nothing steps a shard again after a panic: the
-                        // coordinator rethrows it right after the barrier.
-                        let step = AssertUnwindSafe(|| claim_and_step(&w.active, w.end));
-                        if let Err(payload) = catch_unwind(step) {
-                            *worker_panic.lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(payload);
-                        }
-                    }
-                    barrier.wait();
-                });
-            }
-            let shutdown = Shutdown {
-                window: &window,
-                barrier: &barrier,
-                stepping: Cell::new(false),
-            };
-            self.run_windows(|active, w_end| {
-                ticket.store(0, Ordering::Relaxed);
-                if active.len() < 2 {
-                    // The pool is parked at the opening barrier, so the
-                    // coordinator is the only claimant.
-                    claim_and_step(active, w_end);
-                    return;
-                }
-                {
-                    let mut w = window
-                        .write()
-                        .expect("no thread panics holding the window lock");
-                    w.end = w_end;
-                    w.active.clear();
-                    w.active.extend_from_slice(active);
-                }
-                barrier.wait();
-                shutdown.stepping.set(true);
-                claim_and_step(active, w_end);
-                barrier.wait();
-                shutdown.stepping.set(false);
-                let caught = worker_panic
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                if let Some(payload) = caught {
-                    resume_unwind(payload);
-                }
-            });
-        });
     }
 }
 
@@ -1210,7 +1011,7 @@ mod tests {
         assert!(line.stats(serial::End::A).delivered > 0, "nothing flushed");
         let (_, tnc) = s.world.tnc_map[s.pc_tnc.0];
         let key = crate::shard::Key::Tnc(tnc as usize);
-        assert!(s.world.shards[0].get_mut().is_dirty(key));
+        assert!(s.world.shards[0].is_dirty(key));
     }
 
     /// The entry check of an untouched shard: `Host::filter_engine` hands
@@ -1292,7 +1093,7 @@ mod tests {
         let gate = s.world.host(s.gw).filter_engine().expect("gateway filter");
         let far = gate.borrow().next_deadline().expect("a live gate entry");
         assert!(far > s.world.now + SimDuration::from_secs(500));
-        let sh = s.world.shards[0].get();
+        let sh = &s.world.shards[0];
         let components = sh.hosts.len()
             + sh.lines.len()
             + sh.tncs.len()

@@ -1,7 +1,7 @@
 //! Sharded-engine equivalence (DESIGN.md §11): on a multi-shard mesh the
-//! windowed engine must produce byte-identical event logs and component
-//! statistics at every worker count — 1, 2, 4, 8 — all equal to the
-//! full-scan reference stepper. Cross-island pings force tunnel traffic
+//! windowed engine must produce event logs and component statistics
+//! byte-identical to the full-scan reference stepper's, which runs the
+//! same lookahead windows. Cross-island pings force tunnel traffic
 //! through the coordinator's mailboxes, so the hand-off path itself is
 //! under test, including its merge order and its no-reallocation warm
 //! ring.
@@ -21,9 +21,6 @@ use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-use std::sync::{mpsc, Arc, Barrier};
-use std::thread::ThreadId;
-use std::time::Duration;
 
 /// An app that issues pings at scripted instants — deterministic traffic
 /// with real ICMP/ARP timers behind it (same shape as the single-shard
@@ -95,10 +92,8 @@ impl App for Commanded {
 enum Driver {
     /// Full-scan reference stepper (windowed Scan mode on multi-shard).
     Reference,
-    /// The reference stepper's windows on `n` workers.
-    ReferenceWorkers(usize),
-    /// Deadline-indexed engine on `n` workers.
-    Workers(usize),
+    /// Deadline-indexed sharded engine.
+    Sharded,
 }
 
 impl Driver {
@@ -113,14 +108,7 @@ impl Driver {
     fn run_until(self, world: &mut World, until: SimTime) {
         match self {
             Driver::Reference => world.run_until_reference(until),
-            Driver::ReferenceWorkers(n) => {
-                world.set_workers(n);
-                world.run_until_reference(until);
-            }
-            Driver::Workers(n) => {
-                world.set_workers(n);
-                world.run_until(until);
-            }
+            Driver::Sharded => world.run_until(until),
         }
     }
 }
@@ -193,8 +181,8 @@ fn mesh_run_chunked(
 /// — no calendar entry at all — until the backbone reaches it: gateway
 /// 0's ARP request is a broadcast that lands in all five shards in one
 /// window, and the tunnelled ping then wakes island 3 through its
-/// mailbox. Nothing but the coordinator's `fetch_min` can put those
-/// islands on the active list.
+/// mailbox. Nothing but a delivery lowering their calendar entry can put
+/// those islands on the active list.
 fn quiet_mesh_run(driver: Driver) -> (String, EngineStats) {
     let mut m = scenario::mesh(5, 1, 23);
     m.world.add_app(
@@ -267,39 +255,40 @@ fn fingerprint(
     out
 }
 
-/// The CI smoke test check.sh gates on: two workers over three islands
-/// must reproduce the reference run bit-for-bit, with traffic flowing.
+/// The CI smoke test check.sh gates on: the sharded engine over three
+/// islands must reproduce the reference run bit-for-bit, with traffic
+/// flowing.
 #[test]
-fn two_worker_digest_smoke() {
+fn sharded_digest_smoke() {
     let reference = mesh_run(3, 1, 42, 25, Driver::Reference);
     assert!(
         reference.contains("PingReply"),
         "cross-island traffic must flow:\n{reference}"
     );
-    let got = mesh_run(3, 1, 42, 25, Driver::Workers(2));
+    let got = mesh_run(3, 1, 42, 25, Driver::Sharded);
     assert_eq!(
         sim::fnv1a(got.as_bytes()),
         sim::fnv1a(reference.as_bytes()),
-        "2-worker digest diverged from reference"
+        "sharded digest diverged from reference"
     );
     assert_eq!(got, reference);
 }
 
-/// Worker-count independence: 1, 2, 4, and 8 workers all equal the
-/// reference, and the run actually crossed shards through the mailboxes.
+/// Eight islands, more than any other reference comparison here: the
+/// sharded engine equals the reference, and the run actually crossed
+/// shards through the mailboxes.
 #[test]
-fn worker_counts_match_reference() {
-    let reference = mesh_run(4, 2, 7, 40, Driver::Reference);
+fn sharded_matches_reference() {
+    let reference = mesh_run(8, 1, 7, 40, Driver::Reference);
     assert!(reference.contains("PingReply"), "traffic must flow");
-    for workers in [1, 2, 4, 8] {
-        let got = mesh_run(4, 2, 7, 40, Driver::Workers(workers));
-        assert_eq!(got, reference, "{workers} workers diverged from reference");
-    }
+    let (got, stats, _) = mesh_run_chunked(8, 1, 7, 40, Driver::Sharded, 1);
+    assert_eq!(got, reference, "the sharded engine diverged from reference");
+    assert!(stats.deliveries_queued > 0, "{stats:?}");
 }
 
-/// The calendar's `fetch_min` path: islands with no event of their own
-/// are stepped exactly when a delivery lands in their mailbox, and the
-/// result equals the reference at every worker count.
+/// The calendar's delivery path: islands with no event of their own are
+/// stepped exactly when a delivery lands in their mailbox, and the result
+/// equals the reference.
 #[test]
 fn idle_islands_wake_on_mailbox_deliveries_alone() {
     let (reference, _) = quiet_mesh_run(Driver::Reference);
@@ -307,31 +296,21 @@ fn idle_islands_wake_on_mailbox_deliveries_alone() {
         reference.contains("PingReply"),
         "the ping must cross the backbone and come back:\n{reference}"
     );
-    let (one, stats) = quiet_mesh_run(Driver::Workers(1));
-    assert_eq!(one, reference);
+    let (got, stats) = quiet_mesh_run(Driver::Sharded);
+    assert_eq!(got, reference);
     assert!(
         stats.deliveries_queued >= 5,
         "the ARP broadcast alone is five deliveries: {stats:?}"
     );
-    for workers in [2, 4] {
-        let (got, s) = quiet_mesh_run(Driver::Workers(workers));
-        assert_eq!(got, reference, "{workers} workers diverged");
-        assert_eq!(s, stats, "{workers} workers: coordinator counters moved");
-    }
 }
 
 /// The calendars outlive a run call: chunked runs equal one run, under
-/// both engines, serial and parallel — and a re-entry costs the indexed
-/// engine its apps, not its world.
+/// both engines — and a re-entry costs the indexed engine its apps, not
+/// its world.
 #[test]
 fn chunked_sharded_runs_match_single_runs() {
     let (reference, ..) = mesh_run_chunked(4, 2, 7, 40, Driver::Reference, 1);
-    for driver in [
-        Driver::Reference,
-        Driver::ReferenceWorkers(2),
-        Driver::Workers(1),
-        Driver::Workers(2),
-    ] {
+    for driver in [Driver::Reference, Driver::Sharded] {
         let (whole, _, polled_whole) = mesh_run_chunked(4, 2, 7, 40, driver, 1);
         assert_eq!(whole, reference, "{driver:?} diverged from reference");
         let (chunked, _, polled_chunked) = mesh_run_chunked(4, 2, 7, 40, driver, 16);
@@ -519,17 +498,14 @@ fn mutations_between_run_calls_match_reference() {
     ] {
         assert!(log.contains(needle), "{what} went unanswered:\n{log}");
     }
-    for driver in [
-        Driver::ReferenceWorkers(2),
-        Driver::Workers(1),
-        Driver::Workers(2),
-    ] {
-        let (ends, fp) = run(driver);
-        for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
-            assert_eq!(got, want, "{driver:?} differs at the end of chunk {k}");
-        }
-        assert_eq!(fp, reference, "{driver:?} diverged from reference");
+    let (ends, fp) = run(Driver::Sharded);
+    for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+        assert_eq!(
+            got, want,
+            "the sharded engine differs at the end of chunk {k}"
+        );
     }
+    assert_eq!(fp, reference, "the sharded engine diverged from reference");
 }
 
 /// Judge once on the mesh (DESIGN.md §6; the single-shard suite's
@@ -538,8 +514,8 @@ fn mutations_between_run_calls_match_reference() {
 /// island's gateway and past it, decodable and not — under the
 /// cross-island pings, in 24 chunks whose ends split frames. Events and
 /// every radio host's §3 accounting equal the reference stepper's at each
-/// chunk end on one worker and on two, and the sealed runs are the same
-/// runs whoever steps the shards.
+/// chunk end, and the sharded engine takes most discarded frames as
+/// sealed runs.
 #[test]
 fn mixed_traffic_on_the_mesh_matches_reference() {
     const CHUNKS: usize = 24;
@@ -610,32 +586,27 @@ fn mixed_traffic_on_the_mesh_matches_reference() {
     assert!(log.contains("PingReply"), "traffic must flow:\n{log}");
     assert!(discards > 60, "{discards} frames discarded");
     assert_eq!(sealed_runs, 0, "the reference stepper never seals");
-    let mut sealed = Vec::new();
-    for driver in [Driver::Workers(1), Driver::Workers(2)] {
-        let (ends, fp, _, sealed_runs) = run(driver);
-        for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
-            assert_eq!(got, want, "{driver:?} differs at the end of chunk {k}");
-        }
-        assert_eq!(fp, reference, "{driver:?} diverged from reference");
-        sealed.push(sealed_runs);
+    let (ends, fp, _, sealed) = run(Driver::Sharded);
+    for (k, (got, want)) in ends.iter().zip(&ref_ends).enumerate() {
+        assert_eq!(
+            got, want,
+            "the sharded engine differs at the end of chunk {k}"
+        );
     }
-    assert_eq!(sealed[0], sealed[1]);
+    assert_eq!(fp, reference, "the sharded engine diverged from reference");
     // All but each line's first frame (a fresh line's leading FEND is a
     // run of its own) and the frames a chunk end split.
     assert!(
-        sealed[0] * 10 >= discards * 7,
-        "{} sealed runs for {discards} discarded frames",
-        sealed[0]
+        sealed * 10 >= discards * 7,
+        "{sealed} sealed runs for {discards} discarded frames"
     );
 }
 
-/// Engine self-telemetry: the coordinator's counters are functions of
-/// the simulated history, not of the worker count, and on a 32-island
-/// mesh a window steps a handful of shards, not all of them — the
-/// O(active) contract (DESIGN.md §11).
+/// Engine self-telemetry: on a 32-island mesh a window steps a handful
+/// of shards, not all of them — the O(active) contract (DESIGN.md §11).
 #[test]
-fn engine_stats_are_worker_independent_and_windows_are_sparse() {
-    let (_, stats, _) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(1), 1);
+fn engine_stats_show_sparse_windows() {
+    let (_, stats, _) = mesh_run_chunked(32, 4, 5, 30, Driver::Sharded, 1);
     assert!(stats.windows > 100, "{stats:?}");
     assert!(stats.deliveries_queued > 0, "{stats:?}");
     assert!(stats.pending_peak > 0, "{stats:?}");
@@ -643,10 +614,6 @@ fn engine_stats_are_worker_independent_and_windows_are_sparse() {
         stats.shards_stepped < 3 * stats.windows,
         "mean active set must stay under 3 of 32 shards: {stats:?}"
     );
-    for workers in [2, 4] {
-        let (_, s, _) = mesh_run_chunked(32, 4, 5, 30, Driver::Workers(workers), 1);
-        assert_eq!(s, stats, "{workers} workers");
-    }
 }
 
 /// The mailbox contract (DESIGN.md §11) on a mesh ping run: each
@@ -672,7 +639,7 @@ fn unicast_frames_cross_by_move_and_only_broadcast_copies_come_back() {
             );
         }
     }
-    Driver::Workers(1).run(&mut m.world, 60, 1);
+    Driver::Sharded.run(&mut m.world, 60, 1);
     let stats = m.world.engine_stats();
     let backbone = m.world.segment(m.seg);
     let mut nics = m.gateways.clone();
@@ -725,7 +692,6 @@ fn mailbox_growth_stabilizes() {
             }),
         );
     }
-    m.world.set_workers(2);
     m.world.run_for(SimDuration::from_secs(60));
     let warm = m.world.mailbox_stats();
     assert!(warm.pushed > 0, "pings must cross shards");
@@ -739,85 +705,11 @@ fn mailbox_growth_stabilizes() {
     assert_eq!(done.pushed, done.popped, "every hand-off is consumed");
 }
 
-/// Goes off at `at`, in a window that steps its island and its twin's on
-/// two threads at once: each waits at `gate` for the other, so one is on
-/// the coordinator and one on the worker, and the one on the chosen side
-/// panics.
-struct Bomb {
-    at: Option<SimTime>,
-    gate: Arc<Barrier>,
-    coordinator: ThreadId,
-    on_coordinator: bool,
-}
-
-impl App for Bomb {
-    fn poll(&mut self, now: SimTime, _host: &mut Host) {
-        // (Run-call entry polls every app earlier, on one thread.)
-        if self.at.is_some_and(|at| at <= now) {
-            self.at = None;
-            self.gate.wait();
-            let here = std::thread::current().id() == self.coordinator;
-            assert!(here != self.on_coordinator, "bomb went off");
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.at
-    }
-}
-
-/// Runs a 2-worker mesh into a window where an app panics on the chosen
-/// side, on a thread of its own (a `World` is `!Send`, so it is built
-/// there), and returns the panic message that came out of `run_for`.
-fn panic_in_a_parallel_window(on_coordinator: bool) -> &'static str {
-    let (done, watchdog) = mpsc::channel();
-    std::thread::spawn(move || {
-        let outcome = std::panic::catch_unwind(|| {
-            let mut m = scenario::mesh(2, 1, 3);
-            let gate = Arc::new(Barrier::new(2));
-            for island in &m.hosts {
-                let bomb = Bomb {
-                    at: Some(SimTime::from_secs(2)),
-                    gate: Arc::clone(&gate),
-                    coordinator: std::thread::current().id(),
-                    on_coordinator,
-                };
-                m.world.add_app(island[0], Box::new(bomb));
-            }
-            m.world.set_workers(2);
-            m.world.run_for(SimDuration::from_secs(5));
-        });
-        let message = match outcome {
-            Ok(()) => "no panic",
-            Err(payload) => payload.downcast_ref::<&str>().copied().unwrap_or("?"),
-        };
-        // The receiver is gone only if the watchdog already gave up.
-        let _ = done.send(message);
-    });
-    watchdog
-        .recv_timeout(Duration::from_secs(30))
-        .expect("a panic inside a parallel window left the other side parked")
-}
-
-/// A panic while two threads are stepping a window — on the coordinator's
-/// side or on the worker's — comes out of the run call instead of leaving
-/// the other side at a barrier nobody will complete.
-#[test]
-fn a_panic_in_a_parallel_window_propagates() {
-    for on_coordinator in [true, false] {
-        let message = panic_in_a_parallel_window(on_coordinator);
-        assert!(
-            message.contains("bomb went off"),
-            "on_coordinator={on_coordinator}: {message}"
-        );
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Seed sweep: random seeds and small random meshes — every worker
-    /// count's digest equals the reference digest.
+    /// Seed sweep: random seeds and small random meshes — the sharded
+    /// engine's digest equals the reference digest.
     #[test]
     fn seed_sweep_digests_match(
         seed in 0u64..1_000,
@@ -826,9 +718,6 @@ proptest! {
     ) {
         let digest = |driver| sim::fnv1a(mesh_run(gateways, hosts_per_gw, seed, 20, driver).as_bytes());
         let reference = digest(Driver::Reference);
-        for workers in [1, 2, 4, 8] {
-            let got = digest(Driver::Workers(workers));
-            prop_assert_eq!(got, reference, "{} workers diverged (seed {})", workers, seed);
-        }
+        prop_assert_eq!(digest(Driver::Sharded), reference, "diverged at seed {}", seed);
     }
 }

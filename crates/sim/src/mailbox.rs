@@ -1,11 +1,11 @@
-//! Single-producer / single-consumer mailboxes for cross-shard hand-off.
+//! Timed FIFO mailboxes for cross-shard hand-off.
 //!
 //! The sharded engine (DESIGN.md §11) moves packets between shards through
 //! per-shard mailboxes: the coordinator pushes timed deliveries in
 //! nondecreasing-time order between windows, the owning shard pops them
-//! while stepping. The discipline is SPSC *by phase*, not by lock: pushes
-//! and pops never overlap in time (a barrier separates them), so a plain
-//! ring buffer suffices. The ring keeps its capacity across windows, so a
+//! while it steps the next window. Both happen on one thread, one phase
+//! after the other, so a plain ring buffer suffices. The ring keeps its
+//! capacity across windows, so a
 //! warmed-up mailbox performs zero allocations per hand-off — the same
 //! contract as the §6 packet pool, asserted by the `shard_sync` ratchets.
 

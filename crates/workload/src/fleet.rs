@@ -13,8 +13,8 @@
 //! Recorders are shared per island, not per client: all of an island's
 //! hosts live in one shard, so a single [`IslandStats`] cell is only
 //! ever touched from inside that shard's step — the same ownership
-//! discipline every host already obeys. The main thread merges islands
-//! in index order after the run, which keeps the rendered report a pure
+//! discipline every host already obeys. The caller merges islands in
+//! index order after the run, which keeps the rendered report a pure
 //! function of the simulation.
 
 use std::net::Ipv4Addr;

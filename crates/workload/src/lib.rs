@@ -33,8 +33,8 @@
 //!
 //! Everything is deterministic end to end: same spec ⇒ same schedule ⇒
 //! same event digest and the same rendered report on the reference
-//! stepper and the sharded engine at any worker count (E16 asserts
-//! this bit-for-bit at 10k hosts).
+//! stepper and the sharded engine (E16 asserts this bit-for-bit at 10k
+//! hosts).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! expands a [`FleetSpec`] into per-client session lists using only the
 //! in-tree xoshiro [`SimRng`], forking one child generator per client in
 //! deterministic (island, client) order. The same spec therefore yields
-//! byte-identical schedules on any engine, any worker count, any run —
+//! byte-identical schedules on any engine, any run —
 //! the determinism anchor the E16 equivalence claim and the
 //! `workload_determinism` proptest both hang off.
 

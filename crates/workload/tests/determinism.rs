@@ -1,7 +1,7 @@
 //! Workload determinism across engines (ISSUE 8, DESIGN.md §12):
 //! same seed ⇒ identical fleet schedule, identical event digest, and an
 //! identical rendered report on the reference stepper and the sharded
-//! engine at worker counts {1, 2, 4}.
+//! engine.
 //!
 //! This is the fleet-level extension of the `shard_equivalence` suite:
 //! instead of scripted pings, the traffic is the full mixed socket-app
@@ -17,7 +17,7 @@ use workload::{build_schedule, deploy};
 #[derive(Clone, Copy, Debug)]
 enum Driver {
     Reference,
-    Workers(usize),
+    Sharded,
 }
 
 fn spec_for(seed: u64) -> FleetSpec {
@@ -44,10 +44,7 @@ fn fleet_run(seed: u64, secs: u64, driver: Driver) -> (u64, u64, String, u64) {
         Driver::Reference => m
             .world
             .run_until_reference(SimTime::from_millis(secs * 1000)),
-        Driver::Workers(n) => {
-            m.world.set_workers(n);
-            m.world.run_for(SimDuration::from_secs(secs));
-        }
+        Driver::Sharded => m.world.run_for(SimDuration::from_secs(secs)),
     }
     let mut log = String::new();
     for (h, t, e) in m.world.take_events() {
@@ -78,13 +75,11 @@ fn schedule_is_engine_independent_and_reproducible() {
 fn reference_and_sharded_agree_on_digest_and_report() {
     let (d_ref, s_ref, r_ref, done_ref) = fleet_run(1988, 150, Driver::Reference);
     assert!(done_ref > 0, "sessions must complete:\n{r_ref}");
-    for workers in [1usize, 2, 4] {
-        let (d, s, r, done) = fleet_run(1988, 150, Driver::Workers(workers));
-        assert_eq!(s, s_ref, "schedule digest at {workers} workers");
-        assert_eq!(d, d_ref, "event digest at {workers} workers");
-        assert_eq!(r, r_ref, "report at {workers} workers");
-        assert_eq!(done, done_ref, "completions at {workers} workers");
-    }
+    let (d, s, r, done) = fleet_run(1988, 150, Driver::Sharded);
+    assert_eq!(s, s_ref, "schedule digest");
+    assert_eq!(d, d_ref, "event digest");
+    assert_eq!(r, r_ref, "report");
+    assert_eq!(done, done_ref, "completions");
 }
 
 #[test]
@@ -99,10 +94,7 @@ fn open_loop_fleet_also_agrees() {
         let fleet = deploy(&mut m, &spec);
         match driver {
             Driver::Reference => m.world.run_until_reference(SimTime::from_secs(45)),
-            Driver::Workers(n) => {
-                m.world.set_workers(n);
-                m.world.run_for(SimDuration::from_secs(45));
-            }
+            Driver::Sharded => m.world.run_for(SimDuration::from_secs(45)),
         }
         let mut log = String::new();
         for (h, t, e) in m.world.take_events() {
@@ -114,22 +106,22 @@ fn open_loop_fleet_also_agrees() {
         )
     }
     let (d_ref, r_ref) = run(Driver::Reference);
-    let (d2, r2) = run(Driver::Workers(2));
-    assert_eq!(d_ref, d2);
-    assert_eq!(r_ref, r2);
+    let (d, r) = run(Driver::Sharded);
+    assert_eq!(d_ref, d);
+    assert_eq!(r_ref, r);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random seeds: the reference stepper and a 2-worker sharded run
-    /// agree bit-for-bit on both the event log and the rendered report.
+    /// Random seeds: the reference stepper and the sharded engine agree
+    /// bit-for-bit on both the event log and the rendered report.
     #[test]
     fn seed_sweep_fleet_digests_match(seed in 1u64..1_000_000u64) {
         let (d_ref, s_ref, r_ref, _) = fleet_run(seed, 40, Driver::Reference);
-        let (d2, s2, r2, _) = fleet_run(seed, 40, Driver::Workers(2));
-        prop_assert_eq!(s_ref, s2);
-        prop_assert_eq!(d_ref, d2);
-        prop_assert_eq!(r_ref, r2);
+        let (d, s, r, _) = fleet_run(seed, 40, Driver::Sharded);
+        prop_assert_eq!(s_ref, s);
+        prop_assert_eq!(d_ref, d);
+        prop_assert_eq!(r_ref, r);
     }
 }

@@ -16,10 +16,11 @@
 #                    Per crate: crates/<name>/...; the root package's src/
 #                    is "root".
 #   tracked files    git ls-files, every kind.
-#   unsafe sites     Uses of the `unsafe` keyword as code in crates/core/src:
+#   unsafe sites     Uses of the `unsafe` keyword as code in a crate's src/:
 #                    `unsafe {`, `unsafe fn`, `unsafe impl`. Comments and the
-#                    unsafe_code lint name in #[allow]/#[deny] attributes are
-#                    not sites.
+#                    unsafe_code lint name in #[allow]/#[forbid] attributes
+#                    are not sites. Listed per crate (only crates that have
+#                    any), then crates/core/src on its own line.
 #   panic sites      Occurrences of .unwrap(), .expect(, panic! and
 #                    unreachable! in src/ of the 11 wire-facing crates
 #                    (netstack radio serial socket ax25 encap netrom vj ether
@@ -62,10 +63,21 @@ non_test_files | xargs awk '
 
 echo "tracked files: $(git ls-files | wc -l)"
 
-unsafe_sites=$(git ls-files 'crates/core/src/*.rs' |
-    xargs grep -hE '\bunsafe[[:space:]]*(\{|fn\b|impl\b)' |
-    grep -cvE '^[[:space:]]*//' || true)
-echo "unsafe sites in crates/core/src: $unsafe_sites"
+unsafe_sites() {
+    git ls-files "$1/*.rs" |
+        xargs -r grep -hE '\bunsafe[[:space:]]*(\{|fn\b|impl\b)' |
+        grep -cvE '^[[:space:]]*//' || true
+}
+echo "unsafe sites, by crate (src/ only; crates with none are not listed):"
+for dir in crates/*/src src; do
+    n=$(unsafe_sites "$dir")
+    if [ "$n" -gt 0 ]; then
+        name=$(dirname "$dir")
+        [ "$name" = . ] && name=root || name=$(basename "$name")
+        printf "    %-10s %6d\n" "$name" "$n"
+    fi
+done
+echo "unsafe sites in crates/core/src: $(unsafe_sites crates/core/src)"
 
 total=0
 per=""

@@ -16,6 +16,19 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The counting allocator of crates/bench is the one place unsafe code may
+# live; every other library crate forbids it, so the compiler keeps it out.
+echo "==> every crates/*/src/lib.rs but bench's says #![forbid(unsafe_code)]"
+for lib in crates/*/src/lib.rs; do
+    dir=${lib%/src/lib.rs}
+    crate=$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -n 1)
+    [ "$crate" = bench ] && continue
+    if ! grep -qxF '#![forbid(unsafe_code)]' "$lib"; then
+        echo "crate $crate ($lib) lacks #![forbid(unsafe_code)]"
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -48,8 +61,8 @@ while read -r workload ceiling; do
     echo "    $workload: $got (ceiling $ceiling)"
 done < <(grep -v '^#' scripts/alloc_ceiling.txt)
 
-echo "==> sharded-engine digest smoke (2 workers vs reference)"
-cargo test -q -p gateway --test shard_equivalence two_worker_digest_smoke
+echo "==> sharded-engine digest smoke (sharded vs reference)"
+cargo test -q -p gateway --test shard_equivalence sharded_digest_smoke
 
 echo "==> E1-E18 and the claims ledger byte-identical to results/; every experiment's claims hold"
 cargo run -q --release -p bench -- --check results

@@ -35,13 +35,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Whether `<id>_BENCH=1` is set (`id` is "E18"): the experiment then
-/// also prints wall-clock `ns/iter` lines, which no golden records. By
-/// hand only — the cache on/off timer.
-pub fn bench_mode(id: &str) -> bool {
-    std::env::var(format!("{id}_BENCH")).is_ok_and(|v| v == "1")
-}
-
 /// Drains `world`'s event log: (its [`event_digest`], how many events,
 /// how many of them ping replies).
 pub fn drain_event_digest(world: &mut World) -> (u64, usize, usize) {

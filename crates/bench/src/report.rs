@@ -117,12 +117,6 @@ impl Report {
         holds
     }
 
-    /// A wall-clock line for the operator: stderr, never part of the
-    /// output a golden records.
-    pub fn aside(&self, s: impl Display) {
-        eprintln!("{s}");
-    }
-
     /// Everything printed so far.
     pub fn output(&self) -> &str {
         &self.out

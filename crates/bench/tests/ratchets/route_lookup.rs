@@ -1,14 +1,13 @@
-//! The forwarding-plane hot path (DESIGN.md §14): a next-hop-cache hit,
-//! compiled-LPM walks and linear table scans at 16, 256 and 4096 routes
-//! are allocation-free — lookups happen per packet inside `send_ip`, with
-//! the same discipline as the filter engine's eval path. That the
-//! compiled walk stays bounded while the table grows is E18's golden
+//! The forwarding-plane hot path (DESIGN.md §14): compiled-LPM walks and
+//! linear table scans at 16, 256 and 4096 routes are allocation-free —
+//! `send_ip` walks the compiled LPM once per packet, with the same
+//! discipline as the filter engine's eval path. That the compiled walk
+//! stays bounded while the table grows is E18's golden
 //! (`RouteTable::compiled_shape`, `Lpm::walk_depth`); what each costs is
-//! `netstack.fwd.hit_ns` / `netstack.lpm.lookup_ns` /
-//! `netstack.lpm.linear_ns` in every `benchmarks --trace 1` report.
+//! `netstack.lpm.lookup_ns` / `netstack.lpm.linear_ns` in every
+//! `benchmarks --trace 1` report.
 
 use crate::allocs_during;
-use netstack::fwd::{FwdCache, FwdDecision, FwdKind, FwdProbe};
 use netstack::route::{Prefix, RouteTable};
 use netstack::stack::IfaceId;
 use std::hint::black_box;
@@ -38,28 +37,6 @@ fn table(n: usize) -> RouteTable {
 
 /// The steady-state probe: a destination only the default route covers.
 const PROBE: Ipv4Addr = Ipv4Addr::new(9, 9, 9, 9);
-
-/// The decision replayed, no walk at all.
-#[test]
-fn cache_hit() {
-    let mut cache = FwdCache::new(12);
-    let decision = FwdDecision::Via {
-        prefix: Prefix::default_route(),
-        iface: IfaceId::new(1),
-        hop: Ipv4Addr::new(10, 0, 0, 254),
-        encap: None,
-    };
-    cache.store(PROBE, FwdKind::Full, 7, 3, decision);
-    let allocs = allocs_during(|| {
-        black_box(cache.probe(PROBE, FwdKind::Full, 7, 3));
-    });
-    eprintln!("route_lookup/cache_hit: {allocs} heap allocations per probe");
-    assert_eq!(allocs, 0, "the cache-hit path must not touch the heap");
-    assert!(
-        matches!(cache.probe(PROBE, FwdKind::Full, 7, 3), FwdProbe::Hit(d) if d == decision),
-        "the probe must replay the stored decision"
-    );
-}
 
 #[test]
 fn compiled_walk_and_linear_scan_16_256_4096_routes() {

@@ -738,8 +738,9 @@ pub struct MeshOptions {
     /// per-packet lookup (tunnel-endpoint included) pays longest-prefix
     /// match over them.
     pub full_tables: bool,
-    /// Per-destination next-hop cache on the gateways: `2^bits` slots,
-    /// `0` (the default) disables it and keeps E15/E16 byte-identical.
+    /// Inert: the gateways have no next-hop cache to size. Kept only
+    /// because the benchmark harness still sets it (ROADMAP item 2(a)).
+    #[doc(hidden)]
     pub fwd_cache_bits: u8,
 }
 
@@ -759,8 +760,8 @@ pub fn mesh(gateways: usize, hosts_per_gw: usize, seed: u64) -> MeshNet {
     mesh_with(gateways, hosts_per_gw, seed, MeshOptions::default())
 }
 
-/// [`mesh`] with [`MeshOptions`]: full learned route tables and/or the
-/// gateways' next-hop cache, for the E18 forwarding-plane measurements.
+/// [`mesh`] with [`MeshOptions`]: full learned route tables, for the E18
+/// forwarding-plane measurements.
 pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOptions) -> MeshNet {
     assert!((1..=1000).contains(&gateways), "1..=1000 gateways");
     assert!(hosts_per_gw <= 97, "host octets run 44.x.y.2 ..= 44.x.y.99");
@@ -783,7 +784,6 @@ pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOpti
         gc.cpu = cfg.cpu;
         gc.stack.forwarding = true;
         gc.stack.ipip = true;
-        gc.stack.fwd_cache_bits = opts.fwd_cache_bits;
         gc.radio = Some(RadioIfConfig {
             call: Ax25Addr::parse_or_panic(&city::gw_call(g)),
             ip: city::gw_radio_ip(g),

@@ -105,11 +105,6 @@ pub struct EncapTable {
     holddown_until: Vec<(Prefix, SimTime)>,
     holddown: SimDuration,
     stats: EncapStats,
-    /// Bumped (wrapping) on every mapping change — static edits, learns
-    /// that install or move an entry, refreshes, expiries. The stack's
-    /// next-hop cache stamps this; a bump invalidates every memoized
-    /// tunnel decision in O(1) (DESIGN.md §14).
-    generation: u64,
 }
 
 impl EncapTable {
@@ -120,13 +115,7 @@ impl EncapTable {
             holddown_until: Vec::new(),
             holddown,
             stats: EncapStats::default(),
-            generation: 0,
         }
-    }
-
-    /// The mutation generation (see the field docs). Compare with `==`.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Installs a static (never-expiring) mapping.
@@ -140,7 +129,6 @@ impl EncapTable {
             hits: 0,
         });
         self.sort();
-        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Longest-prefix match. On a hit the entry's counter and the table's
@@ -194,10 +182,6 @@ impl EncapTable {
                 e.metric = metric;
                 e.expires_at = Some(deadline);
                 self.sort();
-                // The answer for this subnet changed; kill memoized
-                // decisions. (A plain refresh keeps the same endpoint, so
-                // cached decisions stay valid and the generation holds.)
-                self.generation = self.generation.wrapping_add(1);
                 return LearnOutcome::Updated;
             }
             return LearnOutcome::Worse;
@@ -211,7 +195,6 @@ impl EncapTable {
         });
         self.stats.learned += 1;
         self.sort();
-        self.generation = self.generation.wrapping_add(1);
         LearnOutcome::New
     }
 
@@ -231,9 +214,6 @@ impl EncapTable {
             self.stats.expired += 1;
             self.holddown_until
                 .push((e.subnet, now.saturating_add(self.holddown)));
-        }
-        if !dead.is_empty() {
-            self.generation = self.generation.wrapping_add(1);
         }
         dead
     }
@@ -292,23 +272,6 @@ impl SharedEncapTable {
 impl TunnelMap for SharedEncapTable {
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
         self.0.borrow_mut().lookup(dst)
-    }
-
-    fn generation(&self) -> u64 {
-        self.0.borrow().generation
-    }
-
-    /// Keeps the aggregate hit/miss counters exact when the stack's
-    /// next-hop cache replays a memoized decision instead of calling
-    /// [`TunnelMap::endpoint`]. Per-entry `hits` only count real
-    /// consultations — documented trade-off in DESIGN.md §14.
-    fn note_cached_endpoint(&mut self, hit: bool) {
-        let mut t = self.0.borrow_mut();
-        if hit {
-            t.stats.hits += 1;
-        } else {
-            t.stats.misses += 1;
-        }
     }
 }
 

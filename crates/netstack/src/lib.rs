@@ -23,8 +23,6 @@
 //!   class-A route for AMPRnet that §4.2 laments;
 //! * [`lpm`] — the compiled flat multibit trie the fast lookup path
 //!   walks (DESIGN.md §14);
-//! * [`fwd`] — the per-destination next-hop cache memoizing full
-//!   forwarding decisions with generation-stamped invalidation;
 //! * [`pool`] — the host's one bounded pool of datagram buffers, which
 //!   the stack lends its link drivers;
 //! * [`stack`] — a per-host stack tying it together behind a socket API.
@@ -33,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod arp;
+#[doc(hidden)]
 pub mod fwd;
 pub mod icmp;
 pub mod ip;

@@ -127,10 +127,9 @@ pub struct NextHop {
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     routes: Vec<Route>,
-    /// Bumped (wrapping) on every mutation. Consumers that memoize
-    /// decisions derived from this table (the compiled LPM below, the
-    /// stack's next-hop cache) stamp what they saw and compare for
-    /// equality — one counter bump invalidates everything in O(1).
+    /// Bumped (wrapping) on every mutation. The compiled LPM below stamps
+    /// the generation it was built under and compares for equality, so one
+    /// counter bump invalidates it in O(1).
     generation: u64,
     /// Lazily compiled longest-prefix-match structure; rebuilt on the
     /// first fast lookup after a mutation (see [`Lpm`]).
@@ -141,22 +140,6 @@ impl RouteTable {
     /// Creates an empty table.
     pub fn new() -> RouteTable {
         RouteTable::default()
-    }
-
-    /// The mutation generation. Any route add/remove/expiry changes it;
-    /// two equal readings bracket a window in which every cached decision
-    /// derived from this table remained valid. Wrapping: compare with
-    /// `==`, never `<`.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Test hook: plants the generation counter near a chosen value so
-    /// rollover behaviour can be exercised without 2^64 mutations.
-    #[doc(hidden)]
-    pub fn force_generation(&mut self, generation: u64) {
-        self.generation = generation;
     }
 
     /// Adds (or replaces) the static route for `prefix` with metric 0.
@@ -724,13 +707,13 @@ mod tests {
             ifid(1),
             0,
         );
-        let g = rt.generation();
+        let g = rt.generation;
         assert_eq!(
             rt.lookup_fast(Ipv4Addr::new(44, 1, 1, 1)).unwrap().iface,
             ifid(1)
         );
         assert!(rt.remove_learned(Prefix::amprnet()));
-        assert_ne!(rt.generation(), g, "expiry must bump the generation");
+        assert_ne!(rt.generation, g, "expiry must bump the generation");
         assert_eq!(
             rt.lookup_fast(Ipv4Addr::new(44, 1, 1, 1)).unwrap().iface,
             ifid(0),
@@ -742,16 +725,16 @@ mod tests {
     #[test]
     fn lookup_during_generation_rollover() {
         let mut rt = RouteTable::new();
-        rt.force_generation(u64::MAX);
+        rt.generation = u64::MAX;
         rt.add(Prefix::amprnet(), Some(Ipv4Addr::new(9, 9, 9, 9)), ifid(0));
-        assert_eq!(rt.generation(), 0, "MAX wraps to 0, never panics");
+        assert_eq!(rt.generation, 0, "MAX wraps to 0, never panics");
         assert_eq!(
             rt.lookup_fast(Ipv4Addr::new(44, 1, 1, 1)).unwrap().iface,
             ifid(0)
         );
         // Mutating across the wrap still invalidates the compiled view.
         rt.add(Prefix::amprnet(), Some(Ipv4Addr::new(8, 8, 8, 8)), ifid(1));
-        assert_eq!(rt.generation(), 1);
+        assert_eq!(rt.generation, 1);
         assert_eq!(
             rt.lookup_fast(Ipv4Addr::new(44, 1, 1, 1)).unwrap().iface,
             ifid(1)

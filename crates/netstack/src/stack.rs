@@ -19,7 +19,6 @@ use std::net::Ipv4Addr;
 
 use sim::{BufPool, PacketBuf, SimTime};
 
-use crate::fwd::{FwdCache, FwdDecision, FwdKind, FwdProbe};
 use crate::icmp::{IcmpMessage, UnreachCode};
 use crate::ip::{self, FragResult, Ipv4Packet, Proto, Reassembler};
 use crate::pool::DgramPool;
@@ -96,10 +95,9 @@ pub struct StackConfig {
     /// fragmentation. Off by default: the 1988 stacks did not clamp, and
     /// E9's fragmentation experiment depends on the historic behaviour.
     pub clamp_mss: bool,
-    /// log2 of the per-destination next-hop cache size (see
-    /// [`crate::fwd`]); 0 disables the cache. Off by default — host
-    /// stacks exist by the tens of thousands in the city worlds and
-    /// carry two routes; only forwarding-heavy gateways (E18) enable it.
+    /// Inert: the stack has no next-hop cache to size. Kept only because
+    /// the benchmark harness still sets it (ROADMAP item 2(a)).
+    #[doc(hidden)]
     pub fwd_cache_bits: u8,
 }
 
@@ -115,24 +113,6 @@ pub struct StackConfig {
 pub trait TunnelMap: std::fmt::Debug {
     /// The tunnel endpoint whose encapsulation should carry `dst`, if any.
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr>;
-
-    /// Bumped (wrapping) whenever the mapping changes — a learn, expiry,
-    /// or static edit. The stack's next-hop cache stamps this alongside
-    /// the route generation; a bump invalidates every memoized tunnel
-    /// decision in O(1). The default (a constant) suits maps that never
-    /// change after installation.
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    /// Accounting hook for a memoized consultation: the next-hop cache
-    /// replayed a decision that embeds this map's answer (`hit` mirrors
-    /// whether [`endpoint`](Self::endpoint) had returned `Some`), so a
-    /// map keeping hit/miss statistics can keep its aggregates exact
-    /// without re-running the lookup. Default: no accounting.
-    fn note_cached_endpoint(&mut self, hit: bool) {
-        let _ = hit;
-    }
 }
 
 /// Actions the stack asks its owner to perform, and events it reports.
@@ -235,14 +215,14 @@ pub struct StackStats {
     pub ipip_in: u64,
     /// SYNs refused with RST because a listener's accept queue was full.
     pub accept_overflow: u64,
-    /// Next-hop cache hits (forwarding decisions replayed without a
-    /// tunnel consult or table walk).
+    /// Always 0: the stack memoizes no forwarding decision. Kept, with
+    /// `fwd_cache_misses` and `fwd_cache_stale`, only because the
+    /// benchmark harness still reads them (ROADMAP item 2(a)).
+    #[doc(hidden)]
     pub fwd_cache_hits: u64,
-    /// Next-hop cache misses (empty or foreign slot; the decision was
-    /// computed and installed).
+    #[doc(hidden)]
     pub fwd_cache_misses: u64,
-    /// Misses whose slot held this destination under an old route/tunnel
-    /// generation — the churn-invalidation count. Always ≤ misses.
+    #[doc(hidden)]
     pub fwd_cache_stale: u64,
 }
 
@@ -285,8 +265,6 @@ pub struct NetStack {
     iss: u32,
     next_port: u16,
     tunnels: Option<Box<dyn TunnelMap>>,
-    /// Per-destination memoized forwarding decisions (see [`crate::fwd`]).
-    fwd_cache: FwdCache,
     stats: StackStats,
     /// Actions produced by socket calls, awaiting [`NetStack::drain_actions`].
     pending: Vec<StackAction>,
@@ -315,7 +293,6 @@ impl NetStack {
             iss: 1_000_000,
             next_port: 1024,
             tunnels: None,
-            fwd_cache: FwdCache::new(cfg.fwd_cache_bits),
             stats: StackStats::default(),
             pending: Vec::new(),
             udp_bufs: BufPool::new(UDP_RX_BUF),
@@ -370,10 +347,6 @@ impl NetStack {
     /// table with their route-exchange service.
     pub fn set_tunnel_map(&mut self, map: Box<dyn TunnelMap>) {
         self.tunnels = Some(map);
-        // Decisions memoized without (or with the previous) map embed its
-        // answers; the new map may report the same generation, so a stamp
-        // comparison cannot catch the swap — drop everything instead.
-        self.fwd_cache = FwdCache::new(self.cfg.fwd_cache_bits);
     }
 
     /// Adds an interface and its connected route.
@@ -443,80 +416,21 @@ impl NetStack {
     /// then made for the endpoint instead. Packets that are already IPIP
     /// and local destinations are never wrapped.
     ///
-    /// The whole decision — tunnel endpoint, matched prefix, egress
-    /// interface, next hop, or the absence of a route — is memoized in
-    /// the per-destination cache when enabled (see [`crate::fwd`]); the
-    /// uncached computation walks the compiled LPM, with the linear table
-    /// scan surviving only as the differential oracle.
+    /// Every packet gets one fresh decision: the tunnel map's answer, then
+    /// one walk of the compiled LPM (the linear table scan survives only as
+    /// the differential oracle). Nothing is memoized, so no route or tunnel
+    /// change can leave a stale decision behind (DESIGN.md §14).
     pub fn send_ip(&mut self, mut packet: Ipv4Packet) {
         let dst = packet.dst;
-        let wants_tunnel = packet.proto != Proto::Other(ip::IPIP) && !self.is_local_addr(dst);
-        let kind = if wants_tunnel {
-            FwdKind::Full
-        } else {
-            FwdKind::Routed
-        };
-        let route_gen = self.routes.generation();
-        let tunnel_gen = self.tunnels.as_ref().map_or(0, |t| t.generation());
-        if self.fwd_cache.enabled() {
-            match self.fwd_cache.probe(dst, kind, route_gen, tunnel_gen) {
-                FwdProbe::Hit(decision) => {
-                    self.stats.fwd_cache_hits += 1;
-                    let encap = decision.encap();
-                    if wants_tunnel {
-                        if let Some(tunnels) = self.tunnels.as_mut() {
-                            tunnels.note_cached_endpoint(encap.is_some());
-                        }
-                    }
-                    if encap.is_some() {
-                        self.stats.ipip_out += 1;
-                    }
-                    match decision {
-                        FwdDecision::NoRoute { .. } => self.stats.no_route += 1,
-                        FwdDecision::Via {
-                            iface, hop, encap, ..
-                        } => {
-                            if let Some(endpoint) = encap {
-                                packet = ipip_wrap(packet, endpoint);
-                            }
-                            self.emit_on(iface, hop, packet);
-                        }
-                    }
-                    return;
-                }
-                FwdProbe::Stale => {
-                    self.stats.fwd_cache_stale += 1;
-                    self.stats.fwd_cache_misses += 1;
-                }
-                FwdProbe::Miss => self.stats.fwd_cache_misses += 1,
+        if packet.proto != Proto::Other(ip::IPIP) && !self.is_local_addr(dst) {
+            if let Some(endpoint) = self.tunnels.as_mut().and_then(|t| t.endpoint(dst)) {
+                self.stats.ipip_out += 1;
+                packet = ipip_wrap(packet, endpoint);
             }
         }
-        let mut encap = None;
-        if wants_tunnel {
-            if let Some(tunnels) = self.tunnels.as_mut() {
-                if let Some(endpoint) = tunnels.endpoint(dst) {
-                    encap = Some(endpoint);
-                    self.stats.ipip_out += 1;
-                    packet = ipip_wrap(packet, endpoint);
-                }
-            }
-        }
-        let decision = match self.routes.lookup_route_fast(packet.dst) {
-            None => FwdDecision::NoRoute { encap },
-            Some(r) => FwdDecision::Via {
-                prefix: r.prefix,
-                iface: r.iface,
-                hop: r.via.unwrap_or(packet.dst),
-                encap,
-            },
-        };
-        if self.fwd_cache.enabled() {
-            self.fwd_cache
-                .store(dst, kind, route_gen, tunnel_gen, decision);
-        }
-        match decision {
-            FwdDecision::NoRoute { .. } => self.stats.no_route += 1,
-            FwdDecision::Via { iface, hop, .. } => self.emit_on(iface, hop, packet),
+        match self.routes.lookup_fast(packet.dst) {
+            None => self.stats.no_route += 1,
+            Some(NextHop { iface, hop }) => self.emit_on(iface, hop, packet),
         }
     }
 
@@ -552,50 +466,6 @@ impl NetStack {
             FragResult::WouldFragment => {
                 self.stats.no_route += 1; // account as undeliverable
             }
-        }
-    }
-
-    /// Route lookup for the socket source-selection sites (`tcp_connect`,
-    /// `udp_send`): the [`FwdKind::Routed`] face of the next-hop cache —
-    /// no tunnel consultation — falling back to the compiled LPM.
-    fn lookup_routed(&mut self, dst: Ipv4Addr) -> Option<NextHop> {
-        let route_gen = self.routes.generation();
-        let tunnel_gen = self.tunnels.as_ref().map_or(0, |t| t.generation());
-        if self.fwd_cache.enabled() {
-            match self
-                .fwd_cache
-                .probe(dst, FwdKind::Routed, route_gen, tunnel_gen)
-            {
-                FwdProbe::Hit(decision) => {
-                    self.stats.fwd_cache_hits += 1;
-                    return match decision {
-                        FwdDecision::NoRoute { .. } => None,
-                        FwdDecision::Via { iface, hop, .. } => Some(NextHop { iface, hop }),
-                    };
-                }
-                FwdProbe::Stale => {
-                    self.stats.fwd_cache_stale += 1;
-                    self.stats.fwd_cache_misses += 1;
-                }
-                FwdProbe::Miss => self.stats.fwd_cache_misses += 1,
-            }
-        }
-        let decision = match self.routes.lookup_route_fast(dst) {
-            None => FwdDecision::NoRoute { encap: None },
-            Some(r) => FwdDecision::Via {
-                prefix: r.prefix,
-                iface: r.iface,
-                hop: r.via.unwrap_or(dst),
-                encap: None,
-            },
-        };
-        if self.fwd_cache.enabled() {
-            self.fwd_cache
-                .store(dst, FwdKind::Routed, route_gen, tunnel_gen, decision);
-        }
-        match decision {
-            FwdDecision::NoRoute { .. } => None,
-            FwdDecision::Via { iface, hop, .. } => Some(NextHop { iface, hop }),
         }
     }
 
@@ -927,7 +797,7 @@ impl NetStack {
         dst: Ipv4Addr,
         dst_port: u16,
     ) -> Result<SockId, NetError> {
-        let Some(NextHop { iface, .. }) = self.lookup_routed(dst) else {
+        let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
             return Err(NetError::NoRoute(dst));
         };
         let local_ip = self.ifaces[iface.0].addr;
@@ -1117,7 +987,7 @@ impl NetStack {
     /// Sends a datagram from a bound socket.
     pub fn udp_send(&mut self, udp: UdpId, dst: Ipv4Addr, dst_port: u16, payload: Vec<u8>) {
         let src_port = self.udp[udp.0].port;
-        let Some(NextHop { iface, .. }) = self.lookup_routed(dst) else {
+        let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
             self.stats.no_route += 1;
             return;
         };

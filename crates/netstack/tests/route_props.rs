@@ -1,14 +1,13 @@
-//! Differential properties for the compiled forwarding plane
-//! (DESIGN.md §14): the flat-trie fast lookup must answer exactly like
-//! the linear first-match oracle over random tables and learned/static
-//! churn, and a stack with the per-destination next-hop cache enabled
-//! must be observationally identical — actions, stats, and tunnel-map
-//! accounting — to an uncached twin, through route churn, tunnel churn,
-//! and a generation-counter rollover.
+//! Differential properties for the forwarding plane (DESIGN.md §14):
+//! the flat-trie fast lookup must answer exactly like the linear
+//! first-match oracle over random tables and learned/static churn, and
+//! `send_ip` must make one decision per packet — the tunnel map's answer,
+//! then the oracle's route for the outer destination — through route and
+//! tunnel churn, carrying nothing from one packet to the next.
 
 use netstack::ip;
 use netstack::route::{Prefix, Route, RouteSource, RouteTable};
-use netstack::stack::{IfaceConfig, StackConfig, TunnelMap};
+use netstack::stack::{IfaceConfig, StackAction, StackConfig, TunnelMap};
 use netstack::{IfaceId, Ipv4Packet, NetStack, Proto};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -83,18 +82,10 @@ fn arb_table_op_on(ifaces: usize) -> impl Strategy<Value = TableOp> {
     ]
 }
 
-/// A shared tunnel map with churn and hit/miss accounting, keyed by the
-/// destination's /24 — the honest little sibling of the encap table.
-#[derive(Debug, Default)]
-struct ChurnMapInner {
-    map: HashMap<Ipv4Addr, Ipv4Addr>,
-    generation: u64,
-    hits: u64,
-    misses: u64,
-}
-
+/// A shared tunnel map keyed by the destination's /24 that counts its
+/// consultations — the honest little sibling of the encap table.
 #[derive(Debug, Clone, Default)]
-struct ChurnMap(Rc<RefCell<ChurnMapInner>>);
+struct ChurnMap(Rc<RefCell<(HashMap<Ipv4Addr, Ipv4Addr>, u64)>>);
 
 impl ChurnMap {
     fn key(dst: Ipv4Addr) -> Ipv4Addr {
@@ -102,51 +93,32 @@ impl ChurnMap {
     }
 
     fn learn(&self, dst: Ipv4Addr, endpoint: Ipv4Addr) {
-        let mut i = self.0.borrow_mut();
-        i.map.insert(Self::key(dst), endpoint);
-        i.generation = i.generation.wrapping_add(1);
+        self.0.borrow_mut().0.insert(Self::key(dst), endpoint);
     }
 
     fn forget(&self, dst: Ipv4Addr) {
-        let mut i = self.0.borrow_mut();
-        if i.map.remove(&Self::key(dst)).is_some() {
-            i.generation = i.generation.wrapping_add(1);
-        }
+        self.0.borrow_mut().0.remove(&Self::key(dst));
     }
 
-    fn counters(&self) -> (u64, u64) {
-        let i = self.0.borrow();
-        (i.hits, i.misses)
+    /// The map's answer, without counting a consultation.
+    fn peek(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
+        self.0.borrow().0.get(&Self::key(dst)).copied()
+    }
+
+    fn consults(&self) -> u64 {
+        self.0.borrow().1
     }
 }
 
 impl TunnelMap for ChurnMap {
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
         let mut i = self.0.borrow_mut();
-        let r = i.map.get(&Self::key(dst)).copied();
-        if r.is_some() {
-            i.hits += 1;
-        } else {
-            i.misses += 1;
-        }
-        r
-    }
-
-    fn generation(&self) -> u64 {
-        self.0.borrow().generation
-    }
-
-    fn note_cached_endpoint(&mut self, hit: bool) {
-        let mut i = self.0.borrow_mut();
-        if hit {
-            i.hits += 1;
-        } else {
-            i.misses += 1;
-        }
+        i.1 += 1;
+        i.0.get(&Self::key(dst)).copied()
     }
 }
 
-/// One step against the twin stacks.
+/// One step against the stack.
 #[derive(Debug, Clone)]
 enum StackOp {
     /// `send_ip` an ICMP-ish packet (full path: tunnel consult + route).
@@ -155,11 +127,11 @@ enum StackOp {
     SendIpip(Ipv4Addr),
     /// `udp_send` (the socket source-selection lookup site).
     Udp(Ipv4Addr),
-    /// Route churn on both twins.
+    /// Route churn.
     Table(TableOp),
-    /// Tunnel map learns dst/24 → endpoint on both twins.
+    /// Tunnel map learns dst/24 → endpoint.
     Learn(Ipv4Addr, u8),
-    /// Tunnel map forgets dst/24 on both twins.
+    /// Tunnel map forgets dst/24.
     Forget(Ipv4Addr),
 }
 
@@ -177,11 +149,10 @@ fn arb_stack_op() -> impl Strategy<Value = StackOp> {
     ]
 }
 
-fn build_stack(fwd_cache_bits: u8, tunnels: ChurnMap) -> NetStack {
+fn build_stack(tunnels: ChurnMap) -> NetStack {
     let mut s = NetStack::new(StackConfig {
         forwarding: true,
         ipip: true,
-        fwd_cache_bits,
         ..StackConfig::default()
     });
     s.add_iface(IfaceConfig {
@@ -205,17 +176,36 @@ fn build_stack(fwd_cache_bits: u8, tunnels: ChurnMap) -> NetStack {
     s
 }
 
-/// The stats fields the cache is allowed to touch are its own counters;
-/// everything else must match the uncached twin exactly.
-fn behavior_stats(s: &NetStack) -> (u64, u64, u64, u64, u64) {
-    let st = s.stats();
-    (
-        st.ip_out,
-        st.no_route,
-        st.ipip_out,
-        st.forwarded,
-        st.ttl_expired,
-    )
+/// What one step must do to the stack.
+#[derive(Debug, Clone, Copy, Default)]
+struct Expected {
+    /// `(iface, next hop, outer destination, carried as IPIP)`, if routable.
+    egress: Option<(IfaceId, Ipv4Addr, Ipv4Addr, bool)>,
+    /// Tunnel-map consultations.
+    consults: u64,
+    /// Whether the packet is wrapped toward a tunnel endpoint (`ipip_out`).
+    wrapped: bool,
+    /// Whether the packet is dropped for want of a route (`no_route`).
+    no_route: bool,
+}
+
+/// What `send_ip` must do with a packet for `dst`, by the linear oracle:
+/// the tunnel map's answer unless the packet is already IPIP (`ipip`) or
+/// local, then a first-match scan for the outer destination.
+fn oracle(s: &NetStack, map: &ChurnMap, dst: Ipv4Addr, ipip: bool) -> Expected {
+    let consult = !ipip && !s.is_local_addr(dst);
+    let endpoint = if consult { map.peek(dst) } else { None };
+    let outer = endpoint.unwrap_or(dst);
+    let egress = s
+        .routes()
+        .lookup(outer)
+        .map(|h| (h.iface, h.hop, outer, ipip || endpoint.is_some()));
+    Expected {
+        egress,
+        consults: u64::from(consult),
+        wrapped: endpoint.is_some(),
+        no_route: egress.is_none(),
+    }
 }
 
 proptest! {
@@ -246,85 +236,94 @@ proptest! {
         }
     }
 
-    /// A cached stack is observationally identical to an uncached twin:
-    /// same egress actions in the same order, same behavioural stats,
-    /// same tunnel-map hit/miss accounting — through route churn, tunnel
-    /// churn, and a route-generation rollover (both twins start at
-    /// u64::MAX − 2 so the counter wraps mid-stream).
+    /// `send_ip` decides every packet afresh, exactly as the oracle does:
+    /// the same egress (interface, next hop, outer destination, IPIP or
+    /// not), one tunnel-map consultation per eligible packet and none for
+    /// local or already-IPIP ones, and `no_route` / `ipip_out` counted
+    /// once per packet — after any interleaving of route and tunnel churn.
     #[test]
-    fn cached_stack_matches_uncached_twin(
+    fn send_ip_decides_like_the_oracle_under_churn(
         ops in proptest::collection::vec(arb_stack_op(), 1..120),
-        fwd_bits in prop_oneof![Just(2u8), Just(6u8), Just(10u8)],
     ) {
-        let map_a = ChurnMap::default();
-        let map_b = ChurnMap::default();
-        let mut cached = build_stack(fwd_bits, map_a.clone());
-        let mut plain = build_stack(0, map_b.clone());
-        cached.routes_mut().force_generation(u64::MAX - 2);
-        plain.routes_mut().force_generation(u64::MAX - 2);
-        let udp_a = cached.udp_bind(1234).unwrap();
-        let udp_b = plain.udp_bind(1234).unwrap();
+        let map = ChurnMap::default();
+        let mut s = build_stack(map.clone());
+        let udp = s.udp_bind(1234).unwrap();
         for (i, op) in ops.iter().enumerate() {
-            match op.clone() {
+            let (before, consults) = (s.stats(), map.consults());
+            let e = match op.clone() {
                 StackOp::Send(dst) => {
-                    let p = Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, dst, Proto::Icmp, vec![0; 8]);
-                    cached.send_ip(p.clone());
-                    plain.send_ip(p);
+                    let e = oracle(&s, &map, dst, false);
+                    s.send_ip(Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, dst, Proto::Icmp, vec![0; 8]));
+                    e
                 }
                 StackOp::SendIpip(dst) => {
+                    let e = oracle(&s, &map, dst, true);
                     let inner =
                         Ipv4Packet::new(Ipv4Addr::new(44, 24, 0, 1), dst, Proto::Icmp, vec![0; 8])
                             .encode();
-                    let p = Ipv4Packet::new(
+                    s.send_ip(Ipv4Packet::new(
                         Ipv4Addr::UNSPECIFIED,
                         dst,
                         Proto::Other(ip::IPIP),
                         inner,
-                    );
-                    cached.send_ip(p.clone());
-                    plain.send_ip(p);
+                    ));
+                    e
                 }
                 StackOp::Udp(dst) => {
-                    cached.udp_send(udp_a, dst, 53, vec![1, 2, 3]);
-                    plain.udp_send(udp_b, dst, 53, vec![1, 2, 3]);
+                    // Source selection needs a route to `dst` itself first.
+                    let e = if s.routes().lookup(dst).is_some() {
+                        oracle(&s, &map, dst, false)
+                    } else {
+                        Expected { no_route: true, ..Expected::default() }
+                    };
+                    s.udp_send(udp, dst, 53, vec![1, 2, 3]);
+                    e
                 }
                 StackOp::Table(top) => {
-                    for rt in [cached.routes_mut(), plain.routes_mut()] {
-                        match top.clone() {
-                            TableOp::Insert(r) => rt.insert(r),
-                            TableOp::Remove(p) => { rt.remove(p); }
-                            TableOp::RemoveLearned(p) => { rt.remove_learned(p); }
-                        }
+                    let rt = s.routes_mut();
+                    match top {
+                        TableOp::Insert(r) => rt.insert(r),
+                        TableOp::Remove(p) => { rt.remove(p); }
+                        TableOp::RemoveLearned(p) => { rt.remove_learned(p); }
                     }
+                    Expected::default()
                 }
                 StackOp::Learn(dst, e) => {
-                    let endpoint = Ipv4Addr::new(128, 95, 1, e);
-                    map_a.learn(dst, endpoint);
-                    map_b.learn(dst, endpoint);
+                    map.learn(dst, Ipv4Addr::new(128, 95, 1, e));
+                    Expected::default()
                 }
                 StackOp::Forget(dst) => {
-                    map_a.forget(dst);
-                    map_b.forget(dst);
+                    map.forget(dst);
+                    Expected::default()
                 }
-            }
-            let acts_a = cached.drain_actions();
-            let acts_b = plain.drain_actions();
+            };
+            let got: Vec<_> = s
+                .drain_actions()
+                .into_iter()
+                .map(|a| match a {
+                    StackAction::Egress { iface, next_hop, packet } => Some((
+                        iface,
+                        next_hop,
+                        packet.dst,
+                        packet.proto == Proto::Other(ip::IPIP),
+                    )),
+                    _ => None,
+                })
+                .collect();
+            let st = s.stats();
             prop_assert_eq!(
-                &acts_a, &acts_b,
-                "actions diverged at step {} on {:?}", i, op
+                got, e.egress.map(Some).into_iter().collect::<Vec<_>>(),
+                "egress differs from the oracle at step {} on {:?}", i, op
             );
             prop_assert_eq!(
-                behavior_stats(&cached), behavior_stats(&plain),
-                "stats diverged at step {} on {:?}", i, op
+                map.consults() - consults, e.consults,
+                "tunnel consultations at step {} on {:?}", i, op
             );
             prop_assert_eq!(
-                map_a.counters(), map_b.counters(),
-                "tunnel accounting diverged at step {} on {:?}", i, op
+                (st.no_route - before.no_route, st.ipip_out - before.ipip_out),
+                (u64::from(e.no_route), u64::from(e.wrapped)),
+                "no_route / ipip_out at step {} on {:?}", i, op
             );
         }
-        let st = cached.stats();
-        prop_assert!(st.fwd_cache_stale <= st.fwd_cache_misses, "stale ⊆ misses");
-        prop_assert_eq!(plain.stats().fwd_cache_hits, 0, "disabled cache never hits");
-        prop_assert_eq!(plain.stats().fwd_cache_misses, 0, "disabled cache never probes");
     }
 }

@@ -240,7 +240,7 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
         },
         radio_tx: s.world.channel(s.chan).stats().transmissions,
         evals: fstats.cache_misses,
-        mutations: gw.filter_engine().map_or(0, |e| e.borrow().generation()),
+        mutations: gw.filter_engine().map_or(0, |e| e.generation()),
         gate_denied: fstats.gate_denied,
         calendar,
     }

@@ -37,9 +37,6 @@ struct Outcome {
     /// Occupied airtime (union of transmissions) / wall clock — clamped.
     channel_util: f64,
     sched: sim::SchedStats,
-    pool_misses: u64,
-    pool_hits: u64,
-    pool_high_water: u64,
 }
 
 fn measure(mode: RxMode, stations: usize) -> Outcome {
@@ -78,7 +75,6 @@ fn measure(mode: RxMode, stations: usize) -> Outcome {
 
     let mut r = report.borrow_mut();
     let gw = s.world.host(s.gw);
-    let pool = gw.pr_driver().map(|d| d.pool_stats()).unwrap_or_default();
     Outcome {
         rtt_ms: r.rtts.mean().map(|d| d.as_millis_f64()).unwrap_or(f64::NAN),
         p95_ms: r
@@ -94,9 +90,6 @@ fn measure(mode: RxMode, stations: usize) -> Outcome {
         offered_load: s.world.channel(s.chan).offered_utilization(s.world.now),
         channel_util: s.world.channel(s.chan).utilization(s.world.now),
         sched: s.world.sched_stats(),
-        pool_misses: pool.misses.get(),
-        pool_hits: pool.hits.get(),
-        pool_high_water: pool.high_water,
     }
 }
 
@@ -131,9 +124,6 @@ pub fn run(x: &mut Report) {
             ("gw_cpu_filt_%", &Num(f.gw_cpu_pct)),
             ("tnc_filtered", &f.filtered),
             ("gw_pkts_prom", &p.gw_packets),
-            ("pool_alloc_prom", &p.pool_misses),
-            ("pool_hit_prom", &p.pool_hits),
-            ("pool_hw_prom", &p.pool_high_water),
             ("sched_pops", &p.sched.pops),
             ("sched_rekeys", &p.sched.rekeys),
             ("sched_skips", &p.sched.tombstone_skips),
@@ -151,9 +141,6 @@ pub fn run(x: &mut Report) {
     x.text("   while the filtered TNC holds them flat at the gateway's own traffic —");
     x.text("   chars_saved_% is the per-character interrupt reduction the runtime");
     x.text("   Tnc::set_address_filter switch buys at each load point;");
-    x.text(" * pool_alloc_prom stays flat as background load grows: frames for other");
-    x.text("   stations never lease a transmit buffer, so the driver's buffer-pool");
-    x.text("   allocations track only the gateway's own sends (pool_hw is the depth);");
     x.text(" * offered_load_% exceeds 100% once stations offer more airtime than the");
     x.text("   channel has (queueing), while chan_util_% — occupied airtime as a");
     x.text("   union of transmissions — saturates at 100%;");
@@ -181,10 +168,5 @@ pub fn run(x: &mut Report) {
         "behind the filter the gateway's character load never exceeds its idle load, while promiscuous CPU utilisation at 8 stations is at least 30x idle",
         loaded.iter().all(|(_, f)| f.gw_chars <= idle.1.gw_chars)
             && points[4].0.gw_cpu_pct >= 30.0 * idle.0.gw_cpu_pct,
-    );
-    x.claim(
-        "DESIGN.md §6",
-        "frames for other stations lease no transmit buffer: the driver's pool allocations under 12 background stations equal those at idle",
-        points[5].0.pool_misses == idle.0.pool_misses,
     );
 }

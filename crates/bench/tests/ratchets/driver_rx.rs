@@ -54,8 +54,8 @@ fn wire_for(dest: &str, payload_len: usize) -> Vec<u8> {
     kiss::encode(0, kiss::Command::Data, &frame.encode())
 }
 
-/// Steady state: one long-lived driver, one reusable sink, so the count
-/// covers the per-frame cost and not driver setup.
+/// Steady state: one long-lived driver, one reusable tty output queue,
+/// so the count covers the per-frame cost and not driver setup.
 #[test]
 fn rint_frame_for_other() {
     let wire = wire_for("W1GOH", 180);
@@ -63,10 +63,10 @@ fn rint_frame_for_other() {
         PrConfig::new(Ax25Addr::parse_or_panic("N7AKR-1")),
         Ipv4Addr::new(44, 24, 0, 28),
     );
-    let mut tx: Vec<sim::PacketBuf> = Vec::new();
+    let mut tx = Vec::new();
     let mut pool = DgramPool::new();
     let mut rint = || {
-        drv.rint_slice_in(SimTime::ZERO, &wire, &mut pool, &mut tx, |_, ev| {
+        drv.rint_slice_in(SimTime::ZERO, &wire, &mut pool, None, &mut tx, |_, ev| {
             black_box(ev);
         });
         tx.clear();
@@ -430,17 +430,18 @@ fn arp_exchange_allocates_nothing() {
     let stale = SimDuration::from_secs(21 * 60);
 
     // --- The packet radio driver, serial bytes between two stations. ---
-    // Each station lends its driver its own pool, as its host would.
+    // Each station lends its driver its own pool and tty output queue, as
+    // its host would.
     let station =
         |call: &str, ip| PacketRadioDriver::new(PrConfig::new(Ax25Addr::parse_or_panic(call)), ip);
     let (mut a, mut b) = (station("N7AKR-1", a_ip), station("KB7DZ", b_ip));
     let (mut a_pool, mut b_pool) = (DgramPool::new(), DgramPool::new());
-    let (mut a_tx, mut b_tx): (Vec<sim::PacketBuf>, Vec<sim::PacketBuf>) = (Vec::new(), Vec::new());
+    let (mut a_tx, mut b_tx) = (Vec::new(), Vec::new());
     let mut now = SimTime::ZERO;
     let mut delivered = 0usize;
     let mut radio_round = |packet: Ipv4Packet| {
         now += stale;
-        a.output(now, packet, b_ip, &mut a_pool, &mut a_tx);
+        a.output(now, packet, b_ip, &mut a_pool, None, &mut a_tx);
         // Each hop: what one station queued for its serial line reaches
         // the other's receive interrupt handler.
         for hop in 0..3 {
@@ -449,14 +450,13 @@ fn arp_exchange_allocates_nothing() {
             } else {
                 (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
             };
-            for wire in from_tx.drain(..) {
-                let mut up = None;
-                to.rint_slice_in(now, &wire, to_pool, to_tx, |_, ev| up = Some(ev));
-                if let Some(PrEvent::IpPacket(datagram)) = up {
-                    // What the host does once its stack is done with it.
-                    delivered += 1;
-                    to_pool.give(datagram);
-                }
+            let mut up = None;
+            to.rint_slice_in(now, from_tx, to_pool, None, to_tx, |_, ev| up = Some(ev));
+            from_tx.clear();
+            if let Some(PrEvent::IpPacket(datagram)) = up {
+                // What the host does once its stack is done with it.
+                delivered += 1;
+                to_pool.give(datagram);
             }
         }
     };

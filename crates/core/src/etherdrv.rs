@@ -11,7 +11,7 @@ use ether::{EtherFrame, EtherType, MacAddr};
 use netstack::arp::{hw_type, ArpPacket, HwAddr};
 use netstack::ip::Ipv4Packet;
 use netstack::pool::DgramPool;
-use sim::{FrameSink, SimTime};
+use sim::SimTime;
 use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
@@ -79,13 +79,13 @@ impl EtherDriver {
     /// frame over ([`Cow::Owned`]: the segment's last recipient, or a
     /// unicast frame moved across a shard boundary), a copy in a buffer
     /// from the host's `pool` otherwise; frames the driver wants
-    /// transmitted (ARP replies, released holds) are emitted into `tx`.
+    /// transmitted (ARP replies, released holds) are pushed onto `tx`.
     pub fn input(
         &mut self,
         now: SimTime,
         frame: Cow<'_, EtherFrame>,
         pool: &mut DgramPool,
-        tx: &mut impl FrameSink<EtherFrame>,
+        tx: &mut Vec<EtherFrame>,
     ) -> Option<Vec<u8>> {
         self.stats.frames_in += 1;
         self.ifnet.stats.ipackets += 1;
@@ -118,7 +118,7 @@ impl EtherDriver {
         now: SimTime,
         payload: &[u8],
         pool: &mut DgramPool,
-        tx: &mut impl FrameSink<EtherFrame>,
+        tx: &mut Vec<EtherFrame>,
     ) {
         let Ok(arp) = ArpPacket::decode(payload) else {
             self.ifnet.stats.ierrors += 1;
@@ -132,13 +132,13 @@ impl EtherDriver {
         for packet in released {
             self.stats.ip_out += 1;
             let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
-            tx.emit(f);
+            tx.push(f);
         }
     }
 
     /// Outputs an IP packet toward `next_hop`, resolving its MAC; frames
     /// to transmit (possibly an ARP request, built in a `pool` buffer,
-    /// while the packet waits) are emitted into `tx`. A broadcast next hop
+    /// while the packet waits) are pushed onto `tx`. A broadcast next hop
     /// (RIP44 announcements) bypasses ARP and goes straight to the all-ones
     /// MAC.
     pub fn output(
@@ -147,12 +147,12 @@ impl EtherDriver {
         packet: Ipv4Packet,
         next_hop: Ipv4Addr,
         pool: &mut DgramPool,
-        tx: &mut impl FrameSink<EtherFrame>,
+        tx: &mut Vec<EtherFrame>,
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
             self.stats.ip_out += 1;
             let f = self.build_frame(MacAddr::BROADCAST, EtherType::Ipv4, packet.into_wire());
-            tx.emit(f);
+            tx.push(f);
             return;
         }
         match self.arp.resolve(now, next_hop, packet) {
@@ -160,7 +160,7 @@ impl EtherDriver {
                 self.stats.ip_out += 1;
                 let dst = mac_from_bytes(&hw);
                 let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
-                tx.emit(f);
+                tx.push(f);
             }
             Resolution::Pending(Some(request)) => {
                 self.emit_arp(MacAddr::BROADCAST, &request, pool, tx)
@@ -172,13 +172,8 @@ impl EtherDriver {
         }
     }
 
-    /// Periodic ARP maintenance; emits requests to retransmit into `tx`.
-    pub fn age_arp(
-        &mut self,
-        now: SimTime,
-        pool: &mut DgramPool,
-        tx: &mut impl FrameSink<EtherFrame>,
-    ) {
+    /// Periodic ARP maintenance; requests to retransmit go onto `tx`.
+    pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut Vec<EtherFrame>) {
         for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
             self.emit_arp(MacAddr::BROADCAST, &r, pool, tx);
         }
@@ -191,12 +186,12 @@ impl EtherDriver {
         dst: MacAddr,
         arp: &ArpPacket,
         pool: &mut DgramPool,
-        tx: &mut impl FrameSink<EtherFrame>,
+        tx: &mut Vec<EtherFrame>,
     ) {
         let mut payload = pool.take(arp.wire_len());
         arp.encode_into(&mut payload);
         let f = self.build_frame(dst, EtherType::Arp, payload);
-        tx.emit(f);
+        tx.push(f);
     }
 
     fn build_frame(&mut self, dst: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> EtherFrame {

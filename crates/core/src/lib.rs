@@ -55,5 +55,5 @@ pub mod scenario;
 mod shard;
 pub mod world;
 
-pub use host::{Host, HostConfig, HostOut};
+pub use host::{Host, HostConfig};
 pub use world::{HostId, ShardId, World};

@@ -7,7 +7,7 @@
 //! engine did; the only way in or out is the Ethernet, which the world
 //! coordinator mediates between windows (DESIGN.md §11):
 //!
-//! * **Outbound**: in a multi-shard world a host's `EtherTx` is not
+//! * **Outbound**: in a multi-shard world a host's Ethernet output is not
 //!   applied to the segment directly; it is appended to `ether_out`
 //!   stamped `(time, seq)` and the coordinator turns it into a segment
 //!   send at `time + lookahead`.
@@ -40,7 +40,7 @@ use sim::sched::{Scheduler, SlotKey};
 use sim::trace::Trace;
 use sim::{SimRng, SimTime};
 
-use crate::host::{Host, HostOut};
+use crate::host::Host;
 use crate::world::{App, HostId};
 
 // The line ends its runs at the byte the KISS deframers act on, and its
@@ -355,7 +355,7 @@ pub(crate) struct ShardData {
     /// Reusable buffer for serial deliveries (runs and FIFO drains).
     run_scratch: Vec<u8>,
     /// Reusable buffers `flush_host` swaps a host's outbox and events into.
-    out_scratch: Vec<HostOut>,
+    out_scratch: Vec<EtherFrame>,
     event_scratch: Vec<StackAction>,
     /// The transmission `hear_channel` is routing (buffers reused).
     heard: Heard,
@@ -422,8 +422,9 @@ impl ShardData {
     /// stale shard starts its new apps and runs the full `sync_all`; a
     /// shard nobody touched keeps its calendar and dirty set and marks
     /// only what can have moved behind the world's back — its apps, which
-    /// callers command through `Rc` handles between run calls, and the
-    /// world-owned segments a one-shard world hands it. Either way the
+    /// callers command between run calls through shared handles (app
+    /// report handles, NET/ROM's `SendQueue`, `SharedEncapTable`), and
+    /// the world-owned segments a one-shard world hands it. Either way the
     /// entry instant is then settled. The reference stepper never feeds
     /// the calendar, so a shard it ran is stale.
     pub(crate) fn enter(&mut self, mode: Mode, segs: &mut Segs<'_>) {
@@ -456,9 +457,9 @@ impl ShardData {
     /// component outside the dirty set is registered at its current
     /// deadline. (Apps and segments are re-marked regardless.) It fails
     /// when something moved a component between run calls without going
-    /// through `World`'s `*_mut` accessors or builders — e.g. through an
-    /// `Rc` handed out by a shared borrow — which would otherwise delay
-    /// an event silently.
+    /// through `World`'s `*_mut` accessors or builders — through one of
+    /// the shared handles above, since a shared borrow of a host lends
+    /// nothing mutable — which would otherwise delay an event silently.
     fn debug_check_registrations(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -1159,43 +1160,45 @@ impl ShardData {
         any
     }
 
-    /// Routes a host's outbox and records/dispatches its events. Links the
+    /// Routes a host's output and records/dispatches its events. Links the
     /// host pushed output into get their new deadlines registered here.
-    /// Ethernet output goes to the segment directly (single-shard) or to
-    /// `ether_out` for the coordinator (multi-shard).
+    /// The tty output queue goes down the serial line in one send, then is
+    /// cleared; Ethernet output goes to the segment directly (single-shard)
+    /// or to `ether_out` for the coordinator (multi-shard).
     fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> Flushed {
         let mut flushed = Flushed::default();
+        let serial = self.hosts[hi].serial;
+        let tty = self.hosts[hi].host.tty_outq();
+        if !tty.is_empty() {
+            flushed.progressed = true;
+            if let Some(li) = serial {
+                self.lines[li].send(now, End::A, tty);
+            }
+            tty.clear();
+            if let Some(li) = serial {
+                self.reg(Key::Line(li), self.lines[li].next_boundary());
+            }
+        }
         let mut outs = std::mem::take(&mut self.out_scratch);
         self.hosts[hi].host.swap_outbox(&mut outs);
-        let serial = self.hosts[hi].serial;
         let nic = self.hosts[hi].nic;
-        for out in outs.drain(..) {
+        for frame in outs.drain(..) {
             flushed.progressed = true;
-            match out {
-                HostOut::SerialTx(bytes) => {
-                    if let Some(li) = serial {
-                        self.lines[li].send(now, End::A, &bytes);
-                        self.reg(Key::Line(li), self.lines[li].next_boundary());
+            if let Some((seg, nic)) = nic {
+                match segs {
+                    Some(segments) => {
+                        segments[seg].send(now, nic, frame);
+                        self.reg(Key::Seg(seg), segments[seg].next_deadline());
                     }
-                }
-                HostOut::EtherTx(frame) => {
-                    if let Some((seg, nic)) = nic {
-                        match segs {
-                            Some(segments) => {
-                                segments[seg].send(now, nic, frame);
-                                self.reg(Key::Seg(seg), segments[seg].next_deadline());
-                            }
-                            None => {
-                                self.out_seq += 1;
-                                self.ether_out.push(OutFrame {
-                                    time: now,
-                                    seq: self.out_seq,
-                                    seg,
-                                    nic,
-                                    frame,
-                                });
-                            }
-                        }
+                    None => {
+                        self.out_seq += 1;
+                        self.ether_out.push(OutFrame {
+                            time: now,
+                            seq: self.out_seq,
+                            seg,
+                            nic,
+                            frame,
+                        });
                     }
                 }
             }

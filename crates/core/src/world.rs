@@ -1014,29 +1014,6 @@ mod tests {
         assert!(s.world.shards[0].is_dirty(key));
     }
 
-    /// The entry check of an untouched shard: `Host::filter_engine` hands
-    /// the gateway's filter out of a shared borrow, so opening a gate
-    /// through it gives the host an expiry deadline the calendar never
-    /// hears of. A debug build refuses to run on; `host_mut` is the way.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "behind the world's back")]
-    fn untracked_mutation_between_run_calls_trips_the_entry_check() {
-        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
-        s.world.run_for(SimDuration::from_secs(1));
-        let open = netstack::icmp::IcmpMessage::GateOpen {
-            amateur: scenario::PC_IP,
-            foreign: scenario::ETHER_HOST_IP,
-            ttl_secs: 60,
-            auth: None,
-        };
-        let filter = s.world.host(s.gw).filter_engine().expect("gateway filter");
-        filter
-            .borrow_mut()
-            .on_gate_message(s.world.now, true, &open);
-        s.world.run_for(SimDuration::from_secs(1));
-    }
-
     /// §3's case as the engine sees it: two promiscuous TNCs pass four
     /// beacons' chatter, addressed to neither host, up their lines. Each
     /// frame heard must cost one line visit — one calendar pop, one
@@ -1091,7 +1068,7 @@ mod tests {
             .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
         s.world.run_for(SimDuration::from_secs(30));
         let gate = s.world.host(s.gw).filter_engine().expect("gateway filter");
-        let far = gate.borrow().next_deadline().expect("a live gate entry");
+        let far = gate.next_deadline().expect("a live gate entry");
         assert!(far > s.world.now + SimDuration::from_secs(500));
         let sh = &s.world.shards[0];
         let components = sh.hosts.len()

@@ -311,6 +311,13 @@ impl FilterEngine {
         self.generation
     }
 
+    /// The engine itself.
+    #[doc(hidden)]
+    #[allow(clippy::should_implement_trait)] // serves benchmarks/src/layers.rs:104 (ROADMAP 2(a))
+    pub fn borrow(&self) -> &Self {
+        self
+    }
+
     /// Compiled rule count.
     pub fn rules_len(&self) -> usize {
         self.rules.len()

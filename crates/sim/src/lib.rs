@@ -22,8 +22,8 @@
 //!   experiment harnesses.
 //! * [`wire`] — bounds-checked big-endian readers and writers shared by all
 //!   of the frame/packet codecs.
-//! * [`pktbuf`] — pooled [`PacketBuf`]s and the [`FrameSink`]/[`ByteSink`]
-//!   emit traits: the zero-allocation datapath buffer contract.
+//! * [`pktbuf`] — pooled [`PacketBuf`]s and the [`ByteSink`] trait the
+//!   codecs encode into.
 //! * [`trace`] — a lightweight, in-memory event trace.
 //!
 //! # Examples
@@ -57,7 +57,7 @@ pub mod wire;
 
 pub use fxhash::{fnv1a, Fnv1a};
 pub use mailbox::{Mailbox, MailboxStats};
-pub use pktbuf::{BufPool, ByteSink, FrameSink, PacketBuf, PoolStats, SinkFn};
+pub use pktbuf::{BufPool, ByteSink, PacketBuf, PoolStats};
 pub use rng::SimRng;
 pub use sched::{SchedStats, Scheduler};
 pub use time::{Bandwidth, SimDuration, SimTime};

@@ -1,4 +1,4 @@
-//! Pooled packet buffers and emit sinks — the datapath buffer contract.
+//! Pooled packet buffers and the byte sink codecs write into.
 //!
 //! The per-character receive path of the gateway (§3 of the paper) runs
 //! millions of times per simulated minute, so the layer boundaries must not
@@ -9,9 +9,8 @@
 //!   prepend) and *cheap slicing* (advancing the start without copying),
 //!   leased from a reference-counted [`BufPool`] and automatically recycled
 //!   on drop.
-//! * [`FrameSink`] / [`ByteSink`] — emit traits drivers write completed
-//!   frames (or raw bytes) into, instead of returning freshly allocated
-//!   `Vec<Vec<u8>>` at every call.
+//! * [`ByteSink`] — the byte-granular output the codecs' `encode_into`
+//!   paths write into: a `Vec<u8>` or a [`PacketBuf`].
 //!
 //! The pool exposes hit/miss/high-water counters ([`PoolStats`]) so the
 //! experiment harnesses can report allocation behaviour alongside
@@ -366,52 +365,6 @@ impl From<&[u8]> for PacketBuf {
     }
 }
 
-/// Receives completed frames from a datapath stage.
-///
-/// Drivers emit into a sink instead of returning `Vec<Vec<u8>>`; the
-/// caller chooses whether frames land in a `Vec`, a bounded interface
-/// queue, or a closure ([`SinkFn`]) that forwards them immediately — the
-/// no-output fast path then allocates nothing at all.
-///
-/// # Examples
-///
-/// ```
-/// use sim::{FrameSink, PacketBuf, SinkFn};
-///
-/// fn produce(out: &mut impl FrameSink<PacketBuf>) {
-///     out.emit(PacketBuf::from(vec![1, 2, 3]));
-/// }
-///
-/// // Collect into a Vec...
-/// let mut frames: Vec<PacketBuf> = Vec::new();
-/// produce(&mut frames);
-/// assert_eq!(frames.len(), 1);
-///
-/// // ...or handle each frame inline without buffering.
-/// let mut total = 0;
-/// produce(&mut SinkFn(|f: PacketBuf| total += f.len()));
-/// assert_eq!(total, 3);
-/// ```
-pub trait FrameSink<T = PacketBuf> {
-    /// Accepts one completed frame.
-    fn emit(&mut self, frame: T);
-}
-
-impl<T> FrameSink<T> for Vec<T> {
-    fn emit(&mut self, frame: T) {
-        self.push(frame);
-    }
-}
-
-/// Adapts a closure into a [`FrameSink`].
-pub struct SinkFn<F>(pub F);
-
-impl<T, F: FnMut(T)> FrameSink<T> for SinkFn<F> {
-    fn emit(&mut self, frame: T) {
-        (self.0)(frame);
-    }
-}
-
 /// Byte-granular output used by the codecs' `encode_into` paths.
 pub trait ByteSink {
     /// Appends one byte.
@@ -524,17 +477,6 @@ mod tests {
         let b = pool.take();
         assert!(b.is_empty());
         assert_eq!(b.headroom(), 0);
-    }
-
-    #[test]
-    fn sinks_collect_and_forward() {
-        let mut v: Vec<PacketBuf> = Vec::new();
-        v.emit(PacketBuf::from(vec![9]));
-        assert_eq!(v.len(), 1);
-        let mut n = 0usize;
-        let mut s = SinkFn(|f: PacketBuf| n += f.len());
-        s.emit(PacketBuf::from(vec![1, 2]));
-        assert_eq!(n, 2);
     }
 
     #[test]

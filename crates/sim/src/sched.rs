@@ -15,9 +15,8 @@
 
 use crate::time::SimTime;
 
-/// Counters describing how much work the calendar did; reported by E2
-/// alongside the buffer-pool counters so scheduler work is a measured
-/// artifact.
+/// Counters describing how much work the calendar did; reported by E2 so
+/// scheduler work is a measured artifact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Entries popped.

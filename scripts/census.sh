@@ -21,6 +21,11 @@
 #                    unsafe_code lint name in #[allow]/#[forbid] attributes
 #                    are not sites. Listed per crate (only crates that have
 #                    any), then crates/core/src on its own line.
+#   RefCell< sites   Occurrences of `RefCell<` in the non-test lines above
+#                    (same files, same column-0 #[cfg(test)] cut), comments
+#                    included: each is a cell some state is shared through.
+#                    Per crate, crates with none not listed. ROADMAP item 11
+#                    (owned state) counts down on this line.
 #   panic sites      Occurrences of .unwrap(), .expect(, panic! and
 #                    unreachable! in src/ of the 11 wire-facing crates
 #                    (netstack radio serial socket ax25 encap netrom vj ether
@@ -62,6 +67,20 @@ non_test_files | xargs awk '
     }'
 
 echo "tracked files: $(git ls-files | wc -l)"
+
+echo "RefCell< sites in non-test code, by crate (crates with none are not listed):"
+non_test_files | xargs awk '
+    FNR == 1 {
+        skip = 0
+        n = split(FILENAME, part, "/")
+        crate = (part[1] == "crates" && n > 2) ? part[2] : "root"
+    }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { sites[crate] += gsub(/RefCell</, "") }
+    END {
+        for (c in sites) if (sites[c] > 0) printf "    %-10s %6d\n", c, sites[c] | "sort"
+        close("sort")
+    }'
 
 unsafe_sites() {
     git ls-files "$1/*.rs" |

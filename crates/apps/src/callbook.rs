@@ -80,27 +80,37 @@ impl SocketProgram for CallbookServerProgram {
         if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Ok((src, sport, payload)) = cx.host.sock_recv_from(h) {
-            let query = String::from_utf8_lossy(payload.as_slice());
-            let Some(call) = query.trim().strip_prefix('?') else {
-                continue;
-            };
-            let reply = if let Some(record) = self.db.get(call) {
-                self.report.borrow_mut().answered += 1;
-                format!("OK {call} {record}")
-            } else if let Some((_, ip)) = self
-                .referrals
-                .iter()
-                .find(|(prefix, _)| call.starts_with(prefix.as_str()))
-            {
-                self.report.borrow_mut().referred += 1;
-                format!("REFER {ip}")
-            } else {
-                self.report.borrow_mut().unknown += 1;
-                "ERR unknown callsign".to_string()
-            };
-            let _ = cx.host.sock_send_to(now, h, src, sport, reply.into_bytes());
+        while let Ok((src, sport, reply)) = cx
+            .host
+            .sock_recv_from(h, |src, sport, query| (src, sport, self.reply(query)))
+        {
+            if let Some(reply) = reply {
+                let _ = cx.host.sock_send_to(now, h, src, sport, reply.into_bytes());
+            }
         }
+    }
+}
+
+impl CallbookServerProgram {
+    /// The answer to one datagram, counted; `None` when it is no query.
+    fn reply(&self, query: &[u8]) -> Option<String> {
+        let query = String::from_utf8_lossy(query);
+        let call = query.trim().strip_prefix('?')?;
+        let mut report = self.report.borrow_mut();
+        Some(if let Some(record) = self.db.get(call) {
+            report.answered += 1;
+            format!("OK {call} {record}")
+        } else if let Some((_, ip)) = self
+            .referrals
+            .iter()
+            .find(|(prefix, _)| call.starts_with(prefix.as_str()))
+        {
+            report.referred += 1;
+            format!("REFER {ip}")
+        } else {
+            report.unknown += 1;
+            "ERR unknown callsign".to_string()
+        })
     }
 }
 
@@ -169,10 +179,9 @@ impl SocketProgram for CallbookClientProgram {
         if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Ok((_src, _sport, payload)) = cx.host.sock_recv_from(h) {
-            let line = String::from_utf8_lossy(payload.as_slice())
-                .trim()
-                .to_string();
+        while let Ok(line) = cx.host.sock_recv_from(h, |_, _, payload| {
+            String::from_utf8_lossy(payload).trim().to_string()
+        }) {
             let referral = line
                 .strip_prefix("REFER ")
                 .and_then(|target| target.parse::<Ipv4Addr>().ok());

@@ -219,8 +219,11 @@ impl SocketProgram for DnsServerProgram {
         if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Ok((src, sport, dgram)) = cx.host.sock_recv_from(h) {
-            let Some((id, name)) = decode_query(dgram.as_slice()) else {
+        while let Ok((src, sport, query)) = cx
+            .host
+            .sock_recv_from(h, |src, sport, dgram| (src, sport, decode_query(dgram)))
+        {
+            let Some((id, name)) = query else {
                 self.report.borrow_mut().malformed += 1;
                 continue;
             };
@@ -370,8 +373,11 @@ impl SocketProgram for ResolverProgram {
         if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Ok((_src, _sport, dgram)) = cx.host.sock_recv_from(h) {
-            let Some((id, name, answer)) = decode_response(dgram.as_slice()) else {
+        while let Ok(response) = cx
+            .host
+            .sock_recv_from(h, |_, _, dgram| decode_response(dgram))
+        {
+            let Some((id, name, answer)) = response else {
                 continue;
             };
             let Some(q) = self.in_flight.remove(&id) else {

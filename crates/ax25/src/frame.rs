@@ -280,8 +280,7 @@ impl Frame {
         out
     }
 
-    /// Appends the wire encoding to any [`ByteSink`] — a pooled
-    /// [`PacketBuf`](sim::PacketBuf) on the datapath, a `Vec<u8>` in tests.
+    /// Appends the wire encoding to any [`ByteSink`].
     pub fn encode_into(&self, out: &mut impl ByteSink) {
         // C bits: command sets dest-C, response sets source-C (AX.25 v2).
         let last_in_field = self.digipeaters.is_empty();

@@ -123,7 +123,7 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
     let mut delivered_at = None;
     for _ in 0..120 {
         world.run_for(SimDuration::from_secs(5));
-        if world.host_mut(east).stack.udp_recv(udp).is_some() {
+        if world.host_mut(east).stack.udp_recv(udp, |_, _, _| ()).is_some() {
             delivered_at = Some(world.now);
             break;
         }

@@ -33,9 +33,7 @@ use netstack::route::Prefix;
 use radio::csma::MacConfig;
 use radio::traffic::BeaconConfig;
 use sim::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 const BULK_PORT: u16 = 2100;
 const BULK_BYTES: usize = 8 * 1024;
@@ -51,7 +49,6 @@ const FLOOD_INTERVAL: SimDuration = SimDuration::from_millis(200);
 struct Flood {
     next: SimTime,
     state: u64,
-    sent: Rc<RefCell<u64>>,
 }
 
 impl Flood {
@@ -59,12 +56,7 @@ impl Flood {
         Flood {
             next: start,
             state: 0xE17,
-            sent: Rc::new(RefCell::new(0)),
         }
-    }
-
-    fn sent(&self) -> Rc<RefCell<u64>> {
-        Rc::clone(&self.sent)
     }
 }
 
@@ -86,7 +78,6 @@ impl App for Flood {
                 now,
                 Ipv4Packet::new(src, PC_IP, Proto::Udp, payload).encode(),
             );
-            *self.sent.borrow_mut() += 1;
             self.next += FLOOD_INTERVAL;
         }
     }
@@ -146,7 +137,7 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
     let send_report = sender.report();
     s.world.add_app(s.pc, Box::new(sender));
 
-    let flood_sent = if flood {
+    let attacker = if flood {
         // A separate attacker machine on the department Ethernet, so the
         // injection cost never lands on the legitimate sink. It routes
         // its forged datagrams toward the amateur net, so its stack must
@@ -168,9 +159,8 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
             .routes_mut()
             .add(Prefix::amprnet(), Some(GW_ETHER_IP), atk_if);
         let f = Flood::new(SimTime::ZERO + SimDuration::from_secs(10));
-        let sent = f.sent();
         s.world.add_app(atk, Box::new(f));
-        Some(sent)
+        Some(atk)
     } else {
         None
     };
@@ -226,7 +216,12 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
         .map(|d| d.stats().filter_drop_out + d.stats().filter_drop_in)
         .unwrap_or(0);
     let fstats = gw.filter_stats().unwrap_or_default();
-    let sent = flood_sent.map_or(0, |c| *c.borrow());
+    // The attacker sends nothing but the flood, so what left its NIC is
+    // what it sent.
+    let sent = attacker.map_or(0, |atk| {
+        let nic = s.world.host(atk).ether_driver().expect("attacker NIC");
+        nic.stats().ip_out
+    });
     Outcome {
         goodput_bps: goodput,
         completed,

@@ -339,8 +339,11 @@ fn world_ether_forward() {
             let now = w.now;
             w.host_mut(a).udp_send(now, tx, b_ip, 9, vec![0; 20]);
             w.run_for(SimDuration::from_millis(5));
-            let got = w.host_mut(b).stack.udp_recv(rx);
-            assert!(got.is_some_and(|(from, _, data)| from == a_ip && data.len() == 20));
+            let got = w
+                .host_mut(b)
+                .stack
+                .udp_recv(rx, |from, _, data| from == a_ip && data.len() == 20);
+            assert_eq!(got, Some(true));
         }
     };
     // Warm-up: both ARP exchanges, buffer pools, queue capacities.

@@ -1,56 +1,100 @@
-//! The encapsulated-forwarding hot path (§4.2's multi-gateway mesh): a
-//! gateway wrapping a forwarded datagram in an outer IPIP header toward a
-//! tunnel endpoint, and the peer gateway stripping it. With a pooled
-//! buffer leased with header headroom, both directions stay
-//! zero-allocation, like the rest of the datapath.
+//! The encapsulated-forwarding path (§4.2's multi-gateway mesh) as the
+//! gateways run it: the west gateway's `NetStack::send_ip` finds the
+//! destination in its tunnel map — an `EncapTable` — and wraps the
+//! datagram in an outer IPIP header toward the east gateway, whose
+//! `NetStack::input_owned` strips that header and surfaces the inner
+//! datagram for forwarding. In steady state that allocates nothing: the
+//! datagram's buffer is the one it arrived in, with room for both
+//! headers (DESIGN.md §6, born once), so `send_ip` writes the inner
+//! header and the driver the outer one in front of the payload without
+//! growing it, and the peer parses both off in place.
 
 use crate::allocs_during;
-use encap::ipip::{decap_in_place, encap_in_place, OUTER_HEADER_LEN};
-use encap::table::EncapTable;
-use netstack::ip::{Ipv4Packet, Proto};
+use encap::table::{EncapTable, SharedEncapTable};
+use netstack::ip::{self, Ipv4Packet, Proto};
 use netstack::route::Prefix;
-use sim::{BufPool, SimDuration};
-use std::hint::black_box;
+use netstack::stack::{IfaceConfig, IfaceId, NetStack, StackAction, StackConfig};
+use sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 const WEST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 100);
 const EAST_GW: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 101);
 
+/// A gateway's stack: one Ethernet interface, forwarding and IPIP on.
+fn gateway(addr: Ipv4Addr) -> (NetStack, IfaceId) {
+    let mut st = NetStack::new(StackConfig {
+        forwarding: true,
+        ipip: true,
+        ..StackConfig::default()
+    });
+    let ifid = st.add_iface(IfaceConfig {
+        name: "qe0".into(),
+        addr,
+        prefix_len: 24,
+        mtu: 1500,
+    });
+    (st, ifid)
+}
+
 #[test]
-fn lookup_encap_decap() {
-    // The datagram a gateway forwards: a 180-byte UDP payload headed for
-    // the east subnet.
-    let inner = Ipv4Packet::new(
+fn send_ip_encap_input_decap() {
+    let (mut west, _) = gateway(WEST_GW);
+    let (mut east, east_if) = gateway(EAST_GW);
+    let mut table = EncapTable::new(SimDuration::from_secs(60));
+    table.add_static(Prefix::new(Ipv4Addr::new(44, 56, 0, 0), 16), EAST_GW, 1);
+    west.set_tunnel_map(Box::new(SharedEncapTable::new(table)));
+
+    // The datagram the west gateway forwards: a 180-byte UDP payload
+    // headed for the east subnet.
+    let sent = Ipv4Packet::new(
         Ipv4Addr::new(128, 95, 1, 4),
         Ipv4Addr::new(44, 56, 0, 5),
         Proto::Udp,
         vec![0x33; 180],
-    )
-    .encode();
-
-    // Steady state: one pool, one table; the first lease primes the pool.
-    let pool = BufPool::new(2048);
-    let mut table = EncapTable::new(SimDuration::from_secs(60));
-    table.add_static(Prefix::new(Ipv4Addr::new(44, 56, 0, 0), 16), EAST_GW, 1);
-
-    let mut roundtrip = || {
-        // Gateway out: table hit, then prepend the outer header into the
-        // leased headroom.
-        let endpoint = table.lookup(Ipv4Addr::new(44, 56, 0, 5)).unwrap();
-        let mut buf = pool.take_with_headroom(OUTER_HEADER_LEN);
-        buf.extend_from_slice(&inner);
-        encap_in_place(&mut buf, WEST_GW, endpoint, 64);
-        // Peer gateway in: verify and strip the outer header in place.
-        let outer = decap_in_place(&mut buf).unwrap();
-        black_box((outer.src, buf.as_slice().len()));
-        // Dropping `buf` recycles it into the pool.
+    );
+    let mut acts = Vec::new();
+    // One datagram through the tunnel; returns the inner datagram the
+    // east gateway surfaces.
+    let mut tunnel = |datagram: Ipv4Packet| {
+        west.send_ip(datagram);
+        west.drain_actions_into(&mut acts);
+        let Some(StackAction::Egress { packet: outer, .. }) = acts.pop() else {
+            panic!("the west gateway emitted nothing: {acts:?}");
+        };
+        assert_eq!(outer.proto, Proto::Other(ip::IPIP));
+        assert_eq!(outer.dst, EAST_GW);
+        east.input_owned(SimTime::ZERO, east_if, outer.into_wire());
+        east.drain_actions_into(&mut acts);
+        let Some(StackAction::ForwardNeeded { packet: inner, .. }) = acts.pop() else {
+            panic!("the east gateway surfaced nothing: {acts:?}");
+        };
+        inner
     };
-    roundtrip();
+    // Warm-up: the datagram's buffer gains its room for two headers once.
+    let mut datagram = Some(tunnel(sent.clone()));
+    assert_eq!(datagram.as_ref(), Some(&sent));
 
-    let allocs = allocs_during(roundtrip);
-    eprintln!("encap_fwd/lookup_encap_decap: {allocs} heap allocations per packet");
+    // Each round sends what the last one surfaced, as a forwarded
+    // datagram is the buffer it arrived in.
+    const N: u64 = 100;
+    let allocs = allocs_during(|| {
+        for _ in 0..N {
+            datagram = datagram.take().map(&mut tunnel);
+        }
+    });
+    assert_eq!(
+        datagram.as_ref(),
+        Some(&sent),
+        "the datagram arrives intact"
+    );
+    assert_eq!(west.stats().ipip_out, N + 1);
+    assert_eq!(east.stats().ipip_in, N + 1);
+    eprintln!(
+        "encap_fwd/send_ip_encap_input_decap: {:.2} heap allocations per datagram",
+        allocs as f64 / N as f64
+    );
     assert_eq!(
         allocs, 0,
-        "the encap/decap fast path must not touch the heap"
+        "tunnelled forwarding must not touch the heap: {allocs} allocations / {N} datagrams"
     );
 }

@@ -148,20 +148,19 @@ impl SockHarness {
             .send_to(&mut self.wire.a, self.udp_a, ipa(2), 9001, PAYLOAD.to_vec())
             .unwrap();
         self.settle();
-        let (_, _, dgram) = self.sb.recv_from(&mut self.wire.b, self.udp_b).unwrap();
-        self.sb
-            .send_to(
-                &mut self.wire.b,
-                self.udp_b,
-                ipa(1),
-                9000,
-                dgram.as_slice().to_vec(),
-            )
+        let dgram = self
+            .sb
+            .recv_from(&mut self.wire.b, self.udp_b, |_, _, d| d.to_vec())
             .unwrap();
-        drop(dgram);
+        self.sb
+            .send_to(&mut self.wire.b, self.udp_b, ipa(1), 9000, dgram)
+            .unwrap();
         self.settle();
-        let (_, _, back) = self.sa.recv_from(&mut self.wire.a, self.udp_a).unwrap();
-        assert_eq!(back.as_slice().len(), PAYLOAD.len());
+        let back = self
+            .sa
+            .recv_from(&mut self.wire.a, self.udp_a, |_, _, d| d.len())
+            .unwrap();
+        assert_eq!(back, PAYLOAD.len());
     }
 
     /// The per-visit readiness scan: every handle both sides watch.
@@ -237,14 +236,15 @@ impl RawHarness {
             .a
             .udp_send(self.udp_a, ipa(2), 9001, PAYLOAD.to_vec());
         self.settle();
-        let (_, _, dgram) = self.wire.b.udp_recv(self.udp_b).unwrap();
-        self.wire
+        let dgram = self
+            .wire
             .b
-            .udp_send(self.udp_b, ipa(1), 9000, dgram.as_slice().to_vec());
-        drop(dgram);
+            .udp_recv(self.udp_b, |_, _, d| d.to_vec())
+            .unwrap();
+        self.wire.b.udp_send(self.udp_b, ipa(1), 9000, dgram);
         self.settle();
-        let (_, _, back) = self.wire.a.udp_recv(self.udp_a).unwrap();
-        assert_eq!(back.as_slice().len(), PAYLOAD.len());
+        let back = self.wire.a.udp_recv(self.udp_a, |_, _, d| d.len()).unwrap();
+        assert_eq!(back, PAYLOAD.len());
     }
 }
 

@@ -24,7 +24,7 @@ use filter::{FilterConfig, FilterEngine, FilterNote, FilterStats};
 use netstack::icmp::IcmpMessage;
 use netstack::stack::{IfaceConfig, IfaceId, NetStack, SockId, StackAction, StackConfig};
 use netstack::NetError;
-use sim::{PacketBuf, SimTime};
+use sim::SimTime;
 use socket::{Readiness, SockError, SocketHandle, SocketTable, TcpInfo};
 
 use crate::cpu::{Cpu, CpuConfig};
@@ -826,12 +826,15 @@ impl Host {
         self.run_sock_op(now, |so, st| so.send_to(st, h, dst, dst_port, payload))
     }
 
-    /// Pops one received datagram (pooled payload buffer).
-    pub fn sock_recv_from(
+    /// Receives one datagram: lends `(source, source port, payload)` to
+    /// `f` for the one call, then gives the buffer it arrived in back to
+    /// this host's pool ([`SocketTable::recv_from`]).
+    pub fn sock_recv_from<R>(
         &mut self,
         h: SocketHandle,
-    ) -> Result<(Ipv4Addr, u16, PacketBuf), SockError> {
-        self.sockets.recv_from(&mut self.stack, h)
+        f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
+    ) -> Result<R, SockError> {
+        self.sockets.recv_from(&mut self.stack, h, f)
     }
 
     /// Readiness mask for one handle (pure, no side effects).
@@ -993,7 +996,7 @@ mod tests {
             vec![0; 8],
         );
         let eth_if = gw.ether_iface().unwrap();
-        gw.stack.input_queued(SimTime::ZERO, eth_if, &p.encode());
+        gw.stack.input_owned(SimTime::ZERO, eth_if, p.encode());
         gw.handle_actions(SimTime::ZERO);
         assert!(gw.take_outbox().is_empty(), "denied: nothing forwarded");
         let fs = gw.filter_stats().unwrap();
@@ -1029,7 +1032,7 @@ mod tests {
             vec![0; 8],
         );
         let eth_if = gw.ether_iface().unwrap();
-        gw.stack.input_queued(now, eth_if, &p.encode());
+        gw.stack.input_owned(now, eth_if, p.encode());
         gw.handle_actions(now);
         assert!(gw.tty_outq().is_empty(), "denied: nothing transmitted");
         let drv = gw.pr_driver().unwrap();
@@ -1053,7 +1056,7 @@ mod tests {
         let ready = gw.next_deadline().expect("queued work");
         gw.advance(ready);
         assert_eq!(gw.filter_stats().unwrap().gate_opened, 1);
-        gw.stack.input_queued(ready, eth_if, &p.encode());
+        gw.stack.input_owned(ready, eth_if, p.encode());
         gw.handle_actions(ready);
         assert!(
             !gw.tty_outq().is_empty(),

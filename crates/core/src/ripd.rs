@@ -202,8 +202,8 @@ impl App for Rip44Service {
         if Some(*id) != self.udp {
             return;
         }
-        while let Some((_src, _port, payload)) = host.stack.udp_recv(*id) {
-            match RipUpdate::decode(payload.as_slice()) {
+        while let Some(update) = host.stack.udp_recv(*id, |_, _, p| RipUpdate::decode(p)) {
+            match update {
                 Ok(update) => self.on_update(now, update, host),
                 Err(_) => self.stats.bad += 1,
             }

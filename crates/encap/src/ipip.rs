@@ -3,12 +3,14 @@
 //! The outer header is a plain 20-octet IPv4 header with protocol 4 whose
 //! payload is a complete inner IP datagram. Two surfaces are provided:
 //!
-//! * [`Ipip`] — an owned codec (`encode` / `decode`), used by tests and
-//!   anything off the hot path;
-//! * [`encap_in_place`] / [`decap_in_place`] — the gateway fast paths,
-//!   which wrap and unwrap a pooled [`PacketBuf`] without copying the
-//!   inner datagram: encapsulation prepends into headroom, decapsulation
-//!   advances past the outer header.
+//! * [`Ipip`] — an owned codec (`encode` / `decode`);
+//! * [`encap_in_place`] / [`decap_in_place`] — wrap and unwrap a
+//!   [`PacketBuf`] without copying the inner datagram: encapsulation
+//!   prepends into headroom, decapsulation advances past the outer header.
+//!   The gateways do not run them: a tunnel packet is wrapped by
+//!   `NetStack::send_ip` (the inner datagram's encoding becomes the outer
+//!   packet's payload) and unwrapped by `NetStack::input`. They remain for
+//!   the benchmark harness's `encap` probe and go with it (ROADMAP 2(a)).
 //!
 //! Decoding is strict: short buffers, wrong IP version, options (IHL ≠ 5),
 //! inconsistent total length, bad header checksum, and non-IPIP protocol
@@ -187,9 +189,9 @@ fn check_outer(bytes: &[u8]) -> Result<OuterHeader, IpipError> {
 
 /// Wraps the datagram in `buf` with an outer IPIP header, in place.
 ///
-/// The 20-octet header lands in the buffer's headroom (lease with
-/// `take_with_headroom(OUTER_HEADER_LEN)` and this never copies the
-/// payload); without headroom [`PacketBuf::prepend`] shifts once.
+/// The 20-octet header lands in the buffer's headroom (build it with
+/// `PacketBuf::with_headroom(OUTER_HEADER_LEN, _)` and this never copies
+/// the payload); without headroom [`PacketBuf::prepend`] shifts once.
 pub fn encap_in_place(buf: &mut PacketBuf, src: Ipv4Addr, dst: Ipv4Addr, ttl: u8) {
     let mut hdr = [0u8; OUTER_HEADER_LEN];
     build_outer(&mut hdr, src, dst, ttl, buf.len());
@@ -210,7 +212,6 @@ pub fn decap_in_place(buf: &mut PacketBuf) -> Result<OuterHeader, IpipError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::BufPool;
 
     fn sample() -> Ipip {
         Ipip::new(
@@ -264,8 +265,7 @@ mod tests {
 
     #[test]
     fn in_place_encap_uses_headroom_and_matches_codec() {
-        let pool = BufPool::new(256);
-        let mut buf = pool.take_with_headroom(OUTER_HEADER_LEN);
+        let mut buf = PacketBuf::with_headroom(OUTER_HEADER_LEN, 256);
         buf.extend_from_slice(&sample().inner);
         encap_in_place(&mut buf, sample().src, sample().dst, OUTER_TTL);
         assert_eq!(buf.headroom(), 0); // header fit exactly, no shift
@@ -274,9 +274,7 @@ mod tests {
 
     #[test]
     fn in_place_decap_strips_without_copying() {
-        let pool = BufPool::new(256);
-        let mut buf = pool.take();
-        buf.extend_from_slice(&sample().encode());
+        let mut buf = PacketBuf::from(sample().encode());
         let outer = decap_in_place(&mut buf).unwrap();
         assert_eq!(outer.src, sample().src);
         assert_eq!(outer.dst, sample().dst);

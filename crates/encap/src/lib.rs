@@ -9,9 +9,10 @@
 //! * [`ipip`] — IP-in-IP (protocol 4) encapsulation. A gateway that knows
 //!   the subnet of the final destination wraps the packet in an outer IPv4
 //!   header addressed to the *nearest* gateway, which unwraps and delivers
-//!   over RF. The fast paths ([`ipip::encap_in_place`],
-//!   [`ipip::decap_in_place`]) work on pooled [`sim::PacketBuf`]s with
-//!   headroom so the datapath stays zero-allocation.
+//!   over RF. The gateways' stacks wrap and unwrap tunnel packets
+//!   themselves (`NetStack::send_ip` and `NetStack::input`); the in-place
+//!   pair ([`ipip::encap_in_place`], [`ipip::decap_in_place`]) on a
+//!   [`sim::PacketBuf`] with headroom serves only the benchmark harness.
 //! * [`table`] — the encap table mapping 44/8 subnets to tunnel endpoints,
 //!   with per-entry hit counters, expiry deadlines, and hold-down so a
 //!   flapping gateway degrades gracefully. [`SharedEncapTable`] plugs it

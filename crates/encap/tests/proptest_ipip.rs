@@ -1,8 +1,8 @@
-//! Property tests for the IPIP codec and the in-place fast paths.
+//! Property tests for the IPIP codec and the in-place pair.
 
 use encap::ipip::{decap_in_place, encap_in_place, Ipip, OUTER_HEADER_LEN};
 use proptest::prelude::*;
-use sim::BufPool;
+use sim::PacketBuf;
 use std::net::Ipv4Addr;
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
@@ -27,12 +27,11 @@ proptest! {
         prop_assert_eq!(Ipip::decode(&p.encode()).unwrap(), p);
     }
 
-    /// The pooled in-place fast paths agree byte-for-byte with the codec
-    /// and restore the original payload.
+    /// The in-place pair agrees byte-for-byte with the codec and restores
+    /// the original payload.
     #[test]
     fn in_place_matches_codec_and_roundtrips(p in arb_ipip()) {
-        let pool = BufPool::new(2048);
-        let mut buf = pool.take_with_headroom(OUTER_HEADER_LEN);
+        let mut buf = PacketBuf::with_headroom(OUTER_HEADER_LEN, p.inner.len());
         buf.extend_from_slice(&p.inner);
         encap_in_place(&mut buf, p.src, p.dst, p.ttl);
         let encoded = p.encode();
@@ -72,7 +71,7 @@ proptest! {
         let mut bad = good.clone();
         bad[i] = bad[i].wrapping_add(delta);
         prop_assert!(Ipip::decode(&bad).is_err());
-        let mut buf = sim::PacketBuf::from(bad.clone());
+        let mut buf = PacketBuf::from(bad.clone());
         prop_assert!(decap_in_place(&mut buf).is_err());
         prop_assert_eq!(buf.as_slice(), bad.as_slice());
     }

@@ -135,8 +135,9 @@ impl KissFrame {
 ///
 /// The frame is wrapped in `FEND` bytes on both sides (a leading `FEND`
 /// flushes any line noise at the receiver, as the KISS spec recommends).
-/// Emitting into a [`ByteSink`] lets the datapath encode straight into a
-/// pooled [`sim::PacketBuf`] without an intermediate `Vec`.
+/// Emitting into a [`ByteSink`] lets the datapath encode straight into
+/// the buffer the bytes leave in (a host's tty output queue) without an
+/// intermediate `Vec`.
 pub fn encode_into(port: u8, command: Command, payload: &[u8], out: &mut impl ByteSink) {
     out.put(FEND);
     // The type byte is escaped like any other content byte: a data frame on
@@ -217,8 +218,8 @@ impl<S: ByteSink> ByteSink for EscapedWriter<'_, S> {
 /// This is the single-pass form of [`encode_into`] for callers that can
 /// stream their payload (e.g. `ax25::frame::Frame::encode_into`): the
 /// payload bytes are escaped as they are produced, so a driver can go from
-/// a structured frame to KISS serial bytes in one pooled buffer with no
-/// intermediate copy.
+/// a structured frame to KISS serial bytes in its host's tty output queue
+/// with no intermediate copy.
 ///
 /// # Examples
 ///

@@ -7,8 +7,8 @@
 //! copy a received datagram into one of its buffers and build their ARP
 //! packets in them, the stack encodes its TCP segments into them, and
 //! whoever is done with a datagram gives the allocation back — the stack
-//! once input has delivered or dropped it, a driver once the bytes are on
-//! its link.
+//! once input has delivered or dropped it or `recvfrom` has lent it out of
+//! a UDP socket's queue, a driver once the bytes are on its link.
 //!
 //! The pool is a free list of constant depth [`DEPTH`]. It keeps the
 //! roomiest buffers it is given and hands out any free one, grown if it is

@@ -17,20 +17,20 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use sim::{BufPool, PacketBuf, SimTime};
+use sim::SimTime;
 
 use crate::icmp::{IcmpMessage, UnreachCode};
 use crate::ip::{self, FragResult, Ipv4Packet, Proto, Reassembler};
 use crate::pool::DgramPool;
 use crate::route::{NextHop, Prefix, RouteTable};
 use crate::tcp::{Tcb, TcbEvent, TcpConfig, TcpFlags, TcpHeader, TcpSegment, TcpState};
-use crate::udp::UdpDatagram;
+use crate::udp::{self, UdpDatagram};
 use crate::NetError;
 
-/// Capacity of the pooled buffers that carry received UDP payloads. Most
-/// datagrams in the testbed (RIP-44 updates, callbook queries, DNS) fit
-/// well inside this; a larger payload simply grows its buffer once.
-const UDP_RX_BUF: usize = 512;
+/// Datagrams a UDP socket holds unread; the next is dropped, as 4.3BSD's
+/// `udp_input` drops one with no room in `so_rcv`. BSD sizes that for forty
+/// 1 KiB datagrams; counted in datagrams, as each holds one pool buffer.
+pub const UDP_RX_QUEUE: usize = 40;
 
 /// Identifies an interface within one host's stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -215,6 +215,8 @@ pub struct StackStats {
     pub ipip_in: u64,
     /// SYNs refused with RST because a listener's accept queue was full.
     pub accept_overflow: u64,
+    /// UDP datagrams dropped on a full socket queue (`udps_fullsock`).
+    pub udp_fullsock: u64,
     /// Always 0: the stack memoizes no forwarding decision. Kept, with
     /// `fwd_cache_misses` and `fwd_cache_stale`, only because the
     /// benchmark harness still reads them (ROADMAP item 2(a)).
@@ -248,7 +250,8 @@ struct Listener {
 #[derive(Debug)]
 struct UdpSock {
     port: u16,
-    rx: VecDeque<(Ipv4Addr, u16, PacketBuf)>,
+    /// Unread datagrams, each in the buffer it arrived in, cut at its UDP length.
+    rx: VecDeque<(Ipv4Addr, u16, Vec<u8>)>,
 }
 
 /// A host's network stack. See the [module docs](self).
@@ -268,8 +271,6 @@ pub struct NetStack {
     stats: StackStats,
     /// Actions produced by socket calls, awaiting [`NetStack::drain_actions`].
     pending: Vec<StackAction>,
-    /// Pooled storage for received UDP payloads.
-    udp_bufs: BufPool,
     /// The host's datagram buffers (see [`crate::pool`]), lent to its
     /// link drivers through [`NetStack::pool_mut`].
     pool: DgramPool,
@@ -295,7 +296,6 @@ impl NetStack {
             tunnels: None,
             stats: StackStats::default(),
             pending: Vec::new(),
-            udp_bufs: BufPool::new(UDP_RX_BUF),
             pool: DgramPool::new(),
             tcb_events: Vec::new(),
         }
@@ -308,13 +308,9 @@ impl NetStack {
         self.cfg.forwarding = on;
     }
 
-    /// Takes every action the stack has produced since the last drain.
-    ///
-    /// Socket and output calls (`tcp_send`, `udp_send`, `ping`, …) no
-    /// longer thread an `out: &mut Vec<StackAction>` through every
-    /// signature; they queue their actions here instead, in the exact
-    /// order they were produced. Call this after one or more operations
-    /// and hand the result to the driver layer.
+    /// Takes every action the stack has produced since the last drain —
+    /// socket and output calls (`tcp_send`, `udp_send`, `ping`, …) queue
+    /// theirs here — in the order they were produced.
     pub fn drain_actions(&mut self) -> Vec<StackAction> {
         std::mem::take(&mut self.pending)
     }
@@ -498,31 +494,24 @@ impl NetStack {
     // --- Input path ----------------------------------------------------------
 
     /// Processes an IP packet arriving on `iface`, returning the actions
-    /// it produced (equivalently: processes and drains).
+    /// it produced. Copies `bytes` once, into a pool buffer; a caller that
+    /// owns them calls [`Self::input_owned`].
     pub fn input(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) -> Vec<StackAction> {
-        self.input_queued(now, iface, bytes);
-        self.drain_actions()
-    }
-
-    /// [`Self::input`] without the drain: the actions stay queued for
-    /// [`Self::drain_actions_into`]. Copies `bytes` once, into a pool
-    /// buffer; a caller that owns them calls [`Self::input_owned`].
-    pub fn input_queued(&mut self, now: SimTime, iface: IfaceId, bytes: &[u8]) {
         let bytes = self.pool.copy(bytes);
         self.input_owned(now, iface, bytes);
+        self.drain_actions()
     }
 
     /// The one input body: takes the link driver's buffer by value and
     /// parses it in place ([`Ipv4Packet::decode_owned`]), so a forwarded
     /// datagram is still that one allocation when it reaches the egress
-    /// driver. The actions stay queued, as for [`Self::input_queued`].
+    /// driver. The actions stay queued for [`Self::drain_actions_into`].
     ///
-    /// When the stack is done with the allocation and nothing kept it — a
-    /// datagram delivered here (every transport copies what it keeps) or
-    /// dropped as not ours — it goes to the host's pool
-    /// ([`Self::pool_mut`]). The bytes live on in a forward in the action
-    /// queue or a fragment the reassembler holds; a malformed datagram's
-    /// buffer is simply dropped.
+    /// When the stack is done with the allocation — delivered to ICMP or
+    /// TCP (each copies what it keeps), or dropped — it goes to the host's
+    /// pool ([`Self::pool_mut`]). The bytes live on in a UDP socket's queue
+    /// until [`Self::udp_recv`], in a forward in the action queue or in a
+    /// fragment the reassembler holds; a malformed datagram's is dropped.
     pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) {
         self.stats.ip_in += 1;
         let packet = match Ipv4Packet::decode_owned(bytes) {
@@ -551,7 +540,7 @@ impl NetStack {
         match whole.proto {
             Proto::Icmp => self.input_icmp(iface, &whole),
             Proto::Tcp => self.input_tcp(now, iface, &whole),
-            Proto::Udp => self.input_udp(&whole),
+            Proto::Udp => return self.input_udp(whole),
             Proto::Other(p) if p == ip::IPIP && self.cfg.ipip => {
                 // A tunnel endpoint: strip the outer header and run the
                 // inner packet through input again. The inner destination
@@ -625,23 +614,24 @@ impl NetStack {
         }
     }
 
-    fn input_udp(&mut self, packet: &Ipv4Packet) {
-        let (src_port, dst_port, payload) =
-            match UdpDatagram::decode_ref(&packet.payload, packet.src, packet.dst) {
-                Ok(d) => d,
-                Err(_) => {
-                    self.stats.bad_packets += 1;
-                    return;
-                }
-            };
+    /// Queues a datagram for its socket in the buffer it arrived in, as
+    /// 4.3BSD's `udp_input` appends the mbuf chain to `so_rcv`.
+    fn input_udp(&mut self, mut packet: Ipv4Packet) {
+        let decoded = UdpDatagram::decode_ref(&packet.payload, packet.src, packet.dst)
+            .map(|(src_port, dst_port, payload)| (src_port, dst_port, payload.len()));
+        let Ok((src_port, dst_port, len)) = decoded else {
+            self.stats.bad_packets += 1;
+            return self.pool.give(packet.payload);
+        };
         if let Some(i) = self.udp.iter().position(|s| s.port == dst_port) {
-            // Copy the payload into a pooled buffer: steady-state receive
-            // recycles storage instead of allocating a fresh Vec per
-            // datagram.
-            let mut buf = self.udp_bufs.take();
-            buf.extend_from_slice(payload);
-            self.udp[i].rx.push_back((packet.src, src_port, buf));
-            self.pending.push(StackAction::UdpReadable(UdpId(i)));
+            let rx = &mut self.udp[i].rx;
+            if rx.len() < UDP_RX_QUEUE {
+                packet.payload.truncate(udp::HEADER_LEN + len);
+                rx.push_back((packet.src, src_port, packet.payload));
+                self.pending.push(StackAction::UdpReadable(UdpId(i)));
+                return;
+            }
+            self.stats.udp_fullsock += 1;
         } else if packet.dst != Ipv4Addr::BROADCAST {
             // Broadcasts to an unbound port are silently ignored — a
             // subnet full of hosts must not answer every announcement
@@ -656,6 +646,7 @@ impl NetStack {
                 },
             );
         }
+        self.pool.give(packet.payload);
     }
 
     fn input_tcp(&mut self, now: SimTime, iface: IfaceId, packet: &Ipv4Packet) {
@@ -997,9 +988,7 @@ impl NetStack {
             dst_port,
             payload,
         };
-        let mut p = Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst));
-        p.src = src;
-        self.send_ip(p);
+        self.send_ip(Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst)));
     }
 
     /// Sends a limited-broadcast (255.255.255.255) datagram out of one
@@ -1033,12 +1022,18 @@ impl NetStack {
         });
     }
 
-    /// Pops the oldest received datagram: `(source, source port, payload)`.
-    /// The payload rides in a pooled buffer that returns its storage to
-    /// the stack's pool when dropped; call in a `while let Some(...)` loop
-    /// to drain. Unknown handles return `None`.
-    pub fn udp_recv(&mut self, udp: UdpId) -> Option<(Ipv4Addr, u16, PacketBuf)> {
-        self.udp.get_mut(udp.0)?.rx.pop_front()
+    /// Lends the oldest received datagram to `f` as `(source, source port,
+    /// payload)`, then gives its buffer to the pool as 4.3BSD's `soreceive`
+    /// frees its mbufs. `None`, `f` uncalled: empty queue or unknown handle.
+    pub fn udp_recv<R>(
+        &mut self,
+        udp: UdpId,
+        f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
+    ) -> Option<R> {
+        let (src, src_port, buf) = self.udp.get_mut(udp.0)?.rx.pop_front()?;
+        let r = f(src, src_port, &buf[udp::HEADER_LEN..]);
+        self.pool.give(buf);
+        Some(r)
     }
 
     /// Queued datagrams awaiting [`Self::udp_recv`].
@@ -1519,11 +1514,13 @@ mod tests {
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.b_ev.contains(&StackAction::UdpReadable(ub)));
-        let (from, from_port, payload) = w.b.udp_recv(ub).expect("one datagram");
+        let (from, from_port, payload) =
+            w.b.udp_recv(ub, |from, port, payload| (from, port, payload.to_vec()))
+                .expect("one datagram");
         assert_eq!(from, ipa(1));
         assert_eq!(from_port, 2001);
-        assert_eq!(payload.as_slice(), b"callbook? N7AKR");
-        assert!(w.b.udp_recv(ub).is_none(), "queue drained");
+        assert_eq!(payload, b"callbook? N7AKR");
+        assert!(w.b.udp_recv(ub, |_, _, _| ()).is_none(), "queue drained");
 
         // To a closed port: ICMP port unreachable comes back.
         w.a.udp_send(ua, ipa(2), 5555, b"hello?".to_vec());
@@ -1777,19 +1774,36 @@ mod tests {
                 std::array::from_fn(|_| st.pool_mut().take(0));
             free.iter().any(|b| b.as_ptr() == ptr)
         };
-        // Delivered here (the socket holds its own copy): handed back.
+        // What recvfrom lends: "hello", read where it arrived.
+        let lent_in_place = |st: &mut NetStack, ptr: *const u8| {
+            st.udp_recv(sock, |_, _, p| {
+                p == b"hello" && p.as_ptr() == ptr.wrapping_add(udp::HEADER_LEN)
+            })
+        };
+        // Delivered here: the socket queues the allocation that came in,
+        // and recvfrom hands it back once it has lent the payload out.
         let wire = from_driver(&local);
         let ptr = wire.as_ptr();
         st.input_owned(now, ifid, wire);
+        assert!(!pooled(&mut st, ptr), "queued on the socket");
+        assert_eq!(lent_in_place(&mut st, ptr), Some(true));
         assert!(pooled(&mut st, ptr), "the allocation that came in");
-        assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
-        // Delivered through a tunnel: the outer buffer comes back.
+        // Delivered through a tunnel: the inner datagram is still the
+        // outer buffer, queued and handed back the same way.
         let outer = Ipv4Packet::new(ipa(1), ipa(2), Proto::Other(ip::IPIP), local.encode());
         let wire = from_driver(&outer);
         let ptr = wire.as_ptr();
         st.input_owned(now, ifid, wire);
+        assert_eq!(lent_in_place(&mut st, ptr), Some(true));
         assert!(pooled(&mut st, ptr));
-        assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
+        // To a port nobody bound: answered, and handed back at once.
+        let dg = UdpDatagram { dst_port: 9, ..dg };
+        let closed = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2)));
+        let wire = from_driver(&closed);
+        let ptr = wire.as_ptr();
+        st.input_owned(now, ifid, wire);
+        assert!(pooled(&mut st, ptr));
+        st.drain_actions();
         // Not ours, not forwarding: dropped, handed back.
         let stray = Ipv4Packet::new(ipa(1), ipa(9), Proto::Udp, vec![0; 8]);
         let wire = from_driver(&stray);
@@ -1889,7 +1903,62 @@ mod tests {
         let outer = Ipv4Packet::new(ipa(1), ipa(2), Proto::Other(ip::IPIP), inner.encode());
         let acts = st.input(SimTime::ZERO, ifid, &outer.encode());
         assert!(acts.contains(&StackAction::UdpReadable(sock)));
-        assert_eq!(st.udp_recv(sock).unwrap().2.as_slice(), b"hello");
+        assert_eq!(st.udp_recv(sock, |_, _, p| p == b"hello"), Some(true));
+    }
+
+    #[test]
+    fn udp_lends_only_the_payload_its_length_covers() {
+        // The IP payload runs past the UDP length field (trailing link
+        // padding, say); the checksum covers only the UDP length, so the
+        // datagram is valid and recvfrom lends exactly its payload.
+        let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
+        let sock = st.udp_bind(520).unwrap();
+        let dg = UdpDatagram {
+            src_port: 520,
+            dst_port: 520,
+            payload: b"hello".to_vec(),
+        };
+        let mut body = dg.encode(ipa(1), ipa(2));
+        body.extend_from_slice(b"padding");
+        let packet = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, body);
+        st.input(SimTime::ZERO, ifid, &packet.encode());
+        assert_eq!(
+            st.udp_recv(sock, |_, _, p| p.to_vec()).as_deref(),
+            Some(&b"hello"[..])
+        );
+    }
+
+    #[test]
+    fn udp_queue_stops_at_its_bound_and_counts_the_rest() {
+        let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
+        let sock = st.udp_bind(520).unwrap();
+        let wire = |n: u8| {
+            let dg = UdpDatagram {
+                src_port: 520,
+                dst_port: 520,
+                payload: vec![n],
+            };
+            Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2))).encode()
+        };
+        // Bound, never read: the queue fills to its bound, and every
+        // datagram past it is dropped and counted.
+        const EXTRA: usize = 5;
+        for n in 0..UDP_RX_QUEUE + EXTRA {
+            st.input_owned(SimTime::ZERO, ifid, wire(n as u8));
+        }
+        assert_eq!(st.udp_rx_queued(sock), UDP_RX_QUEUE);
+        assert_eq!(st.stats().udp_fullsock, EXTRA as u64);
+        let readable = st
+            .drain_actions()
+            .iter()
+            .filter(|a| **a == StackAction::UdpReadable(sock))
+            .count();
+        assert_eq!(readable, UDP_RX_QUEUE, "a dropped datagram wakes nobody");
+        // The queue kept the oldest; reading one makes room for one more.
+        assert_eq!(st.udp_recv(sock, |_, _, p| p[0]), Some(0));
+        st.input_owned(SimTime::ZERO, ifid, wire(0xFF));
+        assert_eq!(st.udp_rx_queued(sock), UDP_RX_QUEUE);
+        assert_eq!(st.stats().udp_fullsock, EXTRA as u64);
     }
 
     #[test]
@@ -1927,7 +1996,7 @@ mod tests {
         let ub = b.udp_bind(520).unwrap();
         let acts = b.input(SimTime::ZERO, b_if, &packet.encode());
         assert!(acts.contains(&StackAction::UdpReadable(ub)));
-        assert_eq!(b.udp_recv(ub).unwrap().0, ipa(1));
+        assert_eq!(b.udp_recv(ub, |from, _, _| from), Some(ipa(1)));
         let (mut c, c_if) = NetStack::simple_host(ipa(3), 24, 1500, None);
         let acts = c.input(SimTime::ZERO, c_if, &packet.encode());
         assert!(acts.is_empty(), "no ICMP about a broadcast: {acts:?}");

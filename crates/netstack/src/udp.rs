@@ -10,6 +10,9 @@ use sim::wire::{internet_checksum, Reader, Writer};
 
 use crate::NetError;
 
+/// Octets of the UDP header in front of the payload.
+pub const HEADER_LEN: usize = 8;
+
 /// A UDP datagram (header + payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpDatagram {
@@ -72,8 +75,8 @@ impl UdpDatagram {
     }
 
     /// Decodes and verifies a datagram without copying the payload:
-    /// `(src_port, dst_port, payload)` borrowed from `bytes`. The stack's
-    /// receive path uses this to land payloads straight in pooled buffers.
+    /// `(src_port, dst_port, payload)` borrowed from `bytes`, which may
+    /// run past the datagram's UDP length.
     pub fn decode_ref(
         bytes: &[u8],
         src: Ipv4Addr,
@@ -84,7 +87,7 @@ impl UdpDatagram {
         let dst_port = r.u16().map_err(|_| NetError::Malformed("udp header"))?;
         let len = r.u16().map_err(|_| NetError::Malformed("udp header"))? as usize;
         let checksum = r.u16().map_err(|_| NetError::Malformed("udp header"))?;
-        if len < 8 || len > bytes.len() {
+        if len < HEADER_LEN || len > bytes.len() {
             return Err(NetError::Malformed("udp length"));
         }
         if checksum != 0 {
@@ -93,7 +96,7 @@ impl UdpDatagram {
                 return Err(NetError::BadChecksum("udp"));
             }
         }
-        Ok((src_port, dst_port, &bytes[8..len]))
+        Ok((src_port, dst_port, &bytes[HEADER_LEN..len]))
     }
 }
 

@@ -22,8 +22,8 @@
 //!   experiment harnesses.
 //! * [`wire`] — bounds-checked big-endian readers and writers shared by all
 //!   of the frame/packet codecs.
-//! * [`pktbuf`] — pooled [`PacketBuf`]s and the [`ByteSink`] trait the
-//!   codecs encode into.
+//! * [`pktbuf`] — [`PacketBuf`], a plain buffer with headroom, and the
+//!   [`ByteSink`] trait the codecs encode into.
 //! * [`trace`] — a lightweight, in-memory event trace.
 //!
 //! # Examples

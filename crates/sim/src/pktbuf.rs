@@ -1,203 +1,96 @@
-//! Pooled packet buffers and the byte sink codecs write into.
-//!
-//! The per-character receive path of the gateway (§3 of the paper) runs
-//! millions of times per simulated minute, so the layer boundaries must not
-//! allocate on the fast path. This module provides the two pieces every
-//! datapath API is built on:
+//! Packet buffers with headroom, and the byte sink codecs write into.
 //!
 //! * [`PacketBuf`] — a growable byte buffer with *headroom* (cheap header
-//!   prepend) and *cheap slicing* (advancing the start without copying),
-//!   leased from a reference-counted [`BufPool`] and automatically recycled
-//!   on drop.
+//!   prepend) and *cheap slicing* (advancing the start without copying).
+//!   It is a plain owned buffer: nothing recycles it on drop. The host's
+//!   datapath trades `Vec<u8>`s through its one `netstack::pool::DgramPool`
+//!   (DESIGN.md §6); `PacketBuf` remains for `encap`'s in-place IPIP pair
+//!   and the radio driver's `rint_slice`, which only the benchmark harness
+//!   calls (ROADMAP 2(a)).
 //! * [`ByteSink`] — the byte-granular output the codecs' `encode_into`
 //!   paths write into: a `Vec<u8>` or a [`PacketBuf`].
-//!
-//! The pool exposes hit/miss/high-water counters ([`PoolStats`]) so the
-//! experiment harnesses can report allocation behaviour alongside
-//! chars/interrupts.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
-use std::rc::Rc;
 
 use crate::stats::Counter;
 
-/// Allocation counters for a [`BufPool`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Always zero: nothing pools a [`PacketBuf`].
+#[doc(hidden)] // serves benchmarks/src/layers.rs:82-85 (ROADMAP 2(a))
+#[derive(Debug, Default)]
 pub struct PoolStats {
-    /// Leases served from the free list (no heap allocation).
     pub hits: Counter,
-    /// Leases that had to allocate a fresh buffer.
     pub misses: Counter,
-    /// Buffers returned to the free list on drop.
-    pub recycled: Counter,
-    /// Buffers currently leased out.
-    pub live: u64,
-    /// Maximum simultaneously leased buffers ever observed.
     pub high_water: u64,
 }
 
-struct PoolInner {
-    free: Vec<Vec<u8>>,
-    buf_capacity: usize,
-    max_free: usize,
-    stats: PoolStats,
-}
-
-/// A reference-counted pool of byte buffers.
-///
-/// Cloning the handle is cheap and shares the pool. Buffers leased with
-/// [`BufPool::take`] return to the free list when the [`PacketBuf`] drops,
-/// so a steady-state datapath performs zero heap allocations.
-///
-/// # Examples
-///
-/// ```
-/// use sim::{BufPool, PacketBuf};
-///
-/// let pool = BufPool::new(256);
-/// {
-///     let mut b = pool.take();
-///     b.extend_from_slice(b"hello");
-///     assert_eq!(&b[..], b"hello");
-/// } // drop recycles the storage
-/// let again = pool.take();
-/// assert_eq!(pool.stats().hits.get(), 1); // second lease reused the first
-/// assert_eq!(pool.stats().misses.get(), 1);
-/// drop(again);
-/// ```
-#[derive(Clone)]
-pub struct BufPool(Rc<RefCell<PoolInner>>);
-
-impl fmt::Debug for BufPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.0.borrow();
-        f.debug_struct("BufPool")
-            .field("free", &inner.free.len())
-            .field("buf_capacity", &inner.buf_capacity)
-            .field("stats", &inner.stats)
-            .finish()
-    }
-}
+/// Hands out fresh [`PacketBuf`]s; every take allocates.
+#[doc(hidden)] // serves benchmarks/src/probes.rs:359-361 (ROADMAP 2(a))
+#[derive(Debug)]
+pub struct BufPool(usize);
 
 impl BufPool {
-    /// Default cap on buffers retained in the free list.
-    pub const DEFAULT_MAX_FREE: usize = 64;
-
-    /// Creates a pool whose fresh buffers start with `buf_capacity` bytes
-    /// of capacity.
     pub fn new(buf_capacity: usize) -> BufPool {
-        BufPool(Rc::new(RefCell::new(PoolInner {
-            free: Vec::new(),
-            buf_capacity,
-            max_free: Self::DEFAULT_MAX_FREE,
-            stats: PoolStats::default(),
-        })))
+        BufPool(buf_capacity)
     }
 
-    /// Leases an empty buffer (no headroom).
-    #[inline]
-    pub fn take(&self) -> PacketBuf {
-        self.take_with_headroom(0)
-    }
-
-    /// Leases an empty buffer whose first `headroom` bytes are reserved for
-    /// later [`PacketBuf::prepend`] calls.
     pub fn take_with_headroom(&self, headroom: usize) -> PacketBuf {
-        let mut inner = self.0.borrow_mut();
-        let mut storage = match inner.free.pop() {
-            Some(v) => {
-                inner.stats.hits.incr();
-                v
-            }
-            None => {
-                inner.stats.misses.incr();
-                Vec::with_capacity(inner.buf_capacity.max(headroom))
-            }
-        };
-        inner.stats.live += 1;
-        inner.stats.high_water = inner.stats.high_water.max(inner.stats.live);
-        storage.clear();
-        storage.resize(headroom, 0);
-        PacketBuf {
-            storage,
-            start: headroom,
-            pool: Some(BufPool(Rc::clone(&self.0))),
-        }
-    }
-
-    /// Current allocation counters.
-    pub fn stats(&self) -> PoolStats {
-        self.0.borrow().stats
-    }
-
-    fn recycle(&self, mut storage: Vec<u8>) {
-        let mut inner = self.0.borrow_mut();
-        inner.stats.live = inner.stats.live.saturating_sub(1);
-        if inner.free.len() < inner.max_free {
-            storage.clear();
-            inner.stats.recycled.incr();
-            inner.free.push(storage);
-        }
+        PacketBuf::with_headroom(headroom, self.0.saturating_sub(headroom))
     }
 }
 
-/// A byte buffer with headroom and cheap front-slicing, optionally leased
-/// from a [`BufPool`].
+/// A byte buffer with headroom and cheap front-slicing.
 ///
 /// The live bytes are `storage[start..]`; `start` both implements headroom
-/// (lease with [`BufPool::take_with_headroom`], then [`prepend`] headers
-/// without moving the payload) and cheap slicing ([`advance`] strips a
-/// parsed header without copying the remainder).
+/// (build with [`with_headroom`], then [`prepend`] headers without moving
+/// the payload) and cheap slicing ([`advance`] strips a parsed header
+/// without copying the remainder).
 ///
+/// [`with_headroom`]: PacketBuf::with_headroom
 /// [`prepend`]: PacketBuf::prepend
 /// [`advance`]: PacketBuf::advance
 ///
 /// # Examples
 ///
 /// ```
-/// use sim::{BufPool, PacketBuf};
+/// use sim::PacketBuf;
 ///
-/// let pool = BufPool::new(64);
-/// let mut b = pool.take_with_headroom(2);
+/// let mut b = PacketBuf::with_headroom(2, 64);
 /// b.extend_from_slice(b"payload");
 /// b.prepend(b"hh");            // uses the headroom, no copy of "payload"
 /// assert_eq!(&b[..], b"hhpayload");
 /// b.advance(2);                // strip the header again, no copy
 /// assert_eq!(&b[..], b"payload");
 /// ```
+#[derive(Clone, Default)]
 pub struct PacketBuf {
     storage: Vec<u8>,
     start: usize,
-    pool: Option<BufPool>,
 }
 
 impl PacketBuf {
-    /// Creates an empty, unpooled buffer.
+    /// Creates an empty buffer.
     pub fn new() -> PacketBuf {
+        PacketBuf::default()
+    }
+
+    /// Creates an empty buffer whose first `headroom` bytes are reserved
+    /// for later [`prepend`](PacketBuf::prepend) calls, with room for
+    /// `capacity` live bytes behind them.
+    pub fn with_headroom(headroom: usize, capacity: usize) -> PacketBuf {
+        let mut storage = Vec::with_capacity(headroom + capacity);
+        storage.resize(headroom, 0);
         PacketBuf {
-            storage: Vec::new(),
-            start: 0,
-            pool: None,
+            storage,
+            start: headroom,
         }
     }
 
-    /// Creates an empty, unpooled buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> PacketBuf {
-        PacketBuf {
-            storage: Vec::with_capacity(cap),
-            start: 0,
-            pool: None,
-        }
-    }
-
-    /// Wraps an owned `Vec` (no pool; the storage frees normally on drop).
+    /// Wraps an owned `Vec`.
     pub fn from_vec(v: Vec<u8>) -> PacketBuf {
         PacketBuf {
             storage: v,
             start: 0,
-            pool: None,
         }
     }
 
@@ -270,45 +163,6 @@ impl PacketBuf {
         if n < self.len() {
             self.storage.truncate(self.start + n);
         }
-    }
-
-    /// Clears all live bytes and headroom; capacity is retained.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.storage.clear();
-        self.start = 0;
-    }
-
-    /// Copies the live bytes into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-}
-
-impl Default for PacketBuf {
-    fn default() -> PacketBuf {
-        PacketBuf::new()
-    }
-}
-
-impl Drop for PacketBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.recycle(std::mem::take(&mut self.storage));
-        }
-    }
-}
-
-impl Clone for PacketBuf {
-    /// Clones the live bytes. A pooled buffer clones through its pool (the
-    /// copy is leased, so it recycles on drop like the original).
-    fn clone(&self) -> PacketBuf {
-        let mut out = match &self.pool {
-            Some(pool) => pool.take(),
-            None => PacketBuf::with_capacity(self.len()),
-        };
-        out.extend_from_slice(self.as_slice());
-        out
     }
 }
 
@@ -400,41 +254,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_reuses_buffers() {
-        let pool = BufPool::new(128);
-        let a = pool.take();
-        drop(a);
-        let b = pool.take();
-        let s = pool.stats();
-        assert_eq!(s.misses.get(), 1);
-        assert_eq!(s.hits.get(), 1);
-        assert_eq!(s.live, 1);
-        assert_eq!(s.high_water, 1);
-        drop(b);
-        assert_eq!(pool.stats().recycled.get(), 2);
-        assert_eq!(pool.stats().live, 0);
-    }
-
-    #[test]
-    fn high_water_tracks_simultaneous_leases() {
-        let pool = BufPool::new(16);
-        let a = pool.take();
-        let b = pool.take();
-        let c = pool.take();
-        drop((a, b, c));
-        assert_eq!(pool.stats().high_water, 3);
-        assert_eq!(pool.stats().live, 0);
-    }
-
-    #[test]
     fn prepend_uses_headroom_without_shifting() {
-        let pool = BufPool::new(64);
-        let mut b = pool.take_with_headroom(4);
+        let mut b = PacketBuf::with_headroom(4, 64);
         b.extend_from_slice(b"data");
         assert_eq!(b.headroom(), 4);
+        let payload = b.as_slice().as_ptr();
         b.prepend(b"hd");
         assert_eq!(&b[..], b"hddata");
         assert_eq!(b.headroom(), 2);
+        assert_eq!(b[2..].as_ptr(), payload, "the payload did not move");
     }
 
     #[test]
@@ -443,6 +271,12 @@ mod tests {
         b.extend_from_slice(b"xyz");
         b.prepend(b"abcd"); // no headroom at all
         assert_eq!(&b[..], b"abcdxyz");
+        // More than the headroom there is: the rest shifts in once.
+        let mut b = PacketBuf::with_headroom(2, 8);
+        b.extend_from_slice(b"xyz");
+        b.prepend(b"abcd");
+        assert_eq!(&b[..], b"abcdxyz");
+        assert_eq!(b.headroom(), 0);
     }
 
     #[test]
@@ -453,30 +287,24 @@ mod tests {
         b.truncate(2);
         assert_eq!(&b[..], &[3, 4]);
         assert_eq!(b.headroom(), 2);
+        b.truncate(9); // longer than the live bytes: no-op
+        assert_eq!(&b[..], &[3, 4]);
+        b.prepend(&[7, 8]); // the advanced-past bytes are headroom again
+        assert_eq!(&b[..], &[7, 8, 3, 4]);
     }
 
     #[test]
-    fn clone_of_pooled_buffer_is_pooled() {
-        let pool = BufPool::new(32);
-        let mut a = pool.take();
-        a.extend_from_slice(b"abc");
-        let b = a.clone();
+    fn clone_copies_the_live_bytes_into_storage_of_its_own() {
+        let mut a = PacketBuf::with_headroom(3, 16);
+        a.extend_from_slice(b"abcdef");
+        a.advance(1);
+        let mut b = a.clone();
         assert_eq!(a, b);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.stats().live, 0);
-        assert_eq!(pool.stats().recycled.get(), 2);
-    }
-
-    #[test]
-    fn recycled_buffer_comes_back_empty() {
-        let pool = BufPool::new(32);
-        let mut a = pool.take_with_headroom(8);
-        a.extend_from_slice(b"junk");
-        drop(a);
-        let b = pool.take();
-        assert!(b.is_empty());
-        assert_eq!(b.headroom(), 0);
+        assert_ne!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        b.truncate(2);
+        b.prepend(b"zz");
+        assert_eq!(&a[..], b"bcdef", "the original is untouched");
+        assert_eq!(&b[..], b"zzbc");
     }
 
     #[test]

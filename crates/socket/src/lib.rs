@@ -12,7 +12,9 @@
 //!   [`SocketTable::send`], [`SocketTable::recv`],
 //!   [`SocketTable::shutdown`], [`SocketTable::close`], plus
 //!   [`SocketTable::bind_udp`] / [`SocketTable::send_to`] /
-//!   [`SocketTable::recv_from`] for datagrams;
+//!   [`SocketTable::recv_from`] for datagrams — `recv_from` lends the
+//!   payload to a closure in the buffer it arrived in and gives that
+//!   buffer back to the host's pool, so no caller holds a pool buffer;
 //! * [`SocketTable::poll`] / [`SocketTable::select`] readiness bitmasks
 //!   ([`Readiness`]) computed from existing TCB/UDP state — never by
 //!   busy-polling: wakeups ride the deadline scheduler via
@@ -42,7 +44,7 @@ use netstack::icmp::IcmpMessage;
 use netstack::stack::{ListenerId, NetStack, SockId, StackAction, UdpId};
 use netstack::tcp::{TcbStats, TcpConfig, TcpState};
 use netstack::NetError;
-use sim::{PacketBuf, SimDuration, SimTime};
+use sim::{SimDuration, SimTime};
 
 /// Readiness bitmask returned by [`SocketTable::poll`].
 ///
@@ -484,16 +486,19 @@ impl SocketTable {
         }
     }
 
-    /// Pops one received datagram: `(source, source port, payload)`. The
-    /// payload arrives in a pooled buffer that recycles on drop. Empty
-    /// queue ⇒ [`SockError::WouldBlock`].
-    pub fn recv_from(
+    /// Receives one datagram: lends `(source, source port, payload)` to
+    /// `f` for the one call and returns what `f` returns. The payload is
+    /// the buffer the datagram arrived in, which goes back to the host's
+    /// pool before this returns ([`NetStack::udp_recv`]). Empty queue ⇒
+    /// [`SockError::WouldBlock`], without calling `f`.
+    pub fn recv_from<R>(
         &mut self,
         st: &mut NetStack,
         h: SocketHandle,
-    ) -> Result<(Ipv4Addr, u16, PacketBuf), SockError> {
+        f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
+    ) -> Result<R, SockError> {
         match self.slots.get(h.0) {
-            Some(Slot::Udp { id, .. }) => st.udp_recv(*id).ok_or(SockError::WouldBlock),
+            Some(Slot::Udp { id, .. }) => st.udp_recv(*id, f).ok_or(SockError::WouldBlock),
             _ => Err(SockError::BadHandle),
         }
     }

@@ -312,17 +312,23 @@ fn udp_datagram_roundtrip_and_readiness() {
     // UDP is born writable, not readable.
     assert!(p.sb.poll(&p.b, ub).writable());
     assert!(!p.sb.poll(&p.b, ub).readable());
-    assert_eq!(p.sb.recv_from(&mut p.b, ub), Err(SockError::WouldBlock));
+    assert_eq!(
+        p.sb.recv_from(&mut p.b, ub, |_, _, _| ()),
+        Err(SockError::WouldBlock)
+    );
 
     p.sa.send_to(&mut p.a, ua, ipa(2), 53, b"QUERY?".to_vec())
         .unwrap();
     p.settle(now);
     assert!(p.sb.poll(&p.b, ub).readable());
-    let (src, sport, payload) = p.sb.recv_from(&mut p.b, ub).unwrap();
+    let (src, sport, payload) =
+        p.sb.recv_from(&mut p.b, ub, |src, sport, payload| {
+            (src, sport, payload.to_vec())
+        })
+        .unwrap();
     assert_eq!(src, ipa(1));
     assert_eq!(sport, 4000);
-    assert_eq!(payload.as_slice(), b"QUERY?");
-    drop(payload);
+    assert_eq!(payload, b"QUERY?");
     assert!(!p.sb.poll(&p.b, ub).readable());
 }
 

@@ -470,13 +470,14 @@ impl WorkloadClient {
     }
 
     fn on_udp_readable(&mut self, now: SimTime, h: SocketHandle, cx: &mut SockCtx<'_>) {
-        while let Ok((_src, _sport, dgram)) = cx.host.sock_recv_from(h) {
-            let Some((rid, rname, answer)) = decode_response(dgram.as_slice()) else {
+        while let Ok((response, bytes)) = cx.host.sock_recv_from(h, |_, _, dgram| {
+            (decode_response(dgram), dgram.len() as u64)
+        }) {
+            let Some((rid, rname, answer)) = response else {
                 continue;
             };
             if let State::Dns { id, name, t0 } = self.state {
                 if rid == id && rname == self.names[name as usize] {
-                    let bytes = dgram.as_slice().len() as u64;
                     self.observe(now.saturating_since(t0));
                     // NXDOMAIN still completes the session — the
                     // question was answered.

@@ -96,16 +96,18 @@ fn main() {
         .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
     world.run_for(SimDuration::from_secs(60));
 
-    let got = world.host_mut(east).stack.udp_recv(udp);
-    match got {
-        Some((src, port, payload)) => {
+    let now = world.now;
+    let got = world
+        .host_mut(east)
+        .stack
+        .udp_recv(udp, |src, port, payload| {
             println!(
-                "t={}  EGATE's UDP socket received from {src}:{port}: {:?}",
-                world.now,
-                String::from_utf8_lossy(payload.as_slice())
+                "t={now}  EGATE's UDP socket received from {src}:{port}: {:?}",
+                String::from_utf8_lossy(payload)
             );
-        }
-        None => println!("datagram did not arrive (unexpected)"),
+        });
+    if got.is_none() {
+        println!("datagram did not arrive (unexpected)");
     }
     println!(
         "\nBBONE forwarded {} datagram(s); total NODES broadcasts on air: {}",

@@ -29,6 +29,21 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
+# Owned state (ROADMAP item 11): a RefCell is state shared behind the
+# borrow checker's back. Each crate's count may only fall.
+echo "==> RefCell< sites per crate within scripts/refcell_ceiling.txt"
+while read -r crate count; do
+    ceiling=$(awk -v c="$crate" '$1 == c { print $2 }' scripts/refcell_ceiling.txt)
+    if [ -z "$ceiling" ]; then
+        echo "crate $crate has $count RefCell< sites and no line in scripts/refcell_ceiling.txt"
+        exit 1
+    fi
+    if [ "$count" -gt "$ceiling" ]; then
+        echo "crate $crate: $count RefCell< sites exceed the ceiling $ceiling"
+        exit 1
+    fi
+done < <(scripts/census.sh | awk '/^RefCell< sites/ { on = 1; next } on && /^    / { print $1, $2; next } { on = 0 }')
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -146,10 +146,12 @@ fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
         .world
         .host_mut(b.east)
         .stack
-        .udp_recv(east_udp)
+        .udp_recv(east_udp, |src, sport, payload| {
+            (src, sport, payload.to_vec())
+        })
         .expect("datagram arrived across the backbone");
     assert_eq!(src, WEST_IP);
-    assert_eq!(payload.as_slice(), b"IP over NET/ROM between gateways");
+    assert_eq!(payload, b"IP over NET/ROM between gateways");
 
     // And it really went through the middle node.
     assert!(mid_report.borrow().stats.forwarded >= 1, "mid forwarded");
@@ -201,5 +203,9 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
         .borrow_mut()
         .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
     world.run_for(SimDuration::from_secs(120));
-    assert!(world.host_mut(east).stack.udp_recv(east_udp).is_some());
+    assert!(world
+        .host_mut(east)
+        .stack
+        .udp_recv(east_udp, |_, _, _| ())
+        .is_some());
 }

@@ -5,8 +5,9 @@
 //! [`DnsServer`] serves an A-record subset of RFC 1035 from a static
 //! zone (the AMPRnet callsign→address table a coordinator would
 //! publish), and [`Resolver`] is the stub clients link against:
-//! cache-with-TTL, retry-with-deadline, and a [`ResolverCore`] handle
-//! that other apps (or the experiment driver) query.
+//! cache-with-TTL, retry-with-deadline, and a [`ResolverCore`] that
+//! the experiment driver queries through the world
+//! ([`Resolver::core_mut`] on `World::app_mut`).
 //!
 //! The wire format is real RFC 1035 — 12-byte header, QNAME label
 //! sequence, QTYPE/QCLASS, answers with the classic `0xC00C` compression
@@ -262,7 +263,7 @@ pub struct ResolverStats {
     pub failures: u64,
 }
 
-/// The shared half of the stub resolver: applications and drivers call
+/// The request half of the stub resolver: its owner calls
 /// [`ResolverCore::resolve`]/[`ResolverCore::result`] on this; the
 /// [`Resolver`] app drains the request queue onto the wire.
 #[derive(Debug)]
@@ -277,14 +278,14 @@ pub struct ResolverCore {
 
 impl ResolverCore {
     /// A core pointed at `server`.
-    pub fn new(server: Ipv4Addr) -> crate::Shared<ResolverCore> {
-        crate::shared(ResolverCore {
+    pub fn new(server: Ipv4Addr) -> ResolverCore {
+        ResolverCore {
             server,
             cache: HashMap::new(),
             pending: Vec::new(),
             results: HashMap::new(),
             stats: ResolverStats::default(),
-        })
+        }
     }
 
     /// Non-blocking lookup: a cached, unexpired answer comes back
@@ -324,7 +325,7 @@ pub type Resolver = SockApp<ResolverProgram>;
 
 /// The socket program behind [`Resolver`].
 pub struct ResolverProgram {
-    core: crate::Shared<ResolverCore>,
+    core: ResolverCore,
     port: u16,
     sock: Option<SocketHandle>,
     next_id: u16,
@@ -343,9 +344,14 @@ impl Resolver {
         })
     }
 
-    /// The shared core other apps and drivers hold.
-    pub fn core(&self) -> crate::Shared<ResolverCore> {
-        self.program.core.clone()
+    /// The resolver's core: results and counters.
+    pub fn core(&self) -> &ResolverCore {
+        &self.program.core
+    }
+
+    /// The resolver's core, to queue lookups on.
+    pub fn core_mut(&mut self) -> &mut ResolverCore {
+        &mut self.program.core
     }
 }
 
@@ -357,9 +363,9 @@ impl ResolverProgram {
         };
         q.deadline = now + RETRY_AFTER;
         q.tries += 1;
-        let server = self.core.borrow().server;
+        let server = self.core.server;
         let query = encode_query(id, &q.name);
-        self.core.borrow_mut().stats.queries_sent += 1;
+        self.core.stats.queries_sent += 1;
         let _ = cx.host.sock_send_to(now, sock, server, DNS_PORT, query);
     }
 }
@@ -387,7 +393,7 @@ impl SocketProgram for ResolverProgram {
                 self.in_flight.insert(id, q);
                 continue;
             }
-            let mut core = self.core.borrow_mut();
+            let core = &mut self.core;
             core.stats.answers += 1;
             if let Some((addr, ttl)) = answer {
                 core.cache.insert(
@@ -403,7 +409,7 @@ impl SocketProgram for ResolverProgram {
 
     fn on_tick(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
         // New requests queued by consumers since the last visit.
-        let pending = std::mem::take(&mut self.core.borrow_mut().pending);
+        let pending = std::mem::take(&mut self.core.pending);
         for name in pending {
             let id = self.next_id;
             self.next_id = self.next_id.wrapping_add(1);
@@ -427,18 +433,17 @@ impl SocketProgram for ResolverProgram {
         for id in expired {
             if self.in_flight[&id].tries >= MAX_TRIES {
                 let q = self.in_flight.remove(&id).unwrap();
-                let mut core = self.core.borrow_mut();
-                core.stats.failures += 1;
-                core.results.insert(q.name, None);
+                self.core.stats.failures += 1;
+                self.core.results.insert(q.name, None);
             } else {
-                self.core.borrow_mut().stats.retries += 1;
+                self.core.stats.retries += 1;
                 self.transmit(now, id, cx);
             }
         }
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        let queued = (!self.core.borrow().pending.is_empty()).then_some(SimTime::ZERO);
+        let queued = (!self.core.pending.is_empty()).then_some(SimTime::ZERO);
         let retry = self.in_flight.values().map(|q| q.deadline).min();
         match (queued, retry) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -508,8 +513,7 @@ mod tests {
 
     #[test]
     fn resolver_core_caches_and_expires() {
-        let core = ResolverCore::new(Ipv4Addr::new(44, 0, 0, 1));
-        let mut c = core.borrow_mut();
+        let mut c = ResolverCore::new(Ipv4Addr::new(44, 0, 0, 1));
         let t0 = SimTime::ZERO;
         assert_eq!(c.resolve("host.ampr.org", t0), None);
         assert_eq!(c.pending, vec!["host.ampr.org".to_string()]);

@@ -188,7 +188,7 @@ impl<P: SocketProgram> SockApp<P> {
     }
 }
 
-impl<P: SocketProgram> App for SockApp<P> {
+impl<P: SocketProgram + 'static> App for SockApp<P> {
     fn on_start(&mut self, now: SimTime, host: &mut Host) {
         {
             let SockApp { program, watched } = &mut *self;

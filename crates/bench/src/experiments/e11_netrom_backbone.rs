@@ -68,27 +68,21 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
             }
         }
     }
-    let mut reports = Vec::new();
-    let mut west_sendq = None;
+    let mut routers = Vec::new();
     for (i, h) in hosts.iter().enumerate() {
         let mut cfg = NetRomConfig::new(Ax25Addr::parse_or_panic(&calls[i]), &calls[i]);
         cfg.broadcast_interval = SimDuration::from_secs(60);
-        let router = NetRomRouter::new(cfg);
-        reports.push(router.report());
-        if i == 0 {
-            west_sendq = Some(router.send_queue());
-        }
-        world.add_app(*h, Box::new(router));
+        routers.push(world.add_app(*h, Box::new(NetRomRouter::new(cfg))));
     }
-    let west_sendq = west_sendq.expect("west router");
+    let west = routers[0];
 
     // Run until the west gateway knows EGATE (or give up).
     let mut converged_at = None;
     for _ in 0..240 {
         world.run_for(SimDuration::from_secs(10));
-        if reports[0]
-            .borrow()
-            .destinations
+        if world
+            .app(west)
+            .destinations()
             .contains(&"EGATE".to_string())
         {
             converged_at = Some(world.now);
@@ -117,9 +111,9 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
     };
     let ip = Ipv4Packet::new(west_ip, east_ip, Proto::Udp, dg.encode(west_ip, east_ip));
     let sent_at = world.now;
-    west_sendq
-        .borrow_mut()
-        .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
+    world
+        .app_mut(west)
+        .send_ip(Ax25Addr::parse_or_panic("EGATE"), ip.encode());
     let mut delivered_at = None;
     for _ in 0..120 {
         world.run_for(SimDuration::from_secs(5));
@@ -128,11 +122,9 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
             break;
         }
     }
-    let broadcasts: u64 = reports
-        .iter()
-        .map(|r| r.borrow().stats.broadcasts_sent)
-        .sum();
-    let forwards: u64 = reports.iter().map(|r| r.borrow().stats.forwarded).sum();
+    let stats = || routers.iter().map(|&r| world.app(r).stats());
+    let broadcasts: u64 = stats().map(|s| s.broadcasts_sent).sum();
+    let forwards: u64 = stats().map(|s| s.forwarded).sum();
     Outcome {
         converged_at_s: converged_at.as_secs_f64(),
         delivery_s: delivered_at

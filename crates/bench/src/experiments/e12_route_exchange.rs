@@ -26,11 +26,18 @@ use apps::bulk::{BulkSender, BulkSink};
 use apps::ping::Pinger;
 use bench::open_config;
 use bench::report::Report;
+use encap::table::EncapTable;
 use gateway::ripd::RipConfig;
-use gateway::scenario::{mesh_addrs, three_gateway};
+use gateway::scenario::{mesh_addrs, three_gateway, MeshScenario};
 use sim::SimDuration;
 
 const ROUTE_TTL_SECS: u64 = 25;
+
+/// The west gateway's tunnel table, which its stack owns.
+fn west_tunnels(s: &MeshScenario) -> &EncapTable {
+    let t = s.world.host(s.west_gw).stack.tunnel_map();
+    t.expect("the west daemon has started")
+}
 
 pub fn run(x: &mut Report) {
     x.banner(
@@ -68,12 +75,11 @@ pub fn run(x: &mut Report) {
         .unwrap_or(f64::NAN);
     let replies_at_30 = ping_report.borrow().received;
     let ipip_at_30 = s.world.host(s.east_gw).stack.stats().ipip_in;
-    let west_learned: Vec<String> = s.west_tunnels.with(|t| {
-        t.entries()
-            .iter()
-            .map(|e| format!("{}→{}", e.subnet, e.endpoint))
-            .collect()
-    });
+    let west_learned: Vec<String> = west_tunnels(&s)
+        .entries()
+        .iter()
+        .map(|e| format!("{}→{}", e.subnet, e.endpoint))
+        .collect();
     x.text(format_args!(
         "west-gw tunnel table at t=30s: {}\n",
         west_learned.join(", ")
@@ -106,9 +112,7 @@ pub fn run(x: &mut Report) {
     let mut expiry_delay = f64::NAN;
     for _ in 0..40 {
         s.world.run_for(SimDuration::from_secs(1));
-        if s.west_tunnels
-            .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_none())
-        {
+        if west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_none() {
             expiry_delay = s.world.now.saturating_since(t_kill).as_secs_f64();
             break;
         }
@@ -137,9 +141,7 @@ pub fn run(x: &mut Report) {
     // announcement is believed again.
     s.world.host_mut(s.east_gw).set_down(false);
     s.world.run_for(SimDuration::from_secs(60));
-    let relearned = s
-        .west_tunnels
-        .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_some());
+    let relearned = west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_some();
 
     // --- Phase 4: flap damping. -----------------------------------------
     // Kill the gateway again, but this time revive it the moment the
@@ -148,22 +150,16 @@ pub fn run(x: &mut Report) {
     s.world.host_mut(s.east_gw).set_down(true);
     for _ in 0..40 {
         s.world.run_for(SimDuration::from_secs(1));
-        if s.west_tunnels
-            .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_none())
-        {
+        if west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_none() {
             break;
         }
     }
     s.world.host_mut(s.east_gw).set_down(false);
     s.world.run_for(SimDuration::from_secs(12));
-    let held_after_flap = s
-        .west_tunnels
-        .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_none());
-    let holddown_rejects = s.west_tunnels.stats().holddown_rejects;
+    let held_after_flap = west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_none();
+    let holddown_rejects = west_tunnels(&s).stats().holddown_rejects;
     s.world.run_for(SimDuration::from_secs(40));
-    let relearned_after_flap = s
-        .west_tunnels
-        .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_some());
+    let relearned_after_flap = west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_some();
 
     let rows: [(&str, String, &str); 11] = [
         (

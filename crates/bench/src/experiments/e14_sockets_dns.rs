@@ -64,8 +64,7 @@ pub fn run(x: &mut Report) {
     s.world.add_app(s.gulf_host, Box::new(files));
 
     let resolver = Resolver::new(mesh_addrs::WEST_GW_ETHER, 1053);
-    let core = resolver.core();
-    s.world.add_app(s.internet_host, Box::new(resolver));
+    let resolver = s.world.add_app(s.internet_host, Box::new(resolver));
 
     // Let RIP44 converge so the 44.56/16 and 44.88/16 tunnels exist.
     s.world.run_for(SimDuration::from_secs(30));
@@ -74,14 +73,15 @@ pub fn run(x: &mut Report) {
     let names = ["ka2eh.ampr.org", "kd5gh.ampr.org", "nocall.ampr.org"];
     let t_ask = s.world.now;
     for n in names {
-        core.borrow_mut().resolve(n, s.world.now);
+        let now = s.world.now;
+        s.world.app_mut(resolver).core_mut().resolve(n, now);
     }
     let mut answered_at: BTreeMap<&str, (Option<std::net::Ipv4Addr>, f64)> = BTreeMap::new();
     for _ in 0..600 {
         s.world.run_for(SimDuration::from_millis(100));
         for n in names {
             if !answered_at.contains_key(n) {
-                if let Some(outcome) = core.borrow().result(n) {
+                if let Some(outcome) = s.world.app(resolver).core().result(n) {
                     answered_at.insert(
                         n,
                         (outcome, s.world.now.saturating_since(t_ask).as_secs_f64()),
@@ -117,16 +117,12 @@ pub fn run(x: &mut Report) {
     );
 
     // A repeat lookup is answered from the cache, no datagram sent.
-    let east = core
-        .borrow_mut()
-        .resolve("ka2eh.ampr.org", s.world.now)
-        .expect("cached answer");
-    let gulf = core
-        .borrow_mut()
-        .resolve("kd5gh.ampr.org", s.world.now)
-        .expect("cached answer");
+    let now = s.world.now;
+    let core = s.world.app_mut(resolver).core_mut();
+    let east = core.resolve("ka2eh.ampr.org", now).expect("cached answer");
+    let gulf = core.resolve("kd5gh.ampr.org", now).expect("cached answer");
     {
-        let st = &core.borrow().stats;
+        let st = &s.world.app(resolver).core().stats;
         x.text(format_args!(
             "\nresolver: {} queries sent ({} retries), {} answers, {} from cache, {} failures",
             st.queries_sent, st.retries, st.answers, st.from_cache, st.failures

@@ -25,8 +25,7 @@ pub fn run(x: &mut Report) {
     s.world.add_app(s.ether_host, Box::new(server));
     let gw_call = s.world.host(s.gw).callsign().unwrap();
     let appgw = AppGateway::new(gw_call, (ETHER_HOST_IP, 23));
-    let gw_report = appgw.report_handle();
-    s.world.add_app(s.gw, Box::new(appgw));
+    let appgw = s.world.add_app(s.gw, Box::new(appgw));
     let user = TerminalUser::new(
         Ax25Addr::parse_or_panic("KB7DZ"),
         gw_call,
@@ -51,9 +50,8 @@ pub fn run(x: &mut Report) {
         .max()
         .unwrap_or(start);
     let ax25_radio_tx = s.world.channel(s.chan).stats().transmissions;
-    let g = gw_report.borrow();
+    let g = &s.world.app(appgw).report;
     let (to_tcp, to_radio, sessions) = (g.bytes_to_tcp, g.bytes_to_radio, g.sessions_accepted);
-    drop(g);
     let pc_ip_frames = s.world.host(s.pc).pr_driver().unwrap().stats().ip_in;
 
     // --- The IP path: the same session via TCP/IP from the PC ---

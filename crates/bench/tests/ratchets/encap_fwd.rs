@@ -10,7 +10,7 @@
 //! growing it, and the peer parses both off in place.
 
 use crate::allocs_during;
-use encap::table::{EncapTable, SharedEncapTable};
+use encap::table::EncapTable;
 use netstack::ip::{self, Ipv4Packet, Proto};
 use netstack::route::Prefix;
 use netstack::stack::{IfaceConfig, IfaceId, NetStack, StackAction, StackConfig};
@@ -42,7 +42,7 @@ fn send_ip_encap_input_decap() {
     let (mut east, east_if) = gateway(EAST_GW);
     let mut table = EncapTable::new(SimDuration::from_secs(60));
     table.add_static(Prefix::new(Ipv4Addr::new(44, 56, 0, 0), 16), EAST_GW, 1);
-    west.set_tunnel_map(Box::new(SharedEncapTable::new(table)));
+    west.set_tunnel_map(Box::new(table));
 
     // The datagram the west gateway forwards: a 180-byte UDP payload
     // headed for the east subnet.
@@ -88,6 +88,8 @@ fn send_ip_encap_input_decap() {
         "the datagram arrives intact"
     );
     assert_eq!(west.stats().ipip_out, N + 1);
+    let hits = west.tunnel_map::<EncapTable>().map(|t| t.stats().hits);
+    assert_eq!(hits, Some(N + 1), "one counted lookup per datagram");
     assert_eq!(east.stats().ipip_in, N + 1);
     eprintln!(
         "encap_fwd/send_ip_encap_input_decap: {:.2} heap allocations per datagram",

@@ -53,8 +53,8 @@ pub struct AppGateway {
     /// Where bridged sessions connect (e.g. the Ethernet host's telnet).
     target: (Ipv4Addr, u16),
     sessions: HashMap<Ax25Addr, Session>,
-    /// Shared report for inspection after a run.
-    pub report: std::rc::Rc<std::cell::RefCell<AppGwReport>>,
+    /// What the bridge has done, read through `World::app`.
+    pub report: AppGwReport,
 }
 
 impl AppGateway {
@@ -64,13 +64,8 @@ impl AppGateway {
             my_call,
             target,
             sessions: HashMap::new(),
-            report: std::rc::Rc::new(std::cell::RefCell::new(AppGwReport::default())),
+            report: AppGwReport::default(),
         }
-    }
-
-    /// A handle to the report, valid after the world runs.
-    pub fn report_handle(&self) -> std::rc::Rc<std::cell::RefCell<AppGwReport>> {
-        self.report.clone()
     }
 
     fn drive_conn_events(
@@ -86,7 +81,7 @@ impl AppGateway {
                     host.send_raw_ax25(now, &frame);
                 }
                 ConnEvent::Established => {
-                    self.report.borrow_mut().sessions_accepted += 1;
+                    self.report.sessions_accepted += 1;
                     // Open the TCP leg.
                     if let Some(session) = self.sessions.get_mut(&peer) {
                         if session.sock.is_none() {
@@ -100,7 +95,7 @@ impl AppGateway {
                     if let Some(session) = self.sessions.get_mut(&peer) {
                         if session.sock_connected {
                             if let Some(sock) = session.sock {
-                                self.report.borrow_mut().bytes_to_tcp += data.len() as u64;
+                                self.report.bytes_to_tcp += data.len() as u64;
                                 host.tcp_send(now, sock, &data);
                             }
                         } else {
@@ -109,7 +104,7 @@ impl AppGateway {
                     }
                 }
                 ConnEvent::Released(_) => {
-                    self.report.borrow_mut().sessions_closed += 1;
+                    self.report.sessions_closed += 1;
                     if let Some(session) = self.sessions.remove(&peer) {
                         if let Some(sock) = session.sock {
                             host.tcp_close(now, sock);
@@ -180,7 +175,7 @@ impl App for AppGateway {
                     session.sock_connected = true;
                     let pending = std::mem::take(&mut session.pending_to_tcp);
                     if !pending.is_empty() {
-                        self.report.borrow_mut().bytes_to_tcp += pending.len() as u64;
+                        self.report.bytes_to_tcp += pending.len() as u64;
                         host.tcp_send(now, *sock, &pending);
                     }
                 }
@@ -189,7 +184,7 @@ impl App for AppGateway {
                 if let Some(peer) = self.session_for_sock(*sock) {
                     let data = host.tcp_recv(now, *sock);
                     if !data.is_empty() {
-                        self.report.borrow_mut().bytes_to_radio += data.len() as u64;
+                        self.report.bytes_to_radio += data.len() as u64;
                         let session = self.sessions.get_mut(&peer).expect("present");
                         let events = session.conn.send(now, &data);
                         self.drive_conn_events(now, peer, events, host);

@@ -9,9 +9,13 @@
 //! into an [`encap::EncapTable`] with expiry and hold-down. Depending on
 //! [`LearnMode`], the learned mappings become:
 //!
-//! * tunnel endpoints ([`LearnMode::Tunnel`]) — the table is installed as
-//!   the stack's [`TunnelMap`](netstack::stack::TunnelMap), so a wired
-//!   gateway wraps 44.x traffic in IPIP straight to the nearest peer; or
+//! * tunnel endpoints ([`LearnMode::Tunnel`]) — at start the daemon hands
+//!   its table to the host's stack as its
+//!   [`TunnelMap`](netstack::stack::TunnelMap), so a wired gateway wraps
+//!   44.x traffic in IPIP straight to the nearest peer. Like a 4.3BSD
+//!   route daemon it keeps no copy: it learns and expires through the
+//!   stack ([`NetStack::tunnel_map_mut`]), and readers find the table
+//!   there too ([`NetStack::tunnel_map`]); or
 //! * routes ([`LearnMode::Routes`]) — learned prefixes go into the routing
 //!   table as [`RouteSource::Learned`](netstack::route::RouteSource)
 //!   entries that override the static aggregate by longest-prefix match
@@ -21,10 +25,15 @@
 //! [`App::next_deadline`] — the jittered announce timer and the earliest
 //! table expiry — so the deadline scheduler drives the daemon exactly when
 //! something is due; expiry happens *at* the deadline, never lazily on
-//! lookup.
+//! lookup. The daemon stores that expiry after every `learn` and `expire`,
+//! the only table calls that move it, since `next_deadline` cannot see a
+//! table the stack owns.
+//!
+//! [`NetStack::tunnel_map_mut`]: netstack::stack::NetStack::tunnel_map_mut
+//! [`NetStack::tunnel_map`]: netstack::stack::NetStack::tunnel_map
 
 use encap::rip::{Announcer, RipEntry, RipUpdate, METRIC_INFINITY, RIP44_PORT};
-use encap::table::{EncapTable, LearnOutcome, SharedEncapTable};
+use encap::table::{EncapTable, LearnOutcome};
 use netstack::stack::{IfaceId, StackAction, UdpId};
 use netstack::Prefix;
 use sim::{SimDuration, SimRng, SimTime};
@@ -75,8 +84,8 @@ pub enum LearnMode {
         /// Interface the learned routes point out of.
         iface: IfaceId,
     },
-    /// Install the encap table as the stack's tunnel map (wired gateways
-    /// that IPIP-encapsulate toward their peers).
+    /// Hand the encap table to the stack as its tunnel map (wired
+    /// gateways that IPIP-encapsulate toward their peers).
     Tunnel,
 }
 
@@ -107,7 +116,13 @@ pub struct Rip44Service {
     cfg: RipConfig,
     announce: Vec<AnnounceSet>,
     learn: LearnMode,
-    table: SharedEncapTable,
+    /// The encap table while the daemon owns it: in [`LearnMode::None`]
+    /// and [`LearnMode::Routes`] always, in [`LearnMode::Tunnel`] until
+    /// `on_start` moves it into the host's stack.
+    table: Option<EncapTable>,
+    /// The table's earliest expiry ([`EncapTable::next_deadline`]), stored
+    /// after every `learn` and `expire`.
+    expiry: Option<SimTime>,
     udp: Option<UdpId>,
     announcer: Announcer,
     rng: SimRng,
@@ -126,7 +141,8 @@ impl Rip44Service {
             .collect();
         Rip44Service {
             announcer: Announcer::new(cfg.announce_interval, cfg.jitter),
-            table: SharedEncapTable::new(EncapTable::new(cfg.holddown)),
+            table: Some(EncapTable::new(cfg.holddown)),
+            expiry: None,
             rng: SimRng::seed_from(cfg.seed),
             cfg,
             announce,
@@ -135,12 +151,6 @@ impl Rip44Service {
             stats: RipdStats::default(),
             own,
         }
-    }
-
-    /// A handle to the encap table, for assertions and for wiring the
-    /// same table into other components before the world starts.
-    pub fn table(&self) -> SharedEncapTable {
-        self.table.clone()
     }
 
     /// Counter snapshot.
@@ -162,9 +172,13 @@ impl Rip44Service {
                 continue;
             }
             let metric = e.metric.saturating_add(1).min(METRIC_INFINITY);
-            let outcome = self
-                .table
-                .with(|t| t.learn(now, e.prefix, update.origin, metric, self.cfg.route_ttl));
+            let outcome = table(&mut self.table, host).learn(
+                now,
+                e.prefix,
+                update.origin,
+                metric,
+                self.cfg.route_ttl,
+            );
             if let LearnOutcome::New | LearnOutcome::Updated = outcome {
                 news = true;
                 if let LearnMode::Routes { iface } = self.learn {
@@ -177,11 +191,33 @@ impl Rip44Service {
                 }
             }
         }
+        self.expiry = table(&mut self.table, host).next_deadline();
         if news {
             // Triggered update: hearing news pulls our own next
             // announcement earlier so second-order listeners converge
             // without waiting a full period.
             self.announcer.trigger(now, &mut self.rng);
+        }
+    }
+
+    /// The stored expiry is the table's (debug builds).
+    fn debug_check_expiry(&mut self, host: &mut Host) {
+        debug_assert_eq!(
+            self.expiry,
+            table(&mut self.table, host).next_deadline(),
+            "the stored expiry went stale"
+        );
+    }
+}
+
+/// The encap table: the daemon's own, or — once a tunnel-mode daemon has
+/// started — its host stack's tunnel map.
+fn table<'a>(own: &'a mut Option<EncapTable>, host: &'a mut Host) -> &'a mut EncapTable {
+    match own {
+        Some(t) => t,
+        None => {
+            let t = host.stack.tunnel_map_mut();
+            t.expect("a started tunnel-mode daemon's table is its stack's")
         }
     }
 }
@@ -191,11 +227,14 @@ impl App for Rip44Service {
         self.udp = host.stack.udp_bind(self.cfg.port).ok();
         self.announcer.start(now, &mut self.rng);
         if let LearnMode::Tunnel = self.learn {
-            host.stack.set_tunnel_map(Box::new(self.table.clone()));
+            if let Some(t) = self.table.take() {
+                host.stack.set_tunnel_map(Box::new(t));
+            }
         }
     }
 
     fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
+        self.debug_check_expiry(host);
         let StackAction::UdpReadable(id) = event else {
             return;
         };
@@ -211,18 +250,17 @@ impl App for Rip44Service {
     }
 
     fn poll(&mut self, now: SimTime, host: &mut Host) {
+        self.debug_check_expiry(host);
         // Expire exactly at deadlines. This runs even while the host is
         // down so the timers keep moving.
-        let dead = self.table.with(|t| {
-            if t.next_deadline().is_some_and(|d| d <= now) {
-                t.expire(now)
-            } else {
-                Vec::new()
-            }
-        });
-        for e in &dead {
+        if self.expiry.is_some_and(|d| d <= now) {
+            let t = table(&mut self.table, host);
+            let dead = t.expire(now);
+            self.expiry = t.next_deadline();
             if let LearnMode::Routes { .. } = self.learn {
-                host.stack.routes_mut().remove_learned(e.subnet);
+                for e in &dead {
+                    host.stack.routes_mut().remove_learned(e.subnet);
+                }
             }
         }
         // Announce when due; a dead host's daemon is dead with it.
@@ -242,8 +280,7 @@ impl App for Rip44Service {
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
-        let expiry = self.table.with(|t| t.next_deadline());
-        match (self.announcer.next_deadline(), expiry) {
+        match (self.announcer.next_deadline(), self.expiry) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -254,7 +291,7 @@ impl App for Rip44Service {
 mod tests {
     use super::*;
     use crate::host::{EtherIfConfig, HostConfig};
-    use crate::world::World;
+    use crate::world::{HostId, World};
     use ether::MacAddr;
     use std::net::Ipv4Addr;
 
@@ -266,6 +303,12 @@ mod tests {
             prefix_len: 24,
         });
         cfg
+    }
+
+    /// The tunnel table a started tunnel-mode daemon left in its stack.
+    fn tunnels(w: &World, host: HostId) -> &EncapTable {
+        let t = w.host(host).stack.tunnel_map();
+        t.expect("the stack owns the table")
     }
 
     fn east_prefix() -> Prefix {
@@ -304,12 +347,13 @@ mod tests {
                 LearnMode::None,
             )),
         );
-        let svc = Rip44Service::new(cfg, Vec::new(), LearnMode::Tunnel);
-        let table = svc.table();
-        w.add_app(listener, Box::new(svc));
+        w.add_app(
+            listener,
+            Box::new(Rip44Service::new(cfg, Vec::new(), LearnMode::Tunnel)),
+        );
 
         w.run_for(SimDuration::from_secs(30));
-        let entries: Vec<_> = table.with(|t| t.entries().to_vec());
+        let entries = tunnels(&w, listener).entries();
         assert_eq!(entries.len(), 1, "subnet learned");
         assert_eq!(entries[0].subnet, east_prefix());
         assert_eq!(entries[0].endpoint, Ipv4Addr::new(128, 95, 1, 101));
@@ -319,8 +363,8 @@ mod tests {
         // enter hold-down.
         w.host_mut(announcer).set_down(true);
         w.run_for(SimDuration::from_secs(26));
-        assert!(table.with(|t| t.entries().is_empty()), "entry expired");
-        assert!(table.stats().expired >= 1);
+        assert!(tunnels(&w, listener).entries().is_empty(), "entry expired");
+        assert!(tunnels(&w, listener).stats().expired >= 1);
     }
 
     /// Routes mode installs and withdraws learned routes in the routing

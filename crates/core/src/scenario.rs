@@ -362,12 +362,6 @@ pub struct MeshScenario {
     pub east_host: HostId,
     /// Radio host on the gulf subnet.
     pub gulf_host: HostId,
-    /// The west gateway's encap table (what it learned from its peers).
-    pub west_tunnels: encap::table::SharedEncapTable,
-    /// The east gateway's encap table.
-    pub east_tunnels: encap::table::SharedEncapTable,
-    /// The gulf gateway's encap table.
-    pub gulf_tunnels: encap::table::SharedEncapTable,
 }
 
 /// Builds the §4.2 endgame: three gateways to net 44 on one Internet
@@ -390,7 +384,8 @@ pub struct MeshScenario {
 /// [`LearnMode::Routes`], learning their default route from their
 /// gateway's radio-side announcements; a deliberately worse static
 /// default via the backbone remains as the fallback when the learned one
-/// expires.
+/// expires. A gateway's tunnel table is its stack's:
+/// `world.host(gw).stack.tunnel_map::<EncapTable>()`.
 ///
 /// [`Rip44Service`]: crate::ripd::Rip44Service
 /// [`LearnMode::Routes`]: crate::ripd::LearnMode::Routes
@@ -537,7 +532,6 @@ pub fn three_gateway(cfg: &PaperConfig, rip: RipConfig, seed: u64) -> MeshScenar
     // The daemons. Each gateway announces its subnet on the wire (tunnel
     // endpoints for its peers) and a default route on its radio; radio
     // hosts learn that default as a route.
-    let mut tables = Vec::new();
     for (i, (&gw, subnet)) in gw_ids
         .iter()
         .zip([a::WEST_SUBNET, a::EAST_SUBNET, a::GULF_SUBNET])
@@ -568,7 +562,6 @@ pub fn three_gateway(cfg: &PaperConfig, rip: RipConfig, seed: u64) -> MeshScenar
             ],
             LearnMode::Tunnel,
         );
-        tables.push(svc.table());
         world.add_app(gw, Box::new(svc));
     }
     for (i, &h) in host_ids.iter().enumerate() {
@@ -584,9 +577,6 @@ pub fn three_gateway(cfg: &PaperConfig, rip: RipConfig, seed: u64) -> MeshScenar
         world.add_app(h, Box::new(svc));
     }
 
-    let gulf_tunnels = tables.pop().unwrap();
-    let east_tunnels = tables.pop().unwrap();
-    let west_tunnels = tables.pop().unwrap();
     MeshScenario {
         world,
         chan,
@@ -597,9 +587,6 @@ pub fn three_gateway(cfg: &PaperConfig, rip: RipConfig, seed: u64) -> MeshScenar
         gulf_gw,
         east_host,
         gulf_host,
-        west_tunnels,
-        east_tunnels,
-        gulf_tunnels,
     }
 }
 
@@ -873,6 +860,7 @@ pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOpti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encap::table::EncapTable;
     use netstack::stack::StackAction;
     use sim::{SimDuration, SimTime};
 
@@ -903,6 +891,12 @@ mod tests {
         }
     }
 
+    /// The west gateway's tunnel table, which its stack owns.
+    fn west_tunnels(s: &MeshScenario) -> &EncapTable {
+        let t = s.world.host(s.west_gw).stack.tunnel_map();
+        t.expect("the west daemon has started")
+    }
+
     fn mesh_config() -> PaperConfig {
         PaperConfig {
             filter: None,
@@ -915,9 +909,11 @@ mod tests {
         let mut s = three_gateway(&mesh_config(), mesh_rip(), 7);
         // Let the gateways exchange a couple of announcement rounds.
         s.world.run_for(SimDuration::from_secs(25));
-        let learned: Vec<_> = s
-            .west_tunnels
-            .with(|t| t.entries().iter().map(|e| e.subnet).collect());
+        let learned: Vec<_> = west_tunnels(&s)
+            .entries()
+            .iter()
+            .map(|e| e.subnet)
+            .collect();
         assert!(
             learned.contains(&Prefix::new(
                 mesh_addrs::EAST_SUBNET.0,
@@ -956,16 +952,14 @@ mod tests {
             s.world.host(s.east_gw).stack.stats().ipip_in >= 1,
             "east gateway decapsulated"
         );
-        assert!(s.west_tunnels.stats().hits >= 1, "table hit counted");
+        assert!(west_tunnels(&s).stats().hits >= 1, "table hit counted");
     }
 
     #[test]
     fn mesh_falls_back_to_rf_backbone_when_gateway_dies() {
         let mut s = three_gateway(&mesh_config(), mesh_rip(), 8);
         s.world.run_for(SimDuration::from_secs(25));
-        assert!(s
-            .west_tunnels
-            .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_some()));
+        assert!(west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_some());
 
         // Kill the east gateway: its announcements stop, so the west
         // gateway's tunnel entry and the east host's learned default must
@@ -974,8 +968,7 @@ mod tests {
         s.world.host_mut(s.east_gw).set_down(true);
         s.world.run_for(SimDuration::from_secs(26));
         assert!(
-            s.west_tunnels
-                .with(|t| t.lookup(mesh_addrs::EAST_HOST).is_none()),
+            west_tunnels(&s).peek(mesh_addrs::EAST_HOST).is_none(),
             "tunnel entry expired"
         );
         let r = s
@@ -1003,6 +996,12 @@ mod tests {
             s.world.host(s.west_gw).stack.stats().ipip_out,
             ipip_before,
             "no new encapsulations toward the dead gateway"
+        );
+        // The probes above were looks, not traffic: every hit the table
+        // counted is a datagram the stack wrapped.
+        assert_eq!(
+            west_tunnels(&s).stats().hits,
+            s.world.host(s.west_gw).stack.stats().ipip_out,
         );
     }
 

@@ -421,10 +421,10 @@ impl ShardData {
     /// Run-call entry under `mode` (DESIGN.md §6, run-call contract). A
     /// stale shard starts its new apps and runs the full `sync_all`; a
     /// shard nobody touched keeps its calendar and dirty set and marks
-    /// only what can have moved behind the world's back — its apps, which
-    /// callers command between run calls through shared handles (app
-    /// report handles, NET/ROM's `SendQueue`, `SharedEncapTable`), and
-    /// the world-owned segments a one-shard world hands it. Either way the
+    /// only what can have moved behind the world's back — its apps, whose
+    /// report handles callers may write between run calls, and the
+    /// world-owned segments a one-shard world hands it. (An order through
+    /// `World::app_mut` touches the shard.) Either way the
     /// entry instant is then settled. The reference stepper never feeds
     /// the calendar, so a shard it ran is stale.
     pub(crate) fn enter(&mut self, mode: Mode, segs: &mut Segs<'_>) {

@@ -28,10 +28,12 @@
 //! All components are sans-io state machines from the substrate crates;
 //! this module is the only place where they touch.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write;
+use std::marker::PhantomData;
 
 use ax25::addr::Ax25Addr;
 use ether::{EtherFrame, NicId, Segment};
@@ -104,6 +106,22 @@ pub struct DigiId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BeaconId(usize);
 
+/// Handle to an app installed by [`World::add_app`], typed by the app it
+/// names: [`World::app`] and [`World::app_mut`] hand back an `A`.
+pub struct AppId<A> {
+    shard: u32,
+    local: u32,
+    app: PhantomData<fn() -> A>,
+}
+
+impl<A> Clone for AppId<A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<A> Copy for AppId<A> {}
+
 /// FNV-1a over an event log rendered one `"{host:?} {time} {event:?}\n"`
 /// line per event: the digest E15, E16 and E18 print into `results/` and
 /// compare across engines and cache settings.
@@ -127,7 +145,10 @@ pub fn event_digest(events: &[(HostId, SimTime, StackAction)]) -> u64 {
 /// may not happen, so a `poll` that acts without a due deadline, a fresh
 /// event, or new host state will not run deterministically — expose a
 /// deadline instead.
-pub trait App {
+///
+/// Between run calls an app is reached through the world that owns it:
+/// [`World::app`] reads it and [`World::app_mut`] commands it.
+pub trait App: Any {
     /// Called once when the world first runs.
     fn on_start(&mut self, now: SimTime, host: &mut Host) {
         let _ = (now, host);
@@ -523,16 +544,23 @@ impl World {
         BeaconId(self.beacon_map.len() - 1)
     }
 
-    /// Installs an application on a host (same shard as the host).
-    pub fn add_app(&mut self, host: HostId, app: Box<dyn App>) {
+    /// Installs an application on a host (same shard as the host) and
+    /// returns its handle.
+    pub fn add_app<A: App>(&mut self, host: HostId, app: Box<A>) -> AppId<A> {
         let (hs, hl) = self.host_map[host.0];
         let sh = self.touch(hs as usize);
-        sh.host_apps[hl as usize].push(sh.apps.len());
+        let local = sh.apps.len();
+        sh.host_apps[hl as usize].push(local);
         sh.apps.push(AppEntry {
             host: hl as usize,
             app,
             started: false,
         });
+        AppId {
+            shard: hs,
+            local: local as u32,
+            app: PhantomData,
+        }
     }
 
     // --- Access ---------------------------------------------------------------
@@ -547,6 +575,23 @@ impl World {
     pub fn host_mut(&mut self, id: HostId) -> &mut Host {
         let (s, l) = self.host_map[id.0];
         &mut self.touch(s as usize).hosts[l as usize].host
+    }
+
+    /// An app, immutably (its report, its state).
+    pub fn app<A: App>(&self, id: AppId<A>) -> &A {
+        let app: &dyn Any = &*self.shards[id.shard as usize].apps[id.local as usize].app;
+        app.downcast_ref()
+            .expect("an AppId names an app of its type")
+    }
+
+    /// An app, mutably (orders for it to carry out). Like
+    /// [`World::host_mut`], it marks the app's shard for a full sync, so
+    /// the next run call polls the app at its entry instant.
+    pub fn app_mut<A: App>(&mut self, id: AppId<A>) -> &mut A {
+        let sh = self.touch(id.shard as usize);
+        let app: &mut dyn Any = &mut *sh.apps[id.local as usize].app;
+        app.downcast_mut()
+            .expect("an AppId names an app of its type")
     }
 
     /// A radio channel.
@@ -1180,14 +1225,14 @@ mod tests {
     /// deadline schedule.
     struct Recorder {
         deadlines: Vec<SimTime>,
-        fired: std::rc::Rc<std::cell::RefCell<Vec<SimTime>>>,
+        fired: Vec<SimTime>,
     }
 
     impl App for Recorder {
         fn poll(&mut self, now: SimTime, _host: &mut Host) {
             while self.deadlines.first().is_some_and(|&d| d <= now) {
                 self.deadlines.remove(0);
-                self.fired.borrow_mut().push(now);
+                self.fired.push(now);
             }
         }
 
@@ -1196,20 +1241,17 @@ mod tests {
         }
     }
 
-    fn recorder_world(
-        deadlines: Vec<SimTime>,
-    ) -> (World, std::rc::Rc<std::cell::RefCell<Vec<SimTime>>>) {
+    fn recorder_world(deadlines: Vec<SimTime>) -> (World, AppId<Recorder>) {
         let mut w = World::new(1);
         let h = w.add_host(crate::host::HostConfig::named("lone"));
-        let fired = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        w.add_app(
+        let id = w.add_app(
             h,
             Box::new(Recorder {
                 deadlines,
-                fired: fired.clone(),
+                fired: Vec::new(),
             }),
         );
-        (w, fired)
+        (w, id)
     }
 
     /// Satellite: `run_until_idle` processes a deadline exactly at
@@ -1217,13 +1259,13 @@ mod tests {
     #[test]
     fn run_until_idle_processes_deadline_exactly_at_limit() {
         let limit = SimTime::from_secs(5);
-        let (mut w, fired) = recorder_world(vec![
+        let (mut w, id) = recorder_world(vec![
             SimTime::from_secs(1),
             limit,
             limit + SimDuration::from_nanos(1),
         ]);
         w.run_until_idle(limit);
-        assert_eq!(*fired.borrow(), vec![SimTime::from_secs(1), limit]);
+        assert_eq!(w.app(id).fired, vec![SimTime::from_secs(1), limit]);
         // The past-limit deadline was not processed and the clock did not
         // jump to `limit`.
         assert_eq!(w.now, limit);
@@ -1234,9 +1276,9 @@ mod tests {
     #[test]
     fn app_poll_fires_on_final_instant_of_run_until() {
         let t = SimTime::from_secs(3);
-        let (mut w, fired) = recorder_world(vec![t]);
+        let (mut w, id) = recorder_world(vec![t]);
         w.run_until(t);
-        assert_eq!(*fired.borrow(), vec![t]);
+        assert_eq!(w.app(id).fired, vec![t]);
         assert_eq!(w.now, t);
     }
 
@@ -1244,12 +1286,28 @@ mod tests {
     #[test]
     fn reference_processes_deadline_at_limit_identically() {
         let limit = SimTime::from_secs(5);
-        let (mut w, fired) = recorder_world(vec![
+        let (mut w, id) = recorder_world(vec![
             SimTime::from_secs(1),
             limit,
             limit + SimDuration::from_nanos(1),
         ]);
         w.run_until_idle_reference(limit);
-        assert_eq!(*fired.borrow(), vec![SimTime::from_secs(1), limit]);
+        assert_eq!(w.app(id).fired, vec![SimTime::from_secs(1), limit]);
+    }
+
+    /// An app commanded through `app_mut` is as stale as a host through
+    /// `host_mut`: its shard's next run call starts with a full sync,
+    /// which polls the app at the entry instant.
+    #[test]
+    fn app_mut_marks_the_shard_for_a_full_sync() {
+        let t = SimTime::from_secs(1);
+        let (mut w, id) = recorder_world(vec![t]);
+        w.run_until(t);
+        let _ = w.app(id);
+        assert!(!w.shards[0].stale, "app reads leave the shard synced");
+        w.app_mut(id).deadlines.push(SimTime::from_secs(2));
+        assert!(w.shards[0].stale, "app_mut marks the shard");
+        w.run_until(SimTime::from_secs(3));
+        assert_eq!(w.app(id).fired, vec![t, SimTime::from_secs(2)]);
     }
 }

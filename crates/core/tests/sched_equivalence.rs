@@ -696,18 +696,26 @@ fn chunked_run_equals_single_run_at_every_chunk_end() {
     assert_eq!(single.fingerprint(), reference, "single run diverged");
 }
 
-/// An app with no timer of its own: it pings whatever its owner pushed
-/// into the shared queue since the last poll (E11's `west_sendq`, E14's
-/// resolver core). Only the engine's promise to re-poll every app at
-/// run-call entry gets a command carried out.
+/// An app with no timer of its own: it pings whatever its owner ordered
+/// since the last poll, two ways. `orders` come through `World::app_mut`,
+/// as E11 ships a datagram and E14 queues a lookup, and `app_mut` marks
+/// the shard for the full sync that carries them out. `queue` is shared
+/// behind the world's back, as app report handles are: only the engine's
+/// promise to re-poll every app at run-call entry carries those out.
 struct Commanded {
     queue: Rc<RefCell<Vec<Ipv4Addr>>>,
+    orders: Vec<Ipv4Addr>,
     seq: u16,
 }
 
 impl App for Commanded {
     fn poll(&mut self, now: SimTime, host: &mut Host) {
-        for dst in self.queue.borrow_mut().drain(..) {
+        for dst in self
+            .queue
+            .borrow_mut()
+            .drain(..)
+            .chain(self.orders.drain(..))
+        {
             self.seq += 1;
             host.ping(now, dst, 0xc0de, self.seq, 64);
         }
@@ -717,9 +725,10 @@ impl App for Commanded {
 /// The run-call contract (DESIGN.md §6) on the paper topology: 40 chunks
 /// with a mutation of every kind scripted between them — `host_mut` on a
 /// host no app re-polls, a power cycle, a TNC switch, a hearing edit, an
-/// app and a beacon added mid-run, orders through an app's handle before
-/// calls that touch nothing else — and the events, the §3 accounting at
-/// every chunk end and the final stats equal the reference stepper's.
+/// app and a beacon added mid-run, orders through `World::app_mut` and
+/// through a shared handle before calls that touch nothing else — and the
+/// events, the §3 accounting at every chunk end and the final stats equal
+/// the reference stepper's.
 #[test]
 fn mutations_between_run_calls_match_reference() {
     const CHUNKS: usize = 40;
@@ -733,8 +742,12 @@ fn mutations_between_run_calls_match_reference() {
         let mut s = scenario::paper_topology(cfg, 61);
         let orders = Rc::new(RefCell::new(Vec::new()));
         let queue = Rc::clone(&orders);
-        s.world
-            .add_app(s.ether_host, Box::new(Commanded { queue, seq: 0 }));
+        let commanded = Commanded {
+            queue,
+            orders: Vec::new(),
+            seq: 0,
+        };
+        let cmd = s.world.add_app(s.ether_host, Box::new(commanded));
         let mut bids = Vec::new();
         let mut ends = Vec::new();
         for k in 0..CHUNKS {
@@ -745,6 +758,7 @@ fn mutations_between_run_calls_match_reference() {
                     .host_mut(s.pc)
                     .ping(now, scenario::ETHER_HOST_IP, 0x77, 1, 64),
                 4 | 26 => orders.borrow_mut().push(scenario::PC_IP),
+                10 | 35 => w.app_mut(cmd).orders.push(scenario::GW_RADIO_IP),
                 7 => w.tnc_mut(s.gw_tnc).set_address_filter(&[]),
                 9 => bids.push(w.add_beacon(
                     s.chan,
@@ -810,8 +824,10 @@ fn mutations_between_run_calls_match_reference() {
     for (what, needle) in [
         ("host_mut ping", "id: 119, seq: 1"),
         ("host_mut ping after the power cycle", "id: 119, seq: 2"),
-        ("first order", "id: 49374, seq: 1"),
-        ("second order", "id: 49374, seq: 2"),
+        ("first shared-queue order", "id: 49374, seq: 1"),
+        ("first app_mut order", "id: 49374, seq: 2"),
+        ("second shared-queue order", "id: 49374, seq: 3"),
+        ("second app_mut order", "id: 49374, seq: 4"),
         ("added app", "id: 23630, seq: 2"),
     ] {
         assert!(log.contains(needle), "{what} went unanswered:\n{log}");

@@ -11,7 +11,7 @@ mod common;
 use ax25::addr::Ax25Addr;
 use gateway::host::{Host, HostConfig, RadioIfConfig};
 use gateway::scenario::{self, city};
-use gateway::world::{App, ChanId, EngineStats, HostId, ShardId, World};
+use gateway::world::{App, AppId, ChanId, EngineStats, HostId, ShardId, World};
 use proptest::prelude::*;
 use radio::channel::StationId;
 use radio::csma::MacConfig;
@@ -68,19 +68,27 @@ impl App for EtherWatch {
     }
 }
 
-/// An app with no timer of its own: it pings whatever its owner pushed
-/// into the shared queue since the last poll — E11's `west_sendq` and
-/// E14's resolver core are commanded this way between run calls. Nothing
-/// but the engine's promise to re-poll every app at run-call entry gets a
-/// command carried out.
+/// An app with no timer of its own: it pings whatever its owner ordered
+/// since the last poll, two ways. `orders` come through `World::app_mut`,
+/// as E11 ships a datagram and E14 queues a lookup between run calls, and
+/// `app_mut` marks the app's shard for the full sync that carries them
+/// out. `queue` is shared behind the world's back, as app report handles
+/// are: nothing but the engine's promise to re-poll every app at run-call
+/// entry carries those out.
 struct Commanded {
     queue: Rc<RefCell<Vec<Ipv4Addr>>>,
+    orders: Vec<Ipv4Addr>,
     seq: u16,
 }
 
 impl App for Commanded {
     fn poll(&mut self, now: SimTime, host: &mut Host) {
-        for dst in self.queue.borrow_mut().drain(..) {
+        for dst in self
+            .queue
+            .borrow_mut()
+            .drain(..)
+            .chain(self.orders.drain(..))
+        {
             self.seq += 1;
             host.ping(now, dst, 0xc0de, self.seq, 64);
         }
@@ -337,6 +345,8 @@ struct Scripted {
     monitor_tnc: gateway::world::TncId,
     /// Commands for the app on island 3, which nothing else ever touches.
     orders: Rc<RefCell<Vec<Ipv4Addr>>>,
+    /// The same app, for orders through `World::app_mut`.
+    commanded: AppId<Commanded>,
 }
 
 fn scripted_world() -> Scripted {
@@ -355,8 +365,12 @@ fn scripted_world() -> Scripted {
     }
     let orders = Rc::new(RefCell::new(Vec::new()));
     let queue = Rc::clone(&orders);
-    m.world
-        .add_app(m.hosts[3][0], Box::new(Commanded { queue, seq: 0 }));
+    let commanded = Commanded {
+        queue,
+        orders: Vec::new(),
+        seq: 0,
+    };
+    let commanded = m.world.add_app(m.hosts[3][0], Box::new(commanded));
     // A promiscuous monitor station on island 0, for its TNC handle.
     let mut cfg = HostConfig::named("monitor");
     cfg.radio = Some(RadioIfConfig {
@@ -377,6 +391,7 @@ fn scripted_world() -> Scripted {
         monitor,
         monitor_tnc,
         orders,
+        commanded,
     }
 }
 
@@ -391,6 +406,7 @@ impl Scripted {
                 .host_mut(self.m.hosts[1][0])
                 .ping(now, city::host_ip(2, 0), 0x77, 1, 64),
             5 | 24 => self.orders.borrow_mut().push(city::host_ip(0, 1)),
+            9 | 33 => w.app_mut(self.commanded).orders.push(city::host_ip(0, 1)),
             8 => w.tnc_mut(self.monitor_tnc).set_address_filter(&[]),
             11 => w.host_mut(self.m.gateways[2]).set_down(true),
             13 => {
@@ -456,7 +472,8 @@ impl Scripted {
 
 /// The run-call contract (DESIGN.md §6): whatever a caller does to the
 /// world between run calls — through `host_mut`, `tnc_mut`, `channel_mut`,
-/// a builder, or a handle into an app on a shard it never touches — the
+/// `app_mut`, a builder, or a handle into an app on a shard it never
+/// touches — the
 /// next call picks up, and everything readable at each of 40 chunk ends
 /// (mid-frame or not) equals the reference stepper's.
 #[test]
@@ -493,8 +510,10 @@ fn mutations_between_run_calls_match_reference() {
             "second host_mut ping",
             "PingReply { from: 44.0.3.1, id: 119, seq: 2",
         ),
-        ("first order", "id: 49374, seq: 1"),
-        ("second order", "id: 49374, seq: 2"),
+        ("first shared-queue order", "id: 49374, seq: 1"),
+        ("first app_mut order", "id: 49374, seq: 2"),
+        ("second shared-queue order", "id: 49374, seq: 3"),
+        ("second app_mut order", "id: 49374, seq: 4"),
     ] {
         assert!(log.contains(needle), "{what} went unanswered:\n{log}");
     }

@@ -15,9 +15,11 @@
 //!   [`sim::PacketBuf`] with headroom serves only the benchmark harness.
 //! * [`table`] — the encap table mapping 44/8 subnets to tunnel endpoints,
 //!   with per-entry hit counters, expiry deadlines, and hold-down so a
-//!   flapping gateway degrades gracefully. [`SharedEncapTable`] plugs it
-//!   into [`netstack::stack::NetStack`] as its
-//!   [`TunnelMap`](netstack::stack::TunnelMap).
+//!   flapping gateway degrades gracefully. The table is a
+//!   [`TunnelMap`](netstack::stack::TunnelMap): installed in a
+//!   [`netstack::stack::NetStack`], it is the stack's own, and its
+//!   maintainer reaches it through the stack
+//!   ([`NetStack::tunnel_map_mut`](netstack::stack::NetStack::tunnel_map_mut)).
 //! * [`rip`] — the RIP44-style announcement wire format (UDP broadcasts of
 //!   subnet routes) and the jittered announce/trigger timer state machine
 //!   that drives it from the deadline scheduler.
@@ -34,4 +36,4 @@ pub mod table;
 
 pub use ipip::{decap_in_place, encap_in_place, Ipip, IpipError};
 pub use rip::{Announcer, RipEntry, RipUpdate, RIP44_PORT};
-pub use table::{EncapEntry, EncapStats, EncapTable, LearnOutcome, SharedEncapTable};
+pub use table::{EncapEntry, EncapStats, EncapTable, LearnOutcome};

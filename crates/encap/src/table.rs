@@ -15,10 +15,8 @@
 //! the hold-down period passes, so a flapping gateway cannot whipsaw the
 //! table (traffic falls back to the aggregate route instead).
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use netstack::stack::TunnelMap;
 use netstack::Prefix;
@@ -149,6 +147,13 @@ impl EncapTable {
         }
     }
 
+    /// The endpoint [`EncapTable::lookup`] would answer for `dst`, counting
+    /// nothing: a look at the table is not a packet tunneled.
+    pub fn peek(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
+        let e = self.entries.iter().find(|e| e.subnet.contains(dst))?;
+        Some(e.endpoint)
+    }
+
     /// Applies one announced `(subnet, endpoint, metric)` with lifetime
     /// `ttl`. See [`LearnOutcome`] for the possible dispositions.
     pub fn learn(
@@ -246,38 +251,18 @@ impl EncapTable {
     }
 }
 
-/// A cloneable handle to an [`EncapTable`], installable as a stack's
-/// [`TunnelMap`]. The RIP44 service keeps one clone for learning and
-/// expiry; the stack keeps another for per-packet lookups.
-#[derive(Debug, Clone)]
-pub struct SharedEncapTable(Rc<RefCell<EncapTable>>);
-
-impl SharedEncapTable {
-    /// Wraps a table for sharing.
-    pub fn new(table: EncapTable) -> SharedEncapTable {
-        SharedEncapTable(Rc::new(RefCell::new(table)))
-    }
-
-    /// Runs `f` with the table borrowed mutably.
-    pub fn with<R>(&self, f: impl FnOnce(&mut EncapTable) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
-    /// Snapshot of the aggregate counters.
-    pub fn stats(&self) -> EncapStats {
-        self.0.borrow().stats
-    }
-}
-
-impl TunnelMap for SharedEncapTable {
+/// The table as a stack's tunnel map: each consultation is a
+/// [`EncapTable::lookup`], counted.
+impl TunnelMap for EncapTable {
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.0.borrow_mut().lookup(dst)
+        self.lookup(dst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netstack::stack::{NetStack, StackConfig};
 
     fn east() -> Prefix {
         Prefix::new(Ipv4Addr::new(44, 56, 0, 0), 16)
@@ -370,15 +355,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_serves_as_tunnel_map() {
-        let shared = SharedEncapTable::new(table());
-        shared.with(|t| {
-            t.learn(SimTime::ZERO, east(), gw_a(), 1, TTL);
-        });
-        let mut map: Box<dyn TunnelMap> = Box::new(shared.clone());
-        assert_eq!(map.endpoint(Ipv4Addr::new(44, 56, 1, 2)), Some(gw_a()));
-        assert_eq!(map.endpoint(Ipv4Addr::new(10, 0, 0, 1)), None);
-        assert_eq!(shared.stats().hits, 1);
-        assert_eq!(shared.stats().misses, 1);
+    fn the_stack_owns_the_table_it_consults() {
+        let mut t = table();
+        t.learn(SimTime::ZERO, east(), gw_a(), 1, TTL);
+        assert_eq!(t.peek(Ipv4Addr::new(44, 56, 1, 2)), Some(gw_a()));
+        assert_eq!(
+            t.stats(),
+            EncapStats {
+                learned: 1,
+                ..EncapStats::default()
+            },
+            "peek counts nothing"
+        );
+        let mut st = NetStack::new(StackConfig::default());
+        st.set_tunnel_map(Box::new(t));
+        let (east_host, foreign) = (Ipv4Addr::new(44, 56, 1, 2), Ipv4Addr::new(10, 0, 0, 1));
+        let answers = st
+            .tunnel_map_mut::<EncapTable>()
+            .map(|map| (map.endpoint(east_host), map.endpoint(foreign)));
+        assert_eq!(answers, Some((Some(gw_a()), None)));
+        let stats = st.tunnel_map::<EncapTable>().map(EncapTable::stats);
+        assert_eq!(stats.map(|s| (s.hits, s.misses)), Some((1, 1)));
     }
 }

@@ -15,28 +15,16 @@ use ax25::frame::Pid;
 use gateway::world::App;
 use gateway::Host;
 use sim::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use crate::node::{NetRomConfig, NetRomNode, NodeAction, NodeStats};
 
-/// Observable state of a router, refreshed every poll.
-#[derive(Debug, Clone, Default)]
-pub struct RouterReport {
-    /// Node statistics.
-    pub stats: NodeStats,
-    /// Currently reachable NET/ROM destinations (as display strings).
-    pub destinations: Vec<String>,
-}
-
-/// A queued outbound IP datagram: (destination node, IP packet bytes).
-pub type SendQueue = Rc<RefCell<Vec<(Ax25Addr, Vec<u8>)>>>;
-
-/// The router application.
+/// The router application. Its owner reaches it through the world
+/// (`World::app`, `World::app_mut`), like any app.
 pub struct NetRomRouter {
     node: NetRomNode,
-    report: Rc<RefCell<RouterReport>>,
-    sendq: SendQueue,
+    /// Outbound IP datagrams, `(destination node, packet bytes)`, shipped
+    /// on the next poll.
+    sendq: Vec<(Ax25Addr, Vec<u8>)>,
 }
 
 impl NetRomRouter {
@@ -45,20 +33,25 @@ impl NetRomRouter {
     pub fn new(cfg: NetRomConfig) -> NetRomRouter {
         NetRomRouter {
             node: NetRomNode::new(cfg),
-            report: Rc::new(RefCell::new(RouterReport::default())),
-            sendq: Rc::new(RefCell::new(Vec::new())),
+            sendq: Vec::new(),
         }
     }
 
-    /// Handle to the live report.
-    pub fn report(&self) -> Rc<RefCell<RouterReport>> {
-        self.report.clone()
+    /// Queues the IP datagram `ip` for NET/ROM node `dest`; the router
+    /// ships it over the backbone on its next poll.
+    pub fn send_ip(&mut self, dest: Ax25Addr, ip: Vec<u8>) {
+        self.sendq.push((dest, ip));
     }
 
-    /// Handle to the outbound queue: push `(dest_node, ip_bytes)` and the
-    /// router ships it over the backbone on its next poll.
-    pub fn send_queue(&self) -> SendQueue {
-        self.sendq.clone()
+    /// Node statistics.
+    pub fn stats(&self) -> NodeStats {
+        self.node.stats()
+    }
+
+    /// Currently reachable NET/ROM destinations (as display strings).
+    pub fn destinations(&self) -> Vec<String> {
+        let dests = self.node.routes().destinations();
+        dests.iter().map(|d| d.to_string()).collect()
     }
 
     fn run_actions(&mut self, now: SimTime, actions: Vec<NodeAction>, host: &mut Host) {
@@ -71,18 +64,6 @@ impl NetRomRouter {
                 }
             }
         }
-    }
-
-    fn refresh_report(&mut self) {
-        let mut r = self.report.borrow_mut();
-        r.stats = self.node.stats();
-        r.destinations = self
-            .node
-            .routes()
-            .destinations()
-            .iter()
-            .map(|d| d.to_string())
-            .collect();
     }
 }
 
@@ -104,15 +85,13 @@ impl App for NetRomRouter {
             }
         }
         // Outbound requests from the owner.
-        let outgoing: Vec<(Ax25Addr, Vec<u8>)> = self.sendq.borrow_mut().drain(..).collect();
-        for (dest, bytes) in outgoing {
+        for (dest, bytes) in std::mem::take(&mut self.sendq) {
             let actions = self.node.send_ip(dest, bytes);
             self.run_actions(now, actions, host);
         }
         // Periodic broadcasts.
         let actions = self.node.poll(now);
         self.run_actions(now, actions, host);
-        self.refresh_report();
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

@@ -106,11 +106,14 @@ pub struct StackConfig {
 /// packet is wrapped in an outer IPIP header addressed to that endpoint
 /// and routing proceeds on the outer header instead.
 ///
-/// The implementation (the `encap` crate's shared table) owns hit/miss
-/// accounting and entry expiry; the stack only asks the question. Expiry
-/// is deadline-driven by the table's owner, which is why this hook takes
-/// no clock.
-pub trait TunnelMap: std::fmt::Debug {
+/// The stack owns the installed map; the implementation (the `encap`
+/// crate's table) owns hit/miss accounting and entry expiry, and the
+/// stack only asks the question. Whoever maintains the map — the RIP44
+/// daemon learning and expiring entries at its deadlines, which is why
+/// this hook takes no clock — reaches it through the stack, as its
+/// concrete type, with [`NetStack::tunnel_map`] and
+/// [`NetStack::tunnel_map_mut`].
+pub trait TunnelMap: std::any::Any + std::fmt::Debug {
     /// The tunnel endpoint whose encapsulation should carry `dst`, if any.
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr>;
 }
@@ -339,10 +342,25 @@ impl NetStack {
     }
 
     /// Installs the encapsulation table consulted by the output path (see
-    /// [`TunnelMap`]). Gateways participating in the tunnel mesh share the
-    /// table with their route-exchange service.
+    /// [`TunnelMap`]). The stack owns it from here on; a gateway's
+    /// route-exchange service maintains it through
+    /// [`NetStack::tunnel_map_mut`].
     pub fn set_tunnel_map(&mut self, map: Box<dyn TunnelMap>) {
         self.tunnels = Some(map);
+    }
+
+    /// The installed tunnel map as its concrete type `T`: `None` when no
+    /// map is installed or it is not a `T`.
+    pub fn tunnel_map<T: TunnelMap>(&self) -> Option<&T> {
+        let map: &dyn std::any::Any = self.tunnels.as_deref()?;
+        map.downcast_ref()
+    }
+
+    /// [`NetStack::tunnel_map`], mutably: how the map's maintainer learns
+    /// and expires entries in the table the stack consults.
+    pub fn tunnel_map_mut<T: TunnelMap>(&mut self) -> Option<&mut T> {
+        let map: &mut dyn std::any::Any = self.tunnels.as_deref_mut()?;
+        map.downcast_mut()
     }
 
     /// Adds an interface and its connected route.

@@ -10,10 +10,8 @@ use netstack::route::{Prefix, Route, RouteSource, RouteTable};
 use netstack::stack::{IfaceConfig, StackAction, StackConfig, TunnelMap};
 use netstack::{IfaceId, Ipv4Packet, NetStack, Proto};
 use proptest::prelude::*;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 /// Addresses clustered in a handful of /24s — amateur and foreign —
 /// with tiny host parts so routes and probes collide constantly.
@@ -82,39 +80,52 @@ fn arb_table_op_on(ifaces: usize) -> impl Strategy<Value = TableOp> {
     ]
 }
 
-/// A shared tunnel map keyed by the destination's /24 that counts its
-/// consultations — the honest little sibling of the encap table.
-#[derive(Debug, Clone, Default)]
-struct ChurnMap(Rc<RefCell<(HashMap<Ipv4Addr, Ipv4Addr>, u64)>>);
+/// A tunnel map keyed by the destination's /24 that counts its
+/// consultations — the honest little sibling of the encap table. The
+/// stack owns it; the test churns it through `tunnel_map_mut`.
+#[derive(Debug, Default)]
+struct ChurnMap {
+    endpoints: HashMap<Ipv4Addr, Ipv4Addr>,
+    consults: u64,
+}
 
 impl ChurnMap {
     fn key(dst: Ipv4Addr) -> Ipv4Addr {
         Ipv4Addr::from(u32::from(dst) & 0xFFFF_FF00)
     }
 
-    fn learn(&self, dst: Ipv4Addr, endpoint: Ipv4Addr) {
-        self.0.borrow_mut().0.insert(Self::key(dst), endpoint);
+    /// The map a stack built by [`build_stack`] owns.
+    fn of(s: &NetStack) -> &ChurnMap {
+        s.tunnel_map().expect("a ChurnMap is installed")
     }
 
-    fn forget(&self, dst: Ipv4Addr) {
-        self.0.borrow_mut().0.remove(&Self::key(dst));
+    /// [`ChurnMap::of`], mutably.
+    fn of_mut(s: &mut NetStack) -> &mut ChurnMap {
+        s.tunnel_map_mut().expect("a ChurnMap is installed")
+    }
+
+    fn learn(&mut self, dst: Ipv4Addr, endpoint: Ipv4Addr) {
+        self.endpoints.insert(Self::key(dst), endpoint);
+    }
+
+    fn forget(&mut self, dst: Ipv4Addr) {
+        self.endpoints.remove(&Self::key(dst));
     }
 
     /// The map's answer, without counting a consultation.
     fn peek(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.0.borrow().0.get(&Self::key(dst)).copied()
+        self.endpoints.get(&Self::key(dst)).copied()
     }
 
     fn consults(&self) -> u64 {
-        self.0.borrow().1
+        self.consults
     }
 }
 
 impl TunnelMap for ChurnMap {
     fn endpoint(&mut self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
-        let mut i = self.0.borrow_mut();
-        i.1 += 1;
-        i.0.get(&Self::key(dst)).copied()
+        self.consults += 1;
+        self.peek(dst)
     }
 }
 
@@ -149,7 +160,7 @@ fn arb_stack_op() -> impl Strategy<Value = StackOp> {
     ]
 }
 
-fn build_stack(tunnels: ChurnMap) -> NetStack {
+fn build_stack() -> NetStack {
     let mut s = NetStack::new(StackConfig {
         forwarding: true,
         ipip: true,
@@ -172,7 +183,7 @@ fn build_stack(tunnels: ChurnMap) -> NetStack {
         Some(Ipv4Addr::new(128, 95, 1, 250)),
         IfaceId::new(0),
     );
-    s.set_tunnel_map(Box::new(tunnels));
+    s.set_tunnel_map(Box::new(ChurnMap::default()));
     s
 }
 
@@ -192,9 +203,13 @@ struct Expected {
 /// What `send_ip` must do with a packet for `dst`, by the linear oracle:
 /// the tunnel map's answer unless the packet is already IPIP (`ipip`) or
 /// local, then a first-match scan for the outer destination.
-fn oracle(s: &NetStack, map: &ChurnMap, dst: Ipv4Addr, ipip: bool) -> Expected {
+fn oracle(s: &NetStack, dst: Ipv4Addr, ipip: bool) -> Expected {
     let consult = !ipip && !s.is_local_addr(dst);
-    let endpoint = if consult { map.peek(dst) } else { None };
+    let endpoint = if consult {
+        ChurnMap::of(s).peek(dst)
+    } else {
+        None
+    };
     let outer = endpoint.unwrap_or(dst);
     let egress = s
         .routes()
@@ -245,19 +260,18 @@ proptest! {
     fn send_ip_decides_like_the_oracle_under_churn(
         ops in proptest::collection::vec(arb_stack_op(), 1..120),
     ) {
-        let map = ChurnMap::default();
-        let mut s = build_stack(map.clone());
+        let mut s = build_stack();
         let udp = s.udp_bind(1234).unwrap();
         for (i, op) in ops.iter().enumerate() {
-            let (before, consults) = (s.stats(), map.consults());
+            let (before, consults) = (s.stats(), ChurnMap::of(&s).consults());
             let e = match op.clone() {
                 StackOp::Send(dst) => {
-                    let e = oracle(&s, &map, dst, false);
+                    let e = oracle(&s, dst, false);
                     s.send_ip(Ipv4Packet::new(Ipv4Addr::UNSPECIFIED, dst, Proto::Icmp, vec![0; 8]));
                     e
                 }
                 StackOp::SendIpip(dst) => {
-                    let e = oracle(&s, &map, dst, true);
+                    let e = oracle(&s, dst, true);
                     let inner =
                         Ipv4Packet::new(Ipv4Addr::new(44, 24, 0, 1), dst, Proto::Icmp, vec![0; 8])
                             .encode();
@@ -272,7 +286,7 @@ proptest! {
                 StackOp::Udp(dst) => {
                     // Source selection needs a route to `dst` itself first.
                     let e = if s.routes().lookup(dst).is_some() {
-                        oracle(&s, &map, dst, false)
+                        oracle(&s, dst, false)
                     } else {
                         Expected { no_route: true, ..Expected::default() }
                     };
@@ -289,11 +303,11 @@ proptest! {
                     Expected::default()
                 }
                 StackOp::Learn(dst, e) => {
-                    map.learn(dst, Ipv4Addr::new(128, 95, 1, e));
+                    ChurnMap::of_mut(&mut s).learn(dst, Ipv4Addr::new(128, 95, 1, e));
                     Expected::default()
                 }
                 StackOp::Forget(dst) => {
-                    map.forget(dst);
+                    ChurnMap::of_mut(&mut s).forget(dst);
                     Expected::default()
                 }
             };
@@ -316,7 +330,7 @@ proptest! {
                 "egress differs from the oracle at step {} on {:?}", i, op
             );
             prop_assert_eq!(
-                map.consults() - consults, e.consults,
+                ChurnMap::of(&s).consults() - consults, e.consults,
                 "tunnel consultations at step {} on {:?}", i, op
             );
             prop_assert_eq!(

@@ -61,8 +61,7 @@ fn main() {
     s.world.add_app(s.ether_host, Box::new(server));
     let gw_call = s.world.host(s.gw).callsign().unwrap();
     let appgw = AppGateway::new(gw_call, (ETHER_HOST_IP, 23));
-    let gw_report = appgw.report_handle();
-    s.world.add_app(s.gw, Box::new(appgw));
+    let appgw = s.world.add_app(s.gw, Box::new(appgw));
 
     let user = TerminalUser::new(
         Ax25Addr::parse_or_panic("KB7DZ"),
@@ -81,7 +80,7 @@ fn main() {
     let r = report.borrow();
     println!("c KB7DZ>N7AKR-1  *** CONNECTED (to the gateway's callsign)");
     println!("{}", r.transcript.replace('\r', "\n"));
-    let g = gw_report.borrow();
+    let g = &s.world.app(appgw).report;
     println!(
         "bridge: {} session(s), {} B radio->TCP, {} B TCP->radio",
         g.sessions_accepted, g.bytes_to_tcp, g.bytes_to_radio

@@ -52,28 +52,16 @@ fn main() {
         c.broadcast_interval = SimDuration::from_secs(60);
         c
     };
-    let wr = NetRomRouter::new(mk("WGATE", "SEA"));
-    let w_report = wr.report();
-    let w_sendq = wr.send_queue();
-    world.add_app(west, Box::new(wr));
-    let mr = NetRomRouter::new(mk("BBONE", "MID"));
-    let m_report = mr.report();
-    world.add_app(mid, Box::new(mr));
+    let wr = world.add_app(west, Box::new(NetRomRouter::new(mk("WGATE", "SEA"))));
+    let mr = world.add_app(mid, Box::new(NetRomRouter::new(mk("BBONE", "MID"))));
     world.add_app(east, Box::new(NetRomRouter::new(mk("EGATE", "NYC"))));
 
     // Watch the route table converge.
     for minutes in 1..=4 {
         world.run_for(SimDuration::from_secs(60));
-        println!(
-            "t={:>3}m  WGATE knows: {:?}",
-            minutes,
-            w_report.borrow().destinations
-        );
-        if w_report
-            .borrow()
-            .destinations
-            .contains(&"EGATE".to_string())
-        {
+        let known = world.app(wr).destinations();
+        println!("t={:>3}m  WGATE knows: {:?}", minutes, known);
+        if known.contains(&"EGATE".to_string()) {
             break;
         }
     }
@@ -91,9 +79,9 @@ fn main() {
         "\nt={}  WGATE ships an IP/UDP datagram to EGATE over the backbone…",
         sent_at
     );
-    w_sendq
-        .borrow_mut()
-        .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
+    world
+        .app_mut(wr)
+        .send_ip(Ax25Addr::parse_or_panic("EGATE"), ip.encode());
     world.run_for(SimDuration::from_secs(60));
 
     let now = world.now;
@@ -111,7 +99,7 @@ fn main() {
     }
     println!(
         "\nBBONE forwarded {} datagram(s); total NODES broadcasts on air: {}",
-        m_report.borrow().stats.forwarded,
-        w_report.borrow().stats.broadcasts_sent + m_report.borrow().stats.broadcasts_sent
+        world.app(mr).stats().forwarded,
+        world.app(wr).stats().broadcasts_sent + world.app(mr).stats().broadcasts_sent
     );
 }

@@ -11,17 +11,20 @@
 //! static aggregate) when the east gateway dies.
 
 use apps::ping::Pinger;
+use encap::table::EncapTable;
 use gateway::ripd::RipConfig;
 use gateway::scenario::{mesh_addrs, three_gateway, PaperConfig};
 use sim::SimDuration;
 
+/// The west gateway's tunnel table, which its stack owns once the daemon
+/// has started (before the first run there is none).
 fn tunnel_table(s: &gateway::scenario::MeshScenario) -> String {
-    let entries: Vec<String> = s.west_tunnels.with(|t| {
-        t.entries()
-            .iter()
-            .map(|e| format!("{}→{} (metric {})", e.subnet, e.endpoint, e.metric))
-            .collect()
-    });
+    let table = s.world.host(s.west_gw).stack.tunnel_map::<EncapTable>();
+    let entries: Vec<String> = table
+        .map_or(&[][..], |t| t.entries())
+        .iter()
+        .map(|e| format!("{}→{} (metric {})", e.subnet, e.endpoint, e.metric))
+        .collect();
     if entries.is_empty() {
         "(empty — everything falls back to the 44/8 aggregate)".into()
     } else {

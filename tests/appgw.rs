@@ -19,8 +19,7 @@ fn terminal_user_reaches_telnet_through_the_app_gateway() {
     // The §2.4 user program on the gateway, bridging AX.25 → telnet.
     let gw_call = s.world.host(s.gw).callsign().expect("gw call");
     let appgw = AppGateway::new(gw_call, (ETHER_HOST_IP, 23));
-    let gw_report = appgw.report_handle();
-    s.world.add_app(s.gw, Box::new(appgw));
+    let appgw = s.world.add_app(s.gw, Box::new(appgw));
 
     // A terminal user on the PC — speaking only AX.25, no IP at all.
     let user = TerminalUser::new(
@@ -52,7 +51,7 @@ fn terminal_user_reaches_telnet_through_the_app_gateway() {
     );
     assert_eq!(u.lines_sent, 4, "script completed");
 
-    let g = gw_report.borrow();
+    let g = &s.world.app(appgw).report;
     assert_eq!(g.sessions_accepted, 1);
     assert!(g.bytes_to_tcp > 0, "radio→TCP bytes: {}", g.bytes_to_tcp);
     assert!(

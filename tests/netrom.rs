@@ -76,51 +76,46 @@ fn fast_cfg(call: &str, alias: &str) -> NetRomConfig {
 fn routes_converge_from_broadcasts_alone() {
     let mut b = backbone(901);
     let west_router = NetRomRouter::new(fast_cfg("WGATE", "SEA"));
-    let west_report = west_router.report();
-    b.world.add_app(b.west, Box::new(west_router));
+    let west = b.world.add_app(b.west, Box::new(west_router));
     b.world
         .add_app(b.mid, Box::new(NetRomRouter::new(fast_cfg("BBONE", "MID"))));
     let east_router = NetRomRouter::new(fast_cfg("EGATE", "NYC"));
-    let east_report = east_router.report();
-    b.world.add_app(b.east, Box::new(east_router));
+    let east = b.world.add_app(b.east, Box::new(east_router));
 
     // A few broadcast rounds are enough for two-hop knowledge.
     b.world.run_for(SimDuration::from_secs(150));
 
-    let w = west_report.borrow();
+    let w = b.world.app(west);
+    let west_dests = w.destinations();
     assert!(
-        w.destinations.contains(&"BBONE".to_string()),
-        "west knows its neighbour: {:?}",
-        w.destinations
+        west_dests.contains(&"BBONE".to_string()),
+        "west knows its neighbour: {west_dests:?}"
     );
     assert!(
-        w.destinations.contains(&"EGATE".to_string()),
-        "west learned the far gateway through the backbone: {:?}",
-        w.destinations
+        west_dests.contains(&"EGATE".to_string()),
+        "west learned the far gateway through the backbone: {west_dests:?}"
     );
-    let e = east_report.borrow();
-    assert!(e.destinations.contains(&"WGATE".to_string()));
-    assert!(w.stats.broadcasts_heard >= 2);
+    let e = b.world.app(east);
+    assert!(e.destinations().contains(&"WGATE".to_string()));
+    assert!(w.stats().broadcasts_heard >= 2);
 }
 
 #[test]
 fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
     let mut b = backbone(902);
     let west_router = NetRomRouter::new(fast_cfg("WGATE", "SEA"));
-    let west_sendq = west_router.send_queue();
-    let west_report = west_router.report();
-    b.world.add_app(b.west, Box::new(west_router));
+    let west = b.world.add_app(b.west, Box::new(west_router));
     let mid_router = NetRomRouter::new(fast_cfg("BBONE", "MID"));
-    let mid_report = mid_router.report();
-    b.world.add_app(b.mid, Box::new(mid_router));
+    let mid = b.world.add_app(b.mid, Box::new(mid_router));
     let east_router = NetRomRouter::new(fast_cfg("EGATE", "NYC"));
     b.world.add_app(b.east, Box::new(east_router));
 
     // Let routing converge.
     b.world.run_for(SimDuration::from_secs(150));
-    assert!(west_report
-        .borrow()
-        .destinations
+    assert!(b
+        .world
+        .app(west)
+        .destinations()
         .contains(&"EGATE".to_string()));
 
     // The east gateway listens on UDP 4000.
@@ -135,9 +130,9 @@ fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
     };
     let mut ip = Ipv4Packet::new(WEST_IP, EAST_IP, Proto::Udp, dg.encode(WEST_IP, EAST_IP));
     ip.id = 77;
-    west_sendq
-        .borrow_mut()
-        .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
+    b.world
+        .app_mut(west)
+        .send_ip(Ax25Addr::parse_or_panic("EGATE"), ip.encode());
 
     b.world.run_for(SimDuration::from_secs(120));
 
@@ -154,8 +149,8 @@ fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
     assert_eq!(payload, b"IP over NET/ROM between gateways");
 
     // And it really went through the middle node.
-    assert!(mid_report.borrow().stats.forwarded >= 1, "mid forwarded");
-    assert!(west_report.borrow().stats.originated >= 1);
+    assert!(b.world.app(mid).stats().forwarded >= 1, "mid forwarded");
+    assert!(b.world.app(west).stats().originated >= 1);
 }
 
 #[test]
@@ -176,9 +171,7 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
         c.set_hears(StationId(y), StationId(x), false);
     }
     let west_router = NetRomRouter::new(fast_cfg("WGATE", "SEA"));
-    let sendq = west_router.send_queue();
-    let report = west_router.report();
-    world.add_app(west, Box::new(west_router));
+    let router = world.add_app(west, Box::new(west_router));
     world.add_app(
         HostId::clone(&_m1),
         Box::new(NetRomRouter::new(fast_cfg("R1", "R1"))),
@@ -190,7 +183,10 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
     world.add_app(east, Box::new(NetRomRouter::new(fast_cfg("EGATE", "NYC"))));
 
     world.run_for(SimDuration::from_secs(150));
-    assert!(report.borrow().destinations.contains(&"EGATE".to_string()));
+    assert!(world
+        .app(router)
+        .destinations()
+        .contains(&"EGATE".to_string()));
 
     let east_udp = world.host_mut(east).stack.udp_bind(4000).expect("bind");
     let dg = UdpDatagram {
@@ -199,9 +195,9 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
         payload: b"via either relay".to_vec(),
     };
     let ip = Ipv4Packet::new(WEST_IP, EAST_IP, Proto::Udp, dg.encode(WEST_IP, EAST_IP));
-    sendq
-        .borrow_mut()
-        .push((Ax25Addr::parse_or_panic("EGATE"), ip.encode()));
+    world
+        .app_mut(router)
+        .send_ip(Ax25Addr::parse_or_panic("EGATE"), ip.encode());
     world.run_for(SimDuration::from_secs(120));
     assert!(world
         .host_mut(east)

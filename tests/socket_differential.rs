@@ -26,7 +26,7 @@ type TypistCounts = (usize, usize, Option<SimTime>);
 
 /// Runs the scenario with the given server app, returning the recorded
 /// event stream plus the typist's byte counters.
-fn run_with_server(server: Box<dyn App>, seed: u64) -> (EventStream, TypistCounts) {
+fn run_with_server<A: App>(server: Box<A>, seed: u64) -> (EventStream, TypistCounts) {
     let mut s = paper_topology(PaperConfig::default(), seed);
     let client = Typist::new(ETHER_HOST_IP, 7, 12);
     let report = client.report();

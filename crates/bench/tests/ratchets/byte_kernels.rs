@@ -1,7 +1,7 @@
-//! The bulk byte kernels (DESIGN.md §9) — KISS deframing and escaping, the
+//! The byte kernels (DESIGN.md §9) — KISS deframing and escaping, the
 //! AX.25 CRC-16/X.25, the RFC 1071 internet checksum — never touch the
-//! heap in steady state. That they stay bit-identical to their scalar
-//! reference paths is `tests/byte_kernel_props.rs`.
+//! heap in steady state. That the bulk ones stay bit-identical to their
+//! scalar reference paths is `tests/byte_kernel_props.rs`.
 
 use crate::allocs_during;
 use ax25::fcs::crc16_x25;
@@ -60,7 +60,7 @@ fn crc16_sliced() {
 }
 
 #[test]
-fn checksum_folded() {
+fn checksum_over_parts() {
     // An MTU-ish datagram body plus a small pseudo-header part, the shape
     // the TCP/UDP checksummers pass in.
     let header = vec![0x11u8; 12];
@@ -70,5 +70,5 @@ fn checksum_folded() {
     let allocs = allocs_during(|| {
         black_box(internet_checksum(&[&header, &body]));
     });
-    assert_eq!(allocs, 0, "checksum kernel must not touch the heap");
+    assert_eq!(allocs, 0, "the internet checksum must not touch the heap");
 }

@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 use ax25::addr::Ax25Addr;
 use ax25::frame::Frame;
 use ether::{EtherFrame, MacAddr};
-use filter::{FilterConfig, FilterEngine, FilterNote, FilterStats};
+use filter::{FilterConfig, FilterEngine, FilterStats};
 use netstack::icmp::IcmpMessage;
 use netstack::stack::{IfaceConfig, IfaceId, NetStack, SockId, StackAction, StackConfig};
 use netstack::NetError;
@@ -57,7 +57,7 @@ pub struct EtherIfConfig {
 /// Full host configuration.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Hostname for traces.
+    /// Hostname.
     pub name: String,
     /// Stack configuration (forwarding on for gateways).
     pub stack: StackConfig,
@@ -216,23 +216,6 @@ impl Host {
     /// Filter counters, if a filter is installed.
     pub fn filter_stats(&self) -> Option<FilterStats> {
         self.filter.as_ref().map(FilterEngine::stats)
-    }
-
-    /// Turns per-decision filter logging on or off (driven by the
-    /// world's trace state; decisions drain into the gateway-policy
-    /// trace category).
-    pub fn set_filter_logging(&mut self, on: bool) {
-        if let Some(f) = &mut self.filter {
-            f.set_logging(on);
-        }
-    }
-
-    /// Drains logged filter decisions (empty without a filter or with
-    /// logging off).
-    pub fn take_filter_notes(&mut self) -> Vec<FilterNote> {
-        self.filter
-            .as_mut()
-            .map_or_else(Vec::new, FilterEngine::take_notes)
     }
 
     /// The station callsign, if the host has a radio.

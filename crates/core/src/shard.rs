@@ -37,7 +37,6 @@ use radio::traffic::BeaconStation;
 use serial::{End, Seal, SerialLine};
 use sim::mailbox::Mailbox;
 use sim::sched::{Scheduler, SlotKey};
-use sim::trace::Trace;
 use sim::{SimRng, SimTime};
 
 use crate::host::Host;
@@ -303,7 +302,6 @@ fn deliver(host: &mut Host, now: SimTime, d: InFrame, spent: &mut Vec<EtherFrame
 pub(crate) struct ShardData {
     pub now: SimTime,
     pub rng: SimRng,
-    pub trace: Trace,
     pub channels: Vec<Channel>,
     pub lines: Vec<SerialLine>,
     pub tncs: Vec<TncEntry>,
@@ -366,7 +364,6 @@ impl ShardData {
         ShardData {
             now: SimTime::ZERO,
             rng,
-            trace: Trace::disabled(),
             channels: Vec::new(),
             lines: Vec::new(),
             tncs: Vec::new(),
@@ -1108,19 +1105,6 @@ impl ShardData {
             for k in 0..heard.listeners().len() {
                 any = true;
                 let (to, corrupted) = heard.listeners()[k];
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        sim::trace::Category::Radio,
-                        format!("sta{}", to.0),
-                        format!(
-                            "heard {}B from sta{}{}",
-                            heard.data().len(),
-                            heard.from().0,
-                            if corrupted { " (corrupted)" } else { "" }
-                        ),
-                    );
-                }
                 match slot(&self.listeners, chan, to.0) {
                     Some(Listener::Tnc(i)) => {
                         let li = self.tncs[i].line;
@@ -1133,14 +1117,6 @@ impl ShardData {
                             Mode::Scan => None,
                         };
                         if let Some(bytes) = heard.kiss() {
-                            if self.trace.is_enabled() {
-                                self.trace.record(
-                                    now,
-                                    sim::trace::Category::Kiss,
-                                    format!("tnc:{}", tnc.addr()),
-                                    format!("passed {}B frame up the serial line", bytes.len()),
-                                );
-                            }
                             match seal {
                                 Some(seal) => self.lines[li].send_sealed(now, End::B, bytes, seal),
                                 None => self.lines[li].send(now, End::B, bytes),
@@ -1204,25 +1180,6 @@ impl ShardData {
             }
         }
         self.out_scratch = outs;
-        if self.trace.is_enabled() && self.hosts[hi].host.filter_engine().is_some() {
-            // Tracing drives the filter's decision log: flip it on the
-            // first time we flush under an enabled trace, then drain
-            // each decision as one gateway-policy entry.
-            let host = &mut self.hosts[hi].host;
-            host.set_filter_logging(true);
-            let notes = host.take_filter_notes();
-            if !notes.is_empty() {
-                let name = self.hosts[hi].host.name.clone();
-                for note in notes {
-                    self.trace.record(
-                        now,
-                        sim::trace::Category::Acl,
-                        name.clone(),
-                        note.to_string(),
-                    );
-                }
-            }
-        }
         let mut events = std::mem::take(&mut self.event_scratch);
         self.hosts[hi].host.swap_events(&mut events);
         if !events.is_empty() {
@@ -1230,14 +1187,6 @@ impl ShardData {
             flushed.dispatched = !self.host_apps[hi].is_empty();
             let gid = HostId::from_raw(self.host_gids[hi]);
             for ev in events.drain(..) {
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        sim::trace::Category::App,
-                        self.hosts[hi].host.name.clone(),
-                        format!("{ev:?}"),
-                    );
-                }
                 for &ai in &self.host_apps[hi] {
                     self.apps[ai]
                         .app

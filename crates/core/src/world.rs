@@ -45,7 +45,6 @@ use radio::tnc::{RxMode, Tnc, TncConfig};
 use radio::traffic::{BeaconConfig, BeaconStation};
 use serial::{SerialConfig, SerialLine};
 use sim::sched::SchedStats;
-use sim::trace::Trace;
 use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
@@ -235,9 +234,6 @@ pub struct EngineStats {
 pub struct World {
     /// Current simulated time.
     pub now: SimTime,
-    /// Optional event trace (disabled by default; multi-shard worlds
-    /// trace shard 0's island).
-    pub trace: Trace,
     /// Recorded (host, time, event) triples when enabled.
     pub record_events: bool,
     shards: Vec<ShardData>,
@@ -269,7 +265,6 @@ impl World {
     pub fn new(seed: u64) -> World {
         World {
             now: SimTime::ZERO,
-            trace: Trace::disabled(),
             record_events: true,
             shards: vec![ShardData::new(SimRng::seed_from(seed))],
             segments: Vec::new(),
@@ -732,12 +727,10 @@ impl World {
         let sh = &mut self.shards[0];
         sh.now = self.now;
         sh.record_events = self.record_events;
-        std::mem::swap(&mut sh.trace, &mut self.trace);
         let mut segs: Segs = Some(&mut self.segments);
         sh.enter(mode, &mut segs);
         sh.run_window(limit, &mut segs);
         sh.exit(limit);
-        std::mem::swap(&mut sh.trace, &mut self.trace);
         self.now = if clamp { sh.now.max(limit) } else { sh.now };
         self.events.append(&mut sh.events);
     }
@@ -746,7 +739,6 @@ impl World {
     /// the coordinator loops lookahead windows until nothing is due at or
     /// before `limit`; see `Engine`.
     fn drive_sharded(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
-        std::mem::swap(&mut self.shards[0].trace, &mut self.trace);
         // The calendar's one all-shard write: from here on only a step or
         // a delivery moves an entry.
         self.next_due.resize(self.shards.len(), u64::MAX);
@@ -774,7 +766,6 @@ impl World {
         eng.active.extend(0..eng.shards.len());
         eng.collect();
         eng.run_windows();
-        std::mem::swap(&mut self.shards[0].trace, &mut self.trace);
         let mut now = self.now;
         for sh in &mut self.shards {
             sh.exit(limit);
@@ -1006,8 +997,12 @@ mod tests {
             let now = s.world.now;
             s.world.host_mut(s.pc).ping(now, eth_ip, 1, 1, 64);
             s.world.run_for(SimDuration::from_secs(60));
-            s.world
-                .take_events()
+            let events = s.world.take_events();
+            assert!(
+                events.windows(2).all(|w| w[0].1 <= w[1].1),
+                "the event log comes out in time order"
+            );
+            events
                 .iter()
                 .filter_map(|(_, t, e)| match e {
                     StackAction::PingReply { .. } => Some(t.as_nanos()),
@@ -1015,7 +1010,9 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        let replies = run();
+        assert_eq!(replies.len(), 1, "the ping was answered");
+        assert_eq!(replies, run());
     }
 
     /// The reference stepper shares `flush_host` and `hear_channel`

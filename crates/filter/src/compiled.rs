@@ -44,7 +44,7 @@ pub(crate) struct WalkResult {
     /// The action of the most specific matching rule (or the default).
     pub action: Action,
     /// Index of the matching rule in compiled order, `u16::MAX` for the
-    /// default action (trace labelling only).
+    /// default action (the precedence tests read it).
     pub rule: u16,
 }
 

@@ -7,13 +7,10 @@
 //!    the return entry (the paper's main mechanism);
 //! 2. the **compiled ruleset**: most-specific-match over the flattened
 //!    arrays (`crate::compiled`);
-//! 3. the **verdict**: the matched rule's action, counted and, when
-//!    tracing, logged.
+//! 3. the **verdict**: the matched rule's action, counted.
 //!
 //! Nothing is memoized, so no table change needs invalidating: the next
 //! packet sees a gate open, close or expiry, or a rule swap, as it is.
-
-use std::fmt;
 
 use netstack::icmp::IcmpMessage;
 use sim::SimTime;
@@ -100,57 +97,6 @@ pub struct FilterStats {
     pub auth_failures: u64,
 }
 
-/// Why a verdict came out the way it did (trace labelling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoteWhy {
-    /// Matched the rule at this compiled index.
-    Rule(u16),
-    /// No rule matched; the default action applied.
-    Default,
-    /// Foreign→amateur with no live gate entry.
-    GateNoEntry,
-}
-
-/// One logged decision, drained into the `sim::trace` gateway-policy
-/// category when tracing is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterNote {
-    /// The packet's match fields.
-    pub meta: PacketMeta,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// What decided it.
-    pub why: NoteWhy,
-}
-
-impl fmt::Display for FilterNote {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let v = match self.verdict {
-            Verdict::Allow => "allow",
-            Verdict::Deny => "deny",
-        };
-        write!(
-            f,
-            "{v} {} > {} proto {}",
-            self.meta.src_addr(),
-            self.meta.dst_addr(),
-            self.meta.proto
-        )?;
-        if self.meta.has_port {
-            write!(f, " port {}", self.meta.dport)?;
-        }
-        match self.why {
-            NoteWhy::Rule(i) => write!(f, " [rule {i}]"),
-            NoteWhy::Default => write!(f, " [default]"),
-            NoteWhy::GateNoEntry => write!(f, " [no gate entry]"),
-        }
-    }
-}
-
-/// Decision-log bound: tracing is a debugging aid, not a flight
-/// recorder; beyond this the oldest unread notes are simply counted.
-const MAX_NOTES: usize = 4096;
-
 /// The compiled packet-filter engine (DESIGN.md §13).
 #[derive(Debug)]
 pub struct FilterEngine {
@@ -160,9 +106,6 @@ pub struct FilterEngine {
     /// gate closes.
     generation: u32,
     stats: FilterStats,
-    log_enabled: bool,
-    notes: Vec<FilterNote>,
-    notes_dropped: u64,
 }
 
 impl FilterEngine {
@@ -173,9 +116,6 @@ impl FilterEngine {
             gate: cfg.gate.map(GateTable::new),
             generation: 0,
             stats: FilterStats::default(),
-            log_enabled: false,
-            notes: Vec::new(),
-            notes_dropped: 0,
         }
     }
 
@@ -198,16 +138,11 @@ impl FilterEngine {
                 }
             } else if !src_am && dst_am && !g.is_live(now, m.dst, m.src) {
                 self.stats.gate_denied += 1;
-                return self.apply(m, Action::Deny, NoteWhy::GateNoEntry);
+                return self.apply(Action::Deny);
             }
         }
-        let w = self.rules.walk(m);
-        let why = if w.rule == u16::MAX {
-            NoteWhy::Default
-        } else {
-            NoteWhy::Rule(w.rule)
-        };
-        self.apply(m, w.action, why)
+        let action = self.rules.walk(m).action;
+        self.apply(action)
     }
 
     /// Counts one verdict-changing mutation.
@@ -215,10 +150,9 @@ impl FilterEngine {
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// Turns a matched action into a final verdict, counting and
-    /// logging it.
+    /// Turns a matched action into a final verdict, counting it.
     #[inline]
-    fn apply(&mut self, m: &PacketMeta, action: Action, why: NoteWhy) -> Verdict {
+    fn apply(&mut self, action: Action) -> Verdict {
         let v = match action {
             Action::Allow => Verdict::Allow,
             Action::Deny => Verdict::Deny,
@@ -226,17 +160,6 @@ impl FilterEngine {
         match v {
             Verdict::Allow => self.stats.allowed += 1,
             Verdict::Deny => self.stats.denied += 1,
-        }
-        if self.log_enabled {
-            if self.notes.len() < MAX_NOTES {
-                self.notes.push(FilterNote {
-                    meta: *m,
-                    verdict: v,
-                    why,
-                });
-            } else {
-                self.notes_dropped += 1;
-            }
         }
         v
     }
@@ -326,33 +249,6 @@ impl FilterEngine {
     /// Live + not-yet-swept gate entries.
     pub fn gate_len(&self) -> usize {
         self.gate.as_ref().map_or(0, |g| g.len())
-    }
-
-    // --- Decision log -------------------------------------------------------
-
-    /// Turns per-decision logging on or off (the trace integration sets
-    /// this from the world's trace state; off is the default and costs
-    /// one branch per packet).
-    pub fn set_logging(&mut self, on: bool) {
-        self.log_enabled = on;
-        if !on {
-            self.notes.clear();
-        }
-    }
-
-    /// Whether decisions are being logged.
-    pub fn logging(&self) -> bool {
-        self.log_enabled
-    }
-
-    /// Drains logged decisions (oldest first).
-    pub fn take_notes(&mut self) -> Vec<FilterNote> {
-        std::mem::take(&mut self.notes)
-    }
-
-    /// Notes discarded because the log bound was hit between drains.
-    pub fn notes_dropped(&self) -> u64 {
-        self.notes_dropped
     }
 }
 
@@ -462,19 +358,5 @@ mod tests {
         assert_eq!(e.eval(SimTime::ZERO, &meta(AM, FO, 6)), Verdict::Allow);
         assert_eq!(e.next_deadline(), None, "no soft state accrues");
         assert_eq!(e.gate_len(), 0);
-    }
-
-    #[test]
-    fn notes_are_logged_only_when_enabled() {
-        let mut e = FilterEngine::new(FilterConfig::gateway());
-        e.eval(SimTime::ZERO, &meta(FO, AM, 6));
-        assert!(e.take_notes().is_empty());
-        e.set_logging(true);
-        e.eval(SimTime::ZERO, &meta(FO, AM, 6));
-        let notes = e.take_notes();
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].verdict, Verdict::Deny);
-        let s = notes[0].to_string();
-        assert!(s.contains("deny 128.95.1.4 > 44.24.0.5"), "{s}");
     }
 }

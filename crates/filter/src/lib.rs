@@ -29,7 +29,7 @@ mod gate;
 mod oracle;
 mod rule;
 
-pub use engine::{FilterConfig, FilterEngine, FilterNote, FilterStats, NoteWhy, Verdict};
+pub use engine::{FilterConfig, FilterEngine, FilterStats, Verdict};
 pub use gate::{ControlOutcome, GateConfig};
 pub use oracle::NaiveInterpreter;
 pub use rule::{Action, PacketMeta, Rule};

@@ -15,8 +15,6 @@
 //! block of one abusive host always beats a /8 allow of the whole
 //! network no matter where it sits in the list.
 
-use std::net::Ipv4Addr;
-
 use netstack::ip::Ipv4Packet;
 use netstack::route::Prefix;
 
@@ -155,24 +153,13 @@ impl PacketMeta {
         }
         meta
     }
-
-    /// The source as an address (for traces).
-    #[inline]
-    pub fn src_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::from(self.src)
-    }
-
-    /// The destination as an address (for traces).
-    #[inline]
-    pub fn dst_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::from(self.dst)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netstack::ip::Proto;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn wire_parse_matches_decoded_packet() {

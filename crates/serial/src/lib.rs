@@ -1053,4 +1053,55 @@ mod tests {
         assert_eq!(line.advance(SimTime::from_micros(1)), 0);
         assert_eq!(line.rx_len(End::B), 0);
     }
+
+    /// Scalar oracle for [`first_closing`]: the first `FRAME_END` whose
+    /// predecessor on the wire (`prev` for the first byte) is not one.
+    fn first_closing_oracle(prev: u8, bytes: &[u8]) -> Option<usize> {
+        (0..bytes.len()).find(|&i| {
+            let before = if i == 0 { prev } else { bytes[i - 1] };
+            bytes[i] == FRAME_END && before != FRAME_END
+        })
+    }
+
+    /// `first_closing` against the scalar scan on 2^20 inputs of 0..=40
+    /// bytes, a quarter of them `FRAME_END`, after a `prev` that is
+    /// `FRAME_END` half the time: runs of `FRAME_END` at the head (the
+    /// skip) and in every word lane, every length modulo the word width.
+    #[test]
+    fn first_closing_matches_a_scalar_scan_on_a_million_inputs() {
+        // splitmix64, fixed seed: the sweep is the same on every run.
+        let mut state: u64 = 0x5EED_F1E5_C0C0_0001;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut bytes = [0u8; 40];
+        for _ in 0..1 << 20 {
+            for lane in bytes.chunks_mut(8) {
+                let (data, sel) = (next(), next());
+                for (k, b) in lane.iter_mut().enumerate() {
+                    *b = if (sel >> (8 * k)) & 3 == 0 {
+                        FRAME_END
+                    } else {
+                        (data >> (8 * k)) as u8
+                    };
+                }
+            }
+            let r = next();
+            let prev = if r & 1 == 0 {
+                FRAME_END
+            } else {
+                (r >> 8) as u8
+            };
+            let data = &bytes[..(r >> 32) as usize % (bytes.len() + 1)];
+            assert_eq!(
+                first_closing(prev, data),
+                first_closing_oracle(prev, data),
+                "prev {prev:#04x} bytes {data:02x?}"
+            );
+        }
+    }
 }

@@ -18,13 +18,12 @@
 //!   (one indexed heap re-keyed in place, deterministic tie order).
 //! * [`rng`] — a seeded random-number generator ([`SimRng`]) so that every
 //!   experiment run is exactly repeatable.
-//! * [`stats`] — counters, latency quantiles, and sweep tables used by the
-//!   experiment harnesses.
+//! * [`stats`] — counters, latency quantiles, and the aligned text tables
+//!   the experiment harnesses print.
 //! * [`wire`] — bounds-checked big-endian readers and writers shared by all
 //!   of the frame/packet codecs.
 //! * [`pktbuf`] — [`PacketBuf`], a plain buffer with headroom, and the
 //!   [`ByteSink`] trait the codecs encode into.
-//! * [`trace`] — a lightweight, in-memory event trace.
 //!
 //! # Examples
 //!
@@ -52,7 +51,6 @@ pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod wire;
 
 pub use fxhash::{fnv1a, Fnv1a};

@@ -34,6 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use sim::wire::internet_checksum;
+
 /// Change-mask bit: connection number follows the mask byte.
 pub const NEW_C: u8 = 0x40;
 /// Change-mask bit: explicit IP ID delta present (else ID is implicitly +1).
@@ -205,28 +207,6 @@ fn put_u16(b: &mut [u8], at: usize, v: u16) {
 
 fn put_u32(b: &mut [u8], at: usize, v: u32) {
     b[at..at + 4].copy_from_slice(&v.to_be_bytes());
-}
-
-/// One's-complement sum over a list of byte slices (RFC 1071), local so
-/// this crate stays dependency-free for the zero-allocation bench.
-fn internet_checksum(parts: &[&[u8]]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut carry_hi: Option<u8> = None;
-    for part in parts {
-        for &byte in part.iter() {
-            match carry_hi.take() {
-                None => carry_hi = Some(byte),
-                Some(hi) => sum += u32::from(u16::from_be_bytes([hi, byte])),
-            }
-        }
-    }
-    if let Some(hi) = carry_hi {
-        sum += u32::from(u16::from_be_bytes([hi, 0]));
-    }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
 }
 
 /// Rewrite the IP header checksum of a 20-byte header in place.

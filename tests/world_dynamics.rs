@@ -129,32 +129,6 @@ fn whole_scenario_event_stream_is_deterministic() {
 }
 
 #[test]
-fn trace_records_the_packet_walk_when_enabled() {
-    let mut s = paper_topology(PaperConfig::default(), 1005);
-    s.world.trace = sim::trace::Trace::enabled();
-    let p = Pinger::new(ETHER_HOST_IP, 1, 1, SimDuration::from_secs(5), 16);
-    let r = p.report();
-    s.world.add_app(s.pc, Box::new(p));
-    s.world.run_for(SimDuration::from_secs(60));
-    assert_eq!(r.borrow().received, 1);
-    let trace = &s.world.trace;
-    assert!(
-        !trace.by_category(sim::trace::Category::Radio).is_empty(),
-        "radio receptions recorded"
-    );
-    assert!(
-        !trace.by_category(sim::trace::Category::Kiss).is_empty(),
-        "TNC serial handoffs recorded"
-    );
-    assert!(trace.contains("PingReply"), "app event recorded");
-    // Entries are time-ordered.
-    let times: Vec<_> = trace.entries().iter().map(|e| e.time).collect();
-    let mut sorted = times.clone();
-    sorted.sort();
-    assert_eq!(times, sorted);
-}
-
-#[test]
 fn two_gateways_on_one_channel_stay_independent() {
     // A second, unrelated gateway pair sharing the frequency: traffic for
     // one must never be consumed by the other (callsign checks), only

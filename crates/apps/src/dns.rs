@@ -259,7 +259,7 @@ pub struct ResolverStats {
     pub from_cache: u64,
     /// Retransmissions.
     pub retries: u64,
-    /// Lookups abandoned after [`MAX_TRIES`].
+    /// Lookups abandoned after `MAX_TRIES`.
     pub failures: u64,
 }
 

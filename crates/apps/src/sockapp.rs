@@ -12,12 +12,11 @@
 //! * **Edge-triggered** for every handle: a bit newly turning on is
 //!   delivered exactly once; the program must drain (recv until
 //!   `WouldBlock`, accept until `WouldBlock`) before returning.
-//! * **Level-triggered re-delivery** for handles in blocking mode (the
-//!   default): while any bit is set, the program is re-notified on every
-//!   scheduler visit. This is the cooperative emulation of a process
-//!   sleeping in a blocked syscall — it cannot miss a wakeup, at the cost
-//!   of spurious calls it must tolerate. Nonblocking handles
-//!   ([`gateway::Host::sock_set_nonblocking`]) get edges only.
+//! * **Level-triggered re-delivery** on top: while any bit is set, the
+//!   program is re-notified on every scheduler visit. This is the
+//!   cooperative emulation of a process sleeping in a blocked syscall — it
+//!   cannot miss a wakeup, at the cost of spurious calls it must
+//!   tolerate.
 //! * [`SocketProgram::on_tick`] runs on every scheduler visit (bulk
 //!   pumps, request pickup) and [`SocketProgram::next_wakeup`] arms a
 //!   real deadline — the runtime itself never busy-polls.
@@ -152,9 +151,9 @@ impl<P: SocketProgram> From<P> for SockApp<P> {
 
 impl<P: SocketProgram> SockApp<P> {
     /// Computes readiness for every watched handle and delivers edges
-    /// (plus level re-delivery for blocking handles), iterating until no
-    /// handle's mask changes — so a handler that drains a socket sees the
-    /// follow-on EOF edge within the same instant.
+    /// plus level re-delivery, iterating until no handle's mask changes —
+    /// so a handler that drains a socket sees the follow-on EOF edge
+    /// within the same instant.
     fn deliver(&mut self, now: SimTime, host: &mut Host) {
         let SockApp { program, watched } = self;
         for round in 0..64 {
@@ -164,7 +163,7 @@ impl<P: SocketProgram> SockApp<P> {
                 let (h, prev) = watched[idx];
                 let mask = host.sock_poll(h);
                 let rising = mask.bits() & !prev;
-                let level = round == 0 && !host.sockets.is_nonblocking(h) && !mask.is_empty();
+                let level = round == 0 && !mask.is_empty();
                 watched[idx].1 = mask.bits();
                 if rising != 0 || level {
                     any = true;

@@ -25,7 +25,6 @@ use apps::typist::Typist;
 use bench::report::Report;
 use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP};
 use sim::SimDuration;
-use vj::VjConfig;
 
 const KEYSTROKES: usize = 40;
 const FILE_BYTES: usize = 6000;
@@ -57,7 +56,7 @@ fn radio_link_stats(s: &gateway::scenario::PaperScenario) -> RadioLink {
 
 fn config(vj: bool) -> PaperConfig {
     PaperConfig {
-        vj: vj.then(VjConfig::default),
+        vj,
         clamp_mss: true,
         ..PaperConfig::default()
     }

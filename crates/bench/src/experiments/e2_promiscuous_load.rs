@@ -43,7 +43,7 @@ fn measure(mode: RxMode, stations: usize) -> Outcome {
     let cfg = PaperConfig {
         // Everything starts as stock 1988 promiscuous firmware; the
         // filtered variant is switched on at runtime below, exercising
-        // Tnc::set_address_filter — the deployable form of the fix.
+        // Tnc::set_mode — the deployable form of the fix.
         tnc_mode: RxMode::Promiscuous,
         // TNC-2-era serial: barely above the channel rate, so unwanted
         // promiscuous traffic competes with wanted frames on the RS-232.
@@ -52,7 +52,7 @@ fn measure(mode: RxMode, stations: usize) -> Outcome {
     };
     let mut s = paper_topology(cfg, 2000 + stations as u64);
     if mode == RxMode::AddressFilter {
-        s.world.tnc_mut(s.gw_tnc).set_address_filter(&[]);
+        s.world.tnc_mut(s.gw_tnc).set_mode(RxMode::AddressFilter);
     }
     for i in 0..stations {
         s.world.add_beacon(
@@ -140,7 +140,7 @@ pub fn run(x: &mut Report) {
     x.text(" * gw_chars/gw_cpu in promiscuous mode scale with the background load");
     x.text("   while the filtered TNC holds them flat at the gateway's own traffic —");
     x.text("   chars_saved_% is the per-character interrupt reduction the runtime");
-    x.text("   Tnc::set_address_filter switch buys at each load point;");
+    x.text("   Tnc::set_mode(AddressFilter) switch buys at each load point;");
     x.text(" * offered_load_% exceeds 100% once stations offer more airtime than the");
     x.text("   channel has (queueing), while chan_util_% — occupied airtime as a");
     x.text("   union of transmissions — saturates at 100%;");

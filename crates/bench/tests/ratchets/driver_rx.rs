@@ -4,9 +4,8 @@
 //! (§2.2/§3) — and the whole-world paths built on it.
 //!
 //! The not-for-us fast path (the §3 promiscuous load) performs zero heap
-//! allocations, and so does the serial line's residual per-character path
-//! (a noisy, duplex line delivered one character at a time) under both
-//! engines' calling conventions. A radio transmission costs no allocation
+//! allocations, and so does a busy duplex serial line under both engines'
+//! calling conventions (one character at a time, and whole runs). A radio transmission costs no allocation
 //! at all, however many promiscuous stations hear it (one traded buffer,
 //! one FCS check, one KISS encoding, shared), and neither does an ARP
 //! exchange on either driver: addresses are inline values and every frame
@@ -33,7 +32,7 @@ use radio::csma::MacConfig;
 use radio::tnc::RxMode;
 use radio::traffic::BeaconConfig;
 use serial::{End, SerialConfig, SerialLine};
-use sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use sim::{Bandwidth, SimDuration, SimTime};
 use std::borrow::Cow;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -80,17 +79,15 @@ fn rint_frame_for_other() {
     );
 }
 
-/// The line's per-character path: noise forces one visit per character,
-/// and both directions are busy at once. One frame each way per
-/// iteration, delivered the way the Scan oracle does it (`advance` +
-/// `drain_rx`) and the way the indexed engine does it (`take_run`, which
-/// on such a line yields single characters).
+/// A serial line with both directions busy at once. One frame each way
+/// per iteration, delivered the way the Scan oracle does it (`advance` +
+/// `drain_rx`, one visit per character) and the way the indexed engine
+/// does it (`take_run`, one visit per run).
 #[test]
-fn serial_per_char_noisy_duplex() {
+fn serial_clean_duplex() {
     let up = wire_for("W1GOH", 180);
     let down = wire_for("N7AKR-1", 60);
-    let cfg = SerialConfig::baud(9600).with_error_rate(0.01);
-    let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(3));
+    let mut line = SerialLine::new(SerialConfig::baud(9600));
     let mut buf = Vec::new();
     let mut now = SimTime::ZERO;
     // Sealed, as the indexed engine sends up a line: a receiver that never
@@ -108,9 +105,7 @@ fn serial_per_char_noisy_duplex() {
     };
     scan_style(&mut line, &mut now); // sizes the line queues and `buf`
     let allocs = allocs_during(|| scan_style(&mut line, &mut now));
-    eprintln!(
-        "serial_per_char/noisy_duplex_advance_drain: {allocs} heap allocations per frame pair"
-    );
+    eprintln!("serial_clean_duplex/advance_drain: {allocs} heap allocations per frame pair");
     assert_eq!(allocs, 0, "per-character delivery must not touch the heap");
     let mut run_style = |line: &mut SerialLine, now: &mut SimTime| {
         line.send_sealed(*now, End::B, &up, seal);
@@ -127,8 +122,8 @@ fn serial_per_char_noisy_duplex() {
     };
     run_style(&mut line, &mut now);
     let allocs = allocs_during(|| run_style(&mut line, &mut now));
-    eprintln!("serial_per_char/noisy_duplex_take_run: {allocs} heap allocations per frame pair");
-    assert_eq!(allocs, 0, "per-character delivery must not touch the heap");
+    eprintln!("serial_clean_duplex/take_run: {allocs} heap allocations per frame pair");
+    assert_eq!(allocs, 0, "run delivery must not touch the heap");
 }
 
 /// Heap allocations per radio transmission, whole world, in steady state:

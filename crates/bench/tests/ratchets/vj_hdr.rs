@@ -6,7 +6,7 @@
 
 use crate::allocs_during;
 use std::hint::black_box;
-use vj::{VjCompressor, VjConfig, VjDecompressor, VjOutcome};
+use vj::{VjCompressor, VjDecompressor, VjOutcome};
 
 /// One keystroke datagram: 40-byte TCP/IP header + 1 payload byte.
 const DGRAM_LEN: usize = 41;
@@ -70,7 +70,7 @@ fn tcp_checksum(dgram: &[u8; DGRAM_LEN]) -> u16 {
 
 #[test]
 fn compress() {
-    let mut comp = VjCompressor::new(VjConfig::default());
+    let mut comp = VjCompressor::new();
     let mut n = 0u32;
     let mut buf = [0u8; DGRAM_LEN];
     let mut compress = || {
@@ -89,8 +89,8 @@ fn compress() {
 
 #[test]
 fn compress_decompress() {
-    let mut comp = VjCompressor::new(VjConfig::default());
-    let mut deco = VjDecompressor::new(VjConfig::default());
+    let mut comp = VjCompressor::new();
+    let mut deco = VjDecompressor::new();
     let mut out = Vec::with_capacity(4 * DGRAM_LEN);
     let mut m = 0u32;
     let mut roundtrip = || {

@@ -49,7 +49,7 @@ struct CacheEntry {
     expires: SimTime,
 }
 
-/// The packets held for one unresolved address: at most [`MAX_HELD`],
+/// The packets held for one unresolved address: at most `MAX_HELD`,
 /// inline, in arrival order. Iterating by value yields them.
 #[derive(Debug, Default)]
 pub struct Held([Option<Ipv4Packet>; MAX_HELD]);

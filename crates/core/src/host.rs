@@ -835,11 +835,6 @@ impl Host {
         self.sockets.tcp_info(&self.stack, h)
     }
 
-    /// Flips a handle between blocking and nonblocking notification.
-    pub fn sock_set_nonblocking(&mut self, h: SocketHandle, on: bool) -> Result<(), SockError> {
-        self.sockets.set_nonblocking(h, on)
-    }
-
     /// Sends a raw AX.25 frame from "user space" via the radio driver
     /// (the §2.4 path back down the tty).
     pub fn send_raw_ax25(&mut self, _now: SimTime, frame: &Frame) {

@@ -33,7 +33,7 @@ use std::net::Ipv4Addr;
 use crate::arp_engine::{ArpEngine, Resolution};
 use crate::hwaddr::Ax25Hw;
 use crate::ifnet::IfNet;
-use vj::{VjCompressor, VjConfig, VjDecompressor, VjOutcome};
+use vj::{VjCompressor, VjDecompressor, VjOutcome};
 
 /// AX.25 interface MTU: the default N1 info-field limit.
 pub const AX25_MTU: usize = 256;
@@ -168,13 +168,13 @@ impl PacketRadioDriver {
     }
 
     /// Turns on RFC 1144 TCP/IP header compression for this link (both
-    /// directions). Must be enabled with the same `cfg.slots` at every
-    /// station sharing the link; with it off, PIDs 0x06/0x07 divert to
-    /// the §2.4 tty queue like any other unknown protocol.
-    pub fn enable_vj(&mut self, cfg: VjConfig) {
+    /// directions). Must be enabled at every station sharing the link;
+    /// with it off, PIDs 0x06/0x07 divert to the §2.4 tty queue like any
+    /// other unknown protocol.
+    pub fn enable_vj(&mut self) {
         self.vj = Some(VjLink {
-            comp: VjCompressor::new(cfg),
-            decomp: VjDecompressor::new(cfg),
+            comp: VjCompressor::new(),
+            decomp: VjDecompressor::new(),
         });
     }
 
@@ -824,7 +824,7 @@ mod tests {
         // plain and both RFC 1144 arms.
         let mut drv = driver();
         let mut pool = DgramPool::new();
-        drv.enable_vj(VjConfig::default());
+        drv.enable_vj();
         drv.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let long = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![0xAA; 216]);
@@ -847,7 +847,7 @@ mod tests {
         assert!(up.capacity() >= 236, "rode in the long one's buffer");
         // The same through the decompressor: a refresh, then deltas.
         let mut pc = PacketRadioDriver::new(PrConfig::new(a("KB7DZ")), pc_ip());
-        pc.enable_vj(VjConfig::default());
+        pc.enable_vj();
         pc.arp_mut()
             .insert_static(gw_ip(), Ax25Hw::direct(a("N7AKR-1")).encode());
         for (id, seq, body) in [(1u16, 100u32, &[0x55u8; 180][..]), (2, 280, b"ok")] {
@@ -1136,9 +1136,9 @@ mod tests {
     fn vj_link_compresses_tcp_and_rebuilds_it_byte_identically() {
         // Gateway side compresses on output; PC side decompresses in rint.
         let mut gw = driver();
-        gw.enable_vj(VjConfig::default());
+        gw.enable_vj();
         let mut pc = PacketRadioDriver::new(PrConfig::new(a("KB7DZ")), pc_ip());
-        pc.enable_vj(VjConfig::default());
+        pc.enable_vj();
         gw.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
 
@@ -1173,7 +1173,7 @@ mod tests {
     fn vj_non_tcp_and_disabled_paths_are_untouched() {
         // With VJ on, UDP still rides PID 0xCC.
         let mut gw = driver();
-        gw.enable_vj(VjConfig::default());
+        gw.enable_vj();
         gw.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let udp = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![7; 16]);
@@ -1195,9 +1195,9 @@ mod tests {
     #[test]
     fn vj_receiver_drops_desynchronised_frames_until_refresh() {
         let mut gw = driver();
-        gw.enable_vj(VjConfig::default());
+        gw.enable_vj();
         let mut pc = PacketRadioDriver::new(PrConfig::new(a("KB7DZ")), pc_ip());
-        pc.enable_vj(VjConfig::default());
+        pc.enable_vj();
         gw.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
 
@@ -1227,7 +1227,7 @@ mod tests {
     #[test]
     fn ip_bytes_out_counts_post_compression_sizes() {
         let mut gw = driver();
-        gw.enable_vj(VjConfig::default());
+        gw.enable_vj();
         gw.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let mut total = 0u64;

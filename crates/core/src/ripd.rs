@@ -41,6 +41,10 @@ use sim::{SimDuration, SimRng, SimTime};
 use crate::host::Host;
 use crate::world::App;
 
+/// Fractional announce-timer jitter (see [`Announcer`]): each period is
+/// drawn from ±15 % of the mean, so gateways booted together drift apart.
+const ANNOUNCE_JITTER: f64 = 0.15;
+
 /// Tunable knobs for one service instance.
 #[derive(Debug, Clone)]
 pub struct RipConfig {
@@ -48,8 +52,6 @@ pub struct RipConfig {
     pub port: u16,
     /// Mean period between announcements.
     pub announce_interval: SimDuration,
-    /// Fractional timer jitter (see [`Announcer`]).
-    pub jitter: f64,
     /// Lifetime granted to a learned entry per announcement heard.
     pub route_ttl: SimDuration,
     /// Hold-down after an expiry, during which re-learns are rejected.
@@ -63,7 +65,6 @@ impl Default for RipConfig {
         RipConfig {
             port: RIP44_PORT,
             announce_interval: SimDuration::from_secs(30),
-            jitter: 0.15,
             route_ttl: SimDuration::from_secs(90),
             holddown: SimDuration::from_secs(60),
             seed: 0x5234,
@@ -140,7 +141,7 @@ impl Rip44Service {
             .flat_map(|a| a.entries.iter().map(|e| e.prefix))
             .collect();
         Rip44Service {
-            announcer: Announcer::new(cfg.announce_interval, cfg.jitter),
+            announcer: Announcer::new(cfg.announce_interval, ANNOUNCE_JITTER),
             table: Some(EncapTable::new(cfg.holddown)),
             expiry: None,
             rng: SimRng::seed_from(cfg.seed),

@@ -60,10 +60,10 @@ pub struct PaperConfig {
     /// filter at all.
     pub filter: Option<filter::FilterConfig>,
     /// Enable RFC 1144 VJ header compression on the radio link (both the
-    /// PC and the gateway; they must agree on the slot count). `None` —
-    /// the default — reproduces the paper's uncompressed link and keeps
-    /// the E1–E12 goldens byte-identical.
-    pub vj: Option<vj::VjConfig>,
+    /// PC and the gateway). `false` — the default — reproduces the
+    /// paper's uncompressed link and keeps the E1–E12 goldens
+    /// byte-identical.
+    pub vj: bool,
     /// Clamp every host's TCP MSS to its egress/ingress MTU minus 40
     /// (radio: 256 → 216) so locally originated TCP never fragments.
     pub clamp_mss: bool,
@@ -78,7 +78,7 @@ impl Default for PaperConfig {
             mac: MacConfig::default(),
             cpu: CpuConfig::default(),
             filter: Some(filter::FilterConfig::gateway()),
-            vj: None,
+            vj: false,
             clamp_mss: false,
         }
     }
@@ -185,14 +185,14 @@ pub fn paper_topology(cfg: PaperConfig, seed: u64) -> PaperScenario {
         .add(Prefix::amprnet(), Some(GW_ETHER_IP), eh_if);
 
     // VJ header compression is a per-link agreement: both radio drivers
-    // get matching slot tables, or neither does.
-    if let Some(vj_cfg) = cfg.vj {
+    // get slot tables, or neither does.
+    if cfg.vj {
         for h in [pc, gw] {
             world
                 .host_mut(h)
                 .pr_driver_mut()
                 .expect("radio host")
-                .enable_vj(vj_cfg);
+                .enable_vj();
         }
     }
 

@@ -1,7 +1,7 @@
 //! The event-driven testbed: hosts, serial lines, TNCs, radio channels,
 //! digipeaters, Ethernet segments, and applications under one clock.
 //!
-//! The world is partitioned into **shards** ([`crate::shard`]): each shard
+//! The world is partitioned into **shards** (`crate::shard`): each shard
 //! owns a closed island of components — radio channels plus their attached
 //! hosts, TNCs, digipeaters, beacons, and apps — with its own
 //! deadline-indexed calendar, dirty set, RNG stream, and clock. Ethernet
@@ -672,18 +672,12 @@ impl World {
     /// Runs the world up to (and including) deadlines at `t`; the clock
     /// finishes exactly at `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        self.drive(t, Mode::Indexed, true);
+        self.drive(t, Mode::Indexed);
     }
 
     /// Runs for `d` more simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
         self.run_until(self.now + d);
-    }
-
-    /// Runs until no component has any pending work (or `limit` passes).
-    /// A deadline exactly at `limit` is processed.
-    pub fn run_until_idle(&mut self, limit: SimTime) {
-        self.drive(limit, Mode::Indexed, false);
     }
 
     // --- Reference stepper --------------------------------------------------
@@ -699,31 +693,23 @@ impl World {
     /// Reference (full-scan) equivalent of [`World::run_until`].
     #[doc(hidden)]
     pub fn run_until_reference(&mut self, t: SimTime) {
-        self.drive(t, Mode::Scan, true);
+        self.drive(t, Mode::Scan);
     }
 
-    /// Reference (full-scan) equivalent of [`World::run_until_idle`].
-    #[doc(hidden)]
-    pub fn run_until_idle_reference(&mut self, limit: SimTime) {
-        self.drive(limit, Mode::Scan, false);
-    }
-
-    /// The shared run epilogue behind all four public run methods: pick
-    /// the engine (`mode`), run to `limit`, and either clamp the clock to
-    /// exactly `limit` (`run_until`) or leave it at the last processed
-    /// instant (`run_until_idle`).
-    fn drive(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
+    /// The shared run epilogue behind both run methods: pick the engine
+    /// (`mode`), run to `limit`, and leave the clock exactly at `limit`.
+    fn drive(&mut self, limit: SimTime, mode: Mode) {
         if self.shards.len() == 1 {
-            self.drive_single(limit, mode, clamp);
+            self.drive_single(limit, mode);
         } else {
-            self.drive_sharded(limit, mode, clamp);
+            self.drive_sharded(limit, mode);
         }
     }
 
     /// Single-shard fast path: hand the shard the segments and step to
     /// the limit in one call — the exact pre-shard engine, no windows, no
     /// lookahead.
-    fn drive_single(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
+    fn drive_single(&mut self, limit: SimTime, mode: Mode) {
         let sh = &mut self.shards[0];
         sh.now = self.now;
         sh.record_events = self.record_events;
@@ -731,14 +717,14 @@ impl World {
         sh.enter(mode, &mut segs);
         sh.run_window(limit, &mut segs);
         sh.exit(limit);
-        self.now = if clamp { sh.now.max(limit) } else { sh.now };
+        self.now = sh.now.max(limit);
         self.events.append(&mut sh.events);
     }
 
     /// Multi-shard windowed run. Shards settle their entry instant, then
     /// the coordinator loops lookahead windows until nothing is due at or
     /// before `limit`; see `Engine`.
-    fn drive_sharded(&mut self, limit: SimTime, mode: Mode, clamp: bool) {
+    fn drive_sharded(&mut self, limit: SimTime, mode: Mode) {
         // The calendar's one all-shard write: from here on only a step or
         // a delivery moves an entry.
         self.next_due.resize(self.shards.len(), u64::MAX);
@@ -771,7 +757,7 @@ impl World {
             sh.exit(limit);
             now = now.max(sh.now);
         }
-        self.now = if clamp { now.max(limit) } else { now };
+        self.now = now.max(limit);
     }
 }
 
@@ -1251,35 +1237,23 @@ mod tests {
         (w, id)
     }
 
-    /// Satellite: `run_until_idle` processes a deadline exactly at
-    /// `limit` (the loop breaks only on `d > limit`).
-    #[test]
-    fn run_until_idle_processes_deadline_exactly_at_limit() {
-        let limit = SimTime::from_secs(5);
-        let (mut w, id) = recorder_world(vec![
-            SimTime::from_secs(1),
-            limit,
-            limit + SimDuration::from_nanos(1),
-        ]);
-        w.run_until_idle(limit);
-        assert_eq!(w.app(id).fired, vec![SimTime::from_secs(1), limit]);
-        // The past-limit deadline was not processed and the clock did not
-        // jump to `limit`.
-        assert_eq!(w.now, limit);
-    }
-
-    /// Satellite: app `poll` hooks still fire on the final instant of
-    /// `run_until` (deadline == t).
+    /// App `poll` hooks fire on the final instant of `run_until`
+    /// (deadline == t: the loop breaks only on `d > t`), and a deadline
+    /// 1 ns past `t` is not processed.
     #[test]
     fn app_poll_fires_on_final_instant_of_run_until() {
         let t = SimTime::from_secs(3);
-        let (mut w, id) = recorder_world(vec![t]);
+        let (mut w, id) = recorder_world(vec![
+            SimTime::from_secs(1),
+            t,
+            t + SimDuration::from_nanos(1),
+        ]);
         w.run_until(t);
-        assert_eq!(w.app(id).fired, vec![t]);
+        assert_eq!(w.app(id).fired, vec![SimTime::from_secs(1), t]);
         assert_eq!(w.now, t);
     }
 
-    /// Reference agrees with both tests above.
+    /// The reference stepper agrees with the test above.
     #[test]
     fn reference_processes_deadline_at_limit_identically() {
         let limit = SimTime::from_secs(5);
@@ -1288,8 +1262,9 @@ mod tests {
             limit,
             limit + SimDuration::from_nanos(1),
         ]);
-        w.run_until_idle_reference(limit);
+        w.run_until_reference(limit);
         assert_eq!(w.app(id).fired, vec![SimTime::from_secs(1), limit]);
+        assert_eq!(w.now, limit);
     }
 
     /// An app commanded through `app_mut` is as stale as a host through

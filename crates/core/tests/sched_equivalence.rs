@@ -759,7 +759,7 @@ fn mutations_between_run_calls_match_reference() {
                     .ping(now, scenario::ETHER_HOST_IP, 0x77, 1, 64),
                 4 | 26 => orders.borrow_mut().push(scenario::PC_IP),
                 10 | 35 => w.app_mut(cmd).orders.push(scenario::GW_RADIO_IP),
-                7 => w.tnc_mut(s.gw_tnc).set_address_filter(&[]),
+                7 => w.tnc_mut(s.gw_tnc).set_mode(RxMode::AddressFilter),
                 9 => bids.push(w.add_beacon(
                     s.chan,
                     BeaconConfig {

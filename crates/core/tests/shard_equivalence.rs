@@ -407,7 +407,7 @@ impl Scripted {
                 .ping(now, city::host_ip(2, 0), 0x77, 1, 64),
             5 | 24 => self.orders.borrow_mut().push(city::host_ip(0, 1)),
             9 | 33 => w.app_mut(self.commanded).orders.push(city::host_ip(0, 1)),
-            8 => w.tnc_mut(self.monitor_tnc).set_address_filter(&[]),
+            8 => w.tnc_mut(self.monitor_tnc).set_mode(RxMode::AddressFilter),
             11 => w.host_mut(self.m.gateways[2]).set_down(true),
             13 => {
                 // Island 1's two hosts stop hearing each other.

@@ -236,12 +236,6 @@ impl NicId {
     }
 }
 
-#[derive(Debug)]
-struct Nic {
-    mac: MacAddr,
-    promiscuous: bool,
-}
-
 /// Per-segment statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SegmentStats {
@@ -257,7 +251,8 @@ pub struct SegmentStats {
 #[derive(Debug)]
 pub struct Segment {
     rate: Bandwidth,
-    nics: Vec<Nic>,
+    /// Each attached NIC's MAC, indexed by [`NicId`].
+    nics: Vec<MacAddr>,
     /// Frames queued behind the one on the wire.
     queue: VecDeque<(NicId, EtherFrame)>,
     /// The frame currently serializing and its completion time.
@@ -282,16 +277,8 @@ impl Segment {
 
     /// Attaches a NIC with the given MAC.
     pub fn attach(&mut self, mac: MacAddr) -> NicId {
-        self.nics.push(Nic {
-            mac,
-            promiscuous: false,
-        });
+        self.nics.push(mac);
         NicId(self.nics.len() - 1)
-    }
-
-    /// Puts a NIC into promiscuous mode (receives all frames).
-    pub fn set_promiscuous(&mut self, nic: NicId, on: bool) {
-        self.nics[nic.0].promiscuous = on;
     }
 
     /// Queues a frame for transmission from `from`.
@@ -349,11 +336,11 @@ impl Segment {
             }
             let (done, from, frame) = self.in_flight.take().expect("checked some");
             let mut last = None;
-            for (i, nic) in self.nics.iter().enumerate() {
+            for (i, &mac) in self.nics.iter().enumerate() {
                 if NicId(i) == from {
                     continue;
                 }
-                if nic.promiscuous || frame.dst.is_broadcast() || frame.dst == nic.mac {
+                if frame.dst.is_broadcast() || frame.dst == mac {
                     self.stats.delivered += 1;
                     if let Some(prev) = last.replace(NicId(i)) {
                         deliver(prev, Cow::Borrowed(&frame));
@@ -455,23 +442,6 @@ mod tests {
         let got = drain(&mut seg);
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|(nic, _)| *nic != a));
-    }
-
-    #[test]
-    fn promiscuous_nic_hears_everything() {
-        let mut seg = Segment::new(Bandwidth::ETHERNET_10M);
-        let a = seg.attach(MacAddr::local(1));
-        let _b = seg.attach(MacAddr::local(2));
-        let c = seg.attach(MacAddr::local(3));
-        seg.set_promiscuous(c, true);
-        seg.send(
-            SimTime::ZERO,
-            a,
-            frame_to(MacAddr::local(2), MacAddr::local(1), 64),
-        );
-        let got = drain(&mut seg);
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().any(|(nic, _)| *nic == c));
     }
 
     #[test]

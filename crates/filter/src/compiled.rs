@@ -120,11 +120,6 @@ impl CompiledRuleset {
         }
     }
 
-    /// Number of compiled rules.
-    pub(crate) fn len(&self) -> usize {
-        self.rules.len()
-    }
-
     /// The action when nothing matches.
     pub(crate) fn default_action(&self) -> Action {
         self.default_action

@@ -241,11 +241,6 @@ impl FilterEngine {
         self
     }
 
-    /// Compiled rule count.
-    pub fn rules_len(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Live + not-yet-swept gate entries.
     pub fn gate_len(&self) -> usize {
         self.gate.as_ref().map_or(0, |g| g.len())

@@ -11,6 +11,9 @@ use crate::routes::NetRomRoutes;
 /// Quality assigned to directly heard neighbours.
 const NEIGHBOUR_QUALITY: u8 = 192;
 
+/// Initial TTL for originated datagrams.
+const ORIGIN_TTL: u8 = 25;
+
 /// Node configuration.
 #[derive(Debug, Clone)]
 pub struct NetRomConfig {
@@ -20,8 +23,6 @@ pub struct NetRomConfig {
     pub alias: String,
     /// Interval between NODES broadcasts.
     pub broadcast_interval: SimDuration,
-    /// Initial TTL for originated datagrams.
-    pub ttl: u8,
 }
 
 impl NetRomConfig {
@@ -31,7 +32,6 @@ impl NetRomConfig {
             callsign,
             alias: alias.to_string(),
             broadcast_interval: SimDuration::from_secs(60),
-            ttl: 25,
         }
     }
 }
@@ -211,7 +211,7 @@ impl NetRomNode {
     /// Originates a datagram to node `dest` carrying an IP packet.
     pub fn send_ip(&mut self, dest: Ax25Addr, ip_bytes: Vec<u8>) -> Vec<NodeAction> {
         self.stats.originated += 1;
-        let packet = NetRomPacket::ip(self.cfg.callsign, dest, self.cfg.ttl, ip_bytes);
+        let packet = NetRomPacket::ip(self.cfg.callsign, dest, ORIGIN_TTL, ip_bytes);
         if dest == self.cfg.callsign {
             return self.handle_packet(packet);
         }

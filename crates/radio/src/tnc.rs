@@ -35,7 +35,11 @@ const ON_AIR_MAX: usize = ax25::MAX_FRAME_LEN + 2;
 pub enum RxMode {
     /// Pass every heard frame to the host (the 1988 stock behaviour).
     Promiscuous,
-    /// Pass only frames addressed to this station or a broadcast address.
+    /// §3's proposed fix: pass only frames addressed to this station or
+    /// to the broadcast address ([`Ax25Addr::broadcast`], QST). Everything
+    /// else is dropped inside the TNC — before it costs the host one
+    /// interrupt per serial character. [`Tnc::set_mode`] switches it on
+    /// and off at runtime.
     AddressFilter,
 }
 
@@ -44,8 +48,6 @@ pub enum RxMode {
 pub struct TncConfig {
     /// The station's own AX.25 address (used by the filter).
     pub addr: Ax25Addr,
-    /// Additional addresses accepted as broadcasts (QST by default).
-    pub broadcast: Vec<Ax25Addr>,
     /// Receive filtering mode.
     pub mode: RxMode,
     /// Initial MAC parameters (KISS commands can change them later).
@@ -57,7 +59,6 @@ impl TncConfig {
     pub fn new(addr: Ax25Addr) -> TncConfig {
         TncConfig {
             addr,
-            broadcast: vec![Ax25Addr::broadcast()],
             mode: RxMode::Promiscuous,
             mac: MacConfig::default(),
         }
@@ -108,9 +109,6 @@ pub struct Tnc {
     deframer: Deframer,
     mac: Csma,
     stats: TncStats,
-    /// Extra unicast addresses the filter accepts (digipeater aliases,
-    /// secondary SSIDs). Empty for a plain station.
-    accept: Vec<Ax25Addr>,
 }
 
 impl Tnc {
@@ -123,7 +121,6 @@ impl Tnc {
             deframer: Deframer::new(),
             mac,
             stats: TncStats::default(),
-            accept: Vec::new(),
         }
     }
 
@@ -146,17 +143,6 @@ impl Tnc {
     /// the TNC code" — this is that switch).
     pub fn set_mode(&mut self, mode: RxMode) {
         self.cfg.mode = mode;
-    }
-
-    /// §3's proposed fix as a runtime switch: turns on address filtering
-    /// so frames not addressed to this station, the broadcast set, or one
-    /// of `also_accept` are dropped inside the TNC — before they cost the
-    /// host one interrupt per serial character. Pass an empty slice to
-    /// accept just the own call and broadcasts; [`Tnc::set_mode`] with
-    /// [`RxMode::Promiscuous`] switches back.
-    pub fn set_address_filter(&mut self, also_accept: &[Ax25Addr]) {
-        self.cfg.mode = RxMode::AddressFilter;
-        self.accept = also_accept.to_vec();
     }
 
     /// Consumes one character from the host serial line.
@@ -260,10 +246,7 @@ impl Tnc {
                     return None;
                 }
             };
-            let wanted = dest == self.cfg.addr
-                || self.cfg.broadcast.contains(&dest)
-                || self.accept.contains(&dest);
-            if !wanted {
+            if dest != self.cfg.addr && dest != Ax25Addr::broadcast() {
                 self.stats.filtered += 1;
                 return None;
             }
@@ -477,23 +460,21 @@ mod tests {
     }
 
     #[test]
-    fn set_address_filter_switches_at_runtime_with_accept_list() {
-        // Built promiscuous, flipped at runtime with an alias in the
-        // accept list: traffic for strangers now dies in the TNC; own,
-        // broadcast, and alias frames pass.
+    fn address_filter_switches_at_runtime() {
+        // Built promiscuous, flipped at runtime: traffic for strangers now
+        // dies in the TNC; own and broadcast frames pass.
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::Promiscuous);
         assert_eq!(b.mode(), RxMode::Promiscuous);
-        b.set_address_filter(&[addr("ALIAS")]);
+        b.set_mode(RxMode::AddressFilter);
         for f in [
             Frame::ui(addr("ZZZ"), addr("AAA"), Pid::Text, vec![2]),
             Frame::ui(addr("BBB"), addr("AAA"), Pid::Ip, vec![3]),
             Frame::ui(Ax25Addr::broadcast(), addr("AAA"), Pid::Ip, vec![4]),
-            Frame::ui(addr("ALIAS"), addr("AAA"), Pid::Text, vec![5]),
         ] {
             host_sends(&mut a, &f);
         }
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
-        assert_eq!(out.len(), 3, "stranger dropped, other three pass");
+        assert_eq!(out.len(), 2, "stranger dropped, other two pass");
         assert_eq!(b.stats().filtered, 1);
         assert_eq!(b.mode(), RxMode::AddressFilter);
     }

@@ -10,8 +10,7 @@
 //!   character for the usual 8N1 framing);
 //! * the receiving end has a finite FIFO; characters arriving while it is
 //!   full are dropped and counted as **overruns** (the DZ11's infamous silo
-//!   overflow);
-//! * optional per-character error injection (line noise).
+//!   overflow).
 //!
 //! The model is sans-io and can be driven at two granularities that
 //! produce the same bytes at the same instants:
@@ -52,7 +51,7 @@
 use std::collections::VecDeque;
 
 use sim::bytekernels::find_byte;
-use sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use sim::{Bandwidth, SimDuration, SimTime};
 
 /// The frame delimiter that ends a run: `0xC0`, the KISS (and SLIP) `FEND`.
 /// Every link protocol this workspace puts on a serial line delimits its
@@ -118,38 +117,21 @@ impl End {
 /// Bits occupied per character including start/stop framing (8N1 = 10).
 const BITS_PER_CHAR: u64 = 10;
 
+/// Receive FIFO depth at each end: the DZ11's 64-character silo. A
+/// character arriving while it is full is dropped as an overrun.
+pub const RX_FIFO: usize = 64;
+
 /// Static parameters of a serial line.
 #[derive(Debug, Clone, Copy)]
 pub struct SerialConfig {
     /// Line rate in baud (bits per second on the wire).
     pub baud: u32,
-    /// Receive FIFO depth at each end; arrivals beyond this are dropped.
-    pub rx_fifo: usize,
-    /// Probability that any one delivered character is corrupted/lost.
-    pub error_rate: f64,
 }
 
 impl SerialConfig {
-    /// A standard 8N1 line at the given baud rate with a DZ-like 64-char
-    /// receive FIFO and no noise.
+    /// A standard 8N1 line at the given baud rate.
     pub fn baud(baud: u32) -> SerialConfig {
-        SerialConfig {
-            baud,
-            rx_fifo: 64,
-            error_rate: 0.0,
-        }
-    }
-
-    /// Sets the per-character error probability.
-    pub fn with_error_rate(mut self, rate: f64) -> SerialConfig {
-        self.error_rate = rate;
-        self
-    }
-
-    /// Sets the receive FIFO depth.
-    pub fn with_rx_fifo(mut self, depth: usize) -> SerialConfig {
-        self.rx_fifo = depth;
-        self
+        SerialConfig { baud }
     }
 
     /// Time one character occupies the line.
@@ -167,8 +149,6 @@ pub struct DirStats {
     pub delivered: u64,
     /// Characters dropped because the peer's FIFO was full.
     pub overruns: u64,
-    /// Characters lost to injected line errors.
-    pub errors: u64,
 }
 
 /// Eight octets a sender attaches to a span of characters with
@@ -275,7 +255,7 @@ impl Direction {
     /// Stream position of the next character to leave the wire: how many
     /// have left it, wherever they went.
     fn position(&self) -> u64 {
-        self.stats.delivered + self.stats.overruns + self.stats.errors
+        self.stats.delivered + self.stats.overruns
     }
 
     /// Completion time of this direction's boundary character: the first
@@ -334,7 +314,6 @@ pub struct SerialLine {
     char_time: SimDuration,
     /// `dirs[0]` carries A→B traffic, `dirs[1]` carries B→A traffic.
     dirs: [Direction; 2],
-    noise: Option<SimRng>,
     /// Min over both directions' in-flight completion times, maintained on
     /// every mutation so `next_deadline` is a field read, not a re-derive.
     cached_deadline: Option<SimTime>,
@@ -343,24 +322,14 @@ pub struct SerialLine {
 }
 
 impl SerialLine {
-    /// Creates an idle line. If `cfg.error_rate > 0`, pair with
-    /// [`SerialLine::with_noise`] to supply the random stream.
+    /// Creates an idle line.
     pub fn new(cfg: SerialConfig) -> SerialLine {
         SerialLine {
             cfg,
             char_time: cfg.char_time(),
             dirs: [Direction::new(), Direction::new()],
-            noise: None,
             cached_deadline: None,
             cached_boundary: None,
-        }
-    }
-
-    /// Creates a line that injects per-character errors using `rng`.
-    pub fn with_noise(cfg: SerialConfig, rng: SimRng) -> SerialLine {
-        SerialLine {
-            noise: Some(rng),
-            ..SerialLine::new(cfg)
         }
     }
 
@@ -422,15 +391,6 @@ impl SerialLine {
         self.send(now, from, bytes);
     }
 
-    /// True when whole runs can be pulled off this line without being
-    /// observably different from per-character delivery: no noise (the RNG
-    /// must be rolled once per character in global delivery order) and a
-    /// FIFO that holds at least the one character a prompt receiver leaves
-    /// in it.
-    fn batches(&self) -> bool {
-        self.cfg.rx_fifo > 0 && !(self.noise.is_some() && self.cfg.error_rate > 0.0)
-    }
-
     fn recache(&mut self) {
         let char_time = self.char_time;
         let min = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
@@ -439,11 +399,7 @@ impl SerialLine {
         };
         let [ab, ba] = &self.dirs;
         self.cached_deadline = min(ab.in_flight.map(|f| f.0), ba.in_flight.map(|f| f.0));
-        self.cached_boundary = if self.batches() {
-            min(ab.boundary(char_time), ba.boundary(char_time))
-        } else {
-            self.cached_deadline
-        };
+        self.cached_boundary = min(ab.boundary(char_time), ba.boundary(char_time));
     }
 
     /// The earliest time at which [`SerialLine::advance`] will have work.
@@ -462,8 +418,6 @@ impl SerialLine {
     /// character its receiver can only buffer, so it may be picked up late
     /// — at this instant, or at any earlier [`SerialLine::take_run`].
     ///
-    /// A noisy line or one with a zero-depth FIFO reports
-    /// [`SerialLine::next_deadline`]: it must be visited per character.
     /// Cached like `next_deadline`.
     #[inline]
     pub fn next_boundary(&self) -> Option<SimTime> {
@@ -472,7 +426,7 @@ impl SerialLine {
 
     /// Completes every character whose serialization finishes at or before
     /// `now`, moving it into the peer's receive FIFO (or dropping it on
-    /// overrun/noise). Returns the number of characters delivered.
+    /// overrun). Returns the number of characters delivered.
     pub fn advance(&mut self, now: SimTime) -> usize {
         let char_time = self.char_time;
         let mut delivered = 0;
@@ -481,13 +435,7 @@ impl SerialLine {
                 if done > now {
                     break;
                 }
-                let corrupted = match (&mut self.noise, self.cfg.error_rate) {
-                    (Some(rng), rate) if rate > 0.0 => rng.chance(rate),
-                    _ => false,
-                };
-                if corrupted {
-                    dir.stats.errors += 1;
-                } else if dir.rx_fifo.len() >= self.cfg.rx_fifo {
+                if dir.rx_fifo.len() >= RX_FIFO {
                     dir.stats.overruns += 1;
                 } else {
                     dir.rx_fifo.push_back(byte);
@@ -520,9 +468,6 @@ impl SerialLine {
     /// (`t0 + i·char_time`), same [`DirStats`], same character left on the
     /// wire. Runs bypass the receive FIFO, so do not mix the two styles
     /// without draining it. Each direction is independent of the other.
-    ///
-    /// On a line that cannot batch (see [`SerialLine::next_boundary`]) a
-    /// run is the one character, if any, that `advance(now)` delivers.
     pub fn take_run(
         &mut self,
         to: End,
@@ -531,16 +476,6 @@ impl SerialLine {
         accept: impl FnOnce(Seal) -> bool,
     ) -> Option<RunInfo> {
         out.clear();
-        if !self.batches() {
-            self.advance(now);
-            out.push(self.dirs[to.peer().index()].rx_fifo.pop_front()?);
-            return Some(RunInfo {
-                t0: now,
-                t_last: now,
-                len: 1,
-                seal: None,
-            });
-        }
         let char_time = self.char_time;
         let dir = &mut self.dirs[to.peer().index()];
         debug_assert!(dir.rx_fifo.is_empty(), "runs bypass the receive FIFO");
@@ -580,18 +515,11 @@ impl SerialLine {
     /// Moves all characters waiting in the FIFO at `end` into `out`
     /// (cleared first); returns how many.
     pub fn drain_rx(&mut self, end: End, out: &mut Vec<u8>) -> usize {
-        self.drain_rx_limited(end, usize::MAX, out)
-    }
-
-    /// Moves at most `max` characters from the FIFO at `end` into `out`
-    /// (cleared first); returns how many.
-    pub fn drain_rx_limited(&mut self, end: End, max: usize, out: &mut Vec<u8>) -> usize {
         // Traffic *arriving at* `end` was sent by its peer.
         let dir = &mut self.dirs[end.peer().index()];
-        let n = dir.rx_fifo.len().min(max);
         out.clear();
-        out.extend(dir.rx_fifo.drain(..n));
-        n
+        out.extend(dir.rx_fifo.drain(..));
+        out.len()
     }
 
     /// Number of characters waiting in the FIFO at `end`.
@@ -689,65 +617,29 @@ mod tests {
 
     #[test]
     fn rx_fifo_overrun_drops_and_counts() {
-        let cfg = SerialConfig::baud(9600).with_rx_fifo(2);
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, b"abcd");
+        let mut line = SerialLine::new(SerialConfig::baud(9600));
+        let data: Vec<u8> = (0..RX_FIFO as u8 + 2).collect();
+        line.send(SimTime::ZERO, End::A, &data);
         drain_all(&mut line);
-        assert_eq!(rx(&mut line, End::B), b"ab".to_vec());
+        assert_eq!(rx(&mut line, End::B), data[..RX_FIFO].to_vec());
         let s = line.stats(End::A);
-        assert_eq!(s.sent, 4);
-        assert_eq!(s.delivered, 2);
+        assert_eq!(s.sent, RX_FIFO as u64 + 2);
+        assert_eq!(s.delivered, RX_FIFO as u64);
         assert_eq!(s.overruns, 2);
     }
 
     #[test]
     fn draining_fifo_prevents_overrun() {
-        let cfg = SerialConfig::baud(9600).with_rx_fifo(1);
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, b"ab");
+        let mut line = SerialLine::new(SerialConfig::baud(9600));
+        let data = [b'a'; 2 * RX_FIFO];
+        line.send(SimTime::ZERO, End::A, &data);
         let mut got = Vec::new();
         while let Some(t) = line.next_deadline() {
             line.advance(t);
             got.extend(rx(&mut line, End::B));
         }
-        assert_eq!(got, b"ab".to_vec());
+        assert_eq!(got, data.to_vec());
         assert_eq!(line.stats(End::A).overruns, 0);
-    }
-
-    #[test]
-    fn noise_drops_characters() {
-        let cfg = SerialConfig::baud(9600).with_error_rate(1.0);
-        let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(1));
-        line.send(SimTime::ZERO, End::A, b"abc");
-        drain_all(&mut line);
-        assert!(rx(&mut line, End::B).is_empty());
-        assert_eq!(line.stats(End::A).errors, 3);
-    }
-
-    #[test]
-    fn partial_noise_loses_roughly_the_configured_fraction() {
-        let cfg = SerialConfig::baud(u32::MAX)
-            .with_error_rate(0.2)
-            .with_rx_fifo(usize::MAX);
-        let mut line = SerialLine::with_noise(cfg, SimRng::seed_from(7));
-        let data = vec![0u8; 10_000];
-        line.send(SimTime::ZERO, End::A, &data);
-        drain_all(&mut line);
-        let errors = line.stats(End::A).errors as f64;
-        assert!((errors / 10_000.0 - 0.2).abs() < 0.03);
-    }
-
-    #[test]
-    fn drain_rx_limited_respects_cap() {
-        let cfg = SerialConfig::baud(9600);
-        let mut line = SerialLine::new(cfg);
-        line.send(SimTime::ZERO, End::A, b"abcdef");
-        drain_all(&mut line);
-        let mut got = vec![b'x'];
-        assert_eq!(line.drain_rx_limited(End::B, 2, &mut got), 2);
-        assert_eq!(got, b"ab".to_vec());
-        assert_eq!(line.rx_len(End::B), 4);
-        assert_eq!(rx(&mut line, End::B), b"cdef".to_vec());
     }
 
     #[test]
@@ -936,29 +828,6 @@ mod tests {
             by_runs(&mut line, End::B, far),
             per_char(&mut reference, End::B, far)
         );
-    }
-
-    #[test]
-    fn lines_that_cannot_batch_are_visited_per_character() {
-        let far = SimTime::from_secs(1);
-        // Noise: the RNG is rolled once per character, in delivery order.
-        let noisy_cfg = SerialConfig::baud(9600).with_error_rate(0.5);
-        let mut reference = SerialLine::with_noise(noisy_cfg, SimRng::seed_from(3));
-        let mut noisy = SerialLine::with_noise(noisy_cfg, SimRng::seed_from(3));
-        for l in [&mut reference, &mut noisy] {
-            l.send(SimTime::ZERO, End::A, b"some\xC0noisy\xC0bytes");
-        }
-        assert_eq!(noisy.next_boundary(), noisy.next_deadline());
-        let expect = per_char(&mut reference, End::B, far);
-        assert!(expect.len() < 16, "some characters must be lost");
-        assert_eq!(by_runs(&mut noisy, End::B, far), expect);
-        assert_eq!(noisy.stats(End::A), reference.stats(End::A));
-        // Zero-depth FIFO: every character overruns, none is delivered.
-        let mut silo = SerialLine::new(SerialConfig::baud(9600).with_rx_fifo(0));
-        silo.send(SimTime::ZERO, End::A, b"ab\xC0");
-        assert_eq!(silo.next_boundary(), silo.next_deadline());
-        assert!(by_runs(&mut silo, End::B, far).is_empty());
-        assert_eq!(silo.stats(End::A).overruns, 3);
     }
 
     const SEAL: Seal = Seal(*b"sealed!!");

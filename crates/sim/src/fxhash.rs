@@ -126,9 +126,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,13 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_work() {
+    fn map_works() {
         let mut m: FxHashMap<u64, u32> = FxHashMap::default();
         m.insert(7, 1);
         m.insert(9, 2);
         assert_eq!(m.get(&7), Some(&1));
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
     }
 }

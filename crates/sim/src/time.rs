@@ -363,11 +363,6 @@ impl Bandwidth {
         Bandwidth { bits_per_sec }
     }
 
-    /// Creates a bandwidth from kilobits per second.
-    pub const fn kbps(k: u64) -> Bandwidth {
-        Bandwidth::bps(k * 1_000)
-    }
-
     /// Returns the rate in bits per second.
     pub const fn bits_per_sec(self) -> u64 {
         self.bits_per_sec

@@ -19,13 +19,12 @@
 //!   ([`Readiness`]) computed from existing TCB/UDP state — never by
 //!   busy-polling: wakeups ride the deadline scheduler via
 //!   [`SocketTable::next_deadline`] / [`SocketTable::on_deadline`];
-//! * blocking and nonblocking modes. A discrete-event world has no thread
-//!   to park, so "blocking" is emulated cooperatively: a call that cannot
-//!   proceed returns [`SockError::WouldBlock`] and the runtime re-delivers
+//! * blocking semantics. A discrete-event world has no thread to park, so
+//!   "blocking" is emulated cooperatively: a call that cannot proceed
+//!   returns [`SockError::WouldBlock`] and the runtime re-delivers
 //!   readiness level-triggered (every scheduler visit while the condition
 //!   holds), which is what a process sleeping in a blocked syscall
-//!   observes. Nonblocking handles get edge-triggered notification and
-//!   must drain.
+//!   observes.
 //!
 //! The table is a *thin shim*: it never generates wire traffic of its own
 //! and never reorders the stack's actions, so every byte on the air is
@@ -224,7 +223,6 @@ struct TcpSlot {
     /// Latched asynchronous error, reported via ERROR readiness and the
     /// next send/recv, never overwritten once set.
     error: Option<SockError>,
-    nonblocking: bool,
     /// Active opens only: when to give up on the handshake.
     connect_deadline: Option<SimTime>,
     /// We sent our FIN via [`SocketTable::shutdown`].
@@ -236,12 +234,10 @@ enum Slot {
     Listener {
         id: ListenerId,
         accept_q: VecDeque<SockId>,
-        nonblocking: bool,
     },
     Tcp(TcpSlot),
     Udp {
         id: UdpId,
-        nonblocking: bool,
     },
     /// Tombstone left by [`SocketTable::close`].
     Closed,
@@ -304,7 +300,6 @@ impl SocketTable {
         Ok(self.alloc(Slot::Listener {
             id,
             accept_q: VecDeque::new(),
-            nonblocking: false,
         }))
     }
 
@@ -342,7 +337,6 @@ impl SocketTable {
             id,
             connected: false,
             error: None,
-            nonblocking: false,
             connect_deadline: Some(now + CONNECT_TIMEOUT),
             shut: false,
         }))
@@ -367,7 +361,6 @@ impl SocketTable {
             id: sock,
             connected: true,
             error: None,
-            nonblocking: false,
             connect_deadline: None,
             shut: false,
         })))
@@ -462,10 +455,7 @@ impl SocketTable {
     /// `socket` + `bind` for datagrams: opens a UDP socket on `port`.
     pub fn bind_udp(&mut self, st: &mut NetStack, port: u16) -> Result<SocketHandle, SockError> {
         let id = st.udp_bind(port)?;
-        Ok(self.alloc(Slot::Udp {
-            id,
-            nonblocking: false,
-        }))
+        Ok(self.alloc(Slot::Udp { id }))
     }
 
     /// Sends one datagram. UDP never blocks.
@@ -500,34 +490,6 @@ impl SocketTable {
         match self.slots.get(h.0) {
             Some(Slot::Udp { id, .. }) => st.udp_recv(*id, f).ok_or(SockError::WouldBlock),
             _ => Err(SockError::BadHandle),
-        }
-    }
-
-    /// Marks a handle nonblocking (edge-triggered notification under the
-    /// app runtime) or blocking (level-triggered re-delivery, the
-    /// cooperative stand-in for a parked process).
-    pub fn set_nonblocking(&mut self, h: SocketHandle, on: bool) -> Result<(), SockError> {
-        match self.slots.get_mut(h.0) {
-            Some(Slot::Tcp(t)) => {
-                t.nonblocking = on;
-                Ok(())
-            }
-            Some(Slot::Listener { nonblocking, .. }) | Some(Slot::Udp { nonblocking, .. }) => {
-                *nonblocking = on;
-                Ok(())
-            }
-            _ => Err(SockError::BadHandle),
-        }
-    }
-
-    /// True when the handle is in nonblocking mode.
-    pub fn is_nonblocking(&self, h: SocketHandle) -> bool {
-        match self.slots.get(h.0) {
-            Some(Slot::Tcp(t)) => t.nonblocking,
-            Some(Slot::Listener { nonblocking, .. }) | Some(Slot::Udp { nonblocking, .. }) => {
-                *nonblocking
-            }
-            _ => false,
         }
     }
 

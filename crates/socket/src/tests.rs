@@ -333,21 +333,6 @@ fn udp_datagram_roundtrip_and_readiness() {
 }
 
 #[test]
-fn nonblocking_flag_roundtrips_per_handle() {
-    let now = SimTime::ZERO;
-    let mut p = Pair::new();
-    let (ch, sh) = p.connected_streams(now, 13);
-    assert!(!p.sa.is_nonblocking(ch));
-    p.sa.set_nonblocking(ch, true).unwrap();
-    assert!(p.sa.is_nonblocking(ch));
-    assert!(!p.sb.is_nonblocking(sh));
-    assert_eq!(
-        p.sa.set_nonblocking(SocketHandle(999), true),
-        Err(SockError::BadHandle)
-    );
-}
-
-#[test]
 fn handle_for_action_routes_events() {
     let now = SimTime::ZERO;
     let mut p = Pair::new();

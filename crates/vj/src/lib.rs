@@ -63,26 +63,9 @@ const SPECIALS_MASK: u8 = NEW_S | NEW_A | NEW_W | NEW_U;
 pub const HDR_LEN: usize = 40;
 /// Worst-case compressed header: mask + conn + checksum + five 3-byte deltas.
 pub const MAX_COMPRESSED_HDR: usize = 19;
-/// Default number of per-connection compression slots (RFC 1144 §3.2.2).
-pub const DEFAULT_SLOTS: usize = 16;
-/// Hard ceiling on slots: the connection number must fit one byte.
-pub const MAX_SLOTS: usize = 256;
-
-/// Compile-time tuning for one side of a VJ link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VjConfig {
-    /// Number of per-connection slots (1..=256). Both ends of a link must
-    /// agree; the compressor never emits a connection number >= `slots`.
-    pub slots: usize,
-}
-
-impl Default for VjConfig {
-    fn default() -> Self {
-        VjConfig {
-            slots: DEFAULT_SLOTS,
-        }
-    }
-}
+/// Per-connection compression slots at each end of a link (RFC 1144
+/// §3.2.2); the compressor never emits a connection number >= `SLOTS`.
+pub const SLOTS: usize = 16;
 
 /// Why a received VJ packet could not be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,12 +266,17 @@ pub struct VjCompressor {
     stats: VjCompStats,
 }
 
+impl Default for VjCompressor {
+    fn default() -> Self {
+        VjCompressor::new()
+    }
+}
+
 impl VjCompressor {
-    /// Build a compressor with `cfg.slots` empty slots (clamped to 1..=256).
-    pub fn new(cfg: VjConfig) -> VjCompressor {
-        let n = cfg.slots.clamp(1, MAX_SLOTS);
+    /// Build a compressor with [`SLOTS`] empty slots.
+    pub fn new() -> VjCompressor {
         VjCompressor {
-            slots: vec![Slot::new(); n],
+            slots: vec![Slot::new(); SLOTS],
             last: 0,
             tick: 0,
             stats: VjCompStats::default(),
@@ -481,12 +469,17 @@ pub struct VjDecompressor {
     stats: VjDecompStats,
 }
 
+impl Default for VjDecompressor {
+    fn default() -> Self {
+        VjDecompressor::new()
+    }
+}
+
 impl VjDecompressor {
     /// Build a decompressor whose slot table mirrors the far compressor.
-    pub fn new(cfg: VjConfig) -> VjDecompressor {
-        let n = cfg.slots.clamp(1, MAX_SLOTS);
+    pub fn new() -> VjDecompressor {
         VjDecompressor {
-            slots: vec![Slot::new(); n],
+            slots: vec![Slot::new(); SLOTS],
             last: 0,
             toss: true,
             stats: VjDecompStats::default(),
@@ -732,8 +725,8 @@ mod tests {
 
     #[test]
     fn first_packet_refreshes_then_stream_compresses() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let p1 = make_dgram(A, B, (1024, 23), 7, 100, 900, 4096, TH_ACK | TH_PUSH, b"x");
         let (o1, r1) = roundtrip(&mut c, &mut d, &p1);
         assert_eq!(o1, VjOutcome::Uncompressed);
@@ -757,8 +750,8 @@ mod tests {
 
     #[test]
     fn echoed_interactive_uses_special_i() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let p1 = make_dgram(A, B, (1024, 7), 1, 10, 20, 4096, TH_ACK | TH_PUSH, b"a");
         roundtrip(&mut c, &mut d, &p1);
         // Echo side: both seq and ack advance by 1 (previous data length).
@@ -773,7 +766,7 @@ mod tests {
 
     #[test]
     fn syn_fin_rst_and_non_tcp_pass_through() {
-        let mut c = VjCompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
         let syn = make_dgram(A, B, (1024, 23), 1, 0, 0, 4096, TH_SYN, b"");
         assert_eq!(c.compress(&mut syn.clone()), VjOutcome::Ip);
         let fin = make_dgram(A, B, (1024, 23), 2, 5, 5, 4096, TH_ACK | TH_FIN, b"");
@@ -789,8 +782,8 @@ mod tests {
 
     #[test]
     fn retransmission_forces_refresh() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let p1 = make_dgram(A, B, (1024, 23), 1, 100, 50, 4096, TH_ACK, b"hello");
         roundtrip(&mut c, &mut d, &p1);
         // Same segment again: seq delta 0 with same length => refresh.
@@ -806,8 +799,8 @@ mod tests {
 
     #[test]
     fn lost_compressed_frame_tosses_until_refresh() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let mk = |ipid, seq, body: &[u8]| {
             make_dgram(A, B, (9, 23), ipid, seq, 77, 4096, TH_ACK | TH_PUSH, body)
         };
@@ -851,8 +844,8 @@ mod tests {
 
     #[test]
     fn two_connections_share_the_link_with_c_bit() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let tn =
             |ipid, seq| make_dgram(A, B, (1024, 23), ipid, seq, 1, 512, TH_ACK | TH_PUSH, b"t");
         let ft = |ipid, seq| make_dgram(A, B, (1025, 21), ipid, seq, 9, 512, TH_ACK, b"ffff");
@@ -875,21 +868,23 @@ mod tests {
 
     #[test]
     fn slot_table_recycles_lru_and_never_exceeds_byte_range() {
-        let mut c = VjCompressor::new(VjConfig { slots: 2 });
-        let mut d = VjDecompressor::new(VjConfig { slots: 2 });
-        for port in 0..5u16 {
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
+        // One connection more than the table holds: the last recycles the
+        // least recently used slot, the first connection's.
+        for port in (0..=SLOTS as u16).chain([0]) {
             let p = make_dgram(A, B, (3000 + port, 23), port, 1, 1, 512, TH_ACK, b"z");
             let (o, r) = roundtrip(&mut c, &mut d, &p);
             assert_eq!(o, VjOutcome::Uncompressed, "every new conn refreshes");
             assert_eq!(r, p);
         }
-        assert_eq!(c.stats().misses, 5);
+        assert_eq!(c.stats().misses, SLOTS as u64 + 2);
     }
 
     #[test]
     fn large_deltas_use_the_three_byte_escape() {
-        let mut c = VjCompressor::new(VjConfig::default());
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut c = VjCompressor::new();
+        let mut d = VjDecompressor::new();
         let p1 = make_dgram(A, B, (5, 6), 10, 1000, 2000, 100, TH_ACK, b"");
         roundtrip(&mut c, &mut d, &p1);
         // Window jumps by 0x1234 backwards, ack by 300, seq by 256, ipid by 3.
@@ -901,7 +896,7 @@ mod tests {
 
     #[test]
     fn truncated_and_malformed_inputs_error_not_panic() {
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut d = VjDecompressor::new();
         let mut out = Vec::new();
         assert_eq!(d.decompress(&[], &mut out), Err(VjError::Truncated));
         assert_eq!(d.decompress(&[NEW_C], &mut out), Err(VjError::Truncated));
@@ -922,7 +917,7 @@ mod tests {
 
     #[test]
     fn compressed_before_any_refresh_is_rejected() {
-        let mut d = VjDecompressor::new(VjConfig::default());
+        let mut d = VjDecompressor::new();
         let mut out = Vec::new();
         // Fresh decompressor tosses until seeded.
         assert_eq!(

@@ -73,6 +73,11 @@ cargo test -q --release -p bench --test ratchets
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a name that no longer exists (or to a private one) fails
+# here, so deleting an API cannot leave its docs pointing at nothing.
+echo "==> cargo doc --workspace --no-deps with rustdoc warnings denied"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline -q
+
 echo "==> benchmark harness builds against the crates' public surface (no run)"
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 

@@ -130,15 +130,13 @@ fn tcp_completes_a_transfer_through_heavy_noise() {
 
 #[test]
 fn serial_line_noise_is_survived_by_kiss_resync() {
-    // Corrupt 0.2% of serial characters on the PC's DZ line: frames with
-    // a damaged character are lost (the driver's AX.25 decode fails or
-    // the KISS escape breaks), but the stream always resynchronizes and
-    // later pings succeed.
+    // Line noise leaves garbage in the receive stream: frames it damages
+    // are lost (the driver's AX.25 decode fails or the KISS escape
+    // breaks), but the stream always resynchronizes and later pings
+    // succeed. The serial line itself models no noise (the DZ11 line of
+    // Figure 1 is clean), so the garbage goes straight into the driver.
     let cfg = PaperConfig::default();
     let mut s = paper_topology(cfg, 803);
-    // paper_topology has no serial-noise hook; emulate by replacing...
-    // (serial noise is unit-tested in `serial`; here we assert the driver
-    // tolerates mid-stream garbage injected directly.)
     let now = s.world.now;
     let gw = s.world.host_mut(s.gw);
     // Straight garbage into the interrupt handler:

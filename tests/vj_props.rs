@@ -7,7 +7,7 @@
 //! retransmission forces an uncompressed (PID 0x07) refresh through.
 
 use proptest::prelude::*;
-use vj::{VjCompressor, VjConfig, VjDecompressor, VjOutcome};
+use vj::{VjCompressor, VjDecompressor, VjOutcome};
 
 /// RFC 1071 ones-complement checksum of `bytes` (odd tail zero-padded).
 fn cksum(bytes: &[u8]) -> u16 {
@@ -110,9 +110,8 @@ proptest! {
             0..40,
         ),
     ) {
-        let cfg = VjConfig::default();
-        let mut comp = VjCompressor::new(cfg);
-        let mut deco = VjDecompressor::new(cfg);
+        let mut comp = VjCompressor::new();
+        let mut deco = VjDecompressor::new();
         let mut seq = [1_000u32, 2_000, 3_000, 4_000];
         let mut ack = [500u32; 4];
         let mut ipid = [1u16; 4];
@@ -156,9 +155,8 @@ proptest! {
     fn lossy_channel_tosses_but_never_corrupts_and_refresh_resyncs(
         stream in proptest::collection::vec((1usize..8, any::<bool>()), 2..25),
     ) {
-        let cfg = VjConfig::default();
-        let mut comp = VjCompressor::new(cfg);
-        let mut deco = VjDecompressor::new(cfg);
+        let mut comp = VjCompressor::new();
+        let mut deco = VjDecompressor::new();
         let mut seq = 5_000u32;
         let mut ipid = 1u16;
         let mut out = Vec::new();

@@ -1,7 +1,7 @@
 //! Bulk TCP transfer: a sender and a sink, with the retransmission
 //! accounting experiment E3 lives on. Both are [`SocketProgram`]s
 //! (DESIGN.md §10); the sender pumps from `on_tick` and its connect, like
-//! every active open, gives up after [`socket::CONNECT_TIMEOUT`].
+//! every active open, gives up after [`netstack::stack::CONNECT_TIMEOUT`].
 
 use std::net::Ipv4Addr;
 

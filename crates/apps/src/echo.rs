@@ -108,13 +108,14 @@ impl RawEchoServer {
 impl App for RawEchoServer {
     fn on_start(&mut self, _now: SimTime, host: &mut Host) {
         host.stack
-            .tcp_listen(self.port)
+            .tcp_listen(self.port, None)
             .expect("echo port available");
     }
 
     fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
         match event {
-            StackAction::TcpAccepted { sock, .. } => {
+            StackAction::TcpAccepted { listener, sock } => {
+                host.stack.tcp_accept(*listener);
                 self.socks.insert(*sock);
                 self.report.borrow_mut().accepted += 1;
             }

@@ -1,6 +1,6 @@
 //! The BSD-style socket layer (DESIGN.md §10), two claims:
 //!
-//! 1. The poll/select readiness scan — the code every socket program
+//! 1. The poll readiness scan — the code every socket program
 //!    runs on every scheduler visit — performs **zero** heap
 //!    allocations.
 //! 2. The socket shim is free: a TCP echo roundtrip and a UDP echo
@@ -40,10 +40,8 @@ impl Wire {
         Wire { a, b, a_if, b_if }
     }
 
-    /// Pumps packets until both sides go quiet, feeding every action to
-    /// `observe` (the socket harness routes them into its tables; the
-    /// raw harness ignores them).
-    fn settle(&mut self, mut observe: impl FnMut(bool, &NetStack, &StackAction)) {
+    /// Pumps packets until both sides go quiet.
+    fn settle(&mut self) {
         let mut from_a = self.a.drain_actions();
         let mut from_b = self.b.drain_actions();
         for _ in 0..10_000 {
@@ -53,13 +51,11 @@ impl Wire {
             let mut next_a = Vec::new();
             let mut next_b = Vec::new();
             for act in from_a.drain(..) {
-                observe(true, &self.a, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_b.extend(self.b.input(NOW, self.b_if, &packet.encode()));
                 }
             }
             for act in from_b.drain(..) {
-                observe(false, &self.b, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_a.extend(self.a.input(NOW, self.a_if, &packet.encode()));
                 }
@@ -91,16 +87,7 @@ impl SockHarness {
         let mut sb = SocketTable::new();
         let listener = sb.listen(&mut wire.b, 7, Some(4)).unwrap();
         let client = sa.connect(&mut wire.a, NOW, ipa(2), 7).unwrap();
-        {
-            let (sa, sb) = (&mut sa, &mut sb);
-            wire.settle(|is_a, st, act| {
-                if is_a {
-                    sa.on_action(st, act)
-                } else {
-                    sb.on_action(st, act)
-                }
-            });
-        }
+        wire.settle();
         let server = sb.accept(&mut wire.b, listener).unwrap();
         let udp_a = sa.bind_udp(&mut wire.a, 9000).unwrap();
         let udp_b = sb.bind_udp(&mut wire.b, 9001).unwrap();
@@ -117,14 +104,7 @@ impl SockHarness {
     }
 
     fn settle(&mut self) {
-        let (sa, sb) = (&mut self.sa, &mut self.sb);
-        self.wire.settle(|is_a, st, act| {
-            if is_a {
-                sa.on_action(st, act)
-            } else {
-                sb.on_action(st, act)
-            }
-        });
+        self.wire.settle();
     }
 
     /// One stop-and-wait echo over the established stream.
@@ -193,19 +173,10 @@ struct RawHarness {
 impl RawHarness {
     fn new() -> RawHarness {
         let mut wire = Wire::new();
-        let listener = wire.b.tcp_listen_with(7, 4).unwrap();
+        let listener = wire.b.tcp_listen(7, Some(4)).unwrap();
         let client = wire.a.tcp_connect(NOW, ipa(2), 7).unwrap();
-        let mut accepted = None;
-        wire.settle(|is_a, _st, act| {
-            if !is_a {
-                if let StackAction::TcpAccepted { sock, .. } = act {
-                    accepted = Some(*sock);
-                }
-            }
-        });
-        let server = accepted.expect("accepted");
-        wire.b.tcp_claim(server);
-        let _ = listener;
+        wire.settle();
+        let server = wire.b.tcp_accept(listener).expect("accepted");
         let udp_a = wire.a.udp_bind(9000).unwrap();
         let udp_b = wire.b.udp_bind(9001).unwrap();
         RawHarness {
@@ -218,7 +189,7 @@ impl RawHarness {
     }
 
     fn settle(&mut self) {
-        self.wire.settle(|_, _, _| {});
+        self.wire.settle();
     }
 
     fn tcp_echo(&mut self) {

@@ -458,7 +458,6 @@ impl Host {
             };
         };
         fold(self.stack.next_deadline());
-        fold(self.sockets.next_deadline());
         fold(self.input_queue.next_ready());
         fold(self.filter.as_ref().and_then(FilterEngine::next_deadline));
         let arp_pending = self
@@ -484,10 +483,6 @@ impl Host {
         }
         self.stack.poll_queued(now);
         self.handle_actions(now);
-        if self.sockets.next_deadline().is_some_and(|t| t <= now) {
-            self.sockets.on_deadline(&mut self.stack, now);
-            self.handle_actions(now);
-        }
         if let Some(f) = &mut self.filter {
             if f.next_deadline().is_some_and(|t| t <= now) {
                 f.expire(now);
@@ -555,9 +550,6 @@ impl Host {
         while !self.stack.actions_empty() {
             self.stack.swap_actions(&mut round);
             for act in round.drain(..) {
-                // The socket table observes every action (accept queues,
-                // connect completion, latched errors) before it is consumed.
-                self.sockets.on_action(&self.stack, &act);
                 match act {
                     StackAction::Egress {
                         iface,
@@ -1081,6 +1073,34 @@ mod tests {
         assert_eq!(sent, [(pinged, Proto::Icmp), (sender, Proto::Icmp)]);
         assert_eq!(gw.stack.stats().ttl_expired, 1);
         assert!(gw.stack.actions_empty());
+    }
+
+    #[test]
+    fn a_raw_connect_to_a_silent_address_gives_up_at_75_s() {
+        let mut cfg = HostConfig::named("vax2");
+        cfg.ether = Some(EtherIfConfig {
+            mac: MacAddr::local(9),
+            ip: Ipv4Addr::new(128, 95, 1, 4),
+            prefix_len: 24,
+        });
+        let mut h = Host::new(cfg);
+        let start = SimTime::ZERO;
+        let sock = h
+            .tcp_connect(start, Ipv4Addr::new(128, 95, 1, 77), 23)
+            .unwrap();
+        let limit = netstack::stack::CONNECT_TIMEOUT;
+        let mut closed = None;
+        while let Some(t) = h.next_deadline().filter(|&t| t <= start + limit + limit) {
+            h.advance(t);
+            h.take_outbox();
+            if h.take_events()
+                .contains(&StackAction::TcpClosed { sock, reset: true })
+            {
+                closed = Some(t);
+                break;
+            }
+        }
+        assert_eq!(closed, Some(start + limit));
     }
 
     #[test]

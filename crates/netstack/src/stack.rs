@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use sim::SimTime;
+use sim::{SimDuration, SimTime};
 
 use crate::icmp::{IcmpMessage, UnreachCode};
 use crate::ip::{self, FragResult, Ipv4Packet, Proto, Reassembler};
@@ -31,6 +31,12 @@ use crate::NetError;
 /// `udp_input` drops one with no room in `so_rcv`. BSD sizes that for forty
 /// 1 KiB datagrams; counted in datagrams, as each holds one pool buffer.
 pub const UDP_RX_QUEUE: usize = 40;
+
+/// How long an active open may go without completing its handshake before
+/// the stack aborts it and latches [`ConnError::TimedOut`]. The TCB itself
+/// retransmits forever; this is 4.3BSD's 75-second connection-establishment
+/// timer (`TCPTV_KEEP_INIT`), which `tcp_timers` runs in TCP.
+pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(75);
 
 /// Identifies an interface within one host's stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +81,21 @@ pub struct ListenerId(usize);
 /// A UDP socket handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UdpId(usize);
+
+/// Why a connection failed, latched on the socket it concerns (4.3BSD's
+/// `so_error`): only on a claimed socket — an active open, or a passive
+/// one once accepted — and only the first cause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConnError {
+    /// The peer answered the handshake with RST.
+    Refused,
+    /// The peer reset the connection, or a half-open one ended otherwise.
+    Reset,
+    /// An ICMP destination-unreachable quoted the handshake's SYN.
+    Unreachable,
+    /// [`CONNECT_TIMEOUT`] expired before the handshake completed.
+    TimedOut,
+}
 
 /// Host-level stack configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -236,9 +257,30 @@ struct TcpSock {
     tcb: Tcb,
     /// Listener that spawned this socket, if passive.
     parent: Option<ListenerId>,
-    /// True once the application accepted (claimed) this passive socket.
-    /// Claimed sockets no longer count against the listener's backlog.
+    /// True for an active open, and for a passive socket once the
+    /// application accepted it; claimed sockets no longer count against
+    /// the listener's backlog.
     claimed: bool,
+    /// The handshake completed (`soisconnected`).
+    synchronized: bool,
+    /// The first asynchronous error of a claimed socket.
+    error: Option<ConnError>,
+    /// Active opens until the handshake ends: when [`CONNECT_TIMEOUT`]
+    /// fires.
+    connect_timer: Option<SimTime>,
+}
+
+impl TcpSock {
+    fn new(tcb: Tcb, parent: Option<ListenerId>) -> TcpSock {
+        TcpSock {
+            tcb,
+            parent,
+            claimed: parent.is_none(),
+            synchronized: false,
+            error: None,
+            connect_timer: None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -246,8 +288,11 @@ struct Listener {
     port: u16,
     cfg: TcpConfig,
     /// Accept-queue bound: at most this many unclaimed, live children.
-    /// `None` (the legacy [`NetStack::tcp_listen`] path) means unbounded.
+    /// `None` means unbounded.
     backlog: Option<usize>,
+    /// Children whose handshake completed, in completion order, awaiting
+    /// [`NetStack::tcp_accept`] (4.3BSD's `so_q`).
+    completed: VecDeque<SockId>,
 }
 
 #[derive(Debug)]
@@ -265,8 +310,10 @@ pub struct NetStack {
     routes: RouteTable,
     reasm: Reassembler,
     socks: Vec<TcpSock>,
-    listeners: Vec<Listener>,
-    udp: Vec<UdpSock>,
+    /// Listeners and UDP sockets by id; `None` once closed, so an id is
+    /// never reused.
+    listeners: Vec<Option<Listener>>,
+    udp: Vec<Option<UdpSock>>,
     ip_id: u16,
     iss: u32,
     next_port: u16,
@@ -624,11 +671,32 @@ impl NetStack {
                 });
             }
             m @ (IcmpMessage::DestUnreachable { .. } | IcmpMessage::TimeExceeded { .. }) => {
+                if let IcmpMessage::DestUnreachable { original, .. } = &m {
+                    self.latch_unreachable(original);
+                }
                 self.pending.push(StackAction::IcmpProblem {
                     from: packet.src,
                     message: m,
                 });
             }
+        }
+    }
+
+    /// Latches [`ConnError::Unreachable`] on the claimed, unsynchronized
+    /// connection whose 4-tuple an ICMP unreachable's quote names (4.3BSD's
+    /// `in_pcbnotify`).
+    fn latch_unreachable(&mut self, original: &[u8]) {
+        let Some((local, remote)) = quoted_tcp_flow(original) else {
+            return;
+        };
+        if let Some(s) = self.socks.iter_mut().find(|s| {
+            s.claimed
+                && !s.synchronized
+                && s.error.is_none()
+                && s.tcb.local() == local
+                && s.tcb.remote() == remote
+        }) {
+            s.error = Some(ConnError::Unreachable);
         }
     }
 
@@ -641,8 +709,12 @@ impl NetStack {
             self.stats.bad_packets += 1;
             return self.pool.give(packet.payload);
         };
-        if let Some(i) = self.udp.iter().position(|s| s.port == dst_port) {
-            let rx = &mut self.udp[i].rx;
+        let bound = self.udp.iter_mut().enumerate().find_map(|(i, s)| {
+            s.as_mut()
+                .filter(|s| s.port == dst_port)
+                .map(|s| (i, &mut s.rx))
+        });
+        if let Some((i, rx)) = bound {
             if rx.len() < UDP_RX_QUEUE {
                 packet.payload.truncate(udp::HEADER_LEN + len);
                 rx.push_back((packet.src, src_port, packet.payload));
@@ -691,15 +763,15 @@ impl NetStack {
         // Listener match for a fresh SYN.
         let hdr = seg.header;
         if hdr.flags.syn && !hdr.flags.ack {
-            if let Some(li) = self.listeners.iter().position(|l| l.port == hdr.dst_port) {
-                // Accept-queue bound: a listener created with
-                // `tcp_listen_with` refuses fresh SYNs once it already
-                // holds `backlog` live, unclaimed children. The refusal
-                // is an RST — the 4.3BSD tcp_input drop, visible to the
-                // peer — rather than a silent drop, so the simulation
-                // surfaces overload immediately instead of after a
-                // retransmission timeout.
-                if let Some(backlog) = self.listeners[li].backlog {
+            if let Some((li, l)) = self.listener_on(hdr.dst_port) {
+                // Accept-queue bound: a listener with a backlog refuses
+                // fresh SYNs once it already holds `backlog` live,
+                // unclaimed children. The refusal is an RST — the 4.3BSD
+                // tcp_input drop, visible to the peer — rather than a
+                // silent drop, so the simulation surfaces overload
+                // immediately instead of after a retransmission timeout.
+                let (backlog, mut cfg) = (l.backlog, l.cfg);
+                if let Some(backlog) = backlog {
                     let queued = self
                         .socks
                         .iter()
@@ -716,7 +788,6 @@ impl NetStack {
                     }
                 }
                 let iss = self.next_iss();
-                let mut cfg = self.listeners[li].cfg;
                 if self.cfg.clamp_mss {
                     cfg.mss = clamped_mss(cfg.mss, self.ifaces[iface.0].mtu);
                 }
@@ -730,11 +801,7 @@ impl NetStack {
                     &mut self.tcb_events,
                 );
                 let sock = SockId(self.socks.len());
-                self.socks.push(TcpSock {
-                    tcb,
-                    parent: Some(ListenerId(li)),
-                    claimed: false,
-                });
+                self.socks.push(TcpSock::new(tcb, Some(ListenerId(li))));
                 self.drive(sock);
                 return;
             }
@@ -791,15 +858,24 @@ impl NetStack {
                 .socks
                 .iter()
                 .any(|s| s.tcb.state() != TcpState::Closed && s.tcb.local().1 == p)
-                || self.listeners.iter().any(|l| l.port == p);
+                || self.listener_on(p).is_some();
             if !used {
                 return p;
             }
         }
     }
 
+    /// The open listener on `port`, with its index.
+    fn listener_on(&self, port: u16) -> Option<(usize, &Listener)> {
+        self.listeners
+            .iter()
+            .enumerate()
+            .find_map(|(i, l)| l.as_ref().filter(|l| l.port == port).map(|l| (i, l)))
+    }
+
     /// Opens a TCP connection; the SYN lands in the pending-action queue
-    /// (see [`Self::drain_actions`]).
+    /// (see [`Self::drain_actions`]). The connection is aborted if its
+    /// handshake has not completed within [`CONNECT_TIMEOUT`].
     pub fn tcp_connect(
         &mut self,
         now: SimTime,
@@ -825,11 +901,9 @@ impl NetStack {
             &mut self.tcb_events,
         );
         let sock = SockId(self.socks.len());
-        self.socks.push(TcpSock {
-            tcb,
-            parent: None,
-            claimed: true,
-        });
+        let mut s = TcpSock::new(tcb, None);
+        s.connect_timer = Some(now + CONNECT_TIMEOUT);
+        self.socks.push(s);
         self.drive(sock);
         Ok(sock)
     }
@@ -850,38 +924,65 @@ impl NetStack {
         r
     }
 
-    /// Starts listening on `port` with an unbounded accept queue (the
-    /// legacy shape every pre-socket-layer app relies on).
-    pub fn tcp_listen(&mut self, port: u16) -> Result<ListenerId, NetError> {
-        self.listen_inner(port, None)
-    }
-
-    /// Starts listening on `port`, refusing (RST) fresh SYNs whenever
-    /// `backlog` accepted-but-unclaimed connections are already queued.
-    /// A `backlog` of 0 refuses everything — the classic closed shop.
-    pub fn tcp_listen_with(&mut self, port: u16, backlog: usize) -> Result<ListenerId, NetError> {
-        self.listen_inner(port, Some(backlog))
-    }
-
-    fn listen_inner(&mut self, port: u16, backlog: Option<usize>) -> Result<ListenerId, NetError> {
-        if self.listeners.iter().any(|l| l.port == port) {
+    /// Starts listening on `port`. With `Some(backlog)`, fresh SYNs are
+    /// refused (RST) whenever `backlog` completed-or-completing,
+    /// unaccepted connections are already queued — 0 refuses everything,
+    /// the classic closed shop; `None` queues without bound.
+    pub fn tcp_listen(
+        &mut self,
+        port: u16,
+        backlog: Option<usize>,
+    ) -> Result<ListenerId, NetError> {
+        if self.listener_on(port).is_some() {
             return Err(NetError::InUse);
         }
         let id = ListenerId(self.listeners.len());
-        self.listeners.push(Listener {
+        self.listeners.push(Some(Listener {
             port,
             cfg: self.cfg.tcp,
             backlog,
-        });
+            completed: VecDeque::new(),
+        }));
         Ok(id)
     }
 
-    /// Marks a passively opened socket as accepted by the application: it
-    /// stops counting against its listener's backlog. Idempotent; unknown
-    /// handles are ignored.
-    pub fn tcp_claim(&mut self, sock: SockId) {
+    /// Takes the oldest completed connection off a listener's queue and
+    /// claims it for the application: it stops counting against the
+    /// backlog, and errors latch on it from here on. `None`: nothing
+    /// queued, or no such listener.
+    pub fn tcp_accept(&mut self, listener: ListenerId) -> Option<SockId> {
+        let l = self.listeners.get_mut(listener.0)?.as_mut()?;
+        let sock = l.completed.pop_front()?;
         if let Some(s) = self.socks.get_mut(sock.0) {
             s.claimed = true;
+        }
+        Some(sock)
+    }
+
+    /// Completed connections awaiting [`Self::tcp_accept`].
+    pub fn tcp_accept_queued(&self, listener: ListenerId) -> usize {
+        match self.listeners.get(listener.0) {
+            Some(Some(l)) => l.completed.len(),
+            _ => 0,
+        }
+    }
+
+    /// Closes a listener: its port is free again, and every child it
+    /// spawned that was never accepted is aborted with RST, as 4.3BSD's
+    /// `soclose` aborts the connections still on a listener's queues. The
+    /// id stays dead.
+    pub fn tcp_unlisten(&mut self, now: SimTime, listener: ListenerId) {
+        let Some(slot) = self.listeners.get_mut(listener.0) else {
+            return;
+        };
+        *slot = None;
+        for i in 0..self.socks.len() {
+            let queued = self.socks.get(i).is_some_and(|s| {
+                s.parent == Some(listener) && !s.claimed && s.tcb.state() != TcpState::Closed
+            });
+            if queued {
+                self.tcp_abort(now, SockId(i));
+            }
         }
     }
 
@@ -970,6 +1071,16 @@ impl NetStack {
         self.socks.get(sock.0).map(|s| s.tcb.remote())
     }
 
+    /// True once a socket's handshake completed.
+    pub fn tcp_synchronized(&self, sock: SockId) -> bool {
+        self.socks.get(sock.0).is_some_and(|s| s.synchronized)
+    }
+
+    /// The error latched on a claimed socket, if any (`SO_ERROR`).
+    pub fn tcp_error(&self, sock: SockId) -> Option<ConnError> {
+        self.socks.get(sock.0)?.error
+    }
+
     /// Statistics of a socket's TCB.
     pub fn tcp_stats(&self, sock: SockId) -> crate::tcp::TcbStats {
         self.socks
@@ -982,20 +1093,37 @@ impl NetStack {
 
     /// Binds a UDP socket to `port`.
     pub fn udp_bind(&mut self, port: u16) -> Result<UdpId, NetError> {
-        if self.udp.iter().any(|s| s.port == port) {
+        if self.udp.iter().flatten().any(|s| s.port == port) {
             return Err(NetError::InUse);
         }
         let id = UdpId(self.udp.len());
-        self.udp.push(UdpSock {
+        self.udp.push(Some(UdpSock {
             port,
             rx: VecDeque::new(),
-        });
+        }));
         Ok(id)
     }
 
-    /// Sends a datagram from a bound socket.
+    /// Closes a UDP socket: its port is free again and its unread
+    /// datagrams' buffers go back to the pool. The id stays dead.
+    pub fn udp_unbind(&mut self, udp: UdpId) {
+        if let Some(s) = self.udp.get_mut(udp.0).and_then(Option::take) {
+            for (_, _, buf) in s.rx {
+                self.pool.give(buf);
+            }
+        }
+    }
+
+    /// The port of an open UDP socket.
+    fn udp_port(&self, udp: UdpId) -> Option<u16> {
+        Some(self.udp.get(udp.0)?.as_ref()?.port)
+    }
+
+    /// Sends a datagram from a bound socket; a closed one sends nothing.
     pub fn udp_send(&mut self, udp: UdpId, dst: Ipv4Addr, dst_port: u16, payload: Vec<u8>) {
-        let src_port = self.udp[udp.0].port;
+        let Some(src_port) = self.udp_port(udp) else {
+            return;
+        };
         let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
             self.stats.no_route += 1;
             return;
@@ -1020,7 +1148,9 @@ impl NetStack {
         dst_port: u16,
         payload: Vec<u8>,
     ) {
-        let src_port = self.udp[udp.0].port;
+        let Some(src_port) = self.udp_port(udp) else {
+            return;
+        };
         let src = self.ifaces[iface.0].addr;
         let dst = Ipv4Addr::BROADCAST;
         let dg = UdpDatagram {
@@ -1048,7 +1178,7 @@ impl NetStack {
         udp: UdpId,
         f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
     ) -> Option<R> {
-        let (src, src_port, buf) = self.udp.get_mut(udp.0)?.rx.pop_front()?;
+        let (src, src_port, buf) = self.udp.get_mut(udp.0)?.as_mut()?.rx.pop_front()?;
         let r = f(src, src_port, &buf[udp::HEADER_LEN..]);
         self.pool.give(buf);
         Some(r)
@@ -1056,24 +1186,21 @@ impl NetStack {
 
     /// Queued datagrams awaiting [`Self::udp_recv`].
     pub fn udp_rx_queued(&self, udp: UdpId) -> usize {
-        self.udp.get(udp.0).map(|s| s.rx.len()).unwrap_or(0)
+        match self.udp.get(udp.0) {
+            Some(Some(s)) => s.rx.len(),
+            _ => 0,
+        }
     }
 
     // --- Timers -----------------------------------------------------------------
 
-    /// Earliest deadline across sockets and reassembly.
+    /// Earliest deadline across sockets (TCB and connect timers) and
+    /// reassembly.
     #[inline]
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let tcp = self
-            .socks
-            .iter()
-            .filter_map(|s| s.tcb.next_deadline())
-            .min();
-        let reasm = self.reasm.next_deadline();
-        match (tcp, reasm) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let socks = self.socks.iter();
+        let tcp = socks.flat_map(|s| [s.tcb.next_deadline(), s.connect_timer]);
+        tcp.chain([self.reasm.next_deadline()]).flatten().min()
     }
 
     /// Fires expired timers, returning the actions they produced
@@ -1091,6 +1218,18 @@ impl NetStack {
             if self.socks[i].tcb.next_deadline().is_some_and(|t| t <= now) {
                 self.socks[i].tcb.on_timer(now, &mut self.tcb_events);
                 self.drive(SockId(i));
+            }
+        }
+        // Connect timers fire after every TCB timer: their aborts' actions
+        // follow the retransmissions.
+        for i in 0..self.socks.len() {
+            let Some(s) = self.socks.get_mut(i) else {
+                break;
+            };
+            if s.connect_timer.is_some_and(|t| t <= now) {
+                s.connect_timer = None;
+                s.error.get_or_insert(ConnError::TimedOut);
+                self.tcp_abort(now, SockId(i));
             }
         }
     }
@@ -1112,15 +1251,36 @@ impl NetStack {
                     let bytes = seg.encode_in(local.0, remote.0, &mut self.pool);
                     self.send_ip(Ipv4Packet::new(local.0, remote.0, Proto::Tcp, bytes));
                 }
-                TcbEvent::Connected => match parent {
-                    Some(listener) => self
-                        .pending
-                        .push(StackAction::TcpAccepted { listener, sock }),
-                    None => self.pending.push(StackAction::TcpConnected(sock)),
-                },
+                TcbEvent::Connected => {
+                    let s = &mut self.socks[sock.0];
+                    s.synchronized = true;
+                    s.connect_timer = None;
+                    match parent {
+                        Some(listener) => {
+                            if let Some(Some(l)) = self.listeners.get_mut(listener.0) {
+                                l.completed.push_back(sock);
+                            }
+                            self.pending
+                                .push(StackAction::TcpAccepted { listener, sock })
+                        }
+                        None => self.pending.push(StackAction::TcpConnected(sock)),
+                    }
+                }
                 TcbEvent::DataReadable => self.pending.push(StackAction::TcpReadable(sock)),
                 TcbEvent::PeerClosed => self.pending.push(StackAction::TcpPeerClosed(sock)),
                 TcbEvent::Closed { reset } => {
+                    let s = &mut self.socks[sock.0];
+                    s.connect_timer = None;
+                    if s.claimed && s.error.is_none() {
+                        // A RST during the handshake is a refusal; anything
+                        // else that ends a half-open connection reads as a
+                        // reset too, and so does a RST after it.
+                        s.error = match (s.synchronized, reset) {
+                            (false, true) => Some(ConnError::Refused),
+                            (false, false) | (true, true) => Some(ConnError::Reset),
+                            (true, false) => None,
+                        };
+                    }
                     self.pending.push(StackAction::TcpClosed { sock, reset })
                 }
             }
@@ -1142,6 +1302,32 @@ fn ipip_wrap(mut packet: Ipv4Packet, endpoint: Ipv4Addr) -> Ipv4Packet {
         Proto::Other(ip::IPIP),
         packet.into_wire(),
     )
+}
+
+/// The `((src, port), (dst, port))` of the TCP flow an ICMP error quotes:
+/// its original datagram's IP header and first 8 payload octets. The quote
+/// is *truncated* relative to its own total-length field, so
+/// [`Ipv4Packet::decode`] cannot read it; this reads the fixed offsets.
+type Flow = ((Ipv4Addr, u16), (Ipv4Addr, u16));
+
+fn quoted_tcp_flow(original: &[u8]) -> Option<Flow> {
+    let [vihl, _, _, _, _, _, _, _, _, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3] =
+        *original.first_chunk::<20>()?;
+    let ihl = usize::from(vihl & 0x0F) * 4;
+    if ihl < 20 || proto != 6 {
+        return None;
+    }
+    let [sp0, sp1, dp0, dp1] = *original.get(ihl..)?.first_chunk::<4>()?;
+    Some((
+        (
+            Ipv4Addr::new(s0, s1, s2, s3),
+            u16::from_be_bytes([sp0, sp1]),
+        ),
+        (
+            Ipv4Addr::new(d0, d1, d2, d3),
+            u16::from_be_bytes([dp0, dp1]),
+        ),
+    ))
 }
 
 /// Largest segment `mtu` can carry without IP fragmentation: the MTU minus
@@ -1267,7 +1453,7 @@ mod tests {
     fn tcp_connect_accept_and_exchange() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23).unwrap();
+        w.b.tcp_listen(23, None).unwrap();
         let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
@@ -1347,7 +1533,7 @@ mod tests {
                 prefix_len: 24,
                 mtu: 256,
             });
-            st.tcp_listen(23).unwrap();
+            st.tcp_listen(23, None).unwrap();
             let syn = TcpSegment {
                 header: TcpHeader {
                     src_port: 1024,
@@ -1431,7 +1617,7 @@ mod tests {
     fn tcp_close_sequence_via_stack() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23).unwrap();
+        w.b.tcp_listen(23, None).unwrap();
         let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
@@ -1475,7 +1661,7 @@ mod tests {
     fn listen_backlog_overflows_with_rst_until_claimed() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen_with(23, 1).unwrap();
+        let listener = w.b.tcp_listen(23, Some(1)).unwrap();
         // First connection fills the queue of one.
         let c1 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
@@ -1498,9 +1684,9 @@ mod tests {
             reset: true
         }));
         assert_eq!(w.b.stats().accept_overflow, 1);
-        // The application accepts (claims) the queued connection; the
-        // freed slot admits the next SYN.
-        w.b.tcp_claim(queued);
+        // The application accepts the queued connection; the freed slot
+        // admits the next SYN.
+        assert_eq!(w.b.tcp_accept(listener), Some(queued));
         let c3 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
@@ -1512,7 +1698,7 @@ mod tests {
     fn legacy_listen_stays_unbounded() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23).unwrap();
+        w.b.tcp_listen(23, None).unwrap();
         for _ in 0..8 {
             let c = w.a.tcp_connect(now, ipa(2), 23).unwrap();
             let out = w.a.drain_actions();
@@ -1671,8 +1857,8 @@ mod tests {
     #[test]
     fn listener_port_conflicts_rejected() {
         let (mut st, _) = NetStack::simple_host(ipa(1), 24, 1500, None);
-        st.tcp_listen(23).unwrap();
-        assert_eq!(st.tcp_listen(23), Err(NetError::InUse));
+        st.tcp_listen(23, None).unwrap();
+        assert_eq!(st.tcp_listen(23, Some(1)), Err(NetError::InUse));
         st.udp_bind(53).unwrap();
         assert_eq!(st.udp_bind(53), Err(NetError::InUse));
     }
@@ -1681,7 +1867,7 @@ mod tests {
     fn distinct_ephemeral_ports() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23).unwrap();
+        w.b.tcp_listen(23, None).unwrap();
         let mut seen = Map::new();
         for i in 0..5 {
             let s = w.a.tcp_connect(now, ipa(2), 23).unwrap();
@@ -2018,5 +2204,170 @@ mod tests {
         let (mut c, c_if) = NetStack::simple_host(ipa(3), 24, 1500, None);
         let acts = c.input(SimTime::ZERO, c_if, &packet.encode());
         assert!(acts.is_empty(), "no ICMP about a broadcast: {acts:?}");
+    }
+
+    /// A hand-made segment from 10.0.0.1 to 10.0.0.2, as IP bytes.
+    fn segment_to_b(src_port: u16, seq: u32, ack: u32, flags: TcpFlags) -> Vec<u8> {
+        let seg = TcpSegment {
+            header: TcpHeader {
+                src_port,
+                dst_port: 23,
+                seq,
+                ack,
+                flags,
+                window: 4096,
+                mss: None,
+            },
+            payload: &[],
+        };
+        let bytes = seg.encode(ipa(1), ipa(2));
+        Ipv4Packet::new(ipa(1), ipa(2), Proto::Tcp, bytes).encode()
+    }
+
+    #[test]
+    fn children_are_accepted_in_handshake_completion_order() {
+        let (mut b, b_if) = NetStack::simple_host(ipa(2), 24, 1500, None);
+        let listener = b.tcp_listen(23, None).unwrap();
+        let syn = TcpFlags {
+            syn: true,
+            ..Default::default()
+        };
+        let ack = TcpFlags {
+            ack: true,
+            ..Default::default()
+        };
+        // Two SYNs: the first spawns the lower SockId.
+        let mut synack_seq = Vec::new();
+        for port in [1025, 1026] {
+            let out = b.input(SimTime::ZERO, b_if, &segment_to_b(port, 100, 0, syn));
+            synack_seq.push(first_egress_segment(&out).seq);
+        }
+        // The second handshake completes first.
+        let mut accepted = Vec::new();
+        for (port, i) in [(1026, 1), (1025, 0)] {
+            let bytes = segment_to_b(port, 101, synack_seq[i].wrapping_add(1), ack);
+            for act in b.input(SimTime::ZERO, b_if, &bytes) {
+                if let StackAction::TcpAccepted { sock, .. } = act {
+                    accepted.push(sock);
+                }
+            }
+        }
+        assert_eq!(accepted.len(), 2);
+        assert_eq!(b.tcp_accept_queued(listener), 2);
+        assert_eq!(b.tcp_remote(accepted[0]), Some((ipa(1), 1026)));
+        assert_eq!(b.tcp_accept(listener), Some(accepted[0]));
+        assert_eq!(b.tcp_accept(listener), Some(accepted[1]));
+        assert_eq!(b.tcp_accept(listener), None);
+    }
+
+    #[test]
+    fn the_handshake_disarms_the_connect_timer() {
+        let mut w = Wire::new();
+        let now = SimTime::ZERO;
+        w.b.tcp_listen(23, None).unwrap();
+        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        assert!(w
+            .a
+            .next_deadline()
+            .is_some_and(|t| t <= now + CONNECT_TIMEOUT));
+        let out = w.a.drain_actions();
+        w.run(now, out, vec![]);
+        assert!(w.a_ev.contains(&StackAction::TcpConnected(ca)));
+        assert_eq!(w.a.next_deadline(), None, "an idle connection has no timer");
+        w.a.poll_queued(now + CONNECT_TIMEOUT);
+        assert!(w.a.actions_empty());
+        assert_eq!(w.a.tcp_state(ca), TcpState::Established);
+        assert_eq!(w.a.tcp_error(ca), None);
+    }
+
+    #[test]
+    fn a_closed_listener_frees_its_port_and_aborts_its_queue() {
+        let mut w = Wire::new();
+        let now = SimTime::ZERO;
+        let listener = w.b.tcp_listen(23, None).unwrap();
+        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let out = w.a.drain_actions();
+        w.run(now, out, vec![]);
+        assert_eq!(w.b.tcp_accept_queued(listener), 1);
+        // Closing aborts the child nobody accepted: the client is reset.
+        w.b.tcp_unlisten(now, listener);
+        let out = w.b.drain_actions();
+        w.run(now, vec![], out);
+        assert!(w.a_ev.contains(&StackAction::TcpClosed {
+            sock: ca,
+            reset: true
+        }));
+        assert_eq!(w.b.tcp_accept(listener), None);
+        // A SYN to the port now draws a RST.
+        let c2 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let out = w.a.drain_actions();
+        w.run(now, out, vec![]);
+        assert_eq!(w.a.tcp_error(c2), Some(ConnError::Refused));
+        // The port can be listened on again, under a fresh id.
+        let again = w.b.tcp_listen(23, None).unwrap();
+        assert_ne!(again, listener);
+    }
+
+    #[test]
+    fn a_closed_udp_socket_frees_its_port_and_gives_back_its_buffers() {
+        let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
+        let sock = st.udp_bind(520).unwrap();
+        let dg = UdpDatagram {
+            src_port: 520,
+            dst_port: 520,
+            payload: b"hello".to_vec(),
+        };
+        let wire = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2))).encode();
+        let mut queued = Vec::new();
+        for _ in 0..crate::pool::DEPTH {
+            let buf = wire.clone();
+            queued.push(buf.as_ptr());
+            st.input_owned(SimTime::ZERO, ifid, buf);
+        }
+        assert_eq!(st.udp_rx_queued(sock), crate::pool::DEPTH);
+        st.udp_unbind(sock);
+        assert_eq!(st.udp_rx_queued(sock), 0);
+        // The pool holds exactly the buffers the socket had queued.
+        let free: [Vec<u8>; crate::pool::DEPTH] = std::array::from_fn(|_| st.pool_mut().take(0));
+        let mut free: Vec<_> = free.iter().map(|b| b.as_ptr()).collect();
+        free.sort_unstable();
+        queued.sort_unstable();
+        assert_eq!(free, queued);
+        // The port is free again; a datagram to the dead id goes nowhere.
+        let again = st.udp_bind(520).unwrap();
+        assert_ne!(again, sock);
+        st.udp_send(sock, ipa(1), 520, b"late".to_vec());
+        assert!(st
+            .drain_actions()
+            .iter()
+            .all(|a| !matches!(a, StackAction::Egress { .. })));
+    }
+
+    #[test]
+    fn quoted_flow_parser_handles_garbage() {
+        assert_eq!(quoted_tcp_flow(&[]), None);
+        assert_eq!(quoted_tcp_flow(&[0u8; 19]), None);
+        // Non-TCP quote.
+        let mut udp_quote = vec![0u8; 28];
+        udp_quote[0] = 0x45;
+        udp_quote[9] = 17;
+        assert_eq!(quoted_tcp_flow(&udp_quote), None);
+        // Options-bearing header (ihl 6) with too little room for ports.
+        let mut short = vec![0u8; 25];
+        short[0] = 0x46;
+        short[9] = 6;
+        assert_eq!(quoted_tcp_flow(&short), None);
+        // A well-formed quote parses.
+        let mut ok = vec![0u8; 28];
+        ok[0] = 0x45;
+        ok[9] = 6;
+        ok[12..16].copy_from_slice(&[10, 0, 0, 1]);
+        ok[16..20].copy_from_slice(&[44, 99, 0, 7]);
+        ok[20..22].copy_from_slice(&1025u16.to_be_bytes());
+        ok[22..24].copy_from_slice(&23u16.to_be_bytes());
+        assert_eq!(
+            quoted_tcp_flow(&ok),
+            Some(((ipa(1), 1025), (Ipv4Addr::new(44, 99, 0, 7), 23)))
+        );
     }
 }

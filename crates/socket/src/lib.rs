@@ -15,10 +15,12 @@
 //!   [`SocketTable::recv_from`] for datagrams — `recv_from` lends the
 //!   payload to a closure in the buffer it arrived in and gives that
 //!   buffer back to the host's pool, so no caller holds a pool buffer;
-//! * [`SocketTable::poll`] / [`SocketTable::select`] readiness bitmasks
-//!   ([`Readiness`]) computed from existing TCB/UDP state — never by
-//!   busy-polling: wakeups ride the deadline scheduler via
-//!   [`SocketTable::next_deadline`] / [`SocketTable::on_deadline`];
+//! * [`SocketTable::poll`] readiness bitmasks ([`Readiness`]) computed
+//!   from the stack's own state — the TCB, the listener's accept queue,
+//!   the error latched on the connection, the UDP queue — never by
+//!   busy-polling: the one timer, the 75 s connect timeout
+//!   ([`netstack::stack::CONNECT_TIMEOUT`]), is the stack's, and rides
+//!   its deadline;
 //! * blocking semantics. A discrete-event world has no thread to park, so
 //!   "blocking" is emulated cooperatively: a call that cannot proceed
 //!   returns [`SockError::WouldBlock`] and the runtime re-delivers
@@ -26,24 +28,25 @@
 //!   holds), which is what a process sleeping in a blocked syscall
 //!   observes.
 //!
-//! The table is a *thin shim*: it never generates wire traffic of its own
-//! and never reorders the stack's actions, so every byte on the air is
-//! byte-identical to a program driving `NetStack` directly (the `apps`
-//! crate carries a differential test proving exactly that for the echo
-//! server).
+//! The table is a *thin shim*: it maps handles to stack ids and records a
+//! stream's half-close, and holds no connection state of its own. It
+//! never generates wire traffic and never sees the stack's actions, so
+//! every byte on the air is byte-identical to a program driving `NetStack`
+//! directly (`tests/socket_differential.rs` proves exactly that for the
+//! echo server).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use netstack::icmp::IcmpMessage;
-use netstack::stack::{ListenerId, NetStack, SockId, StackAction, UdpId};
+use netstack::stack::{ConnError, ListenerId, NetStack, SockId, UdpId};
 use netstack::tcp::{TcbStats, TcpConfig, TcpState};
 use netstack::NetError;
-use sim::{SimDuration, SimTime};
+use sim::SimTime;
 
 /// Readiness bitmask returned by [`SocketTable::poll`].
 ///
@@ -174,6 +177,17 @@ impl fmt::Display for SockError {
     }
 }
 
+impl From<ConnError> for SockError {
+    fn from(e: ConnError) -> SockError {
+        match e {
+            ConnError::Refused => SockError::Refused,
+            ConnError::Reset => SockError::ConnectionReset,
+            ConnError::Unreachable => SockError::Unreachable,
+            ConnError::TimedOut => SockError::TimedOut,
+        }
+    }
+}
+
 impl From<NetError> for SockError {
     fn from(e: NetError) -> SockError {
         match e {
@@ -199,12 +213,6 @@ impl SocketHandle {
     }
 }
 
-/// How long an active open may sit un-acknowledged before the table
-/// aborts it and latches [`SockError::TimedOut`]. The TCB itself
-/// retransmits forever; this is the 4.3BSD 75-second initial connection
-/// timer.
-pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(75);
-
 /// What [`SocketTable::tcp_info`] reports about one stream.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpInfo {
@@ -219,26 +227,15 @@ pub struct TcpInfo {
 #[derive(Debug)]
 struct TcpSlot {
     id: SockId,
-    connected: bool,
-    /// Latched asynchronous error, reported via ERROR readiness and the
-    /// next send/recv, never overwritten once set.
-    error: Option<SockError>,
-    /// Active opens only: when to give up on the handshake.
-    connect_deadline: Option<SimTime>,
     /// We sent our FIN via [`SocketTable::shutdown`].
     shut: bool,
 }
 
 #[derive(Debug)]
 enum Slot {
-    Listener {
-        id: ListenerId,
-        accept_q: VecDeque<SockId>,
-    },
+    Listener(ListenerId),
     Tcp(TcpSlot),
-    Udp {
-        id: UdpId,
-    },
+    Udp(UdpId),
     /// Tombstone left by [`SocketTable::close`].
     Closed,
 }
@@ -248,10 +245,9 @@ enum Slot {
 ///
 /// Every mutating verb takes `&mut NetStack` and leaves any stack actions
 /// it provoked in the stack's pending queue (drain with
-/// [`NetStack::drain_actions`]) — the table itself stores no wire state.
-/// The owner must feed every action the stack emits back through
-/// [`SocketTable::on_action`] so accept queues, connect completion, and
-/// asynchronous errors stay current.
+/// [`NetStack::drain_actions`]). The table stores no wire or connection
+/// state: accept queues, connect completion and latched errors are the
+/// stack's, read at each call.
 #[derive(Debug, Default)]
 pub struct SocketTable {
     slots: Vec<Slot>,
@@ -276,36 +272,35 @@ impl SocketTable {
         }
     }
 
-    fn tcp_mut(&mut self, h: SocketHandle) -> Result<&mut TcpSlot, SockError> {
-        match self.slots.get_mut(h.0) {
-            Some(Slot::Tcp(t)) => Ok(t),
-            _ => Err(SockError::BadHandle),
+    /// A stream that can carry data: connected, no error latched.
+    fn stream(&self, st: &NetStack, h: SocketHandle) -> Result<SockId, SockError> {
+        let id = self.tcp(h)?.id;
+        if let Some(e) = st.tcp_error(id) {
+            return Err(e.into());
         }
+        if !st.tcp_synchronized(id) {
+            return Err(SockError::NotConnected);
+        }
+        Ok(id)
     }
 
     /// `socket` + `bind` + `listen` in one verb: opens a passive TCP
     /// socket on `port`. `backlog` bounds the accepted-but-unclaimed
-    /// queue (`None` = unbounded, the legacy shape); overflow SYNs are
-    /// refused with RST by the stack.
+    /// queue (`None` = unbounded); overflow SYNs are refused with RST by
+    /// the stack.
     pub fn listen(
         &mut self,
         st: &mut NetStack,
         port: u16,
         backlog: Option<usize>,
     ) -> Result<SocketHandle, SockError> {
-        let id = match backlog {
-            Some(b) => st.tcp_listen_with(port, b)?,
-            None => st.tcp_listen(port)?,
-        };
-        Ok(self.alloc(Slot::Listener {
-            id,
-            accept_q: VecDeque::new(),
-        }))
+        let id = st.tcp_listen(port, backlog)?;
+        Ok(self.alloc(Slot::Listener(id)))
     }
 
     /// Active open to `dst:dst_port`. The handle becomes WRITABLE when
     /// the handshake completes, or ERROR-ready on refusal, an ICMP
-    /// unreachable, or expiry of [`CONNECT_TIMEOUT`].
+    /// unreachable, or expiry of [`netstack::stack::CONNECT_TIMEOUT`].
     pub fn connect(
         &mut self,
         st: &mut NetStack,
@@ -314,7 +309,7 @@ impl SocketTable {
         dst_port: u16,
     ) -> Result<SocketHandle, SockError> {
         let id = st.tcp_connect(now, dst, dst_port)?;
-        Ok(self.connecting(id, now))
+        Ok(self.stream_slot(id))
     }
 
     /// [`SocketTable::connect`] with this connection's own TCP
@@ -329,41 +324,26 @@ impl SocketTable {
         cfg: TcpConfig,
     ) -> Result<SocketHandle, SockError> {
         let id = st.tcp_connect_with(now, dst, dst_port, cfg)?;
-        Ok(self.connecting(id, now))
+        Ok(self.stream_slot(id))
     }
 
-    fn connecting(&mut self, id: SockId, now: SimTime) -> SocketHandle {
-        self.alloc(Slot::Tcp(TcpSlot {
-            id,
-            connected: false,
-            error: None,
-            connect_deadline: Some(now + CONNECT_TIMEOUT),
-            shut: false,
-        }))
+    fn stream_slot(&mut self, id: SockId) -> SocketHandle {
+        self.alloc(Slot::Tcp(TcpSlot { id, shut: false }))
     }
 
-    /// Pops one completed connection off a listener's accept queue,
-    /// claiming it from the stack's backlog accounting and wrapping it in
-    /// a fresh stream handle. Empty queue ⇒ [`SockError::WouldBlock`].
+    /// Takes the oldest completed connection off a listener's accept
+    /// queue ([`NetStack::tcp_accept`]) and wraps it in a fresh stream
+    /// handle. Empty queue ⇒ [`SockError::WouldBlock`].
     pub fn accept(
         &mut self,
         st: &mut NetStack,
         h: SocketHandle,
     ) -> Result<SocketHandle, SockError> {
-        let sock = match self.slots.get_mut(h.0) {
-            Some(Slot::Listener { accept_q, .. }) => {
-                accept_q.pop_front().ok_or(SockError::WouldBlock)?
-            }
-            _ => return Err(SockError::BadHandle),
+        let Some(&Slot::Listener(id)) = self.slots.get(h.0) else {
+            return Err(SockError::BadHandle);
         };
-        st.tcp_claim(sock);
-        Ok(self.alloc(Slot::Tcp(TcpSlot {
-            id: sock,
-            connected: true,
-            error: None,
-            connect_deadline: None,
-            shut: false,
-        })))
+        let sock = st.tcp_accept(id).ok_or(SockError::WouldBlock)?;
+        Ok(self.stream_slot(sock))
     }
 
     /// Queues bytes for transmission; returns how many the send buffer
@@ -376,14 +356,7 @@ impl SocketTable {
         h: SocketHandle,
         data: &[u8],
     ) -> Result<usize, SockError> {
-        let t = self.tcp(h)?;
-        if let Some(e) = t.error {
-            return Err(e);
-        }
-        if !t.connected {
-            return Err(SockError::NotConnected);
-        }
-        let id = t.id;
+        let id = self.stream(st, h)?;
         let n = st.tcp_send(now, id, data);
         if n == 0 && !data.is_empty() {
             return Err(SockError::WouldBlock);
@@ -400,14 +373,7 @@ impl SocketTable {
         now: SimTime,
         h: SocketHandle,
     ) -> Result<Vec<u8>, SockError> {
-        let t = self.tcp(h)?;
-        if let Some(e) = t.error {
-            return Err(e);
-        }
-        if !t.connected {
-            return Err(SockError::NotConnected);
-        }
-        let id = t.id;
+        let id = self.stream(st, h)?;
         let data = st.tcp_recv(now, id);
         if !data.is_empty() {
             return Ok(data);
@@ -426,17 +392,20 @@ impl SocketTable {
         now: SimTime,
         h: SocketHandle,
     ) -> Result<(), SockError> {
-        let t = self.tcp_mut(h)?;
+        let Some(Slot::Tcp(t)) = self.slots.get_mut(h.0) else {
+            return Err(SockError::BadHandle);
+        };
         t.shut = true;
-        let id = t.id;
-        st.tcp_close(now, id);
+        st.tcp_close(now, t.id);
         Ok(())
     }
 
     /// Releases the handle. Streams get an orderly close (FIN) if still
-    /// open; the slot becomes a tombstone that reports ERROR readiness
-    /// forever after. Closing an already-closed or bogus handle is a
-    /// no-op, like `close(2)` on a stale fd.
+    /// open; a listener or datagram socket gives its port back
+    /// ([`NetStack::tcp_unlisten`], [`NetStack::udp_unbind`]). The slot
+    /// becomes a tombstone that reports ERROR readiness forever after.
+    /// Closing an already-closed or bogus handle is a no-op, like
+    /// `close(2)` on a stale fd.
     pub fn close(&mut self, st: &mut NetStack, now: SimTime, h: SocketHandle) {
         let Some(slot) = self.slots.get_mut(h.0) else {
             return;
@@ -447,7 +416,9 @@ impl SocketTable {
                     st.tcp_close(now, t.id);
                 }
             }
-            Slot::Listener { .. } | Slot::Udp { .. } | Slot::Closed => {}
+            Slot::Listener(id) => st.tcp_unlisten(now, *id),
+            Slot::Udp(id) => st.udp_unbind(*id),
+            Slot::Closed => {}
         }
         *slot = Slot::Closed;
     }
@@ -455,7 +426,7 @@ impl SocketTable {
     /// `socket` + `bind` for datagrams: opens a UDP socket on `port`.
     pub fn bind_udp(&mut self, st: &mut NetStack, port: u16) -> Result<SocketHandle, SockError> {
         let id = st.udp_bind(port)?;
-        Ok(self.alloc(Slot::Udp { id }))
+        Ok(self.alloc(Slot::Udp(id)))
     }
 
     /// Sends one datagram. UDP never blocks.
@@ -468,7 +439,7 @@ impl SocketTable {
         payload: Vec<u8>,
     ) -> Result<(), SockError> {
         match self.slots.get(h.0) {
-            Some(Slot::Udp { id, .. }) => {
+            Some(Slot::Udp(id)) => {
                 st.udp_send(*id, dst, dst_port, payload);
                 Ok(())
             }
@@ -488,26 +459,15 @@ impl SocketTable {
         f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
     ) -> Result<R, SockError> {
         match self.slots.get(h.0) {
-            Some(Slot::Udp { id, .. }) => st.udp_recv(*id, f).ok_or(SockError::WouldBlock),
+            Some(Slot::Udp(id)) => st.udp_recv(*id, f).ok_or(SockError::WouldBlock),
             _ => Err(SockError::BadHandle),
-        }
-    }
-
-    /// The remote `(address, port)` of a connected stream.
-    pub fn peer_addr(&self, st: &NetStack, h: SocketHandle) -> Option<(Ipv4Addr, u16)> {
-        match self.slots.get(h.0) {
-            Some(Slot::Tcp(t)) => st.tcp_remote(t.id),
-            _ => None,
         }
     }
 
     /// Room in a stream's send buffer, for apps that pump bulk data on
     /// WRITABLE edges.
     pub fn send_capacity(&self, st: &NetStack, h: SocketHandle) -> usize {
-        match self.slots.get(h.0) {
-            Some(Slot::Tcp(t)) if t.connected && t.error.is_none() => st.tcp_send_capacity(t.id),
-            _ => 0,
-        }
+        self.stream(st, h).map_or(0, |id| st.tcp_send_capacity(id))
     }
 
     /// `TCP_INFO`: a stream's connection state, the octets it holds that
@@ -524,11 +484,8 @@ impl SocketTable {
 
     /// The latched asynchronous error, if any — `SO_ERROR` without the
     /// clear-on-read.
-    pub fn take_error(&self, h: SocketHandle) -> Option<SockError> {
-        match self.slots.get(h.0) {
-            Some(Slot::Tcp(t)) => t.error,
-            _ => None,
-        }
+    pub fn take_error(&self, st: &NetStack, h: SocketHandle) -> Option<SockError> {
+        Some(st.tcp_error(self.tcp(h).ok()?.id)?.into())
     }
 
     /// Computes the readiness mask for one handle from current stack
@@ -536,8 +493,8 @@ impl SocketTable {
     /// and bogus handles report [`Readiness::ERROR`].
     pub fn poll(&self, st: &NetStack, h: SocketHandle) -> Readiness {
         match self.slots.get(h.0) {
-            Some(Slot::Listener { accept_q, .. }) => {
-                if accept_q.is_empty() {
+            Some(Slot::Listener(id)) => {
+                if st.tcp_accept_queued(*id) == 0 {
                     Readiness::EMPTY
                 } else {
                     Readiness::ACCEPTABLE | Readiness::READABLE
@@ -545,10 +502,10 @@ impl SocketTable {
             }
             Some(Slot::Tcp(t)) => {
                 let mut r = Readiness::EMPTY;
-                if t.error.is_some() {
+                if st.tcp_error(t.id).is_some() {
                     r |= Readiness::ERROR;
                 }
-                if t.connected {
+                if st.tcp_synchronized(t.id) {
                     if st.tcp_recv_available(t.id) > 0 {
                         r |= Readiness::READABLE;
                     }
@@ -564,7 +521,7 @@ impl SocketTable {
                 }
                 r
             }
-            Some(Slot::Udp { id, .. }) => {
+            Some(Slot::Udp(id)) => {
                 let mut r = Readiness::WRITABLE;
                 if st.udp_rx_queued(*id) > 0 {
                     r |= Readiness::READABLE;
@@ -574,193 +531,6 @@ impl SocketTable {
             Some(Slot::Closed) | None => Readiness::ERROR,
         }
     }
-
-    /// `select(2)`: polls many handles, returning only the ready ones.
-    pub fn select(
-        &self,
-        st: &NetStack,
-        handles: &[SocketHandle],
-    ) -> Vec<(SocketHandle, Readiness)> {
-        handles
-            .iter()
-            .filter_map(|&h| {
-                let r = self.poll(st, h);
-                if r.is_empty() {
-                    None
-                } else {
-                    Some((h, r))
-                }
-            })
-            .collect()
-    }
-
-    /// The earliest moment [`SocketTable::on_deadline`] has work —
-    /// currently the soonest pending connect timeout. Fold this into the
-    /// host's scheduler deadline; never busy-poll.
-    #[inline]
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Tcp(t) if !t.connected => t.connect_deadline,
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Fires expired connect timers: aborts the half-open TCB and latches
-    /// [`SockError::TimedOut`] (unless a more specific error already
-    /// arrived). Any actions the aborts provoke land in the stack's
-    /// pending queue.
-    pub fn on_deadline(&mut self, st: &mut NetStack, now: SimTime) {
-        for slot in &mut self.slots {
-            if let Slot::Tcp(t) = slot {
-                if !t.connected && t.connect_deadline.is_some_and(|d| d <= now) {
-                    t.connect_deadline = None;
-                    if t.error.is_none() {
-                        t.error = Some(SockError::TimedOut);
-                    }
-                    st.tcp_abort(now, t.id);
-                }
-            }
-        }
-    }
-
-    /// Observes one stack action, updating accept queues, connect state,
-    /// and latched errors. The owner must route **every** action the
-    /// stack emits through here (before or after its own handling — the
-    /// table only reads the stack).
-    pub fn on_action(&mut self, st: &NetStack, act: &StackAction) {
-        match act {
-            StackAction::TcpAccepted { listener, sock } => {
-                for slot in &mut self.slots {
-                    if let Slot::Listener { id, accept_q, .. } = slot {
-                        if id == listener {
-                            accept_q.push_back(*sock);
-                            return;
-                        }
-                    }
-                }
-            }
-            StackAction::TcpConnected(sock) => {
-                for slot in &mut self.slots {
-                    if let Slot::Tcp(t) = slot {
-                        if t.id == *sock {
-                            t.connected = true;
-                            t.connect_deadline = None;
-                            return;
-                        }
-                    }
-                }
-            }
-            StackAction::TcpClosed { sock, reset } => {
-                for slot in &mut self.slots {
-                    if let Slot::Tcp(t) = slot {
-                        if t.id == *sock {
-                            t.connect_deadline = None;
-                            if t.error.is_none() {
-                                if !t.connected {
-                                    // RST during handshake is a refusal;
-                                    // anything else that kills a half-open
-                                    // connection reads as a reset too.
-                                    t.error = Some(if *reset {
-                                        SockError::Refused
-                                    } else {
-                                        SockError::ConnectionReset
-                                    });
-                                } else if *reset {
-                                    t.error = Some(SockError::ConnectionReset);
-                                }
-                            }
-                            return;
-                        }
-                    }
-                }
-            }
-            StackAction::IcmpProblem {
-                message: IcmpMessage::DestUnreachable { original, .. },
-                ..
-            } => {
-                self.note_unreachable(st, original);
-            }
-            _ => {}
-        }
-    }
-
-    /// Maps an ICMP destination-unreachable quote back to the in-flight
-    /// connect it refers to and latches [`SockError::Unreachable`].
-    fn note_unreachable(&mut self, st: &NetStack, original: &[u8]) {
-        let Some((src, src_port, dst, dst_port)) = quoted_tcp_flow(original) else {
-            return;
-        };
-        for slot in &mut self.slots {
-            if let Slot::Tcp(t) = slot {
-                if !t.connected
-                    && t.error.is_none()
-                    && st.tcp_local(t.id) == Some((src, src_port))
-                    && st.tcp_remote(t.id) == Some((dst, dst_port))
-                {
-                    t.error = Some(SockError::Unreachable);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Reverse lookup: which handle (if any) does this stack action
-    /// concern? Lets an app runtime route events without the table.
-    pub fn handle_for_action(&self, act: &StackAction) -> Option<SocketHandle> {
-        let find_tcp = |want: SockId| {
-            self.slots.iter().position(|s| match s {
-                Slot::Tcp(t) => t.id == want,
-                _ => false,
-            })
-        };
-        match act {
-            StackAction::TcpAccepted { listener, .. } => self.slots.iter().position(|s| match s {
-                Slot::Listener { id, .. } => id == listener,
-                _ => false,
-            }),
-            StackAction::TcpConnected(sock)
-            | StackAction::TcpReadable(sock)
-            | StackAction::TcpPeerClosed(sock) => find_tcp(*sock),
-            StackAction::TcpClosed { sock, .. } => find_tcp(*sock),
-            StackAction::UdpReadable(udp) => self.slots.iter().position(|s| match s {
-                Slot::Udp { id, .. } => id == udp,
-                _ => false,
-            }),
-            _ => None,
-        }
-        .map(SocketHandle)
-    }
-}
-
-/// Parses the flow 4-tuple out of an ICMP error's quoted original
-/// datagram (IP header + 8 payload octets) when the quoted protocol is
-/// TCP. The quote is *truncated* relative to its own total-length field,
-/// so the full [`netstack::ip::Ipv4Packet::decode`] cannot be used here —
-/// this reads the handful of fixed offsets directly.
-fn quoted_tcp_flow(original: &[u8]) -> Option<(Ipv4Addr, u16, Ipv4Addr, u16)> {
-    if original.len() < 20 {
-        return None;
-    }
-    let ihl = usize::from(original[0] & 0x0F) * 4;
-    if ihl < 20 || original.len() < ihl + 4 {
-        return None;
-    }
-    if original[9] != 6 {
-        return None; // not TCP
-    }
-    let ip = |o: usize| {
-        Ipv4Addr::new(
-            original[o],
-            original[o + 1],
-            original[o + 2],
-            original[o + 3],
-        )
-    };
-    let port = |o: usize| u16::from_be_bytes([original[o], original[o + 1]]);
-    Some((ip(12), port(ihl), ip(16), port(ihl + 2)))
 }
 
 #[cfg(test)]

@@ -3,16 +3,16 @@
 //! the satellite checklist calls out.
 
 use super::*;
-use netstack::icmp::UnreachCode;
-use netstack::stack::IfaceId;
+use netstack::icmp::{IcmpMessage, UnreachCode};
+use netstack::ip::{Ipv4Packet, Proto};
+use netstack::stack::{IfaceId, StackAction, CONNECT_TIMEOUT};
 
 fn ipa(n: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, n)
 }
 
 /// Two hosts joined by a zero-loss, zero-delay wire, with a socket table
-/// on each side. Every stack action is routed through the owning table's
-/// `on_action` before (possibly) crossing the wire.
+/// on each side.
 struct Pair {
     a: NetStack,
     b: NetStack,
@@ -48,13 +48,11 @@ impl Pair {
             let mut next_a = Vec::new();
             let mut next_b = Vec::new();
             for act in from_a.drain(..) {
-                self.sa.on_action(&self.a, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_b.extend(self.b.input(now, self.b_if, &packet.encode()));
                 }
             }
             for act in from_b.drain(..) {
-                self.sb.on_action(&self.b, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_a.extend(self.a.input(now, self.a_if, &packet.encode()));
                 }
@@ -115,11 +113,6 @@ fn stream_roundtrip_with_readiness_edges() {
     p.settle(now);
     assert_eq!(p.sa.recv(&mut p.a, now, ch).unwrap(), b"qsl");
     p.settle(now);
-
-    // select() sees exactly the ready handles.
-    let ready = p.sa.select(&p.a, &[ch]);
-    assert_eq!(ready.len(), 1);
-    assert!(ready[0].1.writable() && !ready[0].1.readable());
 }
 
 #[test]
@@ -181,89 +174,101 @@ fn connect_timeout_latches_error_readiness_not_hang() {
         .unwrap();
     let _ = st.drain_actions(); // the SYN, dropped on the floor
 
-    let deadline = tbl.next_deadline().expect("connect timer armed");
-    assert_eq!(deadline, now + CONNECT_TIMEOUT);
-
-    // Walk time forward the way a host's advance() does: fire stack
-    // timers (retransmissions — dropped) and the table deadline.
+    // Walk time forward the way a host's advance() does: fire the stack's
+    // timers — retransmissions, dropped, then the connect timer.
     let mut t = now;
-    while t < deadline {
-        t = match st.next_deadline() {
-            Some(d) if d < deadline => d,
-            _ => deadline,
-        };
-        let _ = st.poll(t);
-        if tbl.next_deadline().is_some_and(|d| d <= t) {
-            tbl.on_deadline(&mut st, t);
-            let _ = st.drain_actions();
-        }
+    while let Some(d) = st.next_deadline() {
+        assert!(d <= now + CONNECT_TIMEOUT, "{d:?}");
+        t = d;
+        st.poll_queued(t);
+        let _ = st.drain_actions();
     }
+    assert_eq!(t, now + CONNECT_TIMEOUT, "timer fired, then disarmed");
     assert!(tbl.poll(&st, h).error(), "error-readiness, not a hang");
-    assert_eq!(tbl.take_error(h), Some(SockError::TimedOut));
+    assert_eq!(tbl.take_error(&st, h), Some(SockError::TimedOut));
     assert_eq!(tbl.recv(&mut st, t, h), Err(SockError::TimedOut));
-    assert_eq!(tbl.next_deadline(), None, "timer disarmed");
+}
+
+/// An ICMP destination-unreachable from `from` to `src`, quoting a
+/// TCP segment `(src, port) -> (dst, port)` as RFC 792 does: the IP
+/// header and the first 8 octets of the segment.
+fn unreachable_quoting(
+    from: Ipv4Addr,
+    (src, src_port): (Ipv4Addr, u16),
+    (dst, dst_port): (Ipv4Addr, u16),
+) -> Vec<u8> {
+    let mut original = vec![0u8; 28];
+    original[0] = 0x45;
+    original[9] = 6; // TCP
+    original[12..16].copy_from_slice(&src.octets());
+    original[16..20].copy_from_slice(&dst.octets());
+    original[20..22].copy_from_slice(&src_port.to_be_bytes());
+    original[22..24].copy_from_slice(&dst_port.to_be_bytes());
+    let msg = IcmpMessage::DestUnreachable {
+        code: UnreachCode::Host,
+        original,
+    };
+    Ipv4Packet::new(from, src, Proto::Icmp, msg.encode()).encode()
 }
 
 #[test]
 fn icmp_unreachable_maps_to_pending_connect() {
-    let (mut st, _ifid) = NetStack::simple_host(ipa(1), 24, 1500, Some(ipa(2)));
+    let (mut st, ifid) = NetStack::simple_host(ipa(1), 24, 1500, Some(ipa(2)));
     let mut tbl = SocketTable::new();
     let now = SimTime::ZERO;
     let dst = Ipv4Addr::new(44, 99, 0, 7);
     let h = tbl.connect(&mut st, now, dst, 23).unwrap();
     let _ = st.drain_actions();
-    let (local_ip, local_port) = {
-        let t = match &tbl.slots[h.0] {
-            Slot::Tcp(t) => t.id,
-            _ => unreachable!(),
-        };
-        st.tcp_local(t).unwrap()
-    };
+    let local = tbl.tcp(h).ok().and_then(|t| st.tcp_local(t.id)).unwrap();
 
-    // Hand-build the gateway's quote: 20-byte IP header + the first 8
-    // octets of our SYN (ports + sequence), exactly what RFC 792 sends.
-    let mut original = vec![0u8; 28];
-    original[0] = 0x45;
-    original[9] = 6; // TCP
-    original[12..16].copy_from_slice(&local_ip.octets());
-    original[16..20].copy_from_slice(&dst.octets());
-    original[20..22].copy_from_slice(&local_port.to_be_bytes());
-    original[22..24].copy_from_slice(&23u16.to_be_bytes());
-
-    tbl.on_action(
-        &st,
-        &StackAction::IcmpProblem {
-            from: ipa(2),
-            message: IcmpMessage::DestUnreachable {
-                code: UnreachCode::Host,
-                original,
-            },
-        },
-    );
+    // The gateway's quote of our SYN arrives as a real ICMP datagram.
+    let icmp = unreachable_quoting(ipa(2), local, (dst, 23));
+    let acts = st.input(now, ifid, &icmp);
+    assert!(matches!(acts[..], [StackAction::IcmpProblem { .. }]));
     assert!(tbl.poll(&st, h).error());
-    assert_eq!(tbl.take_error(h), Some(SockError::Unreachable));
+    assert_eq!(tbl.take_error(&st, h), Some(SockError::Unreachable));
 
     // A quote for some *other* flow must not poison this handle.
     let h2 = tbl.connect(&mut st, now, dst, 25).unwrap();
     let _ = st.drain_actions();
-    let mut other = vec![0u8; 28];
-    other[0] = 0x45;
-    other[9] = 6;
-    other[12..16].copy_from_slice(&local_ip.octets());
-    other[16..20].copy_from_slice(&Ipv4Addr::new(44, 99, 0, 8).octets());
-    other[20..22].copy_from_slice(&9999u16.to_be_bytes());
-    other[22..24].copy_from_slice(&25u16.to_be_bytes());
-    tbl.on_action(
-        &st,
-        &StackAction::IcmpProblem {
-            from: ipa(2),
-            message: IcmpMessage::DestUnreachable {
-                code: UnreachCode::Host,
-                original: other,
-            },
-        },
+    let other = unreachable_quoting(ipa(2), (local.0, 9999), (Ipv4Addr::new(44, 99, 0, 8), 25));
+    st.input(now, ifid, &other);
+    assert_eq!(tbl.take_error(&st, h2), None);
+}
+
+#[test]
+fn an_unreachable_for_a_connected_stream_latches_nothing() {
+    let now = SimTime::ZERO;
+    let mut p = Pair::new();
+    let (ch, _sh) = p.connected_streams(now, 23);
+    let local = p.sa.tcp(ch).ok().and_then(|t| p.a.tcp_local(t.id)).unwrap();
+    let icmp = unreachable_quoting(ipa(2), local, (ipa(2), 23));
+    p.a.input(now, p.a_if, &icmp);
+    assert_eq!(p.sa.take_error(&p.a, ch), None);
+    assert!(!p.sa.poll(&p.a, ch).error());
+    assert_eq!(p.sa.send(&mut p.a, now, ch, b"still here"), Ok(10));
+}
+
+#[test]
+fn a_child_reset_before_accept_is_handed_out_without_error() {
+    let now = SimTime::ZERO;
+    let mut p = Pair::new();
+    let lh = p.sb.listen(&mut p.b, 21, None).unwrap();
+    let ch = p.sa.connect(&mut p.a, now, ipa(2), 21).unwrap();
+    p.settle(now);
+    // The client resets the connection before the server accepts it.
+    let id = p.sa.tcp(ch).unwrap().id;
+    p.a.tcp_abort(now, id);
+    p.settle(now);
+    assert_eq!(
+        p.sb.poll(&p.b, lh),
+        Readiness::ACCEPTABLE | Readiness::READABLE
     );
-    assert_eq!(tbl.take_error(h2), None);
+    let sh = p.sb.accept(&mut p.b, lh).unwrap();
+    let r = p.sb.poll(&p.b, sh);
+    assert!(!r.error(), "{r:?}");
+    assert!(r.hangup());
+    assert_eq!(p.sb.take_error(&p.b, sh), None);
 }
 
 #[test]
@@ -274,9 +279,9 @@ fn refused_connect_latches_refused() {
     let ch = p.sa.connect(&mut p.a, now, ipa(2), 23).unwrap();
     p.settle(now);
     assert!(p.sa.poll(&p.a, ch).error());
-    assert_eq!(p.sa.take_error(ch), Some(SockError::Refused));
+    assert_eq!(p.sa.take_error(&p.a, ch), Some(SockError::Refused));
     assert_eq!(p.sa.send(&mut p.a, now, ch, b"x"), Err(SockError::Refused));
-    assert_eq!(p.sa.next_deadline(), None, "connect timer disarmed by RST");
+    assert_eq!(p.a.next_deadline(), None, "connect timer disarmed by RST");
 }
 
 #[test]
@@ -292,7 +297,7 @@ fn accept_backlog_overflow_refuses_and_claim_frees() {
     // Backlog full: the second connect gets an RST → Refused.
     let c2 = p.sa.connect(&mut p.a, now, ipa(2), 21).unwrap();
     p.settle(now);
-    assert_eq!(p.sa.take_error(c2), Some(SockError::Refused));
+    assert_eq!(p.sa.take_error(&p.a, c2), Some(SockError::Refused));
     assert_eq!(p.b.stats().accept_overflow, 1);
 
     // accept() claims the queued connection, freeing the backlog slot.
@@ -333,73 +338,16 @@ fn udp_datagram_roundtrip_and_readiness() {
 }
 
 #[test]
-fn handle_for_action_routes_events() {
+fn closing_a_listener_or_a_datagram_socket_frees_its_port() {
     let now = SimTime::ZERO;
     let mut p = Pair::new();
     let lh = p.sb.listen(&mut p.b, 7, None).unwrap();
-    let ch = p.sa.connect(&mut p.a, now, ipa(2), 7).unwrap();
-    p.settle(now);
-    let sh = p.sb.accept(&mut p.b, lh).unwrap();
-
-    let (sid_a, sid_b) = {
-        let a = match &p.sa.slots[ch.0] {
-            Slot::Tcp(t) => t.id,
-            _ => unreachable!(),
-        };
-        let b = match &p.sb.slots[sh.0] {
-            Slot::Tcp(t) => t.id,
-            _ => unreachable!(),
-        };
-        (a, b)
-    };
-    assert_eq!(
-        p.sa.handle_for_action(&StackAction::TcpReadable(sid_a)),
-        Some(ch)
-    );
-    assert_eq!(
-        p.sb.handle_for_action(&StackAction::TcpPeerClosed(sid_b)),
-        Some(sh)
-    );
-    assert_eq!(
-        p.sa.handle_for_action(&StackAction::TcpConnected(sid_a)),
-        Some(ch)
-    );
-    // Actions the table has no slot for route nowhere.
-    assert_eq!(
-        p.sa.handle_for_action(&StackAction::PingReply {
-            from: ipa(2),
-            id: 1,
-            seq: 1,
-            len: 0,
-        }),
-        None
-    );
-}
-
-#[test]
-fn quoted_flow_parser_handles_garbage() {
-    assert_eq!(quoted_tcp_flow(&[]), None);
-    assert_eq!(quoted_tcp_flow(&[0u8; 19]), None);
-    // Non-TCP quote.
-    let mut udp_quote = vec![0u8; 28];
-    udp_quote[0] = 0x45;
-    udp_quote[9] = 17;
-    assert_eq!(quoted_tcp_flow(&udp_quote), None);
-    // Options-bearing header (ihl 6) with too little room for ports.
-    let mut short = vec![0u8; 25];
-    short[0] = 0x46;
-    short[9] = 6;
-    assert_eq!(quoted_tcp_flow(&short), None);
-    // A well-formed quote parses.
-    let mut ok = vec![0u8; 28];
-    ok[0] = 0x45;
-    ok[9] = 6;
-    ok[12..16].copy_from_slice(&[10, 0, 0, 1]);
-    ok[16..20].copy_from_slice(&[44, 99, 0, 7]);
-    ok[20..22].copy_from_slice(&1025u16.to_be_bytes());
-    ok[22..24].copy_from_slice(&23u16.to_be_bytes());
-    assert_eq!(
-        quoted_tcp_flow(&ok),
-        Some((ipa(1), 1025, Ipv4Addr::new(44, 99, 0, 7), 23))
-    );
+    let uh = p.sb.bind_udp(&mut p.b, 53).unwrap();
+    assert_eq!(p.sb.listen(&mut p.b, 7, None), Err(SockError::InUse));
+    p.sb.close(&mut p.b, now, lh);
+    p.sb.close(&mut p.b, now, uh);
+    assert_eq!(p.sb.poll(&p.b, lh), Readiness::ERROR);
+    // Both ports can be bound again.
+    p.sb.listen(&mut p.b, 7, None).unwrap();
+    p.sb.bind_udp(&mut p.b, 53).unwrap();
 }

@@ -3,7 +3,7 @@
 //! driven through the raw `NetStack` API — the shim adds readiness
 //! bookkeeping and nothing else.
 
-use netstack::stack::{IfaceId, NetStack, SockId, StackAction};
+use netstack::stack::{IfaceId, NetStack, StackAction};
 use proptest::prelude::*;
 use sim::{SimRng, SimTime};
 use socket::{SockError, SocketTable};
@@ -13,9 +13,8 @@ fn ipa(n: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, n)
 }
 
-/// Two stacks on a lossless wire. When the tables are in use every
-/// action routes through `on_action`; either way non-egress actions are
-/// logged so the raw oracle can recover its accepted `SockId`.
+/// Two stacks on a lossless wire, each fronted by a socket table (the raw
+/// oracle world leaves its tables unused).
 struct Pair {
     a: NetStack,
     b: NetStack,
@@ -23,7 +22,6 @@ struct Pair {
     b_if: IfaceId,
     sa: SocketTable,
     sb: SocketTable,
-    b_ev: Vec<StackAction>,
 }
 
 impl Pair {
@@ -37,7 +35,6 @@ impl Pair {
             b_if,
             sa: SocketTable::new(),
             sb: SocketTable::new(),
-            b_ev: Vec::new(),
         }
     }
 
@@ -51,33 +48,19 @@ impl Pair {
             let mut next_a = Vec::new();
             let mut next_b = Vec::new();
             for act in from_a.drain(..) {
-                self.sa.on_action(&self.a, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_b.extend(self.b.input(now, self.b_if, &packet.encode()));
                 }
             }
             for act in from_b.drain(..) {
-                self.sb.on_action(&self.b, &act);
                 if let StackAction::Egress { packet, .. } = act {
                     next_a.extend(self.a.input(now, self.a_if, &packet.encode()));
-                } else {
-                    self.b_ev.push(act);
                 }
             }
             from_a = next_a;
             from_b = next_b;
         }
         panic!("pair did not settle");
-    }
-
-    fn accepted_on_b(&self) -> SockId {
-        self.b_ev
-            .iter()
-            .find_map(|a| match a {
-                StackAction::TcpAccepted { sock, .. } => Some(*sock),
-                _ => None,
-            })
-            .expect("a connection was accepted on b")
     }
 }
 
@@ -101,10 +84,10 @@ proptest! {
 
         // Raw-API oracle world, identical topology and handshake.
         let mut rw = Pair::new();
-        rw.b.tcp_listen(7).unwrap();
+        let r_listener = rw.b.tcp_listen(7, None).unwrap();
         let r_client = rw.a.tcp_connect(now, ipa(2), 7).unwrap();
         rw.settle(now);
-        let r_server = rw.accepted_on_b();
+        let r_server = rw.b.tcp_accept(r_listener).expect("a connection was accepted on b");
 
         let mut rng = SimRng::seed_from(seed);
         let mut sent: u64 = 0;

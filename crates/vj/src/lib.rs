@@ -32,6 +32,8 @@
 //! here instead of surfacing as a corrupted segment upstream.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
 use sim::wire::internet_checksum;

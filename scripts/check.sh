@@ -29,6 +29,20 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
+# No explicit panic reachable from the wire (ROADMAP item 3, step 1): the
+# wire-facing crates already at zero deny them outside their tests, so
+# clippy below fails on a new one.
+echo "==> kiss serial socket netrom vj filter deny unwrap/expect/panic/unreachable"
+for crate in kiss serial socket netrom vj filter; do
+    for deny in '#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]' \
+        '#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]'; do
+        if ! grep -qxF "$deny" "crates/$crate/src/lib.rs"; then
+            echo "crate $crate (crates/$crate/src/lib.rs) lacks $deny"
+            exit 1
+        fi
+    done
+done
+
 # Owned state (ROADMAP item 11): a RefCell is state shared behind the
 # borrow checker's back. Each crate's count must equal its line (no line:
 # 0), so a rise fails and so does a fall nobody recorded.

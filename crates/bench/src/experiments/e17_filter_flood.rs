@@ -8,7 +8,7 @@
 //! * `no filter` — a spoofed UDP flood from the Ethernet side is
 //!   forwarded onto the 1200 bit/s radio channel, crushing the transfer
 //!   (what an unpoliced 1988 gateway would do);
-//! * `filtered`  — the compiled engine drops the flood at the radio
+//! * `filtered`  — the §4.3 gate drops the flood at the radio
 //!   output hook, before ARP and before the channel, while GateOpen/
 //!   GateClose churn keeps changing the gate table.
 //!
@@ -96,7 +96,7 @@ struct Outcome {
     drop_pct: f64,
     radio_tx: u64,
     evals: u64,
-    /// Verdict-changing gate and rule mutations
+    /// Verdict-changing gate mutations, opens and closes
     /// ([`filter::FilterEngine::generation`]).
     mutations: u32,
     gate_denied: u64,
@@ -244,7 +244,7 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
 pub fn run(x: &mut Report) {
     x.banner(
         "E17",
-        "spoofed-source flood + control churn vs the compiled filter engine",
+        "spoofed-source flood + control churn vs the §4.3 filter engine",
         "§4.3 at hostile scale: the gate must refuse what no amateur invited, \
          at line rate, without touching what one did",
     );
@@ -331,5 +331,5 @@ pub fn run(x: &mut Report) {
     x.text(" * gate_mut counts the churn: every GateOpen/GateClose that lands opens or");
     x.text("   closes an entry, and the next packet sees the new table as it is;");
     x.text(" * evals counts every packet judged: each spoofed datagram pays the gate");
-    x.text("   check (gate_denied) and the rule walk is never reached for it.");
+    x.text("   check (gate_denied) and is refused there, before ARP or the channel.");
 }

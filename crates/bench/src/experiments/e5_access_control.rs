@@ -43,7 +43,6 @@ pub fn run(x: &mut Report) {
             entry_ttl: SimDuration::from_secs(180),
             operators: vec![("N7AKR".to_string(), "seattle".to_string())],
         }),
-        ..FilterConfig::permissive()
     };
     let cfg = PaperConfig {
         filter: Some(filter_cfg),

@@ -1,56 +1,52 @@
-//! The compiled packet-filter hot path (DESIGN.md §13): full rule walks
-//! at 16, 256 and 4096 compiled rules are allocation-free — the engine
-//! judges packets inside `rint`, on stack buffers, with the same
-//! discipline as the byte kernels. What an evaluation costs is
-//! `filter.eval_miss_ns` in every `benchmarks --trace 1` report.
+//! The §4.3 gate's steady state (DESIGN.md §13) is allocation-free: once
+//! an (amateur, foreign) pair is open, the amateur's refresh, the foreign
+//! reply through the live entry and an unsolicited foreign packet refused
+//! at the gate (`gw_flood`'s case) touch no heap — the engine judges
+//! packets inside `rint`, with the same discipline as the byte kernels.
+//! What an evaluation costs is `filter.eval_miss_ns` in every
+//! `benchmarks --trace 1` report.
 
 use crate::allocs_during;
-use filter::{Action, FilterConfig, FilterEngine, PacketMeta, Rule};
-use netstack::route::Prefix;
-use sim::SimTime;
+use filter::{FilterConfig, FilterEngine, PacketMeta, Verdict};
+use sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-/// `n` distinct /32-source rules, none of which match the probe packet,
-/// so an evaluation must consider the whole table — the worst-case
-/// walk.
-fn miss_rules(n: usize) -> Vec<Rule> {
-    (0..n)
-        .map(|i| {
-            let addr = Ipv4Addr::from(0x0A00_0000 | i as u32);
-            Rule::any(Action::Deny).from(Prefix::new(addr, 32)).proto(6)
-        })
-        .collect()
-}
+const AMATEUR: Ipv4Addr = Ipv4Addr::new(44, 24, 0, 5);
+const FOREIGN: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 4);
+const STRANGER: Ipv4Addr = Ipv4Addr::new(128, 95, 1, 9);
 
-/// The steady-state probe: one TCP flow, ports visible.
-fn probe() -> PacketMeta {
+/// One UDP datagram from `src` to `dst`, ports visible.
+fn packet(src: Ipv4Addr, dst: Ipv4Addr) -> PacketMeta {
     PacketMeta {
-        src: u32::from(Ipv4Addr::new(44, 24, 0, 5)),
-        dst: u32::from(Ipv4Addr::new(128, 95, 1, 4)),
-        proto: 6,
-        dport: 25,
-        has_port: false,
+        src: u32::from(src),
+        dst: u32::from(dst),
+        proto: 17,
+        dport: 53,
+        has_port: true,
     }
-}
-
-fn engine(rules: Vec<Rule>) -> FilterEngine {
-    FilterEngine::new(FilterConfig {
-        gate: None,
-        rules,
-        default_action: Action::Allow,
-    })
 }
 
 #[test]
-fn walk_16_256_4096_rules() {
-    let m = probe();
-    for n in [16usize, 256, 4096] {
-        let mut e = engine(miss_rules(n));
-        e.eval(SimTime::ZERO, &m);
+fn gate_steady_state() {
+    let mut e = FilterEngine::new(FilterConfig::gateway());
+    let t0 = SimTime::ZERO;
+    assert_eq!(e.eval(t0, &packet(AMATEUR, FOREIGN)), Verdict::Allow);
+    assert_eq!(e.stats().gate_opened, 1, "the warm-up opened the pair");
+    let t1 = t0 + SimDuration::from_secs(1);
+    let cases = [
+        ("refresh", packet(AMATEUR, FOREIGN), Verdict::Allow),
+        ("reply", packet(FOREIGN, AMATEUR), Verdict::Allow),
+        ("refused", packet(STRANGER, AMATEUR), Verdict::Deny),
+    ];
+    for (name, m, want) in cases {
+        let mut got = None;
         let allocs = allocs_during(|| {
-            e.eval(SimTime::ZERO, &m);
+            got = Some(e.eval(t1, &m));
         });
-        eprintln!("filter_eval/walk_{n}: {allocs} heap allocations per eval");
-        assert_eq!(allocs, 0, "the rule walk must not touch the heap");
+        eprintln!("filter_eval/{name}: {allocs} heap allocations per eval");
+        assert_eq!(got, Some(want), "{name}: verdict");
+        assert_eq!(allocs, 0, "{name}: the gate must not touch the heap");
     }
+    let s = e.stats();
+    assert_eq!((s.gate_refreshed, s.gate_denied), (1, 1));
 }

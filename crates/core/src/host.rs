@@ -67,9 +67,9 @@ pub struct HostConfig {
     pub radio: Option<RadioIfConfig>,
     /// Ethernet interface, if any.
     pub ether: Option<EtherIfConfig>,
-    /// The compiled packet-filter engine (DESIGN.md §13), carrying the
-    /// §4.3 gate plus compiled rules, evaluated at the driver hooks (and
-    /// at the forwarding step on hosts with no radio driver to hook).
+    /// The packet-filter engine (DESIGN.md §13), carrying the §4.3 gate,
+    /// evaluated at the radio driver's `rint` and `output` hooks. Only a
+    /// host with a radio may have one ([`Host::new`] panics otherwise).
     pub filter: Option<FilterConfig>,
 }
 
@@ -125,7 +125,18 @@ pub struct Host {
 
 impl Host {
     /// Builds a host from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has a filter and no radio: the
+    /// filter's only hooks are the radio driver's, so it would judge
+    /// nothing.
     pub fn new(cfg: HostConfig) -> Host {
+        assert!(
+            cfg.filter.is_none() || cfg.radio.is_some(),
+            "host {}: a filter needs a radio interface to hook",
+            cfg.name
+        );
         let mut stack = NetStack::new(cfg.stack);
         let pr = cfg.radio.map(|r| {
             let iface = stack.add_iface(IfaceConfig {
@@ -540,7 +551,7 @@ impl Host {
     // --- User-level operations ---------------------------------------------
 
     /// Handles every action the stack has queued: egress goes to drivers,
-    /// forwards pass the filter engine, app events accumulate for
+    /// forwards go back to the stack, app events accumulate for
     /// [`Host::take_events`]. The queue is taken a round at a time by
     /// swapping buffers; what handling a round appends (a forward's egress
     /// or ICMP error) is the next round — the same first-in-first-out
@@ -558,25 +569,7 @@ impl Host {
                     } => {
                         self.route_output(now, iface, next_hop, packet);
                     }
-                    StackAction::ForwardNeeded { packet, .. } => {
-                        let allow = match &mut self.filter {
-                            Some(f) => {
-                                // A radio-equipped host already judged this
-                                // packet at the driver's rint hook and will
-                                // judge the egress side at the output hook;
-                                // evaluating here too would double-count
-                                // verdicts and double-refresh gate
-                                // entries. Only hosts with no radio police
-                                // the forwarding step itself.
-                                self.pr.is_some()
-                                    || f.eval(now, &filter::PacketMeta::of(&packet)).is_allow()
-                            }
-                            None => true,
-                        };
-                        if allow {
-                            self.stack.forward(packet);
-                        }
-                    }
+                    StackAction::ForwardNeeded { packet, .. } => self.stack.forward(packet),
                     StackAction::GateControl {
                         from,
                         ingress,
@@ -836,21 +829,23 @@ impl Host {
     }
 
     /// Injects an IP packet into the host's input path, as if it had
-    /// arrived on the radio interface. Used by user-space encapsulation
-    /// services (the NET/ROM router) that receive IP datagrams through
-    /// the tty divert queue.
+    /// arrived on the radio interface (on the Ethernet one, for a host
+    /// with no radio). Used by user-space encapsulation services (the
+    /// NET/ROM router) that receive IP datagrams through the tty divert
+    /// queue. A full input queue charges the drop to that interface's
+    /// driver.
     pub fn inject_ip(&mut self, now: SimTime, bytes: Vec<u8>) {
         if self.down {
             return;
         }
-        let Some(iface) = self.radio_iface().or_else(|| self.ether_iface()) else {
-            return;
+        let (iface, ifnet) = match (&mut self.pr, &mut self.eth) {
+            (Some((iface, drv)), _) => (*iface, &mut drv.ifnet),
+            (None, Some((iface, drv))) => (*iface, &mut drv.ifnet),
+            (None, None) => return,
         };
         let ready = self.cpu.charge_packet(now);
         if !self.input_queue.push(ready, (iface, bytes)) {
-            if let Some((_, drv)) = &mut self.pr {
-                drv.ifnet.stats.iqdrops += 1;
-            }
+            ifnet.stats.iqdrops += 1;
         }
     }
 }
@@ -946,9 +941,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_polices_forward_step_on_radioless_forwarders() {
-        // A forwarder with no radio driver has no rint/output hooks, so
-        // the §4.3 gate is enforced at the forwarding step itself.
+    #[should_panic(expected = "host gw: a filter needs a radio interface")]
+    fn a_filter_on_a_radioless_host_panics() {
         let mut cfg = HostConfig::named("gw");
         cfg.stack.forwarding = true;
         cfg.ether = Some(EtherIfConfig {
@@ -957,22 +951,7 @@ mod tests {
             prefix_len: 24,
         });
         cfg.filter = Some(FilterConfig::gateway());
-        let mut gw = Host::new(cfg);
-        // Unsolicited foreign->amateur packet arrives on Ethernet.
-        let p = Ipv4Packet::new(
-            Ipv4Addr::new(128, 95, 1, 4),
-            Ipv4Addr::new(44, 24, 0, 5),
-            Proto::Udp,
-            vec![0; 8],
-        );
-        let eth_if = gw.ether_iface().unwrap();
-        gw.stack.input_owned(SimTime::ZERO, eth_if, p.encode());
-        gw.handle_actions(SimTime::ZERO);
-        assert!(gw.take_outbox().is_empty(), "denied: nothing forwarded");
-        let fs = gw.filter_stats().unwrap();
-        assert_eq!(fs.gate_denied, 1);
-        assert_eq!(fs.denied, 1);
-        assert_eq!(gw.stack.stats().forwarded, 0);
+        Host::new(cfg);
     }
 
     #[test]
@@ -1334,5 +1313,30 @@ mod tests {
         assert_eq!(h.input_queue_len(), IFQ_MAXLEN);
         assert_eq!(h.input_queue_drops(), 10);
         assert_eq!(h.pr_driver().unwrap().ifnet.stats.iqdrops, 10);
+    }
+
+    #[test]
+    fn injected_overflow_is_charged_to_the_ether_driver() {
+        // An Ethernet-only host (E17's and gw_flood's attacker) whose slow
+        // CPU is still busy with the first datagram when the rest arrive.
+        let mut cfg = HostConfig::named("attacker");
+        cfg.cpu = CpuConfig::default();
+        cfg.ether = Some(EtherIfConfig {
+            mac: MacAddr::local(9),
+            ip: Ipv4Addr::new(128, 95, 1, 66),
+            prefix_len: 24,
+        });
+        let mut h = Host::new(cfg);
+        let ip = Ipv4Packet::new(
+            Ipv4Addr::new(128, 95, 1, 66),
+            Ipv4Addr::new(44, 24, 0, 5),
+            Proto::Udp,
+            vec![0; 8],
+        );
+        for _ in 0..=IFQ_MAXLEN {
+            h.inject_ip(SimTime::ZERO, ip.encode());
+        }
+        assert_eq!(h.input_queue_drops(), 1);
+        assert_eq!(h.ether_driver().unwrap().ifnet.stats.iqdrops, 1);
     }
 }

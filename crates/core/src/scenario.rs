@@ -53,11 +53,10 @@ pub struct PaperConfig {
     /// CPU cost model for the gateway and PC.
     pub cpu: CpuConfig,
     /// The gateway's packet-filter engine (DESIGN.md §13): the §4.3
-    /// gate plus compiled rules, enforced at the driver hooks. Defaults
-    /// to §4.3 access control in its gateway posture
+    /// gate, enforced at the radio driver's hooks. Defaults to §4.3
+    /// access control in its gateway posture
     /// ([`filter::FilterConfig::gateway`]: the soft-state gate with
-    /// default TTL and auto-open, no extra rules); `None` installs no
-    /// filter at all.
+    /// default TTL and auto-open); `None` installs no filter at all.
     pub filter: Option<filter::FilterConfig>,
     /// Enable RFC 1144 VJ header compression on the radio link (both the
     /// PC and the gateway). `false` — the default — reproduces the

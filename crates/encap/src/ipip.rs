@@ -21,7 +21,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use netstack::ip;
-use sim::wire::{internet_checksum, Reader};
+use sim::wire::internet_checksum;
 use sim::PacketBuf;
 
 /// Length of the outer header prepended by encapsulation.
@@ -156,35 +156,33 @@ fn build_outer(
 
 /// Validates the outer header at the front of `bytes`.
 fn check_outer(bytes: &[u8]) -> Result<OuterHeader, IpipError> {
-    if bytes.len() < OUTER_HEADER_LEN {
+    let Some(hdr) = bytes.first_chunk::<OUTER_HEADER_LEN>() else {
         return Err(IpipError::Truncated);
-    }
-    let mut r = Reader::new(bytes);
-    let ver_ihl = r.u8().expect("length checked");
+    };
+    // TOS, id, flags/frag and the checksum (verified over the whole) are
+    // not read.
+    let [ver_ihl, _, len0, len1, _, _, _, _, ttl, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3] =
+        *hdr;
     if ver_ihl >> 4 != 4 {
         return Err(IpipError::BadVersion);
     }
     if ver_ihl & 0x0F != 5 {
         return Err(IpipError::BadIhl);
     }
-    r.skip(1).expect("length checked"); // TOS
-    let total_len = r.u16().expect("length checked");
-    if usize::from(total_len) != bytes.len() {
+    if usize::from(u16::from_be_bytes([len0, len1])) != bytes.len() {
         return Err(IpipError::BadLength);
     }
-    r.skip(4).expect("length checked"); // id, flags/frag
-    let ttl = r.u8().expect("length checked");
-    let proto = r.u8().expect("length checked");
-    r.skip(2).expect("length checked"); // checksum (verified over the whole)
-    let src = Ipv4Addr::from(r.u32().expect("length checked"));
-    let dst = Ipv4Addr::from(r.u32().expect("length checked"));
-    if internet_checksum(&[&bytes[..OUTER_HEADER_LEN]]) != 0 {
+    if internet_checksum(&[&hdr[..]]) != 0 {
         return Err(IpipError::BadChecksum);
     }
     if proto != ip::IPIP {
         return Err(IpipError::NotIpip);
     }
-    Ok(OuterHeader { src, dst, ttl })
+    Ok(OuterHeader {
+        src: Ipv4Addr::new(s0, s1, s2, s3),
+        dst: Ipv4Addr::new(d0, d1, d2, d3),
+        ttl,
+    })
 }
 
 /// Wraps the datagram in `buf` with an outer IPIP header, in place.

@@ -28,6 +28,8 @@
 //! `gateway::ripd`; this crate is pure protocol + table logic, sans-io.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
 pub mod ipip;

@@ -32,6 +32,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
 use std::borrow::Cow;
@@ -39,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use sim::pktbuf::ByteSink;
-use sim::wire::{Reader, WireError};
+use sim::wire::WireError;
 use sim::{Bandwidth, SimDuration, SimTime};
 
 /// A 48-bit Ethernet MAC address.
@@ -207,18 +209,17 @@ impl EtherFrame {
     /// Decodes a frame. Padding is preserved in `payload`; length-aware
     /// upper layers (IPv4's total-length field) trim it.
     pub fn decode(bytes: &[u8]) -> Result<EtherFrame, WireError> {
-        let mut r = Reader::new(bytes);
-        let dst = MacAddr(r.take(6)?.try_into().expect("len checked"));
-        let src = MacAddr(r.take(6)?.try_into().expect("len checked"));
-        let ethertype = EtherType::from_code(r.u16()?);
-        let payload = r.rest().to_vec();
+        let (&dst, rest) = bytes.split_first_chunk::<6>().ok_or(WireError::Truncated)?;
+        let (&src, rest) = rest.split_first_chunk::<6>().ok_or(WireError::Truncated)?;
+        let (&ty, rest) = rest.split_first_chunk::<2>().ok_or(WireError::Truncated)?;
+        let payload = rest.to_vec();
         if payload.len() > MTU {
             return Err(WireError::BadLength);
         }
         Ok(EtherFrame {
-            dst,
-            src,
-            ethertype,
+            dst: MacAddr(dst),
+            src: MacAddr(src),
+            ethertype: EtherType::from_code(u16::from_be_bytes(ty)),
             payload,
         })
     }
@@ -330,11 +331,7 @@ impl Segment {
         now: SimTime,
         mut deliver: impl FnMut(NicId, Cow<'_, EtherFrame>),
     ) {
-        while let Some((done, _, _)) = &self.in_flight {
-            if *done > now {
-                break;
-            }
-            let (done, from, frame) = self.in_flight.take().expect("checked some");
+        while let Some((done, from, frame)) = self.in_flight.take_if(|(done, _, _)| *done <= now) {
             let mut last = None;
             for (i, &mac) in self.nics.iter().enumerate() {
                 if NicId(i) == from {

@@ -1,53 +1,37 @@
-//! The filter engine: the §4.3 gate, then the compiled rules.
+//! The filter engine: the §4.3 gate on every packet.
 //!
-//! Every packet takes the same walk:
-//!
-//! 1. the §4.3 **gate**: foreign→amateur traffic without a live soft-state
-//!    entry is denied outright; amateur→foreign traffic opens/refreshes
-//!    the return entry (the paper's main mechanism);
-//! 2. the **compiled ruleset**: most-specific-match over the flattened
-//!    arrays (`crate::compiled`);
-//! 3. the **verdict**: the matched rule's action, counted.
+//! Foreign→amateur traffic without a live soft-state entry is denied
+//! outright; amateur→foreign traffic opens or refreshes the return
+//! entry (the paper's main mechanism); everything else is allowed.
 //!
 //! Nothing is memoized, so no table change needs invalidating: the next
-//! packet sees a gate open, close or expiry, or a rule swap, as it is.
+//! packet sees a gate open, close or expiry as it is.
 
 use netstack::icmp::IcmpMessage;
 use sim::SimTime;
 
-use crate::compiled::CompiledRuleset;
 use crate::gate::{is_amateur, ControlOutcome, GateConfig, GateTable, Mutation};
-use crate::rule::{Action, PacketMeta, Rule};
+use crate::rule::PacketMeta;
 
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterConfig {
-    /// §4.3 soft-state gate; `None` disables it (pure rule filter).
+    /// §4.3 soft-state gate; `None` disables it (every packet allowed).
     pub gate: Option<GateConfig>,
-    /// The rule table (order-independent; specificity decides).
-    pub rules: Vec<Rule>,
-    /// Action when no rule matches.
-    pub default_action: Action,
 }
 
 impl FilterConfig {
-    /// Everything allowed, no gate, no rules — policy-transparent: the
-    /// E1–E16 scenarios run byte-identically with this installed, which
-    /// the transparency test asserts.
+    /// Everything allowed, no gate — policy-transparent: the E1–E16
+    /// scenarios run byte-identically with this installed, which the
+    /// transparency test asserts.
     pub fn permissive() -> FilterConfig {
-        FilterConfig {
-            gate: None,
-            rules: Vec::new(),
-            default_action: Action::Allow,
-        }
+        FilterConfig { gate: None }
     }
 
-    /// The paper's gateway posture: §4.3 gate on with defaults, no
-    /// extra rules.
+    /// The paper's gateway posture: §4.3 gate on with defaults.
     pub fn gateway() -> FilterConfig {
         FilterConfig {
             gate: Some(GateConfig::default()),
-            ..FilterConfig::permissive()
         }
     }
 }
@@ -75,11 +59,11 @@ pub struct FilterStats {
     /// Always 0: the engine keeps no decision cache. Kept, with
     /// `cache_misses`, because the benchmark harness still reads both.
     pub cache_hits: u64,
-    /// Evaluations: every packet pays the full walk.
+    /// Evaluations: every packet is judged afresh.
     pub cache_misses: u64,
     /// Final allow verdicts.
     pub allowed: u64,
-    /// Final deny verdicts (all causes).
+    /// Final deny verdicts (each one also a `gate_denied`).
     pub denied: u64,
     /// Denials because no live gate entry admitted the foreign source.
     pub gate_denied: u64,
@@ -97,31 +81,27 @@ pub struct FilterStats {
     pub auth_failures: u64,
 }
 
-/// The compiled packet-filter engine (DESIGN.md §13).
+/// The §4.3 packet-filter engine (DESIGN.md §13).
 #[derive(Debug)]
 pub struct FilterEngine {
-    rules: CompiledRuleset,
     gate: Option<GateTable>,
-    /// Verdict-changing mutations so far: rule swaps, gate opens and
-    /// gate closes.
+    /// Verdict-changing mutations so far: gate opens and gate closes.
     generation: u32,
     stats: FilterStats,
 }
 
 impl FilterEngine {
-    /// Builds the engine, compiling the configured rules.
+    /// Builds the engine.
     pub fn new(cfg: FilterConfig) -> FilterEngine {
         FilterEngine {
-            rules: CompiledRuleset::compile(&cfg.rules, cfg.default_action),
             gate: cfg.gate.map(GateTable::new),
             generation: 0,
             stats: FilterStats::default(),
         }
     }
 
-    /// Judges one packet: gate, rule walk, verdict. This is the
-    /// per-packet hot path, allocation-free (asserted by the
-    /// `filter_eval` ratchets).
+    /// Judges one packet at the gate. This is the per-packet hot path,
+    /// allocation-free (asserted by the `filter_eval` ratchet).
     #[inline]
     pub fn eval(&mut self, now: SimTime, m: &PacketMeta) -> Verdict {
         self.stats.cache_misses += 1;
@@ -138,11 +118,10 @@ impl FilterEngine {
                 }
             } else if !src_am && dst_am && !g.is_live(now, m.dst, m.src) {
                 self.stats.gate_denied += 1;
-                return self.apply(Action::Deny);
+                return self.apply(Verdict::Deny);
             }
         }
-        let action = self.rules.walk(m).action;
-        self.apply(action)
+        self.apply(Verdict::Allow)
     }
 
     /// Counts one verdict-changing mutation.
@@ -150,13 +129,9 @@ impl FilterEngine {
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// Turns a matched action into a final verdict, counting it.
+    /// Counts a final verdict and returns it.
     #[inline]
-    fn apply(&mut self, action: Action) -> Verdict {
-        let v = match action {
-            Action::Allow => Verdict::Allow,
-            Action::Deny => Verdict::Deny,
-        };
+    fn apply(&mut self, v: Verdict) -> Verdict {
         match v {
             Verdict::Allow => self.stats.allowed += 1,
             Verdict::Deny => self.stats.denied += 1,
@@ -196,13 +171,6 @@ impl FilterEngine {
         outcome
     }
 
-    /// Replaces the rule table (recompiles; counts a generation).
-    pub fn set_rules(&mut self, rules: &[Rule]) {
-        let default_action = self.rules.default_action();
-        self.rules = CompiledRuleset::compile(rules, default_action);
-        self.bump_generation();
-    }
-
     // --- Soft-state maintenance ---------------------------------------------
 
     /// Sweeps expired gate entries (called when
@@ -228,8 +196,7 @@ impl FilterEngine {
         self.stats
     }
 
-    /// Verdict-changing mutations so far: rule swaps, gate opens and
-    /// gate closes.
+    /// Verdict-changing mutations so far: gate opens and gate closes.
     pub fn generation(&self) -> u32 {
         self.generation
     }
@@ -332,17 +299,6 @@ mod tests {
         assert_eq!(e.on_gate_message(t0, true, &close), ControlOutcome::Applied);
         assert_eq!(e.generation(), gen + 1);
         assert_eq!(e.eval(t0, &meta(FO, AM, 6)), Verdict::Deny);
-    }
-
-    #[test]
-    fn set_rules_takes_effect_on_the_next_packet() {
-        let mut e = FilterEngine::new(FilterConfig::permissive());
-        let t0 = SimTime::ZERO;
-        let m = meta([1, 2, 3, 4], [5, 6, 7, 8], 6);
-        assert_eq!(e.eval(t0, &m), Verdict::Allow);
-        e.set_rules(&[Rule::any(Action::Deny)]);
-        assert_eq!(e.generation(), 1);
-        assert_eq!(e.eval(t0, &m), Verdict::Deny);
     }
 
     #[test]

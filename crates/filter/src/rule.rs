@@ -1,95 +1,16 @@
-//! The rule model: what the gateway operator writes, before compilation.
+//! The per-packet facts the gate judges, read once at the hook point.
 //!
-//! A [`Rule`] is the human-shaped policy line — prefixes, an optional
-//! protocol, an optional destination-port range, and an [`Action`]. The
-//! engine never evaluates rules in this form: [`crate::FilterEngine`]
-//! compiles them into flattened match arrays (DESIGN.md §13) and the
-//! naive interpreter in [`crate::NaiveInterpreter`] keeps this form as
-//! the executable reference spec.
-//!
-//! Match discipline: **most specific wins**, exactly the longest-prefix
-//! discipline of `netstack::route::RouteTable` — the rule with the
-//! longest combined `src.len + dst.len` that matches the packet is
-//! applied, ties broken by insertion order (earlier wins). There is no
-//! separate priority field; specificity *is* the priority, so a /32
-//! block of one abusive host always beats a /8 allow of the whole
-//! network no matter where it sits in the list.
+//! [`PacketMeta`] is what the radio driver's `rint` and `output` hooks
+//! hand [`crate::FilterEngine::eval`]: the addresses the §4.3 gate keys
+//! its `(amateur, foreign)` pairs on, extracted from wire bytes or a
+//! decoded packet. The gate reads only `src` and `dst`; `proto`,
+//! `dport` and `has_port` are still filled in because the benchmark
+//! harness builds a `PacketMeta` by struct literal (ROADMAP 2(a)).
 
 use netstack::ip::Ipv4Packet;
-use netstack::route::Prefix;
 
-/// What to do with a matching packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Action {
-    /// Forward it.
-    #[default]
-    Allow,
-    /// Drop it.
-    Deny,
-}
-
-/// One policy line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rule {
-    /// Source prefix ([`Prefix::default_route`] matches anything).
-    pub src: Prefix,
-    /// Destination prefix.
-    pub dst: Prefix,
-    /// IP protocol, or `None` for any.
-    pub proto: Option<u8>,
-    /// Inclusive destination-port range (TCP/UDP first fragments only);
-    /// `None` matches packets with or without ports.
-    pub dports: Option<(u16, u16)>,
-    /// The verdict when this rule is the most specific match.
-    pub action: Action,
-}
-
-impl Rule {
-    /// A match-anything rule with the given action.
-    pub fn any(action: Action) -> Rule {
-        Rule {
-            src: Prefix::default_route(),
-            dst: Prefix::default_route(),
-            proto: None,
-            dports: None,
-            action,
-        }
-    }
-
-    /// Narrows the source prefix.
-    pub fn from(mut self, src: Prefix) -> Rule {
-        self.src = src;
-        self
-    }
-
-    /// Narrows the destination prefix.
-    pub fn to(mut self, dst: Prefix) -> Rule {
-        self.dst = dst;
-        self
-    }
-
-    /// Narrows to one IP protocol.
-    pub fn proto(mut self, proto: u8) -> Rule {
-        self.proto = Some(proto);
-        self
-    }
-
-    /// Narrows to an inclusive destination-port range.
-    pub fn dports(mut self, lo: u16, hi: u16) -> Rule {
-        self.dports = Some((lo, hi));
-        self
-    }
-
-    /// Combined prefix specificity — the match-priority key shared with
-    /// the route table's longest-prefix discipline.
-    pub fn specificity(&self) -> u16 {
-        u16::from(self.src.len) + u16::from(self.dst.len)
-    }
-}
-
-/// The per-packet facts the filter matches on, extracted once at the
-/// hook point so both the driver (wire bytes) and the stack (decoded
-/// packets) feed the same hot path.
+/// The per-packet facts the filter judges, extracted once at the hook
+/// point so wire bytes and decoded packets feed the same hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketMeta {
     /// Source address, host byte order.
@@ -106,10 +27,10 @@ pub struct PacketMeta {
 }
 
 impl PacketMeta {
-    /// Extracts the match fields straight from wire bytes — the
-    /// `rint` hook, where the datagram has not been decoded (or even
-    /// copied) yet. Returns `None` for anything too short or non-IPv4;
-    /// the caller drops those as bad frames exactly as before.
+    /// Extracts the fields straight from wire bytes — the `rint` hook,
+    /// where the datagram has not been decoded (or even copied) yet.
+    /// Returns `None` for anything too short or non-IPv4; the caller
+    /// passes those on unjudged, to the stack's own input validation.
     #[inline]
     pub fn parse(bytes: &[u8]) -> Option<PacketMeta> {
         if bytes.len() < 20 || bytes[0] >> 4 != 4 {
@@ -134,9 +55,8 @@ impl PacketMeta {
         Some(meta)
     }
 
-    /// Extracts the match fields from a decoded packet — the forward
-    /// and encapsulate hooks, where the stack already holds an
-    /// [`Ipv4Packet`].
+    /// Extracts the match fields from a decoded packet — the `output`
+    /// hook, where the stack already holds an [`Ipv4Packet`].
     #[inline]
     pub fn of(p: &Ipv4Packet) -> PacketMeta {
         let proto = p.proto.code();

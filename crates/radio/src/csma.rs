@@ -182,7 +182,9 @@ impl Csma {
             self.retry_at = Some(now + self.cfg.slot_time);
             return;
         }
-        let frame = self.queue.pop_front().expect("checked non-empty");
+        let Some(frame) = self.queue.pop_front() else {
+            return;
+        };
         let (end, retired) = ch.transmit(now, me, frame, self.cfg.overhead());
         if retired.capacity() > 0 {
             self.spares.push(retired);

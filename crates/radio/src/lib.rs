@@ -22,6 +22,8 @@
 //!   gateway-slowdown experiment (E2).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
 pub mod channel;

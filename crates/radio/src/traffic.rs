@@ -98,6 +98,7 @@ impl BeaconStation {
             let mut on_air = self.mac.take_buffer();
             on_air.reserve(info_end + 2);
             header.encode_into(&mut on_air);
+            #[allow(clippy::expect_used)] // io::Write for Vec<u8> is infallible
             write!(on_air, "de {} #{:06} ", self.cfg.from, self.seq)
                 .expect("writing to a Vec cannot fail");
             on_air.resize(info_end, b'.');

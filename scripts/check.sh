@@ -32,8 +32,8 @@ done
 # No explicit panic reachable from the wire (ROADMAP item 3, step 1): the
 # wire-facing crates already at zero deny them outside their tests, so
 # clippy below fails on a new one.
-echo "==> kiss serial socket netrom vj filter deny unwrap/expect/panic/unreachable"
-for crate in kiss serial socket netrom vj filter; do
+echo "==> kiss serial socket netrom vj filter encap ether radio deny unwrap/expect/panic/unreachable"
+for crate in kiss serial socket netrom vj filter encap ether radio; do
     for deny in '#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]' \
         '#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]'; do
         if ! grep -qxF "$deny" "crates/$crate/src/lib.rs"; then

@@ -11,10 +11,7 @@ use sim::SimDuration;
 
 fn gate_topology(gate: GateConfig, seed: u64) -> gateway::scenario::PaperScenario {
     let cfg = PaperConfig {
-        filter: Some(FilterConfig {
-            gate: Some(gate),
-            ..FilterConfig::permissive()
-        }),
+        filter: Some(FilterConfig { gate: Some(gate) }),
         ..PaperConfig::default()
     };
     paper_topology(cfg, seed)

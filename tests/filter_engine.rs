@@ -1,16 +1,15 @@
-//! E17's correctness side — the compiled packet-filter engine exercised
+//! E17's correctness side — the §4.3 packet-filter engine exercised
 //! end-to-end through the running gateway (DESIGN.md §13): the §4.3 gate
 //! enforced at the driver hooks, operator control over ICMP, and the
 //! transparency guarantee that a permissive engine leaves the simulated
 //! world's event stream untouched.
 
 use apps::ping::Pinger;
-use filter::{Action, FilterConfig, GateConfig, Rule};
+use filter::{FilterConfig, GateConfig};
 use gateway::scenario::{
     paper_topology, PaperConfig, ETHER_HOST_IP, GW_ETHER_IP, GW_RADIO_IP, PC_IP,
 };
 use netstack::icmp::{GateAuth, IcmpMessage};
-use netstack::route::Prefix;
 use sim::SimDuration;
 
 fn filtered(cfg: FilterConfig) -> PaperConfig {
@@ -97,13 +96,7 @@ fn foreign_side_control_requires_password() {
         operators: vec![("N7AKR".to_string(), "seattle".to_string())],
         ..Default::default()
     };
-    let mut s = paper_topology(
-        filtered(FilterConfig {
-            gate: Some(gate),
-            ..FilterConfig::permissive()
-        }),
-        1703,
-    );
+    let mut s = paper_topology(filtered(FilterConfig { gate: Some(gate) }), 1703);
 
     // Unauthenticated GateOpen from the Ethernet side: rejected.
     let now = s.world.now;
@@ -145,39 +138,6 @@ fn foreign_side_control_requires_password() {
     s.world.add_app(s.ether_host, Box::new(p));
     s.world.run_for(SimDuration::from_secs(60));
     assert_eq!(r.borrow().received, 1);
-}
-
-#[test]
-fn compiled_rules_police_traffic_the_gate_admitted() {
-    // A /32 deny of the Ethernet host must beat the gate's admission:
-    // specificity wins even for a solicited flow.
-    let mut cfg = FilterConfig::gateway();
-    cfg.rules = vec![Rule::any(Action::Deny).from(Prefix::new(ETHER_HOST_IP, 32))];
-    let mut s = paper_topology(filtered(cfg), 1704);
-
-    let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 2, 16);
-    s.world.run_for(SimDuration::from_secs(60));
-    // Outbound PC→ether passes (no rule matches that direction), the
-    // gate entry opens, but every reply transiting back toward the radio
-    // is killed by the /32 rule — the ping never completes.
-    let stats = s.world.host(s.gw).filter_stats().unwrap();
-    assert!(stats.gate_opened >= 1, "{stats:?}");
-    assert!(
-        stats.denied >= 1,
-        "rule denial despite open gate: {stats:?}"
-    );
-    let drops = s
-        .world
-        .host(s.gw)
-        .pr_driver()
-        .unwrap()
-        .stats()
-        .filter_drop_out;
-    assert!(
-        drops >= 1,
-        "denial landed at the radio output hook: {drops}"
-    );
 }
 
 #[test]

@@ -151,6 +151,7 @@ impl Ax25Addr {
     /// # Panics
     ///
     /// Panics if `s` is not a valid `CALL` or `CALL-SSID` string.
+    #[allow(clippy::expect_used)] // panicking on a bad literal is its contract
     pub fn parse_or_panic(s: &str) -> Ax25Addr {
         s.parse().expect("invalid AX.25 address literal")
     }
@@ -158,7 +159,7 @@ impl Ax25Addr {
     /// The conventional CQ/broadcast destination address.
     pub fn broadcast() -> Ax25Addr {
         Ax25Addr {
-            call: Callsign::new("QST").expect("QST is valid"),
+            call: Callsign(*b"QST   "),
             ssid: 0,
         }
     }

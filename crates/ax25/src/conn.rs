@@ -466,8 +466,10 @@ impl Connection {
     /// Transmits queued data while the window is open.
     fn pump(&mut self, now: SimTime) -> Vec<ConnEvent> {
         let mut ev = Vec::new();
-        while !self.peer_busy && self.in_flight() < WINDOW && !self.send_queue.is_empty() {
-            let data = self.send_queue.pop_front().expect("checked non-empty");
+        while !self.peer_busy && self.in_flight() < WINDOW {
+            let Some(data) = self.send_queue.pop_front() else {
+                break;
+            };
             let ns = self.vs;
             self.vs = (self.vs + 1) % 8;
             self.unacked.push_back((ns, data.clone()));

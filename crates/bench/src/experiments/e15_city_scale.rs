@@ -19,15 +19,22 @@
 //! The window coordinator's counters follow the table: windows run,
 //! shards stepped per window, deliveries queued and the pending peak.
 //!
-//! Knobs: `E15_GATEWAYS` (default 250), `E15_HOSTS` (default 40 per
-//! island), `E15_SECONDS` (default 20). The largest city the mesh
-//! builder takes is `E15_GATEWAYS=1000 E15_HOSTS=97` — ~100k hosts.
+//! The city is 250 islands of 40 stations each, run for 20 simulated
+//! seconds. The largest city the mesh builder takes is 1000 islands of
+//! 97 — ~100k hosts.
 
 use apps::ping::Pinger;
 use bench::report::Report;
-use bench::{drain_event_digest, env_usize};
+use bench::drain_event_digest;
 use gateway::scenario::{self, city};
 use sim::SimDuration;
+
+/// Islands in the city.
+const GATEWAYS: usize = 250;
+/// Stations per island besides its gateway.
+const HOSTS_PER_GW: usize = 40;
+/// Simulated seconds.
+const SECS: u64 = 20;
 
 /// Builds the city and wires the traffic: host 0 of every island pings
 /// host 0 of the next island (two pings, starts staggered island by
@@ -49,9 +56,6 @@ fn build(gateways: usize, hosts_per_gw: usize, seed: u64) -> scenario::MeshNet {
 }
 
 pub fn run(x: &mut Report) {
-    let gateways = env_usize("E15_GATEWAYS", 250);
-    let hosts_per_gw = env_usize("E15_HOSTS", 40);
-    let secs = env_usize("E15_SECONDS", 20) as u64;
     let seed = 1988;
 
     x.banner(
@@ -62,14 +66,14 @@ pub fn run(x: &mut Report) {
          event logs bit-identical to the reference stepper's",
     );
     x.text(format_args!(
-        "({gateways} islands x {} stations = {} simulated machines, {secs} s simulated)\n",
-        hosts_per_gw + 1,
-        gateways * (hosts_per_gw + 1) + 1,
+        "({GATEWAYS} islands x {} stations = {} simulated machines, {SECS} s simulated)\n",
+        HOSTS_PER_GW + 1,
+        GATEWAYS * (HOSTS_PER_GW + 1) + 1,
     ));
 
-    let mut m = build(gateways, hosts_per_gw, seed);
+    let mut m = build(GATEWAYS, HOSTS_PER_GW, seed);
     m.world
-        .run_until_reference(sim::SimTime::from_millis(secs * 1000));
+        .run_until_reference(sim::SimTime::from_millis(SECS * 1000));
     let (reference, n, replies) = drain_event_digest(&mut m.world);
     x.row(&[
         ("engine", &"reference"),
@@ -79,8 +83,8 @@ pub fn run(x: &mut Report) {
     ]);
     drop(m);
 
-    let mut m = build(gateways, hosts_per_gw, seed);
-    m.world.run_for(SimDuration::from_secs(secs));
+    let mut m = build(GATEWAYS, HOSTS_PER_GW, seed);
+    m.world.run_for(SimDuration::from_secs(SECS));
     let (sharded, n, replies) = drain_event_digest(&mut m.world);
     let mb = m.world.mailbox_stats();
     x.row(&[
@@ -109,7 +113,7 @@ pub fn run(x: &mut Report) {
 
     let e = m.world.engine_stats();
     x.text(format_args!(
-        "\nwindow coordinator: {} windows, {:.2} of {gateways} shards stepped per window, \
+        "\nwindow coordinator: {} windows, {:.2} of {GATEWAYS} shards stepped per window, \
          {} deliveries queued, pending peak {}",
         e.windows,
         e.shards_stepped as f64 / e.windows as f64,

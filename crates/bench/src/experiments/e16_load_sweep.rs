@@ -20,62 +20,55 @@
 //!    latency and timeouts climb, and channel utilization pins. This is
 //!    the "as the number of users of this network grows" (§5) sweep.
 //!
-//! Knobs: `E16_GATEWAYS` (default 4), `E16_HOSTS` (default 4 per island),
-//! `E16_SECONDS` (default 150 simulated) — the configuration the golden
-//! records; city scale is `E16_GATEWAYS=250 E16_HOSTS=40 E16_SECONDS=120`
-//! (10,251 simulated machines, about a minute). `E16_CLIENTS` (clients per
-//! island, default 1), `E16_SWEEP=0` to skip phase 2.
+//! The mesh is 4 islands of 4 stations each with one client per island,
+//! run for 150 simulated seconds.
 
 use bench::report::Report;
-use bench::{drain_event_digest, env_usize};
+use bench::drain_event_digest;
 use gateway::scenario::{self, MeshNet};
 use sim::{SimDuration, SimTime};
 use workload::load::{Arrival, Mix, Pacing};
 use workload::report::EngineTelemetry;
 use workload::{deploy, Fleet, FleetSpec};
 
-struct Cfg {
-    gateways: usize,
-    hosts: usize,
-    secs: u64,
-    clients: usize,
-}
+/// Islands in the mesh.
+const GATEWAYS: usize = 4;
+/// Stations per island besides its gateway.
+const HOSTS: usize = 4;
+/// Simulated seconds of every run.
+const SECS: u64 = 150;
+/// Fleet clients per island.
+const CLIENTS: usize = 1;
 
-fn base_spec(cfg: &Cfg) -> FleetSpec {
+fn base_spec() -> FleetSpec {
     FleetSpec {
         seed: 1988,
-        clients_per_island: cfg.clients,
+        clients_per_island: CLIENTS,
         sessions_per_client: 3,
         pacing: Pacing::Closed(Arrival::Poisson(SimDuration::from_secs(20))),
         mix: Mix::balanced(),
         start_window: SimDuration::from_secs(10),
         session_timeout: SimDuration::from_secs(60),
-        ..FleetSpec::default()
     }
 }
 
-fn build(cfg: &Cfg, spec: &FleetSpec) -> (MeshNet, Fleet) {
-    let mut m = scenario::mesh(cfg.gateways, cfg.hosts, spec.seed);
+fn build(spec: &FleetSpec) -> (MeshNet, Fleet) {
+    let mut m = scenario::mesh(GATEWAYS, HOSTS, spec.seed);
     let fleet = deploy(&mut m, spec);
     (m, fleet)
 }
 
 /// One full run on the sharded engine or, if `!sharded`, the reference
 /// stepper; returns (event digest, events, report, fleet, telemetry).
-fn simulate(
-    cfg: &Cfg,
-    spec: &FleetSpec,
-    sharded: bool,
-) -> (u64, usize, String, Fleet, EngineTelemetry) {
-    let (mut m, fleet) = build(cfg, spec);
+fn simulate(spec: &FleetSpec, sharded: bool) -> (u64, usize, String, Fleet, EngineTelemetry) {
+    let (mut m, fleet) = build(spec);
     if sharded {
-        m.world.run_for(SimDuration::from_secs(cfg.secs));
+        m.world.run_for(SimDuration::from_secs(SECS));
     } else {
-        m.world
-            .run_until_reference(SimTime::from_millis(cfg.secs * 1000));
+        m.world.run_until_reference(SimTime::from_millis(SECS * 1000));
     }
     let (digest, events, _) = drain_event_digest(&mut m.world);
-    let span = SimDuration::from_secs(cfg.secs);
+    let span = SimDuration::from_secs(SECS);
     let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
     let telemetry = EngineTelemetry::gather(&m);
     (digest, events, report, fleet, telemetry)
@@ -86,14 +79,6 @@ fn q_ms(us: Option<u64>) -> String {
 }
 
 pub fn run(x: &mut Report) {
-    let cfg = Cfg {
-        gateways: env_usize("E16_GATEWAYS", 4),
-        hosts: env_usize("E16_HOSTS", 4),
-        secs: env_usize("E16_SECONDS", 150) as u64,
-        clients: env_usize("E16_CLIENTS", 1),
-    };
-    let do_sweep = env_usize("E16_SWEEP", 1) == 1;
-
     x.banner(
         "E16",
         "load-model fleets: mixed socket-app traffic on the sharded engine",
@@ -103,21 +88,21 @@ pub fn run(x: &mut Report) {
     );
     x.text(format_args!(
         "({} islands x {} stations = {} simulated machines, {} client(s)/island, {} s simulated)\n",
-        cfg.gateways,
-        cfg.hosts + 1,
-        cfg.gateways * (cfg.hosts + 1) + 1,
-        cfg.clients,
-        cfg.secs,
+        GATEWAYS,
+        HOSTS + 1,
+        GATEWAYS * (HOSTS + 1) + 1,
+        CLIENTS,
+        SECS,
     ));
 
     // --- Phase 1: equivalence under fleet load --------------------------
-    let spec = base_spec(&cfg);
+    let spec = base_spec();
     let mut digests = Vec::new();
     let mut reports = Vec::new();
     let mut handoffs_consumed = true;
     let mut first_telemetry = None;
     for (name, sharded) in [("reference", false), ("sharded", true)] {
-        let (digest, events, report, fleet, telemetry) = simulate(&cfg, &spec, sharded);
+        let (digest, events, report, fleet, telemetry) = simulate(&spec, sharded);
         if sharded {
             let mb = telemetry.mailboxes;
             handoffs_consumed &= mb.pushed > 0 && mb.pushed == mb.popped;
@@ -169,78 +154,76 @@ pub fn run(x: &mut Report) {
     }
 
     // --- Phase 2: knee of the curve --------------------------------------
-    if do_sweep {
-        let mixes = [Mix::interactive(), Mix::bulk(), Mix::resolve()];
-        let intensities: [(&str, Pacing); 3] = [
-            (
-                "light",
-                Pacing::Closed(Arrival::Poisson(SimDuration::from_secs(45))),
-            ),
-            (
-                "steady",
-                Pacing::Closed(Arrival::Poisson(SimDuration::from_secs(12))),
-            ),
-            (
-                "overload",
-                Pacing::Open(Arrival::Poisson(SimDuration::from_secs(15))),
-            ),
-        ];
-        x.text(format_args!(
-            "\nknee of the curve (sharded engine; open-loop overload pushes past it):\n"
-        ));
-        let mut overload_backs_up = true;
-        let mut offered_covers_carried = true;
-        for mix in &mixes {
-            let mut p95s = Vec::new();
-            for (label, pacing) in &intensities {
-                let spec = FleetSpec {
-                    mix: mix.clone(),
-                    pacing: *pacing,
-                    ..base_spec(&cfg)
-                };
-                let (_, _, _, fleet, telemetry) = simulate(&cfg, &spec, true);
-                let mut total = workload::report::FlowRecorder::new();
-                for r in &fleet.merged() {
-                    total.merge(r);
-                }
-                let span = SimDuration::from_secs(cfg.secs).as_secs_f64();
-                x.row(&[
-                    ("mix", &mix.name),
-                    ("intensity", label),
-                    ("started", &total.started),
-                    ("done", &total.completed),
-                    ("t/o", &total.timeouts),
-                    ("err", &total.errors),
-                    (
-                        "goodput B/s",
-                        &format_args!("{:.1}", total.goodput_bytes as f64 / span),
-                    ),
-                    ("p50 ms", &q_ms(total.latency.p50())),
-                    ("p95 ms", &q_ms(total.latency.p95())),
-                    ("p99 ms", &q_ms(total.latency.p99())),
-                    ("util %", &format_args!("{:.1}", telemetry.chan_util_mean)),
-                    (
-                        "offered %",
-                        &format_args!("{:.1}", telemetry.chan_offered_mean),
-                    ),
-                ]);
-                p95s.push(total.latency.p95());
-                offered_covers_carried &= telemetry.chan_offered_mean >= telemetry.chan_util_mean;
+    let mixes = [Mix::interactive(), Mix::bulk(), Mix::resolve()];
+    let intensities: [(&str, Pacing); 3] = [
+        (
+            "light",
+            Pacing::Closed(Arrival::Poisson(SimDuration::from_secs(45))),
+        ),
+        (
+            "steady",
+            Pacing::Closed(Arrival::Poisson(SimDuration::from_secs(12))),
+        ),
+        (
+            "overload",
+            Pacing::Open(Arrival::Poisson(SimDuration::from_secs(15))),
+        ),
+    ];
+    x.text(format_args!(
+        "\nknee of the curve (sharded engine; open-loop overload pushes past it):\n"
+    ));
+    let mut overload_backs_up = true;
+    let mut offered_covers_carried = true;
+    for mix in &mixes {
+        let mut p95s = Vec::new();
+        for (label, pacing) in &intensities {
+            let spec = FleetSpec {
+                mix: mix.clone(),
+                pacing: *pacing,
+                ..base_spec()
+            };
+            let (_, _, _, fleet, telemetry) = simulate(&spec, true);
+            let mut total = workload::report::FlowRecorder::new();
+            for r in &fleet.merged() {
+                total.merge(r);
             }
-            // light, steady, overload.
-            overload_backs_up &= p95s[2] >= p95s[1] && p95s[2] >= p95s[0];
+            let span = SimDuration::from_secs(SECS).as_secs_f64();
+            x.row(&[
+                ("mix", &mix.name),
+                ("intensity", label),
+                ("started", &total.started),
+                ("done", &total.completed),
+                ("t/o", &total.timeouts),
+                ("err", &total.errors),
+                (
+                    "goodput B/s",
+                    &format_args!("{:.1}", total.goodput_bytes as f64 / span),
+                ),
+                ("p50 ms", &q_ms(total.latency.p50())),
+                ("p95 ms", &q_ms(total.latency.p95())),
+                ("p99 ms", &q_ms(total.latency.p99())),
+                ("util %", &format_args!("{:.1}", telemetry.chan_util_mean)),
+                (
+                    "offered %",
+                    &format_args!("{:.1}", telemetry.chan_offered_mean),
+                ),
+            ]);
+            p95s.push(total.latency.p95());
+            offered_covers_carried &= telemetry.chan_offered_mean >= telemetry.chan_util_mean;
         }
-        x.end_table();
-        x.claim(
-            "§5",
-            "as load grows past the knee sessions back up: for every mix the open-loop overload p95 latency is at least the light and the steady closed-loop p95",
-            overload_backs_up,
-        );
-        x.claim(
-            "§5",
-            "at every sweep point the airtime offered to the channels is at least the airtime they carry",
-            offered_covers_carried,
-        );
+        // light, steady, overload.
+        overload_backs_up &= p95s[2] >= p95s[1] && p95s[2] >= p95s[0];
     }
+    x.end_table();
+    x.claim(
+        "§5",
+        "as load grows past the knee sessions back up: for every mix the open-loop overload p95 latency is at least the light and the steady closed-loop p95",
+        overload_backs_up,
+    );
+    x.claim(
+        "§5",
+        "at every sweep point the airtime offered to the channels is at least the airtime they carry",
+        offered_covers_carried,
+    );
 
 }

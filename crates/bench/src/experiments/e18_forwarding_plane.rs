@@ -19,17 +19,23 @@
 //!    What each lookup costs is the benchmark harness's
 //!    `netstack.lpm.lookup_ns` / `netstack.lpm.linear_ns`.
 //!
-//! Knobs: `E18_GATEWAYS` (default 48), `E18_HOSTS` (default 3 per
-//! island), `E18_SECONDS` (default 40). `E18_GATEWAYS=1000` gives
-//! ~1000-route gateway tables.
+//! The mesh is 48 islands of 3 stations each, run for 40 simulated
+//! seconds.
 
 use apps::ping::Pinger;
 use bench::report::Report;
-use bench::{drain_event_digest, env_usize};
+use bench::drain_event_digest;
 use gateway::scenario::{self, city, MeshOptions};
 use netstack::route::{Prefix, RouteTable};
 use sim::SimDuration;
 use std::net::Ipv4Addr;
+
+/// Islands in the mesh.
+const GATEWAYS: usize = 48;
+/// Stations per island besides its gateway.
+const HOSTS_PER_GW: usize = 3;
+/// Simulated seconds of the mesh run.
+const SECS: u64 = 40;
 
 /// A route table shaped like a converged E18 gateway's: `n` island
 /// `/24`s plus the default toward the wired internet.
@@ -91,9 +97,6 @@ fn build(gateways: usize, hosts_per_gw: usize, seed: u64) -> scenario::MeshNet {
 }
 
 pub fn run(x: &mut Report) {
-    let gateways = env_usize("E18_GATEWAYS", 48);
-    let hosts_per_gw = env_usize("E18_HOSTS", 3);
-    let secs = env_usize("E18_SECONDS", 40) as u64;
     let seed = 2244;
 
     x.banner(
@@ -126,14 +129,14 @@ pub fn run(x: &mut Report) {
 
     // --- The full-table mesh --------------------------------------------
     x.text(format_args!(
-        "full-table mesh: {gateways} islands x {} stations, {}+ routes per \
-         gateway, {secs} s simulated\n",
-        hosts_per_gw + 1,
-        gateways + 1,
+        "full-table mesh: {GATEWAYS} islands x {} stations, {}+ routes per \
+         gateway, {SECS} s simulated\n",
+        HOSTS_PER_GW + 1,
+        GATEWAYS + 1,
     ));
-    let mut m = build(gateways, hosts_per_gw, seed);
+    let mut m = build(GATEWAYS, HOSTS_PER_GW, seed);
     m.world
-        .run_until_reference(sim::SimTime::from_millis(secs * 1000));
+        .run_until_reference(sim::SimTime::from_millis(SECS * 1000));
     let (d, n, replies) = drain_event_digest(&mut m.world);
     let (mut forwarded, mut ipip_out) = (0u64, 0u64);
     for &gw in &m.gateways {

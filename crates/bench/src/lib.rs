@@ -26,15 +26,6 @@ use netstack::stack::StackAction;
 use radio::channel::StationId;
 use sim::Bandwidth;
 
-/// A size knob from the environment (`E15_GATEWAYS`, `E16_SECONDS`, …):
-/// `default` when unset or unparsable.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Drains `world`'s event log: (its [`event_digest`], how many events,
 /// how many of them ping replies).
 pub fn drain_event_digest(world: &mut World) -> (u64, usize, usize) {

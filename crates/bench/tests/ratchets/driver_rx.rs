@@ -65,7 +65,7 @@ fn rint_frame_for_other() {
     let mut tx = Vec::new();
     let mut pool = DgramPool::new();
     let mut rint = || {
-        drv.rint_slice_in(SimTime::ZERO, &wire, &mut pool, None, &mut tx, |_, ev| {
+        drv.rint(SimTime::ZERO, &wire, &mut pool, None, &mut tx, |_, ev| {
             black_box(ev);
         });
         tx.clear();
@@ -449,7 +449,7 @@ fn arp_exchange_allocates_nothing() {
                 (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
             };
             let mut up = None;
-            to.rint_slice_in(now, from_tx, to_pool, None, to_tx, |_, ev| up = Some(ev));
+            to.rint(now, from_tx, to_pool, None, to_tx, |_, ev| up = Some(ev));
             from_tx.clear();
             if let Some(PrEvent::IpPacket(datagram)) = up {
                 // What the host does once its stack is done with it.

@@ -105,26 +105,6 @@ impl Cpu {
         self.charge(now, self.cfg.packet_cost)
     }
 
-    /// Charges `n` character interrupts all arriving at `now`; returns when
-    /// the last one completes.
-    ///
-    /// Exactly equivalent to `n` successive [`charge_char`](Cpu::charge_char)
-    /// calls at the same instant — sequential charges at one `now` collapse
-    /// to `busy = max(busy, now) + n·cost` — so the batched serial receive
-    /// path keeps the §3 cost model bit-identical while paying the
-    /// accounting in one step.
-    pub fn charge_chars(&mut self, now: SimTime, n: u64) -> SimTime {
-        if n == 0 {
-            return self.busy_until;
-        }
-        self.stats.char_interrupts += n;
-        let cost = self.cfg.char_cost;
-        let start = self.busy_until.max(now);
-        self.busy_until = start + cost * n;
-        self.stats.busy_ns += cost.as_nanos() * n;
-        self.busy_until
-    }
-
     /// Charges `n` character interrupts arriving back-to-back at uniform
     /// spacing: character `i` at `t0 + i·char_time`. Returns when the last
     /// completes.
@@ -242,38 +222,22 @@ mod tests {
     }
 
     #[test]
-    fn charge_chars_matches_iterated_charge_char() {
-        for (head_start_us, n) in [(0u64, 1u64), (0, 7), (5000, 3), (50, 12)] {
-            let mut bulk = Cpu::new(cfg(600, 2000));
-            let mut scalar = Cpu::new(cfg(600, 2000));
-            let warm = SimTime::from_micros(head_start_us);
-            if head_start_us > 0 {
-                bulk.charge_packet(SimTime::ZERO);
-                scalar.charge_packet(SimTime::ZERO);
-            }
-            let now = warm;
-            let mut last = SimTime::ZERO;
-            for _ in 0..n {
-                last = scalar.charge_char(now);
-            }
-            assert_eq!(bulk.charge_chars(now, n), last, "{head_start_us} {n}");
-            assert_eq!(bulk.busy_until(), scalar.busy_until());
-            assert_eq!(bulk.stats().char_interrupts, scalar.stats().char_interrupts);
-            assert_eq!(bulk.stats().busy_ns, scalar.stats().busy_ns);
-        }
-    }
-
-    #[test]
     fn charge_chars_paced_matches_iterated_charge_char() {
         // Every regime: CPU drains between chars (char_time > cost), work
         // queues (char_time < cost), exact pacing, and a busy head start
-        // that out-lasts part of the run.
+        // that out-lasts part of the run. The zero-spacing rows are a run
+        // of characters all arriving at one instant, before a head start
+        // or after it has drained.
         for (char_us, spacing_us, backlog_us, n) in [
             (600u64, 1042u64, 0u64, 8u64),
             (600, 1042, 20_000, 8),
             (600, 300, 0, 5),
             (600, 600, 1000, 4),
             (600, 1042, 3000, 1),
+            (600, 0, 0, 1),
+            (600, 0, 0, 7),
+            (600, 0, 300, 3),
+            (600, 0, 2000, 12),
         ] {
             let mut bulk = Cpu::new(cfg(char_us, backlog_us));
             let mut scalar = Cpu::new(cfg(char_us, backlog_us));
@@ -293,6 +257,7 @@ mod tests {
                 "{char_us} {spacing_us} {backlog_us} {n}"
             );
             assert_eq!(bulk.busy_until(), scalar.busy_until());
+            assert_eq!(bulk.stats().char_interrupts, scalar.stats().char_interrupts);
             assert_eq!(bulk.stats().busy_ns, scalar.stats().busy_ns);
         }
     }
@@ -301,7 +266,6 @@ mod tests {
     fn zero_chars_charge_nothing() {
         let mut cpu = Cpu::new(cfg(600, 0));
         let before = cpu.busy_until();
-        assert_eq!(cpu.charge_chars(SimTime::from_secs(1), 0), before);
         assert_eq!(
             cpu.charge_chars_paced(SimTime::from_secs(1), SimDuration::from_micros(1042), 0),
             before

@@ -286,68 +286,23 @@ impl Host {
 
     // --- Link input ---------------------------------------------------------
 
-    /// Receives serial characters from the TNC (the tty interrupt path).
+    /// Receives one line-paced run of serial characters from the TNC (the
+    /// tty interrupt path): character `i` arrives at `t0 + i·char_time`.
     ///
-    /// All characters are charged at `now`, through the batched deframer:
-    /// behavior and §3 accounting are bit-identical to the old per-byte
-    /// loop — character interrupts are charged in segments so each
-    /// completed frame's packet processing starts exactly when its closing
-    /// `FEND`'s interrupt retires.
-    pub fn on_serial_bytes(&mut self, now: SimTime, bytes: &[u8]) {
-        if self.down {
-            return;
-        }
-        let Some((iface, drv)) = self.pr.as_mut() else {
-            // No radio driver: the tty still takes every interrupt.
-            self.cpu.charge_chars(now, bytes.len() as u64);
-            return;
-        };
-        let iface = *iface;
-        let cpu = &mut self.cpu;
-        let input_queue = &mut self.input_queue;
-        let tty_queue = &mut self.tty_queue;
-        let mut charged = 0usize;
-        let mut iqdrops = 0u64;
-        drv.rint_slice_in(
-            now,
-            bytes,
-            self.stack.pool_mut(),
-            self.filter.as_mut(),
-            &mut self.tty_outq,
-            |idx, event| {
-                let after_char = cpu.charge_chars(now, (idx + 1 - charged) as u64);
-                charged = idx + 1;
-                match event {
-                    PrEvent::IpPacket(ip_bytes) => {
-                        let ready = cpu.charge_packet(after_char);
-                        if !input_queue.push(ready, (iface, ip_bytes)) {
-                            iqdrops += 1;
-                        }
-                    }
-                    PrEvent::Divert(frame) => {
-                        tty_queue.push_back(frame);
-                    }
-                }
-            },
-        );
-        self.cpu.charge_chars(now, (bytes.len() - charged) as u64);
-        if iqdrops > 0 {
-            drv.ifnet.stats.iqdrops += iqdrops;
-        }
-    }
-
-    /// Receives one line-paced run of serial characters: character `i`
-    /// arrives at `t0 + i·char_time`.
-    ///
-    /// This is how the indexed engine delivers every serial line (DESIGN.md
-    /// §6): a whole run of back-to-back characters in one call. It is
-    /// exactly equivalent to calling
-    /// [`on_serial_bytes`](Host::on_serial_bytes) per character at its own
-    /// arrival instant, **provided** no byte before the last can complete a
-    /// frame — `serial::SerialLine::take_run` guarantees that by ending
-    /// runs at closing `FEND` bytes (only a `FEND` can close a frame, and
-    /// one that directly follows a `FEND` this host saw finds the deframer
-    /// empty; [`Host::set_down`] keeps that true across a power cycle).
+    /// This is the host's one entry for serial bytes (DESIGN.md §6): the
+    /// indexed engine delivers every serial line as such runs, and the
+    /// reference stepper delivers the characters due at one instant as a
+    /// run at `SimDuration::ZERO` pace. Every character is charged as its
+    /// own interrupt, in segments, so each completed frame's packet
+    /// processing starts exactly when its closing `FEND`'s interrupt
+    /// retires — the same §3 accounting as one call per character at its
+    /// own arrival instant. A paced run must end at its only frame
+    /// boundary, because [`PacketRadioDriver::rint`] stamps every frame of
+    /// a call with one instant: `serial::SerialLine::take_run` guarantees
+    /// that by ending runs at closing `FEND` bytes (only a `FEND` can close
+    /// a frame, and one that directly follows a `FEND` this host saw finds
+    /// the deframer empty; [`Host::set_down`] keeps that true across a
+    /// power cycle).
     ///
     /// Returns whether the run did anything beyond CPU accounting and
     /// driver counters: a frame passed the address test, an event went to
@@ -366,28 +321,35 @@ impl Host {
         }
         let n = bytes.len() as u64;
         let Some((iface, drv)) = self.pr.as_mut() else {
+            // No radio driver: the tty still takes every interrupt.
             self.cpu.charge_chars_paced(t0, char_time, n);
             return false;
         };
         let iface = *iface;
         let (accepted, sent) = (drv.ifnet.stats.ipackets, self.tty_outq.len());
-        let after_last = self.cpu.charge_chars_paced(t0, char_time, n);
-        let t_last = t0 + char_time * (n - 1);
         let cpu = &mut self.cpu;
         let input_queue = &mut self.input_queue;
         let tty_queue = &mut self.tty_queue;
+        let mut charged = 0u64;
         let mut iqdrops = 0u64;
-        drv.rint_slice_in(
-            t_last,
+        drv.rint(
+            t0 + char_time * (n - 1),
             bytes,
             self.stack.pool_mut(),
             self.filter.as_mut(),
             &mut self.tty_outq,
             |idx, event| {
-                debug_assert_eq!(idx, bytes.len() - 1, "runs must end at frame boundaries");
+                debug_assert!(
+                    char_time.is_zero() || idx + 1 == bytes.len(),
+                    "paced runs must end at frame boundaries"
+                );
+                let closed = idx as u64 + 1;
+                let at = t0 + char_time * charged;
+                let after_char = cpu.charge_chars_paced(at, char_time, closed - charged);
+                charged = closed;
                 match event {
                     PrEvent::IpPacket(ip_bytes) => {
-                        let ready = cpu.charge_packet(after_last);
+                        let ready = cpu.charge_packet(after_char);
                         if !input_queue.push(ready, (iface, ip_bytes)) {
                             iqdrops += 1;
                         }
@@ -398,6 +360,8 @@ impl Host {
                 }
             },
         );
+        self.cpu
+            .charge_chars_paced(t0 + char_time * charged, char_time, n - charged);
         if iqdrops > 0 {
             drv.ifnet.stats.iqdrops += iqdrops;
         }
@@ -897,7 +861,7 @@ mod tests {
         let frame = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip.encode());
         let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
         let now = SimTime::ZERO;
-        h.on_serial_bytes(now, &wire);
+        h.on_serial_run(now, sim::SimDuration::ZERO, &wire);
         assert_eq!(h.input_queue_len(), 1);
         // Not processed until the CPU is done.
         h.advance(now);
@@ -915,7 +879,7 @@ mod tests {
         let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
         let frame = Frame::ui(a("KB7DZ"), a("W1GOH"), Pid::Text, b"hello om".to_vec());
         let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
-        h.on_serial_bytes(SimTime::ZERO, &wire);
+        h.on_serial_run(SimTime::ZERO, sim::SimDuration::ZERO, &wire);
         let frames = h.take_tty_frames();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].info, b"hello om");
@@ -1001,7 +965,7 @@ mod tests {
         );
         let frame = Frame::ui(a("N7AKR-1"), a("KB7DZ"), ax25::frame::Pid::Ip, am.encode());
         let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
-        gw.on_serial_bytes(now, &wire);
+        gw.on_serial_run(now, sim::SimDuration::ZERO, &wire);
         let ready = gw.next_deadline().expect("queued work");
         gw.advance(ready);
         assert_eq!(gw.filter_stats().unwrap().gate_opened, 1);
@@ -1104,9 +1068,120 @@ mod tests {
         assert!(f.dst.is_broadcast());
     }
 
+    /// A KISS byte stream of the frames `kinds` names, one arm each; `noise`
+    /// varies the junk and the escape-dense bodies.
+    fn unpaced_stream(kinds: &[usize], noise: u64) -> Vec<u8> {
+        use crate::hwaddr::Ax25Hw;
+        use netstack::arp::{hw_type, ArpPacket};
+        let (me, gw) = (Ipv4Addr::new(44, 24, 0, 5), Ipv4Addr::new(44, 24, 0, 28));
+        let ip = |payload: Vec<u8>| Ipv4Packet::new(gw, me, Proto::Udp, payload).encode();
+        let ui = |to: &str, pid, info| Frame::ui(a(to), a("N7AKR-1"), pid, info).encode();
+        let kiss = |ax25: &[u8]| kiss::encode(0, kiss::Command::Data, ax25);
+        let mut rng = sim::SimRng::seed_from(noise);
+        let mut out = Vec::new();
+        for &kind in kinds {
+            match kind {
+                0 => {
+                    let echo = netstack::icmp::IcmpMessage::EchoRequest {
+                        id: 1,
+                        seq: rng.below(100) as u16,
+                        payload: vec![7; 16],
+                    };
+                    let ping = Ipv4Packet::new(gw, me, Proto::Icmp, echo.encode()).encode();
+                    out.extend(kiss(&ui("KB7DZ", Pid::Ip, ping)));
+                }
+                1 => out.extend(kiss(&ui("W1GOH", Pid::Ip, ip(vec![7; 24])))),
+                2 => out.extend(kiss(&ui("QST", Pid::Ip, ip(vec![7; 8])))),
+                3 => {
+                    let relayed = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip(vec![7; 8]));
+                    out.extend(kiss(&relayed.via(&[a("RELAY")]).encode()));
+                }
+                4 => {
+                    let gw_hw = Ax25Hw::direct(a("N7AKR-1")).encode();
+                    let req = ArpPacket::request(hw_type::AX25, gw_hw, gw, me);
+                    out.extend(kiss(&ui("QST", Pid::Arp, req.encode())));
+                }
+                5 => out.extend((0..1 + rng.below(40)).map(|_| rng.below(256) as u8)),
+                6 => out.extend(std::iter::repeat_n(kiss::FEND, 2 + rng.below(5) as usize)),
+                7 => {
+                    let specials = [kiss::FEND, kiss::FESC, kiss::TFEND, kiss::TFESC];
+                    let body = (0..40).map(|_| specials[rng.below(4) as usize]).collect();
+                    let pid = if rng.below(2) == 0 {
+                        Pid::Ip
+                    } else {
+                        Pid::Text
+                    };
+                    let info = if pid == Pid::Ip { ip(body) } else { body };
+                    out.extend(kiss(&ui("KB7DZ", pid, info)));
+                }
+                _ => out.extend(kiss(&[0x45; kiss::Deframer::DEFAULT_MAX_LEN + 1])),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Frames arriving at one instant, as the reference stepper hands
+        /// them over, leave the host in one state whether they come as one
+        /// zero-pace run, one character at a time, or cut anywhere: the
+        /// run charges each frame's characters before its packet, as
+        /// per-character delivery does, whatever else shares the run.
+        #[test]
+        fn an_unpaced_run_is_per_character_delivery_however_it_is_cut(
+            kinds in proptest::collection::vec(0usize..9, 1..10),
+            noise in proptest::prelude::any::<u64>(),
+            cuts in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..8),
+        ) {
+            let stream = unpaced_stream(&kinds, noise);
+            let now = SimTime::from_millis(5);
+            let zero = sim::SimDuration::ZERO;
+            let mut whole = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+            whole.on_serial_run(now, zero, &stream);
+            let mut per_char = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+            for b in stream.chunks(1) {
+                per_char.on_serial_run(now, zero, b);
+            }
+            let mut chunked = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+            bounds.push(stream.len());
+            bounds.sort_unstable();
+            let mut from = 0;
+            for to in bounds {
+                chunked.on_serial_run(now, zero, &stream[from..to]);
+                from = to;
+            }
+            let delivered = |h: &mut Host| {
+                let drv = h.pr_driver().unwrap();
+                format!(
+                    "{:?} {:?} {:?} {:?} {} {:?} {:?}",
+                    drv.stats(),
+                    drv.deframer_stats(),
+                    h.cpu.stats(),
+                    h.cpu.busy_until(),
+                    h.input_queue_len(),
+                    h.next_deadline(),
+                    h.tty_outq(),
+                )
+            };
+            let settled = |h: &mut Host| {
+                for _ in 0..100 {
+                    let Some(t) = h.next_deadline() else { break };
+                    h.advance(t);
+                }
+                format!("{:?} {:?} {:?}", h.stack.stats(), h.take_events(), h.tty_outq())
+            };
+            let want = delivered(&mut per_char);
+            proptest::prop_assert_eq!(delivered(&mut whole), want.clone(), "one run: {:?}", kinds);
+            proptest::prop_assert_eq!(delivered(&mut chunked), want, "cut at {:?}: {:?}", cuts, kinds);
+            let want = settled(&mut per_char);
+            proptest::prop_assert_eq!(settled(&mut whole), want.clone(), "one run: {:?}", kinds);
+            proptest::prop_assert_eq!(settled(&mut chunked), want, "cut at {:?}: {:?}", cuts, kinds);
+        }
+    }
+
     #[test]
     fn on_serial_run_matches_per_character_delivery() {
-        // A paced run (one call) against per-character on_serial_bytes at
+        // A paced run (one call) against one-character, zero-pace runs at
         // each arrival instant: same queue state, same CPU accounting.
         let ip = Ipv4Packet::new(
             Ipv4Addr::new(44, 24, 0, 28),
@@ -1122,7 +1197,7 @@ mod tests {
         bulk.on_serial_run(t0, ct, &wire);
         let mut scalar = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
         for (i, &b) in wire.iter().enumerate() {
-            scalar.on_serial_bytes(t0 + ct * (i as u64), &[b]);
+            scalar.on_serial_run(t0 + ct * (i as u64), sim::SimDuration::ZERO, &[b]);
         }
         assert_eq!(bulk.cpu.busy_until(), scalar.cpu.busy_until());
         assert_eq!(bulk.cpu.stats().busy_ns, scalar.cpu.stats().busy_ns);
@@ -1308,7 +1383,7 @@ mod tests {
         let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
         // Never advance: the queue (IFQ_MAXLEN=50) fills and then drops.
         for _ in 0..60 {
-            h.on_serial_bytes(SimTime::ZERO, &wire);
+            h.on_serial_run(SimTime::ZERO, sim::SimDuration::ZERO, &wire);
         }
         assert_eq!(h.input_queue_len(), IFQ_MAXLEN);
         assert_eq!(h.input_queue_drops(), 10);

@@ -20,8 +20,8 @@
 //!   AX.25, "called inside either the Ethernet driver, or the AX.25
 //!   driver".
 //! * [`prdriver`] — **the packet radio pseudo-device driver**: the
-//!   per-character `rint` interrupt handler with on-the-fly KISS
-//!   unescaping, the destination-callsign check, and the PID demux that
+//!   `rint` interrupt handler, entered once per run of characters and
+//!   charged per character, with on-the-fly KISS unescaping, the destination-callsign check, and the PID demux that
 //!   sends IP up the stack and everything else to a tty queue for user
 //!   programs (§2.2, §2.4).
 //! * [`etherdrv`] — the DEQNA-style Ethernet driver the gateway's other

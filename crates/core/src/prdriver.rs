@@ -5,8 +5,9 @@
 //! communication with it is through a serial line, and hence the driver
 //! is a pseudo-driver."* The pieces reproduced here, faithfully:
 //!
-//! * [`PacketRadioDriver::rint`] — the per-character receive interrupt
-//!   handler, *"the most difficult routine to write"*: characters are
+//! * [`PacketRadioDriver::rint`] — the receive interrupt handler, *"the
+//!   most difficult routine to write"*, entered once per run of
+//!   characters the tty delivers and charged per character: characters are
 //!   buffered as they arrive, *"escaped frame end characters that are
 //!   embedded in the packet are decoded"* on the fly (the incremental
 //!   KISS deframer), and on the final frame end the header is checked —
@@ -234,13 +235,20 @@ impl PacketRadioDriver {
         self.deframer.reset();
     }
 
-    /// The per-character receive interrupt handler.
+    /// The receive interrupt handler, entered once per run of serial
+    /// characters the tty delivers.
     ///
-    /// Feed one serial character; when it completes a frame, the
-    /// classified result comes back, and any frames the driver itself
-    /// wants transmitted (ARP replies, packets released by an ARP
-    /// resolution) are KISS-framed onto `tx`, the host's tty output
-    /// queue.
+    /// Characters are buffered as they arrive and frames found by the bulk
+    /// KISS deframer: clean frame bodies are located with word-at-a-time
+    /// scanning and copied in bulk instead of stepping the per-byte state
+    /// machine, with events and transmissions identical to one call per
+    /// character. Each completed frame is classified and its event
+    /// delivered through `on_event` with the slice index of its closing
+    /// `FEND`; any frames the driver itself wants transmitted (ARP replies,
+    /// packets released by an ARP resolution) are KISS-framed onto `tx`,
+    /// the host's tty output queue. [`PrStats::rint_chars`] counts every
+    /// character, so the paper's §3 per-character cost model holds
+    /// whatever the run length.
     ///
     /// `filter` is the host's packet-filter engine, lent for the call
     /// (DESIGN.md §13): an inbound IP datagram is judged before its info
@@ -256,43 +264,11 @@ impl PacketRadioDriver {
     /// datagram for us is copied once, into a buffer from the host's
     /// `pool` ([`DgramPool::copy`]); only digipeated and diverted frames
     /// pay for a full [`Frame::decode`].
-    pub fn rint(
-        &mut self,
-        now: SimTime,
-        byte: u8,
-        pool: &mut DgramPool,
-        filter: Option<&mut FilterEngine>,
-        tx: &mut Vec<u8>,
-    ) -> Option<PrEvent> {
-        self.stats.rint_chars += 1;
-        // Detach the deframer so the completed frame (which borrows the
-        // deframer's buffer) can be classified against `&mut self`.
-        let mut deframer = std::mem::replace(&mut self.deframer, Deframer::placeholder());
-        let event = deframer
-            .push(byte)
-            .and_then(|kiss_frame| self.classify_frame(now, kiss_frame, pool, filter, tx));
-        self.deframer = deframer;
-        event
-    }
-
-    /// The batched receive interrupt handler: a whole run of serial
-    /// characters through the bulk KISS deframer in one call.
-    ///
-    /// Behavior is identical to feeding each byte through
-    /// [`rint`](PacketRadioDriver::rint) — same events (delivered through
-    /// `on_event` with the slice index of the frame's closing `FEND`), same
-    /// transmissions, and the same per-character interrupt *accounting*
-    /// ([`PrStats::rint_chars`] counts every byte, so the paper's §3 cost
-    /// model is unchanged) — but clean frame bodies are located with
-    /// word-at-a-time scanning and copied in bulk instead of stepping the
-    /// per-byte state machine.
     ///
     /// `now` stamps every frame completed in this slice (ARP learning);
     /// callers that need exact per-frame timestamps end each batch at a
     /// frame boundary, as the world's run delivery does (DESIGN.md §6).
-    /// Buffers come from, and go back to, the host's `pool`; `filter` and
-    /// `tx` are the host's, lent as for [`rint`](PacketRadioDriver::rint).
-    pub fn rint_slice_in(
+    pub fn rint(
         &mut self,
         now: SimTime,
         bytes: &[u8],
@@ -302,6 +278,8 @@ impl PacketRadioDriver {
         mut on_event: impl FnMut(usize, PrEvent),
     ) {
         self.stats.rint_chars += bytes.len() as u64;
+        // Detach the deframer so each completed frame (which borrows the
+        // deframer's buffer) can be classified against `&mut self`.
         let mut deframer = std::mem::replace(&mut self.deframer, Deframer::placeholder());
         deframer.push_slice(bytes, |idx, kiss_frame| {
             let filter = filter.as_deref_mut();
@@ -312,7 +290,7 @@ impl PacketRadioDriver {
         self.deframer = deframer;
     }
 
-    /// [`rint_slice_in`](PacketRadioDriver::rint_slice_in) with an empty
+    /// [`rint`](PacketRadioDriver::rint) with an empty
     /// pool and no filter; what it transmits lands in `tx` as one buffer.
     #[doc(hidden)] // serves benchmarks/src/probes.rs:219 (ROADMAP 2(a))
     pub fn rint_slice(
@@ -323,7 +301,7 @@ impl PacketRadioDriver {
         on_event: impl FnMut(usize, PrEvent),
     ) {
         let mut out = Vec::new();
-        self.rint_slice_in(now, bytes, &mut DgramPool::new(), None, &mut out, on_event);
+        self.rint(now, bytes, &mut DgramPool::new(), None, &mut out, on_event);
         if !out.is_empty() {
             tx.push(sim::PacketBuf::from_vec(out));
         }
@@ -373,7 +351,7 @@ impl PacketRadioDriver {
     /// Takes the `n` serial characters of a frame that
     /// [`would_discard`](PacketRadioDriver::would_discard) just turned
     /// away, without reading them: every counter
-    /// [`rint_slice_in`](PacketRadioDriver::rint_slice_in) moves for such a
+    /// [`rint`](PacketRadioDriver::rint) moves for such a
     /// frame moves here.
     pub fn rint_discarded(&mut self, n: usize, why: Discard) {
         self.stats.rint_chars += n as u64;
@@ -383,7 +361,7 @@ impl PacketRadioDriver {
     }
 
     /// Classifies one completed KISS frame: the §2.2 address filter and
-    /// PID demultiplex shared by the per-character and batched handlers.
+    /// PID demultiplex.
     fn classify_frame(
         &mut self,
         now: SimTime,
@@ -749,7 +727,7 @@ mod tests {
         PacketRadioDriver::new(PrConfig::new(a("N7AKR-1")), gw_ip())
     }
 
-    /// Per-byte `rint` over `bytes`, lending the driver `pool` and no
+    /// `rint` once per byte of `bytes`, lending the driver `pool` and no
     /// filter; returns the events and the tty output queue.
     fn feed_in(
         drv: &mut PacketRadioDriver,
@@ -758,8 +736,10 @@ mod tests {
     ) -> (Vec<PrEvent>, Vec<u8>) {
         let mut events = Vec::new();
         let mut tx = Vec::new();
-        for &b in bytes {
-            events.extend(drv.rint(SimTime::ZERO, b, pool, None, &mut tx));
+        for b in bytes.chunks(1) {
+            drv.rint(SimTime::ZERO, b, pool, None, &mut tx, |_, ev| {
+                events.push(ev)
+            });
         }
         (events, tx)
     }
@@ -1049,7 +1029,7 @@ mod tests {
             let mut tx = Vec::new();
             let mut pool = DgramPool::new();
             for piece in wire.chunks(chunk) {
-                bulk.rint_slice_in(SimTime::ZERO, piece, &mut pool, None, &mut tx, |_, ev| {
+                bulk.rint(SimTime::ZERO, piece, &mut pool, None, &mut tx, |_, ev| {
                     events.push(ev)
                 });
             }
@@ -1071,7 +1051,7 @@ mod tests {
         let wire = kiss_bytes(&Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, ip.encode()));
         let mut seen = Vec::new();
         let mut pool = DgramPool::new();
-        drv.rint_slice_in(
+        drv.rint(
             SimTime::ZERO,
             &wire,
             &mut pool,

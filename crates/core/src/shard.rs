@@ -37,7 +37,7 @@ use radio::traffic::BeaconStation;
 use serial::{End, Seal, SerialLine};
 use sim::mailbox::Mailbox;
 use sim::sched::{Scheduler, SlotKey};
-use sim::{SimRng, SimTime};
+use sim::{SimDuration, SimRng, SimTime};
 
 use crate::host::Host;
 use crate::world::{App, HostId};
@@ -1008,7 +1008,7 @@ impl ShardData {
                 if self.lines[li].drain_rx(End::A, &mut rx) > 0 {
                     progressed = true;
                     if let Some(h) = self.hosts.iter_mut().find(|h| h.serial == Some(li)) {
-                        h.host.on_serial_bytes(now, &rx);
+                        h.host.on_serial_run(now, SimDuration::ZERO, &rx);
                     }
                 }
                 // TNC side (End::B).

@@ -338,19 +338,14 @@ impl Deframer {
     /// a 72-byte header ceiling; 1024 leaves room for experimentation.
     pub const DEFAULT_MAX_LEN: usize = 1024;
 
-    /// Creates a deframer in the hunting state.
+    /// Creates a deframer in the hunting state, capped at `DEFAULT_MAX_LEN`.
     pub fn new() -> Deframer {
-        Deframer::with_max_len(Self::DEFAULT_MAX_LEN)
-    }
-
-    /// Creates a deframer that discards frames longer than `max_len`.
-    pub fn with_max_len(max_len: usize) -> Deframer {
         Deframer {
             state: State::Hunt,
             // +1: the type byte shares the buffer with up to max_len payload.
-            buf: Vec::with_capacity(max_len + 1),
+            buf: Vec::with_capacity(Self::DEFAULT_MAX_LEN + 1),
             pending_reset: false,
-            max_len,
+            max_len: Self::DEFAULT_MAX_LEN,
             stats: DeframerStats::default(),
         }
     }
@@ -824,21 +819,22 @@ mod tests {
 
     #[test]
     fn oversize_frame_is_dropped() {
-        let mut d = Deframer::with_max_len(4);
-        let wire = encode(0, Command::Data, b"too long!");
+        let mut d = Deframer::new();
+        let wire = encode(0, Command::Data, &[b'x'; Deframer::DEFAULT_MAX_LEN + 1]);
         let frames: Vec<_> = wire
             .iter()
             .filter_map(|&b| d.push(b).map(|f| f.to_owned()))
             .collect();
         assert!(frames.is_empty());
         assert_eq!(d.stats().oversize, 1);
-        // And it recovers for the next frame.
-        let wire2 = encode(0, Command::Data, b"ok");
+        // And it recovers for the next frame, one exactly at the cap.
+        let wire2 = encode(0, Command::Data, &[b'y'; Deframer::DEFAULT_MAX_LEN]);
         let frames2: Vec<_> = wire2
             .iter()
             .filter_map(|&b| d.push(b).map(|f| f.to_owned()))
             .collect();
         assert_eq!(frames2.len(), 1);
+        assert_eq!(frames2[0].payload.len(), Deframer::DEFAULT_MAX_LEN);
     }
 
     #[test]
@@ -883,12 +879,12 @@ mod tests {
     /// Pushes a stream through `push_slice` in the given chunking and
     /// through per-byte `push`, asserting identical frames and stats.
     fn assert_slice_matches_per_byte(stream: &[u8], chunk: usize) {
-        let mut per_byte = Deframer::with_max_len(16);
+        let mut per_byte = Deframer::new();
         let ref_frames: Vec<KissFrame> = stream
             .iter()
             .filter_map(|&b| per_byte.push(b).map(|f| f.to_owned()))
             .collect();
-        let mut bulk = Deframer::with_max_len(16);
+        let mut bulk = Deframer::new();
         let mut frames = Vec::new();
         for piece in stream.chunks(chunk.max(1)) {
             bulk.push_slice(piece, |_, f| frames.push(f.to_owned()));
@@ -900,12 +896,18 @@ mod tests {
     #[test]
     fn push_slice_matches_push_at_every_chunking() {
         // Noise, a good frame, an escaped frame, a bad escape, an oversize
-        // frame, idles, and a frame left open at the end.
+        // frame, a frame exactly at the cap, idles, and a frame left open
+        // at the end.
         let mut stream = b"garbage".to_vec();
         stream.extend(encode(0, Command::Data, b"hello"));
         stream.extend(encode(1, Command::Data, &[FEND, FESC, 0x00]));
         stream.extend([FEND, 0x00, b'a', FESC, 0x99, b'x', FEND]);
-        stream.extend(encode(0, Command::Data, &[0x55; 20]));
+        stream.extend(encode(
+            0,
+            Command::Data,
+            &[0x55; Deframer::DEFAULT_MAX_LEN + 1],
+        ));
+        stream.extend(encode(0, Command::Data, &[0x66; Deframer::DEFAULT_MAX_LEN]));
         stream.extend([FEND, FEND, FEND]);
         stream.extend(encode(0, Command::TxDelay, &[30]));
         stream.extend([FEND, 0x00, b'p', b'a', b'r', b't']);

@@ -158,7 +158,10 @@ impl ArpPacket {
             op: ArpOp::Request,
             sender_hw,
             sender_ip,
-            target_hw: HwAddr::zeros(sender_hw.len()).expect("as long as an existing address"),
+            target_hw: HwAddr {
+                octets: [0; HwAddr::MAX_LEN],
+                ..sender_hw
+            },
             target_ip,
         }
     }
@@ -250,8 +253,8 @@ fn read_hw(r: &mut Reader<'_>, hlen: usize, what: &'static str) -> Result<HwAddr
 }
 
 fn read_ip(r: &mut Reader<'_>) -> Result<Ipv4Addr, NetError> {
-    let raw = r.take(4).map_err(|_| NetError::Malformed("arp ip"))?;
-    Ok(Ipv4Addr::from(<[u8; 4]>::try_from(raw).expect("len 4")))
+    let raw = r.take(4).ok().and_then(<[u8]>::first_chunk::<4>);
+    Ok(Ipv4Addr::from(*raw.ok_or(NetError::Malformed("arp ip"))?))
 }
 
 #[cfg(test)]

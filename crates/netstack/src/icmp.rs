@@ -249,16 +249,13 @@ impl IcmpMessage {
 
     /// Decodes and verifies a message.
     pub fn decode(bytes: &[u8]) -> Result<IcmpMessage, NetError> {
-        if bytes.len() < 4 {
+        let &[typ, code, _sum_hi, _sum_lo, ref rest @ ..] = bytes else {
             return Err(NetError::Malformed("icmp too short"));
-        }
+        };
         if internet_checksum(&[bytes]) != 0 {
             return Err(NetError::BadChecksum("icmp"));
         }
-        let mut r = Reader::new(bytes);
-        let typ = r.u8().expect("len checked");
-        let code = r.u8().expect("len checked");
-        let _sum = r.u16().expect("len checked");
+        let mut r = Reader::new(rest);
         match typ {
             8 | 0 => {
                 let id = r.u16().map_err(|_| NetError::Malformed("echo header"))?;
@@ -313,8 +310,8 @@ impl IcmpMessage {
 }
 
 fn read_ip(r: &mut Reader<'_>) -> Result<Ipv4Addr, NetError> {
-    let raw = r.take(4).map_err(|_| NetError::Malformed("icmp ip"))?;
-    Ok(Ipv4Addr::from(<[u8; 4]>::try_from(raw).expect("len 4")))
+    let raw = r.take(4).ok().and_then(<[u8]>::first_chunk::<4>);
+    Ok(Ipv4Addr::from(*raw.ok_or(NetError::Malformed("icmp ip"))?))
 }
 
 #[cfg(test)]

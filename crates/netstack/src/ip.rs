@@ -5,7 +5,7 @@
 //! side routinely fragments (experiment E9 measures the cost). The codec
 //! is RFC 791 without options.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::Ipv4Addr;
 
 use sim::pktbuf::ByteSink;
@@ -290,21 +290,28 @@ pub fn fragment(packet: Ipv4Packet, mtu: usize) -> FragResult {
 #[derive(Debug, Default)]
 pub struct Reassembler {
     pending: HashMap<(Ipv4Addr, Ipv4Addr, u16, u8), PendingDatagram>,
+    /// Fragments refused, or their datagrams dropped, at the bounds.
+    pub dropped: u64,
 }
 
 #[derive(Debug)]
 struct PendingDatagram {
-    /// (offset_bytes, payload) pieces received so far.
+    /// (offset_bytes, payload) pieces, by offset, ties in arrival order.
     pieces: Vec<(usize, Vec<u8>)>,
     /// Total payload length, known once the MF=0 fragment arrives.
     total: Option<usize>,
-    /// Template header from the first fragment seen.
+    /// Header of the first fragment seen, without its payload.
     template: Ipv4Packet,
     deadline: SimTime,
 }
 
 /// How long an incomplete datagram is retained.
 pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Most octets held for one datagram: the largest IPv4 payload, so
+/// fragments that do not overlap always fit.
+pub const REASSEMBLY_MAX_OCTETS: usize = u16::MAX as usize - HEADER_LEN;
+/// Most incomplete datagrams held at once.
+pub const REASSEMBLY_MAX_DATAGRAMS: usize = 64;
 
 impl Reassembler {
     /// Creates an empty reassembler.
@@ -313,51 +320,70 @@ impl Reassembler {
     }
 
     /// Offers a packet; returns the complete datagram when its last hole
-    /// fills. Whole packets pass straight through.
-    pub fn push(&mut self, now: SimTime, packet: Ipv4Packet) -> Option<Ipv4Packet> {
+    /// fills. Whole packets pass straight through. A fragment of a new
+    /// datagram past [`REASSEMBLY_MAX_DATAGRAMS`] is refused, and one that
+    /// takes its datagram past [`REASSEMBLY_MAX_OCTETS`] drops it; both
+    /// count in `dropped`.
+    pub fn push(&mut self, now: SimTime, mut packet: Ipv4Packet) -> Option<Ipv4Packet> {
         if !packet.is_fragment() {
             return Some(packet);
         }
         let key = (packet.src, packet.dst, packet.id, packet.proto.code());
-        let entry = self.pending.entry(key).or_insert_with(|| PendingDatagram {
-            pieces: Vec::new(),
-            total: None,
-            template: packet.clone(),
-            deadline: now + REASSEMBLY_TIMEOUT,
-        });
         let off = usize::from(packet.frag_offset) * 8;
-        if !packet.more_fragments {
-            entry.total = Some(off + packet.payload.len());
+        let last = !packet.more_fragments;
+        let payload = std::mem::take(&mut packet.payload);
+        let full = self.pending.len() >= REASSEMBLY_MAX_DATAGRAMS;
+        let mut slot = match self.pending.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(_) if full => {
+                self.dropped += 1;
+                return None;
+            }
+            Entry::Vacant(slot) => slot.insert_entry(PendingDatagram {
+                pieces: Vec::new(),
+                total: None,
+                template: packet,
+                deadline: now + REASSEMBLY_TIMEOUT,
+            }),
+        };
+        let entry = slot.get_mut();
+        if last {
+            entry.total = Some(off + payload.len());
         }
         // Ignore exact duplicates.
         if !entry
             .pieces
             .iter()
-            .any(|(o, p)| *o == off && p.len() == packet.payload.len())
+            .any(|(o, p)| *o == off && p.len() == payload.len())
         {
-            entry.pieces.push((off, packet.payload));
+            let held: usize = entry.pieces.iter().map(|(_, p)| p.len()).sum();
+            if held + payload.len() > REASSEMBLY_MAX_OCTETS {
+                slot.remove();
+                self.dropped += 1;
+                return None;
+            }
+            let at = entry.pieces.partition_point(|(o, _)| *o <= off);
+            entry.pieces.insert(at, (off, payload));
         }
         let total = entry.total?;
         // Check contiguity.
-        let mut pieces = entry.pieces.clone();
-        pieces.sort_by_key(|(o, _)| *o);
         let mut have = 0usize;
-        let mut buf = vec![0u8; total];
-        for (o, p) in &pieces {
-            if *o > have {
-                return None; // hole
+        for (o, p) in &entry.pieces {
+            if *o > have || o + p.len() > total {
+                // A hole, or a piece past the end (malformed: wait for
+                // the timeout).
+                return None;
             }
-            let end = o + p.len();
-            if end > total {
-                return None; // overlapping beyond end: malformed, wait for timeout
-            }
-            buf[*o..end].copy_from_slice(p);
-            have = have.max(end);
+            have = have.max(o + p.len());
         }
         if have < total {
             return None;
         }
-        let entry = self.pending.remove(&key).expect("present");
+        let entry = slot.remove();
+        let mut buf = vec![0u8; total];
+        for (o, p) in &entry.pieces {
+            buf[*o..o + p.len()].copy_from_slice(p);
+        }
         let mut whole = entry.template;
         whole.payload = buf;
         whole.frag_offset = 0;
@@ -663,6 +689,24 @@ mod tests {
             1
         );
         assert_eq!(r.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_datagram_that_never_completes_holds_at_most_the_octet_bound() {
+        // 10,000 distinct fragments, none at offset 0: 120,000 octets
+        // offered for one datagram that can never complete.
+        let mut r = Reassembler::new();
+        for i in 0..10_000u16 {
+            let mut f = sample(8 * usize::from(1 + i / 5000));
+            f.frag_offset = 1 + i % 5000;
+            f.more_fragments = true;
+            assert!(r.push(SimTime::ZERO, f).is_none());
+        }
+        assert_eq!(r.pending_count(), 1);
+        let d = r.pending.values().next().unwrap();
+        let held: usize = d.pieces.iter().map(|(_, p)| p.len()).sum();
+        assert!(held <= REASSEMBLY_MAX_OCTETS, "{held}");
+        assert_eq!(r.dropped, 1);
     }
 
     #[test]

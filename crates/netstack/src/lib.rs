@@ -28,6 +28,8 @@
 //! * [`stack`] — a per-host stack tying it together behind a socket API.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 
 pub mod arp;

@@ -241,6 +241,9 @@ pub struct StackStats {
     pub accept_overflow: u64,
     /// UDP datagrams dropped on a full socket queue (`udps_fullsock`).
     pub udp_fullsock: u64,
+    /// Fragments refused, or their datagrams dropped, at the reassembly
+    /// bounds (`ips_fragdropped`; [`ip::REASSEMBLY_MAX_OCTETS`]).
+    pub frag_dropped: u64,
     /// Always 0: the stack memoizes no forwarding decision. Kept, with
     /// `fwd_cache_misses` and `fwd_cache_stale`, only because the
     /// benchmark harness still reads them (ROADMAP item 2(a)).
@@ -600,6 +603,7 @@ impl NetStack {
             return;
         }
         let Some(whole) = self.reasm.push(now, packet) else {
+            self.stats.frag_dropped = self.reasm.dropped;
             return;
         };
         match whole.proto {
@@ -1844,6 +1848,19 @@ mod tests {
                 len: 600
             }]
         );
+    }
+
+    #[test]
+    fn fragments_of_datagrams_past_the_count_bound_are_refused() {
+        let (mut st, iface) = NetStack::simple_host(ipa(1), 24, 1500, None);
+        for id in 0..ip::REASSEMBLY_MAX_DATAGRAMS as u16 + 10 {
+            let mut f = Ipv4Packet::new(ipa(2), ipa(1), Proto::Udp, vec![0; 8]);
+            f.id = id;
+            f.more_fragments = true;
+            st.input(SimTime::ZERO, iface, &f.encode());
+        }
+        assert_eq!(st.reasm.pending_count(), ip::REASSEMBLY_MAX_DATAGRAMS);
+        assert_eq!(st.stats().frag_dropped, 10);
     }
 
     #[test]

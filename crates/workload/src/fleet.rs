@@ -30,6 +30,7 @@ use socket::{Readiness, SocketHandle};
 
 use crate::load::{
     build_schedule, ClientPlan, FleetSchedule, FleetSpec, Pacing, SessionClass, DNS_NAMES,
+    FTP_FILES,
 };
 use crate::report::{fleet_header, fleet_row, FlowRecorder};
 
@@ -168,14 +169,13 @@ pub fn deploy(m: &mut MeshNet, spec: &FleetSpec) -> Fleet {
 pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedule) -> Fleet {
     let islands = m.islands();
     let hosts_per_island = m.island_hosts(0).len();
-    assert!(spec.sizes.files > 0, "catalogue must be non-empty");
     assert!(
         hosts_per_island >= SERVER_HOSTS + spec.clients_per_island,
         "island has {hosts_per_island} hosts; need {SERVER_HOSTS} servers + {} clients",
         spec.clients_per_island
     );
 
-    let files = catalogue(spec.sizes.files);
+    let files = catalogue(FTP_FILES);
     let file_refs: Vec<(&str, usize)> = files.iter().map(|(n, s)| (n.as_str(), *s)).collect();
     let names: Vec<String> = (0..DNS_NAMES).map(dns_name).collect();
 

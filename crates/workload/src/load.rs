@@ -156,33 +156,19 @@ pub enum Pacing {
     Closed(Arrival),
 }
 
-/// Per-class size parameters (inclusive ranges).
-#[derive(Debug, Clone, Copy)]
-pub struct SizeModel {
-    /// Keystrokes per typist session.
-    pub keys: (u32, u32),
-    /// FTP sessions draw one of the first `files` catalogue entries.
-    pub files: u32,
-}
+// Session sizes, matched to a 1200 b/s island: over the two radio hops one
+// small-packet RTT is ~10–14 s simulated (E14: 5.4 s for one hop) and bulk
+// transfer sustains ~15 B/s end to end, so a session finishes inside a
+// `FleetSpec::session_timeout`.
 
+/// Keystrokes per typist session (inclusive range).
+const TYPIST_KEYS: (u32, u32) = (2, 3);
+/// FTP sessions draw one of this many catalogue entries.
+pub(crate) const FTP_FILES: u32 = 3;
 /// Octets per echo burst (inclusive range).
 const ECHO_BYTES: (u32, u32) = (8, 24);
 /// DNS sessions draw one of this many zone names.
 pub(crate) const DNS_NAMES: u32 = 8;
-
-impl Default for SizeModel {
-    /// Sizes matched to a 1200 b/s island. Cross-island service times
-    /// are dominated by the two radio hops: one small-packet RTT is
-    /// ~10–14 s simulated (E14 measures 5.4 s for a single hop), and
-    /// bulk transfer sustains ~15 B/s end to end — so sessions are kept
-    /// small enough to finish inside a [`FleetSpec::session_timeout`].
-    fn default() -> SizeModel {
-        SizeModel {
-            keys: (2, 3),
-            files: 3,
-        }
-    }
-}
 
 /// Everything that determines a fleet, and nothing else.
 #[derive(Debug, Clone)]
@@ -197,8 +183,6 @@ pub struct FleetSpec {
     pub pacing: Pacing,
     /// Traffic mix.
     pub mix: Mix,
-    /// Session sizes.
-    pub sizes: SizeModel,
     /// Client start times stagger uniformly over this window.
     pub start_window: SimDuration,
     /// A session that has not finished this long after starting is
@@ -214,7 +198,6 @@ impl Default for FleetSpec {
             sessions_per_client: 2,
             pacing: Pacing::Closed(Arrival::Fixed(SimDuration::from_secs(2))),
             mix: Mix::balanced(),
-            sizes: SizeModel::default(),
             start_window: SimDuration::from_secs(2),
             session_timeout: SimDuration::from_secs(90),
         }
@@ -279,11 +262,11 @@ impl FleetSchedule {
     }
 }
 
-fn draw_size(class: SessionClass, sizes: &SizeModel, rng: &mut SimRng) -> u32 {
+fn draw_size(class: SessionClass, rng: &mut SimRng) -> u32 {
     let (lo, hi) = match class {
-        SessionClass::Typist => sizes.keys,
+        SessionClass::Typist => TYPIST_KEYS,
         SessionClass::Echo => ECHO_BYTES,
-        SessionClass::Ftp => (0, sizes.files.saturating_sub(1)),
+        SessionClass::Ftp => (0, FTP_FILES - 1),
         SessionClass::Dns => (0, DNS_NAMES - 1),
     };
     rng.range(u64::from(lo), u64::from(hi) + 1) as u32
@@ -320,7 +303,7 @@ pub fn build_schedule(islands: usize, spec: &FleetSpec) -> FleetSchedule {
                     SessionSpec {
                         class,
                         gap: arrival.gap(&mut rng),
-                        size: draw_size(class, &spec.sizes, &mut rng),
+                        size: draw_size(class, &mut rng),
                     }
                 })
                 .collect();

@@ -29,7 +29,6 @@ fn spec_for(seed: u64) -> FleetSpec {
         mix: Mix::balanced(),
         start_window: SimDuration::from_secs(2),
         session_timeout: SimDuration::from_secs(60),
-        ..FleetSpec::default()
     }
 }
 

@@ -22,12 +22,30 @@ fn arb_kiss_stream() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(byte, 0..200)
 }
 
+/// A deframer with `room` payload octets left before its length cap: at
+/// rest when `room` is the whole cap, otherwise inside an open data frame
+/// that already holds the rest. Both paths of a comparison start from a
+/// clone of the same one.
+fn deframer_with_room(room: usize) -> kiss::Deframer {
+    let mut d = kiss::Deframer::new();
+    let held = kiss::Deframer::DEFAULT_MAX_LEN.saturating_sub(room);
+    if held > 0 {
+        for b in [kiss::FEND, 0x00]
+            .into_iter()
+            .chain(std::iter::repeat_n(0x55, held))
+        {
+            assert!(d.push(b).is_none());
+        }
+    }
+    d
+}
+
 /// Feeds `stream` one byte at a time through the scalar reference path.
 fn deframe_per_byte(
     stream: &[u8],
-    max_len: usize,
+    start: &kiss::Deframer,
 ) -> (Vec<(u8, kiss::Command, Vec<u8>)>, kiss::DeframerStats) {
-    let mut d = kiss::Deframer::with_max_len(max_len);
+    let mut d = start.clone();
     let mut frames = Vec::new();
     for &b in stream {
         if let Some(f) = d.push(b) {
@@ -40,10 +58,10 @@ fn deframe_per_byte(
 /// Feeds `stream` through the bulk path, split at the given cut points.
 fn deframe_chunked(
     stream: &[u8],
-    max_len: usize,
+    start: &kiss::Deframer,
     cuts: &[usize],
 ) -> (Vec<(u8, kiss::Command, Vec<u8>)>, kiss::DeframerStats) {
-    let mut d = kiss::Deframer::with_max_len(max_len);
+    let mut d = start.clone();
     let mut frames = Vec::new();
     let mut start = 0;
     let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (stream.len() + 1)).collect();
@@ -76,14 +94,26 @@ proptest! {
     /// and the same statistics as the per-byte reference, no matter where
     /// the input is cut into chunks — including cuts that split a FESC
     /// from its escape code or a frame across many `push_slice` calls.
+    /// The stream may begin inside a frame close to the length cap, and a
+    /// frame whose clean body ends just below, at or past the cap may be
+    /// spliced in anywhere, so oversize frames are cut too.
     #[test]
     fn bulk_deframing_matches_per_byte_at_any_chunking(
         stream in arb_kiss_stream(),
-        max_len in (0usize..4).prop_map(|i| [1usize, 8, 16, 1024][i]),
+        room in (0usize..4).prop_map(|i| [1usize, 8, 16, kiss::Deframer::DEFAULT_MAX_LEN][i]),
+        long in (0usize..4).prop_map(|i| [0usize, 1023, 1024, 1025][i]),
+        at in any::<usize>(),
         cuts in proptest::collection::vec(any::<usize>(), 0..12),
     ) {
-        let (ref_frames, ref_stats) = deframe_per_byte(&stream, max_len);
-        let (bulk_frames, bulk_stats) = deframe_chunked(&stream, max_len, &cuts);
+        let mut stream = stream;
+        if long > 0 {
+            let at = at % (stream.len() + 1);
+            let body = [kiss::FEND, 0x00].into_iter().chain(std::iter::repeat_n(0x55, long));
+            stream.splice(at..at, body);
+        }
+        let start = deframer_with_room(room);
+        let (ref_frames, ref_stats) = deframe_per_byte(&stream, &start);
+        let (bulk_frames, bulk_stats) = deframe_chunked(&stream, &start, &cuts);
         prop_assert_eq!(&bulk_frames, &ref_frames, "frames diverged");
         prop_assert_eq!(bulk_stats, ref_stats, "stats diverged");
     }
@@ -177,9 +207,11 @@ proptest! {
 
     /// `push_slice` against per-byte `push` on a million 32-byte streams,
     /// half of every stream `FEND`/`FESC`/`TFEND`/`TFESC`, each cut into
-    /// chunks at up to three random places.
+    /// chunks at up to three random places; half of them begin inside a
+    /// frame 8 octets short of the length cap.
     #[test]
     fn bulk_deframing_matches_per_byte_on_a_million_streams(seed in any::<u64>()) {
+        let starts = [deframer_with_room(8), kiss::Deframer::new()];
         let mut rng = SplitMix(seed);
         let (mut stream, mut sel) = ([0u8; 32], [0u8; 32]);
         for _ in 0..1024 {
@@ -198,12 +230,12 @@ proptest! {
             let cut = rng.next();
             let cuts = [cut as usize, (cut >> 16) as usize, (cut >> 32) as usize];
             let cuts = &cuts[..(cut >> 62) as usize];
-            let max_len = [8, 1024][(cut >> 61 & 1) as usize];
+            let start = &starts[(cut >> 61 & 1) as usize];
             prop_assert_eq!(
-                deframe_chunked(&stream, max_len, cuts),
-                deframe_per_byte(&stream, max_len),
-                "stream {:02x?} cuts {:?} max_len {}",
-                stream, cuts, max_len
+                deframe_chunked(&stream, start, cuts),
+                deframe_per_byte(&stream, start),
+                "stream {:02x?} cuts {:?} start at rest {}",
+                stream, cuts, start.at_rest()
             );
         }
     }

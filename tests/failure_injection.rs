@@ -140,8 +140,12 @@ fn serial_line_noise_is_survived_by_kiss_resync() {
     let now = s.world.now;
     let gw = s.world.host_mut(s.gw);
     // Straight garbage into the interrupt handler:
-    gw.on_serial_bytes(now, &[0x55; 300]);
-    gw.on_serial_bytes(now, &[kiss::FEND, 0x00, 0xDB, 0x99, kiss::FEND]);
+    gw.on_serial_run(now, SimDuration::ZERO, &[0x55; 300]);
+    gw.on_serial_run(
+        now,
+        SimDuration::ZERO,
+        &[kiss::FEND, 0x00, 0xDB, 0x99, kiss::FEND],
+    );
     // The driver counted garbage without panicking and without passing
     // anything up.
     let st = gw.pr_driver().unwrap().stats();

@@ -1,8 +1,8 @@
 //! The allocation-assert harness behind `tests/ratchets`: one counting
 //! global allocator, a macro that installs it in a test binary, and
-//! [`allocs_during`] to count around a closure. The count is kept per
-//! thread, so tests running side by side under libtest's default
-//! parallelism never see each other's allocations.
+//! [`allocs_during`] and [`bytes_during`] to count around a closure. The
+//! counts are kept per thread, so tests running side by side under
+//! libtest's default parallelism never see each other's allocations.
 //!
 //! ```ignore
 //! bench::install_counting_alloc!();
@@ -13,21 +13,24 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts heap allocations; all memory still comes from [`System`].
+/// Counts heap allocations and the bytes they ask for; all memory still
+/// comes from [`System`].
 pub struct CountingAlloc;
 
 thread_local! {
     // `const`-initialised and without a destructor, so touching it never
     // allocates or registers anything: the allocator itself may use it.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only addition is an increment of
-// the calling thread's own counter, which publishes no other data.
+// the calling thread's own counters, which publishes no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.set(ALLOCS.get() + 1);
+        BYTES.set(BYTES.get() + layout.size() as u64);
         System.alloc(layout)
     }
 
@@ -37,12 +40,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.set(ALLOCS.get() + 1);
+        BYTES.set(BYTES.get() + new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 /// Installs [`CountingAlloc`] as the global allocator of the calling
-/// binary; without it [`allocs_during`] always reads 0.
+/// binary; without it [`allocs_during`] and [`bytes_during`] always read 0.
 #[macro_export]
 macro_rules! install_counting_alloc {
     () => {
@@ -57,4 +61,13 @@ pub fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.get();
     f();
     ALLOCS.get() - before
+}
+
+/// Bytes the calling thread asks the heap for while `f` runs: the size of
+/// every allocation and the new size of every reallocation. Frees are not
+/// subtracted, so this bounds from above what `f` leaves allocated.
+pub fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = BYTES.get();
+    f();
+    BYTES.get() - before
 }

@@ -1,6 +1,6 @@
-//! The ratchets: allocation counts under the counting allocator, `len()`
-//! and ring-growth bounds, poll counts — invariants of the datapath that
-//! may only tighten, one module per layer. They time nothing; how many
+//! The ratchets: allocation counts and heap bytes under the counting
+//! allocator, `len()` and ring-growth bounds, poll counts, inline sizes —
+//! invariants of the datapath that may only tighten, one module per layer. They time nothing; how many
 //! nanoseconds a layer costs is a `benchmarks/` row (`BENCHMARK.json`,
 //! `scripts/bench_pairs.sh`).
 //!
@@ -16,6 +16,7 @@ mod driver_rx;
 mod encap_fwd;
 mod engine;
 mod filter_eval;
+mod footprint;
 mod route_lookup;
 mod shard_sync;
 mod socket_ops;

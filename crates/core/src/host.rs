@@ -100,10 +100,13 @@ pub struct Host {
     /// The CPU cost model.
     pub cpu: Cpu,
     pr: Option<(IfaceId, PacketRadioDriver)>,
-    eth: Option<(IfaceId, EtherDriver)>,
+    /// The Ethernet interface, out of line: of a city's hosts only the
+    /// gateways and the wired internet host have one.
+    eth: Option<Box<(IfaceId, EtherDriver)>>,
     /// The packet-filter engine, lent to the radio driver's hooks for
-    /// each call that judges a packet.
-    filter: Option<FilterEngine>,
+    /// each call that judges a packet; out of line, as only a gateway
+    /// has one.
+    filter: Option<Box<FilterEngine>>,
     /// The bounded IP input queue (CPU-gated).
     input_queue: IfQueue<(IfaceId, Vec<u8>)>,
     /// Non-IP frames diverted for user programs (§2.4).
@@ -154,7 +157,7 @@ impl Host {
                 prefix_len: e.prefix_len,
                 mtu: ether::MTU,
             });
-            (iface, EtherDriver::new(e.mac, e.ip))
+            Box::new((iface, EtherDriver::new(e.mac, e.ip)))
         });
         Host {
             name: cfg.name,
@@ -163,7 +166,7 @@ impl Host {
             cpu: Cpu::new(cfg.cpu),
             pr,
             eth,
-            filter: cfg.filter.map(FilterEngine::new),
+            filter: cfg.filter.map(|f| Box::new(FilterEngine::new(f))),
             input_queue: IfQueue::new(IFQ_MAXLEN),
             tty_queue: VecDeque::new(),
             tty_outq: Vec::new(),
@@ -182,7 +185,7 @@ impl Host {
 
     /// The Ethernet interface id, if the host has one.
     pub fn ether_iface(&self) -> Option<IfaceId> {
-        self.eth.as_ref().map(|(i, _)| *i)
+        self.eth.as_deref().map(|(i, _)| *i)
     }
 
     /// The packet radio driver, if present.
@@ -197,7 +200,7 @@ impl Host {
 
     /// The Ethernet driver, if present.
     pub fn ether_driver(&self) -> Option<&EtherDriver> {
-        self.eth.as_ref().map(|(_, d)| d)
+        self.eth.as_deref().map(|(_, d)| d)
     }
 
     /// The packet-filter engine, if one is installed, to read.
@@ -221,12 +224,12 @@ impl Host {
     /// gate.on_gate_message(s.world.now, true, &open);
     /// ```
     pub fn filter_engine(&self) -> Option<&FilterEngine> {
-        self.filter.as_ref()
+        self.filter.as_deref()
     }
 
     /// Filter counters, if a filter is installed.
     pub fn filter_stats(&self) -> Option<FilterStats> {
-        self.filter.as_ref().map(FilterEngine::stats)
+        self.filter.as_deref().map(FilterEngine::stats)
     }
 
     /// The station callsign, if the host has a radio.
@@ -236,7 +239,7 @@ impl Host {
 
     /// The NIC MAC, if the host has Ethernet.
     pub fn mac(&self) -> Option<MacAddr> {
-        self.eth.as_ref().map(|(_, d)| d.mac())
+        self.eth.as_deref().map(|(_, d)| d.mac())
     }
 
     /// Input-queue depth (for E3's gateway-queue measurements).
@@ -336,7 +339,7 @@ impl Host {
             t0 + char_time * (n - 1),
             bytes,
             self.stack.pool_mut(),
-            self.filter.as_mut(),
+            self.filter.as_deref_mut(),
             &mut self.tty_outq,
             |idx, event| {
                 debug_assert!(
@@ -406,7 +409,7 @@ impl Host {
         if self.down {
             return;
         }
-        let Some((iface, ref mut drv)) = self.eth else {
+        let Some(&mut (iface, ref mut drv)) = self.eth.as_deref_mut() else {
             return;
         };
         let ip = drv.input(now, frame, self.stack.pool_mut(), &mut self.outbox);
@@ -434,7 +437,7 @@ impl Host {
         };
         fold(self.stack.next_deadline());
         fold(self.input_queue.next_ready());
-        fold(self.filter.as_ref().and_then(FilterEngine::next_deadline));
+        fold(self.filter.as_deref().and_then(FilterEngine::next_deadline));
         let arp_pending = self
             .pr
             .as_ref()
@@ -469,7 +472,7 @@ impl Host {
             if let Some((_, drv)) = &mut self.pr {
                 drv.age_arp(now, pool, &mut self.tty_outq);
             }
-            if let Some((_, drv)) = &mut self.eth {
+            if let Some((_, drv)) = self.eth.as_deref_mut() {
                 drv.age_arp(now, pool, &mut self.outbox);
             }
         }
@@ -572,13 +575,13 @@ impl Host {
                     packet,
                     next_hop,
                     pool,
-                    self.filter.as_mut(),
+                    self.filter.as_deref_mut(),
                     &mut self.tty_outq,
                 );
                 return;
             }
         }
-        if let Some((eth_if, drv)) = &mut self.eth {
+        if let Some((eth_if, drv)) = self.eth.as_deref_mut() {
             if *eth_if == iface {
                 drv.output(now, packet, next_hop, pool, &mut self.outbox);
             }
@@ -802,7 +805,7 @@ impl Host {
         if self.down {
             return;
         }
-        let (iface, ifnet) = match (&mut self.pr, &mut self.eth) {
+        let (iface, ifnet) = match (&mut self.pr, self.eth.as_deref_mut()) {
             (Some((iface, drv)), _) => (*iface, &mut drv.ifnet),
             (None, Some((iface, drv))) => (*iface, &mut drv.ifnet),
             (None, None) => return,

@@ -141,8 +141,9 @@ pub struct PacketRadioDriver {
     deframer: Deframer,
     arp: ArpEngine,
     stats: PrStats,
-    /// RFC 1144 header compression state, when enabled on this link.
-    vj: Option<VjLink>,
+    /// RFC 1144 header compression state, when enabled on this link; out
+    /// of line, as only the paper topology's link with `vj` set has it.
+    vj: Option<Box<VjLink>>,
 }
 
 /// Both halves of the RFC 1144 state for one radio link: this station
@@ -173,10 +174,10 @@ impl PacketRadioDriver {
     /// with it off, PIDs 0x06/0x07 divert to the §2.4 tty queue like any
     /// other unknown protocol.
     pub fn enable_vj(&mut self) {
-        self.vj = Some(VjLink {
+        self.vj = Some(Box::new(VjLink {
             comp: VjCompressor::new(),
             decomp: VjDecompressor::new(),
-        });
+        }));
     }
 
     /// Compressor/decompressor counters, when VJ is enabled.

@@ -42,10 +42,13 @@ use sim::{SimDuration, SimRng, SimTime};
 use crate::host::Host;
 use crate::world::{App, HostId};
 
-// The line ends its runs at the byte the KISS deframers act on, and its
-// queues are born with room for the longest KISS-framed AX.25 frame.
+// The line ends its runs at the byte the KISS deframers act on, its
+// queues are born with room for the longest KISS-framed AX.25 frame, and
+// the deframers at either end of it with room for that frame's type byte
+// and octets.
 const _: () = assert!(serial::FRAME_END == kiss::FEND);
 const _: () = assert!(serial::TX_QUEUE_CHARS == ax25::MAX_FRAME_LEN + 3);
+const _: () = assert!(kiss::Deframer::INITIAL_ROOM == ax25::MAX_FRAME_LEN + 1);
 
 /// Segment access mode for a shard step: a single-shard world hands the
 /// engine its segments (`Some`), a multi-shard world defers all Ethernet

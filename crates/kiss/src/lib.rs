@@ -313,9 +313,12 @@ impl KissFrameRef<'_> {
 ///
 /// Feed received characters to [`Deframer::push`]; a completed frame is
 /// returned on the terminating `FEND` as a [`KissFrameRef`] borrowing the
-/// deframer's reusable buffer — the decoder allocates once at construction
-/// and never again. Malformed input (bad escape, unknown command, oversize
-/// frame) discards the current frame and resynchronizes on the next `FEND`.
+/// deframer's reusable buffer. The decoder allocates that buffer at
+/// construction with [`INITIAL_ROOM`](Deframer::INITIAL_ROOM) octets, room
+/// for the longest AX.25 frame, and grows it at most once, straight to
+/// its length cap, for a longer frame. Malformed input (bad escape,
+/// unknown command, oversize frame) discards the current frame and
+/// resynchronizes on the next `FEND`.
 #[derive(Debug, Clone)]
 pub struct Deframer {
     state: State,
@@ -338,12 +341,16 @@ impl Deframer {
     /// a 72-byte header ceiling; 1024 leaves room for experimentation.
     pub const DEFAULT_MAX_LEN: usize = 1024;
 
+    /// Octets the frame buffer is born with: the type byte and the longest
+    /// AX.25 frame (328 octets, `ax25::MAX_FRAME_LEN`), the most any
+    /// station on the channel sends.
+    pub const INITIAL_ROOM: usize = 329;
+
     /// Creates a deframer in the hunting state, capped at `DEFAULT_MAX_LEN`.
     pub fn new() -> Deframer {
         Deframer {
             state: State::Hunt,
-            // +1: the type byte shares the buffer with up to max_len payload.
-            buf: Vec::with_capacity(Self::DEFAULT_MAX_LEN + 1),
+            buf: Vec::with_capacity(Self::INITIAL_ROOM),
             pending_reset: false,
             max_len: Self::DEFAULT_MAX_LEN,
             stats: DeframerStats::default(),
@@ -545,7 +552,18 @@ impl Deframer {
             self.state = State::Drop;
             return;
         }
+        self.make_room(1);
         self.buf.push(byte);
+    }
+
+    /// Makes room for `n` more octets of a frame the length cap admits.
+    /// The one time a frame outgrows the buffer, it grows exactly to the
+    /// `max_len + 1` octets (type byte + payload) any admitted frame fits.
+    #[inline]
+    fn make_room(&mut self, n: usize) {
+        if self.buf.capacity() - self.buf.len() < n {
+            self.buf.reserve_exact(self.max_len + 1 - self.buf.len());
+        }
     }
 
     /// Bulk [`accept`](Deframer::accept) for a delimiter-free span,
@@ -558,6 +576,7 @@ impl Deframer {
             return;
         }
         let admit = (self.max_len + 1).saturating_sub(self.buf.len());
+        self.make_room(run.len().min(admit));
         if run.len() <= admit {
             self.buf.extend_from_slice(run);
         } else {
@@ -621,15 +640,6 @@ impl Deframer {
     /// Decoder statistics so far.
     pub fn stats(&self) -> DeframerStats {
         self.stats
-    }
-
-    /// True if the decoder has consumed frame content that is not yet
-    /// terminated (useful for draining tests).
-    #[inline]
-    pub fn in_frame(&self) -> bool {
-        matches!(self.state, State::Open | State::Escape)
-            && !self.buf.is_empty()
-            && !self.pending_reset
     }
 }
 
@@ -727,7 +737,7 @@ mod tests {
                 skipped.skip_frame(frame.len());
                 assert_eq!(frames, 1);
                 assert_eq!(skipped.stats(), read.stats(), "prelude {k}");
-                assert!(skipped.at_rest() && read.at_rest() && !skipped.in_frame());
+                assert!(skipped.at_rest() && read.at_rest());
                 // And the stream goes on the same, split mid-escape or not.
                 for cut in [3, next.len()] {
                     let (mut a, mut b) = (read.clone(), skipped.clone());
@@ -864,16 +874,53 @@ mod tests {
     }
 
     #[test]
-    fn in_frame_reports_mid_frame() {
+    fn at_rest_reports_mid_frame() {
         let mut d = Deframer::new();
-        assert!(!d.in_frame());
+        assert!(d.at_rest());
         d.push(FEND);
         d.push(0x00);
-        assert!(d.in_frame(), "type byte consumed, frame is open");
+        assert!(!d.at_rest(), "type byte consumed, frame is open");
         d.push(b'a');
-        assert!(d.in_frame());
+        assert!(!d.at_rest());
         d.push(FEND);
-        assert!(!d.in_frame());
+        assert!(d.at_rest());
+    }
+
+    #[test]
+    fn the_buffer_fits_the_longest_ax25_frame_and_grows_once_past_it() {
+        for per_byte in [false, true] {
+            let mut d = Deframer::new();
+            let feed = |d: &mut Deframer, wire: &[u8]| {
+                let mut got = Vec::new();
+                if per_byte {
+                    got.extend(wire.iter().filter_map(|&b| d.push(b).map(|f| f.to_owned())));
+                } else {
+                    d.push_slice(wire, |_, f| got.push(f.to_owned()));
+                }
+                got
+            };
+            assert_eq!(d.buf.capacity(), Deframer::INITIAL_ROOM);
+            let longest = [0x11; Deframer::INITIAL_ROOM - 1];
+            let got = feed(&mut d, &encode(0, Command::Data, &longest));
+            assert_eq!(got, [KissFrame::data(longest.to_vec())]);
+            assert_eq!(
+                d.buf.capacity(),
+                Deframer::INITIAL_ROOM,
+                "per_byte {per_byte}"
+            );
+            // One octet longer: one growth, straight to the length cap.
+            let longer = [0x22; Deframer::INITIAL_ROOM];
+            let got = feed(&mut d, &encode(0, Command::Data, &longer));
+            assert_eq!(got, [KissFrame::data(longer.to_vec())]);
+            assert_eq!(d.buf.capacity(), Deframer::DEFAULT_MAX_LEN + 1);
+            let capped = [0x33; Deframer::DEFAULT_MAX_LEN];
+            let got = feed(&mut d, &encode(0, Command::Data, &capped));
+            assert_eq!(got, [KissFrame::data(capped.to_vec())]);
+            let oversize = [0x44; Deframer::DEFAULT_MAX_LEN + 1];
+            assert!(feed(&mut d, &encode(0, Command::Data, &oversize)).is_empty());
+            assert_eq!(d.stats().oversize, 1);
+            assert_eq!(d.buf.capacity(), Deframer::DEFAULT_MAX_LEN + 1);
+        }
     }
 
     /// Pushes a stream through `push_slice` in the given chunking and
@@ -978,7 +1025,7 @@ mod tests {
     fn placeholder_is_heap_free_and_inert() {
         let d = Deframer::placeholder();
         assert_eq!(d.buf.capacity(), 0);
-        assert!(!d.in_frame());
+        assert!(d.at_rest());
     }
 
     #[test]

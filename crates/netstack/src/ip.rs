@@ -12,6 +12,7 @@ use sim::pktbuf::ByteSink;
 use sim::wire::internet_checksum;
 use sim::{SimDuration, SimTime};
 
+use crate::pool::DgramPool;
 use crate::NetError;
 
 /// IP protocol numbers used by this stack.
@@ -298,6 +299,8 @@ pub struct Reassembler {
 struct PendingDatagram {
     /// (offset_bytes, payload) pieces, by offset, ties in arrival order.
     pieces: Vec<(usize, Vec<u8>)>,
+    /// Payload octets held in `pieces`, overlaps counted twice.
+    held: usize,
     /// Total payload length, known once the MF=0 fragment arrives.
     total: Option<usize>,
     /// Header of the first fragment seen, without its payload.
@@ -323,8 +326,19 @@ impl Reassembler {
     /// fills. Whole packets pass straight through. A fragment of a new
     /// datagram past [`REASSEMBLY_MAX_DATAGRAMS`] is refused, and one that
     /// takes its datagram past [`REASSEMBLY_MAX_OCTETS`] drops it; both
-    /// count in `dropped`.
-    pub fn push(&mut self, now: SimTime, mut packet: Ipv4Packet) -> Option<Ipv4Packet> {
+    /// count in `dropped`. Every fragment buffer not kept — a duplicate's,
+    /// a refused one's, the pieces of a dropped or completed datagram —
+    /// goes back to `pool`.
+    ///
+    /// A fragment costs a binary search among its datagram's pieces; the
+    /// walk that looks for holes runs only once the pieces hold at least
+    /// the datagram's length.
+    pub fn push(
+        &mut self,
+        now: SimTime,
+        mut packet: Ipv4Packet,
+        pool: &mut DgramPool,
+    ) -> Option<Ipv4Packet> {
         if !packet.is_fragment() {
             return Some(packet);
         }
@@ -337,10 +351,12 @@ impl Reassembler {
             Entry::Occupied(slot) => slot,
             Entry::Vacant(_) if full => {
                 self.dropped += 1;
+                pool.give(payload);
                 return None;
             }
             Entry::Vacant(slot) => slot.insert_entry(PendingDatagram {
                 pieces: Vec::new(),
+                held: 0,
                 total: None,
                 template: packet,
                 deadline: now + REASSEMBLY_TIMEOUT,
@@ -350,22 +366,30 @@ impl Reassembler {
         if last {
             entry.total = Some(off + payload.len());
         }
-        // Ignore exact duplicates.
-        if !entry
-            .pieces
-            .iter()
-            .any(|(o, p)| *o == off && p.len() == payload.len())
-        {
-            let held: usize = entry.pieces.iter().map(|(_, p)| p.len()).sum();
-            if held + payload.len() > REASSEMBLY_MAX_OCTETS {
-                slot.remove();
+        // The pieces already at this offset, in arrival order: an exact
+        // duplicate is one of them, and a new piece goes behind them.
+        let from = entry.pieces.partition_point(|(o, _)| *o < off);
+        let same = entry.pieces[from..].partition_point(|(o, _)| *o == off);
+        let run = &entry.pieces[from..from + same];
+        if run.iter().any(|(_, p)| p.len() == payload.len()) {
+            pool.give(payload);
+        } else {
+            if entry.held + payload.len() > REASSEMBLY_MAX_OCTETS {
+                for (_, p) in slot.remove().pieces {
+                    pool.give(p);
+                }
+                pool.give(payload);
                 self.dropped += 1;
                 return None;
             }
-            let at = entry.pieces.partition_point(|(o, _)| *o <= off);
-            entry.pieces.insert(at, (off, payload));
+            entry.held += payload.len();
+            entry.pieces.insert(from + same, (off, payload));
         }
         let total = entry.total?;
+        if entry.held < total {
+            // Fewer octets than the datagram has: a hole for certain.
+            return None;
+        }
         // Check contiguity.
         let mut have = 0usize;
         for (o, p) in &entry.pieces {
@@ -381,8 +405,9 @@ impl Reassembler {
         }
         let entry = slot.remove();
         let mut buf = vec![0u8; total];
-        for (o, p) in &entry.pieces {
-            buf[*o..o + p.len()].copy_from_slice(p);
+        for (o, p) in entry.pieces {
+            buf[o..o + p.len()].copy_from_slice(&p);
+            pool.give(p);
         }
         let mut whole = entry.template;
         whole.payload = buf;
@@ -391,11 +416,19 @@ impl Reassembler {
         Some(whole)
     }
 
-    /// Discards datagrams whose reassembly timer expired; returns how many
-    /// were dropped.
-    pub fn expire(&mut self, now: SimTime) -> usize {
+    /// Discards datagrams whose reassembly timer expired, giving their
+    /// pieces' buffers back to `pool`; returns how many were dropped.
+    pub fn expire(&mut self, now: SimTime, pool: &mut DgramPool) -> usize {
         let before = self.pending.len();
-        self.pending.retain(|_, d| d.deadline > now);
+        self.pending.retain(|_, d| {
+            if d.deadline > now {
+                return true;
+            }
+            for (_, p) in d.pieces.drain(..) {
+                pool.give(p);
+            }
+            false
+        });
         before - self.pending.len()
     }
 
@@ -616,9 +649,10 @@ mod tests {
             panic!()
         };
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         let mut done = None;
         for f in frags {
-            done = r.push(SimTime::ZERO, f);
+            done = r.push(SimTime::ZERO, f, &mut pool);
         }
         let whole = done.expect("complete after last fragment");
         assert_eq!(whole.payload, p.payload);
@@ -636,9 +670,10 @@ mod tests {
         let dup = frags[1].clone();
         frags.insert(2, dup);
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         let mut done = None;
         for f in frags {
-            if let Some(w) = r.push(SimTime::ZERO, f) {
+            if let Some(w) = r.push(SimTime::ZERO, f, &mut pool) {
                 done = Some(w);
             }
         }
@@ -658,12 +693,13 @@ mod tests {
             panic!()
         };
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         let mut got = Vec::new();
         for (a, b) in f1.into_iter().zip(f2) {
-            if let Some(w) = r.push(SimTime::ZERO, a) {
+            if let Some(w) = r.push(SimTime::ZERO, a, &mut pool) {
                 got.push(w);
             }
-            if let Some(w) = r.push(SimTime::ZERO, b) {
+            if let Some(w) = r.push(SimTime::ZERO, b, &mut pool) {
                 got.push(w);
             }
         }
@@ -679,13 +715,17 @@ mod tests {
             panic!()
         };
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         for f in frags.into_iter().skip(1) {
-            assert!(r.push(SimTime::ZERO, f).is_none());
+            assert!(r.push(SimTime::ZERO, f, &mut pool).is_none());
         }
         assert_eq!(r.pending_count(), 1);
         assert_eq!(r.next_deadline(), Some(SimTime::ZERO + REASSEMBLY_TIMEOUT));
         assert_eq!(
-            r.expire(SimTime::ZERO + REASSEMBLY_TIMEOUT + SimDuration::from_nanos(1)),
+            r.expire(
+                SimTime::ZERO + REASSEMBLY_TIMEOUT + SimDuration::from_nanos(1),
+                &mut pool
+            ),
             1
         );
         assert_eq!(r.pending_count(), 0);
@@ -696,17 +736,60 @@ mod tests {
         // 10,000 distinct fragments, none at offset 0: 120,000 octets
         // offered for one datagram that can never complete.
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         for i in 0..10_000u16 {
             let mut f = sample(8 * usize::from(1 + i / 5000));
             f.frag_offset = 1 + i % 5000;
             f.more_fragments = true;
-            assert!(r.push(SimTime::ZERO, f).is_none());
+            assert!(r.push(SimTime::ZERO, f, &mut pool).is_none());
         }
         assert_eq!(r.pending_count(), 1);
         let d = r.pending.values().next().unwrap();
         let held: usize = d.pieces.iter().map(|(_, p)| p.len()).sum();
         assert!(held <= REASSEMBLY_MAX_OCTETS, "{held}");
+        assert_eq!(d.held, held);
         assert_eq!(r.dropped, 1);
+    }
+
+    #[test]
+    fn a_datagram_whose_last_fragment_comes_first_completes_on_its_last_hole() {
+        // The MF=0 fragment fixes the length up front; 7,999 eight-octet
+        // fragments follow, a duplicate of each of the first hundred
+        // among them, and only the one that fills the last hole completes
+        // the datagram.
+        const PIECES: u16 = 8_000;
+        let whole = sample(8 * usize::from(PIECES));
+        let piece = |k: u16| {
+            let at = 8 * usize::from(k);
+            let mut f = sample(0);
+            f.payload.extend_from_slice(&whole.payload[at..at + 8]);
+            f.frag_offset = k;
+            f.more_fragments = k + 1 < PIECES;
+            f
+        };
+        let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
+        assert!(r
+            .push(SimTime::ZERO, piece(PIECES - 1), &mut pool)
+            .is_none());
+        for k in (1..PIECES - 1).rev() {
+            assert!(r.push(SimTime::ZERO, piece(k), &mut pool).is_none(), "{k}");
+            if k >= PIECES - 101 {
+                assert!(r.push(SimTime::ZERO, piece(k), &mut pool).is_none());
+            }
+        }
+        assert_eq!(r.pending.values().next().unwrap().pieces.len(), 7_999);
+        // The duplicates' buffers went back to the pool; empty it, so
+        // what it holds next is what completion gives back.
+        let _ = (pool.take(0), pool.take(0));
+        assert_eq!(pool.take(0).capacity(), 0);
+        let done = r
+            .push(SimTime::ZERO, piece(0), &mut pool)
+            .expect("complete");
+        assert_eq!(done.payload, whole.payload);
+        assert!(!done.is_fragment());
+        assert_eq!((r.pending_count(), r.dropped), (0, 0));
+        assert_eq!(pool.take(0).capacity(), 8);
     }
 
     #[test]
@@ -725,9 +808,10 @@ mod tests {
             }
         }
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         let mut done = None;
         for f in all {
-            if let Some(w) = r.push(SimTime::ZERO, f) {
+            if let Some(w) = r.push(SimTime::ZERO, f, &mut pool) {
                 done = Some(w);
             }
         }

@@ -602,7 +602,7 @@ impl NetStack {
             self.pool.give(packet.payload);
             return;
         }
-        let Some(whole) = self.reasm.push(now, packet) else {
+        let Some(whole) = self.reasm.push(now, packet, &mut self.pool) else {
             self.stats.frag_dropped = self.reasm.dropped;
             return;
         };
@@ -1217,7 +1217,7 @@ impl NetStack {
     /// [`Self::poll`] without the drain: the actions stay queued for
     /// [`Self::drain_actions_into`].
     pub fn poll_queued(&mut self, now: SimTime) {
-        self.reasm.expire(now);
+        self.reasm.expire(now, &mut self.pool);
         for i in 0..self.socks.len() {
             if self.socks[i].tcb.next_deadline().is_some_and(|t| t <= now) {
                 self.socks[i].tcb.on_timer(now, &mut self.tcb_events);

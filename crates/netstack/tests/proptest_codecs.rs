@@ -3,6 +3,7 @@
 
 use netstack::icmp::{GateAuth, IcmpMessage, UnreachCode};
 use netstack::ip::{fragment, FragResult, Ipv4Packet, Proto, Reassembler, HEADER_LEN};
+use netstack::pool::DgramPool;
 use netstack::stack::NetStack;
 use netstack::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use netstack::udp::UdpDatagram;
@@ -240,9 +241,10 @@ proptest! {
         let mut rng = sim::SimRng::seed_from(shuffle_seed);
         rng.shuffle(&mut order);
         let mut r = Reassembler::new();
+        let mut pool = DgramPool::new();
         let mut done = None;
         for i in order {
-            if let Some(w) = r.push(SimTime::ZERO, frags[i].clone()) {
+            if let Some(w) = r.push(SimTime::ZERO, frags[i].clone(), &mut pool) {
                 done = Some(w);
             }
         }

@@ -39,7 +39,7 @@ pub struct BbsServer {
     my_call: Ax25Addr,
     bulletins: Vec<(String, String)>,
     sessions: HashMap<Ax25Addr, BbsSession>,
-    report: crate::Shared<BbsReport>,
+    report: BbsReport,
 }
 
 impl BbsServer {
@@ -52,13 +52,13 @@ impl BbsServer {
                 .map(|(s, b)| (s.to_string(), b.to_string()))
                 .collect(),
             sessions: HashMap::new(),
-            report: crate::shared(BbsReport::default()),
+            report: BbsReport::default(),
         }
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<BbsReport> {
-        self.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &BbsReport {
+        &self.report
     }
 
     fn prompt() -> &'static str {
@@ -66,13 +66,13 @@ impl BbsServer {
     }
 
     fn execute(&mut self, peer: Ax25Addr, line: &str) -> (String, bool) {
-        self.report.borrow_mut().commands += 1;
+        self.report.commands += 1;
         let session = self.sessions.get_mut(&peer).expect("session exists");
         if let Some((subject, lines)) = &mut session.composing {
             if line.trim() == "/EX" {
                 let posted = (subject.clone(), lines.join("\r"));
                 self.bulletins.push(posted.clone());
-                self.report.borrow_mut().posted.push(posted);
+                self.report.posted.push(posted);
                 session.composing = None;
                 return (format!("Message saved.{}", Self::prompt()), false);
             }
@@ -120,7 +120,7 @@ impl BbsServer {
             match ev {
                 ConnEvent::SendFrame(f) => host.send_raw_ax25(now, &f),
                 ConnEvent::Established => {
-                    self.report.borrow_mut().sessions += 1;
+                    self.report.sessions += 1;
                     let greeting = format!(
                         "[BBS-{}]\rWelcome. L=list R n=read S subj=send Q=quit{}",
                         self.my_call,
@@ -224,7 +224,7 @@ pub struct TerminalUser {
     step: usize,
     pending: String,
     conn: Option<Connection>,
-    report: crate::Shared<TerminalReport>,
+    report: TerminalReport,
 }
 
 impl TerminalUser {
@@ -241,13 +241,13 @@ impl TerminalUser {
             step: 0,
             pending: String::new(),
             conn: None,
-            report: crate::shared(TerminalReport::default()),
+            report: TerminalReport::default(),
         }
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<TerminalReport> {
-        self.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &TerminalReport {
+        &self.report
     }
 
     fn drive(&mut self, now: SimTime, events: Vec<ConnEvent>, host: &mut Host) {
@@ -255,17 +255,16 @@ impl TerminalUser {
             match ev {
                 ConnEvent::SendFrame(f) => host.send_raw_ax25(now, &f),
                 ConnEvent::Established => {
-                    self.report.borrow_mut().connected = true;
+                    self.report.connected = true;
                 }
                 ConnEvent::Data(data) => {
                     let text = String::from_utf8_lossy(&data).to_string();
                     self.pending.push_str(&text);
-                    self.report.borrow_mut().transcript.push_str(&text);
+                    self.report.transcript.push_str(&text);
                     self.advance_script(now, host);
                 }
                 ConnEvent::Released(_) => {
-                    let mut r = self.report.borrow_mut();
-                    r.done = self.step >= self.script.len();
+                    self.report.done = self.step >= self.script.len();
                 }
             }
         }
@@ -278,7 +277,7 @@ impl TerminalUser {
             };
             self.pending.drain(..pos + expect.len());
             self.step += 1;
-            self.report.borrow_mut().lines_sent += 1;
+            self.report.lines_sent += 1;
             let Some(conn) = &mut self.conn else { break };
             let events = conn.send(now, send.as_bytes());
             self.drive(now, events, host);

@@ -45,7 +45,7 @@ pub struct CallbookServerProgram {
     db: HashMap<String, String>,
     /// Referrals: callsign-prefix → server address.
     referrals: Vec<(String, Ipv4Addr)>,
-    report: crate::Shared<CallbookServerReport>,
+    report: CallbookServerReport,
 }
 
 impl CallbookServer {
@@ -61,13 +61,13 @@ impl CallbookServer {
                 .iter()
                 .map(|(p, ip)| (p.to_string(), *ip))
                 .collect(),
-            report: crate::shared(CallbookServerReport::default()),
+            report: CallbookServerReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<CallbookServerReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &CallbookServerReport {
+        &self.program.report
     }
 }
 
@@ -93,10 +93,10 @@ impl SocketProgram for CallbookServerProgram {
 
 impl CallbookServerProgram {
     /// The answer to one datagram, counted; `None` when it is no query.
-    fn reply(&self, query: &[u8]) -> Option<String> {
+    fn reply(&mut self, query: &[u8]) -> Option<String> {
         let query = String::from_utf8_lossy(query);
         let call = query.trim().strip_prefix('?')?;
-        let mut report = self.report.borrow_mut();
+        let report = &mut self.report;
         Some(if let Some(record) = self.db.get(call) {
             report.answered += 1;
             format!("OK {call} {record}")
@@ -134,7 +134,7 @@ pub struct CallbookClientProgram {
     callsign: String,
     sock: Option<SocketHandle>,
     local_port: u16,
-    report: crate::Shared<CallbookClientReport>,
+    report: CallbookClientReport,
 }
 
 impl CallbookClient {
@@ -145,13 +145,13 @@ impl CallbookClient {
             callsign: callsign.to_string(),
             sock: None,
             local_port,
-            report: crate::shared(CallbookClientReport::default()),
+            report: CallbookClientReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<CallbookClientReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &CallbookClientReport {
+        &self.program.report
     }
 }
 
@@ -160,7 +160,7 @@ impl CallbookClientProgram {
         let Some(h) = self.sock else {
             return;
         };
-        self.report.borrow_mut().hops += 1;
+        self.report.hops += 1;
         let q = format!("?{}", self.callsign);
         let _ = cx
             .host
@@ -186,16 +186,15 @@ impl SocketProgram for CallbookClientProgram {
                 .strip_prefix("REFER ")
                 .and_then(|target| target.parse::<Ipv4Addr>().ok());
             if let Some(ip) = referral {
-                if self.report.borrow().hops < MAX_HOPS {
+                if self.report.hops < MAX_HOPS {
                     self.query(now, ip, cx);
                 } else {
-                    self.report.borrow_mut().done = true;
+                    self.report.done = true;
                 }
                 continue;
             }
-            let mut r = self.report.borrow_mut();
-            r.answer = Some(line);
-            r.done = true;
+            self.report.answer = Some(line);
+            self.report.done = true;
         }
     }
 }

@@ -188,7 +188,7 @@ pub struct DnsServerProgram {
     zone: HashMap<String, Ipv4Addr>,
     ttl: u32,
     sock: Option<SocketHandle>,
-    report: crate::Shared<DnsServerReport>,
+    report: DnsServerReport,
 }
 
 impl DnsServer {
@@ -201,13 +201,13 @@ impl DnsServer {
                 .collect(),
             ttl: ttl.as_secs_f64() as u32,
             sock: None,
-            report: crate::shared(DnsServerReport::default()),
+            report: DnsServerReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<DnsServerReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &DnsServerReport {
+        &self.program.report
     }
 }
 
@@ -225,18 +225,15 @@ impl SocketProgram for DnsServerProgram {
             .sock_recv_from(h, |src, sport, dgram| (src, sport, decode_query(dgram)))
         {
             let Some((id, name)) = query else {
-                self.report.borrow_mut().malformed += 1;
+                self.report.malformed += 1;
                 continue;
             };
             let answer = self.zone.get(&name).map(|&a| (a, self.ttl));
-            {
-                let mut r = self.report.borrow_mut();
-                r.queries += 1;
-                if answer.is_some() {
-                    r.answered += 1;
-                } else {
-                    r.nxdomain += 1;
-                }
+            self.report.queries += 1;
+            if answer.is_some() {
+                self.report.answered += 1;
+            } else {
+                self.report.nxdomain += 1;
             }
             let resp = encode_response(id, &name, answer);
             let _ = cx.host.sock_send_to(now, h, src, sport, resp);

@@ -33,7 +33,7 @@ pub type EchoServer = SockApp<EchoProgram>;
 pub struct EchoProgram {
     port: u16,
     listener: Option<SocketHandle>,
-    report: crate::Shared<EchoReport>,
+    report: EchoReport,
 }
 
 impl EchoServer {
@@ -42,13 +42,13 @@ impl EchoServer {
         SockApp::from(EchoProgram {
             port,
             listener: None,
-            report: crate::shared(EchoReport::default()),
+            report: EchoReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<EchoReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &EchoReport {
+        &self.program.report
     }
 }
 
@@ -63,14 +63,14 @@ impl SocketProgram for EchoProgram {
     fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
         if Some(h) == self.listener {
             while let Ok(_sess) = cx.accept(now, h) {
-                self.report.borrow_mut().accepted += 1;
+                self.report.accepted += 1;
             }
             return;
         }
         if ready.readable() {
             match cx.host.sock_recv(now, h) {
                 Ok(data) if !data.is_empty() => {
-                    self.report.borrow_mut().bytes_echoed += data.len() as u64;
+                    self.report.bytes_echoed += data.len() as u64;
                     let _ = cx.host.sock_send(now, h, &data);
                 }
                 _ => {}
@@ -86,7 +86,7 @@ impl SocketProgram for EchoProgram {
 pub struct RawEchoServer {
     port: u16,
     socks: HashSet<SockId>,
-    report: crate::Shared<EchoReport>,
+    report: EchoReport,
 }
 
 impl RawEchoServer {
@@ -95,13 +95,13 @@ impl RawEchoServer {
         RawEchoServer {
             port,
             socks: HashSet::new(),
-            report: crate::shared(EchoReport::default()),
+            report: EchoReport::default(),
         }
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<EchoReport> {
-        self.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &EchoReport {
+        &self.report
     }
 }
 
@@ -117,12 +117,12 @@ impl App for RawEchoServer {
             StackAction::TcpAccepted { listener, sock } => {
                 host.stack.tcp_accept(*listener);
                 self.socks.insert(*sock);
-                self.report.borrow_mut().accepted += 1;
+                self.report.accepted += 1;
             }
             StackAction::TcpReadable(sock) if self.socks.contains(sock) => {
                 let data = host.tcp_recv(now, *sock);
                 if !data.is_empty() {
-                    self.report.borrow_mut().bytes_echoed += data.len() as u64;
+                    self.report.bytes_echoed += data.len() as u64;
                     host.tcp_send(now, *sock, &data);
                 }
             }

@@ -55,7 +55,7 @@ pub struct FileServerProgram {
     /// and break the sharded engine's digest-equivalence contract once
     /// several transfers overlap.
     sending: Vec<(SocketHandle, String, usize, usize)>,
-    report: crate::Shared<FileServerReport>,
+    report: FileServerReport,
 }
 
 impl FileServer {
@@ -67,13 +67,13 @@ impl FileServer {
             catalogue: files.iter().map(|(n, s)| (n.to_string(), *s)).collect(),
             sessions: HashMap::new(),
             sending: Vec::new(),
-            report: crate::shared(FileServerReport::default()),
+            report: FileServerReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<FileServerReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &FileServerReport {
+        &self.program.report
     }
 }
 
@@ -91,7 +91,7 @@ impl FileServerProgram {
             let chunk: Vec<u8> = (*offset..*offset + n).map(|i| file_byte(name, i)).collect();
             let accepted = cx.host.sock_send(now, h, &chunk).unwrap_or(0);
             *offset += accepted;
-            self.report.borrow_mut().bytes_sent += accepted as u64;
+            self.report.bytes_sent += accepted as u64;
             if accepted == 0 {
                 return;
             }
@@ -128,14 +128,14 @@ impl SocketProgram for FileServerProgram {
                     if let Some(name) = line.trim().strip_prefix("GET ") {
                         match self.catalogue.get(name) {
                             Some(&size) => {
-                                self.report.borrow_mut().serves += 1;
+                                self.report.serves += 1;
                                 let header = format!("OK {size}\n");
                                 let _ = cx.host.sock_send(now, h, header.as_bytes());
                                 self.sending.push((h, name.to_string(), 0, size));
                                 self.pump_send(now, h, cx);
                             }
                             None => {
-                                self.report.borrow_mut().not_found += 1;
+                                self.report.not_found += 1;
                                 let _ = cx.host.sock_send(now, h, b"ERR no such file\n");
                                 self.sessions.remove(&h);
                                 cx.close(now, h);
@@ -201,7 +201,7 @@ pub struct FileClientProgram {
     buf: Vec<u8>,
     header_done: bool,
     mismatch: bool,
-    report: crate::Shared<FileClientReport>,
+    report: FileClientReport,
 }
 
 impl FileClient {
@@ -216,19 +216,19 @@ impl FileClient {
             buf: Vec::new(),
             header_done: false,
             mismatch: false,
-            report: crate::shared(FileClientReport::default()),
+            report: FileClientReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<FileClientReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &FileClientReport {
+        &self.program.report
     }
 }
 
 impl SocketProgram for FileClientProgram {
     fn on_start(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
-        self.report.borrow_mut().started_at = Some(now);
+        self.report.started_at = Some(now);
         self.sock = cx.connect(now, self.dst, self.port).ok();
     }
 
@@ -254,14 +254,14 @@ impl SocketProgram for FileClientProgram {
                 if let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                     self.header_done = true;
                     if let Some(size) = line.trim().strip_prefix("OK ") {
-                        self.report.borrow_mut().announced = size.parse().unwrap_or(0);
+                        self.report.announced = size.parse().unwrap_or(0);
                     } else {
-                        self.report.borrow_mut().not_found = true;
+                        self.report.not_found = true;
                     }
                 }
             }
             if self.header_done {
-                let mut r = self.report.borrow_mut();
+                let r = &mut self.report;
                 for b in self.buf.drain(..) {
                     if b != file_byte(&self.name, r.received) {
                         self.mismatch = true;
@@ -274,7 +274,7 @@ impl SocketProgram for FileClientProgram {
         if ready.eof() {
             cx.close(now, h);
             self.sock = None;
-            let mut r = self.report.borrow_mut();
+            let r = &mut self.report;
             r.finished_at = Some(now);
             r.intact = !self.mismatch && r.received == r.announced;
             r.done = r.intact && r.announced > 0;

@@ -29,8 +29,10 @@
 //! * [`ax25chat`] — connected-mode AX.25 endpoints: the BBS and terminal
 //!   users that the §2.4 application gateway serves.
 //!
-//! Each app publishes its results through a [`Shared`] report handle that
-//! survives the app being boxed into the world.
+//! Each app owns its report, read through the typed `World::app(id)` with
+//! the `AppId` that `World::add_app` returned. Only [`ping::Pinger`],
+//! [`bulk::BulkSender`] and [`bulk::BulkSink`] still hand out a [`Shared`]
+//! report handle, because the benchmark harness holds theirs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,4 +69,32 @@ pub fn take_line(buf: &mut Vec<u8>, terminators: &[u8]) -> Option<String> {
     let line = String::from_utf8_lossy(&buf[..end]).into_owned();
     buf.drain(..end);
     Some(line)
+}
+
+#[cfg(test)]
+mod tests {
+    /// Compiles only for a type that holds no `Rc`, so no report handle
+    /// can be shared out of it: the app owns its report and callers read
+    /// it through `World::app`.
+    fn owns_its_report<T: Send + 'static>() {}
+
+    #[test]
+    fn apps_own_their_reports() {
+        // `Pinger`, `BulkSender` and `BulkSink` are left out: the
+        // benchmark harness holds their shared report handles.
+        owns_its_report::<crate::echo::EchoServer>();
+        owns_its_report::<crate::echo::RawEchoServer>();
+        owns_its_report::<crate::ftp::FileServer>();
+        owns_its_report::<crate::ftp::FileClient>();
+        owns_its_report::<crate::dns::DnsServer>();
+        owns_its_report::<crate::callbook::CallbookServer>();
+        owns_its_report::<crate::callbook::CallbookClient>();
+        owns_its_report::<crate::telnet::TelnetServer>();
+        owns_its_report::<crate::telnet::TelnetClient>();
+        owns_its_report::<crate::smtp::SmtpServer>();
+        owns_its_report::<crate::smtp::SmtpClient>();
+        owns_its_report::<crate::typist::Typist>();
+        owns_its_report::<crate::ax25chat::BbsServer>();
+        owns_its_report::<crate::ax25chat::TerminalUser>();
+    }
 }

@@ -51,7 +51,7 @@ pub struct SmtpServerProgram {
     hostname: String,
     listener: Option<SocketHandle>,
     sessions: HashMap<SocketHandle, SmtpSession>,
-    report: crate::Shared<SmtpServerReport>,
+    report: SmtpServerReport,
 }
 
 impl SmtpServer {
@@ -62,13 +62,13 @@ impl SmtpServer {
             hostname: hostname.to_string(),
             listener: None,
             sessions: HashMap::new(),
-            report: crate::shared(SmtpServerReport::default()),
+            report: SmtpServerReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<SmtpServerReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &SmtpServerReport {
+        &self.program.report
     }
 }
 
@@ -83,7 +83,7 @@ impl SmtpServerProgram {
                     to: session.to.clone(),
                     body: std::mem::take(&mut session.body),
                 };
-                self.report.borrow_mut().mailbox.push(mail);
+                self.report.mailbox.push(mail);
                 return ("250 Ok: queued\r\n".to_string(), false);
             }
             session.body.push(line.to_string());
@@ -117,7 +117,7 @@ impl SocketProgram for SmtpServerProgram {
     fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
         if Some(h) == self.listener {
             while let Ok(sess) = cx.accept(now, h) {
-                self.report.borrow_mut().sessions += 1;
+                self.report.sessions += 1;
                 self.sessions.insert(sess, SmtpSession::default());
                 let banner = format!("220 {} SMTP ready\r\n", self.hostname);
                 let _ = cx.host.sock_send(now, sess, banner.as_bytes());
@@ -175,7 +175,7 @@ pub struct SmtpClientProgram {
     sock: Option<SocketHandle>,
     buf: Vec<u8>,
     step: usize,
-    report: crate::Shared<SmtpClientReport>,
+    report: SmtpClientReport,
 }
 
 impl SmtpClient {
@@ -188,13 +188,13 @@ impl SmtpClient {
             sock: None,
             buf: Vec::new(),
             step: 0,
-            report: crate::shared(SmtpClientReport::default()),
+            report: SmtpClientReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<SmtpClientReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &SmtpClientReport {
+        &self.program.report
     }
 }
 
@@ -236,14 +236,11 @@ impl SocketProgram for SmtpClientProgram {
             self.buf.extend_from_slice(&data);
             while let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                 let line = line.trim_end();
-                {
-                    let mut r = self.report.borrow_mut();
-                    // "250 Ok: queued" after the DATA body means delivery.
-                    if self.step == 5 && line.starts_with("250") {
-                        r.delivered = true;
-                    }
-                    r.replies.push(line.to_string());
+                // "250 Ok: queued" after the DATA body means delivery.
+                if self.step == 5 && line.starts_with("250") {
+                    self.report.delivered = true;
                 }
+                self.report.replies.push(line.to_string());
                 // Every server reply advances the script one command.
                 if line.starts_with('2') || line.starts_with('3') {
                     if let Some(cmd) = self.next_command() {
@@ -253,9 +250,8 @@ impl SocketProgram for SmtpClientProgram {
                 if line.starts_with("221") {
                     cx.close(now, h);
                     self.sock = None;
-                    let mut r = self.report.borrow_mut();
-                    r.done = true;
-                    r.finished_at = Some(now);
+                    self.report.done = true;
+                    self.report.finished_at = Some(now);
                     return;
                 }
             }

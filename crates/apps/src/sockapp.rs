@@ -235,12 +235,12 @@ mod tests {
     fn a_server_holds_nothing_for_the_connections_it_closed() {
         const SESSIONS: usize = 6;
         let mut s = paper_topology(PaperConfig::default(), 2602);
-        let mut reports = Vec::new();
-        for _ in 0..SESSIONS {
-            let typist = Typist::new(ETHER_HOST_IP, 7, 2);
-            reports.push(typist.report());
-            s.world.add_app(s.pc, Box::new(typist));
-        }
+        let typists: Vec<_> = (0..SESSIONS)
+            .map(|_| {
+                s.world
+                    .add_app(s.pc, Box::new(Typist::new(ETHER_HOST_IP, 7, 2)))
+            })
+            .collect();
         // The server stays outside the world, run by hand between run
         // calls, so the test can look into it afterwards.
         let mut server = EchoServer::new(7);
@@ -252,10 +252,10 @@ mod tests {
         }
 
         assert!(
-            reports.iter().all(|r| r.borrow().done),
+            typists.iter().all(|&t| s.world.app(t).report().done),
             "every session ran to its close"
         );
-        assert_eq!(server.report().borrow().accepted, SESSIONS as u64);
+        assert_eq!(server.report().accepted, SESSIONS as u64);
         // Every accepted stream is closed: the listener is the one live
         // handle, and the runtime keeps one entry per live handle.
         assert_eq!(server.watched.len(), 1);

@@ -39,7 +39,7 @@ pub struct TelnetServerProgram {
     hostname: String,
     listener: Option<SocketHandle>,
     sessions: HashMap<SocketHandle, (LoginState, Vec<u8>)>,
-    report: crate::Shared<TelnetServerReport>,
+    report: TelnetServerReport,
 }
 
 impl TelnetServer {
@@ -50,13 +50,13 @@ impl TelnetServer {
             hostname: hostname.to_string(),
             listener: None,
             sessions: HashMap::new(),
-            report: crate::shared(TelnetServerReport::default()),
+            report: TelnetServerReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<TelnetServerReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &TelnetServerReport {
+        &self.program.report
     }
 }
 
@@ -75,7 +75,7 @@ impl TelnetServerProgram {
                 )
             }
             LoginState::Shell => {
-                self.report.borrow_mut().commands += 1;
+                self.report.commands += 1;
                 match line.trim() {
                     "date" => (
                         format!("Tue Jun 14 09:22:41 PDT 1988\r\n{}% ", self.hostname),
@@ -107,7 +107,7 @@ impl SocketProgram for TelnetServerProgram {
     fn on_ready(&mut self, now: SimTime, h: SocketHandle, ready: Readiness, cx: &mut SockCtx<'_>) {
         if Some(h) == self.listener {
             while let Ok(sess) = cx.accept(now, h) {
-                self.report.borrow_mut().sessions += 1;
+                self.report.sessions += 1;
                 self.sessions
                     .insert(sess, (LoginState::AwaitLogin, Vec::new()));
                 let banner = format!("4.3 BSD UNIX ({})\r\n\r\nlogin: ", self.hostname);
@@ -169,7 +169,7 @@ pub struct TelnetClientProgram {
     sock: Option<SocketHandle>,
     /// Unmatched server output (prompts are consumed as they match).
     pending: String,
-    report: crate::Shared<TelnetClientReport>,
+    report: TelnetClientReport,
 }
 
 impl TelnetClient {
@@ -185,7 +185,7 @@ impl TelnetClient {
             step: 0,
             sock: None,
             pending: String::new(),
-            report: crate::shared(TelnetClientReport::default()),
+            report: TelnetClientReport::default(),
         })
     }
 
@@ -204,9 +204,9 @@ impl TelnetClient {
         )
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<TelnetClientReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &TelnetClientReport {
+        &self.program.report
     }
 }
 
@@ -218,7 +218,7 @@ impl TelnetClientProgram {
             };
             // Consume through the prompt so it is not matched twice.
             self.pending.drain(..pos + expect.len());
-            self.report.borrow_mut().lines_sent += 1;
+            self.report.lines_sent += 1;
             self.step += 1;
             let _ = cx.host.sock_send(now, h, send.as_bytes());
         }
@@ -238,15 +238,14 @@ impl SocketProgram for TelnetClientProgram {
             let data = cx.host.sock_recv(now, h).unwrap_or_default();
             let text = String::from_utf8_lossy(&data);
             self.pending.push_str(&text);
-            self.report.borrow_mut().transcript.push_str(&text);
+            self.report.transcript.push_str(&text);
             self.try_advance(now, h, cx);
         } else if ready.eof() || ready.error() {
             cx.close(now, h);
             self.sock = None;
             if ready.eof() {
-                let mut r = self.report.borrow_mut();
-                r.done = self.step >= self.script.len();
-                r.finished_at = Some(now);
+                self.report.done = self.step >= self.script.len();
+                self.report.finished_at = Some(now);
             }
         }
     }

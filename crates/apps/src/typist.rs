@@ -74,7 +74,7 @@ pub struct TypistProgram {
     started: bool,
     sent_at: Option<SimTime>,
     awaiting: usize,
-    report: crate::Shared<TypistReport>,
+    report: TypistReport,
 }
 
 impl Typist {
@@ -88,36 +88,33 @@ impl Typist {
             started: false,
             sent_at: None,
             awaiting: 0,
-            report: crate::shared(TypistReport::default()),
+            report: TypistReport::default(),
         })
     }
 
-    /// The shared report handle.
-    pub fn report(&self) -> crate::Shared<TypistReport> {
-        self.program.report.clone()
+    /// What the app has recorded so far.
+    pub fn report(&self) -> &TypistReport {
+        &self.program.report
     }
 }
 
 impl TypistProgram {
     fn strike(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
         let Some(sock) = self.sock else { return };
-        let r = self.report.borrow().sent;
-        if r >= self.count {
+        let sent = self.report.sent;
+        if sent >= self.count {
             return;
         }
-        let key = [b'a' + (r % 26) as u8];
+        let key = [b'a' + (sent % 26) as u8];
         let _ = cx.host.sock_send(now, sock, &key);
-        self.report.borrow_mut().sent += 1;
+        self.report.sent += 1;
         self.sent_at = Some(now);
         self.awaiting = 1;
     }
 
     fn finish(&mut self, now: SimTime, h: SocketHandle, cx: &mut SockCtx<'_>) {
-        {
-            let mut r = self.report.borrow_mut();
-            r.finished_at = Some(now);
-            r.done = r.echoed == self.count;
-        }
+        self.report.finished_at = Some(now);
+        self.report.done = self.report.echoed == self.count;
         cx.close(now, h);
         self.sock = None;
     }
@@ -138,7 +135,7 @@ impl SocketProgram for TypistProgram {
         }
         if !self.started && ready.writable() {
             self.started = true;
-            self.report.borrow_mut().started_at = Some(now);
+            self.report.started_at = Some(now);
             self.strike(now, cx);
             return;
         }
@@ -148,18 +145,16 @@ impl SocketProgram for TypistProgram {
                 // Stop-and-wait: one outstanding key, so any readable
                 // data completes it.
                 self.awaiting = 0;
-                {
-                    let mut r = self.report.borrow_mut();
-                    r.echoed += 1;
-                    if let Some(t0) = self.sent_at.take() {
-                        let rtt = now - t0;
-                        r.rtt_total += rtt;
-                        if rtt > r.rtt_max {
-                            r.rtt_max = rtt;
-                        }
+                let r = &mut self.report;
+                r.echoed += 1;
+                if let Some(t0) = self.sent_at.take() {
+                    let rtt = now - t0;
+                    r.rtt_total += rtt;
+                    if rtt > r.rtt_max {
+                        r.rtt_max = rtt;
                     }
                 }
-                if self.report.borrow().sent >= self.count {
+                if self.report.sent >= self.count {
                     // Last echo in hand: half-close, let the server's FIN
                     // and TIME_WAIT run out, and finish on the HANGUP
                     // edge below.

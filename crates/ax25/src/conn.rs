@@ -134,11 +134,6 @@ impl Connection {
         self.state
     }
 
-    /// The remote address.
-    pub fn peer_addr(&self) -> Ax25Addr {
-        self.peer
-    }
-
     /// Bytes queued locally but not yet acknowledged by the peer.
     pub fn backlog(&self) -> usize {
         self.send_queue.iter().map(Vec::len).sum::<usize>()

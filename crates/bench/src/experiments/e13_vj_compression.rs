@@ -75,10 +75,9 @@ fn interactive(vj: bool) -> InteractiveRun {
     let server = EchoServer::new(7);
     s.world.add_app(s.ether_host, Box::new(server));
     let typist = Typist::new(ETHER_HOST_IP, 7, KEYSTROKES);
-    let r = typist.report();
-    s.world.add_app(s.pc, Box::new(typist));
+    let typist = s.world.add_app(s.pc, Box::new(typist));
     s.world.run_for(SimDuration::from_secs(1800));
-    let rep = r.borrow();
+    let rep = s.world.app(typist).report();
     InteractiveRun {
         echoed: rep.echoed,
         done: rep.done,
@@ -100,10 +99,9 @@ fn ftp(vj: bool) -> FtpRun {
     let server = FileServer::new(21, &[("paper.dvi", FILE_BYTES)]);
     s.world.add_app(s.ether_host, Box::new(server));
     let client = FileClient::new(ETHER_HOST_IP, 21, "paper.dvi");
-    let r = client.report();
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
     s.world.run_for(SimDuration::from_secs(3600));
-    let rep = r.borrow();
+    let rep = s.world.app(client).report();
     FtpRun {
         received: rep.received,
         intact: rep.intact && rep.done,

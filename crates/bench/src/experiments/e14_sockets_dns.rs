@@ -52,16 +52,10 @@ pub fn run(x: &mut Report) {
         ],
         SimDuration::from_secs(300),
     );
-    let dns_report = dns.report();
-    s.world.add_app(s.west_gw, Box::new(dns));
-
-    let echo = EchoServer::new(7);
-    let echo_report = echo.report();
-    s.world.add_app(s.east_host, Box::new(echo));
-
+    let dns = s.world.add_app(s.west_gw, Box::new(dns));
+    let echo = s.world.add_app(s.east_host, Box::new(EchoServer::new(7)));
     let files = FileServer::new(21, &[("map.txt", 1500)]);
-    let files_report = files.report();
-    s.world.add_app(s.gulf_host, Box::new(files));
+    let files = s.world.add_app(s.gulf_host, Box::new(files));
 
     let resolver = Resolver::new(mesh_addrs::WEST_GW_ETHER, 1053);
     let resolver = s.world.add_app(s.internet_host, Box::new(resolver));
@@ -127,7 +121,7 @@ pub fn run(x: &mut Report) {
             "\nresolver: {} queries sent ({} retries), {} answers, {} from cache, {} failures",
             st.queries_sent, st.retries, st.answers, st.from_cache, st.failures
         ));
-        let d = dns_report.borrow();
+        let d = s.world.app(dns).report();
         x.text(format_args!(
             "server:   {} queries, {} answered, {} nxdomain\n",
             d.queries, d.answered, d.nxdomain
@@ -140,22 +134,20 @@ pub fn run(x: &mut Report) {
     }
 
     // --- Phase 2: connect to the resolved addresses and transfer. -------
-    let typist = Typist::new(east, 7, 10);
-    let typist_report = typist.report();
-    s.world.add_app(s.internet_host, Box::new(typist));
-
+    let typist = s
+        .world
+        .add_app(s.internet_host, Box::new(Typist::new(east, 7, 10)));
     let get = FileClient::new(gulf, 21, "map.txt");
-    let get_report = get.report();
-    s.world.add_app(s.internet_host, Box::new(get));
+    let get = s.world.add_app(s.internet_host, Box::new(get));
 
     s.world.run_for(SimDuration::from_secs(900));
 
     {
-        let t = typist_report.borrow();
+        let t = s.world.app(typist).report();
         let ok = x.claim(
             "§2.3",
             "the socket typist, connected to the resolved address, has all 10 of its keystrokes echoed by the east radio host",
-            t.done && t.echoed == 10 && echo_report.borrow().bytes_echoed == 10,
+            t.done && t.echoed == 10 && s.world.app(echo).report().bytes_echoed == 10,
         );
         x.row(&[
             ("app", &"typist (echo)"),
@@ -171,7 +163,7 @@ pub fn run(x: &mut Report) {
                 ),
             ),
         ]);
-        let f = get_report.borrow();
+        let f = s.world.app(get).report();
         let ok = x.claim(
             "§2.3",
             "the socket FTP client fetches all 1500 announced bytes from the gulf radio host",
@@ -193,11 +185,9 @@ pub fn run(x: &mut Report) {
         ]);
     }
     x.end_table();
+    let (e, f) = (s.world.app(echo).report(), s.world.app(files).report());
     x.text(format_args!(
         "\nservers: echo accepted {} conn / {} B echoed; ftp served {} GET / {} B sent",
-        echo_report.borrow().accepted,
-        echo_report.borrow().bytes_echoed,
-        files_report.borrow().serves,
-        files_report.borrow().bytes_sent,
+        e.accepted, e.bytes_echoed, f.serves, f.bytes_sent,
     ));
 }

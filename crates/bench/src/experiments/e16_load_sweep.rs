@@ -69,7 +69,7 @@ fn simulate(spec: &FleetSpec, sharded: bool) -> (u64, usize, String, Fleet, Engi
     }
     let (digest, events, _) = drain_event_digest(&mut m.world);
     let span = SimDuration::from_secs(SECS);
-    let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
+    let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table(&m.world));
     let telemetry = EngineTelemetry::gather(&m);
     (digest, events, report, fleet, telemetry)
 }

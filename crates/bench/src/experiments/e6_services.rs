@@ -30,11 +30,12 @@ pub fn run(x: &mut Report) {
         };
         let server = TelnetServer::new(23, name);
         s.world.add_app(server_host, Box::new(server));
-        let client = TelnetClient::standard_session(dst, 23);
-        let r = client.report();
-        s.world.add_app(client_host, Box::new(client));
+        let client = s.world.add_app(
+            client_host,
+            Box::new(TelnetClient::standard_session(dst, 23)),
+        );
         s.world.run_for(SimDuration::from_secs(1200));
-        let rep = r.borrow();
+        let rep = s.world.app(client).report();
         let ok = x.claim(
             "§2.3",
             &format!("remote login works {dir}: the scripted telnet session (login, date, who, logout) runs to completion"),
@@ -69,11 +70,11 @@ pub fn run(x: &mut Report) {
         };
         let server = FileServer::new(21, &[("paper.dvi", 6000)]);
         s.world.add_app(server_host, Box::new(server));
-        let client = FileClient::new(dst, 21, "paper.dvi");
-        let r = client.report();
-        s.world.add_app(client_host, Box::new(client));
+        let client = s
+            .world
+            .add_app(client_host, Box::new(FileClient::new(dst, 21, "paper.dvi")));
         s.world.run_for(SimDuration::from_secs(3600));
-        let rep = r.borrow();
+        let rep = s.world.app(client).report();
         let ok = x.claim(
             "§2.3",
             &format!("file transfer works {dir}: all 6000 bytes arrive intact"),
@@ -106,9 +107,9 @@ pub fn run(x: &mut Report) {
             authorize_inbound(&mut s);
             (s.pc, s.ether_host, PC_IP)
         };
-        let server = SmtpServer::new(25, "mx");
-        let mailbox = server.report();
-        s.world.add_app(server_host, Box::new(server));
+        let server = s
+            .world
+            .add_app(server_host, Box::new(SmtpServer::new(25, "mx")));
         let client = SmtpClient::new(
             dst,
             25,
@@ -118,14 +119,13 @@ pub fn run(x: &mut Report) {
                 body: vec!["The gateway works.".into(), "73".into()],
             },
         );
-        let r = client.report();
-        s.world.add_app(client_host, Box::new(client));
+        let client = s.world.add_app(client_host, Box::new(client));
         s.world.run_for(SimDuration::from_secs(1200));
-        let rep = r.borrow();
+        let rep = s.world.app(client).report();
         let ok = x.claim(
             "§2.3",
             &format!("electronic mail works {dir}: the client sees delivery and the server's mailbox holds exactly 1 message"),
-            rep.delivered && mailbox.borrow().mailbox.len() == 1,
+            rep.delivered && s.world.app(server).report().mailbox.len() == 1,
         );
         x.row(&[
             ("service", &"smtp 1 msg"),

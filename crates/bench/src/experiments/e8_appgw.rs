@@ -37,11 +37,10 @@ pub fn run(x: &mut Report) {
             ("% ", "logout\r"),
         ],
     );
-    let user_report = user.report();
     let start = s.world.now;
-    s.world.add_app(s.pc, Box::new(user));
+    let user = s.world.add_app(s.pc, Box::new(user));
     s.world.run_for(SimDuration::from_secs(1800));
-    let ax25_done = user_report.borrow().done;
+    let ax25_done = s.world.app(user).report().done;
     let ax25_time = s
         .world
         .events()
@@ -59,11 +58,10 @@ pub fn run(x: &mut Report) {
     let server = TelnetServer::new(23, "vax2");
     s.world.add_app(s.ether_host, Box::new(server));
     let client = TelnetClient::standard_session(ETHER_HOST_IP, 23);
-    let client_report = client.report();
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
     s.world.run_for(SimDuration::from_secs(1800));
-    let ip_done = client_report.borrow().done;
-    let ip_time = client_report.borrow().finished_at;
+    let ip = s.world.app(client).report();
+    let (ip_done, ip_time) = (ip.done, ip.finished_at);
     let ip_radio_tx = s.world.channel(s.chan).stats().transmissions;
 
     x.row(&[

@@ -47,7 +47,7 @@ impl EtherDriver {
     /// Creates the driver for a NIC with address `mac` numbered `my_ip`.
     pub fn new(mac: MacAddr, my_ip: Ipv4Addr) -> EtherDriver {
         EtherDriver {
-            ifnet: IfNet::new("qe0", ether::MTU),
+            ifnet: IfNet::default(),
             mac,
             arp: ArpEngine::new(hw_type::ETHERNET, mac_hw(mac), my_ip),
             stats: EtherDrvStats::default(),

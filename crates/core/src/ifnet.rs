@@ -5,8 +5,9 @@
 //! if_net. The if_net structure contains pointers to the procedures used
 //! to initialize the interface, send packets, change parameters, and
 //! perform other operations."* In Rust, the procedure pointers become the
-//! driver types themselves; what survives here is the interface metadata,
-//! its counters, and the bounded `ifqueue` whose drops under load are
+//! driver types themselves and the stack's `IfaceConfig` holds each
+//! interface's name and MTU; what survives here is the interface's
+//! counters and the bounded `ifqueue` whose drops under load are
 //! part of §4.1's story ("since these retransmissions are queued at the
 //! gateway, they delay other packets").
 
@@ -32,29 +33,11 @@ pub struct IfStats {
     pub iqdrops: u64,
 }
 
-/// The interface metadata block.
-#[derive(Debug, Clone)]
+/// A driver's `if_net` block: its counters.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IfNet {
-    /// Interface name, e.g. `"pr0"` or `"qe0"`.
-    pub name: String,
-    /// Link MTU.
-    pub mtu: usize,
-    /// Up/down flag.
-    pub up: bool,
     /// Counters.
     pub stats: IfStats,
-}
-
-impl IfNet {
-    /// Creates an up interface.
-    pub fn new(name: &str, mtu: usize) -> IfNet {
-        IfNet {
-            name: name.to_string(),
-            mtu,
-            up: true,
-            stats: IfStats::default(),
-        }
-    }
 }
 
 /// A bounded FIFO of work items with ready times — the `ifqueue`.
@@ -176,13 +159,5 @@ mod tests {
         q.push(t, 99);
         assert_eq!(q.peak(), 7);
         assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn ifnet_defaults() {
-        let ifn = IfNet::new("pr0", 256);
-        assert!(ifn.up);
-        assert_eq!(ifn.mtu, 256);
-        assert_eq!(ifn.stats.ipackets, 0);
     }
 }

@@ -160,7 +160,7 @@ impl PacketRadioDriver {
         let my_hw = Ax25Hw::direct(cfg.my_call).encode();
         let arp = ArpEngine::new(hw_type::AX25, my_hw, my_ip);
         PacketRadioDriver {
-            ifnet: IfNet::new("pr0", AX25_MTU),
+            ifnet: IfNet::default(),
             cfg,
             deframer: Deframer::new(),
             arp,

@@ -176,33 +176,29 @@ impl DirtyCat {
         self.list.clear();
     }
 
-    /// Marks `i`; returns whether it was newly marked.
-    fn mark(&mut self, i: usize) -> bool {
-        if self.flags[i] {
-            false
-        } else {
+    /// Marks `i` (once: a marked index is not listed again).
+    fn mark(&mut self, i: usize) {
+        if !self.flags[i] {
             self.flags[i] = true;
             self.list.push(i);
-            true
         }
     }
 
     /// Drains the current marks into `todo`, sorted ascending (component
     /// index order — the deterministic processing order), clearing the
     /// flags. Marks made while processing land in the next drain.
-    fn drain_into(&mut self, todo: &mut Vec<usize>) -> usize {
+    fn drain_into(&mut self, todo: &mut Vec<usize>) {
         todo.clear();
         todo.append(&mut self.list);
         todo.sort_unstable();
         for &i in todo.iter() {
             self.flags[i] = false;
         }
-        todo.len()
     }
 }
 
-/// Per-category dirty sets with an exact total count, so the run loop can
-/// tell in O(1) whether any work is pending.
+/// Per-category dirty sets: the components the run loop must visit at
+/// the current instant, category by category.
 #[derive(Default)]
 struct DirtySet {
     lines: DirtyCat,
@@ -213,7 +209,6 @@ struct DirtySet {
     beacons: DirtyCat,
     hosts: DirtyCat,
     apps: DirtyCat,
-    count: usize,
 }
 
 impl DirtySet {
@@ -232,9 +227,7 @@ impl DirtySet {
 
     fn mark(&mut self, key: Key) {
         let (cat, i) = self.cat(key);
-        if cat.mark(i) {
-            self.count += 1;
-        }
+        cat.mark(i);
     }
 
     /// Marks every component of every category dirty.
@@ -248,7 +241,6 @@ impl DirtySet {
         self.beacons.reset(b);
         self.hosts.reset(h);
         self.apps.reset(a);
-        self.count = l + c + s + t + d + b + h + a;
     }
 }
 
@@ -421,10 +413,12 @@ impl ShardData {
     /// Run-call entry under `mode` (DESIGN.md §6, run-call contract). A
     /// stale shard starts its new apps and runs the full `sync_all`; a
     /// shard nobody touched keeps its calendar and dirty set and marks
-    /// only what can have moved behind the world's back — its apps, whose
-    /// report handles callers may write between run calls, and the
-    /// world-owned segments a one-shard world hands it. (An order through
-    /// `World::app_mut` touches the shard.) Either way the
+    /// only what can have moved behind the world's back — its apps (of
+    /// which only `Pinger`, `BulkSender` and `BulkSink` still hand out a
+    /// report handle, held by the benchmark harness, that can be written
+    /// between run calls; every other app is read through `World::app`),
+    /// and the world-owned segments a one-shard world hands it. (An order
+    /// through `World::app_mut` touches the shard.) Either way the
     /// entry instant is then settled. The reference stepper never feeds
     /// the calendar, so a shard it ran is stale.
     pub(crate) fn enter(&mut self, mode: Mode, segs: &mut Segs<'_>) {
@@ -790,7 +784,7 @@ impl ShardData {
             // receivers they touched.
             todo.clear();
             if !self.dirty.lines.list.is_empty() {
-                self.dirty.count -= self.dirty.lines.drain_into(&mut todo);
+                self.dirty.lines.drain_into(&mut todo)
             }
             for &li in &todo {
                 polled += 1;
@@ -804,7 +798,7 @@ impl ShardData {
             // send; a carrier turning *busy* never enables a send).
             todo.clear();
             if !self.dirty.chans.list.is_empty() {
-                self.dirty.count -= self.dirty.chans.drain_into(&mut todo);
+                self.dirty.chans.drain_into(&mut todo)
             }
             for &ci in &todo {
                 polled += 1;
@@ -839,7 +833,7 @@ impl ShardData {
             // reference.
             todo.clear();
             if !self.dirty.tncs.list.is_empty() {
-                self.dirty.count -= self.dirty.tncs.drain_into(&mut todo);
+                self.dirty.tncs.drain_into(&mut todo)
             }
             for &ti in &todo {
                 polled += 1;
@@ -856,7 +850,7 @@ impl ShardData {
             }
             todo.clear();
             if !self.dirty.digis.list.is_empty() {
-                self.dirty.count -= self.dirty.digis.drain_into(&mut todo);
+                self.dirty.digis.drain_into(&mut todo)
             }
             for &di in &todo {
                 polled += 1;
@@ -871,7 +865,7 @@ impl ShardData {
             }
             todo.clear();
             if !self.dirty.beacons.list.is_empty() {
-                self.dirty.count -= self.dirty.beacons.drain_into(&mut todo);
+                self.dirty.beacons.drain_into(&mut todo)
             }
             for &bi in &todo {
                 polled += 1;
@@ -891,7 +885,7 @@ impl ShardData {
                 Some(segments) => {
                     todo.clear();
                     if !self.dirty.segs.list.is_empty() {
-                        self.dirty.count -= self.dirty.segs.drain_into(&mut todo);
+                        self.dirty.segs.drain_into(&mut todo)
                     }
                     for &si in &todo {
                         polled += 1;
@@ -926,7 +920,7 @@ impl ShardData {
             // 5. Hosts: CPU-gated stack work, then route their output.
             todo.clear();
             if !self.dirty.hosts.list.is_empty() {
-                self.dirty.count -= self.dirty.hosts.drain_into(&mut todo);
+                self.dirty.hosts.drain_into(&mut todo)
             }
             for &hi in &todo {
                 polled += 1;
@@ -960,7 +954,7 @@ impl ShardData {
             // apps, then flushes all hosts).
             todo.clear();
             if !self.dirty.apps.list.is_empty() {
-                self.dirty.count -= self.dirty.apps.drain_into(&mut todo);
+                self.dirty.apps.drain_into(&mut todo)
             }
             for &ai in &todo {
                 polled += 1;

@@ -649,26 +649,6 @@ impl World {
 
     // --- Running -----------------------------------------------------------------
 
-    /// The earliest self-reported deadline of any component, by scanning
-    /// every component (the reference stepper's view of time; the indexed
-    /// run loop reads the calendars instead).
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-            }
-        };
-        for sh in &self.shards {
-            fold(sh.scan_next_deadline(None));
-        }
-        for s in &self.segments {
-            fold(s.next_deadline());
-        }
-        fold(self.pending.peek().map(|r| r.0.effect));
-        best
-    }
-
     /// Runs the world up to (and including) deadlines at `t`; the clock
     /// finishes exactly at `t`.
     pub fn run_until(&mut self, t: SimTime) {

@@ -25,6 +25,7 @@ use apps::ftp::{file_byte, FileServer, FileServerReport};
 use apps::sockapp::{SockApp, SockCtx, SocketProgram};
 use apps::Shared;
 use gateway::scenario::MeshNet;
+use gateway::world::{AppId, World};
 use sim::{SimDuration, SimTime};
 use socket::{Readiness, SocketHandle};
 
@@ -67,18 +68,18 @@ pub struct IslandStats {
     pub by_class: [FlowRecorder; 4],
 }
 
-/// The report handles of one island's three servers.
+/// One island's three servers, each read through [`World::app`].
 pub struct ServerHandles {
-    /// Echo server counters.
-    pub echo: Shared<EchoReport>,
-    /// File server counters.
-    pub ftp: Shared<FileServerReport>,
-    /// DNS server counters.
-    pub dns: Shared<DnsServerReport>,
+    /// The echo server.
+    pub echo: AppId<EchoServer>,
+    /// The file server.
+    pub ftp: AppId<FileServer>,
+    /// The DNS server.
+    pub dns: AppId<DnsServer>,
 }
 
-/// A deployed fleet: the plan it was built from plus every report
-/// handle, in deterministic (island, slot) order.
+/// A deployed fleet: the plan it was built from, every client report
+/// handle and every server's id, in deterministic (island, slot) order.
 pub struct Fleet {
     /// The engine-independent plan.
     pub schedule: FleetSchedule,
@@ -86,7 +87,7 @@ pub struct Fleet {
     pub spec: FleetSpec,
     /// Per-island client recorders.
     pub island_stats: Vec<Shared<IslandStats>>,
-    /// Per-island server reports.
+    /// Per-island servers.
     pub servers: Vec<ServerHandles>,
 }
 
@@ -114,20 +115,21 @@ impl Fleet {
         sim::stats::render_table(&rows)
     }
 
-    /// Server-side totals in the shared app-row format.
-    pub fn server_table(&self) -> String {
+    /// Server-side totals in the shared app-row format, read from the
+    /// `world` the fleet was deployed into.
+    pub fn server_table(&self, world: &World) -> String {
         let mut echo = EchoReport::default();
         let mut ftp = FileServerReport::default();
         let mut dns = DnsServerReport::default();
         for s in &self.servers {
-            let e = s.echo.borrow();
+            let e = world.app(s.echo).report();
             echo.accepted += e.accepted;
             echo.bytes_echoed += e.bytes_echoed;
-            let f = s.ftp.borrow();
+            let f = world.app(s.ftp).report();
             ftp.serves += f.serves;
             ftp.bytes_sent += f.bytes_sent;
             ftp.not_found += f.not_found;
-            let d = s.dns.borrow();
+            let d = world.app(s.dns).report();
             dns.queries += d.queries;
             dns.answered += d.answered;
             dns.nxdomain += d.nxdomain;
@@ -186,21 +188,20 @@ pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedul
             .enumerate()
             .map(|(k, n)| (n.as_str(), m.host_addr(g, k % hosts_per_island)))
             .collect();
-        let echo = EchoServer::new(ECHO_PORT);
-        let ftp = FileServer::new(FTP_PORT, &file_refs);
-        let dns = DnsServer::new(&zone, SimDuration::from_secs(300));
-        servers.push(ServerHandles {
-            echo: echo.report(),
-            ftp: ftp.report(),
-            dns: dns.report(),
-        });
         let (h0, h1, h2) = {
             let island = m.island_hosts(g);
             (island[0], island[1], island[2])
         };
-        m.world.add_app(h0, Box::new(echo));
-        m.world.add_app(h1, Box::new(ftp));
-        m.world.add_app(h2, Box::new(dns));
+        servers.push(ServerHandles {
+            echo: m.world.add_app(h0, Box::new(EchoServer::new(ECHO_PORT))),
+            ftp: m
+                .world
+                .add_app(h1, Box::new(FileServer::new(FTP_PORT, &file_refs))),
+            dns: m.world.add_app(
+                h2,
+                Box::new(DnsServer::new(&zone, SimDuration::from_secs(300))),
+            ),
+        });
     }
 
     let island_stats: Vec<Shared<IslandStats>> = (0..islands)

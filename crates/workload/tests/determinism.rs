@@ -50,7 +50,11 @@ fn fleet_run(seed: u64, secs: u64, driver: Driver) -> (u64, u64, String, u64) {
         log.push_str(&format!("{h:?} {t} {e:?}\n"));
     }
     let span = SimDuration::from_secs(secs);
-    let report = format!("{}\n{}", fleet.class_table(span), fleet.server_table());
+    let report = format!(
+        "{}\n{}",
+        fleet.class_table(span),
+        fleet.server_table(&m.world)
+    );
     (
         sim::fnv1a(log.as_bytes()),
         sched_digest,

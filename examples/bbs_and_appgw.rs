@@ -44,15 +44,13 @@ fn main() {
             ("BBS> ", "Q\r"),
         ],
     );
-    let report = user.report();
-    s.world.add_app(s.pc, Box::new(user));
+    let user = s.world.add_app(s.pc, Box::new(user));
     s.world.run_for(SimDuration::from_secs(1200));
 
-    let r = report.borrow();
+    let r = s.world.app(user).report();
     println!("c KB7DZ>N7AKR-1  *** CONNECTED");
     println!("{}", r.transcript.replace('\r', "\n"));
     println!("*** DISCONNECTED (done = {})\n", r.done);
-    drop(r);
 
     // ---- Act 2: through the application gateway to telnet ----
     println!("=== Act 2: AX.25 terminal -> app gateway -> TCP telnet ===\n");
@@ -73,11 +71,10 @@ fn main() {
             ("% ", "logout\r"),
         ],
     );
-    let report = user.report();
-    s.world.add_app(s.pc, Box::new(user));
+    let user = s.world.add_app(s.pc, Box::new(user));
     s.world.run_for(SimDuration::from_secs(1200));
 
-    let r = report.borrow();
+    let r = s.world.app(user).report();
     println!("c KB7DZ>N7AKR-1  *** CONNECTED (to the gateway's callsign)");
     println!("{}", r.transcript.replace('\r', "\n"));
     let g = &s.world.app(appgw).report;

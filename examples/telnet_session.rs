@@ -16,15 +16,14 @@ fn main() {
     s.world.add_app(s.ether_host, Box::new(server));
 
     let client = TelnetClient::standard_session(ETHER_HOST_IP, 23);
-    let report = client.report();
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
 
     println!("telnet 128.95.1.4   (from the isolated PC, over 1200 bit/s packet radio)");
     println!("Trying {ETHER_HOST_IP}...");
 
     s.world.run_for(SimDuration::from_secs(900));
 
-    let r = report.borrow();
+    let r = s.world.app(client).report();
     if r.done {
         println!("Connected to vax2.");
         println!("--------------------------------------------------");

@@ -2,7 +2,9 @@
 # Parent-vs-working-tree comparison of benchmark workloads, by the
 # choosing-metrics §8 procedure: N pairs of runs per workload, alternating
 # which side goes first, each side's median [q1, q3] per end-to-end
-# metric, and how many pairs the working tree won on host_us_per_sim_s.
+# metric, and for every end-to-end metric of BENCHMARK.json in every
+# workload how many pairs the working tree was better in and how many
+# worse ("better" in the direction BENCHMARK.json gives).
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload[,workload…]> [pairs=10] [seed=1988]
 #   scripts/bench_pairs.sh HEAD~1 city_fleet_1w 10 2244
@@ -18,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,18p' "$0" >&2
     exit 2
 fi
 rev=$1
@@ -73,13 +75,26 @@ sort -k3,3 -k2,2 -k4,4g "$scratch/runs.txt" | awk '
     $3 != metric || $2 != side { flush_group(); metric = $3; side = $2 }
     { v[++n] = $4 }
     END { flush_group() }'
-for workload in $workloads; do
-    awk -v m="$workload:host_us_per_sim_s" '$3 == m { v[$1, $2] = $4; if ($1 > n) n = $1 }
-        END {
-            for (i = 1; i <= n; i++) {
-                if (v[i, "change"] < v[i, "parent"]) wins++
-                else if (v[i, "change"] > v[i, "parent"]) losses++
+# "<metric> <lower|higher>" for each end-to-end metric, in BENCHMARK.json order.
+awk '/"end_to_end"/ { inside = 1 }
+    inside && /\]/ { inside = 0 }
+    inside && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    inside && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json > "$scratch/better.txt"
+awk -v workloads="$workloads" '
+    NR == FNR { metric[++m] = $1; better[$1] = $2; next }
+    { v[$1, $2, $3] = $4 + 0; if ($1 > n) n = $1 }
+    END {
+        nw = split(workloads, w, " ")
+        for (i = 1; i <= nw; i++) for (j = 1; j <= m; j++) {
+            key = w[i] ":" metric[j]; wins = losses = pairs = 0
+            for (p = 1; p <= n; p++) {
+                if (!((p, "change", key) in v) || !((p, "parent", key) in v)) continue
+                pairs++
+                c = v[p, "change", key]; q = v[p, "parent", key]
+                if (c != q && (c < q) == (better[metric[j]] == "lower")) wins++
+                else if (c != q) losses++
             }
-            printf "%s: change wins %d, loses %d of %d pairs\n", m, wins, losses, n
-        }' "$scratch/runs.txt"
-done
+            printf "%-34s %-6s is better: change better in %d, worse in %d of %d pairs\n",
+                key, better[metric[j]], wins, losses, pairs
+        }
+    }' "$scratch/better.txt" "$scratch/runs.txt"

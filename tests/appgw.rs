@@ -32,12 +32,11 @@ fn terminal_user_reaches_telnet_through_the_app_gateway() {
             ("% ", "logout\r"),
         ],
     );
-    let user_report = user.report();
-    s.world.add_app(s.pc, Box::new(user));
+    let user = s.world.add_app(s.pc, Box::new(user));
 
     s.world.run_for(SimDuration::from_secs(1200));
 
-    let u = user_report.borrow();
+    let u = s.world.app(user).report();
     assert!(u.connected, "AX.25 link established");
     assert!(
         u.transcript.contains("4.3 BSD UNIX (vax2)"),

@@ -19,8 +19,7 @@ fn terminal_user_works_the_bbs() {
             ("FOR SALE: HT", "Icom 2AT, good condition, $80."),
         ],
     );
-    let bbs_report = bbs.report();
-    s.world.add_app(s.gw, Box::new(bbs));
+    let bbs = s.world.add_app(s.gw, Box::new(bbs));
 
     let user = TerminalUser::new(
         Ax25Addr::parse_or_panic("KB7DZ"),
@@ -33,12 +32,11 @@ fn terminal_user_works_the_bbs() {
             ("BBS> ", "Q\r"),
         ],
     );
-    let user_report = user.report();
-    s.world.add_app(s.pc, Box::new(user));
+    let user = s.world.add_app(s.pc, Box::new(user));
 
     s.world.run_for(SimDuration::from_secs(1200));
 
-    let u = user_report.borrow();
+    let u = s.world.app(user).report();
     assert!(u.connected, "link up");
     assert!(u.transcript.contains("MEETING TUESDAY"), "{}", u.transcript);
     assert!(
@@ -50,7 +48,7 @@ fn terminal_user_works_the_bbs() {
     assert!(u.transcript.contains("73!"), "{}", u.transcript);
     assert!(u.done, "script finished and link released");
 
-    let b = bbs_report.borrow();
+    let b = s.world.app(bbs).report();
     assert_eq!(b.sessions, 1);
     assert_eq!(b.posted.len(), 1);
     assert_eq!(b.posted[0].0, "TEST POST");
@@ -62,8 +60,7 @@ fn two_users_share_the_bbs_channel() {
     let mut s = paper_topology(PaperConfig::default(), 502);
     let bbs_call = s.world.host(s.gw).callsign().expect("call");
     let bbs = BbsServer::new(bbs_call, &[("HELLO", "First post.")]);
-    let bbs_report = bbs.report();
-    s.world.add_app(s.gw, Box::new(bbs));
+    let bbs = s.world.add_app(s.gw, Box::new(bbs));
 
     // The PC user…
     let u1 = TerminalUser::new(
@@ -71,8 +68,7 @@ fn two_users_share_the_bbs_channel() {
         bbs_call,
         vec![("BBS> ", "L\r"), ("BBS> ", "Q\r")],
     );
-    let r1 = u1.report();
-    s.world.add_app(s.pc, Box::new(u1));
+    let u1 = s.world.add_app(s.pc, Box::new(u1));
 
     // …and a second station joining the same channel.
     let mut cfg2 = gateway::host::HostConfig::named("pc2");
@@ -94,13 +90,13 @@ fn two_users_share_the_bbs_channel() {
         bbs_call,
         vec![("BBS> ", "R 1\r"), ("BBS> ", "Q\r")],
     );
-    let r2 = u2.report();
-    s.world.add_app(pc2, Box::new(u2));
+    let u2 = s.world.add_app(pc2, Box::new(u2));
 
     s.world.run_for(SimDuration::from_secs(1800));
 
-    assert!(r1.borrow().done, "user 1: {:?}", r1.borrow().transcript);
-    assert!(r2.borrow().done, "user 2: {:?}", r2.borrow().transcript);
-    assert!(r2.borrow().transcript.contains("First post."));
-    assert_eq!(bbs_report.borrow().sessions, 2);
+    let (r1, r2) = (s.world.app(u1).report(), s.world.app(u2).report());
+    assert!(r1.done, "user 1: {:?}", r1.transcript);
+    assert!(r2.done, "user 2: {:?}", r2.transcript);
+    assert!(r2.transcript.contains("First post."));
+    assert_eq!(s.world.app(bbs).report().sessions, 2);
 }

@@ -12,15 +12,13 @@ use sim::SimDuration;
 fn telnet_pc_to_ethernet_host() {
     let mut s = paper_topology(PaperConfig::default(), 101);
     let server = TelnetServer::new(23, "vax2");
-    let server_report = server.report();
     let client = TelnetClient::standard_session(ETHER_HOST_IP, 23);
-    let client_report = client.report();
-    s.world.add_app(s.ether_host, Box::new(server));
-    s.world.add_app(s.pc, Box::new(client));
+    let server = s.world.add_app(s.ether_host, Box::new(server));
+    let client = s.world.add_app(s.pc, Box::new(client));
 
     s.world.run_for(SimDuration::from_secs(900));
 
-    let c = client_report.borrow();
+    let c = s.world.app(client).report();
     assert!(c.done, "session incomplete; transcript:\n{}", c.transcript);
     assert!(
         c.transcript.contains("4.3 BSD UNIX (vax2)"),
@@ -37,8 +35,8 @@ fn telnet_pc_to_ethernet_host() {
         "who output: {}",
         c.transcript
     );
-    assert_eq!(server_report.borrow().sessions, 1);
-    assert!(server_report.borrow().commands >= 3);
+    assert_eq!(s.world.app(server).report().sessions, 1);
+    assert!(s.world.app(server).report().commands >= 3);
 }
 
 /// Opens the §4.3 gate for Ethernet-initiated traffic to the PC: the
@@ -67,13 +65,12 @@ fn telnet_reverse_direction_ethernet_to_pc() {
     authorize_inbound(&mut s);
     let server = TelnetServer::new(23, "pc");
     let client = TelnetClient::standard_session(PC_IP, 23);
-    let client_report = client.report();
     s.world.add_app(s.pc, Box::new(server));
-    s.world.add_app(s.ether_host, Box::new(client));
+    let client = s.world.add_app(s.ether_host, Box::new(client));
 
     s.world.run_for(SimDuration::from_secs(900));
 
-    let c = client_report.borrow();
+    let c = s.world.app(client).report();
     assert!(
         c.done,
         "reverse session incomplete; transcript:\n{}",
@@ -87,13 +84,12 @@ fn file_transfer_across_the_gateway() {
     let mut s = paper_topology(PaperConfig::default(), 103);
     let server = FileServer::new(21, &[("notes.txt", 4000)]);
     let client = FileClient::new(ETHER_HOST_IP, 21, "notes.txt");
-    let report = client.report();
     s.world.add_app(s.ether_host, Box::new(server));
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
 
     s.world.run_for(SimDuration::from_secs(1800));
 
-    let r = report.borrow();
+    let r = s.world.app(client).report();
     assert!(r.done, "transfer incomplete: {r:?}");
     assert!(r.intact, "bytes corrupted in transit");
     assert_eq!(r.received, 4000);
@@ -106,16 +102,14 @@ fn file_transfer_across_the_gateway() {
 fn file_not_found_is_reported() {
     let mut s = paper_topology(PaperConfig::default(), 104);
     let server = FileServer::new(21, &[("real.txt", 100)]);
-    let server_report = server.report();
     let client = FileClient::new(ETHER_HOST_IP, 21, "missing.txt");
-    let report = client.report();
-    s.world.add_app(s.ether_host, Box::new(server));
-    s.world.add_app(s.pc, Box::new(client));
+    let server = s.world.add_app(s.ether_host, Box::new(server));
+    let client = s.world.add_app(s.pc, Box::new(client));
 
     s.world.run_for(SimDuration::from_secs(300));
 
-    assert!(report.borrow().not_found);
-    assert_eq!(server_report.borrow().not_found, 1);
+    assert!(s.world.app(client).report().not_found);
+    assert_eq!(s.world.app(server).report().not_found, 1);
 }
 
 #[test]
@@ -123,7 +117,6 @@ fn mail_delivery_both_directions() {
     let mut s = paper_topology(PaperConfig::default(), 105);
     // PC -> Ethernet host.
     let server = SmtpServer::new(25, "vax2");
-    let mailbox = server.report();
     let client = SmtpClient::new(
         ETHER_HOST_IP,
         25,
@@ -133,15 +126,14 @@ fn mail_delivery_both_directions() {
             body: vec!["Gateway is up!".into(), "73 de KB7DZ".into()],
         },
     );
-    let client_report = client.report();
-    s.world.add_app(s.ether_host, Box::new(server));
-    s.world.add_app(s.pc, Box::new(client));
+    let server = s.world.add_app(s.ether_host, Box::new(server));
+    let client = s.world.add_app(s.pc, Box::new(client));
     s.world.run_for(SimDuration::from_secs(900));
 
     {
-        let c = client_report.borrow();
+        let c = s.world.app(client).report();
         assert!(c.delivered && c.done, "outbound mail failed: {c:?}");
-        let m = mailbox.borrow();
+        let m = s.world.app(server).report();
         assert_eq!(m.mailbox.len(), 1);
         assert_eq!(m.mailbox[0].from, "<bcn@pc.ampr.org>");
         assert_eq!(m.mailbox[0].body[1], "73 de KB7DZ");
@@ -151,7 +143,6 @@ fn mail_delivery_both_directions() {
     let mut s = paper_topology(PaperConfig::default(), 106);
     authorize_inbound(&mut s);
     let server = SmtpServer::new(25, "pc");
-    let mailbox = server.report();
     let client = SmtpClient::new(
         PC_IP,
         25,
@@ -161,14 +152,13 @@ fn mail_delivery_both_directions() {
             body: vec!["ACK your note".into()],
         },
     );
-    let client_report = client.report();
-    s.world.add_app(s.pc, Box::new(server));
-    s.world.add_app(s.ether_host, Box::new(client));
+    let server = s.world.add_app(s.pc, Box::new(server));
+    let client = s.world.add_app(s.ether_host, Box::new(client));
     s.world.run_for(SimDuration::from_secs(900));
 
-    let c = client_report.borrow();
+    let c = s.world.app(client).report();
     assert!(c.delivered && c.done, "inbound mail failed: {c:?}");
-    assert_eq!(mailbox.borrow().mailbox.len(), 1);
+    assert_eq!(s.world.app(server).report().mailbox.len(), 1);
 }
 
 #[test]

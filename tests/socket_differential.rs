@@ -29,12 +29,11 @@ type TypistCounts = (usize, usize, Option<SimTime>);
 fn run_with_server<A: App>(server: Box<A>, seed: u64) -> (EventStream, TypistCounts) {
     let mut s = paper_topology(PaperConfig::default(), seed);
     let client = Typist::new(ETHER_HOST_IP, 7, 12);
-    let report = client.report();
     s.world.add_app(s.ether_host, server);
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
     s.world.run_for(SimDuration::from_secs(600));
     let events = s.world.take_events();
-    let r = report.borrow();
+    let r = s.world.app(client).report();
     (events, (r.sent, r.echoed, r.finished_at))
 }
 

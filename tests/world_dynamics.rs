@@ -81,13 +81,12 @@ fn interactive_session_survives_background_chatter() {
     let server = TelnetServer::new(23, "vax2");
     s.world.add_app(s.ether_host, Box::new(server));
     let client = TelnetClient::standard_session(ETHER_HOST_IP, 23);
-    let report = client.report();
-    s.world.add_app(s.pc, Box::new(client));
+    let client = s.world.add_app(s.pc, Box::new(client));
     s.world.run_for(SimDuration::from_secs(2400));
     assert!(
-        report.borrow().done,
+        s.world.app(client).report().done,
         "TCP pushes the session through the contention: {}",
-        report.borrow().transcript
+        s.world.app(client).report().transcript
     );
 }
 

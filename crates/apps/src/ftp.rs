@@ -55,6 +55,10 @@ pub struct FileServerProgram {
     /// and break the sharded engine's digest-equivalence contract once
     /// several transfers overlap.
     sending: Vec<(SocketHandle, String, usize, usize)>,
+    /// The `sending` handles `on_tick` pumps, copied out because a pump
+    /// may finish its send and drop it from `sending` (kept for its
+    /// capacity).
+    pumping: Vec<SocketHandle>,
     report: FileServerReport,
 }
 
@@ -67,6 +71,7 @@ impl FileServer {
             catalogue: files.iter().map(|(n, s)| (n.to_string(), *s)).collect(),
             sessions: HashMap::new(),
             sending: Vec::new(),
+            pumping: Vec::new(),
             report: FileServerReport::default(),
         })
     }
@@ -76,6 +81,9 @@ impl FileServer {
         &self.program.report
     }
 }
+
+/// The most file bytes one `sock_send` offers.
+const CHUNK: usize = 2048;
 
 impl FileServerProgram {
     fn pump_send(&mut self, now: SimTime, h: SocketHandle, cx: &mut SockCtx<'_>) {
@@ -87,9 +95,16 @@ impl FileServerProgram {
             if cap == 0 {
                 return;
             }
-            let n = cap.min(*size - *offset).min(2048);
-            let chunk: Vec<u8> = (*offset..*offset + n).map(|i| file_byte(name, i)).collect();
-            let accepted = cx.host.sock_send(now, h, &chunk).unwrap_or(0);
+            let n = cap.min(*size - *offset).min(CHUNK);
+            // On the stack, and zeroed only once there is room to send:
+            // `sock_send` copies the chunk into the send buffer, so a heap
+            // chunk would cost an allocation per chunk (or 2 KiB held per
+            // server).
+            let mut chunk = [0u8; CHUNK];
+            for (i, b) in chunk[..n].iter_mut().enumerate() {
+                *b = file_byte(name, *offset + i);
+            }
+            let accepted = cx.host.sock_send(now, h, &chunk[..n]).unwrap_or(0);
             *offset += accepted;
             self.report.bytes_sent += accepted as u64;
             if accepted == 0 {
@@ -155,10 +170,13 @@ impl SocketProgram for FileServerProgram {
     }
 
     fn on_tick(&mut self, now: SimTime, cx: &mut SockCtx<'_>) {
-        let handles: Vec<SocketHandle> = self.sending.iter().map(|(s, ..)| *s).collect();
-        for h in handles {
+        let mut pumping = std::mem::take(&mut self.pumping);
+        pumping.extend(self.sending.iter().map(|(s, ..)| *s));
+        for &h in &pumping {
             self.pump_send(now, h, cx);
         }
+        pumping.clear();
+        self.pumping = pumping;
     }
 }
 

@@ -1,8 +1,9 @@
 //! The allocation-assert harness behind `tests/ratchets`: one counting
 //! global allocator, a macro that installs it in a test binary, and
-//! [`allocs_during`] and [`bytes_during`] to count around a closure. The
-//! counts are kept per thread, so tests running side by side under
-//! libtest's default parallelism never see each other's allocations.
+//! [`allocs_during`], [`bytes_during`] and [`live_bytes_during`] to count
+//! around a closure. The counts are kept per thread, so tests running side
+//! by side under libtest's default parallelism never see each other's
+//! allocations.
 //!
 //! ```ignore
 //! bench::install_counting_alloc!();
@@ -22,25 +23,35 @@ thread_local! {
     // allocates or registers anything: the allocator itself may use it.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed; wraps, so a thread that frees
+    // what another allocated only ever reads differences.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is an increment of
+// upholds the `GlobalAlloc` contract; the only addition is an update of
 // the calling thread's own counters, which publishes no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.set(ALLOCS.get() + 1);
         BYTES.set(BYTES.get() + layout.size() as u64);
+        LIVE.set(LIVE.get().wrapping_add(layout.size() as u64));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.set(LIVE.get().wrapping_sub(layout.size() as u64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.set(ALLOCS.get() + 1);
         BYTES.set(BYTES.get() + new_size as u64);
+        LIVE.set(
+            LIVE.get()
+                .wrapping_add(new_size as u64)
+                .wrapping_sub(layout.size() as u64),
+        );
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,4 +81,16 @@ pub fn bytes_during(f: impl FnOnce()) -> u64 {
     let before = BYTES.get();
     f();
     BYTES.get() - before
+}
+
+/// Heap bytes the calling thread holds after `f` runs beyond what it held
+/// before: bytes allocated minus bytes freed, reallocations counted at
+/// their change in size. Unlike [`bytes_during`] this does not count
+/// what `f` asked for and gave back, so it is what `f` leaves live — the
+/// bytes a process's resident size follows. Negative when `f` frees more
+/// than it allocates.
+pub fn live_bytes_during(f: impl FnOnce()) -> i64 {
+    let before = LIVE.get();
+    f();
+    LIVE.get().wrapping_sub(before) as i64
 }

@@ -28,7 +28,7 @@ fn gateway(addr: Ipv4Addr) -> (NetStack, IfaceId) {
         ..StackConfig::default()
     });
     let ifid = st.add_iface(IfaceConfig {
-        name: "qe0".into(),
+        name: "qe0",
         addr,
         prefix_len: 24,
         mtu: 1500,

@@ -140,10 +140,11 @@ impl Host {
             "host {}: a filter needs a radio interface to hook",
             cfg.name
         );
-        let mut stack = NetStack::new(cfg.stack);
+        let ifaces = usize::from(cfg.radio.is_some()) + usize::from(cfg.ether.is_some());
+        let mut stack = NetStack::with_ifaces(cfg.stack, ifaces);
         let pr = cfg.radio.map(|r| {
             let iface = stack.add_iface(IfaceConfig {
-                name: "pr0".into(),
+                name: "pr0",
                 addr: r.ip,
                 prefix_len: r.prefix_len,
                 mtu: AX25_MTU,
@@ -152,7 +153,7 @@ impl Host {
         });
         let eth = cfg.ether.map(|e| {
             let iface = stack.add_iface(IfaceConfig {
-                name: "qe0".into(),
+                name: "qe0",
                 addr: e.ip,
                 prefix_len: e.prefix_len,
                 mtu: ether::MTU,

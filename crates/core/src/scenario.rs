@@ -790,6 +790,7 @@ pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOpti
         if opts.full_tables {
             let ether_if = world.host(gw).ether_iface().expect("gateway ether");
             let routes = world.host_mut(gw).stack.routes_mut();
+            routes.reserve(gateways - 1);
             for p in 0..gateways {
                 if p == g {
                     continue;

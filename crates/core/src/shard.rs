@@ -298,11 +298,17 @@ pub(crate) struct ShardData {
     pub now: SimTime,
     pub rng: SimRng,
     pub channels: Vec<Channel>,
-    pub lines: Vec<SerialLine>,
-    pub tncs: Vec<TncEntry>,
+    /// Station records are boxed: each is allocated once at its exact
+    /// size and never moves, so a table's growth slack is pointers, not
+    /// unused 1.3 kB hosts (DESIGN.md §6, held only where used).
+    #[allow(clippy::vec_box)] // a spare slot costs a pointer, not a record
+    pub lines: Vec<Box<SerialLine>>,
+    #[allow(clippy::vec_box)]
+    pub tncs: Vec<Box<TncEntry>>,
     pub digis: Vec<DigiEntry>,
     pub beacons: Vec<BeaconEntry>,
-    pub hosts: Vec<HostEntry>,
+    #[allow(clippy::vec_box)]
+    pub hosts: Vec<Box<HostEntry>>,
     pub apps: Vec<AppEntry>,
     /// Per channel, indexed by `StationId`: who hears that station.
     pub listeners: Vec<Vec<Option<Listener>>>,
@@ -719,7 +725,8 @@ impl ShardData {
             self.now = self.now.max(info.t_last);
             self.sched.stats_mut().batched_chars += info.len as u64;
             if let Some(ti) = self.line_tnc[li] {
-                self.tncs[ti].tnc.on_serial_bytes(&run);
+                let t = &mut self.tncs[ti];
+                t.tnc.on_serial_bytes(&run, &mut self.channels[t.chan]);
             }
         }
         self.run_scratch = run;
@@ -1013,7 +1020,7 @@ impl ShardData {
                     progressed = true;
                     if let Some(t) = self.tncs.iter_mut().find(|t| t.line == li) {
                         for &b in &rx {
-                            t.tnc.on_serial_byte(b);
+                            t.tnc.on_serial_byte(b, &mut self.channels[t.chan]);
                         }
                     }
                 }
@@ -1122,7 +1129,8 @@ impl ShardData {
                         }
                     }
                     Some(Listener::Digi(i)) => {
-                        self.digis[i].digi.on_reception(&mut heard, corrupted);
+                        let ch = &mut self.channels[chan];
+                        self.digis[i].digi.on_reception(&mut heard, corrupted, ch);
                     }
                     // Beacons ignore receptions.
                     None => {}

@@ -423,11 +423,11 @@ impl World {
     pub fn add_host_in(&mut self, shard: ShardId, cfg: HostConfig) -> HostId {
         let gid = self.host_map.len();
         let sh = self.touch(shard.0);
-        sh.hosts.push(HostEntry {
+        sh.hosts.push(Box::new(HostEntry {
             host: Host::new(cfg),
             serial: None,
             nic: None,
-        });
+        }));
         sh.host_apps.push(Vec::new());
         sh.host_gids.push(gid);
         let local = sh.hosts.len() - 1;
@@ -463,7 +463,8 @@ impl World {
             .expect("host has no radio interface");
         let line_idx = sh.lines.len();
         let tnc_idx = sh.tncs.len();
-        sh.lines.push(SerialLine::new(SerialConfig::baud(baud)));
+        sh.lines
+            .push(Box::new(SerialLine::new(SerialConfig::baud(baud))));
         sh.line_host.push(Some(hl as usize));
         sh.line_tnc.push(Some(tnc_idx));
         if let Some(old) = sh.hosts[hl as usize].serial.replace(line_idx) {
@@ -474,11 +475,11 @@ impl World {
         let listener = Listener::Tnc(tnc_idx);
         set_slot(&mut sh.listeners, cl as usize, station.0, listener);
         sh.chan_tncs[cl as usize].push(tnc_idx);
-        sh.tncs.push(TncEntry {
+        sh.tncs.push(Box::new(TncEntry {
             tnc: Tnc::new(cfg, station),
             chan: cl as usize,
             line: line_idx,
-        });
+        }));
         self.tnc_map.push((hs, tnc_idx as u32));
         TncId(self.tnc_map.len() - 1)
     }
@@ -634,7 +635,7 @@ impl World {
     pub fn host_serial_line(&self, id: HostId) -> Option<&SerialLine> {
         let (s, l) = self.host_map[id.0];
         let sh = &self.shards[s as usize];
-        sh.hosts[l as usize].serial.map(|i| &sh.lines[i])
+        sh.hosts[l as usize].serial.map(|i| &*sh.lines[i])
     }
 
     /// Drains recorded stack events.

@@ -62,7 +62,7 @@ pub fn mixed(us: Ax25Addr) -> Mixed {
 /// two travel back to back. Returns when the air falls silent.
 pub fn transmit_chain(ch: &mut Channel, from: StationId, at: SimTime, frames: &[&[u8]]) -> SimTime {
     frames.iter().fold(at, |at, frame| {
-        ch.transmit(at, from, frame.to_vec(), SimDuration::ZERO).0
+        ch.transmit(at, from, frame.to_vec(), SimDuration::ZERO)
     })
 }
 

@@ -142,6 +142,14 @@ impl RouteTable {
         RouteTable::default()
     }
 
+    /// Makes room for `additional` more routes in one allocation of
+    /// exactly that size, so a builder that knows its table's final size
+    /// (a gateway's full learned table) does not leave it in a doubled
+    /// block.
+    pub fn reserve(&mut self, additional: usize) {
+        self.routes.reserve_exact(additional);
+    }
+
     /// Adds (or replaces) the static route for `prefix` with metric 0.
     pub fn add(&mut self, prefix: Prefix, via: Option<Ipv4Addr>, iface: IfaceId) {
         self.insert(Route {

@@ -60,8 +60,8 @@ impl IfaceId {
 /// An interface's IP-level parameters (the link itself lives elsewhere).
 #[derive(Debug, Clone)]
 pub struct IfaceConfig {
-    /// Name for traces ("qe0", "pr0"…).
-    pub name: String,
+    /// The interface's name ("qe0", "pr0"…), a label the stack never reads.
+    pub name: &'static str,
     /// The interface's IP address.
     pub addr: Ipv4Addr,
     /// Prefix length of the attached subnet.
@@ -352,6 +352,17 @@ impl NetStack {
             pool: DgramPool::new(),
             tcb_events: Vec::new(),
         }
+    }
+
+    /// Creates a stack with no interfaces yet, its interface list sized
+    /// for `n` and its route table for their `n` connected routes and one
+    /// default route, so a host's tables are born at the size its
+    /// configuration names rather than in `Vec`'s four-slot minimum.
+    pub fn with_ifaces(cfg: StackConfig, n: usize) -> NetStack {
+        let mut stack = NetStack::new(cfg);
+        stack.ifaces.reserve_exact(n);
+        stack.routes.reserve(n + 1);
+        stack
     }
 
     /// Turns IP forwarding on or off at runtime. Hosts built as plain
@@ -1353,7 +1364,7 @@ impl NetStack {
     ) -> (NetStack, IfaceId) {
         let mut st = NetStack::new(StackConfig::default());
         let ifid = st.add_iface(IfaceConfig {
-            name: "if0".into(),
+            name: "if0",
             addr,
             prefix_len,
             mtu,
@@ -1510,7 +1521,7 @@ mod tests {
                 ..StackConfig::default()
             });
             let ifid = st.add_iface(IfaceConfig {
-                name: "pr0".into(),
+                name: "pr0",
                 addr: ipa(1),
                 prefix_len: 24,
                 mtu: 256,
@@ -1532,7 +1543,7 @@ mod tests {
                 ..StackConfig::default()
             });
             let ifid = st.add_iface(IfaceConfig {
-                name: "pr0".into(),
+                name: "pr0",
                 addr: ipa(2),
                 prefix_len: 24,
                 mtu: 256,
@@ -1571,7 +1582,7 @@ mod tests {
             ..StackConfig::default()
         });
         st.add_iface(IfaceConfig {
-            name: "pr0".into(),
+            name: "pr0",
             addr: ipa(1),
             prefix_len: 24,
             mtu: 256,
@@ -1762,13 +1773,13 @@ mod tests {
             ..StackConfig::default()
         });
         let eth = st.add_iface(IfaceConfig {
-            name: "qe0".into(),
+            name: "qe0",
             addr: Ipv4Addr::new(128, 95, 1, 100),
             prefix_len: 24,
             mtu: 1500,
         });
         let radio = st.add_iface(IfaceConfig {
-            name: "pr0".into(),
+            name: "pr0",
             addr: Ipv4Addr::new(44, 24, 0, 28),
             prefix_len: 16,
             mtu: 256,
@@ -1807,7 +1818,7 @@ mod tests {
             ..StackConfig::default()
         });
         let _eth = st.add_iface(IfaceConfig {
-            name: "qe0".into(),
+            name: "qe0",
             addr: Ipv4Addr::new(128, 95, 1, 100),
             prefix_len: 24,
             mtu: 1500,

@@ -167,13 +167,13 @@ fn build_stack() -> NetStack {
         ..StackConfig::default()
     });
     s.add_iface(IfaceConfig {
-        name: "qe0".into(),
+        name: "qe0",
         addr: Ipv4Addr::new(128, 95, 1, 1),
         prefix_len: 24,
         mtu: 1500,
     });
     s.add_iface(IfaceConfig {
-        name: "pr0".into(),
+        name: "pr0",
         addr: Ipv4Addr::new(44, 24, 0, 1),
         prefix_len: 24,
         mtu: 256,

@@ -156,7 +156,7 @@ pub struct ChannelStats {
 /// let mut ch = Channel::new(Bandwidth::RADIO_1200);
 /// let a = ch.add_station();
 /// let b = ch.add_station();
-/// let (end, _) = ch.transmit(SimTime::ZERO, a, vec![0u8; 30], SimDuration::ZERO);
+/// let end = ch.transmit(SimTime::ZERO, a, vec![0u8; 30], SimDuration::ZERO);
 /// assert_eq!(ch.next_deadline(), Some(end));
 /// let t = ch.next_deadline().unwrap();
 /// let mut heard = Heard::default();
@@ -182,15 +182,23 @@ pub struct Channel {
     /// accrues only past this horizon, so overlapping transmissions are
     /// not double-counted.
     busy_horizon: SimTime,
-    /// The buffer of a finished transmission — the one [`Channel::hear_next`]
-    /// swapped out of the caller's [`Heard`] — waiting for the next sender
-    /// to take it in trade ([`Channel::transmit`]). Empty when there is none.
-    retired: Vec<u8>,
+    /// The channel's free on-air buffers: every buffer
+    /// [`Channel::hear_next`] swaps out of the caller's [`Heard`] comes
+    /// back here, and every station on the channel builds its next frame
+    /// in one ([`Channel::take_buffer`]). A transmission takes one and
+    /// gives one back, so the list never holds more than the channel has
+    /// had frames queued or in flight at once.
+    free: Vec<Vec<u8>>,
 }
 
 impl Channel {
     /// Default carrier-detect time (AFSK DCD assert at 1200 baud).
     pub const DEFAULT_DETECT_DELAY: SimDuration = SimDuration::from_millis(30);
+
+    /// The longest frame on the air, FCS included (330 octets): the room
+    /// every buffer [`Channel::take_buffer`] hands out has, so a station's
+    /// frame never grows it.
+    pub const ON_AIR_MAX: usize = ax25::MAX_FRAME_LEN + 2;
 
     /// Creates a channel at `rate` where every station hears every other.
     pub fn new(rate: Bandwidth) -> Channel {
@@ -203,7 +211,7 @@ impl Channel {
             detect_delay: Self::DEFAULT_DETECT_DELAY,
             stats: ChannelStats::default(),
             busy_horizon: SimTime::ZERO,
-            retired: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -274,19 +282,28 @@ impl Channel {
             .any(|tx| !tx.delivered && tx.from == station && tx.start <= now && now < tx.end)
     }
 
+    /// An empty buffer with room for [`Channel::ON_AIR_MAX`] octets for a
+    /// station to build its next on-air frame in: a finished
+    /// transmission's buffer from the free list, or a new one born at that
+    /// size when the list is empty.
+    pub fn take_buffer(&mut self) -> Vec<u8> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.reserve_exact(Self::ON_AIR_MAX);
+        buf
+    }
+
     /// Starts a transmission of `data` from `from`, occupying the channel
     /// for `overhead` (key-up + tail) plus the serialization time of the
-    /// data; returns the completion time and, in trade for `data`, the
-    /// buffer of a finished transmission for the sender to build its next
-    /// frame in — an allocation, not data (clear it before use), and an
-    /// unallocated `Vec` when none has retired since the last trade.
+    /// data; returns the completion time. The buffer comes back to the
+    /// free list once the transmission has been heard.
     pub fn transmit(
         &mut self,
         now: SimTime,
         from: StationId,
         data: Vec<u8>,
         overhead: SimDuration,
-    ) -> (SimTime, Vec<u8>) {
+    ) -> SimTime {
         let dur = self.rate.time_for_bytes(data.len()) + overhead;
         let end = now + dur;
         self.stats.transmissions += 1;
@@ -305,7 +322,7 @@ impl Channel {
             data,
             delivered: false,
         });
-        (end, std::mem::take(&mut self.retired))
+        end
     }
 
     /// Earliest in-flight transmission end, if any.
@@ -342,10 +359,10 @@ impl Channel {
         heard.from = from;
         heard.at = end;
         // The bytes move into `heard`; the buffer that comes back out of it
-        // (the transmission before this one) retires to the trade slot.
+        // (the transmission before this one) goes back to the free list.
         let retiring = std::mem::replace(&mut heard.data, std::mem::take(&mut self.txs[i].data));
-        if retiring.capacity() > self.retired.capacity() {
-            self.retired = retiring;
+        if retiring.capacity() > 0 {
+            self.free.push(retiring);
         }
         heard.fcs_ok = None;
         heard.kiss.clear();
@@ -468,7 +485,7 @@ mod tests {
         let b = c.add_station();
         let _ = a;
         // 150 bytes at 1200 bit/s = 1s, plus 250ms overhead.
-        let (end, _) = c.transmit(
+        let end = c.transmit(
             SimTime::ZERO,
             StationId(0),
             vec![0; 150],
@@ -489,7 +506,7 @@ mod tests {
         let a = c.add_station();
         let _b = c.add_station();
         let _d = c.add_station();
-        let (end, _) = c.transmit(SimTime::ZERO, a, vec![0; 10], SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, a, vec![0; 10], SimDuration::ZERO);
         let rx = advance(&mut c, end);
         assert_eq!(rx.len(), 2);
         assert!(rx.iter().all(|r| r.to != a));
@@ -503,7 +520,7 @@ mod tests {
         let mut on_air = b"some frame body".to_vec();
         ax25::fcs::append_fcs(&mut on_air);
         let (ptr, body_len) = (on_air.as_ptr(), on_air.len() - 2);
-        let (end, _) = c.transmit(SimTime::ZERO, a, on_air, SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, a, on_air, SimDuration::ZERO);
         let mut heard = Heard::default();
         assert!(c.hear_next(end, &mut heard));
         assert_eq!(heard.listeners(), others.map(|s| (s, false)));
@@ -523,7 +540,7 @@ mod tests {
         assert!(heard.header().is_none(), "a good FCS over no AX.25 frame");
         assert!(!c.hear_next(end, &mut heard), "one Heard per transmission");
         // Refilling the same Heard forgets the previous verdict and bytes.
-        let (end, _) = c.transmit(end, a, b"no fcs on this one".to_vec(), SimDuration::ZERO);
+        let end = c.transmit(end, a, b"no fcs on this one".to_vec(), SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard));
         assert_eq!(heard.listeners().len(), 3);
         assert!(heard.body().is_none() && heard.kiss().is_none());
@@ -533,31 +550,30 @@ mod tests {
         let frame = ax25::frame::Frame::ui(dest, src, ax25::frame::Pid::Text, b"hi".to_vec());
         let mut on_air = frame.encode();
         ax25::fcs::append_fcs(&mut on_air);
-        let (end, _) = c.transmit(end, a, on_air, SimDuration::ZERO);
+        let end = c.transmit(end, a, on_air, SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard));
         let peeked = *heard.header().expect("a UI frame");
         assert_eq!(Ok(peeked), FrameHeader::peek(heard.body().unwrap()));
         assert_eq!((peeked.dest, peeked.fully_repeated), (dest, true));
         assert_eq!(heard.header(), Some(&peeked));
-        // Buffers are traded: a transmission's buffer comes back to a
-        // sender once the transmission after it has been heard, stale
-        // bytes and all — and a short frame built in what a long one left
-        // behind goes out, and up every line, as exactly its own bytes.
+        // Buffers come back: a transmission's buffer returns to the free
+        // list once the transmission after it has been heard, stale bytes
+        // and all — and a short frame built in what a long one left behind
+        // goes out, and up every line, as exactly its own bytes.
         let mut long = vec![0xAA; 300];
         ax25::fcs::append_fcs(&mut long);
         let long_ptr = long.as_ptr();
-        let (end, _) = c.transmit(end, a, long, SimDuration::ZERO);
+        let end = c.transmit(end, a, long, SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard));
-        let (end, _) = c.transmit(end, a, vec![1; 5], SimDuration::ZERO);
+        let end = c.transmit(end, a, vec![1; 5], SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard), "the long one retires");
-        let (end, mut traded) = c.transmit(end, a, vec![2; 5], SimDuration::ZERO);
-        assert_eq!(traded.as_ptr(), long_ptr, "the same allocation, traded");
-        assert!(c.hear_next(end, &mut heard));
-        traded.clear();
-        traded.extend_from_slice(b"short");
-        ax25::fcs::append_fcs(&mut traded);
-        let on_air = traded.clone();
-        let (end, _) = c.transmit(end, a, traded, SimDuration::ZERO);
+        let mut reused = c.take_buffer();
+        assert_eq!(reused.as_ptr(), long_ptr, "the same allocation, reused");
+        assert!(reused.is_empty());
+        reused.extend_from_slice(b"short");
+        ax25::fcs::append_fcs(&mut reused);
+        let on_air = reused.clone();
+        let end = c.transmit(end, a, reused, SimDuration::ZERO);
         assert!(c.hear_next(end, &mut heard));
         assert_eq!(heard.data(), on_air);
         assert_eq!(heard.data().as_ptr(), long_ptr);
@@ -566,10 +582,20 @@ mod tests {
             heard.kiss().unwrap(),
             kiss::encode(0, kiss::Command::Data, b"short")
         );
-        // A trade hands each retired buffer out once.
-        let (_, again) = c.transmit(end, a, vec![3; 5], SimDuration::ZERO);
-        let (_, nothing) = c.transmit(end, a, vec![4; 5], SimDuration::ZERO);
-        assert!(again.capacity() > 0 && nothing.capacity() == 0);
+        // The list hands each buffer out once: draining it gives distinct
+        // allocations, each empty with room for the longest frame, and
+        // then a new one.
+        let listed = c.free.len();
+        assert!(listed > 0);
+        let taken: Vec<Vec<u8>> = (0..=listed).map(|_| c.take_buffer()).collect();
+        assert!(c.free.is_empty());
+        let mut ptrs: Vec<_> = taken.iter().map(|b| b.as_ptr()).collect();
+        ptrs.sort();
+        ptrs.dedup();
+        assert_eq!(ptrs.len(), listed + 1);
+        assert!(taken
+            .iter()
+            .all(|b| b.is_empty() && b.capacity() >= Channel::ON_AIR_MAX));
     }
 
     #[test]
@@ -578,8 +604,8 @@ mod tests {
         let a = c.add_station();
         let b = c.add_station();
         let victim = c.add_station();
-        let (end_a, _) = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
-        let (_end_b, _) = c.transmit(
+        let end_a = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
+        let _end_b = c.transmit(
             SimTime::from_millis(100),
             b,
             vec![0; 100],
@@ -596,10 +622,10 @@ mod tests {
         let mut c = ch();
         let a = c.add_station();
         let b = c.add_station();
-        let (end_a, _) = c.transmit(SimTime::ZERO, a, vec![1; 10], SimDuration::ZERO);
+        let end_a = c.transmit(SimTime::ZERO, a, vec![1; 10], SimDuration::ZERO);
         let rx1 = advance(&mut c, end_a);
         assert!(rx1.iter().all(|r| !r.corrupted));
-        let (end_b, _) = c.transmit(end_a, b, vec![2; 10], SimDuration::ZERO);
+        let end_b = c.transmit(end_a, b, vec![2; 10], SimDuration::ZERO);
         let rx2 = advance(&mut c, end_b);
         assert!(rx2.iter().all(|r| !r.corrupted));
     }
@@ -615,7 +641,7 @@ mod tests {
         c.set_hears(a, b, false);
         c.set_hears(b, a, false);
         c.set_hears(far, a, false);
-        let (end, _) = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
         c.transmit(SimTime::from_millis(10), b, vec![0; 100], SimDuration::ZERO);
         let rx = advance(&mut c, end + SimDuration::from_secs(2));
         let at_victim: Vec<_> = rx.iter().filter(|r| r.to == victim).collect();
@@ -638,7 +664,7 @@ mod tests {
         c.set_hears(b, a, false);
         let third = c.add_station();
         let _ = third;
-        let (end_a, _) = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
+        let end_a = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
         c.transmit(SimTime::from_millis(1), b, vec![0; 200], SimDuration::ZERO);
         let rx = advance(&mut c, end_a + SimDuration::from_secs(3));
         // b cannot hear a at all (deaf), so look at third instead; but the
@@ -647,7 +673,7 @@ mod tests {
         let a2 = c2.add_station();
         let b2 = c2.add_station();
         c2.set_hears(a2, b2, false); // a deaf to b so no collision at a
-        let (end, _) = c2.transmit(SimTime::ZERO, a2, vec![0; 100], SimDuration::ZERO);
+        let end = c2.transmit(SimTime::ZERO, a2, vec![0; 100], SimDuration::ZERO);
         c2.transmit(SimTime::from_millis(1), b2, vec![0; 10], SimDuration::ZERO);
         let rx2 = advance(&mut c2, end + SimDuration::from_secs(2));
         let b_copy = rx2.iter().find(|r| r.to == b2 && r.from == a2).unwrap();
@@ -663,7 +689,7 @@ mod tests {
         let deaf = c.add_station();
         c.set_hears(deaf, a, false);
         assert!(!c.carrier_busy(SimTime::ZERO, b));
-        let (end, _) = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, a, vec![0; 100], SimDuration::ZERO);
         let mid = SimTime::from_millis(100);
         assert!(c.carrier_busy(mid, b));
         assert!(c.carrier_busy(mid, a), "own transmission counts");
@@ -683,7 +709,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let n = 2000;
         for _ in 0..n {
-            let (end, _) = c.transmit(now, a, vec![0; 100], SimDuration::ZERO);
+            let end = c.transmit(now, a, vec![0; 100], SimDuration::ZERO);
             let rx = advance(&mut c, end);
             corrupted += rx.iter().filter(|r| r.corrupted).count();
             now = end;
@@ -698,7 +724,7 @@ mod tests {
         let mut c = ch();
         let a = c.add_station();
         let _b = c.add_station();
-        let (end, _) = c.transmit(SimTime::ZERO, a, vec![0; 150], SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, a, vec![0; 150], SimDuration::ZERO);
         advance(&mut c, end);
         assert_eq!(c.stats().transmissions, 1);
         assert_eq!(c.stats().clean_receptions, 1);
@@ -716,7 +742,7 @@ mod tests {
         // Two fully-overlapping 1s transmissions: offered load counts 2s,
         // occupied airtime counts 1s.
         c.transmit(SimTime::ZERO, a, vec![0; 150], SimDuration::ZERO);
-        let (end, _) = c.transmit(SimTime::ZERO, b, vec![0; 150], SimDuration::ZERO);
+        let end = c.transmit(SimTime::ZERO, b, vec![0; 150], SimDuration::ZERO);
         advance(&mut c, end);
         assert_eq!(c.stats().airtime_ns, 2_000_000_000);
         assert_eq!(c.stats().occupied_ns, 1_000_000_000);
@@ -740,7 +766,7 @@ mod tests {
         let _b = c.add_station();
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
-            let (end, _) = c.transmit(now, a, vec![0; 10], SimDuration::ZERO);
+            let end = c.transmit(now, a, vec![0; 10], SimDuration::ZERO);
             advance(&mut c, end);
             now = end;
         }

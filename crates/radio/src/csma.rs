@@ -74,11 +74,6 @@ pub struct Csma {
     retry_at: Option<SimTime>,
     /// End of our own transmission in progress.
     tx_end: Option<SimTime>,
-    /// What the channel gave back for the frames put on the air: the
-    /// buffers the next frames are built in ([`Csma::take_buffer`]). A
-    /// frame takes one from here and a transmission returns at most one,
-    /// so this never holds more than the queue has been deep.
-    spares: Vec<Vec<u8>>,
     stats: CsmaStats,
 }
 
@@ -90,7 +85,6 @@ impl Csma {
             queue: VecDeque::new(),
             retry_at: None,
             tx_end: None,
-            spares: Vec::new(),
             stats: CsmaStats::default(),
         }
     }
@@ -105,16 +99,8 @@ impl Csma {
         &mut self.cfg
     }
 
-    /// An empty buffer to build the next on-air frame in before
-    /// [`Csma::enqueue`]: the allocation a finished transmission left
-    /// behind, cleared, or an unallocated `Vec` when there is none.
-    pub fn take_buffer(&mut self) -> Vec<u8> {
-        let mut buf = self.spares.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Queues an on-air frame (AX.25 bytes + FCS).
+    /// Queues an on-air frame (AX.25 bytes + FCS), built in a buffer from
+    /// [`Channel::take_buffer`].
     pub fn enqueue(&mut self, frame: Vec<u8>) {
         self.stats.enqueued += 1;
         self.queue.push_back(frame);
@@ -185,10 +171,7 @@ impl Csma {
         let Some(frame) = self.queue.pop_front() else {
             return;
         };
-        let (end, retired) = ch.transmit(now, me, frame, self.cfg.overhead());
-        if retired.capacity() > 0 {
-            self.spares.push(retired);
-        }
+        let end = ch.transmit(now, me, frame, self.cfg.overhead());
         self.stats.transmitted += 1;
         self.tx_end = Some(end);
     }

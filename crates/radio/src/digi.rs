@@ -62,8 +62,9 @@ impl Digipeater {
     }
 
     /// Processes this station's copy of a heard transmission, queueing a
-    /// repeat when this station is the next hop.
-    pub fn on_reception(&mut self, heard: &mut Heard, corrupted: bool) {
+    /// repeat, built in a buffer from `ch`'s free list, when this station
+    /// is the next hop.
+    pub fn on_reception(&mut self, heard: &mut Heard, corrupted: bool, ch: &mut Channel) {
         self.stats.heard += 1;
         if corrupted {
             self.stats.fcs_errors += 1;
@@ -80,8 +81,7 @@ impl Digipeater {
         match decide(&frame, self.addr) {
             DigipeatDecision::Repeat(out) => {
                 self.stats.repeated += 1;
-                let mut on_air = self.mac.take_buffer();
-                on_air.reserve(out.encoded_len() + 2);
+                let mut on_air = ch.take_buffer();
                 out.encode_into(&mut on_air);
                 append_fcs(&mut on_air);
                 self.mac.enqueue(on_air);
@@ -155,7 +155,7 @@ mod tests {
         let mut rng = SimRng::seed_from(5);
 
         let f = Frame::ui(a("DST"), a("SRC"), Pid::Text, b"relay me".to_vec()).via(&[a("DIGI")]);
-        let (end, _) = ch.transmit(SimTime::ZERO, src, on_air(&f), SimDuration::ZERO);
+        let end = ch.transmit(SimTime::ZERO, src, on_air(&f), SimDuration::ZERO);
 
         let mut delivered_at_dst = None;
         let mut heard = Heard::default();
@@ -165,7 +165,7 @@ mod tests {
                 for k in 0..heard.listeners().len() {
                     let (to, corrupted) = heard.listeners()[k];
                     if to == digi_sta {
-                        digi.on_reception(&mut heard, corrupted);
+                        digi.on_reception(&mut heard, corrupted, &mut ch);
                     }
                     if to == dst_sta && !corrupted {
                         let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
@@ -196,10 +196,10 @@ mod tests {
 
         let f = Frame::ui(a("DST"), a("SRC"), Pid::Text, vec![]).via(&[a("OTHER")]);
         let mut heard = Heard::new(StationId(0), SimTime::ZERO, on_air(&f));
-        digi.on_reception(&mut heard, false);
+        digi.on_reception(&mut heard, false, &mut ch);
         assert_eq!(digi.stats().ignored, 1);
 
-        digi.on_reception(&mut heard, true);
+        digi.on_reception(&mut heard, true, &mut ch);
         assert_eq!(digi.stats().fcs_errors, 1);
         assert_eq!(digi.stats().repeated, 0);
     }
@@ -212,7 +212,7 @@ mod tests {
         let mut digi = Digipeater::new(a("DIGI"), digi_sta, fast());
         let f = Frame::ui(a("DIGI"), a("SRC"), Pid::Text, vec![]);
         let mut heard = Heard::new(StationId(0), SimTime::ZERO, on_air(&f));
-        digi.on_reception(&mut heard, false);
+        digi.on_reception(&mut heard, false, &mut ch);
         assert_eq!(digi.stats().repeated, 0);
         assert_eq!(digi.stats().ignored, 1);
     }

@@ -26,10 +26,6 @@ use sim::{SimDuration, SimRng, SimTime};
 use crate::channel::{Channel, Heard, StationId};
 use crate::csma::{Csma, MacConfig};
 
-/// The longest frame on the air, FCS included (330 octets): the size a
-/// TNC's transmit buffer grows to, the one time it grows.
-const ON_AIR_MAX: usize = ax25::MAX_FRAME_LEN + 2;
-
 /// Receive filtering behaviour (§3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxMode {
@@ -145,21 +141,28 @@ impl Tnc {
         self.cfg.mode = mode;
     }
 
-    /// Consumes one character from the host serial line.
+    /// Consumes one character from the host serial line; a data frame it
+    /// completes is built in a buffer from `ch`'s free list.
     #[inline]
-    pub fn on_serial_byte(&mut self, byte: u8) {
+    pub fn on_serial_byte(&mut self, byte: u8, ch: &mut Channel) {
         // The deframed payload borrows the deframer's internal buffer, so
         // the handler takes the other fields as disjoint borrows.
         let Some(frame) = self.deframer.push(byte) else {
             return;
         };
-        Tnc::on_kiss_frame(&mut self.stats, &mut self.mac, frame.command, frame.payload);
+        Tnc::on_kiss_frame(
+            &mut self.stats,
+            &mut self.mac,
+            ch,
+            frame.command,
+            frame.payload,
+        );
     }
 
     /// Consumes a whole run of host serial characters through the bulk
     /// deframer; behavior is identical to feeding each byte through
     /// [`Tnc::on_serial_byte`].
-    pub fn on_serial_bytes(&mut self, bytes: &[u8]) {
+    pub fn on_serial_bytes(&mut self, bytes: &[u8], ch: &mut Channel) {
         let Tnc {
             deframer,
             stats,
@@ -167,21 +170,21 @@ impl Tnc {
             ..
         } = self;
         deframer.push_slice(bytes, |_, frame| {
-            Tnc::on_kiss_frame(stats, mac, frame.command, frame.payload);
+            Tnc::on_kiss_frame(stats, mac, ch, frame.command, frame.payload);
         });
     }
 
-    fn on_kiss_frame(stats: &mut TncStats, mac: &mut Csma, command: Command, payload: &[u8]) {
+    fn on_kiss_frame(
+        stats: &mut TncStats,
+        mac: &mut Csma,
+        ch: &mut Channel,
+        command: Command,
+        payload: &[u8],
+    ) {
         match command {
             Command::Data => {
                 stats.from_host += 1;
-                let need = payload.len() + 2;
-                let mut on_air = mac.take_buffer();
-                if on_air.capacity() < need {
-                    // Grown once, to the longest frame: after that the
-                    // traded buffer fits every frame the TNC sends.
-                    on_air.reserve_exact(need.max(ON_AIR_MAX));
-                }
+                let mut on_air = ch.take_buffer();
                 on_air.extend_from_slice(payload);
                 append_fcs(&mut on_air);
                 mac.enqueue(on_air);
@@ -335,9 +338,9 @@ mod tests {
         (ch, a, b, SimRng::seed_from(1))
     }
 
-    fn host_sends(tnc: &mut Tnc, frame: &Frame) {
+    fn host_sends(tnc: &mut Tnc, ch: &mut Channel, frame: &Frame) {
         for byte in kiss::encode(0, Command::Data, &frame.encode()) {
-            tnc.on_serial_byte(byte);
+            tnc.on_serial_byte(byte, ch);
         }
     }
 
@@ -374,7 +377,7 @@ mod tests {
     fn host_frame_crosses_the_air_and_reaches_peer_host() {
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::Promiscuous);
         let f = Frame::ui(addr("BBB"), addr("AAA"), Pid::Ip, b"ip packet".to_vec());
-        host_sends(&mut a, &f);
+        host_sends(&mut a, &mut ch, &f);
         assert_eq!(a.tx_backlog(), 1);
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
         assert_eq!(out.len(), 1);
@@ -389,9 +392,9 @@ mod tests {
     #[test]
     fn a_short_frame_after_a_long_one_goes_out_as_only_its_own_bytes() {
         // The TNC builds each frame in a buffer an earlier transmission
-        // left behind (the channel trades it back). Long frame first, then
-        // short ones until that buffer has come round: none may carry a
-        // stale tail, on the air or up the peer's serial line.
+        // left behind (the channel's free list gives it back). Long frame
+        // first, then short ones until that buffer has come round: none
+        // may carry a stale tail, on the air or up the peer's serial line.
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::Promiscuous);
         let mut heard = Heard::default();
         let mut now = SimTime::ZERO;
@@ -402,7 +405,7 @@ mod tests {
         let mut long_ptr = None;
         for info in &infos {
             let f = Frame::ui(addr("BBB"), addr("AAA"), Pid::Text, info.clone());
-            host_sends(&mut a, &f);
+            host_sends(&mut a, &mut ch, &f);
             a.poll(now, &mut ch, &mut rng);
             now = ch.next_deadline().expect("keyed up");
             assert!(ch.hear_next(now, &mut heard));
@@ -426,7 +429,7 @@ mod tests {
     fn promiscuous_mode_passes_unrelated_traffic() {
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::Promiscuous);
         let f = Frame::ui(addr("ZZZ"), addr("AAA"), Pid::Text, b"chat".to_vec());
-        host_sends(&mut a, &f);
+        host_sends(&mut a, &mut ch, &f);
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
         assert_eq!(out.len(), 1, "promiscuous TNC passes everything");
         assert_eq!(b.stats().filtered, 0);
@@ -436,7 +439,7 @@ mod tests {
     fn filter_mode_drops_unrelated_traffic() {
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::AddressFilter);
         let f = Frame::ui(addr("ZZZ"), addr("AAA"), Pid::Text, b"chat".to_vec());
-        host_sends(&mut a, &f);
+        host_sends(&mut a, &mut ch, &f);
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
         assert!(out.is_empty(), "filter drops frames for others");
         assert_eq!(b.stats().filtered, 1);
@@ -448,10 +451,12 @@ mod tests {
         let (mut ch, mut a, mut b, mut rng) = setup(RxMode::AddressFilter);
         host_sends(
             &mut a,
+            &mut ch,
             &Frame::ui(addr("BBB"), addr("AAA"), Pid::Ip, vec![1]),
         );
         host_sends(
             &mut a,
+            &mut ch,
             &Frame::ui(Ax25Addr::broadcast(), addr("AAA"), Pid::Text, vec![2]),
         );
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
@@ -471,7 +476,7 @@ mod tests {
             Frame::ui(addr("BBB"), addr("AAA"), Pid::Ip, vec![3]),
             Frame::ui(Ax25Addr::broadcast(), addr("AAA"), Pid::Ip, vec![4]),
         ] {
-            host_sends(&mut a, &f);
+            host_sends(&mut a, &mut ch, &f);
         }
         let out = run_air(&mut ch, &mut a, &mut b, &mut rng);
         assert_eq!(out.len(), 2, "stranger dropped, other two pass");
@@ -530,7 +535,7 @@ mod tests {
 
     #[test]
     fn kiss_params_update_mac_config() {
-        let (_ch, mut a, _b, _rng) = setup(RxMode::Promiscuous);
+        let (mut ch, mut a, _b, _rng) = setup(RxMode::Promiscuous);
         for bytes in [
             kiss::encode_param(0, Command::TxDelay, 25),
             kiss::encode_param(0, Command::Persistence, 127),
@@ -539,7 +544,7 @@ mod tests {
             kiss::encode_param(0, Command::FullDuplex, 1),
         ] {
             for byte in bytes {
-                a.on_serial_byte(byte);
+                a.on_serial_byte(byte, &mut ch);
             }
         }
         assert_eq!(a.stats().params, 5);

@@ -95,7 +95,7 @@ impl BeaconStation {
             // info field is last on the wire, so one buffer takes all three.
             let header = Frame::ui(self.cfg.to, self.cfg.from, Pid::Text, Vec::new());
             let info_end = header.encoded_len() + self.cfg.frame_len;
-            let mut on_air = self.mac.take_buffer();
+            let mut on_air = ch.take_buffer();
             on_air.reserve(info_end + 2);
             header.encode_into(&mut on_air);
             #[allow(clippy::expect_used)] // io::Write for Vec<u8> is infallible

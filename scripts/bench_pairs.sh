@@ -3,8 +3,10 @@
 # choosing-metrics §8 procedure: N pairs of runs per workload, alternating
 # which side goes first, each side's median [q1, q3] per end-to-end
 # metric, and for every end-to-end metric of BENCHMARK.json in every
-# workload how many pairs the working tree was better in and how many
-# worse ("better" in the direction BENCHMARK.json gives).
+# workload a verdict: the change's median relative to the parent's as a
+# signed percentage, how many pairs the working tree was better in and how
+# many worse ("better" in the direction BENCHMARK.json gives), and a flag
+# where the change's median is worse than the metric's `bound`.
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload[,workload…]> [pairs=10] [seed=1988]
 #   scripts/bench_pairs.sh HEAD~1 city_fleet_1w 10 2244
@@ -20,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 rev=$1
@@ -75,26 +77,57 @@ sort -k3,3 -k2,2 -k4,4g "$scratch/runs.txt" | awk '
     $3 != metric || $2 != side { flush_group(); metric = $3; side = $2 }
     { v[++n] = $4 }
     END { flush_group() }'
-# "<metric> <lower|higher>" for each end-to-end metric, in BENCHMARK.json order.
+# "<metric> <lower|higher> <bound>" for each end-to-end metric, in BENCHMARK.json order.
 awk '/"end_to_end"/ { inside = 1 }
     inside && /\]/ { inside = 0 }
     inside && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    inside && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json > "$scratch/better.txt"
+    inside && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    inside && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }' BENCHMARK.json > "$scratch/better.txt"
+echo
+echo "verdict: change median vs parent median (signed, + is a larger value); pairs better / worse"
 awk -v workloads="$workloads" '
-    NR == FNR { metric[++m] = $1; better[$1] = $2; next }
+    function median(side, key,   k, m, i, j, t, a) {
+        m = 0
+        for (k = 1; k <= n; k++) if ((k, side, key) in v) a[++m] = v[k, side, key]
+        for (i = 2; i <= m; i++) {
+            t = a[i]
+            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+            a[j + 1] = t
+        }
+        if (m == 0) return ""
+        return m % 2 ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2
+    }
+    NR == FNR { metric[++nm] = $1; better[$1] = $2; bound[$1] = $3; next }
     { v[$1, $2, $3] = $4 + 0; if ($1 > n) n = $1 }
     END {
         nw = split(workloads, w, " ")
-        for (i = 1; i <= nw; i++) for (j = 1; j <= m; j++) {
-            key = w[i] ":" metric[j]; wins = losses = pairs = 0
+        flagged = 0
+        for (i = 1; i <= nw; i++) for (j = 1; j <= nm; j++) {
+            name = metric[j]; key = w[i] ":" name; wins = losses = pairs = 0
             for (p = 1; p <= n; p++) {
                 if (!((p, "change", key) in v) || !((p, "parent", key) in v)) continue
                 pairs++
                 c = v[p, "change", key]; q = v[p, "parent", key]
-                if (c != q && (c < q) == (better[metric[j]] == "lower")) wins++
+                if (c != q && (c < q) == (better[name] == "lower")) wins++
                 else if (c != q) losses++
             }
-            printf "%-34s %-6s is better: change better in %d, worse in %d of %d pairs\n",
-                key, better[metric[j]], wins, losses, pairs
+            if (pairs == 0) {
+                printf "%-34s no runs\n", key
+                continue
+            }
+            mc = median("change", key); mp = median("parent", key)
+            if (mp != 0) {
+                rel = (mc - mp) / (mp < 0 ? -mp : mp)
+                shown = sprintf("%+.2f %%", 100 * rel)
+            } else {
+                rel = mc == 0 ? 0 : (mc > 0 ? 1e9 : -1e9)
+                shown = mc == 0 ? "+0.00 %" : "n/a (parent 0)"
+            }
+            worse = better[name] == "lower" ? rel : -rel
+            flag = ""
+            if (worse > bound[name] + 0) { flag = "  WORSE THAN BOUND " bound[name]; flagged++ }
+            printf "%-34s %-14s (%s is better) better in %d, worse in %d of %d pairs%s\n",
+                key, shown, better[name], wins, losses, pairs, flag
         }
+        printf "%d metric(s) worse than their bound\n", flagged
     }' "$scratch/better.txt" "$scratch/runs.txt"

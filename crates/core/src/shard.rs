@@ -21,10 +21,11 @@
 //!   from the coordinator's spare pool, which go back through `spent` —
 //!   the hand-off allocates nothing once warm.
 //!
-//! In a single-shard world the shard is handed the segments directly
-//! (`Segs = Some(..)`) and this module's engines are byte-for-byte the
-//! pre-shard `World` engines: same pass structure, same RNG draws, same
-//! calendar traffic, same event streams.
+//! In a single-shard world the shard is lent the segments and the world's
+//! NIC-to-host table directly (`Segs = Some(Wire { .. })`) and this
+//! module's engines are byte-for-byte the pre-shard `World` engines: same
+//! pass structure, same RNG draws, same calendar traffic, same event
+//! streams.
 
 use std::borrow::Cow;
 
@@ -50,17 +51,35 @@ const _: () = assert!(serial::FRAME_END == kiss::FEND);
 const _: () = assert!(serial::TX_QUEUE_CHARS == ax25::MAX_FRAME_LEN + 3);
 const _: () = assert!(kiss::Deframer::INITIAL_ROOM == ax25::MAX_FRAME_LEN + 1);
 
-/// Segment access mode for a shard step: a single-shard world hands the
+/// Segment access mode for a shard step: a single-shard world lends the
 /// engine its segments (`Some`), a multi-shard world defers all Ethernet
 /// traffic to the coordinator (`None`).
-pub(crate) type Segs<'a> = Option<&'a mut Vec<Segment>>;
+pub(crate) type Segs<'a> = Option<Wire<'a>>;
 
-pub(crate) struct TncEntry {
+/// What a one-shard world lends its shard of the Ethernet: the segments,
+/// and per segment, indexed by NIC, the (shard, local host) each delivers
+/// to — the world's own table, whose shard is always 0 here.
+pub(crate) struct Wire<'a> {
+    pub segments: &'a mut Vec<Segment>,
+    pub hosts: &'a [Vec<Option<(u32, u32)>>],
+}
+
+/// The local host NIC `nic` of segment `seg` delivers to, by a one-shard
+/// world's [`Wire::hosts`].
+fn local_host(hosts: &[Vec<Option<(u32, u32)>>], seg: usize, nic: NicId) -> Option<usize> {
+    slot(hosts, seg, nic.index()).map(|(_, l)| l as usize)
+}
+
+/// One radio station of Figure 1's path: the serial line whose A end its
+/// host holds and the TNC at its B end. `Key::Line(p)` and `Key::Tnc(p)`
+/// both name port `p`.
+pub(crate) struct Port {
+    pub line: SerialLine,
     pub tnc: Tnc,
     /// Shard-local channel index.
     pub chan: usize,
-    /// Shard-local serial-line index.
-    pub line: usize,
+    /// Shard-local host index.
+    pub host: usize,
 }
 
 pub(crate) struct DigiEntry {
@@ -75,18 +94,23 @@ pub(crate) struct BeaconEntry {
 
 pub(crate) struct HostEntry {
     pub host: Host,
-    /// Shard-local serial line whose A end this host holds.
-    pub serial: Option<usize>,
+    /// The port whose line's A end this host holds.
+    pub port: Option<usize>,
     /// Ethernet attachment: world segment index + NIC.
     pub nic: Option<(usize, NicId)>,
+    /// The host's apps, in index order.
+    pub apps: Vec<usize>,
+    /// The host's world handle (event attribution).
+    pub gid: HostId,
 }
 
-/// Who hears a channel's station: the component a reception is handed to
-/// (beacons ignore receptions and have no entry).
+/// The component behind a channel's station: a port's TNC, a digipeater
+/// or a beacon (shard-local indices).
 #[derive(Clone, Copy)]
-pub(crate) enum Listener {
+pub(crate) enum Station {
     Tnc(usize),
     Digi(usize),
+    Beacon(usize),
 }
 
 /// `table[row][col] = Some(v)`, growing the table as needed.
@@ -302,35 +326,20 @@ pub(crate) struct ShardData {
     /// size and never moves, so a table's growth slack is pointers, not
     /// unused 1.3 kB hosts (DESIGN.md §6, held only where used).
     #[allow(clippy::vec_box)] // a spare slot costs a pointer, not a record
-    pub lines: Vec<Box<SerialLine>>,
-    #[allow(clippy::vec_box)]
-    pub tncs: Vec<Box<TncEntry>>,
+    pub ports: Vec<Box<Port>>,
     pub digis: Vec<DigiEntry>,
     pub beacons: Vec<BeaconEntry>,
     #[allow(clippy::vec_box)]
     pub hosts: Vec<Box<HostEntry>>,
     pub apps: Vec<AppEntry>,
-    /// Per channel, indexed by `StationId`: who hears that station.
-    pub listeners: Vec<Vec<Option<Listener>>>,
-    /// Per world segment, indexed by NIC: the local host it delivers to.
-    pub nic_hosts: Vec<Vec<Option<usize>>>,
-    /// Per line, the host / TNC at its ends; per channel, its MACs; per
-    /// host, its apps — each in index order. Like `listeners`, kept by
-    /// the `World` builders that add the component (first match, like the
-    /// reference stepper's linear `find`).
-    pub line_host: Vec<Option<usize>>,
-    pub line_tnc: Vec<Option<usize>>,
-    pub chan_tncs: Vec<Vec<usize>>,
-    pub chan_digis: Vec<Vec<usize>>,
-    pub chan_beacons: Vec<Vec<usize>>,
-    pub host_apps: Vec<Vec<usize>>,
+    /// Per channel, indexed by `StationId`: the component behind that
+    /// station, kept by the `World` builders that add it.
+    pub stations: Vec<Vec<Option<Station>>>,
     /// Someone outside the engine held `&mut` into this shard (or the
     /// reference stepper ran it) since its last full `sync_all`: the
     /// calendar may be behind its components (DESIGN.md §6, run-call
     /// contract). Set by `World::touch`, cleared by `enter`.
     pub stale: bool,
-    /// Global `HostId` of each local host (event attribution).
-    pub host_gids: Vec<usize>,
     pub record_events: bool,
     /// Events recorded this window, in shard-local time order.
     pub events: Vec<(HostId, SimTime, StackAction)>,
@@ -366,22 +375,13 @@ impl ShardData {
             now: SimTime::ZERO,
             rng,
             channels: Vec::new(),
-            lines: Vec::new(),
-            tncs: Vec::new(),
+            ports: Vec::new(),
             digis: Vec::new(),
             beacons: Vec::new(),
             hosts: Vec::new(),
             apps: Vec::new(),
-            listeners: Vec::new(),
-            nic_hosts: Vec::new(),
-            line_host: Vec::new(),
-            line_tnc: Vec::new(),
-            chan_tncs: Vec::new(),
-            chan_digis: Vec::new(),
-            chan_beacons: Vec::new(),
-            host_apps: Vec::new(),
+            stations: Vec::new(),
             stale: true,
-            host_gids: Vec::new(),
             record_events: true,
             events: Vec::new(),
             ether_in: Mailbox::new(),
@@ -439,7 +439,7 @@ impl ShardData {
                     for ai in 0..self.apps.len() {
                         self.dirty.mark(Key::App(ai));
                     }
-                    for si in 0..segs.as_ref().map_or(0, |s| s.len()) {
+                    for si in 0..segs.as_ref().map_or(0, |w| w.segments.len()) {
                         self.dirty.mark(Key::Seg(si));
                     }
                 }
@@ -471,14 +471,12 @@ impl ShardData {
                 self.sched.deadline_of(key),
             );
         };
-        for (i, l) in self.lines.iter().enumerate() {
-            check(Key::Line(i), &self.dirty.lines, i, l.next_boundary());
+        for (i, p) in self.ports.iter().enumerate() {
+            check(Key::Line(i), &self.dirty.lines, i, p.line.next_boundary());
+            check(Key::Tnc(i), &self.dirty.tncs, i, p.tnc.next_deadline());
         }
         for (i, c) in self.channels.iter().enumerate() {
             check(Key::Chan(i), &self.dirty.chans, i, c.next_deadline());
-        }
-        for (i, t) in self.tncs.iter().enumerate() {
-            check(Key::Tnc(i), &self.dirty.tncs, i, t.tnc.next_deadline());
         }
         for (i, d) in self.digis.iter().enumerate() {
             check(Key::Digi(i), &self.dirty.digis, i, d.digi.next_deadline());
@@ -541,8 +539,9 @@ impl ShardData {
                 best = Some(best.map_or(t, |b: SimTime| b.min(t)));
             }
         };
-        for l in &self.lines {
-            fold(l.next_deadline());
+        for p in &self.ports {
+            fold(p.line.next_deadline());
+            fold(p.tnc.next_deadline());
         }
         for c in &self.channels {
             fold(c.next_deadline());
@@ -551,9 +550,6 @@ impl ShardData {
             for s in segments {
                 fold(s.next_deadline());
             }
-        }
-        for t in &self.tncs {
-            fold(t.tnc.next_deadline());
         }
         for d in &self.digis {
             fold(d.digi.next_deadline());
@@ -587,12 +583,12 @@ impl ShardData {
     /// current deadline and marks everything dirty, whatever a holder of
     /// `&mut` into the shard did to it.
     fn sync_all(&mut self, segs: &mut Segs<'_>) {
-        let nsegs = segs.as_ref().map_or(0, |s| s.len());
+        let nsegs = segs.as_ref().map_or(0, |w| w.segments.len());
         let sizes = [
-            self.lines.len(),
+            self.ports.len(),
             self.channels.len(),
             nsegs,
-            self.tncs.len(),
+            self.ports.len(),
             self.digis.len(),
             self.beacons.len(),
             self.hosts.len(),
@@ -600,19 +596,19 @@ impl ShardData {
         ];
         self.flush_after_apps.reset_clear(self.hosts.len());
         self.dirty.mark_all(sizes);
-        for li in 0..self.lines.len() {
-            self.reg(Key::Line(li), self.lines[li].next_boundary());
+        for pi in 0..self.ports.len() {
+            self.reg(Key::Line(pi), self.ports[pi].line.next_boundary());
         }
         for ci in 0..self.channels.len() {
             self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
         }
-        if let Some(segments) = segs {
-            for si in 0..segments.len() {
-                self.reg(Key::Seg(si), segments[si].next_deadline());
+        if let Some(wire) = segs {
+            for si in 0..wire.segments.len() {
+                self.reg(Key::Seg(si), wire.segments[si].next_deadline());
             }
         }
-        for ti in 0..self.tncs.len() {
-            self.reg(Key::Tnc(ti), self.tncs[ti].tnc.next_deadline());
+        for pi in 0..self.ports.len() {
+            self.reg(Key::Tnc(pi), self.ports[pi].tnc.next_deadline());
         }
         for di in 0..self.digis.len() {
             self.reg(Key::Digi(di), self.digis[di].digi.next_deadline());
@@ -644,8 +640,8 @@ impl ShardData {
     /// Marks every app on host `hi` dirty (the host was touched, so apps
     /// watching its state — windows, tty queue — must get a poll).
     fn mark_apps(&mut self, hi: usize) {
-        for i in 0..self.host_apps[hi].len() {
-            let ai = self.host_apps[hi][i];
+        for i in 0..self.hosts[hi].apps.len() {
+            let ai = self.hosts[hi].apps[i];
             self.dirty.mark(Key::App(ai));
         }
     }
@@ -673,7 +669,7 @@ impl ShardData {
     /// The reference run loop over one window: scan for the earliest
     /// deadline, advance, re-poll everything until quiescent.
     fn run_window_scan(&mut self, w_end: SimTime, segs: &mut Segs<'_>) {
-        while let Some(d) = self.scan_next_deadline(segs.as_deref()) {
+        while let Some(d) = self.scan_next_deadline(segs.as_ref().map(|w| &*w.segments)) {
             if d > w_end {
                 break;
             }
@@ -682,35 +678,37 @@ impl ShardData {
         }
     }
 
-    /// Delivers every character of line `li` due at or before `upto`, in
-    /// both directions, as line-paced runs through the receivers' closed
-    /// forms — the one indexed delivery path (DESIGN.md §6). A run that is
+    /// Delivers every character of port `pi`'s line due at or before
+    /// `upto`, in both directions, as line-paced runs through the receivers'
+    /// closed forms — the one indexed delivery path (DESIGN.md §6). A run that is
     /// one sealed frame the host would only count and drop is handed over
     /// as that verdict, uncopied (judge once). Returns
     /// whether the host end was observably touched (`Host::on_serial_run`:
     /// frames for other stations are not a touch) and whether the TNC end
     /// received anything. The clock never lags a delivered character
     /// (only the exit flush runs ahead of it).
-    fn deliver_line(&mut self, li: usize, upto: SimTime) -> (bool, bool) {
+    fn deliver_line(&mut self, pi: usize, upto: SimTime) -> (bool, bool) {
         let mut got = (false, false);
-        if self.lines[li].next_deadline().is_none_or(|t| t > upto) {
+        let port = &self.ports[pi];
+        if port.line.next_deadline().is_none_or(|t| t > upto) {
             return got;
         }
-        let char_time = self.lines[li].char_time();
+        let char_time = port.line.char_time();
         let mut run = std::mem::take(&mut self.run_scratch);
-        let hi = self.line_host[li];
+        let hi = port.host;
         let mut why = None;
         while let Some(info) = {
-            let host = hi.map(|hi| &self.hosts[hi].host);
-            self.lines[li].take_run(End::A, upto, &mut run, |seal| {
-                why = host.and_then(|h| h.would_discard(seal));
-                why.is_some()
-            })
+            let host = &self.hosts[hi].host;
+            self.ports[pi]
+                .line
+                .take_run(End::A, upto, &mut run, |seal| {
+                    why = host.would_discard(seal);
+                    why.is_some()
+                })
         } {
             self.now = self.now.max(info.t_last);
             let stats = self.sched.stats_mut();
             stats.batched_chars += info.len as u64;
-            let Some(hi) = hi else { continue };
             let host = &mut self.hosts[hi].host;
             match why.take() {
                 Some(why) => {
@@ -720,14 +718,13 @@ impl ShardData {
                 None => got.0 |= host.on_serial_run(info.t0, char_time, &run),
             }
         }
-        while let Some(info) = self.lines[li].take_run(End::B, upto, &mut run, |_| false) {
+        let port = &mut *self.ports[pi];
+        while let Some(info) = port.line.take_run(End::B, upto, &mut run, |_| false) {
             got.1 = true;
             self.now = self.now.max(info.t_last);
             self.sched.stats_mut().batched_chars += info.len as u64;
-            if let Some(ti) = self.line_tnc[li] {
-                let t = &mut self.tncs[ti];
-                t.tnc.on_serial_bytes(&run, &mut self.channels[t.chan]);
-            }
+            port.tnc
+                .on_serial_bytes(&run, &mut self.channels[port.chan]);
         }
         self.run_scratch = run;
         got
@@ -739,27 +736,28 @@ impl ShardData {
     /// what per-character delivery would have left. Such characters all
     /// precede the line's registered boundary, so nothing needs marking.
     fn catch_up_host(&mut self, hi: usize) {
-        if let Some(li) = self.hosts[hi].serial {
-            self.deliver_line(li, self.now);
+        if let Some(pi) = self.hosts[hi].port {
+            self.deliver_line(pi, self.now);
         }
     }
 
-    /// Settle step 1 for line `li`, also the exit flush's visit: delivers
-    /// the runs due by `upto`, wakes the receivers they touched — a host
+    /// Settle step 1 for port `pi`'s line, also the exit flush's visit:
+    /// delivers the runs due by `upto`, wakes the receivers they touched — a host
     /// that only took interrupts for other stations' frames stays asleep,
     /// like a host mid-frame (catch-up on touch covers whoever looks) —
     /// and registers the line's next boundary. Returns whether either end
     /// was woken.
-    fn visit_line(&mut self, li: usize, upto: SimTime) -> bool {
-        let (host_got, tnc_got) = self.deliver_line(li, upto);
-        if let Some(hi) = self.line_host[li].filter(|_| host_got) {
+    fn visit_line(&mut self, pi: usize, upto: SimTime) -> bool {
+        let (host_got, tnc_got) = self.deliver_line(pi, upto);
+        if host_got {
+            let hi = self.ports[pi].host;
             self.dirty.mark(Key::Host(hi));
             self.mark_apps(hi);
         }
-        if let Some(ti) = self.line_tnc[li].filter(|_| tnc_got) {
-            self.dirty.mark(Key::Tnc(ti));
+        if tnc_got {
+            self.dirty.mark(Key::Tnc(pi));
         }
-        self.reg(Key::Line(li), self.lines[li].next_boundary());
+        self.reg(Key::Line(pi), self.ports[pi].line.next_boundary());
         host_got || tnc_got
     }
 
@@ -769,9 +767,13 @@ impl ShardData {
     /// stays in the dirty set for the next entry to settle — an untouched
     /// shard re-enters without a full sync.
     fn flush_lines(&mut self, limit: SimTime) {
-        for li in 0..self.lines.len() {
-            if self.lines[li].next_deadline().is_some_and(|t| t <= limit) {
-                self.visit_line(li, limit);
+        for pi in 0..self.ports.len() {
+            if self.ports[pi]
+                .line
+                .next_deadline()
+                .is_some_and(|t| t <= limit)
+            {
+                self.visit_line(pi, limit);
             }
         }
     }
@@ -793,9 +795,9 @@ impl ShardData {
             if !self.dirty.lines.list.is_empty() {
                 self.dirty.lines.drain_into(&mut todo)
             }
-            for &li in &todo {
+            for &pi in &todo {
                 polled += 1;
-                progressed |= self.visit_line(li, now);
+                progressed |= self.visit_line(pi, now);
             }
 
             // 2. Radio channels: completed transmissions become
@@ -811,22 +813,9 @@ impl ShardData {
                 polled += 1;
                 if self.channels[ci].next_deadline().is_some_and(|t| t <= now) {
                     progressed |= self.hear_channel(now, ci);
-                    for i in 0..self.chan_tncs[ci].len() {
-                        let ti = self.chan_tncs[ci][i];
-                        if self.tncs[ti].tnc.waiting_on_carrier() {
-                            self.dirty.mark(Key::Tnc(ti));
-                        }
-                    }
-                    for i in 0..self.chan_digis[ci].len() {
-                        let di = self.chan_digis[ci][i];
-                        if self.digis[di].digi.waiting_on_carrier() {
-                            self.dirty.mark(Key::Digi(di));
-                        }
-                    }
-                    for i in 0..self.chan_beacons[ci].len() {
-                        let bi = self.chan_beacons[ci][i];
-                        if self.beacons[bi].beacon.waiting_on_carrier() {
-                            self.dirty.mark(Key::Beacon(bi));
+                    for si in 0..self.stations[ci].len() {
+                        if let Some(key) = self.waiting_on_carrier(ci, si) {
+                            self.dirty.mark(key);
                         }
                     }
                 }
@@ -842,17 +831,17 @@ impl ShardData {
             if !self.dirty.tncs.list.is_empty() {
                 self.dirty.tncs.drain_into(&mut todo)
             }
-            for &ti in &todo {
+            for &pi in &todo {
                 polled += 1;
                 // Catch-up on touch, TNC side.
-                self.deliver_line(self.tncs[ti].line, now);
-                let ci = self.tncs[ti].chan;
-                let entry = &mut self.tncs[ti];
-                entry.tnc.poll(now, &mut self.channels[ci], &mut self.rng);
-                if entry.tnc.next_deadline().is_some_and(|d| d <= now) {
-                    self.dirty.mark(Key::Tnc(ti));
+                self.deliver_line(pi, now);
+                let port = &mut *self.ports[pi];
+                let ci = port.chan;
+                port.tnc.poll(now, &mut self.channels[ci], &mut self.rng);
+                if port.tnc.next_deadline().is_some_and(|d| d <= now) {
+                    self.dirty.mark(Key::Tnc(pi));
                 }
-                self.reg(Key::Tnc(ti), self.tncs[ti].tnc.next_deadline());
+                self.reg(Key::Tnc(pi), self.ports[pi].tnc.next_deadline());
                 self.reg(Key::Chan(ci), self.channels[ci].next_deadline());
             }
             todo.clear();
@@ -889,7 +878,7 @@ impl ShardData {
             // 4. Ethernet: direct segments (single-shard), or timed
             // cross-shard deliveries the coordinator queued (multi-shard).
             match segs {
-                Some(segments) => {
+                Some(Wire { segments, hosts }) => {
                     todo.clear();
                     if !self.dirty.segs.list.is_empty() {
                         self.dirty.segs.drain_into(&mut todo)
@@ -899,7 +888,7 @@ impl ShardData {
                         if segments[si].next_deadline().is_some_and(|t| t <= now) {
                             segments[si].advance_owned(now, |nic, frame| {
                                 progressed = true;
-                                if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
+                                if let Some(hi) = local_host(hosts, si, nic) {
                                     self.catch_up_host(hi);
                                     self.hosts[hi].host.on_ether_frame(now, frame);
                                     self.dirty.mark(Key::Host(hi));
@@ -1004,24 +993,21 @@ impl ShardData {
             let mut progressed = false;
 
             // 1. Serial lines: finish due characters, route rx bytes.
-            for li in 0..self.lines.len() {
-                if self.lines[li].next_deadline().is_some_and(|t| t <= now) {
-                    self.lines[li].advance(now);
+            for port in &mut self.ports {
+                if port.line.next_deadline().is_some_and(|t| t <= now) {
+                    port.line.advance(now);
                 }
                 // Host side (End::A).
-                if self.lines[li].drain_rx(End::A, &mut rx) > 0 {
+                if port.line.drain_rx(End::A, &mut rx) > 0 {
                     progressed = true;
-                    if let Some(h) = self.hosts.iter_mut().find(|h| h.serial == Some(li)) {
-                        h.host.on_serial_run(now, SimDuration::ZERO, &rx);
-                    }
+                    let host = &mut self.hosts[port.host].host;
+                    host.on_serial_run(now, SimDuration::ZERO, &rx);
                 }
                 // TNC side (End::B).
-                if self.lines[li].drain_rx(End::B, &mut rx) > 0 {
+                if port.line.drain_rx(End::B, &mut rx) > 0 {
                     progressed = true;
-                    if let Some(t) = self.tncs.iter_mut().find(|t| t.line == li) {
-                        for &b in &rx {
-                            t.tnc.on_serial_byte(b, &mut self.channels[t.chan]);
-                        }
+                    for &b in &rx {
+                        port.tnc.on_serial_byte(b, &mut self.channels[port.chan]);
                     }
                 }
             }
@@ -1034,8 +1020,8 @@ impl ShardData {
             }
 
             // 3. MAC polls (TNCs, digipeaters, beacons).
-            for t in &mut self.tncs {
-                t.tnc.poll(now, &mut self.channels[t.chan], &mut self.rng);
+            for p in &mut self.ports {
+                p.tnc.poll(now, &mut self.channels[p.chan], &mut self.rng);
             }
             for d in &mut self.digis {
                 d.digi.poll(now, &mut self.channels[d.chan], &mut self.rng);
@@ -1047,14 +1033,14 @@ impl ShardData {
             // 4. Ethernet: direct segments, or queued cross-shard
             // deliveries.
             match segs {
-                Some(segments) => {
+                Some(Wire { segments, hosts }) => {
                     for si in 0..segments.len() {
                         if segments[si].next_deadline().is_none_or(|t| t > now) {
                             continue;
                         }
                         segments[si].advance_owned(now, |nic, frame| {
                             progressed = true;
-                            if let Some(hi) = slot(&self.nic_hosts, si, nic.index()) {
+                            if let Some(hi) = local_host(hosts, si, nic) {
                                 self.hosts[hi].host.on_ether_frame(now, frame);
                             }
                         });
@@ -1092,6 +1078,17 @@ impl ShardData {
         panic!("world did not settle at {now}");
     }
 
+    /// The key of channel `ci`'s station `si` if its queued frame was
+    /// blocked only on carrier sense.
+    fn waiting_on_carrier(&self, ci: usize, si: usize) -> Option<Key> {
+        let (waiting, key) = match self.stations[ci][si]? {
+            Station::Tnc(p) => (self.ports[p].tnc.waiting_on_carrier(), Key::Tnc(p)),
+            Station::Digi(d) => (self.digis[d].digi.waiting_on_carrier(), Key::Digi(d)),
+            Station::Beacon(b) => (self.beacons[b].beacon.waiting_on_carrier(), Key::Beacon(b)),
+        };
+        waiting.then_some(key)
+    }
+
     // --- Shared routing (both steppers) -------------------------------------
 
     /// Completes every transmission on channel `chan` due by `now` and
@@ -1109,11 +1106,10 @@ impl ShardData {
             for k in 0..heard.listeners().len() {
                 any = true;
                 let (to, corrupted) = heard.listeners()[k];
-                match slot(&self.listeners, chan, to.0) {
-                    Some(Listener::Tnc(i)) => {
-                        let li = self.tncs[i].line;
-                        let tnc = &mut self.tncs[i].tnc;
-                        if tnc.on_reception(&mut heard, corrupted).is_none() {
+                match slot(&self.stations, chan, to.0) {
+                    Some(Station::Tnc(pi)) => {
+                        let port = &mut *self.ports[pi];
+                        if port.tnc.on_reception(&mut heard, corrupted).is_none() {
                             continue;
                         }
                         let seal = match self.mode {
@@ -1122,18 +1118,18 @@ impl ShardData {
                         };
                         if let Some(bytes) = heard.kiss() {
                             match seal {
-                                Some(seal) => self.lines[li].send_sealed(now, End::B, bytes, seal),
-                                None => self.lines[li].send(now, End::B, bytes),
+                                Some(seal) => port.line.send_sealed(now, End::B, bytes, seal),
+                                None => port.line.send(now, End::B, bytes),
                             }
-                            self.reg(Key::Line(li), self.lines[li].next_boundary());
+                            self.reg(Key::Line(pi), self.ports[pi].line.next_boundary());
                         }
                     }
-                    Some(Listener::Digi(i)) => {
+                    Some(Station::Digi(i)) => {
                         let ch = &mut self.channels[chan];
                         self.digis[i].digi.on_reception(&mut heard, corrupted, ch);
                     }
                     // Beacons ignore receptions.
-                    None => {}
+                    Some(Station::Beacon(_)) | None => {}
                 }
             }
         }
@@ -1148,16 +1144,16 @@ impl ShardData {
     /// or to `ether_out` for the coordinator (multi-shard).
     fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> Flushed {
         let mut flushed = Flushed::default();
-        let serial = self.hosts[hi].serial;
+        let port = self.hosts[hi].port;
         let tty = self.hosts[hi].host.tty_outq();
         if !tty.is_empty() {
             flushed.progressed = true;
-            if let Some(li) = serial {
-                self.lines[li].send(now, End::A, tty);
+            if let Some(pi) = port {
+                self.ports[pi].line.send(now, End::A, tty);
             }
             tty.clear();
-            if let Some(li) = serial {
-                self.reg(Key::Line(li), self.lines[li].next_boundary());
+            if let Some(pi) = port {
+                self.reg(Key::Line(pi), self.ports[pi].line.next_boundary());
             }
         }
         let mut outs = std::mem::take(&mut self.out_scratch);
@@ -1167,9 +1163,9 @@ impl ShardData {
             flushed.progressed = true;
             if let Some((seg, nic)) = nic {
                 match segs {
-                    Some(segments) => {
-                        segments[seg].send(now, nic, frame);
-                        self.reg(Key::Seg(seg), segments[seg].next_deadline());
+                    Some(wire) => {
+                        wire.segments[seg].send(now, nic, frame);
+                        self.reg(Key::Seg(seg), wire.segments[seg].next_deadline());
                     }
                     None => {
                         self.out_seq += 1;
@@ -1189,16 +1185,14 @@ impl ShardData {
         self.hosts[hi].host.swap_events(&mut events);
         if !events.is_empty() {
             flushed.progressed = true;
-            flushed.dispatched = !self.host_apps[hi].is_empty();
-            let gid = HostId::from_raw(self.host_gids[hi]);
+            let entry = &mut *self.hosts[hi];
+            flushed.dispatched = !entry.apps.is_empty();
             for ev in events.drain(..) {
-                for &ai in &self.host_apps[hi] {
-                    self.apps[ai]
-                        .app
-                        .on_event(now, &ev, &mut self.hosts[hi].host);
+                for &ai in &entry.apps {
+                    self.apps[ai].app.on_event(now, &ev, &mut entry.host);
                 }
                 if self.record_events {
-                    self.events.push((gid, now, ev));
+                    self.events.push((entry.gid, now, ev));
                 }
             }
         }

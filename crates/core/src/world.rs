@@ -49,8 +49,8 @@ use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
-    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Listener, Mode, Segs,
-    ShardData, TncEntry,
+    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Mode, Port, Segs,
+    ShardData, Station, Wire,
 };
 
 /// The conservative cross-shard lookahead: a frame leaving a shard for
@@ -86,12 +86,6 @@ pub struct SegId(usize);
 /// Handle to a host in the world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostId(usize);
-
-impl HostId {
-    pub(crate) fn from_raw(i: usize) -> HostId {
-        HostId(i)
-    }
-}
 
 /// Handle to a TNC in the world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -376,9 +370,6 @@ impl World {
     fn push_channel(&mut self, shard: ShardId, channel: Channel) -> ChanId {
         let sh = self.touch(shard.0);
         sh.channels.push(channel);
-        sh.chan_tncs.push(Vec::new());
-        sh.chan_digis.push(Vec::new());
-        sh.chan_beacons.push(Vec::new());
         let local = sh.channels.len() - 1;
         self.chan_map.push((shard.0 as u32, local as u32));
         ChanId(self.chan_map.len() - 1)
@@ -421,18 +412,18 @@ impl World {
 
     /// Adds a host to a shard.
     pub fn add_host_in(&mut self, shard: ShardId, cfg: HostConfig) -> HostId {
-        let gid = self.host_map.len();
+        let gid = HostId(self.host_map.len());
         let sh = self.touch(shard.0);
         sh.hosts.push(Box::new(HostEntry {
             host: Host::new(cfg),
-            serial: None,
+            port: None,
             nic: None,
+            apps: Vec::new(),
+            gid,
         }));
-        sh.host_apps.push(Vec::new());
-        sh.host_gids.push(gid);
         let local = sh.hosts.len() - 1;
         self.host_map.push((shard.0 as u32, local as u32));
-        HostId(gid)
+        gid
     }
 
     /// Attaches a host's radio interface to `chan` through a serial line
@@ -440,8 +431,9 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the host has no radio interface, or if the host and
-    /// channel live in different shards (radio links are shard-internal).
+    /// Panics if the host has no radio interface or already has a port,
+    /// or if the host and channel live in different shards (radio links
+    /// are shard-internal).
     pub fn attach_radio(
         &mut self,
         host: HostId,
@@ -457,30 +449,24 @@ impl World {
             "attach_radio: host (shard {hs}) and channel (shard {cs}) must share a shard"
         );
         let sh = self.touch(hs as usize);
-        let call = sh.hosts[hl as usize]
-            .host
-            .callsign()
-            .expect("host has no radio interface");
-        let line_idx = sh.lines.len();
-        let tnc_idx = sh.tncs.len();
-        sh.lines
-            .push(Box::new(SerialLine::new(SerialConfig::baud(baud))));
-        sh.line_host.push(Some(hl as usize));
-        sh.line_tnc.push(Some(tnc_idx));
-        if let Some(old) = sh.hosts[hl as usize].serial.replace(line_idx) {
-            sh.line_host[old] = None;
-        }
+        let port = sh.ports.len();
+        let entry = &mut sh.hosts[hl as usize];
+        let call = entry.host.callsign().expect("host has no radio interface");
+        assert!(
+            entry.port.is_none(),
+            "attach_radio: the host already has a radio port"
+        );
+        entry.port = Some(port);
         let station = sh.channels[cl as usize].add_station();
         let cfg = TncConfig::new(call).with_mode(mode).with_mac(mac);
-        let listener = Listener::Tnc(tnc_idx);
-        set_slot(&mut sh.listeners, cl as usize, station.0, listener);
-        sh.chan_tncs[cl as usize].push(tnc_idx);
-        sh.tncs.push(Box::new(TncEntry {
+        set_slot(&mut sh.stations, cl as usize, station.0, Station::Tnc(port));
+        sh.ports.push(Box::new(Port {
+            line: SerialLine::new(SerialConfig::baud(baud)),
             tnc: Tnc::new(cfg, station),
             chan: cl as usize,
-            line: line_idx,
+            host: hl as usize,
         }));
-        self.tnc_map.push((hs, tnc_idx as u32));
+        self.tnc_map.push((hs, port as u32));
         TncId(self.tnc_map.len() - 1)
     }
 
@@ -498,7 +484,6 @@ impl World {
         let nic = self.segments[seg.0].attach(mac);
         let sh = self.touch(hs as usize);
         sh.hosts[hl as usize].nic = Some((seg.0, nic));
-        set_slot(&mut sh.nic_hosts, seg.0, nic.index(), hl as usize);
         set_slot(&mut self.seg_hosts, seg.0, nic.index(), (hs, hl));
     }
 
@@ -509,12 +494,11 @@ impl World {
         let station = sh.channels[cl as usize].add_station();
         let local = sh.digis.len();
         set_slot(
-            &mut sh.listeners,
+            &mut sh.stations,
             cl as usize,
             station.0,
-            Listener::Digi(local),
+            Station::Digi(local),
         );
-        sh.chan_digis[cl as usize].push(local);
         sh.digis.push(DigiEntry {
             digi: Digipeater::new(call, station, mac),
             chan: cl as usize,
@@ -531,7 +515,8 @@ impl World {
         let sh = self.touch(cs as usize);
         let station = sh.channels[cl as usize].add_station();
         let local = sh.beacons.len();
-        sh.chan_beacons[cl as usize].push(local);
+        let beacon = Station::Beacon(local);
+        set_slot(&mut sh.stations, cl as usize, station.0, beacon);
         sh.beacons.push(BeaconEntry {
             beacon: BeaconStation::new(cfg, station, rng),
             chan: cl as usize,
@@ -546,7 +531,7 @@ impl World {
         let (hs, hl) = self.host_map[host.0];
         let sh = self.touch(hs as usize);
         let local = sh.apps.len();
-        sh.host_apps[hl as usize].push(local);
+        sh.hosts[hl as usize].apps.push(local);
         sh.apps.push(AppEntry {
             host: hl as usize,
             app,
@@ -610,13 +595,13 @@ impl World {
     /// A TNC.
     pub fn tnc(&self, id: TncId) -> &Tnc {
         let (s, l) = self.tnc_map[id.0];
-        &self.shards[s as usize].tncs[l as usize].tnc
+        &self.shards[s as usize].ports[l as usize].tnc
     }
 
     /// A TNC, mutably (mode switches).
     pub fn tnc_mut(&mut self, id: TncId) -> &mut Tnc {
         let (s, l) = self.tnc_map[id.0];
-        &mut self.touch(s as usize).tncs[l as usize].tnc
+        &mut self.touch(s as usize).ports[l as usize].tnc
     }
 
     /// A digipeater.
@@ -635,7 +620,7 @@ impl World {
     pub fn host_serial_line(&self, id: HostId) -> Option<&SerialLine> {
         let (s, l) = self.host_map[id.0];
         let sh = &self.shards[s as usize];
-        sh.hosts[l as usize].serial.map(|i| &*sh.lines[i])
+        sh.hosts[l as usize].port.map(|p| &sh.ports[p].line)
     }
 
     /// Drains recorded stack events.
@@ -687,14 +672,21 @@ impl World {
         }
     }
 
-    /// Single-shard fast path: hand the shard the segments and step to
+    /// Single-shard fast path: lend the shard the segments and step to
     /// the limit in one call — the exact pre-shard engine, no windows, no
-    /// lookahead.
+    /// lookahead. It stays because routing one-shard worlds through the
+    /// window coordinator lost (ROADMAP item 10; two runs of 6 pairs at
+    /// seed 1988): host time rose on `gw_flood` (+21 % and +51 %) and
+    /// `paper_promisc` (+15 % and +12 %), and `LOOKAHEAD` on every
+    /// Ethernet hop moved `sim_rtt_p50_ms` by +0.4 and +1.2 ms.
     fn drive_single(&mut self, limit: SimTime, mode: Mode) {
         let sh = &mut self.shards[0];
         sh.now = self.now;
         sh.record_events = self.record_events;
-        let mut segs: Segs = Some(&mut self.segments);
+        let mut segs: Segs = Some(Wire {
+            segments: &mut self.segments,
+            hosts: &self.seg_hosts,
+        });
         sh.enter(mode, &mut segs);
         sh.run_window(limit, &mut segs);
         sh.exit(limit);
@@ -1023,6 +1015,18 @@ mod tests {
         assert!(s.world.shards[0].is_dirty(key));
     }
 
+    /// A station is one path, host ⇄ line ⇄ TNC: a host holds at most one
+    /// port, so a second attachment is refused rather than orphaning the
+    /// first port's line.
+    #[test]
+    #[should_panic(expected = "already has a radio port")]
+    fn a_second_radio_attachment_panics() {
+        let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 42);
+        let mac = radio::csma::MacConfig::default();
+        s.world
+            .attach_radio(s.pc, s.chan, 9600, radio::tnc::RxMode::Promiscuous, mac);
+    }
+
     /// §3's case as the engine sees it: two promiscuous TNCs pass four
     /// beacons' chatter, addressed to neither host, up their lines. Each
     /// frame heard must cost one line visit — one calendar pop, one
@@ -1081,8 +1085,7 @@ mod tests {
         assert!(far > s.world.now + SimDuration::from_secs(500));
         let sh = &s.world.shards[0];
         let components = sh.hosts.len()
-            + sh.lines.len()
-            + sh.tncs.len()
+            + 2 * sh.ports.len()
             + sh.channels.len()
             + sh.apps.len()
             + s.world.segments.len();

@@ -31,6 +31,13 @@
 #                    (netstack radio serial socket ax25 encap netrom vj ether
 #                    filter kiss), in-file tests included. A line with two
 #                    calls is two sites.
+#   indexing sites   Warnings of one `cargo clippy --workspace --lib -- -A
+#                    clippy::all -W clippy::indexing_slicing` (index and
+#                    slice expressions that panic on a bad offset, in
+#                    non-test library code), tallied by the crate of each
+#                    warning's `--> crates/<name>/` path. Listed for the
+#                    same 11 wire-facing crates, zeros included. This one
+#                    builds: it runs clippy over the workspace.
 #
 # Why earlier quotes differ (all of them counted on one and the same tree):
 #   - 31,781 non-test lines counted the two src/**/tests.rs modules
@@ -108,3 +115,13 @@ for c in $wire_crates; do
     total=$((total + n))
 done
 echo "panic sites in the wire-facing crates: $total ($per )"
+
+echo "indexing_slicing sites in the wire-facing crates (clippy, non-test library code), by crate:"
+cargo clippy -q --workspace --lib -- -A clippy::all -W clippy::indexing_slicing 2>&1 |
+    awk -v crates="$wire_crates" '
+        /^ *--> crates\// { split($2, part, "/"); n[part[2]]++ }
+        END {
+            split(crates, c, " ")
+            for (i in c) printf "    %-10s %6d\n", c[i], n[c[i]] | "sort"
+            close("sort")
+        }'

@@ -43,35 +43,6 @@ for crate in kiss serial socket netrom vj filter encap ether radio netstack ax25
     done
 done
 
-# Owned state (ROADMAP item 11): a RefCell is state shared behind the
-# borrow checker's back. Each crate's count must equal its line (no line:
-# 0), so a rise fails and so does a fall nobody recorded.
-echo "==> RefCell< sites per crate equal scripts/refcell_ceiling.txt"
-if ! awk '
-    NR == FNR { if ($1 !~ /^#/) ceiling[$1] = $2; next }
-    { count[$1] = $2 }
-    END {
-        for (c in count)
-            if (!(c in ceiling)) {
-                printf "crate %s has %d RefCell< sites and no line in scripts/refcell_ceiling.txt\n", c, count[c]
-                bad = 1
-            }
-        for (c in ceiling) {
-            n = (c in count) ? count[c] : 0
-            if (n > ceiling[c]) {
-                printf "crate %s: %d RefCell< sites exceed the ceiling %d\n", c, n, ceiling[c]
-                bad = 1
-            } else if (n < ceiling[c]) {
-                printf "crate %s: %d RefCell< sites, below the ceiling %d: lower its line (delete it at 0)\n", c, n, ceiling[c]
-                bad = 1
-            }
-        }
-        exit bad
-    }' scripts/refcell_ceiling.txt <(scripts/census.sh |
-    awk '/^RefCell< sites/ { on = 1; next } on && /^    / { print $1, $2; next } { on = 0 }'); then
-    exit 1
-fi
-
 echo "==> cargo build --release"
 cargo build --release
 
@@ -86,6 +57,49 @@ cargo test -q --release -p bench --test ratchets
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Counts held exactly, per crate, each against its line in a ceiling file
+# (no line: 0), so a rise fails and so does a fall nobody recorded. One
+# census.sh run (it runs clippy for the indexing count) feeds both gates.
+census=$(scripts/census.sh)
+# $1: what is counted; $2: the ceiling file; $3: the heading census.sh
+# prints above its `    crate count` lines.
+hold_counts() {
+    awk -v what="$1" -v file="$2" '
+        NR == FNR { if ($1 !~ /^#/) ceiling[$1] = $2; next }
+        { count[$1] = $2 }
+        END {
+            for (c in count)
+                if (!(c in ceiling)) {
+                    printf "crate %s has %d %s and no line in %s\n", c, count[c], what, file
+                    bad = 1
+                }
+            for (c in ceiling) {
+                n = (c in count) ? count[c] : 0
+                if (n > ceiling[c]) {
+                    printf "crate %s: %d %s exceed the ceiling %d in %s\n", c, n, what, ceiling[c], file
+                    bad = 1
+                } else if (n < ceiling[c]) {
+                    printf "crate %s: %d %s, below the ceiling %d in %s: lower its line\n", c, n, what, ceiling[c], file
+                    bad = 1
+                }
+            }
+            exit bad
+        }' "$2" <(awk -v head="$3" '
+        index($0, head) == 1 { on = 1; next }
+        on && /^    / { print $1, $2; next }
+        { on = 0 }' <<<"$census")
+}
+
+# Owned state (ROADMAP item 11): a RefCell is state shared behind the
+# borrow checker's back. A crate at 0 has no line.
+echo "==> RefCell< sites per crate equal scripts/refcell_ceiling.txt"
+hold_counts "RefCell< sites" scripts/refcell_ceiling.txt "RefCell< sites"
+
+# No index or slice expression that panics on a bad offset joins the
+# wire-facing crates unrecorded (ROADMAP item 3, step 2).
+echo "==> indexing_slicing sites per wire-facing crate equal scripts/indexing_ceiling.txt"
+hold_counts "indexing_slicing sites" scripts/indexing_ceiling.txt "indexing_slicing sites"
 
 # A doc link to a name that no longer exists (or to a private one) fails
 # here, so deleting an API cannot leave its docs pointing at nothing.

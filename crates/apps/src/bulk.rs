@@ -5,9 +5,9 @@
 
 use std::net::Ipv4Addr;
 
+use netstack::socket::{Readiness, SocketHandle};
 use netstack::tcp::{TcbStats, TcpConfig, TcpState};
 use sim::{SimDuration, SimTime};
-use socket::{Readiness, SocketHandle};
 
 use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 

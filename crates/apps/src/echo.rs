@@ -11,9 +11,9 @@ use std::collections::HashSet;
 
 use gateway::world::App;
 use gateway::Host;
+use netstack::socket::{Readiness, SocketHandle};
 use netstack::stack::{SockId, StackAction};
 use sim::SimTime;
-use socket::{Readiness, SocketHandle};
 
 use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 

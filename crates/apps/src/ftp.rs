@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+use netstack::socket::{Readiness, SocketHandle};
 use sim::{SimDuration, SimTime};
-use socket::{Readiness, SocketHandle};
 
 use crate::sockapp::{SockApp, SockCtx, SocketProgram};
 

@@ -23,9 +23,9 @@
 
 use gateway::world::App;
 use gateway::Host;
+use netstack::socket::{Readiness, SockError, SocketHandle};
 use netstack::stack::StackAction;
 use sim::SimTime;
-use socket::{Readiness, SockError, SocketHandle};
 use std::net::Ipv4Addr;
 
 /// The runtime's watch list: each watched handle with the readiness bits

@@ -3,18 +3,18 @@
 //! 1. The poll readiness scan — the code every socket program
 //!    runs on every scheduler visit — performs **zero** heap
 //!    allocations.
-//! 2. The socket shim is free: a TCP echo roundtrip and a UDP echo
-//!    roundtrip driven through `SocketTable` verbs allocate **exactly as
+//! 2. The socket verbs are free: a TCP echo roundtrip and a UDP echo
+//!    roundtrip driven through `NetStack::sock_*` allocate **exactly as
 //!    much** as the same wire exchange driven through the raw
-//!    `NetStack` API. (The datapath itself allocates per packet — each
-//!    `Ipv4Packet` owns its payload — so "zero added" is the meaningful
-//!    bound for the layer.)
+//!    `tcp_*`/`udp_*` API. (The datapath itself allocates per packet —
+//!    each `Ipv4Packet` owns its payload — so "zero added" is the
+//!    meaningful bound for the layer.)
 
 use crate::allocs_during;
+use netstack::socket::SocketHandle;
 use netstack::stack::{IfaceId, SockId, StackAction, UdpId};
 use netstack::NetStack;
 use sim::SimTime;
-use socket::{SocketHandle, SocketTable};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -68,11 +68,9 @@ impl Wire {
 }
 
 /// The socket-layer harness: a connected stream pair plus a datagram
-/// pair, driven through `SocketTable` verbs only.
+/// pair, driven through the `sock_*` verbs only.
 struct SockHarness {
     wire: Wire,
-    sa: SocketTable,
-    sb: SocketTable,
     listener: SocketHandle,
     client: SocketHandle,
     server: SocketHandle,
@@ -83,18 +81,14 @@ struct SockHarness {
 impl SockHarness {
     fn new() -> SockHarness {
         let mut wire = Wire::new();
-        let mut sa = SocketTable::new();
-        let mut sb = SocketTable::new();
-        let listener = sb.listen(&mut wire.b, 7, Some(4)).unwrap();
-        let client = sa.connect(&mut wire.a, NOW, ipa(2), 7).unwrap();
+        let listener = wire.b.sock_listen(7, Some(4)).unwrap();
+        let client = wire.a.sock_connect(NOW, ipa(2), 7).unwrap();
         wire.settle();
-        let server = sb.accept(&mut wire.b, listener).unwrap();
-        let udp_a = sa.bind_udp(&mut wire.a, 9000).unwrap();
-        let udp_b = sb.bind_udp(&mut wire.b, 9001).unwrap();
+        let server = wire.b.sock_accept(listener).unwrap();
+        let udp_a = wire.a.sock_bind_udp(9000).unwrap();
+        let udp_b = wire.b.sock_bind_udp(9001).unwrap();
         SockHarness {
             wire,
-            sa,
-            sb,
             listener,
             client,
             server,
@@ -109,36 +103,36 @@ impl SockHarness {
 
     /// One stop-and-wait echo over the established stream.
     fn tcp_echo(&mut self) {
-        self.sa
-            .send(&mut self.wire.a, NOW, self.client, &PAYLOAD)
-            .unwrap();
+        self.wire.a.sock_send(NOW, self.client, &PAYLOAD).unwrap();
         self.settle();
-        let req = self.sb.recv(&mut self.wire.b, NOW, self.server).unwrap();
-        self.sb
-            .send(&mut self.wire.b, NOW, self.server, &req)
-            .unwrap();
+        let req = self.wire.b.sock_recv(NOW, self.server).unwrap();
+        self.wire.b.sock_send(NOW, self.server, &req).unwrap();
         self.settle();
-        let echo = self.sa.recv(&mut self.wire.a, NOW, self.client).unwrap();
+        let echo = self.wire.a.sock_recv(NOW, self.client).unwrap();
         assert_eq!(echo.len(), PAYLOAD.len());
     }
 
     /// One datagram each way.
     fn udp_echo(&mut self) {
-        self.sa
-            .send_to(&mut self.wire.a, self.udp_a, ipa(2), 9001, PAYLOAD.to_vec())
+        self.wire
+            .a
+            .sock_send_to(self.udp_a, ipa(2), 9001, PAYLOAD.to_vec())
             .unwrap();
         self.settle();
         let dgram = self
-            .sb
-            .recv_from(&mut self.wire.b, self.udp_b, |_, _, d| d.to_vec())
+            .wire
+            .b
+            .sock_recv_from(self.udp_b, |_, _, d| d.to_vec())
             .unwrap();
-        self.sb
-            .send_to(&mut self.wire.b, self.udp_b, ipa(1), 9000, dgram)
+        self.wire
+            .b
+            .sock_send_to(self.udp_b, ipa(1), 9000, dgram)
             .unwrap();
         self.settle();
         let back = self
-            .sa
-            .recv_from(&mut self.wire.a, self.udp_a, |_, _, d| d.len())
+            .wire
+            .a
+            .sock_recv_from(self.udp_a, |_, _, d| d.len())
             .unwrap();
         assert_eq!(back, PAYLOAD.len());
     }
@@ -147,12 +141,12 @@ impl SockHarness {
     fn poll_scan(&self) -> u32 {
         let mut live = 0u32;
         for &h in &[self.client, self.udp_a] {
-            if !self.sa.poll(&self.wire.a, h).is_empty() {
+            if !self.wire.a.sock_poll(h).is_empty() {
                 live += 1;
             }
         }
         for &h in &[self.listener, self.server, self.udp_b] {
-            if !self.sb.poll(&self.wire.b, h).is_empty() {
+            if !self.wire.b.sock_poll(h).is_empty() {
                 live += 1;
             }
         }
@@ -160,8 +154,8 @@ impl SockHarness {
     }
 }
 
-/// The same wire exchanges driven through the raw `NetStack` API — the
-/// allocation baseline the shim is compared against.
+/// The same wire exchanges driven through the raw `tcp_*`/`udp_*` API —
+/// the allocation baseline the socket verbs are compared against.
 struct RawHarness {
     wire: Wire,
     client: SockId,
@@ -241,10 +235,16 @@ fn poll_scan_is_free_and_the_shim_adds_no_allocations() {
     let sock_tcp = allocs_during(|| sock.tcp_echo());
     let raw_tcp = allocs_during(|| raw.tcp_echo());
     eprintln!("socket_ops/tcp_echo: {sock_tcp} allocations via sockets, {raw_tcp} via raw stack");
-    assert_eq!(sock_tcp, raw_tcp, "the socket shim must add no allocations");
+    assert_eq!(
+        sock_tcp, raw_tcp,
+        "the socket verbs must add no allocations"
+    );
 
     let sock_udp = allocs_during(|| sock.udp_echo());
     let raw_udp = allocs_during(|| raw.udp_echo());
     eprintln!("socket_ops/udp_echo: {sock_udp} allocations via sockets, {raw_udp} via raw stack");
-    assert_eq!(sock_udp, raw_udp, "the socket shim must add no allocations");
+    assert_eq!(
+        sock_udp, raw_udp,
+        "the socket verbs must add no allocations"
+    );
 }

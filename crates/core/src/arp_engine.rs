@@ -23,6 +23,9 @@ use sim::{SimDuration, SimTime};
 const ENTRY_TTL: SimDuration = SimDuration::from_secs(20 * 60);
 /// Gap between repeated requests for the same address.
 const RETRY_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// How long a wait may go unanswered before its held packets are dropped,
+/// measured from the wait's last request.
+const GIVE_UP: SimDuration = SimDuration::from_secs(30);
 /// Packets held per unresolved address (4.3BSD held exactly one).
 const MAX_HELD: usize = 4;
 
@@ -242,13 +245,12 @@ impl ArpEngine {
         (reply, released)
     }
 
-    /// Re-issues requests for stale waits and drops hopeless ones; call
-    /// periodically (e.g. once a second).
-    pub fn age(&mut self, now: SimTime, give_up_after: SimDuration) -> Vec<ArpPacket> {
+    /// Re-issues requests for stale waits and drops the ones unanswered
+    /// for `GIVE_UP`; call periodically (e.g. once a second).
+    pub fn age(&mut self, now: SimTime) -> Vec<ArpPacket> {
         // Most ticks nothing is due: look before collecting anything.
         let since = |w: &Waiting| now.saturating_since(w.last_request.unwrap_or(SimTime::ZERO));
-        let soonest = RETRY_INTERVAL.min(give_up_after);
-        if !self.waiting.values().any(|w| since(w) >= soonest) {
+        if !self.waiting.values().any(|w| since(w) >= RETRY_INTERVAL) {
             return Vec::new();
         }
         let mut requests = Vec::new();
@@ -258,7 +260,7 @@ impl ArpEngine {
         let mut entries: Vec<(&Ipv4Addr, &mut Waiting)> = self.waiting.iter_mut().collect();
         entries.sort_by_key(|(ip, _)| u32::from(**ip));
         for (ip, w) in entries {
-            if since(w) >= give_up_after {
+            if since(w) >= GIVE_UP {
                 dead.push(*ip);
             } else if since(w) >= RETRY_INTERVAL {
                 w.last_request = Some(now);
@@ -435,10 +437,10 @@ mod tests {
         let t0 = SimTime::ZERO;
         e.resolve(t0, ipa(5), pkt(ipa(5)));
         let t1 = t0 + SimDuration::from_secs(6);
-        let reqs = e.age(t1, SimDuration::from_secs(30));
+        let reqs = e.age(t1);
         assert_eq!(reqs.len(), 1);
         let t2 = t1 + SimDuration::from_secs(31);
-        let reqs = e.age(t2, SimDuration::from_secs(30));
+        let reqs = e.age(t2);
         assert!(reqs.is_empty());
         assert_eq!(e.stats().held_dropped, 1);
     }

@@ -174,7 +174,7 @@ impl EtherDriver {
 
     /// Periodic ARP maintenance; requests to retransmit go onto `tx`.
     pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut Vec<EtherFrame>) {
-        for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
+        for r in self.arp.age(now) {
             self.emit_arp(MacAddr::BROADCAST, &r, pool, tx);
         }
     }
@@ -207,8 +207,9 @@ fn mac_hw(mac: MacAddr) -> HwAddr {
 
 fn mac_from_bytes(bytes: &[u8]) -> MacAddr {
     let mut octets = [0u8; 6];
-    let n = bytes.len().min(6);
-    octets[..n].copy_from_slice(&bytes[..n]);
+    for (o, b) in octets.iter_mut().zip(bytes) {
+        *o = *b;
+    }
     MacAddr::new(octets)
 }
 

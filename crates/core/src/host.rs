@@ -22,10 +22,10 @@ use ax25::frame::Frame;
 use ether::{EtherFrame, MacAddr};
 use filter::{FilterConfig, FilterEngine, FilterStats};
 use netstack::icmp::IcmpMessage;
+use netstack::socket::{Readiness, SockError, SocketHandle, TcpInfo};
 use netstack::stack::{IfaceConfig, IfaceId, NetStack, SockId, StackAction, StackConfig};
 use netstack::NetError;
 use sim::SimTime;
-use socket::{Readiness, SockError, SocketHandle, SocketTable, TcpInfo};
 
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
@@ -92,11 +92,9 @@ impl HostConfig {
 pub struct Host {
     /// Hostname.
     pub name: String,
-    /// The TCP/IP stack.
+    /// The TCP/IP stack, sockets included (DESIGN.md §10): apps that speak
+    /// sockets go through the `sock_*` wrappers below.
     pub stack: NetStack,
-    /// The BSD-flavored descriptor layer over `stack` (DESIGN.md §10): apps
-    /// that speak sockets go through the `sock_*` wrappers below.
-    pub sockets: SocketTable,
     /// The CPU cost model.
     pub cpu: Cpu,
     pr: Option<(IfaceId, PacketRadioDriver)>,
@@ -163,7 +161,6 @@ impl Host {
         Host {
             name: cfg.name,
             stack,
-            sockets: SocketTable::new(),
             cpu: Cpu::new(cfg.cpu),
             pr,
             eth,
@@ -663,20 +660,9 @@ impl Host {
 
     // --- Socket layer (DESIGN.md §10) ----------------------------------------
     //
-    // The BSD-flavored verbs: each runs a `SocketTable` operation against
-    // this host's stack and routes whatever actions it provoked, exactly
-    // like the raw wrappers above.
-
-    /// Runs one socket-table operation and routes the resulting actions.
-    fn run_sock_op<R>(
-        &mut self,
-        now: SimTime,
-        op: impl FnOnce(&mut SocketTable, &mut NetStack) -> R,
-    ) -> R {
-        let r = op(&mut self.sockets, &mut self.stack);
-        self.handle_actions(now);
-        r
-    }
+    // The BSD-flavored verbs: each runs the stack's `sock_*` verb and
+    // routes whatever actions it provoked, exactly like the raw wrappers
+    // above.
 
     /// `socket`+`bind`+`listen`: passive TCP socket on `port`, with an
     /// optional accept-queue bound (overflow SYNs are refused with RST).
@@ -686,7 +672,7 @@ impl Host {
         port: u16,
         backlog: Option<usize>,
     ) -> Result<SocketHandle, SockError> {
-        self.run_sock_op(now, |so, st| so.listen(st, port, backlog))
+        self.run_stack_op(now, |st| st.sock_listen(port, backlog))
     }
 
     /// Active open; the handle turns WRITABLE on handshake completion or
@@ -697,7 +683,7 @@ impl Host {
         dst: Ipv4Addr,
         port: u16,
     ) -> Result<SocketHandle, SockError> {
-        self.run_sock_op(now, |so, st| so.connect(st, now, dst, port))
+        self.run_stack_op(now, |st| st.sock_connect(now, dst, port))
     }
 
     /// [`Host::sock_connect`] with this connection's own TCP configuration.
@@ -708,7 +694,7 @@ impl Host {
         port: u16,
         cfg: netstack::tcp::TcpConfig,
     ) -> Result<SocketHandle, SockError> {
-        self.run_sock_op(now, |so, st| so.connect_with(st, now, dst, port, cfg))
+        self.run_stack_op(now, |st| st.sock_connect_with(now, dst, port, cfg))
     }
 
     /// Pops one completed connection off a listener.
@@ -717,7 +703,7 @@ impl Host {
         now: SimTime,
         h: SocketHandle,
     ) -> Result<SocketHandle, SockError> {
-        self.run_sock_op(now, |so, st| so.accept(st, h))
+        self.run_stack_op(now, |st| st.sock_accept(h))
     }
 
     /// Queues bytes on a stream; `Ok(n)` is the count accepted.
@@ -727,27 +713,27 @@ impl Host {
         h: SocketHandle,
         data: &[u8],
     ) -> Result<usize, SockError> {
-        self.run_sock_op(now, |so, st| so.send(st, now, h, data))
+        self.run_stack_op(now, |st| st.sock_send(now, h, data))
     }
 
     /// Drains readable bytes; `Ok(empty)` is EOF.
     pub fn sock_recv(&mut self, now: SimTime, h: SocketHandle) -> Result<Vec<u8>, SockError> {
-        self.run_sock_op(now, |so, st| so.recv(st, now, h))
+        self.run_stack_op(now, |st| st.sock_recv(now, h))
     }
 
     /// Half-close: sends FIN, keeps the read side open.
     pub fn sock_shutdown(&mut self, now: SimTime, h: SocketHandle) -> Result<(), SockError> {
-        self.run_sock_op(now, |so, st| so.shutdown(st, now, h))
+        self.run_stack_op(now, |st| st.sock_shutdown(now, h))
     }
 
     /// Releases the handle (orderly close for streams still open).
     pub fn sock_close(&mut self, now: SimTime, h: SocketHandle) {
-        self.run_sock_op(now, |so, st| so.close(st, now, h));
+        self.run_stack_op(now, |st| st.sock_close(now, h));
     }
 
     /// `socket`+`bind` for datagrams.
     pub fn sock_bind_udp(&mut self, now: SimTime, port: u16) -> Result<SocketHandle, SockError> {
-        self.run_sock_op(now, |so, st| so.bind_udp(st, port))
+        self.run_stack_op(now, |st| st.sock_bind_udp(port))
     }
 
     /// Sends one datagram.
@@ -759,33 +745,33 @@ impl Host {
         dst_port: u16,
         payload: Vec<u8>,
     ) -> Result<(), SockError> {
-        self.run_sock_op(now, |so, st| so.send_to(st, h, dst, dst_port, payload))
+        self.run_stack_op(now, |st| st.sock_send_to(h, dst, dst_port, payload))
     }
 
     /// Receives one datagram: lends `(source, source port, payload)` to
     /// `f` for the one call, then gives the buffer it arrived in back to
-    /// this host's pool ([`SocketTable::recv_from`]).
+    /// this host's pool ([`NetStack::sock_recv_from`]).
     pub fn sock_recv_from<R>(
         &mut self,
         h: SocketHandle,
         f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
     ) -> Result<R, SockError> {
-        self.sockets.recv_from(&mut self.stack, h, f)
+        self.stack.sock_recv_from(h, f)
     }
 
     /// Readiness mask for one handle (pure, no side effects).
     pub fn sock_poll(&self, h: SocketHandle) -> Readiness {
-        self.sockets.poll(&self.stack, h)
+        self.stack.sock_poll(h)
     }
 
     /// Room in a stream's send buffer (bulk senders pump on WRITABLE).
     pub fn sock_send_capacity(&self, h: SocketHandle) -> usize {
-        self.sockets.send_capacity(&self.stack, h)
+        self.stack.sock_send_capacity(h)
     }
 
     /// A stream's state, unacknowledged octets and TCB counters.
     pub fn sock_tcp_info(&self, h: SocketHandle) -> Option<TcpInfo> {
-        self.sockets.tcp_info(&self.stack, h)
+        self.stack.sock_tcp_info(h)
     }
 
     /// Sends a raw AX.25 frame from "user space" via the radio driver

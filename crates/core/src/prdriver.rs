@@ -619,7 +619,7 @@ impl PacketRadioDriver {
 
     /// Periodic ARP maintenance; requests to retransmit go onto `tx`.
     pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut Vec<u8>) {
-        for r in self.arp.age(now, sim::SimDuration::from_secs(30)) {
+        for r in self.arp.age(now) {
             self.broadcast_arp(&r, pool, tx);
         }
     }
@@ -701,10 +701,8 @@ fn kiss_onto(tx: &mut Vec<u8>, frame: &Frame) {
 
 /// Extracts the source address of an IPv4 header without a full decode.
 fn ip_source(bytes: &[u8]) -> Option<Ipv4Addr> {
-    if bytes.len() < 20 || bytes[0] >> 4 != 4 {
-        return None;
-    }
-    Some(Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]))
+    let [vihl, _, _, _, _, _, _, _, _, _, _, _, s0, s1, s2, s3, ..] = *bytes.first_chunk::<20>()?;
+    (vihl >> 4 == 4).then(|| Ipv4Addr::new(s0, s1, s2, s3))
 }
 
 #[cfg(test)]

@@ -25,7 +25,11 @@
 //!   walks (DESIGN.md §14);
 //! * [`pool`] — the host's one bounded pool of datagram buffers, which
 //!   the stack lends its link drivers;
-//! * [`stack`] — a per-host stack tying it together behind a socket API.
+//! * [`stack`] — a per-host stack tying it together behind a raw
+//!   `tcp_*`/`udp_*` API;
+//! * [`socket`] — the BSD-style socket layer over it (§2.4's "normal
+//!   Ultrix networking facilities"): one handle per socket, poll
+//!   readiness, cooperative blocking.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -40,6 +44,7 @@ pub mod ip;
 pub mod lpm;
 pub mod pool;
 pub mod route;
+pub mod socket;
 pub mod stack;
 pub mod tcp;
 pub mod udp;
@@ -57,8 +62,6 @@ pub enum NetError {
     BadChecksum(&'static str),
     /// No route to the destination.
     NoRoute(std::net::Ipv4Addr),
-    /// Socket/handle misuse (wrong state, unknown id).
-    BadSocket(&'static str),
     /// Address or port already in use.
     InUse,
 }
@@ -69,7 +72,6 @@ impl std::fmt::Display for NetError {
             NetError::Malformed(w) => write!(f, "malformed packet: {w}"),
             NetError::BadChecksum(w) => write!(f, "bad checksum: {w}"),
             NetError::NoRoute(ip) => write!(f, "no route to {ip}"),
-            NetError::BadSocket(w) => write!(f, "socket error: {w}"),
             NetError::InUse => write!(f, "address in use"),
         }
     }

@@ -72,15 +72,15 @@ pub struct IfaceConfig {
 
 /// A TCP socket handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SockId(usize);
+pub struct SockId(pub(crate) usize);
 
 /// A TCP listener handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ListenerId(usize);
+pub struct ListenerId(pub(crate) usize);
 
 /// A UDP socket handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UdpId(usize);
+pub struct UdpId(pub(crate) usize);
 
 /// Why a connection failed, latched on the socket it concerns (4.3BSD's
 /// `so_error`): only on a claimed socket — an active open, or a passive
@@ -256,8 +256,8 @@ pub struct StackStats {
 }
 
 #[derive(Debug)]
-struct TcpSock {
-    tcb: Tcb,
+pub(crate) struct TcpSock {
+    pub(crate) tcb: Tcb,
     /// Listener that spawned this socket, if passive.
     parent: Option<ListenerId>,
     /// True for an active open, and for a passive socket once the
@@ -265,12 +265,18 @@ struct TcpSock {
     /// the listener's backlog.
     claimed: bool,
     /// The handshake completed (`soisconnected`).
-    synchronized: bool,
+    pub(crate) synchronized: bool,
     /// The first asynchronous error of a claimed socket.
-    error: Option<ConnError>,
+    pub(crate) error: Option<ConnError>,
     /// Active opens until the handshake ends: when [`CONNECT_TIMEOUT`]
     /// fires.
     connect_timer: Option<SimTime>,
+    /// The application shut its send side down (`SS_CANTSENDMORE`): the
+    /// stream stops polling WRITABLE.
+    pub(crate) shut: bool,
+    /// The application closed its handle; the record stays as the
+    /// handle's tombstone ([`crate::socket`]).
+    pub(crate) released: bool,
 }
 
 impl TcpSock {
@@ -282,12 +288,14 @@ impl TcpSock {
             synchronized: false,
             error: None,
             connect_timer: None,
+            shut: false,
+            released: false,
         }
     }
 }
 
 #[derive(Debug)]
-struct Listener {
+pub(crate) struct Listener {
     port: u16,
     cfg: TcpConfig,
     /// Accept-queue bound: at most this many unclaimed, live children.
@@ -295,14 +303,14 @@ struct Listener {
     backlog: Option<usize>,
     /// Children whose handshake completed, in completion order, awaiting
     /// [`NetStack::tcp_accept`] (4.3BSD's `so_q`).
-    completed: VecDeque<SockId>,
+    pub(crate) completed: VecDeque<SockId>,
 }
 
 #[derive(Debug)]
-struct UdpSock {
+pub(crate) struct UdpSock {
     port: u16,
     /// Unread datagrams, each in the buffer it arrived in, cut at its UDP length.
-    rx: VecDeque<(Ipv4Addr, u16, Vec<u8>)>,
+    pub(crate) rx: VecDeque<(Ipv4Addr, u16, Vec<u8>)>,
 }
 
 /// A host's network stack. See the [module docs](self).
@@ -312,11 +320,12 @@ pub struct NetStack {
     ifaces: Vec<IfaceConfig>,
     routes: RouteTable,
     reasm: Reassembler,
-    socks: Vec<TcpSock>,
+    /// TCP connections by id, never removed, so an id is never reused.
+    pub(crate) socks: Vec<TcpSock>,
     /// Listeners and UDP sockets by id; `None` once closed, so an id is
     /// never reused.
-    listeners: Vec<Option<Listener>>,
-    udp: Vec<Option<UdpSock>>,
+    pub(crate) listeners: Vec<Option<Listener>>,
+    pub(crate) udp: Vec<Option<UdpSock>>,
     ip_id: u16,
     iss: u32,
     next_port: u16,
@@ -897,13 +906,24 @@ impl NetStack {
         dst: Ipv4Addr,
         dst_port: u16,
     ) -> Result<SockId, NetError> {
+        self.connect_as(now, dst, dst_port, self.cfg.tcp)
+    }
+
+    /// [`Self::tcp_connect`] with `tcp_cfg` in place of the stack's TCP
+    /// configuration.
+    pub(crate) fn connect_as(
+        &mut self,
+        now: SimTime,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        mut tcp_cfg: TcpConfig,
+    ) -> Result<SockId, NetError> {
         let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
             return Err(NetError::NoRoute(dst));
         };
         let local_ip = self.ifaces[iface.0].addr;
         let port = self.alloc_port();
         let iss = self.next_iss();
-        let mut tcp_cfg = self.cfg.tcp;
         if self.cfg.clamp_mss {
             tcp_cfg.mss = clamped_mss(tcp_cfg.mss, self.ifaces[iface.0].mtu);
         }
@@ -921,22 +941,6 @@ impl NetStack {
         self.socks.push(s);
         self.drive(sock);
         Ok(sock)
-    }
-
-    /// Opens a TCP connection with a specific configuration (experiments
-    /// use this to pit fixed against adaptive RTO).
-    pub fn tcp_connect_with(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        cfg: TcpConfig,
-    ) -> Result<SockId, NetError> {
-        let saved = self.cfg.tcp;
-        self.cfg.tcp = cfg;
-        let r = self.tcp_connect(now, dst, dst_port);
-        self.cfg.tcp = saved;
-        r
     }
 
     /// Starts listening on `port`. With `Some(backlog)`, fresh SYNs are
@@ -972,14 +976,6 @@ impl NetStack {
             s.claimed = true;
         }
         Some(sock)
-    }
-
-    /// Completed connections awaiting [`Self::tcp_accept`].
-    pub fn tcp_accept_queued(&self, listener: ListenerId) -> usize {
-        match self.listeners.get(listener.0) {
-            Some(Some(l)) => l.completed.len(),
-            _ => 0,
-        }
     }
 
     /// Closes a listener: its port is free again, and every child it
@@ -1037,71 +1033,6 @@ impl NetStack {
         };
         s.tcb.abort(now, &mut self.tcb_events);
         self.drive(sock);
-    }
-
-    /// A socket's connection state.
-    pub fn tcp_state(&self, sock: SockId) -> TcpState {
-        self.socks
-            .get(sock.0)
-            .map(|s| s.tcb.state())
-            .unwrap_or(TcpState::Closed)
-    }
-
-    /// Free space in a socket's send buffer.
-    pub fn tcp_send_capacity(&self, sock: SockId) -> usize {
-        self.socks
-            .get(sock.0)
-            .map(|s| s.tcb.send_capacity())
-            .unwrap_or(0)
-    }
-
-    /// Unacknowledged + unsent octets held by a socket.
-    pub fn tcp_send_backlog(&self, sock: SockId) -> usize {
-        self.socks
-            .get(sock.0)
-            .map(|s| s.tcb.send_backlog())
-            .unwrap_or(0)
-    }
-
-    /// Octets buffered and ready for [`Self::tcp_recv`].
-    pub fn tcp_recv_available(&self, sock: SockId) -> usize {
-        self.socks
-            .get(sock.0)
-            .map(|s| s.tcb.recv_available())
-            .unwrap_or(0)
-    }
-
-    /// True when the peer closed and all data was drained.
-    pub fn tcp_at_eof(&self, sock: SockId) -> bool {
-        self.socks.get(sock.0).is_some_and(|s| s.tcb.at_eof())
-    }
-
-    /// The local (address, port) of a socket.
-    pub fn tcp_local(&self, sock: SockId) -> Option<(Ipv4Addr, u16)> {
-        self.socks.get(sock.0).map(|s| s.tcb.local())
-    }
-
-    /// The remote (address, port) of a socket.
-    pub fn tcp_remote(&self, sock: SockId) -> Option<(Ipv4Addr, u16)> {
-        self.socks.get(sock.0).map(|s| s.tcb.remote())
-    }
-
-    /// True once a socket's handshake completed.
-    pub fn tcp_synchronized(&self, sock: SockId) -> bool {
-        self.socks.get(sock.0).is_some_and(|s| s.synchronized)
-    }
-
-    /// The error latched on a claimed socket, if any (`SO_ERROR`).
-    pub fn tcp_error(&self, sock: SockId) -> Option<ConnError> {
-        self.socks.get(sock.0)?.error
-    }
-
-    /// Statistics of a socket's TCB.
-    pub fn tcp_stats(&self, sock: SockId) -> crate::tcp::TcbStats {
-        self.socks
-            .get(sock.0)
-            .map(|s| s.tcb.stats())
-            .unwrap_or_default()
     }
 
     // --- UDP socket API -----------------------------------------------------------
@@ -1197,14 +1128,6 @@ impl NetStack {
         let r = f(src, src_port, &buf[udp::HEADER_LEN..]);
         self.pool.give(buf);
         Some(r)
-    }
-
-    /// Queued datagrams awaiting [`Self::udp_recv`].
-    pub fn udp_rx_queued(&self, udp: UdpId) -> usize {
-        match self.udp.get(udp.0) {
-            Some(Some(s)) => s.rx.len(),
-            _ => 0,
-        }
     }
 
     // --- Timers -----------------------------------------------------------------
@@ -1383,6 +1306,18 @@ mod tests {
 
     fn ipa(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, n)
+    }
+
+    /// Completed connections awaiting [`NetStack::tcp_accept`].
+    fn accept_queued(st: &NetStack, listener: ListenerId) -> usize {
+        st.listeners[listener.0]
+            .as_ref()
+            .map_or(0, |l| l.completed.len())
+    }
+
+    /// Datagrams awaiting [`NetStack::udp_recv`]; 0 once unbound.
+    fn udp_queued(st: &NetStack, udp: UdpId) -> usize {
+        st.udp[udp.0].as_ref().map_or(0, |s| s.rx.len())
     }
 
     /// A two-host wire: delivers Egress actions directly to the peer.
@@ -1655,7 +1590,7 @@ mod tests {
             .b_ev
             .iter()
             .any(|e| matches!(e, StackAction::TcpClosed { reset: false, .. })));
-        assert_eq!(w.a.tcp_state(ca), TcpState::TimeWait);
+        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::TimeWait);
     }
 
     #[test]
@@ -1669,7 +1604,7 @@ mod tests {
             .a_ev
             .iter()
             .any(|e| matches!(e, StackAction::TcpClosed { reset: true, .. })));
-        assert_eq!(w.a.tcp_state(ca), TcpState::Closed);
+        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::Closed);
     }
 
     #[test]
@@ -1901,7 +1836,7 @@ mod tests {
             let s = w.a.tcp_connect(now, ipa(2), 23).unwrap();
             let out = w.a.drain_actions();
             w.run(now, out, vec![]);
-            let port = w.a.tcp_local(s).unwrap().1;
+            let port = w.a.socks[s.0].tcb.local().1;
             assert!(seen.insert(port, i).is_none(), "port {port} reused");
         }
     }
@@ -2178,7 +2113,7 @@ mod tests {
         for n in 0..UDP_RX_QUEUE + EXTRA {
             st.input_owned(SimTime::ZERO, ifid, wire(n as u8));
         }
-        assert_eq!(st.udp_rx_queued(sock), UDP_RX_QUEUE);
+        assert_eq!(udp_queued(&st, sock), UDP_RX_QUEUE);
         assert_eq!(st.stats().udp_fullsock, EXTRA as u64);
         let readable = st
             .drain_actions()
@@ -2189,7 +2124,7 @@ mod tests {
         // The queue kept the oldest; reading one makes room for one more.
         assert_eq!(st.udp_recv(sock, |_, _, p| p[0]), Some(0));
         st.input_owned(SimTime::ZERO, ifid, wire(0xFF));
-        assert_eq!(st.udp_rx_queued(sock), UDP_RX_QUEUE);
+        assert_eq!(udp_queued(&st, sock), UDP_RX_QUEUE);
         assert_eq!(st.stats().udp_fullsock, EXTRA as u64);
     }
 
@@ -2281,8 +2216,8 @@ mod tests {
             }
         }
         assert_eq!(accepted.len(), 2);
-        assert_eq!(b.tcp_accept_queued(listener), 2);
-        assert_eq!(b.tcp_remote(accepted[0]), Some((ipa(1), 1026)));
+        assert_eq!(accept_queued(&b, listener), 2);
+        assert_eq!(b.socks[accepted[0].0].tcb.remote(), (ipa(1), 1026));
         assert_eq!(b.tcp_accept(listener), Some(accepted[0]));
         assert_eq!(b.tcp_accept(listener), Some(accepted[1]));
         assert_eq!(b.tcp_accept(listener), None);
@@ -2304,8 +2239,8 @@ mod tests {
         assert_eq!(w.a.next_deadline(), None, "an idle connection has no timer");
         w.a.poll_queued(now + CONNECT_TIMEOUT);
         assert!(w.a.actions_empty());
-        assert_eq!(w.a.tcp_state(ca), TcpState::Established);
-        assert_eq!(w.a.tcp_error(ca), None);
+        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::Established);
+        assert_eq!(w.a.socks[ca.0].error, None);
     }
 
     #[test]
@@ -2316,7 +2251,7 @@ mod tests {
         let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert_eq!(w.b.tcp_accept_queued(listener), 1);
+        assert_eq!(accept_queued(&w.b, listener), 1);
         // Closing aborts the child nobody accepted: the client is reset.
         w.b.tcp_unlisten(now, listener);
         let out = w.b.drain_actions();
@@ -2330,7 +2265,7 @@ mod tests {
         let c2 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert_eq!(w.a.tcp_error(c2), Some(ConnError::Refused));
+        assert_eq!(w.a.socks[c2.0].error, Some(ConnError::Refused));
         // The port can be listened on again, under a fresh id.
         let again = w.b.tcp_listen(23, None).unwrap();
         assert_ne!(again, listener);
@@ -2352,9 +2287,9 @@ mod tests {
             queued.push(buf.as_ptr());
             st.input_owned(SimTime::ZERO, ifid, buf);
         }
-        assert_eq!(st.udp_rx_queued(sock), crate::pool::DEPTH);
+        assert_eq!(udp_queued(&st, sock), crate::pool::DEPTH);
         st.udp_unbind(sock);
-        assert_eq!(st.udp_rx_queued(sock), 0);
+        assert_eq!(udp_queued(&st, sock), 0);
         // The pool holds exactly the buffers the socket had queued.
         let free: [Vec<u8>; crate::pool::DEPTH] = std::array::from_fn(|_| st.pool_mut().take(0));
         let mut free: Vec<_> = free.iter().map(|b| b.as_ptr()).collect();

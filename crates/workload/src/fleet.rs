@@ -26,8 +26,8 @@ use apps::sockapp::{SockApp, SockCtx, SocketProgram};
 use apps::Shared;
 use gateway::scenario::MeshNet;
 use gateway::world::{AppId, World};
+use netstack::socket::{Readiness, SocketHandle};
 use sim::{SimDuration, SimTime};
-use socket::{Readiness, SocketHandle};
 
 use crate::load::{
     build_schedule, ClientPlan, FleetSchedule, FleetSpec, Pacing, SessionClass, DNS_NAMES,

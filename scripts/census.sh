@@ -36,8 +36,10 @@
 #                    slice expressions that panic on a bad offset, in
 #                    non-test library code), tallied by the crate of each
 #                    warning's `--> crates/<name>/` path. Listed for the
-#                    same 11 wire-facing crates, zeros included. This one
-#                    builds: it runs clippy over the workspace.
+#                    same 11 wire-facing crates and for core (the gateway
+#                    crate, whose drivers parse ARP and IP bytes off the
+#                    air), zeros included. This one builds: it runs clippy
+#                    over the workspace.
 #
 # Why earlier quotes differ (all of them counted on one and the same tree):
 #   - 31,781 non-test lines counted the two src/**/tests.rs modules
@@ -53,6 +55,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 wire_crates="netstack radio serial socket ax25 encap netrom vj ether filter kiss"
+indexed_crates="$wire_crates core"
 
 non_test_files() {
     git ls-files '*.rs' | grep -vE '(^|/)(tests|examples|benchmarks)/' | grep -vE '(^|/)tests\.rs$'
@@ -116,9 +119,9 @@ for c in $wire_crates; do
 done
 echo "panic sites in the wire-facing crates: $total ($per )"
 
-echo "indexing_slicing sites in the wire-facing crates (clippy, non-test library code), by crate:"
+echo "indexing_slicing sites in the wire-facing crates and core (clippy, non-test library code), by crate:"
 cargo clippy -q --workspace --lib -- -A clippy::all -W clippy::indexing_slicing 2>&1 |
-    awk -v crates="$wire_crates" '
+    awk -v crates="$indexed_crates" '
         /^ *--> crates\// { split($2, part, "/"); n[part[2]]++ }
         END {
             split(crates, c, " ")

@@ -98,7 +98,7 @@ hold_counts "RefCell< sites" scripts/refcell_ceiling.txt "RefCell< sites"
 
 # No index or slice expression that panics on a bad offset joins the
 # wire-facing crates unrecorded (ROADMAP item 3, step 2).
-echo "==> indexing_slicing sites per wire-facing crate equal scripts/indexing_ceiling.txt"
+echo "==> indexing_slicing sites per wire-facing crate and core equal scripts/indexing_ceiling.txt"
 hold_counts "indexing_slicing sites" scripts/indexing_ceiling.txt "indexing_slicing sites"
 
 # A doc link to a name that no longer exists (or to a private one) fails

@@ -108,8 +108,8 @@ impl Lpm {
         let level = len.saturating_sub(1) / 8;
         let mut node = 0usize;
         for l in 0..level {
-            let slot = node * 256 + ((addr >> (24 - 8 * l)) & 0xff) as usize;
-            let v = self.nodes[slot];
+            let byte = (addr >> (24 - 8 * l)) & 0xff;
+            let v = self.slot(node, byte);
             node = if v & CHILD != 0 {
                 (v & !CHILD) as usize
             } else {
@@ -117,7 +117,9 @@ impl Lpm {
                 // slot of the new child.
                 let id = self.nodes.len() / 256;
                 self.nodes.resize(self.nodes.len() + 256, v);
-                self.nodes[slot] = CHILD | id as u32;
+                if let Some(slot) = self.nodes.get_mut(node * 256 + byte as usize) {
+                    *slot = CHILD | id as u32;
+                }
                 id
             };
         }
@@ -125,10 +127,21 @@ impl Lpm {
         // Free bits within this node's byte: a /12 at level 1 spans
         // 2^(16-12) = 16 slots; the default route spans all 256.
         let span = 1usize << (8 * (level + 1) - len.max(level * 8)).min(8);
-        for slot in &mut self.nodes[node * 256 + base..node * 256 + base + span] {
+        let first = node * 256 + base;
+        for slot in self.nodes.get_mut(first..first + span).unwrap_or_default() {
             debug_assert_eq!(*slot & CHILD, 0, "target slots never hold children");
             *slot = idx + 1;
         }
+    }
+
+    /// Slot `byte` of node `node`; `0` (no route) past the end, which a
+    /// node id the build handed out never reaches.
+    #[inline]
+    fn slot(&self, node: usize, byte: u32) -> u32 {
+        self.nodes
+            .get(node * 256 + byte as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The winning route's table index for `ip`, or `None`. At most four
@@ -138,7 +151,7 @@ impl Lpm {
         let mut node = 0usize;
         let mut shift = 24u32;
         loop {
-            let v = self.nodes[node * 256 + ((ip >> shift) & 0xff) as usize];
+            let v = self.slot(node, (ip >> shift) & 0xff);
             if v & CHILD == 0 {
                 // 0 is "no route"; otherwise a route index + 1.
                 return (v != 0).then(|| (v - 1) as usize);
@@ -154,7 +167,7 @@ impl Lpm {
         let mut shift = 24u32;
         let mut depth = 1;
         loop {
-            let v = self.nodes[node * 256 + ((ip >> shift) & 0xff) as usize];
+            let v = self.slot(node, (ip >> shift) & 0xff);
             if v & CHILD == 0 {
                 return depth;
             }

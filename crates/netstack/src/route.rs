@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use crate::lpm::Lpm;
 use crate::stack::IfaceId;
@@ -44,6 +45,13 @@ impl Prefix {
     /// radio (footnote 7 of the paper).
     pub fn amprnet() -> Prefix {
         Prefix::new(Ipv4Addr::new(44, 0, 0, 0), 8)
+    }
+
+    /// The high bits of the key of every route for this prefix: `32 − len`
+    /// above the address, so longer prefixes sort first and prefixes of
+    /// one length sort by address.
+    fn key(self) -> u64 {
+        (u64::from(32 - self.len) << 48) | (u64::from(u32::from(self.addr)) << 16)
     }
 
     fn mask(len: u8) -> u32 {
@@ -96,6 +104,19 @@ pub struct Route {
     pub metric: u8,
 }
 
+impl Route {
+    /// The key the table is strictly increasing in: the prefix's key, then
+    /// the metric, then a learned bit. One prefix's static and learned
+    /// routes sit side by side, cheaper first and static on an equal
+    /// metric; the prefix length dominates the metric, so a cheap default
+    /// route never shadows a longer prefix.
+    fn key(&self) -> u64 {
+        self.prefix.key()
+            | (u64::from(self.metric) << 8)
+            | u64::from(self.source == RouteSource::Learned)
+    }
+}
+
 /// The result of a successful lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextHop {
@@ -126,6 +147,8 @@ pub struct NextHop {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
+    /// Strictly increasing in `Route::key`: one route per prefix and
+    /// source, the single source of truth for both lookups.
     routes: Vec<Route>,
     /// Bumped (wrapping) on every mutation. The compiled LPM below stamps
     /// the generation it was built under and compares for equality, so one
@@ -182,63 +205,69 @@ impl RouteTable {
         });
     }
 
-    /// The ordering the table maintains: longest prefix strictly first,
-    /// then metric, then static before learned. Prefix length must
-    /// dominate the metric — sorting by metric ahead of length would let
-    /// a cheap default route shadow every longer prefix.
-    fn order_key(r: &Route) -> (std::cmp::Reverse<u8>, u8, bool) {
-        (
-            std::cmp::Reverse(r.prefix.len),
-            r.metric,
-            r.source != RouteSource::Static,
-        )
+    /// The index range of `prefix`'s routes: one binary search for the
+    /// first key at or above the prefix's, then the run itself, which
+    /// holds at most two routes (one static, one learned).
+    fn run(&self, prefix: Prefix) -> Range<usize> {
+        let key = prefix.key();
+        let start = self.routes.partition_point(|r| r.key() < key);
+        let len = self.routes.get(start..).map_or(0, |rest| {
+            rest.iter()
+                .take(2)
+                .take_while(|r| r.prefix == prefix)
+                .count()
+        });
+        start..start + len
     }
 
     /// Inserts `route`, replacing any existing route with the same prefix
     /// *and* source.
     ///
-    /// Placement is a binary search on the maintained ordering, inserted
-    /// *after* every equal key — exactly where a stable sort would leave a
-    /// freshly pushed element — so a RIP announce on a 1000-route table
-    /// shifts one run of entries instead of re-sorting the world. Full
-    /// ties keep insertion order (determinism).
+    /// One binary search finds the prefix's run, and nothing outside it is
+    /// compared: a route of the same source is overwritten in place and
+    /// the run (at most two routes) put back in key order; a new route goes
+    /// in at its place in the run, moving the routes after it up by one
+    /// slot, so a table filled in key order only appends.
     pub fn insert(&mut self, route: Route) {
-        if let Some(pos) = self
-            .routes
-            .iter()
-            .position(|r| r.prefix == route.prefix && r.source == route.source)
-        {
-            self.routes.remove(pos);
+        let run = self.run(route.prefix);
+        let start = run.start;
+        let same_prefix = self.routes.get_mut(run).unwrap_or_default();
+        if let Some(same) = same_prefix.iter_mut().find(|r| r.source == route.source) {
+            *same = route;
+            same_prefix.sort_unstable_by_key(Route::key);
+        } else {
+            let key = route.key();
+            let at = start + same_prefix.iter().filter(|r| r.key() < key).count();
+            self.routes.insert(at, route);
         }
-        let key = Self::order_key(&route);
-        let at = self.routes.partition_point(|r| Self::order_key(r) <= key);
-        self.routes.insert(at, route);
         self.generation = self.generation.wrapping_add(1);
     }
 
     /// Removes every route for `prefix` (any source); returns whether one
     /// existed.
     pub fn remove(&mut self, prefix: Prefix) -> bool {
-        let before = self.routes.len();
-        self.routes.retain(|r| r.prefix != prefix);
-        let changed = self.routes.len() != before;
-        if changed {
-            self.generation = self.generation.wrapping_add(1);
+        let run = self.run(prefix);
+        if run.is_empty() {
+            return false;
         }
-        changed
+        self.routes.drain(run);
+        self.generation = self.generation.wrapping_add(1);
+        true
     }
 
     /// Removes the learned route for `prefix`, leaving any static route in
     /// place; returns whether one existed.
     pub fn remove_learned(&mut self, prefix: Prefix) -> bool {
-        let before = self.routes.len();
-        self.routes
-            .retain(|r| !(r.prefix == prefix && r.source == RouteSource::Learned));
-        let changed = self.routes.len() != before;
-        if changed {
-            self.generation = self.generation.wrapping_add(1);
-        }
-        changed
+        let Some(at) = self.run(prefix).find(|&i| {
+            self.routes
+                .get(i)
+                .is_some_and(|r| r.source == RouteSource::Learned)
+        }) else {
+            return false;
+        };
+        self.routes.remove(at);
+        self.generation = self.generation.wrapping_add(1);
+        true
     }
 
     /// Longest-prefix-match lookup (linear reference walk).
@@ -275,7 +304,9 @@ impl RouteTable {
         if self.compiled.is_linear() {
             return self.lookup_route(dst);
         }
-        self.compiled.walk(u32::from(dst)).map(|i| &self.routes[i])
+        self.compiled
+            .walk(u32::from(dst))
+            .and_then(|i| self.routes.get(i))
     }
 
     /// [`lookup`](Self::lookup) on the compiled fast path.
@@ -307,7 +338,8 @@ impl RouteTable {
         (self.compiled.node_count(), depth)
     }
 
-    /// All routes, longest prefix first.
+    /// All routes, longest prefix first; prefixes of one length by
+    /// address, and one prefix's routes by metric, static first on a tie.
     pub fn routes(&self) -> &[Route] {
         &self.routes
     }
@@ -506,14 +538,16 @@ mod tests {
     }
 
     /// The sort-based insert this table used before binary-search
-    /// placement: retain + push + stable sort. The incremental insert
-    /// must leave the vector in the identical order, ties included.
+    /// placement: retain + push + stable sort, on the key spelled out as a
+    /// tuple (longest prefix, address, metric, static first). The
+    /// incremental insert must leave the vector in the identical order.
     fn oracle_insert(routes: &mut Vec<Route>, route: Route) {
         routes.retain(|r| !(r.prefix == route.prefix && r.source == route.source));
         routes.push(route);
         routes.sort_by_key(|r| {
             (
                 std::cmp::Reverse(r.prefix.len),
+                u32::from(r.prefix.addr),
                 r.metric,
                 r.source != RouteSource::Static,
             )
@@ -568,6 +602,79 @@ mod tests {
             assert_eq!(rt.routes(), &oracle[..], "order diverged from sort oracle");
         }
         assert!(oracle.len() > 8, "churn mix must outgrow the linear cutoff");
+    }
+
+    #[test]
+    fn relearned_route_moves_across_the_static_and_back() {
+        let gw = |n| Some(Ipv4Addr::new(10, 0, 0, n));
+        let p = Prefix::amprnet();
+        let dst = Ipv4Addr::new(44, 1, 1, 1);
+        let mut rt = RouteTable::new();
+        // Neighbours of the same length on both sides, and a longer and a
+        // shorter prefix, so the run sits mid-table.
+        rt.add(Prefix::new(Ipv4Addr::new(43, 0, 0, 0), 8), gw(1), ifid(2));
+        rt.add(Prefix::new(Ipv4Addr::new(45, 0, 0, 0), 8), gw(1), ifid(2));
+        rt.add(Prefix::new(Ipv4Addr::new(44, 2, 0, 0), 16), gw(1), ifid(2));
+        rt.add(Prefix::default_route(), gw(1), ifid(2));
+        rt.insert(Route {
+            prefix: p,
+            via: gw(9),
+            iface: ifid(0),
+            source: RouteSource::Static,
+            metric: 2,
+        });
+        let run = |rt: &RouteTable| -> Vec<(RouteSource, u8)> {
+            let at = rt.routes().iter().position(|r| r.prefix == p).unwrap();
+            rt.routes()[at..]
+                .iter()
+                .take_while(|r| r.prefix == p)
+                .map(|r| (r.source, r.metric))
+                .collect()
+        };
+        let others: Vec<Route> = rt
+            .routes()
+            .iter()
+            .filter(|r| r.prefix != p)
+            .copied()
+            .collect();
+        for (metric, expect, winner) in [
+            (
+                1,
+                [(RouteSource::Learned, 1), (RouteSource::Static, 2)],
+                ifid(1),
+            ),
+            (
+                3,
+                [(RouteSource::Static, 2), (RouteSource::Learned, 3)],
+                ifid(0),
+            ),
+            (
+                2,
+                [(RouteSource::Static, 2), (RouteSource::Learned, 2)],
+                ifid(0),
+            ),
+            (
+                0,
+                [(RouteSource::Learned, 0), (RouteSource::Static, 2)],
+                ifid(1),
+            ),
+        ] {
+            rt.add_learned(p, gw(8), ifid(1), metric);
+            assert_eq!(run(&rt), expect, "re-learned at metric {metric}");
+            assert_eq!(rt.routes().len(), 6, "a run holds one route per source");
+            assert_eq!(rt.lookup(dst).unwrap().iface, winner);
+            assert_eq!(rt.lookup_fast(dst).unwrap().iface, winner);
+            let now: Vec<Route> = rt
+                .routes()
+                .iter()
+                .filter(|r| r.prefix != p)
+                .copied()
+                .collect();
+            assert_eq!(now, others, "neighbours keep their places");
+        }
+        assert!(rt.remove_learned(p));
+        assert_eq!(run(&rt), [(RouteSource::Static, 2)]);
+        assert_eq!(rt.lookup(dst).unwrap().iface, ifid(0));
     }
 
     /// Sweep addresses that hit every route boundary in the table plus

@@ -1,6 +1,7 @@
 //! Differential properties for the forwarding plane (DESIGN.md §14):
 //! the flat-trie fast lookup must answer exactly like the linear
-//! first-match oracle over random tables and learned/static churn, and
+//! first-match oracle over random tables and learned/static churn, both
+//! must answer like a model that knows no table order, and
 //! `send_ip` must make one decision per packet — the tunnel map's answer,
 //! then the oracle's route for the outer destination — through route and
 //! tunnel churn, carrying nothing from one packet to the next.
@@ -10,6 +11,7 @@ use netstack::route::{Prefix, Route, RouteSource, RouteTable};
 use netstack::stack::{IfaceConfig, StackAction, StackConfig, TunnelMap};
 use netstack::{IfaceId, Ipv4Packet, NetStack, Proto};
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -53,6 +55,17 @@ fn arb_route_on(ifaces: usize) -> impl Strategy<Value = Route> {
             },
             metric,
         })
+}
+
+/// The table's key as a tuple: longest prefix first, then address, then
+/// metric, then static before learned.
+fn table_key(r: &Route) -> (Reverse<u8>, u32, u8, bool) {
+    (
+        Reverse(r.prefix.len),
+        u32::from(r.prefix.addr),
+        r.metric,
+        r.source == RouteSource::Learned,
+    )
 }
 
 /// One step of table churn.
@@ -247,6 +260,61 @@ proptest! {
                     "fast ≠ linear for {} after {:?} ({} routes)",
                     dst, op, rt.routes().len()
                 );
+            }
+        }
+    }
+
+    /// Whatever sequence of `insert` / `remove` / `remove_learned` built
+    /// it, the table holds the model's routes (one per prefix and source)
+    /// strictly increasing in its key, and on probes at every route
+    /// boundary plus strays both lookups answer like an order-free model:
+    /// the longest containing prefix, then the lowest metric, then static.
+    #[test]
+    fn table_keeps_key_order_and_lookups_match_an_order_free_model(
+        ops in proptest::collection::vec(arb_table_op(), 1..80),
+        strays in proptest::collection::vec(arb_addr(), 4..12),
+    ) {
+        let mut rt = RouteTable::new();
+        let mut model: Vec<Route> = Vec::new();
+        for op in &ops {
+            match op.clone() {
+                TableOp::Insert(r) => {
+                    rt.insert(r);
+                    model.retain(|m| (m.prefix, m.source) != (r.prefix, r.source));
+                    model.push(r);
+                }
+                TableOp::Remove(p) => {
+                    rt.remove(p);
+                    model.retain(|m| m.prefix != p);
+                }
+                TableOp::RemoveLearned(p) => {
+                    rt.remove_learned(p);
+                    model.retain(|m| (m.prefix, m.source) != (p, RouteSource::Learned));
+                }
+            }
+            model.sort_by_key(table_key);
+            prop_assert_eq!(rt.routes(), &model[..], "table differs from the model after {:?}", op);
+            prop_assert!(
+                rt.routes().windows(2).all(|w| table_key(&w[0]) < table_key(&w[1])),
+                "not strictly increasing in the key after {:?}", op
+            );
+            let mut probes = strays.clone();
+            for r in rt.routes() {
+                let base = u32::from(r.prefix.addr);
+                let last = base | (u32::MAX.checked_shr(u32::from(r.prefix.len)).unwrap_or(0));
+                probes.extend(
+                    [base, base ^ 1, last, last.wrapping_add(1), base.wrapping_sub(1)]
+                        .map(Ipv4Addr::from),
+                );
+            }
+            for dst in probes {
+                let want = model
+                    .iter()
+                    .filter(|m| m.prefix.contains(dst))
+                    .min_by_key(|m| (Reverse(m.prefix.len), m.metric, m.source == RouteSource::Learned))
+                    .copied();
+                prop_assert_eq!(rt.lookup_route(dst).copied(), want, "linear lookup of {} after {:?}", dst, op);
+                prop_assert_eq!(rt.lookup_route_fast(dst).copied(), want, "compiled lookup of {} after {:?}", dst, op);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! experience and the §2.4 application gateway (a terminal user
 //! connecting *through* the gateway to a TCP service).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ax25::addr::Ax25Addr;
 use ax25::conn::{ConnEvent, Connection};
@@ -38,7 +38,7 @@ struct BbsSession {
 pub struct BbsServer {
     my_call: Ax25Addr,
     bulletins: Vec<(String, String)>,
-    sessions: HashMap<Ax25Addr, BbsSession>,
+    sessions: BTreeMap<Ax25Addr, BbsSession>,
     report: BbsReport,
 }
 
@@ -51,7 +51,7 @@ impl BbsServer {
                 .iter()
                 .map(|(s, b)| (s.to_string(), b.to_string()))
                 .collect(),
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             report: BbsReport::default(),
         }
     }
@@ -179,13 +179,13 @@ impl App for BbsServer {
                 .on_frame(now, &frame);
             self.drive(now, peer, events, host);
         }
-        let mut due: Vec<Ax25Addr> = self
+        // Fire AX.25 timers, in callsign order.
+        let due: Vec<Ax25Addr> = self
             .sessions
             .iter()
             .filter(|(_, s)| s.conn.next_deadline().is_some_and(|t| t <= now))
             .map(|(p, _)| *p)
             .collect();
-        due.sort();
         for peer in due {
             if let Some(s) = self.sessions.get_mut(&peer) {
                 let events = s.conn.on_timer(now);

@@ -109,7 +109,7 @@ impl BulkSenderProgram {
         let Some(h) = self.sock else {
             return;
         };
-        let Some(info) = cx.host.sock_tcp_info(h) else {
+        let Some(info) = cx.host.stack.sock_tcp_info(h) else {
             return;
         };
         // Keep the report's TCB statistics live (diagnostics read them
@@ -119,14 +119,17 @@ impl BulkSenderProgram {
             return;
         }
         while self.sent < self.total {
-            let cap = cx.host.sock_send_capacity(h);
+            let cap = cx.host.stack.sock_send_capacity(h);
             if cap == 0 {
                 break;
             }
             let n = cap.min(self.total - self.sent).min(CHUNK);
             self.chunk.clear();
             self.chunk.extend((self.sent..self.sent + n).map(pattern));
-            let accepted = cx.host.sock_send(now, h, &self.chunk).unwrap_or(0);
+            let accepted = cx
+                .host
+                .stack_op(now, |st| st.sock_send(now, h, &self.chunk))
+                .unwrap_or(0);
             self.sent += accepted;
             if accepted == 0 {
                 break;
@@ -134,11 +137,11 @@ impl BulkSenderProgram {
         }
         if self.sent >= self.total && !self.closed {
             self.closed = true;
-            let _ = cx.host.sock_shutdown(now, h);
+            let _ = cx.host.stack_op(now, |st| st.sock_shutdown(now, h));
         }
         // Completion: everything (data + FIN) acknowledged.
         if self.closed && self.report.borrow().finished_at.is_none() {
-            let Some(info) = cx.host.sock_tcp_info(h) else {
+            let Some(info) = cx.host.stack.sock_tcp_info(h) else {
                 return;
             };
             if info.unacked == 0
@@ -168,8 +171,12 @@ impl SocketProgram for BulkSenderProgram {
             r.bytes = self.total;
             drop(r);
             let opened = match self.tcp_cfg {
-                Some(cfg) => cx.host.sock_connect_with(now, self.dst, self.port, cfg),
-                None => cx.host.sock_connect(now, self.dst, self.port),
+                Some(cfg) => cx.host.stack_op(now, |st| {
+                    st.sock_connect_with(now, self.dst, self.port, cfg)
+                }),
+                None => cx
+                    .host
+                    .stack_op(now, |st| st.sock_connect(now, self.dst, self.port)),
             };
             if let Ok(h) = opened {
                 cx.watch(h);
@@ -195,7 +202,7 @@ impl SocketProgram for BulkSenderProgram {
             if r.finished_at.is_none() && !r.reset {
                 r.finished_at = Some(now);
             }
-            if let Some(info) = cx.host.sock_tcp_info(h) {
+            if let Some(info) = cx.host.stack.sock_tcp_info(h) {
                 r.tcb = info.stats;
             }
             drop(r);
@@ -264,7 +271,10 @@ impl SocketProgram for BulkSinkProgram {
             return;
         };
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             let offset = &mut self.streams[i].1;
             let mut r = self.report.borrow_mut();
             for &b in &data {

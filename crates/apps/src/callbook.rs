@@ -82,10 +82,13 @@ impl SocketProgram for CallbookServerProgram {
         }
         while let Ok((src, sport, reply)) = cx
             .host
+            .stack
             .sock_recv_from(h, |src, sport, query| (src, sport, self.reply(query)))
         {
             if let Some(reply) = reply {
-                let _ = cx.host.sock_send_to(now, h, src, sport, reply.into_bytes());
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_send_to(h, src, sport, reply.into_bytes()));
             }
         }
     }
@@ -162,9 +165,9 @@ impl CallbookClientProgram {
         };
         self.report.hops += 1;
         let q = format!("?{}", self.callsign);
-        let _ = cx
-            .host
-            .sock_send_to(now, h, server, CALLBOOK_PORT, q.into_bytes());
+        let _ = cx.host.stack_op(now, |st| {
+            st.sock_send_to(h, server, CALLBOOK_PORT, q.into_bytes())
+        });
     }
 }
 
@@ -179,7 +182,7 @@ impl SocketProgram for CallbookClientProgram {
         if Some(h) != self.sock || !ready.readable() {
             return;
         }
-        while let Ok(line) = cx.host.sock_recv_from(h, |_, _, payload| {
+        while let Ok(line) = cx.host.stack.sock_recv_from(h, |_, _, payload| {
             String::from_utf8_lossy(payload).trim().to_string()
         }) {
             let referral = line

@@ -222,6 +222,7 @@ impl SocketProgram for DnsServerProgram {
         }
         while let Ok((src, sport, query)) = cx
             .host
+            .stack
             .sock_recv_from(h, |src, sport, dgram| (src, sport, decode_query(dgram)))
         {
             let Some((id, name)) = query else {
@@ -236,7 +237,9 @@ impl SocketProgram for DnsServerProgram {
                 self.report.nxdomain += 1;
             }
             let resp = encode_response(id, &name, answer);
-            let _ = cx.host.sock_send_to(now, h, src, sport, resp);
+            let _ = cx
+                .host
+                .stack_op(now, |st| st.sock_send_to(h, src, sport, resp));
         }
     }
 }
@@ -363,7 +366,9 @@ impl ResolverProgram {
         let server = self.core.server;
         let query = encode_query(id, &q.name);
         self.core.stats.queries_sent += 1;
-        let _ = cx.host.sock_send_to(now, sock, server, DNS_PORT, query);
+        let _ = cx
+            .host
+            .stack_op(now, |st| st.sock_send_to(sock, server, DNS_PORT, query));
     }
 }
 
@@ -378,6 +383,7 @@ impl SocketProgram for ResolverProgram {
         }
         while let Ok(response) = cx
             .host
+            .stack
             .sock_recv_from(h, |_, _, dgram| decode_response(dgram))
         {
             let Some((id, name, answer)) = response else {

@@ -68,10 +68,10 @@ impl SocketProgram for EchoProgram {
             return;
         }
         if ready.readable() {
-            match cx.host.sock_recv(now, h) {
+            match cx.host.stack_op(now, |st| st.sock_recv(now, h)) {
                 Ok(data) if !data.is_empty() => {
                     self.report.bytes_echoed += data.len() as u64;
-                    let _ = cx.host.sock_send(now, h, &data);
+                    let _ = cx.host.stack_op(now, |st| st.sock_send(now, h, &data));
                 }
                 _ => {}
             }
@@ -120,14 +120,14 @@ impl App for RawEchoServer {
                 self.report.accepted += 1;
             }
             StackAction::TcpReadable(sock) if self.socks.contains(sock) => {
-                let data = host.tcp_recv(now, *sock);
+                let data = host.stack_op(now, |st| st.tcp_recv(now, *sock));
                 if !data.is_empty() {
                     self.report.bytes_echoed += data.len() as u64;
-                    host.tcp_send(now, *sock, &data);
+                    host.stack_op(now, |st| st.tcp_send(now, *sock, &data));
                 }
             }
             StackAction::TcpPeerClosed(sock) if self.socks.contains(sock) => {
-                host.tcp_close(now, *sock);
+                host.stack_op(now, |st| st.tcp_close(now, *sock));
             }
             StackAction::TcpClosed { sock, .. } => {
                 self.socks.remove(sock);

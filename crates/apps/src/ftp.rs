@@ -91,7 +91,7 @@ impl FileServerProgram {
             return;
         };
         while *offset < *size {
-            let cap = cx.host.sock_send_capacity(h);
+            let cap = cx.host.stack.sock_send_capacity(h);
             if cap == 0 {
                 return;
             }
@@ -104,7 +104,10 @@ impl FileServerProgram {
             for (i, b) in chunk[..n].iter_mut().enumerate() {
                 *b = file_byte(name, *offset + i);
             }
-            let accepted = cx.host.sock_send(now, h, &chunk[..n]).unwrap_or(0);
+            let accepted = cx
+                .host
+                .stack_op(now, |st| st.sock_send(now, h, &chunk[..n]))
+                .unwrap_or(0);
             *offset += accepted;
             self.report.bytes_sent += accepted as u64;
             if accepted == 0 {
@@ -136,7 +139,10 @@ impl SocketProgram for FileServerProgram {
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             if let Some(buf) = self.sessions.get_mut(&h) {
                 buf.extend_from_slice(&data);
                 if let Some(line) = crate::take_line(buf, b"\n") {
@@ -145,13 +151,17 @@ impl SocketProgram for FileServerProgram {
                             Some(&size) => {
                                 self.report.serves += 1;
                                 let header = format!("OK {size}\n");
-                                let _ = cx.host.sock_send(now, h, header.as_bytes());
+                                let _ = cx
+                                    .host
+                                    .stack_op(now, |st| st.sock_send(now, h, header.as_bytes()));
                                 self.sending.push((h, name.to_string(), 0, size));
                                 self.pump_send(now, h, cx);
                             }
                             None => {
                                 self.report.not_found += 1;
-                                let _ = cx.host.sock_send(now, h, b"ERR no such file\n");
+                                let _ = cx.host.stack_op(now, |st| {
+                                    st.sock_send(now, h, b"ERR no such file\n")
+                                });
                                 self.sessions.remove(&h);
                                 cx.close(now, h);
                             }
@@ -262,11 +272,16 @@ impl SocketProgram for FileClientProgram {
         if !self.sent_req && ready.writable() {
             self.sent_req = true;
             let req = format!("GET {}\n", self.name);
-            let _ = cx.host.sock_send(now, h, req.as_bytes());
+            let _ = cx
+                .host
+                .stack_op(now, |st| st.sock_send(now, h, req.as_bytes()));
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             self.buf.extend_from_slice(&data);
             if !self.header_done {
                 if let Some(line) = crate::take_line(&mut self.buf, b"\n") {

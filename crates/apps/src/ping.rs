@@ -84,7 +84,7 @@ impl App for Pinger {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            host.ping(now, self.dst, self.id, seq, self.payload_len);
+            host.stack_op(now, |st| st.ping(self.dst, self.id, seq, self.payload_len));
             self.in_flight.insert(seq, now);
             let mut r = self.report.borrow_mut();
             r.sent += 1;

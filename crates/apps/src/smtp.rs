@@ -120,12 +120,17 @@ impl SocketProgram for SmtpServerProgram {
                 self.report.sessions += 1;
                 self.sessions.insert(sess, SmtpSession::default());
                 let banner = format!("220 {} SMTP ready\r\n", self.hostname);
-                let _ = cx.host.sock_send(now, sess, banner.as_bytes());
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_send(now, sess, banner.as_bytes()));
             }
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             let Some(session) = self.sessions.get_mut(&h) else {
                 return;
             };
@@ -137,7 +142,9 @@ impl SocketProgram for SmtpServerProgram {
             {
                 let (reply, close) = self.handle_line(h, line.trim_end());
                 if !reply.is_empty() {
-                    let _ = cx.host.sock_send(now, h, reply.as_bytes());
+                    let _ = cx
+                        .host
+                        .stack_op(now, |st| st.sock_send(now, h, reply.as_bytes()));
                 }
                 if close {
                     self.sessions.remove(&h);
@@ -232,7 +239,10 @@ impl SocketProgram for SmtpClientProgram {
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             self.buf.extend_from_slice(&data);
             while let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                 let line = line.trim_end();
@@ -244,7 +254,9 @@ impl SocketProgram for SmtpClientProgram {
                 // Every server reply advances the script one command.
                 if line.starts_with('2') || line.starts_with('3') {
                     if let Some(cmd) = self.next_command() {
-                        let _ = cx.host.sock_send(now, h, cmd.as_bytes());
+                        let _ = cx
+                            .host
+                            .stack_op(now, |st| st.sock_send(now, h, cmd.as_bytes()));
                     }
                 }
                 if line.starts_with("221") {

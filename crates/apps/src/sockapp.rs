@@ -36,7 +36,9 @@ type WatchList = Vec<(SocketHandle, u8)>;
 /// the runtime's watch list. Handles created through the `SockCtx` verbs
 /// are watched automatically; [`SockCtx::close`] unwatches.
 pub struct SockCtx<'a> {
-    /// The owning host (full socket API available as `sock_*` methods).
+    /// The owning host: `host.stack_op(now, |st| st.sock_send(…))` runs
+    /// any other verb and routes what it provoked; reads such as
+    /// `host.stack.sock_poll(h)` go to the stack directly.
     pub host: &'a mut Host,
     watched: &'a mut WatchList,
 }
@@ -62,7 +64,9 @@ impl SockCtx<'_> {
         port: u16,
         backlog: Option<usize>,
     ) -> Result<SocketHandle, SockError> {
-        let h = self.host.sock_listen(now, port, backlog)?;
+        let h = self
+            .host
+            .stack_op(now, |st| st.sock_listen(port, backlog))?;
         self.watch(h);
         Ok(h)
     }
@@ -74,7 +78,9 @@ impl SockCtx<'_> {
         dst: Ipv4Addr,
         port: u16,
     ) -> Result<SocketHandle, SockError> {
-        let h = self.host.sock_connect(now, dst, port)?;
+        let h = self
+            .host
+            .stack_op(now, |st| st.sock_connect(now, dst, port))?;
         self.watch(h);
         Ok(h)
     }
@@ -86,14 +92,14 @@ impl SockCtx<'_> {
         now: SimTime,
         listener: SocketHandle,
     ) -> Result<SocketHandle, SockError> {
-        let h = self.host.sock_accept(now, listener)?;
+        let h = self.host.stack_op(now, |st| st.sock_accept(listener))?;
         self.watch(h);
         Ok(h)
     }
 
     /// Opens a watched datagram socket.
     pub fn bind_udp(&mut self, now: SimTime, port: u16) -> Result<SocketHandle, SockError> {
-        let h = self.host.sock_bind_udp(now, port)?;
+        let h = self.host.stack_op(now, |st| st.sock_bind_udp(port))?;
         self.watch(h);
         Ok(h)
     }
@@ -101,7 +107,7 @@ impl SockCtx<'_> {
     /// Closes and unwatches a handle.
     pub fn close(&mut self, now: SimTime, h: SocketHandle) {
         self.unwatch(h);
-        self.host.sock_close(now, h);
+        self.host.stack_op(now, |st| st.sock_close(now, h));
     }
 }
 
@@ -161,7 +167,7 @@ impl<P: SocketProgram> SockApp<P> {
             let mut idx = 0;
             while idx < watched.len() {
                 let (h, prev) = watched[idx];
-                let mask = host.sock_poll(h);
+                let mask = host.stack.sock_poll(h);
                 let rising = mask.bits() & !prev;
                 let level = round == 0 && !mask.is_empty();
                 watched[idx].1 = mask.bits();

@@ -111,12 +111,17 @@ impl SocketProgram for TelnetServerProgram {
                 self.sessions
                     .insert(sess, (LoginState::AwaitLogin, Vec::new()));
                 let banner = format!("4.3 BSD UNIX ({})\r\n\r\nlogin: ", self.hostname);
-                let _ = cx.host.sock_send(now, sess, banner.as_bytes());
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_send(now, sess, banner.as_bytes()));
             }
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             let Some((mut state, mut buf)) = self.sessions.remove(&h) else {
                 return;
             };
@@ -129,7 +134,9 @@ impl SocketProgram for TelnetServerProgram {
                     continue;
                 }
                 let (reply, close) = self.respond(&mut state, line);
-                let _ = cx.host.sock_send(now, h, reply.as_bytes());
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_send(now, h, reply.as_bytes()));
                 if close {
                     cx.close(now, h);
                     return;
@@ -220,7 +227,9 @@ impl TelnetClientProgram {
             self.pending.drain(..pos + expect.len());
             self.report.lines_sent += 1;
             self.step += 1;
-            let _ = cx.host.sock_send(now, h, send.as_bytes());
+            let _ = cx
+                .host
+                .stack_op(now, |st| st.sock_send(now, h, send.as_bytes()));
         }
     }
 }
@@ -235,7 +244,10 @@ impl SocketProgram for TelnetClientProgram {
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             let text = String::from_utf8_lossy(&data);
             self.pending.push_str(&text);
             self.report.transcript.push_str(&text);

@@ -106,7 +106,7 @@ impl TypistProgram {
             return;
         }
         let key = [b'a' + (sent % 26) as u8];
-        let _ = cx.host.sock_send(now, sock, &key);
+        let _ = cx.host.stack_op(now, |st| st.sock_send(now, sock, &key));
         self.report.sent += 1;
         self.sent_at = Some(now);
         self.awaiting = 1;
@@ -140,7 +140,10 @@ impl SocketProgram for TypistProgram {
             return;
         }
         if ready.readable() {
-            let data = cx.host.sock_recv(now, h).unwrap_or_default();
+            let data = cx
+                .host
+                .stack_op(now, |st| st.sock_recv(now, h))
+                .unwrap_or_default();
             if !data.is_empty() && self.awaiting > 0 {
                 // Stop-and-wait: one outstanding key, so any readable
                 // data completes it.
@@ -158,7 +161,7 @@ impl SocketProgram for TypistProgram {
                     // Last echo in hand: half-close, let the server's FIN
                     // and TIME_WAIT run out, and finish on the HANGUP
                     // edge below.
-                    let _ = cx.host.sock_shutdown(now, h);
+                    let _ = cx.host.stack_op(now, |st| st.sock_shutdown(now, h));
                 } else {
                     self.strike(now, cx);
                 }

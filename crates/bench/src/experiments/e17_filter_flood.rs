@@ -191,7 +191,7 @@ fn attack(flood: bool, filtered: bool) -> Outcome {
         };
         s.world
             .host_mut(s.pc)
-            .send_gate_message(now, GW_RADIO_IP, msg);
+            .stack_op(now, |st| st.send_icmp(GW_RADIO_IP, msg));
         open = !open;
     }
 

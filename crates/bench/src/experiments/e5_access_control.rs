@@ -56,7 +56,9 @@ pub fn run(x: &mut Report) {
 
     // Phase 2: the amateur initiates — the return path opens.
     let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 2, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 2, 1, 16));
     s.world.run_for(SimDuration::from_secs(30));
     phases.push(("2 after amateur initiates", probe(&mut s, 3, 2)));
 
@@ -66,29 +68,31 @@ pub fn run(x: &mut Report) {
 
     // Phase 4: the operator re-opens by message, then force-closes.
     let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 600,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.pc).stack_op(now, |st| {
+        st.send_icmp(
+            GW_RADIO_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 600,
+                auth: None,
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(30));
     phases.push(("4 GateOpen from amateur", probe(&mut s, 5, 1)));
 
     let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateClose {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.pc).stack_op(now, |st| {
+        st.send_icmp(
+            GW_RADIO_IP,
+            IcmpMessage::GateClose {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                auth: None,
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(30));
     phases.push(("5 GateClose (control op)", probe(&mut s, 6, 2)));
 
@@ -105,16 +109,17 @@ pub fn run(x: &mut Report) {
         ),
     ] {
         let now = s.world.now;
-        s.world.host_mut(s.ether_host).send_gate_message(
-            now,
-            GW_ETHER_IP,
-            IcmpMessage::GateOpen {
-                amateur: PC_IP,
-                foreign: ETHER_HOST_IP,
-                ttl_secs: 600,
-                auth,
-            },
-        );
+        s.world.host_mut(s.ether_host).stack_op(now, |st| {
+            st.send_icmp(
+                GW_ETHER_IP,
+                IcmpMessage::GateOpen {
+                    amateur: PC_IP,
+                    foreign: ETHER_HOST_IP,
+                    ttl_secs: 600,
+                    auth,
+                },
+            )
+        });
         s.world.run_for(SimDuration::from_secs(10));
         phases.push((name, probe(&mut s, id, 1)));
     }

@@ -29,7 +29,9 @@ pub fn run(x: &mut Report) {
         authorize_inbound(&mut s);
         // Warm ARP both ways first.
         let now = s.world.now;
-        s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 8);
+        s.world
+            .host_mut(s.pc)
+            .stack_op(now, |st| st.ping(ETHER_HOST_IP, 1, 1, 8));
         s.world.run_for(SimDuration::from_secs(30));
 
         let frags_before = s.world.host(s.gw).pr_driver().unwrap().stats().ip_out;

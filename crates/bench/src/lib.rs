@@ -249,16 +249,17 @@ pub fn two_coast(mode: RouteMode, cfg: &PaperConfig, seed: u64) -> TwoCoast {
 /// Ethernet host for four hours.
 pub fn authorize_inbound(s: &mut PaperScenario) {
     let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 14_400,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.pc).stack_op(now, |st| {
+        st.send_icmp(
+            GW_RADIO_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 14_400,
+                auth: None,
+            },
+        )
+    });
 }
 
 /// A `PaperConfig` with no filter on the gateway — routing/latency

@@ -253,7 +253,7 @@ fn world_denied_transit() {
             let now = s.world.now;
             s.world
                 .host_mut(s.ether_host)
-                .udp_send(now, udp, scenario::PC_IP, 9, vec![0; 20]);
+                .stack_op(now, |st| st.udp_send(udp, scenario::PC_IP, 9, vec![0; 20]));
             s.world.run_for(SimDuration::from_millis(5));
         }
     };
@@ -332,7 +332,8 @@ fn world_ether_forward() {
     let send = |w: &mut World, n: u64| {
         for _ in 0..n {
             let now = w.now;
-            w.host_mut(a).udp_send(now, tx, b_ip, 9, vec![0; 20]);
+            w.host_mut(a)
+                .stack_op(now, |st| st.udp_send(tx, b_ip, 9, vec![0; 20]));
             w.run_for(SimDuration::from_millis(5));
             let got = w
                 .host_mut(b)

@@ -14,7 +14,7 @@
 //! paper's answer to "isolating themselves from the users that can't run
 //! IP" (§1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ax25::addr::Ax25Addr;
@@ -52,7 +52,7 @@ pub struct AppGateway {
     my_call: Ax25Addr,
     /// Where bridged sessions connect (e.g. the Ethernet host's telnet).
     target: (Ipv4Addr, u16),
-    sessions: HashMap<Ax25Addr, Session>,
+    sessions: BTreeMap<Ax25Addr, Session>,
     /// What the bridge has done, read through `World::app`.
     pub report: AppGwReport,
 }
@@ -63,7 +63,7 @@ impl AppGateway {
         AppGateway {
             my_call,
             target,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             report: AppGwReport::default(),
         }
     }
@@ -85,7 +85,10 @@ impl AppGateway {
                     // Open the TCP leg.
                     if let Some(session) = self.sessions.get_mut(&peer) {
                         if session.sock.is_none() {
-                            if let Ok(sock) = host.tcp_connect(now, self.target.0, self.target.1) {
+                            let (dst, port) = self.target;
+                            if let Ok(sock) =
+                                host.stack_op(now, |st| st.tcp_connect(now, dst, port))
+                            {
                                 session.sock = Some(sock);
                             }
                         }
@@ -96,7 +99,7 @@ impl AppGateway {
                         if session.sock_connected {
                             if let Some(sock) = session.sock {
                                 self.report.bytes_to_tcp += data.len() as u64;
-                                host.tcp_send(now, sock, &data);
+                                host.stack_op(now, |st| st.tcp_send(now, sock, &data));
                             }
                         } else {
                             session.pending_to_tcp.extend_from_slice(&data);
@@ -107,7 +110,7 @@ impl AppGateway {
                     self.report.sessions_closed += 1;
                     if let Some(session) = self.sessions.remove(&peer) {
                         if let Some(sock) = session.sock {
-                            host.tcp_close(now, sock);
+                            host.stack_op(now, |st| st.tcp_close(now, sock));
                         }
                     }
                 }
@@ -147,15 +150,13 @@ impl App for AppGateway {
                 .on_frame(now, &frame);
             self.drive_conn_events(now, peer, events, host);
         }
-        // Fire AX.25 timers (sorted: HashMap order must not leak into the
-        // simulation).
-        let mut due: Vec<Ax25Addr> = self
+        // Fire AX.25 timers, in callsign order.
+        let due: Vec<Ax25Addr> = self
             .sessions
             .iter()
             .filter(|(_, s)| s.conn.next_deadline().is_some_and(|t| t <= now))
             .map(|(p, _)| *p)
             .collect();
-        due.sort();
         for peer in due {
             let events = self
                 .sessions
@@ -176,13 +177,13 @@ impl App for AppGateway {
                     let pending = std::mem::take(&mut session.pending_to_tcp);
                     if !pending.is_empty() {
                         self.report.bytes_to_tcp += pending.len() as u64;
-                        host.tcp_send(now, *sock, &pending);
+                        host.stack_op(now, |st| st.tcp_send(now, *sock, &pending));
                     }
                 }
             }
             StackAction::TcpReadable(sock) => {
                 if let Some(peer) = self.session_for_sock(*sock) {
-                    let data = host.tcp_recv(now, *sock);
+                    let data = host.stack_op(now, |st| st.tcp_recv(now, *sock));
                     if !data.is_empty() {
                         self.report.bytes_to_radio += data.len() as u64;
                         let session = self.sessions.get_mut(&peer).expect("present");

@@ -22,9 +22,7 @@ use ax25::frame::Frame;
 use ether::{EtherFrame, MacAddr};
 use filter::{FilterConfig, FilterEngine, FilterStats};
 use netstack::icmp::IcmpMessage;
-use netstack::socket::{Readiness, SockError, SocketHandle, TcpInfo};
-use netstack::stack::{IfaceConfig, IfaceId, NetStack, SockId, StackAction, StackConfig};
-use netstack::NetError;
+use netstack::stack::{IfaceConfig, IfaceId, NetStack, StackAction, StackConfig};
 use sim::SimTime;
 
 use crate::cpu::{Cpu, CpuConfig};
@@ -92,8 +90,8 @@ impl HostConfig {
 pub struct Host {
     /// Hostname.
     pub name: String,
-    /// The TCP/IP stack, sockets included (DESIGN.md §10): apps that speak
-    /// sockets go through the `sock_*` wrappers below.
+    /// The TCP/IP stack, sockets included (DESIGN.md §10): its verbs run
+    /// through [`Host::stack_op`], its reads directly.
     pub stack: NetStack,
     /// The CPU cost model.
     pub cpu: Cpu,
@@ -476,14 +474,9 @@ impl Host {
         }
     }
 
-    /// Takes pending Ethernet output.
-    pub fn take_outbox(&mut self) -> Vec<EtherFrame> {
-        std::mem::take(&mut self.outbox)
-    }
-
     /// Hands pending Ethernet output over by swapping it with `empty`, so
     /// the caller's drained buffer (and its capacity) becomes the next
-    /// outbox — the allocation-free form of [`Host::take_outbox`].
+    /// outbox.
     pub fn swap_outbox(&mut self, empty: &mut Vec<EtherFrame>) {
         debug_assert!(empty.is_empty());
         std::mem::swap(&mut self.outbox, empty);
@@ -495,14 +488,8 @@ impl Host {
         &mut self.tty_outq
     }
 
-    /// Takes application-visible stack events.
-    pub fn take_events(&mut self) -> Vec<StackAction> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Hands the pending events over by swapping them with `empty` — the
-    /// allocation-free form of [`Host::take_events`], as
-    /// [`Host::swap_outbox`] is of [`Host::take_outbox`].
+    /// Hands the application-visible stack events over by swapping them
+    /// with `empty`, as [`Host::swap_outbox`] does the Ethernet output.
     pub fn swap_events(&mut self, empty: &mut Vec<StackAction>) {
         debug_assert!(empty.is_empty());
         std::mem::swap(&mut self.events, empty);
@@ -517,11 +504,11 @@ impl Host {
 
     /// Handles every action the stack has queued: egress goes to drivers,
     /// forwards go back to the stack, app events accumulate for
-    /// [`Host::take_events`]. The queue is taken a round at a time by
+    /// [`Host::swap_events`]. The queue is taken a round at a time by
     /// swapping buffers; what handling a round appends (a forward's egress
     /// or ICMP error) is the next round — the same first-in-first-out
     /// order as one queue appended to while it drains.
-    pub fn handle_actions(&mut self, now: SimTime) {
+    fn handle_actions(&mut self, now: SimTime) {
         let mut round = std::mem::take(&mut self.round);
         while !self.stack.actions_empty() {
             self.stack.swap_actions(&mut round);
@@ -586,192 +573,24 @@ impl Host {
         }
     }
 
-    /// Runs one stack operation and routes whatever actions it produced.
-    /// Every user-level wrapper below funnels through this: op, drain,
-    /// handle.
-    fn run_stack_op<R>(&mut self, now: SimTime, op: impl FnOnce(&mut NetStack) -> R) -> R {
+    /// Runs one stack verb and routes the actions it provoked: egress
+    /// reaches the drivers before this returns, as a BSD socket call's
+    /// output reaches `if_output` inside the call (DESIGN.md §10). Every
+    /// verb that can queue an action (connect, send, recv, accept,
+    /// shutdown, close, `ping`, the raw `tcp_*`/`udp_send*`) runs through
+    /// here; reads that queue nothing (`sock_poll`, `sock_recv_from`,
+    /// `udp_recv`…) go to [`Host::stack`] directly.
+    pub fn stack_op<R>(&mut self, now: SimTime, op: impl FnOnce(&mut NetStack) -> R) -> R {
         let r = op(&mut self.stack);
         self.handle_actions(now);
         r
     }
 
-    /// Sends a ping.
-    pub fn ping(&mut self, now: SimTime, dst: Ipv4Addr, id: u16, seq: u16, len: usize) {
-        self.run_stack_op(now, |st| st.ping(dst, id, seq, len));
-    }
-
-    /// Opens a TCP connection.
-    pub fn tcp_connect(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        port: u16,
-    ) -> Result<SockId, NetError> {
-        self.run_stack_op(now, |st| st.tcp_connect(now, dst, port))
-    }
-
-    /// Sends on a TCP socket; returns octets accepted.
-    pub fn tcp_send(&mut self, now: SimTime, sock: SockId, data: &[u8]) -> usize {
-        self.run_stack_op(now, |st| st.tcp_send(now, sock, data))
-    }
-
-    /// Reads from a TCP socket.
-    pub fn tcp_recv(&mut self, now: SimTime, sock: SockId) -> Vec<u8> {
-        self.run_stack_op(now, |st| st.tcp_recv(now, sock))
-    }
-
-    /// Closes a TCP socket's send side.
-    pub fn tcp_close(&mut self, now: SimTime, sock: SockId) {
-        self.run_stack_op(now, |st| st.tcp_close(now, sock));
-    }
-
-    /// Sends a UDP datagram from a bound socket.
-    pub fn udp_send(
-        &mut self,
-        now: SimTime,
-        udp: netstack::stack::UdpId,
-        dst: Ipv4Addr,
-        port: u16,
-        payload: Vec<u8>,
-    ) {
-        self.run_stack_op(now, |st| st.udp_send(udp, dst, port, payload));
-    }
-
-    /// Broadcasts a UDP datagram on one interface (the RIP44 announcement
-    /// path): no route lookup, the link layer sends to the all-stations
-    /// address.
-    pub fn udp_broadcast(
-        &mut self,
-        now: SimTime,
-        udp: netstack::stack::UdpId,
-        iface: IfaceId,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        self.run_stack_op(now, |st| {
-            st.udp_send_broadcast(udp, iface, dst_port, payload)
-        });
-    }
-
-    /// Sends a §4.3 gateway-control message toward `dst`.
+    /// Sends a §4.3 gateway-control message toward `dst`: `stack_op` on
+    /// `send_icmp`, kept only because `benchmarks/` names it (ROADMAP
+    /// 2(a)); in-repo code calls `stack_op`.
     pub fn send_gate_message(&mut self, now: SimTime, dst: Ipv4Addr, msg: IcmpMessage) {
-        self.run_stack_op(now, |st| st.send_icmp(dst, msg));
-    }
-
-    // --- Socket layer (DESIGN.md §10) ----------------------------------------
-    //
-    // The BSD-flavored verbs: each runs the stack's `sock_*` verb and
-    // routes whatever actions it provoked, exactly like the raw wrappers
-    // above.
-
-    /// `socket`+`bind`+`listen`: passive TCP socket on `port`, with an
-    /// optional accept-queue bound (overflow SYNs are refused with RST).
-    pub fn sock_listen(
-        &mut self,
-        now: SimTime,
-        port: u16,
-        backlog: Option<usize>,
-    ) -> Result<SocketHandle, SockError> {
-        self.run_stack_op(now, |st| st.sock_listen(port, backlog))
-    }
-
-    /// Active open; the handle turns WRITABLE on handshake completion or
-    /// ERROR-ready on refusal/unreachable/timeout.
-    pub fn sock_connect(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        port: u16,
-    ) -> Result<SocketHandle, SockError> {
-        self.run_stack_op(now, |st| st.sock_connect(now, dst, port))
-    }
-
-    /// [`Host::sock_connect`] with this connection's own TCP configuration.
-    pub fn sock_connect_with(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        port: u16,
-        cfg: netstack::tcp::TcpConfig,
-    ) -> Result<SocketHandle, SockError> {
-        self.run_stack_op(now, |st| st.sock_connect_with(now, dst, port, cfg))
-    }
-
-    /// Pops one completed connection off a listener.
-    pub fn sock_accept(
-        &mut self,
-        now: SimTime,
-        h: SocketHandle,
-    ) -> Result<SocketHandle, SockError> {
-        self.run_stack_op(now, |st| st.sock_accept(h))
-    }
-
-    /// Queues bytes on a stream; `Ok(n)` is the count accepted.
-    pub fn sock_send(
-        &mut self,
-        now: SimTime,
-        h: SocketHandle,
-        data: &[u8],
-    ) -> Result<usize, SockError> {
-        self.run_stack_op(now, |st| st.sock_send(now, h, data))
-    }
-
-    /// Drains readable bytes; `Ok(empty)` is EOF.
-    pub fn sock_recv(&mut self, now: SimTime, h: SocketHandle) -> Result<Vec<u8>, SockError> {
-        self.run_stack_op(now, |st| st.sock_recv(now, h))
-    }
-
-    /// Half-close: sends FIN, keeps the read side open.
-    pub fn sock_shutdown(&mut self, now: SimTime, h: SocketHandle) -> Result<(), SockError> {
-        self.run_stack_op(now, |st| st.sock_shutdown(now, h))
-    }
-
-    /// Releases the handle (orderly close for streams still open).
-    pub fn sock_close(&mut self, now: SimTime, h: SocketHandle) {
-        self.run_stack_op(now, |st| st.sock_close(now, h));
-    }
-
-    /// `socket`+`bind` for datagrams.
-    pub fn sock_bind_udp(&mut self, now: SimTime, port: u16) -> Result<SocketHandle, SockError> {
-        self.run_stack_op(now, |st| st.sock_bind_udp(port))
-    }
-
-    /// Sends one datagram.
-    pub fn sock_send_to(
-        &mut self,
-        now: SimTime,
-        h: SocketHandle,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) -> Result<(), SockError> {
-        self.run_stack_op(now, |st| st.sock_send_to(h, dst, dst_port, payload))
-    }
-
-    /// Receives one datagram: lends `(source, source port, payload)` to
-    /// `f` for the one call, then gives the buffer it arrived in back to
-    /// this host's pool ([`NetStack::sock_recv_from`]).
-    pub fn sock_recv_from<R>(
-        &mut self,
-        h: SocketHandle,
-        f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
-    ) -> Result<R, SockError> {
-        self.stack.sock_recv_from(h, f)
-    }
-
-    /// Readiness mask for one handle (pure, no side effects).
-    pub fn sock_poll(&self, h: SocketHandle) -> Readiness {
-        self.stack.sock_poll(h)
-    }
-
-    /// Room in a stream's send buffer (bulk senders pump on WRITABLE).
-    pub fn sock_send_capacity(&self, h: SocketHandle) -> usize {
-        self.stack.sock_send_capacity(h)
-    }
-
-    /// A stream's state, unacknowledged octets and TCB counters.
-    pub fn sock_tcp_info(&self, h: SocketHandle) -> Option<TcpInfo> {
-        self.stack.sock_tcp_info(h)
+        self.stack_op(now, |st| st.send_icmp(dst, msg));
     }
 
     /// Sends a raw AX.25 frame from "user space" via the radio driver
@@ -886,7 +705,9 @@ mod tests {
     #[test]
     fn ping_from_radio_host_emits_arp_first() {
         let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
-        h.ping(SimTime::ZERO, Ipv4Addr::new(44, 24, 0, 28), 1, 1, 32);
+        h.stack_op(SimTime::ZERO, |st| {
+            st.ping(Ipv4Addr::new(44, 24, 0, 28), 1, 1, 32)
+        });
         let [f] = &sent_frames(&mut h)[..] else {
             panic!("one frame");
         };
@@ -1019,19 +840,23 @@ mod tests {
         let mut h = Host::new(cfg);
         let start = SimTime::ZERO;
         let sock = h
-            .tcp_connect(start, Ipv4Addr::new(128, 95, 1, 77), 23)
+            .stack_op(start, |st| {
+                st.tcp_connect(start, Ipv4Addr::new(128, 95, 1, 77), 23)
+            })
             .unwrap();
         let limit = netstack::stack::CONNECT_TIMEOUT;
         let mut closed = None;
+        let (mut out, mut events) = (Vec::new(), Vec::new());
         while let Some(t) = h.next_deadline().filter(|&t| t <= start + limit + limit) {
             h.advance(t);
-            h.take_outbox();
-            if h.take_events()
-                .contains(&StackAction::TcpClosed { sock, reset: true })
-            {
+            h.swap_outbox(&mut out);
+            out.clear();
+            h.swap_events(&mut events);
+            if events.contains(&StackAction::TcpClosed { sock, reset: true }) {
                 closed = Some(t);
                 break;
             }
+            events.clear();
         }
         assert_eq!(closed, Some(start + limit));
     }
@@ -1049,8 +874,11 @@ mod tests {
         assert!(h.ether_iface().is_some());
         assert_eq!(h.mac(), Some(MacAddr::local(9)));
         // Pinging a neighbour emits an Ethernet ARP broadcast.
-        h.ping(SimTime::ZERO, Ipv4Addr::new(128, 95, 1, 1), 1, 1, 8);
-        let out = h.take_outbox();
+        h.stack_op(SimTime::ZERO, |st| {
+            st.ping(Ipv4Addr::new(128, 95, 1, 1), 1, 1, 8)
+        });
+        let mut out = Vec::new();
+        h.swap_outbox(&mut out);
         let [f] = &out[..] else {
             panic!("{out:?}");
         };
@@ -1158,7 +986,9 @@ mod tests {
                     let Some(t) = h.next_deadline() else { break };
                     h.advance(t);
                 }
-                format!("{:?} {:?} {:?}", h.stack.stats(), h.take_events(), h.tty_outq())
+                let mut events = Vec::new();
+                h.swap_events(&mut events);
+                format!("{:?} {:?} {:?}", h.stack.stats(), events, h.tty_outq())
             };
             let want = delivered(&mut per_char);
             proptest::prop_assert_eq!(delivered(&mut whole), want.clone(), "one run: {:?}", kinds);

@@ -273,7 +273,9 @@ impl App for Rip44Service {
                         origin,
                         entries: set.entries.clone(),
                     };
-                    host.udp_broadcast(now, udp, set.iface, self.cfg.port, update.encode());
+                    host.stack_op(now, |st| {
+                        st.udp_send_broadcast(udp, set.iface, self.cfg.port, update.encode())
+                    });
                     self.stats.sent += 1;
                 }
             }

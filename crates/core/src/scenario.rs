@@ -113,7 +113,9 @@ pub struct PaperScenario {
 ///
 /// let mut s = paper_topology(PaperConfig::default(), 42);
 /// let now = s.world.now;
-/// s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 32);
+/// s.world
+///     .host_mut(s.pc)
+///     .stack_op(now, |st| st.ping(ETHER_HOST_IP, 1, 1, 32));
 /// s.world.run_for(SimDuration::from_secs(60));
 /// // The gateway forwarded the request and the reply.
 /// assert!(s.world.host(s.gw).stack.stats().forwarded >= 2);
@@ -868,7 +870,9 @@ mod tests {
     fn digi_chain_ping_traverses_the_chain() {
         let mut s = digi_chain_topology(2, PaperConfig::default(), 3);
         let now = s.world.now;
-        s.world.host_mut(s.pc).ping(now, GW_RADIO_IP, 5, 1, 16);
+        s.world
+            .host_mut(s.pc)
+            .stack_op(now, |st| st.ping(GW_RADIO_IP, 5, 1, 16));
         s.world.run_for(SimDuration::from_secs(120));
         let events = s.world.take_events();
         let rtt = events
@@ -934,7 +938,7 @@ mod tests {
         let now = s.world.now;
         s.world
             .host_mut(s.internet_host)
-            .ping(now, mesh_addrs::EAST_HOST, 9, 2, 32);
+            .stack_op(now, |st| st.ping(mesh_addrs::EAST_HOST, 9, 2, 32));
         s.world.run_for(SimDuration::from_secs(60));
         let events = s.world.take_events();
         assert!(
@@ -984,7 +988,7 @@ mod tests {
         let now = s.world.now;
         s.world
             .host_mut(s.internet_host)
-            .ping(now, mesh_addrs::EAST_HOST, 10, 2, 32);
+            .stack_op(now, |st| st.ping(mesh_addrs::EAST_HOST, 10, 2, 32));
         s.world.run_for(SimDuration::from_secs(120));
         let events = s.world.take_events();
         assert!(
@@ -1009,7 +1013,9 @@ mod tests {
     fn zero_digi_chain_still_works_direct() {
         let mut s = digi_chain_topology(0, PaperConfig::default(), 3);
         let now = s.world.now;
-        s.world.host_mut(s.pc).ping(now, GW_RADIO_IP, 5, 1, 16);
+        s.world
+            .host_mut(s.pc)
+            .stack_op(now, |st| st.ping(GW_RADIO_IP, 5, 1, 16));
         s.world.run_for(SimDuration::from_secs(60));
         let events = s.world.take_events();
         assert!(events

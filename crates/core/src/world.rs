@@ -935,7 +935,9 @@ mod tests {
             .iface(s.world.host(s.ether_host).ether_iface().unwrap())
             .addr;
         let now = s.world.now;
-        s.world.host_mut(s.pc).ping(now, eth_ip, 7, 1, 32);
+        s.world
+            .host_mut(s.pc)
+            .stack_op(now, |st| st.ping(eth_ip, 7, 1, 32));
         s.world.run_for(SimDuration::from_secs(60));
         let events = s.world.take_events();
         let reply = events.iter().find_map(|(h, t, e)| match e {
@@ -954,7 +956,9 @@ mod tests {
             let mut s = scenario::paper_topology(scenario::PaperConfig::default(), 7);
             let eth_ip = scenario::ETHER_HOST_IP;
             let now = s.world.now;
-            s.world.host_mut(s.pc).ping(now, eth_ip, 1, 1, 64);
+            s.world
+                .host_mut(s.pc)
+                .stack_op(now, |st| st.ping(eth_ip, 1, 1, 64));
             s.world.run_for(SimDuration::from_secs(60));
             let events = s.world.take_events();
             assert!(
@@ -983,7 +987,7 @@ mod tests {
         let now = s.world.now;
         s.world
             .host_mut(s.pc)
-            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+            .stack_op(now, |st| st.ping(scenario::ETHER_HOST_IP, 7, 1, 32));
         s.world.run_until_reference(SimTime::from_secs(600));
         let replies = s
             .world
@@ -1004,7 +1008,7 @@ mod tests {
         let now = s.world.now;
         s.world
             .host_mut(s.pc)
-            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+            .stack_op(now, |st| st.ping(scenario::ETHER_HOST_IP, 7, 1, 32));
         // The ping's KISS frame is on its way down the PC's line.
         s.world.run_for(SimDuration::from_millis(20));
         let line = s.world.host_serial_line(s.pc).expect("radio host");
@@ -1078,7 +1082,7 @@ mod tests {
         // An amateur-initiated exchange opens the gate (TTL 600 s).
         s.world
             .host_mut(s.pc)
-            .ping(now, scenario::ETHER_HOST_IP, 7, 1, 32);
+            .stack_op(now, |st| st.ping(scenario::ETHER_HOST_IP, 7, 1, 32));
         s.world.run_for(SimDuration::from_secs(30));
         let gate = s.world.host(s.gw).filter_engine().expect("gateway filter");
         let far = gate.next_deadline().expect("a live gate entry");
@@ -1106,7 +1110,7 @@ mod tests {
             let now = s.world.now;
             s.world
                 .host_mut(s.ether_host)
-                .udp_send(now, udp, stranger, 9, vec![0; 20]);
+                .stack_op(now, |st| st.udp_send(udp, stranger, 9, vec![0; 20]));
             s.world.run_for(SimDuration::from_millis(5));
             let len = s.world.calendar_len();
             assert!(len <= components, "{len} entries, {components} components");
@@ -1133,7 +1137,7 @@ mod tests {
     impl App for Sender {
         fn poll(&mut self, now: SimTime, host: &mut Host) {
             while self.left > 0 && self.next <= now {
-                host.udp_send(now, self.udp, self.to, 9, vec![0; 20]);
+                host.stack_op(now, |st| st.udp_send(self.udp, self.to, 9, vec![0; 20]));
                 self.next += self.gap;
                 self.left -= 1;
             }

@@ -41,7 +41,7 @@ impl App for ScriptedPinger {
         while self.times.first().is_some_and(|&t| t <= now) {
             self.times.remove(0);
             self.seq += 1;
-            host.ping(now, self.dst, 0x5c4e, self.seq, 64);
+            host.stack_op(now, |st| st.ping(self.dst, 0x5c4e, self.seq, 64));
         }
     }
 
@@ -717,7 +717,7 @@ impl App for Commanded {
             .chain(self.orders.drain(..))
         {
             self.seq += 1;
-            host.ping(now, dst, 0xc0de, self.seq, 64);
+            host.stack_op(now, |st| st.ping(dst, 0xc0de, self.seq, 64));
         }
     }
 }
@@ -756,7 +756,7 @@ fn mutations_between_run_calls_match_reference() {
             match k {
                 2 => w
                     .host_mut(s.pc)
-                    .ping(now, scenario::ETHER_HOST_IP, 0x77, 1, 64),
+                    .stack_op(now, |st| st.ping(scenario::ETHER_HOST_IP, 0x77, 1, 64)),
                 4 | 26 => orders.borrow_mut().push(scenario::PC_IP),
                 10 | 35 => w.app_mut(cmd).orders.push(scenario::GW_RADIO_IP),
                 7 => w.tnc_mut(s.gw_tnc).set_mode(RxMode::AddressFilter),
@@ -786,7 +786,7 @@ fn mutations_between_run_calls_match_reference() {
                 30 => w.tnc_mut(s.gw_tnc).set_mode(RxMode::Promiscuous),
                 33 => w
                     .host_mut(s.pc)
-                    .ping(now, scenario::ETHER_HOST_IP, 0x77, 2, 64),
+                    .stack_op(now, |st| st.ping(scenario::ETHER_HOST_IP, 0x77, 2, 64)),
                 _ => {}
             }
             driver.run_for(w, chunk);
@@ -962,20 +962,21 @@ impl App for Reactor {
     fn poll(&mut self, now: SimTime, host: &mut Host) {
         if self.step == 0 && self.connect_at <= now {
             self.step = 1;
-            self.sock = host.tcp_connect(now, self.silent, 9).ok();
+            self.sock = host
+                .stack_op(now, |st| st.tcp_connect(now, self.silent, 9))
+                .ok();
         }
         if self.step == 1 && self.abort_at <= now {
             self.step = 2;
             if let Some(sock) = self.sock {
-                host.stack.tcp_abort(now, sock);
-                host.handle_actions(now);
+                host.stack_op(now, |st| st.tcp_abort(now, sock));
             }
         }
     }
 
     fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
         if let StackAction::TcpClosed { reset: true, .. } = event {
-            host.ping(now, self.dst, 0xabcd, 1, 32);
+            host.stack_op(now, |st| st.ping(self.dst, 0xabcd, 1, 32));
         }
     }
 

@@ -36,7 +36,7 @@ impl App for ScriptedPinger {
         while self.times.first().is_some_and(|&t| t <= now) {
             self.times.remove(0);
             self.seq += 1;
-            host.ping(now, self.dst, 0x15e7, self.seq, 64);
+            host.stack_op(now, |st| st.ping(self.dst, 0x15e7, self.seq, 64));
         }
     }
 
@@ -90,7 +90,7 @@ impl App for Commanded {
             .chain(self.orders.drain(..))
         {
             self.seq += 1;
-            host.ping(now, dst, 0xc0de, self.seq, 64);
+            host.stack_op(now, |st| st.ping(dst, 0xc0de, self.seq, 64));
         }
     }
 }
@@ -404,7 +404,7 @@ impl Scripted {
         match k {
             3 => w
                 .host_mut(self.m.hosts[1][0])
-                .ping(now, city::host_ip(2, 0), 0x77, 1, 64),
+                .stack_op(now, |st| st.ping(city::host_ip(2, 0), 0x77, 1, 64)),
             5 | 24 => self.orders.borrow_mut().push(city::host_ip(0, 1)),
             9 | 33 => w.app_mut(self.commanded).orders.push(city::host_ip(0, 1)),
             8 => w.tnc_mut(self.monitor_tnc).set_mode(RxMode::AddressFilter),
@@ -440,7 +440,7 @@ impl Scripted {
             28 => w.tnc_mut(self.monitor_tnc).set_mode(RxMode::Promiscuous),
             30 => w
                 .host_mut(self.m.hosts[1][0])
-                .ping(now, city::gw_radio_ip(3), 0x77, 2, 64),
+                .stack_op(now, |st| st.ping(city::gw_radio_ip(3), 0x77, 2, 64)),
             _ => {}
         }
     }

@@ -33,45 +33,49 @@ impl PacketMeta {
     /// passes those on unjudged, to the stack's own input validation.
     #[inline]
     pub fn parse(bytes: &[u8]) -> Option<PacketMeta> {
-        if bytes.len() < 20 || bytes[0] >> 4 != 4 {
+        let [vihl, _, _, _, _, _, f0, f1, _, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3] =
+            *bytes.first_chunk::<20>()?;
+        if vihl >> 4 != 4 {
             return None;
         }
-        let ihl = usize::from(bytes[0] & 0x0F) * 4;
-        let proto = bytes[9];
-        let src = u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-        let dst = u32::from_be_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]);
-        let frag_offset = u16::from_be_bytes([bytes[6], bytes[7]]) & 0x1FFF;
-        let mut meta = PacketMeta {
-            src,
-            dst,
-            proto,
-            dport: 0,
-            has_port: false,
+        // An IHL under 5 is not refused here: the port is then read from
+        // inside the header, and the stack's own validation drops it.
+        let ihl = usize::from(vihl & 0x0F) * 4;
+        let frag_offset = u16::from_be_bytes([f0, f1]) & 0x1FFF;
+        let port = match bytes.get(ihl + 2..ihl + 4) {
+            Some(&[p0, p1]) if frag_offset == 0 => Some(u16::from_be_bytes([p0, p1])),
+            _ => None,
         };
-        if (proto == 6 || proto == 17) && frag_offset == 0 && bytes.len() >= ihl + 4 {
-            meta.dport = u16::from_be_bytes([bytes[ihl + 2], bytes[ihl + 3]]);
-            meta.has_port = true;
-        }
-        Some(meta)
+        Some(PacketMeta::with_port(
+            u32::from_be_bytes([s0, s1, s2, s3]),
+            u32::from_be_bytes([d0, d1, d2, d3]),
+            proto,
+            port,
+        ))
     }
 
     /// Extracts the match fields from a decoded packet — the `output`
     /// hook, where the stack already holds an [`Ipv4Packet`].
     #[inline]
     pub fn of(p: &Ipv4Packet) -> PacketMeta {
-        let proto = p.proto.code();
-        let mut meta = PacketMeta {
-            src: u32::from(p.src),
-            dst: u32::from(p.dst),
-            proto,
-            dport: 0,
-            has_port: false,
+        let port = match p.payload.get(2..4) {
+            Some(&[p0, p1]) if p.frag_offset == 0 => Some(u16::from_be_bytes([p0, p1])),
+            _ => None,
         };
-        if (proto == 6 || proto == 17) && p.frag_offset == 0 && p.payload.len() >= 4 {
-            meta.dport = u16::from_be_bytes([p.payload[2], p.payload[3]]);
-            meta.has_port = true;
+        PacketMeta::with_port(u32::from(p.src), u32::from(p.dst), p.proto.code(), port)
+    }
+
+    /// The meta of a packet whose transport header, if any, would put
+    /// `port` in the destination-port field: only TCP and UDP have one.
+    fn with_port(src: u32, dst: u32, proto: u8, port: Option<u16>) -> PacketMeta {
+        let port = port.filter(|_| proto == 6 || proto == 17);
+        PacketMeta {
+            src,
+            dst,
+            proto,
+            dport: port.unwrap_or(0),
+            has_port: port.is_some(),
         }
-        meta
     }
 }
 

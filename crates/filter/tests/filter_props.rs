@@ -1,7 +1,8 @@
-//! Differential property for the filter engine (DESIGN.md §13): with the
+//! Differential properties for the filter (DESIGN.md §13): with the
 //! §4.3 gate on, the engine must be observationally identical to a
 //! test-local executable spec of the paper's access table under TTL
-//! expiry and control churn.
+//! expiry and control churn, and `PacketMeta::parse` must read hostile
+//! wire bytes exactly as a literal-index reading of the header does.
 
 use filter::{ControlOutcome, FilterConfig, FilterEngine, GateConfig, PacketMeta, Verdict};
 use netstack::icmp::{GateAuth, IcmpMessage};
@@ -282,5 +283,66 @@ proptest! {
                 "gate counters diverged at step {} (t={:?})", i, now
             );
         }
+    }
+}
+
+/// The header read by literal indices: the oracle for `PacketMeta::parse`,
+/// which reads it bounds-checked. A short buffer or a version
+/// other than 4 is `None`; an IHL under 5 reads the port from inside the
+/// header; a non-first fragment, a non-TCP/UDP protocol or a buffer
+/// shorter than `ihl + 4` hides the port.
+#[allow(clippy::indexing_slicing)]
+fn parse_by_index(bytes: &[u8]) -> Option<PacketMeta> {
+    if bytes.len() < 20 || bytes[0] >> 4 != 4 {
+        return None;
+    }
+    let ihl = usize::from(bytes[0] & 0x0F) * 4;
+    let proto = bytes[9];
+    let src = u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
+    let dst = u32::from_be_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]);
+    let frag_offset = u16::from_be_bytes([bytes[6], bytes[7]]) & 0x1FFF;
+    let mut meta = PacketMeta {
+        src,
+        dst,
+        proto,
+        dport: 0,
+        has_port: false,
+    };
+    if (proto == 6 || proto == 17) && frag_offset == 0 && bytes.len() >= ihl + 4 {
+        meta.dport = u16::from_be_bytes([bytes[ihl + 2], bytes[ihl + 3]]);
+        meta.has_port = true;
+    }
+    Some(meta)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// On arbitrary 0–80-octet buffers whose version nibble is forced
+    /// (mostly to 4) and whose IHL, protocol and fragment field are drawn
+    /// around the edges that matter, `parse` gives the literal-index
+    /// reading's answer.
+    #[test]
+    fn parse_reads_hostile_bytes_like_literal_indices(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..81),
+        version in prop_oneof![Just(4u8), Just(4u8), Just(4u8), 0u8..16],
+        ihl in 0u8..16,
+        proto in prop_oneof![Just(6u8), Just(17u8), any::<u8>()],
+        frag in prop_oneof![Just(0u16), 0x2000u16..0x2001, 0u16..8, any::<u16>()],
+    ) {
+        if let Some(b) = bytes.get_mut(0) {
+            *b = version << 4 | ihl;
+        }
+        if let Some(f) = bytes.get_mut(6..8) {
+            f.copy_from_slice(&frag.to_be_bytes());
+        }
+        if let Some(p) = bytes.get_mut(9) {
+            *p = proto;
+        }
+        prop_assert_eq!(
+            PacketMeta::parse(&bytes),
+            parse_by_index(&bytes),
+            "{} octets: {:02x?}", bytes.len(), bytes
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! per destination wins; entries not re-advertised decay an
 //! obsolescence counter and disappear.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ax25::addr::Ax25Addr;
 
@@ -32,8 +32,9 @@ pub struct Route {
 /// The route table of one node.
 #[derive(Debug, Default)]
 pub struct NetRomRoutes {
-    /// destination → candidate routes (one per neighbour).
-    table: HashMap<Ax25Addr, Vec<Route>>,
+    /// destination → candidate routes (one per neighbour), in callsign
+    /// order.
+    table: BTreeMap<Ax25Addr, Vec<Route>>,
 }
 
 impl NetRomRoutes {
@@ -120,9 +121,7 @@ impl NetRomRoutes {
     /// Destinations currently reachable, sorted (deterministic for
     /// broadcasts).
     pub fn destinations(&self) -> Vec<Ax25Addr> {
-        let mut v: Vec<Ax25Addr> = self.table.keys().copied().collect();
-        v.sort();
-        v
+        self.table.keys().copied().collect()
     }
 
     /// Number of reachable destinations.

@@ -1141,15 +1141,8 @@ impl NetStack {
         tcp.chain([self.reasm.next_deadline()]).flatten().min()
     }
 
-    /// Fires expired timers, returning the actions they produced
-    /// (equivalently: fires and drains).
-    pub fn poll(&mut self, now: SimTime) -> Vec<StackAction> {
-        self.poll_queued(now);
-        self.drain_actions()
-    }
-
-    /// [`Self::poll`] without the drain: the actions stay queued for
-    /// [`Self::drain_actions_into`].
+    /// Fires expired timers (reassembly, TCB, connect); the actions they
+    /// produce stay queued for the caller to drain.
     pub fn poll_queued(&mut self, now: SimTime) {
         self.reasm.expire(now, &mut self.pool);
         for i in 0..self.socks.len() {
@@ -1848,7 +1841,8 @@ mod tests {
         let _s = a.tcp_connect(now, ipa(2), 23).unwrap();
         assert_eq!(a.drain_actions().len(), 1, "SYN egress");
         let t = a.next_deadline().expect("rtx timer armed");
-        let acts = a.poll(t);
+        a.poll_queued(t);
+        let acts = a.drain_actions();
         assert!(
             acts.iter().any(|e| matches!(e, StackAction::Egress { .. })),
             "SYN retransmitted via stack poll"

@@ -434,10 +434,9 @@ impl WorkloadClient {
                 let id = self.next_id;
                 self.next_id = self.next_id.wrapping_add(1);
                 let query = encode_query(id, &self.names[name_idx as usize]);
-                match cx
-                    .host
-                    .sock_send_to(now, sock, self.targets.dns, DNS_PORT, query)
-                {
+                match cx.host.stack_op(now, |st| {
+                    st.sock_send_to(sock, self.targets.dns, DNS_PORT, query)
+                }) {
                     Ok(()) => {
                         self.state = State::Dns {
                             id,
@@ -471,7 +470,7 @@ impl WorkloadClient {
     }
 
     fn on_udp_readable(&mut self, now: SimTime, h: SocketHandle, cx: &mut SockCtx<'_>) {
-        while let Ok((response, bytes)) = cx.host.sock_recv_from(h, |_, _, dgram| {
+        while let Ok((response, bytes)) = cx.host.stack.sock_recv_from(h, |_, _, dgram| {
             (decode_response(dgram), dgram.len() as u64)
         }) {
             let Some((rid, rname, answer)) = response else {
@@ -521,20 +520,27 @@ impl SocketProgram for WorkloadClient {
                 }
                 if !*started && ready.writable() {
                     *started = true;
-                    let _ = cx.host.sock_send(now, h, &Self::key_byte(*sent));
+                    let _ = cx
+                        .host
+                        .stack_op(now, |st| st.sock_send(now, h, &Self::key_byte(*sent)));
                     *sent += 1;
                     *sent_at = now;
                     return;
                 }
                 if ready.readable() {
-                    let data = cx.host.sock_recv(now, h).unwrap_or_default();
+                    let data = cx
+                        .host
+                        .stack_op(now, |st| st.sock_recv(now, h))
+                        .unwrap_or_default();
                     if !data.is_empty() && *sent > *echoed {
                         *echoed += 1;
                         let rtt = now.saturating_since(*sent_at);
                         let finished = *echoed >= *total;
                         let done_bytes = u64::from(*echoed);
                         if !finished {
-                            let _ = cx.host.sock_send(now, h, &Self::key_byte(*sent));
+                            let _ = cx
+                                .host
+                                .stack_op(now, |st| st.sock_send(now, h, &Self::key_byte(*sent)));
                             *sent += 1;
                             *sent_at = now;
                         }
@@ -559,16 +565,22 @@ impl SocketProgram for WorkloadClient {
                     return;
                 }
                 if ready.writable() && *sent < *size {
-                    let cap = cx.host.sock_send_capacity(h);
+                    let cap = cx.host.stack.sock_send_capacity(h);
                     let n = cap.min((*size - *sent) as usize);
                     if n > 0 {
                         let burst = Self::echo_burst(n);
-                        let accepted = cx.host.sock_send(now, h, &burst).unwrap_or(0);
+                        let accepted = cx
+                            .host
+                            .stack_op(now, |st| st.sock_send(now, h, &burst))
+                            .unwrap_or(0);
                         *sent += accepted as u32;
                     }
                 }
                 if ready.readable() {
-                    let data = cx.host.sock_recv(now, h).unwrap_or_default();
+                    let data = cx
+                        .host
+                        .stack_op(now, |st| st.sock_recv(now, h))
+                        .unwrap_or_default();
                     *got += data.len() as u32;
                     if *got >= *size {
                         let d = now.saturating_since(*t0);
@@ -598,11 +610,16 @@ impl SocketProgram for WorkloadClient {
                 if !*sent_req && ready.writable() {
                     *sent_req = true;
                     let req = format!("GET {name}\n");
-                    let _ = cx.host.sock_send(now, h, req.as_bytes());
+                    let _ = cx
+                        .host
+                        .stack_op(now, |st| st.sock_send(now, h, req.as_bytes()));
                     return;
                 }
                 if ready.readable() {
-                    let data = cx.host.sock_recv(now, h).unwrap_or_default();
+                    let data = cx
+                        .host
+                        .stack_op(now, |st| st.sock_recv(now, h))
+                        .unwrap_or_default();
                     self.buf.extend_from_slice(&data);
                     if !*header_done {
                         if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {

@@ -32,7 +32,9 @@ fn unsolicited_inbound_is_blocked_until_amateur_initiates() {
 
     // Phase 2: the PC (amateur side) pings out — this opens the pairing.
     let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 11, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 11, 1, 16));
     s.world.run_for(SimDuration::from_secs(60));
     let st = s.world.host(s.gw).filter_stats().unwrap();
     assert!(
@@ -63,7 +65,9 @@ fn entries_expire_without_amateur_refresh() {
 
     // Open the gate by pinging out.
     let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 1, 1, 16));
     s.world.run_for(SimDuration::from_secs(30));
 
     // Inside the TTL: inbound works.
@@ -95,34 +99,36 @@ fn foreign_side_control_requires_password() {
 
     // Unauthenticated GateOpen from the Ethernet side: rejected.
     let now = s.world.now;
-    s.world.host_mut(s.ether_host).send_gate_message(
-        now,
-        gateway::scenario::GW_ETHER_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 600,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.ether_host).stack_op(now, |st| {
+        st.send_icmp(
+            gateway::scenario::GW_ETHER_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 600,
+                auth: None,
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(5));
     assert_eq!(s.world.host(s.gw).filter_stats().unwrap().auth_failures, 1);
 
     // With the right callsign+password: applied, inbound opens.
     let now = s.world.now;
-    s.world.host_mut(s.ether_host).send_gate_message(
-        now,
-        gateway::scenario::GW_ETHER_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 600,
-            auth: Some(GateAuth {
-                callsign: "N7AKR".to_string(),
-                password: "seattle".to_string(),
-            }),
-        },
-    );
+    s.world.host_mut(s.ether_host).stack_op(now, |st| {
+        st.send_icmp(
+            gateway::scenario::GW_ETHER_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 600,
+                auth: Some(GateAuth {
+                    callsign: "N7AKR".to_string(),
+                    password: "seattle".to_string(),
+                }),
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(5));
     assert_eq!(
         s.world.host(s.gw).filter_stats().unwrap().opened_by_message,

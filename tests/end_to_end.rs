@@ -46,16 +46,17 @@ fn authorize_inbound(s: &mut gateway::scenario::PaperScenario) {
     use gateway::scenario::GW_RADIO_IP;
     use netstack::icmp::IcmpMessage;
     let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 3600,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.pc).stack_op(now, |st| {
+        st.send_icmp(
+            GW_RADIO_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 3600,
+                auth: None,
+            },
+        )
+    });
 }
 
 #[test]

@@ -42,7 +42,9 @@ fn unsolicited_inbound_is_blocked_until_amateur_initiates() {
 
     // Phase 2: the PC (amateur side) pings out — that opens the pair.
     let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 11, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 11, 1, 16));
     s.world.run_for(SimDuration::from_secs(60));
     assert!(
         s.world.host(s.gw).filter_stats().unwrap().gate_opened >= 1,
@@ -64,22 +66,25 @@ fn unsolicited_inbound_is_blocked_until_amateur_initiates() {
 fn gate_close_cuts_an_active_pairing() {
     let mut s = paper_topology(filtered(FilterConfig::gateway()), 1702);
     let now = s.world.now;
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 1, 1, 16));
     s.world.run_for(SimDuration::from_secs(30));
     assert!(s.world.host(s.gw).filter_stats().unwrap().gate_opened >= 1);
 
     // §4.3: the control operator cuts off the link. The admission must
     // die with the entry, not linger.
     let now = s.world.now;
-    s.world.host_mut(s.pc).send_gate_message(
-        now,
-        GW_RADIO_IP,
-        IcmpMessage::GateClose {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.pc).stack_op(now, |st| {
+        st.send_icmp(
+            GW_RADIO_IP,
+            IcmpMessage::GateClose {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                auth: None,
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(30));
     assert_eq!(s.world.host(s.gw).filter_stats().unwrap().gate_closed, 1);
 
@@ -100,34 +105,36 @@ fn foreign_side_control_requires_password() {
 
     // Unauthenticated GateOpen from the Ethernet side: rejected.
     let now = s.world.now;
-    s.world.host_mut(s.ether_host).send_gate_message(
-        now,
-        GW_ETHER_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 600,
-            auth: None,
-        },
-    );
+    s.world.host_mut(s.ether_host).stack_op(now, |st| {
+        st.send_icmp(
+            GW_ETHER_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 600,
+                auth: None,
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(5));
     assert_eq!(s.world.host(s.gw).filter_stats().unwrap().auth_failures, 1);
 
     // With the right callsign+password: applied, inbound opens.
     let now = s.world.now;
-    s.world.host_mut(s.ether_host).send_gate_message(
-        now,
-        GW_ETHER_IP,
-        IcmpMessage::GateOpen {
-            amateur: PC_IP,
-            foreign: ETHER_HOST_IP,
-            ttl_secs: 600,
-            auth: Some(GateAuth {
-                callsign: "N7AKR".to_string(),
-                password: "seattle".to_string(),
-            }),
-        },
-    );
+    s.world.host_mut(s.ether_host).stack_op(now, |st| {
+        st.send_icmp(
+            GW_ETHER_IP,
+            IcmpMessage::GateOpen {
+                amateur: PC_IP,
+                foreign: ETHER_HOST_IP,
+                ttl_secs: 600,
+                auth: Some(GateAuth {
+                    callsign: "N7AKR".to_string(),
+                    password: "seattle".to_string(),
+                }),
+            },
+        )
+    });
     s.world.run_for(SimDuration::from_secs(5));
     assert_eq!(
         s.world.host(s.gw).filter_stats().unwrap().opened_by_message,

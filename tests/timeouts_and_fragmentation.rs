@@ -40,7 +40,9 @@ fn large_ping_fragments_at_the_gateway_and_reassembles() {
     let mut s = paper_topology(PaperConfig::default(), 703);
     let now = s.world.now;
     // PC pings out first so the return path is authorized and ARP warm.
-    s.world.host_mut(s.pc).ping(now, ETHER_HOST_IP, 1, 1, 16);
+    s.world
+        .host_mut(s.pc)
+        .stack_op(now, |st| st.ping(ETHER_HOST_IP, 1, 1, 16));
     s.world.run_for(SimDuration::from_secs(30));
 
     let pinger = Pinger::new(PC_IP, 9, 1, SimDuration::from_secs(1), 600);

@@ -118,7 +118,7 @@ impl BbsServer {
     fn drive(&mut self, now: SimTime, peer: Ax25Addr, events: Vec<ConnEvent>, host: &mut Host) {
         for ev in events {
             match ev {
-                ConnEvent::SendFrame(f) => host.send_raw_ax25(now, &f),
+                ConnEvent::SendFrame(f) => host.send_raw_ax25(&f),
                 ConnEvent::Established => {
                     self.report.sessions += 1;
                     let greeting = format!(
@@ -253,7 +253,7 @@ impl TerminalUser {
     fn drive(&mut self, now: SimTime, events: Vec<ConnEvent>, host: &mut Host) {
         for ev in events {
             match ev {
-                ConnEvent::SendFrame(f) => host.send_raw_ax25(now, &f),
+                ConnEvent::SendFrame(f) => host.send_raw_ax25(&f),
                 ConnEvent::Established => {
                     self.report.connected = true;
                 }

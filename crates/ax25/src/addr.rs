@@ -51,13 +51,20 @@ impl Callsign {
         &self.0
     }
 
-    /// Builds a callsign from six raw (unshifted) bytes as found on the
-    /// wire after decoding.
+    /// The callsign's characters, padding stripped (`"N7AKR"`): a view of
+    /// the six bytes, no formatting and no allocation.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).map_or("", str::trim_end)
+    }
+
+    /// Builds a callsign from six raw (unshifted) bytes: as found on the
+    /// wire after decoding, or composed by a builder that numbers its
+    /// stations.
     ///
     /// Allocation-free on success: the driver's per-frame receive path
     /// peeks at addresses for every frame heard on a promiscuous TNC, so
     /// this must not touch the heap just to reject someone else's traffic.
-    pub(crate) fn from_raw(raw: [u8; 6]) -> Result<Callsign, Ax25Error> {
+    pub fn from_raw(raw: [u8; 6]) -> Result<Callsign, Ax25Error> {
         // Nearly every callsign on the air is already canonical —
         // uppercase letters and digits, then padding only — and is
         // returned as it is; the rest take the validating loop below.
@@ -245,6 +252,16 @@ mod tests {
         assert!(Callsign::new("TOOLONG7").is_err());
         assert!(Callsign::new("BAD*").is_err());
         assert_eq!(Callsign::new("kg7k").unwrap().to_string(), "KG7K");
+    }
+
+    #[test]
+    fn as_str_is_the_display_form() {
+        for s in ["N7AKR", "kg7k", "Q", "GW0042"] {
+            let c = Callsign::new(s).unwrap();
+            assert_eq!(c.as_str(), c.to_string());
+        }
+        assert_eq!(Callsign::from_raw(*b"H04207").unwrap().as_str(), "H04207");
+        assert!(Callsign::from_raw(*b"H0 207").is_err(), "padding inside");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl AppGateway {
         for ev in events {
             match ev {
                 ConnEvent::SendFrame(frame) => {
-                    host.send_raw_ax25(now, &frame);
+                    host.send_raw_ax25(&frame);
                 }
                 ConnEvent::Established => {
                     self.report.sessions_accepted += 1;

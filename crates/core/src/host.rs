@@ -595,7 +595,7 @@ impl Host {
 
     /// Sends a raw AX.25 frame from "user space" via the radio driver
     /// (the §2.4 path back down the tty).
-    pub fn send_raw_ax25(&mut self, _now: SimTime, frame: &Frame) {
+    pub fn send_raw_ax25(&mut self, frame: &Frame) {
         if let Some((_, drv)) = &mut self.pr {
             drv.send_raw_frame(frame, &mut self.tty_outq);
         }
@@ -698,7 +698,7 @@ mod tests {
     fn raw_ax25_send_goes_out_the_serial_port() {
         let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
         let frame = Frame::ui(a("W1GOH"), a("KB7DZ"), Pid::Text, b"cq".to_vec());
-        h.send_raw_ax25(SimTime::ZERO, &frame);
+        h.send_raw_ax25(&frame);
         assert_eq!(sent_frames(&mut h), [frame]);
     }
 

@@ -44,16 +44,17 @@ pub const AX25_MTU: usize = 256;
 pub struct PrConfig {
     /// This station's callsign (the interface's link address).
     pub my_call: Ax25Addr,
-    /// Destination addresses accepted as broadcast.
+    /// Destination addresses accepted as broadcast besides `QST`, which
+    /// every driver accepts.
     pub broadcast: Vec<Ax25Addr>,
 }
 
 impl PrConfig {
-    /// A driver for `my_call` accepting `QST` broadcasts.
+    /// A driver for `my_call` accepting `QST` broadcasts and no others.
     pub fn new(my_call: Ax25Addr) -> PrConfig {
         PrConfig {
             my_call,
-            broadcast: vec![Ax25Addr::broadcast()],
+            broadcast: Vec::new(),
         }
     }
 }
@@ -215,7 +216,7 @@ impl PacketRadioDriver {
     /// Accepts an additional destination address as broadcast (e.g. the
     /// `NODES` address a NET/ROM router listens to).
     pub fn add_broadcast_addr(&mut self, addr: Ax25Addr) {
-        if !self.cfg.broadcast.contains(&addr) {
+        if addr != Ax25Addr::broadcast() && !self.cfg.broadcast.contains(&addr) {
             self.cfg.broadcast.push(addr);
         }
     }
@@ -321,7 +322,9 @@ impl PacketRadioDriver {
             return Some(Discard::NotRepeated);
         }
         let is_dest = |a: &Ax25Addr| *a.call.as_bytes() == call && a.ssid == ssid;
-        let for_us = is_dest(&self.cfg.my_call) || self.cfg.broadcast.iter().any(is_dest);
+        let for_us = is_dest(&self.cfg.my_call)
+            || is_dest(&Ax25Addr::broadcast())
+            || self.cfg.broadcast.iter().any(is_dest);
         (!for_us).then_some(Discard::NotForUs)
     }
 

@@ -600,6 +600,7 @@ pub fn three_gateway(cfg: &PaperConfig, rip: RipConfig, seed: u64) -> MeshScenar
 /// shared Ethernet as `10.(g>>8).(g&255).1/8`. The wired internet host is
 /// `10.255.255.1`.
 pub mod city {
+    use ax25::addr::{Ax25Addr, Callsign};
     use std::net::Ipv4Addr;
 
     /// The wired-internet host on the Ethernet.
@@ -620,14 +621,53 @@ pub mod city {
         Ipv4Addr::new(44, (g >> 8) as u8, (g & 0xff) as u8, (2 + i) as u8)
     }
 
-    /// Gateway `g`'s callsign (`GW0042`).
-    pub fn gw_call(g: usize) -> String {
-        format!("GW{g:04}")
+    /// Gateway `g`'s callsign (`GW0042`), composed digit by digit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more than four digits.
+    pub fn gw_call(g: usize) -> Ax25Addr {
+        assert!(g < 10_000, "gateway {g} has no four-digit callsign");
+        callsign([
+            b'G',
+            b'W',
+            digit(g, 1000),
+            digit(g, 100),
+            digit(g, 10),
+            digit(g, 1),
+        ])
     }
 
-    /// Radio host `(g, i)`'s callsign (`H04207`).
-    pub fn host_call(g: usize, i: usize) -> String {
-        format!("H{g:03}{i:02}")
+    /// Radio host `(g, i)`'s callsign (`H04207`), composed digit by digit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more than three digits or `i` more than two.
+    pub fn host_call(g: usize, i: usize) -> Ax25Addr {
+        assert!(
+            g < 1000 && i < 100,
+            "host ({g}, {i}) has no six-character callsign"
+        );
+        callsign([
+            b'H',
+            digit(g, 100),
+            digit(g, 10),
+            digit(g, 1),
+            digit(i, 10),
+            digit(i, 1),
+        ])
+    }
+
+    /// The ASCII digit of `n` in the decimal `place` (1, 10, 100, …).
+    fn digit(n: usize, place: usize) -> u8 {
+        b'0' + (n / place % 10) as u8
+    }
+
+    /// SSID 0 on six letters and digits, which `Callsign::from_raw`
+    /// accepts without allocating.
+    fn callsign(raw: [u8; 6]) -> Ax25Addr {
+        let call = Callsign::from_raw(raw).expect("letters and digits are a callsign");
+        Ax25Addr { call, ssid: 0 }
     }
 }
 
@@ -768,12 +808,13 @@ pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOpti
         };
         let chan = world.add_channel_in(shard, cfg.radio_rate);
 
-        let mut gc = HostConfig::named(&city::gw_call(g));
+        let call = city::gw_call(g);
+        let mut gc = HostConfig::named(call.call.as_str());
         gc.cpu = cfg.cpu;
         gc.stack.forwarding = true;
         gc.stack.ipip = true;
         gc.radio = Some(RadioIfConfig {
-            call: Ax25Addr::parse_or_panic(&city::gw_call(g)),
+            call,
             ip: city::gw_radio_ip(g),
             prefix_len: 24,
         });
@@ -793,26 +834,22 @@ pub fn mesh_with(gateways: usize, hosts_per_gw: usize, seed: u64, opts: MeshOpti
             let ether_if = world.host(gw).ether_iface().expect("gateway ether");
             let routes = world.host_mut(gw).stack.routes_mut();
             routes.reserve(gateways - 1);
-            for p in 0..gateways {
-                if p == g {
-                    continue;
-                }
-                routes.insert(Route {
-                    prefix: Prefix::new(city::gw_radio_ip(p), 24),
-                    via: Some(city::gw_ether_ip(p)),
-                    iface: ether_if,
-                    source: RouteSource::Learned,
-                    metric: 2,
-                });
-            }
+            routes.extend((0..gateways).filter(|&p| p != g).map(|p| Route {
+                prefix: Prefix::new(city::gw_radio_ip(p), 24),
+                via: Some(city::gw_ether_ip(p)),
+                iface: ether_if,
+                source: RouteSource::Learned,
+                metric: 2,
+            }));
         }
 
         let mut island = Vec::with_capacity(hosts_per_gw);
         for i in 0..hosts_per_gw {
-            let mut hc = HostConfig::named(&city::host_call(g, i));
+            let call = city::host_call(g, i);
+            let mut hc = HostConfig::named(call.call.as_str());
             hc.cpu = cfg.cpu;
             hc.radio = Some(RadioIfConfig {
-                call: Ax25Addr::parse_or_panic(&city::host_call(g, i)),
+                call,
                 ip: city::host_ip(g, i),
                 prefix_len: 24,
             });
@@ -865,6 +902,24 @@ mod tests {
     use encap::table::EncapTable;
     use netstack::stack::StackAction;
     use sim::{SimDuration, SimTime};
+
+    #[test]
+    fn city_callsigns_are_the_formatted_ones() {
+        for g in 0..1000 {
+            assert_eq!(
+                city::gw_call(g),
+                Ax25Addr::parse_or_panic(&format!("GW{g:04}")),
+                "gateway {g}"
+            );
+            for i in 0..97 {
+                assert_eq!(
+                    city::host_call(g, i),
+                    Ax25Addr::parse_or_panic(&format!("H{g:03}{i:02}")),
+                    "host ({g}, {i})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn digi_chain_ping_traverses_the_chain() {

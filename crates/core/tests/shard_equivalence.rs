@@ -554,7 +554,7 @@ fn mixed_traffic_on_the_mesh_matches_reference() {
         let mut frames = Vec::new();
         for (g, &ch) in m.channels.iter().enumerate() {
             talkers.push(m.world.channel_mut(ch).add_station());
-            frames.push(common::mixed(Ax25Addr::parse_or_panic(&city::gw_call(g))));
+            frames.push(common::mixed(city::gw_call(g)));
         }
         let mut ends = Vec::new();
         for k in 0..CHUNKS {

@@ -57,7 +57,7 @@ impl NetRomRouter {
     fn run_actions(&mut self, now: SimTime, actions: Vec<NodeAction>, host: &mut Host) {
         for act in actions {
             match act {
-                NodeAction::SendFrame(frame) => host.send_raw_ax25(now, &frame),
+                NodeAction::SendFrame(frame) => host.send_raw_ax25(&frame),
                 NodeAction::DeliverIp(bytes) => host.inject_ip(now, bytes),
                 NodeAction::DeliverTransport { .. } => {
                     // No circuit layer in this reproduction; drop.

@@ -115,6 +115,12 @@ impl Route {
             | (u64::from(self.metric) << 8)
             | u64::from(self.source == RouteSource::Learned)
     }
+
+    /// The key without the metric: equal for exactly the routes that
+    /// replace one another (one prefix, one source).
+    fn slot(&self) -> u64 {
+        self.key() & !(0xFF << 8)
+    }
 }
 
 /// The result of a successful lookup.
@@ -342,6 +348,50 @@ impl RouteTable {
     /// address, and one prefix's routes by metric, static first on a tie.
     pub fn routes(&self) -> &[Route] {
         &self.routes
+    }
+}
+
+/// Loads many routes in one pass, leaving the table — its routes and its
+/// generation — exactly as [`RouteTable::insert`]ing them one by one, in
+/// order, would. The new routes are appended and stably sorted by prefix
+/// and source (one pass when they come in order); each old route moves up
+/// to its place among them, ahead of any new route for its prefix and
+/// source; the newest route of each prefix and source is kept; and each
+/// prefix's static and learned pair is put in metric order. A full table
+/// costs one sort of the new routes and a shift per old route, instead of
+/// a binary search and a shift per new route.
+impl Extend<Route> for RouteTable {
+    fn extend<I: IntoIterator<Item = Route>>(&mut self, routes: I) {
+        let old = self.routes.len();
+        self.routes.extend(routes);
+        let added = self.routes.len() - old;
+        if added == 0 {
+            return;
+        }
+        if let Some(new) = self.routes.get_mut(old..) {
+            new.sort_by_key(Route::slot);
+        }
+        for at in (0..old).rev() {
+            let tail = self.routes.get_mut(at..).unwrap_or_default();
+            let slot = tail.first().map_or(0, Route::slot);
+            let to = tail
+                .get(1..)
+                .map_or(0, |rest| rest.partition_point(|r| r.slot() < slot));
+            if let Some(moved) = tail.get_mut(..=to) {
+                moved.rotate_left(1);
+            }
+        }
+        self.routes.dedup_by(|newer, older| {
+            let same = newer.slot() == older.slot();
+            if same {
+                *older = *newer;
+            }
+            same
+        });
+        for pair in self.routes.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+            pair.sort_unstable_by_key(Route::key);
+        }
+        self.generation = self.generation.wrapping_add(added as u64);
     }
 }
 
@@ -835,6 +885,59 @@ mod tests {
             "expiring the learned route restores the shadowed static"
         );
         assert_fast_matches_linear(&mut rt);
+    }
+
+    /// Routes crowded onto a few prefixes of a few lengths, either
+    /// source, a few metrics: duplicates and static/learned pairs are the
+    /// common case, not the corner.
+    fn arb_route() -> impl proptest::prelude::Strategy<Value = Route> {
+        use proptest::prelude::*;
+        (0u32..6, 0usize..4, 0u8..3, any::<bool>(), 0usize..3).prop_map(
+            |(net, len, metric, learned, iface)| Route {
+                prefix: Prefix::new(
+                    Ipv4Addr::from(0x2C18_0000 | (net << 8)),
+                    [0, 8, 16, 24][len],
+                ),
+                via: Some(Ipv4Addr::new(10, 0, 0, metric)),
+                iface: ifid(iface),
+                source: if learned {
+                    RouteSource::Learned
+                } else {
+                    RouteSource::Static
+                },
+                metric,
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// `extend` is `insert` route by route: onto a table that already
+        /// holds routes, the same routes in the same order, the same
+        /// generation (the compiled LPM's stamp) and the same answers from
+        /// both lookups.
+        #[test]
+        fn extend_is_one_insert_per_route(
+            base in proptest::collection::vec(arb_route(), 0..12),
+            batch in proptest::collection::vec(arb_route(), 0..40),
+            probes in proptest::collection::vec(0u32..0x800, 8..24),
+        ) {
+            let mut one_by_one = RouteTable::new();
+            for &r in &base {
+                one_by_one.insert(r);
+            }
+            let mut loaded = one_by_one.clone();
+            for &r in &batch {
+                one_by_one.insert(r);
+            }
+            loaded.extend(batch.iter().copied());
+            proptest::prop_assert_eq!(loaded.routes(), one_by_one.routes(), "batch {:?}", batch);
+            proptest::prop_assert_eq!(loaded.generation, one_by_one.generation);
+            for p in probes {
+                let dst = Ipv4Addr::from(0x2C18_0000 | p);
+                proptest::prop_assert_eq!(loaded.lookup(dst), one_by_one.lookup(dst));
+                proptest::prop_assert_eq!(loaded.lookup_fast(dst), one_by_one.lookup_fast(dst));
+            }
+        }
     }
 
     #[test]

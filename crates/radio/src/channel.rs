@@ -167,8 +167,14 @@ pub struct ChannelStats {
 #[derive(Debug)]
 pub struct Channel {
     rate: Bandwidth,
-    /// `hears[listener][speaker]`.
-    hears: Vec<Vec<bool>>,
+    /// The hearing matrix, one row per station: `hears[listener * stride +
+    /// speaker]`. The columns past the last station are `true`, so a new
+    /// station is heard by every row already there; the stride doubles
+    /// when a station finds no column left, and the buffer is reserved at
+    /// `stride × stride`, so rows are appended without a reallocation.
+    hears: Vec<bool>,
+    stride: usize,
+    stations: usize,
     txs: Vec<Tx>,
     byte_error_rate: f64,
     noise: Option<SimRng>,
@@ -205,6 +211,8 @@ impl Channel {
         Channel {
             rate,
             hears: Vec::new(),
+            stride: 0,
+            stations: 0,
             txs: Vec::new(),
             byte_error_rate: 0.0,
             noise: None,
@@ -232,28 +240,49 @@ impl Channel {
     /// Attaches a new station; it hears (and is heard by) everyone until
     /// [`Channel::set_hears`] says otherwise.
     pub fn add_station(&mut self) -> StationId {
-        let n = self.hears.len();
-        for row in &mut self.hears {
-            row.push(true);
+        let n = self.stations;
+        if n == self.stride {
+            let stride = (2 * n).max(4);
+            let mut hears = Vec::with_capacity(stride * stride);
+            for row in self.hears.chunks_exact(n.max(1)) {
+                hears.extend_from_slice(row);
+                hears.resize(hears.len() + stride - n, true);
+            }
+            self.hears = hears;
+            self.stride = stride;
         }
-        let mut row = vec![true; n + 1];
-        row[n] = false; // A station does not hear itself.
-        self.hears.push(row);
+        self.hears.resize(self.hears.len() + self.stride, true);
+        self.stations += 1;
+        // A station does not hear itself.
+        if let Some(own) = self.hears.get_mut(n * self.stride + n) {
+            *own = false;
+        }
         StationId(n)
     }
 
     /// Number of attached stations.
     #[inline]
     pub fn station_count(&self) -> usize {
-        self.hears.len()
+        self.stations
     }
 
     /// Sets whether `listener` can hear `speaker` (asymmetric links are
-    /// allowed; self-hearing is ignored).
+    /// allowed; self-hearing and stations not on the channel are ignored).
     pub fn set_hears(&mut self, listener: StationId, speaker: StationId, hears: bool) {
-        if listener != speaker {
-            self.hears[listener.0][speaker.0] = hears;
+        if listener == speaker || speaker.0 >= self.stations {
+            return;
         }
+        if let Some(cell) = self.hears.get_mut(listener.0 * self.stride + speaker.0) {
+            *cell = hears;
+        }
+    }
+
+    /// Whether `listener` can hear `speaker`.
+    #[inline]
+    fn hears(&self, listener: usize, speaker: StationId) -> bool {
+        self.hears
+            .get(listener * self.stride + speaker.0)
+            .is_some_and(|&h| h)
     }
 
     /// True if `listener` currently senses carrier: its own transmission
@@ -270,7 +299,7 @@ impl Channel {
             if tx.from == listener {
                 return tx.start <= now;
             }
-            self.hears[listener.0][tx.from.0] && tx.start + self.detect_delay <= now
+            self.hears(listener.0, tx.from) && tx.start + self.detect_delay <= now
         })
     }
 
@@ -368,9 +397,9 @@ impl Channel {
         heard.kiss.clear();
         heard.header = None;
         heard.listeners.clear();
-        for listener in 0..self.hears.len() {
+        for listener in 0..self.stations {
             let lid = StationId(listener);
-            if lid == from || !self.hears[listener][from.0] {
+            if lid == from || !self.hears(listener, from) {
                 continue;
             }
             // Collision at this listener: any *other* transmission it
@@ -379,7 +408,7 @@ impl Channel {
                 j != i
                     && other.start < end
                     && other.end > start
-                    && (other.from == lid || self.hears[listener][other.from.0])
+                    && (other.from == lid || self.hears(listener, other.from))
             });
             let bit_error = match (&mut self.noise, self.byte_error_rate) {
                 (Some(rng), rate) if rate > 0.0 => {
@@ -450,6 +479,8 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Strategy};
+    use proptest::sample::Index;
 
     fn ch() -> Channel {
         Channel::new(Bandwidth::RADIO_1200)
@@ -757,6 +788,62 @@ mod tests {
         c2.transmit(SimTime::ZERO, a2, vec![0; 150], SimDuration::ZERO);
         c2.transmit(start2, a2, vec![0; 150], SimDuration::ZERO);
         assert_eq!(c2.stats().occupied_ns, 1_500_000_000);
+    }
+
+    /// One step of building a hearing matrix.
+    #[derive(Debug, Clone)]
+    enum Build {
+        Add,
+        Set(Index, Index, bool),
+    }
+
+    proptest::proptest! {
+        /// The flat matrix answers like the row-per-station one it
+        /// replaced, whatever mix of stations and links built it, across
+        /// every doubling of its stride.
+        #[test]
+        fn flat_matrix_hears_like_nested_rows(
+            steps in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::prelude::Just(Build::Add),
+                    proptest::prelude::Just(Build::Add),
+                    (any::<Index>(), any::<Index>(), any::<bool>())
+                        .prop_map(|(l, s, h)| Build::Set(l, s, h)),
+                ],
+                1..120,
+            ),
+        ) {
+            let mut c = ch();
+            let mut rows: Vec<Vec<bool>> = Vec::new();
+            for step in &steps {
+                match step {
+                    Build::Add => {
+                        let n = rows.len();
+                        for row in &mut rows {
+                            row.push(true);
+                        }
+                        let mut row = vec![true; n + 1];
+                        row[n] = false;
+                        rows.push(row);
+                        proptest::prop_assert_eq!(c.add_station(), StationId(n));
+                    }
+                    Build::Set(l, s, h) if !rows.is_empty() => {
+                        let (l, s) = (l.index(rows.len()), s.index(rows.len()));
+                        if l != s {
+                            rows[l][s] = *h;
+                        }
+                        c.set_hears(StationId(l), StationId(s), *h);
+                    }
+                    Build::Set(..) => {}
+                }
+                proptest::prop_assert_eq!(c.station_count(), rows.len());
+                for (l, row) in rows.iter().enumerate() {
+                    for (s, &h) in row.iter().enumerate() {
+                        proptest::prop_assert_eq!(c.hears(l, StationId(s)), h, "{} hears {} after {:?}", l, s, step);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! with PID "no layer 3") at a Poisson rate. These frames are not for the
 //! gateway — a promiscuous TNC passes them to the host anyway.
 
-use std::io::Write;
-
 use ax25::addr::Ax25Addr;
 use ax25::fcs::append_fcs;
 use ax25::frame::{Frame, Pid};
@@ -98,9 +96,7 @@ impl BeaconStation {
             let mut on_air = ch.take_buffer();
             on_air.reserve(info_end + 2);
             header.encode_into(&mut on_air);
-            #[allow(clippy::expect_used)] // io::Write for Vec<u8> is infallible
-            write!(on_air, "de {} #{:06} ", self.cfg.from, self.seq)
-                .expect("writing to a Vec cannot fail");
+            beacon_text(&mut on_air, self.cfg.from, self.seq);
             on_air.resize(info_end, b'.');
             append_fcs(&mut on_air);
             self.mac.enqueue(on_air);
@@ -126,6 +122,37 @@ impl BeaconStation {
     pub fn waiting_on_carrier(&self) -> bool {
         self.mac.waiting_on_carrier()
     }
+}
+
+/// Appends a beacon's text, `de <call>[-<ssid>] #<seq> ` with the
+/// sequence number zero-padded to six digits, byte by byte: the text
+/// `format!("de {from} #{seq:06} ")` would give, without `core::fmt`.
+fn beacon_text(out: &mut Vec<u8>, from: Ax25Addr, seq: u64) {
+    out.extend_from_slice(b"de ");
+    out.extend_from_slice(from.call.as_str().as_bytes());
+    if from.ssid != 0 {
+        out.push(b'-');
+        push_decimal(out, u64::from(from.ssid), 1);
+    }
+    out.extend_from_slice(b" #");
+    push_decimal(out, seq, 6);
+    out.push(b' ');
+}
+
+/// Appends `n` in decimal, zero-padded to at least `width` digits (at
+/// most 20, the digits of `u64::MAX`).
+fn push_decimal(out: &mut Vec<u8>, mut n: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut len = 0;
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 && len >= width {
+            break;
+        }
+    }
+    out.extend_from_slice(digits.get(digits.len() - len..).unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -191,6 +218,64 @@ mod tests {
         let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
         assert_eq!(frame.info.len(), 64);
         assert!(String::from_utf8_lossy(&frame.info).contains("de BG1"));
+    }
+
+    /// The frame the beacon built with `write!` before its text was
+    /// composed byte by byte.
+    fn formatted_frame(cfg: &BeaconConfig, seq: u64) -> Vec<u8> {
+        use std::io::Write;
+        let header = Frame::ui(cfg.to, cfg.from, Pid::Text, Vec::new());
+        let mut on_air = Vec::new();
+        header.encode_into(&mut on_air);
+        write!(on_air, "de {} #{:06} ", cfg.from, seq).unwrap();
+        on_air.resize(header.encoded_len() + cfg.frame_len, b'.');
+        append_fcs(&mut on_air);
+        on_air
+    }
+
+    #[test]
+    fn beacon_text_is_the_formatted_text() {
+        for from in ["BG1", "N7AKR-15", "KB7DZ-3", "Q"] {
+            let from = Ax25Addr::parse_or_panic(from);
+            for seq in [0, 1, 42, 999_999, 1_000_000, 123_456_789, u64::MAX] {
+                let mut out = b"head".to_vec();
+                beacon_text(&mut out, from, seq);
+                assert_eq!(
+                    String::from_utf8(out).unwrap(),
+                    format!("headde {from} #{seq:06} ")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_the_formatted_frames_across_six_digits() {
+        for (from, frame_len) in [("BG1", 64), ("N7AKR-12", 64), ("N7AKR-12", 12)] {
+            let cfg = BeaconConfig {
+                from: Ax25Addr::parse_or_panic(from),
+                frame_len,
+                ..cfg(10)
+            };
+            let mut ch = Channel::new(Bandwidth::bps(1_000_000));
+            let sta = ch.add_station();
+            let _listener = ch.add_station();
+            let mut b = BeaconStation::new(cfg.clone(), sta, SimRng::seed_from(5));
+            b.seq = 999_997;
+            let mut heard = Heard::default();
+            let mut frames = Vec::new();
+            while frames.len() < 4 {
+                let now = b.next_deadline().unwrap();
+                b.poll(now, &mut ch);
+                while let Some(t) = ch.next_deadline() {
+                    while ch.hear_next(t, &mut heard) {
+                        frames.push(heard.data().to_vec());
+                    }
+                }
+            }
+            for (seq, frame) in (999_998..).zip(&frames) {
+                assert_eq!(*frame, formatted_frame(&cfg, seq), "{from} #{seq}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! function of the simulation.
 
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use apps::dns::{decode_response, encode_query, DnsServer, DnsServerReport, DNS_PORT};
 use apps::echo::{EchoReport, EchoServer};
@@ -177,9 +178,9 @@ pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedul
         spec.clients_per_island
     );
 
-    let files = catalogue(FTP_FILES);
+    let files: Rc<[(String, usize)]> = catalogue(FTP_FILES).into();
     let file_refs: Vec<(&str, usize)> = files.iter().map(|(n, s)| (n.as_str(), *s)).collect();
-    let names: Vec<String> = (0..DNS_NAMES).map(dns_name).collect();
+    let names: Rc<[String]> = (0..DNS_NAMES).map(dns_name).collect();
 
     let mut servers = Vec::with_capacity(islands);
     for g in 0..islands {
@@ -217,8 +218,8 @@ pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedul
                 ftp: m.host_addr(plan.target, 1),
                 dns: m.host_addr(plan.target, 2),
             },
-            &files,
-            &names,
+            Rc::clone(&files),
+            Rc::clone(&names),
             island_stats[plan.island].clone(),
         );
         m.world.add_app(host, Box::new(SockApp::from(client)));
@@ -296,8 +297,8 @@ pub struct WorkloadClient {
     open_loop: bool,
     timeout: SimDuration,
     targets: Targets,
-    files: Vec<(String, usize)>,
-    names: Vec<String>,
+    files: Rc<[(String, usize)]>,
+    names: Rc<[String]>,
     stats: Shared<IslandStats>,
     cursor: usize,
     due: SimTime,
@@ -310,21 +311,22 @@ pub struct WorkloadClient {
 
 impl WorkloadClient {
     /// Builds a client for one plan. `files` and `names` must match
-    /// what [`deploy_schedule`] installed on the servers.
+    /// what [`deploy_schedule`] installed on the servers; every client of
+    /// a fleet shares the one copy of each.
     pub fn new(
         plan: ClientPlan,
         spec: &FleetSpec,
         targets: Targets,
-        files: &[(String, usize)],
-        names: &[String],
+        files: Rc<[(String, usize)]>,
+        names: Rc<[String]>,
         stats: Shared<IslandStats>,
     ) -> WorkloadClient {
         WorkloadClient {
             open_loop: matches!(spec.pacing, Pacing::Open(_)),
             timeout: spec.session_timeout,
             targets,
-            files: files.to_vec(),
-            names: names.to_vec(),
+            files,
+            names,
             stats,
             cursor: 0,
             due: SimTime::ZERO,

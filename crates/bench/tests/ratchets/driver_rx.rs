@@ -53,7 +53,7 @@ fn wire_for(dest: &str, payload_len: usize) -> Vec<u8> {
     kiss::encode(0, kiss::Command::Data, &frame.encode())
 }
 
-/// Steady state: one long-lived driver, one reusable tty output queue,
+/// Steady state: one long-lived driver and its reusable tty output queue,
 /// so the count covers the per-frame cost and not driver setup.
 #[test]
 fn rint_frame_for_other() {
@@ -62,13 +62,12 @@ fn rint_frame_for_other() {
         PrConfig::new(Ax25Addr::parse_or_panic("N7AKR-1")),
         Ipv4Addr::new(44, 24, 0, 28),
     );
-    let mut tx = Vec::new();
     let mut pool = DgramPool::new();
     let mut rint = || {
-        drv.rint(SimTime::ZERO, &wire, &mut pool, None, &mut tx, |_, ev| {
+        drv.rint(SimTime::ZERO, &wire, &mut pool, None, |_, ev| {
             black_box(ev);
         });
-        tx.clear();
+        drv.tty_outq().clear();
     };
     rint(); // sizes the deframer's frame buffer
     let allocs = allocs_during(rint);
@@ -429,29 +428,31 @@ fn arp_exchange_allocates_nothing() {
     let stale = SimDuration::from_secs(21 * 60);
 
     // --- The packet radio driver, serial bytes between two stations. ---
-    // Each station lends its driver its own pool and tty output queue, as
-    // its host would.
+    // Each station lends its driver its own pool, as its host would; each
+    // driver queues for its serial line in its own tty output queue.
     let station =
         |call: &str, ip| PacketRadioDriver::new(PrConfig::new(Ax25Addr::parse_or_panic(call)), ip);
     let (mut a, mut b) = (station("N7AKR-1", a_ip), station("KB7DZ", b_ip));
     let (mut a_pool, mut b_pool) = (DgramPool::new(), DgramPool::new());
-    let (mut a_tx, mut b_tx) = (Vec::new(), Vec::new());
     let mut now = SimTime::ZERO;
     let mut delivered = 0usize;
     let mut radio_round = |packet: Ipv4Packet| {
         now += stale;
-        a.output(now, packet, b_ip, &mut a_pool, None, &mut a_tx);
+        a.output(now, packet, b_ip, &mut a_pool, None);
         // Each hop: what one station queued for its serial line reaches
         // the other's receive interrupt handler.
         for hop in 0..3 {
-            let (from_tx, to, to_pool, to_tx) = if hop % 2 == 0 {
-                (&mut a_tx, &mut b, &mut b_pool, &mut b_tx)
+            let (from, to, to_pool) = if hop % 2 == 0 {
+                (&mut a, &mut b, &mut b_pool)
             } else {
-                (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
+                (&mut b, &mut a, &mut a_pool)
             };
             let mut up = None;
-            to.rint(now, from_tx, to_pool, None, to_tx, |_, ev| up = Some(ev));
-            from_tx.clear();
+            // The line takes the queue's bytes; the queue keeps its buffer.
+            let line = std::mem::take(from.tty_outq());
+            to.rint(now, &line, to_pool, None, |_, ev| up = Some(ev));
+            *from.tty_outq() = line;
+            from.tty_outq().clear();
             if let Some(PrEvent::IpPacket(datagram)) = up {
                 // What the host does once its stack is done with it.
                 delivered += 1;
@@ -482,19 +483,21 @@ fn arp_exchange_allocates_nothing() {
     let mut a = EtherDriver::new(a_mac, a_ip);
     let mut b = EtherDriver::new(b_mac, b_ip);
     let (mut a_pool, mut b_pool) = (DgramPool::new(), DgramPool::new());
-    let (mut a_tx, mut b_tx): (Vec<EtherFrame>, Vec<EtherFrame>) = (Vec::new(), Vec::new());
+    // The segment's hand: drivers swap their queued frames into it.
+    let mut wire: Vec<EtherFrame> = Vec::new();
     let mut delivered = 0usize;
     let mut ether_round = |packet: Ipv4Packet| {
         now += stale;
-        a.output(now, packet, b_ip, &mut a_pool, &mut a_tx);
+        a.output(now, packet, b_ip, &mut a_pool);
         for hop in 0..3 {
-            let (from_tx, to, to_pool, to_tx) = if hop % 2 == 0 {
-                (&mut a_tx, &mut b, &mut b_pool, &mut b_tx)
+            let (from, to, to_pool) = if hop % 2 == 0 {
+                (&mut a, &mut b, &mut b_pool)
             } else {
-                (&mut b_tx, &mut a, &mut a_pool, &mut a_tx)
+                (&mut b, &mut a, &mut a_pool)
             };
-            for frame in from_tx.drain(..) {
-                if let Some(datagram) = to.input(now, Cow::Owned(frame), to_pool, to_tx) {
+            from.swap_outbox(&mut wire);
+            for frame in wire.drain(..) {
+                if let Some(datagram) = to.input(now, Cow::Owned(frame), to_pool) {
                     delivered += 1;
                     to_pool.give(datagram);
                 }

@@ -28,6 +28,8 @@ const RETRY_INTERVAL: SimDuration = SimDuration::from_secs(5);
 const GIVE_UP: SimDuration = SimDuration::from_secs(30);
 /// Packets held per unresolved address (4.3BSD held exactly one).
 const MAX_HELD: usize = 4;
+/// How often the engine looks at its waits.
+const POLL: SimDuration = SimDuration::from_secs(1);
 
 /// Engine counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -119,6 +121,8 @@ pub struct ArpEngine {
     /// slots, where a `BTreeMap`'s eleven-slot leaf of inline held
     /// packets would keep 2.7 kB in every engine that ever waited.
     waiting: Vec<(Ipv4Addr, Waiting)>,
+    /// When [`ArpEngine::age`] last looked at the waits.
+    last_poll: SimTime,
     stats: ArpStats,
 }
 
@@ -132,6 +136,7 @@ impl ArpEngine {
             my_ip,
             cache: HashMap::new(),
             waiting: Vec::new(),
+            last_poll: SimTime::ZERO,
             stats: ArpStats::default(),
         }
     }
@@ -258,14 +263,16 @@ impl ArpEngine {
         (reply, released)
     }
 
-    /// Re-issues requests for stale waits and drops the ones unanswered
-    /// for `GIVE_UP`; call periodically (e.g. once a second).
+    /// The engine's clock, called on every pass of its host: a second or
+    /// more after its last look it looks again (and stamps `now`),
+    /// re-issues requests for stale waits and drops the ones unanswered
+    /// for `GIVE_UP`.
     pub fn age(&mut self, now: SimTime) -> Vec<ArpPacket> {
-        // Most ticks nothing is due: look before collecting anything.
-        let since = |w: &Waiting| now.saturating_since(w.last_request.unwrap_or(SimTime::ZERO));
-        if !self.waiting.iter().any(|(_, w)| since(w) >= RETRY_INTERVAL) {
+        if now.saturating_since(self.last_poll) < POLL {
             return Vec::new();
         }
+        self.last_poll = now;
+        let since = |w: &Waiting| now.saturating_since(w.last_request.unwrap_or(SimTime::ZERO));
         let mut requests = Vec::new();
         self.waiting.retain_mut(|(ip, w)| {
             if since(w) >= GIVE_UP {
@@ -292,9 +299,9 @@ impl ArpEngine {
         self.stats
     }
 
-    /// Number of addresses with packets waiting on resolution.
-    pub fn pending_resolutions(&self) -> usize {
-        self.waiting.len()
+    /// When [`ArpEngine::age`] next looks, while any resolution is pending.
+    pub(crate) fn next_poll(&self) -> Option<SimTime> {
+        (!self.waiting.is_empty()).then(|| self.last_poll + POLL)
     }
 }
 
@@ -463,6 +470,6 @@ mod tests {
             .map(|r| r.target_ip)
             .collect();
         assert_eq!(asked, [ipa(3), ipa(5), ipa(9)]);
-        assert_eq!(e.pending_resolutions(), 3);
+        assert_eq!(e.waiting.len(), 3);
     }
 }

@@ -39,6 +39,8 @@ pub struct EtherDriver {
     /// The `if_net` entry ("qe0").
     pub ifnet: IfNet,
     mac: MacAddr,
+    /// Frames for the segment, not yet handed to it (BSD's `if_snd`).
+    outbox: Vec<EtherFrame>,
     arp: ArpEngine,
     stats: EtherDrvStats,
 }
@@ -49,6 +51,7 @@ impl EtherDriver {
         EtherDriver {
             ifnet: IfNet::default(),
             mac,
+            outbox: Vec::new(),
             arp: ArpEngine::new(hw_type::ETHERNET, mac_hw(mac), my_ip),
             stats: EtherDrvStats::default(),
         }
@@ -64,14 +67,22 @@ impl EtherDriver {
         self.stats
     }
 
-    /// The driver's ARP engine.
-    pub fn arp_mut(&mut self) -> &mut ArpEngine {
-        &mut self.arp
-    }
-
     /// The ARP engine, read-only.
     pub fn arp(&self) -> &ArpEngine {
         &self.arp
+    }
+
+    /// Hands the frames queued for the segment over by swapping them with
+    /// `empty`, so the caller's drained buffer (and its capacity) becomes
+    /// the next queue.
+    pub fn swap_outbox(&mut self, empty: &mut Vec<EtherFrame>) {
+        debug_assert!(empty.is_empty());
+        std::mem::swap(&mut self.outbox, empty);
+    }
+
+    /// Drops the frames queued for the segment (the host lost power).
+    pub(crate) fn power_down(&mut self) {
+        self.outbox.clear();
     }
 
     /// Processes a received frame. Returns the decapsulated IP packet
@@ -79,13 +90,13 @@ impl EtherDriver {
     /// frame over ([`Cow::Owned`]: the segment's last recipient, or a
     /// unicast frame moved across a shard boundary), a copy in a buffer
     /// from the host's `pool` otherwise; frames the driver wants
-    /// transmitted (ARP replies, released holds) are pushed onto `tx`.
+    /// transmitted (ARP replies, released holds) are queued for the
+    /// segment.
     pub fn input(
         &mut self,
         now: SimTime,
         frame: Cow<'_, EtherFrame>,
         pool: &mut DgramPool,
-        tx: &mut Vec<EtherFrame>,
     ) -> Option<Vec<u8>> {
         self.stats.frames_in += 1;
         self.ifnet.stats.ipackets += 1;
@@ -99,7 +110,7 @@ impl EtherDriver {
             }
             EtherType::Arp => {
                 self.stats.arp_in += 1;
-                self.input_arp(now, &frame.payload, pool, tx);
+                self.input_arp(now, &frame.payload, pool);
                 // An ARP frame handed over leaves its buffer behind.
                 if let Cow::Owned(f) = frame {
                     pool.give(f.payload);
@@ -113,58 +124,40 @@ impl EtherDriver {
         }
     }
 
-    fn input_arp(
-        &mut self,
-        now: SimTime,
-        payload: &[u8],
-        pool: &mut DgramPool,
-        tx: &mut Vec<EtherFrame>,
-    ) {
+    fn input_arp(&mut self, now: SimTime, payload: &[u8], pool: &mut DgramPool) {
         let Ok(arp) = ArpPacket::decode(payload) else {
             self.ifnet.stats.ierrors += 1;
             return;
         };
         let (reply, released) = self.arp.on_arp(now, &arp);
         if let Some(reply) = reply {
-            self.emit_arp(mac_from_bytes(&reply.target_hw), &reply, pool, tx);
+            self.emit_arp(mac_from_bytes(&reply.target_hw), &reply, pool);
         }
         let dst = mac_from_bytes(&arp.sender_hw);
         for packet in released {
-            self.stats.ip_out += 1;
-            let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
-            tx.push(f);
+            self.send_ip(dst, packet);
         }
     }
 
     /// Outputs an IP packet toward `next_hop`, resolving its MAC; frames
     /// to transmit (possibly an ARP request, built in a `pool` buffer,
-    /// while the packet waits) are pushed onto `tx`. A broadcast next hop
-    /// (RIP44 announcements) bypasses ARP and goes straight to the all-ones
-    /// MAC.
+    /// while the packet waits) are queued for the segment. A broadcast
+    /// next hop (RIP44 announcements) bypasses ARP and goes straight to
+    /// the all-ones MAC.
     pub fn output(
         &mut self,
         now: SimTime,
         packet: Ipv4Packet,
         next_hop: Ipv4Addr,
         pool: &mut DgramPool,
-        tx: &mut Vec<EtherFrame>,
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
-            self.stats.ip_out += 1;
-            let f = self.build_frame(MacAddr::BROADCAST, EtherType::Ipv4, packet.into_wire());
-            tx.push(f);
+            self.send_ip(MacAddr::BROADCAST, packet);
             return;
         }
         match self.arp.resolve(now, next_hop, packet) {
-            Resolution::Send(hw, packet) => {
-                self.stats.ip_out += 1;
-                let dst = mac_from_bytes(&hw);
-                let f = self.build_frame(dst, EtherType::Ipv4, packet.into_wire());
-                tx.push(f);
-            }
-            Resolution::Pending(Some(request)) => {
-                self.emit_arp(MacAddr::BROADCAST, &request, pool, tx)
-            }
+            Resolution::Send(hw, packet) => self.send_ip(mac_from_bytes(&hw), packet),
+            Resolution::Pending(Some(request)) => self.emit_arp(MacAddr::BROADCAST, &request, pool),
             Resolution::Pending(None) => {}
             Resolution::Dropped => {
                 self.ifnet.stats.oerrors += 1;
@@ -172,31 +165,31 @@ impl EtherDriver {
         }
     }
 
-    /// Periodic ARP maintenance; requests to retransmit go onto `tx`.
-    pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut Vec<EtherFrame>) {
+    /// The ARP engine's clock ([`ArpEngine::age`]); requests to retransmit
+    /// are queued for the segment.
+    pub(crate) fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool) {
         for r in self.arp.age(now) {
-            self.emit_arp(MacAddr::BROADCAST, &r, pool, tx);
+            self.emit_arp(MacAddr::BROADCAST, &r, pool);
         }
+    }
+
+    fn send_ip(&mut self, dst: MacAddr, packet: Ipv4Packet) {
+        self.stats.ip_out += 1;
+        self.emit(dst, EtherType::Ipv4, packet.into_wire());
     }
 
     /// Sends an ARP packet, encoded in a pool buffer: the frame takes the
     /// allocation with it.
-    fn emit_arp(
-        &mut self,
-        dst: MacAddr,
-        arp: &ArpPacket,
-        pool: &mut DgramPool,
-        tx: &mut Vec<EtherFrame>,
-    ) {
+    fn emit_arp(&mut self, dst: MacAddr, arp: &ArpPacket, pool: &mut DgramPool) {
         let mut payload = pool.take(arp.wire_len());
         arp.encode_into(&mut payload);
-        let f = self.build_frame(dst, EtherType::Arp, payload);
-        tx.push(f);
+        self.emit(dst, EtherType::Arp, payload);
     }
 
-    fn build_frame(&mut self, dst: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> EtherFrame {
+    fn emit(&mut self, dst: MacAddr, ethertype: EtherType, payload: Vec<u8>) {
         self.ifnet.stats.opackets += 1;
-        EtherFrame::new(dst, self.mac, ethertype, payload)
+        let frame = EtherFrame::new(dst, self.mac, ethertype, payload);
+        self.outbox.push(frame);
     }
 }
 
@@ -231,6 +224,13 @@ mod tests {
         DgramPool::new()
     }
 
+    /// Takes the frames the driver queued for the segment.
+    fn sent(drv: &mut EtherDriver) -> Vec<EtherFrame> {
+        let mut tx = Vec::new();
+        drv.swap_outbox(&mut tx);
+        tx
+    }
+
     #[test]
     fn ip_frames_pass_up() {
         let mut drv = driver();
@@ -241,9 +241,8 @@ mod tests {
             EtherType::Ipv4,
             p.encode(),
         );
-        let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
-        assert!(tx.is_empty());
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool());
+        assert!(sent(&mut drv).is_empty());
         assert_eq!(ip.unwrap(), p.encode());
         assert_eq!(drv.stats().ip_in, 1);
     }
@@ -256,8 +255,7 @@ mod tests {
         // its tail.
         let mut drv = driver();
         let mut pool = pool();
-        let mut tx: Vec<EtherFrame> = Vec::new();
-        let mut receive = |drv: &mut EtherDriver, pool: &mut DgramPool, len: usize, fill: u8| {
+        let receive = |drv: &mut EtherDriver, pool: &mut DgramPool, len: usize, fill: u8| {
             let p = Ipv4Packet::new(ipa(4), ipa(100), Proto::Udp, vec![fill; len - 20]);
             let f = EtherFrame::new(
                 MacAddr::local(1),
@@ -265,9 +263,7 @@ mod tests {
                 EtherType::Ipv4,
                 p.encode(),
             );
-            let up = drv
-                .input(SimTime::ZERO, Cow::Borrowed(&f), pool, &mut tx)
-                .unwrap();
+            let up = drv.input(SimTime::ZERO, Cow::Borrowed(&f), pool).unwrap();
             assert_eq!(up, f.payload, "{len}-octet datagram");
             up
         };
@@ -294,16 +290,16 @@ mod tests {
             EtherType::Arp,
             req.encode(),
         );
-        let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool());
         assert!(ip.is_none());
+        let tx = sent(&mut drv);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(2));
         assert_eq!(tx[0].ethertype, EtherType::Arp);
         // Now output to that host is a cache hit.
         let p = Ipv4Packet::new(ipa(100), ipa(4), Proto::Udp, vec![0; 4]);
-        let mut frames: Vec<EtherFrame> = Vec::new();
-        drv.output(SimTime::ZERO, p, ipa(4), &mut pool(), &mut frames);
+        drv.output(SimTime::ZERO, p, ipa(4), &mut pool());
+        let frames = sent(&mut drv);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].ethertype, EtherType::Ipv4);
         assert_eq!(frames[0].dst, MacAddr::local(2));
@@ -313,8 +309,8 @@ mod tests {
     fn unresolved_output_broadcasts_request_then_releases() {
         let mut drv = driver();
         let p = Ipv4Packet::new(ipa(100), ipa(4), Proto::Udp, vec![9; 8]);
-        let mut frames: Vec<EtherFrame> = Vec::new();
-        drv.output(SimTime::ZERO, p.clone(), ipa(4), &mut pool(), &mut frames);
+        drv.output(SimTime::ZERO, p.clone(), ipa(4), &mut pool());
+        let frames = sent(&mut drv);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].dst, MacAddr::BROADCAST);
         assert_eq!(frames[0].ethertype, EtherType::Arp);
@@ -327,8 +323,8 @@ mod tests {
             EtherType::Arp,
             reply.encode(),
         );
-        let mut tx: Vec<EtherFrame> = Vec::new();
-        let _ = drv.input(SimTime::ZERO, Cow::Owned(rf), &mut pool(), &mut tx);
+        let _ = drv.input(SimTime::ZERO, Cow::Owned(rf), &mut pool());
+        let tx = sent(&mut drv);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].dst, MacAddr::local(7));
         assert_eq!(tx[0].payload, p.encode());
@@ -343,9 +339,8 @@ mod tests {
             EtherType::Other(0x6004),
             vec![0; 10],
         );
-        let mut tx: Vec<EtherFrame> = Vec::new();
-        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool(), &mut tx);
-        assert!(ip.is_none() && tx.is_empty());
+        let ip = drv.input(SimTime::ZERO, Cow::Borrowed(&f), &mut pool());
+        assert!(ip.is_none() && sent(&mut drv).is_empty());
         assert_eq!(drv.stats().other_in, 1);
     }
 }

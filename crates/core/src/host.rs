@@ -27,7 +27,7 @@ use sim::SimTime;
 
 use crate::cpu::{Cpu, CpuConfig};
 use crate::etherdrv::EtherDriver;
-use crate::ifnet::{IfQueue, IFQ_MAXLEN};
+use crate::ifnet::{IfQueue, Links, IFQ_MAXLEN};
 use crate::prdriver::{Discard, PacketRadioDriver, PrConfig, PrEvent, AX25_MTU};
 
 /// Radio interface parameters for a host.
@@ -95,10 +95,9 @@ pub struct Host {
     pub stack: NetStack,
     /// The CPU cost model.
     pub cpu: Cpu,
-    pr: Option<(IfaceId, PacketRadioDriver)>,
-    /// The Ethernet interface, out of line: of a city's hosts only the
-    /// gateways and the wired internet host have one.
-    eth: Option<Box<(IfaceId, EtherDriver)>>,
+    /// The drivers, each owning its output queue and its ARP clock; what
+    /// both do alike goes through [`Links`], the rest names one.
+    links: Links,
     /// The packet-filter engine, lent to the radio driver's hooks for
     /// each call that judges a packet; out of line, as only a gateway
     /// has one.
@@ -107,16 +106,10 @@ pub struct Host {
     input_queue: IfQueue<(IfaceId, Vec<u8>)>,
     /// Non-IP frames diverted for user programs (§2.4).
     tty_queue: VecDeque<Frame>,
-    /// The tty's output queue: KISS-framed bytes the radio driver wrote
-    /// for the serial line to the TNC, not yet handed to it.
-    tty_outq: Vec<u8>,
     /// The round of stack actions [`Host::handle_actions`] is routing
     /// (empty between calls; kept for its capacity).
     round: Vec<StackAction>,
-    /// Frames for the Ethernet segment.
-    outbox: Vec<EtherFrame>,
     events: Vec<StackAction>,
-    last_arp_age: SimTime,
     /// Powered off (E12's gateway kill): all link input is dropped and no
     /// deadlines are reported until the host comes back up.
     down: bool,
@@ -138,7 +131,7 @@ impl Host {
         );
         let ifaces = usize::from(cfg.radio.is_some()) + usize::from(cfg.ether.is_some());
         let mut stack = NetStack::with_ifaces(cfg.stack, ifaces);
-        let pr = cfg.radio.map(|r| {
+        let radio = cfg.radio.map(|r| {
             let iface = stack.add_iface(IfaceConfig {
                 name: "pr0",
                 addr: r.ip,
@@ -147,7 +140,7 @@ impl Host {
             });
             (iface, PacketRadioDriver::new(PrConfig::new(r.call), r.ip))
         });
-        let eth = cfg.ether.map(|e| {
+        let ether = cfg.ether.map(|e| {
             let iface = stack.add_iface(IfaceConfig {
                 name: "qe0",
                 addr: e.ip,
@@ -160,43 +153,39 @@ impl Host {
             name: cfg.name,
             stack,
             cpu: Cpu::new(cfg.cpu),
-            pr,
-            eth,
+            links: Links { radio, ether },
             filter: cfg.filter.map(|f| Box::new(FilterEngine::new(f))),
             input_queue: IfQueue::new(IFQ_MAXLEN),
             tty_queue: VecDeque::new(),
-            tty_outq: Vec::new(),
             round: Vec::new(),
-            outbox: Vec::new(),
             events: Vec::new(),
-            last_arp_age: SimTime::ZERO,
             down: false,
         }
     }
 
     /// The radio interface id, if the host has one.
     pub fn radio_iface(&self) -> Option<IfaceId> {
-        self.pr.as_ref().map(|(i, _)| *i)
+        self.links.radio.as_ref().map(|(i, _)| *i)
     }
 
     /// The Ethernet interface id, if the host has one.
     pub fn ether_iface(&self) -> Option<IfaceId> {
-        self.eth.as_deref().map(|(i, _)| *i)
+        self.links.ether.as_deref().map(|(i, _)| *i)
     }
 
     /// The packet radio driver, if present.
     pub fn pr_driver(&self) -> Option<&PacketRadioDriver> {
-        self.pr.as_ref().map(|(_, d)| d)
+        self.links.radio.as_ref().map(|(_, d)| d)
     }
 
     /// Mutable packet radio driver (static ARP entries, etc.).
     pub fn pr_driver_mut(&mut self) -> Option<&mut PacketRadioDriver> {
-        self.pr.as_mut().map(|(_, d)| d)
+        self.links.radio.as_mut().map(|(_, d)| d)
     }
 
     /// The Ethernet driver, if present.
     pub fn ether_driver(&self) -> Option<&EtherDriver> {
-        self.eth.as_deref().map(|(_, d)| d)
+        self.links.ether.as_deref().map(|(_, d)| d)
     }
 
     /// The packet-filter engine, if one is installed, to read.
@@ -230,12 +219,12 @@ impl Host {
 
     /// The station callsign, if the host has a radio.
     pub fn callsign(&self) -> Option<Ax25Addr> {
-        self.pr.as_ref().map(|(_, d)| d.my_call())
+        self.pr_driver().map(PacketRadioDriver::my_call)
     }
 
     /// The NIC MAC, if the host has Ethernet.
     pub fn mac(&self) -> Option<MacAddr> {
-        self.eth.as_deref().map(|(_, d)| d.mac())
+        self.ether_driver().map(EtherDriver::mac)
     }
 
     /// Input-queue depth (for E3's gateway-queue measurements).
@@ -268,12 +257,8 @@ impl Host {
         if down && !self.down {
             self.input_queue = IfQueue::new(IFQ_MAXLEN);
             self.tty_queue.clear();
-            self.tty_outq.clear();
-            self.outbox.clear();
             self.events.clear();
-            if let Some((_, drv)) = &mut self.pr {
-                drv.reset_deframer();
-            }
+            self.links.power_down();
         }
         self.down = down;
     }
@@ -319,13 +304,13 @@ impl Host {
             return false;
         }
         let n = bytes.len() as u64;
-        let Some((iface, drv)) = self.pr.as_mut() else {
+        let Some((iface, drv)) = self.links.radio.as_mut() else {
             // No radio driver: the tty still takes every interrupt.
             self.cpu.charge_chars_paced(t0, char_time, n);
             return false;
         };
         let iface = *iface;
-        let (accepted, sent) = (drv.ifnet.stats.ipackets, self.tty_outq.len());
+        let (accepted, sent) = (drv.ifnet.stats.ipackets, drv.tty_outq().len());
         let cpu = &mut self.cpu;
         let input_queue = &mut self.input_queue;
         let tty_queue = &mut self.tty_queue;
@@ -336,7 +321,6 @@ impl Host {
             bytes,
             self.stack.pool_mut(),
             self.filter.as_deref_mut(),
-            &mut self.tty_outq,
             |idx, event| {
                 debug_assert!(
                     char_time.is_zero() || idx + 1 == bytes.len(),
@@ -361,13 +345,11 @@ impl Host {
         );
         self.cpu
             .charge_chars_paced(t0 + char_time * charged, char_time, n - charged);
-        if iqdrops > 0 {
-            drv.ifnet.stats.iqdrops += iqdrops;
-        }
+        drv.ifnet.stats.iqdrops += iqdrops;
         // Every event follows the address test; the output queue is
         // compared on its own so that anything the driver sends counts,
         // whatever prompted it.
-        drv.ifnet.stats.ipackets != accepted || self.tty_outq.len() != sent
+        drv.ifnet.stats.ipackets != accepted || drv.tty_outq().len() != sent
     }
 
     /// Whether the radio driver, as it stands, would count and drop the
@@ -375,7 +357,7 @@ impl Host {
     /// ([`PacketRadioDriver::would_discard`]); `None` without a driver.
     #[inline]
     pub fn would_discard(&self, seal: serial::Seal) -> Option<Discard> {
-        self.pr.as_ref()?.1.would_discard(seal)
+        self.pr_driver()?.would_discard(seal)
     }
 
     /// [`on_serial_run`](Host::on_serial_run) for the `n` characters of a
@@ -393,7 +375,7 @@ impl Host {
             return;
         }
         self.cpu.charge_chars_paced(t0, char_time, n as u64);
-        if let Some((_, drv)) = &mut self.pr {
+        if let Some(drv) = self.pr_driver_mut() {
             drv.rint_discarded(n, why);
         }
     }
@@ -405,10 +387,10 @@ impl Host {
         if self.down {
             return;
         }
-        let Some(&mut (iface, ref mut drv)) = self.eth.as_deref_mut() else {
+        let Some(&mut (iface, ref mut drv)) = self.links.ether.as_deref_mut() else {
             return;
         };
-        let ip = drv.input(now, frame, self.stack.pool_mut(), &mut self.outbox);
+        let ip = drv.input(now, frame, self.stack.pool_mut());
         if let Some(ip_bytes) = ip {
             let ready = self.cpu.charge_packet(now);
             if !self.input_queue.push(ready, (iface, ip_bytes)) {
@@ -434,14 +416,9 @@ impl Host {
         fold(self.stack.next_deadline());
         fold(self.input_queue.next_ready());
         fold(self.filter.as_deref().and_then(FilterEngine::next_deadline));
-        let arp_pending = self
-            .pr
-            .as_ref()
-            .map(|(_, d)| d.arp().pending_resolutions() > 0)
-            .unwrap_or(false);
-        if arp_pending {
-            fold(Some(self.last_arp_age + sim::SimDuration::from_secs(1)));
-        }
+        // Finding 4 (ROADMAP): only the radio's ARP waits wake the host;
+        // the Ethernet engine's wait for some other wake-up.
+        fold(self.pr_driver().and_then(|d| d.arp().next_poll()));
         best
     }
 
@@ -462,30 +439,19 @@ impl Host {
                 f.expire(now);
             }
         }
-        if now.saturating_since(self.last_arp_age) >= sim::SimDuration::from_secs(1) {
-            self.last_arp_age = now;
-            let pool = self.stack.pool_mut();
-            if let Some((_, drv)) = &mut self.pr {
-                drv.age_arp(now, pool, &mut self.tty_outq);
-            }
-            if let Some((_, drv)) = self.eth.as_deref_mut() {
-                drv.age_arp(now, pool, &mut self.outbox);
-            }
+        self.links.age_arp(now, self.stack.pool_mut());
+    }
+
+    /// Hands pending Ethernet output over ([`EtherDriver::swap_outbox`]).
+    pub fn swap_outbox(&mut self, empty: &mut Vec<EtherFrame>) {
+        if let Some((_, drv)) = self.links.ether.as_deref_mut() {
+            drv.swap_outbox(empty);
         }
     }
 
-    /// Hands pending Ethernet output over by swapping it with `empty`, so
-    /// the caller's drained buffer (and its capacity) becomes the next
-    /// outbox.
-    pub fn swap_outbox(&mut self, empty: &mut Vec<EtherFrame>) {
-        debug_assert!(empty.is_empty());
-        std::mem::swap(&mut self.outbox, empty);
-    }
-
-    /// The tty's output queue: KISS-framed bytes for the serial line to
-    /// the TNC, in order. Whoever hands them to the line clears it.
-    pub(crate) fn tty_outq(&mut self) -> &mut Vec<u8> {
-        &mut self.tty_outq
+    /// The radio's tty output queue ([`PacketRadioDriver::tty_outq`]).
+    pub(crate) fn tty_outq(&mut self) -> Option<&mut Vec<u8>> {
+        self.pr_driver_mut().map(PacketRadioDriver::tty_outq)
     }
 
     /// Hands the application-visible stack events over by swapping them
@@ -519,7 +485,9 @@ impl Host {
                         next_hop,
                         packet,
                     } => {
-                        self.route_output(now, iface, next_hop, packet);
+                        let (pool, filter) = (self.stack.pool_mut(), self.filter.as_deref_mut());
+                        self.links
+                            .output(iface, now, packet, next_hop, pool, filter);
                     }
                     StackAction::ForwardNeeded { packet, .. } => self.stack.forward(packet),
                     StackAction::GateControl {
@@ -527,7 +495,7 @@ impl Host {
                         ingress,
                         message,
                     } => {
-                        let from_amateur_side = Some(ingress) == self.pr.as_ref().map(|(i, _)| *i);
+                        let from_amateur_side = self.links.is_radio(ingress);
                         if let Some(f) = &mut self.filter {
                             f.on_gate_message(now, from_amateur_side, &message);
                         }
@@ -543,34 +511,6 @@ impl Host {
             }
         }
         self.round = round;
-    }
-
-    fn route_output(
-        &mut self,
-        now: SimTime,
-        iface: IfaceId,
-        next_hop: Ipv4Addr,
-        packet: netstack::ip::Ipv4Packet,
-    ) {
-        let pool = self.stack.pool_mut();
-        if let Some((pr_if, drv)) = &mut self.pr {
-            if *pr_if == iface {
-                drv.output(
-                    now,
-                    packet,
-                    next_hop,
-                    pool,
-                    self.filter.as_deref_mut(),
-                    &mut self.tty_outq,
-                );
-                return;
-            }
-        }
-        if let Some((eth_if, drv)) = self.eth.as_deref_mut() {
-            if *eth_if == iface {
-                drv.output(now, packet, next_hop, pool, &mut self.outbox);
-            }
-        }
     }
 
     /// Runs one stack verb and routes the actions it provoked: egress
@@ -596,8 +536,8 @@ impl Host {
     /// Sends a raw AX.25 frame from "user space" via the radio driver
     /// (the §2.4 path back down the tty).
     pub fn send_raw_ax25(&mut self, frame: &Frame) {
-        if let Some((_, drv)) = &mut self.pr {
-            drv.send_raw_frame(frame, &mut self.tty_outq);
+        if let Some(drv) = self.pr_driver_mut() {
+            drv.send_raw_frame(frame);
         }
     }
 
@@ -611,10 +551,8 @@ impl Host {
         if self.down {
             return;
         }
-        let (iface, ifnet) = match (&mut self.pr, self.eth.as_deref_mut()) {
-            (Some((iface, drv)), _) => (*iface, &mut drv.ifnet),
-            (None, Some((iface, drv))) => (*iface, &mut drv.ifnet),
-            (None, None) => return,
+        let Some((iface, ifnet)) = self.links.first() else {
+            return;
         };
         let ready = self.cpu.charge_packet(now);
         if !self.input_queue.push(ready, (iface, bytes)) {
@@ -645,11 +583,12 @@ mod tests {
 
     /// Takes the AX.25 frames the host queued for its serial line.
     fn sent_frames(h: &mut Host) -> Vec<Frame> {
-        let frames = kiss::decode_stream(h.tty_outq())
+        let tty = h.tty_outq().expect("a radio host");
+        let frames = kiss::decode_stream(tty)
             .iter()
             .map(|k| Frame::decode(&k.payload).unwrap())
             .collect();
-        h.tty_outq().clear();
+        tty.clear();
         frames
     }
 
@@ -758,10 +697,13 @@ mod tests {
         let eth_if = gw.ether_iface().unwrap();
         gw.stack.input_owned(now, eth_if, p.encode());
         gw.handle_actions(now);
-        assert!(gw.tty_outq().is_empty(), "denied: nothing transmitted");
+        assert!(
+            sent_frames(&mut gw).is_empty(),
+            "denied: nothing transmitted"
+        );
         let drv = gw.pr_driver().unwrap();
         assert_eq!(drv.stats().filter_drop_out, 1);
-        assert_eq!(drv.arp().pending_resolutions(), 0, "no ARP for drops");
+        assert_eq!(drv.arp().next_poll(), None, "no ARP for drops");
         let fs = gw.filter_stats().unwrap();
         assert_eq!(fs.gate_denied, 1);
 
@@ -783,7 +725,7 @@ mod tests {
         gw.stack.input_owned(ready, eth_if, p.encode());
         gw.handle_actions(ready);
         assert!(
-            !gw.tty_outq().is_empty(),
+            !sent_frames(&mut gw).is_empty(),
             "admitted transit reaches the radio (ARP or data)"
         );
     }
@@ -884,6 +826,67 @@ mod tests {
         };
         assert_eq!(f.ethertype, ether::EtherType::Arp);
         assert!(f.dst.is_broadcast());
+    }
+
+    /// A gateway's two links each wait on a silent neighbour. Each ARP
+    /// engine keeps its own clock, yet both look at their waits from the
+    /// same `advance` calls, at the same once-a-second instants, and retry
+    /// together every 5 s. Only the radio's waits wake the host: that is
+    /// ROADMAP finding 4, which folding every link's poll into
+    /// `next_deadline` mends, flipping the `None` below.
+    #[test]
+    fn both_links_poll_arp_on_one_beat_and_only_the_radio_wakes_the_host() {
+        use crate::arp_engine::ArpEngine;
+        use sim::SimDuration;
+        let mut cfg = HostConfig::named("gw");
+        cfg.stack.forwarding = true;
+        cfg.radio = Some(RadioIfConfig {
+            call: a("N7AKR-1"),
+            ip: Ipv4Addr::new(44, 24, 0, 28),
+            prefix_len: 16,
+        });
+        cfg.ether = Some(EtherIfConfig {
+            mac: MacAddr::local(1),
+            ip: Ipv4Addr::new(128, 95, 1, 100),
+            prefix_len: 24,
+        });
+        let mut gw = Host::new(cfg);
+        fn engines(h: &Host) -> (&ArpEngine, &ArpEngine) {
+            (
+                h.pr_driver().unwrap().arp(),
+                h.ether_driver().unwrap().arp(),
+            )
+        }
+        let requests = |h: &Host| {
+            let (radio, ether) = engines(h);
+            (radio.stats().requests_sent, ether.stats().requests_sent)
+        };
+        let t0 = SimTime::ZERO;
+        let second = SimDuration::from_secs(1);
+        gw.stack_op(t0, |st| st.ping(Ipv4Addr::new(128, 95, 1, 77), 1, 1, 8));
+        assert_eq!(engines(&gw).1.next_poll(), Some(t0 + second));
+        assert_eq!(gw.next_deadline(), None, "finding 4");
+        gw.stack_op(t0, |st| st.ping(Ipv4Addr::new(44, 24, 0, 77), 1, 1, 8));
+        assert_eq!(requests(&gw), (1, 1));
+        assert_eq!(gw.next_deadline(), Some(t0 + second));
+        let mut retried = Vec::new();
+        for half_seconds in 1..=24 {
+            let t = t0 + SimDuration::from_millis(500 * half_seconds);
+            let before = requests(&gw);
+            gw.advance(t);
+            let after = requests(&gw);
+            if after != before {
+                retried.push((t, after.0 - before.0, after.1 - before.1));
+            }
+            // Each engine looked last at the latest whole second.
+            let looked = t0 + second * (half_seconds / 2);
+            let (radio, ether) = engines(&gw);
+            assert_eq!(radio.next_poll(), Some(looked + second), "radio at {t:?}");
+            assert_eq!(ether.next_poll(), Some(looked + second), "ether at {t:?}");
+            assert_eq!(gw.next_deadline(), radio.next_poll(), "at {t:?}");
+        }
+        let at = |s| t0 + SimDuration::from_secs(s);
+        assert_eq!(retried, [(at(5), 1, 1), (at(10), 1, 1)]);
     }
 
     /// A KISS byte stream of the frames `kinds` names, one arm each; `noise`

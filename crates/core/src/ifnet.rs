@@ -7,13 +7,23 @@
 //! perform other operations."* In Rust, the procedure pointers become the
 //! driver types themselves and the stack's `IfaceConfig` holds each
 //! interface's name and MTU; what survives here is the interface's
-//! counters and the bounded `ifqueue` whose drops under load are
-//! part of §4.1's story ("since these retransmissions are queued at the
-//! gateway, they delay other packets").
+//! counters, the bounded `ifqueue` whose drops under load are part of
+//! §4.1's story ("since these retransmissions are queued at the gateway,
+//! they delay other packets"), and `Links`, the host's one seam to its
+//! drivers, each owning its output queue and ARP clock (BSD's `if_snd`,
+//! `if_timer`).
 
 use std::collections::VecDeque;
+use std::net::Ipv4Addr;
 
+use filter::FilterEngine;
+use netstack::ip::Ipv4Packet;
+use netstack::pool::DgramPool;
+use netstack::stack::IfaceId;
 use sim::SimTime;
+
+use crate::etherdrv::EtherDriver;
+use crate::prdriver::PacketRadioDriver;
 
 /// 4.3BSD's default interface queue depth.
 pub const IFQ_MAXLEN: usize = 50;
@@ -38,6 +48,66 @@ pub struct IfStats {
 pub struct IfNet {
     /// Counters.
     pub stats: IfStats,
+}
+
+/// A host's links, each driver beside its stack interface id: the one
+/// place the host reaches both through for what every link does alike.
+#[derive(Debug)]
+pub(crate) struct Links {
+    /// The packet radio interface ("pr0").
+    pub(crate) radio: Option<(IfaceId, PacketRadioDriver)>,
+    /// The Ethernet interface ("qe0"), out of line: of a city's hosts
+    /// only the gateways and the wired internet host have one.
+    pub(crate) ether: Option<Box<(IfaceId, EtherDriver)>>,
+}
+
+impl Links {
+    /// `if_output`: `packet` toward `next_hop` on the link behind
+    /// `iface`, onto its driver's own output queue. `filter` is lent to
+    /// the radio driver's output hook, the §4.3 gate's only one.
+    pub(crate) fn output(
+        &mut self,
+        iface: IfaceId,
+        now: SimTime,
+        packet: Ipv4Packet,
+        next_hop: Ipv4Addr,
+        pool: &mut DgramPool,
+        filter: Option<&mut FilterEngine>,
+    ) {
+        match (&mut self.radio, self.ether.as_deref_mut()) {
+            (Some((i, d)), _) if *i == iface => d.output(now, packet, next_hop, pool, filter),
+            (_, Some((i, d))) if *i == iface => d.output(now, packet, next_hop, pool),
+            _ => {}
+        }
+    }
+
+    /// Ticks each driver's ARP clock, the radio's first.
+    pub(crate) fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool) {
+        self.radio
+            .iter_mut()
+            .for_each(|(_, d)| d.age_arp(now, pool));
+        self.ether.iter_mut().for_each(|e| e.1.age_arp(now, pool));
+    }
+
+    /// Drops what each driver had queued (the host lost power).
+    pub(crate) fn power_down(&mut self) {
+        self.radio.iter_mut().for_each(|(_, d)| d.power_down());
+        self.ether.iter_mut().for_each(|e| e.1.power_down());
+    }
+
+    /// The first link, the radio or else the Ethernet: id and `if_net`.
+    pub(crate) fn first(&mut self) -> Option<(IfaceId, &mut IfNet)> {
+        match (&mut self.radio, self.ether.as_deref_mut()) {
+            (Some((i, d)), _) => Some((*i, &mut d.ifnet)),
+            (None, Some((i, d))) => Some((*i, &mut d.ifnet)),
+            (None, None) => None,
+        }
+    }
+
+    /// Whether `iface` is the radio, the §4.3 gate's amateur side.
+    pub(crate) fn is_radio(&self, iface: IfaceId) -> bool {
+        self.radio.as_ref().is_some_and(|(i, _)| *i == iface)
+    }
 }
 
 /// A bounded FIFO of work items with ready times — the `ifqueue`.

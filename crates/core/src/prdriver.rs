@@ -140,6 +140,9 @@ pub struct PacketRadioDriver {
     pub ifnet: IfNet,
     cfg: PrConfig,
     deframer: Deframer,
+    /// The tty's output queue (BSD's `t_outq`): KISS-framed bytes for the
+    /// serial line to the TNC, not yet handed to it.
+    outq: Vec<u8>,
     arp: ArpEngine,
     stats: PrStats,
     /// RFC 1144 header compression state, when enabled on this link; out
@@ -164,6 +167,7 @@ impl PacketRadioDriver {
             ifnet: IfNet::default(),
             cfg,
             deframer: Deframer::new(),
+            outq: Vec::new(),
             arp,
             stats: PrStats::default(),
             vj: None,
@@ -213,6 +217,12 @@ impl PacketRadioDriver {
         &self.arp
     }
 
+    /// The tty's output queue: KISS-framed bytes for the serial line to
+    /// the TNC, in order. Whoever hands them to the line clears it.
+    pub fn tty_outq(&mut self) -> &mut Vec<u8> {
+        &mut self.outq
+    }
+
     /// Accepts an additional destination address as broadcast (e.g. the
     /// `NODES` address a NET/ROM router listens to).
     pub fn add_broadcast_addr(&mut self, addr: Ax25Addr) {
@@ -229,11 +239,11 @@ impl PacketRadioDriver {
 
     // --- Receive path ------------------------------------------------------
 
-    /// Drops the partially received KISS frame (the host lost power; what
-    /// the tty had buffered is gone). The serial line relies on this: a
-    /// receiver that stops listening must not keep half a frame for the
-    /// next `FEND` to close (DESIGN.md §6).
-    pub fn reset_deframer(&mut self) {
+    /// Drops what the tty had buffered both ways (the host lost power):
+    /// the output queue, and the half-received KISS frame a receiver that
+    /// stops listening must not keep for the next `FEND` (DESIGN.md §6).
+    pub(crate) fn power_down(&mut self) {
+        self.outq.clear();
         self.deframer.reset();
     }
 
@@ -247,8 +257,8 @@ impl PacketRadioDriver {
     /// character. Each completed frame is classified and its event
     /// delivered through `on_event` with the slice index of its closing
     /// `FEND`; any frames the driver itself wants transmitted (ARP replies,
-    /// packets released by an ARP resolution) are KISS-framed onto `tx`,
-    /// the host's tty output queue. [`PrStats::rint_chars`] counts every
+    /// packets released by an ARP resolution) are KISS-framed onto its
+    /// tty output queue. [`PrStats::rint_chars`] counts every
     /// character, so the paper's §3 per-character cost model holds
     /// whatever the run length.
     ///
@@ -276,7 +286,6 @@ impl PacketRadioDriver {
         bytes: &[u8],
         pool: &mut DgramPool,
         mut filter: Option<&mut FilterEngine>,
-        tx: &mut Vec<u8>,
         mut on_event: impl FnMut(usize, PrEvent),
     ) {
         self.stats.rint_chars += bytes.len() as u64;
@@ -285,7 +294,7 @@ impl PacketRadioDriver {
         let mut deframer = std::mem::replace(&mut self.deframer, Deframer::placeholder());
         deframer.push_slice(bytes, |idx, kiss_frame| {
             let filter = filter.as_deref_mut();
-            if let Some(event) = self.classify_frame(now, kiss_frame, pool, filter, tx) {
+            if let Some(event) = self.classify_frame(now, kiss_frame, pool, filter) {
                 on_event(idx, event);
             }
         });
@@ -293,7 +302,8 @@ impl PacketRadioDriver {
     }
 
     /// [`rint`](PacketRadioDriver::rint) with an empty
-    /// pool and no filter; what it transmits lands in `tx` as one buffer.
+    /// pool and no filter; what it transmits leaves the tty output queue
+    /// for `tx`, as one buffer.
     #[doc(hidden)] // serves benchmarks/src/probes.rs:219 (ROADMAP 2(a))
     pub fn rint_slice(
         &mut self,
@@ -302,10 +312,10 @@ impl PacketRadioDriver {
         tx: &mut Vec<sim::PacketBuf>,
         on_event: impl FnMut(usize, PrEvent),
     ) {
-        let mut out = Vec::new();
-        self.rint(now, bytes, &mut DgramPool::new(), None, &mut out, on_event);
-        if !out.is_empty() {
-            tx.push(sim::PacketBuf::from_vec(out));
+        let queued = self.outq.len();
+        self.rint(now, bytes, &mut DgramPool::new(), None, on_event);
+        if self.outq.len() > queued {
+            tx.push(sim::PacketBuf::from_vec(self.outq.split_off(queued)));
         }
     }
 
@@ -372,7 +382,6 @@ impl PacketRadioDriver {
         kiss_frame: kiss::KissFrameRef<'_>,
         pool: &mut DgramPool,
         filter: Option<&mut FilterEngine>,
-        tx: &mut Vec<u8>,
     ) -> Option<PrEvent> {
         if kiss_frame.command != Command::Data {
             return None;
@@ -414,7 +423,7 @@ impl PacketRadioDriver {
                     let hw = Ax25Hw::via(frame.source, &path);
                     self.arp.insert_learned(now, src_ip, hw.encode());
                     for p in self.arp.release_held(src_ip) {
-                        self.encapsulate_ip(p, &hw, pool, tx);
+                        self.encapsulate_ip(p, &hw, pool);
                     }
                 }
                 Some(PrEvent::IpPacket(frame.info))
@@ -452,7 +461,7 @@ impl PacketRadioDriver {
                     frame.digipeaters.iter().rev().map(|d| d.addr).collect()
                 };
                 let info = &payload[hdr.info_start..];
-                self.handle_arp_info(now, info, hdr.source, &reverse_path, pool, tx);
+                self.handle_arp_info(now, info, hdr.source, &reverse_path, pool);
                 None
             }
             _ => {
@@ -521,7 +530,6 @@ impl PacketRadioDriver {
         link_source: Ax25Addr,
         reverse_path: &[Ax25Addr],
         pool: &mut DgramPool,
-        tx: &mut Vec<u8>,
     ) {
         let Ok(arp) = ArpPacket::decode(info) else {
             self.stats.bad_frames += 1;
@@ -546,12 +554,12 @@ impl PacketRadioDriver {
                 None => Ax25Hw::decode(&reply.target_hw).ok(),
             };
             if let Some(hw) = dest_hw {
-                self.encapsulate_arp(&reply, &hw, pool, tx);
+                self.encapsulate_arp(&reply, &hw, pool);
             }
         }
         if let Ok(hw) = Ax25Hw::decode(&arp.sender_hw) {
             for packet in released {
-                self.encapsulate_ip(packet, &hw, pool, tx);
+                self.encapsulate_ip(packet, &hw, pool);
             }
         }
         if let Some(hw) = &path_override {
@@ -560,7 +568,7 @@ impl PacketRadioDriver {
             // hardware type).
             self.arp.insert_learned(now, arp.sender_ip, hw.encode());
             for packet in self.arp.release_held(arp.sender_ip) {
-                self.encapsulate_ip(packet, hw, pool, tx);
+                self.encapsulate_ip(packet, hw, pool);
             }
         }
     }
@@ -568,8 +576,8 @@ impl PacketRadioDriver {
     // --- Transmit path --------------------------------------------------------
 
     /// Outputs an IP packet toward `next_hop`, resolving its AX.25
-    /// address; the frame is KISS-framed onto `tx`, the host's tty output
-    /// queue (possibly an ARP request while the packet waits). A broadcast
+    /// address; the frame is KISS-framed onto the tty output queue
+    /// (possibly an ARP request while the packet waits). A broadcast
     /// next hop (RIP44 announcements) bypasses ARP and goes out as a UI
     /// frame to the `QST` broadcast address. Once the datagram is on the
     /// queue its buffer goes to the host's `pool`, which also supplies the
@@ -583,7 +591,6 @@ impl PacketRadioDriver {
         next_hop: Ipv4Addr,
         pool: &mut DgramPool,
         filter: Option<&mut FilterEngine>,
-        tx: &mut Vec<u8>,
     ) {
         if next_hop == Ipv4Addr::BROADCAST {
             self.stats.ip_out += 1;
@@ -591,7 +598,7 @@ impl PacketRadioDriver {
             let bytes = packet.into_wire();
             self.stats.ip_bytes_out += bytes.len() as u64;
             let frame = Frame::ui(Ax25Addr::broadcast(), self.cfg.my_call, Pid::Ip, bytes);
-            self.emit_kiss(frame, pool, tx);
+            self.emit_kiss(frame, pool);
             return;
         }
         // Outbound policy runs before ARP: a denied packet (a spoofed
@@ -607,12 +614,12 @@ impl PacketRadioDriver {
         }
         match self.arp.resolve(now, next_hop, packet) {
             Resolution::Send(hw_bytes, packet) => match Ax25Hw::decode(&hw_bytes) {
-                Ok(hw) => self.encapsulate_ip(packet, &hw, pool, tx),
+                Ok(hw) => self.encapsulate_ip(packet, &hw, pool),
                 Err(_) => {
                     self.ifnet.stats.oerrors += 1;
                 }
             },
-            Resolution::Pending(Some(request)) => self.broadcast_arp(&request, pool, tx),
+            Resolution::Pending(Some(request)) => self.broadcast_arp(&request, pool),
             Resolution::Pending(None) => {}
             Resolution::Dropped => {
                 self.ifnet.stats.oerrors += 1;
@@ -620,27 +627,23 @@ impl PacketRadioDriver {
         }
     }
 
-    /// Periodic ARP maintenance; requests to retransmit go onto `tx`.
-    pub fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool, tx: &mut Vec<u8>) {
+    /// The ARP engine's clock ([`ArpEngine::age`]); requests to retransmit
+    /// go onto the tty output queue.
+    pub(crate) fn age_arp(&mut self, now: SimTime, pool: &mut DgramPool) {
         for r in self.arp.age(now) {
-            self.broadcast_arp(&r, pool, tx);
+            self.broadcast_arp(&r, pool);
         }
     }
 
     /// Sends a raw AX.25 frame from "user space" (the §2.4 application
-    /// gateway writing back down the tty), KISS-framed onto `tx`.
-    pub fn send_raw_frame(&mut self, frame: &Frame, tx: &mut Vec<u8>) {
+    /// gateway writing back down the tty), KISS-framed onto the tty
+    /// output queue.
+    pub fn send_raw_frame(&mut self, frame: &Frame) {
         self.ifnet.stats.opackets += 1;
-        kiss_onto(tx, frame);
+        kiss_onto(&mut self.outq, frame);
     }
 
-    fn encapsulate_ip(
-        &mut self,
-        packet: Ipv4Packet,
-        hw: &Ax25Hw,
-        pool: &mut DgramPool,
-        tx: &mut Vec<u8>,
-    ) {
+    fn encapsulate_ip(&mut self, packet: Ipv4Packet, hw: &Ax25Hw, pool: &mut DgramPool) {
         self.stats.ip_out += 1;
         self.ifnet.stats.opackets += 1;
         let mut bytes = packet.into_wire();
@@ -659,33 +662,27 @@ impl PacketRadioDriver {
         };
         self.stats.ip_bytes_out += bytes.len() as u64;
         let frame = Frame::ui(hw.station, self.cfg.my_call, pid, bytes).via(&hw.path);
-        self.emit_kiss(frame, pool, tx);
+        self.emit_kiss(frame, pool);
     }
 
-    fn encapsulate_arp(
-        &mut self,
-        arp: &ArpPacket,
-        hw: &Ax25Hw,
-        pool: &mut DgramPool,
-        tx: &mut Vec<u8>,
-    ) {
+    fn encapsulate_arp(&mut self, arp: &ArpPacket, hw: &Ax25Hw, pool: &mut DgramPool) {
         self.ifnet.stats.opackets += 1;
         // Encoded in a pool buffer, which goes straight back.
         let mut info = pool.take(arp.wire_len());
         arp.encode_into(&mut info);
         let frame = Frame::ui(hw.station, self.cfg.my_call, Pid::Arp, info).via(&hw.path);
-        self.emit_kiss(frame, pool, tx);
+        self.emit_kiss(frame, pool);
     }
 
-    fn broadcast_arp(&mut self, arp: &ArpPacket, pool: &mut DgramPool, tx: &mut Vec<u8>) {
-        self.encapsulate_arp(arp, &Ax25Hw::direct(Ax25Addr::broadcast()), pool, tx);
+    fn broadcast_arp(&mut self, arp: &ArpPacket, pool: &mut DgramPool) {
+        self.encapsulate_arp(arp, &Ax25Hw::direct(Ax25Addr::broadcast()), pool);
     }
 
-    /// KISS-frames an AX.25 frame onto the tty output queue `tx`
+    /// KISS-frames an AX.25 frame onto the tty output queue
     /// ([`kiss_onto`]). The frame lives on in those bytes; its info
     /// field's own allocation goes to the host's datagram `pool`.
-    fn emit_kiss(&mut self, frame: Frame, pool: &mut DgramPool, tx: &mut Vec<u8>) {
-        kiss_onto(tx, &frame);
+    fn emit_kiss(&mut self, frame: Frame, pool: &mut DgramPool) {
+        kiss_onto(&mut self.outq, &frame);
         pool.give(frame.info);
     }
 }
@@ -730,20 +727,17 @@ mod tests {
     }
 
     /// `rint` once per byte of `bytes`, lending the driver `pool` and no
-    /// filter; returns the events and the tty output queue.
+    /// filter; returns the events and takes the tty output queue.
     fn feed_in(
         drv: &mut PacketRadioDriver,
         pool: &mut DgramPool,
         bytes: &[u8],
     ) -> (Vec<PrEvent>, Vec<u8>) {
         let mut events = Vec::new();
-        let mut tx = Vec::new();
         for b in bytes.chunks(1) {
-            drv.rint(SimTime::ZERO, b, pool, None, &mut tx, |_, ev| {
-                events.push(ev)
-            });
+            drv.rint(SimTime::ZERO, b, pool, None, |_, ev| events.push(ev));
         }
-        (events, tx)
+        (events, std::mem::take(drv.tty_outq()))
     }
 
     /// [`feed_in`] with an empty pool.
@@ -752,18 +746,10 @@ mod tests {
     }
 
     /// [`PacketRadioDriver::output`] with an empty pool and no filter;
-    /// returns the tty output queue.
+    /// takes the tty output queue.
     fn send(drv: &mut PacketRadioDriver, packet: Ipv4Packet, next_hop: Ipv4Addr) -> Vec<u8> {
-        let mut tx = Vec::new();
-        drv.output(
-            SimTime::ZERO,
-            packet,
-            next_hop,
-            &mut DgramPool::new(),
-            None,
-            &mut tx,
-        );
-        tx
+        drv.output(SimTime::ZERO, packet, next_hop, &mut DgramPool::new(), None);
+        std::mem::take(drv.tty_outq())
     }
 
     /// Every AX.25 frame KISS-framed on a tty output queue, in order.
@@ -810,14 +796,8 @@ mod tests {
         drv.arp_mut()
             .insert_static(pc_ip(), Ax25Hw::direct(a("KB7DZ")).encode());
         let long = Ipv4Packet::new(gw_ip(), pc_ip(), Proto::Udp, vec![0xAA; 216]);
-        drv.output(
-            SimTime::ZERO,
-            long,
-            pc_ip(),
-            &mut pool,
-            None,
-            &mut Vec::new(),
-        );
+        drv.output(SimTime::ZERO, long, pc_ip(), &mut pool, None);
+        drv.tty_outq().clear();
         let short = Ipv4Packet::new(pc_ip(), gw_ip(), Proto::Other(99), Vec::new());
         assert_eq!(short.total_len(), 20);
         let frame = Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, short.encode());
@@ -957,9 +937,8 @@ mod tests {
     fn raw_frames_from_user_space_are_kiss_encoded() {
         let mut drv = driver();
         let frame = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Text, b"bbs".to_vec());
-        let mut tx = Vec::new();
-        drv.send_raw_frame(&frame, &mut tx);
-        assert_eq!(single_frame(&tx), frame);
+        drv.send_raw_frame(&frame);
+        assert_eq!(single_frame(drv.tty_outq()), frame);
     }
 
     #[test]
@@ -1028,15 +1007,14 @@ mod tests {
         for chunk in [1, 3, 7, wire.len()] {
             let mut bulk = driver();
             let mut events = Vec::new();
-            let mut tx = Vec::new();
             let mut pool = DgramPool::new();
             for piece in wire.chunks(chunk) {
-                bulk.rint(SimTime::ZERO, piece, &mut pool, None, &mut tx, |_, ev| {
+                bulk.rint(SimTime::ZERO, piece, &mut pool, None, |_, ev| {
                     events.push(ev)
                 });
             }
             assert_eq!(events, ref_events, "chunk {chunk}");
-            assert_eq!(tx, ref_tx, "chunk {chunk}");
+            assert_eq!(*bulk.tty_outq(), ref_tx, "chunk {chunk}");
             let (s, r) = (bulk.stats(), per_byte.stats());
             assert_eq!(s.rint_chars, r.rint_chars, "chunk {chunk}");
             assert_eq!(s.frames_in, r.frames_in, "chunk {chunk}");
@@ -1053,14 +1031,9 @@ mod tests {
         let wire = kiss_bytes(&Frame::ui(a("N7AKR-1"), a("KB7DZ"), Pid::Ip, ip.encode()));
         let mut seen = Vec::new();
         let mut pool = DgramPool::new();
-        drv.rint(
-            SimTime::ZERO,
-            &wire,
-            &mut pool,
-            None,
-            &mut Vec::new(),
-            |idx, _| seen.push(idx),
-        );
+        drv.rint(SimTime::ZERO, &wire, &mut pool, None, |idx, _| {
+            seen.push(idx)
+        });
         assert_eq!(seen, vec![wire.len() - 1]);
     }
 

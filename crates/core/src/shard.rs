@@ -1145,8 +1145,7 @@ impl ShardData {
     fn flush_host(&mut self, now: SimTime, hi: usize, segs: &mut Segs<'_>) -> Flushed {
         let mut flushed = Flushed::default();
         let port = self.hosts[hi].port;
-        let tty = self.hosts[hi].host.tty_outq();
-        if !tty.is_empty() {
+        if let Some(tty) = self.hosts[hi].host.tty_outq().filter(|q| !q.is_empty()) {
             flushed.progressed = true;
             if let Some(pi) = port {
                 self.ports[pi].line.send(now, End::A, tty);

@@ -375,25 +375,13 @@ impl World {
         ChanId(self.chan_map.len() - 1)
     }
 
-    /// Adds a radio channel with byte errors (shard 0).
+    /// Adds a radio channel with byte errors (shard 0). The error RNG
+    /// forks from shard 0's build-time stream, so topology construction
+    /// order alone fixes every stream.
     pub fn add_noisy_channel(&mut self, rate: Bandwidth, byte_error_rate: f64) -> ChanId {
-        self.add_noisy_channel_in(ShardId(0), rate, byte_error_rate)
-    }
-
-    /// Adds a radio channel with byte errors to a shard. The error RNG
-    /// forks from shard 0's build-time stream regardless of the target
-    /// shard, so topology construction order alone fixes every stream.
-    pub fn add_noisy_channel_in(
-        &mut self,
-        shard: ShardId,
-        rate: Bandwidth,
-        byte_error_rate: f64,
-    ) -> ChanId {
         let rng = self.touch(0).rng.fork();
-        self.push_channel(
-            shard,
-            Channel::new(rate).with_byte_errors(byte_error_rate, rng),
-        )
+        let channel = Channel::new(rate).with_byte_errors(byte_error_rate, rng);
+        self.push_channel(ShardId(0), channel)
     }
 
     /// Adds an Ethernet segment (world-owned; hosts from any shard may
@@ -508,7 +496,7 @@ impl World {
     }
 
     /// Adds a background traffic station on `chan`. Its RNG forks from
-    /// shard 0's build-time stream (see [`World::add_noisy_channel_in`]).
+    /// shard 0's build-time stream (see [`World::add_noisy_channel`]).
     pub fn add_beacon(&mut self, chan: ChanId, cfg: BeaconConfig) -> BeaconId {
         let rng = self.touch(0).rng.fork();
         let (cs, cl) = self.chan_map[chan.0];

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation checks as files (ROADMAP item 6): every mutants/*.patch breaks
+# Mutation checks as files (ROADMAP item 9): every mutants/*.patch breaks
 # the code in one small way and names, in its header, the tests that must
 # notice:
 #

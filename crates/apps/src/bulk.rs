@@ -236,6 +236,8 @@ pub struct BulkSinkProgram {
     /// Open transfers and the octets each has delivered so far.
     streams: Vec<(SocketHandle, usize)>,
     report: crate::Shared<BulkSinkReport>,
+    /// What a read brings in, checked and dropped; kept between reads.
+    rx: Vec<u8>,
 }
 
 impl BulkSink {
@@ -246,6 +248,7 @@ impl BulkSink {
             listener: None,
             streams: Vec::with_capacity(1),
             report: crate::shared(BulkSinkReport::default()),
+            rx: Vec::new(),
         })
     }
 
@@ -271,13 +274,12 @@ impl SocketProgram for BulkSinkProgram {
             return;
         };
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
+            let data = &mut self.rx;
+            data.clear();
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, data));
             let offset = &mut self.streams[i].1;
             let mut r = self.report.borrow_mut();
-            for &b in &data {
+            for &b in data.iter() {
                 r.corrupt |= b != pattern(*offset);
                 *offset += 1;
             }

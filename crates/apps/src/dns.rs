@@ -55,22 +55,36 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
 /// Reads a label sequence at `at`; returns (lower-cased name, next offset).
 /// A compression pointer terminates the walk (the target is not chased —
 /// the only pointer this codec emits is `0xC00C`, the question name).
+/// One walk sizes the name and a second fills it, so a name is one
+/// allocation, not one per label.
 fn get_name(buf: &[u8], at: usize) -> Option<(String, usize)> {
-    let mut name = String::new();
+    let mut len = 0;
+    let next = walk_labels(buf, at, |label| len += usize::from(len > 0) + label.len())?;
+    let mut name = String::with_capacity(len);
+    walk_labels(buf, at, |label| {
+        if !name.is_empty() {
+            name.push('.');
+        }
+        let start = name.len();
+        name.push_str(&String::from_utf8_lossy(label));
+        name[start..].make_ascii_lowercase();
+    });
+    Some((name, next))
+}
+
+/// Hands each label of the sequence at `at` to `f`, in order; returns
+/// the offset after the sequence, or `None` if it runs off `buf`.
+fn walk_labels(buf: &[u8], at: usize, mut f: impl FnMut(&[u8])) -> Option<usize> {
     let mut pos = at;
     loop {
         let len = *buf.get(pos)? as usize;
         if len & 0xC0 == 0xC0 {
-            return Some((name, pos + 2));
+            return Some(pos + 2);
         }
         if len == 0 {
-            return Some((name, pos + 1));
+            return Some(pos + 1);
         }
-        let label = buf.get(pos + 1..pos + 1 + len)?;
-        if !name.is_empty() {
-            name.push('.');
-        }
-        name.push_str(&String::from_utf8_lossy(label).to_ascii_lowercase());
+        f(buf.get(pos + 1..pos + 1 + len)?);
         pos += 1 + len;
     }
 }
@@ -146,7 +160,7 @@ pub fn decode_response(buf: &[u8]) -> Option<(u16, String, DnsAnswer)> {
     if flags & 0x000F != 0 || get_u16(buf, 6)? == 0 {
         return Some((id, name, None));
     }
-    let (_aname, apos) = get_name(buf, pos)?;
+    let apos = walk_labels(buf, pos, |_| {})?;
     let rtype = get_u16(buf, apos)?;
     let ttl = u32::from_be_bytes([
         *buf.get(apos + 4)?,
@@ -491,6 +505,21 @@ mod tests {
         let q = encode_query(1, "KB7UV.Ampr.Org");
         let (_, name) = decode_query(&q).unwrap();
         assert_eq!(name, "kb7uv.ampr.org");
+    }
+
+    #[test]
+    fn a_name_is_one_allocation_sized_to_fit() {
+        let q = encode_query(2, "Gw7.KB7UV.ampr.org");
+        let (name, after) = get_name(&q, 12).unwrap();
+        assert_eq!(name, "gw7.kb7uv.ampr.org");
+        assert_eq!(name.capacity(), name.len());
+        assert_eq!(get_u16(&q, after), Some(1), "QTYPE follows the name");
+        // A label that is not UTF-8 decodes lossily, as before.
+        let mut odd = vec![0; 12];
+        odd.extend([2, b'A', 0xFF, 0]);
+        let (name, after) = get_name(&odd, 12).unwrap();
+        assert_eq!(name, "a\u{FFFD}");
+        assert_eq!(after, odd.len());
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub struct EchoProgram {
     port: u16,
     listener: Option<SocketHandle>,
     report: EchoReport,
+    /// What a read brings in, sent straight back; kept between reads.
+    buf: Vec<u8>,
 }
 
 impl EchoServer {
@@ -43,6 +45,7 @@ impl EchoServer {
             port,
             listener: None,
             report: EchoReport::default(),
+            buf: Vec::new(),
         })
     }
 
@@ -68,12 +71,11 @@ impl SocketProgram for EchoProgram {
             return;
         }
         if ready.readable() {
-            match cx.host.stack_op(now, |st| st.sock_recv(now, h)) {
-                Ok(data) if !data.is_empty() => {
-                    self.report.bytes_echoed += data.len() as u64;
-                    let _ = cx.host.stack_op(now, |st| st.sock_send(now, h, &data));
-                }
-                _ => {}
+            let buf = &mut self.buf;
+            buf.clear();
+            if let Ok(n @ 1..) = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf)) {
+                self.report.bytes_echoed += n as u64;
+                let _ = cx.host.stack_op(now, |st| st.sock_send(now, h, buf));
             }
         }
         if ready.eof() || ready.error() {
@@ -87,6 +89,7 @@ pub struct RawEchoServer {
     port: u16,
     socks: HashSet<SockId>,
     report: EchoReport,
+    buf: Vec<u8>,
 }
 
 impl RawEchoServer {
@@ -96,6 +99,7 @@ impl RawEchoServer {
             port,
             socks: HashSet::new(),
             report: EchoReport::default(),
+            buf: Vec::new(),
         }
     }
 
@@ -120,10 +124,12 @@ impl App for RawEchoServer {
                 self.report.accepted += 1;
             }
             StackAction::TcpReadable(sock) if self.socks.contains(sock) => {
-                let data = host.stack_op(now, |st| st.tcp_recv(now, *sock));
-                if !data.is_empty() {
-                    self.report.bytes_echoed += data.len() as u64;
-                    host.stack_op(now, |st| st.tcp_send(now, *sock, &data));
+                let buf = &mut self.buf;
+                buf.clear();
+                let n = host.stack_op(now, |st| st.tcp_recv(now, *sock, buf));
+                if n > 0 {
+                    self.report.bytes_echoed += n as u64;
+                    host.stack_op(now, |st| st.tcp_send(now, *sock, buf));
                 }
             }
             StackAction::TcpPeerClosed(sock) if self.socks.contains(sock) => {

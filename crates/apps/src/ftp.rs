@@ -139,32 +139,33 @@ impl SocketProgram for FileServerProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
-            if let Some(buf) = self.sessions.get_mut(&h) {
-                buf.extend_from_slice(&data);
-                if let Some(line) = crate::take_line(buf, b"\n") {
-                    if let Some(name) = line.trim().strip_prefix("GET ") {
-                        match self.catalogue.get(name) {
-                            Some(&size) => {
-                                self.report.serves += 1;
-                                let header = format!("OK {size}\n");
-                                let _ = cx
-                                    .host
-                                    .stack_op(now, |st| st.sock_send(now, h, header.as_bytes()));
-                                self.sending.push((h, name.to_string(), 0, size));
-                                self.pump_send(now, h, cx);
-                            }
-                            None => {
-                                self.report.not_found += 1;
-                                let _ = cx.host.stack_op(now, |st| {
-                                    st.sock_send(now, h, b"ERR no such file\n")
-                                });
-                                self.sessions.remove(&h);
-                                cx.close(now, h);
-                            }
+            let Some(buf) = self.sessions.get_mut(&h) else {
+                // Not a session of ours: what came is drained and dropped.
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_recv(now, h, &mut Vec::new()));
+                return;
+            };
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
+            if let Some(line) = crate::take_line(buf, b"\n") {
+                if let Some(name) = line.trim().strip_prefix("GET ") {
+                    match self.catalogue.get(name) {
+                        Some(&size) => {
+                            self.report.serves += 1;
+                            let header = format!("OK {size}\n");
+                            let _ = cx
+                                .host
+                                .stack_op(now, |st| st.sock_send(now, h, header.as_bytes()));
+                            self.sending.push((h, name.to_string(), 0, size));
+                            self.pump_send(now, h, cx);
+                        }
+                        None => {
+                            self.report.not_found += 1;
+                            let _ = cx
+                                .host
+                                .stack_op(now, |st| st.sock_send(now, h, b"ERR no such file\n"));
+                            self.sessions.remove(&h);
+                            cx.close(now, h);
                         }
                     }
                 }
@@ -278,11 +279,8 @@ impl SocketProgram for FileClientProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
-            self.buf.extend_from_slice(&data);
+            let buf = &mut self.buf;
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
             if !self.header_done {
                 if let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                     self.header_done = true;

@@ -127,14 +127,15 @@ impl SocketProgram for SmtpServerProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
             let Some(session) = self.sessions.get_mut(&h) else {
+                // Not a session of ours: what came is drained and dropped.
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_recv(now, h, &mut Vec::new()));
                 return;
             };
-            session.buf.extend_from_slice(&data);
+            let buf = &mut session.buf;
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
             while let Some(line) = self
                 .sessions
                 .get_mut(&h)
@@ -239,11 +240,8 @@ impl SocketProgram for SmtpClientProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
-            self.buf.extend_from_slice(&data);
+            let buf = &mut self.buf;
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
             while let Some(line) = crate::take_line(&mut self.buf, b"\n") {
                 let line = line.trim_end();
                 // "250 Ok: queued" after the DATA body means delivery.

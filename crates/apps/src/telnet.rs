@@ -118,14 +118,14 @@ impl SocketProgram for TelnetServerProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
             let Some((mut state, mut buf)) = self.sessions.remove(&h) else {
+                // Not a session of ours: what came is drained and dropped.
+                let _ = cx
+                    .host
+                    .stack_op(now, |st| st.sock_recv(now, h, &mut Vec::new()));
                 return;
             };
-            buf.extend_from_slice(&data);
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, &mut buf));
             // Terminals send \r, IP clients send \n: accept both, and
             // skip the empty remainder of a \r\n pair.
             while let Some(line) = crate::take_line(&mut buf, b"\n\r") {
@@ -244,10 +244,8 @@ impl SocketProgram for TelnetClientProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
+            let mut data = Vec::new();
+            let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, &mut data));
             let text = String::from_utf8_lossy(&data);
             self.pending.push_str(&text);
             self.report.transcript.push_str(&text);

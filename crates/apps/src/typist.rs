@@ -75,6 +75,8 @@ pub struct TypistProgram {
     sent_at: Option<SimTime>,
     awaiting: usize,
     report: TypistReport,
+    /// The echoes a read brings in; kept between reads.
+    rx: Vec<u8>,
 }
 
 impl Typist {
@@ -89,6 +91,7 @@ impl Typist {
             sent_at: None,
             awaiting: 0,
             report: TypistReport::default(),
+            rx: Vec::new(),
         })
     }
 
@@ -140,11 +143,10 @@ impl SocketProgram for TypistProgram {
             return;
         }
         if ready.readable() {
-            let data = cx
-                .host
-                .stack_op(now, |st| st.sock_recv(now, h))
-                .unwrap_or_default();
-            if !data.is_empty() && self.awaiting > 0 {
+            let rx = &mut self.rx;
+            rx.clear();
+            let got = cx.host.stack_op(now, |st| st.sock_recv(now, h, rx));
+            if got.is_ok_and(|n| n > 0) && self.awaiting > 0 {
                 // Stop-and-wait: one outstanding key, so any readable
                 // data completes it.
                 self.awaiting = 0;

@@ -45,3 +45,52 @@ fn rekey_earlier_under_far_deadline() {
     assert_eq!(allocs, 0, "re-keying in place must not allocate");
     assert!(peak <= KEYS as usize, "{peak} entries for {KEYS} keys");
 }
+
+/// The calendar's work by component kind on a small deterministic world
+/// (ROADMAP item 13, exact work ceilings): the paper's topology, the PC
+/// pinging the Ethernet host through the gateway every 5 s for a minute.
+/// Every figure is held exactly (`assert_eq!`), so a pop or a deadline
+/// report that a change adds or saves fails here until it is recorded:
+/// set the constant to the printed value.
+#[test]
+fn calendar_work_by_kind() {
+    use gateway::world::KindCounts;
+    const POPS: KindCounts = KindCounts {
+        line: 56,
+        channel: 26,
+        segment: 26,
+        tnc: 102,
+        digi: 0,
+        beacon: 0,
+        host: 38,
+        app: 11,
+    };
+    const REGISTRATIONS: KindCounts = KindCounts {
+        line: 112,
+        channel: 160,
+        segment: 54,
+        tnc: 134,
+        digi: 0,
+        beacon: 0,
+        host: 147,
+        app: 40,
+    };
+    let mut s = gateway::scenario::paper_topology(Default::default(), 1988);
+    let ping = apps::ping::Pinger::new(
+        gateway::scenario::ETHER_HOST_IP,
+        1,
+        12,
+        SimDuration::from_secs(5),
+        64,
+    );
+    s.world.add_app(s.pc, Box::new(ping));
+    s.world.run_for(SimDuration::from_secs(60));
+    let e = s.world.engine_stats();
+    eprintln!(
+        "engine/calendar_work_by_kind: pops {:?}, registrations {:?}",
+        e.calendar_pops, e.calendar_registrations
+    );
+    assert_eq!(e.calendar_pops.total(), s.world.sched_stats().pops);
+    assert_eq!(e.calendar_pops, POPS);
+    assert_eq!(e.calendar_registrations, REGISTRATIONS);
+}

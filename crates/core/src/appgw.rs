@@ -183,7 +183,8 @@ impl App for AppGateway {
             }
             StackAction::TcpReadable(sock) => {
                 if let Some(peer) = self.session_for_sock(*sock) {
-                    let data = host.stack_op(now, |st| st.tcp_recv(now, *sock));
+                    let mut data = Vec::new();
+                    host.stack_op(now, |st| st.tcp_recv(now, *sock, &mut data));
                     if !data.is_empty() {
                         self.report.bytes_to_radio += data.len() as u64;
                         let session = self.sessions.get_mut(&peer).expect("present");

@@ -456,9 +456,13 @@ impl Host {
 
     /// Hands the application-visible stack events over by swapping them
     /// with `empty`, as [`Host::swap_outbox`] does the Ethernet output.
+    /// With no event queued the swap is skipped: the caller's buffer (and
+    /// its capacity) stays the caller's, for a host that has events.
     pub fn swap_events(&mut self, empty: &mut Vec<StackAction>) {
         debug_assert!(empty.is_empty());
-        std::mem::swap(&mut self.events, empty);
+        if !self.events.is_empty() {
+            std::mem::swap(&mut self.events, empty);
+        }
     }
 
     /// Takes diverted non-IP frames (the §2.4 tty queue).

@@ -49,7 +49,7 @@ use sim::{Bandwidth, Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::host::{Host, HostConfig};
 use crate::shard::{
-    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Mode, Port, Segs,
+    set_slot, slot, AppEntry, BeaconEntry, DigiEntry, HostEntry, InFrame, Lent, Link, Mode, Port,
     ShardData, Station, Wire,
 };
 
@@ -202,12 +202,58 @@ impl Ord for PendingSend {
     }
 }
 
-/// What the multi-shard window coordinator did, as plain counters
-/// accumulated over every run call ([`World::engine_stats`]). All are
-/// functions of the simulated history alone, and all zero on a
-/// single-shard world, which never enters the coordinator.
+/// One count per kind of component the calendar holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindCounts {
+    /// Serial lines (a host's end and its TNC's: one key per port).
+    pub line: u64,
+    /// Radio channels.
+    pub channel: u64,
+    /// Ethernet segments (a one-shard world's only: a multi-shard world's
+    /// segments are the coordinator's).
+    pub segment: u64,
+    /// TNCs.
+    pub tnc: u64,
+    /// Digipeaters.
+    pub digi: u64,
+    /// Beacon stations.
+    pub beacon: u64,
+    /// Hosts.
+    pub host: u64,
+    /// Applications.
+    pub app: u64,
+}
+
+impl KindCounts {
+    /// The sum over kinds.
+    pub fn total(&self) -> u64 {
+        self.line
+            + self.channel
+            + self.segment
+            + self.tnc
+            + self.digi
+            + self.beacon
+            + self.host
+            + self.app
+    }
+}
+
+/// What the engine did, as plain counters accumulated over every run
+/// call ([`World::engine_stats`]), all functions of the simulated history
+/// alone: the shards' calendar work by component kind, summed over
+/// shards (the world lends its counters to each shard step), and the
+/// multi-shard window coordinator's work, all zero on a single-shard
+/// world, which never enters the coordinator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
+    /// Calendar entries popped (`SchedStats::pops`), by the kind of the
+    /// component each one woke.
+    pub calendar_pops: KindCounts,
+    /// Deadlines reported to the calendar after anything may have moved
+    /// them — first registrations, re-keys, removals and unchanged
+    /// reports alike — by component kind. The reference stepper reports
+    /// none.
+    pub calendar_registrations: KindCounts,
     /// Lookahead windows run.
     pub windows: u64,
     /// Shard steps summed over windows (`shards_stepped / windows` is the
@@ -218,8 +264,10 @@ pub struct EngineStats {
     /// Of those, the frames moved in whole — each transmission's last
     /// recipient, a unicast frame's only one; the rest are copies.
     pub deliveries_moved: u64,
-    /// Copies consumed and returned to the spare pool through `spent`.
-    pub copies_recycled: u64,
+    /// Delivered frames — moved and copied alike, every one a buffer
+    /// that circulates between shards — returned to the spare pool
+    /// through `spent`.
+    pub frames_recycled: u64,
     /// High-water mark of the deferred cross-shard send heap.
     pub pending_peak: u64,
 }
@@ -320,7 +368,9 @@ impl World {
         total
     }
 
-    /// Window-coordinator counters of a multi-shard world (DESIGN.md §11).
+    /// The engine's work counters: every shard's calendar, by component
+    /// kind, and the window coordinator's of a multi-shard world
+    /// (DESIGN.md §11).
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
     }
@@ -671,13 +721,16 @@ impl World {
         let sh = &mut self.shards[0];
         sh.now = self.now;
         sh.record_events = self.record_events;
-        let mut segs: Segs = Some(Wire {
-            segments: &mut self.segments,
-            hosts: &self.seg_hosts,
-        });
-        sh.enter(mode, &mut segs);
-        sh.run_window(limit, &mut segs);
-        sh.exit(limit);
+        let mut lent = Lent {
+            link: Link::Wire(Wire {
+                segments: &mut self.segments,
+                hosts: &self.seg_hosts,
+            }),
+            work: &mut self.engine_stats,
+        };
+        sh.enter(mode, &mut lent);
+        sh.run_window(limit, &mut lent);
+        sh.exit(lent.work, limit);
         self.now = sh.now.max(limit);
         self.events.append(&mut sh.events);
     }
@@ -692,7 +745,13 @@ impl World {
         for (sh, due) in self.shards.iter_mut().zip(&mut self.next_due) {
             sh.now = self.now;
             sh.record_events = self.record_events;
-            sh.enter(mode, &mut None);
+            sh.enter(
+                mode,
+                &mut Lent {
+                    link: Link::Mailbox(&mut self.spare_frames),
+                    work: &mut self.engine_stats,
+                },
+            );
             *due = due_ns(sh.next_event());
         }
         let mut eng = Engine {
@@ -715,7 +774,7 @@ impl World {
         eng.run_windows();
         let mut now = self.now;
         for sh in &mut self.shards {
-            sh.exit(limit);
+            sh.exit(&mut self.engine_stats, limit);
             now = now.max(sh.now);
         }
         self.now = now.max(limit);
@@ -745,11 +804,11 @@ fn due_ns(t: Option<SimTime>) -> u64 {
 ///    guarantee), so this phase never misses one.
 /// 4. Build the **active list** — ascending `{i : next_due[i] ≤ w_end}` —
 ///    and step exactly those shards, in list order; a shard sees only its
-///    mailbox, never the segments or another shard. Each step refreshes
-///    `next_due[i]`.
+///    mailbox and the spare frames it copies its own sends into, never
+///    the segments or another shard. Each step refreshes `next_due[i]`.
 /// 5. `collect()` over the same list: gather emitted sends into the
 ///    pending heap, append shard events (stable-sorted by time; windows
-///    never interleave times), and recycle spent delivery copies.
+///    never interleave times), and recycle spent delivery frames.
 ///
 /// A shard outside the active list neither ran nor received a frame, so
 /// its `next_event()` cannot have moved and nobody asks it: apart from
@@ -837,7 +896,6 @@ impl Engine<'_> {
                                 at: c,
                                 host: l as usize,
                                 frame,
-                                moved,
                             });
                             next_due[s] = next_due[s].min(c.as_nanos());
                             stats.deliveries_queued += 1;
@@ -873,7 +931,7 @@ impl Engine<'_> {
                 }));
             }
             self.events.append(&mut sh.events);
-            self.stats.copies_recycled += sh.spent.len() as u64;
+            self.stats.frames_recycled += sh.spent.len() as u64;
             self.spare.append(&mut sh.spent);
         }
         self.events[tail..].sort_by_key(|e| e.1);
@@ -899,7 +957,11 @@ impl Engine<'_> {
             self.stats.shards_stepped += self.active.len() as u64;
             for &i in self.active.iter() {
                 let sh = &mut self.shards[i];
-                sh.run_window(w_end, &mut None);
+                let mut lent = Lent {
+                    link: Link::Mailbox(self.spare),
+                    work: self.stats,
+                };
+                sh.run_window(w_end, &mut lent);
                 self.next_due[i] = due_ns(sh.next_event());
             }
             self.collect();

@@ -639,10 +639,11 @@ fn engine_stats_show_sparse_windows() {
 /// transmission's last recipient gets the frame itself and every other
 /// recipient a copy. So copies are made for broadcasts only — N − 2 per
 /// ARP request on the N-NIC backbone — moved frames and copies add up to
-/// the deliveries queued, and `spent` brings back exactly the copies,
-/// never a moved frame.
+/// the deliveries queued, and every delivered frame, moved or copied,
+/// circulates: its host copies the datagram out and `spent` brings the
+/// frame back to the spare pool.
 #[test]
-fn unicast_frames_cross_by_move_and_only_broadcast_copies_come_back() {
+fn unicast_frames_cross_by_move_and_every_delivered_frame_comes_back() {
     let (gateways, hosts_per_gw) = (4, 2);
     let mut m = scenario::mesh(gateways, hosts_per_gw, 7);
     for g in 0..gateways {
@@ -689,8 +690,8 @@ fn unicast_frames_cross_by_move_and_only_broadcast_copies_come_back() {
     );
     assert_eq!(stats.deliveries_queued, backbone.stats().delivered);
     assert_eq!(
-        stats.copies_recycled, copies,
-        "spent carries the copies, nothing moved: {stats:?}"
+        stats.frames_recycled, stats.deliveries_queued,
+        "spent carries every delivered frame back: {stats:?}"
     );
 }
 

@@ -318,17 +318,21 @@ impl NetStack {
         Ok(n)
     }
 
-    /// Drains received bytes. `Ok(empty)` means EOF (the peer finished);
-    /// no data *before* EOF is [`SockError::WouldBlock`] — wait for
-    /// READABLE.
-    pub fn sock_recv(&mut self, now: SimTime, h: SocketHandle) -> Result<Vec<u8>, SockError> {
+    /// Drains received bytes, appended to `buf` — a buffer the caller
+    /// keeps, so a warm reader allocates nothing (DESIGN.md §6) — and
+    /// returns how many: BSD `read(2)`. `Ok(0)` means EOF (the peer
+    /// finished); no data *before* EOF is [`SockError::WouldBlock`] —
+    /// wait for READABLE. What `buf` held is left in front.
+    pub fn sock_recv(
+        &mut self,
+        now: SimTime,
+        h: SocketHandle,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, SockError> {
         let (id, _) = self.connected_stream(h)?;
-        let data = self.tcp_recv(now, id);
-        if !data.is_empty() {
-            return Ok(data);
-        }
-        if self.socks.get(id.0).is_some_and(|s| s.tcb.at_eof()) {
-            return Ok(Vec::new());
+        let n = self.tcp_recv(now, id, buf);
+        if n > 0 || self.socks.get(id.0).is_some_and(|s| s.tcb.at_eof()) {
+            return Ok(n);
         }
         Err(SockError::WouldBlock)
     }

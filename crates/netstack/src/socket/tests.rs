@@ -95,15 +95,24 @@ fn stream_roundtrip_with_readiness_edges() {
     assert_eq!(p.a.sock_send(now, ch, b"de N7AKR").unwrap(), 8);
     p.settle(now);
     assert!(p.b.sock_poll(sh).readable());
-    assert_eq!(p.b.sock_recv(now, sh).unwrap(), b"de N7AKR");
+    // A read appends to what the caller's buffer holds, and says how
+    // much it appended.
+    let mut buf = b"> ".to_vec();
+    assert_eq!(p.b.sock_recv(now, sh, &mut buf), Ok(8));
+    assert_eq!(buf, b"> de N7AKR");
     assert!(!p.b.sock_poll(sh).readable(), "drained");
-    assert_eq!(p.b.sock_recv(now, sh), Err(SockError::WouldBlock));
+    assert_eq!(p.b.sock_recv(now, sh, &mut buf), Err(SockError::WouldBlock));
+    assert_eq!(
+        buf, b"> de N7AKR",
+        "a read that would block leaves it alone"
+    );
     p.settle(now);
 
     // Server → client.
     p.b.sock_send(now, sh, b"qsl").unwrap();
     p.settle(now);
-    assert_eq!(p.a.sock_recv(now, ch).unwrap(), b"qsl");
+    assert_eq!(p.a.sock_recv(now, ch, &mut buf), Ok(3));
+    assert_eq!(buf, b"> de N7AKRqsl");
     p.settle(now);
 }
 
@@ -122,12 +131,15 @@ fn recv_after_eof_returns_empty_and_eof_mask() {
     // …the peer still drains the data, then sees EOF.
     let r = p.b.sock_poll(sh);
     assert!(r.readable());
-    assert_eq!(p.b.sock_recv(now, sh).unwrap(), b"final words");
+    let mut buf = Vec::new();
+    assert_eq!(p.b.sock_recv(now, sh, &mut buf), Ok(11));
+    assert_eq!(buf, b"final words");
     p.settle(now);
     assert!(p.b.sock_poll(sh).eof());
-    assert_eq!(p.b.sock_recv(now, sh).unwrap(), Vec::<u8>::new());
+    assert_eq!(p.b.sock_recv(now, sh, &mut buf), Ok(0));
     // EOF is sticky.
-    assert_eq!(p.b.sock_recv(now, sh).unwrap(), Vec::<u8>::new());
+    assert_eq!(p.b.sock_recv(now, sh, &mut buf), Ok(0));
+    assert_eq!(buf, b"final words");
 }
 
 #[test]
@@ -139,7 +151,10 @@ fn poll_on_closed_or_bogus_handle_reports_error() {
     p.a.sock_close(now, ch);
     p.settle(now);
     assert_eq!(p.a.sock_poll(ch), Readiness::ERROR);
-    assert_eq!(p.a.sock_recv(now, ch), Err(SockError::BadHandle));
+    assert_eq!(
+        p.a.sock_recv(now, ch, &mut Vec::new()),
+        Err(SockError::BadHandle)
+    );
     assert_eq!(p.a.sock_send(now, ch, b"x"), Err(SockError::BadHandle));
     // Double close is a harmless no-op.
     p.a.sock_close(now, ch);
@@ -174,7 +189,10 @@ fn connect_timeout_latches_error_readiness_not_hang() {
     assert_eq!(t, now + CONNECT_TIMEOUT, "timer fired, then disarmed");
     assert!(st.sock_poll(h).error(), "error-readiness, not a hang");
     assert_eq!(st.sock_error(h), Some(SockError::TimedOut));
-    assert_eq!(st.sock_recv(t, h), Err(SockError::TimedOut));
+    assert_eq!(
+        st.sock_recv(t, h, &mut Vec::new()),
+        Err(SockError::TimedOut)
+    );
 }
 
 /// An ICMP destination-unreachable from `from` to `src`, quoting a
@@ -365,7 +383,10 @@ fn a_released_handle_of_every_kind_refuses_every_verb() {
     // A released stream.
     assert_eq!(p.a.sock_shutdown(now, ch), Err(SockError::BadHandle));
     assert_eq!(p.a.sock_send(now, ch, b"x"), Err(SockError::BadHandle));
-    assert_eq!(p.a.sock_recv(now, ch), Err(SockError::BadHandle));
+    assert_eq!(
+        p.a.sock_recv(now, ch, &mut Vec::new()),
+        Err(SockError::BadHandle)
+    );
     assert!(p.a.sock_tcp_info(ch).is_none());
     assert_eq!(p.a.sock_error(ch), None);
     assert_eq!(p.a.sock_send_capacity(ch), 0);
@@ -383,6 +404,25 @@ fn a_released_handle_of_every_kind_refuses_every_verb() {
     }
     assert_eq!(p.b.sock_poll(lh2), Readiness::EMPTY);
     assert_eq!(p.a.sock_poll(uh2), Readiness::WRITABLE);
+}
+
+/// One read of the server end in both worlds: what `sock_recv` appended
+/// (nothing when it would block) and what the raw `tcp_recv` appended.
+fn recv_both(
+    sw: &mut Pair,
+    s_server: SocketHandle,
+    rw: &mut Pair,
+    r_server: SockId,
+    now: SimTime,
+) -> (Vec<u8>, Vec<u8>) {
+    let mut d_sock = Vec::new();
+    match sw.b.sock_recv(now, s_server, &mut d_sock) {
+        Ok(_) | Err(SockError::WouldBlock) => {}
+        Err(e) => panic!("unexpected recv error: {e}"),
+    }
+    let mut d_raw = Vec::new();
+    rw.b.tcp_recv(now, r_server, &mut d_raw);
+    (d_sock, d_raw)
 }
 
 proptest! {
@@ -433,12 +473,7 @@ proptest! {
                 }
                 // Server drains one recv from both worlds.
                 1 => {
-                    let d_sock = match sw.b.sock_recv(now, s_server) {
-                        Ok(d) => d,
-                        Err(SockError::WouldBlock) => Vec::new(),
-                        Err(e) => panic!("unexpected recv error: {e}"),
-                    };
-                    let d_raw = rw.b.tcp_recv(now, r_server);
+                    let (d_sock, d_raw) = recv_both(&mut sw, s_server, &mut rw, r_server, now);
                     prop_assert_eq!(&d_sock, &d_raw, "received bytes diverge");
                     rcvd_sock += d_sock.len() as u64;
                     rcvd_raw += d_raw.len() as u64;
@@ -481,12 +516,7 @@ proptest! {
         for _ in 0..1000 {
             sw.settle(now);
             rw.settle(now);
-            let d_sock = match sw.b.sock_recv(now, s_server) {
-                Ok(d) => d,
-                Err(SockError::WouldBlock) => Vec::new(),
-                Err(e) => panic!("unexpected recv error: {e}"),
-            };
-            let d_raw = rw.b.tcp_recv(now, r_server);
+            let (d_sock, d_raw) = recv_both(&mut sw, s_server, &mut rw, r_server, now);
             prop_assert_eq!(&d_sock, &d_raw, "drain bytes diverge");
             if d_sock.is_empty() && d_raw.is_empty() {
                 break;

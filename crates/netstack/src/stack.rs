@@ -1007,14 +1007,15 @@ impl NetStack {
         n
     }
 
-    /// Drains readable data from a socket.
-    pub fn tcp_recv(&mut self, now: SimTime, sock: SockId) -> Vec<u8> {
+    /// Drains readable data from a socket, appended to `into`; returns
+    /// the octets appended ([`Tcb::recv`]).
+    pub fn tcp_recv(&mut self, now: SimTime, sock: SockId, into: &mut Vec<u8>) -> usize {
         let Some(s) = self.socks.get_mut(sock.0) else {
-            return Vec::new();
+            return 0;
         };
-        let data = s.tcb.recv(now, &mut self.tcb_events);
+        let n = s.tcb.recv(now, into, &mut self.tcb_events);
         self.drive(sock);
-        data
+        n
     }
 
     /// Closes the send direction of a socket.
@@ -1415,7 +1416,8 @@ mod tests {
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.b_ev.contains(&StackAction::TcpReadable(accepted)));
-        let data = w.b.tcp_recv(now, accepted);
+        let mut data = Vec::new();
+        assert_eq!(w.b.tcp_recv(now, accepted, &mut data), 12);
         assert_eq!(data, b"login: guest");
         let acks = w.b.drain_actions();
         w.run(now, vec![], acks);
@@ -1423,7 +1425,8 @@ mod tests {
         w.b.tcp_send(now, accepted, b"welcome");
         let out = w.b.drain_actions();
         w.run(now, vec![], out);
-        let data = w.a.tcp_recv(now, ca);
+        data.clear();
+        w.a.tcp_recv(now, ca, &mut data);
         assert_eq!(data, b"welcome");
     }
 

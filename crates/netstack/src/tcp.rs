@@ -606,15 +606,21 @@ impl Tcb {
         take
     }
 
-    /// Drains received data. `now` lets the receiver send a window update
-    /// if the advertised window had collapsed.
-    pub fn recv(&mut self, now: SimTime, ev: &mut Vec<TcbEvent>) -> Vec<u8> {
-        let data: Vec<u8> = self.recv_buf.drain(..).collect();
-        if !data.is_empty() && self.advertised_wnd == 0 && self.state == TcpState::Established {
+    /// Drains received data, appended to `into` (a buffer the caller
+    /// keeps, so a warm reader allocates nothing); returns the octets
+    /// appended. `now` lets the receiver send a window update if the
+    /// advertised window had collapsed.
+    pub fn recv(&mut self, now: SimTime, into: &mut Vec<u8>, ev: &mut Vec<TcbEvent>) -> usize {
+        let n = self.recv_buf.len();
+        let (front, back) = self.recv_buf.as_slices();
+        into.extend_from_slice(front);
+        into.extend_from_slice(back);
+        self.recv_buf.clear();
+        if n > 0 && self.advertised_wnd == 0 && self.state == TcpState::Established {
             // Window reopened: tell the stalled sender.
             self.send_bare_ack(now, ev);
         }
-        data
+        n
     }
 
     /// Closes the send direction (queues a FIN after pending data).

@@ -128,8 +128,9 @@ fn send(tcb: &mut Tcb, now: SimTime, data: &[u8]) -> (usize, Vec<TcbEvent>) {
 
 /// `tcb.recv`, with the events it emitted.
 fn recv(tcb: &mut Tcb, now: SimTime) -> (Vec<u8>, Vec<TcbEvent>) {
-    let mut ev = Vec::new();
-    let data = tcb.recv(now, &mut ev);
+    let (mut data, mut ev) = (Vec::new(), Vec::new());
+    let n = tcb.recv(now, &mut data, &mut ev);
+    assert_eq!(n, data.len());
     (data, ev)
 }
 

@@ -72,7 +72,7 @@ proptest! {
                         let readable = ev.contains(&TcbEvent::DataReadable);
                         wire(b, &mut ev, &mut to_alice);
                         if readable {
-                            received.extend(b.recv(now, &mut ev));
+                            b.recv(now, &mut received, &mut ev);
                             wire(b, &mut ev, &mut to_alice);
                         }
                     }

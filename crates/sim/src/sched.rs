@@ -111,6 +111,19 @@ impl<K: SlotKey> Scheduler<K> {
         }
     }
 
+    /// Sizes the calendar once for what it will hold: a slot table
+    /// reaching slot `slots - 1` and a heap of `entries` registrations.
+    /// A calendar born at size never grows while it runs; one that
+    /// outgrows this grows as before.
+    pub fn reserve(&mut self, slots: usize, entries: usize) {
+        if slots > self.pos.len() {
+            self.pos.reserve_exact(slots - self.pos.len());
+            self.pos.resize(slots, ABSENT);
+        }
+        self.heap
+            .reserve_exact(entries.saturating_sub(self.heap.len()));
+    }
+
     /// Registers `key`'s next deadline, re-keying only if it changed.
     ///
     /// `None` removes the registration. Unchanged deadlines are a no-op

@@ -306,6 +306,9 @@ pub struct WorkloadClient {
     state: State,
     udp: Option<SocketHandle>,
     next_id: u16,
+    /// What the current session reads into, kept between reads and
+    /// sessions: an FTP reply is parsed in it, echoes and bulk data are
+    /// counted and dropped.
     buf: Vec<u8>,
 }
 
@@ -530,11 +533,10 @@ impl SocketProgram for WorkloadClient {
                     return;
                 }
                 if ready.readable() {
-                    let data = cx
-                        .host
-                        .stack_op(now, |st| st.sock_recv(now, h))
-                        .unwrap_or_default();
-                    if !data.is_empty() && *sent > *echoed {
+                    let buf = &mut self.buf;
+                    buf.clear();
+                    let got = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
+                    if got.is_ok_and(|n| n > 0) && *sent > *echoed {
                         *echoed += 1;
                         let rtt = now.saturating_since(*sent_at);
                         let finished = *echoed >= *total;
@@ -579,11 +581,10 @@ impl SocketProgram for WorkloadClient {
                     }
                 }
                 if ready.readable() {
-                    let data = cx
-                        .host
-                        .stack_op(now, |st| st.sock_recv(now, h))
-                        .unwrap_or_default();
-                    *got += data.len() as u32;
+                    let buf = &mut self.buf;
+                    buf.clear();
+                    let n = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
+                    *got += n.unwrap_or(0) as u32;
                     if *got >= *size {
                         let d = now.saturating_since(*t0);
                         let bytes = u64::from(*size);
@@ -618,11 +619,8 @@ impl SocketProgram for WorkloadClient {
                     return;
                 }
                 if ready.readable() {
-                    let data = cx
-                        .host
-                        .stack_op(now, |st| st.sock_recv(now, h))
-                        .unwrap_or_default();
-                    self.buf.extend_from_slice(&data);
+                    let buf = &mut self.buf;
+                    let _ = cx.host.stack_op(now, |st| st.sock_recv(now, h, buf));
                     if !*header_done {
                         if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                             let line: Vec<u8> = self.buf.drain(..=pos).collect();

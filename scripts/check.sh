@@ -111,31 +111,31 @@ cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 
 # The harness counts every heap allocation of the run loop and the count
 # repeats exactly, so this cannot flake: a path that starts allocating again
-# fails here, by workload, and so does a fall nobody recorded (as
+# fails here, by workload and seed, and so does a fall nobody recorded (as
 # hold_counts does for the census counts). Lower a line when a PR lowers the
 # count.
-echo "==> allocs_per_sim_s equal to scripts/alloc_ceiling.txt (seed 1988, exact counts)"
-while read -r workload ceiling; do
-    got=$(bash benchmarks/run.sh --workload "$workload" --seed 1988 --seconds 1 --trace 0 |
+echo "==> allocs_per_sim_s equal to scripts/alloc_ceiling.txt (exact counts, per workload and seed)"
+while read -r workload seed ceiling; do
+    got=$(bash benchmarks/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
         awk '$1 == "metric" && $3 == "allocs_per_sim_s" { print $4 }')
     case $(awk -v got="$got" -v ceiling="$ceiling" 'BEGIN {
         if (got == "") print "missing"
         else if (got + 0 > ceiling + 0) print "above"
         else if (got + 0 < ceiling + 0) print "below" }') in
     missing)
-        echo "$workload: allocs_per_sim_s missing"
+        echo "$workload (seed $seed): allocs_per_sim_s missing"
         exit 1
         ;;
     above)
-        echo "$workload: allocs_per_sim_s $got exceeds the ceiling $ceiling"
+        echo "$workload (seed $seed): allocs_per_sim_s $got exceeds the ceiling $ceiling"
         exit 1
         ;;
     below)
-        echo "$workload: allocs_per_sim_s $got, below the ceiling $ceiling in scripts/alloc_ceiling.txt: lower its line"
+        echo "$workload (seed $seed): allocs_per_sim_s $got, below the ceiling $ceiling in scripts/alloc_ceiling.txt: lower its line"
         exit 1
         ;;
     esac
-    echo "    $workload: $got (ceiling $ceiling)"
+    echo "    $workload (seed $seed): $got (ceiling $ceiling)"
 done < <(grep -v '^#' scripts/alloc_ceiling.txt)
 
 echo "==> sharded-engine digest smoke (sharded vs reference)"

@@ -105,7 +105,7 @@ pub fn encode_query(id: u16, name: &str) -> Vec<u8> {
 }
 
 /// Decodes a query: (id, name). `None` on anything but one A/IN question.
-pub fn decode_query(buf: &[u8]) -> Option<(u16, String)> {
+pub(crate) fn decode_query(buf: &[u8]) -> Option<(u16, String)> {
     let id = get_u16(buf, 0)?;
     let flags = get_u16(buf, 2)?;
     if flags & 0x8000 != 0 || get_u16(buf, 4)? != 1 {
@@ -120,7 +120,7 @@ pub fn decode_query(buf: &[u8]) -> Option<(u16, String)> {
 
 /// Encodes a response to the query for `name`: an A record if
 /// `answer` is `Some((addr, ttl))`, NXDOMAIN otherwise.
-pub fn encode_response(id: u16, name: &str, answer: Option<(Ipv4Addr, u32)>) -> Vec<u8> {
+pub(crate) fn encode_response(id: u16, name: &str, answer: Option<(Ipv4Addr, u32)>) -> Vec<u8> {
     let mut out = Vec::with_capacity(33 + name.len());
     put_u16(&mut out, id);
     // QR | AA | RD | RA, plus RCODE 3 when the name is not ours.

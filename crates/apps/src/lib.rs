@@ -64,7 +64,7 @@ pub fn shared<T>(value: T) -> Shared<T> {
 /// first one found in `terminators`, as text (invalid UTF-8 replaced).
 /// `None`, and `buf` untouched, until a terminator arrives. The line keeps
 /// its terminator; each protocol trims what it wants.
-pub fn take_line(buf: &mut Vec<u8>, terminators: &[u8]) -> Option<String> {
+pub(crate) fn take_line(buf: &mut Vec<u8>, terminators: &[u8]) -> Option<String> {
     let end = buf.iter().position(|b| terminators.contains(b))? + 1;
     let line = String::from_utf8_lossy(&buf[..end]).into_owned();
     buf.drain(..end);

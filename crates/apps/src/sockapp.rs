@@ -45,7 +45,7 @@ pub struct SockCtx<'a> {
 
 impl SockCtx<'_> {
     /// Adds a handle to the runtime's watch list.
-    pub fn watch(&mut self, h: SocketHandle) {
+    pub(crate) fn watch(&mut self, h: SocketHandle) {
         if !self.watched.iter().any(|&(w, _)| w == h) {
             self.watched.push((h, 0));
         }
@@ -53,7 +53,7 @@ impl SockCtx<'_> {
 
     /// Removes a handle, and what was last delivered for it, from the
     /// watch list.
-    pub fn unwatch(&mut self, h: SocketHandle) {
+    pub(crate) fn unwatch(&mut self, h: SocketHandle) {
         self.watched.retain(|&(w, _)| w != h);
     }
 

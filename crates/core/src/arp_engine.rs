@@ -157,7 +157,7 @@ impl ArpEngine {
     /// Installs or refreshes a dynamically learned entry with the normal
     /// TTL (the driver uses this for path-aware AX.25 addresses that the
     /// flat ARP wire format cannot carry).
-    pub fn insert_learned(&mut self, now: SimTime, ip: Ipv4Addr, hw: HwAddr) {
+    pub(crate) fn insert_learned(&mut self, now: SimTime, ip: Ipv4Addr, hw: HwAddr) {
         self.stats.learned += 1;
         self.cache.insert(
             ip,
@@ -170,7 +170,7 @@ impl ArpEngine {
 
     /// Releases any packets held for `ip` (paired with
     /// [`ArpEngine::insert_learned`]).
-    pub fn release_held(&mut self, ip: Ipv4Addr) -> Held {
+    pub(crate) fn release_held(&mut self, ip: Ipv4Addr) -> Held {
         match self.wait_index(ip) {
             Ok(i) => self.waiting.remove(i).1.packets,
             Err(_) => Held::default(),
@@ -231,7 +231,7 @@ impl ArpEngine {
     /// Processes an incoming ARP packet. Returns an optional reply to
     /// transmit and any held packets now released — they go to the
     /// packet's `sender_hw`.
-    pub fn on_arp(&mut self, now: SimTime, arp: &ArpPacket) -> (Option<ArpPacket>, Held) {
+    pub(crate) fn on_arp(&mut self, now: SimTime, arp: &ArpPacket) -> (Option<ArpPacket>, Held) {
         if arp.hw != self.hw_type {
             return (None, Held::default());
         }
@@ -456,6 +456,31 @@ mod tests {
         let reqs = e.age(t2);
         assert!(reqs.is_empty());
         assert_eq!(e.stats().held_dropped, 1);
+    }
+
+    /// A neighbour that never answers, aged every simulated second for a
+    /// minute: it is asked every 5 s and the packet held for it is never
+    /// dropped, because `GIVE_UP` is measured from the last request, which
+    /// each retry resets. That is ROADMAP finding 3; timing the give-up
+    /// from the first request mends it, flipping the drop count below and
+    /// ending the requests at 30 s.
+    #[test]
+    fn a_silent_neighbour_is_asked_every_5_s_and_its_packet_held_forever() {
+        let mut e = engine();
+        let t0 = SimTime::ZERO;
+        let first = e.resolve(t0, ipa(5), pkt(ipa(5)));
+        assert!(matches!(first, Resolution::Pending(Some(_))));
+        let mut asked = Vec::new();
+        for s in 1..=60 {
+            for r in e.age(t0 + SimDuration::from_secs(s)) {
+                assert_eq!(r.target_ip, ipa(5));
+                asked.push(s);
+            }
+        }
+        assert_eq!(asked, (5..=60).step_by(5).collect::<Vec<u64>>());
+        assert_eq!(e.stats().requests_sent, 13);
+        assert_eq!(e.stats().held_dropped, 0, "finding 3");
+        assert_eq!(e.release_held(ipa(5)).len(), 1, "still held after 60 s");
     }
 
     #[test]

@@ -55,21 +55,6 @@ pub struct CpuStats {
 }
 
 /// A single serially-busy CPU.
-///
-/// # Examples
-///
-/// ```
-/// use gateway::cpu::{Cpu, CpuConfig};
-/// use sim::{SimDuration, SimTime};
-///
-/// let mut cpu = Cpu::new(CpuConfig {
-///     char_cost: SimDuration::from_micros(600),
-///     packet_cost: SimDuration::from_millis(2),
-/// });
-/// let t1 = cpu.charge_char(SimTime::ZERO);
-/// let t2 = cpu.charge_packet(SimTime::ZERO);
-/// assert!(t2 > t1, "work queues behind the interrupt");
-/// ```
 #[derive(Debug)]
 pub struct Cpu {
     cfg: CpuConfig,
@@ -93,14 +78,16 @@ impl Cpu {
     }
 
     /// Charges one character interrupt arriving at `now`; returns when
-    /// its processing completes.
-    pub fn charge_char(&mut self, now: SimTime) -> SimTime {
+    /// its processing completes. The reference that
+    /// [`charge_chars_paced`](Cpu::charge_chars_paced) is tested against.
+    #[cfg(test)]
+    fn charge_char(&mut self, now: SimTime) -> SimTime {
         self.stats.char_interrupts += 1;
         self.charge(now, self.cfg.char_cost)
     }
 
     /// Charges one packet's protocol processing; returns completion time.
-    pub fn charge_packet(&mut self, now: SimTime) -> SimTime {
+    pub(crate) fn charge_packet(&mut self, now: SimTime) -> SimTime {
         self.stats.packets += 1;
         self.charge(now, self.cfg.packet_cost)
     }
@@ -116,7 +103,12 @@ impl Cpu {
     /// monotone in `j`, so only the first or last arrival can dominate.
     /// This is the indexed engine charging a whole run of line-paced
     /// deliveries in one call (DESIGN.md §6).
-    pub fn charge_chars_paced(&mut self, t0: SimTime, char_time: SimDuration, n: u64) -> SimTime {
+    pub(crate) fn charge_chars_paced(
+        &mut self,
+        t0: SimTime,
+        char_time: SimDuration,
+        n: u64,
+    ) -> SimTime {
         if n == 0 {
             return self.busy_until;
         }
@@ -146,11 +138,6 @@ impl Cpu {
     /// When the CPU drains its current backlog.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// True if the CPU has queued work at `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        self.busy_until > now
     }
 
     /// Counters.
@@ -200,8 +187,7 @@ mod tests {
         assert_eq!(d1, SimTime::from_micros(100));
         assert_eq!(d2, SimTime::from_micros(200));
         assert_eq!(d3, SimTime::from_micros(1200));
-        assert!(cpu.is_busy(SimTime::from_micros(500)));
-        assert!(!cpu.is_busy(d3));
+        assert_eq!(cpu.busy_until(), d3);
     }
 
     #[test]

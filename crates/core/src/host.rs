@@ -232,9 +232,11 @@ impl Host {
         self.input_queue.len()
     }
 
-    /// Input-queue drop count.
+    /// Input-queue drop count: the sum of the links' `iqdrops`, which
+    /// count every drop against the interface it came in on.
     pub fn input_queue_drops(&self) -> u64 {
-        self.input_queue.drops()
+        self.pr_driver().map_or(0, |d| d.ifnet.stats.iqdrops)
+            + self.ether_driver().map_or(0, |d| d.ifnet.stats.iqdrops)
     }
 
     /// Input-queue high-water mark.
@@ -253,9 +255,11 @@ impl Host {
     /// host hears first opens a frame rather than closing a stale one
     /// (in-flight state such as TCP connections and ARP caches is *not*
     /// cleared, matching a crash-resume of soft state held in the stack).
+    /// The interface counters survive, and so does the input queue's
+    /// high-water mark: a drop is counted once, before or after a cycle.
     pub fn set_down(&mut self, down: bool) {
         if down && !self.down {
-            self.input_queue = IfQueue::new(IFQ_MAXLEN);
+            self.input_queue.clear();
             self.tty_queue.clear();
             self.events.clear();
             self.links.power_down();
@@ -264,7 +268,7 @@ impl Host {
     }
 
     /// True while powered down.
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.down
     }
 
@@ -356,7 +360,7 @@ impl Host {
     /// frame behind `seal` without anything else happening
     /// ([`PacketRadioDriver::would_discard`]); `None` without a driver.
     #[inline]
-    pub fn would_discard(&self, seal: serial::Seal) -> Option<Discard> {
+    pub(crate) fn would_discard(&self, seal: serial::Seal) -> Option<Discard> {
         self.pr_driver()?.would_discard(seal)
     }
 
@@ -364,7 +368,7 @@ impl Host {
     /// frame [`would_discard`](Host::would_discard) just turned away for
     /// `why`: the same CPU charge and driver counters, the characters
     /// unread. Like any run of frames for other stations, not a touch.
-    pub fn on_discarded_run(
+    pub(crate) fn on_discarded_run(
         &mut self,
         t0: SimTime,
         char_time: sim::SimDuration,
@@ -383,7 +387,7 @@ impl Host {
     /// Receives a frame from the Ethernet segment (DMA: packet cost only).
     /// An owned frame's payload goes up the stack as it is; a borrowed one
     /// is copied by the driver, into a buffer from the stack's pool.
-    pub fn on_ether_frame(&mut self, now: SimTime, frame: Cow<'_, EtherFrame>) {
+    pub(crate) fn on_ether_frame(&mut self, now: SimTime, frame: Cow<'_, EtherFrame>) {
         if self.down {
             return;
         }
@@ -458,7 +462,7 @@ impl Host {
     /// with `empty`, as [`Host::swap_outbox`] does the Ethernet output.
     /// With no event queued the swap is skipped: the caller's buffer (and
     /// its capacity) stays the caller's, for a host that has events.
-    pub fn swap_events(&mut self, empty: &mut Vec<StackAction>) {
+    pub(crate) fn swap_events(&mut self, empty: &mut Vec<StackAction>) {
         debug_assert!(empty.is_empty());
         if !self.events.is_empty() {
             std::mem::swap(&mut self.events, empty);
@@ -829,7 +833,7 @@ mod tests {
             panic!("{out:?}");
         };
         assert_eq!(f.ethertype, ether::EtherType::Arp);
-        assert!(f.dst.is_broadcast());
+        assert_eq!(f.dst, ether::MacAddr::BROADCAST);
     }
 
     /// A gateway's two links each wait on a silent neighbour. Each ARP
@@ -1197,8 +1201,9 @@ mod tests {
         assert_eq!((s.frames_in, s.bad_frames, s.ip_in), (1, 0, 1));
     }
 
-    #[test]
-    fn input_queue_overflow_drops() {
+    /// A radio host sent 60 datagrams and never advanced: its input
+    /// queue (IFQ_MAXLEN=50) filled and then dropped 10.
+    fn overflowed_radio_host() -> Host {
         let mut h = radio_host("pc", "KB7DZ", [44, 24, 0, 5]);
         let ip = Ipv4Packet::new(
             Ipv4Addr::new(44, 24, 0, 28),
@@ -1208,11 +1213,30 @@ mod tests {
         );
         let frame = Frame::ui(a("KB7DZ"), a("N7AKR-1"), Pid::Ip, ip.encode());
         let wire = kiss::encode(0, kiss::Command::Data, &frame.encode());
-        // Never advance: the queue (IFQ_MAXLEN=50) fills and then drops.
         for _ in 0..60 {
             h.on_serial_run(SimTime::ZERO, sim::SimDuration::ZERO, &wire);
         }
+        h
+    }
+
+    #[test]
+    fn input_queue_overflow_drops() {
+        let h = overflowed_radio_host();
         assert_eq!(h.input_queue_len(), IFQ_MAXLEN);
+        assert_eq!(h.input_queue_drops(), 10);
+        assert_eq!(h.pr_driver().unwrap().ifnet.stats.iqdrops, 10);
+    }
+
+    /// A power cycle empties the input queue and forgets neither of its
+    /// figures: the drops are the radio driver's `iqdrops`, which the
+    /// cycle keeps, and the high-water mark stays where it was.
+    #[test]
+    fn a_power_cycle_keeps_the_input_queue_drops_and_peak() {
+        let mut h = overflowed_radio_host();
+        h.set_down(true);
+        h.set_down(false);
+        assert_eq!(h.input_queue_len(), 0);
+        assert_eq!(h.input_queue_peak(), IFQ_MAXLEN);
         assert_eq!(h.input_queue_drops(), 10);
         assert_eq!(h.pr_driver().unwrap().ifnet.stats.iqdrops, 10);
     }

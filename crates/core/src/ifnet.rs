@@ -112,14 +112,13 @@ impl Links {
 
 /// A bounded FIFO of work items with ready times — the `ifqueue`.
 ///
-/// Items become visible to [`IfQueue::pop_due`] only once the simulated
+/// Items become visible to `pop_due` only once the simulated
 /// clock passes their `ready` stamp (the CPU model sets that to the
 /// moment protocol processing would actually run).
 #[derive(Debug)]
 pub struct IfQueue<T> {
     items: VecDeque<(SimTime, T)>,
     max: usize,
-    drops: u64,
     /// High-water mark, for the queueing statistics in E3.
     peak: usize,
 }
@@ -130,16 +129,15 @@ impl<T> IfQueue<T> {
         IfQueue {
             items: VecDeque::new(),
             max,
-            drops: 0,
             peak: 0,
         }
     }
 
     /// Enqueues an item that becomes processable at `ready`; returns
-    /// `false` (and counts a drop) if the queue is full.
+    /// `false` if the queue is full. The caller counts the drop against
+    /// the interface it came in on ([`IfStats::iqdrops`]).
     pub fn push(&mut self, ready: SimTime, item: T) -> bool {
         if self.items.len() >= self.max {
-            self.drops += 1;
             return false;
         }
         self.items.push_back((ready, item));
@@ -150,15 +148,20 @@ impl<T> IfQueue<T> {
     /// Pops the next item whose ready time has passed. Items are strictly
     /// FIFO: a due item behind a not-yet-due one waits (the queue models
     /// one CPU working in order).
-    pub fn pop_due(&mut self, now: SimTime) -> Option<T> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<T> {
         match self.items.front() {
             Some((ready, _)) if *ready <= now => self.items.pop_front().map(|(_, t)| t),
             _ => None,
         }
     }
 
+    /// Drops every queued item; the high-water mark stays.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+    }
+
     /// The head item's ready time.
-    pub fn next_ready(&self) -> Option<SimTime> {
+    pub(crate) fn next_ready(&self) -> Option<SimTime> {
         self.items.front().map(|(t, _)| *t)
     }
 
@@ -170,11 +173,6 @@ impl<T> IfQueue<T> {
     /// True if nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Number of items dropped for overflow.
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// Deepest the queue has been.
@@ -205,13 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drops_and_counts() {
+    fn overflow_refuses_the_item() {
         let mut q = IfQueue::new(2);
         let t = SimTime::ZERO;
         assert!(q.push(t, 1));
         assert!(q.push(t, 2));
         assert!(!q.push(t, 3));
-        assert_eq!(q.drops(), 1);
         assert_eq!(q.len(), 2);
         assert_eq!(q.peak(), 2);
     }

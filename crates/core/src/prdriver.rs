@@ -178,7 +178,7 @@ impl PacketRadioDriver {
     /// directions). Must be enabled at every station sharing the link;
     /// with it off, PIDs 0x06/0x07 divert to the §2.4 tty queue like any
     /// other unknown protocol.
-    pub fn enable_vj(&mut self) {
+    pub(crate) fn enable_vj(&mut self) {
         self.vj = Some(Box::new(VjLink {
             comp: VjCompressor::new(),
             decomp: VjDecompressor::new(),
@@ -355,7 +355,7 @@ impl PacketRadioDriver {
     /// turns this one away. Asked at delivery, of the driver as it is
     /// configured then.
     #[inline]
-    pub fn would_discard(&self, seal: Seal) -> Option<Discard> {
+    pub(crate) fn would_discard(&self, seal: Seal) -> Option<Discard> {
         if !self.deframer.at_rest() {
             return None;
         }
@@ -367,7 +367,7 @@ impl PacketRadioDriver {
     /// away, without reading them: every counter
     /// [`rint`](PacketRadioDriver::rint) moves for such a
     /// frame moves here.
-    pub fn rint_discarded(&mut self, n: usize, why: Discard) {
+    pub(crate) fn rint_discarded(&mut self, n: usize, why: Discard) {
         self.stats.rint_chars += n as u64;
         self.deframer.skip_frame(n);
         self.stats.frames_in += 1;
@@ -638,7 +638,7 @@ impl PacketRadioDriver {
     /// Sends a raw AX.25 frame from "user space" (the §2.4 application
     /// gateway writing back down the tty), KISS-framed onto the tty
     /// output queue.
-    pub fn send_raw_frame(&mut self, frame: &Frame) {
+    pub(crate) fn send_raw_frame(&mut self, frame: &Frame) {
         self.ifnet.stats.opackets += 1;
         kiss_onto(&mut self.outq, frame);
     }

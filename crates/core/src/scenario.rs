@@ -612,7 +612,7 @@ pub mod city {
     }
 
     /// Gateway `g`'s Ethernet-side address.
-    pub fn gw_ether_ip(g: usize) -> Ipv4Addr {
+    pub(crate) fn gw_ether_ip(g: usize) -> Ipv4Addr {
         Ipv4Addr::new(10, (g >> 8) as u8, (g & 0xff) as u8, 1)
     }
 
@@ -643,7 +643,7 @@ pub mod city {
     /// # Panics
     ///
     /// Panics if `g` has more than three digits or `i` more than two.
-    pub fn host_call(g: usize, i: usize) -> Ax25Addr {
+    pub(crate) fn host_call(g: usize, i: usize) -> Ax25Addr {
         assert!(
             g < 1000 && i < 100,
             "host ({g}, {i}) has no six-character callsign"
@@ -768,7 +768,7 @@ pub struct MeshOptions {
     pub full_tables: bool,
     /// Inert: the gateways have no next-hop cache to size. Kept only
     /// because the benchmark harness still sets it (ROADMAP item 2(a)).
-    #[doc(hidden)]
+    #[doc(hidden)] // serves benchmarks/src/workloads.rs:564 (ROADMAP 2(a))
     pub fwd_cache_bits: u8,
 }
 

@@ -346,7 +346,6 @@ impl World {
 
     /// Calendar entries summed over shards — at most one per component,
     /// however often its deadline moved (asserted by E17 and the tests).
-    #[doc(hidden)]
     pub fn calendar_len(&self) -> usize {
         self.shards.iter().map(ShardData::calendar_len).sum()
     }
@@ -401,7 +400,7 @@ impl World {
     /// Components must be shard-closed — a radio channel and everything
     /// attached to it live in one shard; only Ethernet segments may span
     /// shards.
-    pub fn add_shard(&mut self) -> ShardId {
+    pub(crate) fn add_shard(&mut self) -> ShardId {
         let rng = self.touch(0).rng.fork();
         self.shards.push(ShardData::new(rng));
         ShardId(self.shards.len() - 1)
@@ -413,7 +412,7 @@ impl World {
     }
 
     /// Adds a radio channel to a shard.
-    pub fn add_channel_in(&mut self, shard: ShardId, rate: Bandwidth) -> ChanId {
+    pub(crate) fn add_channel_in(&mut self, shard: ShardId, rate: Bandwidth) -> ChanId {
         self.push_channel(shard, Channel::new(rate))
     }
 
@@ -695,7 +694,6 @@ impl World {
     // the spec for the coordinator's merge order.
 
     /// Reference (full-scan) equivalent of [`World::run_until`].
-    #[doc(hidden)]
     pub fn run_until_reference(&mut self, t: SimTime) {
         self.drive(t, Mode::Scan);
     }

@@ -39,7 +39,7 @@ pub struct EncapEntry {
 
 impl EncapEntry {
     /// True for entries learned from announcements (they expire).
-    pub fn is_learned(&self) -> bool {
+    pub(crate) fn is_learned(&self) -> bool {
         self.expires_at.is_some()
     }
 }
@@ -228,13 +228,6 @@ impl EncapTable {
         self.entries.iter().filter_map(|e| e.expires_at).min()
     }
 
-    /// True while `subnet` is closed to re-learns.
-    pub fn in_holddown(&self, subnet: Prefix, now: SimTime) -> bool {
-        self.holddown_until
-            .iter()
-            .any(|&(p, until)| p == subnet && until > now)
-    }
-
     /// The current entries, longest prefix (then best metric) first.
     pub fn entries(&self) -> &[EncapEntry] {
         &self.entries
@@ -325,7 +318,6 @@ mod tests {
         let dead = t.expire(SimTime::from_secs(25));
         assert_eq!(dead.len(), 1);
         assert!(t.entries().is_empty());
-        assert!(t.in_holddown(east(), SimTime::from_secs(30)));
         assert_eq!(t.lookup(Ipv4Addr::new(44, 56, 0, 5)), None);
 
         // Re-learn inside the hold-down window (25s + 20s) is rejected...

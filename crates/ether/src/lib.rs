@@ -70,7 +70,7 @@ impl MacAddr {
 
     /// True for the broadcast address.
     #[inline]
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         *self == MacAddr::BROADCAST
     }
 }

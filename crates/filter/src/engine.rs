@@ -207,11 +207,6 @@ impl FilterEngine {
     pub fn borrow(&self) -> &Self {
         self
     }
-
-    /// Live + not-yet-swept gate entries.
-    pub fn gate_len(&self) -> usize {
-        self.gate.as_ref().map_or(0, |g| g.len())
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +276,7 @@ mod tests {
         assert_eq!(e.next_deadline(), Some(t0 + SimDuration::from_secs(600)));
         e.expire(late);
         assert_eq!(e.stats().gate_expired, 1);
-        assert_eq!(e.gate_len(), 0);
+        assert_eq!(e.next_deadline(), None, "the sweep left no entry");
     }
 
     #[test]
@@ -308,6 +303,5 @@ mod tests {
         assert_eq!(e.eval(SimTime::ZERO, &meta(FO, AM, 6)), Verdict::Allow);
         assert_eq!(e.eval(SimTime::ZERO, &meta(AM, FO, 6)), Verdict::Allow);
         assert_eq!(e.next_deadline(), None, "no soft state accrues");
-        assert_eq!(e.gate_len(), 0);
     }
 }

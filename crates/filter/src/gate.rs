@@ -151,10 +151,6 @@ impl GateTable {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     fn auth_ok(&self, from_amateur_side: bool, auth: &Option<GateAuth>) -> bool {
         if from_amateur_side {
             // §4.3: messages arriving on the amateur side are inherently
@@ -247,9 +243,9 @@ mod tests {
         assert!(g.is_live(t0 + SimDuration::from_secs(59), A, F));
         // Never swept, but already dead to verdicts.
         assert!(!g.is_live(t0 + SimDuration::from_secs(60), A, F));
-        assert_eq!(g.len(), 1);
+        assert_eq!(g.entries.len(), 1);
         assert_eq!(g.expire(t0 + SimDuration::from_secs(60)), 1);
-        assert_eq!(g.len(), 0);
+        assert_eq!(g.entries.len(), 0);
         assert_eq!(g.next_deadline(), None);
     }
 

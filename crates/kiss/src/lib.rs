@@ -248,11 +248,6 @@ pub fn encode_frame_into<S: ByteSink>(
     out.put(FEND);
 }
 
-/// Encodes a single-byte parameter command (TXDELAY, P, SlotTime, …).
-pub fn encode_param(port: u8, command: Command, value: u8) -> Vec<u8> {
-    encode(port, command, &[value])
-}
-
 /// Counters kept by a [`Deframer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeframerStats {
@@ -692,7 +687,7 @@ mod tests {
             (Command::TxTail, 2),
             (Command::FullDuplex, 0),
         ] {
-            let wire = encode_param(0, cmd, v);
+            let wire = encode(0, cmd, &[v]);
             let frames = decode_stream(&wire);
             assert_eq!(frames.len(), 1, "{cmd:?}");
             assert_eq!(frames[0].command, cmd);

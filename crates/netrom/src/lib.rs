@@ -41,7 +41,7 @@ pub use router::NetRomRouter;
 pub use routes::NetRomRoutes;
 
 /// The special destination callsign of routing broadcasts.
-pub fn nodes_addr() -> ax25::addr::Ax25Addr {
+pub(crate) fn nodes_addr() -> ax25::addr::Ax25Addr {
     ax25::addr::Ax25Addr::parse_or_panic("NODES")
 }
 

@@ -46,7 +46,7 @@ impl NetRomRoutes {
     /// Learns from a NODES broadcast heard directly from `neighbour`
     /// (whose link quality we rate `neighbour_quality`). `me` filters out
     /// advertisements of ourselves.
-    pub fn update_from_broadcast(
+    pub(crate) fn update_from_broadcast(
         &mut self,
         me: Ax25Addr,
         neighbour: Ax25Addr,

@@ -80,7 +80,7 @@ impl HwAddr {
 
     /// The all-zero address of `len` octets (the target of a request), or
     /// `None` if `len` exceeds [`HwAddr::MAX_LEN`].
-    pub fn zeros(len: usize) -> Option<HwAddr> {
+    pub(crate) fn zeros(len: usize) -> Option<HwAddr> {
         (len <= HwAddr::MAX_LEN).then_some(HwAddr {
             len: len as u8,
             octets: [0; HwAddr::MAX_LEN],

@@ -165,7 +165,7 @@ fn get_auth(r: &mut Reader<'_>) -> Result<Option<GateAuth>, NetError> {
 impl IcmpMessage {
     /// Builds the standard "header + 8 octets" quotation of an offending
     /// datagram for error messages.
-    pub fn quote_original(datagram: &[u8]) -> Vec<u8> {
+    pub(crate) fn quote_original(datagram: &[u8]) -> Vec<u8> {
         datagram[..datagram.len().min(28)].to_vec()
     }
 

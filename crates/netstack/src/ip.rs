@@ -437,12 +437,6 @@ impl Reassembler {
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.pending.values().map(|d| d.deadline).min()
     }
-
-    /// Number of incomplete datagrams held.
-    #[inline]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -657,7 +651,7 @@ mod tests {
         let whole = done.expect("complete after last fragment");
         assert_eq!(whole.payload, p.payload);
         assert!(!whole.is_fragment());
-        assert_eq!(r.pending_count(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -719,7 +713,7 @@ mod tests {
         for f in frags.into_iter().skip(1) {
             assert!(r.push(SimTime::ZERO, f, &mut pool).is_none());
         }
-        assert_eq!(r.pending_count(), 1);
+        assert_eq!(r.pending.len(), 1);
         assert_eq!(r.next_deadline(), Some(SimTime::ZERO + REASSEMBLY_TIMEOUT));
         assert_eq!(
             r.expire(
@@ -728,7 +722,7 @@ mod tests {
             ),
             1
         );
-        assert_eq!(r.pending_count(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -743,7 +737,7 @@ mod tests {
             f.more_fragments = true;
             assert!(r.push(SimTime::ZERO, f, &mut pool).is_none());
         }
-        assert_eq!(r.pending_count(), 1);
+        assert_eq!(r.pending.len(), 1);
         let d = r.pending.values().next().unwrap();
         let held: usize = d.pieces.iter().map(|(_, p)| p.len()).sum();
         assert!(held <= REASSEMBLY_MAX_OCTETS, "{held}");
@@ -788,7 +782,7 @@ mod tests {
             .expect("complete");
         assert_eq!(done.payload, whole.payload);
         assert!(!done.is_fragment());
-        assert_eq!((r.pending_count(), r.dropped), (0, 0));
+        assert_eq!((r.pending.len(), r.dropped), (0, 0));
         assert_eq!(pool.take(0).capacity(), 8);
     }
 

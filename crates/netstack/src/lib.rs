@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod arp;
-#[doc(hidden)]
+#[doc(hidden)] // serves benchmarks/src/probes.rs:17 (ROADMAP 2(a))
 pub mod fwd;
 pub mod icmp;
 pub mod ip;

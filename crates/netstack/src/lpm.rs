@@ -71,18 +71,18 @@ impl Lpm {
     }
 
     /// True when lookups should scan the route list directly.
-    pub fn is_linear(&self) -> bool {
+    pub(crate) fn is_linear(&self) -> bool {
         self.linear
     }
 
     /// Number of 256-slot nodes held.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len() / 256
     }
 
     /// Recompiles from `routes` (in table preference order, most
     /// preferred first), stamping `generation`.
-    pub fn rebuild(&mut self, routes: &[Route], generation: u64) {
+    pub(crate) fn rebuild(&mut self, routes: &[Route], generation: u64) {
         self.built = true;
         self.built_gen = generation;
         self.linear = routes.len() <= Self::LINEAR_CUTOFF;
@@ -162,7 +162,7 @@ impl Lpm {
     }
 
     /// Number of nodes touched resolving `ip` (1–4). E18's shape table.
-    pub fn walk_depth(&self, ip: u32) -> usize {
+    pub(crate) fn walk_depth(&self, ip: u32) -> usize {
         let mut node = 0usize;
         let mut shift = 24u32;
         let mut depth = 1;

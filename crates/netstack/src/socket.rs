@@ -71,11 +71,6 @@ impl Readiness {
         self.contains(Readiness::WRITABLE)
     }
 
-    /// Convenience accessor for [`Readiness::ACCEPTABLE`].
-    pub fn acceptable(self) -> bool {
-        self.contains(Readiness::ACCEPTABLE)
-    }
-
     /// Convenience accessor for [`Readiness::EOF`].
     pub fn eof(self) -> bool {
         self.contains(Readiness::EOF)
@@ -350,7 +345,7 @@ impl NetStack {
 
     /// Releases the handle: a stream sends its FIN if still open and is
     /// marked released; a listener or datagram socket gives its port back
-    /// ([`NetStack::tcp_unlisten`], [`NetStack::udp_unbind`]). Closing a
+    /// (a listener also resets the children nobody accepted). Closing a
     /// closed or bogus handle is a no-op, like `close(2)` on a stale fd.
     pub fn sock_close(&mut self, now: SimTime, h: SocketHandle) {
         match h {
@@ -416,12 +411,6 @@ impl NetStack {
             unacked: s.tcb.send_backlog(),
             stats: s.tcb.stats(),
         })
-    }
-
-    /// The latched asynchronous error of an open stream, if any —
-    /// `SO_ERROR` without the clear-on-read.
-    pub fn sock_error(&self, h: SocketHandle) -> Option<SockError> {
-        Some(self.open_stream(h).ok()?.1.error?.into())
     }
 
     /// The readiness mask of one handle, from the socket's current state.

@@ -62,7 +62,10 @@ impl Pair {
         let ch = self.a.sock_connect(now, ipa(2), port).unwrap();
         self.settle(now);
         assert!(self.a.sock_poll(ch).writable(), "client connected");
-        assert!(self.b.sock_poll(lh).acceptable(), "accept queued");
+        assert!(
+            self.b.sock_poll(lh).contains(Readiness::ACCEPTABLE),
+            "accept queued"
+        );
         let sh = self.b.sock_accept(lh).unwrap();
         (ch, sh)
     }
@@ -188,7 +191,6 @@ fn connect_timeout_latches_error_readiness_not_hang() {
     }
     assert_eq!(t, now + CONNECT_TIMEOUT, "timer fired, then disarmed");
     assert!(st.sock_poll(h).error(), "error-readiness, not a hang");
-    assert_eq!(st.sock_error(h), Some(SockError::TimedOut));
     assert_eq!(
         st.sock_recv(t, h, &mut Vec::new()),
         Err(SockError::TimedOut)
@@ -231,14 +233,15 @@ fn icmp_unreachable_maps_to_pending_connect() {
     let acts = st.input(now, ifid, &icmp);
     assert!(matches!(acts[..], [StackAction::IcmpProblem { .. }]));
     assert!(st.sock_poll(h).error());
-    assert_eq!(st.sock_error(h), Some(SockError::Unreachable));
+    assert_eq!(st.sock_send(now, h, b"x"), Err(SockError::Unreachable));
 
     // A quote for some *other* flow must not poison this handle.
     let h2 = st.sock_connect(now, dst, 25).unwrap();
     let _ = st.drain_actions();
     let other = unreachable_quoting(ipa(2), (local.0, 9999), (Ipv4Addr::new(44, 99, 0, 8), 25));
     st.input(now, ifid, &other);
-    assert_eq!(st.sock_error(h2), None);
+    assert!(!st.sock_poll(h2).error());
+    assert_eq!(st.sock_send(now, h2, b"x"), Err(SockError::NotConnected));
 }
 
 #[test]
@@ -249,7 +252,6 @@ fn an_unreachable_for_a_connected_stream_latches_nothing() {
     let local = p.a.open_stream(ch).unwrap().1.tcb.local();
     let icmp = unreachable_quoting(ipa(2), local, (ipa(2), 23));
     p.a.input(now, p.a_if, &icmp);
-    assert_eq!(p.a.sock_error(ch), None);
     assert!(!p.a.sock_poll(ch).error());
     assert_eq!(p.a.sock_send(now, ch, b"still here"), Ok(10));
 }
@@ -273,7 +275,6 @@ fn a_child_reset_before_accept_is_handed_out_without_error() {
     let r = p.b.sock_poll(sh);
     assert!(!r.error(), "{r:?}");
     assert!(r.hangup());
-    assert_eq!(p.b.sock_error(sh), None);
 }
 
 #[test]
@@ -284,7 +285,6 @@ fn refused_connect_latches_refused() {
     let ch = p.a.sock_connect(now, ipa(2), 23).unwrap();
     p.settle(now);
     assert!(p.a.sock_poll(ch).error());
-    assert_eq!(p.a.sock_error(ch), Some(SockError::Refused));
     assert_eq!(p.a.sock_send(now, ch, b"x"), Err(SockError::Refused));
     assert_eq!(p.a.next_deadline(), None, "connect timer disarmed by RST");
 }
@@ -302,7 +302,8 @@ fn accept_backlog_overflow_refuses_and_claim_frees() {
     // Backlog full: the second connect gets an RST → Refused.
     let c2 = p.a.sock_connect(now, ipa(2), 21).unwrap();
     p.settle(now);
-    assert_eq!(p.a.sock_error(c2), Some(SockError::Refused));
+    assert!(p.a.sock_poll(c2).error());
+    assert_eq!(p.a.sock_send(now, c2, b"x"), Err(SockError::Refused));
     assert_eq!(p.b.stats().accept_overflow, 1);
 
     // accept() claims the queued connection, freeing the backlog slot.
@@ -388,7 +389,6 @@ fn a_released_handle_of_every_kind_refuses_every_verb() {
         Err(SockError::BadHandle)
     );
     assert!(p.a.sock_tcp_info(ch).is_none());
-    assert_eq!(p.a.sock_error(ch), None);
     assert_eq!(p.a.sock_send_capacity(ch), 0);
     assert_eq!(p.a.sock_poll(ch), Readiness::ERROR);
 

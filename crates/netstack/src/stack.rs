@@ -118,7 +118,7 @@ pub struct StackConfig {
     pub clamp_mss: bool,
     /// Inert: the stack has no next-hop cache to size. Kept only because
     /// the benchmark harness still sets it (ROADMAP item 2(a)).
-    #[doc(hidden)]
+    #[doc(hidden)] // serves benchmarks/src/workloads.rs:423, probes.rs:262
     pub fwd_cache_bits: u8,
 }
 
@@ -247,11 +247,11 @@ pub struct StackStats {
     /// Always 0: the stack memoizes no forwarding decision. Kept, with
     /// `fwd_cache_misses` and `fwd_cache_stale`, only because the
     /// benchmark harness still reads them (ROADMAP item 2(a)).
-    #[doc(hidden)]
+    #[doc(hidden)] // serves benchmarks/src/layers.rs:100 (ROADMAP 2(a))
     pub fwd_cache_hits: u64,
-    #[doc(hidden)]
+    #[doc(hidden)] // serves benchmarks/src/layers.rs:101 (ROADMAP 2(a))
     pub fwd_cache_misses: u64,
-    #[doc(hidden)]
+    #[doc(hidden)] // serves benchmarks/src/layers.rs:102 (ROADMAP 2(a))
     pub fwd_cache_stale: u64,
 }
 
@@ -446,11 +446,6 @@ impl NetStack {
     #[inline]
     pub fn iface(&self, id: IfaceId) -> &IfaceConfig {
         &self.ifaces[id.0]
-    }
-
-    /// Mutable interface configuration (tests shrink MTUs, etc.).
-    pub fn iface_mut(&mut self, id: IfaceId) -> &mut IfaceConfig {
-        &mut self.ifaces[id.0]
     }
 
     /// Mutable routing table (experiments edit routes directly).
@@ -982,7 +977,7 @@ impl NetStack {
     /// spawned that was never accepted is aborted with RST, as 4.3BSD's
     /// `soclose` aborts the connections still on a listener's queues. The
     /// id stays dead.
-    pub fn tcp_unlisten(&mut self, now: SimTime, listener: ListenerId) {
+    pub(crate) fn tcp_unlisten(&mut self, now: SimTime, listener: ListenerId) {
         let Some(slot) = self.listeners.get_mut(listener.0) else {
             return;
         };
@@ -1053,7 +1048,7 @@ impl NetStack {
 
     /// Closes a UDP socket: its port is free again and its unread
     /// datagrams' buffers go back to the pool. The id stays dead.
-    pub fn udp_unbind(&mut self, udp: UdpId) {
+    pub(crate) fn udp_unbind(&mut self, udp: UdpId) {
         if let Some(s) = self.udp.get_mut(udp.0).and_then(Option::take) {
             for (_, _, buf) in s.rx {
                 self.pool.give(buf);
@@ -1776,7 +1771,7 @@ mod tests {
     fn fragmented_ping_reassembles_and_replies() {
         let mut w = Wire::new();
         // Shrink a's MTU so the request fragments.
-        w.a.iface_mut(w.a_if).mtu = 256;
+        w.a.ifaces[w.a_if.0].mtu = 256;
         w.a.ping(ipa(2), 9, 3, 600);
         let out = w.a.drain_actions();
         assert!(out.len() >= 3, "request fragmented: {}", out.len());
@@ -1801,7 +1796,8 @@ mod tests {
             f.more_fragments = true;
             st.input(SimTime::ZERO, iface, &f.encode());
         }
-        assert_eq!(st.reasm.pending_count(), ip::REASSEMBLY_MAX_DATAGRAMS);
+        let held = st.reasm.expire(SimTime::MAX, &mut st.pool);
+        assert_eq!(held, ip::REASSEMBLY_MAX_DATAGRAMS);
         assert_eq!(st.stats().frag_dropped, 10);
     }
 

@@ -97,7 +97,7 @@ impl TcpHeader {
 
     /// Sequence space a segment with this header and `payload` octets
     /// consumes (payload + SYN + FIN).
-    pub fn seq_len(&self, payload: usize) -> u32 {
+    pub(crate) fn seq_len(&self, payload: usize) -> u32 {
         payload as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 }
@@ -134,13 +134,13 @@ fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, len: u16) -> [u8; 12] {
 
 impl<'a> TcpSegment<'a> {
     /// Sequence space consumed by this segment (payload + SYN + FIN).
-    pub fn seq_len(&self) -> u32 {
+    pub(crate) fn seq_len(&self) -> u32 {
         self.header.seq_len(self.payload.len())
     }
 
-    /// Encodes the segment into a fresh buffer; see
-    /// [`TcpSegment::encode_in`]. A convenience for tests and reference
-    /// code that have no pool; the datapath encodes with `encode_in`.
+    /// Encodes the segment into a fresh buffer. A convenience for tests
+    /// and reference code that have no pool; the datapath encodes into a
+    /// pooled buffer with `encode_in`.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
         self.encode_in(src, dst, &mut DgramPool::new())
     }
@@ -148,7 +148,7 @@ impl<'a> TcpSegment<'a> {
     /// Encodes the segment, computing the pseudo-header checksum, into a
     /// buffer from `pool` with room behind the segment for the IP header
     /// that [`crate::ip::Ipv4Packet::into_wire`] will write in front.
-    pub fn encode_in(&self, src: Ipv4Addr, dst: Ipv4Addr, pool: &mut DgramPool) -> Vec<u8> {
+    pub(crate) fn encode_in(&self, src: Ipv4Addr, dst: Ipv4Addr, pool: &mut DgramPool) -> Vec<u8> {
         let h = &self.header;
         let header_len = h.wire_len();
         let total = header_len + self.payload.len();
@@ -239,12 +239,12 @@ impl<'a> TcpSegment<'a> {
 // --- Sequence arithmetic ------------------------------------------------
 
 /// `a < b` in sequence space.
-pub fn seq_lt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) < 0
 }
 
 /// `a <= b` in sequence space.
-pub fn seq_le(a: u32, b: u32) -> bool {
+pub(crate) fn seq_le(a: u32, b: u32) -> bool {
     a == b || seq_lt(a, b)
 }
 
@@ -567,12 +567,12 @@ impl Tcb {
     }
 
     /// Octets readable right now.
-    pub fn recv_available(&self) -> usize {
+    pub(crate) fn recv_available(&self) -> usize {
         self.recv_buf.len()
     }
 
     /// True once the peer has closed and the buffer is drained.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.peer_fin_seen && self.recv_buf.is_empty()
     }
 

@@ -77,7 +77,7 @@ impl UdpDatagram {
     /// Decodes and verifies a datagram without copying the payload:
     /// `(src_port, dst_port, payload)` borrowed from `bytes`, which may
     /// run past the datagram's UDP length.
-    pub fn decode_ref(
+    pub(crate) fn decode_ref(
         bytes: &[u8],
         src: Ipv4Addr,
         dst: Ipv4Addr,

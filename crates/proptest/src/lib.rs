@@ -268,17 +268,9 @@ pub mod prelude {
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
-        $crate::__proptest_fns! { cfg = $cfg; $($rest)* }
+        $crate::proptest! { @fns cfg = $cfg; $($rest)* }
     };
-    ($($rest:tt)*) => {
-        $crate::__proptest_fns! { cfg = $crate::ProptestConfig::default(); $($rest)* }
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __proptest_fns {
-    (cfg = $cfg:expr; $(
+    (@fns cfg = $cfg:expr; $(
         $(#[$meta:meta])*
         fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
     )*) => {
@@ -296,6 +288,12 @@ macro_rules! __proptest_fns {
                 });
             }
         )*
+    };
+    (@fns $($bad:tt)*) => {
+        ::std::compile_error!("proptest!: expected `fn name(arg in strategy, ...) { body }` items");
+    };
+    ($($rest:tt)*) => {
+        $crate::proptest! { @fns cfg = $crate::ProptestConfig::default(); $($rest)* }
     };
 }
 

@@ -202,7 +202,7 @@ impl Channel {
     pub const DEFAULT_DETECT_DELAY: SimDuration = SimDuration::from_millis(30);
 
     /// The longest frame on the air, FCS included (330 octets): the room
-    /// every buffer [`Channel::take_buffer`] hands out has, so a station's
+    /// every buffer the channel hands a station to build in has, so a station's
     /// frame never grows it.
     pub const ON_AIR_MAX: usize = ax25::MAX_FRAME_LEN + 2;
 
@@ -291,7 +291,7 @@ impl Channel {
     /// assert time — transmissions younger than that are invisible, which
     /// is CSMA's collision window).
     #[inline]
-    pub fn carrier_busy(&self, now: SimTime, listener: StationId) -> bool {
+    pub(crate) fn carrier_busy(&self, now: SimTime, listener: StationId) -> bool {
         self.txs.iter().any(|tx| {
             if tx.delivered || now >= tx.end {
                 return false;
@@ -303,19 +303,11 @@ impl Channel {
         })
     }
 
-    /// True if `station` has a transmission in progress at `now`.
-    #[inline]
-    pub fn is_transmitting(&self, now: SimTime, station: StationId) -> bool {
-        self.txs
-            .iter()
-            .any(|tx| !tx.delivered && tx.from == station && tx.start <= now && now < tx.end)
-    }
-
     /// An empty buffer with room for [`Channel::ON_AIR_MAX`] octets for a
     /// station to build its next on-air frame in: a finished
     /// transmission's buffer from the free list, or a new one born at that
     /// size when the list is empty.
-    pub fn take_buffer(&mut self) -> Vec<u8> {
+    pub(crate) fn take_buffer(&mut self) -> Vec<u8> {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf.reserve_exact(Self::ON_AIR_MAX);
@@ -726,8 +718,6 @@ mod tests {
         assert!(c.carrier_busy(mid, a), "own transmission counts");
         assert!(!c.carrier_busy(mid, deaf), "deaf station senses idle");
         assert!(!c.carrier_busy(end, b), "end instant is idle");
-        assert!(c.is_transmitting(mid, a));
-        assert!(!c.is_transmitting(mid, b));
     }
 
     #[test]

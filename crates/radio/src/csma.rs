@@ -95,13 +95,13 @@ impl Csma {
     }
 
     /// Mutable access for single-parameter updates.
-    pub fn config_mut(&mut self) -> &mut MacConfig {
+    pub(crate) fn config_mut(&mut self) -> &mut MacConfig {
         &mut self.cfg
     }
 
     /// Queues an on-air frame (AX.25 bytes + FCS), built in a buffer from
     /// [`Channel::take_buffer`].
-    pub fn enqueue(&mut self, frame: Vec<u8>) {
+    pub(crate) fn enqueue(&mut self, frame: Vec<u8>) {
         self.stats.enqueued += 1;
         self.queue.push_back(frame);
     }
@@ -110,12 +110,6 @@ impl Csma {
     #[inline]
     pub fn backlog(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True while our transmitter is keyed.
-    #[inline]
-    pub fn transmitting(&self, now: SimTime) -> bool {
-        self.tx_end.is_some_and(|t| t > now)
     }
 
     /// True when the only thing between a queued frame and the air is
@@ -216,7 +210,7 @@ mod tests {
         let mut mac = Csma::new(always_send());
         mac.enqueue(vec![0; 120]); // 0.8s at 1200bps + 0.1s keyup
         mac.poll(SimTime::ZERO, a, &mut ch, &mut rng);
-        assert!(mac.transmitting(SimTime::from_millis(10)));
+        assert_eq!(mac.stats().transmitted, 1);
         let end = ch.next_deadline().unwrap();
         assert_eq!(end, SimTime::from_millis(900));
         let mut heard = Heard::default();
@@ -232,13 +226,13 @@ mod tests {
         mac.enqueue(vec![0; 10]);
         // Poll after the DCD assert time so the carrier is sensed.
         mac.poll(SimTime::from_millis(50), a, &mut ch, &mut rng);
-        assert!(!mac.transmitting(SimTime::from_millis(50)));
+        assert_eq!(mac.stats().transmitted, 0);
         assert_eq!(mac.stats().busy_detects, 1);
         // After the other frame ends, the channel is idle and we go.
         let end = ch.next_deadline().unwrap();
         drain(&mut ch, end);
         mac.poll(end, a, &mut ch, &mut rng);
-        assert!(mac.transmitting(end + SimDuration::from_millis(1)));
+        assert_eq!(mac.stats().transmitted, 1);
     }
 
     #[test]
@@ -252,7 +246,7 @@ mod tests {
         let mut mac = Csma::new(cfg);
         mac.enqueue(vec![0; 10]);
         mac.poll(SimTime::ZERO, a, &mut ch, &mut rng);
-        assert!(!mac.transmitting(SimTime::ZERO));
+        assert_eq!(mac.stats().transmitted, 0);
         assert_eq!(mac.next_deadline(), Some(SimTime::from_millis(50)));
         assert_eq!(mac.stats().deferrals, 1);
         // Premature poll does nothing; at the slot boundary it defers again.
@@ -295,7 +289,7 @@ mod tests {
         let mut mac = Csma::new(cfg);
         mac.enqueue(vec![0; 10]);
         mac.poll(SimTime::from_millis(10), a, &mut ch, &mut rng);
-        assert!(mac.transmitting(SimTime::from_millis(20)));
+        assert_eq!(mac.stats().transmitted, 1);
     }
 
     #[test]
@@ -315,10 +309,10 @@ mod tests {
         for _ in 0..trials {
             mac.enqueue(vec![0; 1]);
             // Poll until this frame goes out; count first-try successes.
-            let before = mac.stats().deferrals;
+            let (before, sent) = (mac.stats().deferrals, mac.stats().transmitted);
             loop {
                 mac.poll(now, a, &mut ch, &mut rng);
-                if mac.transmitting(now) {
+                if mac.stats().transmitted > sent {
                     break;
                 }
                 now = mac.next_deadline().unwrap();

@@ -168,7 +168,9 @@ mod tests {
                         digi.on_reception(&mut heard, corrupted, &mut ch);
                     }
                     if to == dst_sta && !corrupted {
-                        let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
+                        let frame =
+                            Frame::decode(ax25::fcs::verify_and_strip_fcs(heard.data()).unwrap())
+                                .unwrap();
                         if frame.fully_repeated() {
                             delivered_at_dst = Some(frame);
                         }

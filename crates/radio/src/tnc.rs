@@ -18,8 +18,7 @@
 //! those packets destined for the broadcast or local AX.25 addresses").
 
 use ax25::addr::Ax25Addr;
-use ax25::fcs::{append_fcs, verify_and_strip_fcs};
-use ax25::frame::Frame;
+use ax25::fcs::append_fcs;
 use kiss::{Command, Deframer};
 use sim::{SimDuration, SimRng, SimTime};
 
@@ -291,19 +290,12 @@ impl Tnc {
     pub fn mac_stats(&self) -> crate::csma::CsmaStats {
         self.mac.stats()
     }
-
-    /// Parses a clean on-air reception into an AX.25 frame (helper for
-    /// devices that bypass the serial line, e.g. digipeaters and tests).
-    pub fn parse_on_air(data: &[u8]) -> Option<Frame> {
-        let body = verify_and_strip_fcs(data)?;
-        Frame::decode(body).ok()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ax25::frame::Pid;
+    use ax25::frame::{Frame, Pid};
     use sim::Bandwidth;
 
     fn addr(s: &str) -> Ax25Addr {
@@ -537,11 +529,11 @@ mod tests {
     fn kiss_params_update_mac_config() {
         let (mut ch, mut a, _b, _rng) = setup(RxMode::Promiscuous);
         for bytes in [
-            kiss::encode_param(0, Command::TxDelay, 25),
-            kiss::encode_param(0, Command::Persistence, 127),
-            kiss::encode_param(0, Command::SlotTime, 5),
-            kiss::encode_param(0, Command::TxTail, 3),
-            kiss::encode_param(0, Command::FullDuplex, 1),
+            kiss::encode(0, Command::TxDelay, &[25]),
+            kiss::encode(0, Command::Persistence, &[127]),
+            kiss::encode(0, Command::SlotTime, &[5]),
+            kiss::encode(0, Command::TxTail, &[3]),
+            kiss::encode(0, Command::FullDuplex, &[1]),
         ] {
             for byte in bytes {
                 a.on_serial_byte(byte, &mut ch);
@@ -550,14 +542,5 @@ mod tests {
         assert_eq!(a.stats().params, 5);
         let cfg = a.mac_stats(); // stats unaffected
         assert_eq!(cfg.enqueued, 0);
-    }
-
-    #[test]
-    fn parse_on_air_roundtrip() {
-        let f = Frame::ui(addr("BBB"), addr("AAA"), Pid::Ip, vec![9, 9]);
-        let mut on_air = f.encode();
-        append_fcs(&mut on_air);
-        assert_eq!(Tnc::parse_on_air(&on_air), Some(f));
-        assert_eq!(Tnc::parse_on_air(b"junk"), None);
     }
 }

@@ -215,7 +215,7 @@ mod tests {
         let mut heard = Heard::default();
         assert!(ch.hear_next(end, &mut heard));
         assert_eq!(heard.listeners(), [(listener, false)]);
-        let frame = crate::tnc::Tnc::parse_on_air(heard.data()).unwrap();
+        let frame = Frame::decode(ax25::fcs::verify_and_strip_fcs(heard.data()).unwrap()).unwrap();
         assert_eq!(frame.info.len(), 64);
         assert!(String::from_utf8_lossy(&frame.info).contains("de BG1"));
     }

@@ -106,11 +106,6 @@ impl PacketBuf {
         self.len() == 0
     }
 
-    /// Bytes available for [`prepend`](PacketBuf::prepend) without copying.
-    pub fn headroom(&self) -> usize {
-        self.start
-    }
-
     /// The live bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
@@ -129,8 +124,8 @@ impl PacketBuf {
         self.storage.extend_from_slice(bytes);
     }
 
-    /// Prepends `bytes` before the live data. Free when `bytes.len() <=
-    /// headroom()`; otherwise the payload shifts right once to make room.
+    /// Prepends `bytes` before the live data. Free when they fit in the
+    /// headroom; otherwise the payload shifts right once to make room.
     pub fn prepend(&mut self, bytes: &[u8]) {
         if bytes.len() <= self.start {
             self.start -= bytes.len();
@@ -257,11 +252,11 @@ mod tests {
     fn prepend_uses_headroom_without_shifting() {
         let mut b = PacketBuf::with_headroom(4, 64);
         b.extend_from_slice(b"data");
-        assert_eq!(b.headroom(), 4);
+        assert_eq!(b.start, 4);
         let payload = b.as_slice().as_ptr();
         b.prepend(b"hd");
         assert_eq!(&b[..], b"hddata");
-        assert_eq!(b.headroom(), 2);
+        assert_eq!(b.start, 2);
         assert_eq!(b[2..].as_ptr(), payload, "the payload did not move");
     }
 
@@ -276,7 +271,7 @@ mod tests {
         b.extend_from_slice(b"xyz");
         b.prepend(b"abcd");
         assert_eq!(&b[..], b"abcdxyz");
-        assert_eq!(b.headroom(), 0);
+        assert_eq!(b.start, 0);
     }
 
     #[test]
@@ -286,7 +281,7 @@ mod tests {
         assert_eq!(&b[..], &[3, 4, 5]);
         b.truncate(2);
         assert_eq!(&b[..], &[3, 4]);
-        assert_eq!(b.headroom(), 2);
+        assert_eq!(b.start, 2);
         b.truncate(9); // longer than the live bytes: no-op
         assert_eq!(&b[..], &[3, 4]);
         b.prepend(&[7, 8]); // the advanced-past bytes are headroom again

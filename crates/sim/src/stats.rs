@@ -17,7 +17,7 @@ use crate::time::SimDuration;
 ///
 /// let mut drops = Counter::new();
 /// drops.add(3);
-/// drops.incr();
+/// drops.add(1);
 /// assert_eq!(drops.get(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,11 +27,6 @@ impl Counter {
     /// Creates a zeroed counter.
     pub const fn new() -> Counter {
         Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
     }
 
     /// Adds `n`.
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn counter_basics() {
         let mut c = Counter::new();
-        c.incr();
+        c.add(1);
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.take(), 10);

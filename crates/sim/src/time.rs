@@ -178,12 +178,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Checked multiplication by an integer factor.
-    #[inline]
-    pub fn checked_mul(self, factor: u64) -> Option<SimDuration> {
-        self.0.checked_mul(factor).map(SimDuration)
-    }
-
     /// Saturating multiplication by an integer factor.
     #[inline]
     pub fn saturating_mul(self, factor: u64) -> SimDuration {

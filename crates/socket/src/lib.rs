@@ -12,7 +12,7 @@ use netstack::socket::{Readiness, SockError, SocketHandle};
 use netstack::NetStack;
 
 /// Holds nothing: each method forwards to the stack it is given.
-#[doc(hidden)]
+#[doc(hidden)] // serves benchmarks/src/probes.rs:22, :405 (ROADMAP 2(a))
 #[derive(Debug, Default)]
 pub struct SocketTable;
 

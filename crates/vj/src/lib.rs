@@ -493,12 +493,6 @@ impl VjDecompressor {
         self.stats
     }
 
-    /// Whether the decompressor is currently discarding compressed traffic
-    /// while it waits for a refresh.
-    pub fn tossing(&self) -> bool {
-        self.toss
-    }
-
     /// Accept an uncompressed refresh (PID `0x07`) in place: restore the
     /// protocol byte, repair the IP checksum, and re-seed the slot.  On
     /// success `dgram` is again a well-formed IPv4/TCP datagram.
@@ -823,7 +817,7 @@ mod tests {
             d.decompress(&p3[start..], &mut out),
             Err(VjError::BadChecksum)
         );
-        assert!(d.tossing());
+        assert!(d.toss);
         // Further compressed traffic is tossed outright…
         let mut p4 = mk(4, 106, b"dd");
         let VjOutcome::Compressed { start } = c.compress(&mut p4) else {
@@ -835,7 +829,7 @@ mod tests {
         let (o, r) = roundtrip(&mut c, &mut d, &p5);
         assert_eq!(o, VjOutcome::Uncompressed);
         assert_eq!(r, p5);
-        assert!(!d.tossing());
+        assert!(!d.toss);
         let p6 = mk(6, 102, b"bb");
         let (o, r) = roundtrip(&mut c, &mut d, &p6);
         assert!(matches!(o, VjOutcome::Compressed { .. }));

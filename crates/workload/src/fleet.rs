@@ -57,7 +57,7 @@ pub fn catalogue(files: u32) -> Vec<(String, usize)> {
 /// Zone name `k` — the same names exist on every island's DNS server
 /// (resolving to that island's own hosts), so a query works against any
 /// target island.
-pub fn dns_name(k: u32) -> String {
+pub(crate) fn dns_name(k: u32) -> String {
     format!("h{k:02}.ampr.org")
 }
 
@@ -164,13 +164,6 @@ impl Fleet {
 pub fn deploy(m: &mut MeshNet, spec: &FleetSpec) -> Fleet {
     let islands = m.islands();
     let schedule = build_schedule(islands, spec);
-    deploy_schedule(m, spec, schedule)
-}
-
-/// Attaches a pre-built schedule (see [`deploy`]); split out so callers
-/// can inspect or digest the plan first.
-pub fn deploy_schedule(m: &mut MeshNet, spec: &FleetSpec, schedule: FleetSchedule) -> Fleet {
-    let islands = m.islands();
     let hosts_per_island = m.island_hosts(0).len();
     assert!(
         hosts_per_island >= SERVER_HOSTS + spec.clients_per_island,
@@ -314,7 +307,7 @@ pub struct WorkloadClient {
 
 impl WorkloadClient {
     /// Builds a client for one plan. `files` and `names` must match
-    /// what [`deploy_schedule`] installed on the servers; every client of
+    /// what [`deploy`] installed on the servers; every client of
     /// a fleet shares the one copy of each.
     pub fn new(
         plan: ClientPlan,

@@ -36,7 +36,6 @@ const SUB: u64 = 1 << SUB_BITS;
 pub struct LatencyHisto {
     buckets: [u64; BUCKETS],
     count: u64,
-    sum_us: u64,
     min_us: u64,
     max_us: u64,
 }
@@ -53,7 +52,6 @@ impl LatencyHisto {
         LatencyHisto {
             buckets: [0; BUCKETS],
             count: 0,
-            sum_us: 0,
             min_us: u64::MAX,
             max_us: 0,
         }
@@ -93,10 +91,9 @@ impl LatencyHisto {
 
     /// Records one sample given in microseconds.
     #[inline]
-    pub fn record_us(&mut self, us: u64) {
+    pub(crate) fn record_us(&mut self, us: u64) {
         self.buckets[Self::bucket_of(us)] += 1;
         self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
         self.min_us = self.min_us.min(us);
         self.max_us = self.max_us.max(us);
     }
@@ -108,7 +105,6 @@ impl LatencyHisto {
             *a += *b;
         }
         self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
     }
@@ -118,13 +114,8 @@ impl LatencyHisto {
         self.count
     }
 
-    /// Exact mean in microseconds (the sum is kept outside the buckets).
-    pub fn mean_us(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum_us / self.count)
-    }
-
     /// Largest recorded sample, exact.
-    pub fn max_us(&self) -> Option<u64> {
+    pub(crate) fn max_us(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max_us)
     }
 
@@ -244,7 +235,7 @@ fn ms(us: Option<u64>) -> String {
 }
 
 /// The shared fleet-table header.
-pub fn fleet_header() -> Vec<String> {
+pub(crate) fn fleet_header() -> Vec<String> {
     [
         "class",
         "started",
@@ -264,7 +255,7 @@ pub fn fleet_header() -> Vec<String> {
 
 /// One fleet-table row for a (merged) recorder over a run of `span`
 /// simulated time.
-pub fn fleet_row(class: &str, r: &FlowRecorder, span: SimDuration) -> Vec<String> {
+pub(crate) fn fleet_row(class: &str, r: &FlowRecorder, span: SimDuration) -> Vec<String> {
     let secs = span.as_secs_f64();
     let goodput = if secs > 0.0 {
         format!("{:.1}", r.goodput_bytes as f64 / secs)
@@ -300,7 +291,7 @@ pub fn fleet_table(rows: &[(&str, &FlowRecorder)], span: SimDuration) -> String 
 
 /// The shared app-table header: `app | count | ok | fail | bytes |
 /// mean ms | max ms`.
-pub fn app_header() -> Vec<String> {
+pub(crate) fn app_header() -> Vec<String> {
     ["app", "count", "ok", "fail", "bytes", "mean ms", "max ms"]
         .iter()
         .map(|s| s.to_string())
@@ -308,7 +299,7 @@ pub fn app_header() -> Vec<String> {
 }
 
 /// An FTP server in the shared app-row format.
-pub fn ftp_server_row(label: &str, r: &apps::ftp::FileServerReport) -> Vec<String> {
+pub(crate) fn ftp_server_row(label: &str, r: &apps::ftp::FileServerReport) -> Vec<String> {
     vec![
         label.into(),
         r.serves.to_string(),
@@ -321,7 +312,7 @@ pub fn ftp_server_row(label: &str, r: &apps::ftp::FileServerReport) -> Vec<Strin
 }
 
 /// An echo server in the shared app-row format.
-pub fn echo_row(label: &str, r: &apps::echo::EchoReport) -> Vec<String> {
+pub(crate) fn echo_row(label: &str, r: &apps::echo::EchoReport) -> Vec<String> {
     vec![
         label.into(),
         r.accepted.to_string(),
@@ -334,7 +325,7 @@ pub fn echo_row(label: &str, r: &apps::echo::EchoReport) -> Vec<String> {
 }
 
 /// A DNS server in the shared app-row format.
-pub fn dns_server_row(label: &str, r: &apps::dns::DnsServerReport) -> Vec<String> {
+pub(crate) fn dns_server_row(label: &str, r: &apps::dns::DnsServerReport) -> Vec<String> {
     vec![
         label.into(),
         r.queries.to_string(),
@@ -347,7 +338,7 @@ pub fn dns_server_row(label: &str, r: &apps::dns::DnsServerReport) -> Vec<String
 }
 
 /// Renders app rows (from the `*_row` adapters) under the shared header.
-pub fn app_table(rows: &[Vec<String>]) -> String {
+pub(crate) fn app_table(rows: &[Vec<String>]) -> String {
     let mut table = vec![app_header()];
     table.extend(rows.iter().cloned());
     render_table(&table)
@@ -484,7 +475,6 @@ mod tests {
         let h = LatencyHisto::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.5), None);
-        assert_eq!(h.mean_us(), None);
         assert_eq!(h.max_us(), None);
         assert_eq!(h.min_us(), None);
     }
@@ -538,7 +528,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), both.count());
-        assert_eq!(a.mean_us(), both.mean_us());
         assert_eq!(a.min_us(), both.min_us());
         assert_eq!(a.max_us(), both.max_us());
         for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {

@@ -40,6 +40,21 @@
 #                    crate, whose drivers parse ARP and IP bytes off the
 #                    air), zeros included. This one builds: it runs clippy
 #                    over the workspace.
+#   pub fns          `pub fn` declarations (not `pub(crate)`, `pub const fn`
+#                    or `pub unsafe fn`) in the non-test lines above of
+#                    crates/*/src, every library crate but bench and
+#                    proptest (test support). One line: their total.
+#   pub fns with no caller outside their crate
+#                    Those of the pub fns above whose name appears as a
+#                    word, on a line that is not a `//` comment, in none of:
+#                    the non-test lines of another crate's src/, of the root
+#                    src/, of examples/ or of benchmarks/src/; any file
+#                    under tests/ or crates/*/tests/ (integration tests,
+#                    which see only `pub`). A doc example is not a caller.
+#                    By name, so a lower bound: a shared name can hide an
+#                    unused function but never flags a used one. Per crate,
+#                    crates with none not listed (ROADMAP item 14: a
+#                    function only its own crate calls is `pub(crate)`).
 #
 # Why earlier quotes differ (all of them counted on one and the same tree):
 #   - 31,781 non-test lines counted the two src/**/tests.rs modules
@@ -89,6 +104,48 @@ non_test_files | xargs awk '
     !skip { sites[crate] += gsub(/RefCell</, "") }
     END {
         for (c in sites) if (sites[c] > 0) printf "    %-10s %6d\n", c, sites[c] | "sort"
+        close("sort")
+    }'
+
+# Callers first (every file a caller may live in, each tagged with the crate
+# whose src/ it is, or "*" for the shared places), then the declarations.
+{
+    non_test_files | grep -E '^(crates/[^/]+/)?src/'
+    git ls-files 'examples/*.rs' 'benchmarks/src/*.rs' 'tests/*.rs' 'crates/*/tests/*.rs'
+} | xargs awk '
+    FNR == 1 {
+        skip = 0
+        n = split(FILENAME, part, "/")
+        origin = (part[1] == "crates" && part[3] == "src") ? part[2] : "*"
+        scanned = origin != "*" && origin != "bench" && origin != "proptest"
+    }
+    /^#\[cfg\(test\)\]/ && FILENAME !~ /(^|\/)tests\// { skip = 1 }
+    skip || /^[[:space:]]*\/\// { next }
+    {
+        if (scanned && match($0, /(^|[^A-Za-z0-9_])pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.*pub fn /, "", name)
+            decl[++ndecl] = origin " " name
+        }
+        # Per word, up to two of the origins it appears in: enough to
+        # tell whether it appears outside any one crate.
+        m = split($0, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= m; i++) {
+            k = w[i]
+            if (k == "") continue
+            if (!(k in first)) first[k] = origin
+            else if (first[k] != origin) other[k] = origin
+        }
+    }
+    END {
+        printf "pub fns in the library crates but bench and proptest: %d\n", ndecl
+        print "pub fns with no caller outside their crate, by crate (crates with none are not listed):"
+        for (d = 1; d <= ndecl; d++) {
+            split(decl[d], p, " ")
+            k = p[2]
+            if (!((k in first) && first[k] != p[1]) && !(k in other)) none[p[1]]++
+        }
+        for (c in none) printf "    %-10s %6d\n", c, none[c] | "sort"
         close("sort")
     }'
 

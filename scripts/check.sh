@@ -101,6 +101,13 @@ hold_counts "RefCell< sites" scripts/refcell_ceiling.txt "RefCell< sites"
 echo "==> indexing_slicing sites per wire-facing crate and core equal scripts/indexing_ceiling.txt"
 hold_counts "indexing_slicing sites" scripts/indexing_ceiling.txt "indexing_slicing sites"
 
+# The public surface is what a program calls (ROADMAP item 14): a pub fn no
+# other crate, example, harness line or integration test names is
+# pub(crate), so rustc's dead_code lint sees it under clippy -D warnings.
+echo "==> pub fns with no caller outside their crate equal scripts/pub_surface_ceiling.txt"
+hold_counts "pub fns with no caller outside their crate" scripts/pub_surface_ceiling.txt \
+    "pub fns with no caller outside their crate"
+
 # A doc link to a name that no longer exists (or to a private one) fails
 # here, so deleting an API cannot leave its docs pointing at nothing.
 echo "==> cargo doc --workspace --no-deps with rustdoc warnings denied"
@@ -137,6 +144,34 @@ while read -r workload seed ceiling; do
     esac
     echo "    $workload (seed $seed): $got (ceiling $ceiling)"
 done < <(grep -v '^#' scripts/alloc_ceiling.txt)
+
+# Engine work held the same way (ROADMAP item 13, step 2), over the traced
+# path: --trace 1 is the run whose probes reach the crates' public names,
+# so a traced run that fails fails here.
+echo "==> traced runs: calendar pops, re-keys and polls equal to scripts/work_ceiling.txt"
+while read -r workload seed; do
+    out=$(bash benchmarks/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 1) || {
+        echo "$workload (seed $seed): the traced run failed"
+        exit 1
+    }
+    awk -v workload="$workload" -v seed="$seed" '
+        FILENAME == ARGV[1] { if ($1 == "metric" && $2 == workload) got[$3] = $4; next }
+        $1 == workload && $2 == seed {
+            if (!($3 in got)) {
+                printf "%s (seed %s): %s missing\n", workload, seed, $3
+                bad = 1
+            } else if (got[$3] + 0 > $4 + 0) {
+                printf "%s (seed %s): %s %s exceeds the ceiling %s\n", workload, seed, $3, got[$3], $4
+                bad = 1
+            } else if (got[$3] + 0 < $4 + 0) {
+                printf "%s (seed %s): %s %s, below the ceiling %s in scripts/work_ceiling.txt: lower its line\n", workload, seed, $3, got[$3], $4
+                bad = 1
+            } else {
+                printf "    %s (seed %s): %s %s\n", workload, seed, $3, got[$3]
+            }
+        }
+        END { exit bad }' <(printf '%s\n' "$out") scripts/work_ceiling.txt
+done < <(awk '$1 !~ /^#/ && !seen[$1 " " $2]++ { print $1, $2 }' scripts/work_ceiling.txt)
 
 echo "==> sharded-engine digest smoke (sharded vs reference)"
 cargo test -q -p gateway --test shard_equivalence sharded_digest_smoke

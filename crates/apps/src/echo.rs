@@ -1,11 +1,12 @@
 //! A TCP echo server: everything received goes straight back.
 //!
-//! Two implementations live here on purpose. [`EchoServer`] is the
-//! production app, a [`SocketProgram`] on the BSD-style socket layer (DESIGN.md §10).
-//! [`RawEchoServer`] is the pre-socket original driving
-//! `NetStack::tcp_*` directly — kept as the executable reference for the
-//! differential test (`tests/socket_differential.rs`) that proves the
-//! ported server produces byte-identical wire traffic.
+//! Two implementations live here on purpose, both on the stack's
+//! `sock_*` verbs (DESIGN.md §10). [`EchoServer`] is the production app, a
+//! [`SocketProgram`] the readiness runtime drives. [`EventEchoServer`]
+//! reacts to the stack's events one by one instead — the event-driven
+//! reference for the differential test (`tests/socket_differential.rs`)
+//! that proves the readiness runtime produces byte-identical wire
+//! traffic.
 
 use std::collections::HashSet;
 
@@ -84,18 +85,21 @@ impl SocketProgram for EchoProgram {
     }
 }
 
-/// The pre-socket echo server, kept verbatim as the raw-API reference.
-pub struct RawEchoServer {
+/// The same server written against the stack's events instead of the
+/// readiness runtime: it reacts to each [`StackAction`] as it is
+/// dispatched and calls the `sock_*` verbs itself. Kept as the
+/// executable reference the readiness runtime is checked against.
+pub struct EventEchoServer {
     port: u16,
     socks: HashSet<SockId>,
     report: EchoReport,
     buf: Vec<u8>,
 }
 
-impl RawEchoServer {
+impl EventEchoServer {
     /// Creates a server for `port`.
-    pub fn new(port: u16) -> RawEchoServer {
-        RawEchoServer {
+    pub fn new(port: u16) -> EventEchoServer {
+        EventEchoServer {
             port,
             socks: HashSet::new(),
             report: EchoReport::default(),
@@ -109,31 +113,31 @@ impl RawEchoServer {
     }
 }
 
-impl App for RawEchoServer {
+impl App for EventEchoServer {
     fn on_start(&mut self, _now: SimTime, host: &mut Host) {
         host.stack
-            .tcp_listen(self.port, None)
+            .sock_listen(self.port, None)
             .expect("echo port available");
     }
 
     fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
         match event {
             StackAction::TcpAccepted { listener, sock } => {
-                host.stack.tcp_accept(*listener);
+                let _ = host.stack.sock_accept(SocketHandle::Listener(*listener));
                 self.socks.insert(*sock);
                 self.report.accepted += 1;
             }
             StackAction::TcpReadable(sock) if self.socks.contains(sock) => {
-                let buf = &mut self.buf;
+                let (h, buf) = (SocketHandle::Stream(*sock), &mut self.buf);
                 buf.clear();
-                let n = host.stack_op(now, |st| st.tcp_recv(now, *sock, buf));
-                if n > 0 {
+                if let Ok(n @ 1..) = host.stack_op(now, |st| st.sock_recv(now, h, buf)) {
                     self.report.bytes_echoed += n as u64;
-                    host.stack_op(now, |st| st.tcp_send(now, *sock, buf));
+                    let _ = host.stack_op(now, |st| st.sock_send(now, h, buf));
                 }
             }
             StackAction::TcpPeerClosed(sock) if self.socks.contains(sock) => {
-                host.stack_op(now, |st| st.tcp_close(now, *sock));
+                let h = SocketHandle::Stream(*sock);
+                let _ = host.stack_op(now, |st| st.sock_shutdown(now, h));
             }
             StackAction::TcpClosed { sock, .. } => {
                 self.socks.remove(sock);

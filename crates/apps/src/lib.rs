@@ -9,8 +9,8 @@
 //! TCP or UDP is a [`sockapp::SocketProgram`] on the BSD-style socket
 //! layer, run by [`sockapp::SockApp`] (DESIGN.md §10):
 //!
-//! * [`echo`] — a TCP echo server (plus [`echo::RawEchoServer`], the one
-//!   raw-API reference the socket layer is checked against);
+//! * [`echo`] — a TCP echo server (plus [`echo::EventEchoServer`], the
+//!   event-driven reference the readiness runtime is checked against);
 //! * [`bulk`] — a bulk TCP sender/sink pair with retransmission
 //!   accounting (E2, E3);
 //! * [`telnet`] — a login-style interactive session (remote login);
@@ -83,7 +83,7 @@ mod tests {
         // `Pinger`, `BulkSender` and `BulkSink` are left out: the
         // benchmark harness holds their shared report handles.
         owns_its_report::<crate::echo::EchoServer>();
-        owns_its_report::<crate::echo::RawEchoServer>();
+        owns_its_report::<crate::echo::EventEchoServer>();
         owns_its_report::<crate::ftp::FileServer>();
         owns_its_report::<crate::ftp::FileClient>();
         owns_its_report::<crate::dns::DnsServer>();

@@ -12,8 +12,8 @@
 //! [`SocketProgram`] — connect, strike on the first WRITABLE edge, strike
 //! again on each READABLE echo, shutdown after the last echo, finish on
 //! the HANGUP edge when the connection is fully torn down (the same
-//! instant the raw API reported `TcpClosed`, so session timings match
-//! the pre-socket reports exactly).
+//! instant the stack reports `TcpClosed`, so session timings match an
+//! event-driven client's exactly).
 
 use std::net::Ipv4Addr;
 

@@ -103,7 +103,7 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
     let east = *hosts.last().expect("nodes >= 2");
     let east_ip = Ipv4Addr::new(44, 40, 0, nodes as u8);
     let west_ip = Ipv4Addr::new(44, 40, 0, 1);
-    let udp = world.host_mut(east).stack.udp_bind(4000).expect("bind");
+    let udp = world.host_mut(east).stack.sock_bind_udp(4000).expect("bind");
     let dg = UdpDatagram {
         src_port: 1,
         dst_port: 4000,
@@ -117,7 +117,7 @@ fn backbone(nodes: usize, seed: u64) -> Outcome {
     let mut delivered_at = None;
     for _ in 0..120 {
         world.run_for(SimDuration::from_secs(5));
-        if world.host_mut(east).stack.udp_recv(udp, |_, _, _| ()).is_some() {
+        if world.host_mut(east).stack.sock_recv_from(udp, |_, _, _| ()).is_ok() {
             delivered_at = Some(world.now);
             break;
         }

@@ -245,14 +245,17 @@ fn world_denied_transit() {
         .world
         .host_mut(s.ether_host)
         .stack
-        .udp_bind(4000)
+        .sock_bind_udp(4000)
         .expect("free port");
     let flood = |s: &mut scenario::PaperScenario, n: u64| {
         for _ in 0..n {
             let now = s.world.now;
             s.world
                 .host_mut(s.ether_host)
-                .stack_op(now, |st| st.udp_send(udp, scenario::PC_IP, 9, vec![0; 20]));
+                .stack_op(now, |st| {
+                    st.sock_send_to(udp, scenario::PC_IP, 9, vec![0; 20])
+                })
+                .unwrap();
             s.world.run_for(SimDuration::from_millis(5));
         }
     };
@@ -326,19 +329,20 @@ fn world_ether_forward() {
     };
     via(&mut w, a, Prefix::new(b_ip, 24), Some(r_ip));
     via(&mut w, r, Prefix::new(b_ip, 24), None);
-    let tx = w.host_mut(a).stack.udp_bind(4000).expect("free port");
-    let rx = w.host_mut(b).stack.udp_bind(9).expect("free port");
+    let tx = w.host_mut(a).stack.sock_bind_udp(4000).expect("free port");
+    let rx = w.host_mut(b).stack.sock_bind_udp(9).expect("free port");
     let send = |w: &mut World, n: u64| {
         for _ in 0..n {
             let now = w.now;
             w.host_mut(a)
-                .stack_op(now, |st| st.udp_send(tx, b_ip, 9, vec![0; 20]));
+                .stack_op(now, |st| st.sock_send_to(tx, b_ip, 9, vec![0; 20]))
+                .unwrap();
             w.run_for(SimDuration::from_millis(5));
             let got = w
                 .host_mut(b)
                 .stack
-                .udp_recv(rx, |from, _, data| from == a_ip && data.len() == 20);
-            assert_eq!(got, Some(true));
+                .sock_recv_from(rx, |from, _, data| from == a_ip && data.len() == 20);
+            assert_eq!(got, Ok(true));
         }
     };
     // Warm-up: both ARP exchanges, buffer pools, queue capacities.

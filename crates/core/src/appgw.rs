@@ -19,6 +19,7 @@ use std::net::Ipv4Addr;
 
 use ax25::addr::Ax25Addr;
 use ax25::conn::{ConnEvent, Connection};
+use netstack::socket::SocketHandle;
 use netstack::stack::{SockId, StackAction};
 use sim::SimTime;
 
@@ -40,7 +41,7 @@ pub struct AppGwReport {
 
 struct Session {
     conn: Connection,
-    sock: Option<SockId>,
+    sock: Option<SocketHandle>,
     sock_connected: bool,
     /// Radio data buffered until the TCP side connects.
     pending_to_tcp: Vec<u8>,
@@ -87,7 +88,7 @@ impl AppGateway {
                         if session.sock.is_none() {
                             let (dst, port) = self.target;
                             if let Ok(sock) =
-                                host.stack_op(now, |st| st.tcp_connect(now, dst, port))
+                                host.stack_op(now, |st| st.sock_connect(now, dst, port))
                             {
                                 session.sock = Some(sock);
                             }
@@ -99,7 +100,7 @@ impl AppGateway {
                         if session.sock_connected {
                             if let Some(sock) = session.sock {
                                 self.report.bytes_to_tcp += data.len() as u64;
-                                host.stack_op(now, |st| st.tcp_send(now, sock, &data));
+                                let _ = host.stack_op(now, |st| st.sock_send(now, sock, &data));
                             }
                         } else {
                             session.pending_to_tcp.extend_from_slice(&data);
@@ -110,7 +111,7 @@ impl AppGateway {
                     self.report.sessions_closed += 1;
                     if let Some(session) = self.sessions.remove(&peer) {
                         if let Some(sock) = session.sock {
-                            host.stack_op(now, |st| st.tcp_close(now, sock));
+                            let _ = host.stack_op(now, |st| st.sock_shutdown(now, sock));
                         }
                     }
                 }
@@ -121,7 +122,7 @@ impl AppGateway {
     fn session_for_sock(&mut self, sock: SockId) -> Option<Ax25Addr> {
         self.sessions
             .iter()
-            .find(|(_, s)| s.sock == Some(sock))
+            .find(|(_, s)| s.sock == Some(SocketHandle::Stream(sock)))
             .map(|(peer, _)| *peer)
     }
 }
@@ -177,14 +178,16 @@ impl App for AppGateway {
                     let pending = std::mem::take(&mut session.pending_to_tcp);
                     if !pending.is_empty() {
                         self.report.bytes_to_tcp += pending.len() as u64;
-                        host.stack_op(now, |st| st.tcp_send(now, *sock, &pending));
+                        let h = SocketHandle::Stream(*sock);
+                        let _ = host.stack_op(now, |st| st.sock_send(now, h, &pending));
                     }
                 }
             }
             StackAction::TcpReadable(sock) => {
                 if let Some(peer) = self.session_for_sock(*sock) {
                     let mut data = Vec::new();
-                    host.stack_op(now, |st| st.tcp_recv(now, *sock, &mut data));
+                    let h = SocketHandle::Stream(*sock);
+                    let _ = host.stack_op(now, |st| st.sock_recv(now, h, &mut data));
                     if !data.is_empty() {
                         self.report.bytes_to_radio += data.len() as u64;
                         let session = self.sessions.get_mut(&peer).expect("present");

@@ -524,10 +524,11 @@ impl Host {
     /// Runs one stack verb and routes the actions it provoked: egress
     /// reaches the drivers before this returns, as a BSD socket call's
     /// output reaches `if_output` inside the call (DESIGN.md §10). Every
-    /// verb that can queue an action (connect, send, recv, accept,
-    /// shutdown, close, `ping`, the raw `tcp_*`/`udp_send*`) runs through
-    /// here; reads that queue nothing (`sock_poll`, `sock_recv_from`,
-    /// `udp_recv`…) go to [`Host::stack`] directly.
+    /// verb that can queue an action (`sock_connect`, `sock_send`,
+    /// `sock_recv`, `sock_shutdown`, `sock_close`, `sock_send_to`,
+    /// `sock_send_broadcast`, `ping`, `send_icmp`) runs through here;
+    /// calls that queue nothing (`sock_listen`, `sock_accept`,
+    /// `sock_recv_from`, `sock_poll`…) may go to [`Host::stack`] directly.
     pub fn stack_op<R>(&mut self, now: SimTime, op: impl FnOnce(&mut NetStack) -> R) -> R {
         let r = op(&mut self.stack);
         self.handle_actions(now);
@@ -574,6 +575,7 @@ mod tests {
     use super::*;
     use ax25::frame::Pid;
     use netstack::ip::{Ipv4Packet, Proto};
+    use netstack::socket::SocketHandle;
 
     fn a(s: &str) -> Ax25Addr {
         Ax25Addr::parse_or_panic(s)
@@ -780,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn a_raw_connect_to_a_silent_address_gives_up_at_75_s() {
+    fn a_connect_to_a_silent_address_gives_up_at_75_s() {
         let mut cfg = HostConfig::named("vax2");
         cfg.ether = Some(EtherIfConfig {
             mac: MacAddr::local(9),
@@ -789,11 +791,14 @@ mod tests {
         });
         let mut h = Host::new(cfg);
         let start = SimTime::ZERO;
-        let sock = h
+        let handle = h
             .stack_op(start, |st| {
-                st.tcp_connect(start, Ipv4Addr::new(128, 95, 1, 77), 23)
+                st.sock_connect(start, Ipv4Addr::new(128, 95, 1, 77), 23)
             })
             .unwrap();
+        let SocketHandle::Stream(sock) = handle else {
+            panic!("{handle:?} is no stream");
+        };
         let limit = netstack::stack::CONNECT_TIMEOUT;
         let mut closed = None;
         let (mut out, mut events) = (Vec::new(), Vec::new());
@@ -809,6 +814,7 @@ mod tests {
             events.clear();
         }
         assert_eq!(closed, Some(start + limit));
+        assert!(h.stack.sock_poll(handle).error());
     }
 
     #[test]

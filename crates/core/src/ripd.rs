@@ -34,7 +34,8 @@
 
 use encap::rip::{Announcer, RipEntry, RipUpdate, METRIC_INFINITY, RIP44_PORT};
 use encap::table::{EncapTable, LearnOutcome};
-use netstack::stack::{IfaceId, StackAction, UdpId};
+use netstack::socket::SocketHandle;
+use netstack::stack::{IfaceId, StackAction};
 use netstack::Prefix;
 use sim::{SimDuration, SimRng, SimTime};
 
@@ -124,7 +125,7 @@ pub struct Rip44Service {
     /// The table's earliest expiry ([`EncapTable::next_deadline`]), stored
     /// after every `learn` and `expire`.
     expiry: Option<SimTime>,
-    udp: Option<UdpId>,
+    udp: Option<SocketHandle>,
     announcer: Announcer,
     rng: SimRng,
     stats: RipdStats,
@@ -225,7 +226,7 @@ fn table<'a>(own: &'a mut Option<EncapTable>, host: &'a mut Host) -> &'a mut Enc
 
 impl App for Rip44Service {
     fn on_start(&mut self, now: SimTime, host: &mut Host) {
-        self.udp = host.stack.udp_bind(self.cfg.port).ok();
+        self.udp = host.stack.sock_bind_udp(self.cfg.port).ok();
         self.announcer.start(now, &mut self.rng);
         if let LearnMode::Tunnel = self.learn {
             if let Some(t) = self.table.take() {
@@ -239,10 +240,11 @@ impl App for Rip44Service {
         let StackAction::UdpReadable(id) = event else {
             return;
         };
-        if Some(*id) != self.udp {
+        let h = SocketHandle::Dgram(*id);
+        if Some(h) != self.udp {
             return;
         }
-        while let Some(update) = host.stack.udp_recv(*id, |_, _, p| RipUpdate::decode(p)) {
+        while let Ok(update) = host.stack.sock_recv_from(h, |_, _, p| RipUpdate::decode(p)) {
             match update {
                 Ok(update) => self.on_update(now, update, host),
                 Err(_) => self.stats.bad += 1,
@@ -268,13 +270,15 @@ impl App for Rip44Service {
         if self.announcer.due(now, &mut self.rng) && !host.is_down() {
             if let Some(udp) = self.udp {
                 for set in &self.announce {
-                    let origin = host.stack.iface(set.iface).addr;
+                    let Some(origin) = host.stack.iface(set.iface).map(|i| i.addr) else {
+                        continue;
+                    };
                     let update = RipUpdate {
                         origin,
                         entries: set.entries.clone(),
                     };
-                    host.stack_op(now, |st| {
-                        st.udp_send_broadcast(udp, set.iface, self.cfg.port, update.encode())
+                    let _ = host.stack_op(now, |st| {
+                        st.sock_send_broadcast(udp, set.iface, self.cfg.port, update.encode())
                     });
                     self.stats.sent += 1;
                 }

@@ -981,6 +981,7 @@ mod tests {
             .host(s.ether_host)
             .stack
             .iface(s.world.host(s.ether_host).ether_iface().unwrap())
+            .unwrap()
             .addr;
         let now = s.world.now;
         s.world
@@ -1146,7 +1147,7 @@ mod tests {
             .world
             .host_mut(s.ether_host)
             .stack
-            .udp_bind(4000)
+            .sock_bind_udp(4000)
             .expect("free port");
         // Nobody invited traffic for this amateur address: forwarded by
         // the gateway's stack, denied at its radio output hook.
@@ -1158,7 +1159,8 @@ mod tests {
             let now = s.world.now;
             s.world
                 .host_mut(s.ether_host)
-                .stack_op(now, |st| st.udp_send(udp, stranger, 9, vec![0; 20]));
+                .stack_op(now, |st| st.sock_send_to(udp, stranger, 9, vec![0; 20]))
+                .unwrap();
             s.world.run_for(SimDuration::from_millis(5));
             let len = s.world.calendar_len();
             assert!(len <= components, "{len} entries, {components} components");
@@ -1175,7 +1177,7 @@ mod tests {
 
     /// Sends one datagram per `gap` from its host, `left` times.
     struct Sender {
-        udp: netstack::stack::UdpId,
+        udp: netstack::socket::SocketHandle,
         to: std::net::Ipv4Addr,
         next: SimTime,
         gap: SimDuration,
@@ -1185,7 +1187,7 @@ mod tests {
     impl App for Sender {
         fn poll(&mut self, now: SimTime, host: &mut Host) {
             while self.left > 0 && self.next <= now {
-                host.stack_op(now, |st| st.udp_send(self.udp, self.to, 9, vec![0; 20]));
+                let _ = host.stack_op(now, |st| st.sock_send_to(self.udp, self.to, 9, vec![0; 20]));
                 self.next += self.gap;
                 self.left -= 1;
             }
@@ -1213,7 +1215,7 @@ mod tests {
             .world
             .host_mut(s.ether_host)
             .stack
-            .udp_bind(4000)
+            .sock_bind_udp(4000)
             .expect("free port");
         const N: u64 = 1_000;
         let start = s.world.now + SimDuration::from_secs(1);

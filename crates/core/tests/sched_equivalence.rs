@@ -944,17 +944,18 @@ fn discarded_frames_of_every_kind_match_reference() {
     );
 }
 
-/// An app whose poll raises a stack event synchronously (it aborts its
-/// own connection) and whose `on_event` handler answers that event with
-/// output of its own.
+/// An app whose poll raises a stack event synchronously (it closes its
+/// own half-open connection: a close in SYN-SENT ends it in the same
+/// call) and whose `on_event` handler answers that event with output of
+/// its own.
 struct Reactor {
     /// Where the connection goes: nobody there, so it stays half-open.
     silent: Ipv4Addr,
     /// Whom the handler pings.
     dst: Ipv4Addr,
     connect_at: SimTime,
-    abort_at: SimTime,
-    sock: Option<netstack::stack::SockId>,
+    close_at: SimTime,
+    sock: Option<netstack::socket::SocketHandle>,
     step: u8,
 }
 
@@ -963,19 +964,19 @@ impl App for Reactor {
         if self.step == 0 && self.connect_at <= now {
             self.step = 1;
             self.sock = host
-                .stack_op(now, |st| st.tcp_connect(now, self.silent, 9))
+                .stack_op(now, |st| st.sock_connect(now, self.silent, 9))
                 .ok();
         }
-        if self.step == 1 && self.abort_at <= now {
+        if self.step == 1 && self.close_at <= now {
             self.step = 2;
             if let Some(sock) = self.sock {
-                host.stack_op(now, |st| st.tcp_abort(now, sock));
+                host.stack_op(now, |st| st.sock_close(now, sock));
             }
         }
     }
 
     fn on_event(&mut self, now: SimTime, event: &StackAction, host: &mut Host) {
-        if let StackAction::TcpClosed { reset: true, .. } = event {
+        if let StackAction::TcpClosed { .. } = event {
             host.stack_op(now, |st| st.ping(self.dst, 0xabcd, 1, 32));
         }
     }
@@ -983,14 +984,14 @@ impl App for Reactor {
     fn next_deadline(&self) -> Option<SimTime> {
         match self.step {
             0 => Some(self.connect_at),
-            1 => Some(self.abort_at),
+            1 => Some(self.close_at),
             _ => None,
         }
     }
 }
 
 /// The half of the wake rule that stays (DESIGN.md §6): the flush after
-/// the app step dispatches the abort's `TcpClosed` to the handler, the
+/// the app step dispatches the close's `TcpClosed` to the handler, the
 /// handler queues a ping, and the host is looked at again in the same
 /// instant so the ping leaves then — not whenever the host next wakes.
 /// Mutation: a `flush_host` that reports no handler ran leaves the ping in
@@ -1010,7 +1011,7 @@ fn output_queued_by_an_event_handler_leaves_in_the_same_instant() {
                 silent: Ipv4Addr::new(128, 95, 1, 77),
                 dst: scenario::GW_ETHER_IP,
                 connect_at: SimTime::from_secs(1),
-                abort_at: SimTime::from_secs(2),
+                close_at: SimTime::from_secs(2),
                 sock: None,
                 step: 0,
             }),

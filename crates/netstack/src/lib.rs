@@ -25,11 +25,11 @@
 //!   walks (DESIGN.md §14);
 //! * [`pool`] — the host's one bounded pool of datagram buffers, which
 //!   the stack lends its link drivers;
-//! * [`stack`] — a per-host stack tying it together behind a raw
-//!   `tcp_*`/`udp_*` API;
-//! * [`socket`] — the BSD-style socket layer over it (§2.4's "normal
-//!   Ultrix networking facilities"): one handle per socket, poll
-//!   readiness, cooperative blocking.
+//! * [`stack`] — a per-host stack tying it together: IP input and
+//!   output, demux, the socket table, timers;
+//! * [`socket`] — its one user-facing interface, the BSD-style `sock_*`
+//!   verbs (§2.4's "normal Ultrix networking facilities"): one handle per
+//!   socket, poll readiness, cooperative blocking.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -53,17 +53,13 @@ pub use ip::{Ipv4Packet, Proto};
 pub use route::{Prefix, RouteTable};
 pub use stack::{IfaceId, NetStack, SockId, StackAction, StackConfig};
 
-/// Errors surfaced by the stack's codecs and state machines.
+/// Errors surfaced by the stack's packet codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// Packet failed structural parsing.
     Malformed(&'static str),
     /// A checksum did not verify.
     BadChecksum(&'static str),
-    /// No route to the destination.
-    NoRoute(std::net::Ipv4Addr),
-    /// Address or port already in use.
-    InUse,
 }
 
 impl std::fmt::Display for NetError {
@@ -71,8 +67,6 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Malformed(w) => write!(f, "malformed packet: {w}"),
             NetError::BadChecksum(w) => write!(f, "bad checksum: {w}"),
-            NetError::NoRoute(ip) => write!(f, "no route to {ip}"),
-            NetError::InUse => write!(f, "address in use"),
         }
     }
 }

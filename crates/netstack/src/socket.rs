@@ -10,14 +10,19 @@
 //! runtime re-delivers readiness level-triggered, as a blocked process
 //! would see it.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 use sim::SimTime;
 
-use crate::stack::{ConnError, ListenerId, NetStack, SockId, TcpSock, UdpId};
-use crate::tcp::{TcbStats, TcpConfig, TcpState};
-use crate::NetError;
+use crate::ip::{Ipv4Packet, Proto};
+use crate::stack::{
+    clamped_mss, ConnError, IfaceConfig, IfaceId, Listener, ListenerId, NetStack, SockId,
+    StackAction, TcpSock, UdpId, UdpSock, CONNECT_TIMEOUT,
+};
+use crate::tcp::{Tcb, TcbStats, TcpConfig, TcpState};
+use crate::udp::{self, UdpDatagram};
 
 /// Readiness bitmask returned by [`NetStack::sock_poll`].
 ///
@@ -154,16 +159,6 @@ impl From<ConnError> for SockError {
     }
 }
 
-impl From<NetError> for SockError {
-    fn from(e: NetError) -> SockError {
-        match e {
-            NetError::NoRoute(_) => SockError::NoRoute,
-            NetError::InUse => SockError::InUse,
-            _ => SockError::BadHandle,
-        }
-    }
-}
-
 /// One handle for every socket kind: the stack's own id for the socket.
 ///
 /// Stack ids are never reused, so a stale handle reports
@@ -216,7 +211,7 @@ impl TcpSock {
 
 impl NetStack {
     /// The stream behind `h`, unless `h` is no stream or was released.
-    fn open_stream(&self, h: SocketHandle) -> Result<(SockId, &TcpSock), SockError> {
+    pub(crate) fn open_stream(&self, h: SocketHandle) -> Result<(SockId, &TcpSock), SockError> {
         let SocketHandle::Stream(id) = h else {
             return Err(SockError::BadHandle);
         };
@@ -238,35 +233,52 @@ impl NetStack {
         Ok((id, s))
     }
 
-    /// The datagram socket behind `h`, unless `h` is none or was closed.
-    fn open_dgram(&self, h: SocketHandle) -> Result<UdpId, SockError> {
+    /// The port of the datagram socket behind `h`, unless `h` is none or
+    /// was closed.
+    fn dgram_port(&self, h: SocketHandle) -> Result<u16, SockError> {
         match h {
-            SocketHandle::Dgram(id) if matches!(self.udp.get(id.0), Some(Some(_))) => Ok(id),
+            SocketHandle::Dgram(id) => match self.udp.get(id.0) {
+                Some(Some(u)) => Ok(u.port),
+                _ => Err(SockError::BadHandle),
+            },
             _ => Err(SockError::BadHandle),
         }
     }
 
     /// `socket` + `bind` + `listen` in one verb: opens a passive TCP
-    /// socket on `port`. `backlog` bounds the accepted-but-unclaimed
-    /// queue (`None` = unbounded); overflow SYNs are refused with RST.
+    /// socket on `port`. With `Some(backlog)`, fresh SYNs are refused
+    /// (RST) whenever `backlog` completed-or-completing, unaccepted
+    /// connections are already queued — 0 refuses everything, the classic
+    /// closed shop; `None` queues without bound.
     pub fn sock_listen(
         &mut self,
         port: u16,
         backlog: Option<usize>,
     ) -> Result<SocketHandle, SockError> {
-        Ok(SocketHandle::Listener(self.tcp_listen(port, backlog)?))
+        if self.listener_on(port).is_some() {
+            return Err(SockError::InUse);
+        }
+        let id = ListenerId(self.listeners.len());
+        self.listeners.push(Some(Listener {
+            port,
+            cfg: self.cfg.tcp,
+            backlog,
+            completed: VecDeque::new(),
+        }));
+        Ok(SocketHandle::Listener(id))
     }
 
-    /// Active open to `dst:dst_port`. The handle becomes WRITABLE when
-    /// the handshake completes, or ERROR-ready on refusal, an ICMP
-    /// unreachable, or expiry of [`crate::stack::CONNECT_TIMEOUT`].
+    /// Active open to `dst:dst_port`; the SYN lands in the pending-action
+    /// queue. The handle becomes WRITABLE when the handshake completes, or
+    /// ERROR-ready on refusal, an ICMP unreachable, or expiry of
+    /// [`crate::stack::CONNECT_TIMEOUT`].
     pub fn sock_connect(
         &mut self,
         now: SimTime,
         dst: Ipv4Addr,
         dst_port: u16,
     ) -> Result<SocketHandle, SockError> {
-        Ok(SocketHandle::Stream(self.tcp_connect(now, dst, dst_port)?))
+        self.sock_connect_with(now, dst, dst_port, self.cfg.tcp)
     }
 
     /// [`NetStack::sock_connect`] with this connection's own TCP
@@ -277,23 +289,51 @@ impl NetStack {
         now: SimTime,
         dst: Ipv4Addr,
         dst_port: u16,
-        cfg: TcpConfig,
+        mut cfg: TcpConfig,
     ) -> Result<SocketHandle, SockError> {
-        let id = self.connect_as(now, dst, dst_port, cfg)?;
-        Ok(SocketHandle::Stream(id))
+        let route = self.routes.lookup_fast(dst);
+        let Some(&IfaceConfig { addr, mtu, .. }) =
+            route.and_then(|r| self.ifaces.get(r.iface.index()))
+        else {
+            return Err(SockError::NoRoute);
+        };
+        let port = self.alloc_port();
+        let iss = self.next_iss();
+        if self.cfg.clamp_mss {
+            cfg.mss = clamped_mss(cfg.mss, mtu);
+        }
+        let tcb = Tcb::connect(
+            now,
+            (addr, port),
+            (dst, dst_port),
+            iss,
+            cfg,
+            &mut self.tcb_events,
+        );
+        let sock = SockId(self.socks.len());
+        let mut s = TcpSock::new(tcb, None);
+        s.connect_timer = Some(now + CONNECT_TIMEOUT);
+        self.socks.push(s);
+        self.drive(sock);
+        Ok(SocketHandle::Stream(sock))
     }
 
     /// Takes the oldest completed connection off a listener's accept
-    /// queue ([`NetStack::tcp_accept`]) as a stream handle. Empty queue ⇒
-    /// [`SockError::WouldBlock`].
+    /// queue as a stream handle and claims it for the application: it
+    /// stops counting against the backlog, and errors latch on it from
+    /// here on. Empty queue ⇒ [`SockError::WouldBlock`].
     pub fn sock_accept(&mut self, h: SocketHandle) -> Result<SocketHandle, SockError> {
-        match h {
-            SocketHandle::Listener(id) if matches!(self.listeners.get(id.0), Some(Some(_))) => {
-                let sock = self.tcp_accept(id).ok_or(SockError::WouldBlock)?;
-                Ok(SocketHandle::Stream(sock))
-            }
-            _ => Err(SockError::BadHandle),
+        let SocketHandle::Listener(id) = h else {
+            return Err(SockError::BadHandle);
+        };
+        let Some(Some(l)) = self.listeners.get_mut(id.0) else {
+            return Err(SockError::BadHandle);
+        };
+        let sock = l.completed.pop_front().ok_or(SockError::WouldBlock)?;
+        if let Some(s) = self.socks.get_mut(sock.0) {
+            s.claimed = true;
         }
+        Ok(SocketHandle::Stream(sock))
     }
 
     /// Queues bytes for transmission; returns how many the send buffer
@@ -306,7 +346,12 @@ impl NetStack {
         data: &[u8],
     ) -> Result<usize, SockError> {
         let (id, _) = self.connected_stream(h)?;
-        let n = self.tcp_send(now, id, data);
+        let ev = &mut self.tcb_events;
+        let n = self
+            .socks
+            .get_mut(id.0)
+            .map_or(0, |s| s.tcb.send(now, data, ev));
+        self.drive(id);
         if n == 0 && !data.is_empty() {
             return Err(SockError::WouldBlock);
         }
@@ -325,7 +370,12 @@ impl NetStack {
         buf: &mut Vec<u8>,
     ) -> Result<usize, SockError> {
         let (id, _) = self.connected_stream(h)?;
-        let n = self.tcp_recv(now, id, buf);
+        let ev = &mut self.tcb_events;
+        let n = self
+            .socks
+            .get_mut(id.0)
+            .map_or(0, |s| s.tcb.recv(now, buf, ev));
+        self.drive(id);
         if n > 0 || self.socks.get(id.0).is_some_and(|s| s.tcb.at_eof()) {
             return Ok(n);
         }
@@ -338,15 +388,19 @@ impl NetStack {
         let (id, _) = self.open_stream(h)?;
         if let Some(s) = self.socks.get_mut(id.0) {
             s.shut = true;
+            s.tcb.close(now, &mut self.tcb_events);
         }
-        self.tcp_close(now, id);
+        self.drive(id);
         Ok(())
     }
 
     /// Releases the handle: a stream sends its FIN if still open and is
-    /// marked released; a listener or datagram socket gives its port back
-    /// (a listener also resets the children nobody accepted). Closing a
-    /// closed or bogus handle is a no-op, like `close(2)` on a stale fd.
+    /// marked released; a listener or datagram socket gives its port back.
+    /// A listener also aborts with RST every child it spawned that was
+    /// never accepted, as 4.3BSD's `soclose` aborts the connections still
+    /// on a listener's queues; a datagram socket's unread datagrams go
+    /// back to the pool. Closing a closed or bogus handle is a no-op, like
+    /// `close(2)` on a stale fd.
     pub fn sock_close(&mut self, now: SimTime, h: SocketHandle) {
         match h {
             SocketHandle::Stream(id) => {
@@ -355,20 +409,49 @@ impl NetStack {
                 };
                 s.released = true;
                 if s.tcb.state() != TcpState::Closed {
-                    self.tcp_close(now, id);
+                    s.tcb.close(now, &mut self.tcb_events);
+                    self.drive(id);
                 }
             }
-            SocketHandle::Listener(id) => self.tcp_unlisten(now, id),
-            SocketHandle::Dgram(id) => self.udp_unbind(id),
+            SocketHandle::Listener(id) => {
+                let Some(slot) = self.listeners.get_mut(id.0) else {
+                    return;
+                };
+                *slot = None;
+                for i in 0..self.socks.len() {
+                    let queued = self.socks.get(i).is_some_and(|s| {
+                        s.parent == Some(id) && !s.claimed && s.tcb.state() != TcpState::Closed
+                    });
+                    if queued {
+                        self.tcp_abort(now, SockId(i));
+                    }
+                }
+            }
+            SocketHandle::Dgram(id) => {
+                if let Some(s) = self.udp.get_mut(id.0).and_then(Option::take) {
+                    for (_, _, buf) in s.rx {
+                        self.pool.give(buf);
+                    }
+                }
+            }
         }
     }
 
     /// `socket` + `bind` for datagrams: opens a UDP socket on `port`.
     pub fn sock_bind_udp(&mut self, port: u16) -> Result<SocketHandle, SockError> {
-        Ok(SocketHandle::Dgram(self.udp_bind(port)?))
+        if self.udp.iter().flatten().any(|s| s.port == port) {
+            return Err(SockError::InUse);
+        }
+        let id = UdpId(self.udp.len());
+        self.udp.push(Some(UdpSock {
+            port,
+            rx: VecDeque::new(),
+        }));
+        Ok(SocketHandle::Dgram(id))
     }
 
-    /// Sends one datagram. UDP never blocks.
+    /// Sends one datagram. UDP never blocks; a datagram with no route is
+    /// counted ([`crate::stack::StackStats::no_route`]) and dropped.
     pub fn sock_send_to(
         &mut self,
         h: SocketHandle,
@@ -376,22 +459,81 @@ impl NetStack {
         dst_port: u16,
         payload: Vec<u8>,
     ) -> Result<(), SockError> {
-        let id = self.open_dgram(h)?;
-        self.udp_send(id, dst, dst_port, payload);
+        let src_port = self.dgram_port(h)?;
+        let route = self.routes.lookup_fast(dst);
+        let Some(src) = route
+            .and_then(|r| self.ifaces.get(r.iface.index()))
+            .map(|i| i.addr)
+        else {
+            self.stats.no_route += 1;
+            return Ok(());
+        };
+        let dg = UdpDatagram {
+            src_port,
+            dst_port,
+            payload,
+        };
+        self.send_ip(Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst)));
+        Ok(())
+    }
+
+    /// Sends one limited-broadcast (255.255.255.255) datagram out of
+    /// `iface`, bypassing the routing table — a broadcast has no route;
+    /// the caller names the link (`SO_BROADCAST` with the interface's
+    /// broadcast address). It stays on that link (TTL 1), and the drivers
+    /// map the broadcast next hop to their link-layer broadcast address
+    /// without ARP. An interface the stack does not have is
+    /// [`SockError::NoRoute`].
+    pub fn sock_send_broadcast(
+        &mut self,
+        h: SocketHandle,
+        iface: IfaceId,
+        dst_port: u16,
+        payload: Vec<u8>,
+    ) -> Result<(), SockError> {
+        let src_port = self.dgram_port(h)?;
+        let src = self.iface(iface).ok_or(SockError::NoRoute)?.addr;
+        let dst = Ipv4Addr::BROADCAST;
+        let dg = UdpDatagram {
+            src_port,
+            dst_port,
+            payload,
+        };
+        let mut p = Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst));
+        p.id = self.next_ip_id();
+        p.ttl = 1;
+        self.stats.ip_out += 1;
+        self.pending.push(StackAction::Egress {
+            iface,
+            next_hop: dst,
+            packet: p,
+        });
         Ok(())
     }
 
     /// Receives one datagram: lends `(source, source port, payload)` to
-    /// `f` for the one call, in the buffer it arrived in, which goes back
-    /// to the pool ([`NetStack::udp_recv`]). Empty queue ⇒
-    /// [`SockError::WouldBlock`], without calling `f`.
+    /// `f` for the one call, in the buffer it arrived in, then gives that
+    /// buffer to the pool as 4.3BSD's `soreceive` frees its mbufs. Empty
+    /// queue ⇒ [`SockError::WouldBlock`], without calling `f`.
     pub fn sock_recv_from<R>(
         &mut self,
         h: SocketHandle,
         f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
     ) -> Result<R, SockError> {
-        let id = self.open_dgram(h)?;
-        self.udp_recv(id, f).ok_or(SockError::WouldBlock)
+        let SocketHandle::Dgram(id) = h else {
+            return Err(SockError::BadHandle);
+        };
+        let Some(Some(u)) = self.udp.get_mut(id.0) else {
+            return Err(SockError::BadHandle);
+        };
+        let (src, src_port, buf) = u.rx.pop_front().ok_or(SockError::WouldBlock)?;
+        let r = f(
+            src,
+            src_port,
+            buf.get(udp::HEADER_LEN..).unwrap_or_default(),
+        );
+        self.pool.give(buf);
+        Ok(r)
     }
 
     /// Room in a stream's send buffer, for apps that pump bulk data on

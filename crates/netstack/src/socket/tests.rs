@@ -1,6 +1,6 @@
 //! Two stacks on a lossless wire, driven through the `sock_*` verbs:
 //! the full verb set, the readiness edges, the tombstones a closed handle
-//! leaves, and a property test holding the verbs to the raw `tcp_*` API.
+//! leaves, and a property test holding readiness to the TCB underneath.
 
 use super::*;
 use crate::icmp::{IcmpMessage, UnreachCode};
@@ -406,125 +406,79 @@ fn a_released_handle_of_every_kind_refuses_every_verb() {
     assert_eq!(p.a.sock_poll(uh2), Readiness::WRITABLE);
 }
 
-/// One read of the server end in both worlds: what `sock_recv` appended
-/// (nothing when it would block) and what the raw `tcp_recv` appended.
-fn recv_both(
-    sw: &mut Pair,
-    s_server: SocketHandle,
-    rw: &mut Pair,
-    r_server: SockId,
-    now: SimTime,
-) -> (Vec<u8>, Vec<u8>) {
-    let mut d_sock = Vec::new();
-    match sw.b.sock_recv(now, s_server, &mut d_sock) {
+/// One read of a stream end, appended to `into`: nothing when it would
+/// block; any other error fails the test.
+fn recv_into(st: &mut NetStack, h: SocketHandle, into: &mut Vec<u8>, now: SimTime) {
+    match st.sock_recv(now, h, into) {
         Ok(_) | Err(SockError::WouldBlock) => {}
         Err(e) => panic!("unexpected recv error: {e}"),
     }
-    let mut d_raw = Vec::new();
-    rw.b.tcp_recv(now, r_server, &mut d_raw);
-    (d_sock, d_raw)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random interleavings of send/recv/poll on both sides: the socket
-    /// verbs accept the same byte counts, deliver the same bytes, and
-    /// report readiness consistent with the oracle's raw TCB state at
-    /// every step.
+    /// Random interleavings of send/recv/poll on both ends of one
+    /// connection: readiness agrees with the connection's own TCB at every
+    /// step, what the server has read is always a prefix of what the
+    /// client's sends accepted, and at quiescence all of it has arrived.
     #[test]
-    fn socket_api_matches_raw_oracle(seed in any::<u64>(), n_ops in 1usize..60) {
+    fn socket_readiness_matches_the_tcb(seed in any::<u64>(), n_ops in 1usize..60) {
         let now = SimTime::ZERO;
-
-        // Socket-API world.
-        let mut sw = Pair::new();
-        let lh = sw.b.sock_listen(7, None).unwrap();
-        let s_client = sw.a.sock_connect(now, ipa(2), 7).unwrap();
-        sw.settle(now);
-        let s_server = sw.b.sock_accept(lh).unwrap();
-
-        // Raw-API oracle world, identical topology and handshake.
-        let mut rw = Pair::new();
-        let r_listener = rw.b.tcp_listen(7, None).unwrap();
-        let r_client = rw.a.tcp_connect(now, ipa(2), 7).unwrap();
-        rw.settle(now);
-        let r_server = rw.b.tcp_accept(r_listener).expect("a connection was accepted on b");
+        let mut p = Pair::new();
+        let (client, server) = p.connected_streams(now, 7);
 
         let mut rng = SimRng::seed_from(seed);
-        let mut sent: u64 = 0;
-        let mut rcvd_sock: u64 = 0;
-        let mut rcvd_raw: u64 = 0;
+        // Every octet the client's sends accepted, and every octet the
+        // server has read.
+        let mut sent = Vec::new();
+        let mut rcvd = Vec::new();
 
         for _ in 0..n_ops {
             match rng.below(5) {
-                // Client sends a run of bytes through both worlds.
+                // The client sends a run of bytes.
                 0 => {
                     let len = (rng.below(900) + 1) as usize;
-                    let data: Vec<u8> =
-                        (0..len).map(|i| (sent as usize + i) as u8).collect();
-                    let n_sock = match sw.a.sock_send(now, s_client, &data) {
+                    let data: Vec<u8> = (0..len).map(|i| (sent.len() + i) as u8).collect();
+                    let n = match p.a.sock_send(now, client, &data) {
                         Ok(n) => n,
                         Err(SockError::WouldBlock) => 0,
                         Err(e) => panic!("unexpected send error: {e}"),
                     };
-                    let n_raw = rw.a.tcp_send(now, r_client, &data);
-                    prop_assert_eq!(n_sock, n_raw, "send accepted counts diverge");
-                    sent += n_sock as u64;
+                    sent.extend_from_slice(&data[..n]);
                 }
-                // Server drains one recv from both worlds.
+                // The server reads once.
                 1 => {
-                    let (d_sock, d_raw) = recv_both(&mut sw, s_server, &mut rw, r_server, now);
-                    prop_assert_eq!(&d_sock, &d_raw, "received bytes diverge");
-                    rcvd_sock += d_sock.len() as u64;
-                    rcvd_raw += d_raw.len() as u64;
+                    recv_into(&mut p.b, server, &mut rcvd, now);
+                    prop_assert!(sent.starts_with(&rcvd), "received bytes are no prefix of those sent");
                 }
-                // Let both wires move.
-                2 => {
-                    sw.settle(now);
-                    rw.settle(now);
-                }
-                // Poll the client: readiness must agree with the raw
-                // oracle's TCB.
+                // Let the wire move.
+                2 => p.settle(now),
+                // Poll the client: readiness must agree with its TCB.
                 3 => {
-                    let r = sw.a.sock_poll(s_client);
-                    prop_assert_eq!(
-                        r.writable(),
-                        rw.a.socks[r_client.0].tcb.send_capacity() > 0,
-                        "writable diverges from oracle"
-                    );
+                    let r = p.a.sock_poll(client);
+                    let tcb = &p.a.open_stream(client).unwrap().1.tcb;
+                    prop_assert_eq!(r.writable(), tcb.send_capacity() > 0, "writable diverges from the TCB");
                 }
                 // Poll the server likewise.
                 _ => {
-                    let r = sw.b.sock_poll(s_server);
-                    let tcb = &rw.b.socks[r_server.0].tcb;
-                    prop_assert_eq!(
-                        r.readable(),
-                        tcb.recv_available() > 0,
-                        "readable diverges from oracle"
-                    );
-                    prop_assert_eq!(
-                        r.eof(),
-                        tcb.at_eof(),
-                        "eof diverges from oracle"
-                    );
+                    let r = p.b.sock_poll(server);
+                    let tcb = &p.b.open_stream(server).unwrap().1.tcb;
+                    prop_assert_eq!(r.readable(), tcb.recv_available() > 0, "readable diverges from the TCB");
+                    prop_assert_eq!(r.eof(), tcb.at_eof(), "eof diverges from the TCB");
                 }
             }
         }
 
-        // Drain to quiescence: every byte the API accepted arrives, and
-        // both worlds agree exactly.
+        // Drain to quiescence: every byte the API accepted arrives, in order.
         for _ in 0..1000 {
-            sw.settle(now);
-            rw.settle(now);
-            let (d_sock, d_raw) = recv_both(&mut sw, s_server, &mut rw, r_server, now);
-            prop_assert_eq!(&d_sock, &d_raw, "drain bytes diverge");
-            if d_sock.is_empty() && d_raw.is_empty() {
+            p.settle(now);
+            let before = rcvd.len();
+            recv_into(&mut p.b, server, &mut rcvd, now);
+            if rcvd.len() == before {
                 break;
             }
-            rcvd_sock += d_sock.len() as u64;
-            rcvd_raw += d_raw.len() as u64;
         }
-        prop_assert_eq!(rcvd_sock, rcvd_raw);
-        prop_assert_eq!(rcvd_sock, sent, "every accepted byte arrives");
+        prop_assert_eq!(rcvd, sent, "every accepted byte arrives");
     }
 }

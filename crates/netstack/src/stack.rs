@@ -25,7 +25,6 @@ use crate::pool::DgramPool;
 use crate::route::{NextHop, Prefix, RouteTable};
 use crate::tcp::{Tcb, TcbEvent, TcpConfig, TcpFlags, TcpHeader, TcpSegment, TcpState};
 use crate::udp::{self, UdpDatagram};
-use crate::NetError;
 
 /// Datagrams a UDP socket holds unread; the next is dropped, as 4.3BSD's
 /// `udp_input` drops one with no room in `so_rcv`. BSD sizes that for forty
@@ -259,18 +258,18 @@ pub struct StackStats {
 pub(crate) struct TcpSock {
     pub(crate) tcb: Tcb,
     /// Listener that spawned this socket, if passive.
-    parent: Option<ListenerId>,
+    pub(crate) parent: Option<ListenerId>,
     /// True for an active open, and for a passive socket once the
     /// application accepted it; claimed sockets no longer count against
     /// the listener's backlog.
-    claimed: bool,
+    pub(crate) claimed: bool,
     /// The handshake completed (`soisconnected`).
     pub(crate) synchronized: bool,
     /// The first asynchronous error of a claimed socket.
     pub(crate) error: Option<ConnError>,
     /// Active opens until the handshake ends: when [`CONNECT_TIMEOUT`]
     /// fires.
-    connect_timer: Option<SimTime>,
+    pub(crate) connect_timer: Option<SimTime>,
     /// The application shut its send side down (`SS_CANTSENDMORE`): the
     /// stream stops polling WRITABLE.
     pub(crate) shut: bool,
@@ -280,7 +279,7 @@ pub(crate) struct TcpSock {
 }
 
 impl TcpSock {
-    fn new(tcb: Tcb, parent: Option<ListenerId>) -> TcpSock {
+    pub(crate) fn new(tcb: Tcb, parent: Option<ListenerId>) -> TcpSock {
         TcpSock {
             tcb,
             parent,
@@ -296,19 +295,19 @@ impl TcpSock {
 
 #[derive(Debug)]
 pub(crate) struct Listener {
-    port: u16,
-    cfg: TcpConfig,
+    pub(crate) port: u16,
+    pub(crate) cfg: TcpConfig,
     /// Accept-queue bound: at most this many unclaimed, live children.
     /// `None` means unbounded.
-    backlog: Option<usize>,
+    pub(crate) backlog: Option<usize>,
     /// Children whose handshake completed, in completion order, awaiting
-    /// [`NetStack::tcp_accept`] (4.3BSD's `so_q`).
+    /// [`NetStack::sock_accept`] (4.3BSD's `so_q`).
     pub(crate) completed: VecDeque<SockId>,
 }
 
 #[derive(Debug)]
 pub(crate) struct UdpSock {
-    port: u16,
+    pub(crate) port: u16,
     /// Unread datagrams, each in the buffer it arrived in, cut at its UDP length.
     pub(crate) rx: VecDeque<(Ipv4Addr, u16, Vec<u8>)>,
 }
@@ -316,9 +315,9 @@ pub(crate) struct UdpSock {
 /// A host's network stack. See the [module docs](self).
 #[derive(Debug)]
 pub struct NetStack {
-    cfg: StackConfig,
-    ifaces: Vec<IfaceConfig>,
-    routes: RouteTable,
+    pub(crate) cfg: StackConfig,
+    pub(crate) ifaces: Vec<IfaceConfig>,
+    pub(crate) routes: RouteTable,
     reasm: Reassembler,
     /// TCP connections by id, never removed, so an id is never reused.
     pub(crate) socks: Vec<TcpSock>,
@@ -330,15 +329,15 @@ pub struct NetStack {
     iss: u32,
     next_port: u16,
     tunnels: Option<Box<dyn TunnelMap>>,
-    stats: StackStats,
+    pub(crate) stats: StackStats,
     /// Actions produced by socket calls, awaiting [`NetStack::drain_actions`].
-    pending: Vec<StackAction>,
+    pub(crate) pending: Vec<StackAction>,
     /// The host's datagram buffers (see [`crate::pool`]), lent to its
     /// link drivers through [`NetStack::pool_mut`].
-    pool: DgramPool,
+    pub(crate) pool: DgramPool,
     /// What the last [`Tcb`] verb emitted, until `drive` routes it (empty
     /// between calls; kept for its capacity).
-    tcb_events: Vec<TcbEvent>,
+    pub(crate) tcb_events: Vec<TcbEvent>,
 }
 
 impl NetStack {
@@ -382,8 +381,8 @@ impl NetStack {
     }
 
     /// Takes every action the stack has produced since the last drain —
-    /// socket and output calls (`tcp_send`, `udp_send`, `ping`, …) queue
-    /// theirs here — in the order they were produced.
+    /// socket and output calls (`sock_send`, `sock_send_to`, `ping`, …)
+    /// queue theirs here — in the order they were produced.
     pub fn drain_actions(&mut self) -> Vec<StackAction> {
         std::mem::take(&mut self.pending)
     }
@@ -442,10 +441,11 @@ impl NetStack {
         id
     }
 
-    /// An interface's configuration.
+    /// An interface's configuration; `None` for an id this stack never
+    /// handed out.
     #[inline]
-    pub fn iface(&self, id: IfaceId) -> &IfaceConfig {
-        &self.ifaces[id.0]
+    pub fn iface(&self, id: IfaceId) -> Option<&IfaceConfig> {
+        self.ifaces.get(id.0)
     }
 
     /// Mutable routing table (experiments edit routes directly).
@@ -481,7 +481,7 @@ impl NetStack {
 
     // --- Output path ------------------------------------------------------
 
-    fn next_ip_id(&mut self) -> u16 {
+    pub(crate) fn next_ip_id(&mut self) -> u16 {
         let id = self.ip_id;
         self.ip_id = self.ip_id.wrapping_add(1).max(1);
         id
@@ -516,13 +516,16 @@ impl NetStack {
     /// The tail of the output path once the decision is made: source and
     /// id fill, fragmentation, egress actions.
     fn emit_on(&mut self, iface: IfaceId, hop: Ipv4Addr, mut packet: Ipv4Packet) {
+        let Some(&IfaceConfig { addr, mtu, .. }) = self.ifaces.get(iface.0) else {
+            self.stats.no_route += 1;
+            return;
+        };
         if packet.src.is_unspecified() {
-            packet.src = self.ifaces[iface.0].addr;
+            packet.src = addr;
         }
         if packet.id == 0 {
             packet.id = self.next_ip_id();
         }
-        let mtu = self.ifaces[iface.0].mtu;
         match ip::fragment(packet, mtu) {
             FragResult::Fits(p) => {
                 self.stats.ip_out += 1;
@@ -593,7 +596,7 @@ impl NetStack {
     /// When the stack is done with the allocation — delivered to ICMP or
     /// TCP (each copies what it keeps), or dropped — it goes to the host's
     /// pool ([`Self::pool_mut`]). The bytes live on in a UDP socket's queue
-    /// until [`Self::udp_recv`], in a forward in the action queue or in a
+    /// until [`Self::sock_recv_from`], in a forward in the action queue or in a
     /// fragment the reassembler holds; a malformed datagram's is dropped.
     pub fn input_owned(&mut self, now: SimTime, iface: IfaceId, bytes: Vec<u8>) {
         self.stats.ip_in += 1;
@@ -767,15 +770,13 @@ impl NetStack {
             }
         };
         // Exact connection match first.
-        let found = self.socks.iter().position(|s| {
+        let found = self.socks.iter_mut().enumerate().find(|(_, s)| {
             s.tcb.state() != TcpState::Closed
                 && s.tcb.local() == (packet.dst, seg.header.dst_port)
                 && s.tcb.remote() == (packet.src, seg.header.src_port)
         });
-        if let Some(i) = found {
-            self.socks[i]
-                .tcb
-                .on_segment(now, &seg, &mut self.tcb_events);
+        if let Some((i, s)) = found {
+            s.tcb.on_segment(now, &seg, &mut self.tcb_events);
             self.drive(SockId(i));
             return;
         }
@@ -807,8 +808,8 @@ impl NetStack {
                     }
                 }
                 let iss = self.next_iss();
-                if self.cfg.clamp_mss {
-                    cfg.mss = clamped_mss(cfg.mss, self.ifaces[iface.0].mtu);
+                if let Some(i) = self.ifaces.get(iface.0).filter(|_| self.cfg.clamp_mss) {
+                    cfg.mss = clamped_mss(cfg.mss, i.mtu);
                 }
                 let tcb = Tcb::accept(
                     now,
@@ -857,15 +858,15 @@ impl NetStack {
         self.send_ip(Ipv4Packet::new(packet.dst, packet.src, Proto::Tcp, bytes));
     }
 
-    // --- TCP socket API ---------------------------------------------------------
+    // --- Socket internals (the verbs are `crate::socket`'s) -------------------
 
-    fn next_iss(&mut self) -> u32 {
+    pub(crate) fn next_iss(&mut self) -> u32 {
         // 4.3BSD-style: a deterministic, monotonically advancing ISS.
         self.iss = self.iss.wrapping_add(64_000);
         self.iss
     }
 
-    fn alloc_port(&mut self) -> u16 {
+    pub(crate) fn alloc_port(&mut self) -> u16 {
         loop {
             let p = self.next_port;
             self.next_port = if self.next_port >= 65_000 {
@@ -885,245 +886,21 @@ impl NetStack {
     }
 
     /// The open listener on `port`, with its index.
-    fn listener_on(&self, port: u16) -> Option<(usize, &Listener)> {
+    pub(crate) fn listener_on(&self, port: u16) -> Option<(usize, &Listener)> {
         self.listeners
             .iter()
             .enumerate()
             .find_map(|(i, l)| l.as_ref().filter(|l| l.port == port).map(|l| (i, l)))
     }
 
-    /// Opens a TCP connection; the SYN lands in the pending-action queue
-    /// (see [`Self::drain_actions`]). The connection is aborted if its
-    /// handshake has not completed within [`CONNECT_TIMEOUT`].
-    pub fn tcp_connect(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        dst_port: u16,
-    ) -> Result<SockId, NetError> {
-        self.connect_as(now, dst, dst_port, self.cfg.tcp)
-    }
-
-    /// [`Self::tcp_connect`] with `tcp_cfg` in place of the stack's TCP
-    /// configuration.
-    pub(crate) fn connect_as(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        mut tcp_cfg: TcpConfig,
-    ) -> Result<SockId, NetError> {
-        let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
-            return Err(NetError::NoRoute(dst));
-        };
-        let local_ip = self.ifaces[iface.0].addr;
-        let port = self.alloc_port();
-        let iss = self.next_iss();
-        if self.cfg.clamp_mss {
-            tcp_cfg.mss = clamped_mss(tcp_cfg.mss, self.ifaces[iface.0].mtu);
-        }
-        let tcb = Tcb::connect(
-            now,
-            (local_ip, port),
-            (dst, dst_port),
-            iss,
-            tcp_cfg,
-            &mut self.tcb_events,
-        );
-        let sock = SockId(self.socks.len());
-        let mut s = TcpSock::new(tcb, None);
-        s.connect_timer = Some(now + CONNECT_TIMEOUT);
-        self.socks.push(s);
-        self.drive(sock);
-        Ok(sock)
-    }
-
-    /// Starts listening on `port`. With `Some(backlog)`, fresh SYNs are
-    /// refused (RST) whenever `backlog` completed-or-completing,
-    /// unaccepted connections are already queued — 0 refuses everything,
-    /// the classic closed shop; `None` queues without bound.
-    pub fn tcp_listen(
-        &mut self,
-        port: u16,
-        backlog: Option<usize>,
-    ) -> Result<ListenerId, NetError> {
-        if self.listener_on(port).is_some() {
-            return Err(NetError::InUse);
-        }
-        let id = ListenerId(self.listeners.len());
-        self.listeners.push(Some(Listener {
-            port,
-            cfg: self.cfg.tcp,
-            backlog,
-            completed: VecDeque::new(),
-        }));
-        Ok(id)
-    }
-
-    /// Takes the oldest completed connection off a listener's queue and
-    /// claims it for the application: it stops counting against the
-    /// backlog, and errors latch on it from here on. `None`: nothing
-    /// queued, or no such listener.
-    pub fn tcp_accept(&mut self, listener: ListenerId) -> Option<SockId> {
-        let l = self.listeners.get_mut(listener.0)?.as_mut()?;
-        let sock = l.completed.pop_front()?;
-        if let Some(s) = self.socks.get_mut(sock.0) {
-            s.claimed = true;
-        }
-        Some(sock)
-    }
-
-    /// Closes a listener: its port is free again, and every child it
-    /// spawned that was never accepted is aborted with RST, as 4.3BSD's
-    /// `soclose` aborts the connections still on a listener's queues. The
-    /// id stays dead.
-    pub(crate) fn tcp_unlisten(&mut self, now: SimTime, listener: ListenerId) {
-        let Some(slot) = self.listeners.get_mut(listener.0) else {
-            return;
-        };
-        *slot = None;
-        for i in 0..self.socks.len() {
-            let queued = self.socks.get(i).is_some_and(|s| {
-                s.parent == Some(listener) && !s.claimed && s.tcb.state() != TcpState::Closed
-            });
-            if queued {
-                self.tcp_abort(now, SockId(i));
-            }
-        }
-    }
-
-    /// Queues data on a socket; returns octets accepted.
-    pub fn tcp_send(&mut self, now: SimTime, sock: SockId, data: &[u8]) -> usize {
-        let Some(s) = self.socks.get_mut(sock.0) else {
-            return 0;
-        };
-        let n = s.tcb.send(now, data, &mut self.tcb_events);
-        self.drive(sock);
-        n
-    }
-
-    /// Drains readable data from a socket, appended to `into`; returns
-    /// the octets appended ([`Tcb::recv`]).
-    pub fn tcp_recv(&mut self, now: SimTime, sock: SockId, into: &mut Vec<u8>) -> usize {
-        let Some(s) = self.socks.get_mut(sock.0) else {
-            return 0;
-        };
-        let n = s.tcb.recv(now, into, &mut self.tcb_events);
-        self.drive(sock);
-        n
-    }
-
-    /// Closes the send direction of a socket.
-    pub fn tcp_close(&mut self, now: SimTime, sock: SockId) {
-        let Some(s) = self.socks.get_mut(sock.0) else {
-            return;
-        };
-        s.tcb.close(now, &mut self.tcb_events);
-        self.drive(sock);
-    }
-
-    /// Aborts a socket with RST.
-    pub fn tcp_abort(&mut self, now: SimTime, sock: SockId) {
+    /// Aborts a socket with RST: a listener's unaccepted children when it
+    /// closes, and an active open whose [`CONNECT_TIMEOUT`] fired.
+    pub(crate) fn tcp_abort(&mut self, now: SimTime, sock: SockId) {
         let Some(s) = self.socks.get_mut(sock.0) else {
             return;
         };
         s.tcb.abort(now, &mut self.tcb_events);
         self.drive(sock);
-    }
-
-    // --- UDP socket API -----------------------------------------------------------
-
-    /// Binds a UDP socket to `port`.
-    pub fn udp_bind(&mut self, port: u16) -> Result<UdpId, NetError> {
-        if self.udp.iter().flatten().any(|s| s.port == port) {
-            return Err(NetError::InUse);
-        }
-        let id = UdpId(self.udp.len());
-        self.udp.push(Some(UdpSock {
-            port,
-            rx: VecDeque::new(),
-        }));
-        Ok(id)
-    }
-
-    /// Closes a UDP socket: its port is free again and its unread
-    /// datagrams' buffers go back to the pool. The id stays dead.
-    pub(crate) fn udp_unbind(&mut self, udp: UdpId) {
-        if let Some(s) = self.udp.get_mut(udp.0).and_then(Option::take) {
-            for (_, _, buf) in s.rx {
-                self.pool.give(buf);
-            }
-        }
-    }
-
-    /// The port of an open UDP socket.
-    fn udp_port(&self, udp: UdpId) -> Option<u16> {
-        Some(self.udp.get(udp.0)?.as_ref()?.port)
-    }
-
-    /// Sends a datagram from a bound socket; a closed one sends nothing.
-    pub fn udp_send(&mut self, udp: UdpId, dst: Ipv4Addr, dst_port: u16, payload: Vec<u8>) {
-        let Some(src_port) = self.udp_port(udp) else {
-            return;
-        };
-        let Some(NextHop { iface, .. }) = self.routes.lookup_fast(dst) else {
-            self.stats.no_route += 1;
-            return;
-        };
-        let src = self.ifaces[iface.0].addr;
-        let dg = UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        };
-        self.send_ip(Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst)));
-    }
-
-    /// Sends a limited-broadcast (255.255.255.255) datagram out of one
-    /// specific interface, bypassing the routing table — a broadcast has
-    /// no route; the caller names the link. The drivers map the broadcast
-    /// next hop to their link-layer broadcast address without ARP.
-    pub fn udp_send_broadcast(
-        &mut self,
-        udp: UdpId,
-        iface: IfaceId,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let Some(src_port) = self.udp_port(udp) else {
-            return;
-        };
-        let src = self.ifaces[iface.0].addr;
-        let dst = Ipv4Addr::BROADCAST;
-        let dg = UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        };
-        let mut p = Ipv4Packet::new(src, dst, Proto::Udp, dg.encode(src, dst));
-        p.id = self.next_ip_id();
-        // Broadcasts stay on the link.
-        p.ttl = 1;
-        self.stats.ip_out += 1;
-        self.pending.push(StackAction::Egress {
-            iface,
-            next_hop: dst,
-            packet: p,
-        });
-    }
-
-    /// Lends the oldest received datagram to `f` as `(source, source port,
-    /// payload)`, then gives its buffer to the pool as 4.3BSD's `soreceive`
-    /// frees its mbufs. `None`, `f` uncalled: empty queue or unknown handle.
-    pub fn udp_recv<R>(
-        &mut self,
-        udp: UdpId,
-        f: impl FnOnce(Ipv4Addr, u16, &[u8]) -> R,
-    ) -> Option<R> {
-        let (src, src_port, buf) = self.udp.get_mut(udp.0)?.as_mut()?.rx.pop_front()?;
-        let r = f(src, src_port, &buf[udp::HEADER_LEN..]);
-        self.pool.give(buf);
-        Some(r)
     }
 
     // --- Timers -----------------------------------------------------------------
@@ -1142,8 +919,11 @@ impl NetStack {
     pub fn poll_queued(&mut self, now: SimTime) {
         self.reasm.expire(now, &mut self.pool);
         for i in 0..self.socks.len() {
-            if self.socks[i].tcb.next_deadline().is_some_and(|t| t <= now) {
-                self.socks[i].tcb.on_timer(now, &mut self.tcb_events);
+            let Some(s) = self.socks.get_mut(i) else {
+                break;
+            };
+            if s.tcb.next_deadline().is_some_and(|t| t <= now) {
+                s.tcb.on_timer(now, &mut self.tcb_events);
                 self.drive(SockId(i));
             }
         }
@@ -1165,21 +945,23 @@ impl NetStack {
 
     /// Maps the events the last verb on `sock`'s TCB emitted to stack
     /// actions, encoding segments straight out of its send buffer.
-    fn drive(&mut self, sock: SockId) {
-        let mut events = std::mem::take(&mut self.tcb_events);
-        let (local, remote, parent) = {
-            let s = &self.socks[sock.0];
-            (s.tcb.local(), s.tcb.remote(), s.parent)
+    pub(crate) fn drive(&mut self, sock: SockId) {
+        let Some(s) = self.socks.get(sock.0) else {
+            return self.tcb_events.clear();
         };
+        let (local, remote, parent) = (s.tcb.local(), s.tcb.remote(), s.parent);
+        let mut events = std::mem::take(&mut self.tcb_events);
         for ev in events.drain(..) {
+            let Some(s) = self.socks.get_mut(sock.0) else {
+                continue;
+            };
             match ev {
                 TcbEvent::Transmit(out) => {
-                    let seg = self.socks[sock.0].tcb.segment(&out);
+                    let seg = s.tcb.segment(&out);
                     let bytes = seg.encode_in(local.0, remote.0, &mut self.pool);
                     self.send_ip(Ipv4Packet::new(local.0, remote.0, Proto::Tcp, bytes));
                 }
                 TcbEvent::Connected => {
-                    let s = &mut self.socks[sock.0];
                     s.synchronized = true;
                     s.connect_timer = None;
                     match parent {
@@ -1196,7 +978,6 @@ impl NetStack {
                 TcbEvent::DataReadable => self.pending.push(StackAction::TcpReadable(sock)),
                 TcbEvent::PeerClosed => self.pending.push(StackAction::TcpPeerClosed(sock)),
                 TcbEvent::Closed { reset } => {
-                    let s = &mut self.socks[sock.0];
                     s.connect_timer = None;
                     if s.claimed && s.error.is_none() {
                         // A RST during the handshake is a refusal; anything
@@ -1260,7 +1041,7 @@ fn quoted_tcp_flow(original: &[u8]) -> Option<Flow> {
 /// Largest segment `mtu` can carry without IP fragmentation: the MTU minus
 /// the 40 bytes of TCP/IP header, with a floor of 1 for degenerate
 /// interfaces. On the AX.25 radio MTU of 256 this yields 216.
-fn clamped_mss(mss: u16, mtu: usize) -> u16 {
+pub(crate) fn clamped_mss(mss: u16, mtu: usize) -> u16 {
     let cap = mtu.saturating_sub(40).clamp(1, usize::from(u16::MAX)) as u16;
     mss.min(cap)
 }
@@ -1291,22 +1072,40 @@ impl NetStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::socket::{SockError, SocketHandle};
     use std::collections::HashMap as Map;
 
     fn ipa(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, n)
     }
 
-    /// Completed connections awaiting [`NetStack::tcp_accept`].
-    fn accept_queued(st: &NetStack, listener: ListenerId) -> usize {
-        st.listeners[listener.0]
-            .as_ref()
-            .map_or(0, |l| l.completed.len())
+    /// The stack's id for a stream handle, as its actions name it.
+    fn sid(h: SocketHandle) -> SockId {
+        let SocketHandle::Stream(id) = h else {
+            panic!("{h:?} is no stream");
+        };
+        id
     }
 
-    /// Datagrams awaiting [`NetStack::udp_recv`]; 0 once unbound.
-    fn udp_queued(st: &NetStack, udp: UdpId) -> usize {
-        st.udp[udp.0].as_ref().map_or(0, |s| s.rx.len())
+    /// The stack's id for a datagram handle, as its actions name it.
+    fn uid(h: SocketHandle) -> UdpId {
+        let SocketHandle::Dgram(id) = h else {
+            panic!("{h:?} is no datagram socket");
+        };
+        id
+    }
+
+    /// Completed connections awaiting [`NetStack::sock_accept`].
+    fn accept_queued(st: &NetStack, listener: SocketHandle) -> usize {
+        let SocketHandle::Listener(id) = listener else {
+            panic!("{listener:?} is no listener");
+        };
+        st.listeners[id.0].as_ref().map_or(0, |l| l.completed.len())
+    }
+
+    /// Datagrams awaiting [`NetStack::sock_recv_from`]; 0 once closed.
+    fn udp_queued(st: &NetStack, udp: SocketHandle) -> usize {
+        st.udp[uid(udp).0].as_ref().map_or(0, |s| s.rx.len())
     }
 
     /// A two-host wire: delivers Egress actions directly to the peer.
@@ -1392,11 +1191,11 @@ mod tests {
     fn tcp_connect_accept_and_exchange() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23, None).unwrap();
-        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let listener = w.b.sock_listen(23, None).unwrap();
+        let ca = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert!(w.a_ev.contains(&StackAction::TcpConnected(ca)));
+        assert!(w.a_ev.contains(&StackAction::TcpConnected(sid(ca))));
         let accepted = w
             .b_ev
             .iter()
@@ -1405,23 +1204,24 @@ mod tests {
                 _ => None,
             })
             .expect("accept");
+        let sh = w.b.sock_accept(listener).unwrap();
+        assert_eq!(sh, SocketHandle::Stream(accepted));
         // a -> b data.
-        let n = w.a.tcp_send(now, ca, b"login: guest");
-        assert_eq!(n, 12);
+        assert_eq!(w.a.sock_send(now, ca, b"login: guest"), Ok(12));
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.b_ev.contains(&StackAction::TcpReadable(accepted)));
         let mut data = Vec::new();
-        assert_eq!(w.b.tcp_recv(now, accepted, &mut data), 12);
+        assert_eq!(w.b.sock_recv(now, sh, &mut data), Ok(12));
         assert_eq!(data, b"login: guest");
         let acks = w.b.drain_actions();
         w.run(now, vec![], acks);
         // b -> a data.
-        w.b.tcp_send(now, accepted, b"welcome");
+        w.b.sock_send(now, sh, b"welcome").unwrap();
         let out = w.b.drain_actions();
         w.run(now, vec![], out);
         data.clear();
-        w.a.tcp_recv(now, ca, &mut data);
+        w.a.sock_recv(now, ca, &mut data).unwrap();
         assert_eq!(data, b"welcome");
     }
 
@@ -1453,7 +1253,7 @@ mod tests {
                 mtu: 256,
             });
             let _ = ifid;
-            st.tcp_connect(SimTime::ZERO, ipa(2), 23).unwrap();
+            st.sock_connect(SimTime::ZERO, ipa(2), 23).unwrap();
             let out = st.drain_actions();
             let syn = first_egress_segment(&out);
             assert!(syn.flags.syn);
@@ -1474,7 +1274,7 @@ mod tests {
                 prefix_len: 24,
                 mtu: 256,
             });
-            st.tcp_listen(23, None).unwrap();
+            st.sock_listen(23, None).unwrap();
             let syn = TcpSegment {
                 header: TcpHeader {
                     src_port: 1024,
@@ -1514,7 +1314,7 @@ mod tests {
             mtu: 256,
         });
         let now = SimTime::ZERO;
-        let sock = st.tcp_connect(now, ipa(2), 23).unwrap();
+        let sock = st.sock_connect(now, ipa(2), 23).unwrap();
         let out = st.drain_actions();
         // Complete the handshake by hand so the window opens.
         let syn = first_egress_segment(&out);
@@ -1537,7 +1337,7 @@ mod tests {
         let bytes = synack.encode(ipa(2), ipa(1));
         let packet = Ipv4Packet::new(ipa(2), ipa(1), Proto::Tcp, bytes);
         let mut actions = st.input(now, ifid_of(&st), &packet.encode());
-        st.tcp_send(now, sock, &vec![0xAB; 1000]);
+        st.sock_send(now, sock, &[0xAB; 1000]).unwrap();
         st.drain_actions_into(&mut actions);
         let mut saw_data = false;
         for a in &actions {
@@ -1558,8 +1358,8 @@ mod tests {
     fn tcp_close_sequence_via_stack() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23, None).unwrap();
-        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        w.b.sock_listen(23, None).unwrap();
+        let ca = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         let accepted = w
@@ -1570,44 +1370,45 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        w.a.tcp_close(now, ca);
+        w.a.sock_shutdown(now, ca).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.b_ev.contains(&StackAction::TcpPeerClosed(accepted)));
-        w.b.tcp_close(now, accepted);
+        w.b.sock_shutdown(now, SocketHandle::Stream(accepted))
+            .unwrap();
         let out = w.b.drain_actions();
         w.run(now, vec![], out);
         assert!(w
             .b_ev
             .iter()
             .any(|e| matches!(e, StackAction::TcpClosed { reset: false, .. })));
-        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::TimeWait);
+        assert_eq!(w.a.socks[sid(ca).0].tcb.state(), TcpState::TimeWait);
     }
 
     #[test]
     fn syn_to_closed_port_draws_rst() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        let ca = w.a.tcp_connect(now, ipa(2), 9999).unwrap();
+        let ca = w.a.sock_connect(now, ipa(2), 9999).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w
             .a_ev
             .iter()
             .any(|e| matches!(e, StackAction::TcpClosed { reset: true, .. })));
-        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::Closed);
+        assert_eq!(w.a.socks[sid(ca).0].tcb.state(), TcpState::Closed);
     }
 
     #[test]
     fn listen_backlog_overflows_with_rst_until_claimed() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        let listener = w.b.tcp_listen(23, Some(1)).unwrap();
+        let listener = w.b.sock_listen(23, Some(1)).unwrap();
         // First connection fills the queue of one.
-        let c1 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let c1 = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert!(w.a_ev.contains(&StackAction::TcpConnected(c1)));
+        assert!(w.a_ev.contains(&StackAction::TcpConnected(sid(c1))));
         let queued = w
             .b_ev
             .iter()
@@ -1617,21 +1418,21 @@ mod tests {
             })
             .expect("first connection queued");
         // Second SYN overflows: refused with RST, counted.
-        let c2 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let c2 = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.a_ev.contains(&StackAction::TcpClosed {
-            sock: c2,
+            sock: sid(c2),
             reset: true
         }));
         assert_eq!(w.b.stats().accept_overflow, 1);
         // The application accepts the queued connection; the freed slot
         // admits the next SYN.
-        assert_eq!(w.b.tcp_accept(listener), Some(queued));
-        let c3 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        assert_eq!(w.b.sock_accept(listener), Ok(SocketHandle::Stream(queued)));
+        let c3 = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert!(w.a_ev.contains(&StackAction::TcpConnected(c3)));
+        assert!(w.a_ev.contains(&StackAction::TcpConnected(sid(c3))));
         assert_eq!(w.b.stats().accept_overflow, 1);
     }
 
@@ -1639,12 +1440,12 @@ mod tests {
     fn legacy_listen_stays_unbounded() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23, None).unwrap();
+        w.b.sock_listen(23, None).unwrap();
         for _ in 0..8 {
-            let c = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+            let c = w.a.sock_connect(now, ipa(2), 23).unwrap();
             let out = w.a.drain_actions();
             w.run(now, out, vec![]);
-            assert!(w.a_ev.contains(&StackAction::TcpConnected(c)));
+            assert!(w.a_ev.contains(&StackAction::TcpConnected(sid(c))));
         }
         assert_eq!(w.b.stats().accept_overflow, 0);
     }
@@ -1653,22 +1454,28 @@ mod tests {
     fn udp_exchange_and_port_unreachable() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        let ub = w.b.udp_bind(4242).unwrap();
-        let ua = w.a.udp_bind(2001).unwrap();
-        w.a.udp_send(ua, ipa(2), 4242, b"callbook? N7AKR".to_vec());
+        let ub = w.b.sock_bind_udp(4242).unwrap();
+        let ua = w.a.sock_bind_udp(2001).unwrap();
+        w.a.sock_send_to(ua, ipa(2), 4242, b"callbook? N7AKR".to_vec())
+            .unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert!(w.b_ev.contains(&StackAction::UdpReadable(ub)));
+        assert!(w.b_ev.contains(&StackAction::UdpReadable(uid(ub))));
         let (from, from_port, payload) =
-            w.b.udp_recv(ub, |from, port, payload| (from, port, payload.to_vec()))
+            w.b.sock_recv_from(ub, |from, port, payload| (from, port, payload.to_vec()))
                 .expect("one datagram");
         assert_eq!(from, ipa(1));
         assert_eq!(from_port, 2001);
         assert_eq!(payload, b"callbook? N7AKR");
-        assert!(w.b.udp_recv(ub, |_, _, _| ()).is_none(), "queue drained");
+        assert_eq!(
+            w.b.sock_recv_from(ub, |_, _, _| ()),
+            Err(SockError::WouldBlock),
+            "queue drained"
+        );
 
         // To a closed port: ICMP port unreachable comes back.
-        w.a.udp_send(ua, ipa(2), 5555, b"hello?".to_vec());
+        w.a.sock_send_to(ua, ipa(2), 5555, b"hello?".to_vec())
+            .unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert!(w.a_ev.iter().any(|e| matches!(
@@ -1812,23 +1619,23 @@ mod tests {
     #[test]
     fn listener_port_conflicts_rejected() {
         let (mut st, _) = NetStack::simple_host(ipa(1), 24, 1500, None);
-        st.tcp_listen(23, None).unwrap();
-        assert_eq!(st.tcp_listen(23, Some(1)), Err(NetError::InUse));
-        st.udp_bind(53).unwrap();
-        assert_eq!(st.udp_bind(53), Err(NetError::InUse));
+        st.sock_listen(23, None).unwrap();
+        assert_eq!(st.sock_listen(23, Some(1)), Err(SockError::InUse));
+        st.sock_bind_udp(53).unwrap();
+        assert_eq!(st.sock_bind_udp(53), Err(SockError::InUse));
     }
 
     #[test]
     fn distinct_ephemeral_ports() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23, None).unwrap();
+        w.b.sock_listen(23, None).unwrap();
         let mut seen = Map::new();
         for i in 0..5 {
-            let s = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+            let s = w.a.sock_connect(now, ipa(2), 23).unwrap();
             let out = w.a.drain_actions();
             w.run(now, out, vec![]);
-            let port = w.a.socks[s.0].tcb.local().1;
+            let port = w.a.socks[sid(s).0].tcb.local().1;
             assert!(seen.insert(port, i).is_none(), "port {port} reused");
         }
     }
@@ -1837,7 +1644,7 @@ mod tests {
     fn stack_timers_drive_tcp_retransmission() {
         let now = SimTime::ZERO;
         let (mut a, _aif) = NetStack::simple_host(ipa(1), 24, 1500, None);
-        let _s = a.tcp_connect(now, ipa(2), 23).unwrap();
+        let _s = a.sock_connect(now, ipa(2), 23).unwrap();
         assert_eq!(a.drain_actions().len(), 1, "SYN egress");
         let t = a.next_deadline().expect("rtx timer armed");
         a.poll_queued(t);
@@ -1920,7 +1727,7 @@ mod tests {
         };
         let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
         st.cfg.ipip = true;
-        let sock = st.udp_bind(520).unwrap();
+        let sock = st.sock_bind_udp(520).unwrap();
         let dg = UdpDatagram {
             src_port: 520,
             dst_port: 520,
@@ -1936,7 +1743,7 @@ mod tests {
         };
         // What recvfrom lends: "hello", read where it arrived.
         let lent_in_place = |st: &mut NetStack, ptr: *const u8| {
-            st.udp_recv(sock, |_, _, p| {
+            st.sock_recv_from(sock, |_, _, p| {
                 p == b"hello" && p.as_ptr() == ptr.wrapping_add(udp::HEADER_LEN)
             })
         };
@@ -1946,7 +1753,7 @@ mod tests {
         let ptr = wire.as_ptr();
         st.input_owned(now, ifid, wire);
         assert!(!pooled(&mut st, ptr), "queued on the socket");
-        assert_eq!(lent_in_place(&mut st, ptr), Some(true));
+        assert_eq!(lent_in_place(&mut st, ptr), Ok(true));
         assert!(pooled(&mut st, ptr), "the allocation that came in");
         // Delivered through a tunnel: the inner datagram is still the
         // outer buffer, queued and handed back the same way.
@@ -1954,7 +1761,7 @@ mod tests {
         let wire = from_driver(&outer);
         let ptr = wire.as_ptr();
         st.input_owned(now, ifid, wire);
-        assert_eq!(lent_in_place(&mut st, ptr), Some(true));
+        assert_eq!(lent_in_place(&mut st, ptr), Ok(true));
         assert!(pooled(&mut st, ptr));
         // To a port nobody bound: answered, and handed back at once.
         let dg = UdpDatagram { dst_port: 9, ..dg };
@@ -2053,7 +1860,7 @@ mod tests {
     fn ipip_input_delivers_inner_local_payload() {
         let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
         st.cfg.ipip = true;
-        let sock = st.udp_bind(520).unwrap();
+        let sock = st.sock_bind_udp(520).unwrap();
         let dg = UdpDatagram {
             src_port: 520,
             dst_port: 520,
@@ -2062,8 +1869,8 @@ mod tests {
         let inner = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, dg.encode(ipa(1), ipa(2)));
         let outer = Ipv4Packet::new(ipa(1), ipa(2), Proto::Other(ip::IPIP), inner.encode());
         let acts = st.input(SimTime::ZERO, ifid, &outer.encode());
-        assert!(acts.contains(&StackAction::UdpReadable(sock)));
-        assert_eq!(st.udp_recv(sock, |_, _, p| p == b"hello"), Some(true));
+        assert!(acts.contains(&StackAction::UdpReadable(uid(sock))));
+        assert_eq!(st.sock_recv_from(sock, |_, _, p| p == b"hello"), Ok(true));
     }
 
     #[test]
@@ -2072,7 +1879,7 @@ mod tests {
         // padding, say); the checksum covers only the UDP length, so the
         // datagram is valid and recvfrom lends exactly its payload.
         let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
-        let sock = st.udp_bind(520).unwrap();
+        let sock = st.sock_bind_udp(520).unwrap();
         let dg = UdpDatagram {
             src_port: 520,
             dst_port: 520,
@@ -2083,15 +1890,15 @@ mod tests {
         let packet = Ipv4Packet::new(ipa(1), ipa(2), Proto::Udp, body);
         st.input(SimTime::ZERO, ifid, &packet.encode());
         assert_eq!(
-            st.udp_recv(sock, |_, _, p| p.to_vec()).as_deref(),
-            Some(&b"hello"[..])
+            st.sock_recv_from(sock, |_, _, p| p.to_vec()).as_deref(),
+            Ok(&b"hello"[..])
         );
     }
 
     #[test]
     fn udp_queue_stops_at_its_bound_and_counts_the_rest() {
         let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
-        let sock = st.udp_bind(520).unwrap();
+        let sock = st.sock_bind_udp(520).unwrap();
         let wire = |n: u8| {
             let dg = UdpDatagram {
                 src_port: 520,
@@ -2111,11 +1918,11 @@ mod tests {
         let readable = st
             .drain_actions()
             .iter()
-            .filter(|a| **a == StackAction::UdpReadable(sock))
+            .filter(|a| **a == StackAction::UdpReadable(uid(sock)))
             .count();
         assert_eq!(readable, UDP_RX_QUEUE, "a dropped datagram wakes nobody");
         // The queue kept the oldest; reading one makes room for one more.
-        assert_eq!(st.udp_recv(sock, |_, _, p| p[0]), Some(0));
+        assert_eq!(st.sock_recv_from(sock, |_, _, p| p[0]), Ok(0));
         st.input_owned(SimTime::ZERO, ifid, wire(0xFF));
         assert_eq!(udp_queued(&st, sock), UDP_RX_QUEUE);
         assert_eq!(st.stats().udp_fullsock, EXTRA as u64);
@@ -2137,8 +1944,9 @@ mod tests {
     #[test]
     fn udp_broadcast_bypasses_routing_and_draws_no_icmp() {
         let (mut a, a_if) = NetStack::simple_host(ipa(1), 24, 1500, None);
-        let ua = a.udp_bind(520).unwrap();
-        a.udp_send_broadcast(ua, a_if, 520, b"route 44.56/16".to_vec());
+        let ua = a.sock_bind_udp(520).unwrap();
+        a.sock_send_broadcast(ua, a_if, 520, b"route 44.56/16".to_vec())
+            .unwrap();
         let out = a.drain_actions();
         let [StackAction::Egress {
             next_hop, packet, ..
@@ -2153,10 +1961,10 @@ mod tests {
         // A listener receives it; a host with no socket stays silent
         // (no port-unreachable storm back at the announcer).
         let (mut b, b_if) = NetStack::simple_host(ipa(2), 24, 1500, None);
-        let ub = b.udp_bind(520).unwrap();
+        let ub = b.sock_bind_udp(520).unwrap();
         let acts = b.input(SimTime::ZERO, b_if, &packet.encode());
-        assert!(acts.contains(&StackAction::UdpReadable(ub)));
-        assert_eq!(b.udp_recv(ub, |from, _, _| from), Some(ipa(1)));
+        assert!(acts.contains(&StackAction::UdpReadable(uid(ub))));
+        assert_eq!(b.sock_recv_from(ub, |from, _, _| from), Ok(ipa(1)));
         let (mut c, c_if) = NetStack::simple_host(ipa(3), 24, 1500, None);
         let acts = c.input(SimTime::ZERO, c_if, &packet.encode());
         assert!(acts.is_empty(), "no ICMP about a broadcast: {acts:?}");
@@ -2183,7 +1991,7 @@ mod tests {
     #[test]
     fn children_are_accepted_in_handshake_completion_order() {
         let (mut b, b_if) = NetStack::simple_host(ipa(2), 24, 1500, None);
-        let listener = b.tcp_listen(23, None).unwrap();
+        let listener = b.sock_listen(23, None).unwrap();
         let syn = TcpFlags {
             syn: true,
             ..Default::default()
@@ -2211,63 +2019,69 @@ mod tests {
         assert_eq!(accepted.len(), 2);
         assert_eq!(accept_queued(&b, listener), 2);
         assert_eq!(b.socks[accepted[0].0].tcb.remote(), (ipa(1), 1026));
-        assert_eq!(b.tcp_accept(listener), Some(accepted[0]));
-        assert_eq!(b.tcp_accept(listener), Some(accepted[1]));
-        assert_eq!(b.tcp_accept(listener), None);
+        assert_eq!(
+            b.sock_accept(listener),
+            Ok(SocketHandle::Stream(accepted[0]))
+        );
+        assert_eq!(
+            b.sock_accept(listener),
+            Ok(SocketHandle::Stream(accepted[1]))
+        );
+        assert_eq!(b.sock_accept(listener), Err(SockError::WouldBlock));
     }
 
     #[test]
     fn the_handshake_disarms_the_connect_timer() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        w.b.tcp_listen(23, None).unwrap();
-        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        w.b.sock_listen(23, None).unwrap();
+        let ca = w.a.sock_connect(now, ipa(2), 23).unwrap();
         assert!(w
             .a
             .next_deadline()
             .is_some_and(|t| t <= now + CONNECT_TIMEOUT));
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert!(w.a_ev.contains(&StackAction::TcpConnected(ca)));
+        assert!(w.a_ev.contains(&StackAction::TcpConnected(sid(ca))));
         assert_eq!(w.a.next_deadline(), None, "an idle connection has no timer");
         w.a.poll_queued(now + CONNECT_TIMEOUT);
         assert!(w.a.actions_empty());
-        assert_eq!(w.a.socks[ca.0].tcb.state(), TcpState::Established);
-        assert_eq!(w.a.socks[ca.0].error, None);
+        assert_eq!(w.a.socks[sid(ca).0].tcb.state(), TcpState::Established);
+        assert_eq!(w.a.socks[sid(ca).0].error, None);
     }
 
     #[test]
     fn a_closed_listener_frees_its_port_and_aborts_its_queue() {
         let mut w = Wire::new();
         let now = SimTime::ZERO;
-        let listener = w.b.tcp_listen(23, None).unwrap();
-        let ca = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let listener = w.b.sock_listen(23, None).unwrap();
+        let ca = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
         assert_eq!(accept_queued(&w.b, listener), 1);
         // Closing aborts the child nobody accepted: the client is reset.
-        w.b.tcp_unlisten(now, listener);
+        w.b.sock_close(now, listener);
         let out = w.b.drain_actions();
         w.run(now, vec![], out);
         assert!(w.a_ev.contains(&StackAction::TcpClosed {
-            sock: ca,
+            sock: sid(ca),
             reset: true
         }));
-        assert_eq!(w.b.tcp_accept(listener), None);
+        assert_eq!(w.b.sock_accept(listener), Err(SockError::BadHandle));
         // A SYN to the port now draws a RST.
-        let c2 = w.a.tcp_connect(now, ipa(2), 23).unwrap();
+        let c2 = w.a.sock_connect(now, ipa(2), 23).unwrap();
         let out = w.a.drain_actions();
         w.run(now, out, vec![]);
-        assert_eq!(w.a.socks[c2.0].error, Some(ConnError::Refused));
+        assert_eq!(w.a.socks[sid(c2).0].error, Some(ConnError::Refused));
         // The port can be listened on again, under a fresh id.
-        let again = w.b.tcp_listen(23, None).unwrap();
+        let again = w.b.sock_listen(23, None).unwrap();
         assert_ne!(again, listener);
     }
 
     #[test]
     fn a_closed_udp_socket_frees_its_port_and_gives_back_its_buffers() {
         let (mut st, ifid) = NetStack::simple_host(ipa(2), 24, 1500, None);
-        let sock = st.udp_bind(520).unwrap();
+        let sock = st.sock_bind_udp(520).unwrap();
         let dg = UdpDatagram {
             src_port: 520,
             dst_port: 520,
@@ -2281,7 +2095,7 @@ mod tests {
             st.input_owned(SimTime::ZERO, ifid, buf);
         }
         assert_eq!(udp_queued(&st, sock), crate::pool::DEPTH);
-        st.udp_unbind(sock);
+        st.sock_close(SimTime::ZERO, sock);
         assert_eq!(udp_queued(&st, sock), 0);
         // The pool holds exactly the buffers the socket had queued.
         let free: [Vec<u8>; crate::pool::DEPTH] = std::array::from_fn(|_| st.pool_mut().take(0));
@@ -2289,10 +2103,13 @@ mod tests {
         free.sort_unstable();
         queued.sort_unstable();
         assert_eq!(free, queued);
-        // The port is free again; a datagram to the dead id goes nowhere.
-        let again = st.udp_bind(520).unwrap();
+        // The port is free again; a datagram to the dead handle goes nowhere.
+        let again = st.sock_bind_udp(520).unwrap();
         assert_ne!(again, sock);
-        st.udp_send(sock, ipa(1), 520, b"late".to_vec());
+        assert_eq!(
+            st.sock_send_to(sock, ipa(1), 520, b"late".to_vec()),
+            Err(SockError::BadHandle)
+        );
         assert!(st
             .drain_actions()
             .iter()

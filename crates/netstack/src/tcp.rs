@@ -670,7 +670,7 @@ impl Tcb {
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment<'_>, ev: &mut Vec<TcbEvent>) {
         self.stats.segments_received += 1;
         if seg.header.flags.rst {
-            if self.state != TcpState::Closed {
+            if self.rst_acceptable(&seg.header) {
                 self.enter_closed(true, ev);
             }
             return;
@@ -679,6 +679,23 @@ impl Tcb {
             TcpState::Closed => {}
             TcpState::SynSent => self.seg_syn_sent(now, &seg.header, ev),
             _ => self.seg_synchronized(now, seg, ev),
+        }
+    }
+
+    /// Whether a RST may end this connection, by RFC 793 §3.9 (SEGMENT
+    /// ARRIVES): in SYN-SENT only one whose ACK acknowledges our SYN
+    /// (`SEG.ACK = SND.NXT`); elsewhere only one whose sequence number
+    /// lies in the window we advertised (`RCV.NXT ≤ SEG.SEQ < RCV.NXT +
+    /// RCV.WND`, and with that window shut only `SEG.SEQ = RCV.NXT`). Any
+    /// other RST is dropped silently. RFC 5961 (§3.2) would accept only
+    /// the exact `RCV.NXT` and answer the rest of the window with a
+    /// challenge ACK; this 1988 stack does neither, a named deviation.
+    fn rst_acceptable(&self, hdr: &TcpHeader) -> bool {
+        match self.state {
+            TcpState::Closed => false,
+            TcpState::SynSent => hdr.flags.ack && hdr.ack == self.snd_nxt,
+            _ if self.advertised_wnd == 0 => hdr.seq == self.rcv_nxt,
+            _ => hdr.seq.wrapping_sub(self.rcv_nxt) < u32::from(self.advertised_wnd),
         }
     }
 

@@ -747,3 +747,141 @@ fn fin_only_retransmission() {
     let (_, b_ev) = settle(now, ev, &mut alice, &mut bob);
     assert!(b_ev.contains(&TcbEvent::PeerClosed));
 }
+
+/// A bare RST (ACK set, acknowledging `ack`) from `from`'s end of its
+/// connection, at sequence number `seq`.
+fn rst_from(from: &Tcb, seq: u32, ack: Option<u32>) -> Wire {
+    Wire {
+        header: TcpHeader {
+            src_port: from.local.1,
+            dst_port: from.remote.1,
+            seq,
+            ack: ack.unwrap_or(0),
+            flags: TcpFlags {
+                rst: true,
+                ack: ack.is_some(),
+                ..TcpFlags::default()
+            },
+            window: 0,
+            mss: None,
+        },
+        payload: Vec::new(),
+    }
+}
+
+#[test]
+fn a_spoofed_out_of_window_rst_leaves_an_established_connection_open() {
+    let (mut alice, mut bob) = pair(TcpConfig::default(), TcpConfig::default());
+    let now = SimTime::ZERO;
+    let wnd = u32::from(bob.advertised_wnd);
+    // One below RCV.NXT, the first octet past the window, and far away.
+    for seq in [
+        bob.rcv_nxt.wrapping_sub(1),
+        bob.rcv_nxt.wrapping_add(wnd),
+        bob.rcv_nxt.wrapping_add(1 << 31),
+    ] {
+        let rst = rst_from(&alice, seq, Some(bob.snd_nxt));
+        let (out, ev) = deliver(now, &mut bob, &rst);
+        assert!(out.is_empty() && ev.is_empty(), "seq {seq}: {out:?} {ev:?}");
+        assert_eq!(bob.state(), TcpState::Established, "seq {seq}");
+    }
+    // The connection still carries data.
+    let (_, ev) = send(&mut alice, now, b"still here");
+    settle(now, ev, &mut alice, &mut bob);
+    assert_eq!(recv(&mut bob, now).0, b"still here");
+}
+
+#[test]
+fn an_in_window_rst_closes_with_reset() {
+    for off in [0, u32::from(RECV_BUF as u16) - 1] {
+        let (alice, mut bob) = pair(TcpConfig::default(), TcpConfig::default());
+        let seq = bob.rcv_nxt.wrapping_add(off);
+        let rst = rst_from(&alice, seq, None);
+        let (_, ev) = deliver(SimTime::ZERO, &mut bob, &rst);
+        assert_eq!(ev, [TcbEvent::Closed { reset: true }], "offset {off}");
+        assert_eq!(bob.state(), TcpState::Closed);
+    }
+}
+
+#[test]
+fn with_the_window_shut_only_a_rst_at_rcv_nxt_counts() {
+    let (mut alice, mut bob) = pair(roomy_sender(), TcpConfig::default());
+    let now = SimTime::ZERO;
+    let (_, ev) = send(&mut alice, now, &[7; RECV_BUF]);
+    settle(now, ev, &mut alice, &mut bob);
+    assert_eq!(bob.advertised_wnd, 0, "the receive buffer is full");
+    let rst = rst_from(&alice, bob.rcv_nxt + 1, None);
+    let (_, ev) = deliver(now, &mut bob, &rst);
+    assert!(ev.is_empty());
+    assert_eq!(bob.state(), TcpState::Established);
+    let rst = rst_from(&alice, bob.rcv_nxt, None);
+    let (_, ev) = deliver(now, &mut bob, &rst);
+    assert_eq!(ev, [TcbEvent::Closed { reset: true }]);
+}
+
+#[test]
+fn in_syn_sent_a_rst_counts_only_if_it_acknowledges_the_syn() {
+    let now = SimTime::ZERO;
+    let mut ev = Vec::new();
+    let mut alice = Tcb::connect(
+        now,
+        (ipa(1), A),
+        (ipa(2), B),
+        1000,
+        TcpConfig::default(),
+        &mut ev,
+    );
+    // The peer's end, for the ports a RST would carry.
+    let peer = Tcb::connect(
+        now,
+        (ipa(2), B),
+        (ipa(1), A),
+        9000,
+        TcpConfig::default(),
+        &mut Vec::new(),
+    );
+    for ack in [
+        None,
+        Some(alice.snd_nxt.wrapping_sub(1)),
+        Some(alice.snd_nxt + 1),
+    ] {
+        let rst = rst_from(&peer, 0, ack);
+        let (_, ev) = deliver(now, &mut alice, &rst);
+        assert!(ev.is_empty(), "ack {ack:?}: {ev:?}");
+        assert_eq!(alice.state(), TcpState::SynSent, "ack {ack:?}");
+    }
+    let rst = rst_from(&peer, 0, Some(alice.snd_nxt));
+    let (_, ev) = deliver(now, &mut alice, &rst);
+    assert_eq!(ev, [TcbEvent::Closed { reset: true }]);
+}
+
+/// ROADMAP finding 2, second half, pinned as it stands: the peer's window
+/// is taken from every ACK, even one for data never sent (above SND.NXT)
+/// and one older than the last update (RFC 793's SND.WL1/SND.WL2 rule
+/// would ignore both). Mending that (ROADMAP item 4) flips this test.
+#[test]
+fn an_ack_above_snd_nxt_and_a_stale_ack_both_still_set_snd_wnd() {
+    let (mut alice, bob) = pair(TcpConfig::default(), TcpConfig::default());
+    let now = SimTime::ZERO;
+    let ack_of = |ack: u32, window: u16| Wire {
+        header: TcpHeader {
+            src_port: bob.local.1,
+            dst_port: bob.remote.1,
+            seq: bob.snd_nxt,
+            ack,
+            flags: TcpFlags {
+                ack: true,
+                ..TcpFlags::default()
+            },
+            window,
+            mss: None,
+        },
+        payload: Vec::new(),
+    };
+    let beyond = ack_of(alice.snd_nxt + 1000, 1234);
+    deliver(now, &mut alice, &beyond);
+    assert_eq!(alice.snd_wnd, 1234, "an ACK for unsent data");
+    let stale = ack_of(alice.snd_una.wrapping_sub(500), 77);
+    deliver(now, &mut alice, &stale);
+    assert_eq!(alice.snd_wnd, 77, "a stale ACK");
+}

@@ -149,7 +149,7 @@ enum StackOp {
     Send(Ipv4Addr),
     /// `send_ip` an already-IPIP packet (routed path, no tunnel consult).
     SendIpip(Ipv4Addr),
-    /// `udp_send` (the socket source-selection lookup site).
+    /// `sock_send_to` (the socket source-selection lookup site).
     Udp(Ipv4Addr),
     /// Route churn.
     Table(TableOp),
@@ -329,7 +329,7 @@ proptest! {
         ops in proptest::collection::vec(arb_stack_op(), 1..120),
     ) {
         let mut s = build_stack();
-        let udp = s.udp_bind(1234).unwrap();
+        let udp = s.sock_bind_udp(1234).unwrap();
         for (i, op) in ops.iter().enumerate() {
             let (before, consults) = (s.stats(), ChurnMap::of(&s).consults());
             let e = match op.clone() {
@@ -358,7 +358,7 @@ proptest! {
                     } else {
                         Expected { no_route: true, ..Expected::default() }
                     };
-                    s.udp_send(udp, dst, 53, vec![1, 2, 3]);
+                    s.sock_send_to(udp, dst, 53, vec![1, 2, 3]).unwrap();
                     e
                 }
                 StackOp::Table(top) => {

@@ -67,7 +67,11 @@ fn main() {
     }
 
     // Carry an IP datagram across the backbone.
-    let udp = world.host_mut(east).stack.udp_bind(4000).expect("bind");
+    let udp = world
+        .host_mut(east)
+        .stack
+        .sock_bind_udp(4000)
+        .expect("bind");
     let dg = UdpDatagram {
         src_port: 4001,
         dst_port: 4000,
@@ -88,13 +92,13 @@ fn main() {
     let got = world
         .host_mut(east)
         .stack
-        .udp_recv(udp, |src, port, payload| {
+        .sock_recv_from(udp, |src, port, payload| {
             println!(
                 "t={now}  EGATE's UDP socket received from {src}:{port}: {:?}",
                 String::from_utf8_lossy(payload)
             );
         });
-    if got.is_none() {
+    if got.is_err() {
         println!("datagram did not arrive (unexpected)");
     }
     println!(

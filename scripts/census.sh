@@ -43,7 +43,8 @@
 #   pub fns          `pub fn` declarations (not `pub(crate)`, `pub const fn`
 #                    or `pub unsafe fn`) in the non-test lines above of
 #                    crates/*/src, every library crate but bench and
-#                    proptest (test support). One line: their total.
+#                    proptest (test support). Per crate, then one line:
+#                    their total.
 #   pub fns with no caller outside their crate
 #                    Those of the pub fns above whose name appears as a
 #                    word, on a line that is not a `//` comment, in none of:
@@ -138,6 +139,13 @@ non_test_files | xargs awk '
         }
     }
     END {
+        print "pub fns in the library crates but bench and proptest, by crate:"
+        for (d = 1; d <= ndecl; d++) {
+            split(decl[d], p, " ")
+            per[p[1]]++
+        }
+        for (c in per) printf "    %-10s %6d\n", c, per[c] | "sort"
+        close("sort")
         printf "pub fns in the library crates but bench and proptest: %d\n", ndecl
         print "pub fns with no caller outside their crate, by crate (crates with none are not listed):"
         for (d = 1; d <= ndecl; d++) {

@@ -60,7 +60,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Counts held exactly, per crate, each against its line in a ceiling file
 # (no line: 0), so a rise fails and so does a fall nobody recorded. One
-# census.sh run (it runs clippy for the indexing count) feeds both gates.
+# census.sh run (it runs clippy for the indexing count) feeds all four gates.
 census=$(scripts/census.sh)
 # $1: what is counted; $2: the ceiling file; $3: the heading census.sh
 # prints above its `    crate count` lines.
@@ -107,6 +107,13 @@ hold_counts "indexing_slicing sites" scripts/indexing_ceiling.txt "indexing_slic
 echo "==> pub fns with no caller outside their crate equal scripts/pub_surface_ceiling.txt"
 hold_counts "pub fns with no caller outside their crate" scripts/pub_surface_ceiling.txt \
     "pub fns with no caller outside their crate"
+
+# Each crate's public surface is held the same way: a pub fn added or
+# removed changes its crate's count, and the PR that does so says so by
+# moving that crate's line (ROADMAP item 14).
+echo "==> pub fns per crate equal scripts/pub_fn_ceiling.txt"
+hold_counts "pub fns" scripts/pub_fn_ceiling.txt \
+    "pub fns in the library crates but bench and proptest, by crate"
 
 # A doc link to a name that no longer exists (or to a private one) fails
 # here, so deleting an API cannot leave its docs pointing at nothing.

@@ -119,7 +119,12 @@ fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
         .contains(&"EGATE".to_string()));
 
     // The east gateway listens on UDP 4000.
-    let east_udp = b.world.host_mut(b.east).stack.udp_bind(4000).expect("bind");
+    let east_udp = b
+        .world
+        .host_mut(b.east)
+        .stack
+        .sock_bind_udp(4000)
+        .expect("bind");
 
     // Build a real IP/UDP packet addressed to the east gateway and ship
     // it over NET/ROM.
@@ -141,7 +146,7 @@ fn ip_datagram_crosses_the_backbone_into_the_far_stack() {
         .world
         .host_mut(b.east)
         .stack
-        .udp_recv(east_udp, |src, sport, payload| {
+        .sock_recv_from(east_udp, |src, sport, payload| {
             (src, sport, payload.to_vec())
         })
         .expect("datagram arrived across the backbone");
@@ -188,7 +193,11 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
         .destinations()
         .contains(&"EGATE".to_string()));
 
-    let east_udp = world.host_mut(east).stack.udp_bind(4000).expect("bind");
+    let east_udp = world
+        .host_mut(east)
+        .stack
+        .sock_bind_udp(4000)
+        .expect("bind");
     let dg = UdpDatagram {
         src_port: 1,
         dst_port: 4000,
@@ -202,6 +211,6 @@ fn backbone_survives_a_dead_relay_with_an_alternate_path() {
     assert!(world
         .host_mut(east)
         .stack
-        .udp_recv(east_udp, |_, _, _| ())
-        .is_some());
+        .sock_recv_from(east_udp, |_, _, _| ())
+        .is_ok());
 }

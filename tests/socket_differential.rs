@@ -1,17 +1,18 @@
-//! Differential test: the socket-layer echo server is wire-identical
-//! to the raw-API original (DESIGN.md §10).
+//! Differential test: the echo server the readiness runtime drives is
+//! wire-identical to the event-driven reference (DESIGN.md §10).
 //!
 //! Two copies of the paper topology run the same typist workload with
 //! the same seed; one serves echoes with [`apps::echo::EchoServer`] (a
-//! `SocketProgram` on the new layer), the other with
-//! [`apps::echo::RawEchoServer`] (the pre-socket reference driving
-//! `NetStack::tcp_*` directly). The recorded stack-event streams — every
-//! TCP/UDP/ICMP event on every host, with its simulation timestamp — are
-//! a function of the traffic actually on the wire, so stream equality at
-//! nanosecond resolution means the socket shim added, removed, delayed,
-//! or reordered nothing.
+//! `SocketProgram` the `sockapp` runtime wakes on readiness edges), the
+//! other with [`apps::echo::EventEchoServer`] (the reference that answers
+//! each stack event as it is dispatched, through the same `sock_*`
+//! verbs). The recorded stack-event streams — every TCP/UDP/ICMP event on
+//! every host, with its simulation timestamp — are a function of the
+//! traffic actually on the wire, so stream equality at nanosecond
+//! resolution means the readiness runtime added, removed, delayed, or
+//! reordered nothing.
 
-use apps::echo::{EchoServer, RawEchoServer};
+use apps::echo::{EchoServer, EventEchoServer};
 use apps::typist::Typist;
 use gateway::scenario::{paper_topology, PaperConfig, ETHER_HOST_IP};
 use gateway::world::{App, HostId};
@@ -38,23 +39,26 @@ fn run_with_server<A: App>(server: Box<A>, seed: u64) -> (EventStream, TypistCou
 }
 
 #[test]
-fn socket_echo_server_is_wire_identical_to_raw() {
-    let (raw_events, raw_counts) = run_with_server(Box::new(RawEchoServer::new(7)), 2601);
+fn socket_echo_server_is_wire_identical_to_event_driven() {
+    let (ev_events, ev_counts) = run_with_server(Box::new(EventEchoServer::new(7)), 2601);
     let (sock_events, sock_counts) = run_with_server(Box::new(EchoServer::new(7)), 2601);
 
-    assert_eq!(raw_counts.0, 12, "raw run did not complete: {raw_counts:?}");
-    assert_eq!(raw_counts, sock_counts, "typist outcomes diverge");
+    assert_eq!(
+        ev_counts.0, 12,
+        "event-driven run did not complete: {ev_counts:?}"
+    );
+    assert_eq!(ev_counts, sock_counts, "typist outcomes diverge");
     assert!(
-        raw_counts.2.is_some(),
-        "session never finished: {raw_counts:?}"
+        ev_counts.2.is_some(),
+        "session never finished: {ev_counts:?}"
     );
 
     assert_eq!(
-        raw_events.len(),
+        ev_events.len(),
         sock_events.len(),
         "event stream lengths diverge"
     );
-    for (i, (a, b)) in raw_events.iter().zip(sock_events.iter()).enumerate() {
+    for (i, (a, b)) in ev_events.iter().zip(sock_events.iter()).enumerate() {
         assert_eq!(a, b, "event stream diverges at index {i}");
     }
 }
